@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-json bench-diff plot
+.PHONY: build test race bench-smoke plot
 
 build:
 	$(GO) build ./...
@@ -13,26 +13,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# One iteration of every bench_test.go benchmark, so bench-only code
+# cannot rot. Numbers come from the benchmark/ harness, not from here:
+#   go run ./benchmark
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# Machine-readable benchmark snapshot (the ROADMAP's benchmark
-# trajectory): one JSON document per PR, BENCH_<n>.json, with -benchmem
-# so allocation trajectories (allocs/op, B/op) accumulate alongside
-# wall-clock.
-BENCH_JSON ?= BENCH_10.json
-
-bench-json:
-	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x ./... | $(GO) run ./tools/benchjson > $(BENCH_JSON)
-	@echo "wrote $(BENCH_JSON)"
-
-# Compare the fresh snapshot against the previous checked-in one,
-# warning (never failing) on >20% wall-clock or allocation regressions.
-BENCH_PREV ?= $(lastword $(filter-out $(BENCH_JSON),$(sort $(wildcard BENCH_*.json))))
-
-bench-diff:
-	@test -n "$(BENCH_PREV)" || { echo "no previous BENCH_*.json"; exit 0; }
-	$(GO) run ./tools/benchjson -diff $(BENCH_PREV) $(BENCH_JSON)
 
 # Render a sweep spec into a paper-style figure:
 #   make plot SPEC=examples/scenarios/fig6_sweep.json OUT=fig6

@@ -209,25 +209,6 @@ func BenchmarkGatewayCapacity(b *testing.B) {
 	}
 }
 
-// BenchmarkCity tracks the metro-scale trajectory: one city_10k-shaped
-// run per node count, reporting engine throughput and allocation rate.
-// The size axis makes scale regressions visible across BENCH_N.json
-// snapshots — a 10k-node cell must stay a few wall seconds, not minutes.
-func BenchmarkCity(b *testing.B) {
-	for _, n := range []int{1000, 5000, 10000} {
-		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				events, wall, allocsPerEv := experiments.CityRun(n, benchScale)
-				if events == 0 {
-					b.Fatal("no simulator events")
-				}
-				b.ReportMetric(float64(events)/wall.Seconds()/1000, "kev_per_s")
-				b.ReportMetric(allocsPerEv, "allocs_per_ev")
-			}
-		})
-	}
-}
-
 func BenchmarkFig14Adaptive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := experiments.Fig14(experiments.Opts{Scale: 0.2})

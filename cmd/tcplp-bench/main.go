@@ -42,7 +42,6 @@ import (
 	"tcplp/internal/obs"
 	"tcplp/internal/obs/journey"
 	"tcplp/internal/scenario"
-	"tcplp/internal/stack"
 	"tcplp/internal/tcplp/cc"
 )
 
@@ -72,7 +71,6 @@ func main() {
 		delivThr = flag.Float64("flight-threshold", 0.5, "flight-recorder end-of-run delivery-ratio dump threshold (0 disables)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after GC) to this file")
-		phyWork  = flag.Int("phy-workers", -1, "default PHY fan-out worker bound: 0 serial, N>0 parallel, -1 keeps the built-in default; specs with phy_workers set keep their own value")
 	)
 	flag.Parse()
 
@@ -103,18 +101,14 @@ func main() {
 			}
 		}()
 	}
-	if *phyWork >= 0 {
-		stack.DefaultPhyWorkers = *phyWork
-		fmt.Fprintf(os.Stderr, "phy fan-out workers: %d\n", *phyWork)
-	}
-
+	var ccVariant cc.Variant
 	if *variant != "" {
 		v, err := cc.Parse(*variant)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		stack.DefaultVariant = v
+		ccVariant = v
 		fmt.Fprintf(os.Stderr, "congestion control: %s\n", v)
 	}
 	if *window != 0 {
@@ -122,7 +116,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-window must be >= 1 segment\n")
 			os.Exit(1)
 		}
-		stack.DefaultWindowSegs = *window
 		fmt.Fprintf(os.Stderr, "window: %d segments\n", *window)
 	}
 	if *seeds < 0 {
@@ -139,7 +132,8 @@ func main() {
 			os.Exit(1)
 		}
 		oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, *metrIntv, *stallWin, *jrny, *jrnyOut, *delivThr)
-		runScenario(*scenFile, *workers, *seeds, *format, *durFlag, *warmFlag, oc)
+		runner := &scenario.Runner{Workers: *workers, Obs: oc, Variant: ccVariant, WindowSegs: *window}
+		runScenario(*scenFile, runner, *seeds, *format, *durFlag, *warmFlag)
 		finish()
 		return
 	}
@@ -171,6 +165,9 @@ func main() {
 		Seeds:   *seeds,
 		Workers: *workers,
 		CI:      *ci,
+
+		Variant:    ccVariant,
+		WindowSegs: *window,
 	}
 	run := func(e experiments.Experiment) {
 		fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Desc)
@@ -309,7 +306,7 @@ func splitList(s string) []string {
 // runScenario loads a spec file, applies schedule/seed overrides,
 // expands sweeps, fans the cells out across the worker pool, and prints
 // the results in the requested format.
-func runScenario(path string, workers, seeds int, format, durOverride, warmOverride string, oc *scenario.ObsConfig) {
+func runScenario(path string, runner *scenario.Runner, seeds int, format, durOverride, warmOverride string) {
 	switch format {
 	case "summary", "csv", "json":
 	default:
@@ -361,7 +358,7 @@ func runScenario(path string, workers, seeds int, format, durOverride, warmOverr
 		nRuns += n
 	}
 	fmt.Fprintf(os.Stderr, "running %d scenario cell(s), %d run(s)...\n", len(cells), nRuns)
-	results, err := (&scenario.Runner{Workers: workers, Obs: oc}).RunAll(cells)
+	results, err := runner.RunAll(cells)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"tcplp/internal/experiments"
-	"tcplp/internal/stack"
 	"tcplp/internal/tcplp/cc"
 )
 
@@ -29,18 +28,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	stack.DefaultVariant = v
-	if *window != 0 {
-		if *window < 1 {
-			fmt.Fprintln(os.Stderr, "-window must be >= 1 segment")
-			os.Exit(1)
-		}
-		stack.DefaultWindowSegs = *window
+	if *window < 0 {
+		fmt.Fprintln(os.Stderr, "-window must be >= 1 segment")
+		os.Exit(1)
 	}
 
 	trace, summary := experiments.CwndTrace(experiments.Opts{
-		Scale:   experiments.Scale(*scale),
-		Workers: *workers,
+		Scale:      experiments.Scale(*scale),
+		Workers:    *workers,
+		Variant:    v,
+		WindowSegs: *window,
 	})
 	if *csv {
 		fmt.Println("time_s,cwnd_bytes,ssthresh_bytes,variant")

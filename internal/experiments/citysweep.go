@@ -53,64 +53,6 @@ func citySpec(n int, variant string, warm, dur sim.Duration, seeds []int64) *sce
 	}
 }
 
-// metroSpec is the examples/scenarios/city_10k.json shape at an
-// arbitrary node count: one telemetry flow per 20 devices (500 flows at
-// 10k nodes) reporting at a metro-realistic 30 s interval, and density
-// 16 so the random-geometric field stays connected — and the gateway
-// funnel stays serviceable — all the way to 10k nodes.
-func metroSpec(n int, warm, dur sim.Duration, seeds []int64) *scenario.Spec {
-	return &scenario.Spec{
-		Name: fmt.Sprintf("metro/n=%d", n),
-		Topology: scenario.TopologySpec{
-			Kind:    scenario.TopoRandomGeometric,
-			Nodes:   n,
-			Density: 16,
-		},
-		Gateway: &scenario.GatewaySpec{
-			WAN: scenario.WANSpec{
-				BandwidthKbps: 256,
-				RTT:           scenario.Duration(50 * sim.Millisecond),
-				QueueCap:      256,
-			},
-		},
-		Flows: []scenario.FlowSpec{{
-			Label:     "dev",
-			To:        scenario.Gateway(),
-			PerDevice: true,
-			Stride:    20,
-			Pattern:   scenario.PatternAnemometer,
-			Interval:  scenario.Duration(30 * sim.Second),
-		}},
-		Warmup:   scenario.Duration(warm),
-		Duration: scenario.Duration(dur),
-		Seeds:    seeds,
-	}
-}
-
-// CityRun executes one metro-scale cell serially and reports the
-// engine-side numbers the BenchmarkCity size axis tracks: simulator
-// events processed, wall-clock, and heap allocations per event.
-func CityRun(n int, o Opts) (events uint64, wall time.Duration, allocsPerEv float64) {
-	scale := o.scale()
-	spec := metroSpec(n, scale.dur(30*sim.Second), scale.dur(60*sim.Second), o.seeds(910))
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	sr, err := (&scenario.Runner{Workers: 1}).Run(spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: invalid metro spec: %v", err))
-	}
-	wall = time.Since(start)
-	runtime.ReadMemStats(&m1)
-	for _, run := range sr.Runs {
-		events += run.Events
-	}
-	if events > 0 {
-		allocsPerEv = float64(m1.Mallocs-m0.Mallocs) / float64(events)
-	}
-	return events, wall, allocsPerEv
-}
-
 // CitySweep sweeps node count × congestion-control variant over the
 // random-geometric generator and reports application metrics next to
 // engine throughput. Cells run serially (Workers=1) whatever Opts says:
@@ -132,7 +74,7 @@ func CitySweep(o Opts) *Table {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			start := time.Now()
-			sr, err := (&scenario.Runner{Workers: 1}).Run(spec)
+			sr, err := o.runner(1).Run(spec)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: invalid city spec: %v", err))
 			}

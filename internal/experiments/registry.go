@@ -6,6 +6,7 @@ import (
 	"tcplp/internal/model"
 	"tcplp/internal/scenario"
 	"tcplp/internal/sim"
+	"tcplp/internal/tcplp/cc"
 )
 
 // ModelComparison contrasts Eq. 1 (Mathis) with Eq. 2 (the paper's
@@ -37,8 +38,9 @@ func ModelComparison() *Table {
 }
 
 // Opts configures an experiment run: the duration scale, the number of
-// independent seeds per measurement point, and the scenario worker
-// pool. The zero value means full-scale, single-seed, all CPUs.
+// independent seeds per measurement point, the scenario worker pool, and
+// the transport defaults. The zero value means full-scale, single-seed,
+// all CPUs, NewReno, 4-segment window.
 type Opts struct {
 	// Scale shrinks measurement windows proportionally (0 means 1.0 —
 	// the full published durations).
@@ -53,6 +55,12 @@ type Opts struct {
 	// CI renders multi-seed cells as mean ± Student-t 95% confidence
 	// half-width instead of mean ± σ (tcplp-bench -ci).
 	CI bool
+	// Variant and WindowSegs replace the paper's NewReno / 4-segment
+	// defaults in every experiment (tcplp-bench -variant / -window);
+	// zero values keep them. Experiments that set a flow's variant or a
+	// spec's window themselves still win.
+	Variant    cc.Variant
+	WindowSegs int
 }
 
 // scale returns the effective duration scale.
@@ -78,11 +86,17 @@ func (o Opts) seeds(base int64) []int64 {
 	return out
 }
 
+// runner is the one place experiments build a scenario.Runner, so the
+// transport defaults reach every experiment.
+func (o Opts) runner(workers int) *scenario.Runner {
+	return &scenario.Runner{Workers: workers, Variant: o.Variant, WindowSegs: o.WindowSegs}
+}
+
 // run fans specs out across the scenario runner's worker pool. The
 // specs are built by the experiments themselves, so a validation error
 // is a programming bug, not an input error.
 func (o Opts) run(specs []*scenario.Spec) []*scenario.SpecResult {
-	res, err := (&scenario.Runner{Workers: o.Workers}).RunAll(specs)
+	res, err := o.runner(o.Workers).RunAll(specs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: invalid spec: %v", err))
 	}
@@ -98,7 +112,7 @@ type Experiment struct {
 	Desc string
 	Run  Runner
 	// SweepsVariants marks runners that compare congestion-control
-	// variants internally and therefore ignore the process-wide default.
+	// variants internally and therefore ignore Opts.Variant.
 	SweepsVariants bool
 	// MultiSeed marks runners that execute through the scenario runner
 	// and therefore honor Opts.Seeds/Workers (mean ± σ tables).

@@ -58,7 +58,11 @@ func Check(rep *Report) *ConformanceResult {
 		switch r.State {
 		case StateDelivered:
 			c.Delivered++
-			if r.hasLoss {
+			// A CoAP CON request can reach its sink while every ACK back
+			// is lost; the client then gives up on a reading that was
+			// delivered. That is a sender-side event on a delivered
+			// reading, not a second terminal state.
+			if r.hasLoss && r.Cause != obs.CauseCoAPGiveUp {
 				bad(r, "both delivered and lost (%s)", r.Cause)
 			}
 			b := &r.Buckets

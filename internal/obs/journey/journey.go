@@ -95,9 +95,12 @@ type Reading struct {
 	Node  int    // source node
 	Seq   uint32 // reading sequence number (per sensor)
 	State State
-	Cause obs.Cause // loss cause (State == StateLost)
-	Stage string    // furthest stage reached (State == StateInFlight)
-	PID   int64     // delivering journey packet id (0 = never transmitted)
+	// Cause is the loss cause when State == StateLost. On a delivered
+	// CoAP CON reading it may read CauseCoAPGiveUp: the request reached
+	// the sink, every ACK was lost, and the client gave up.
+	Cause obs.Cause
+	Stage string // furthest stage reached (State == StateInFlight)
+	PID   int64  // delivering journey packet id (0 = never transmitted)
 
 	Gen      sim.Time // generation
 	Enq      sim.Time // transport acceptance

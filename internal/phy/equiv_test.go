@@ -16,7 +16,7 @@ import (
 // each radio's sent/received/dropped counters. The per-link PER draw
 // consumes the shared engine RNG, so the trace also proves the delivery
 // *iteration order* matches — any reordering desynchronizes the stream.
-func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute bool, workers int) string {
+func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute bool) string {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(topo.TxRange, topo.SenseRange))
@@ -25,7 +25,6 @@ func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute bool, workers 
 	} else if !ch.Indexed() {
 		t.Fatal("unit-disk channel did not build a spatial index")
 	}
-	ch.SetWorkers(workers)
 	ch.PER = func(src, dst *phy.Radio) float64 { return 0.05 }
 	var trace strings.Builder
 	radios := make([]*phy.Radio, topo.N())
@@ -69,8 +68,8 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 	}
 	for name, topo := range topos {
 		for seed := int64(1); seed <= 3; seed++ {
-			grid := phyTrace(t, topo, seed, false, 0)
-			brute := phyTrace(t, topo, seed, true, 0)
+			grid := phyTrace(t, topo, seed, false)
+			brute := phyTrace(t, topo, seed, true)
 			if grid != brute {
 				gl, bl := strings.Split(grid, "\n"), strings.Split(brute, "\n")
 				for i := 0; i < len(gl) && i < len(bl); i++ {
@@ -80,41 +79,6 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 					}
 				}
 				t.Fatalf("%s seed %d: trace lengths differ (%d vs %d lines)", name, seed, len(gl), len(bl))
-			}
-		}
-	}
-}
-
-// TestParallelFanoutMatchesSerial is the worker-pool equivalence
-// regression: with MinParallelFanout forced to 1 so every fan-out takes
-// the parallel path even on small neighbor sets, the delivery and
-// collision traces — including the RNG-consuming per-link loss draws —
-// must be bit-identical to the serial engine-thread path.
-func TestParallelFanoutMatchesSerial(t *testing.T) {
-	old := phy.MinParallelFanout
-	phy.MinParallelFanout = 1
-	defer func() { phy.MinParallelFanout = old }()
-	topos := map[string]mesh.Topology{
-		"office":   mesh.Office(),
-		"twinleaf": mesh.TwinLeaf(4, 20),
-		"random":   mesh.RandomGeometric(150, 8, 5),
-	}
-	for name, topo := range topos {
-		for seed := int64(1); seed <= 3; seed++ {
-			serial := phyTrace(t, topo, seed, false, 0)
-			for _, workers := range []int{1, 4} {
-				par := phyTrace(t, topo, seed, false, workers)
-				if par != serial {
-					sl, pl := strings.Split(serial, "\n"), strings.Split(par, "\n")
-					for i := 0; i < len(sl) && i < len(pl); i++ {
-						if sl[i] != pl[i] {
-							t.Fatalf("%s seed %d workers %d: traces diverge at line %d:\n  serial:   %s\n  parallel: %s",
-								name, seed, workers, i, sl[i], pl[i])
-						}
-					}
-					t.Fatalf("%s seed %d workers %d: trace lengths differ (%d vs %d lines)",
-						name, seed, workers, len(sl), len(pl))
-				}
 			}
 		}
 	}
@@ -149,5 +113,61 @@ func TestGridIndexSetPosInvalidates(t *testing.T) {
 	}
 	if !strings.Contains(grid, "b got 40") {
 		t.Fatalf("moved radio did not receive: %s", grid)
+	}
+}
+
+// A phy.Graph propagation model has no geometry to index, so the channel
+// must fall back to the all-pairs scan. That is why the scan is
+// production code and not a test-only oracle: it is the only path an
+// explicit-adjacency channel can take. Here 0 and 2 are hidden from each
+// other (neither senses the other) and both reach 1: a lone frame is
+// delivered, overlapping frames collide at 1, and a sense-only link
+// shows the channel busy without delivering.
+func TestGraphChannelTakesScanPath(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := phy.NewGraph()
+	g.AddBiLink(0, 1)
+	g.AddBiLink(1, 2)
+	g.AddSense(0, 3)
+	ch := phy.NewChannel(eng, g)
+	if ch.Indexed() {
+		t.Fatal("graph channel claims a spatial index")
+	}
+	var trace strings.Builder
+	radios := make([]*phy.Radio, 4)
+	for i := range radios {
+		r := ch.AddRadio(i, phy.Point{})
+		r.SetListen(true)
+		i := i
+		r.OnReceive = func(data []byte) { fmt.Fprintf(&trace, "rx %d len %d\n", i, len(data)) }
+		radios[i] = r
+	}
+	// Lone frame 0→1: delivered to 1 only; 3 senses it but cannot decode.
+	eng.Schedule(10*sim.Millisecond, func() {
+		radios[0].Transmit(make([]byte, 30))
+	})
+	eng.Schedule(10*sim.Millisecond+phy.LoadTime(30)+phy.AirTime(30)/2, func() {
+		if radios[3].ChannelClear() {
+			t.Error("sense-only neighbor does not see the channel busy")
+		}
+		if !radios[2].ChannelClear() {
+			t.Error("hidden node senses a transmitter it has no link to")
+		}
+	})
+	// Hidden terminals 0 and 2 overlap at 1: both frames are lost there.
+	eng.Schedule(100*sim.Millisecond, func() {
+		radios[0].Transmit(make([]byte, 40))
+		radios[2].Transmit(make([]byte, 40))
+	})
+	eng.Run()
+	if got, want := trace.String(), "rx 1 len 30\n"; got != want {
+		t.Fatalf("deliveries = %q, want %q", got, want)
+	}
+	if radios[1].FramesReceived() != 1 || radios[1].ReceptionsDropped() != 1 {
+		t.Fatalf("radio 1 recv %d dropped %d, want 1 and 1",
+			radios[1].FramesReceived(), radios[1].ReceptionsDropped())
+	}
+	if radios[3].FramesReceived() != 0 {
+		t.Fatalf("sense-only neighbor decoded %d frames", radios[3].FramesReceived())
 	}
 }

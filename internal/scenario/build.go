@@ -44,9 +44,18 @@ func (t TopologySpec) build() mesh.Topology {
 	panic(fmt.Sprintf("scenario: unvalidated topology kind %q", t.Kind))
 }
 
-// options translates NetSpec into stack options.
-func (s *Spec) options() stack.Options {
+// options translates NetSpec into stack options. variant and
+// windowSegs are the Runner's defaults (zero values keep the paper's
+// NewReno and 4 segments); the spec's own net.window_segs and each
+// flow's variant still win over them.
+func (s *Spec) options(variant cc.Variant, windowSegs int) stack.Options {
 	opt := stack.DefaultOptions()
+	if variant != "" {
+		opt.TCP.Variant = variant
+	}
+	if windowSegs > 0 {
+		opt.WindowSegs = windowSegs
+	}
 	n := s.Net
 	opt.PER = n.PER
 	if n.RetryDelay != nil {
@@ -68,9 +77,6 @@ func (s *Spec) options() stack.Options {
 	}
 	if n.WireDelay > 0 {
 		opt.WireDelay = n.WireDelay.D()
-	}
-	if n.PhyWorkers > 0 {
-		opt.PhyWorkers = n.PhyWorkers
 	}
 	return opt
 }
@@ -118,10 +124,11 @@ type runContext struct {
 
 // buildRun instantiates the spec onto the stack layers for one seed.
 // The spec must be validated and have defaults applied (withDefaults).
-func buildRun(spec *Spec, seed int64, oc *ObsConfig) (*runContext, error) {
+func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
+	oc := r.Obs
 	rc := &runContext{spec: spec, seed: seed}
 	rc.buildTrace(oc)
-	opt := spec.options()
+	opt := spec.options(r.Variant, r.WindowSegs)
 	opt.Trace = rc.trace
 	net := stack.New(seed, spec.Topology.build(), opt)
 	rc.net = net
@@ -224,8 +231,8 @@ func (rc *runContext) resolve(r NodeRef) *stack.Node {
 // buffers on host endpoints, and the Table 7 stack-profile override.
 func (rc *runContext) tcpConfigs(fs FlowSpec) (srcCfg, sinkCfg tcplp.Config, err error) {
 	// An empty variant must stay empty so FlowTCPConfig keeps the
-	// network default (which carries the process-wide -variant flag);
-	// cc.Parse would collapse it to NewReno.
+	// network default (which carries Runner.Variant); cc.Parse would
+	// collapse it to NewReno.
 	var variant cc.Variant
 	if fs.Variant != "" {
 		v, perr := cc.Parse(fs.Variant)
@@ -515,14 +522,14 @@ func RunOneObs(spec *Spec, seed int64, oc *ObsConfig) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runDefaulted(spec.withDefaults(), seed, oc)
+	return (&Runner{Obs: oc}).runDefaulted(spec.withDefaults(), seed)
 }
 
 // runDefaulted is RunOne for a spec that is already validated and
 // defaulted — the Runner's worker path, which hoists both steps out of
 // the per-seed loop.
-func runDefaulted(spec *Spec, seed int64, oc *ObsConfig) (Result, error) {
-	rc, err := buildRun(spec, seed, oc)
+func (r *Runner) runDefaulted(spec *Spec, seed int64) (Result, error) {
+	rc, err := r.buildRun(spec, seed)
 	if err != nil {
 		return Result{}, err
 	}

@@ -136,6 +136,43 @@ func TestJourneyConformanceGatewaySmoke(t *testing.T) {
 	}
 }
 
+// TestJourneyConformanceCoAPGiveUpAfterDelivery is the regression for a
+// misclassification: over a lossy border a CoAP CON request can reach
+// the sink while every ACK back is lost, so the client gives up on a
+// reading that was in fact delivered. That is one terminal state
+// (delivered) plus a sender-side event, and must conform. Several seeds
+// because a give-up needs five failed attempts in a row; the test
+// insists at least one seed actually hits the case.
+func TestJourneyConformanceCoAPGiveUpAfterDelivery(t *testing.T) {
+	exercised := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		spec := &Spec{
+			Name:     "coap-lossy-border",
+			Topology: TopologySpec{Kind: TopoChain, Nodes: 2},
+			Net:      NetSpec{InjectedLoss: 0.10},
+			Flows: []FlowSpec{{
+				From: NodeID(1), To: Host(), Protocol: "coap",
+				Interval: Duration(500 * sim.Millisecond),
+			}},
+			Warmup:   Duration(10 * sim.Second),
+			Duration: Duration(20 * sim.Minute),
+		}
+		_, rep := runJourney(t, spec, seed)
+		c := checkConformance(t, rep)
+		if c.Delivered == 0 {
+			t.Fatalf("seed %d delivered nothing", seed)
+		}
+		for _, r := range rep.Readings {
+			if r.State == journey.StateDelivered && r.Cause == obs.CauseCoAPGiveUp {
+				exercised++
+			}
+		}
+	}
+	if exercised == 0 {
+		t.Fatal("no seed produced a give-up after delivery; the regression is not exercised")
+	}
+}
+
 // TestJourneyConformanceCitySlice is the satellite CI check at scale: a
 // 200-node random-geometric city slice with a strided telemetry fleet.
 func TestJourneyConformanceCitySlice(t *testing.T) {

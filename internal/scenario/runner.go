@@ -7,6 +7,7 @@ import (
 
 	"tcplp/internal/obs/journey"
 	"tcplp/internal/stats"
+	"tcplp/internal/tcplp/cc"
 )
 
 // CwndPoint is one congestion-window observation of a traced flow.
@@ -197,6 +198,11 @@ type Runner struct {
 	// runs interleave whole records; use Workers=1 for a strictly
 	// ordered trace.
 	Obs *ObsConfig
+	// Variant and WindowSegs replace the paper defaults (NewReno, 4
+	// segments) for every run; zero values keep them. A flow's own
+	// variant and a spec's net.window_segs take precedence.
+	Variant    cc.Variant
+	WindowSegs int
 }
 
 // Run executes one non-sweep spec over its seed list. A spec carrying a
@@ -252,7 +258,7 @@ func (r *Runner) RunAll(specs []*Spec) ([]*SpecResult, error) {
 			for ji := range ch {
 				j := jobs[ji]
 				d := defaulted[j.si]
-				res, err := runDefaulted(d, d.Seeds[j.ri], r.Obs)
+				res, err := r.runDefaulted(d, d.Seeds[j.ri])
 				if err != nil {
 					errs[ji] = err
 					continue

