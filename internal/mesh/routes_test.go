@@ -1,0 +1,184 @@
+package mesh
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+)
+
+// oracleColumn spells out the routing rule with nothing shared with
+// Routes: a BFS from dst, then for every src the first neighbour in
+// adjacency order one hop closer to dst.
+func oracleColumn(adj [][]int, dst int) (next, hops []int) {
+	n := len(adj)
+	hops = make([]int, n)
+	for i := range hops {
+		hops[i] = -1
+	}
+	hops[dst] = 0
+	for queue := []int{dst}; len(queue) > 0; queue = queue[1:] {
+		for _, nb := range adj[queue[0]] {
+			if hops[nb] < 0 {
+				hops[nb] = hops[queue[0]] + 1
+				queue = append(queue, nb)
+			}
+		}
+	}
+	next = make([]int, n)
+	for src := range next {
+		next[src] = -1
+		for _, nb := range adj[src] {
+			if hops[src] > 0 && hops[nb] == hops[src]-1 {
+				next[src] = nb
+				break
+			}
+		}
+	}
+	return next, hops
+}
+
+// Every (src, dst) pair must route as the oracle does, whichever of the
+// border-rooted state, the cached downward routes and the per-destination
+// columns answers — so the pairs are asked in two orders that populate
+// those in opposite sequence.
+func TestRoutesMatchOracle(t *testing.T) {
+	graphs := map[string][][]int{
+		"chain":         Chain(9, 10).Adjacency(),
+		"star":          Star(7, 10).Adjacency(),
+		"office":        Office().Adjacency(),
+		"twinleaf":      TwinLeaf(4, 20).Adjacency(),
+		"tree":          Tree(3, 3, 20).Adjacency(),
+		"random_dense":  RandomGeometric(300, 16, 1).Adjacency(),
+		"random_sparse": RandomGeometric(300, 5, 2).Adjacency(),
+		"random_thin":   RandomGeometric(200, 2.5, 5).Adjacency(),
+		"two_islands":   {{1, 2}, {0, 2}, {0, 1}, {4}, {3, 5}, {4}},
+	}
+	for name, adj := range graphs {
+		n := len(adj)
+		next, hops := make([][]int, n), make([][]int, n)
+		for dst := range adj {
+			next[dst], hops[dst] = oracleColumn(adj, dst)
+		}
+		check := func(r *Routes, src, dst int) {
+			t.Helper()
+			nh, ok := r.NextHop(src, dst)
+			if want := next[dst][src]; ok != (want >= 0) || (ok && nh != want) {
+				t.Fatalf("%s: NextHop(%d,%d) = %d,%v, oracle %d", name, src, dst, nh, ok, want)
+			}
+			if h := r.Hops(src, dst); h != hops[dst][src] {
+				t.Fatalf("%s: Hops(%d,%d) = %d, oracle %d", name, src, dst, h, hops[dst][src])
+			}
+		}
+		// Downlinks (0 → d) first, then everything by destination.
+		r := ComputeRoutes(adj)
+		for dst := 0; dst < n; dst++ {
+			check(r, 0, dst)
+		}
+		for dst := 0; dst < n; dst++ {
+			for src := 0; src < n; src++ {
+				check(r, src, dst)
+			}
+		}
+		// Uplinks (s → 0) first, then everything by source, deepest
+		// sources first so columns exist before the cached routes do.
+		r = ComputeRoutes(adj)
+		for src := 0; src < n; src++ {
+			check(r, src, 0)
+		}
+		for src := n - 1; src >= 0; src-- {
+			for dst := n - 1; dst >= 0; dst-- {
+				check(r, src, dst)
+			}
+		}
+	}
+}
+
+func TestRoutesOutOfRange(t *testing.T) {
+	r := ComputeRoutes(Chain(3, 10).Adjacency())
+	for _, q := range [][2]int{{0, 3}, {3, 0}, {-1, 1}, {1, -1}, {7, 7}} {
+		if _, ok := r.NextHop(q[0], q[1]); ok {
+			t.Fatalf("NextHop(%d,%d) found a route", q[0], q[1])
+		}
+		if h := r.Hops(q[0], q[1]); h != -1 {
+			t.Fatalf("Hops(%d,%d) = %d, want -1", q[0], q[1], h)
+		}
+	}
+	empty := ComputeRoutes(nil)
+	if _, ok := empty.NextHop(0, 0); ok || empty.Hops(0, 0) != -1 {
+		t.Fatal("empty graph routed")
+	}
+}
+
+// A fleet's device ↔ border-router routes must cost state in proportion
+// to the routes walked, not to the field: the per-destination columns this
+// replaced held 39 MB here.
+func TestFleetRoutesStateBudget(t *testing.T) {
+	const nodes, flows = 10000, 500
+	adj := RandomGeometric(nodes, 16, 1).Adjacency()
+	follow := func(r *Routes, from, to int) {
+		for at, hops := from, 0; at != to; hops++ {
+			next, ok := r.NextHop(at, to)
+			if !ok || hops > nodes {
+				t.Fatalf("no route %d -> %d (at %d)", from, to, at)
+			}
+			at = next
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	r := ComputeRoutes(adj)
+	for id := 1; id < nodes; id += nodes / flows {
+		follow(r, id, 0)
+		follow(r, 0, id)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(r)
+	if len(r.dist) != 0 {
+		t.Fatalf("%d whole-graph columns built for device <-> border routes", len(r.dist))
+	}
+	if held := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); held >= 1<<20 {
+		t.Fatalf("Routes holds %d KiB live after %d routes, budget 1 MiB", held>>10, flows)
+	}
+}
+
+// positionDigest is SHA-256 over the little-endian Float64bits of every
+// (X, Y), first 8 bytes.
+func positionDigest(t Topology) string {
+	h := sha256.New()
+	var b [16]byte
+	for _, p := range t.Positions {
+		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(p.X))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(p.Y))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// Positions are pinned to what the all-pairs accept scan placed, bit for
+// bit. The sparse cases take the 100-rejections fallback branch (127
+// times at density 1.5), which also puts points outside the square.
+func TestRandomGeometricPositionPins(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		density float64
+		seed    int64
+		want    string
+	}{
+		{10000, 16, 1, "e6a03b843bcfa4a9"},
+		{1000, 8, 1, "db58e95078cbeb05"},
+		{300, 2, 5, "c5706697ed48a65e"},
+		{2000, 1.5, 9, "62a5db906e704a16"},
+		{50, 0.5, 3, "3bef59c7d3292144"},
+	} {
+		name := fmt.Sprintf("n=%d density=%g seed=%d", c.n, c.density, c.seed)
+		if got := positionDigest(RandomGeometric(c.n, c.density, c.seed)); got != c.want {
+			t.Errorf("%s: position digest %s, want %s", name, got, c.want)
+		}
+	}
+}

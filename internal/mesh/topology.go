@@ -114,27 +114,29 @@ func RandomGeometric(n int, density float64, seed int64) Topology {
 		side = txRange
 	}
 	pos := make([]phy.Point, 0, n)
-	pos = append(pos, phy.Point{X: side / 2, Y: side / 2})
+	grid := newCellGrid(txRange, n)
+	place := func(p phy.Point) {
+		grid.add(len(pos), p)
+		pos = append(pos, p)
+	}
+	place(phy.Point{X: side / 2, Y: side / 2})
 	for len(pos) < n {
 		placed := false
-		for try := 0; try < 100; try++ {
+		for try := 0; try < 100 && !placed; try++ {
 			p := phy.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-			for _, q := range pos {
-				if p.Dist(q) <= txRange {
-					pos = append(pos, p)
-					placed = true
-					break
-				}
-			}
+			grid.near(p, func(id int) bool {
+				placed = p.Dist(pos[id]) <= txRange
+				return !placed
+			})
 			if placed {
-				break
+				place(p)
 			}
 		}
 		if !placed {
 			anchor := pos[rng.Intn(len(pos))]
 			angle := rng.Float64() * 2 * math.Pi
 			d := txRange * (0.3 + 0.6*rng.Float64())
-			pos = append(pos, phy.Point{X: anchor.X + d*math.Cos(angle), Y: anchor.Y + d*math.Sin(angle)})
+			place(phy.Point{X: anchor.X + d*math.Cos(angle), Y: anchor.Y + d*math.Sin(angle)})
 		}
 	}
 	return Topology{Positions: pos, TxRange: txRange, SenseRange: senseRange}
@@ -200,27 +202,21 @@ func (t Topology) Adjacency() [][]int {
 	if n == 0 || t.TxRange <= 0 {
 		return adj
 	}
-	cell := t.TxRange
-	cells := make(map[[2]int32][]int, n)
-	key := func(p phy.Point) [2]int32 {
-		return [2]int32{int32(math.Floor(p.X / cell)), int32(math.Floor(p.Y / cell))}
-	}
+	grid := newCellGrid(t.TxRange, n)
 	for i, p := range t.Positions {
-		k := key(p)
-		cells[k] = append(cells[k], i)
+		grid.add(i, p)
 	}
-	for i := 0; i < n; i++ {
-		k := key(t.Positions[i])
-		for dx := int32(-1); dx <= 1; dx++ {
-			for dy := int32(-1); dy <= 1; dy++ {
-				for _, j := range cells[[2]int32{k[0] + dx, k[1] + dy}] {
-					if i != j && t.Positions[i].Dist(t.Positions[j]) <= t.TxRange {
-						adj[i] = append(adj[i], j)
-					}
-				}
+	var nbrs []int
+	for i, p := range t.Positions {
+		nbrs = nbrs[:0]
+		grid.near(p, func(j int) bool {
+			if i != j && p.Dist(t.Positions[j]) <= t.TxRange {
+				nbrs = append(nbrs, j)
 			}
-		}
-		sort.Ints(adj[i])
+			return true
+		})
+		sort.Ints(nbrs)
+		adj[i] = append([]int(nil), nbrs...)
 	}
 	return adj
 }

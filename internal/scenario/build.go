@@ -147,6 +147,9 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 		if !ns.Sleepy {
 			continue
 		}
+		if err := rc.routed("sleepy node", ns.ID); err != nil {
+			return nil, err
+		}
 		sc := net.MakeSleepyLeaf(ns.ID)
 		if ns.SleepInterval > 0 {
 			sc.SleepInterval = ns.SleepInterval.D()
@@ -187,6 +190,14 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 		}
 	}
 	for _, fs := range spec.Flows {
+		for _, end := range []NodeRef{fs.From, fs.To} {
+			if end.Host {
+				continue
+			}
+			if err := rc.routed("flow endpoint", rc.resolve(end).ID); err != nil {
+				return nil, err
+			}
+		}
 		fr, err := rc.startFlow(fs)
 		if err != nil {
 			return nil, err
@@ -209,6 +220,17 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 		}
 	}
 	return rc, nil
+}
+
+// routed returns an error naming mesh node id if it has no route to the
+// border router: a run whose flows cannot reach it measures nothing.
+func (rc *runContext) routed(what string, id int) error {
+	border := rc.net.Border().ID
+	if rc.net.Routes.Hops(id, border) < 0 {
+		return fmt.Errorf("scenario %q: %s %d has no route to the border router (node %d)",
+			rc.spec.Name, what, id, border)
+	}
+	return nil
 }
 
 // resolve maps a NodeRef to its node. The gateway tier lives on the

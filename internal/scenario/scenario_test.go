@@ -412,6 +412,39 @@ func TestParseSpecsErrors(t *testing.T) {
 	if _, err := ParseSpecs([]byte(ok + ok)); err == nil {
 		t.Fatal("two concatenated spec objects accepted")
 	}
+
+	// A negative spacing gives a negative decode range: no node hears any
+	// other.
+	in := strings.Replace(ok, `"nodes":2`, `"nodes":2,"spacing":-5`, 1)
+	if _, err := ParseSpecs([]byte(in)); err == nil || !strings.Contains(err.Error(), "negative spacing") {
+		t.Fatalf("%s: err = %v, want the negative spacing named", in, err)
+	}
+}
+
+// TestBuildRunNamesUnroutedNode: a topology that leaves a sleepy node or a
+// flow endpoint cut off from the border router is a build error naming
+// the node, not a MakeSleepyLeaf panic or a silent 0 kb/s run. Validate
+// keeps such specs out, so the disconnected chain is built unvalidated.
+func TestBuildRunNamesUnroutedNode(t *testing.T) {
+	islands := func() *Spec {
+		return &Spec{
+			Name:     "islands",
+			Topology: TopologySpec{Kind: TopoChain, Nodes: 3, Spacing: -5},
+			Flows:    []FlowSpec{{From: NodeID(2), To: NodeID(0)}},
+		}
+	}
+	flowOnly := islands()
+	sleepy := islands()
+	sleepy.Nodes = []NodeSpec{{ID: 1, Sleepy: true}}
+	for want, spec := range map[string]*Spec{
+		"flow endpoint 2": flowOnly,
+		"sleepy node 1":   sleepy,
+	} {
+		_, err := (&Runner{}).buildRun(spec.withDefaults(), 1)
+		if err == nil || !strings.Contains(err.Error(), want+" has no route") {
+			t.Fatalf("err = %v, want %q named as unrouted", err, want)
+		}
+	}
 }
 
 // TestZeroDurationsHonored pins the zero-vs-unset rules: an explicit

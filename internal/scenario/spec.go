@@ -943,6 +943,9 @@ func (s *Spec) Validate() error {
 		}
 		return nil
 	}
+	if s.Topology.Spacing < 0 {
+		return bad("topology: negative spacing")
+	}
 	switch s.Topology.Kind {
 	case TopoChain, TopoStar:
 		if s.Topology.Nodes < 2 {
