@@ -8,6 +8,28 @@
 // It also implements the Thread-style indirect delivery used for
 // duty-cycled leaf nodes (§3.2, §9.5, Appendix C): a parent holds frames
 // for a sleepy child until the child polls with a DataRequest command.
+//
+// # Buffer ownership
+//
+// Like the mote, a MAC has one frame buffer per queued frame and the
+// per-frame path allocates nothing in steady state. SendJID borrows the
+// caller's payload until the frame is loaded (kick), when it is encoded
+// into the wire buffer inside the transmit job; the caller may recycle
+// the payload once its done callback has run. The job's buffer is what
+// every link retry puts on air. When the first bit hits the air the
+// channel copies the bytes into its own pooled transmission, which owns
+// them until every receiver's endRx has copied them into that radio's
+// receive buffer: the radio's OnTxDone fires before the channel resolves
+// receptions at the same instant, so a frame that needs no ACK finishes —
+// and its job may be re-encoded for the next frame — before the
+// receivers have been handed the bytes. The immediate ACK is encoded into
+// a 5-byte per-MAC buffer under the same rule.
+//
+// Jobs are recycled through a per-MAC free list, scheduler callbacks and
+// all. A job returns to the list only when it is finished and no engine
+// event or radio OnTxDone registration still holds one of its callbacks
+// (txJob.pending counts them), so the "is this job still in flight"
+// guard of a late event can never be satisfied by the object's next life.
 package mac
 
 import (
@@ -82,20 +104,31 @@ type Stats struct {
 	IndirectSent uint64
 }
 
+// txJob is one frame's transmit state. Jobs are pooled per Mac (see
+// "Buffer ownership" in the package comment): getJob hands out a zeroed
+// job, putJob takes it back.
 type txJob struct {
-	frame    *phy.Frame
-	wire     []byte // encoded once, when loaded into the frame buffer
+	frame    phy.Frame
+	wire     []byte // wireBuf[:n]: encoded once, when loaded into the frame buffer
+	wireBuf  [phy.MaxPHYPayload]byte
 	done     func(TxStatus)
+	pollDone func(TxStatus, bool) // data-request jobs: also gets the ACK's pending bit
 	attempts int
 	nb, be   int
 	indirect bool
 	jid      int64 // journey packet id of the carried datagram (0 = untagged)
 
-	// Scheduler callbacks, built once per job instead of once per
+	// pending counts the engine events and radio.OnTxDone registrations
+	// that hold one of the callbacks below. A finished job is recycled
+	// only at zero.
+	pending int
+	next    *txJob // free list
+
+	// Scheduler callbacks, built once per job object instead of once per
 	// backoff step / retry / load: a job under CSMA pressure schedules
 	// many events, and per-event closures dominated the MAC's
-	// allocation profile. Each checks m.inflight == job, so a stale
-	// event for a finished job is a no-op.
+	// allocation profile. Each goes through Mac.fired, so a stale event
+	// for a finished job is a no-op.
 	resumeFn func() // load done or retry delay elapsed: start CSMA
 	stepFn   func() // radio freed mid-backoff: take another backoff step
 	fireFn   func() // backoff+CCA delay elapsed: assess the channel
@@ -111,6 +144,7 @@ type Mac struct {
 	seq         uint8
 	queue       []*txJob
 	inflight    *txJob
+	freeJobs    *txJob
 	ackTimer    *sim.Timer
 	sendingAck  bool
 	kickPending bool
@@ -120,6 +154,7 @@ type Mac struct {
 	kickFn        func()
 	ackDoneFn     func()
 	ackWasWaiting bool
+	ackBuf        [phy.AckFrameLen]byte // wire bytes of the ACK being sent
 	// rxFrame is the decode target for inbound frames: one reception is
 	// processed at a time, and no handler retains the Frame (payload
 	// consumers copy what they keep), so one struct per MAC suffices.
@@ -190,23 +225,68 @@ func New(eng *sim.Engine, radio *phy.Radio, params Params) *Mac {
 	return m
 }
 
-// newJob builds a transmit job with its scheduler callbacks, which are
-// shared by every load, backoff step, and retry of the job's lifetime.
-func (m *Mac) newJob(f *phy.Frame, done func(TxStatus)) *txJob {
-	job := &txJob{frame: f, done: done}
+// getJob returns a zeroed transmit job from the free list, building a new
+// one — with the scheduler callbacks every later use of the object
+// shares — only when the list is empty.
+func (m *Mac) getJob() *txJob {
+	if job := m.freeJobs; job != nil {
+		m.freeJobs, job.next = job.next, nil
+		return job
+	}
+	job := &txJob{}
 	job.resumeFn = func() {
-		if m.inflight == job {
+		if m.fired(job) {
 			m.startCSMA()
 		}
 	}
 	job.stepFn = func() {
-		if m.inflight == job {
+		if m.fired(job) {
 			m.backoffStep()
 		}
 	}
-	job.fireFn = func() { m.backoffFire(job) }
-	job.txDoneFn = func() { m.txDone(job) }
+	job.fireFn = func() {
+		if m.fired(job) {
+			m.backoffFire()
+		}
+	}
+	job.txDoneFn = func() {
+		m.radio.OnTxDone = nil
+		if m.fired(job) {
+			m.txDone()
+		} else {
+			m.applyIdleState()
+		}
+	}
 	return job
+}
+
+// putJob recycles a finished job that nothing references any more.
+func (m *Mac) putJob(job *txJob) {
+	job.frame = phy.Frame{}
+	job.wire, job.done, job.pollDone = nil, nil, nil
+	job.indirect, job.jid = false, 0
+	job.next, m.freeJobs = m.freeJobs, job
+}
+
+// after schedules one of job's callbacks, counting the reference.
+func (m *Mac) after(d sim.Duration, job *txJob, fn func()) {
+	job.pending++
+	m.eng.Schedule(d, fn)
+}
+
+// fired accounts for one of job's callbacks having run and reports
+// whether job is still the frame in flight. If it is not, the job
+// finished while the event was queued, and the last such event to fire
+// recycles it.
+func (m *Mac) fired(job *txJob) bool {
+	job.pending--
+	if m.inflight == job {
+		return true
+	}
+	if job.pending == 0 {
+		m.putJob(job)
+	}
+	return false
 }
 
 // Radio returns the underlying radio.
@@ -221,18 +301,22 @@ func (m *Mac) SetRetryDelayMax(d sim.Duration) { m.params.RetryDelayMax = d }
 
 // SetChildSleepy registers (or deregisters) a sleepy child: unicast
 // frames to it are held in the indirect queue until it polls.
+// Deregistering releases the held frames to the head of the transmit
+// queue in the order they were held.
 func (m *Mac) SetChildSleepy(child phy.Addr, sleepy bool) {
 	if sleepy {
 		if m.sleepyChildren == nil {
 			m.sleepyChildren = map[phy.Addr]bool{}
 		}
 		m.sleepyChildren[child] = true
-	} else {
-		delete(m.sleepyChildren, child)
-		for _, j := range m.indirectQ[child] {
-			m.enqueue(j)
-		}
-		delete(m.indirectQ, child)
+		return
+	}
+	delete(m.sleepyChildren, child)
+	held := m.indirectQ[child]
+	delete(m.indirectQ, child)
+	if len(held) > 0 {
+		m.queue = append(held, m.queue...)
+		m.kick()
 	}
 }
 
@@ -267,7 +351,8 @@ func (m *Mac) Send(dst phy.Addr, payload []byte, done func(TxStatus)) {
 // retry, and drop, but never appears in wire bytes.
 func (m *Mac) SendJID(dst phy.Addr, payload []byte, jid int64, done func(TxStatus)) {
 	m.seq++
-	f := &phy.Frame{
+	job := m.getJob()
+	job.frame = phy.Frame{
 		Type:       phy.FrameData,
 		Seq:        m.seq,
 		Dst:        dst,
@@ -275,8 +360,7 @@ func (m *Mac) SendJID(dst phy.Addr, payload []byte, jid int64, done func(TxStatu
 		AckRequest: !dst.IsBroadcast(),
 		Payload:    payload,
 	}
-	job := m.newJob(f, done)
-	job.jid = jid
+	job.done, job.jid = done, jid
 	if m.sleepyChildren[dst] {
 		job.indirect = true
 		if m.indirectQ == nil {
@@ -293,7 +377,8 @@ func (m *Mac) SendJID(dst phy.Addr, payload []byte, jid int64, done func(TxStatu
 // frame-pending bit set.
 func (m *Mac) SendDataRequest(parent phy.Addr, done func(TxStatus, bool)) {
 	m.seq++
-	f := &phy.Frame{
+	job := m.getJob()
+	job.frame = phy.Frame{
 		Type:       phy.FrameCommand,
 		Seq:        m.seq,
 		Dst:        parent,
@@ -301,12 +386,9 @@ func (m *Mac) SendDataRequest(parent phy.Addr, done func(TxStatus, bool)) {
 		Command:    phy.DataRequest,
 		AckRequest: true,
 	}
+	job.pollDone = done
 	m.Stats.DataReqSent++
-	m.enqueue(m.newJob(f, func(s TxStatus) {
-		if done != nil {
-			done(s, m.lastAckPending)
-		}
-	}))
+	m.enqueue(job)
 }
 
 // QueueLen returns the number of frames waiting (excluding indirect).
@@ -323,7 +405,9 @@ func (m *Mac) enqueue(job *txJob) {
 		// Indirect frames jump the queue: §9.5 improvement (1),
 		// "prioritized indirect messages over the current packet being
 		// sent" — here, over queued packets; an in-flight frame finishes.
-		m.queue = append([]*txJob{job}, m.queue...)
+		m.queue = append(m.queue, nil)
+		copy(m.queue[1:], m.queue)
+		m.queue[0] = job
 	} else {
 		m.queue = append(m.queue, job)
 	}
@@ -344,17 +428,26 @@ func (m *Mac) kick() {
 		}
 		return
 	}
-	m.inflight = m.queue[0]
-	m.queue = m.queue[1:]
-	m.inflight.attempts = 0
-	job := m.inflight
+	job := m.queue[0]
+	m.queue = popFront(m.queue)
+	m.inflight = job
+	job.attempts = 0
 	// Pay the SPI cost of moving the frame into the radio's frame buffer
 	// once; link retries reuse the buffer. The radio listens during the
 	// load, the CSMA backoff, and the CCA — the fix for deaf listening
 	// (§4).
 	m.radio.SetListen(true)
-	job.wire = job.frame.Encode()
-	m.eng.Schedule(phy.LoadTime(len(job.wire)), job.resumeFn)
+	job.wire = job.frame.AppendEncode(job.wireBuf[:0])
+	m.after(phy.LoadTime(len(job.wire)), job, job.resumeFn)
+}
+
+// popFront removes q[0] by copying the tail down, so the queue keeps its
+// capacity and a steady stream of frames never regrows it (queues here
+// are a handful of frames long).
+func popFront(q []*txJob) []*txJob {
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
 }
 
 func (m *Mac) startCSMA() {
@@ -378,17 +471,15 @@ func (m *Mac) backoffStep() {
 		tr.Emit(obs.Event{T: m.eng.Now(), Kind: obs.MacBackoff, Node: m.radio.ID(), A: int64(job.be), B: int64(slots), J: job.jid})
 	}
 	delay := sim.Duration(slots)*phy.UnitBackoff + phy.CCATime
-	m.eng.Schedule(delay, job.fireFn)
+	m.after(delay, job, job.fireFn)
 }
 
 // backoffFire assesses the channel after a backoff+CCA delay.
-func (m *Mac) backoffFire(job *txJob) {
-	if m.inflight != job {
-		return
-	}
+func (m *Mac) backoffFire() {
+	job := m.inflight
 	if m.radio.Transmitting() {
 		// An ACK we owed someone is on air; retry shortly.
-		m.eng.Schedule(phy.UnitBackoff, job.stepFn)
+		m.after(phy.UnitBackoff, job, job.stepFn)
 		return
 	}
 	if m.radio.ChannelClear() {
@@ -413,19 +504,15 @@ func (m *Mac) transmit() {
 	if job.attempts > 0 {
 		m.Stats.Retries++
 	}
+	job.pending++
 	m.radio.OnTxDone = job.txDoneFn
 	m.radio.TxJID = job.jid
 	m.radio.TransmitLoaded(job.wire)
 }
 
-// txDone runs when job's frame has left the air.
-func (m *Mac) txDone(job *txJob) {
-	m.radio.OnTxDone = nil
-	if m.inflight != job {
-		m.applyIdleState()
-		return
-	}
-	if !job.frame.AckRequest {
+// txDone runs when the in-flight job's frame has left the air.
+func (m *Mac) txDone() {
+	if !m.inflight.frame.AckRequest {
 		m.finish(TxOK)
 		return
 	}
@@ -459,7 +546,7 @@ func (m *Mac) linkRetry(cause TxStatus) {
 	if tr := m.Trace; tr != nil {
 		tr.Emit(obs.Event{T: m.eng.Now(), Kind: obs.MacRetry, Node: m.radio.ID(), A: int64(job.attempts), B: int64(delay), J: job.jid})
 	}
-	m.eng.Schedule(delay, job.resumeFn)
+	m.after(delay, job, job.resumeFn)
 }
 
 func (m *Mac) finish(status TxStatus) {
@@ -482,13 +569,29 @@ func (m *Mac) finish(status TxStatus) {
 		}
 	}
 	m.applyIdleState()
-	if job.done != nil {
-		job.done(status)
+	// Recycle before the callback, so a Send from inside it (the stack's
+	// frame pump) reuses this job; if one of the job's events is still
+	// queued, the last of them to fire recycles it instead (fired).
+	done, pollDone := job.done, job.pollDone
+	if job.pending == 0 {
+		m.putJob(job)
+	}
+	if done != nil {
+		done(status)
+	} else if pollDone != nil {
+		pollDone(status, m.lastAckPending)
 	}
 	m.kick()
 }
 
 func (m *Mac) radioReceive(data []byte) {
+	// Most frames a radio hears in a dense mesh are addressed to someone
+	// else: drop those on the header alone, before the full decode. (A
+	// malformed frame fails the same checks in either place.)
+	if t, dst, err := phy.PeekHeader(data); err != nil ||
+		(t != phy.FrameAck && dst != m.radio.Addr() && !dst.IsBroadcast()) {
+		return
+	}
 	f := &m.rxFrame
 	if err := phy.DecodeFrameInto(f, data); err != nil {
 		return
@@ -498,9 +601,6 @@ func (m *Mac) radioReceive(data []byte) {
 	f.J = m.radio.RxJID
 	if f.Type == phy.FrameAck {
 		m.handleAck(f)
-		return
-	}
-	if f.Dst != m.radio.Addr() && !f.Dst.IsBroadcast() {
 		return
 	}
 	// Generate the immediate ACK first (after turnaround), then deliver.
@@ -562,7 +662,7 @@ func (m *Mac) sendAck(seq uint8, pending bool) {
 	// ACKs are generated from radio-internal state: no SPI load, just the
 	// turnaround (inside TransmitLoaded). They carry no journey id.
 	m.radio.TxJID = 0
-	m.radio.TransmitLoaded(phy.AckFor(seq, pending).Encode())
+	m.radio.TransmitLoaded(phy.AckFor(seq, pending).AppendEncode(m.ackBuf[:0]))
 }
 
 // serveDataRequest moves the next indirect frame for child (if any) to
@@ -575,8 +675,9 @@ func (m *Mac) serveDataRequest(child phy.Addr) {
 		return
 	}
 	job := q[0]
-	m.indirectQ[child] = q[1:]
-	job.frame.FramePending = len(m.indirectQ[child]) > 0
+	q = popFront(q)
+	m.indirectQ[child] = q
+	job.frame.FramePending = len(q) > 0
 	m.enqueue(job)
 }
 

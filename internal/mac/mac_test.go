@@ -1,6 +1,8 @@
 package mac
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"tcplp/internal/phy"
@@ -346,5 +348,185 @@ func TestCSMADefersToBusyChannel(t *testing.T) {
 	}
 	if m0.Stats.DataDropped+m2.Stats.DataDropped > 0 {
 		t.Fatal("drops despite carrier sensing")
+	}
+}
+
+// TestFramePathAllocs pins the zero: once the pools of a two-node
+// exchange are warm (job, transmission, events, dedup map entries), a
+// Mac.Send through load, CSMA, air, ACK and the done callback allocates
+// nothing — on either side.
+func TestFramePathAllocs(t *testing.T) {
+	eng, a, b := pair(13)
+	delivered := 0
+	b.OnReceive = func(*phy.Frame) { delivered++ }
+	var last TxStatus
+	done := func(s TxStatus) { last = s }
+	payload := make([]byte, phy.MaxMACPayload)
+	exchange := func() {
+		a.Send(b.Radio().Addr(), payload, done)
+		eng.Run()
+	}
+	for i := 0; i < 300; i++ { // seq wraps once: every dedup map key exists
+		exchange()
+	}
+	before := delivered
+	if n := testing.AllocsPerRun(200, exchange); n != 0 {
+		t.Fatalf("Mac.Send → ACKed delivery allocates %.1f objects per frame, want 0", n)
+	}
+	if last != TxOK || delivered-before != 201 { // AllocsPerRun adds one warm-up call
+		t.Fatalf("status=%v delivered=%d", last, delivered-before)
+	}
+}
+
+// TestBroadcastBackToBackIntact pins the rule that on-air bytes belong to
+// the channel's transmission: a no-ACK frame finishes (radio OnTxDone)
+// before the channel hands it to its receivers at the same instant, so a
+// frame sent from its done callback re-encodes the recycled job's buffer
+// first. Each receiver must still see every payload intact.
+func TestBroadcastBackToBackIntact(t *testing.T) {
+	eng := sim.NewEngine(14)
+	ch := phy.NewChannel(eng, phy.NewUnitDisk(1.0, 1.0))
+	a := New(eng, ch.AddRadio(0, phy.Point{X: 0}), DefaultParams())
+	b := New(eng, ch.AddRadio(1, phy.Point{X: 1}), DefaultParams())
+	c := New(eng, ch.AddRadio(2, phy.Point{X: -1}), DefaultParams())
+	var gotB, gotC []string
+	b.OnReceive = func(f *phy.Frame) { gotB = append(gotB, string(f.Payload)) }
+	c.OnReceive = func(f *phy.Frame) { gotC = append(gotC, string(f.Payload)) }
+
+	first := a.getJob()
+	a.putJob(first) // the job the first Send will take
+	reloaded := false
+	a.Send(phy.BroadcastAddr, []byte("first frame: AAAAAAAAAAAAAAAA"), func(TxStatus) {
+		a.Send(phy.BroadcastAddr, []byte("second frame: BBBBBBBB"), nil)
+		reloaded = a.inflight == first && first.wire != nil &&
+			strings.HasPrefix(a.DebugState(), "inflight queue=0 ") // not "/loading": wire is this life's
+	})
+	eng.Run()
+
+	if !reloaded {
+		t.Fatal("the frame sent from the done callback did not reload the finished job's buffer; the test no longer exercises the hazard")
+	}
+	want := []string{"first frame: AAAAAAAAAAAAAAAA", "second frame: BBBBBBBB"}
+	for name, got := range map[string][]string{"b": gotB, "c": gotC} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("receiver %s got %q, want %q", name, got, want)
+		}
+	}
+}
+
+// checkJobPool asserts the free-list invariants: nothing on the list is
+// referenced by an event, in flight or queued, and everything on it is
+// zeroed for its next use.
+func checkJobPool(t *testing.T, m *Mac) {
+	t.Helper()
+	live := map[*txJob]bool{m.inflight: true}
+	for _, j := range m.queue {
+		live[j] = true
+	}
+	for j := m.freeJobs; j != nil; j = j.next {
+		if j.pending != 0 {
+			t.Fatalf("free job still referenced by %d event(s)", j.pending)
+		}
+		if live[j] {
+			t.Fatal("free job is also in flight or queued")
+		}
+		if j.wire != nil || j.done != nil || j.pollDone != nil || j.frame.Payload != nil || j.indirect || j.jid != 0 {
+			t.Fatalf("free job not zeroed: %+v", j)
+		}
+	}
+}
+
+// TestJobNotReusedWhileEventQueued pins the other ownership rule: a job
+// that finishes while one of its scheduler events is still queued stays
+// off the free list until that event has fired, so the event's "still in
+// flight?" guard cannot be satisfied by the object's next life.
+func TestJobNotReusedWhileEventQueued(t *testing.T) {
+	eng, a, b := pair(15)
+	var got []string
+	b.OnReceive = func(f *phy.Frame) { got = append(got, string(f.Payload)) }
+
+	a.Send(b.Radio().Addr(), []byte("abandoned"), nil)
+	old := a.inflight
+	if old == nil || old.pending != 1 {
+		t.Fatalf("want the job loading with its resume event queued, got %+v", old)
+	}
+	// Finish it under the queued event, as a path that gives up early would.
+	a.finish(TxChannelBusy)
+	if a.freeJobs != nil {
+		t.Fatal("job recycled while its resume event is still queued")
+	}
+	a.Send(b.Radio().Addr(), []byte("next"), nil)
+	if a.inflight == old {
+		t.Fatal("job reused while its resume event is still queued")
+	}
+	eng.Run()
+	if a.freeJobs == nil || old.pending != 0 {
+		t.Fatalf("job not recycled after its last event fired (pending=%d)", old.pending)
+	}
+	if len(got) != 1 || got[0] != "next" {
+		t.Fatalf("delivered %q, want only the second frame, once", got)
+	}
+	checkJobPool(t, a)
+
+	// The production paths the rule guards: two hidden senders and the
+	// receiver answering each, so ACKs are owed mid-backoff, ACK windows
+	// are forfeited to outgoing ACKs (ackWasWaiting), and retries pile up.
+	eng = sim.NewEngine(16)
+	ch := phy.NewChannel(eng, phy.NewUnitDisk(1.0, 1.0))
+	p := DefaultParams()
+	p.MaxFrameRetries = 4
+	var macs []*Mac
+	for i := 0; i < 3; i++ {
+		macs = append(macs, New(eng, ch.AddRadio(i, phy.Point{X: float64(i)}), p))
+	}
+	payload := make([]byte, 90)
+	var feed func(m *Mac, dst phy.Addr)
+	feed = func(m *Mac, dst phy.Addr) {
+		m.Send(dst, payload, func(TxStatus) {
+			checkJobPool(t, m)
+			if eng.Now() < sim.Time(10*sim.Second) {
+				feed(m, dst)
+			}
+		})
+	}
+	feed(macs[0], macs[1].Radio().Addr())
+	feed(macs[2], macs[1].Radio().Addr())
+	feed(macs[1], macs[0].Radio().Addr())
+	eng.RunUntil(sim.Time(12 * sim.Second))
+	var retries, drops uint64
+	for _, m := range macs {
+		checkJobPool(t, m)
+		retries += m.Stats.Retries
+		drops += m.Stats.DataDropped
+	}
+	if retries == 0 || drops == 0 || macs[1].Stats.AcksSent == 0 {
+		t.Fatalf("scenario too gentle: retries=%d drops=%d acks=%d", retries, drops, macs[1].Stats.AcksSent)
+	}
+}
+
+// TestDeregisterSleepyChildKeepsOrder: frames held for a sleepy child are
+// released in the order they were held (a datagram's FRAG1 before its
+// FRAGNs), ahead of frames already queued.
+func TestDeregisterSleepyChildKeepsOrder(t *testing.T) {
+	eng, a, b := pair(17)
+	var got []string
+	b.OnReceive = func(f *phy.Frame) { got = append(got, string(f.Payload)) }
+	child := b.Radio().Addr()
+	a.SetChildSleepy(child, true)
+	for _, s := range []string{"frag1", "fragN-a", "fragN-b"} {
+		a.Send(child, []byte(s), nil)
+	}
+	if a.IndirectQueueLen(child) != 3 {
+		t.Fatalf("held %d frames, want 3", a.IndirectQueueLen(child))
+	}
+	a.SetChildSleepy(child, false)
+	a.Send(child, []byte("later"), nil)
+	if a.IndirectQueueLen(child) != 0 {
+		t.Fatal("frames still held after deregistering")
+	}
+	eng.Run()
+	want := []string{"frag1", "fragN-a", "fragN-b", "later"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("arrival order %q, want %q", got, want)
 	}
 }

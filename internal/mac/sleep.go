@@ -40,6 +40,7 @@ type SleepController struct {
 	awake     bool         // inside a wakeup (receive) window
 	pollTimer *sim.Timer
 	waitTimer *sim.Timer
+	pollDone  func(TxStatus, bool) // prebuilt: every poll shares it
 	started   bool
 
 	// Polls counts data requests issued; Wakeups counts pending-bit
@@ -61,6 +62,7 @@ func NewSleepController(eng *sim.Engine, m *Mac, parent phy.Addr) *SleepControll
 	}
 	sc.pollTimer = sim.NewTimer(eng, sc.poll)
 	sc.waitTimer = sim.NewTimer(eng, sc.wakeupTimeout)
+	sc.pollDone = sc.afterPoll
 	m.IdleListen = func() bool { return sc.awake }
 	return sc
 }
@@ -128,18 +130,16 @@ func (sc *SleepController) NotifyInbound() {
 
 func (sc *SleepController) poll() {
 	sc.Polls++
-	sc.mac.SendDataRequest(sc.parent, func(status TxStatus, pending bool) {
-		if status != TxOK {
-			// Poll lost; treat as an empty poll.
-			sc.afterEmptyPoll()
-			return
-		}
-		if pending {
-			sc.enterWakeup()
-			return
-		}
-		sc.afterEmptyPoll()
-	})
+	sc.mac.SendDataRequest(sc.parent, sc.pollDone)
+}
+
+func (sc *SleepController) afterPoll(status TxStatus, pending bool) {
+	// A lost poll is treated as an empty one.
+	if status == TxOK && pending {
+		sc.enterWakeup()
+		return
+	}
+	sc.afterEmptyPoll()
 }
 
 func (sc *SleepController) afterEmptyPoll() {

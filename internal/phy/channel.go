@@ -10,9 +10,16 @@ import (
 // transmission is a frame in flight on the channel. Objects are pooled per
 // channel; endFn is built once so scheduling a frame's end allocates
 // nothing.
+//
+// The on-air bytes belong to the transmission: beginTx copies the
+// sender's frame into buf, and data is a slice of it. The sender's
+// OnTxDone fires before endTx at the same timestamp, so a MAC may reuse
+// its frame buffer for the next frame before this one's receivers have
+// been handed the bytes.
 type transmission struct {
 	sender *Radio
-	data   []byte
+	buf    [MaxPHYPayload]byte
+	data   []byte // buf[:n]
 	start  sim.Time
 	end    sim.Time
 	jid    int64      // journey packet id snapshot (metadata; 0 = untagged)
@@ -247,7 +254,7 @@ func (c *Channel) beginTx(sender *Radio, data []byte, air sim.Duration) {
 		}
 	}
 	t := c.allocTx()
-	t.sender, t.data = sender, data
+	t.sender, t.data = sender, t.buf[:copy(t.buf[:], data)]
 	t.jid = sender.TxJID
 	t.start, t.end = c.eng.Now(), c.eng.Now().Add(air)
 	c.active = append(c.active, t)

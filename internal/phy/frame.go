@@ -149,15 +149,22 @@ func (f *Frame) WireLen() int {
 	return n
 }
 
-// Encode serializes the frame to wire format. It panics if the frame
-// exceeds MaxPHYPayload, which indicates a bug in the caller's
-// fragmentation logic rather than a runtime condition.
+// Encode serializes the frame to wire format in a fresh slice. It panics
+// if the frame exceeds MaxPHYPayload, which indicates a bug in the
+// caller's fragmentation logic rather than a runtime condition.
 func (f *Frame) Encode() []byte {
-	n := f.WireLen()
-	if n > MaxPHYPayload {
+	return f.AppendEncode(make([]byte, 0, f.WireLen()))
+}
+
+// AppendEncode appends the frame's wire format to dst and returns the
+// extended slice; with WireLen bytes of spare capacity in dst it does
+// not allocate (the MAC encodes into the buffer inside its transmit
+// job). It panics on an oversized frame, as Encode does.
+func (f *Frame) AppendEncode(dst []byte) []byte {
+	if n := f.WireLen(); n > MaxPHYPayload {
 		panic(fmt.Sprintf("phy: frame of %d bytes exceeds %d-byte PHY limit", n, MaxPHYPayload))
 	}
-	b := make([]byte, 0, n)
+	b := dst
 	fcf := uint16(f.Type) & fcfTypeMask
 	if f.FramePending {
 		fcf |= fcfPending
@@ -235,6 +242,39 @@ func DecodeFrameInto(f *Frame, b []byte) error {
 		f.Payload = rest
 	}
 	return nil
+}
+
+// PeekHeader reads the frame type and destination address straight from
+// wire bytes, with the length and addressing checks of DecodeFrameInto:
+// it returns the error DecodeFrameInto would, and otherwise the Type and
+// Dst DecodeFrameInto would fill in (Dst is zero for an ACK, which
+// carries no addresses). A receiver uses it to discard overheard frames
+// addressed to someone else without decoding them.
+func PeekHeader(b []byte) (FrameType, Addr, error) {
+	var dst Addr
+	if len(b) > MaxPHYPayload {
+		return 0, dst, ErrFrameTooLong
+	}
+	if len(b) < AckFrameLen {
+		return 0, dst, ErrFrameTooShort
+	}
+	fcf := binary.LittleEndian.Uint16(b[:2])
+	t := FrameType(fcf & fcfTypeMask)
+	if t == FrameAck {
+		return t, dst, nil
+	}
+	if fcf&fcfDstExtended != fcfDstExtended || fcf&fcfSrcExtended != fcfSrcExtended {
+		return t, dst, ErrBadAddressing
+	}
+	minLen := DataHeaderLen + FCSLen
+	if t == FrameCommand {
+		minLen++ // command identifier byte
+	}
+	if len(b) < minLen {
+		return t, dst, ErrFrameTooShort
+	}
+	copy(dst[:], b[5:13])
+	return t, dst, nil
 }
 
 // DecodeFrame parses a wire-format frame into a fresh Frame whose

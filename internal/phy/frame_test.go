@@ -2,6 +2,7 @@ package phy
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -148,5 +149,55 @@ func TestAddrFromID(t *testing.T) {
 	}
 	if AddrFromID(3).IsBroadcast() {
 		t.Fatal("unicast address claimed broadcast")
+	}
+}
+
+// TestPeekHeaderAgreesWithDecode: the header peek the MAC filters
+// overheard frames with returns DecodeFrameInto's error on every input,
+// and its Type and Dst on every frame it accepts — each frame type,
+// every truncation of each, oversized input, and each bad addressing
+// mode.
+func TestPeekHeaderAgreesWithDecode(t *testing.T) {
+	payload := []byte("payload bytes")
+	frames := map[string]*Frame{
+		"data":           {Type: FrameData, Seq: 1, Dst: AddrFromID(1), Src: AddrFromID(2), AckRequest: true, Payload: payload},
+		"data broadcast": {Type: FrameData, Seq: 2, Dst: BroadcastAddr, Src: AddrFromID(2), Payload: payload},
+		"data empty":     {Type: FrameData, Seq: 3, Dst: AddrFromID(1), Src: AddrFromID(2)},
+		"data maximal":   {Type: FrameData, Seq: 4, Dst: AddrFromID(9), Src: AddrFromID(2), Payload: make([]byte, MaxMACPayload)},
+		"command":        {Type: FrameCommand, Seq: 5, Dst: AddrFromID(1), Src: AddrFromID(2), Command: DataRequest, AckRequest: true},
+		"beacon":         {Type: FrameBeacon, Seq: 6, Dst: AddrFromID(1), Src: AddrFromID(2), Payload: payload},
+		"ack":            AckFor(7, false),
+		"ack pending":    AckFor(8, true),
+	}
+	inputs := map[string][]byte{
+		"empty":    nil,
+		"too long": make([]byte, MaxPHYPayload+1),
+	}
+	for name, f := range frames {
+		wire := f.Encode()
+		for n := 0; n <= len(wire); n++ {
+			inputs[fmt.Sprintf("%s[:%d]", name, n)] = wire[:n]
+		}
+		if f.Type == FrameAck {
+			continue
+		}
+		// FCF high byte: dst mode in bits 2-3, src mode in bits 6-7.
+		for _, clear := range []byte{0x04, 0x08, 0x0c, 0x40, 0x80, 0xc0, 0xcc} {
+			bad := append([]byte(nil), wire...)
+			bad[1] &^= clear
+			inputs[fmt.Sprintf("%s fcf&^%#x00", name, clear)] = bad
+		}
+	}
+	for name, b := range inputs {
+		var f Frame
+		wantErr := DecodeFrameInto(&f, b)
+		typ, dst, err := PeekHeader(b)
+		if err != wantErr {
+			t.Errorf("%s: PeekHeader error %v, DecodeFrameInto %v", name, err, wantErr)
+			continue
+		}
+		if err == nil && (typ != f.Type || dst != f.Dst) {
+			t.Errorf("%s: PeekHeader = (%v, %v), DecodeFrameInto = (%v, %v)", name, typ, dst, f.Type, f.Dst)
+		}
 	}
 }

@@ -224,7 +224,9 @@ func (r *Radio) Transmit(data []byte) {
 
 // TransmitLoaded puts an already-loaded frame on air after the RX→TX
 // turnaround time. The radio is busy (cannot receive) from this call
-// until the frame leaves the air.
+// until the frame leaves the air. data must stay unchanged until
+// OnTxDone; the channel keeps its own copy for the receivers, so the
+// caller may overwrite the buffer from inside that callback.
 func (r *Radio) TransmitLoaded(data []byte) {
 	r.transmitAfter(data, TurnaroundTime)
 }

@@ -5,6 +5,8 @@
 package stack
 
 import (
+	"math"
+
 	"tcplp/internal/energy"
 	"tcplp/internal/ip6"
 	"tcplp/internal/mac"
@@ -57,11 +59,15 @@ type fwdEntry struct {
 	expires sim.Time
 }
 
+// outItem is one queued datagram: its link frames and how far the pump
+// has got. Items are pooled per node (newOutItem / freeOutItem).
 type outItem struct {
 	frames [][]byte
 	next   phy.Addr
 	idx    int
-	jid    int64 // journey packet id of the datagram (0 = untagged)
+	jid    int64     // journey packet id of the datagram (0 = untagged)
+	one    [1][]byte // backs frames for a relayed fragment: one frame, no slice to allocate
+	free   *outItem  // free list
 }
 
 // Node is one device: a mesh node with a radio, or the wired host (radio
@@ -82,11 +88,17 @@ type Node struct {
 	reasm *sixlowpan.Reassembler
 	frag  sixlowpan.Fragmenter
 
-	outQ    []*outItem
-	sending bool
+	outQ        []*outItem
+	outFree     *outItem
+	sending     bool
+	frameDoneFn func(mac.TxStatus) // built on first use; every frame's MAC callback
 
 	red      *mesh.RED
 	fwdCache map[fwdKey]*fwdEntry
+	// fwdExpiry is no later than the earliest expires in fwdCache, so
+	// gcFwdCache can skip the sweep until that time (the zero value
+	// forces one).
+	fwdExpiry sim.Time
 
 	wire *wireEnd
 
@@ -170,7 +182,32 @@ func (n *Node) route(pkt *ip6.Packet, forwarded bool) {
 		tr.Emit(obs.Event{T: n.Eng().Now(), Kind: obs.FragEmit, Node: n.ID,
 			A: int64(len(frames)), Len: len(chdr) + len(pkt.Payload), J: pkt.JID})
 	}
-	n.enqueue(&outItem{frames: frames, next: phy.AddrFromID(next), jid: pkt.JID})
+	n.enqueue(n.newOutItem(frames, phy.AddrFromID(next), pkt.JID))
+}
+
+func (n *Node) newOutItem(frames [][]byte, next phy.Addr, jid int64) *outItem {
+	it := n.outFree
+	if it == nil {
+		it = &outItem{}
+	} else {
+		n.outFree, it.free = it.free, nil
+	}
+	it.frames, it.next, it.idx, it.jid = frames, next, 0, jid
+	return it
+}
+
+// newRelayItem queues the single frame of a relayed fragment.
+func (n *Node) newRelayItem(fwd []byte, next phy.Addr, jid int64) *outItem {
+	it := n.newOutItem(nil, next, jid)
+	it.one[0] = fwd
+	it.frames = it.one[:]
+	return it
+}
+
+// freeOutItem recycles an item whose frames have all been released.
+func (n *Node) freeOutItem(it *outItem) {
+	it.frames = nil
+	it.free, n.outFree = n.outFree, it
 }
 
 // emitIPDrop records a network-layer drop with its cause.
@@ -196,6 +233,7 @@ func (n *Node) enqueue(it *outItem) {
 			tr.Emit(obs.Event{T: n.Eng().Now(), Kind: obs.QueueDrop, Node: n.ID, A: int64(len(n.outQ)), J: it.jid, Cause: obs.CauseQueueOverflow})
 		}
 		n.releaseFrames(it, it.idx)
+		n.freeOutItem(it)
 		return
 	}
 	n.outQ = append(n.outQ, it)
@@ -222,31 +260,44 @@ func (n *Node) pump() {
 	}
 	n.sending = true
 	it := n.outQ[0]
-	frame := it.frames[it.idx]
 	n.CPU.ChargeFrameTx()
-	n.Mac.SendJID(it.next, frame, it.jid, func(status mac.TxStatus) {
-		if status != mac.TxOK {
-			n.Stats.LinkFailures++
-			// Abandoning the datagram: the sent frame and the never-sent
-			// tail all go back to the pool.
-			n.releaseFrames(it, it.idx)
-			n.popAndContinue()
-			return
-		}
-		n.frag.Release(frame)
-		it.frames[it.idx] = nil
-		it.idx++
-		if it.idx >= len(it.frames) {
-			n.popAndContinue()
-			return
-		}
-		n.sending = false
-		n.pump()
-	})
+	if n.frameDoneFn == nil {
+		n.frameDoneFn = n.frameDone
+	}
+	n.Mac.SendJID(it.next, it.frames[it.idx], it.jid, n.frameDoneFn)
 }
 
+// frameDone is the MAC's verdict on the frame pump last handed it:
+// frame idx of the datagram at the head of the queue (one frame is
+// outstanding at a time, so the callback needs no state of its own).
+func (n *Node) frameDone(status mac.TxStatus) {
+	it := n.outQ[0]
+	if status != mac.TxOK {
+		n.Stats.LinkFailures++
+		// Abandoning the datagram: the sent frame and the never-sent
+		// tail all go back to the pool.
+		n.releaseFrames(it, it.idx)
+		n.popAndContinue()
+		return
+	}
+	n.frag.Release(it.frames[it.idx])
+	it.frames[it.idx] = nil
+	it.idx++
+	if it.idx >= len(it.frames) {
+		n.popAndContinue()
+		return
+	}
+	n.sending = false
+	n.pump()
+}
+
+// popAndContinue drops the finished datagram at the head of the queue,
+// copying the tail down so the queue keeps its capacity.
 func (n *Node) popAndContinue() {
-	n.outQ = n.outQ[1:]
+	n.freeOutItem(n.outQ[0])
+	last := copy(n.outQ, n.outQ[1:])
+	n.outQ[last] = nil
+	n.outQ = n.outQ[:last]
 	n.sending = false
 	n.pump()
 }
@@ -361,14 +412,18 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 			if n.fwdCache == nil {
 				n.fwdCache = map[fwdKey]*fwdEntry{}
 			}
+			expires := n.Eng().Now().Add(sixlowpan.DefaultReassemblyTimeout)
 			n.fwdCache[fwdKey{src, fi.Tag}] = &fwdEntry{
 				next:    phy.AddrFromID(next),
 				newTag:  newTag,
-				expires: n.Eng().Now().Add(sixlowpan.DefaultReassemblyTimeout),
+				expires: expires,
+			}
+			if expires < n.fwdExpiry {
+				n.fwdExpiry = expires
 			}
 		}
 		n.Stats.FragmentsFwd++
-		n.enqueue(&outItem{frames: [][]byte{fwd}, next: phy.AddrFromID(next), jid: jid})
+		n.enqueue(n.newRelayItem(fwd, phy.AddrFromID(next), jid))
 		return true
 
 	case sixlowpan.KindFragN:
@@ -388,19 +443,29 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 			return true
 		}
 		n.Stats.FragmentsFwd++
-		n.enqueue(&outItem{frames: [][]byte{fwd}, next: entry.next, jid: jid})
+		n.enqueue(n.newRelayItem(fwd, entry.next, jid))
 		return true
 	}
 	return false
 }
 
+// gcFwdCache deletes expired forwarding entries. It runs before every
+// lookup, so an entry is gone by the first frame at or after its expiry;
+// between expiries it costs one comparison instead of a map sweep.
 func (n *Node) gcFwdCache() {
 	now := n.Eng().Now()
+	if now < n.fwdExpiry {
+		return
+	}
+	earliest := sim.Time(math.MaxInt64)
 	for k, e := range n.fwdCache {
 		if now >= e.expires {
 			delete(n.fwdCache, k)
+		} else if e.expires < earliest {
+			earliest = e.expires
 		}
 	}
+	n.fwdExpiry = earliest
 }
 
 func (n *Node) addrIsHost(a ip6.Addr) bool {
