@@ -18,12 +18,22 @@
 // the payload once its done callback has run. The job's buffer is what
 // every link retry puts on air. When the first bit hits the air the
 // channel copies the bytes into its own pooled transmission, which owns
-// them until every receiver's endRx has copied them into that radio's
-// receive buffer: the radio's OnTxDone fires before the channel resolves
-// receptions at the same instant, so a frame that needs no ACK finishes —
-// and its job may be re-encoded for the next frame — before the
-// receivers have been handed the bytes. The immediate ACK is encoded into
-// a 5-byte per-MAC buffer under the same rule.
+// them until each receiver that wants the frame has been handed a copy in
+// its radio's receive buffer: the radio's OnTxDone fires before the
+// channel resolves receptions at the same instant, so a frame that needs
+// no ACK finishes — and its job may be re-encoded for the next frame —
+// before the receivers have been handed the bytes. The immediate ACK is
+// encoded into a 5-byte per-MAC buffer under the same rule.
+//
+// # What the radio filters
+//
+// New switches on the radio's address filter (package phy, "Hot state and
+// frame filter"), so radioReceive runs only for well-formed frames
+// addressed to this node or to broadcast, and for ACKs while the ACK timer
+// is armed: txDone, stopAckWait and ackTimeout keep the radio's ACK-wait
+// bit equal to ackTimer.Armed() (TestAckWaitBitTracksTimer). radioReceive
+// and handleAck still make every check themselves — the MAC decides, the
+// radio only spares it frames it would have discarded.
 //
 // Jobs are recycled through a per-MAC free list, scheduler callbacks and
 // all. A job returns to the list only when it is finished and no engine
@@ -221,6 +231,7 @@ func New(eng *sim.Engine, radio *phy.Radio, params Params) *Mac {
 		}
 	}
 	radio.OnReceive = m.radioReceive
+	radio.SetAddressFilter(true)
 	m.applyIdleState()
 	return m
 }
@@ -517,9 +528,18 @@ func (m *Mac) txDone() {
 		return
 	}
 	m.ackTimer.Reset(phy.AckWait)
+	m.radio.SetAckWait(true)
+}
+
+// stopAckWait disarms the ACK timer and, with it, the radio's interest in
+// ACK frames: the radio's ACK-wait bit is ackTimer.Armed() at all times.
+func (m *Mac) stopAckWait() {
+	m.ackTimer.Stop()
+	m.radio.SetAckWait(false)
 }
 
 func (m *Mac) ackTimeout() {
+	m.radio.SetAckWait(false)
 	if m.inflight == nil {
 		return
 	}
@@ -552,7 +572,7 @@ func (m *Mac) linkRetry(cause TxStatus) {
 func (m *Mac) finish(status TxStatus) {
 	job := m.inflight
 	m.inflight = nil
-	m.ackTimer.Stop()
+	m.stopAckWait()
 	if status == TxOK {
 		m.Stats.DataSent++
 		if job.indirect {
@@ -585,9 +605,11 @@ func (m *Mac) finish(status TxStatus) {
 }
 
 func (m *Mac) radioReceive(data []byte) {
-	// Most frames a radio hears in a dense mesh are addressed to someone
-	// else: drop those on the header alone, before the full decode. (A
-	// malformed frame fails the same checks in either place.)
+	// Frames addressed to someone else are dropped on the header alone,
+	// before the full decode. (A malformed frame fails the same checks in
+	// either place.) The radio's address filter normally withholds them;
+	// the check stays because the filter is a shortcut, not the authority:
+	// a promiscuous radio hands up everything it decodes.
 	if t, dst, err := phy.PeekHeader(data); err != nil ||
 		(t != phy.FrameAck && dst != m.radio.Addr() && !dst.IsBroadcast()) {
 		return
@@ -656,7 +678,7 @@ func (m *Mac) sendAck(seq uint8, pending bool) {
 	// that is merely loading or in CSMA backoff is NOT "waiting" — its
 	// own scheduled steps continue independently.
 	m.ackWasWaiting = m.ackTimer.Armed()
-	m.ackTimer.Stop()
+	m.stopAckWait()
 	m.sendingAck = true
 	m.radio.OnTxDone = m.ackDoneFn
 	// ACKs are generated from radio-internal state: no SPI load, just the

@@ -504,6 +504,56 @@ func TestJobNotReusedWhileEventQueued(t *testing.T) {
 	}
 }
 
+// TestAckWaitBitTracksTimer pins what lets the radio keep ACK frames from
+// a MAC that is not waiting for one: after every engine event the radio's
+// ACK-wait bit equals ackTimer.Armed(), the condition handleAck itself
+// checks. The traffic is the hidden-terminal exchange above plus link
+// loss, so timers are armed, answered and left to expire.
+func TestAckWaitBitTracksTimer(t *testing.T) {
+	eng := sim.NewEngine(18)
+	ch := phy.NewChannel(eng, phy.NewUnitDisk(1.0, 1.0))
+	ch.PER = func(src, dst *phy.Radio) float64 { return 0.2 }
+	p := DefaultParams()
+	p.MaxFrameRetries = 4
+	var macs []*Mac
+	for i := 0; i < 3; i++ {
+		macs = append(macs, New(eng, ch.AddRadio(i, phy.Point{X: float64(i)}), p))
+	}
+	payload := make([]byte, 90)
+	var feed func(m *Mac, dst phy.Addr)
+	feed = func(m *Mac, dst phy.Addr) {
+		m.Send(dst, payload, func(TxStatus) {
+			if eng.Now() < sim.Time(10*sim.Second) {
+				feed(m, dst)
+			}
+		})
+	}
+	feed(macs[0], macs[1].Radio().Addr())
+	feed(macs[2], macs[1].Radio().Addr())
+	feed(macs[1], macs[0].Radio().Addr())
+	armed := 0
+	for eng.Step() {
+		for i, m := range macs {
+			if m.radio.AckWait() != m.ackTimer.Armed() {
+				t.Fatalf("t=%v mac %d: radio ACK-wait bit %v, ackTimer armed %v (%s)",
+					eng.Now(), i, m.radio.AckWait(), m.ackTimer.Armed(), m.DebugState())
+			}
+			if m.ackTimer.Armed() {
+				armed++
+			}
+		}
+	}
+	var okd, retries, drops uint64
+	for _, m := range macs {
+		okd += m.Stats.DataSent
+		retries += m.Stats.Retries
+		drops += m.Stats.DataDropped
+	}
+	if armed == 0 || okd == 0 || retries == 0 || drops == 0 {
+		t.Fatalf("scenario too gentle: armed=%d sent=%d retries=%d drops=%d", armed, okd, retries, drops)
+	}
+}
+
 // TestDeregisterSleepyChildKeepsOrder: frames held for a sleepy child are
 // released in the order they were held (a datagram's FRAG1 before its
 // FRAGNs), ahead of frames already queued.

@@ -6,6 +6,44 @@
 // takes 32 µs on air at 250 kb/s, and moving a byte over SPI to the radio
 // costs about the same again, so a full 127-byte frame occupies the node
 // for ≈8.2 ms while occupying the channel for only ≈4.3 ms.
+//
+// # Hot state and frame filter
+//
+// A transmission is paid for once per radio that senses it, at frame start
+// and again at frame end, so what those two loops touch per radio decides
+// what a dense network costs to simulate. Everything they read or write
+// lives in one radioHot entry per radio, in a channel-owned slice indexed
+// by registration index: the radio's state and its per-state time
+// accumulators, the count of sensed on-air transmissions, the reception in
+// progress (the transmission's serial number, not a pointer to it) with
+// its corrupted flag, the frames-received and receptions-dropped counters,
+// and the two filter bits below. An entry is 64 bytes and pointer-free —
+// one cache line per sensed neighbor, nothing for the collector to scan or
+// write-barrier — and Radio's accessors (State, TimeIn, DutyCycle,
+// ChannelClear, FramesReceived, …) read through it. Channel.Reserve sizes
+// the slice once when the topology is known. What only the radio's owner
+// touches (position, callbacks, the 127-byte receive buffer, the neighbor
+// list of its own transmissions) stays in Radio.
+//
+// Like a real 802.15.4 transceiver, a radio can recognise addresses
+// (Radio.SetAddressFilter; package mac switches it on, a raw radio is
+// promiscuous). The channel reads a frame's header once per transmission
+// (PeekHeader) and a filtering radio copies the frame into its receive
+// buffer and calls OnReceive only if the frame is well formed and
+// addressed to it or to broadcast, or is an ACK — ACKs carry no address —
+// while its MAC awaits one (Radio.SetAckWait). The filter skips that copy
+// and that call and nothing else. Every radio that locked onto the frame
+// still returns from Rx to Listen at the same instant, still takes its PER
+// draw, in neighbor order and before the filter is consulted, still
+// counts the frame in FramesReceived ("decoded by the radio", not
+// "handed up") or ReceptionsDropped, and still emits its PhyCollision or
+// PhyRxDrop trace event: state transitions, RNG draws, counters and trace
+// events are never skipped. The MAC keeps its own header and ACK checks,
+// so it is the authority and the filter is only the shortcut: a run with
+// the filter switched off on every radio produces the same Result
+// (TestAddressFilterInvisible in package scenario), and a radio whose
+// address cannot be entered in the channel's id table simply stays
+// promiscuous.
 package phy
 
 import (

@@ -1,7 +1,8 @@
 package phy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"tcplp/internal/obs"
 	"tcplp/internal/sim"
@@ -23,16 +24,93 @@ type transmission struct {
 	start  sim.Time
 	end    sim.Time
 	jid    int64      // journey packet id snapshot (metadata; 0 = untagged)
+	serial uint32     // what a receiver's radioHot.rx holds while locked onto this frame
 	nbrs   []nbrEntry // sender's sensed-neighbor snapshot at frame start (index mode)
 	endFn  func()
 	next   *transmission // pool free list
 }
 
-// nbrEntry is one cached neighbor of a radio under the grid index:
-// within SenseRange, with connected marking decode (TxRange) reach.
+// nbrEntry is one cached neighbor of a radio under the grid index, by
+// registration index: within SenseRange, with connected marking decode
+// (TxRange) reach.
 type nbrEntry struct {
-	r         *Radio
+	idx       int32
 	connected bool
+}
+
+// radioHot is the per-radio state a transmission's fan-out reads and
+// writes, one entry per radio in Channel.hot ("Hot state and frame
+// filter" in the package comment). It holds no pointers, so the collector
+// neither scans the slice nor write-barriers its stores, and it fits a
+// cache line (TestRadioHotLayout).
+type radioHot struct {
+	// acc[s] is the time spent in state s, except that the current
+	// state's entry is short by the instant that state was entered:
+	// entering s at t subtracts t, leaving at t' adds t' (see timeIn).
+	// That keeps a transition to two additions and saves a separate
+	// "state since" field.
+	acc        [4]sim.Duration
+	framesRecv uint64
+	rxDropped  uint64
+	sensed     int32  // on-air transmissions from sensed neighbors
+	rx         uint32 // serial of the transmission being received (0 = none)
+	state      State
+	corrupted  bool // the reception in progress overlapped other energy
+	filter     bool // address recognition on (Radio.SetAddressFilter)
+	ackWait    bool // the MAC is awaiting an immediate ACK (Radio.SetAckWait)
+}
+
+func (h *radioHot) setState(s State, now sim.Time) {
+	if s == h.state {
+		return
+	}
+	h.acc[h.state] += sim.Duration(now)
+	h.acc[s] -= sim.Duration(now)
+	h.state = s
+}
+
+func (h *radioHot) timeIn(s State, now sim.Time) sim.Duration {
+	d := h.acc[s]
+	if h.state == s {
+		d += sim.Duration(now)
+	}
+	return d
+}
+
+func (h *radioHot) beginRx(serial uint32, now sim.Time) {
+	h.rx = serial
+	h.corrupted = false
+	h.setState(StateRx, now)
+}
+
+// abortRx drops the reception in progress, if any (the radio is about to
+// sleep or transmit).
+func (h *radioHot) abortRx() {
+	if h.rx != 0 {
+		h.rx = 0
+		h.corrupted = false
+		h.rxDropped++
+	}
+}
+
+// Who a frame is for, decided once per transmission by Channel.frameDst: a
+// radio's registration index, or one of these.
+const (
+	dstNobody     int32 = -1 - iota // malformed, or no filtering radio has that address
+	dstAckWaiters                   // an ACK: carries no address
+	dstEveryone                     // broadcast
+)
+
+// wants reports whether the radio at registration index idx hands a decoded
+// frame for dst up to OnReceive. A promiscuous radio hands up everything.
+func (h *radioHot) wants(idx, dst int32) bool {
+	switch {
+	case !h.filter, dst == dstEveryone:
+		return true
+	case dst == dstAckWaiters:
+		return h.ackWait
+	}
+	return idx == dst
 }
 
 // gridIndex is a uniform-grid spatial index over radio positions with the
@@ -107,12 +185,12 @@ func (g *gridIndex) neighbors(r *Radio) []nbrEntry {
 				}
 				d := r.pos.Dist(o.pos)
 				if d <= g.ud.SenseRange {
-					nbrs = append(nbrs, nbrEntry{r: o, connected: d <= g.ud.TxRange})
+					nbrs = append(nbrs, nbrEntry{idx: o.idx, connected: d <= g.ud.TxRange})
 				}
 			}
 		}
 	}
-	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i].r.idx < nbrs[j].r.idx })
+	slices.SortFunc(nbrs, func(a, b nbrEntry) int { return cmp.Compare(a.idx, b.idx) })
 	r.nbrs = nbrs
 	r.nbrsVersion = g.version
 	return nbrs
@@ -141,9 +219,15 @@ type Channel struct {
 	eng    *sim.Engine
 	prop   Propagation
 	radios []*Radio
-	active []*transmission
-	grid   *gridIndex
-	txFree *transmission
+	hot    []radioHot // parallel to radios
+	// filterIdx maps a node id to 1 + the registration index of the
+	// filtering radio with that id's address (0 = none): how frameDst
+	// resolves a unicast destination.
+	filterIdx []int32
+	active    []*transmission // on air now; kept on the scan path only
+	grid      *gridIndex
+	txFree    *transmission
+	txSerial  uint32
 
 	// PER returns the probability that a frame from src to dst is
 	// corrupted despite no collision. Nil means a perfect channel.
@@ -164,6 +248,14 @@ func NewChannel(eng *sim.Engine, prop Propagation) *Channel {
 	return c
 }
 
+// Reserve sizes the channel's per-radio tables for n radios with ids below
+// n, so registering a known topology does not regrow them radio by radio.
+func (c *Channel) Reserve(n int) {
+	c.radios = slices.Grow(c.radios, n)
+	c.hot = slices.Grow(c.hot, n)
+	c.filterIdx = slices.Grow(c.filterIdx, n)
+}
+
 // DisableIndex switches the channel to the brute-force all-pairs reference
 // path. It must be called before any traffic is generated.
 func (c *Channel) DisableIndex() { c.grid = nil }
@@ -182,16 +274,17 @@ func (c *Channel) AddRadio(id int, pos Point) *Radio {
 		id:   id,
 		addr: AddrFromID(id),
 		pos:  pos,
-		idx:  len(c.radios),
+		idx:  int32(len(c.radios)),
 	}
 	r.txBeginFn = func() { c.beginTx(r, r.txData, r.txAir) }
 	r.txDoneFn = func() {
-		r.setState(StateListen)
+		r.hot().setState(StateListen, c.eng.Now())
 		if r.OnTxDone != nil {
 			r.OnTxDone()
 		}
 	}
 	c.radios = append(c.radios, r)
+	c.hot = append(c.hot, radioHot{})
 	if c.grid != nil {
 		c.grid.add(r)
 	}
@@ -207,6 +300,52 @@ func (c *Channel) moved(r *Radio) {
 	if c.grid != nil {
 		c.grid.move(r)
 	}
+}
+
+// maxFilterID bounds the node ids filterIdx is grown for.
+const maxFilterID = 1 << 22
+
+// setFilter turns r's address recognition on or off. Switching it on
+// claims r's id in filterIdx; a radio whose id cannot be claimed (out of
+// the table's range, or taken by another radio with the same address)
+// stays promiscuous, which its MAC cannot tell apart.
+func (c *Channel) setFilter(r *Radio, on bool) {
+	h := &c.hot[r.idx]
+	if !on {
+		if h.filter {
+			h.filter = false
+			c.filterIdx[r.id] = 0
+		}
+		return
+	}
+	if h.filter || r.id < 0 || r.id >= maxFilterID {
+		return
+	}
+	if r.id >= len(c.filterIdx) {
+		c.filterIdx = append(c.filterIdx, make([]int32, r.id+1-len(c.filterIdx))...)
+	}
+	if c.filterIdx[r.id] == 0 {
+		c.filterIdx[r.id] = r.idx + 1
+		h.filter = true
+	}
+}
+
+// frameDst reads a frame's header and resolves who it is for: the one
+// address check a transmission gets, whatever the number of listeners.
+func (c *Channel) frameDst(data []byte) int32 {
+	typ, dst, err := PeekHeader(data)
+	switch {
+	case err != nil:
+		return dstNobody
+	case typ == FrameAck:
+		return dstAckWaiters
+	case dst.IsBroadcast():
+		return dstEveryone
+	}
+	if id := dst.ID(); uint(id) < uint(len(c.filterIdx)) {
+		return c.filterIdx[id] - 1
+	}
+	return dstNobody
 }
 
 func (c *Channel) allocTx() *transmission {
@@ -232,7 +371,7 @@ func (c *Channel) releaseTx(t *transmission) {
 // busyAt reports whether any on-air transmission is sensed at r.
 func (c *Channel) busyAt(r *Radio) bool {
 	if c.grid != nil {
-		return r.sensedCount > 0
+		return c.hot[r.idx].sensed > 0
 	}
 	for _, t := range c.active {
 		if t.sender == r {
@@ -247,52 +386,60 @@ func (c *Channel) busyAt(r *Radio) bool {
 
 // beginTx is called by a radio when its frame's first bit hits the air.
 func (c *Channel) beginTx(sender *Radio, data []byte, air sim.Duration) {
+	now := c.eng.Now()
 	if tr := c.Trace; tr != nil {
-		tr.Emit(obs.Event{T: c.eng.Now(), Kind: obs.PhyTx, Node: sender.id, A: int64(air), Len: len(data), J: sender.TxJID})
+		tr.Emit(obs.Event{T: now, Kind: obs.PhyTx, Node: sender.id, A: int64(air), Len: len(data), J: sender.TxJID})
 		if tr.WantsFrames() && !sender.NoiseOnly {
-			tr.Frame(c.eng.Now(), sender.id, data)
+			tr.Frame(now, sender.id, data)
 		}
 	}
 	t := c.allocTx()
 	t.sender, t.data = sender, t.buf[:copy(t.buf[:], data)]
 	t.jid = sender.TxJID
-	t.start, t.end = c.eng.Now(), c.eng.Now().Add(air)
-	c.active = append(c.active, t)
+	t.start, t.end = now, now.Add(air)
+	if c.txSerial++; c.txSerial == 0 {
+		c.txSerial = 1 // 0 means "not receiving"
+	}
+	t.serial = c.txSerial
+	decodable := !sender.NoiseOnly
 
 	if c.grid != nil {
 		nbrs := c.grid.neighbors(sender)
 		t.nbrs = nbrs
+		hot := c.hot
 		for _, nb := range nbrs {
-			r := nb.r
-			r.sensedCount++
-			switch r.state {
+			h := &hot[nb.idx]
+			h.sensed++
+			switch h.state {
 			case StateRx:
-				r.interfered()
+				h.corrupted = true
 			case StateListen:
-				// sensedCount == 1 means t is the only energy at r (a
+				// sensed == 1 means t is the only energy at the radio (a
 				// radio's own frames never count toward its own sensing),
 				// matching the brute-force otherEnergyAt check.
-				if !sender.NoiseOnly && nb.connected && r.sensedCount == 1 {
-					r.beginRx(t)
+				if decodable && nb.connected && h.sensed == 1 {
+					h.beginRx(t.serial, now)
 				}
 			}
 		}
 	} else {
-		for _, r := range c.radios {
+		c.active = append(c.active, t)
+		for i, r := range c.radios {
 			if r == sender {
 				continue
 			}
 			if !c.prop.Senses(sender, r) {
 				continue
 			}
-			switch r.state {
+			h := &c.hot[i]
+			switch h.state {
 			case StateRx:
 				// Overlap corrupts whatever r was receiving; the new frame is
 				// also lost to r (it never locked onto it).
-				r.interfered()
+				h.corrupted = true
 			case StateListen:
-				if !sender.NoiseOnly && c.prop.Connected(sender, r) && !c.otherEnergyAt(r, t) {
-					r.beginRx(t)
+				if decodable && c.prop.Connected(sender, r) && !c.otherEnergyAt(r, t) {
+					h.beginRx(t.serial, now)
 				}
 				// If there is already other energy at r, the new frame is
 				// undecodable noise to r; nothing to corrupt since r was idle.
@@ -319,38 +466,76 @@ func (c *Channel) otherEnergyAt(r *Radio, t *transmission) bool {
 
 // endTx resolves all receptions of t and removes it from the air.
 func (c *Channel) endTx(t *transmission) {
-	for i, o := range c.active {
-		if o == t {
-			c.active = append(c.active[:i], c.active[i+1:]...)
-			break
-		}
-	}
+	dst := c.frameDst(t.data)
 	if t.nbrs != nil {
 		// Drop t's energy everywhere before delivering: reception
 		// callbacks may run CCAs.
+		hot := c.hot
 		for _, nb := range t.nbrs {
-			nb.r.sensedCount--
+			hot[nb.idx].sensed--
 		}
 		for _, nb := range t.nbrs {
-			r := nb.r
-			if r.rx == t {
-				per := 0.0
-				if c.PER != nil {
-					per = c.PER(t.sender, r)
-				}
-				r.endRx(t, per)
+			// c.hot afresh each time: a callback may have added a radio.
+			if c.hot[nb.idx].rx == t.serial {
+				c.endRx(nb.idx, t, dst)
 			}
 		}
 	} else {
-		for _, r := range c.radios {
-			if r.rx == t {
-				per := 0.0
-				if c.PER != nil {
-					per = c.PER(t.sender, r)
-				}
-				r.endRx(t, per)
+		for i, o := range c.active {
+			if o == t {
+				c.active = append(c.active[:i], c.active[i+1:]...)
+				break
+			}
+		}
+		for i := range c.radios {
+			if c.hot[i].rx == t.serial {
+				c.endRx(int32(i), t, dst)
 			}
 		}
 	}
 	c.releaseTx(t)
+}
+
+// endRx finishes the reception of t at the radio with registration index
+// idx. What a run can observe happens for every locked receiver, in
+// neighbor order: the state change, the PER draw, the counters and the
+// trace events. Only the copy into the receive buffer and the call upward
+// depend on whether the radio wants a frame for dst.
+func (c *Channel) endRx(idx int32, t *transmission, dst int32) {
+	h := &c.hot[idx]
+	now := c.eng.Now()
+	// PER is asked about every locked receiver, collided or not: callers
+	// may count the calls.
+	per := 0.0
+	if c.PER != nil {
+		per = c.PER(t.sender, c.radios[idx])
+	}
+	corrupted := h.corrupted
+	h.rx = 0
+	h.corrupted = false
+	h.setState(StateListen, now)
+	if corrupted {
+		h.rxDropped++
+		if tr := c.Trace; tr != nil {
+			tr.Emit(obs.Event{T: now, Kind: obs.PhyCollision, Node: c.radios[idx].id, Len: len(t.data), J: t.jid, Cause: obs.CauseCollision})
+		}
+		return
+	}
+	if per > 0 && c.eng.Rand().Float64() < per {
+		h.rxDropped++
+		if tr := c.Trace; tr != nil {
+			tr.Emit(obs.Event{T: now, Kind: obs.PhyRxDrop, Node: c.radios[idx].id, A: 1, Len: len(t.data), J: t.jid, Cause: obs.CausePER})
+		}
+		return
+	}
+	h.framesRecv++
+	if !h.wants(idx, dst) {
+		return
+	}
+	if r := c.radios[idx]; r.OnReceive != nil {
+		n := copy(r.rxBuf[:], t.data)
+		r.RxJID = t.jid
+		r.OnReceive(r.rxBuf[:n])
+		r.RxJID = 0
+	}
 }

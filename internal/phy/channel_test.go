@@ -1,7 +1,9 @@
 package phy
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"tcplp/internal/sim"
 )
@@ -265,5 +267,115 @@ func TestInterfererRaisesLoss(t *testing.T) {
 	}
 	if received >= sent {
 		t.Fatalf("interference destroyed nothing: %d/%d", received, sent)
+	}
+}
+
+// TestRadioHotLayout guards the two properties the dense per-radio array
+// is there for: an entry fits one cache line, and it holds nothing the
+// collector has to scan or write-barrier.
+func TestRadioHotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(radioHot{}); size > 64 {
+		t.Fatalf("radioHot is %d bytes, want <= 64", size)
+	}
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s: radioHot must be pointer-free", path, typ.Kind())
+		}
+	}
+	check("radioHot", reflect.TypeOf(radioHot{}))
+}
+
+// TestStateTimeTable walks two radios through every state and pins
+// TimeIn and DutyCycle, before and after a ResetEnergy, to the values the
+// per-state accounting has always produced.
+func TestStateTimeTable(t *testing.T) {
+	eng, ch := lineTopo(t, 2, 1.0)
+	a, b := ch.Radios()[0], ch.Radios()[1]
+	frame := (&Frame{Type: FrameData, Dst: b.Addr(), Src: a.Addr(), Payload: make([]byte, 77)}).Encode()
+	load, air := LoadTime(len(frame)), AirTime(len(frame)) // 3200 µs, 3392 µs
+	const ms = sim.Millisecond
+
+	eng.Schedule(1000*ms, func() { b.SetListen(true) })
+	eng.Schedule(2000*ms, func() { a.Transmit(frame) }) // from sleep: Tx until the frame has left the air
+	eng.Schedule(2500*ms, func() { a.ResetEnergy() })
+	eng.Schedule(3000*ms, func() { b.SetListen(false) })
+	eng.Schedule(3500*ms, func() { a.Transmit(frame) }) // b is asleep: nobody receives it
+
+	type row struct {
+		at                    sim.Duration
+		r                     *Radio
+		sleep, listen, rx, tx sim.Duration
+		state                 State
+		dutyCycle             float64
+	}
+	rows := []row{
+		{(500 * ms), a, 500 * ms, 0, 0, 0, StateSleep, 0},
+		{(500 * ms), b, 500 * ms, 0, 0, 0, StateSleep, 0},
+		{(1500 * ms), b, 1000 * ms, 500 * ms, 0, 0, StateListen, 500.0 / 1500},
+		// a is mid-load: Tx since 2000 ms, nothing on air yet.
+		{(2000*ms + load/2), a, 2000 * ms, 0, 0, load / 2, StateTx, float64(load/2) / float64(2000*ms+load/2)},
+		{(2000*ms + load/2), b, 1000 * ms, 1000*ms + load/2, 0, 0, StateListen, float64(1000*ms+load/2) / float64(2000*ms+load/2)},
+		// Half the frame is on air: b locked on when it started.
+		{(2000*ms + load + air/2), b, 1000 * ms, 1000*ms + load, air / 2, 0, StateRx, float64(1000*ms+load+air/2) / float64(2000*ms+load+air/2)},
+		{(2400 * ms), a, 2000 * ms, 400*ms - load - air, 0, load + air, StateListen, 400.0 / 2400},
+		{(2400 * ms), b, 1000 * ms, 1400*ms - air, air, 0, StateListen, 1400.0 / 2400},
+		// a was reset at 2500 ms while listening.
+		{(2600 * ms), a, 0, 100 * ms, 0, 0, StateListen, 1},
+		{(3200 * ms), b, 1200 * ms, 2000*ms - air, air, 0, StateSleep, 2000.0 / 3200},
+		{(3500*ms + load + air/2), a, 0, 1000 * ms, 0, load + air/2, StateTx, 1},
+		{(4000 * ms), a, 0, 1500*ms - load - air, 0, load + air, StateListen, 1},
+		{(4000 * ms), b, 2000 * ms, 2000*ms - air, air, 0, StateSleep, 2000.0 / 4000},
+	}
+	for _, want := range rows {
+		eng.RunUntil(sim.Time(want.at))
+		r := want.r
+		got := row{want.at, r, r.TimeIn(StateSleep), r.TimeIn(StateListen), r.TimeIn(StateRx), r.TimeIn(StateTx), r.State(), r.DutyCycle()}
+		if got != want {
+			t.Errorf("radio %d at %v:\n got sleep %v listen %v rx %v tx %v state %v dc %v\nwant sleep %v listen %v rx %v tx %v state %v dc %v",
+				r.ID(), want.at, got.sleep, got.listen, got.rx, got.tx, got.state, got.dutyCycle,
+				want.sleep, want.listen, want.rx, want.tx, want.state, want.dutyCycle)
+		}
+	}
+	if b.FramesReceived() != 1 || b.ReceptionsDropped() != 0 {
+		t.Fatalf("b recv %d dropped %d, want 1 and 0", b.FramesReceived(), b.ReceptionsDropped())
+	}
+}
+
+// TestInterfererBurstAllocs: a burst's noise frames share one zero frame
+// and one OnTxDone, so what an interferer allocates grows with the number
+// of bursts, not with the frames in them.
+func TestInterfererBurstAllocs(t *testing.T) {
+	eng := sim.NewEngine(5)
+	ch := NewChannel(eng, NewUnitDisk(1.0, 1.5))
+	ch.AddRadio(0, Point{X: 1}).SetListen(true)
+	in := NewInterferer(ch, 99, Point{})
+	in.BurstMean = 200 * sim.Millisecond // some 46 frames a burst
+	in.MeanGap = sim.Millisecond
+	bursts := 0
+	in.Activity = func(sim.Time) float64 { bursts++; return 1 } // asked once per burst
+	in.Start()
+	eng.RunFor(5 * sim.Second) // fill the engine's event pool
+	bursts = 0
+	sent := in.Radio().FramesSent()
+	const runs = 5
+	allocs := testing.AllocsPerRun(runs, func() { eng.RunFor(10 * sim.Second) })
+	frames := float64(in.Radio().FramesSent()-sent) / (runs + 1)
+	perRun := float64(bursts) / (runs + 1)
+	if frames < 10*perRun {
+		t.Fatalf("%.0f frames in %.0f bursts per run: bursts too short to tell", frames, perRun)
+	}
+	if allocs > 4*perRun {
+		t.Fatalf("%.0f allocations per run for %.0f bursts of %.0f frames: want O(bursts)", allocs, perRun, frames)
 	}
 }

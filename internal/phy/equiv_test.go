@@ -6,17 +6,23 @@ import (
 	"strings"
 	"testing"
 
+	"tcplp/internal/mac"
 	"tcplp/internal/mesh"
 	"tcplp/internal/phy"
 	"tcplp/internal/sim"
 )
 
 // phyTrace runs scripted contending traffic over topo and returns a full
-// delivery/collision trace: every decoded frame (receiver, size, time) plus
-// each radio's sent/received/dropped counters. The per-link PER draw
+// delivery/collision trace: every frame handed up (receiver, size, time)
+// plus each radio's sent/received/dropped counters. The per-link PER draw
 // consumes the shared engine RNG, so the trace also proves the delivery
 // *iteration order* matches — any reordering desynchronizes the stream.
-func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute bool) string {
+//
+// With filtered set, every radio recognises addresses and the script puts
+// real frames on air — unicast to a random node, broadcast, ACKs and
+// malformed bytes — while radios' ACK-wait bits flip at scripted times, so
+// the trace covers every branch of the frame filter.
+func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute, filtered bool) string {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(topo.TxRange, topo.SenseRange))
@@ -31,6 +37,7 @@ func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute bool) string {
 	for i, p := range topo.Positions {
 		r := ch.AddRadio(i, p)
 		r.SetListen(true)
+		r.SetAddressFilter(filtered)
 		i := i
 		r.OnReceive = func(data []byte) {
 			fmt.Fprintf(&trace, "rx %d len %d at %d\n", i, len(data), eng.Now())
@@ -41,10 +48,25 @@ func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute bool) string {
 	for k := 0; k < 500; k++ {
 		r := radios[script.Intn(len(radios))]
 		at := sim.Time(script.Int63n(int64(2 * sim.Second)))
-		size := 20 + script.Intn(80)
+		frame := make([]byte, 20+script.Intn(80)) // malformed: no addressing mode
+		if filtered {
+			data := phy.Frame{Type: phy.FrameData, Src: r.Addr(), Payload: frame[:len(frame)-20]}
+			switch script.Intn(4) {
+			case 0:
+				data.Dst = radios[script.Intn(len(radios))].Addr()
+				frame = data.Encode()
+			case 1:
+				data.Dst = phy.BroadcastAddr
+				frame = data.Encode()
+			case 2:
+				frame = phy.AckFor(uint8(k), false).Encode()
+			}
+			waiter, on := radios[script.Intn(len(radios))], script.Intn(2) == 0
+			eng.At(at, func() { waiter.SetAckWait(on) })
+		}
 		eng.At(at, func() {
 			if !r.Transmitting() {
-				r.Transmit(make([]byte, size))
+				r.Transmit(frame)
 			}
 		})
 	}
@@ -68,17 +90,25 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 	}
 	for name, topo := range topos {
 		for seed := int64(1); seed <= 3; seed++ {
-			grid := phyTrace(t, topo, seed, false)
-			brute := phyTrace(t, topo, seed, true)
-			if grid != brute {
-				gl, bl := strings.Split(grid, "\n"), strings.Split(brute, "\n")
-				for i := 0; i < len(gl) && i < len(bl); i++ {
-					if gl[i] != bl[i] {
-						t.Fatalf("%s seed %d: traces diverge at line %d:\n  grid:  %s\n  brute: %s",
-							name, seed, i, gl[i], bl[i])
+			promiscuous := 0 // frames handed up with no radio filtering
+			for _, filtered := range []bool{false, true} {
+				grid := phyTrace(t, topo, seed, false, filtered)
+				brute := phyTrace(t, topo, seed, true, filtered)
+				if grid != brute {
+					gl, bl := strings.Split(grid, "\n"), strings.Split(brute, "\n")
+					for i := 0; i < len(gl) && i < len(bl); i++ {
+						if gl[i] != bl[i] {
+							t.Fatalf("%s seed %d filtered %v: traces diverge at line %d:\n  grid:  %s\n  brute: %s",
+								name, seed, filtered, i, gl[i], bl[i])
+						}
 					}
+					t.Fatalf("%s seed %d filtered %v: trace lengths differ (%d vs %d lines)", name, seed, filtered, len(gl), len(bl))
 				}
-				t.Fatalf("%s seed %d: trace lengths differ (%d vs %d lines)", name, seed, len(gl), len(bl))
+				if !filtered {
+					promiscuous = strings.Count(grid, "rx ")
+				} else if strings.Count(grid, "rx ") >= promiscuous {
+					t.Fatalf("%s seed %d: the filter withheld nothing", name, seed)
+				}
 			}
 		}
 	}
@@ -159,15 +189,83 @@ func TestGraphChannelTakesScanPath(t *testing.T) {
 		radios[0].Transmit(make([]byte, 40))
 		radios[2].Transmit(make([]byte, 40))
 	})
+	// The frame filter on the scan path: 2 recognises addresses, 0 stays
+	// promiscuous. Both decode each frame 1 sends; 2 is handed only its own.
+	radios[2].SetAddressFilter(true)
+	for i, dst := range []int{2, 0} {
+		f := &phy.Frame{Type: phy.FrameData, Dst: phy.AddrFromID(dst), Src: radios[1].Addr(), Payload: make([]byte, 10*i)}
+		eng.Schedule(sim.Duration(200+100*i)*sim.Millisecond, func() { radios[1].Transmit(f.Encode()) })
+	}
 	eng.Run()
-	if got, want := trace.String(), "rx 1 len 30\n"; got != want {
+	if got, want := trace.String(), "rx 1 len 30\nrx 0 len 23\nrx 2 len 23\nrx 0 len 33\n"; got != want {
 		t.Fatalf("deliveries = %q, want %q", got, want)
 	}
 	if radios[1].FramesReceived() != 1 || radios[1].ReceptionsDropped() != 1 {
 		t.Fatalf("radio 1 recv %d dropped %d, want 1 and 1",
 			radios[1].FramesReceived(), radios[1].ReceptionsDropped())
 	}
+	if radios[0].FramesReceived() != 2 || radios[2].FramesReceived() != 2 {
+		t.Fatalf("radios 0 and 2 decoded %d and %d frames, want 2 each: the filter must not hide a frame from the counter",
+			radios[0].FramesReceived(), radios[2].FramesReceived())
+	}
 	if radios[3].FramesReceived() != 0 {
 		t.Fatalf("sense-only neighbor decoded %d frames", radios[3].FramesReceived())
 	}
+}
+
+// TestFilterHandsUpOnlyWantedFrames: in a clique of 50 MACs every radio
+// decodes every frame (FramesReceived rises by 49 per frame), but a frame
+// goes up to OnReceive only where it is wanted: a unicast data frame at
+// its destination, its ACK at the sender waiting for it, a broadcast
+// everywhere, a malformed frame nowhere.
+func TestFilterHandsUpOnlyWantedFrames(t *testing.T) {
+	const n = 50
+	eng := sim.NewEngine(1)
+	ch := phy.NewChannel(eng, phy.NewUnitDisk(1, 1))
+	macs := make([]*mac.Mac, n)
+	handedUp := make([]int, n)
+	for i := range macs {
+		r := ch.AddRadio(i, phy.Point{})
+		macs[i] = mac.New(eng, r, mac.DefaultParams())
+		i, up := i, r.OnReceive
+		r.OnReceive = func(data []byte) { handedUp[i]++; up(data) }
+	}
+	decoded := func() (sum uint64) {
+		for _, m := range macs {
+			sum += m.Radio().FramesReceived()
+		}
+		return sum
+	}
+	// step runs send to completion and checks who was handed how many frames.
+	step := func(name string, send func(), frames uint64, want map[int]int) {
+		t.Helper()
+		before := decoded()
+		for i := range handedUp {
+			handedUp[i] = 0
+		}
+		send()
+		eng.Run()
+		if got := decoded() - before; got != frames*(n-1) {
+			t.Errorf("%s: %d receptions decoded, want %d", name, got, frames*(n-1))
+		}
+		for i, got := range handedUp {
+			w, ok := want[i]
+			if !ok {
+				w = want[-1]
+			}
+			if got != w {
+				t.Errorf("%s: radio %d was handed %d frames, want %d", name, i, got, w)
+			}
+		}
+	}
+	status := mac.TxStatus(-1)
+	step("unicast + ACK", func() {
+		macs[3].Send(macs[7].Radio().Addr(), []byte("x"), func(s mac.TxStatus) { status = s })
+	}, 2, map[int]int{7: 1, 3: 1, -1: 0})
+	if status != mac.TxOK || macs[7].Stats.AcksSent != 1 {
+		t.Fatalf("unicast status %v, acks sent %d", status, macs[7].Stats.AcksSent)
+	}
+	step("broadcast", func() { macs[3].Send(phy.BroadcastAddr, []byte("x"), nil) }, 1, map[int]int{3: 0, -1: 1})
+	step("malformed", func() { macs[3].Radio().Transmit(make([]byte, 40)) }, 1, map[int]int{-1: 0})
+	step("stray ACK", func() { macs[3].Radio().Transmit(phy.AckFor(9, false).Encode()) }, 1, map[int]int{-1: 0})
 }

@@ -248,8 +248,9 @@ func DecodeFrameInto(f *Frame, b []byte) error {
 // wire bytes, with the length and addressing checks of DecodeFrameInto:
 // it returns the error DecodeFrameInto would, and otherwise the Type and
 // Dst DecodeFrameInto would fill in (Dst is zero for an ACK, which
-// carries no addresses). A receiver uses it to discard overheard frames
-// addressed to someone else without decoding them.
+// carries no addresses). The channel's frame filter reads it once per
+// transmission, and a MAC uses it to discard overheard frames addressed to
+// someone else without decoding them.
 func PeekHeader(b []byte) (FrameType, Addr, error) {
 	var dst Addr
 	if len(b) > MaxPHYPayload {

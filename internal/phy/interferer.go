@@ -22,20 +22,28 @@ type Interferer struct {
 	// interference, 1 is nominal. Nil means constant 1.
 	Activity func(t sim.Time) float64
 
-	running bool
+	running   bool
+	burstLeft int // noise frames still to emit in the current burst
 }
+
+// noiseFrame is what an interferer puts on air: never written, never
+// decoded, and copied by the channel at beginTx, so every frame of every
+// interferer shares it.
+var noiseFrame [MaxPHYPayload]byte
 
 // NewInterferer creates a noise source at pos. Its transmissions are
 // sensed within the channel's propagation model but never decoded.
 func NewInterferer(c *Channel, id int, pos Point) *Interferer {
 	r := c.AddRadio(id, pos)
 	r.NoiseOnly = true
-	return &Interferer{
+	in := &Interferer{
 		eng:       c.eng,
 		radio:     r,
 		BurstMean: 2 * sim.Millisecond,
 		MeanGap:   50 * sim.Millisecond,
 	}
+	r.OnTxDone = in.emit
+	return in
 }
 
 // Radio returns the underlying noise radio (for positioning in tests).
@@ -91,14 +99,17 @@ func (in *Interferer) burst() {
 	if n < 1 {
 		n = 1
 	}
-	var emit func(k int)
-	emit = func(k int) {
-		if k == 0 || !in.running {
-			in.scheduleNext()
-			return
-		}
-		in.radio.OnTxDone = func() { emit(k - 1) }
-		in.radio.Transmit(make([]byte, MaxPHYPayload))
+	in.burstLeft = n
+	in.emit()
+}
+
+// emit puts the burst's next noise frame on air, or ends the burst. It is
+// the noise radio's OnTxDone, so the frames go out back to back.
+func (in *Interferer) emit() {
+	if in.burstLeft == 0 || !in.running {
+		in.scheduleNext()
+		return
 	}
-	emit(n)
+	in.burstLeft--
+	in.radio.Transmit(noiseFrame[:])
 }

@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 
-	"tcplp/internal/obs"
 	"tcplp/internal/sim"
 )
 
@@ -44,7 +43,7 @@ type Radio struct {
 	eng  *sim.Engine
 	ch   *Channel
 	id   int
-	idx  int // registration index on the channel
+	idx  int32 // registration index on the channel; the radio's state is ch.hot[idx]
 	addr Addr
 	pos  Point
 
@@ -52,11 +51,7 @@ type Radio struct {
 	cellKey     [2]int32
 	nbrs        []nbrEntry
 	nbrsVersion uint64
-	sensedCount int // on-air transmissions from sensed neighbors
 
-	state       State
-	stateSince  sim.Time
-	durations   [4]sim.Duration
 	energySince sim.Time
 
 	// preallocated transmit closures + their per-transmission arguments;
@@ -81,10 +76,6 @@ type Radio struct {
 	// rxBuf).
 	RxJID int64
 
-	// current reception in progress (nil if none)
-	rx          *transmission
-	rxCorrupted bool
-
 	// OnReceive is invoked with the raw frame bytes of each successfully
 	// decoded frame. The slice is the radio's receive buffer: it is valid
 	// only for the duration of the callback and is overwritten by the next
@@ -99,9 +90,12 @@ type Radio struct {
 
 	txEnd sim.Time
 
-	// counters
-	framesSent, framesRecv, rxDropped uint64
+	framesSent uint64
 }
+
+// hot returns the radio's entry in the channel's dense state array. The
+// pointer is good until the next AddRadio.
+func (r *Radio) hot() *radioHot { return &r.ch.hot[r.idx] }
 
 // ID returns the radio's small integer identifier.
 func (r *Radio) ID() int { return r.id }
@@ -121,35 +115,22 @@ func (r *Radio) SetPos(pos Point) {
 }
 
 // State returns the current radio state.
-func (r *Radio) State() State { return r.state }
+func (r *Radio) State() State { return r.hot().state }
 
 // FramesSent returns the number of frames this radio has put on air.
 func (r *Radio) FramesSent() uint64 { return r.framesSent }
 
-// FramesReceived returns the number of frames successfully decoded.
-func (r *Radio) FramesReceived() uint64 { return r.framesRecv }
+// FramesReceived returns the number of frames the radio decoded, whether
+// or not its address filter then handed them to OnReceive.
+func (r *Radio) FramesReceived() uint64 { return r.hot().framesRecv }
 
 // ReceptionsDropped counts receptions lost to collisions, noise, or state
 // changes mid-frame.
-func (r *Radio) ReceptionsDropped() uint64 { return r.rxDropped }
-
-func (r *Radio) setState(s State) {
-	if s == r.state {
-		return
-	}
-	now := r.eng.Now()
-	r.durations[r.state] += now.Sub(r.stateSince)
-	r.state = s
-	r.stateSince = now
-}
+func (r *Radio) ReceptionsDropped() uint64 { return r.hot().rxDropped }
 
 // TimeIn returns the cumulative time spent in state s.
 func (r *Radio) TimeIn(s State) sim.Duration {
-	d := r.durations[s]
-	if r.state == s {
-		d += r.eng.Now().Sub(r.stateSince)
-	}
-	return d
+	return r.hot().timeIn(s, r.eng.Now())
 }
 
 // DutyCycle returns the fraction of time since the last ResetEnergy (or
@@ -167,47 +148,56 @@ func (r *Radio) DutyCycle() float64 {
 // ResetEnergy zeroes the per-state accumulators (used to measure duty
 // cycle over a window).
 func (r *Radio) ResetEnergy() {
-	r.durations = [4]sim.Duration{}
-	r.stateSince = r.eng.Now()
-	r.energySince = r.eng.Now()
+	h, now := r.hot(), r.eng.Now()
+	h.acc = [4]sim.Duration{}
+	h.acc[h.state] = -sim.Duration(now)
+	r.energySince = now
 }
 
 // Sleeping reports whether the radio is in its low-power state.
-func (r *Radio) Sleeping() bool { return r.state == StateSleep }
+func (r *Radio) Sleeping() bool { return r.hot().state == StateSleep }
 
 // Transmitting reports whether a transmission is in progress.
-func (r *Radio) Transmitting() bool { return r.state == StateTx }
+func (r *Radio) Transmitting() bool { return r.hot().state == StateTx }
 
 // SetListen turns the receiver on (true) or puts the radio to sleep
 // (false). Turning the receiver off mid-reception drops the frame; the
 // call is ignored while transmitting (the MAC never does this).
 func (r *Radio) SetListen(on bool) {
-	if r.state == StateTx {
+	h := r.hot()
+	if h.state == StateTx {
 		return
 	}
 	if on {
-		if r.state == StateSleep {
-			r.setState(StateListen)
+		if h.state == StateSleep {
+			h.setState(StateListen, r.eng.Now())
 		}
 		return
 	}
-	if r.rx != nil {
-		r.abortRx()
-	}
-	r.setState(StateSleep)
+	h.abortRx()
+	h.setState(StateSleep, r.eng.Now())
 }
 
-func (r *Radio) abortRx() {
-	r.rx = nil
-	r.rxCorrupted = false
-	r.rxDropped++
-}
+// SetAddressFilter switches the radio's address recognition on or off. A
+// filtering radio still decodes every frame it locks onto (state, PER
+// draw, FramesReceived, trace events) but hands OnReceive only well-formed
+// frames addressed to it or to broadcast, and ACKs while SetAckWait is
+// on. A MAC switches it on; a raw radio is promiscuous.
+func (r *Radio) SetAddressFilter(on bool) { r.ch.setFilter(r, on) }
+
+// SetAckWait tells a filtering radio whether its MAC is awaiting an
+// immediate ACK. ACK frames carry no address, so this is what stands in
+// for the address match: off, the radio keeps ACKs to itself.
+func (r *Radio) SetAckWait(on bool) { r.hot().ackWait = on }
+
+// AckWait reports the bit SetAckWait last set.
+func (r *Radio) AckWait() bool { return r.hot().ackWait }
 
 // ChannelClear performs a clear-channel assessment from this radio's
 // vantage point: the channel is busy if any frame is on air from a node
 // within sense range, or if this radio is mid-reception.
 func (r *Radio) ChannelClear() bool {
-	if r.state == StateRx {
+	if r.hot().state == StateRx {
 		return false
 	}
 	return !r.ch.busyAt(r)
@@ -232,65 +222,19 @@ func (r *Radio) TransmitLoaded(data []byte) {
 }
 
 func (r *Radio) transmitAfter(data []byte, lead sim.Duration) {
-	if r.state == StateTx {
+	h := r.hot()
+	if h.state == StateTx {
 		panic("phy: Transmit while already transmitting")
 	}
 	if len(data) > MaxPHYPayload {
 		panic("phy: oversized frame")
 	}
-	if r.rx != nil {
-		r.abortRx()
-	}
-	r.setState(StateTx)
+	h.abortRx()
+	h.setState(StateTx, r.eng.Now())
 	air := AirTime(len(data))
 	r.txEnd = r.eng.Now().Add(lead + air)
 	r.framesSent++
 	r.txData, r.txAir = data, air
 	r.eng.Schedule(lead, r.txBeginFn)
 	r.eng.Schedule(lead+air, r.txDoneFn)
-}
-
-// channel-side reception hooks
-
-func (r *Radio) beginRx(t *transmission) {
-	r.rx = t
-	r.rxCorrupted = false
-	r.setState(StateRx)
-}
-
-func (r *Radio) interfered() {
-	if r.rx != nil {
-		r.rxCorrupted = true
-	}
-}
-
-func (r *Radio) endRx(t *transmission, per float64) {
-	if r.rx != t {
-		return
-	}
-	corrupted := r.rxCorrupted
-	r.rx = nil
-	r.rxCorrupted = false
-	r.setState(StateListen)
-	if corrupted {
-		r.rxDropped++
-		if tr := r.ch.Trace; tr != nil {
-			tr.Emit(obs.Event{T: r.eng.Now(), Kind: obs.PhyCollision, Node: r.id, Len: len(t.data), J: t.jid, Cause: obs.CauseCollision})
-		}
-		return
-	}
-	if per > 0 && r.eng.Rand().Float64() < per {
-		r.rxDropped++
-		if tr := r.ch.Trace; tr != nil {
-			tr.Emit(obs.Event{T: r.eng.Now(), Kind: obs.PhyRxDrop, Node: r.id, A: 1, Len: len(t.data), J: t.jid, Cause: obs.CausePER})
-		}
-		return
-	}
-	r.framesRecv++
-	if r.OnReceive != nil {
-		n := copy(r.rxBuf[:], t.data)
-		r.RxJID = t.jid
-		r.OnReceive(r.rxBuf[:n])
-		r.RxJID = 0
-	}
 }

@@ -555,16 +555,22 @@ func (r *Runner) runDefaulted(spec *Spec, seed int64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return rc.run(), nil
+}
+
+// run drives a built run through warm-up, the measurement window and the
+// optional idle phase, and collects its Result.
+func (rc *runContext) run() Result {
 	rc.net.Eng.RunFor(rc.spec.Warmup.D())
 	rc.mark()
-	if spec.DCSample > 0 {
+	if rc.spec.DCSample > 0 {
 		rc.scheduleDCSamples()
 	}
 	rc.scheduleMetricsSamples()
 	rc.scheduleStallChecks()
 	rc.net.Eng.RunFor(rc.spec.Duration.D())
-	if spec.IdleWindow > 0 {
+	if rc.spec.IdleWindow > 0 {
 		rc.runIdlePhase()
 	}
-	return rc.collect(), nil
+	return rc.collect()
 }

@@ -96,6 +96,7 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 	}
 	eng := sim.NewEngine(seed)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(topo.TxRange, topo.SenseRange))
+	ch.Reserve(topo.N())
 	ch.Trace = opt.Trace
 	if opt.PER > 0 {
 		per := opt.PER
