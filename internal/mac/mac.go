@@ -40,11 +40,17 @@
 // event or radio OnTxDone registration still holds one of its callbacks
 // (txJob.pending counts them), so the "is this job still in flight"
 // guard of a late event can never be satisfied by the object's next life.
+//
+// The -tags poison build (package poison) overwrites a job's wire buffer
+// when the job is recycled, and the channel does the same to a released
+// transmission and to a radio's receive buffer after OnReceive returns,
+// so a test that moves under the tag has read one of them too late.
 package mac
 
 import (
 	"tcplp/internal/obs"
 	"tcplp/internal/phy"
+	"tcplp/internal/poison"
 	"tcplp/internal/sim"
 )
 
@@ -273,6 +279,7 @@ func (m *Mac) getJob() *txJob {
 
 // putJob recycles a finished job that nothing references any more.
 func (m *Mac) putJob(job *txJob) {
+	poison.Bytes(job.wireBuf[:])
 	job.frame = phy.Frame{}
 	job.wire, job.done, job.pollDone = nil, nil, nil
 	job.indirect, job.jid = false, 0

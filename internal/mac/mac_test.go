@@ -21,7 +21,7 @@ func pair(seed int64) (*sim.Engine, *Mac, *Mac) {
 func TestUnicastDelivery(t *testing.T) {
 	eng, a, b := pair(1)
 	var got []byte
-	b.OnReceive = func(f *phy.Frame) { got = f.Payload }
+	b.OnReceive = func(f *phy.Frame) { got = append([]byte(nil), f.Payload...) } // valid for the callback only
 	status := TxStatus(-1)
 	a.Send(b.Radio().Addr(), []byte("payload"), func(s TxStatus) { status = s })
 	eng.Run()

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"tcplp/internal/obs"
+	"tcplp/internal/poison"
 	"tcplp/internal/sim"
 )
 
@@ -360,6 +361,7 @@ func (c *Channel) allocTx() *transmission {
 }
 
 func (c *Channel) releaseTx(t *transmission) {
+	poison.Bytes(t.buf[:])
 	t.sender = nil
 	t.data = nil
 	t.nbrs = nil
@@ -537,5 +539,6 @@ func (c *Channel) endRx(idx int32, t *transmission, dst int32) {
 		r.RxJID = t.jid
 		r.OnReceive(r.rxBuf[:n])
 		r.RxJID = 0
+		poison.Bytes(r.rxBuf[:])
 	}
 }

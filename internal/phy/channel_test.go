@@ -25,7 +25,7 @@ func TestSimpleDelivery(t *testing.T) {
 	a, b := ch.Radios()[0], ch.Radios()[1]
 	b.SetListen(true)
 	var got []byte
-	b.OnReceive = func(data []byte) { got = data }
+	b.OnReceive = func(data []byte) { got = append([]byte(nil), data...) } // valid for the callback only
 	a.SetListen(true)
 	frame := (&Frame{Type: FrameData, Dst: b.Addr(), Src: a.Addr(), Payload: []byte("x")}).Encode()
 	a.Transmit(frame)

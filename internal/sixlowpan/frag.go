@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+
+	"tcplp/internal/poison"
 )
 
 // Fragment header lengths (RFC 4944 §5.3). The paper's Table 6 lists the
@@ -128,12 +131,13 @@ func (f *Fragmenter) Clone(b []byte) []byte {
 	return append(out, b...)
 }
 
-// Release returns a fragment buffer produced by Fragment (or Clone) to
-// the pool. The caller must not touch the slice afterwards.
+// Release returns a fragment buffer produced by AppendFragments (or
+// Clone) to the pool. The caller must not touch the slice afterwards.
 func (f *Fragmenter) Release(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
+	poison.Bytes(b)
 	f.free = append(f.free, b)
 }
 
@@ -143,25 +147,30 @@ func (f *Fragmenter) NextTag() uint16 {
 	return f.tag
 }
 
-// Fragment builds the link payloads for an IPv6 packet already split
-// into its compressed header chdr and upper-layer payload. maxLink is
-// the largest link payload a frame can carry (phy.MaxMACPayload).
+// AppendFragments appends to dst the link payloads for an IPv6 packet
+// already split into its compressed header chdr and upper-layer payload,
+// and returns the extended list; chdr and payload are copied, not
+// retained. maxLink is the largest link payload a frame can carry
+// (phy.MaxMACPayload). Each appended buffer comes from the pool and goes
+// back with Release; dst itself is the caller's (stack.outItem keeps one
+// backing array per queued datagram).
 //
 // Offsets are in uncompressed-datagram bytes: the first fragment covers
 // the 40-byte uncompressed header plus enough payload to end on an
 // 8-octet boundary, as RFC 4944 requires.
-func (f *Fragmenter) Fragment(chdr, payload []byte, maxLink int) [][]byte {
+func (f *Fragmenter) AppendFragments(dst [][]byte, chdr, payload []byte, maxLink int) [][]byte {
 	if len(chdr)+len(payload) <= maxLink {
 		one := f.getBuf(len(chdr) + len(payload))
 		one = append(one, chdr...)
 		one = append(one, payload...)
-		return [][]byte{one}
+		return append(dst, one)
 	}
 	size := 40 + len(payload)
 	if size >= 1<<11 {
 		panic(fmt.Sprintf("sixlowpan: datagram of %d bytes exceeds the 2047-byte field", size))
 	}
 	tag := f.NextTag()
+	dst = slices.Grow(dst, FrameCount(len(chdr), len(payload), maxLink)) // a new list grows once, a kept one not at all
 
 	// First fragment: FRAG1 + compressed header + leading payload, with
 	// the covered uncompressed prefix (40 + p1) a multiple of 8.
@@ -178,7 +187,7 @@ func (f *Fragmenter) Fragment(chdr, payload []byte, maxLink int) [][]byte {
 	frag1 = binary.BigEndian.AppendUint16(frag1, tag)
 	frag1 = append(frag1, chdr...)
 	frag1 = append(frag1, payload[:p1]...)
-	out := [][]byte{frag1}
+	dst = append(dst, frag1)
 
 	// Subsequent fragments: FRAGN + payload chunks on 8-octet boundaries.
 	chunk := (maxLink - FragNHeaderLen) &^ 7
@@ -192,12 +201,17 @@ func (f *Fragmenter) Fragment(chdr, payload []byte, maxLink int) [][]byte {
 		fn = binary.BigEndian.AppendUint16(fn, tag)
 		fn = append(fn, byte((40+off)/8))
 		fn = append(fn, payload[off:end]...)
-		out = append(out, fn)
+		dst = append(dst, fn)
 	}
-	return out
+	return dst
 }
 
-// FrameCount predicts how many fragments Fragment will produce for a
+// Fragment is AppendFragments into a fresh list.
+func (f *Fragmenter) Fragment(chdr, payload []byte, maxLink int) [][]byte {
+	return f.AppendFragments(nil, chdr, payload, maxLink)
+}
+
+// FrameCount predicts how many fragments AppendFragments will produce for a
 // payload of n bytes under a compressed header of h bytes — the inverse
 // of the MSS-in-frames knob of §6.1.
 func FrameCount(h, n, maxLink int) int {

@@ -4,6 +4,41 @@
 // 8-octet offset units accounted in uncompressed-datagram bytes, and
 // reassembly with timeouts. Loss of any one fragment loses the whole
 // packet — the reliability trade-off behind the paper's MSS study (§6.1).
+//
+// # Buffer ownership
+//
+// Like the mote's single 6LoWPAN reassembly buffer (§4.3, Table 4), the
+// adaptation layer lives in a few buffers that are reused, and the
+// per-datagram path allocates nothing in steady state.
+//
+// Headers are coded in place: AppendCompressHeader appends to the
+// caller's bytes (at most MaxCompressedHeaderLen of them) and
+// DecompressHeaderInto fills the caller's ip6.Header; neither keeps a
+// reference to its arguments.
+//
+// A Fragmenter owns a pool of fragment buffers. AppendFragments copies
+// the compressed header and the payload into buffers from the pool and
+// appends them to the caller's list — the list is the caller's, each
+// buffer is the caller's until it hands it back with Release, after
+// which it must not be touched.
+//
+// A Reassembler owns one arena per interface: partial-datagram
+// descriptors, coverage bitmaps and payload buffers, all recycled on
+// completion and on expiry alike, plus the one ip6.Packet that Input
+// returns. That packet's Payload aliases an arena buffer (fragmented
+// datagram) or the link payload passed to Input (unfragmented). Packet
+// and payload are valid until Input is next called on the same
+// reassembler, and an unfragmented payload no longer than the link
+// payload itself (the MAC's receive buffer is valid for the OnReceive
+// callback only). Every consumer in this repository finishes with them
+// inside that call — tcplp's receive queue, udp.Decode, AppendFragments
+// and the border's wire all copy what they keep; a new consumer that
+// keeps either must copy too. Nothing in the arena exists before the
+// interface's first fragment.
+//
+// The -tags poison build (package poison) overwrites released fragment
+// buffers, the free arena buffers and the previous packet at exactly
+// those moments.
 package sixlowpan
 
 import (
@@ -39,33 +74,37 @@ var (
 	ErrBadVersion = errors.New("sixlowpan: cannot compress non-IPv6")
 )
 
-// CompressHeader encodes h in IPHC form. The hop limit is always carried
-// inline so that relays can decrement it in place when forwarding
-// fragments without reassembly. Addresses under the mesh context
-// (fd00::/64, short IID) compress to 16 bits; others ride inline in full.
-// Typical result: 8 bytes in place of 40 (Table 6: "IPv6 2 B to 28 B").
-func CompressHeader(h *ip6.Header) []byte {
-	b := make([]byte, 2, 12)
-	b[0] = dispIPHC
-	tfElided := h.TrafficClass == 0 && h.FlowLabel == 0
-	if tfElided {
-		b[0] |= iphcTFElided
-	}
+// MaxCompressedHeaderLen is the longest IPHC header AppendCompressHeader
+// produces: the 2-byte base, traffic class and flow label inline, next
+// header and hop limit, and both addresses in full.
+const MaxCompressedHeaderLen = 2 + 4 + 2 + 16 + 16
+
+// AppendCompressHeader appends h in IPHC form to dst and returns the
+// extended slice. The hop limit is always carried inline so that relays
+// can decrement it in place when forwarding fragments without
+// reassembly. Addresses under the mesh context (fd00::/64, short IID)
+// compress to 16 bits; others ride inline in full. Typical result:
+// 8 bytes in place of 40 (Table 6: "IPv6 2 B to 28 B").
+func AppendCompressHeader(dst []byte, h *ip6.Header) []byte {
+	base := len(dst)
+	b := append(dst, dispIPHC, 0)
 	// TF=00 carries traffic class and flow label inline in 4 bytes;
 	// NH=0 carries the next header inline; HLIM=00 the hop limit.
-	if !tfElided {
+	if h.TrafficClass == 0 && h.FlowLabel == 0 {
+		b[base] |= iphcTFElided
+	} else {
 		b = append(b, h.TrafficClass,
 			byte(h.FlowLabel>>16)&0x0f, byte(h.FlowLabel>>8), byte(h.FlowLabel))
 	}
 	b = append(b, h.NextHeader, h.HopLimit)
 	if iid, ok := h.Src.IID16(); ok {
-		b[1] |= iphcSAC | iphcSAM16
+		b[base+1] |= iphcSAC | iphcSAM16
 		b = binary.BigEndian.AppendUint16(b, iid)
 	} else {
 		b = append(b, h.Src[:]...)
 	}
 	if iid, ok := h.Dst.IID16(); ok {
-		b[1] |= iphcDAC | iphcDAM16
+		b[base+1] |= iphcDAC | iphcDAM16
 		b = binary.BigEndian.AppendUint16(b, iid)
 	} else {
 		b = append(b, h.Dst[:]...)
@@ -73,56 +112,73 @@ func CompressHeader(h *ip6.Header) []byte {
 	return b
 }
 
-// DecompressHeader parses an IPHC-compressed header, returning the header
-// (PayloadLen zero; the caller knows it from framing) and the number of
-// bytes consumed.
-func DecompressHeader(b []byte) (*ip6.Header, int, error) {
+// CompressHeader is AppendCompressHeader into a fresh buffer.
+func CompressHeader(h *ip6.Header) []byte {
+	return AppendCompressHeader(make([]byte, 0, 12), h)
+}
+
+// DecompressHeaderInto parses an IPHC-compressed header into h,
+// overwriting every field (PayloadLen zero; the caller knows it from
+// framing), and returns the number of bytes consumed. On error h is
+// left partly written.
+func DecompressHeaderInto(h *ip6.Header, b []byte) (int, error) {
 	if len(b) < 2 || b[0]&0xe0 != dispIPHC {
-		return nil, 0, ErrNotIPHC
+		return 0, ErrNotIPHC
 	}
-	h := &ip6.Header{}
+	*h = ip6.Header{}
 	i := 2
 	if b[0]&iphcTFElided == 0 {
 		if len(b) < i+4 {
-			return nil, 0, ErrTruncated
+			return 0, ErrTruncated
 		}
 		h.TrafficClass = b[i]
 		h.FlowLabel = uint32(b[i+1]&0x0f)<<16 | uint32(b[i+2])<<8 | uint32(b[i+3])
 		i += 4
 	}
 	if len(b) < i+2 {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	h.NextHeader = b[i]
 	h.HopLimit = b[i+1]
 	i += 2
-	readAddr := func(compressed bool) (ip6.Addr, error) {
-		var a ip6.Addr
-		if compressed {
-			if len(b) < i+2 {
-				return a, ErrTruncated
-			}
-			copy(a[:8], ip6.ULAPrefix[:])
-			a[14] = b[i]
-			a[15] = b[i+1]
-			i += 2
-			return a, nil
-		}
-		if len(b) < i+16 {
-			return a, ErrTruncated
-		}
-		copy(a[:], b[i:i+16])
-		i += 16
-		return a, nil
+	n, err := readAddr(&h.Src, b[i:], b[1]&iphcSAM16 != 0)
+	if err != nil {
+		return 0, err
 	}
-	var err error
-	if h.Src, err = readAddr(b[1]&iphcSAM16 != 0); err != nil {
+	i += n
+	if n, err = readAddr(&h.Dst, b[i:], b[1]&iphcDAM16 != 0); err != nil {
+		return 0, err
+	}
+	return i + n, nil
+}
+
+// readAddr decodes one address field from the front of b — 16 bits
+// under the mesh context when compressed, 128 bits inline otherwise —
+// and returns the bytes consumed.
+func readAddr(a *ip6.Addr, b []byte, compressed bool) (int, error) {
+	if compressed {
+		if len(b) < 2 {
+			return 0, ErrTruncated
+		}
+		*a = ip6.Addr{14: b[0], 15: b[1]}
+		copy(a[:8], ip6.ULAPrefix[:])
+		return 2, nil
+	}
+	if len(b) < 16 {
+		return 0, ErrTruncated
+	}
+	copy(a[:], b[:16])
+	return 16, nil
+}
+
+// DecompressHeader is DecompressHeaderInto a freshly allocated header.
+func DecompressHeader(b []byte) (*ip6.Header, int, error) {
+	h := &ip6.Header{}
+	n, err := DecompressHeaderInto(h, b)
+	if err != nil {
 		return nil, 0, err
 	}
-	if h.Dst, err = readAddr(b[1]&iphcDAM16 != 0); err != nil {
-		return nil, 0, err
-	}
-	return h, i, nil
+	return h, n, nil
 }
 
 // hopLimitIndex returns the byte offset of the inline hop limit within an

@@ -1,9 +1,12 @@
 package sixlowpan
 
 import (
+	"math"
+
 	"tcplp/internal/ip6"
 	"tcplp/internal/obs"
 	"tcplp/internal/phy"
+	"tcplp/internal/poison"
 	"tcplp/internal/sim"
 )
 
@@ -17,29 +20,37 @@ type partialKey struct {
 }
 
 type partial struct {
-	header   *ip6.Header // from FRAG1, nil until it arrives
-	size     int         // uncompressed datagram size
-	payload  []byte      // size-40 bytes
-	have     []bool      // per-byte coverage of payload
-	covered  int
-	deadline sim.Time
-	jid      int64 // journey packet id carried by the fragments (0 = untagged)
+	header     ip6.Header // from FRAG1, valid once haveHeader
+	haveHeader bool
+	size       int    // uncompressed datagram size
+	payload    []byte // size-40 bytes
+	have       []bool // per-byte coverage of payload
+	covered    int
+	deadline   sim.Time
+	jid        int64 // journey packet id carried by the fragments (0 = untagged)
 }
 
 // Reassembler rebuilds IPv6 packets from 6LoWPAN link payloads. One
 // instance serves one interface; partial datagrams are keyed by
-// (link-layer source, datagram tag).
+// (link-layer source, datagram tag). See the package comment for who
+// owns the arena and the packet Input returns.
 type Reassembler struct {
 	eng      *sim.Engine
 	timeout  sim.Duration
 	inflight map[partialKey]*partial
+	// nextExpiry is no later than the earliest deadline in inflight, so
+	// expire can skip the sweep until that time (the zero value forces
+	// one). Refreshing a partial only moves its deadline later, which
+	// leaves a lower bound a lower bound.
+	nextExpiry sim.Time
 
-	// Free lists: partial descriptors and have bitmaps recycle on both
-	// the completion and expiry paths; payload buffers only on expiry
-	// (a completed payload escapes into the returned ip6.Packet).
+	// The arena: partial descriptors, have bitmaps and payload buffers
+	// all recycle on both the completion and expiry paths, and grow only
+	// on a node's first datagrams. pkt is what Input returns.
 	freePartial []*partial
 	freeHave    [][]bool
 	freeBuf     [][]byte
+	pkt         ip6.Packet
 
 	// TimedOut counts datagrams dropped for missing fragments.
 	TimedOut uint64
@@ -68,8 +79,16 @@ func (r *Reassembler) Pending() int {
 	return len(r.inflight)
 }
 
+// expire drops partial datagrams whose deadline has passed. It runs
+// before every Input and Pending, so a partial is gone by the first call
+// at or after its deadline; between deadlines it costs one comparison
+// instead of a map sweep.
 func (r *Reassembler) expire() {
 	now := r.eng.Now()
+	if now < r.nextExpiry {
+		return
+	}
+	earliest := sim.Time(math.MaxInt64)
 	for k, p := range r.inflight {
 		if now >= p.deadline {
 			delete(r.inflight, k)
@@ -77,9 +96,12 @@ func (r *Reassembler) expire() {
 			if tr := r.Trace; tr != nil {
 				tr.Emit(obs.Event{T: now, Kind: obs.FragTimeout, Node: r.Node, A: int64(k.tag), J: p.jid, Cause: obs.CauseReassemblyTimeout})
 			}
-			r.release(p, true)
+			r.release(p)
+		} else if p.deadline < earliest {
+			earliest = p.deadline
 		}
 	}
+	r.nextExpiry = earliest
 }
 
 // popPartial recycles a partial descriptor (or allocates one).
@@ -124,11 +146,11 @@ func (r *Reassembler) getHave(n int) []bool {
 	return make([]bool, n)
 }
 
-// release returns a partial's storage to the free lists. withPayload is
-// false on the completion path, where the payload escapes into the
-// returned ip6.Packet.
-func (r *Reassembler) release(p *partial, withPayload bool) {
-	if withPayload && cap(p.payload) > 0 {
+// release returns a partial's storage to the free lists. On the
+// completion path the payload buffer is still what the returned packet
+// aliases: it is only handed out again by a later Input's get.
+func (r *Reassembler) release(p *partial) {
+	if cap(p.payload) > 0 {
 		r.freeBuf = append(r.freeBuf, p.payload)
 	}
 	if cap(p.have) > 0 {
@@ -143,15 +165,29 @@ func (r *Reassembler) release(p *partial, withPayload bool) {
 // "more fragments needed" (or an unrelated dispatch, which is dropped).
 // jid is the journey packet id the carrying frame was tagged with
 // (0 = untagged); it is threaded onto the reassembled packet.
+//
+// The returned packet belongs to the reassembler and its Payload
+// aliases the arena (fragmented datagram) or b (unfragmented): both are
+// valid until Input is next called on this reassembler, and no longer
+// than b is. A consumer that keeps either must copy.
 func (r *Reassembler) Input(src phy.Addr, b []byte, jid int64) (*ip6.Packet, error) {
+	if poison.Enabled {
+		// The moment the previous call's packet and every free arena
+		// buffer become the reassembler's to reuse.
+		poison.Packet(&r.pkt)
+		for _, buf := range r.freeBuf {
+			poison.Bytes(buf)
+		}
+	}
 	r.expire()
 	switch Classify(b) {
 	case KindUnfragmented:
-		h, n, err := DecompressHeader(b)
+		pkt := &r.pkt
+		n, err := DecompressHeaderInto(&pkt.Header, b)
 		if err != nil {
 			return nil, err
 		}
-		pkt := &ip6.Packet{Header: *h, Payload: append([]byte(nil), b[n:]...)}
+		pkt.Payload = b[n:]
 		pkt.PayloadLen = uint16(len(pkt.Payload))
 		pkt.JID = jid
 		return pkt, nil
@@ -161,12 +197,16 @@ func (r *Reassembler) Input(src phy.Addr, b []byte, jid int64) (*ip6.Packet, err
 		if err != nil {
 			return nil, err
 		}
-		h, n, err := DecompressHeader(b[fi.HeaderLen:])
+		if fi.DatagramSize < ip6.HeaderLen {
+			return nil, ErrBadOffset // not even the header FRAG1 carries
+		}
+		var h ip6.Header
+		n, err := DecompressHeaderInto(&h, b[fi.HeaderLen:])
 		if err != nil {
 			return nil, err
 		}
 		p := r.get(src, fi)
-		p.header = h
+		p.header, p.haveHeader = h, true
 		if jid != 0 {
 			p.jid = jid
 		}
@@ -194,7 +234,7 @@ func (r *Reassembler) get(src phy.Addr, fi FragInfo) *partial {
 	p := r.inflight[k]
 	if p == nil || p.size != int(fi.DatagramSize) {
 		if p != nil {
-			r.release(p, true)
+			r.release(p)
 		}
 		p = r.popPartial()
 		p.size = int(fi.DatagramSize)
@@ -203,6 +243,9 @@ func (r *Reassembler) get(src phy.Addr, fi FragInfo) *partial {
 		r.inflight[k] = p
 	}
 	p.deadline = r.eng.Now().Add(r.timeout)
+	if p.deadline < r.nextExpiry {
+		r.nextExpiry = p.deadline
+	}
 	return p
 }
 
@@ -217,16 +260,16 @@ func (r *Reassembler) deposit(src phy.Addr, fi FragInfo, p *partial, off int, da
 		}
 		p.payload[off+i] = c
 	}
-	if p.covered < len(p.payload) || p.header == nil {
+	if p.covered < len(p.payload) || !p.haveHeader {
 		return nil, nil
 	}
 	delete(r.inflight, partialKey{src: src, tag: fi.Tag})
-	pkt := &ip6.Packet{Header: *p.header, Payload: p.payload}
+	pkt := &r.pkt
+	*pkt = ip6.Packet{Header: p.header, Payload: p.payload, JID: p.jid}
 	pkt.PayloadLen = uint16(len(pkt.Payload))
-	pkt.JID = p.jid
 	if tr := r.Trace; tr != nil {
 		tr.Emit(obs.Event{T: r.eng.Now(), Kind: obs.FragReassembled, Node: r.Node, A: int64(fi.Tag), Len: p.size, J: p.jid})
 	}
-	r.release(p, false)
+	r.release(p)
 	return pkt, nil
 }

@@ -1,0 +1,199 @@
+package sixlowpan
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"testing"
+
+	"tcplp/internal/ip6"
+	"tcplp/internal/obs"
+	"tcplp/internal/phy"
+	"tcplp/internal/sim"
+)
+
+// TestFrag1TinyDatagramSize: a FRAG1 whose datagram_size cannot hold
+// even the IPv6 header it carries is rejected before a payload buffer of
+// negative length is asked for (it used to panic in makeslice).
+func TestFrag1TinyDatagramSize(t *testing.T) {
+	chdr := CompressHeader(meshHeader(1, 2))
+	for _, tc := range []struct {
+		size    uint16
+		wantErr error
+	}{
+		{0, ErrBadOffset},
+		{8, ErrBadOffset},
+		{39, ErrBadOffset},
+		{40, nil}, // header only: completes at once with an empty payload
+	} {
+		r := NewReassembler(sim.NewEngine(1))
+		frame := binary.BigEndian.AppendUint16(nil, uint16(dispFRAG1)<<8|tc.size)
+		frame = binary.BigEndian.AppendUint16(frame, 1) // tag
+		frame = append(frame, chdr...)
+		pkt, err := r.Input(phy.AddrFromID(1), frame, 0)
+		if !errors.Is(err, tc.wantErr) {
+			t.Fatalf("datagram_size %d: err = %v, want %v", tc.size, err, tc.wantErr)
+		}
+		if tc.wantErr != nil {
+			if pkt != nil || r.Pending() != 0 {
+				t.Fatalf("datagram_size %d: rejected frame left state behind (pkt %v, pending %d)", tc.size, pkt, r.Pending())
+			}
+			continue
+		}
+		if pkt == nil || len(pkt.Payload) != 0 || pkt.Dst != meshHeader(1, 2).Dst {
+			t.Fatalf("datagram_size %d: pkt = %+v, want a complete empty datagram", tc.size, pkt)
+		}
+	}
+}
+
+type eventLog []obs.Event
+
+func (l *eventLog) Record(e obs.Event) { *l = append(*l, e) }
+
+// TestReassemblyExpiryWatermark drives the reassembler through partial
+// datagrams, refreshes and idle gaps against the rule the full sweep
+// implemented: a partial is gone — and TimedOut and the FragTimeout
+// event have fired — by the first Input or Pending at or after its
+// deadline, and not before.
+func TestReassemblyExpiryWatermark(t *testing.T) {
+	eng := sim.NewEngine(1)
+	r := NewReassembler(eng)
+	var log eventLog
+	r.Trace = obs.NewTrace()
+	r.Trace.AddSink(&log)
+	src := phy.AddrFromID(1)
+	var f Fragmenter
+	datagram := func() (frag1, fragN []byte, tag uint16) {
+		frags := f.Fragment(CompressHeader(meshHeader(1, 2)), make([]byte, 300), phy.MaxMACPayload)
+		fi, err := ParseFragment(frags[0])
+		if err != nil || len(frags) < 3 {
+			t.Fatalf("want ≥3 fragments: %d, %v", len(frags), err)
+		}
+		return frags[0], frags[1], fi.Tag
+	}
+
+	const life = DefaultReassemblyTimeout
+	timeout := life
+	deadlines := map[uint16]sim.Time{} // the model: swept in full before every call
+	var wantTimedOut uint64
+	sweep := func() {
+		for tag, d := range deadlines {
+			if eng.Now() >= d {
+				delete(deadlines, tag)
+				wantTimedOut++
+			}
+		}
+	}
+	check := func(when sim.Duration) {
+		t.Helper()
+		if r.TimedOut != wantTimedOut || uint64(len(log)) != wantTimedOut {
+			t.Fatalf("t=%v: TimedOut %d, %d FragTimeout events, want %d", when, r.TimedOut, len(log), wantTimedOut)
+		}
+		if len(r.inflight) != len(deadlines) {
+			t.Fatalf("t=%v: %d partials, want %d", when, len(r.inflight), len(deadlines))
+		}
+		for tag, d := range deadlines {
+			if p := r.inflight[partialKey{src, tag}]; p == nil || p.deadline != d {
+				t.Fatalf("t=%v: partial %d = %+v, want deadline %v", when, tag, p, d)
+			}
+		}
+		for _, e := range log {
+			if e.Kind != obs.FragTimeout || e.Cause != obs.CauseReassemblyTimeout {
+				t.Fatalf("t=%v: unexpected event %+v", when, e)
+			}
+		}
+	}
+	// input feeds one fragment of datagram tag (creating or refreshing
+	// its partial); pending only asks.
+	input := func(when sim.Duration, frame []byte, tag uint16) {
+		t.Helper()
+		eng.RunUntil(sim.Time(when))
+		sweep()
+		deadlines[tag] = eng.Now().Add(timeout)
+		if pkt, err := r.Input(src, frame, 0); err != nil || pkt != nil {
+			t.Fatalf("t=%v: Input = %v, %v", when, pkt, err)
+		}
+		check(when)
+	}
+	pending := func(when sim.Duration) {
+		t.Helper()
+		eng.RunUntil(sim.Time(when))
+		sweep()
+		if got := r.Pending(); got != len(deadlines) {
+			t.Fatalf("t=%v: Pending = %d, want %d", when, got, len(deadlines))
+		}
+		check(when)
+	}
+
+	a1, aN, aTag := datagram()
+	b1, _, bTag := datagram()
+	c1, _, cTag := datagram()
+	_, dN, dTag := datagram()
+	input(0, a1, aTag)
+	input(1*sim.Second, b1, bTag)
+	input(4*sim.Second, aN, aTag)      // refresh moves A's deadline later: the bound stays a bound
+	pending(life)                      // A's original deadline: nothing expires
+	pending(life + sim.Second - 1)     // B's last instant
+	pending(life + sim.Second)         // B expires exactly now, by Pending
+	input(life+2*sim.Second, c1, cTag) // insert between two deadlines
+	input(life+4*sim.Second, dN, dTag) // A expires exactly now, by an unrelated Input (FRAGN before FRAG1)
+	pending(3 * life)                  // long idle gap: C and D both go in one sweep
+	input(3*life+sim.Second, a1, aTag) // the emptied reassembler takes partials again
+	pending(4*life + sim.Second - 1)   // … keeps them to the last instant
+	pending(4*life + sim.Second)       // … and drops them on time
+	input(4*life+2*sim.Second, a1, aTag)
+	timeout = sim.Second // a shorter timeout: the new partial's deadline undercuts the watermark
+	r.SetTimeout(timeout)
+	input(4*life+3*sim.Second, b1, bTag)
+	pending(4*life + 4*sim.Second - 1)
+	pending(4*life + 4*sim.Second) // B, created second, expires first
+	pending(5*life + 2*sim.Second) // A on its original, longer deadline
+	if wantTimedOut != 7 {
+		t.Fatalf("script expired %d partials, want 7", wantTimedOut)
+	}
+}
+
+// TestReassemblerArena pins the ownership rule of Input's result: one
+// packet and one payload arena per reassembler, reused by the next
+// datagram, and nothing allocated once they exist.
+func TestReassemblerArena(t *testing.T) {
+	r := NewReassembler(sim.NewEngine(1))
+	var f Fragmenter
+	src := phy.AddrFromID(1)
+	chdr := CompressHeader(meshHeader(1, 2))
+	payload := bytes.Repeat([]byte{0x11}, 440)
+	var frames [][]byte
+	round := func() (pkt *ip6.Packet) {
+		frames = f.AppendFragments(frames[:0], chdr, payload, phy.MaxMACPayload)
+		for _, fr := range frames {
+			p, err := r.Input(src, fr, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p != nil {
+				pkt = p
+			}
+			f.Release(fr)
+		}
+		if pkt == nil || !bytes.Equal(pkt.Payload, payload) {
+			t.Fatal("datagram did not reassemble")
+		}
+		return pkt
+	}
+	first := round()
+	arena := &first.Payload[0]
+	payload = bytes.Repeat([]byte{0x22}, 440)
+	second := round()
+	if second != first || &second.Payload[0] != arena {
+		t.Fatal("second datagram did not reuse the reassembler's packet and arena")
+	}
+	// An unfragmented datagram aliases the frame it came in.
+	small := append(append([]byte(nil), chdr...), 1, 2, 3)
+	p, err := r.Input(src, small, 0)
+	if err != nil || p != first || &p.Payload[0] != &small[len(chdr)] {
+		t.Fatalf("unfragmented datagram: %v, %v", p, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { round() }); n != 0 {
+		t.Fatalf("fragment + reassemble costs %.0f allocations once warm, want 0", n)
+	}
+}

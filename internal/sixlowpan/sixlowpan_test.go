@@ -261,20 +261,25 @@ func TestInterleavedDatagramsFromTwoSources(t *testing.T) {
 	fra := fa.Fragment(CompressHeader(meshHeader(1, 9)), pa, phy.MaxMACPayload)
 	frb := fb.Fragment(CompressHeader(meshHeader(2, 9)), pb, phy.MaxMACPayload)
 	srcA, srcB := phy.AddrFromID(1), phy.AddrFromID(2)
-	var gotA, gotB *ip6.Packet
+	// Input's packet is valid only until the next Input, so each side is
+	// checked the moment it completes.
+	var gotA, gotB bool
 	for i := range fra {
 		if p, _ := r.Input(srcA, fra[i], 0); p != nil {
-			gotA = p
+			gotA = true
+			if !bytes.Equal(p.Payload, pa) {
+				t.Fatal("interleaved payloads mixed up (A)")
+			}
 		}
 		if p, _ := r.Input(srcB, frb[i], 0); p != nil {
-			gotB = p
+			gotB = true
+			if !bytes.Equal(p.Payload, pb) {
+				t.Fatal("interleaved payloads mixed up (B)")
+			}
 		}
 	}
-	if gotA == nil || gotB == nil {
+	if !gotA || !gotB {
 		t.Fatal("interleaved reassembly failed")
-	}
-	if !bytes.Equal(gotA.Payload, pa) || !bytes.Equal(gotB.Payload, pb) {
-		t.Fatal("interleaved payloads mixed up")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"tcplp/internal/mesh"
 	"tcplp/internal/obs"
 	"tcplp/internal/phy"
+	"tcplp/internal/poison"
 	"tcplp/internal/sim"
 	"tcplp/internal/sixlowpan"
 	"tcplp/internal/tcplp"
@@ -117,17 +118,15 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 	costs := energy.DefaultCosts()
 	for i := 0; i < topo.N(); i++ {
 		n := &Node{
-			ID:    i,
-			Net:   net,
-			Addr:  ip6.AddrFromID(i),
-			reasm: sixlowpan.NewReassembler(eng),
-			CPU:   energy.NewCPUMeter(eng, costs),
+			ID:   i,
+			Net:  net,
+			Addr: ip6.AddrFromID(i),
+			CPU:  energy.NewCPUMeter(eng, costs),
 		}
 		n.Radio = ch.AddRadio(i, topo.Positions[i])
 		n.Mac = mac.New(eng, n.Radio, opt.MAC)
 		n.Mac.OnReceive = n.onFrame
 		n.Mac.Trace = opt.Trace
-		n.reasm.Trace, n.reasm.Node = opt.Trace, i
 		if net.Opt.RED && i != 0 {
 			n.red = mesh.DefaultRED(net.Opt.ECN)
 		}
@@ -223,11 +222,10 @@ func (net *Network) AttachHost() *Node {
 	}
 	costs := energy.DefaultCosts()
 	host := &Node{
-		ID:    net.hostID,
-		Net:   net,
-		Addr:  ip6.AddrFromID(net.hostID),
-		reasm: sixlowpan.NewReassembler(net.Eng),
-		CPU:   energy.NewCPUMeter(net.Eng, costs),
+		ID:   net.hostID,
+		Net:  net,
+		Addr: ip6.AddrFromID(net.hostID),
+		CPU:  energy.NewCPUMeter(net.Eng, costs),
 	}
 	// The host is unconstrained: large buffers, same protocol logic
 	// ("the TCP implementation in the FreeBSD operating system" on both
@@ -239,7 +237,6 @@ func (net *Network) AttachHost() *Node {
 	host.TCP.Output = host.SendPacket
 	host.TCP.PoolEncode = true
 	host.TCP.Trace, host.TCP.TraceNode = net.Opt.Trace, net.hostID
-	host.reasm.Trace, host.reasm.Node = net.Opt.Trace, net.hostID
 	host.UDP = udp.NewStack(host.Addr)
 	host.UDP.Output = host.SendPacket
 	net.Host = host
@@ -302,27 +299,79 @@ func (net *Network) TotalLossEvents() uint64 {
 
 // ---- wire (border router ↔ cloud host) ----
 
+// wireEnd is one direction of the wire: a constant-delay FIFO. Packets
+// in flight sit in pooled slots, linked in send order; every send
+// schedules the same prebuilt callback, and because the delay is
+// constant and the engine fires same-instant events in schedule order,
+// the k-th callback to fire always finds the k-th packet sent at the
+// head.
 type wireEnd struct {
 	eng   *sim.Engine
 	delay sim.Duration
 	peer  *Node
+
+	head, tail *wireSlot // in flight, oldest first
+	free       *wireSlot
+	deliverFn  func() // w.deliver, built once
+}
+
+// wireSlot holds one packet in flight: a copy of the sender's packet
+// whose Payload aliases buf. The slot is the wire's from send until the
+// peer's wireReceive returns.
+type wireSlot struct {
+	pkt  ip6.Packet
+	buf  []byte
+	next *wireSlot
 }
 
 func connectWire(border, host *Node, delay sim.Duration) {
 	if delay == 0 {
 		delay = 6 * sim.Millisecond
 	}
-	border.wire = &wireEnd{eng: border.Eng(), delay: delay, peer: host}
-	host.wire = &wireEnd{eng: host.Eng(), delay: delay, peer: border}
+	border.wire = newWireEnd(border.Eng(), delay, host)
+	host.wire = newWireEnd(host.Eng(), delay, border)
+}
+
+func newWireEnd(eng *sim.Engine, delay sim.Duration, peer *Node) *wireEnd {
+	w := &wireEnd{eng: eng, delay: delay, peer: peer}
+	w.deliverFn = w.deliver
+	return w
 }
 
 func (w *wireEnd) send(pkt *ip6.Packet) {
-	// The wire holds the packet until the peer takes delivery; copy the
-	// payload so the sending stack may recycle its encode buffer the
-	// moment the synchronous transmit path returns (tcplp.PoolEncode).
-	cp := *pkt
-	cp.Payload = append([]byte(nil), pkt.Payload...)
-	w.eng.Schedule(w.delay, func() { w.peer.wireReceive(&cp) })
+	// The wire holds the packet until the peer takes delivery; copy it
+	// and its payload so the sender may recycle both the moment the
+	// synchronous transmit path returns (tcplp.PoolEncode, the
+	// reassembler's packet).
+	s := w.free
+	if s == nil {
+		s = &wireSlot{}
+	} else {
+		w.free, s.next = s.next, nil
+	}
+	s.buf = append(s.buf[:0], pkt.Payload...)
+	s.pkt = *pkt
+	s.pkt.Payload = s.buf
+	if w.tail == nil {
+		w.head = s
+	} else {
+		w.tail.next = s
+	}
+	w.tail = s
+	w.eng.Schedule(w.delay, w.deliverFn)
+}
+
+// deliver hands the oldest packet in flight to the peer and recycles
+// its slot.
+func (w *wireEnd) deliver() {
+	s := w.head
+	if w.head = s.next; w.head == nil {
+		w.tail = nil
+	}
+	w.peer.wireReceive(&s.pkt)
+	poison.Packet(&s.pkt)
+	poison.Bytes(s.buf)
+	s.next, w.free = w.free, s
 }
 
 func (n *Node) wireReceive(pkt *ip6.Packet) {

@@ -2,6 +2,45 @@
 // 6LoWPAN, IPv6 forwarding, TCP, UDP — and builds whole simulated
 // networks: the mesh, its border router, and the wired cloud host behind
 // it (the §5 experimental setup of Fig. 2/3).
+//
+// # Buffer ownership
+//
+// The datagram path — tcplp.Conn.sendData → tcplp.Stack.sendSegment →
+// Node.route → Fragmenter.AppendFragments → (mac, phy) → Node.onFrame →
+// tryForwardFragment / Reassembler.Input → Node.deliver →
+// tcplp.Stack.Input → Conn.input, and the border ↔ host wire beside it —
+// allocates nothing in steady state, and every buffer on it is created
+// by the node's first datagram, not by New (TestDatagramPathAllocs,
+// TestNodeBuffersLazy). The packages below this one state their own
+// rules (mac: transmit jobs and the receive buffer; sixlowpan: fragment
+// buffers, the reassembly arena and Input's packet; tcplp.Stack: the
+// PoolEncode slots). What this package owns:
+//
+//   - A packet handed to SendPacket, route or deliver is borrowed for the
+//     call. Transports send from a pooled slot that is theirs again when
+//     Output returns; the reassembler's packet is valid until the next
+//     frame; a wire slot until wireReceive returns. route may rewrite the
+//     header (hop limit, ECN) but keeps nothing: the payload is copied
+//     into fragment buffers or a wire slot before it returns.
+//   - The compressed header is built in a stack array inside route and
+//     copied into the first frame.
+//   - The frame list belongs to the outItem: route appends the
+//     datagram's fragments to the list the item kept from its last life,
+//     a relay appends its one cloned frame. Each frame buffer is the
+//     item's until the MAC's done callback for it has run (the MAC copied
+//     it into the job's wire buffer at load time); then it goes back to
+//     the node's Fragmenter, and the item, list and all, to the node's
+//     free list once the last frame has.
+//   - The forwarding cache maps (previous hop, tag) to a fwdEntry value;
+//     entries are deleted by gcFwdCache, never referenced.
+//   - A wireEnd owns its slots: send copies the packet and its payload
+//     into one, the peer sees it during wireReceive only, and the slot is
+//     reused for a later packet.
+//
+// The -tags poison build (package poison) overwrites wire slots on
+// delivery, and through the lower layers everything else above, so a
+// golden or digest test that moves under it has found a reader that
+// outlived its buffer.
 package stack
 
 import (
@@ -55,19 +94,18 @@ type fwdKey struct {
 type fwdEntry struct {
 	next    phy.Addr
 	newTag  uint16
-	drop    bool
 	expires sim.Time
 }
 
 // outItem is one queued datagram: its link frames and how far the pump
-// has got. Items are pooled per node (newOutItem / freeOutItem).
+// has got. Items are pooled per node (newOutItem / freeOutItem) and keep
+// the backing array of frames across lives.
 type outItem struct {
 	frames [][]byte
 	next   phy.Addr
 	idx    int
-	jid    int64     // journey packet id of the datagram (0 = untagged)
-	one    [1][]byte // backs frames for a relayed fragment: one frame, no slice to allocate
-	free   *outItem  // free list
+	jid    int64    // journey packet id of the datagram (0 = untagged)
+	free   *outItem // free list
 }
 
 // Node is one device: a mesh node with a radio, or the wired host (radio
@@ -85,7 +123,7 @@ type Node struct {
 	UDP  *udp.Stack
 	CPU  *energy.CPUMeter
 
-	reasm *sixlowpan.Reassembler
+	reasm *sixlowpan.Reassembler // nil until reassembler() is first asked for it
 	frag  sixlowpan.Fragmenter
 
 	outQ        []*outItem
@@ -94,7 +132,7 @@ type Node struct {
 	frameDoneFn func(mac.TxStatus) // built on first use; every frame's MAC callback
 
 	red      *mesh.RED
-	fwdCache map[fwdKey]*fwdEntry
+	fwdCache map[fwdKey]fwdEntry
 	// fwdExpiry is no later than the earliest expires in fwdCache, so
 	// gcFwdCache can skip the sweep until that time (the zero value
 	// forces one).
@@ -176,37 +214,41 @@ func (n *Node) route(pkt *ip6.Packet, forwarded bool) {
 			pkt.SetECN(ip6.CE)
 		}
 	}
-	chdr := sixlowpan.CompressHeader(&pkt.Header)
-	frames := n.frag.Fragment(chdr, pkt.Payload, phy.MaxMACPayload)
+	// The compressed header lives on this call's stack: AppendFragments
+	// copies it into the first frame, so nothing outlives route.
+	var scratch [sixlowpan.MaxCompressedHeaderLen]byte
+	chdr := sixlowpan.AppendCompressHeader(scratch[:0], &pkt.Header)
+	it := n.newOutItem(phy.AddrFromID(next), pkt.JID)
+	it.frames = n.frag.AppendFragments(it.frames, chdr, pkt.Payload, phy.MaxMACPayload)
 	if tr := n.Net.Opt.Trace; tr != nil {
 		tr.Emit(obs.Event{T: n.Eng().Now(), Kind: obs.FragEmit, Node: n.ID,
-			A: int64(len(frames)), Len: len(chdr) + len(pkt.Payload), J: pkt.JID})
+			A: int64(len(it.frames)), Len: len(chdr) + len(pkt.Payload), J: pkt.JID})
 	}
-	n.enqueue(n.newOutItem(frames, phy.AddrFromID(next), pkt.JID))
+	n.enqueue(it)
 }
 
-func (n *Node) newOutItem(frames [][]byte, next phy.Addr, jid int64) *outItem {
+// newOutItem takes an item with an empty frame list off the free list.
+func (n *Node) newOutItem(next phy.Addr, jid int64) *outItem {
 	it := n.outFree
 	if it == nil {
 		it = &outItem{}
 	} else {
 		n.outFree, it.free = it.free, nil
 	}
-	it.frames, it.next, it.idx, it.jid = frames, next, 0, jid
+	it.next, it.idx, it.jid = next, 0, jid
 	return it
 }
 
 // newRelayItem queues the single frame of a relayed fragment.
 func (n *Node) newRelayItem(fwd []byte, next phy.Addr, jid int64) *outItem {
-	it := n.newOutItem(nil, next, jid)
-	it.one[0] = fwd
-	it.frames = it.one[:]
+	it := n.newOutItem(next, jid)
+	it.frames = append(it.frames, fwd)
 	return it
 }
 
 // freeOutItem recycles an item whose frames have all been released.
 func (n *Node) freeOutItem(it *outItem) {
-	it.frames = nil
+	it.frames = it.frames[:0]
 	it.free, n.outFree = n.outFree, it
 }
 
@@ -306,14 +348,19 @@ func (n *Node) popAndContinue() {
 func (n *Node) QueueLen() int { return len(n.outQ) }
 
 // ReassemblyTimeouts returns datagrams abandoned for missing fragments.
-func (n *Node) ReassemblyTimeouts() uint64 { return n.reasm.TimedOut }
+func (n *Node) ReassemblyTimeouts() uint64 {
+	if n.reasm == nil {
+		return 0
+	}
+	return n.reasm.TimedOut
+}
 
 // LossEvents totals the ways this node loses whole datagrams: link-layer
 // failures, queue overflows, RED drops, hop-limit expiry, and
 // reassembly timeouts.
 func (n *Node) LossEvents() uint64 {
 	return n.Stats.LinkFailures + n.Stats.QueueDrops + n.Stats.REDDrops +
-		n.Stats.HopLimitDrops + n.reasm.TimedOut
+		n.Stats.HopLimitDrops + n.ReassemblyTimeouts()
 }
 
 // ---- receive path ----
@@ -332,7 +379,7 @@ func (n *Node) onFrame(f *phy.Frame) {
 			return
 		}
 	}
-	pkt, err := n.reasm.Input(f.Src, payload, f.J)
+	pkt, err := n.reassembler().Input(f.Src, payload, f.J)
 	if err != nil || pkt == nil {
 		return
 	}
@@ -350,6 +397,16 @@ func (n *Node) onFrame(f *phy.Frame) {
 	// Hop-by-hop relay of a complete packet.
 	n.Stats.PacketsFwd++
 	n.route(pkt, true)
+}
+
+// reassembler returns the node's reassembler, created by the first frame
+// that needs one: most of a city never terminates a datagram.
+func (n *Node) reassembler() *sixlowpan.Reassembler {
+	if n.reasm == nil {
+		n.reasm = sixlowpan.NewReassembler(n.Eng())
+		n.reasm.Trace, n.reasm.Node = n.Net.Opt.Trace, n.ID
+	}
+	return n.reasm
 }
 
 func (n *Node) isHostBound(pkt *ip6.Packet) bool {
@@ -371,8 +428,8 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 		if kind == sixlowpan.KindFrag1 {
 			iphcOff = sixlowpan.Frag1HeaderLen
 		}
-		h, _, err := sixlowpan.DecompressHeader(payload[iphcOff:])
-		if err != nil {
+		var h ip6.Header
+		if _, err := sixlowpan.DecompressHeaderInto(&h, payload[iphcOff:]); err != nil {
 			return false
 		}
 		if h.Dst == n.Addr {
@@ -410,10 +467,10 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 				return true
 			}
 			if n.fwdCache == nil {
-				n.fwdCache = map[fwdKey]*fwdEntry{}
+				n.fwdCache = map[fwdKey]fwdEntry{}
 			}
 			expires := n.Eng().Now().Add(sixlowpan.DefaultReassemblyTimeout)
-			n.fwdCache[fwdKey{src, fi.Tag}] = &fwdEntry{
+			n.fwdCache[fwdKey{src, fi.Tag}] = fwdEntry{
 				next:    phy.AddrFromID(next),
 				newTag:  newTag,
 				expires: expires,
@@ -434,9 +491,6 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 		entry, ok := n.fwdCache[fwdKey{src, fi.Tag}]
 		if !ok {
 			return false // ours, or the FRAG1 was lost — reassembler sorts it out
-		}
-		if entry.drop {
-			return true
 		}
 		fwd := n.frag.Clone(payload)
 		if err := sixlowpan.RewriteTag(fwd, entry.newTag); err != nil {

@@ -86,6 +86,13 @@ type Segment struct {
 
 	Payload []byte
 
+	// sackStore backs SACKBlocks after DecodeSegmentInto. Four, not
+	// MaxSACKBlocks: the 40 option bytes of a header without timestamps
+	// carry (40−2)/8 = 4 blocks, and the decoder accepts what the wire
+	// can hold. A Segment decoded into must not be copied by value (the
+	// copy's SACKBlocks would alias the original's store).
+	sackStore [4]SACKBlock
+
 	// JID is the journey packet id (0 = untagged), simulator metadata
 	// threaded into ip6.Packet.JID on send and copied back from it on
 	// receive. Never encoded into wire bytes.
@@ -189,7 +196,9 @@ func (s *Segment) AppendEncode(buf []byte, src, dst ip6.Addr) []byte {
 		b[i] = optNOP
 		i++
 	}
-	copy(b[hl:], s.Payload)
+	if len(s.Payload) > 0 && &b[hl] != &s.Payload[0] { // else already in place (sendData)
+		copy(b[hl:], s.Payload)
+	}
 	binary.BigEndian.PutUint16(b[16:], Checksum(src, dst, b))
 	return b
 }
@@ -201,20 +210,27 @@ var (
 	ErrBadChecksum     = errors.New("tcplp: bad checksum")
 )
 
-// DecodeSegment parses a TCP segment and verifies its checksum against
-// the pseudo header.
-func DecodeSegment(src, dst ip6.Addr, b []byte) (*Segment, error) {
+// DecodeSegmentInto parses a TCP segment into s, overwriting every
+// field, and verifies its checksum against the pseudo header. Nothing
+// is copied: s.Payload aliases b, so it is valid exactly as long as b
+// is, and s.SACKBlocks lives inside s. On error s is left partly
+// written.
+//
+// Because s.SACKBlocks points into s, the compiler keeps any Segment
+// passed here on the heap; a caller on a hot path reuses one (Stack.Input
+// takes its from a free list).
+func DecodeSegmentInto(s *Segment, src, dst ip6.Addr, b []byte) error {
 	if len(b) < BaseHeaderLen {
-		return nil, ErrSegmentTooShort
+		return ErrSegmentTooShort
 	}
 	if Checksum(src, dst, b) != 0 {
-		return nil, ErrBadChecksum
+		return ErrBadChecksum
 	}
 	hl := int(b[12]>>4) * 4
 	if hl < BaseHeaderLen || hl > len(b) {
-		return nil, ErrSegmentTooShort
+		return ErrSegmentTooShort
 	}
-	s := &Segment{
+	*s = Segment{
 		SrcPort: binary.BigEndian.Uint16(b[0:]),
 		DstPort: binary.BigEndian.Uint16(b[2:]),
 		SeqNum:  Seq(binary.BigEndian.Uint32(b[4:])),
@@ -233,30 +249,33 @@ func DecodeSegment(src, dst ip6.Addr, b []byte) (*Segment, error) {
 			continue
 		}
 		if len(opts) < 2 || int(opts[1]) < 2 || int(opts[1]) > len(opts) {
-			return nil, ErrBadOption
+			return ErrBadOption
 		}
 		l := int(opts[1])
 		switch opts[0] {
 		case optMSS:
 			if l != 4 {
-				return nil, ErrBadOption
+				return ErrBadOption
 			}
 			s.MSS = binary.BigEndian.Uint16(opts[2:])
 		case optSACKPermitted:
 			if l != 2 {
-				return nil, ErrBadOption
+				return ErrBadOption
 			}
 			s.SACKPermitted = true
 		case optTimestamps:
 			if l != 10 {
-				return nil, ErrBadOption
+				return ErrBadOption
 			}
 			s.HasTS = true
 			s.TSVal = binary.BigEndian.Uint32(opts[2:])
 			s.TSEcr = binary.BigEndian.Uint32(opts[6:])
 		case optSACK:
 			if (l-2)%8 != 0 {
-				return nil, ErrBadOption
+				return ErrBadOption
+			}
+			if s.SACKBlocks == nil {
+				s.SACKBlocks = s.sackStore[:0]
 			}
 			for j := 2; j < l; j += 8 {
 				s.SACKBlocks = append(s.SACKBlocks, SACKBlock{
@@ -268,8 +287,19 @@ func DecodeSegment(src, dst ip6.Addr, b []byte) (*Segment, error) {
 		opts = opts[l:]
 	}
 	if hl < len(b) {
-		s.Payload = append([]byte(nil), b[hl:]...)
+		s.Payload = b[hl:]
 	}
+	return nil
+}
+
+// DecodeSegment is DecodeSegmentInto a freshly allocated Segment with
+// the payload copied out of b.
+func DecodeSegment(src, dst ip6.Addr, b []byte) (*Segment, error) {
+	s := &Segment{}
+	if err := DecodeSegmentInto(s, src, dst, b); err != nil {
+		return nil, err
+	}
+	s.Payload = append([]byte(nil), s.Payload...)
 	return s, nil
 }
 

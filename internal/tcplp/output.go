@@ -145,7 +145,7 @@ func (c *Conn) sendSYN(withAck bool) {
 	// The handshake expects a response too: a duty-cycled leaf must poll
 	// fast for the SYN/ACK held in its parent's indirect queue (§9.2).
 	c.setExpecting(true)
-	c.transmit(seg, false)
+	c.transmit(seg, nil)
 }
 
 // output is the tcp_output engine: it sends as much as the usable window,
@@ -279,13 +279,20 @@ func (c *Conn) sendData(seq Seq, segLen int, fin bool, rtx bool) {
 		Flags:   FlagACK,
 		Window:  uint16(clampInt(c.rcvQ.Window(), 0, 0xffff)),
 	}
+	// Options first: they fix the header length, so the payload can be
+	// read from the send buffer straight to where it goes on the wire.
+	c.attachCommonOptions(seg)
+	var tx *txSlot
 	if segLen > 0 {
-		seg.Payload = make([]byte, segLen)
+		hl := seg.HeaderLen()
+		tx = c.stack.getTx(hl + segLen)
+		seg.Payload = tx.buf[hl : hl+segLen]
 		got := c.sndBuf.ReadAt(seg.Payload, seq.Diff(c.sndUna))
 		if got < segLen {
 			seg.Payload = seg.Payload[:got]
 			segLen = got
 			if segLen == 0 && !fin {
+				c.stack.putTx(tx)
 				return
 			}
 		}
@@ -296,7 +303,6 @@ func (c *Conn) sendData(seq Seq, segLen int, fin bool, rtx bool) {
 	if fin {
 		seg.Flags |= FlagFIN
 	}
-	c.attachCommonOptions(seg)
 	if c.ecnOn && c.cwrToSend && segLen > 0 {
 		seg.Flags |= FlagCWR
 		c.cwrToSend = false
@@ -334,7 +340,7 @@ func (c *Conn) sendData(seq Seq, segLen int, fin bool, rtx bool) {
 		c.armRexmt()
 	}
 	c.setExpecting(true)
-	c.transmit(seg, segLen > 0)
+	c.transmit(seg, tx)
 	c.Stats.BytesSent += uint64(segLen)
 	// Data segments carry an implicit ACK of everything received.
 	c.ackSent()
@@ -356,7 +362,7 @@ func (c *Conn) sendAck() {
 	}
 	c.attachCommonOptions(seg)
 	c.Stats.AcksSent++
-	c.transmit(seg, false)
+	c.transmit(seg, nil)
 	c.ackSent()
 }
 
@@ -403,14 +409,15 @@ func (c *Conn) sendRST(seq Seq) {
 		AckNum:  c.rcvNxt,
 		Flags:   FlagRST | FlagACK,
 	}
-	c.transmit(seg, false)
+	c.transmit(seg, nil)
 }
 
-// transmit hands a segment to the stack's IP output. Data segments are
-// marked ECT(0) when ECN is negotiated. When traced, each data
+// transmit hands a segment to the stack's IP output; tx is the slot its
+// payload was read into (nil for a segment without one). Data segments
+// are marked ECT(0) when ECN is negotiated. When traced, each data
 // transmission — original or retransmit — gets a fresh journey packet
 // id so the analyzer can follow exactly this copy across the mesh.
-func (c *Conn) transmit(seg *Segment, isData bool) {
+func (c *Conn) transmit(seg *Segment, tx *txSlot) {
 	c.Stats.SegsSent++
 	if tr := c.stack.Trace; tr != nil && len(seg.Payload) > 0 {
 		seg.JID = tr.NextID()
@@ -423,10 +430,10 @@ func (c *Conn) transmit(seg *Segment, isData bool) {
 	}
 	c.emitJ(obs.TCPSend, seg.JID, int64(seg.SeqNum), int64(seg.AckNum), len(seg.Payload))
 	var ecn ip6.ECN
-	if c.ecnOn && isData {
+	if c.ecnOn && len(seg.Payload) > 0 {
 		ecn = ip6.ECT0
 	}
-	c.stack.sendSegment(c.localAddr, c.remoteAddr, seg, ecn)
+	c.stack.sendSegment(c.localAddr, c.remoteAddr, seg, ecn, tx)
 }
 
 // startRTTSample begins timing seq's round trip if no sample is pending

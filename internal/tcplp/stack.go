@@ -5,6 +5,7 @@ import (
 
 	"tcplp/internal/ip6"
 	"tcplp/internal/obs"
+	"tcplp/internal/poison"
 	"tcplp/internal/sim"
 	"tcplp/internal/tcplp/cc"
 )
@@ -50,14 +51,16 @@ type Stack struct {
 	// wiring (internal/stack) supplies it.
 	Output func(pkt *ip6.Packet)
 
-	// PoolEncode recycles segment wire buffers through a stack-local
-	// free list instead of allocating one per segment. Only safe when
-	// Output consumes the packet's payload before returning — the node
-	// transmit path does (fragmentation, local decode, and the wire all
-	// copy); test shims that schedule delayed delivery of the same
-	// packet must leave this off (the default).
+	// PoolEncode recycles each outgoing segment's wire buffer and
+	// ip6.Packet through a stack-local free list instead of allocating
+	// them per segment. Only safe when Output consumes the packet and
+	// its payload before returning — the node transmit path does
+	// (fragmentation, local decode, and the wire all copy); test shims
+	// that schedule delayed delivery of the same packet must leave this
+	// off (the default).
 	PoolEncode bool
-	encFree    [][]byte
+	txFree     []*txSlot
+	rxFree     []*Segment // decoded-segment free list (getRx / putRx)
 
 	// OnExpectingChange fires when the stack starts/stops having any
 	// connection with unacknowledged data — the duty-cycling hint wire
@@ -157,18 +160,51 @@ func (s *Stack) allocPort() uint16 {
 	}
 }
 
-// Input feeds a received IPv6 packet into the TCP layer.
+// Input feeds a received IPv6 packet into the TCP layer. The segment is
+// decoded in place — its payload aliases pkt.Payload and the receive
+// queue copies what it keeps — so neither pkt nor its payload is
+// referenced once Input returns.
 func (s *Stack) Input(pkt *ip6.Packet) {
 	if pkt.NextHeader != ip6.ProtoTCP || pkt.Dst != s.addr {
 		return
 	}
 	s.Stats.SegsIn++
-	seg, err := DecodeSegment(pkt.Src, pkt.Dst, pkt.Payload)
-	if err != nil {
+	seg := s.getRx()
+	if err := DecodeSegmentInto(seg, pkt.Src, pkt.Dst, pkt.Payload); err != nil {
 		s.Stats.BadChecksum++
-		return
+	} else {
+		seg.JID = pkt.JID
+		s.demux(pkt, seg)
 	}
-	seg.JID = pkt.JID
+	s.putRx(seg)
+}
+
+// getRx takes a Segment to decode into off the free list. A free list
+// and not one Segment per stack, because Input re-enters: a segment
+// whose ACK is self-addressed is delivered while the outer call still
+// reads its own.
+func (s *Stack) getRx() *Segment {
+	if k := len(s.rxFree); k > 0 {
+		seg := s.rxFree[k-1]
+		s.rxFree = s.rxFree[:k-1]
+		return seg
+	}
+	return &Segment{}
+}
+
+// putRx takes a decoded Segment back once input processing is done with
+// it; no connection keeps the segment or its payload.
+func (s *Stack) putRx(seg *Segment) {
+	if poison.Enabled { // a kept *Segment reads garbage, not the next arrival
+		const w = poison.Byte
+		*seg = Segment{SrcPort: w, DstPort: w, SeqNum: w, AckNum: w, Flags: w, Window: w, JID: w}
+	}
+	s.rxFree = append(s.rxFree, seg)
+}
+
+// demux hands a decoded segment to its connection, or to the listener a
+// SYN is addressed to.
+func (s *Stack) demux(pkt *ip6.Packet, seg *Segment) {
 	ce := pkt.ECN() == ip6.CE
 	key := connKey{pkt.Src, seg.SrcPort, seg.DstPort}
 	if c, ok := s.conns[key]; ok {
@@ -219,39 +255,69 @@ func (s *Stack) sendRSTFor(src ip6.Addr, seg *Segment) {
 		rst.Flags |= FlagACK
 		rst.AckNum = seg.SeqNum.Add(seg.Len())
 	}
-	s.sendSegment(s.addr, src, rst, ip6.NotECT)
+	s.sendSegment(s.addr, src, rst, ip6.NotECT, nil)
+}
+
+// txSlot is one outgoing segment's storage: the wire buffer it is
+// encoded into and the IPv6 packet that carries it to Output. With
+// PoolEncode a slot is the stack's again the moment Output returns;
+// a send that re-enters while Output runs (a self-addressed segment is
+// delivered, and ACKed, synchronously) finds the free list one shorter
+// and takes a different slot. Without PoolEncode every slot is fresh and
+// Output may keep it.
+type txSlot struct {
+	pkt ip6.Packet
+	buf []byte
+}
+
+// getTx returns a slot whose buffer holds at least n bytes.
+func (s *Stack) getTx(n int) *txSlot {
+	var t *txSlot
+	if k := len(s.txFree); k > 0 {
+		t, s.txFree = s.txFree[k-1], s.txFree[:k-1]
+	} else {
+		t = &txSlot{}
+	}
+	if cap(t.buf) < n {
+		t.buf = make([]byte, n)
+	}
+	return t
+}
+
+// putTx takes a slot back once Output is done with it.
+func (s *Stack) putTx(t *txSlot) {
+	if !s.PoolEncode {
+		return
+	}
+	poison.Packet(&t.pkt)
+	poison.Bytes(t.buf)
+	s.txFree = append(s.txFree, t)
 }
 
 // sendSegment wraps a TCP segment in an IPv6 packet and transmits it.
-func (s *Stack) sendSegment(src, dst ip6.Addr, seg *Segment, ecn ip6.ECN) {
-	var payload []byte
-	if s.PoolEncode {
-		var buf []byte
-		if n := len(s.encFree); n > 0 {
-			buf, s.encFree = s.encFree[n-1], s.encFree[:n-1]
-		}
-		payload = seg.AppendEncode(buf, src, dst)
-	} else {
-		payload = seg.Encode(src, dst)
+// t, when non-nil, is the slot the caller already read seg.Payload into
+// (at seg.HeaderLen() of t.buf), so encoding moves no payload bytes.
+func (s *Stack) sendSegment(src, dst ip6.Addr, seg *Segment, ecn ip6.ECN, t *txSlot) {
+	if t == nil {
+		t = s.getTx(seg.WireLen())
 	}
-	pkt := &ip6.Packet{
+	pkt := &t.pkt
+	*pkt = ip6.Packet{
 		Header: ip6.Header{
 			NextHeader: ip6.ProtoTCP,
 			HopLimit:   ip6.DefaultHopLimit,
 			Src:        src,
 			Dst:        dst,
 		},
-		Payload: payload,
+		Payload: seg.AppendEncode(t.buf, src, dst),
+		JID:     seg.JID,
 	}
 	pkt.SetECN(ecn)
 	pkt.PayloadLen = uint16(len(pkt.Payload))
-	pkt.JID = seg.JID
 	if s.Output != nil {
 		s.Output(pkt)
 	}
-	if s.PoolEncode {
-		s.encFree = append(s.encFree, payload[:0])
-	}
+	s.putTx(t)
 }
 
 func (s *Stack) addConn(key connKey, c *Conn) {
