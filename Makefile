@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-smoke plot
+.PHONY: build test race bench-smoke loc plot
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,11 @@ race:
 #   go run ./benchmark
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# Non-test Go lines outside benchmark/: the one number subtraction PRs
+# quote before and after.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 # Render a sweep spec into a paper-style figure:
 #   make plot SPEC=examples/scenarios/fig6_sweep.json OUT=fig6

@@ -16,9 +16,7 @@ import (
 
 	"tcplp/internal/app"
 	"tcplp/internal/experiments"
-	"tcplp/internal/ip6"
 	"tcplp/internal/mesh"
-	"tcplp/internal/phy"
 	"tcplp/internal/sim"
 	"tcplp/internal/stack"
 	"tcplp/internal/tcplp"
@@ -321,64 +319,4 @@ func BenchmarkAblationForwardingMode(b *testing.B) {
 	}
 	b.Run("fragment-forwarding", func(b *testing.B) { run(b, stack.FragmentForwarding) })
 	b.Run("hop-by-hop", func(b *testing.B) { run(b, stack.HopByHopReassembly) })
-}
-
-// ---- substrate micro-benchmarks ----
-
-func BenchmarkEngineEvents(b *testing.B) {
-	eng := sim.NewEngine(1)
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < b.N {
-			eng.Schedule(10, tick)
-		}
-	}
-	b.ResetTimer()
-	eng.Schedule(1, tick)
-	eng.Run()
-}
-
-func BenchmarkSegmentCodec(b *testing.B) {
-	src, dst := ip6.AddrFromID(1), ip6.AddrFromID(2)
-	seg := &tcplp.Segment{
-		SeqNum: 1000, AckNum: 2000, Flags: tcplp.FlagACK | tcplp.FlagPSH,
-		Window: 1848, HasTS: true, TSVal: 1, TSEcr: 2,
-		Payload: make([]byte, 440),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wire := seg.Encode(src, dst)
-		if _, err := tcplp.DecodeSegment(src, dst, wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFrameCodec(b *testing.B) {
-	f := &phy.Frame{
-		Type: phy.FrameData, Seq: 7,
-		Dst: phy.AddrFromID(1), Src: phy.AddrFromID(2),
-		AckRequest: true, Payload: make([]byte, 100),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wire := f.Encode()
-		if _, err := phy.DecodeFrame(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOneHopSimThroughput(b *testing.B) {
-	// How much simulated transfer the engine does per wall second.
-	net := stack.New(9, mesh.Chain(2, 10), stack.DefaultOptions())
-	sink := app.ListenSink(net.Nodes[0], 80)
-	app.StartBulk(net.Nodes[1], net.Nodes[0].Addr, 80)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Eng.RunFor(sim.Second)
-	}
-	b.ReportMetric(float64(sink.Received)/float64(b.N), "bytes_per_simsec")
 }

@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"tcplp/internal/scenario"
-	"tcplp/internal/scenario/flows"
 	"tcplp/internal/sim"
 )
 
 // The §9 application study — anemometer telemetry over TCPlp, CoAP,
 // CoCoA, and unreliable transports — runs entirely through the
-// scenario subsystem's protocol drivers: each table row is a
+// scenario subsystem's protocol flows: each table row is a
 // declarative office-topology spec with sleepy sensor nodes and one
 // anemometer flow per sensor, fanned out by the parallel runner. The
 // renderers below reproduce the bespoke harness's pooled arithmetic
@@ -101,7 +100,7 @@ func anemRel(run scenario.Result) float64 {
 		deliv += fl.Delivered
 		backlog += fl.Backlog
 	}
-	return flows.DeliveryRatio(gen, deliv, backlog)
+	return scenario.DeliveryRatio(gen, deliv, backlog)
 }
 
 // anemRadioDC / anemCPUDC are the mean duty cycles across sensor nodes.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"tcplp/internal/scenario"
-	"tcplp/internal/scenario/flows"
 	"tcplp/internal/sim"
 )
 
@@ -65,7 +64,7 @@ func gwE2ERel(run scenario.Result) float64 {
 			backlog += fl.Delivered - fl.E2EDelivered - fl.WANLost
 		}
 	}
-	return flows.DeliveryRatio(gen, e2e, backlog)
+	return scenario.DeliveryRatio(gen, e2e, backlog)
 }
 
 // GatewayCapacity sweeps device count × congestion-control variant

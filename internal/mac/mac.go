@@ -48,6 +48,8 @@
 package mac
 
 import (
+	"strconv"
+
 	"tcplp/internal/obs"
 	"tcplp/internal/phy"
 	"tcplp/internal/poison"
@@ -312,10 +314,6 @@ func (m *Mac) Radio() *phy.Radio { return m.radio }
 
 // Params returns the MAC parameters.
 func (m *Mac) Params() Params { return m.params }
-
-// SetRetryDelayMax changes the link-retry delay knob d at runtime (used
-// by the Fig. 6 sweep).
-func (m *Mac) SetRetryDelayMax(d sim.Duration) { m.params.RetryDelayMax = d }
 
 // SetChildSleepy registers (or deregisters) a sleepy child: unicast
 // frames to it are held in the indirect queue until it polls.
@@ -710,13 +708,6 @@ func (m *Mac) serveDataRequest(child phy.Addr) {
 	m.enqueue(job)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // DebugState summarizes internal MAC progress state (diagnostics only).
 func (m *Mac) DebugState() string {
 	st := "idle"
@@ -726,29 +717,8 @@ func (m *Mac) DebugState() string {
 			st += "/loading"
 		}
 	}
-	return st + " queue=" + itoa(len(m.queue)) +
-		" sendingAck=" + boolStr(m.sendingAck) +
-		" ackTimerArmed=" + boolStr(m.ackTimer.Armed()) +
+	return st + " queue=" + strconv.Itoa(len(m.queue)) +
+		" sendingAck=" + strconv.FormatBool(m.sendingAck) +
+		" ackTimerArmed=" + strconv.FormatBool(m.ackTimer.Armed()) +
 		" radio=" + m.radio.State().String()
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }

@@ -94,9 +94,6 @@ func (sc *SleepController) SetExpecting(on bool) {
 	}
 }
 
-// Expecting reports whether fast polling is active.
-func (sc *SleepController) Expecting() bool { return sc.expecting > 0 }
-
 // interval returns the next poll delay under the current policy. A
 // FastInterval of zero disables expecting-driven fast polling (Appendix C
 // studies fixed intervals without the §9.2 hint).
@@ -116,18 +113,6 @@ func (sc *SleepController) interval() sim.Duration {
 	return sc.SleepInterval
 }
 
-// NotifyInbound is called by the MAC owner when a downstream packet
-// arrives; under the adaptive policy it collapses the interval to Min.
-func (sc *SleepController) NotifyInbound() {
-	if !sc.Adaptive {
-		return
-	}
-	sc.current = sc.Min
-	if sc.started && !sc.awake {
-		sc.pollTimer.Reset(sc.interval())
-	}
-}
-
 func (sc *SleepController) poll() {
 	sc.Polls++
 	sc.mac.SendDataRequest(sc.parent, sc.pollDone)
@@ -144,7 +129,7 @@ func (sc *SleepController) afterPoll(status TxStatus, pending bool) {
 
 func (sc *SleepController) afterEmptyPoll() {
 	if sc.Adaptive && sc.expecting == 0 {
-		sc.current = minDur(sc.current*2, sc.Max)
+		sc.current = min(sc.current*2, sc.Max)
 	}
 	sc.scheduleNext()
 }
@@ -182,11 +167,4 @@ func (sc *SleepController) FrameDelivered(pending bool) {
 
 func (sc *SleepController) wakeupTimeout() {
 	sc.scheduleNext()
-}
-
-func minDur(a, b sim.Duration) sim.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

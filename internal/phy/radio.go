@@ -103,9 +103,6 @@ func (r *Radio) ID() int { return r.id }
 // Addr returns the radio's EUI-64 address.
 func (r *Radio) Addr() Addr { return r.addr }
 
-// Pos returns the radio's position.
-func (r *Radio) Pos() Point { return r.pos }
-
 // SetPos moves the radio, re-filing it in the channel's spatial index and
 // invalidating all cached neighbor sets. Frames already in flight keep the
 // sensing snapshot taken when they hit the air.

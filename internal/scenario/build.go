@@ -8,7 +8,6 @@ import (
 	"tcplp/internal/netem"
 	"tcplp/internal/obs"
 	"tcplp/internal/obs/journey"
-	"tcplp/internal/scenario/flows"
 	"tcplp/internal/sim"
 	"tcplp/internal/stack"
 	"tcplp/internal/stats"
@@ -81,13 +80,13 @@ func (s *Spec) options(variant cc.Variant, windowSegs int) stack.Options {
 	return opt
 }
 
-// flowRun is one instantiated flow: its endpoints plus the protocol
-// driver's measurement probe.
+// flowRun is one instantiated flow: its endpoints plus its transport's
+// measurement probe.
 type flowRun struct {
 	spec  FlowSpec
 	src   *stack.Node
 	dst   *stack.Node
-	probe flows.Probe
+	probe probe
 }
 
 // meshNode returns the flow's mesh-side endpoint — the source unless it
@@ -294,46 +293,27 @@ func (rc *runContext) tcpConfigs(fs FlowSpec) (srcCfg, sinkCfg tcplp.Config, err
 	return srcCfg, sinkCfg, nil
 }
 
-// startFlow resolves the flow's endpoints and hands it to its protocol
-// driver.
+// startFlow resolves the flow's endpoints and starts its transport's
+// probe. A fourth transport is one more file like flow_udp.go and one
+// more case here (and in Validate).
 func (rc *runContext) startFlow(fs FlowSpec) (*flowRun, error) {
-	srcCfg, sinkCfg, err := rc.tcpConfigs(fs)
-	if err != nil {
-		return nil, err
+	fr := &flowRun{spec: fs, src: rc.resolve(fs.From), dst: rc.resolve(fs.To)}
+	t := newTelemetry(rc, fr)
+	switch fs.Protocol {
+	case protoTCP:
+		srcCfg, sinkCfg, err := rc.tcpConfigs(fs)
+		if err != nil {
+			return nil, err
+		}
+		fr.probe = startTCP(t, srcCfg, sinkCfg)
+	case protoUDP:
+		fr.probe = startUDP(t)
+	case protoCoAP:
+		fr.probe = startCoAP(t)
+	default:
+		panic(fmt.Sprintf("scenario: unvalidated protocol %q", fs.Protocol))
 	}
-	src, dst := rc.resolve(fs.From), rc.resolve(fs.To)
-	fr := &flowRun{spec: fs, src: src, dst: dst}
-	probe, err := flows.Start(
-		&flows.Env{Net: rc.net, Src: src, Dst: dst},
-		fs.Protocol,
-		flows.Spec{
-			Label:       fs.Label,
-			Port:        fs.Port,
-			Pattern:     fs.Pattern,
-			On:          fs.On.D(),
-			Off:         fs.Off.D(),
-			Interval:    fs.Interval.D(),
-			Batch:       fs.Batch,
-			Trace:       fs.Trace,
-			Confirmable: fs.Confirmable == nil || *fs.Confirmable,
-			RTO:         fs.RTO,
-			SrcCfg:      srcCfg,
-			SinkCfg:     sinkCfg,
-			Gateway:     gatewayFor(rc, fs),
-		})
-	if err != nil {
-		return nil, err
-	}
-	fr.probe = probe
 	return fr, nil
-}
-
-// gatewayFor hands gateway-addressed flows the run's gateway instance.
-func gatewayFor(rc *runContext, fs FlowSpec) *gateway.Gateway {
-	if fs.To.Gateway {
-		return rc.gw
-	}
-	return nil
 }
 
 // mark opens the measurement window: probes and counters snapshot their
@@ -341,7 +321,7 @@ func gatewayFor(rc *runContext, fs FlowSpec) *gateway.Gateway {
 // covers only the post-warmup schedule.
 func (rc *runContext) mark() {
 	for _, fr := range rc.flows {
-		fr.probe.Mark()
+		fr.probe.mark()
 	}
 	for _, n := range rc.net.Nodes {
 		n.Radio.ResetEnergy()
@@ -391,7 +371,7 @@ func (rc *runContext) scheduleDCSamples() {
 // runs out. collect picks the duty cycles up afterwards.
 func (rc *runContext) runIdlePhase() {
 	for _, fr := range rc.flows {
-		fr.probe.Stop()
+		fr.probe.stop()
 	}
 	rc.net.Eng.RunFor(rc.spec.IdleSettle.D())
 	for _, fr := range rc.flows {
@@ -427,44 +407,13 @@ func (rc *runContext) collect() Result {
 	}
 	var goodputs []float64
 	for _, fr := range rc.flows {
-		m := fr.probe.Collect()
-		trace := make([]CwndPoint, len(m.Cwnd))
-		for i, p := range m.Cwnd {
-			trace[i] = CwndPoint{T: Duration(p.T), Cwnd: p.Cwnd, Ssthresh: p.Ssthresh}
-		}
 		fres := FlowResult{
-			Label:         fr.spec.Label,
-			Gateway:       fr.spec.To.Gateway,
-			Protocol:      flowProtocol(fr.spec.Protocol),
-			Variant:       m.Variant,
-			WindowSegs:    m.WindowSegs,
-			MSS:           m.MSS,
-			Pattern:       fr.spec.Pattern,
-			GoodputKbps:   m.GoodputKbps,
-			Bytes:         m.Bytes,
-			SentBytes:     m.SentBytes,
-			Retransmits:   m.Retransmits,
-			Timeouts:      m.Timeouts,
-			FastRtx:       m.FastRtx,
-			SRTTms:        m.SRTTms,
-			MeanRTTms:     m.MeanRTTms,
-			MedianRTTms:   m.MedianRTTms,
-			RTTp10ms:      m.RTTp10ms,
-			RTTp90ms:      m.RTTp90ms,
-			RTTMaxms:      m.RTTMaxms,
-			Generated:     m.Generated,
-			Delivered:     m.Delivered,
-			Backlog:       m.Backlog,
-			DeliveryRatio: m.DeliveryRatio,
-			LatencyP50ms:  m.LatencyP50ms,
-			LatencyP99ms:  m.LatencyP99ms,
-			CwndTrace:     trace,
+			Label:    fr.spec.Label,
+			Gateway:  fr.spec.To.Gateway,
+			Protocol: fr.spec.Protocol,
+			Pattern:  fr.spec.Pattern,
 		}
-		if fres.Gateway {
-			fres.E2EDelivered = m.E2EDelivered
-			fres.WANLost = m.WANLost
-			fres.E2EDeliveryRatio = m.E2EDeliveryRatio
-		}
+		fr.probe.collect(&fres)
 		if fr.src.Radio != nil {
 			fres.RadioDC = fr.src.Radio.DutyCycle()
 		}
@@ -474,7 +423,6 @@ func (rc *runContext) collect() Result {
 				fres.IdleRadioDC = node.Radio.DutyCycle()
 			}
 		}
-		fres.RTOms = m.RTOms
 		if jrep != nil {
 			fres.Journey = jrep.Flows[fr.src.ID]
 		}
@@ -528,9 +476,6 @@ func (rc *runContext) collectGateway(frs []FlowResult) *GatewayResult {
 	gr.CreditJain = stats.JainIndex(credits)
 	return gr
 }
-
-// flowProtocol returns the canonical protocol label for results.
-func flowProtocol(p string) string { return flows.Canonical(p) }
 
 // RunOne executes the spec for a single seed and returns its result.
 // The run is entirely self-contained — its own engine, channel, and

@@ -1,0 +1,80 @@
+package scenario
+
+import (
+	"tcplp/internal/app"
+	"tcplp/internal/coap"
+	"tcplp/internal/ip6"
+	"tcplp/internal/sim"
+	"tcplp/internal/stats"
+)
+
+// coapProbe runs the anemometer pattern over CoAP POSTs — confirmable
+// (retransmitted with the RFC 7252 or CoCoA RTO policy) or
+// nonconfirmable (the §9.6 unreliable baseline) — against the gateway's
+// shared CoAP terminator or a per-flow collector server on the sink
+// node.
+type coapProbe struct {
+	*telemetry
+	tr     *app.CoAPTransport
+	policy *coap.SamplingPolicy // wraps the flow's RTO policy
+
+	rtts stats.Sample // exchange RTT samples over the flow's life, ms
+	base coap.ClientStats
+}
+
+func startCoAP(t *telemetry) *coapProbe {
+	p := &coapProbe{telemetry: t}
+	fs, src, dst := &t.fr.spec, t.fr.src, t.fr.dst
+	port := fs.Port
+	if t.gw != nil {
+		port = t.gw.CoAPPort()
+		t.register()
+	} else {
+		sink := app.NewCountingSink(dst.Eng())
+		t.sink = sink
+		srv := coap.NewServer(dst.Eng(), dst.UDP, fs.Port)
+		srv.OnPost = func(_ ip6.Addr, payload []byte, _ *coap.Block1) coap.Code {
+			sink.Received += len(payload)
+			app.ForEachReading(payload, t.deliver)
+			return coap.CodeChanged
+		}
+	}
+
+	confirmable := fs.Confirmable == nil || *fs.Confirmable
+	p.tr = app.NewCoAPTransportPort(src, dst.Addr, port, confirmable, messageSize(t.net, app.ReadingSize))
+	var policy coap.RTOPolicy = coap.DefaultPolicy{}
+	if fs.RTO == "cocoa" {
+		policy = coap.NewCoCoA()
+	}
+	// The sampling wrapper is a pure observer (no extra RNG draws, no
+	// timing change), so CON flows report RTT distributions like TCP
+	// flows do without perturbing results.
+	p.policy = &coap.SamplingPolicy{Inner: policy, OnSample: func(d sim.Duration, retx int) {
+		p.rtts.Add(d.Milliseconds())
+	}}
+	p.tr.Client.Policy = p.policy
+	p.tr.Client.Trace = t.trace
+	p.tr.Client.Node = src.ID
+	p.tr.Trace = t.trace
+	p.tr.Node = src.ID
+	t.startSensor(p.tr, app.CoAPQueueCap)
+	return p
+}
+
+func (p *coapProbe) mark() {
+	p.telemetry.mark()
+	p.base = p.tr.Client.Stats
+}
+
+// collect reports CON retries as Retransmits and abandoned exchanges
+// (MAX_RETRANSMIT exceeded) as Timeouts; pending exchanges hold a
+// message of readings each.
+func (p *coapProbe) collect(r *FlowResult) {
+	st := p.tr.Client.Stats
+	r.MSS = p.tr.MessageSize
+	r.Retransmits = st.Retransmissions - p.base.Retransmissions
+	r.Timeouts = st.GiveUps - p.base.GiveUps
+	r.RTOms = p.policy.OverallRTO().Milliseconds()
+	fillRTT(r, &p.rtts)
+	p.telemetry.collect(r, p.tr.Client.Pending()*p.tr.MessageSize/app.ReadingSize)
+}

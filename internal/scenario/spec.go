@@ -11,6 +11,24 @@
 // driver: cmd/tcplp-bench's -scenario mode runs a spec file, and the
 // ccvariants/pacing/table9 experiments are thin spec builders over the
 // same machinery.
+//
+// # Flow probes
+//
+// A flow runs over tcp, udp or coap (FlowSpec.Protocol), and each has a
+// probe (flow_tcp.go, flow_udp.go, flow_coap.go) started from the
+// validated, defaulted FlowSpec and writing straight into the flow's
+// FlowResult. The contract is three calls: mark opens the measurement
+// window, stop (idle-phase specs only) freezes the window-rate metrics
+// and ends the workload, collect fills the result. What the transports
+// have in common — the anemometer, its collector-side sink, per-reading
+// credit and latency, gateway end-to-end credit, the marks — is one
+// telemetry value (flow.go) the three probes embed.
+//
+// Construction order is part of determinism: a probe installs its
+// collector or sink first, then its transport, then the sensor, then
+// starts it. Each step may take engine sequence numbers or RNG draws
+// (a listener, a connection's initial sequence number, the first
+// sample timer), so reordering them changes every Result.
 package scenario
 
 import (
@@ -26,7 +44,6 @@ import (
 
 	"tcplp/internal/gateway"
 	"tcplp/internal/mesh"
-	"tcplp/internal/scenario/flows"
 	"tcplp/internal/sim"
 	"tcplp/internal/tcplp/cc"
 	"tcplp/internal/uip"
@@ -275,11 +292,11 @@ type GatewaySpec struct {
 	WAN WANSpec `json:"wan,omitempty"`
 }
 
-// Traffic patterns (canonically defined by the flows driver registry).
+// Traffic patterns.
 const (
-	PatternBulk       = flows.PatternBulk       // saturating stream (default)
-	PatternOnOff      = flows.PatternOnOff      // bulk during on-periods, idle between
-	PatternAnemometer = flows.PatternAnemometer // §3 sensor: periodic readings, optional batching
+	PatternBulk       = "bulk"       // saturating stream (default, TCP only)
+	PatternOnOff      = "onoff"      // bulk during on-periods, idle between (TCP only)
+	PatternAnemometer = "anemometer" // §3 sensor: periodic readings, optional batching
 )
 
 // FlowSpec is one flow: endpoints, the transport protocol, its
@@ -289,7 +306,7 @@ type FlowSpec struct {
 	Label string  `json:"label,omitempty"`
 	From  NodeRef `json:"from"`
 	To    NodeRef `json:"to"`
-	// Protocol selects the transport driver: tcp (default), udp, or
+	// Protocol selects the transport: tcp (default), udp, or
 	// coap. Non-TCP flows carry the anemometer pattern (telemetry);
 	// bulk/onoff streams need TCP's reliability.
 	Protocol string `json:"protocol,omitempty"`
@@ -493,12 +510,7 @@ func (o *Override) apply(c *Spec) {
 }
 
 // empty reports whether no axis has any values.
-func (sw *Sweep) empty() bool {
-	return len(sw.Hops) == 0 && len(sw.Devices) == 0 && len(sw.Nodes) == 0 &&
-		len(sw.PER) == 0 && len(sw.InjectedLoss) == 0 && len(sw.Interference) == 0 &&
-		len(sw.RetryDelay) == 0 && len(sw.SegFrames) == 0 &&
-		len(sw.WindowSegs) == 0 && len(sw.Variants) == 0 && len(sw.Protocols) == 0
-}
+func (sw *Sweep) empty() bool { return len(sw.axes()) == 0 }
 
 // protoPreset resolves one protocols-axis value to the flow fields it
 // rewrites.
@@ -506,15 +518,15 @@ func protoPreset(name string) (protocol string, confirmable *bool, rto string, o
 	t, f := true, false
 	switch name {
 	case "tcp":
-		return flows.ProtocolTCP, nil, "", true
+		return protoTCP, nil, "", true
 	case "udp":
-		return flows.ProtocolUDP, nil, "", true
+		return protoUDP, nil, "", true
 	case "coap":
-		return flows.ProtocolCoAP, &t, "", true
+		return protoCoAP, &t, "", true
 	case "coap-non":
-		return flows.ProtocolCoAP, &f, "", true
+		return protoCoAP, &f, "", true
 	case "cocoa":
-		return flows.ProtocolCoAP, &t, "cocoa", true
+		return protoCoAP, &t, "cocoa", true
 	}
 	return "", nil, "", false
 }
@@ -614,113 +626,167 @@ type sweepOpt struct {
 	apply func(*Spec)
 }
 
-// axes lists the sweep's populated dimensions in field order.
-func (sw *Sweep) axes() [][]sweepOpt {
-	var out [][]sweepOpt
-	add := func(opts []sweepOpt) {
-		if len(opts) > 0 {
-			out = append(out, opts)
-		}
+// sweepAxis defines one sweep dimension, once: the coordinate key cells
+// and override when-blocks name it by, its values as expansion options,
+// and the check a value must pass on the spec that sweeps it.
+type sweepAxis struct {
+	key   string
+	opts  func(*Sweep) []sweepOpt
+	check func(*Spec) error
+}
+
+// axisOf builds an axis over the Sweep field vals reads. check sees the
+// sweep spec (for the topology an axis needs) and one value.
+func axisOf[T any](key string, vals func(*Sweep) []T, label func(T) string,
+	apply func(*Spec, T), check func(*Spec, T) error) sweepAxis {
+	return sweepAxis{
+		key: key,
+		opts: func(sw *Sweep) []sweepOpt {
+			vs := vals(sw)
+			out := make([]sweepOpt, 0, len(vs))
+			for _, v := range vs {
+				v := v
+				out = append(out, sweepOpt{AxisValue{key, label(v)}, func(c *Spec) { apply(c, v) }})
+			}
+			return out
+		},
+		check: func(s *Spec) error {
+			for _, v := range vals(s.Sweep) {
+				if err := check(s, v); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
 	}
-	var hops []sweepOpt
-	for _, h := range sw.Hops {
-		h := h
-		hops = append(hops, sweepOpt{AxisValue{"hops", strconv.Itoa(h)}, func(c *Spec) {
+}
+
+// percent labels a probability; 6 significant digits keep labels like
+// 7% from leaking float noise (0.07·100 is not exactly 7 in binary).
+func percent(p float64) string { return strconv.FormatFloat(p*100, 'g', 6, 64) + "%" }
+
+// probability is the check of the per and injected_loss axes.
+func probability(name string) func(*Spec, float64) error {
+	return func(_ *Spec, p float64) error {
+		if p < 0 || p >= 1 {
+			return fmt.Errorf("%s value %v out of range [0,1)", name, p)
+		}
+		return nil
+	}
+}
+
+// nonNegative is the check of the interference and retry_delay axes.
+func nonNegative[T ~int64 | ~float64](name string) func(*Spec, T) error {
+	return func(_ *Spec, v T) error {
+		if v < 0 {
+			return fmt.Errorf("negative %s value %v", name, v)
+		}
+		return nil
+	}
+}
+
+// atLeast is the check of the plain integer axes.
+func atLeast(name string, min int) func(*Spec, int) error {
+	return func(_ *Spec, v int) error {
+		if v < min {
+			return fmt.Errorf("%s value %d < %d", name, v, min)
+		}
+		return nil
+	}
+}
+
+// sized is atLeast for an axis that regrows the topology and so needs
+// one of the kinds it knows how to regrow.
+func sized(name string, min int, needs string, kinds ...string) func(*Spec, int) error {
+	inRange := atLeast(name, min)
+	return func(s *Spec, v int) error {
+		for _, k := range kinds {
+			if s.Topology.Kind == k {
+				return inRange(s, v)
+			}
+		}
+		return fmt.Errorf("%s axis needs a %s, not %q", name, needs, s.Topology.Kind)
+	}
+}
+
+// sweepAxes lists every axis in Sweep field order, which is expansion
+// order (the last-listed axis varies fastest).
+var sweepAxes = []sweepAxis{
+	axisOf("hops", func(sw *Sweep) []int { return sw.Hops }, strconv.Itoa,
+		func(c *Spec, h int) {
 			if c.Topology.Kind == TopoTwinLeaf {
 				c.Topology.PathHops = h
 			} else { // chain (validated)
 				c.Topology.Nodes = h + 1
 			}
-		}})
-	}
-	add(hops)
-	var devs []sweepOpt
-	for _, d := range sw.Devices {
-		d := d
-		devs = append(devs, sweepOpt{AxisValue{"dev", strconv.Itoa(d)},
-			func(c *Spec) { c.Topology.Nodes = d + 1 }})
-	}
-	add(devs)
-	var sizes []sweepOpt
-	for _, n := range sw.Nodes {
-		n := n
-		sizes = append(sizes, sweepOpt{AxisValue{"n", strconv.Itoa(n)},
-			func(c *Spec) { c.Topology.Nodes = n }})
-	}
-	add(sizes)
-	var pers []sweepOpt
-	for _, p := range sw.PER {
-		p := p
-		// 6 significant digits keep labels like 7% from leaking float
-		// noise (0.07·100 is not exactly 7 in binary).
-		pers = append(pers, sweepOpt{AxisValue{"per", strconv.FormatFloat(p*100, 'g', 6, 64) + "%"},
-			func(c *Spec) { c.Net.PER = p }})
-	}
-	add(pers)
-	var losses []sweepOpt
-	for _, p := range sw.InjectedLoss {
-		p := p
-		losses = append(losses, sweepOpt{AxisValue{"loss", strconv.FormatFloat(p*100, 'g', 6, 64) + "%"},
-			func(c *Spec) { c.Net.InjectedLoss = p }})
-	}
-	add(losses)
-	var intfs []sweepOpt
-	for _, v := range sw.Interference {
-		v := v
-		intfs = append(intfs, sweepOpt{AxisValue{"intf", strconv.FormatFloat(v*100, 'g', 6, 64) + "%"},
-			func(c *Spec) { c.Net.Interference = v }})
-	}
-	add(intfs)
-	var ds []sweepOpt
-	for _, d := range sw.RetryDelay {
-		d := d
-		ds = append(ds, sweepOpt{AxisValue{"d", d.String()},
-			func(c *Spec) { c.Net.RetryDelay = &d }})
-	}
-	add(ds)
-	var frames []sweepOpt
-	for _, f := range sw.SegFrames {
-		f := f
-		frames = append(frames, sweepOpt{AxisValue{"mss", strconv.Itoa(f) + "f"},
-			func(c *Spec) { c.Net.SegFrames = f }})
-	}
-	add(frames)
-	var wins []sweepOpt
-	for _, w := range sw.WindowSegs {
-		w := w
-		wins = append(wins, sweepOpt{AxisValue{"w", strconv.Itoa(w)},
-			func(c *Spec) { c.Net.WindowSegs = w }})
-	}
-	add(wins)
-	var vars []sweepOpt
-	for _, v := range sw.Variants {
-		v := v
-		vars = append(vars, sweepOpt{AxisValue{"cc", v}, func(c *Spec) {
+		}, sized("hops", 1, "chain or twinleaf topology", TopoChain, TopoTwinLeaf)),
+	axisOf("dev", func(sw *Sweep) []int { return sw.Devices }, strconv.Itoa,
+		func(c *Spec, d int) { c.Topology.Nodes = d + 1 },
+		sized("devices", 1, "star or chain topology", TopoStar, TopoChain)),
+	axisOf("n", func(sw *Sweep) []int { return sw.Nodes }, strconv.Itoa,
+		func(c *Spec, n int) { c.Topology.Nodes = n },
+		func(s *Spec, n int) error {
+			if s.Topology.Kind != TopoRandomGeometric {
+				return fmt.Errorf("nodes axis needs a random_geometric topology, not %q (chain/star sizes sweep via hops/devices)", s.Topology.Kind)
+			}
+			return atLeast("nodes", 2)(s, n)
+		}),
+	axisOf("per", func(sw *Sweep) []float64 { return sw.PER }, percent,
+		func(c *Spec, p float64) { c.Net.PER = p }, probability("per")),
+	axisOf("loss", func(sw *Sweep) []float64 { return sw.InjectedLoss }, percent,
+		func(c *Spec, p float64) { c.Net.InjectedLoss = p }, probability("injected_loss")),
+	axisOf("intf", func(sw *Sweep) []float64 { return sw.Interference }, percent,
+		func(c *Spec, v float64) { c.Net.Interference = v }, nonNegative[float64]("interference")),
+	axisOf("d", func(sw *Sweep) []Duration { return sw.RetryDelay }, Duration.String,
+		func(c *Spec, d Duration) { c.Net.RetryDelay = &d }, nonNegative[Duration]("retry_delay")),
+	axisOf("mss", func(sw *Sweep) []int { return sw.SegFrames },
+		func(f int) string { return strconv.Itoa(f) + "f" },
+		func(c *Spec, f int) { c.Net.SegFrames = f }, atLeast("seg_frames", 1)),
+	axisOf("w", func(sw *Sweep) []int { return sw.WindowSegs }, strconv.Itoa,
+		func(c *Spec, w int) { c.Net.WindowSegs = w }, atLeast("window_segs", 1)),
+	axisOf("cc", func(sw *Sweep) []string { return sw.Variants },
+		func(v string) string { return v },
+		func(c *Spec, v string) {
 			for i := range c.Flows {
 				c.Flows[i].Variant = v
 			}
-		}})
-	}
-	add(vars)
-	var protos []sweepOpt
-	for _, p := range sw.Protocols {
-		p := p
-		protos = append(protos, sweepOpt{AxisValue{"proto", p}, func(c *Spec) {
+		},
+		func(_ *Spec, v string) error {
+			_, err := cc.Parse(v)
+			return err
+		}),
+	axisOf("proto", func(sw *Sweep) []string { return sw.Protocols },
+		func(p string) string { return p },
+		func(c *Spec, p string) {
 			protocol, confirmable, rto, _ := protoPreset(p)
 			for i := range c.Flows {
 				f := &c.Flows[i]
 				f.Protocol = protocol
 				f.Confirmable = confirmable
 				f.RTO = rto
-				if protocol != flows.ProtocolTCP {
+				if protocol != protoTCP {
 					// TCP-only knobs have nothing to bind to.
 					f.Variant, f.Profile, f.Trace = "", "", false
 					f.WindowSegs, f.Pacing = 0, nil
 				}
 			}
-		}})
+		},
+		func(_ *Spec, p string) error {
+			if _, _, _, ok := protoPreset(p); !ok {
+				return fmt.Errorf("unknown protocol preset %q (have tcp, udp, coap, coap-non, cocoa)", p)
+			}
+			return nil
+		}),
+}
+
+// axes lists the sweep's populated dimensions in field order.
+func (sw *Sweep) axes() [][]sweepOpt {
+	var out [][]sweepOpt
+	for _, ax := range sweepAxes {
+		if opts := ax.opts(sw); len(opts) > 0 {
+			out = append(out, opts)
+		}
 	}
-	add(protos)
 	return out
 }
 
@@ -792,69 +858,12 @@ func (s *Spec) validateSweep() error {
 		return fmt.Errorf("scenario %q: sweep: %s", s.Name, fmt.Sprintf(format, args...))
 	}
 	sw := s.Sweep
-	if len(sw.Hops) > 0 && s.Topology.Kind != TopoChain && s.Topology.Kind != TopoTwinLeaf {
-		return bad("hops axis needs a chain or twinleaf topology, not %q", s.Topology.Kind)
-	}
-	for _, h := range sw.Hops {
-		if h < 1 {
-			return bad("hops value %d < 1", h)
-		}
-	}
-	if len(sw.Devices) > 0 && s.Topology.Kind != TopoStar && s.Topology.Kind != TopoChain {
-		return bad("devices axis needs a star or chain topology, not %q", s.Topology.Kind)
-	}
-	for _, d := range sw.Devices {
-		if d < 1 {
-			return bad("devices value %d < 1", d)
-		}
-	}
-	if len(sw.Nodes) > 0 && s.Topology.Kind != TopoRandomGeometric {
-		return bad("nodes axis needs a random_geometric topology, not %q (chain/star sizes sweep via hops/devices)", s.Topology.Kind)
-	}
-	for _, n := range sw.Nodes {
-		if n < 2 {
-			return bad("nodes value %d < 2", n)
-		}
-	}
-	for _, p := range sw.PER {
-		if p < 0 || p >= 1 {
-			return bad("per value %v out of range [0,1)", p)
-		}
-	}
-	for _, p := range sw.InjectedLoss {
-		if p < 0 || p >= 1 {
-			return bad("injected_loss value %v out of range [0,1)", p)
-		}
-	}
-	for _, v := range sw.Interference {
-		if v < 0 {
-			return bad("negative interference value %v", v)
-		}
-	}
-	for _, d := range sw.RetryDelay {
-		if d < 0 {
-			return bad("negative retry_delay value %v", d)
-		}
-	}
-	for _, f := range sw.SegFrames {
-		if f < 1 {
-			return bad("seg_frames value %d < 1", f)
-		}
-	}
-	for _, w := range sw.WindowSegs {
-		if w < 1 {
-			return bad("window_segs value %d < 1", w)
-		}
-	}
-	for _, v := range sw.Variants {
-		if _, err := cc.Parse(v); err != nil {
+	keys := make([]string, len(sweepAxes))
+	for i, ax := range sweepAxes {
+		if err := ax.check(s); err != nil {
 			return bad("%v", err)
 		}
-	}
-	for _, p := range sw.Protocols {
-		if _, _, _, ok := protoPreset(p); !ok {
-			return bad("unknown protocol preset %q (have tcp, udp, coap, coap-non, cocoa)", p)
-		}
+		keys[i] = ax.key
 	}
 	// Collect the exact coordinate strings each populated axis will
 	// expand to, so a mistyped override value ("04", "40 ms") is a
@@ -877,7 +886,7 @@ func (s *Spec) validateSweep() error {
 		for axis, want := range ov.When {
 			vs := axisValues[axis]
 			if vs == nil {
-				return bad("override %d conditions on axis %q, which the sweep does not populate (keys: hops, dev, n, per, loss, d, mss, w, cc, proto)", i, axis)
+				return bad("override %d conditions on axis %q, which the sweep does not populate (keys: %s)", i, axis, strings.Join(keys, ", "))
 			}
 			if !vs[want] {
 				have := make([]string, 0, len(vs))
@@ -1007,6 +1016,10 @@ func (s *Spec) Validate() error {
 		if err := checkRef(f.To); err != nil {
 			return err
 		}
+		proto := f.Protocol
+		if proto == "" {
+			proto = protoTCP
+		}
 		if f.From == f.To {
 			return bad("flow %d: from == to (%s)", i, f.From)
 		}
@@ -1023,10 +1036,8 @@ func (s *Spec) Validate() error {
 			if f.From.Host {
 				return bad("flow %d: gateway flows originate at mesh devices, not the host", i)
 			}
-			switch flows.Canonical(f.Protocol) {
-			case flows.ProtocolTCP, flows.ProtocolCoAP:
-			default:
-				return bad("flow %d: gateway flows need protocol tcp or coap, not %q", i, flows.Canonical(f.Protocol))
+			if proto != protoTCP && proto != protoCoAP {
+				return bad("flow %d: gateway flows need protocol tcp or coap, not %q", i, proto)
 			}
 			switch f.Pattern {
 			case "", PatternAnemometer:
@@ -1069,22 +1080,22 @@ func (s *Spec) Validate() error {
 		default:
 			return bad("flow %d: unknown pattern %q (have bulk, onoff, anemometer)", i, f.Pattern)
 		}
-		if _, ok := flows.Lookup(f.Protocol); !ok {
-			return bad("flow %d: unknown protocol %q (have %s)", i, f.Protocol,
-				strings.Join(flows.Protocols(), ", "))
-		}
-		if flows.Canonical(f.Protocol) != flows.ProtocolTCP {
-			// Non-TCP drivers carry telemetry only; the TCP-specific
+		switch proto {
+		case protoTCP:
+		case protoUDP, protoCoAP:
+			// Non-TCP transports carry telemetry only; the TCP-specific
 			// knobs have nothing to bind to.
 			if f.Pattern == PatternBulk || f.Pattern == PatternOnOff {
 				return bad("flow %d: pattern %q needs protocol tcp (udp/coap flows carry the anemometer pattern)", i, f.Pattern)
 			}
 			if f.Variant != "" || f.Profile != "" || f.Trace || f.WindowSegs != 0 || f.Pacing != nil {
-				return bad("flow %d: variant/profile/trace/window_segs/pacing are TCP knobs; protocol is %q", i, f.Protocol)
+				return bad("flow %d: variant/profile/trace/window_segs/pacing are TCP knobs; protocol is %q", i, proto)
 			}
+		default:
+			return bad("flow %d: unknown protocol %q (have coap, tcp, udp)", i, proto)
 		}
-		if f.Protocol != "coap" && (f.Confirmable != nil || f.RTO != "") {
-			return bad("flow %d: confirmable/rto are coap knobs; protocol is %q", i, flows.Canonical(f.Protocol))
+		if proto != protoCoAP && (f.Confirmable != nil || f.RTO != "") {
+			return bad("flow %d: confirmable/rto are coap knobs; protocol is %q", i, proto)
 		}
 		switch f.RTO {
 		case "", "default", "cocoa":
@@ -1246,10 +1257,13 @@ func (s *Spec) withDefaults() *Spec {
 		if f.Label == "" {
 			f.Label = fmt.Sprintf("%s->%s", f.From, f.To)
 		}
+		if f.Protocol == "" {
+			f.Protocol = protoTCP
+		}
 		if f.Pattern == "" {
 			// Non-TCP protocols and gateway flows carry telemetry; direct
 			// TCP defaults to a saturating stream.
-			if f.To.Gateway || flows.Canonical(f.Protocol) != flows.ProtocolTCP {
+			if f.To.Gateway || f.Protocol != protoTCP {
 				f.Pattern = PatternAnemometer
 			} else {
 				f.Pattern = PatternBulk

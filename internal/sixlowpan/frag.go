@@ -107,20 +107,23 @@ func RewriteTag(b []byte, tag uint16) error {
 type Fragmenter struct {
 	tag  uint16
 	free [][]byte
+	// bufCap is the capacity every pooled buffer has or is grown to: the
+	// largest link MTU or buffer asked for so far. A recycled buffer then
+	// fits any request, so a pool of mixed sizes does not churn.
+	bufCap int
 }
 
 // getBuf returns an empty buffer with at least the requested capacity,
 // recycling a released one when possible.
 func (f *Fragmenter) getBuf(capacity int) []byte {
+	f.bufCap = max(f.bufCap, capacity)
 	if n := len(f.free); n > 0 {
 		b := f.free[n-1]
 		f.free[n-1] = nil
 		f.free = f.free[:n-1]
-		if cap(b) >= capacity {
-			return b[:0]
-		}
+		return slices.Grow(b[:0], f.bufCap) // grows only a buffer older than a larger request
 	}
-	return make([]byte, 0, capacity)
+	return make([]byte, 0, f.bufCap)
 }
 
 // Clone copies b into a pooled buffer — the relay path uses it so
@@ -159,6 +162,7 @@ func (f *Fragmenter) NextTag() uint16 {
 // the 40-byte uncompressed header plus enough payload to end on an
 // 8-octet boundary, as RFC 4944 requires.
 func (f *Fragmenter) AppendFragments(dst [][]byte, chdr, payload []byte, maxLink int) [][]byte {
+	f.bufCap = max(f.bufCap, maxLink)
 	if len(chdr)+len(payload) <= maxLink {
 		one := f.getBuf(len(chdr) + len(payload))
 		one = append(one, chdr...)

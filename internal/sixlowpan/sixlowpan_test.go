@@ -352,3 +352,47 @@ func TestQuickIPHCRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFragmenterPoolMixedSizes: a node sends full-size fragments and
+// short frames (ACKs, relayed last fragments) through one pool. Once a
+// first round has stocked it, every buffer handed out must be one of
+// that round's — a short buffer popped for a full-size request is kept
+// and fits, not dropped for a fresh one.
+func TestFragmenterPoolMixedSizes(t *testing.T) {
+	var f Fragmenter
+	chdr := CompressHeader(meshHeader(1, 2))
+	segment := bytes.Repeat([]byte{0x33}, 440)
+	ack := bytes.Repeat([]byte{0x44}, 32)
+	fullFrame := bytes.Repeat([]byte{0x55}, phy.MaxMACPayload)
+	var frames [][]byte
+	stock := map[*byte]bool{}
+	release := func(warm bool) {
+		for _, fr := range frames {
+			if p := &fr[:1][0]; warm {
+				stock[p] = true
+			} else if !stock[p] {
+				t.Fatalf("a %d-byte frame got a fresh buffer with %d pooled", len(fr), len(stock))
+			}
+			f.Release(fr)
+		}
+		frames = frames[:0]
+	}
+	full := func(warm bool) {
+		frames = f.AppendFragments(frames, chdr, segment, phy.MaxMACPayload)
+		frames = append(frames, f.Clone(fullFrame))
+		release(warm)
+	}
+	short := func(warm bool) {
+		frames = f.AppendFragments(frames, chdr, ack, phy.MaxMACPayload)
+		frames = append(frames, f.Clone(ack), f.Clone(ack[:8]))
+		release(warm)
+	}
+	full(true)
+	for i := 0; i < 8; i++ {
+		short(false)
+		full(false)
+	}
+	if n := testing.AllocsPerRun(20, func() { short(false); full(false) }); n != 0 {
+		t.Fatalf("alternating short and full-size rounds cost %.0f allocations each, want 0", n)
+	}
+}

@@ -24,7 +24,7 @@ type Options struct {
 	// delay knob.
 	MAC mac.Params
 	// TCP is the base connection configuration; MSS and buffer sizes are
-	// derived from SegFrames and WindowSegs unless SetExplicitTCP.
+	// always derived from SegFrames and WindowSegs (DerivedTCPConfig).
 	TCP tcplp.Config
 	// SegFrames is the TCP MSS expressed in 802.15.4 frames (§6.1;
 	// paper default 5).
@@ -265,16 +265,6 @@ func (net *Network) MakeSleepyLeaf(id int) *mac.SleepController {
 
 // Border returns the border router (node 0).
 func (net *Network) Border() *Node { return net.Nodes[net.borderID] }
-
-// SetTCPConfig replaces a node's TCP instance with one using cfg. Call
-// before opening sockets on the node (used to mix stack profiles, e.g.
-// a uIP-class sender against a full TCPlp receiver in Table 7).
-func (n *Node) SetTCPConfig(cfg tcplp.Config) {
-	n.TCP = tcplp.NewStack(n.Net.Eng, n.Addr, cfg)
-	n.TCP.Output = n.SendPacket
-	n.TCP.PoolEncode = true
-	n.TCP.Trace, n.TCP.TraceNode = n.Net.Opt.Trace, n.ID
-}
 
 // TotalFramesSent sums frames put on air by all mesh radios — the
 // Fig. 6d metric.

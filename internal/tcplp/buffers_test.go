@@ -96,7 +96,7 @@ func TestQuickSendBufferEquivalence(t *testing.T) {
 				data := make([]byte, n)
 				rng.Read(data)
 				took := b.Write(data)
-				want := minInt(n, b.Capacity()-len(ref))
+				want := min(n, b.Capacity()-len(ref))
 				if took != want {
 					return false
 				}
@@ -108,7 +108,7 @@ func TestQuickSendBufferEquivalence(t *testing.T) {
 				off := rng.Intn(len(ref))
 				p := make([]byte, rng.Intn(32)+1)
 				n := b.ReadAt(p, off)
-				want := minInt(len(p), len(ref)-off)
+				want := min(len(p), len(ref)-off)
 				if n != want || !bytes.Equal(p[:n], ref[off:off+n]) {
 					return false
 				}
@@ -272,7 +272,7 @@ func TestQuickReceiveQueueEquivalence(t *testing.T) {
 			} else { // read
 				p := make([]byte, rng.Intn(64)+1)
 				n := q.Read(p)
-				want := minInt(len(p), len(m.unread))
+				want := min(len(p), len(m.unread))
 				if n != want || !bytes.Equal(p[:n], m.unread[:n]) {
 					return false
 				}

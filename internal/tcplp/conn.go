@@ -269,9 +269,6 @@ func newConn(s *Stack, cfg Config) *Conn {
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// LocalPort returns the local port.
-func (c *Conn) LocalPort() uint16 { return c.localPort }
-
 // RemoteAddr returns the peer address and port.
 func (c *Conn) RemoteAddr() (ip6.Addr, uint16) { return c.remoteAddr, c.remotePort }
 
@@ -289,15 +286,6 @@ func (c *Conn) Ssthresh() int { return c.cong.Ssthresh() }
 
 // Variant returns the congestion-control algorithm in use.
 func (c *Conn) Variant() cc.Variant { return c.cong.Name() }
-
-// BytesInFlight returns snd.max − snd.una.
-func (c *Conn) BytesInFlight() int { return c.sndMax.Diff(c.sndUna) }
-
-// ExpectingAck reports whether unacknowledged data is outstanding — the
-// signal the duty-cycle controller polls fast on (§9.2).
-func (c *Conn) ExpectingAck() bool {
-	return c.state != StateClosed && c.sndMax.Diff(c.sndUna) > 0
-}
 
 // Write queues data for transmission, returning how many bytes fit in
 // the send buffer. It never blocks; watch OnWritable for free space.
@@ -364,12 +352,6 @@ func (c *Conn) Abort() {
 	c.sendRST(c.sndNxt)
 	c.teardown(ErrConnClosed)
 }
-
-// finSeqNum is the sequence number the FIN occupies.
-func (c *Conn) finSeqNum() Seq { return c.queuedEnd }
-
-// finSent reports whether the FIN has been transmitted at least once.
-func (c *Conn) finSent() bool { return c.finQueued && c.sndMax.GT(c.queuedEnd) }
 
 // finAcked reports whether the peer acknowledged our FIN.
 func (c *Conn) finAcked() bool { return c.finQueued && c.sndUna.GT(c.queuedEnd) }

@@ -303,7 +303,7 @@ func TestZeroWindowProbing(t *testing.T) {
 	sent := 0
 	pump := func() {
 		for sent < toSend {
-			w, _ := client.Write(make([]byte, minInt(512, toSend-sent)))
+			w, _ := client.Write(make([]byte, min(512, toSend-sent)))
 			if w == 0 {
 				return
 			}

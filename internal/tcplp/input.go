@@ -298,7 +298,7 @@ func (c *Conn) onDupAck() {
 		if c.sndUna.LT(c.recover) && c.recover.GT(c.iss) {
 			return
 		}
-		flight := minInt(c.sndMax.Diff(c.sndUna), c.sendWindow())
+		flight := min(c.sndMax.Diff(c.sndUna), c.sendWindow())
 		c.cong.OnDupAck(c.now(), mss, flight)
 		c.inRecovery = true
 		c.recover = c.sndMax
@@ -306,7 +306,7 @@ func (c *Conn) onDupAck() {
 		c.rtxPipe = 0
 		c.Stats.FastRetransmits++
 		c.emit(obs.TCPFastRtx, int64(c.dupAcks), 0, 0)
-		n := minInt(mss, c.queuedEnd.Diff(c.sndUna))
+		n := min(mss, c.queuedEnd.Diff(c.sndUna))
 		if n > 0 {
 			c.sendData(c.sndUna, n, false, true)
 		} else if c.finQueued {
@@ -339,7 +339,7 @@ func (c *Conn) handleNewAck(seg *Segment, ack Seq) {
 			// Partial acknowledgment: retransmit the next hole, deflate
 			// by the amount acked, allow one more segment.
 			dataLeft := c.queuedEnd.Diff(ack)
-			n := minInt(mss, dataLeft)
+			n := min(mss, dataLeft)
 			if n > 0 && !c.peerSACK {
 				c.sendDataAt(ack, n)
 			}
@@ -365,14 +365,14 @@ func (c *Conn) handleNewAck(seg *Segment, ack Seq) {
 	if c.finQueued && ack.GT(c.queuedEnd) {
 		phantoms++ // our FIN
 	}
-	dataAcked := minInt(acked-phantoms, c.sndBuf.Len())
+	dataAcked := min(acked-phantoms, c.sndBuf.Len())
 	if dataAcked > 0 {
 		c.sndBuf.Discard(dataAcked)
 	}
 	c.sndUna = ack
 	c.checkInvariant("handleNewAck")
 	c.sb.AdvanceUna(ack)
-	c.rtxPipe = maxInt(0, c.rtxPipe-acked)
+	c.rtxPipe = max(0, c.rtxPipe-acked)
 	if c.sndNxt.LT(c.sndUna) {
 		c.sndNxt = c.sndUna
 	}
@@ -411,7 +411,7 @@ func (c *Conn) updateSendWindow(seg *Segment) {
 	if seg.SeqNum.GT(c.sndWL1) ||
 		(seg.SeqNum == c.sndWL1 && seg.AckNum.GEQ(c.sndWL2)) {
 		c.sndWnd = int(seg.Window)
-		c.maxSndWnd = maxInt(c.maxSndWnd, c.sndWnd)
+		c.maxSndWnd = max(c.maxSndWnd, c.sndWnd)
 		c.sndWL1, c.sndWL2 = seg.SeqNum, seg.AckNum
 		if c.sndWnd > 0 {
 			if c.persist.Armed() && c.sndNxt.GT(c.sndUna) {
@@ -434,7 +434,7 @@ func (c *Conn) ecnCongestionResponse() {
 		return
 	}
 	mss := c.effMSS()
-	flight := minInt(c.sndMax.Diff(c.sndUna), c.sendWindow())
+	flight := min(c.sndMax.Diff(c.sndUna), c.sendWindow())
 	c.cong.OnECN(c.now(), mss, flight)
 	c.ecnRecover = c.sndMax
 	c.cwrToSend = true

@@ -189,7 +189,7 @@ func (c *Conn) output() {
 		}
 		// Usable window beyond what is already in flight.
 		usable := win - offset
-		segLen := minInt(avail, minInt(usable, mss))
+		segLen := min(avail, min(usable, mss))
 
 		// The FIN is due whenever snd.nxt sits exactly at the end of the
 		// data stream — true both for the first transmission and after an
@@ -256,7 +256,7 @@ func (c *Conn) sackRetransmit() bool {
 	if !ok {
 		return false
 	}
-	n := minInt(hole.End.Diff(hole.Start), c.effMSS())
+	n := min(hole.End.Diff(hole.Start), c.effMSS())
 	if n <= 0 {
 		return false
 	}
@@ -497,7 +497,7 @@ func (c *Conn) onRTO() {
 		return
 	}
 	mss := c.effMSS()
-	flight := minInt(c.sndMax.Diff(c.sndUna), c.sendWindow())
+	flight := min(c.sndMax.Diff(c.sndUna), c.sendWindow())
 	c.cong.OnRTO(c.now(), mss, flight)
 	c.traceCwnd()
 	c.inRecovery = false
@@ -578,20 +578,6 @@ func (c *Conn) enterTimeWait() {
 
 func (c *Conn) onTimeWaitExpiry() {
 	c.teardown(nil)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func clampInt(v, lo, hi int) int {

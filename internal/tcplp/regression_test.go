@@ -57,7 +57,7 @@ func recordCwndScenario(t *testing.T) []string {
 	sent := 0
 	pump := func() {
 		for sent < total {
-			w, err := client.Write(make([]byte, minInt(1024, total-sent)))
+			w, err := client.Write(make([]byte, min(1024, total-sent)))
 			if err != nil {
 				t.Fatalf("write: %v", err)
 			}
@@ -268,7 +268,7 @@ func TestPersistEpisodeDoesNotPolluteRTT(t *testing.T) {
 	sent := 0
 	pump := func() {
 		for sent < total {
-			n, err := client.Write(make([]byte, minInt(512, total-sent)))
+			n, err := client.Write(make([]byte, min(512, total-sent)))
 			if err != nil {
 				t.Fatalf("write: %v", err)
 			}

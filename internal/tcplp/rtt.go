@@ -52,7 +52,7 @@ func (e *rttEstimator) Sample(rtt sim.Duration) {
 		e.rttvar = (3*e.rttvar + diff) / 4
 		e.srtt = (7*e.srtt + rtt) / 8
 	}
-	rto := e.srtt + maxDur(4*e.rttvar, sim.Millisecond)
+	rto := e.srtt + max(4*e.rttvar, sim.Millisecond)
 	e.rto = clampDur(rto, e.rtoMin, e.rtoMax)
 }
 
@@ -73,13 +73,6 @@ func (e *rttEstimator) Backoff(shift int) sim.Duration {
 		}
 	}
 	return clampDur(rto, e.rtoMin, e.rtoMax)
-}
-
-func maxDur(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func clampDur(d, lo, hi sim.Duration) sim.Duration {

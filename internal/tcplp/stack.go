@@ -358,6 +358,3 @@ func (s *Stack) noteExpecting(c *Conn, on bool) {
 		s.OnExpectingChange(after)
 	}
 }
-
-// Conns returns the number of active connections (diagnostics).
-func (s *Stack) Conns() int { return len(s.conns) }

@@ -197,7 +197,7 @@ func persistScenario(t *testing.T, seed int64) (*testLink, *Conn, *Conn) {
 	sent := 0
 	pump := func() {
 		for sent < total {
-			n, err := client.Write(make([]byte, minInt(512, total-sent)))
+			n, err := client.Write(make([]byte, min(512, total-sent)))
 			if err != nil {
 				t.Fatalf("write: %v", err)
 			}
