@@ -32,10 +32,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"tcplp/internal/experiments"
@@ -64,7 +66,7 @@ func main() {
 		evOut    = flag.String("events-out", "", "write the structured NDJSON event trace to this file (scenario runs)")
 		evLayers = flag.String("events-layers", "", "filter -events-out to these comma-separated layers (phy,mac,sixlowpan,ip,tcp,coap,gateway,wan,journey)")
 		evFlows  = flag.String("events-flow", "", "filter -events-out to these comma-separated flow labels' source nodes")
-		jrny     = flag.Bool("journey", false, "reconstruct per-reading packet journeys and attach latency attribution to flow results (scenario runs)")
+		jrny     = flag.Bool("journey", false, "reconstruct per-reading packet journeys, attach latency attribution to flow results and check trace conformance, exiting 1 on a violation (scenario runs)")
 		jrnyOut  = flag.String("journey-out", "", "write per-reading span trees as Chrome trace events to this file (Perfetto-loadable; implies -journey)")
 		metrIntv = flag.String("metrics-interval", "", "sample per-layer metrics into -events-out at this period (e.g. 10s)")
 		stallWin = flag.String("flight-stall", "4s", "flight-recorder stall window (0 disables the stall checker)")
@@ -132,9 +134,24 @@ func main() {
 			os.Exit(1)
 		}
 		oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, *metrIntv, *stallWin, *jrny, *jrnyOut, *delivThr)
+		// Every traced run goes through the conformance checker.
+		var jt *journeyTotals
+		if oc != nil && (oc.Journey || oc.JourneyOut != nil) {
+			jt = &journeyTotals{}
+			oc.OnJourney = jt.observe
+		}
 		runner := &scenario.Runner{Workers: *workers, Obs: oc, Variant: ccVariant, WindowSegs: *window}
 		runScenario(*scenFile, runner, *seeds, *format, *durFlag, *warmFlag)
 		finish()
+		if jt != nil {
+			out := os.Stderr // keep csv/json output parseable
+			if *format == "summary" {
+				out = os.Stdout
+			}
+			if !jt.report(out) {
+				os.Exit(1)
+			}
+		}
 		return
 	}
 	if *durFlag != "" || *warmFlag != "" {
@@ -290,6 +307,45 @@ func buildObsConfig(traceOut, evOut, evLayers, evFlows, metrIntv, stallWin strin
 	}
 	oc.Flight = fc
 	return oc, finish
+}
+
+// journeyTotals sums the conformance checker's verdicts over every
+// traced run of an invocation. The runner calls observe from its worker
+// goroutines.
+type journeyTotals struct {
+	mu                                         sync.Mutex
+	runs, generated, delivered, lost, inFlight int
+	violations                                 int
+	first                                      []string // the first few violations, tagged with their run
+}
+
+func (jt *journeyTotals) observe(name string, seed int64, rep *journey.Report) {
+	c := journey.Check(rep)
+	jt.mu.Lock()
+	defer jt.mu.Unlock()
+	jt.runs++
+	jt.generated += c.Generated
+	jt.delivered += c.Delivered
+	jt.lost += c.Lost
+	jt.inFlight += c.InFlight
+	jt.violations += len(c.Violations)
+	for _, v := range c.Violations {
+		if len(jt.first) == 5 {
+			break
+		}
+		jt.first = append(jt.first, fmt.Sprintf("%s seed %d: %s", name, seed, v))
+	}
+}
+
+// report prints the totals and any violations; false means the trace
+// did not conform.
+func (jt *journeyTotals) report(w io.Writer) bool {
+	fmt.Fprintf(w, "journey conformance: %d run(s), %d readings generated = %d delivered + %d lost + %d in flight, %d violation(s)\n",
+		jt.runs, jt.generated, jt.delivered, jt.lost, jt.inFlight, jt.violations)
+	for _, v := range jt.first {
+		fmt.Fprintf(os.Stderr, "journey conformance violation: %s\n", v)
+	}
+	return jt.violations == 0
 }
 
 // splitList parses a comma-separated flag value, trimming blanks.

@@ -22,10 +22,13 @@ type FlightRecorder struct {
 }
 
 type flightRing struct {
-	label        string
-	events       []Event // ring storage
-	next         int     // write cursor once full
-	lastProgress sim.Time
+	label  string
+	events []Event // ring storage
+	next   int     // write cursor once full
+	// unanswered is set by a transport attempt and cleared by progress;
+	// since is the oldest attempt still waiting.
+	unanswered bool
+	since      sim.Time
 }
 
 // isProgress reports whether e advances its flow — a received segment,
@@ -37,6 +40,23 @@ func isProgress(e Event) bool {
 	switch e.Kind {
 	case TCPRecv, CoAPRTO, FragReassembled:
 		return true
+	}
+	return false
+}
+
+// isAttempt reports whether e is the flow's transport trying to move
+// data — a payload segment, a retransmission timeout, a reliable
+// datagram handed down or retransmitted — and so expecting an answer.
+// MAC and PHY events do not count: a relay emits them for other flows'
+// traffic, and an idle flow emits none of its own.
+func isAttempt(e Event) bool {
+	switch e.Kind {
+	case TCPSend:
+		return e.Len > 0
+	case TCPRTO, CoAPRtx:
+		return true
+	case JourneyData:
+		return e.Len != 0 // a reliable transfer; an unreliable one expects no answer
 	}
 	return false
 }
@@ -63,7 +83,9 @@ func (f *FlightRecorder) Record(e Event) {
 		return
 	}
 	if isProgress(e) {
-		r.lastProgress = e.T
+		r.unanswered = false
+	} else if !r.unanswered && isAttempt(e) {
+		r.unanswered, r.since = true, e.T
 	}
 	if len(r.events) < cap(r.events) {
 		r.events = append(r.events, e)
@@ -102,13 +124,14 @@ func (f *FlightRecorder) Nodes() []int {
 	return nodes
 }
 
-// LastProgress returns the time of node's most recent progress event
-// (zero when none has been recorded).
-func (f *FlightRecorder) LastProgress(node int) sim.Time {
-	if r := f.flows[node]; r != nil {
-		return r.lastProgress
+// Unanswered reports whether node's flow has a transport attempt that no
+// progress event has followed, and when the oldest such attempt was
+// made. A flow with nothing outstanding is idle, not stalled.
+func (f *FlightRecorder) Unanswered(node int) (since sim.Time, ok bool) {
+	if r := f.flows[node]; r != nil && r.unanswered {
+		return r.since, true
 	}
-	return 0
+	return 0, false
 }
 
 // Label returns the flow label bound to node ("" when unbound).
@@ -131,8 +154,15 @@ func (f *FlightRecorder) Dump(w io.Writer, node int, run string, seed int64, rea
 	fmt.Fprintf(w, "=== flight recorder: flow %q (node %d) run %q seed %d — %s (%d events) ===\n",
 		r.label, node, run, seed, reason, len(evs))
 	for _, e := range evs {
-		fmt.Fprintf(w, "%12d %-16s node=%d a=%d b=%d len=%d\n",
+		fmt.Fprintf(w, "%12d %-16s node=%d a=%d b=%d len=%d",
 			int64(e.T), e.Kind.String(), e.Node, e.A, e.B, e.Len)
+		if e.J != 0 {
+			fmt.Fprintf(w, " j=%d", e.J)
+		}
+		if e.Cause != CauseNone {
+			fmt.Fprintf(w, " cause=%s", e.Cause)
+		}
+		fmt.Fprintln(w)
 	}
 }
 

@@ -38,25 +38,40 @@ func TestFlightRingWrap(t *testing.T) {
 func TestFlightProgressTracking(t *testing.T) {
 	fr := NewFlightRecorder(8)
 	fr.Bind(2, "flow")
-	// Sends and retransmissions are attempts, not progress.
-	fr.Record(Event{T: 100, Kind: TCPSend, Node: 2})
+	// MAC/PHY traffic and bare ACKs are not transport attempts: a flow
+	// emitting only those is idle, not waiting.
+	fr.Record(Event{T: 50, Kind: MacRetry, Node: 2})
+	fr.Record(Event{T: 60, Kind: PhyTx, Node: 2, Len: 40})
+	fr.Record(Event{T: 70, Kind: TCPSend, Node: 2}) // Len 0: an ACK
+	fr.Record(Event{T: 80, Kind: JourneyData, Node: 2, J: 1})
+	if _, ok := fr.Unanswered(2); ok {
+		t.Fatal("MAC/PHY events, a bare ACK or an unreliable datagram left the flow waiting")
+	}
+	// Sends and retransmissions are attempts; the oldest one dates the wait.
+	fr.Record(Event{T: 100, Kind: TCPSend, Node: 2, Len: 82})
 	fr.Record(Event{T: 200, Kind: TCPRTO, Node: 2})
 	fr.Record(Event{T: 300, Kind: MacRetry, Node: 2})
-	if got := fr.LastProgress(2); got != 0 {
-		t.Fatalf("attempts advanced LastProgress to %d", got)
+	if since, ok := fr.Unanswered(2); !ok || since != 100 {
+		t.Fatalf("Unanswered = %d, %v; want 100, true", since, ok)
 	}
 	fr.Record(Event{T: 400, Kind: TCPRecv, Node: 2})
-	if got := fr.LastProgress(2); got != 400 {
-		t.Fatalf("LastProgress = %d, want 400", got)
+	if _, ok := fr.Unanswered(2); ok {
+		t.Fatal("progress did not answer the attempt")
 	}
-	fr.Record(Event{T: 500, Kind: TCPSend, Node: 2})
-	if got := fr.LastProgress(2); got != 400 {
-		t.Fatalf("send moved LastProgress to %d", got)
+	fr.Record(Event{T: 500, Kind: CoAPRtx, Node: 2})
+	if since, ok := fr.Unanswered(2); !ok || since != 500 {
+		t.Fatalf("Unanswered after a new attempt = %d, %v; want 500, true", since, ok)
 	}
 	for _, k := range []Kind{CoAPRTO, FragReassembled} {
 		if !isProgress(Event{Kind: k}) {
 			t.Errorf("%s should count as progress", k)
 		}
+	}
+	if !isAttempt(Event{Kind: JourneyData, Len: 1}) {
+		t.Error("a reliable datagram should count as an attempt")
+	}
+	if _, ok := fr.Unanswered(9); ok {
+		t.Error("unbound node reported waiting")
 	}
 }
 
@@ -64,12 +79,14 @@ func TestFlightDump(t *testing.T) {
 	fr := NewFlightRecorder(8)
 	fr.Bind(4, "anem-4")
 	fr.Record(Event{T: 1000, Kind: CoAPRtx, Node: 4, A: 1, B: 3000000})
+	fr.Record(Event{T: 2000, Kind: MacDrop, Node: 4, A: 2, Len: 90, J: 17, Cause: CauseRetriesExhausted})
 	var buf bytes.Buffer
 	fr.Dump(NewDumpWriter(&buf), 4, "cell-b", 11, "stalled: no progress for 4000000 us")
 	out := buf.String()
 	for _, want := range []string{
-		`flow "anem-4" (node 4)`, `run "cell-b" seed 11`, "stalled", "(1 events)",
-		"coap_rtx", "a=1 b=3000000",
+		`flow "anem-4" (node 4)`, `run "cell-b" seed 11`, "stalled", "(2 events)",
+		"coap_rtx         node=4 a=1 b=3000000 len=0\n",
+		"mac_drop         node=4 a=2 b=0 len=90 j=17 cause=retries_exhausted\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)

@@ -1,5 +1,5 @@
 // Package journey reconstructs per-reading causal packet journeys from
-// a run's cross-layer trace events.
+// a run's cross-layer trace events, as the events arrive.
 //
 // Every application reading a traced run generates is followed from
 // generation through transport acceptance, TCP segments or CoAP/UDP
@@ -11,6 +11,15 @@
 // reading must terminate delivered or lost with a typed cause — and
 // exports span trees as Chrome trace events (chrome://tracing or
 // Perfetto can open the file directly).
+//
+// The reconstruction is a fold, not a log. Recorder.Record takes each
+// event into one record per reading, one per tagged packet and one per
+// data transmission, and keeps nothing else: an event of a kind the
+// journey does not use, or a MAC/PHY event of an untagged packet (ACKs,
+// beacons, collisions), costs a switch and no memory. A traced run
+// therefore holds O(readings + tagged packets) — about 240 B per
+// reading and 100 B per data packet — however many events it emits, and
+// Recorder.Report resolves the records once, at collect.
 package journey
 
 import (
@@ -24,19 +33,6 @@ import (
 // app package imports obs, so the constant is duplicated here rather
 // than imported; a test pins the two together.)
 const ReadingSize = 82
-
-// Recorder is an obs.Sink that buffers every event in memory for
-// post-run analysis. One Recorder serves one run: the engine is
-// single-threaded, so Record needs no locking.
-type Recorder struct {
-	Events []obs.Event
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Record implements obs.Sink.
-func (r *Recorder) Record(e obs.Event) { r.Events = append(r.Events, e) }
 
 // State is a reading's terminal classification.
 type State int
@@ -154,11 +150,6 @@ type Report struct {
 	Flows map[int]*FlowReport
 }
 
-type rkey struct {
-	node int
-	seq  uint32
-}
-
 // segTx is one JourneySeg: a TCP payload transmission at the source,
 // identified by its relative stream byte range.
 type segTx struct {
@@ -185,118 +176,180 @@ type pidCost struct {
 	dropT               sim.Time
 }
 
-type analysis struct {
-	readings map[rkey]*Reading
-	order    []rkey
-	segs     map[int][]segTx  // by source node
-	datas    map[int][]dataTx // by source node
-	pids     map[int64]*pidCost
+// source is what one node has generated and transmitted. A sensor
+// numbers its readings consecutively, so readings[i] has sequence
+// number first+i.
+type source struct {
+	first    uint32
+	readings []*Reading
+	segs     []segTx
+	datas    []dataTx
 }
 
-func (a *analysis) pid(j int64) *pidCost {
-	pc := a.pids[j]
-	if pc == nil {
-		pc = &pidCost{}
-		a.pids[j] = pc
-	}
-	return pc
+const (
+	// maxNode bounds the node table: an event from a node id outside
+	// [0, maxNode) is not from this simulator and is ignored rather than
+	// allowed to size the table.
+	maxNode = 1 << 20
+	// maxIDGap is how far past the highest packet id seen a JourneySeg or
+	// JourneyData may announce a new one. Trace.NextID hands ids out
+	// consecutively and every id is announced at once, so a run never
+	// skips; the allowance lets a hand-written trace number its packets
+	// freely without letting a corrupt id size the table.
+	maxIDGap = 1 << 10
+)
+
+// Recorder is the obs.Sink that reconstructs journeys: Record folds
+// each event into the per-reading, per-source and per-packet records as
+// it arrives, and Report resolves them once the run is over. No event
+// is retained. One Recorder serves one run: the engine is
+// single-threaded, so Record needs no locking.
+type Recorder struct {
+	readings []*Reading // generation order
+	sources  []*source  // by node id; nil until the node generates or transmits
+	pids     []pidCost  // by journey packet id; grown as ids are announced
 }
 
-func (a *analysis) reading(e obs.Event) *Reading {
-	return a.readings[rkey{e.Node, uint32(e.A)}]
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
+
+// source returns node's record, creating it when the event opens one.
+// Record runs inside the event loop, so an id the tables cannot hold is
+// refused (nil), never indexed.
+func (rec *Recorder) source(node int, create bool) *source {
+	if node < 0 || node >= maxNode || (node >= len(rec.sources) && !create) {
+		return nil
+	}
+	if node >= len(rec.sources) {
+		rec.sources = append(rec.sources, make([]*source, node+1-len(rec.sources))...)
+	}
+	if rec.sources[node] == nil && create {
+		rec.sources[node] = &source{}
+	}
+	return rec.sources[node]
 }
 
-// Analyze reconstructs every reading's journey from a run's recorded
-// events (emission order — the recorder preserves it).
-func Analyze(events []obs.Event) *Report {
-	a := &analysis{
-		readings: map[rkey]*Reading{},
-		segs:     map[int][]segTx{},
-		datas:    map[int][]dataTx{},
-		pids:     map[int64]*pidCost{},
+// reading finds the reading a per-reading journey event refers to.
+func (rec *Recorder) reading(e obs.Event) *Reading {
+	src := rec.source(e.Node, false)
+	if src == nil {
+		return nil
 	}
-	for _, e := range events {
-		a.ingest(e)
+	// Unsigned: a sequence number below first wraps out of range.
+	if i := uint32(e.A) - src.first; int64(i) < int64(len(src.readings)) {
+		return src.readings[i]
 	}
-	rep := &Report{Flows: map[int]*FlowReport{}}
-	for _, k := range a.order {
-		r := a.readings[k]
-		a.resolve(r)
-		rep.Readings = append(rep.Readings, r)
+	return nil
+}
+
+// announce makes room for packet id j, introduced by a JourneySeg or
+// JourneyData event.
+func (rec *Recorder) announce(j int64) {
+	if n := int64(len(rec.pids)); j >= n && j <= n+maxIDGap {
+		rec.pids = append(rec.pids, make([]pidCost, j+1-n)...)
+	}
+}
+
+// pid returns packet j's costs: nil for an untagged packet (j == 0) and
+// for an id no transmission announced.
+func (rec *Recorder) pid(j int64) *pidCost {
+	if j <= 0 || j >= int64(len(rec.pids)) {
+		return nil
+	}
+	return &rec.pids[j]
+}
+
+// Record implements obs.Sink.
+func (rec *Recorder) Record(e obs.Event) {
+	switch e.Kind {
+	case obs.JourneyGen:
+		src := rec.source(e.Node, true)
+		if src == nil {
+			return
+		}
+		seq := uint32(e.A)
+		if len(src.readings) == 0 {
+			src.first = seq
+		} else if seq-src.first != uint32(len(src.readings)) {
+			return // a duplicate, or not the sensor's next reading
+		}
+		r := &Reading{Node: e.Node, Seq: seq, Gen: e.T}
+		src.readings = append(src.readings, r)
+		rec.readings = append(rec.readings, r)
+	case obs.JourneyEnq:
+		if r := rec.reading(e); r != nil {
+			r.Enq, r.enqIdx, r.hasEnq = e.T, e.B, true
+		}
+	case obs.JourneySeg:
+		if src := rec.source(e.Node, true); src != nil {
+			rec.announce(e.J)
+			src.segs = append(src.segs, segTx{t: e.T, jid: e.J, off: e.A, ln: int64(e.Len)})
+		}
+	case obs.JourneyData:
+		if src := rec.source(e.Node, true); src != nil {
+			rec.announce(e.J)
+			src.datas = append(src.datas,
+				dataTx{t: e.T, jid: e.J, first: uint32(e.A), count: e.B, reliable: e.Len != 0})
+		}
+	case obs.JourneyMesh:
+		if r := rec.reading(e); r != nil {
+			r.MeshDone, r.hasMesh = e.T, true
+		}
+	case obs.JourneyWanEnq:
+		if r := rec.reading(e); r != nil {
+			r.WanEnq, r.hasWan = e.T, true
+		}
+	case obs.JourneyDeliver:
+		if r := rec.reading(e); r != nil && !r.hasDeliver {
+			r.End, r.hasDeliver = e.T, true
+		}
+	case obs.JourneyLoss:
+		if r := rec.reading(e); r != nil && !r.hasLoss {
+			r.lossT, r.Cause, r.hasLoss = e.T, e.Cause, true
+		}
+	case obs.MacBackoff:
+		if pc := rec.pid(e.J); pc != nil {
+			// B is the drawn slot count; the MAC waits slots·unit + CCA.
+			pc.backoff += sim.Duration(e.B)*phy.UnitBackoff + phy.CCATime
+		}
+	case obs.MacRetry:
+		if pc := rec.pid(e.J); pc != nil {
+			pc.retry += sim.Duration(e.B)
+		}
+	case obs.PhyTx:
+		if pc := rec.pid(e.J); pc != nil {
+			pc.air += sim.Duration(e.A)
+		}
+	case obs.CoAPRtx:
+		if pc := rec.pid(e.J); pc != nil {
+			pc.rtx = append(pc.rtx, e.T)
+		}
+	case obs.QueueDrop, obs.MacDrop, obs.FragTimeout, obs.IPDrop:
+		// Terminal mesh drops end an unreliable packet's journey. (PHY
+		// losses are not terminal — link retries recover them.)
+		if pc := rec.pid(e.J); pc != nil && pc.drop == obs.CauseNone {
+			pc.drop, pc.dropT = e.Cause, e.T
+		}
+	}
+}
+
+// Report resolves every reading's journey from what Record has folded
+// so far. Call it once, when the run is over: it classifies the
+// recorder's own reading records and hands them to the report.
+func (rec *Recorder) Report() *Report {
+	rep := &Report{Readings: rec.readings, Flows: map[int]*FlowReport{}}
+	for _, r := range rec.readings {
+		rec.resolve(r)
 		rep.addToFlow(r)
 	}
 	rep.finishFlows()
 	return rep
 }
 
-func (a *analysis) ingest(e obs.Event) {
-	switch e.Kind {
-	case obs.JourneyGen:
-		k := rkey{e.Node, uint32(e.A)}
-		if _, dup := a.readings[k]; dup {
-			return
-		}
-		a.readings[k] = &Reading{Node: e.Node, Seq: uint32(e.A), Gen: e.T}
-		a.order = append(a.order, k)
-	case obs.JourneyEnq:
-		if r := a.reading(e); r != nil {
-			r.Enq, r.enqIdx, r.hasEnq = e.T, e.B, true
-		}
-	case obs.JourneySeg:
-		a.segs[e.Node] = append(a.segs[e.Node], segTx{t: e.T, jid: e.J, off: e.A, ln: int64(e.Len)})
-	case obs.JourneyData:
-		a.datas[e.Node] = append(a.datas[e.Node],
-			dataTx{t: e.T, jid: e.J, first: uint32(e.A), count: e.B, reliable: e.Len != 0})
-	case obs.JourneyMesh:
-		if r := a.reading(e); r != nil {
-			r.MeshDone, r.hasMesh = e.T, true
-		}
-	case obs.JourneyWanEnq:
-		if r := a.reading(e); r != nil {
-			r.WanEnq, r.hasWan = e.T, true
-		}
-	case obs.JourneyDeliver:
-		if r := a.reading(e); r != nil && !r.hasDeliver {
-			r.End, r.hasDeliver = e.T, true
-		}
-	case obs.JourneyLoss:
-		if r := a.reading(e); r != nil && !r.hasLoss {
-			r.lossT, r.Cause, r.hasLoss = e.T, e.Cause, true
-		}
-	case obs.MacBackoff:
-		if e.J != 0 {
-			// B is the drawn slot count; the MAC waits slots·unit + CCA.
-			a.pid(e.J).backoff += sim.Duration(e.B)*phy.UnitBackoff + phy.CCATime
-		}
-	case obs.MacRetry:
-		if e.J != 0 {
-			a.pid(e.J).retry += sim.Duration(e.B)
-		}
-	case obs.PhyTx:
-		if e.J != 0 {
-			a.pid(e.J).air += sim.Duration(e.A)
-		}
-	case obs.CoAPRtx:
-		if e.J != 0 {
-			pc := a.pid(e.J)
-			pc.rtx = append(pc.rtx, e.T)
-		}
-	case obs.QueueDrop, obs.MacDrop, obs.FragTimeout, obs.IPDrop:
-		// Terminal mesh drops end an unreliable packet's journey. (PHY
-		// losses are not terminal — link retries recover them.)
-		if e.J != 0 {
-			pc := a.pid(e.J)
-			if pc.drop == obs.CauseNone {
-				pc.drop, pc.dropT = e.Cause, e.T
-			}
-		}
-	}
-}
-
 // coveringData finds the datagram that carried r (readings leave the
 // queue in whole datagrams, so there is at most one).
-func (a *analysis) coveringData(r *Reading) *dataTx {
-	ds := a.datas[r.Node]
+func (rec *Recorder) coveringData(r *Reading) *dataTx {
+	ds := rec.sources[r.Node].datas
 	for i := len(ds) - 1; i >= 0; i-- {
 		d := &ds[i]
 		if d.first <= r.Seq && int64(r.Seq-d.first) < d.count {
@@ -306,11 +359,11 @@ func (a *analysis) coveringData(r *Reading) *dataTx {
 	return nil
 }
 
-func (a *analysis) resolve(r *Reading) {
+func (rec *Recorder) resolve(r *Reading) {
 	switch {
 	case r.hasDeliver:
 		r.State = StateDelivered
-		a.attribute(r)
+		rec.attribute(r)
 	case r.hasLoss:
 		r.State = StateLost
 		r.End = r.lossT
@@ -319,8 +372,8 @@ func (a *analysis) resolve(r *Reading) {
 		// packet: adopt the packet's terminal mesh drop cause. Reliable
 		// carriers (TCP, CoAP CON) retransmit past packet drops, so for
 		// them only an explicit JourneyLoss is terminal.
-		if d := a.coveringData(r); d != nil && !d.reliable {
-			if pc := a.pids[d.jid]; pc != nil && pc.drop != obs.CauseNone {
+		if d := rec.coveringData(r); d != nil && !d.reliable {
+			if pc := rec.pid(d.jid); pc != nil && pc.drop != obs.CauseNone {
 				r.State = StateLost
 				r.Cause, r.End, r.PID = pc.drop, pc.dropT, d.jid
 				return
@@ -346,7 +399,7 @@ func (r *Reading) stage() string {
 }
 
 // attribute computes a delivered reading's telescoping buckets.
-func (a *analysis) attribute(r *Reading) {
+func (rec *Recorder) attribute(r *Reading) {
 	if !r.hasEnq {
 		r.Enq = r.Gen // defensive: a delivered reading was accepted
 	}
@@ -354,7 +407,7 @@ func (a *analysis) attribute(r *Reading) {
 	if r.hasMesh {
 		meshRef = r.MeshDone
 	}
-	firstTx, sendTx, pid := a.locateTx(r, meshRef)
+	firstTx, sendTx, pid := rec.locateTx(r, meshRef)
 	if pid == 0 {
 		// Never saw a transmission (shouldn't happen for a delivered
 		// reading); collapse the transmit stages to zero.
@@ -377,7 +430,7 @@ func (a *analysis) attribute(r *Reading) {
 		}
 	}
 	b.Mesh = meshEnd.Sub(sendTx)
-	if pc := a.pids[pid]; pc != nil {
+	if pc := rec.pid(pid); pc != nil {
 		b.Backoff, b.Retry, b.Air = pc.backoff, pc.retry, pc.air
 	}
 	b.Forward = b.Mesh - b.Backoff - b.Retry - b.Air
@@ -393,11 +446,12 @@ func (a *analysis) attribute(r *Reading) {
 // before the mesh-egress reference. Datagram readings use their
 // covering JourneyData (CoAP retransmissions refine the delivering
 // time via the exchange's CoAPRtx records).
-func (a *analysis) locateTx(r *Reading, meshRef sim.Time) (firstTx, sendTx sim.Time, pid int64) {
+func (rec *Recorder) locateTx(r *Reading, meshRef sim.Time) (firstTx, sendTx sim.Time, pid int64) {
 	lastByte := r.enqIdx*ReadingSize + ReadingSize - 1
 	var found bool
-	for i := range a.segs[r.Node] {
-		s := &a.segs[r.Node][i]
+	segs := rec.sources[r.Node].segs
+	for i := range segs {
+		s := &segs[i]
 		if s.off <= lastByte && lastByte < s.off+s.ln {
 			if !found {
 				firstTx, found = s.t, true
@@ -410,9 +464,9 @@ func (a *analysis) locateTx(r *Reading, meshRef sim.Time) (firstTx, sendTx sim.T
 	if found {
 		return firstTx, sendTx, pid
 	}
-	if d := a.coveringData(r); d != nil {
+	if d := rec.coveringData(r); d != nil {
 		firstTx, sendTx, pid = d.t, d.t, d.jid
-		if pc := a.pids[d.jid]; pc != nil {
+		if pc := rec.pid(d.jid); pc != nil {
 			for _, t := range pc.rtx {
 				if t <= meshRef {
 					sendTx = t

@@ -3,6 +3,7 @@ package journey
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,6 +17,16 @@ func TestReadingSizeMatchesApp(t *testing.T) {
 	if ReadingSize != app.ReadingSize {
 		t.Fatalf("journey.ReadingSize = %d, app.ReadingSize = %d", ReadingSize, app.ReadingSize)
 	}
+}
+
+// Analyze feeds a hand-built trace to a Recorder the way a run's Trace
+// does, one event at a time, and resolves it.
+func Analyze(events []obs.Event) *Report {
+	rec := NewRecorder()
+	for _, e := range events {
+		rec.Record(e)
+	}
+	return rec.Report()
 }
 
 // ev abbreviates event construction for hand-built traces.
@@ -229,7 +240,11 @@ func TestWaterfallRenders(t *testing.T) {
 	}
 }
 
-func BenchmarkAnalyze(b *testing.B) {
+// recordedMix is the event stream of 200 delivered TCP readings as a
+// lossy metro run emits it: each reading's six journey-relevant events
+// among collisions, PHY losses and the MAC/PHY/TCP events of untagged
+// packets (ACKs), which are half the stream and none of the journey.
+func recordedMix() []obs.Event {
 	var events []obs.Event
 	for seq := int64(1); seq <= 200; seq++ {
 		t0 := sim.Time(seq * 10000)
@@ -238,17 +253,144 @@ func BenchmarkAnalyze(b *testing.B) {
 			ev(t0, obs.JourneyGen, 3, 0, seq, 0, 0, 0),
 			ev(t0+100, obs.JourneyEnq, 3, 0, seq, seq-1, 0, 0),
 			ev(t0+200, obs.JourneySeg, 3, jid, (seq-1)*ReadingSize, 0, 82, 0),
+			ev(t0+200, obs.TCPSend, 3, jid, seq*82, 0, 82, 0),
 			ev(t0+300, obs.MacBackoff, 3, jid, 3, 2, 0, 0),
+			ev(t0+350, obs.PhyCollision, 4, 0, 0, 0, 67, obs.CauseCollision),
+			ev(t0+360, obs.PhyCollision, 5, 0, 0, 0, 67, obs.CauseCollision),
 			ev(t0+400, obs.PhyTx, 3, jid, 4000, 0, 100, 0),
+			ev(t0+4500, obs.PhyTx, 2, 0, 352, 0, 5, 0), // link ACK
+			ev(t0+4600, obs.PhyRxDrop, 6, 0, 1, 0, 100, obs.CausePER),
+			ev(t0+4700, obs.MacBackoff, 2, 0, 3, 1, 0, 0), // TCP ACK coming back
+			ev(t0+4800, obs.TCPRecv, 3, 0, 0, 0, 0, 0),
 			ev(t0+5000, obs.JourneyDeliver, 3, 0, seq, 0, 0, 0),
 		)
 	}
+	return events
+}
+
+// TestRecorderRetainsNoEvents pins the fold: an event the journey does
+// not use costs no allocation, and a million of them leave no heap
+// behind.
+func TestRecorderRetainsNoEvents(t *testing.T) {
+	rec := NewRecorder()
+	for _, e := range recordedMix() {
+		rec.Record(e)
+	}
+	ignored := []obs.Event{
+		ev(1, obs.PhyCollision, 4, 0, 0, 0, 67, obs.CauseCollision),
+		ev(1, obs.PhyRxDrop, 4, 0, 1, 0, 67, obs.CausePER),
+		ev(1, obs.TCPSend, 3, 9, 1, 0, 82, 0),
+		ev(1, obs.TCPRecv, 3, 0, 0, 0, 0, 0),
+		ev(1, obs.FragEmit, 3, 9, 2, 0, 122, 0),
+		ev(1, obs.WanEnqueue, -1, 0, 3, 0, 90, 0),
+		// MAC/PHY events of untagged packets.
+		ev(1, obs.MacBackoff, 3, 0, 3, 2, 0, 0),
+		ev(1, obs.MacRetry, 3, 0, 1, 700, 0, 0),
+		ev(1, obs.PhyTx, 3, 0, 352, 0, 5, 0),
+		ev(1, obs.MacDrop, 3, 0, 0, 0, 0, obs.CauseRetriesExhausted),
+		// Tagged, but with an id no transmission announced.
+		ev(1, obs.PhyTx, 3, 1<<40, 352, 0, 5, 0),
+		ev(1, obs.MacBackoff, 3, -7, 3, 2, 0, 0),
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, e := range ignored {
+			rec.Record(e)
+		}
+	}); n != 0 {
+		t.Errorf("Record of events outside the journey allocates %.0f times per %d events, want 0", n, len(ignored))
+	}
+	// Tagged MAC/PHY events of an announced packet accumulate in place.
+	tagged := []obs.Event{
+		ev(1, obs.MacBackoff, 3, 7, 3, 2, 0, 0),
+		ev(1, obs.MacRetry, 3, 7, 1, 700, 0, 0),
+		ev(1, obs.PhyTx, 3, 7, 4000, 0, 100, 0),
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, e := range tagged {
+			rec.Record(e)
+		}
+	}); n != 0 {
+		t.Errorf("Record of a tagged packet's MAC/PHY events allocates %.0f times, want 0", n)
+	}
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	collision := ev(0, obs.PhyCollision, 4, 0, 0, 0, 67, obs.CauseCollision)
+	for i := 0; i < 1_000_000; i++ {
+		collision.T = sim.Time(i)
+		rec.Record(collision)
+	}
+	after := heap()
+	// A retained log would hold 64 MB here.
+	if after > before+(64<<10) {
+		t.Errorf("live heap grew %d B over 1M phy_collision events, want none", after-before)
+	}
+	if rep := rec.Report(); len(rep.Readings) != 200 {
+		t.Fatalf("reconstructed %d readings, want 200", len(rep.Readings))
+	}
+}
+
+// TestRecorderRefusesOutOfRangeIDs: Record runs inside the event loop,
+// so an id the dense tables cannot hold is dropped, not indexed, and
+// does not size a table.
+func TestRecorderRefusesOutOfRangeIDs(t *testing.T) {
+	rec := NewRecorder()
+	for _, e := range []obs.Event{
+		ev(0, obs.JourneyGen, -1, 0, 1, 0, 0, 0),
+		ev(0, obs.JourneyGen, 1<<40, 0, 1, 0, 0, 0),
+		ev(0, obs.JourneySeg, 1<<40, 1, 0, 0, 82, 0),
+		ev(0, obs.JourneyEnq, 1<<40, 0, 1, 0, 0, 0),
+		ev(0, obs.JourneyGen, 2, 0, 7, 0, 0, 0),
+		ev(0, obs.JourneyGen, 2, 0, 7, 0, 0, 0),  // duplicate
+		ev(0, obs.JourneyGen, 2, 0, 99, 0, 0, 0), // not the sensor's next reading
+		ev(0, obs.JourneyEnq, 2, 0, 6, 0, 0, 0),  // before the first reading
+		ev(0, obs.JourneyEnq, 2, 0, -1, 0, 0, 0),
+		ev(10, obs.JourneySeg, 2, 1<<50, 0, 0, 82, 0), // unannounceable id
+		ev(20, obs.PhyTx, 2, 1<<50, 4000, 0, 100, 0),
+		ev(30, obs.JourneyDeliver, 2, 0, 7, 0, 0, 0),
+	} {
+		rec.Record(e)
+	}
+	if len(rec.sources) > 3 || len(rec.pids) != 0 {
+		t.Fatalf("tables sized by out-of-range ids: %d sources, %d packet ids", len(rec.sources), len(rec.pids))
+	}
+	rep := rec.Report()
+	if len(rep.Readings) != 1 || rep.Readings[0].Seq != 7 || rep.Readings[0].State != StateDelivered {
+		t.Fatalf("readings = %+v, want node 2 seq 7 delivered alone", rep.Readings)
+	}
+	if r := rep.Readings[0]; r.PID != 1<<50 || r.Buckets.Air != 0 {
+		t.Errorf("pid/air = %d/%d, want the segment's id with no cost recorded", r.PID, r.Buckets.Air)
+	}
+	if err := Check(rep).Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkRecorderRecord is the per-event cost of tracing a run: one
+// Record per event of a recorded mix, resolved once at the end.
+func BenchmarkRecorderRecord(b *testing.B) {
+	events := recordedMix()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs0 := ms.Mallocs
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := Analyze(events)
-		if len(rep.Readings) != 200 {
+		rec := NewRecorder()
+		for _, e := range events {
+			rec.Record(e)
+		}
+		if rep := rec.Report(); len(rep.Readings) != 200 {
 			b.Fatal("bad reconstruction")
 		}
 	}
+	perEvent := float64(b.N) * float64(len(events))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perEvent, "ns/event")
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.Mallocs-mallocs0)/perEvent, "allocs/event")
 }

@@ -393,11 +393,12 @@ func (rc *runContext) collect() Result {
 		DCSamples:  rc.dcSamples,
 	}
 	idle := rc.spec.IdleWindow > 0
-	// Journey reconstruction runs once over the run's recorded events;
-	// each telemetry flow picks up its own attribution below.
+	// The recorder folded the run's events as they arrived; resolve the
+	// journeys once, and each telemetry flow picks up its own attribution
+	// below.
 	var jrep *journey.Report
 	if rc.recorder != nil {
-		jrep = journey.Analyze(rc.recorder.Events)
+		jrep = rc.recorder.Report()
 		if out := rc.oc.JourneyOut; out != nil {
 			out.AddRun(rc.spec.Name, rc.seed, jrep)
 		}

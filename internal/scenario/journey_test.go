@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -417,5 +418,31 @@ func TestJourneyWaterfallInReport(t *testing.T) {
 		if !strings.Contains(w, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, w)
 		}
+	}
+}
+
+// TestTracedRunAllocBudget holds journey tracing to its memory bound:
+// the recorder folds events into per-reading and per-packet records, so
+// a traced city slice may allocate at most half again what the untraced
+// run does. (The recorder that logged the run's events allocated 7.8
+// times as much here.)
+func TestTracedRunAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("city slice is not a -short test")
+	}
+	allocated := func(oc *ObsConfig) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunOneObs(citySpec(200), 1, oc); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	plain := allocated(nil)
+	traced := allocated(&ObsConfig{Journey: true})
+	t.Logf("untraced %d B, traced %d B (%.2fx)", plain, traced, float64(traced)/float64(plain))
+	if traced > plain+plain/2 {
+		t.Errorf("traced run allocated %d B, more than 1.5x the untraced run's %d B", traced, plain)
 	}
 }

@@ -18,12 +18,15 @@ import (
 type FlightConfig struct {
 	// RingCap bounds each flow's event ring (<=0 selects 256).
 	RingCap int
-	// StallWindow enables the in-run stall checker: a flow that makes no
-	// progress (no received segment / completed exchange) for a full
-	// window gets its ring dumped once. It approximates the k·RTO stall
-	// criterion without per-flow RTO introspection. Zero disables the
-	// checker. Note the checker schedules engine events, so it changes
-	// Result.Events (never the protocol outcome).
+	// StallWindow enables the in-run stall checker: a flow whose
+	// transport has tried to move data (payload segment, RTO, reliable
+	// datagram or its retransmission) and seen no progress (no received
+	// segment / completed exchange) for a full window since gets its
+	// ring dumped once. An idle flow — nothing outstanding — is never
+	// stalled. It approximates the k·RTO stall criterion without
+	// per-flow RTO introspection. Zero disables the checker. Note the
+	// checker schedules engine events, so it changes Result.Events
+	// (never the protocol outcome).
 	StallWindow sim.Duration
 	// DeliveryThreshold dumps a telemetry flow's ring at collect time
 	// when its delivery ratio lands below the threshold (0 disables).
@@ -51,9 +54,11 @@ type ObsConfig struct {
 	MetricsInterval sim.Duration
 	// Flight enables the per-flow flight recorder.
 	Flight *FlightConfig
-	// Journey records every run's events in memory, reconstructs
-	// per-reading causal span trees, and attaches each telemetry flow's
-	// critical-path latency attribution to its FlowResult.
+	// Journey reconstructs per-reading causal span trees and attaches
+	// each telemetry flow's critical-path latency attribution to its
+	// FlowResult. Every run folds its events into the reconstruction as
+	// they are emitted and keeps none of them, so a traced run holds
+	// O(readings + tagged packets), not O(events).
 	Journey bool
 	// JourneyOut streams each run's span trees as Chrome trace events
 	// (chrome://tracing / Perfetto-loadable). Implies Journey.
@@ -223,8 +228,10 @@ func (rc *runContext) scheduleMetricsSamples() {
 }
 
 // scheduleStallChecks arms the flight recorder's in-run stall checker:
-// every StallWindow, a bound flow whose last progress event is at least
-// one full window old gets its ring dumped (once per run).
+// every StallWindow, a bound flow whose transport has had an attempt
+// outstanding for at least one full window gets its ring dumped (once
+// per run). A flow with nothing outstanding is idle, however long ago
+// it last made progress.
 func (rc *runContext) scheduleStallChecks() {
 	oc := rc.oc
 	if oc == nil || oc.Flight == nil || oc.Flight.StallWindow <= 0 ||
@@ -249,15 +256,18 @@ func (rc *runContext) checkStalls(start sim.Time, w sim.Duration) {
 		if rc.stallDumped[node] {
 			continue
 		}
-		last := rc.flight.LastProgress(node)
-		if last < start {
-			last = start // run start is the baseline before any progress
+		since, ok := rc.flight.Unanswered(node)
+		if !ok {
+			continue
 		}
-		if now.Sub(last) >= w {
+		if since < start {
+			since = start // the measurement window opens the baseline
+		}
+		if now.Sub(since) >= w {
 			rc.stallDumped[node] = true
 			rc.flight.Dump(rc.oc.Flight.Out, node, rc.spec.Name, rc.seed,
 				fmt.Sprintf("stalled: no progress for %d us (window %d us)",
-					int64(now.Sub(last)), int64(w)))
+					int64(now.Sub(since)), int64(w)))
 		}
 	}
 }

@@ -124,6 +124,36 @@ func TestObsStallDump(t *testing.T) {
 	if !strings.Contains(out, `flow "doomed"`) {
 		t.Errorf("dump not attributed to the flow:\n%s", out)
 	}
+	if n := strings.Count(out, "=== flight recorder"); n != 1 {
+		t.Errorf("black-hole flow dumped %d times, want once", n)
+	}
+}
+
+// TestObsIdleFlowNotStalled: a healthy sensor that samples less often
+// than the stall window spends most of every window with nothing
+// outstanding. That is idle, not stalled, and must dump nothing.
+func TestObsIdleFlowNotStalled(t *testing.T) {
+	spec := obsSpec()
+	spec.Flows[0].Interval = Duration(5 * sim.Second)
+	spec.Flows[0].Batch = 1
+	spec.Duration = Duration(40 * sim.Second)
+	var dumps bytes.Buffer
+	oc := &ObsConfig{Flight: &FlightConfig{
+		RingCap:     64,
+		StallWindow: 2 * sim.Second,
+		Out:         &dumps,
+	}}
+	res, err := RunOneObs(spec, 42, oc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.Flows[0]; f.Delivered < 6 || f.DeliveryRatio < 0.9 {
+		t.Fatalf("flow delivered %d readings (ratio %.2f); the healthy-flow premise is broken",
+			f.Delivered, f.DeliveryRatio)
+	}
+	if dumps.Len() != 0 {
+		t.Errorf("idle healthy flow was dumped as stalled:\n%s", truncate(dumps.String(), 600))
+	}
 }
 
 // TestObsLowDeliveryDump: with the stall checker off, a flow ending the
