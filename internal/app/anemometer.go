@@ -48,11 +48,9 @@ func (s SensorStats) Reliability() float64 {
 // exchanges vs unreliable CoAP).
 type Transport interface {
 	// Send attempts to hand bytes to the network; it returns how many
-	// bytes were accepted. delivered is invoked (possibly later, possibly
-	// repeatedly with partial counts) as bytes are confirmed end-to-end.
+	// bytes were accepted. p is the sensor's queue, borrowed for the
+	// call: the transport copies what it accepts before returning.
 	Send(p []byte) int
-	// CanSend returns how many bytes the transport can accept now.
-	CanSend() int
 }
 
 // Sensor generates fixed-size readings on a period, queues them in a
@@ -68,11 +66,16 @@ type Sensor struct {
 	// each reading immediately).
 	Batch int
 
-	queue   []byte // queued readings, back-to-back
+	// queue[head:] is the queued readings, back-to-back. drain moves
+	// head forward and sample slides what is left back to the front
+	// when the array's tail is used up, so the array stops growing.
+	queue   []byte
+	head    int
 	seq     uint32
 	started bool
 	stopped bool
 	genTime map[uint32]sim.Time // queued-reading generation times, by seq
+	tick    func()              // sample, bound once by Start for every Schedule
 
 	// Trace/Node, when Trace is non-nil, emit per-reading journey
 	// events (generation, transport acceptance, app-queue loss). All
@@ -129,7 +132,8 @@ func (s *Sensor) Start() {
 		return
 	}
 	s.started = true
-	s.eng.Schedule(s.Interval, s.sample)
+	s.tick = s.sample
+	s.eng.Schedule(s.Interval, s.tick)
 }
 
 // Stop ceases sampling (queued readings still drain as the transport
@@ -156,13 +160,13 @@ func (s *Sensor) sample() {
 	if tr := s.Trace; tr != nil {
 		tr.Emit(obs.Event{T: s.eng.Now(), Kind: obs.JourneyGen, Node: s.Node, A: int64(s.seq)})
 	}
-	if len(s.queue)/ReadingSize >= s.QueueCap {
+	if s.QueueDepth() >= s.QueueCap {
 		s.Stats.Dropped++
 		if tr := s.Trace; tr != nil {
 			tr.Emit(obs.Event{T: s.eng.Now(), Kind: obs.JourneyLoss, Node: s.Node, A: int64(s.seq), Cause: obs.CauseAppQueueFull})
 		}
 	} else {
-		s.queue = append(s.queue, s.makeReading()...)
+		s.enqueueReading()
 		s.Stats.Queued++
 		s.genTime[s.seq] = s.eng.Now()
 		if s.Trace != nil {
@@ -173,35 +177,42 @@ func (s *Sensor) sample() {
 		s.pruneGenTimes()
 	}
 	s.drain()
-	s.eng.Schedule(s.Interval, s.sample)
+	s.eng.Schedule(s.Interval, s.tick)
 }
 
-// makeReading builds an 82-byte reading tagged with the sequence number.
-func (s *Sensor) makeReading() []byte {
-	r := make([]byte, ReadingSize)
+// enqueueReading writes an 82-byte reading tagged with the sequence
+// number in place at the queue's tail.
+func (s *Sensor) enqueueReading() {
+	if s.head > 0 && len(s.queue)+ReadingSize > cap(s.queue) {
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
+	}
+	n := len(s.queue)
+	s.queue = append(s.queue, make([]byte, ReadingSize)...) // extends in place; no temporary
+	r := s.queue[n:]
 	binary.BigEndian.PutUint32(r, s.seq)
 	for i := 4; i < ReadingSize; i++ {
 		r[i] = byte(i + int(s.seq))
 	}
-	return r
 }
 
 // Drain pushes queued readings into the transport subject to the
 // batching policy.
 func (s *Sensor) drain() {
-	if s.Batch > 0 && len(s.queue) < s.Batch*ReadingSize {
+	if s.Batch > 0 && len(s.queue)-s.head < s.Batch*ReadingSize {
 		return
 	}
-	for len(s.queue) > 0 {
-		n := s.transport.Send(s.queue)
+	for s.head < len(s.queue) {
+		n := s.transport.Send(s.queue[s.head:])
 		if n == 0 {
 			return
 		}
 		// Only whole readings leave the queue; transports accept
 		// arbitrary byte counts but we account in readings.
-		s.queue = s.queue[n:]
+		s.head += n
 		s.noteAccepted(n)
 	}
+	s.queue, s.head = s.queue[:0], 0
 }
 
 // noteAccepted advances the journey acceptance boundary: once the
@@ -226,7 +237,7 @@ func (s *Sensor) noteAccepted(n int) {
 func (s *Sensor) NotifyWritable() { s.drain() }
 
 // QueueDepth returns queued readings.
-func (s *Sensor) QueueDepth() int { return len(s.queue) / ReadingSize }
+func (s *Sensor) QueueDepth() int { return (len(s.queue) - s.head) / ReadingSize }
 
 // ---- TCP transport ----
 
@@ -260,9 +271,6 @@ func NewTCPTransportConfig(node *stack.Node, cfg tcplp.Config, collector ip6.Add
 // itself is counted at the Collector, as the paper measures it).
 func (t *TCPTransport) Attach(s *Sensor) { t.sensor = s }
 
-// CanSend implements Transport.
-func (t *TCPTransport) CanSend() int { return t.Conn.WriteBufferSpace() }
-
 // Send implements Transport.
 func (t *TCPTransport) Send(p []byte) int {
 	n, err := t.Conn.Write(p)
@@ -291,6 +299,7 @@ type CoAPTransport struct {
 	eng      *sim.Engine
 	sensor   *Sensor
 	blockNum uint32
+	posted   func(payload []byte, ok bool) // onPosted, bound once for every POST
 }
 
 // NewCoAPTransport builds a CoAP transport over the node's UDP stack,
@@ -307,22 +316,16 @@ func NewCoAPTransportPort(node *stack.Node, collector ip6.Addr, port uint16, con
 		sc := node.Sleep
 		cl.OnExpectingChange = func(on bool) { sc.SetExpecting(on) }
 	}
-	return &CoAPTransport{Client: cl, Confirmable: confirmable, MessageSize: msgSize, eng: node.Eng()}
+	t := &CoAPTransport{Client: cl, Confirmable: confirmable, MessageSize: msgSize, eng: node.Eng()}
+	t.posted = t.onPosted
+	return t
 }
 
 // Attach links the sensor that drains through this transport.
 func (t *CoAPTransport) Attach(s *Sensor) { t.sensor = s }
 
-// CanSend implements Transport: NSTART=1 plus a short queue.
-func (t *CoAPTransport) CanSend() int {
-	if t.Client.Pending() >= 4 {
-		return 0
-	}
-	return t.MessageSize
-}
-
 // Send implements Transport: it takes up to MessageSize whole readings
-// per POST.
+// per POST, NSTART=1 plus a short queue.
 func (t *CoAPTransport) Send(p []byte) int {
 	if t.Client.Pending() >= 4 {
 		return 0
@@ -334,8 +337,7 @@ func (t *CoAPTransport) Send(p []byte) int {
 	if n == 0 {
 		return 0
 	}
-	payload := append([]byte(nil), p[:n]...)
-	blk := &coap.Block1{Num: t.blockNum, More: false, SZX: 6}
+	blk := coap.Block1{Num: t.blockNum, More: false, SZX: 6}
 	t.blockNum++
 	var jid int64
 	if tr := t.Trace; tr != nil {
@@ -345,24 +347,28 @@ func (t *CoAPTransport) Send(p []byte) int {
 			reliable = 1
 		}
 		tr.Emit(obs.Event{T: t.eng.Now(), Kind: obs.JourneyData, Node: t.Node, J: jid,
-			A: int64(binary.BigEndian.Uint32(payload)), B: int64(n / ReadingSize), Len: int(reliable)})
+			A: int64(binary.BigEndian.Uint32(p)), B: int64(n / ReadingSize), Len: int(reliable)})
 	}
-	t.Client.PostJID("telemetry", payload, t.Confirmable, blk, jid, func(ok bool) {
-		// Delivery is counted at the collector (server side), as the
-		// paper measures reliability; here we only resume draining.
-		if !ok && t.Confirmable {
-			if tr := t.Trace; tr != nil {
-				now := t.eng.Now()
-				ForEachReading(payload, func(seq uint32) {
-					tr.Emit(obs.Event{T: now, Kind: obs.JourneyLoss, Node: t.Node, A: int64(seq), Cause: obs.CauseCoAPGiveUp})
-				})
-			}
-		}
-		if t.sensor != nil {
-			t.sensor.NotifyWritable()
-		}
-	})
+	t.Client.PostJID("telemetry", p[:n], t.Confirmable, &blk, jid, t.posted)
 	return n
+}
+
+// onPosted is every POST's completion, lent the readings it carried.
+// Delivery is counted at the collector (server side), as the paper
+// measures reliability; here a give-up names its losses and draining
+// resumes.
+func (t *CoAPTransport) onPosted(payload []byte, ok bool) {
+	if !ok && t.Confirmable {
+		if tr := t.Trace; tr != nil {
+			now := t.eng.Now()
+			ForEachReading(payload, func(seq uint32) {
+				tr.Emit(obs.Event{T: now, Kind: obs.JourneyLoss, Node: t.Node, A: int64(seq), Cause: obs.CauseCoAPGiveUp})
+			})
+		}
+	}
+	if t.sensor != nil {
+		t.sensor.NotifyWritable()
+	}
 }
 
 // ---- collector-side accounting ----
@@ -407,7 +413,7 @@ func NewCollector(host *stack.Node, port uint16, credit map[ip6.Addr]*SensorStat
 		}
 	})
 	srv := coap.NewServer(host.Eng(), host.UDP, coap.DefaultPort)
-	srv.OnPost = func(src ip6.Addr, payload []byte, blk *coap.Block1) coap.Code {
+	srv.OnPost = func(src ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
 		readings := uint64(len(payload) / ReadingSize)
 		col.ReadingsByCoAP += readings
 		if credit != nil {

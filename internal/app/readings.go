@@ -25,26 +25,31 @@ func ForEachReading(buf []byte, f func(seq uint32)) int {
 
 // ReadingStream reassembles readings out of an ordered byte stream that
 // may arrive in arbitrary chunks (the TCP collector side): whole
-// readings are delivered through the callback, partial ones buffered.
+// readings are delivered straight out of the caller's chunk, and only
+// the partial reading a chunk ends in is kept, in the stream's own array.
 type ReadingStream struct {
 	// Deliver is invoked once per complete reading.
 	Deliver func(seq uint32)
-	rem     []byte
+	rem     [ReadingSize]byte
+	n       int // bytes of rem in use, < ReadingSize
 }
 
-// Feed consumes one stream chunk.
+// Feed consumes one stream chunk; p is borrowed for the call.
 func (rs *ReadingStream) Feed(p []byte) {
-	if len(rs.rem) > 0 {
-		rs.rem = append(rs.rem, p...)
-		n := ForEachReading(rs.rem, rs.Deliver)
-		rs.rem = rs.rem[n*ReadingSize:]
-		return
+	if rs.n > 0 {
+		k := copy(rs.rem[rs.n:], p)
+		rs.n, p = rs.n+k, p[k:]
+		if rs.n < ReadingSize {
+			return
+		}
+		rs.Deliver(binary.BigEndian.Uint32(rs.rem[:]))
 	}
 	n := ForEachReading(p, rs.Deliver)
-	if rest := p[n*ReadingSize:]; len(rest) > 0 {
-		rs.rem = append([]byte(nil), rest...)
-	}
+	rs.n = copy(rs.rem[:], p[n*ReadingSize:])
 }
+
+// Reset forgets a partial reading: what follows is a new byte stream.
+func (rs *ReadingStream) Reset() { rs.n = 0 }
 
 // ListenReadingSink installs a reading-parsing TCP collector for one
 // flow on node:port: the shared Sink drain loop with each chunk also
@@ -91,9 +96,6 @@ func NewUDPTransport(node *stack.Node, collector ip6.Addr, port uint16, msgSize 
 
 // Attach links the sensor that drains through this transport.
 func (t *UDPTransport) Attach(s *Sensor) { t.sensor = s }
-
-// CanSend implements Transport: fire-and-forget, always writable.
-func (t *UDPTransport) CanSend() int { return t.MessageSize }
 
 // Send implements Transport: up to MessageSize whole readings per
 // datagram.

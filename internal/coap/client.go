@@ -5,6 +5,8 @@ import (
 
 	"tcplp/internal/ip6"
 	"tcplp/internal/obs"
+	"tcplp/internal/poison"
+	"tcplp/internal/ring"
 	"tcplp/internal/sim"
 	"tcplp/internal/udp"
 )
@@ -18,10 +20,15 @@ type ClientStats struct {
 	GiveUps         uint64
 }
 
+// exchange is one request, from Post to its done callback. Exchanges
+// are pooled; each owns the buffer its message is encoded into once, at
+// Post, and sent from on every (re)transmission.
 type exchange struct {
-	msg         *Message
+	mid         uint16
 	confirmable bool
-	done        func(ok bool)
+	wire        []byte // the encoded message; its last payload bytes are the caller's payload
+	payload     int
+	done        func(payload []byte, ok bool)
 	retries     int
 	firstTx     sim.Time
 	rto         sim.Duration
@@ -44,8 +51,12 @@ type Client struct {
 	// while a confirmable exchange awaits its ACK (§9.2).
 	OnExpectingChange func(bool)
 
-	cur     *exchange
-	queue   []*exchange
+	cur     *exchange // NSTART = 1: the one exchange in flight
+	queue   ring.Ring[*exchange]
+	free    []*exchange
+	path    []byte  // Post's scratch copy of the path
+	rx      Message // decode target; aliases the datagram during onDatagram
+	nonDone func()  // completes cur, a NON, from the event queue; bound once
 	timer   *sim.Timer
 	nextMID uint16
 	nextTok uint64
@@ -68,6 +79,7 @@ func NewClient(eng *sim.Engine, sock *udp.Stack, dst ip6.Addr, dstPort uint16) *
 		Policy:  DefaultPolicy{},
 		nextMID: uint16(eng.Rand().Uint32()),
 	}
+	c.nonDone = func() { c.finish(c.cur, true) }
 	c.timer = sim.NewTimer(eng, c.onTimeout)
 	c.srcPort = sock.Bind(0, c.onDatagram)
 	return c
@@ -75,7 +87,7 @@ func NewClient(eng *sim.Engine, sock *udp.Stack, dst ip6.Addr, dstPort uint16) *
 
 // Pending returns queued plus in-flight exchanges.
 func (c *Client) Pending() int {
-	n := len(c.queue)
+	n := c.queue.Len()
 	if c.cur != nil {
 		n++
 	}
@@ -85,7 +97,9 @@ func (c *Client) Pending() int {
 // Post sends a POST to path. Confirmable requests are retransmitted and
 // report success/failure via done; nonconfirmable ones are fire-and-
 // forget (done, if set, is called optimistically after transmission).
-func (c *Client) Post(path string, payload []byte, confirmable bool, block *Block1, done func(ok bool)) {
+// path and payload are copied before Post returns; done is handed the
+// exchange's copy of the payload, good for the call only.
+func (c *Client) Post(path string, payload []byte, confirmable bool, block *Block1, done func(payload []byte, ok bool)) {
 	c.PostJID(path, payload, confirmable, block, 0, done)
 }
 
@@ -94,43 +108,50 @@ func (c *Client) Post(path string, payload []byte, confirmable bool, block *Bloc
 // analyzer sees one packet identity per CoAP message, a documented
 // simplification (per-attempt MAC/PHY events still distinguish attempts
 // by time).
-func (c *Client) PostJID(path string, payload []byte, confirmable bool, block *Block1, jid int64, done func(ok bool)) {
-	typ := NON
-	if confirmable {
-		typ = CON
+func (c *Client) PostJID(path string, payload []byte, confirmable bool, block *Block1, jid int64, done func(payload []byte, ok bool)) {
+	var ex *exchange
+	if k := len(c.free); k > 0 {
+		ex, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		ex = new(exchange)
 	}
 	c.nextMID++
 	c.nextTok++
 	var tok [4]byte
 	binary.BigEndian.PutUint32(tok[:], uint32(c.nextTok))
-	m := &Message{
-		Type:      typ,
-		Code:      CodePOST,
-		MessageID: c.nextMID,
-		Token:     tok[:],
-		Payload:   payload,
-	}
+	// The options sit in arrays on this frame (AddOption's append would
+	// move them to the heap).
+	var opts [2]Option
+	var blk [3]byte
+	n := 0
 	if path != "" {
-		m.AddOption(OptUriPath, []byte(path))
+		c.path = append(c.path[:0], path...)
+		opts[n] = Option{Number: OptUriPath, Value: c.path}
+		n++
 	}
 	if block != nil {
-		m.AddOption(OptBlock1, block.Encode())
+		opts[n] = Option{Number: OptBlock1, Value: block.AppendEncode(blk[:0])}
+		n++
 	}
-	c.queue = append(c.queue, &exchange{msg: m, confirmable: confirmable, done: done, jid: jid})
+	m := Message{Type: NON, Code: CodePOST, MessageID: c.nextMID, Token: tok[:], Options: opts[:n], Payload: payload}
+	if confirmable {
+		m.Type = CON
+	}
+	*ex = exchange{mid: c.nextMID, confirmable: confirmable, wire: m.AppendEncode(ex.wire[:0]), payload: len(payload), done: done, jid: jid}
+	c.queue.Push(ex)
 	c.pump()
 }
 
 func (c *Client) pump() {
-	if c.cur != nil || len(c.queue) == 0 {
+	if c.cur != nil || c.queue.Len() == 0 {
 		return
 	}
-	c.cur = c.queue[0]
-	c.queue = c.queue[1:]
-	ex := c.cur
+	ex := c.queue.Pop()
+	c.cur = ex
 	ex.firstTx = c.eng.Now()
 	ex.rto = c.Policy.InitialRTO(c.eng.Rand())
 	c.Stats.Sent++
-	c.transmit(ex)
+	c.sock.SendJID(c.dst, c.dstPort, c.srcPort, ex.wire, ex.jid)
 	if ex.confirmable {
 		c.setExpecting(true)
 		c.timer.Reset(ex.rto)
@@ -138,13 +159,10 @@ func (c *Client) pump() {
 		// Nonconfirmable: complete after the (unreliable) send — via the
 		// event queue, because the completion callback may immediately
 		// queue the next message (drain loops would otherwise recurse
-		// one stack frame per message).
-		c.eng.Schedule(0, func() { c.finish(ex, true) })
+		// one stack frame per message). Only this event completes a
+		// NON, so it is still cur when the event fires.
+		c.eng.Schedule(0, c.nonDone)
 	}
-}
-
-func (c *Client) transmit(ex *exchange) {
-	c.sock.SendJID(c.dst, c.dstPort, c.srcPort, ex.msg.Encode(), ex.jid)
 }
 
 func (c *Client) onTimeout() {
@@ -164,13 +182,13 @@ func (c *Client) onTimeout() {
 	if tr := c.Trace; tr != nil {
 		tr.Emit(obs.Event{T: c.eng.Now(), Kind: obs.CoAPRtx, Node: c.Node, A: int64(ex.retries), B: int64(ex.rto), J: ex.jid})
 	}
-	c.transmit(ex)
+	c.sock.SendJID(c.dst, c.dstPort, c.srcPort, ex.wire, ex.jid)
 	c.timer.Reset(ex.rto)
 }
 
 func (c *Client) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
-	m, err := Decode(payload)
-	if err != nil {
+	m := &c.rx
+	if DecodeInto(m, payload) != nil {
 		return
 	}
 	ex := c.cur
@@ -180,7 +198,7 @@ func (c *Client) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
 	if m.Type != ACK && m.Type != RST {
 		return
 	}
-	if m.MessageID != ex.msg.MessageID {
+	if m.MessageID != ex.mid {
 		return
 	}
 	c.timer.Stop()
@@ -197,13 +215,19 @@ func (c *Client) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
 	c.finish(ex, m.Type == ACK && m.Code != CodeNotFound)
 }
 
+// finish completes ex, which goes back to the pool only after done has
+// returned: done reads the payload (a give-up names the readings lost)
+// and may Post, which must not be handed the buffer done is reading.
 func (c *Client) finish(ex *exchange, ok bool) {
 	c.timer.Stop()
 	c.cur = nil
 	c.setExpecting(false)
 	if ex.done != nil {
-		ex.done(ok)
+		ex.done(ex.wire[len(ex.wire)-ex.payload:], ok)
 	}
+	poison.Bytes(ex.wire)
+	ex.done = nil
+	c.free = append(c.free, ex)
 	c.pump()
 }
 

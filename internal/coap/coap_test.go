@@ -21,7 +21,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 	m.AddOption(OptUriPath, []byte("telemetry"))
 	m.AddOption(OptContentFormat, []byte{42})
-	m.AddOption(OptBlock1, Block1{Num: 3, More: true, SZX: 2}.Encode())
+	m.AddOption(OptBlock1, Block1{Num: 3, More: true, SZX: 2}.AppendEncode(nil))
 	g, err := Decode(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestOptionDeltaEncoding(t *testing.T) {
 func TestBlock1Sizes(t *testing.T) {
 	for szx := uint8(0); szx <= 6; szx++ {
 		b := Block1{Num: 100, More: true, SZX: szx}
-		g, err := DecodeBlock1(b.Encode())
+		g, err := DecodeBlock1(b.AppendEncode(nil))
 		if err != nil || g != b {
 			t.Fatalf("szx %d: %+v %v", szx, g, err)
 		}
@@ -124,7 +124,11 @@ func newPipe(seed int64, delay sim.Duration) *pipe {
 			if p.drop != nil && p.drop() {
 				return
 			}
-			eng.Schedule(p.delay, func() { to.Input(pkt) })
+			// The sender's slot is lent for this call only: the link
+			// carries its own copy.
+			cp := *pkt
+			cp.Payload = append([]byte(nil), pkt.Payload...)
+			eng.Schedule(p.delay, func() { to.Input(&cp) })
 		}
 	}
 	p.a.Output = forward(p.b)
@@ -136,13 +140,13 @@ func TestConfirmableExchange(t *testing.T) {
 	p := newPipe(1, 20*sim.Millisecond)
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	var got []byte
-	srv.OnPost = func(src ip6.Addr, payload []byte, blk *Block1) Code {
-		got = payload
+	srv.OnPost = func(src ip6.Addr, payload []byte, _ Block1, _ bool) Code {
+		got = append(got, payload...) // the payload is the server's after the call
 		return CodeChanged
 	}
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
-	cl.Post("t", []byte("reading"), true, nil, func(s bool) { ok = s })
+	cl.Post("t", []byte("reading"), true, nil, func(_ []byte, s bool) { ok = s })
 	p.eng.RunUntil(sim.Time(sim.Second))
 	if !ok || string(got) != "reading" {
 		t.Fatalf("exchange: ok=%v got=%q", ok, got)
@@ -164,10 +168,10 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	}
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	delivered := 0
-	srv.OnPost = func(ip6.Addr, []byte, *Block1) Code { delivered++; return CodeChanged }
+	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
-	cl.Post("t", []byte("x"), true, nil, func(s bool) { ok = s })
+	cl.Post("t", []byte("x"), true, nil, func(_ []byte, s bool) { ok = s })
 	p.eng.RunUntil(sim.Time(30 * sim.Second))
 	if !ok || delivered != 1 {
 		t.Fatalf("ok=%v delivered=%d", ok, delivered)
@@ -223,10 +227,10 @@ func TestDedupUnderSustainedAckLoss(t *testing.T) {
 	}
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	delivered := 0
-	srv.OnPost = func(ip6.Addr, []byte, *Block1) Code { delivered++; return CodeChanged }
+	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
-	cl.Post("t", []byte("x"), true, nil, func(s bool) { ok = s })
+	cl.Post("t", []byte("x"), true, nil, func(_ []byte, s bool) { ok = s })
 	p.eng.RunUntil(sim.Time(5 * sim.Minute))
 	if !ok {
 		t.Fatal("exchange failed despite retransmission budget")
@@ -255,7 +259,7 @@ func TestGiveUpAfterMaxRetransmit(t *testing.T) {
 	NewServer(p.eng, p.b, DefaultPort)
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	result := -1
-	cl.Post("t", []byte("x"), true, nil, func(s bool) {
+	cl.Post("t", []byte("x"), true, nil, func(_ []byte, s bool) {
 		if s {
 			result = 1
 		} else {
@@ -285,10 +289,10 @@ func TestServerDeduplicatesRetransmissions(t *testing.T) {
 	}
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	delivered := 0
-	srv.OnPost = func(ip6.Addr, []byte, *Block1) Code { delivered++; return CodeChanged }
+	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
-	cl.Post("t", []byte("x"), true, nil, func(s bool) { ok = s })
+	cl.Post("t", []byte("x"), true, nil, func(_ []byte, s bool) { ok = s })
 	p.eng.RunUntil(sim.Time(30 * sim.Second))
 	if !ok {
 		t.Fatal("exchange failed")
@@ -305,7 +309,7 @@ func TestNonconfirmableNoAck(t *testing.T) {
 	p := newPipe(5, 20*sim.Millisecond)
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	delivered := 0
-	srv.OnPost = func(ip6.Addr, []byte, *Block1) Code { delivered++; return CodeChanged }
+	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	cl.Post("t", []byte("x"), false, nil, nil)
 	cl.Post("t", []byte("y"), false, nil, nil)
@@ -322,7 +326,7 @@ func TestNSTARTSerialization(t *testing.T) {
 	p := newPipe(6, 50*sim.Millisecond)
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	var order []string
-	srv.OnPost = func(src ip6.Addr, payload []byte, blk *Block1) Code {
+	srv.OnPost = func(src ip6.Addr, payload []byte, _ Block1, _ bool) Code {
 		order = append(order, string(payload))
 		return CodeChanged
 	}

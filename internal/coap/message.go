@@ -5,6 +5,19 @@
 // §9.4 identifies), blockwise batch transfer that does not discard a
 // whole batch on one failure (§9.1), and nonconfirmable (unreliable)
 // mode (§9.6).
+//
+// # Buffer ownership
+//
+// The codec works in place: AppendEncode appends to the caller's buffer
+// and DecodeInto fills the caller's Message, whose token, option values
+// and payload alias the datagram and live as long as it does. A Client
+// pools its exchanges; each owns the buffer its message is encoded into
+// at Post (whose arguments are the caller's again on return), is sent
+// from that buffer every time — udp copies it — and goes back to the
+// pool only after its done callback, which is lent the payload, has
+// returned. A Server decodes into its one Message, so OnPost's payload
+// is good for the call only, and keeps each ACK (≤ 12 bytes) inline in
+// its dedup entry.
 package coap
 
 import (
@@ -107,82 +120,86 @@ func (m *Message) GetOption(num uint16) ([]byte, bool) {
 	return nil, false
 }
 
-// Encode serializes the message (RFC 7252 §3).
-func (m *Message) Encode() []byte {
+// Encode serializes the message into a fresh buffer.
+func (m *Message) Encode() []byte { return m.AppendEncode(make([]byte, 0, 16+len(m.Payload))) }
+
+// AppendEncode appends the serialized message (RFC 7252 §3) to dst.
+func (m *Message) AppendEncode(dst []byte) []byte {
 	if len(m.Token) > 8 {
 		panic("coap: token too long")
 	}
-	b := make([]byte, 0, 16+len(m.Payload))
-	b = append(b, 1<<6|uint8(m.Type)<<4|uint8(len(m.Token)))
-	b = append(b, uint8(m.Code))
-	b = binary.BigEndian.AppendUint16(b, m.MessageID)
-	b = append(b, m.Token...)
+	dst = append(dst, 1<<6|uint8(m.Type)<<4|uint8(len(m.Token)), uint8(m.Code))
+	dst = binary.BigEndian.AppendUint16(dst, m.MessageID)
+	dst = append(dst, m.Token...)
 	prev := uint16(0)
 	for _, o := range m.Options {
-		delta := int(o.Number - prev)
+		h := len(dst)
+		dst = append(dst, 0)
+		var dn, ln uint8
+		dst, dn = appendOptExt(dst, int(o.Number-prev))
+		dst, ln = appendOptExt(dst, len(o.Value))
+		dst[h] = dn<<4 | ln
+		dst = append(dst, o.Value...)
 		prev = o.Number
-		b = appendOptionHeader(b, delta, len(o.Value))
-		b = append(b, o.Value...)
 	}
 	if len(m.Payload) > 0 {
-		b = append(b, 0xff)
-		b = append(b, m.Payload...)
+		dst = append(dst, 0xff)
+		dst = append(dst, m.Payload...)
 	}
-	return b
+	return dst
 }
 
-func appendOptionHeader(b []byte, delta, length int) []byte {
-	db, dext := optNibble(delta)
-	lb, lext := optNibble(length)
-	b = append(b, db<<4|lb)
-	b = append(b, dext...)
-	b = append(b, lext...)
-	return b
-}
-
-func optNibble(v int) (uint8, []byte) {
+// appendOptExt appends the extension bytes an option delta or length of
+// 13 or more needs and returns v's 4-bit header field.
+func appendOptExt(dst []byte, v int) ([]byte, uint8) {
 	switch {
 	case v < 13:
-		return uint8(v), nil
+		return dst, uint8(v)
 	case v < 269:
-		return 13, []byte{uint8(v - 13)}
+		return append(dst, uint8(v-13)), 13
 	default:
-		var ext [2]byte
-		binary.BigEndian.PutUint16(ext[:], uint16(v-269))
-		return 14, ext[:]
+		return binary.BigEndian.AppendUint16(dst, uint16(v-269)), 14
 	}
 }
 
-// Decode parses a CoAP message.
+// Decode is DecodeInto a fresh Message.
 func Decode(b []byte) (*Message, error) {
+	m := new(Message)
+	return m, DecodeInto(m, b)
+}
+
+// DecodeInto parses a CoAP message into m, reusing m's option list; its
+// token, option values and payload alias b. On error m is half-written.
+func DecodeInto(m *Message, b []byte) error {
 	if len(b) < 4 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if b[0]>>6 != 1 {
-		return nil, ErrBadVersion
-	}
-	m := &Message{
-		Type:      Type(b[0] >> 4 & 0x3),
-		Code:      Code(b[1]),
-		MessageID: binary.BigEndian.Uint16(b[2:4]),
+		return ErrBadVersion
 	}
 	tkl := int(b[0] & 0xf)
 	if tkl > 8 || len(b) < 4+tkl {
-		return nil, ErrTruncated
+		return ErrTruncated
+	}
+	*m = Message{
+		Type:      Type(b[0] >> 4 & 0x3),
+		Code:      Code(b[1]),
+		MessageID: binary.BigEndian.Uint16(b[2:4]),
+		Options:   m.Options[:0],
 	}
 	if tkl > 0 {
-		m.Token = append([]byte(nil), b[4:4+tkl]...)
+		m.Token = b[4 : 4+tkl]
 	}
 	i := 4 + tkl
-	prev := uint16(0)
+	number := 0
 	for i < len(b) {
 		if b[i] == 0xff {
 			i++
 			if i >= len(b) {
-				return nil, ErrTruncated
+				return ErrTruncated
 			}
-			m.Payload = append([]byte(nil), b[i:]...)
-			return m, nil
+			m.Payload = b[i:]
+			return nil
 		}
 		dn := int(b[i] >> 4)
 		ln := int(b[i] & 0xf)
@@ -190,22 +207,22 @@ func Decode(b []byte) (*Message, error) {
 		var delta, length int
 		var err error
 		if delta, i, err = readOptExt(b, i, dn); err != nil {
-			return nil, err
+			return err
 		}
 		if length, i, err = readOptExt(b, i, ln); err != nil {
-			return nil, err
+			return err
 		}
 		if i+length > len(b) {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
-		prev += uint16(delta)
-		m.Options = append(m.Options, Option{
-			Number: prev,
-			Value:  append([]byte(nil), b[i:i+length]...),
-		})
+		// A delta can be 65 804; option numbers are 16 bits.
+		if number += delta; number > 0xffff {
+			return ErrBadOption
+		}
+		m.Options = append(m.Options, Option{Number: uint16(number), Value: b[i : i+length]})
 		i += length
 	}
-	return m, nil
+	return nil
 }
 
 func readOptExt(b []byte, i, nib int) (int, int, error) {
@@ -238,21 +255,19 @@ type Block1 struct {
 // Size returns the block size in bytes.
 func (b Block1) Size() int { return 1 << (b.SZX + 4) }
 
-// Encode packs the option value.
-func (b Block1) Encode() []byte {
+// AppendEncode appends the packed option value (1–3 bytes) to dst.
+func (b Block1) AppendEncode(dst []byte) []byte {
 	v := b.Num<<4 | uint32(b.SZX)&0x7
 	if b.More {
 		v |= 0x8
 	}
 	switch {
 	case v < 1<<8:
-		return []byte{uint8(v)}
+		return append(dst, uint8(v))
 	case v < 1<<16:
-		var out [2]byte
-		binary.BigEndian.PutUint16(out[:], uint16(v))
-		return out[:]
+		return binary.BigEndian.AppendUint16(dst, uint16(v))
 	default:
-		return []byte{uint8(v >> 16), uint8(v >> 8), uint8(v)}
+		return append(dst, uint8(v>>16), uint8(v>>8), uint8(v))
 	}
 }
 

@@ -24,8 +24,12 @@ type dedupKey struct {
 	mid uint16
 }
 
+// ackLen is the longest piggybacked ACK: 4 header bytes + 8 of token.
+const ackLen = 12
+
 type dedupEntry struct {
-	ack     []byte
+	ack     [ackLen]byte // the encoded ACK, inline: replayed, never re-encoded
+	n       uint8
 	expires sim.Time
 }
 
@@ -40,10 +44,12 @@ type Server struct {
 	port uint16
 
 	// OnPost handles a (deduplicated) request payload and returns the
-	// response code. block is non-nil for blockwise transfers.
-	OnPost func(src ip6.Addr, payload []byte, block *Block1) Code
+	// response code; block is the request's Block1 option if blockwise.
+	// payload aliases the datagram: good for the call only.
+	OnPost func(src ip6.Addr, payload []byte, block Block1, blockwise bool) Code
 
 	dedup map[dedupKey]dedupEntry
+	rx    Message // decode target; aliases the datagram during onDatagram
 
 	Stats ServerStats
 }
@@ -56,8 +62,8 @@ func NewServer(eng *sim.Engine, sock *udp.Stack, port uint16) *Server {
 }
 
 func (s *Server) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
-	m, err := Decode(payload)
-	if err != nil {
+	m := &s.rx
+	if DecodeInto(m, payload) != nil {
 		return
 	}
 	if m.Code != CodePOST {
@@ -69,19 +75,17 @@ func (s *Server) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
 		if e, dup := s.dedup[key]; dup {
 			// Our ACK was lost; replay it without re-delivering.
 			s.Stats.Duplicates++
-			s.sock.Send(src, srcPort, s.port, e.ack)
+			s.sock.Send(src, srcPort, s.port, e.ack[:e.n])
 			return
 		}
-		code := s.handle(src, m)
-		ack := &Message{
-			Type:      ACK,
-			Code:      code,
-			MessageID: m.MessageID,
-			Token:     m.Token,
-		}
-		wire := ack.Encode()
-		s.dedup[key] = dedupEntry{ack: wire, expires: s.eng.Now().Add(exchangeLifetime)}
-		s.sock.Send(src, srcPort, s.port, wire)
+		// Read first what the ACK needs: m is s.rx, which a handler
+		// posting to this server re-enters (the datagram stays put).
+		mid, token := m.MessageID, m.Token
+		ack := Message{Type: ACK, Code: s.handle(src, m), MessageID: mid, Token: token}
+		e := dedupEntry{expires: s.eng.Now().Add(exchangeLifetime)}
+		e.n = uint8(len(ack.AppendEncode(e.ack[:0])))
+		s.dedup[key] = e
+		s.sock.Send(src, srcPort, s.port, e.ack[:e.n])
 		return
 	}
 	// Nonconfirmable: deliver, no acknowledgment.
@@ -91,16 +95,12 @@ func (s *Server) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
 
 func (s *Server) handle(src ip6.Addr, m *Message) Code {
 	s.Stats.Requests++
-	var blk *Block1
-	if v, ok := m.GetOption(OptBlock1); ok {
-		if b, err := DecodeBlock1(v); err == nil {
-			blk = &b
-		}
-	}
 	if s.OnPost == nil {
 		return CodeChanged
 	}
-	return s.OnPost(src, m.Payload, blk)
+	v, _ := m.GetOption(OptBlock1)
+	blk, err := DecodeBlock1(v) // without the option v is empty, which is no Block1 value either
+	return s.OnPost(src, m.Payload, blk, err == nil)
 }
 
 func (s *Server) gc() {

@@ -10,6 +10,14 @@
 // them upstream as framed WAN messages. A shared cloud-side collector
 // credits deliveries per source, so upstream fairness is measurable
 // end-to-end (device → gateway → cloud), not just over the mesh hop.
+//
+// # Buffer ownership
+//
+// The gateway keeps no byte of a reading, only sequence numbers: TCP
+// chunks live in the one drain buffer, a POST's payload is the CoAP
+// server's, lent for onPost. The numbers ride in a pooled batch — the
+// entry's until flush, the WAN link's until deliver or lost fires (or
+// the queue refuses it, or the entry is evicted first), then the pool's.
 package gateway
 
 import (
@@ -81,10 +89,38 @@ type registration struct {
 // entry is one connection-table slot: the per-device termination state.
 type entry struct {
 	addr       ip6.Addr
-	conn       *tcplp.Conn // live TCP connection; nil for CoAP devices
-	stream     *app.ReadingStream
+	conn       *tcplp.Conn       // live TCP connection; nil for CoAP devices
+	stream     app.ReadingStream // one for the entry's life; accept resets it
 	lastActive sim.Time
-	pending    []uint32 // readings parsed but not yet offered to the WAN
+	pending    *batch // readings parsed but not yet offered to the WAN; nil when none
+}
+
+// batch is one WAN message's worth of readings and what the link's
+// callbacks need to account for them; deliver and lost are bound when
+// the batch is first made, so handing it to the link allocates nothing.
+type batch struct {
+	g             *Gateway
+	seqs          []uint32
+	addr          ip6.Addr      // the source device, which may be evicted before the link is done
+	reg           *registration // its hooks at flush time; nil if unregistered
+	deliver, lost func()
+}
+
+func (g *Gateway) getBatch(addr ip6.Addr) *batch {
+	if k := len(g.batchFree); k > 0 {
+		b := g.batchFree[k-1]
+		g.batchFree, b.addr = g.batchFree[:k-1], addr
+		return b
+	}
+	b := &batch{g: g, addr: addr}
+	b.deliver, b.lost = b.delivered, func() { b.dropped(obs.CauseWanLoss) }
+	return b
+}
+
+func (g *Gateway) putBatch(b *batch) {
+	clear(b.seqs) // a reader that kept the list sees zeros, not the next batch
+	b.seqs, b.reg = b.seqs[:0], nil
+	g.batchFree = append(g.batchFree, b)
 }
 
 // Gateway is one instantiated gateway on the border router.
@@ -101,6 +137,8 @@ type Gateway struct {
 	entries []*entry
 	byAddr  map[ip6.Addr]*entry
 	regs    map[ip6.Addr]*registration
+
+	batchFree []*batch
 
 	// rdBuf is the drain scratch buffer shared by every accepted
 	// connection: drains run synchronously on the engine and the stream
@@ -179,17 +217,12 @@ func (g *Gateway) Register(addr ip6.Addr, gwDeliver, e2eDeliver func(seq uint32)
 	return r.sink
 }
 
-// lookup finds a device's table entry.
-func (g *Gateway) lookup(addr ip6.Addr) *entry {
-	return g.byAddr[addr]
-}
-
 // touch returns the device's entry, creating one (evicting the
 // least-recently-active entry if the table is full) or refreshing an
 // existing one.
 func (g *Gateway) touch(addr ip6.Addr) *entry {
 	now := g.eng.Now()
-	if e := g.lookup(addr); e != nil {
+	if e := g.byAddr[addr]; e != nil {
 		g.Stats.Reused++
 		e.lastActive = now
 		return e
@@ -198,7 +231,7 @@ func (g *Gateway) touch(addr ip6.Addr) *entry {
 		g.evictLRA()
 	}
 	e := &entry{addr: addr, lastActive: now}
-	e.stream = &app.ReadingStream{Deliver: func(seq uint32) { g.onReading(e, seq) }}
+	e.stream.Deliver = func(seq uint32) { g.onReading(e, seq) }
 	g.entries = append(g.entries, e)
 	if g.byAddr == nil {
 		g.byAddr = map[ip6.Addr]*entry{}
@@ -235,47 +268,35 @@ func (g *Gateway) evict(i int) {
 	g.Stats.Evicted++
 	if tr := g.Trace; tr != nil {
 		tr.Emit(obs.Event{T: g.eng.Now(), Kind: obs.GwEvict, Node: g.node.ID, A: int64(len(g.entries))})
-		g.emitReadingLoss(e, e.pending, obs.CauseGwEvict)
 	}
-	e.pending = nil
+	if b := e.pending; b != nil {
+		g.emitReadings(e.addr, b.seqs, obs.JourneyLoss, obs.CauseGwEvict)
+		g.putBatch(b)
+		e.pending = nil
+	}
 	if e.conn != nil {
 		e.conn.Close()
 		e.conn = nil
 	}
 }
 
-// emitReadingLoss records a terminal JourneyLoss for each of a device's
-// readings, keyed by the device's node id (the journey analyzer keys
-// readings by source node + seq).
-func (g *Gateway) emitReadingLoss(e *entry, seqs []uint32, cause obs.Cause) {
+// emitReadings records one journey event per reading of a device's
+// batch, keyed by the device's node id (the journey analyzer keys
+// readings by source node + seq): a terminal JourneyLoss with its
+// cause, or JourneyWanEnq — WAN acceptance, the boundary between the
+// gateway table and the backhaul.
+func (g *Gateway) emitReadings(addr ip6.Addr, seqs []uint32, kind obs.Kind, cause obs.Cause) {
 	tr := g.Trace
 	if tr == nil || len(seqs) == 0 {
 		return
 	}
-	node, ok := e.addr.ID()
+	node, ok := addr.ID()
 	if !ok {
 		return
 	}
 	now := g.eng.Now()
 	for _, seq := range seqs {
-		tr.Emit(obs.Event{T: now, Kind: obs.JourneyLoss, Node: node, A: int64(seq), Cause: cause})
-	}
-}
-
-// emitWanEnq records per-reading WAN acceptance (journey boundary
-// between the gateway table and the backhaul).
-func (g *Gateway) emitWanEnq(e *entry, seqs []uint32) {
-	tr := g.Trace
-	if tr == nil || len(seqs) == 0 {
-		return
-	}
-	node, ok := e.addr.ID()
-	if !ok {
-		return
-	}
-	now := g.eng.Now()
-	for _, seq := range seqs {
-		tr.Emit(obs.Event{T: now, Kind: obs.JourneyWanEnq, Node: node, A: int64(seq)})
+		tr.Emit(obs.Event{T: now, Kind: kind, Node: node, A: int64(seq), Cause: cause})
 	}
 }
 
@@ -304,7 +325,7 @@ func (g *Gateway) accept(c *tcplp.Conn) {
 		e.conn.Close()
 	}
 	e.conn = c
-	e.stream = &app.ReadingStream{Deliver: func(seq uint32) { g.onReading(e, seq) }}
+	e.stream.Reset()
 	c.OnReadable = func() {
 		for {
 			n := c.Read(g.rdBuf)
@@ -319,12 +340,11 @@ func (g *Gateway) accept(c *tcplp.Conn) {
 }
 
 // onPost terminates one CoAP POST: datagram payloads carry whole
-// readings, so the entry's stream reassembly passes them straight
-// through.
-func (g *Gateway) onPost(src ip6.Addr, payload []byte, blk *coap.Block1) coap.Code {
+// readings, so they skip stream reassembly; payload is lent for the call.
+func (g *Gateway) onPost(src ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
 	g.Stats.Posts++
 	e := g.touch(src)
-	app.ForEachReading(payload, func(seq uint32) { g.onReading(e, seq) })
+	app.ForEachReading(payload, e.stream.Deliver)
 	g.flush(e)
 	return coap.CodeChanged
 }
@@ -338,7 +358,10 @@ func (g *Gateway) onReading(e *entry, seq uint32) {
 	if r := g.regs[e.addr]; r != nil && r.gwDeliver != nil {
 		r.gwDeliver(seq)
 	}
-	e.pending = append(e.pending, seq)
+	if e.pending == nil {
+		e.pending = g.getBatch(e.addr)
+	}
+	e.pending.seqs = append(e.pending.seqs, seq)
 }
 
 // flush forwards the entry's pending readings as one framed WAN
@@ -346,37 +369,41 @@ func (g *Gateway) onReading(e *entry, seq uint32) {
 // hook; a queue drop or in-flight loss reports through wanLost so
 // probes can separate losses from in-flight backlog.
 func (g *Gateway) flush(e *entry) {
-	if len(e.pending) == 0 {
+	b := e.pending
+	if b == nil {
 		return
 	}
-	seqs := e.pending
 	e.pending = nil
-	nbytes := len(seqs) * app.ReadingSize
-	r := g.regs[e.addr]
-	ok := g.wan.Send(nbytes+g.cfg.WANOverhead, func() {
-		g.Stats.ReadingsOut += uint64(len(seqs))
-		if r != nil {
-			r.sink.Received += nbytes
-			if r.e2eDeliver != nil {
-				for _, seq := range seqs {
-					r.e2eDeliver(seq)
-				}
+	b.reg = g.regs[e.addr]
+	if g.wan.Send(len(b.seqs)*app.ReadingSize+g.cfg.WANOverhead, b.deliver, b.lost) {
+		g.emitReadings(e.addr, b.seqs, obs.JourneyWanEnq, obs.CauseNone)
+	} else {
+		b.dropped(obs.CauseWanQueueDrop)
+	}
+}
+
+// delivered credits a batch that reached the cloud collector.
+func (b *batch) delivered() {
+	g, r := b.g, b.reg
+	g.Stats.ReadingsOut += uint64(len(b.seqs))
+	if r != nil {
+		r.sink.Received += len(b.seqs) * app.ReadingSize
+		if r.e2eDeliver != nil {
+			for _, seq := range b.seqs {
+				r.e2eDeliver(seq)
 			}
 		}
-	}, func() {
-		g.Stats.ReadingsLost += uint64(len(seqs))
-		g.emitReadingLoss(e, seqs, obs.CauseWanLoss)
-		if r != nil && r.wanLost != nil {
-			r.wanLost(len(seqs))
-		}
-	})
-	if ok {
-		g.emitWanEnq(e, seqs)
-	} else {
-		g.Stats.ReadingsLost += uint64(len(seqs))
-		g.emitReadingLoss(e, seqs, obs.CauseWanQueueDrop)
-		if r != nil && r.wanLost != nil {
-			r.wanLost(len(seqs))
-		}
 	}
+	g.putBatch(b)
+}
+
+// dropped accounts a batch the WAN refused or lost.
+func (b *batch) dropped(cause obs.Cause) {
+	g := b.g
+	g.Stats.ReadingsLost += uint64(len(b.seqs))
+	g.emitReadings(b.addr, b.seqs, obs.JourneyLoss, cause)
+	if r := b.reg; r != nil && r.wanLost != nil {
+		r.wanLost(len(b.seqs))
+	}
+	g.putBatch(b)
 }

@@ -1,6 +1,16 @@
 // Package netem provides the network-condition manipulations of the
 // application study: uniform injected packet loss at the border router
-// (§9.4) and a diurnal external-interference profile (§9.5 / Fig. 10).
+// (§9.4) and a diurnal external-interference profile (§9.5 / Fig. 10),
+// and the wide-area backhaul behind a gateway (WANLink).
+//
+// WANLink.Send keeps only the two callbacks it is given, until one has
+// fired, as a value in a ring rather than a closure per message. The
+// rings may assume FIFO because the link cannot reorder: one serializer
+// (transmit-done times never decrease) feeds one fixed delay (nor do
+// arrival times), and the engine fires equal times in schedule order,
+// so an event is always about the oldest message in its ring. A
+// per-message delay would break that; TestWANLinkMatchesClosureModel
+// checks the link against the closure form that assumes nothing.
 package netem
 
 import (

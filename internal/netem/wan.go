@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"tcplp/internal/obs"
+	"tcplp/internal/ring"
 	"tcplp/internal/sim"
 )
 
@@ -55,6 +56,11 @@ type WANLink struct {
 	busyUntil sim.Time
 	queued    int
 
+	// Messages in flight, oldest first (see the package comment), and
+	// the two callbacks, bound once, that pop them.
+	serializing, propagating ring.Ring[wanMsg]
+	onTxDone, onArrive       func()
+
 	Stats WANStats
 
 	// Trace/Node, when Trace is non-nil, emit enqueue/drop events (obs).
@@ -69,7 +75,16 @@ func NewWANLink(eng *sim.Engine, cfg WANConfig, seed int64) *WANLink {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = DefaultWANQueueCap
 	}
-	return &WANLink{eng: eng, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	l := &WANLink{eng: eng, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	l.onTxDone, l.onArrive = l.txDone, l.arrive
+	return l
+}
+
+// wanMsg is one accepted message and its loss draw, made at send time.
+type wanMsg struct {
+	size          int
+	deliver, lost func()
+	dropped       bool
 }
 
 // Config returns the link's effective configuration.
@@ -122,24 +137,34 @@ func (l *WANLink) Send(size int, deliver, lost func()) bool {
 	// The loss draw happens at send time, in event order, so the link's
 	// source consumes the same sequence however delivery interleaves.
 	dropped := l.cfg.Loss > 0 && l.rng.Float64() < l.cfg.Loss
-	l.eng.Schedule(txDone.Sub(now), func() {
-		l.queued--
-		if dropped {
-			l.Stats.LossDrops++
-			if tr := l.Trace; tr != nil {
-				tr.Emit(obs.Event{T: l.eng.Now(), Kind: obs.WanDrop, Node: l.Node, A: 2, Len: size, Cause: obs.CauseWanLoss})
-			}
-			if lost != nil {
-				lost()
-			}
-			return
-		}
-		l.eng.Schedule(l.cfg.Delay, func() {
-			l.Stats.Delivered++
-			if deliver != nil {
-				deliver()
-			}
-		})
-	})
+	l.serializing.Push(wanMsg{size: size, deliver: deliver, lost: lost, dropped: dropped})
+	l.eng.Schedule(txDone.Sub(now), l.onTxDone)
 	return true
+}
+
+// txDone takes the message leaving the serializer: lost, or on its way.
+func (l *WANLink) txDone() {
+	m := l.serializing.Pop()
+	l.queued--
+	if m.dropped {
+		l.Stats.LossDrops++
+		if tr := l.Trace; tr != nil {
+			tr.Emit(obs.Event{T: l.eng.Now(), Kind: obs.WanDrop, Node: l.Node, A: 2, Len: m.size, Cause: obs.CauseWanLoss})
+		}
+		if m.lost != nil {
+			m.lost()
+		}
+		return
+	}
+	l.propagating.Push(m)
+	l.eng.Schedule(l.cfg.Delay, l.onArrive)
+}
+
+// arrive hands the oldest propagating message to the far end.
+func (l *WANLink) arrive() {
+	m := l.propagating.Pop()
+	l.Stats.Delivered++
+	if m.deliver != nil {
+		m.deliver()
+	}
 }

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"tcplp/internal/sim"
@@ -107,5 +109,134 @@ func TestWANLossDeterministicPerSeed(t *testing.T) {
 	d3, _ := run(8)
 	if d3 == d1 {
 		t.Fatal("different seeds produced identical loss realizations")
+	}
+}
+
+// closureLink is WANLink.Send as it was before the in-flight rings: one
+// closure per message for transmit-done and a second, nested in it, for
+// arrival, so every message carries its own state and nothing assumes
+// an order. Kept here as the oracle for the rings.
+type closureLink struct {
+	eng       *sim.Engine
+	cfg       WANConfig
+	rng       *rand.Rand
+	busyUntil sim.Time
+	queued    int
+	Stats     WANStats
+}
+
+func (l *closureLink) Send(size int, deliver, lost func()) bool {
+	if l.queued >= l.cfg.QueueCap {
+		l.Stats.QueueDrops++
+		return false
+	}
+	l.queued++
+	if l.queued > l.Stats.MaxQueue {
+		l.Stats.MaxQueue = l.queued
+	}
+	l.Stats.Sent++
+	l.Stats.BytesSent += uint64(size)
+	now := l.eng.Now()
+	start := l.busyUntil
+	if start < now {
+		start = now
+	}
+	var ser sim.Duration
+	if l.cfg.BandwidthKbps > 0 {
+		ser = sim.Duration(float64(size*8) / (l.cfg.BandwidthKbps * 1000) * float64(sim.Second))
+	}
+	txDone := start.Add(ser)
+	l.busyUntil = txDone
+	dropped := l.cfg.Loss > 0 && l.rng.Float64() < l.cfg.Loss
+	l.eng.Schedule(txDone.Sub(now), func() {
+		l.queued--
+		if dropped {
+			l.Stats.LossDrops++
+			if lost != nil {
+				lost()
+			}
+			return
+		}
+		l.eng.Schedule(l.cfg.Delay, func() {
+			l.Stats.Delivered++
+			if deliver != nil {
+				deliver()
+			}
+		})
+	})
+	return true
+}
+
+// TestWANLinkMatchesClosureModel offers the same 1 000 random messages
+// at the same random instants to the link and to the closure model: the
+// same sends are refused, the same callback fires for each message at
+// the same simulated time and in the same order, and the counters
+// agree. Some callbacks are nil and some deliveries send again from
+// inside the callback, as a gateway hook may.
+func TestWANLinkMatchesClosureModel(t *testing.T) {
+	type fired struct {
+		id        int
+		delivered bool
+		at        sim.Time
+	}
+	type sender interface {
+		Send(size int, deliver, lost func()) bool
+	}
+	for _, cfg := range []WANConfig{
+		{BandwidthKbps: 8, Delay: 50 * sim.Millisecond, Loss: 0.1, QueueCap: 4}, // full queue
+		{Delay: 30 * sim.Millisecond, QueueCap: 64},                             // bandwidth 0
+		{BandwidthKbps: 64, Loss: 0.5, QueueCap: 16},                            // delay 0
+		{Loss: 0.5, QueueCap: 2},                                                // neither
+		{BandwidthKbps: 256, Delay: 2 * sim.Second, Loss: 0.01, QueueCap: 64},   // many propagating
+	} {
+		drive := func(eng *sim.Engine, l sender) (log []fired, refused []int) {
+			rng := rand.New(rand.NewSource(42))
+			var send func(id int)
+			send = func(id int) {
+				deliver := func() {
+					log = append(log, fired{id, true, eng.Now()})
+					if id%7 == 0 && id < 1000 {
+						send(id + 1000)
+					}
+				}
+				lost := func() { log = append(log, fired{id, false, eng.Now()}) }
+				switch id % 5 {
+				case 1:
+					deliver = nil
+				case 2:
+					lost = nil
+				}
+				if !l.Send(1+rng.Intn(400), deliver, lost) {
+					refused = append(refused, id)
+				}
+			}
+			for id := 0; id < 1000; id++ {
+				send(id)
+				if rng.Intn(3) > 0 {
+					eng.RunFor(sim.Duration(rng.Intn(300)) * sim.Millisecond)
+				}
+			}
+			eng.RunFor(sim.Minute)
+			return log, refused
+		}
+		engL, engM := sim.NewEngine(5), sim.NewEngine(5)
+		link := NewWANLink(engL, cfg, 9)
+		model := &closureLink{eng: engM, cfg: cfg, rng: rand.New(rand.NewSource(9))}
+		gotLog, gotRefused := drive(engL, link)
+		wantLog, wantRefused := drive(engM, model)
+		if !reflect.DeepEqual(gotRefused, wantRefused) {
+			t.Fatalf("%+v: refused sends differ: %v vs model %v", cfg, gotRefused, wantRefused)
+		}
+		if len(wantLog) < 400 || !reflect.DeepEqual(gotLog, wantLog) {
+			for i := range wantLog {
+				if i >= len(gotLog) || gotLog[i] != wantLog[i] {
+					t.Fatalf("%+v: callback %d of %d differs from the model's %+v", cfg, i, len(wantLog), wantLog[i])
+				}
+			}
+			t.Fatalf("%+v: %d callbacks, model fired %d", cfg, len(gotLog), len(wantLog))
+		}
+		if link.Stats != model.Stats || link.QueueDepth() != 0 {
+			t.Fatalf("%+v: stats %+v (depth %d), model %+v", cfg, link.Stats, link.QueueDepth(), model.Stats)
+		}
 	}
 }

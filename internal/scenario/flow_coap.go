@@ -33,7 +33,7 @@ func startCoAP(t *telemetry) *coapProbe {
 		sink := app.NewCountingSink(dst.Eng())
 		t.sink = sink
 		srv := coap.NewServer(dst.Eng(), dst.UDP, fs.Port)
-		srv.OnPost = func(_ ip6.Addr, payload []byte, _ *coap.Block1) coap.Code {
+		srv.OnPost = func(_ ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
 			sink.Received += len(payload)
 			app.ForEachReading(payload, t.deliver)
 			return coap.CodeChanged

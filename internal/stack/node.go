@@ -11,17 +11,24 @@
 // tcplp.Stack.Input → Conn.input, and the border ↔ host wire beside it —
 // allocates nothing in steady state, and every buffer on it is created
 // by the node's first datagram, not by New (TestDatagramPathAllocs,
-// TestNodeBuffersLazy). The packages below this one state their own
-// rules (mac: transmit jobs and the receive buffer; sixlowpan: fragment
-// buffers, the reassembly arena and Input's packet; tcplp.Stack: the
-// PoolEncode slots). What this package owns:
+// TestNodeBuffersLazy). UDP rides it under the same rule —
+// udp.Stack.SendJID → Node.SendPacket down, Node.deliver →
+// udp.Stack.Input → Handler up — and app's TestReadingPathAllocs holds
+// the reading path above it to zero. The packages around this one state
+// their own rules (mac: transmit jobs and the receive buffer; sixlowpan:
+// fragment buffers, the reassembly arena and Input's packet;
+// tcplp.Stack: the PoolEncode slots; udp: the send slot and a handler's
+// payload; coap, gateway, netem above that). What this package owns:
 //
 //   - A packet handed to SendPacket, route or deliver is borrowed for the
 //     call. Transports send from a pooled slot that is theirs again when
-//     Output returns; the reassembler's packet is valid until the next
-//     frame; a wire slot until wireReceive returns. route may rewrite the
-//     header (hop limit, ECN) but keeps nothing: the payload is copied
-//     into fragment buffers or a wire slot before it returns.
+//     Output returns (loopback excepted: a packet to the node's own
+//     address is delivered, and may be answered, inside Output, so the
+//     answer takes another slot); the reassembler's packet is valid
+//     until the next frame; a wire slot until wireReceive returns. route
+//     may rewrite the header (hop limit, ECN) but keeps nothing: the
+//     payload is copied into fragment buffers or a wire slot before it
+//     returns.
 //   - The compressed header is built in a stack array inside route and
 //     copied into the first frame.
 //   - The frame list belongs to the outItem: route appends the

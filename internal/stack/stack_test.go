@@ -341,7 +341,7 @@ func TestUDPAcrossMesh(t *testing.T) {
 	net := New(10, mesh.Chain(4, 10), DefaultOptions())
 	var got []byte
 	net.Nodes[0].UDP.Bind(5683, func(src ip6.Addr, srcPort uint16, payload []byte) {
-		got = payload
+		got = append(got, payload...) // the handler's slice is the reassembler's after the call
 	})
 	net.Nodes[3].UDP.Send(ip6.AddrFromID(0), 5683, 40001, []byte("coap-bound datagram"))
 	net.Eng.RunUntil(sim.Time(5 * sim.Second))
@@ -357,7 +357,7 @@ func TestUDPLargeDatagramFragmented(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	var got []byte
-	net.Nodes[0].UDP.Bind(5683, func(src ip6.Addr, srcPort uint16, p []byte) { got = p })
+	net.Nodes[0].UDP.Bind(5683, func(src ip6.Addr, srcPort uint16, p []byte) { got = append(got, p...) })
 	net.Nodes[2].UDP.Send(ip6.AddrFromID(0), 5683, 40001, payload)
 	net.Eng.RunUntil(sim.Time(5 * sim.Second))
 	if !bytes.Equal(got, payload) {

@@ -1,5 +1,16 @@
 // Package udp is the minimal UDP layer CoAP rides on: the 8-byte header
 // codec and a port-demultiplexing endpoint.
+//
+// # Buffer ownership
+//
+// A Stack sends from one slot (packet + wire bytes) made by its first
+// send. Send copies the caller's payload in, lends the slot to Output
+// for the call — stack.Node.SendPacket copies it on — and owns it again
+// when Output returns. Only a datagram to the node's own address, whose
+// handler runs and may answer inside Output, finds the slot lent out:
+// that send takes a fresh one. Input decodes in place: a Handler's
+// payload aliases the packet Input was given (the reassembler's, valid
+// until the next frame) and is good for the call only.
 package udp
 
 import (
@@ -7,6 +18,7 @@ import (
 	"errors"
 
 	"tcplp/internal/ip6"
+	"tcplp/internal/poison"
 )
 
 // HeaderLen is the UDP header length.
@@ -18,40 +30,34 @@ type Datagram struct {
 	Payload          []byte
 }
 
-// Encode serializes the datagram (checksum left zero: corruption is
-// modelled at the PHY).
-func (d *Datagram) Encode() []byte {
-	b := make([]byte, HeaderLen+len(d.Payload))
-	binary.BigEndian.PutUint16(b[0:], d.SrcPort)
-	binary.BigEndian.PutUint16(b[2:], d.DstPort)
-	binary.BigEndian.PutUint16(b[4:], uint16(len(b)))
-	copy(b[HeaderLen:], d.Payload)
-	return b
+// AppendEncode appends the serialized datagram to dst (checksum left
+// zero: corruption is modelled at the PHY).
+func (d *Datagram) AppendEncode(dst []byte) []byte {
+	n := HeaderLen + len(d.Payload)
+	dst = append(dst, byte(d.SrcPort>>8), byte(d.SrcPort), byte(d.DstPort>>8), byte(d.DstPort), byte(n>>8), byte(n), 0, 0)
+	return append(dst, d.Payload...)
 }
 
 // ErrTruncated reports a datagram shorter than its header or length field.
 var ErrTruncated = errors.New("udp: truncated datagram")
 
-// Decode parses a UDP datagram.
-func Decode(b []byte) (*Datagram, error) {
+// Decode parses a UDP datagram in place: Payload is b[HeaderLen:length].
+func Decode(b []byte) (Datagram, error) {
 	if len(b) < HeaderLen {
-		return nil, ErrTruncated
+		return Datagram{}, ErrTruncated
 	}
 	ln := int(binary.BigEndian.Uint16(b[4:]))
 	if ln < HeaderLen || ln > len(b) {
-		return nil, ErrTruncated
+		return Datagram{}, ErrTruncated
 	}
-	d := &Datagram{
+	return Datagram{
 		SrcPort: binary.BigEndian.Uint16(b[0:]),
 		DstPort: binary.BigEndian.Uint16(b[2:]),
-	}
-	if ln > HeaderLen {
-		d.Payload = append([]byte(nil), b[HeaderLen:ln]...)
-	}
-	return d, nil
+		Payload: b[HeaderLen:ln],
+	}, nil
 }
 
-// Handler receives datagrams for a bound port.
+// Handler receives a bound port's datagrams; payload is lent for the call.
 type Handler func(src ip6.Addr, srcPort uint16, payload []byte)
 
 // Stack is one node's UDP endpoint.
@@ -61,6 +67,14 @@ type Stack struct {
 	Output   func(pkt *ip6.Packet)
 	handlers map[uint16]Handler
 	nextPort uint16
+	slot     *sendSlot // made by the first send
+}
+
+// sendSlot is the one packet and wire buffer a Stack sends from.
+type sendSlot struct {
+	pkt  ip6.Packet
+	buf  []byte
+	busy bool // Output is running on this slot
 }
 
 // NewStack returns a UDP endpoint bound to addr. The handler map
@@ -99,21 +113,33 @@ func (s *Stack) Send(dst ip6.Addr, dstPort, srcPort uint16, payload []byte) {
 // SendJID is Send with a journey packet id attached to the datagram for
 // causal tracing (simulator metadata; never on the wire).
 func (s *Stack) SendJID(dst ip6.Addr, dstPort, srcPort uint16, payload []byte, jid int64) {
-	d := &Datagram{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
-	pkt := &ip6.Packet{
+	t := s.slot
+	if t == nil || t.busy {
+		t = &sendSlot{} // the first send, or one from inside Output (loopback)
+		if s.slot == nil {
+			s.slot = t
+		}
+	}
+	d := Datagram{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
+	t.buf = d.AppendEncode(t.buf[:0])
+	t.pkt = ip6.Packet{
 		Header: ip6.Header{
+			PayloadLen: uint16(len(t.buf)),
 			NextHeader: ip6.ProtoUDP,
 			HopLimit:   ip6.DefaultHopLimit,
 			Src:        s.addr,
 			Dst:        dst,
 		},
-		Payload: d.Encode(),
+		Payload: t.buf,
+		JID:     jid,
 	}
-	pkt.PayloadLen = uint16(len(pkt.Payload))
-	pkt.JID = jid
 	if s.Output != nil {
-		s.Output(pkt)
+		t.busy = true
+		s.Output(&t.pkt)
+		t.busy = false
 	}
+	poison.Packet(&t.pkt)
+	poison.Bytes(t.buf)
 }
 
 // Input feeds a received IPv6 packet into the UDP layer.
