@@ -13,8 +13,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of every bench_test.go benchmark, so bench-only code
-# cannot rot. Numbers come from the benchmark/ harness, not from here:
+# One iteration of every benchmark in the module (the registry table and
+# ablations in bench_test.go, the buffer-design ablation in
+# internal/tcplp/ablation_test.go, the per-package kernels), so
+# bench-only code cannot rot. Numbers come from the benchmark/ harness,
+# not from here:
 #   go run ./benchmark
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -23,8 +23,6 @@ const (
 	TCPQueueCap = 64
 	// CoAPQueueCap is the larger queue used for CoAP (§9.2).
 	CoAPQueueCap = 104
-	// DefaultBatch is the §9.3 batching threshold.
-	DefaultBatch = 64
 )
 
 // SensorStats measures a sensor's delivery performance; reliability is
@@ -247,14 +245,8 @@ type TCPTransport struct {
 	sensor *Sensor
 }
 
-// NewTCPTransport connects node to collector:port and returns the
-// transport plus a hook to attach the sensor.
-func NewTCPTransport(node *stack.Node, collector ip6.Addr, port uint16) *TCPTransport {
-	return NewTCPTransportConfig(node, node.TCP.Config(), collector, port)
-}
-
-// NewTCPTransportConfig is NewTCPTransport with an explicit per-flow
-// TCP configuration.
+// NewTCPTransportConfig connects node to collector:port under the
+// flow's TCP configuration; Attach links the sensor it drains.
 func NewTCPTransportConfig(node *stack.Node, cfg tcplp.Config, collector ip6.Addr, port uint16) *TCPTransport {
 	tr := &TCPTransport{}
 	c := node.TCP.ConnectConfig(collector, port, cfg)
@@ -268,7 +260,7 @@ func NewTCPTransportConfig(node *stack.Node, cfg tcplp.Config, collector ip6.Add
 }
 
 // Attach links the sensor that drains through this transport (delivery
-// itself is counted at the Collector, as the paper measures it).
+// itself is counted at the collector side, as the paper measures it).
 func (t *TCPTransport) Attach(s *Sensor) { t.sensor = s }
 
 // Send implements Transport.
@@ -302,14 +294,9 @@ type CoAPTransport struct {
 	posted   func(payload []byte, ok bool) // onPosted, bound once for every POST
 }
 
-// NewCoAPTransport builds a CoAP transport over the node's UDP stack,
-// targeting the collector's default CoAP port.
-func NewCoAPTransport(node *stack.Node, collector ip6.Addr, confirmable bool, msgSize int) *CoAPTransport {
-	return NewCoAPTransportPort(node, collector, coap.DefaultPort, confirmable, msgSize)
-}
-
-// NewCoAPTransportPort is NewCoAPTransport with an explicit server port,
-// letting several flows of one mesh run separate collectors.
+// NewCoAPTransportPort builds a CoAP transport over the node's UDP
+// stack to the collector's server port; a port per flow lets several
+// flows of one mesh run separate collectors.
 func NewCoAPTransportPort(node *stack.Node, collector ip6.Addr, port uint16, confirmable bool, msgSize int) *CoAPTransport {
 	cl := coap.NewClient(node.Eng(), node.UDP, collector, port)
 	if node.Sleep != nil {
@@ -369,59 +356,4 @@ func (t *CoAPTransport) onPosted(payload []byte, ok bool) {
 	if t.sensor != nil {
 		t.sensor.NotifyWritable()
 	}
-}
-
-// ---- collector-side accounting ----
-
-// Collector counts readings arriving at the cloud host over either
-// transport. Reliability is measured here, at the server, exactly as the
-// paper does: delivered readings over generated readings, regardless of
-// which protocol carried them.
-type Collector struct {
-	ReadingsByTCP  uint64
-	ReadingsByCoAP uint64
-
-	tcpRemainder map[*tcplp.Conn]int
-}
-
-// NewCollector installs TCP (port) and CoAP (5683) collectors on the
-// host. credit maps each sensor node's address to the SensorStats whose
-// Delivered count the collector maintains.
-func NewCollector(host *stack.Node, port uint16, credit map[ip6.Addr]*SensorStats) *Collector {
-	col := &Collector{tcpRemainder: map[*tcplp.Conn]int{}}
-	// One drain buffer shared by every sensor connection (drains run
-	// synchronously; the collector only counts, never keeps the bytes).
-	buf := make([]byte, 4096)
-	host.TCP.Listen(port, func(c *tcplp.Conn) {
-		c.OnReadable = func() {
-			for {
-				n := c.Read(buf)
-				if n == 0 {
-					break
-				}
-				col.tcpRemainder[c] += n
-				readings := col.tcpRemainder[c] / ReadingSize
-				col.tcpRemainder[c] %= ReadingSize
-				col.ReadingsByTCP += uint64(readings)
-				if credit != nil {
-					addr, _ := c.RemoteAddr()
-					if st := credit[addr]; st != nil {
-						st.Delivered += uint64(readings)
-					}
-				}
-			}
-		}
-	})
-	srv := coap.NewServer(host.Eng(), host.UDP, coap.DefaultPort)
-	srv.OnPost = func(src ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
-		readings := uint64(len(payload) / ReadingSize)
-		col.ReadingsByCoAP += readings
-		if credit != nil {
-			if st := credit[src]; st != nil {
-				st.Delivered += readings
-			}
-		}
-		return coap.CodeChanged
-	}
-	return col
 }

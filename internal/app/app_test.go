@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tcplp/internal/app"
+	"tcplp/internal/coap"
 	"tcplp/internal/ip6"
 	"tcplp/internal/mesh"
 	"tcplp/internal/netem"
@@ -88,22 +89,25 @@ type recordingTransport struct {
 func (r *recordingTransport) Send(p []byte) int { r.calls++; r.bytes += len(p); return len(p) }
 func (r *recordingTransport) CanSend() int      { return 1 << 20 }
 
+// The two end-to-end tests credit readings where a scenario run does:
+// at the production collector-side sinks (ListenReadingSink for TCP, a
+// coap.Server handing each POST to ForEachReading for CoAP), reliability
+// measured at the server as the paper does.
 func TestTCPTransportEndToEnd(t *testing.T) {
 	net := stack.New(5, mesh.Chain(2, 10), stack.DefaultOptions())
 	host := net.AttachHost()
-	credit := map[ip6.Addr]*app.SensorStats{}
-	col := app.NewCollector(host, 80, credit)
+	cfg := net.FlowTCPConfig("", 0)
+	var s *app.Sensor
+	sink := app.ListenReadingSink(host, 80, cfg, func(uint32) { s.Stats.Delivered++ })
 
-	node := net.Nodes[1]
-	tr := app.NewTCPTransport(node, host.Addr, 80)
-	s := app.NewSensor(net.Eng, tr, app.TCPQueueCap)
+	tr := app.NewTCPTransportConfig(net.Nodes[1], cfg, host.Addr, 80)
+	s = app.NewSensor(net.Eng, tr, app.TCPQueueCap)
 	s.Interval = 200 * sim.Millisecond
 	tr.Attach(s)
-	credit[node.Addr] = &s.Stats
 	s.Start()
 	net.Eng.RunFor(30 * sim.Second)
-	if col.ReadingsByTCP == 0 {
-		t.Fatal("no readings collected over TCP")
+	if s.Stats.Delivered == 0 || sink.Received != int(s.Stats.Delivered)*app.ReadingSize {
+		t.Fatalf("collected %d readings in %d bytes over TCP", s.Stats.Delivered, sink.Received)
 	}
 	if s.Stats.Reliability() < 0.9 {
 		t.Fatalf("reliability = %.2f", s.Stats.Reliability())
@@ -113,18 +117,20 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 func TestCoAPTransportEndToEnd(t *testing.T) {
 	net := stack.New(6, mesh.Chain(2, 10), stack.DefaultOptions())
 	host := net.AttachHost()
-	credit := map[ip6.Addr]*app.SensorStats{}
-	col := app.NewCollector(host, 80, credit)
+	var s *app.Sensor
+	srv := coap.NewServer(host.Eng(), host.UDP, coap.DefaultPort)
+	srv.OnPost = func(_ ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
+		app.ForEachReading(payload, func(uint32) { s.Stats.Delivered++ })
+		return coap.CodeChanged
+	}
 
-	node := net.Nodes[1]
-	tr := app.NewCoAPTransport(node, host.Addr, true, 410)
-	s := app.NewSensor(net.Eng, tr, app.CoAPQueueCap)
+	tr := app.NewCoAPTransportPort(net.Nodes[1], host.Addr, coap.DefaultPort, true, 410)
+	s = app.NewSensor(net.Eng, tr, app.CoAPQueueCap)
 	s.Interval = 200 * sim.Millisecond
 	tr.Attach(s)
-	credit[node.Addr] = &s.Stats
 	s.Start()
 	net.Eng.RunFor(30 * sim.Second)
-	if col.ReadingsByCoAP == 0 {
+	if s.Stats.Delivered == 0 {
 		t.Fatal("no readings collected over CoAP")
 	}
 	if s.Stats.Reliability() < 0.9 {

@@ -66,7 +66,7 @@ func TestReadingPathAllocs(t *testing.T) {
 				app.ForEachReading(payload, deliver)
 				return coap.CodeChanged
 			}
-			s = sensor(net, app.NewCoAPTransport(net.Nodes[1], net.Nodes[0].Addr, true, 410), app.CoAPQueueCap)
+			s = sensor(net, app.NewCoAPTransportPort(net.Nodes[1], net.Nodes[0].Addr, coap.DefaultPort, true, 410), app.CoAPQueueCap)
 			return net, func() uint64 { return got }
 		}},
 		{"udp", func() (*stack.Network, func() uint64) {

@@ -121,6 +121,8 @@ func (m *Message) GetOption(num uint16) ([]byte, bool) {
 }
 
 // Encode serializes the message into a fresh buffer.
+// Outside tests only benchmark/kernels.go calls it; it leaves with the
+// benchmark refresh (ROADMAP item 5).
 func (m *Message) Encode() []byte { return m.AppendEncode(make([]byte, 0, 16+len(m.Payload))) }
 
 // AppendEncode appends the serialized message (RFC 7252 §3) to dst.
@@ -163,6 +165,8 @@ func appendOptExt(dst []byte, v int) ([]byte, uint8) {
 }
 
 // Decode is DecodeInto a fresh Message.
+// Outside tests only benchmark/kernels.go calls it; it leaves with the
+// benchmark refresh (ROADMAP item 5).
 func Decode(b []byte) (*Message, error) {
 	m := new(Message)
 	return m, DecodeInto(m, b)

@@ -3,7 +3,7 @@
 // comes from a documented per-operation cost model, since a discrete-event
 // simulation has no real microcontroller to measure.
 //
-// The cost model is a substitution (see DESIGN.md): absolute CPU numbers
+// The cost model is a substitution (DefaultCosts below): absolute CPU numbers
 // are model outputs, calibrated so a batched anemometer workload lands in
 // the paper's ≈1% range; only relative comparisons (TCP vs CoAP, batching
 // vs not) are claimed.

@@ -138,10 +138,7 @@ var Registry = []Experiment{
 	{ID: "fig5", Desc: "Goodput/RTT vs window (Fig. 5)", Run: one(Fig5), MultiSeed: true},
 	{ID: "table7", Desc: "Baseline stack comparison (Table 7)", Run: one(Table7), MultiSeed: true},
 	{ID: "fig6", Desc: "Link-retry delay sweep incl. Fig. 7b (Fig. 6)", Run: Fig6, MultiSeed: true},
-	{ID: "fig7a", Desc: "cwnd behaviour summary (Fig. 7a)", Run: func(o Opts) []*Table {
-		_, t := CwndTrace(o)
-		return []*Table{t}
-	}},
+	{ID: "fig7a", Desc: "cwnd behaviour summary (Fig. 7a)", Run: one(CwndTrace)},
 	{ID: "hopsweep", Desc: "Goodput vs hops (§7.2)", Run: one(HopSweep), MultiSeed: true},
 	{ID: "model", Desc: "Eq.1 vs Eq.2 (§8)", Run: static(ModelComparison)},
 	{ID: "table9", Desc: "Two-flow fairness (Table 9 / Appendix A)", Run: one(Table9), MultiSeed: true},

@@ -65,7 +65,7 @@ func Table34() *Table {
 	listenerSize := int(unsafe.Sizeof(tcplp.Listener{}))
 	segSize := int(unsafe.Sizeof(tcplp.Segment{}))
 	cfg := tcplp.DefaultConfig()
-	t.AddRow("Active socket (Conn struct)", di(connSize), "excludes buffers; paper: a few hundred bytes")
+	t.AddRow("Active socket (Conn struct)", di(connSize), "both buffer headers inside, their byte arrays not; paper: a few hundred bytes")
 	t.AddRow("Passive socket (Listener)", di(listenerSize), "paper: far smaller than active (§4.1)")
 	t.AddRow("Segment descriptor", di(segSize), "transient per-packet state")
 	t.AddRow("Send buffer", di(cfg.SendBufSize), "4 segments (§6.2)")
@@ -114,10 +114,10 @@ func Table6() *Table {
 		Flags: tcplp.FlagACK, HasTS: true,
 		Payload: make([]byte, info.MSS),
 	}
-	segBytes := seg.Encode(hdr.Src, hdr.Dst)
-	chdr := sixlowpan.CompressHeader(hdr)
+	segBytes := seg.AppendEncode(nil, hdr.Src, hdr.Dst)
+	chdr := sixlowpan.AppendCompressHeader(nil, hdr)
 	var frag sixlowpan.Fragmenter
-	frames := frag.Fragment(chdr, segBytes, phy.MaxMACPayload)
+	frames := frag.AppendFragments(nil, chdr, segBytes, phy.MaxMACPayload)
 
 	t.AddRow("IEEE 802.15.4", di(phy.FrameOverhead), di(phy.FrameOverhead))
 	t.AddRow("6LoWPAN fragment hdr", di(sixlowpan.Frag1HeaderLen), di(sixlowpan.FragNHeaderLen))

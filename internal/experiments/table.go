@@ -2,7 +2,8 @@
 // paper's evaluation. Each runner builds the scenario from the library's
 // public pieces, runs it, and returns a Table whose rows correspond to
 // the points the paper plots. cmd/tcplp-bench prints them; the root-level
-// benchmarks wrap them; EXPERIMENTS.md records paper-vs-measured.
+// bench_test.go runs them all from one table; each table's notes quote
+// the paper's numbers next to the measured ones.
 package experiments
 
 import (

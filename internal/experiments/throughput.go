@@ -246,18 +246,12 @@ func Fig6(o Opts) []*Table {
 	return []*Table{t6a, t6b, t6c, t6d, t7b}
 }
 
-// CwndTracePoint is one cwnd/ssthresh observation.
-type CwndTracePoint struct {
-	T        sim.Time
-	Cwnd     int
-	Ssthresh int
-}
-
-// CwndTrace reproduces Fig. 7a: the congestion window of a three-hop
+// CwndTrace summarises Fig. 7a: the congestion window of a three-hop
 // flow with d = 0 (hidden-terminal losses) observed over an interval —
-// a single traced-flow spec whose trajectory comes back in the flow
-// result.
-func CwndTrace(o Opts) ([]CwndTracePoint, *Table) {
+// a single traced-flow spec. examples/scenarios/fig7a_cwnd.json is the
+// same spec as a file; -format json on it prints the trajectory itself
+// (runs[0].flows[0].cwnd_trace).
+func CwndTrace(o Opts) *Table {
 	start := o.scale().dur(30 * sim.Second)
 	window := o.scale().dur(100 * sim.Second)
 	noRetry := scenario.Duration(0)
@@ -273,10 +267,7 @@ func CwndTrace(o Opts) ([]CwndTracePoint, *Table) {
 		Seeds:    []int64{7},
 	}})[0].Runs[0]
 	fl := run.Flows[0]
-	trace := make([]CwndTracePoint, len(fl.CwndTrace))
-	for i, p := range fl.CwndTrace {
-		trace[i] = CwndTracePoint{T: sim.Time(p.T), Cwnd: p.Cwnd, Ssthresh: p.Ssthresh}
-	}
+	trace := fl.CwndTrace
 
 	maxCwnd := fl.WindowSegs * fl.MSS
 	atMax := 0
@@ -287,7 +278,7 @@ func CwndTrace(o Opts) ([]CwndTracePoint, *Table) {
 	}
 	t := &Table{
 		ID:      "fig7a",
-		Title:   "cwnd behaviour, three hops, d=0 (summary; full trace via cmd/tcplp-trace)",
+		Title:   "cwnd behaviour, three hops, d=0 (summary; the series: -scenario examples/scenarios/fig7a_cwnd.json -format json)",
 		Columns: []string{"Metric", "Value"},
 	}
 	t.AddRow("congestion events traced", di(len(trace)))
@@ -297,7 +288,7 @@ func CwndTrace(o Opts) ([]CwndTracePoint, *Table) {
 	t.AddRow("timeouts", du(fl.Timeouts))
 	t.AddRow("fast retransmissions", du(fl.FastRtx))
 	t.Note("paper Fig. 7a: cwnd recovers to the (4-segment) maximum almost immediately after every loss — no sawtooth")
-	return trace, t
+	return t
 }
 
 // HopSweep reproduces the §7.2 hop-count measurement at d = 40 ms and

@@ -46,13 +46,13 @@ func (h *Header) ECN() ECN { return ECN(h.TrafficClass & 0x3) }
 func (h *Header) SetECN(e ECN) { h.TrafficClass = h.TrafficClass&^0x3 | uint8(e) }
 
 // Packet is an IPv6 packet: header plus upper-layer payload. PayloadLen
-// is maintained by Encode.
+// is maintained by AppendEncode.
 type Packet struct {
 	Header
 	Payload []byte
 
 	// JID is the journey packet id for causal tracing (0 = untagged).
-	// It rides alongside the packet as simulator metadata — Encode never
+	// It rides alongside the packet as simulator metadata — AppendEncode never
 	// serializes it and Decode leaves it zero — so tagging a packet can
 	// never change wire bytes, air time, or any RNG draw.
 	JID int64
@@ -78,11 +78,6 @@ func (p *Packet) AppendEncode(dst []byte) []byte {
 	return append(dst, p.Payload...)
 }
 
-// Encode serializes the packet into a fresh buffer.
-func (p *Packet) Encode() []byte {
-	return p.AppendEncode(make([]byte, 0, HeaderLen+len(p.Payload)))
-}
-
 // Decode errors.
 var (
 	ErrTruncated  = errors.New("ip6: truncated packet")
@@ -91,6 +86,8 @@ var (
 )
 
 // Decode parses a serialized IPv6 packet. The payload is copied.
+// Outside tests only benchmark/kernels.go calls it; it leaves with the
+// benchmark refresh (ROADMAP item 5).
 func Decode(b []byte) (*Packet, error) {
 	if len(b) < HeaderLen {
 		return nil, ErrTruncated

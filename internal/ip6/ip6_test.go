@@ -18,7 +18,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 		},
 		Payload: []byte("segment bytes"),
 	}
-	b := p.Encode()
+	b := p.AppendEncode(nil)
 	if len(b) != HeaderLen+len(p.Payload) {
 		t.Fatalf("encoded %d bytes", len(b))
 	}
@@ -35,12 +35,12 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(make([]byte, 10)); err != ErrTruncated {
 		t.Fatalf("short: %v", err)
 	}
-	b := (&Packet{Header: Header{Src: AddrFromID(0), Dst: AddrFromID(1)}}).Encode()
+	b := (&Packet{Header: Header{Src: AddrFromID(0), Dst: AddrFromID(1)}}).AppendEncode(nil)
 	b[0] = 4 << 4
 	if _, err := Decode(b); err != ErrNotIPv6 {
 		t.Fatalf("version: %v", err)
 	}
-	b = (&Packet{Payload: []byte("xy")}).Encode()
+	b = (&Packet{Payload: []byte("xy")}).AppendEncode(nil)
 	if _, err := Decode(b[:len(b)-1]); err != ErrBadPayload {
 		t.Fatalf("length: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 			},
 			Payload: payload,
 		}
-		g, err := Decode(p.Encode())
+		g, err := Decode(p.AppendEncode(nil))
 		if err != nil {
 			return false
 		}

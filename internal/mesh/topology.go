@@ -182,10 +182,18 @@ func Tree(depth, fanout int, spacing float64) Topology {
 	return Topology{Positions: pos, TxRange: spacing * 1.25, SenseRange: spacing * 1.25}
 }
 
-// TreeNodes returns the node count of Tree(depth, fanout, ·).
+// TreeNodes returns the node count of Tree(depth, fanout, ·), saturating
+// at math.MaxInt instead of wrapping, in a few dozen steps whatever the
+// arguments: spec validation bounds the result before anything is built.
 func TreeNodes(depth, fanout int) int {
+	if fanout <= 1 { // a path, counted without walking it (Tree lays out fanout < 1 as one too)
+		return min(max(depth, 0), math.MaxInt-1) + 1
+	}
 	total, level := 1, 1
 	for d := 1; d <= depth; d++ {
+		if level > (math.MaxInt-total)/fanout {
+			return math.MaxInt
+		}
 		level *= fanout
 		total += level
 	}

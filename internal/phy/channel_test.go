@@ -33,9 +33,9 @@ func TestSimpleDelivery(t *testing.T) {
 	if got == nil {
 		t.Fatal("frame not delivered")
 	}
-	f, err := DecodeFrame(got)
-	if err != nil || string(f.Payload) != "x" {
-		t.Fatalf("bad delivery: %v %v", f, err)
+	var f Frame
+	if err := DecodeFrameInto(&f, got); err != nil || string(f.Payload) != "x" {
+		t.Fatalf("bad delivery: %+v %v", f, err)
 	}
 	if b.FramesReceived() != 1 || a.FramesSent() != 1 {
 		t.Fatalf("counters: sent=%d recv=%d", a.FramesSent(), b.FramesReceived())

@@ -152,6 +152,8 @@ func (f *Frame) WireLen() int {
 // Encode serializes the frame to wire format in a fresh slice. It panics
 // if the frame exceeds MaxPHYPayload, which indicates a bug in the
 // caller's fragmentation logic rather than a runtime condition.
+// Outside tests only benchmark/kernels.go calls it; it leaves with the
+// benchmark refresh (ROADMAP item 5).
 func (f *Frame) Encode() []byte {
 	return f.AppendEncode(make([]byte, 0, f.WireLen()))
 }
@@ -276,19 +278,6 @@ func PeekHeader(b []byte) (FrameType, Addr, error) {
 	}
 	copy(dst[:], b[5:13])
 	return t, dst, nil
-}
-
-// DecodeFrame parses a wire-format frame into a fresh Frame whose
-// payload is an independent copy of the input.
-func DecodeFrame(b []byte) (*Frame, error) {
-	f := &Frame{}
-	if err := DecodeFrameInto(f, b); err != nil {
-		return nil, err
-	}
-	if len(f.Payload) > 0 {
-		f.Payload = append([]byte(nil), f.Payload...)
-	}
-	return f, nil
 }
 
 // AckFor builds the immediate acknowledgment for a received frame,

@@ -23,8 +23,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if len(b) != f.WireLen() {
 		t.Fatalf("encoded %d bytes, WireLen says %d", len(b), f.WireLen())
 	}
-	g, err := DecodeFrame(b)
-	if err != nil {
+	var g Frame
+	if err := DecodeFrameInto(&g, b); err != nil {
 		t.Fatal(err)
 	}
 	if g.Type != f.Type || g.Seq != f.Seq || g.PAN != f.PAN || g.Dst != f.Dst ||
@@ -39,8 +39,8 @@ func TestAckRoundTrip(t *testing.T) {
 	if len(b) != AckFrameLen {
 		t.Fatalf("ack length %d, want %d", len(b), AckFrameLen)
 	}
-	g, err := DecodeFrame(b)
-	if err != nil {
+	var g Frame
+	if err := DecodeFrameInto(&g, b); err != nil {
 		t.Fatal(err)
 	}
 	if g.Type != FrameAck || g.Seq != 99 || !g.FramePending {
@@ -57,8 +57,8 @@ func TestCommandRoundTrip(t *testing.T) {
 		Command:    DataRequest,
 		AckRequest: true,
 	}
-	g, err := DecodeFrame(f.Encode())
-	if err != nil {
+	var g Frame
+	if err := DecodeFrameInto(&g, f.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if g.Type != FrameCommand || g.Command != DataRequest {
@@ -90,16 +90,17 @@ func TestAirTimeMatchesPaper(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := DecodeFrame([]byte{1, 2}); err != ErrFrameTooShort {
+	var g Frame
+	if err := DecodeFrameInto(&g, []byte{1, 2}); err != ErrFrameTooShort {
 		t.Fatalf("short frame: %v", err)
 	}
-	if _, err := DecodeFrame(make([]byte, 200)); err != ErrFrameTooLong {
+	if err := DecodeFrameInto(&g, make([]byte, 200)); err != ErrFrameTooLong {
 		t.Fatalf("long frame: %v", err)
 	}
 	// Data frame with short addressing modes is rejected.
 	b := (&Frame{Type: FrameData, Dst: AddrFromID(1), Src: AddrFromID(2)}).Encode()
 	b[1] &^= 0xc0 // clear src extended-addressing bits
-	if _, err := DecodeFrame(b); err != ErrBadAddressing {
+	if err := DecodeFrameInto(&g, b); err != ErrBadAddressing {
 		t.Fatalf("bad addressing: %v", err)
 	}
 }
@@ -125,8 +126,8 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 			Dst: AddrFromID(int(dst)), Src: AddrFromID(int(src)),
 			AckRequest: ar, FramePending: fp, Payload: payload,
 		}
-		out, err := DecodeFrame(in.Encode())
-		if err != nil {
+		var out Frame
+		if err := DecodeFrameInto(&out, in.Encode()); err != nil {
 			return false
 		}
 		return out.Seq == seq && out.PAN == pan && out.AckRequest == ar &&

@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tcplp/internal/sim"
 	"tcplp/internal/tcplp/cc"
@@ -418,6 +420,64 @@ func TestParseSpecsErrors(t *testing.T) {
 	in := strings.Replace(ok, `"nodes":2`, `"nodes":2,"spacing":-5`, 1)
 	if _, err := ParseSpecs([]byte(in)); err == nil || !strings.Contains(err.Error(), "negative spacing") {
 		t.Fatalf("%s: err = %v, want the negative spacing named", in, err)
+	}
+}
+
+// TestHostileSpecsRejected: a spec is outside input, so what it asks the
+// process to allocate is bounded by Validate. Each of these used to pass
+// ParseSpecs far enough to die of "fatal error: out of memory" (the
+// sweep inside Validate itself, which expanded it) or, for depth 64, to
+// wrap the node count negative. Each must now be refused at once — the
+// 100 ms budget is what shows no topology was built and no grid
+// expanded — with an error naming the field and the limit.
+func TestHostileSpecsRejected(t *testing.T) {
+	flows := `"flows":[{"from":1,"to":0}]`
+	tens := `[1,2,3,4,5,6,7,8,9,10]`
+	ms := `["1ms","2ms","3ms","4ms","5ms","6ms","7ms","8ms","9ms","10ms"]`
+	pct := `[0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.1]`
+	seeds := make([]string, maxSeeds+1)
+	for i := range seeds {
+		seeds[i] = strconv.Itoa(i + 1)
+	}
+	for _, c := range []struct{ name, spec, field, limit string }{
+		{"tree of 2^31 nodes", `{"name":"h","topology":{"kind":"tree","depth":30,"fanout":2},` + flows + `}`,
+			"depth/fanout", strconv.Itoa(maxNodes)},
+		{"tree whose size wraps", `{"name":"h","topology":{"kind":"tree","depth":64,"fanout":2},` + flows + `}`,
+			"depth/fanout", strconv.Itoa(maxNodes)},
+		{"path of 2e9 nodes as a tree", `{"name":"h","topology":{"kind":"tree","depth":2000000000,"fanout":1},` + flows + `}`,
+			"depth/fanout", strconv.Itoa(maxNodes)},
+		{"chain of 2e9 nodes", `{"name":"h","topology":{"kind":"chain","nodes":2000000000},` + flows + `}`,
+			"nodes", strconv.Itoa(maxNodes)},
+		{"city of 2e9 nodes", `{"name":"h","topology":{"kind":"random_geometric","nodes":2000000000},` + flows + `}`,
+			"nodes", strconv.Itoa(maxNodes)},
+		{"twinleaf path that wraps", `{"name":"h","topology":{"kind":"twinleaf","path_hops":9223372036854775807},` + flows + `}`,
+			"path_hops", strconv.Itoa(maxNodes)},
+		{"hops axis value of 2e9", `{"name":"h","topology":{"kind":"chain"},` + flows + `,"sweep":{"hops":[1,2000000000]}}`,
+			"nodes", strconv.Itoa(maxNodes)},
+		{"seven-axis sweep of 5e6 cells", `{"name":"h","topology":{"kind":"chain"},` + flows + `,"sweep":{"hops":` + tens +
+			`,"per":` + pct + `,"injected_loss":` + pct + `,"retry_delay":` + ms + `,"seg_frames":` + tens +
+			`,"window_segs":` + tens + `,"variants":["newreno","cubic","westwood","bbr","vegas"]}}`,
+			"sweep", strconv.Itoa(maxCells)},
+		{"too many seeds", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows + `,"seeds":[` + strings.Join(seeds, ",") + `]}`,
+			"seeds", strconv.Itoa(maxSeeds)},
+	} {
+		start := time.Now()
+		_, err := ParseSpecs([]byte(c.spec))
+		took := time.Since(start)
+		if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), c.limit) {
+			t.Errorf("%s: err = %v, want an error naming %q and the limit %s", c.name, err, c.field, c.limit)
+		}
+		if took > 100*time.Millisecond {
+			t.Errorf("%s: refused after %v, want < 100ms (validation must not build or expand anything)", c.name, took)
+		}
+	}
+
+	// The limits sit above everything checked in: the largest example
+	// (city_100k) and a grid just inside the cell limit still validate.
+	ok := `{"name":"ok","topology":{"kind":"chain"},` + flows + `,"sweep":{"hops":` + tens + `,"per":` + pct +
+		`,"retry_delay":` + ms + `,"seg_frames":` + tens + `,"window_segs":[1,2,3,4,5,6]}}`
+	if _, err := ParseSpecs([]byte(ok)); err != nil {
+		t.Errorf("a 60 000-cell grid (limit %d) rejected: %v", maxCells, err)
 	}
 }
 
@@ -857,7 +917,7 @@ func TestExampleSpecRuns(t *testing.T) {
 func TestAllExampleSpecsLoad(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "scenarios")
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) < 7 {
+	if err != nil || len(files) < 15 {
 		t.Fatalf("example specs missing: %v (err %v)", files, err)
 	}
 	for _, f := range files {

@@ -851,13 +851,31 @@ func (s *Spec) cell(i int, picked []sweepOpt) *Spec {
 	return &c
 }
 
-// validateSweep checks the axis values themselves; the expanded cells
-// are validated individually afterwards.
+// Resource limits. A spec is outside input: what it asks the process to
+// allocate is bounded here, by Validate, so a hostile or mistyped file
+// gets an error naming the field and the limit instead of the OOM
+// killer. Each is far above anything checked in (city_100k.json is
+// 100 000 nodes; the largest example grid is 60 cells, 5 seeds).
+const (
+	maxNodes = 1 << 20 // mesh nodes one cell may instantiate
+	maxCells = 1 << 16 // cells one sweep spec may expand to
+	maxSeeds = 1 << 12 // seeds one spec may list
+)
+
+// validateSweep checks the grid's size — from the axis lengths alone,
+// before anything expands it — and the axis values themselves; the
+// expanded cells are validated individually afterwards.
 func (s *Spec) validateSweep() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %q: sweep: %s", s.Name, fmt.Sprintf(format, args...))
 	}
 	sw := s.Sweep
+	axes, cells := sw.axes(), 1
+	for _, dim := range axes {
+		if cells *= len(dim); cells > maxCells {
+			return bad("the axes multiply out to more than %d cells (the limit); split the grid", maxCells)
+		}
+	}
 	keys := make([]string, len(sweepAxes))
 	for i, ax := range sweepAxes {
 		if err := ax.check(s); err != nil {
@@ -869,7 +887,7 @@ func (s *Spec) validateSweep() error {
 	// expand to, so a mistyped override value ("04", "40 ms") is a
 	// validation error instead of a silently inert patch.
 	axisValues := map[string]map[string]bool{}
-	for _, dim := range sw.axes() {
+	for _, dim := range axes {
 		for _, opt := range dim {
 			vs := axisValues[opt.av.Axis]
 			if vs == nil {
@@ -926,9 +944,15 @@ func (t TopologySpec) nodeCount() int {
 	case TopoTwinLeaf:
 		return t.PathHops + 2
 	case TopoTree:
-		return mesh.TreeNodes(t.Depth, t.Fanout)
+		return mesh.TreeNodes(t.Depth, t.Fanout) // saturates, never wraps
 	}
 	return 0
+}
+
+// sizeField names the topology field(s) that set nodeCount, by kind.
+var sizeField = map[string]string{
+	TopoChain: "nodes", TopoStar: "nodes", TopoRandomGeometric: "nodes",
+	TopoTwinLeaf: "path_hops", TopoTree: "depth/fanout",
 }
 
 // Validate checks the spec for structural errors — unknown kinds,
@@ -937,6 +961,9 @@ func (t TopologySpec) nodeCount() int {
 func (s *Spec) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
+	}
+	if len(s.Seeds) > maxSeeds {
+		return bad("seeds: %d entries, the limit is %d", len(s.Seeds), maxSeeds)
 	}
 	if s.Sweep != nil && !s.Sweep.empty() {
 		// A sweep spec is checked axis-by-axis, then cell-by-cell: the
@@ -980,6 +1007,9 @@ func (s *Spec) Validate() error {
 		return bad("unknown topology kind %q (have chain, star, office, twinleaf, random_geometric, tree)", s.Topology.Kind)
 	}
 	n := s.Topology.nodeCount()
+	if n > maxNodes || n < 0 { // < 0: path_hops + 2 wrapped
+		return bad("topology %s: %s asks for more than %d nodes (the limit)", s.Topology.Kind, sizeField[s.Topology.Kind], maxNodes)
+	}
 	if len(s.Flows) == 0 {
 		return bad("no flows")
 	}

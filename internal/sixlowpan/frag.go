@@ -211,6 +211,8 @@ func (f *Fragmenter) AppendFragments(dst [][]byte, chdr, payload []byte, maxLink
 }
 
 // Fragment is AppendFragments into a fresh list.
+// Outside tests only benchmark/kernels.go calls it; it leaves with the
+// benchmark refresh (ROADMAP item 5).
 func (f *Fragmenter) Fragment(chdr, payload []byte, maxLink int) [][]byte {
 	return f.AppendFragments(nil, chdr, payload, maxLink)
 }

@@ -113,6 +113,8 @@ func AppendCompressHeader(dst []byte, h *ip6.Header) []byte {
 }
 
 // CompressHeader is AppendCompressHeader into a fresh buffer.
+// Outside tests only benchmark/kernels.go calls it; it leaves with the
+// benchmark refresh (ROADMAP item 5).
 func CompressHeader(h *ip6.Header) []byte {
 	return AppendCompressHeader(make([]byte, 0, 12), h)
 }
@@ -172,6 +174,8 @@ func readAddr(a *ip6.Addr, b []byte, compressed bool) (int, error) {
 }
 
 // DecompressHeader is DecompressHeaderInto a freshly allocated header.
+// Outside tests only benchmark/kernels.go calls it; it leaves with the
+// benchmark refresh (ROADMAP item 5).
 func DecompressHeader(b []byte) (*ip6.Header, int, error) {
 	h := &ip6.Header{}
 	n, err := DecompressHeaderInto(h, b)

@@ -32,9 +32,6 @@ type Options struct {
 	// WindowSegs is the send/receive buffer size in segments (§6.2;
 	// paper default 4).
 	WindowSegs int
-	// ExplicitTCP uses Options.TCP verbatim instead of deriving MSS and
-	// buffers.
-	ExplicitTCP bool
 	// Mode selects fragment forwarding (default) or hop-by-hop
 	// reassembly.
 	Mode ForwardingMode
@@ -112,9 +109,7 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 		hostID:   HostID,
 		borderID: 0,
 	}
-	if !opt.ExplicitTCP {
-		net.Opt.TCP = net.deriveTCPConfig(opt.TCP)
-	}
+	net.Opt.TCP = DerivedTCPConfig(net.Opt, opt.TCP)
 	costs := energy.DefaultCosts()
 	for i := 0; i < topo.N(); i++ {
 		n := &Node{
@@ -158,7 +153,7 @@ func SegmentSizing(frames int, useTimestamps bool) MSSInfo {
 		Src:        ip6.AddrFromID(1),
 		Dst:        ip6.AddrFromID(2),
 	}
-	chdr := len(sixlowpan.CompressHeader(sample))
+	chdr := len(sixlowpan.AppendCompressHeader(nil, sample))
 	tcpHdr := tcplp.BaseHeaderLen
 	if useTimestamps {
 		tcpHdr += 12
@@ -170,10 +165,6 @@ func SegmentSizing(frames int, useTimestamps bool) MSSInfo {
 		SegmentPayload:      seg,
 		MSS:                 seg - tcpHdr,
 	}
-}
-
-func (net *Network) deriveTCPConfig(base tcplp.Config) tcplp.Config {
-	return DerivedTCPConfig(net.Opt, base)
 }
 
 // DerivedTCPConfig computes the TCP configuration New derives from opt:

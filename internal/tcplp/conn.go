@@ -50,7 +50,10 @@ var (
 )
 
 // Config holds the per-connection tuning knobs — each Table 1 feature can
-// be switched off for the ablation benches.
+// be switched off for the ablation benches. The memory structures are
+// not knobs: every connection sends from a CopySendBuffer and receives
+// into a RecvBuffer (§4.3); the alternatives they were chosen over run
+// only in the ablation (ablation_test.go).
 type Config struct {
 	// MSS is the maximum TCP payload per segment we advertise. The §6.1
 	// experiments set it so a segment spans a chosen number of frames.
@@ -65,11 +68,6 @@ type Config struct {
 	UseDelayedAcks bool
 	UseECN         bool
 	NoDelay        bool // disable Nagle
-	// ZeroCopySend selects the §4.3.1 linked-list send buffer.
-	ZeroCopySend bool
-	// ChainRecvQueue selects the mbuf-chain reassembly ablation instead
-	// of the in-place queue.
-	ChainRecvQueue bool
 
 	RTOMin, RTOMax sim.Duration
 	// MaxRetransmits is how many consecutive RTOs abort the connection
@@ -143,18 +141,20 @@ type Conn struct {
 	localAddr, remoteAddr ip6.Addr
 	localPort, remotePort uint16
 
-	// Send state.
-	sndBuf    SendBuffer
+	// Send state. (Words before half-words: with both buffers inside,
+	// Conn plus the allocator's header must still fit the 768-byte class.)
+	sndBuf    CopySendBuffer
+	sndWnd    int
+	maxSndWnd int
 	iss       Seq
 	sndUna    Seq
 	sndNxt    Seq
 	sndMax    Seq // highest sequence sent + 1
 	queuedEnd Seq // stream position after the last byte queued by the app
-	sndWnd    int
-	maxSndWnd int
 	sndWL1    Seq
 	sndWL2    Seq
 	finQueued bool
+	probing   bool // inside onPersist's forced send
 
 	// Congestion control: cong owns cwnd/ssthresh (internal/tcplp/cc);
 	// the fields below are the recovery machinery shared by all variants.
@@ -171,7 +171,6 @@ type Conn struct {
 	rexmtShift   int
 	persist      *sim.Timer
 	persistShift int
-	probing      bool // inside onPersist's forced send
 	delAckTimer  *sim.Timer
 	timeWait     *sim.Timer
 
@@ -197,7 +196,7 @@ type Conn struct {
 	ecnOn    bool
 
 	// Receive state.
-	rcvQ        ReceiveQueue
+	rcvQ        RecvBuffer
 	irs         Seq
 	rcvNxt      Seq
 	finReceived bool
@@ -246,21 +245,15 @@ func newConn(s *Stack, cfg Config) *Conn {
 		cong:  alg,
 		state: StateClosed,
 		rtt:   newRTTEstimator(cfg.RTOMin, cfg.RTOMax),
+		// Both buffers live in the Conn by value: one allocation for the
+		// connection, one each for the byte arrays and the bitmap.
+		sndBuf: *NewCopySendBuffer(cfg.SendBufSize),
+		rcvQ:   *NewRecvBuffer(cfg.RecvBufSize),
 	}
-	if cfg.ZeroCopySend {
-		c.sndBuf = NewZeroCopySendBuffer(cfg.SendBufSize)
-	} else {
-		c.sndBuf = NewCopySendBuffer(cfg.SendBufSize)
-	}
-	if cfg.ChainRecvQueue {
-		c.rcvQ = NewChainRecvBuffer(cfg.RecvBufSize)
-	} else {
-		c.rcvQ = NewRecvBuffer(cfg.RecvBufSize)
-	}
-	c.rexmt = sim.NewTimer(s.eng, c.onRTO)
-	c.persist = sim.NewTimer(s.eng, c.onPersist)
-	c.delAckTimer = sim.NewTimer(s.eng, c.onDelAck)
-	c.timeWait = sim.NewTimer(s.eng, c.onTimeWaitExpiry)
+	c.rexmt = sim.NewTimer(s.eng, c.checked("rexmt timer", c.onRTO))
+	c.persist = sim.NewTimer(s.eng, c.checked("persist timer", c.onPersist))
+	c.delAckTimer = sim.NewTimer(s.eng, c.checked("delayed-ACK timer", c.onDelAck))
+	c.timeWait = sim.NewTimer(s.eng, c.checked("2MSL timer", c.onTimeWaitExpiry))
 	c.paceTimer = sim.NewTimer(s.eng, c.output)
 	c.peerMSS = 536
 	return c
@@ -305,9 +298,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	return n, nil
 }
-
-// WriteBufferSpace returns the free bytes in the send buffer.
-func (c *Conn) WriteBufferSpace() int { return c.sndBuf.Free() }
 
 // BufferedBytes returns bytes written but not yet acknowledged end-to-end
 // (still occupying the send buffer).
@@ -400,16 +390,6 @@ func (c *Conn) teardown(err error) {
 // setExpecting propagates the duty-cycling hint to the stack.
 func (c *Conn) setExpecting(on bool) {
 	c.stack.noteExpecting(c, on)
-}
-
-// checkInvariant panics when stream accounting diverges (debug aid).
-func (c *Conn) checkInvariant(where string) {
-	if c.state == StateEstablished && !c.finQueued {
-		want := c.queuedEnd.Diff(c.sndUna)
-		if want != c.sndBuf.Len() {
-			panic(fmt.Sprintf("invariant broken at %s: queuedEnd-una=%d bufLen=%d una=%d nxt=%d max=%d", where, want, c.sndBuf.Len(), c.sndUna, c.sndNxt, c.sndMax))
-		}
-	}
 }
 
 func (c *Conn) traceCwnd() {

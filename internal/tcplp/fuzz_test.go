@@ -14,13 +14,13 @@ import (
 // wrapper and into a dirty, reused Segment.
 func FuzzDecodeSegment(f *testing.F) {
 	f.Add((&Segment{SrcPort: 49153, DstPort: 80, SeqNum: 1, Flags: FlagSYN, Window: 1848,
-		MSS: 408, SACKPermitted: true, HasTS: true, TSVal: 7}).Encode(testSrc, testDst))
+		MSS: 408, SACKPermitted: true, HasTS: true, TSVal: 7}).AppendEncode(nil, testSrc, testDst))
 	busy := (&Segment{SrcPort: 80, DstPort: 49153, SeqNum: 9, AckNum: 1000, Flags: FlagACK | FlagPSH, Window: 400,
 		HasTS: true, TSVal: 8, TSEcr: 7, SACKBlocks: []SACKBlock{{2000, 2400}, {3000, 3100}, {4000, 4001}},
-		Payload: []byte("reading 17: 21.5C")}).Encode(testSrc, testDst)
+		Payload: []byte("reading 17: 21.5C")}).AppendEncode(nil, testSrc, testDst)
 	f.Add(busy)
-	f.Add((&Segment{Flags: FlagACK, SACKBlocks: []SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}}}).Encode(testSrc, testDst))
-	f.Add(append((&Segment{Flags: FlagRST}).Encode(testSrc, testDst)[:18], 0xf0, 0)) // data offset beyond the bytes
+	f.Add((&Segment{Flags: FlagACK, SACKBlocks: []SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}}}).AppendEncode(nil, testSrc, testDst))
+	f.Add(append((&Segment{Flags: FlagRST}).AppendEncode(nil, testSrc, testDst)[:18], 0xf0, 0)) // data offset beyond the bytes
 	f.Fuzz(func(t *testing.T, b []byte) {
 		reused := &Segment{JID: 99} // dirty: every option and a payload set
 		if err := DecodeSegmentInto(reused, testSrc, testDst, busy); err != nil {
@@ -48,7 +48,7 @@ func FuzzDecodeSegment(f *testing.F) {
 			}
 			sameSegment(t, "dirty reuse", reused, &s)
 			var again Segment
-			if err := DecodeSegmentInto(&again, testSrc, testDst, s.Encode(testSrc, testDst)); err != nil {
+			if err := DecodeSegmentInto(&again, testSrc, testDst, s.AppendEncode(nil, testSrc, testDst)); err != nil {
 				t.Fatalf("re-encoded segment does not decode: %v", err)
 			}
 			sameSegment(t, "re-encode", &again, &s)

@@ -135,16 +135,11 @@ func (s *Segment) HeaderLen() int { return BaseHeaderLen + s.optionLen() }
 // WireLen returns the total encoded segment length.
 func (s *Segment) WireLen() int { return s.HeaderLen() + len(s.Payload) }
 
-// Encode serializes the segment and computes the checksum over the
-// IPv6-style pseudo header for src/dst.
-func (s *Segment) Encode(src, dst ip6.Addr) []byte {
-	return s.AppendEncode(nil, src, dst)
-}
-
-// AppendEncode encodes the segment into buf's backing array when it is
-// large enough (allocating otherwise) and returns the encoded slice —
-// the pooling-friendly form of Encode for callers that recycle wire
-// buffers.
+// AppendEncode serializes the segment, with the checksum computed over
+// the IPv6-style pseudo header for src/dst, into buf's backing array
+// when it is large enough (allocating otherwise — a nil buf gives a
+// fresh slice) and returns the encoded slice, so callers that recycle
+// wire buffers encode without allocating.
 func (s *Segment) AppendEncode(buf []byte, src, dst ip6.Addr) []byte {
 	hl := s.HeaderLen()
 	n := hl + len(s.Payload)
@@ -294,6 +289,8 @@ func DecodeSegmentInto(s *Segment, src, dst ip6.Addr, b []byte) error {
 
 // DecodeSegment is DecodeSegmentInto a freshly allocated Segment with
 // the payload copied out of b.
+// Outside tests only benchmark/kernels.go calls it; it leaves with the
+// benchmark refresh (ROADMAP item 5).
 func DecodeSegment(src, dst ip6.Addr, b []byte) (*Segment, error) {
 	s := &Segment{}
 	if err := DecodeSegmentInto(s, src, dst, b); err != nil {

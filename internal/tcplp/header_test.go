@@ -20,7 +20,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		SACKBlocks: []SACKBlock{{Start: 100, End: 200}, {Start: 300, End: 400}},
 		Payload:    []byte("data bytes"),
 	}
-	b := s.Encode(testSrc, testDst)
+	b := s.AppendEncode(nil, testSrc, testDst)
 	if len(b) != s.WireLen() {
 		t.Fatalf("encoded %d, WireLen %d", len(b), s.WireLen())
 	}
@@ -45,7 +45,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSYNOptions(t *testing.T) {
 	s := &Segment{Flags: FlagSYN, MSS: 408, SACKPermitted: true, HasTS: true}
-	g, err := DecodeSegment(testSrc, testDst, s.Encode(testSrc, testDst))
+	g, err := DecodeSegment(testSrc, testDst, s.AppendEncode(nil, testSrc, testDst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +56,13 @@ func TestSYNOptions(t *testing.T) {
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	s := &Segment{SrcPort: 1, DstPort: 2, Payload: []byte("hello")}
-	b := s.Encode(testSrc, testDst)
+	b := s.AppendEncode(nil, testSrc, testDst)
 	b[len(b)-1] ^= 0x40
 	if _, err := DecodeSegment(testSrc, testDst, b); err != ErrBadChecksum {
 		t.Fatalf("corrupted payload: %v", err)
 	}
 	// Wrong pseudo header (different destination) also fails.
-	b = s.Encode(testSrc, testDst)
+	b = s.AppendEncode(nil, testSrc, testDst)
 	if _, err := DecodeSegment(testSrc, ip6.AddrFromID(9), b); err != ErrBadChecksum {
 		t.Fatalf("wrong pseudo header: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestQuickSegmentRoundTrip(t *testing.T) {
 		for i := 0; i < int(nblocks%4); i++ {
 			s.SACKBlocks = append(s.SACKBlocks, SACKBlock{Seq(seq + uint32(i*100)), Seq(seq + uint32(i*100+50))})
 		}
-		g, err := DecodeSegment(testSrc, testDst, s.Encode(testSrc, testDst))
+		g, err := DecodeSegment(testSrc, testDst, s.AppendEncode(nil, testSrc, testDst))
 		if err != nil {
 			return false
 		}

@@ -341,7 +341,7 @@ func (c *Conn) handleNewAck(seg *Segment, ack Seq) {
 			dataLeft := c.queuedEnd.Diff(ack)
 			n := min(mss, dataLeft)
 			if n > 0 && !c.peerSACK {
-				c.sendDataAt(ack, n)
+				c.sendData(ack, n, false, true) // New Reno, no SACK to name the holes
 			}
 			c.cong.OnPartialAck(c.now(), mss, acked, c.rtt.SRTT())
 			c.sackRtxNext = ack
@@ -370,13 +370,13 @@ func (c *Conn) handleNewAck(seg *Segment, ack Seq) {
 		c.sndBuf.Discard(dataAcked)
 	}
 	c.sndUna = ack
-	c.checkInvariant("handleNewAck")
 	c.sb.AdvanceUna(ack)
 	c.rtxPipe = max(0, c.rtxPipe-acked)
 	if c.sndNxt.LT(c.sndUna) {
 		c.sndNxt = c.sndUna
 	}
-	c.rearmRexmt()
+	c.rexmt.Stop() // forward progress: time whatever is still in flight afresh
+	c.armRexmt()
 	c.persistShift = 0
 
 	if c.sndMax.Diff(c.sndUna) == 0 {
@@ -398,12 +398,6 @@ func (c *Conn) handleNewAck(seg *Segment, ack Seq) {
 	if dataAcked > 0 && c.OnWritable != nil && c.sndBuf.Free() > 0 {
 		c.OnWritable()
 	}
-}
-
-// sendDataAt retransmits one segment at seq (New Reno partial-ACK path,
-// used when SACK is unavailable).
-func (c *Conn) sendDataAt(seq Seq, n int) {
-	c.sendData(seq, n, false, true)
 }
 
 // updateSendWindow applies the RFC 793 window-update rules.

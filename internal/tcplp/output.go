@@ -148,9 +148,15 @@ func (c *Conn) sendSYN(withAck bool) {
 	c.transmit(seg, nil)
 }
 
-// output is the tcp_output engine: it sends as much as the usable window,
-// the send buffer, Nagle, and recovery state allow.
+// output runs the tcp_output engine.
 func (c *Conn) output() {
+	c.sendLoop()
+	c.checkInvariants("output")
+}
+
+// sendLoop sends as much as the usable window, the send buffer, Nagle,
+// and recovery state allow.
+func (c *Conn) sendLoop() {
 	switch c.state {
 	case StateEstablished, StateCloseWait, StateFinWait1, StateClosing, StateLastAck:
 	default:
@@ -449,19 +455,13 @@ func (c *Conn) startRTTSample(seq Seq) {
 
 // ----- timers -----
 
+// armRexmt starts the retransmission timer if it is not running and
+// something is in flight. Only sequence space actually sent counts (a
+// transmitted FIN is inside snd.max): a FIN still queued behind a closed
+// window is the persist timer's to push, and arming both would fire RTOs
+// into the closed window (TestZeroWindowWithFinQueuedNoSpuriousRTO).
 func (c *Conn) armRexmt() {
-	if c.sndMax.Diff(c.sndUna) <= 0 && !c.finQueued {
-		return
-	}
-	if !c.rexmt.Armed() {
-		c.rexmt.Reset(c.rtt.Backoff(c.rexmtShift))
-	}
-}
-
-// rearmRexmt restarts the timer after forward progress.
-func (c *Conn) rearmRexmt() {
-	c.rexmt.Stop()
-	if c.sndMax.Diff(c.sndUna) > 0 || (c.finQueued && !c.finAcked()) {
+	if c.sndMax.Diff(c.sndUna) > 0 && !c.rexmt.Armed() {
 		c.rexmt.Reset(c.rtt.Backoff(c.rexmtShift))
 	}
 }

@@ -2,38 +2,14 @@ package tcplp
 
 import "math/bits"
 
-// ReceiveQueue buffers inbound data and performs out-of-order reassembly.
-// Offsets passed to Write are relative to rcv.nxt (0 = next expected
-// byte). Two implementations back the §4.3.2 discussion: RecvBuffer is
-// the paper's in-place reassembly queue (Fig. 1b); ChainRecvBuffer is an
-// mbuf-chain-style queue kept as an ablation baseline.
-type ReceiveQueue interface {
-	// Capacity is the fixed buffer size.
-	Capacity() int
-	// Readable is the number of in-sequence bytes awaiting the app.
-	Readable() int
-	// Window is the receive window to advertise: Capacity − Readable.
-	// Out-of-order bytes do not shrink it — they are stored in place,
-	// inside the space the window already promises (Fig. 1).
-	Window() int
-	// OutOfOrder is the number of buffered out-of-sequence bytes.
-	OutOfOrder() int
-	// Write stores data at sequence offset off (relative to rcv.nxt,
-	// off ≥ 0), clipped to the window. It returns how far rcv.nxt may
-	// advance: non-zero only when off == 0 or the write fills the gap.
-	Write(off int, data []byte) (advanced int)
-	// Read copies up to len(p) in-sequence bytes to the app.
-	Read(p []byte) int
-	// SACKRanges lists up to max out-of-order ranges as offsets
-	// [start, end) relative to rcv.nxt, most recently useful first.
-	SACKRanges(max int) [][2]int
-}
-
-// RecvBuffer is the in-place reassembly queue: a flat circular buffer
-// whose space past the in-sequence data holds out-of-order segments at
-// their final positions, with a bitmap recording which bytes are present
-// (Fig. 1b). Buffer space is reserved once, at construction, for
-// deterministic memory use on a constrained node.
+// RecvBuffer is the receive queue of every connection, the paper's
+// in-place reassembly queue: a flat circular buffer whose space past the
+// in-sequence data holds out-of-order segments at their final positions,
+// with a bitmap recording which bytes are present (Fig. 1b). Buffer
+// space is reserved once, at construction, for deterministic memory use
+// on a constrained node. Offsets passed to Write are relative to rcv.nxt
+// (0 = next expected byte). The mbuf-chain alternative it is measured
+// against lives with the §4.3 ablation (ablation_test.go).
 type RecvBuffer struct {
 	buf      []byte
 	bits     []uint64
@@ -115,21 +91,25 @@ func (b *RecvBuffer) scanFrom(i, win int, want bool) int {
 	return win
 }
 
-// Capacity implements ReceiveQueue.
+// Capacity is the fixed buffer size.
 func (b *RecvBuffer) Capacity() int { return len(b.buf) }
 
-// Readable implements ReceiveQueue.
+// Readable is the number of in-sequence bytes awaiting the app.
 func (b *RecvBuffer) Readable() int { return b.readable }
 
-// Window implements ReceiveQueue.
+// Window is the receive window to advertise: Capacity − Readable.
+// Out-of-order bytes do not shrink it — they are stored in place,
+// inside the space the window already promises (Fig. 1).
 func (b *RecvBuffer) Window() int { return len(b.buf) - b.readable }
 
-// OutOfOrder implements ReceiveQueue.
+// OutOfOrder is the number of buffered out-of-sequence bytes.
 func (b *RecvBuffer) OutOfOrder() int { return b.ooo }
 
-// Write implements ReceiveQueue. Data at offset off lands at circular
-// position start+readable+off; bytes beyond the advertised window are
-// dropped (the peer violated the window).
+// Write stores data at sequence offset off (relative to rcv.nxt),
+// clipped to the window, and returns how far rcv.nxt may advance:
+// non-zero only when off ≤ 0 or the write fills the gap. Data at offset
+// off lands at circular position start+readable+off; bytes beyond the
+// advertised window are dropped (the peer violated the window).
 func (b *RecvBuffer) Write(off int, data []byte) int {
 	if off < 0 {
 		// Partially duplicate segment: skip the bytes already received.
@@ -178,7 +158,7 @@ func (b *RecvBuffer) Write(off int, data []byte) int {
 	return advanced
 }
 
-// Read implements ReceiveQueue.
+// Read copies up to len(p) in-sequence bytes to the app.
 func (b *RecvBuffer) Read(p []byte) int {
 	n := len(p)
 	if n > b.readable {
@@ -197,8 +177,9 @@ func (b *RecvBuffer) Read(p []byte) int {
 	return n
 }
 
-// SACKRanges implements ReceiveQueue by scanning the presence bitmap
-// beyond the in-sequence frontier.
+// SACKRanges lists up to max out-of-order ranges as offsets [start, end)
+// relative to rcv.nxt, in sequence order, by scanning the presence
+// bitmap beyond the in-sequence frontier.
 func (b *RecvBuffer) SACKRanges(max int) [][2]int {
 	var out [][2]int
 	win := b.Window()
@@ -210,129 +191,6 @@ func (b *RecvBuffer) SACKRanges(max int) [][2]int {
 		}
 		i = b.scanFrom(start, win, false)
 		out = append(out, [2]int{start, i})
-	}
-	return out
-}
-
-// ChainRecvBuffer is the mbuf-chain-style reassembly queue: out-of-order
-// segments are kept as separate allocations in a sorted list and spliced
-// when the gap fills. It exists to quantify what the in-place design
-// saves (ablation bench); FreeBSD's dynamic-buffer risks it carries
-// (nondeterministic memory, §4.3.2) do not bite in a Go simulation.
-type ChainRecvBuffer struct {
-	capacity int
-	inseq    []byte
-	segs     []chainSeg // sorted by off, non-overlapping
-}
-
-type chainSeg struct {
-	off  int
-	data []byte
-}
-
-// NewChainRecvBuffer returns a chain-based reassembly queue.
-func NewChainRecvBuffer(capacity int) *ChainRecvBuffer {
-	return &ChainRecvBuffer{capacity: capacity}
-}
-
-// Capacity implements ReceiveQueue.
-func (b *ChainRecvBuffer) Capacity() int { return b.capacity }
-
-// Readable implements ReceiveQueue.
-func (b *ChainRecvBuffer) Readable() int { return len(b.inseq) }
-
-// Window implements ReceiveQueue.
-func (b *ChainRecvBuffer) Window() int { return b.capacity - len(b.inseq) }
-
-// OutOfOrder implements ReceiveQueue.
-func (b *ChainRecvBuffer) OutOfOrder() int {
-	n := 0
-	for _, s := range b.segs {
-		n += len(s.data)
-	}
-	return n
-}
-
-// Write implements ReceiveQueue.
-func (b *ChainRecvBuffer) Write(off int, data []byte) int {
-	if off < 0 {
-		if -off >= len(data) {
-			return 0
-		}
-		data = data[-off:]
-		off = 0
-	}
-	win := b.Window()
-	if off >= win || len(data) == 0 {
-		return 0
-	}
-	if off+len(data) > win {
-		data = data[:win-off]
-	}
-	b.insert(off, append([]byte(nil), data...))
-	// After the merge at most one segment can sit at offset 0 (adjacent
-	// segments were coalesced).
-	advanced := 0
-	if len(b.segs) > 0 && b.segs[0].off == 0 {
-		s := b.segs[0]
-		b.segs = b.segs[1:]
-		b.inseq = append(b.inseq, s.data...)
-		advanced = len(s.data)
-		b.shift(advanced)
-	}
-	return advanced
-}
-
-// shift rebases segment offsets after rcv.nxt advanced by n.
-func (b *ChainRecvBuffer) shift(n int) {
-	for i := range b.segs {
-		b.segs[i].off -= n
-	}
-}
-
-// insert merges [off, off+len(data)) into the sorted, non-overlapping
-// segment list, coalescing with any overlapping or adjacent segments.
-func (b *ChainRecvBuffer) insert(off int, data []byte) {
-	end := off + len(data)
-	var out []chainSeg
-	i := 0
-	// Segments strictly before the new range (not even adjacent).
-	for ; i < len(b.segs) && b.segs[i].off+len(b.segs[i].data) < off; i++ {
-		out = append(out, b.segs[i])
-	}
-	// Absorb every segment overlapping or touching [off, end).
-	for ; i < len(b.segs) && b.segs[i].off <= end; i++ {
-		s := b.segs[i]
-		sEnd := s.off + len(s.data)
-		if s.off < off {
-			data = append(append([]byte(nil), s.data[:off-s.off]...), data...)
-			off = s.off
-		}
-		if sEnd > end {
-			data = append(data, s.data[len(s.data)-(sEnd-end):]...)
-			end = sEnd
-		}
-	}
-	out = append(out, chainSeg{off, data})
-	out = append(out, b.segs[i:]...)
-	b.segs = out
-}
-
-// Read implements ReceiveQueue.
-func (b *ChainRecvBuffer) Read(p []byte) int {
-	n := copy(p, b.inseq)
-	b.inseq = b.inseq[n:]
-	return n
-}
-
-// SACKRanges implements ReceiveQueue.
-func (b *ChainRecvBuffer) SACKRanges(max int) [][2]int {
-	var out [][2]int
-	for _, s := range b.segs {
-		if len(out) == max {
-			break
-		}
-		out = append(out, [2]int{s.off, s.off + len(s.data)})
 	}
 	return out
 }

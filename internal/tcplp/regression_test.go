@@ -353,3 +353,75 @@ func TestTimestampEchoCoversDelayedAck(t *testing.T) {
 		t.Fatalf("srtt = %v, must include pipeline + delack wait", client.SRTT())
 	}
 }
+
+// TestZeroWindowWithFinQueuedNoSpuriousRTO pins a bug the invariant
+// "rexmt and persist never both armed" found (go test -tags invariants):
+// the retransmission timer used to be armed whenever a FIN was queued,
+// sent or not. A sender stuck against a closed window with data and the
+// FIN still queued, whose probe byte the receiver accepted (the reader
+// took one byte, too little to announce), then ran both timers with
+// nothing in flight: four RTOs fired into the closed window within
+// three seconds, collapsing cwnd to one segment and leaving the backoff
+// shift at 4 for the next genuine timeout, until the next probe happened
+// to stop the timer. Nothing is lost on this link, so no timeout may
+// ever fire, however long the reader stalls.
+func TestZeroWindowWithFinQueuedNoSpuriousRTO(t *testing.T) {
+	l := newTestLink(61, 10*sim.Millisecond, testCfg())
+	var server *Conn
+	l.b.Listen(80, func(c *Conn) { server = c })
+	client := l.a.Connect(ip6.AddrFromID(1), 80)
+	var closeErr error
+	client.OnClosed = func(err error) { closeErr = err }
+	const total = 4*408 + 100 // a full receive window, then 100 bytes and the FIN behind it
+	sent := 0
+	pump := func() {
+		for sent < total {
+			n, err := client.Write(make([]byte, min(512, total-sent)))
+			if err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if n == 0 {
+				return
+			}
+			sent += n
+		}
+		client.Close()
+	}
+	client.OnEstablished = pump
+	client.OnWritable = pump
+	l.eng.RunUntil(sim.Time(2 * sim.Second))
+	if server == nil || client.sndWnd != 0 || !client.finQueued {
+		t.Fatalf("scenario setup: server=%v sndWnd=%d finQueued=%v", stateOf(server), client.sndWnd, client.finQueued)
+	}
+	// The reader takes one byte: room for the next probe byte, not enough
+	// for a window update. Then it stalls for longer than twelve backed-
+	// off RTOs would take.
+	if n := server.Read(make([]byte, 1)); n != 1 {
+		t.Fatalf("read %d bytes", n)
+	}
+	for at := sim.Time(3 * sim.Second); at < sim.Time(25*sim.Minute); at += sim.Time(sim.Second) {
+		l.eng.RunUntil(at)
+		if client.rexmt.Armed() && client.persist.Armed() {
+			t.Fatalf("t=%v: rexmt and persist both armed (una=%d nxt=%d max=%d wnd=%d)",
+				at, client.sndUna, client.sndNxt, client.sndMax, client.sndWnd)
+		}
+	}
+	if client.Stats.Timeouts != 0 || client.State() == StateClosed {
+		t.Fatalf("lossless link, stalled reader: %d timeouts, state %v, close error %v",
+			client.Stats.Timeouts, client.State(), closeErr)
+	}
+	// When the reader comes back the stream completes.
+	drained := 1
+	buf := make([]byte, 2048)
+	drain := func() {
+		for n := server.Read(buf); n > 0; n = server.Read(buf) {
+			drained += n
+		}
+	}
+	server.OnReadable = drain
+	drain()
+	l.eng.RunUntil(sim.Time(30 * sim.Minute))
+	if drained != total || !server.EOF() || client.Stats.Timeouts != 0 {
+		t.Fatalf("after the reader resumed: drained %d of %d, EOF %v, %d timeouts", drained, total, server.EOF(), client.Stats.Timeouts)
+	}
+}

@@ -1,29 +1,11 @@
 package tcplp
 
-// SendBuffer holds unacknowledged and unsent outbound bytes. Offsets are
-// relative to the oldest unacknowledged byte (snd.una).
-//
-// Two implementations mirror §4.3.1: CopySendBuffer is a flat circular
-// buffer (one copy in, deterministic footprint), and ZeroCopySendBuffer
-// is a linked list of nodes that alias large caller slices, the way the
-// TinyOS port aliased immutable Lua strings.
-type SendBuffer interface {
-	// Capacity is the maximum number of buffered bytes.
-	Capacity() int
-	// Len is the number of buffered bytes.
-	Len() int
-	// Free is Capacity − Len.
-	Free() int
-	// Write appends up to len(p) bytes, returning how many were taken.
-	Write(p []byte) int
-	// ReadAt copies buffered bytes starting at offset off into p,
-	// returning the count (0 if off ≥ Len).
-	ReadAt(p []byte, off int) int
-	// Discard drops n acknowledged bytes from the front.
-	Discard(n int)
-}
-
-// CopySendBuffer is the flat circular send buffer.
+// CopySendBuffer is the send buffer of every connection: a flat
+// circular buffer of unacknowledged and unsent outbound bytes (§4.3.1 —
+// one copy in, deterministic footprint). Offsets are relative to the
+// oldest unacknowledged byte (snd.una). The zero-copy alternative the
+// paper's TinyOS port used is kept for the §4.3 ablation only
+// (ablation_test.go).
 type CopySendBuffer struct {
 	buf   []byte
 	start int
@@ -35,16 +17,16 @@ func NewCopySendBuffer(capacity int) *CopySendBuffer {
 	return &CopySendBuffer{buf: make([]byte, capacity)}
 }
 
-// Capacity implements SendBuffer.
+// Capacity is the maximum number of buffered bytes.
 func (b *CopySendBuffer) Capacity() int { return len(b.buf) }
 
-// Len implements SendBuffer.
+// Len is the number of buffered bytes.
 func (b *CopySendBuffer) Len() int { return b.n }
 
-// Free implements SendBuffer.
+// Free is Capacity − Len.
 func (b *CopySendBuffer) Free() int { return len(b.buf) - b.n }
 
-// Write implements SendBuffer.
+// Write appends up to len(p) bytes, returning how many were taken.
 func (b *CopySendBuffer) Write(p []byte) int {
 	w := len(p)
 	if w > b.Free() {
@@ -58,7 +40,8 @@ func (b *CopySendBuffer) Write(p []byte) int {
 	return w
 }
 
-// ReadAt implements SendBuffer.
+// ReadAt copies buffered bytes starting at offset off into p,
+// returning the count (0 if off ≥ Len).
 func (b *CopySendBuffer) ReadAt(p []byte, off int) int {
 	if off < 0 || off >= b.n {
 		return 0
@@ -73,125 +56,11 @@ func (b *CopySendBuffer) ReadAt(p []byte, off int) int {
 	return r
 }
 
-// Discard implements SendBuffer.
+// Discard drops n acknowledged bytes from the front.
 func (b *CopySendBuffer) Discard(n int) {
 	if n > b.n {
 		n = b.n
 	}
 	b.start = (b.start + n) % len(b.buf)
 	b.n -= n
-}
-
-// ZeroCopySendBuffer is the linked-list-of-references send buffer. Writes
-// of at least AliasThreshold bytes alias the caller's slice (the caller
-// must not mutate it until acknowledged — the Lua-string immutability
-// contract of §4.3.1); smaller writes are copied into private nodes.
-type ZeroCopySendBuffer struct {
-	capacity int
-	n        int
-	head     *sbNode
-	tail     *sbNode
-	headOff  int // discarded bytes within head node
-
-	// AliasThreshold is the minimum write size that is aliased rather
-	// than copied.
-	AliasThreshold int
-
-	// Aliased counts bytes accepted without copying (for the ablation
-	// bench).
-	Aliased int64
-}
-
-type sbNode struct {
-	data []byte
-	next *sbNode
-}
-
-// NewZeroCopySendBuffer returns a zero-copy send buffer of the given
-// logical capacity.
-func NewZeroCopySendBuffer(capacity int) *ZeroCopySendBuffer {
-	return &ZeroCopySendBuffer{capacity: capacity, AliasThreshold: 64}
-}
-
-// Capacity implements SendBuffer.
-func (b *ZeroCopySendBuffer) Capacity() int { return b.capacity }
-
-// Len implements SendBuffer.
-func (b *ZeroCopySendBuffer) Len() int { return b.n }
-
-// Free implements SendBuffer.
-func (b *ZeroCopySendBuffer) Free() int { return b.capacity - b.n }
-
-// Write implements SendBuffer.
-func (b *ZeroCopySendBuffer) Write(p []byte) int {
-	w := len(p)
-	if w > b.Free() {
-		w = b.Free()
-	}
-	if w == 0 {
-		return 0
-	}
-	var node *sbNode
-	if w >= b.AliasThreshold && w == len(p) {
-		node = &sbNode{data: p}
-		b.Aliased += int64(w)
-	} else {
-		node = &sbNode{data: append([]byte(nil), p[:w]...)}
-	}
-	if b.tail == nil {
-		b.head, b.tail = node, node
-	} else {
-		b.tail.next = node
-		b.tail = node
-	}
-	b.n += w
-	return w
-}
-
-// ReadAt implements SendBuffer.
-func (b *ZeroCopySendBuffer) ReadAt(p []byte, off int) int {
-	if off < 0 || off >= b.n {
-		return 0
-	}
-	want := len(p)
-	if want > b.n-off {
-		want = b.n - off
-	}
-	got := 0
-	pos := -b.headOff
-	for node := b.head; node != nil && got < want; node = node.next {
-		end := pos + len(node.data)
-		if end <= off {
-			pos = end
-			continue
-		}
-		from := 0
-		if off > pos {
-			from = off - pos
-		}
-		got += copy(p[got:want], node.data[from:])
-		pos = end
-	}
-	return got
-}
-
-// Discard implements SendBuffer.
-func (b *ZeroCopySendBuffer) Discard(n int) {
-	if n > b.n {
-		n = b.n
-	}
-	b.n -= n
-	n += b.headOff
-	b.headOff = 0
-	for n > 0 && b.head != nil {
-		if n < len(b.head.data) {
-			b.headOff = n
-			return
-		}
-		n -= len(b.head.data)
-		b.head = b.head.next
-	}
-	if b.head == nil {
-		b.tail = nil
-	}
 }

@@ -4,9 +4,12 @@
 // control (RFC 5681/6582), selective acknowledgments (RFC 2018),
 // timestamps and RTTM (RFC 7323), the RFC 6298 retransmission timer,
 // delayed ACKs, zero-window probes, ECN (RFC 3168), header prediction,
-// and challenge ACKs — the Table 1 feature set — together with the
-// paper's two buffer designs: a zero-copy send buffer (§4.3.1) and the
-// in-place reassembly queue receive buffer (§4.3.2, Fig. 1b).
+// and challenge ACKs — the Table 1 feature set — over the two memory
+// structures §4.3 chooses: every Conn owns one flat circular send buffer
+// (CopySendBuffer, §4.3.1) and one in-place reassembly queue (RecvBuffer,
+// §4.3.2, Fig. 1b), both by value. The designs they were chosen over — a
+// zero-copy linked-list send buffer and an mbuf-chain reassembly queue —
+// exist only in ablation_test.go, for the benches that compare them.
 //
 // The implementation is event-driven against a sim.Engine, exactly as
 // TCPlp was restructured around tickless embedded timers instead of

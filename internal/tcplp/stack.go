@@ -209,6 +209,7 @@ func (s *Stack) demux(pkt *ip6.Packet, seg *Segment) {
 	key := connKey{pkt.Src, seg.SrcPort, seg.DstPort}
 	if c, ok := s.conns[key]; ok {
 		c.input(seg, ce)
+		c.checkInvariants("input")
 		return
 	}
 	// No connection: a SYN to a listening port spawns one.
@@ -233,6 +234,7 @@ func (s *Stack) demux(pkt *ip6.Packet, seg *Segment) {
 		c.remotePort = seg.SrcPort
 		s.addConn(key, c)
 		c.acceptSyn(seg)
+		c.checkInvariants("input (SYN)")
 		return
 	}
 	s.Stats.NoSocket++
