@@ -14,11 +14,8 @@ import (
 // to it, counting bytes — the receiving half of every throughput
 // experiment.
 type Sink struct {
-	Received  int
-	Conn      *tcplp.Conn
-	markBytes int
-	markTime  sim.Time
-	eng       *sim.Engine
+	CountingSink
+	Conn *tcplp.Conn
 }
 
 // ListenSink installs a byte-counting server on node:port using the
@@ -42,7 +39,7 @@ func listenSink(node *stack.Node, port uint16, cfg *tcplp.Config) *Sink {
 // listenSinkData is listenSink with an optional per-chunk hook invoked
 // on every drained chunk (the reading-parsing collector rides on it).
 func listenSinkData(node *stack.Node, port uint16, cfg *tcplp.Config, onData func([]byte)) *Sink {
-	s := &Sink{eng: node.Eng()}
+	s := &Sink{CountingSink: CountingSink{eng: node.Eng()}}
 	// One drain buffer per sink, shared across accepted connections:
 	// drains run synchronously and no onData hook retains the chunk.
 	buf := make([]byte, 4096)
@@ -70,24 +67,6 @@ func listenSinkData(node *stack.Node, port uint16, cfg *tcplp.Config, onData fun
 	}
 	return s
 }
-
-// Mark begins a measurement window at the current time.
-func (s *Sink) Mark() {
-	s.markBytes = s.Received
-	s.markTime = s.eng.Now()
-}
-
-// GoodputKbps returns application-layer goodput in kb/s since Mark.
-func (s *Sink) GoodputKbps() float64 {
-	elapsed := s.eng.Now().Sub(s.markTime).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Received-s.markBytes) * 8 / elapsed / 1000
-}
-
-// BytesSinceMark returns bytes received in the measurement window.
-func (s *Sink) BytesSinceMark() int { return s.Received - s.markBytes }
 
 // Source keeps a TCP connection's send buffer full with a repeating
 // pattern — an unbounded bulk sender.

@@ -132,8 +132,9 @@ func ListenReadingUDP(node *stack.Node, port uint16, deliver func(seq uint32)) *
 	return s
 }
 
-// CountingSink tracks datagram-delivered payload bytes with the same
-// Mark/GoodputKbps window accounting as the TCP Sink.
+// CountingSink counts delivered payload bytes and keeps the Mark /
+// GoodputKbps measurement window: the accounting every collector shares
+// (the TCP Sink embeds it).
 type CountingSink struct {
 	Received  int
 	markBytes int

@@ -114,9 +114,9 @@ func RandomGeometric(n int, density float64, seed int64) Topology {
 		side = txRange
 	}
 	pos := make([]phy.Point, 0, n)
-	grid := newCellGrid(txRange, n)
+	grid := phy.NewCellGrid(txRange, n)
 	place := func(p phy.Point) {
-		grid.add(len(pos), p)
+		grid.Add(len(pos), p)
 		pos = append(pos, p)
 	}
 	place(phy.Point{X: side / 2, Y: side / 2})
@@ -124,7 +124,7 @@ func RandomGeometric(n int, density float64, seed int64) Topology {
 		placed := false
 		for try := 0; try < 100 && !placed; try++ {
 			p := phy.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-			grid.near(p, func(id int) bool {
+			grid.Near(p, func(id int) bool {
 				placed = p.Dist(pos[id]) <= txRange
 				return !placed
 			})
@@ -210,14 +210,14 @@ func (t Topology) Adjacency() [][]int {
 	if n == 0 || t.TxRange <= 0 {
 		return adj
 	}
-	grid := newCellGrid(t.TxRange, n)
+	grid := phy.NewCellGrid(t.TxRange, n)
 	for i, p := range t.Positions {
-		grid.add(i, p)
+		grid.Add(i, p)
 	}
 	var nbrs []int
 	for i, p := range t.Positions {
 		nbrs = nbrs[:0]
-		grid.near(p, func(j int) bool {
+		grid.Near(p, func(j int) bool {
 			if i != j && p.Dist(t.Positions[j]) <= t.TxRange {
 				nbrs = append(nbrs, j)
 			}

@@ -25,6 +25,13 @@
 // touches (position, callbacks, the 127-byte receive buffer, the neighbor
 // list of its own transmissions) stays in Radio.
 //
+// Who senses whom is asked of the Propagation model once per topology, not
+// per frame: Channel.neighbors builds a radio's list on its first
+// transmission after a radio was added or moved, asking a *UnitDisk about
+// the radios a CellGrid (the repo's one uniform grid, shared with package
+// mesh) finds in the 3×3 cells around it and any other model about every
+// radio. Every frame, under every model, walks that list.
+//
 // Like a real 802.15.4 transceiver, a radio can recognise addresses
 // (Radio.SetAddressFilter; package mac switches it on, a raw radio is
 // promiscuous). The channel reads a frame's header once per transmission

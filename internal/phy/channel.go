@@ -26,14 +26,14 @@ type transmission struct {
 	end    sim.Time
 	jid    int64      // journey packet id snapshot (metadata; 0 = untagged)
 	serial uint32     // what a receiver's radioHot.rx holds while locked onto this frame
-	nbrs   []nbrEntry // sender's sensed-neighbor snapshot at frame start (index mode)
+	nbrs   []nbrEntry // sender's sensed-neighbor snapshot at frame start
 	endFn  func()
 	next   *transmission // pool free list
 }
 
-// nbrEntry is one cached neighbor of a radio under the grid index, by
-// registration index: within SenseRange, with connected marking decode
-// (TxRange) reach.
+// nbrEntry is one cached neighbor of a radio, by registration index: it
+// senses the radio's transmissions, and connected marks that it can also
+// decode them.
 type nbrEntry struct {
 	idx       int32
 	connected bool
@@ -114,89 +114,6 @@ func (h *radioHot) wants(idx, dst int32) bool {
 	return idx == dst
 }
 
-// gridIndex is a uniform-grid spatial index over radio positions with the
-// cell edge equal to the propagation model's SenseRange, so a radio's
-// sensed neighbors always lie in its own or the eight surrounding cells.
-// Per-radio neighbor lists are cached and invalidated (via a version
-// counter) whenever a radio is added or moved. Lists are ordered by
-// registration index, which keeps delivery iteration — and therefore the
-// engine's RNG stream — bit-identical to the brute-force scan.
-type gridIndex struct {
-	ud      *UnitDisk
-	cell    float64
-	cells   map[[2]int32][]*Radio
-	version uint64
-}
-
-func newGridIndex(ud *UnitDisk) *gridIndex {
-	if ud.SenseRange <= 0 {
-		return nil
-	}
-	return &gridIndex{ud: ud, cell: ud.SenseRange, cells: map[[2]int32][]*Radio{}, version: 1}
-}
-
-func (g *gridIndex) keyFor(p Point) [2]int32 {
-	return [2]int32{int32(fastFloor(p.X / g.cell)), int32(fastFloor(p.Y / g.cell))}
-}
-
-func fastFloor(v float64) int {
-	i := int(v)
-	if v < 0 && float64(i) != v {
-		i--
-	}
-	return i
-}
-
-func (g *gridIndex) add(r *Radio) {
-	k := g.keyFor(r.pos)
-	r.cellKey = k
-	g.cells[k] = append(g.cells[k], r)
-	g.version++
-}
-
-func (g *gridIndex) move(r *Radio) {
-	k := g.keyFor(r.pos)
-	if k != r.cellKey {
-		old := g.cells[r.cellKey]
-		for i, o := range old {
-			if o == r {
-				g.cells[r.cellKey] = append(old[:i], old[i+1:]...)
-				break
-			}
-		}
-		r.cellKey = k
-		g.cells[k] = append(g.cells[k], r)
-	}
-	g.version++
-}
-
-// neighbors returns r's cached sensed-neighbor list, rebuilding it if the
-// topology changed since the cache was filled. A rebuild allocates a fresh
-// slice: in-flight transmissions hold snapshots of the old one.
-func (g *gridIndex) neighbors(r *Radio) []nbrEntry {
-	if r.nbrsVersion == g.version {
-		return r.nbrs
-	}
-	var nbrs []nbrEntry
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			for _, o := range g.cells[[2]int32{r.cellKey[0] + dx, r.cellKey[1] + dy}] {
-				if o == r {
-					continue
-				}
-				d := r.pos.Dist(o.pos)
-				if d <= g.ud.SenseRange {
-					nbrs = append(nbrs, nbrEntry{idx: o.idx, connected: d <= g.ud.TxRange})
-				}
-			}
-		}
-	}
-	slices.SortFunc(nbrs, func(a, b nbrEntry) int { return cmp.Compare(a.idx, b.idx) })
-	r.nbrs = nbrs
-	r.nbrsVersion = g.version
-	return nbrs
-}
-
 // Channel is the shared medium. It registers radios, tracks on-air
 // transmissions, and resolves receptions with a receiver-side collision
 // model:
@@ -209,13 +126,11 @@ func (g *gridIndex) neighbors(r *Radio) []nbrEntry {
 //   - Independent per-link loss (PER) models fading and checksum failures
 //     beyond collisions.
 //
-// Under a *UnitDisk propagation model the channel keeps a uniform-grid
-// spatial index and per-radio sensed-energy counters so every operation is
-// O(neighbors) instead of O(radios); DisableIndex restores the brute-force
-// all-pairs scans as a reference path. Both paths produce bit-identical
-// runs on static topologies. The two differ only under mid-flight node
-// movement: the index evaluates sensing at frame start (snapshot), the
-// scan at frame end.
+// Who senses whom is asked of the propagation model once per topology
+// (neighbors) and cached per radio, so a transmission costs O(neighbors):
+// it walks its sender's list at frame start, raising each neighbor's
+// sensed-energy counter, and the same snapshot at frame end, so a radio
+// moved mid-frame changes sensing from the next frame on, under any model.
 type Channel struct {
 	eng    *sim.Engine
 	prop   Propagation
@@ -225,10 +140,13 @@ type Channel struct {
 	// filtering radio with that id's address (0 = none): how frameDst
 	// resolves a unicast destination.
 	filterIdx []int32
-	active    []*transmission // on air now; kept on the scan path only
-	grid      *gridIndex
 	txFree    *transmission
 	txSerial  uint32
+	// version counts AddRadio and SetPos calls: what cached neighbor lists,
+	// and the grid a *UnitDisk's are built from, are valid against.
+	version     uint64
+	grid        *CellGrid
+	gridVersion uint64
 
 	// PER returns the probability that a frame from src to dst is
 	// corrupted despite no collision. Nil means a perfect channel.
@@ -242,11 +160,7 @@ type Channel struct {
 
 // NewChannel returns an empty channel using the given propagation model.
 func NewChannel(eng *sim.Engine, prop Propagation) *Channel {
-	c := &Channel{eng: eng, prop: prop}
-	if ud, ok := prop.(*UnitDisk); ok {
-		c.grid = newGridIndex(ud)
-	}
-	return c
+	return &Channel{eng: eng, prop: prop}
 }
 
 // Reserve sizes the channel's per-radio tables for n radios with ids below
@@ -256,13 +170,6 @@ func (c *Channel) Reserve(n int) {
 	c.hot = slices.Grow(c.hot, n)
 	c.filterIdx = slices.Grow(c.filterIdx, n)
 }
-
-// DisableIndex switches the channel to the brute-force all-pairs reference
-// path. It must be called before any traffic is generated.
-func (c *Channel) DisableIndex() { c.grid = nil }
-
-// Indexed reports whether the spatial index is active.
-func (c *Channel) Indexed() bool { return c.grid != nil }
 
 // Engine returns the channel's simulation engine.
 func (c *Channel) Engine() *sim.Engine { return c.eng }
@@ -286,22 +193,12 @@ func (c *Channel) AddRadio(id int, pos Point) *Radio {
 	}
 	c.radios = append(c.radios, r)
 	c.hot = append(c.hot, radioHot{})
-	if c.grid != nil {
-		c.grid.add(r)
-	}
+	c.version++
 	return r
 }
 
 // Radios returns all registered radios in registration order.
 func (c *Channel) Radios() []*Radio { return c.radios }
-
-// moved tells the channel r's position changed: the spatial index re-files
-// the radio and all cached neighbor sets are invalidated.
-func (c *Channel) moved(r *Radio) {
-	if c.grid != nil {
-		c.grid.move(r)
-	}
-}
 
 // maxFilterID bounds the node ids filterIdx is grown for.
 const maxFilterID = 1 << 22
@@ -371,19 +268,42 @@ func (c *Channel) releaseTx(t *transmission) {
 }
 
 // busyAt reports whether any on-air transmission is sensed at r.
-func (c *Channel) busyAt(r *Radio) bool {
-	if c.grid != nil {
-		return c.hot[r.idx].sensed > 0
+func (c *Channel) busyAt(r *Radio) bool { return c.hot[r.idx].sensed > 0 }
+
+// neighbors returns the radios that sense r's transmissions, in
+// registration order — which fixes delivery order and with it the engine's
+// RNG stream — each marked with whether it also decodes them. It is the one
+// place the propagation model is consulted: a *UnitDisk about the radios in
+// the 3×3 SenseRange-sized cells around r, any other model about every
+// radio. The list is cached on the radio until a radio is added or moved; a
+// rebuild allocates a fresh slice, as in-flight transmissions hold the old.
+func (c *Channel) neighbors(r *Radio) []nbrEntry {
+	if r.nbrsVersion == c.version {
+		return r.nbrs
 	}
-	for _, t := range c.active {
-		if t.sender == r {
-			continue
-		}
-		if c.prop.Senses(t.sender, r) {
-			return true
+	var nbrs []nbrEntry
+	ask := func(o *Radio) {
+		if o != r && c.prop.Senses(r, o) {
+			nbrs = append(nbrs, nbrEntry{idx: o.idx, connected: c.prop.Connected(r, o)})
 		}
 	}
-	return false
+	if ud, ok := c.prop.(*UnitDisk); ok && ud.SenseRange > 0 {
+		if c.gridVersion != c.version {
+			c.grid = NewCellGrid(ud.SenseRange, len(c.radios))
+			for i, o := range c.radios {
+				c.grid.Add(i, o.pos)
+			}
+			c.gridVersion = c.version
+		}
+		c.grid.Near(r.pos, func(i int) bool { ask(c.radios[i]); return true })
+		slices.SortFunc(nbrs, func(a, b nbrEntry) int { return cmp.Compare(a.idx, b.idx) })
+	} else {
+		for _, o := range c.radios {
+			ask(o)
+		}
+	}
+	r.nbrs, r.nbrsVersion = nbrs, c.version
+	return nbrs
 }
 
 // beginTx is called by a radio when its frame's first bit hits the air.
@@ -405,46 +325,20 @@ func (c *Channel) beginTx(sender *Radio, data []byte, air sim.Duration) {
 	t.serial = c.txSerial
 	decodable := !sender.NoiseOnly
 
-	if c.grid != nil {
-		nbrs := c.grid.neighbors(sender)
-		t.nbrs = nbrs
-		hot := c.hot
-		for _, nb := range nbrs {
-			h := &hot[nb.idx]
-			h.sensed++
-			switch h.state {
-			case StateRx:
-				h.corrupted = true
-			case StateListen:
-				// sensed == 1 means t is the only energy at the radio (a
-				// radio's own frames never count toward its own sensing),
-				// matching the brute-force otherEnergyAt check.
-				if decodable && nb.connected && h.sensed == 1 {
-					h.beginRx(t.serial, now)
-				}
-			}
-		}
-	} else {
-		c.active = append(c.active, t)
-		for i, r := range c.radios {
-			if r == sender {
-				continue
-			}
-			if !c.prop.Senses(sender, r) {
-				continue
-			}
-			h := &c.hot[i]
-			switch h.state {
-			case StateRx:
-				// Overlap corrupts whatever r was receiving; the new frame is
-				// also lost to r (it never locked onto it).
-				h.corrupted = true
-			case StateListen:
-				if decodable && c.prop.Connected(sender, r) && !c.otherEnergyAt(r, t) {
-					h.beginRx(t.serial, now)
-				}
-				// If there is already other energy at r, the new frame is
-				// undecodable noise to r; nothing to corrupt since r was idle.
+	nbrs := c.neighbors(sender)
+	t.nbrs = nbrs
+	hot := c.hot
+	for _, nb := range nbrs {
+		h := &hot[nb.idx]
+		h.sensed++
+		switch h.state {
+		case StateRx:
+			h.corrupted = true
+		case StateListen:
+			// sensed == 1 means t is the only energy at the radio (a
+			// radio's own frames never count toward its own sensing).
+			if decodable && nb.connected && h.sensed == 1 {
+				h.beginRx(t.serial, now)
 			}
 		}
 	}
@@ -452,47 +346,19 @@ func (c *Channel) beginTx(sender *Radio, data []byte, air sim.Duration) {
 	c.eng.Schedule(air, t.endFn)
 }
 
-// otherEnergyAt reports whether a transmission other than t is currently
-// sensed at r (so r cannot lock onto t). Brute-force path only.
-func (c *Channel) otherEnergyAt(r *Radio, t *transmission) bool {
-	for _, o := range c.active {
-		if o == t || o.sender == r {
-			continue
-		}
-		if c.prop.Senses(o.sender, r) {
-			return true
-		}
-	}
-	return false
-}
-
 // endTx resolves all receptions of t and removes it from the air.
 func (c *Channel) endTx(t *transmission) {
 	dst := c.frameDst(t.data)
-	if t.nbrs != nil {
-		// Drop t's energy everywhere before delivering: reception
-		// callbacks may run CCAs.
-		hot := c.hot
-		for _, nb := range t.nbrs {
-			hot[nb.idx].sensed--
-		}
-		for _, nb := range t.nbrs {
-			// c.hot afresh each time: a callback may have added a radio.
-			if c.hot[nb.idx].rx == t.serial {
-				c.endRx(nb.idx, t, dst)
-			}
-		}
-	} else {
-		for i, o := range c.active {
-			if o == t {
-				c.active = append(c.active[:i], c.active[i+1:]...)
-				break
-			}
-		}
-		for i := range c.radios {
-			if c.hot[i].rx == t.serial {
-				c.endRx(int32(i), t, dst)
-			}
+	// Drop t's energy everywhere before delivering: reception callbacks
+	// may run CCAs.
+	hot := c.hot
+	for _, nb := range t.nbrs {
+		hot[nb.idx].sensed--
+	}
+	for _, nb := range t.nbrs {
+		// c.hot afresh each time: a callback may have added a radio.
+		if c.hot[nb.idx].rx == t.serial {
+			c.endRx(nb.idx, t, dst)
 		}
 	}
 	c.releaseTx(t)

@@ -12,6 +12,18 @@ import (
 	"tcplp/internal/sim"
 )
 
+// unitDisk returns the unit-disk model, bare — the channel asks it about
+// the 3×3 grid cells around a radio — or, with allPairs set, wrapped so the
+// channel cannot see what it is and asks it about every pair of radios: the
+// reference the grid-asked neighbor lists are compared against.
+func unitDisk(txRange, senseRange float64, allPairs bool) phy.Propagation {
+	ud := phy.NewUnitDisk(txRange, senseRange)
+	if allPairs {
+		return struct{ phy.Propagation }{ud}
+	}
+	return ud
+}
+
 // phyTrace runs scripted contending traffic over topo and returns a full
 // delivery/collision trace: every frame handed up (receiver, size, time)
 // plus each radio's sent/received/dropped counters. The per-link PER draw
@@ -25,12 +37,7 @@ import (
 func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute, filtered bool) string {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	ch := phy.NewChannel(eng, phy.NewUnitDisk(topo.TxRange, topo.SenseRange))
-	if brute {
-		ch.DisableIndex()
-	} else if !ch.Indexed() {
-		t.Fatal("unit-disk channel did not build a spatial index")
-	}
+	ch := phy.NewChannel(eng, unitDisk(topo.TxRange, topo.SenseRange, brute))
 	ch.PER = func(src, dst *phy.Radio) float64 { return 0.05 }
 	var trace strings.Builder
 	radios := make([]*phy.Radio, topo.N())
@@ -80,8 +87,8 @@ func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute, filtered bool
 
 // TestGridIndexMatchesBruteForce is the PHY-index equivalence regression:
 // office, twinleaf, and a seeded random-geometric field must produce
-// bit-identical delivery and collision traces under the spatial index and
-// the retained all-pairs reference path.
+// bit-identical delivery and collision traces whether the one fan-out walks
+// neighbor lists asked through the grid or asked of every pair.
 func TestGridIndexMatchesBruteForce(t *testing.T) {
 	topos := map[string]mesh.Topology{
 		"office":   mesh.Office(),
@@ -115,14 +122,11 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 }
 
 // Moving a radio must invalidate cached neighbor sets: after SetPos the
-// index and the brute-force path agree on the new geometry.
+// grid-asked and all-pairs lists agree on the new geometry.
 func TestGridIndexSetPosInvalidates(t *testing.T) {
 	run := func(brute bool) string {
 		eng := sim.NewEngine(1)
-		ch := phy.NewChannel(eng, phy.NewUnitDisk(10, 13))
-		if brute {
-			ch.DisableIndex()
-		}
+		ch := phy.NewChannel(eng, unitDisk(10, 13, brute))
 		var trace strings.Builder
 		a := ch.AddRadio(0, phy.Point{X: 0})
 		b := ch.AddRadio(1, phy.Point{X: 100}) // out of range
@@ -146,23 +150,68 @@ func TestGridIndexSetPosInvalidates(t *testing.T) {
 	}
 }
 
-// A phy.Graph propagation model has no geometry to index, so the channel
-// must fall back to the all-pairs scan. That is why the scan is
-// production code and not a test-only oracle: it is the only path an
-// explicit-adjacency channel can take. Here 0 and 2 are hidden from each
-// other (neither senses the other) and both reach 1: a lone frame is
-// delivered, overlapping frames collide at 1, and a sense-only link
-// shows the channel busy without delivering.
-func TestGraphChannelTakesScanPath(t *testing.T) {
+// A radio registered after a sender's first frame joins that sender's
+// fan-out from the next frame on, on both sides: here an interferer dropped
+// inside a's sense range (and out of its decode range) after a has
+// transmitted once. a's next frame must raise energy at it — its CCA reads
+// busy — and its noise must reach a and b: it trips a's CCA and corrupts
+// the frame b is receiving.
+func TestLateRadioJoinsFanout(t *testing.T) {
+	for _, brute := range []bool{false, true} {
+		eng := sim.NewEngine(1)
+		ch := phy.NewChannel(eng, unitDisk(10, 13, brute))
+		a := ch.AddRadio(0, phy.Point{X: 0})
+		b := ch.AddRadio(1, phy.Point{X: 8})
+		a.SetListen(true)
+		b.SetListen(true)
+		got := 0
+		b.OnReceive = func(data []byte) { got++ }
+		eng.Schedule(10*sim.Millisecond, func() { a.Transmit(make([]byte, 30)) })
+		var in *phy.Interferer
+		eng.Schedule(50*sim.Millisecond, func() {
+			in = phy.NewInterferer(ch, 900, phy.Point{X: 12})
+			in.Radio().SetListen(true)
+		})
+		const second = 100 * sim.Millisecond
+		eng.Schedule(second, func() { a.Transmit(make([]byte, 100)) })
+		onAir := second + phy.LoadTime(100)
+		eng.Schedule(onAir+phy.AirTime(100)/4, func() {
+			if in.Radio().ChannelClear() {
+				t.Errorf("brute %v: late radio does not sense the sender's next frame", brute)
+			}
+			in.Radio().Transmit(make([]byte, 10))
+		})
+		eng.Schedule(onAir+phy.AirTime(100)/4+phy.LoadTime(10)+phy.AirTime(10)/2, func() {
+			if b.ChannelClear() {
+				t.Errorf("brute %v: late radio's noise is not sensed at b", brute)
+			}
+		})
+		var clearAtA bool
+		eng.Schedule(200*sim.Millisecond, func() { in.Radio().Transmit(make([]byte, 50)) })
+		eng.Schedule(200*sim.Millisecond+phy.LoadTime(50)+phy.AirTime(50)/2, func() { clearAtA = a.ChannelClear() })
+		eng.Run()
+		if clearAtA {
+			t.Errorf("brute %v: late radio's noise is not sensed at the earlier sender", brute)
+		}
+		if got != 1 || b.FramesReceived() != 1 || b.ReceptionsDropped() != 1 {
+			t.Errorf("brute %v: b handed %d, recv %d dropped %d; want the first frame delivered and the second corrupted",
+				brute, got, b.FramesReceived(), b.ReceptionsDropped())
+		}
+	}
+}
+
+// A phy.Graph propagation model has no geometry, so the channel asks it
+// about every pair of radios and runs the same fan-out over the answer.
+// Here 0 and 2 are hidden from each other (neither senses the other) and
+// both reach 1: a lone frame is delivered, overlapping frames collide at 1,
+// and a sense-only link shows the channel busy without delivering.
+func TestGraphChannelHiddenTerminals(t *testing.T) {
 	eng := sim.NewEngine(1)
 	g := phy.NewGraph()
 	g.AddBiLink(0, 1)
 	g.AddBiLink(1, 2)
 	g.AddSense(0, 3)
 	ch := phy.NewChannel(eng, g)
-	if ch.Indexed() {
-		t.Fatal("graph channel claims a spatial index")
-	}
 	var trace strings.Builder
 	radios := make([]*phy.Radio, 4)
 	for i := range radios {
@@ -189,7 +238,7 @@ func TestGraphChannelTakesScanPath(t *testing.T) {
 		radios[0].Transmit(make([]byte, 40))
 		radios[2].Transmit(make([]byte, 40))
 	})
-	// The frame filter on the scan path: 2 recognises addresses, 0 stays
+	// The frame filter under a Graph: 2 recognises addresses, 0 stays
 	// promiscuous. Both decode each frame 1 sends; 2 is handed only its own.
 	radios[2].SetAddressFilter(true)
 	for i, dst := range []int{2, 0} {

@@ -153,14 +153,12 @@ func TestAddrFromID(t *testing.T) {
 	}
 }
 
-// TestPeekHeaderAgreesWithDecode: the header peek the MAC filters
-// overheard frames with returns DecodeFrameInto's error on every input,
-// and its Type and Dst on every frame it accepts — each frame type,
-// every truncation of each, oversized input, and each bad addressing
-// mode.
-func TestPeekHeaderAgreesWithDecode(t *testing.T) {
+// headerFrames is one frame of each type and shape the header checks tell
+// apart: what TestPeekHeaderAgreesWithDecode truncates and corrupts, and
+// what FuzzPeekHeaderAgrees starts from.
+func headerFrames() map[string]*Frame {
 	payload := []byte("payload bytes")
-	frames := map[string]*Frame{
+	return map[string]*Frame{
 		"data":           {Type: FrameData, Seq: 1, Dst: AddrFromID(1), Src: AddrFromID(2), AckRequest: true, Payload: payload},
 		"data broadcast": {Type: FrameData, Seq: 2, Dst: BroadcastAddr, Src: AddrFromID(2), Payload: payload},
 		"data empty":     {Type: FrameData, Seq: 3, Dst: AddrFromID(1), Src: AddrFromID(2)},
@@ -170,11 +168,19 @@ func TestPeekHeaderAgreesWithDecode(t *testing.T) {
 		"ack":            AckFor(7, false),
 		"ack pending":    AckFor(8, true),
 	}
+}
+
+// TestPeekHeaderAgreesWithDecode: the header peek the MAC filters
+// overheard frames with returns DecodeFrameInto's error on every input,
+// and its Type and Dst on every frame it accepts — each frame type,
+// every truncation of each, oversized input, and each bad addressing
+// mode.
+func TestPeekHeaderAgreesWithDecode(t *testing.T) {
 	inputs := map[string][]byte{
 		"empty":    nil,
 		"too long": make([]byte, MaxPHYPayload+1),
 	}
-	for name, f := range frames {
+	for name, f := range headerFrames() {
 		wire := f.Encode()
 		for n := 0; n <= len(wire); n++ {
 			inputs[fmt.Sprintf("%s[:%d]", name, n)] = wire[:n]

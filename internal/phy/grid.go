@@ -1,18 +1,14 @@
-package mesh
+package phy
 
-import (
-	"math"
+import "math"
 
-	"tcplp/internal/phy"
-)
-
-// cellGrid buckets point ids by square cell so that every point within
+// CellGrid buckets point ids by square cell so that every point within
 // one cell size of p is found in the 3×3 cells around p's. Cells are
 // hashed into flat arrays rather than laid out over a bounding box, so
 // points may be added one at a time anywhere in the plane (which
-// RandomGeometric's fallback placement needs) and building the grid costs
+// mesh.RandomGeometric's fallback placement needs) and building the grid costs
 // three allocations whatever the point count.
-type cellGrid struct {
+type CellGrid struct {
 	cell  float64
 	shift uint
 	head  []int32  // head[b] = newest id in hash bucket b, -1 if none
@@ -20,14 +16,14 @@ type cellGrid struct {
 	key   []uint64 // key[id] = id's cell: other cells can share its bucket
 }
 
-// newCellGrid returns an empty grid for ids 0..n-1 with the given cell
+// NewCellGrid returns an empty grid for ids 0..n-1 with the given cell
 // size.
-func newCellGrid(cell float64, n int) *cellGrid {
+func NewCellGrid(cell float64, n int) *CellGrid {
 	bits := uint(1)
 	for 1<<bits < n {
 		bits++
 	}
-	g := &cellGrid{
+	g := &CellGrid{
 		cell:  cell,
 		shift: 64 - bits,
 		head:  make([]int32, 1<<bits),
@@ -40,17 +36,17 @@ func newCellGrid(cell float64, n int) *cellGrid {
 	return g
 }
 
-func (g *cellGrid) cellOf(p phy.Point) (cx, cy int32) {
+func (g *CellGrid) cellOf(p Point) (cx, cy int32) {
 	return int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))
 }
 
 func cellKey(cx, cy int32) uint64 { return uint64(uint32(cx))<<32 | uint64(uint32(cy)) }
 
 // bucket is Fibonacci hashing: the top bits of key × 2^64/φ.
-func (g *cellGrid) bucket(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> g.shift }
+func (g *CellGrid) bucket(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> g.shift }
 
-// add indexes id at p.
-func (g *cellGrid) add(id int, p phy.Point) {
+// Add indexes id at p.
+func (g *CellGrid) Add(id int, p Point) {
 	k := cellKey(g.cellOf(p))
 	b := g.bucket(k)
 	g.key[id] = k
@@ -58,9 +54,9 @@ func (g *cellGrid) add(id int, p phy.Point) {
 	g.head[b] = int32(id)
 }
 
-// near calls visit with each id added in the 3×3 cells around p, once
+// Near calls visit with each id added in the 3×3 cells around p, once
 // each, until visit returns false.
-func (g *cellGrid) near(p phy.Point, visit func(id int) bool) {
+func (g *CellGrid) Near(p Point, visit func(id int) bool) {
 	cx, cy := g.cellOf(p)
 	for dx := int32(-1); dx <= 1; dx++ {
 		for dy := int32(-1); dy <= 1; dy++ {

@@ -51,7 +51,9 @@ func (u *UnitDisk) Senses(a, b *Radio) bool {
 }
 
 // Graph is an explicit adjacency model for tests and contrived topologies.
-// Links are directional; use AddLink twice (or AddBiLink) for symmetry.
+// Links are directional; use AddLink twice (or AddBiLink) for symmetry. A
+// channel asks once per topology, so links must be complete before the
+// first frame, or be followed by an AddRadio or SetPos.
 type Graph struct {
 	connected map[[2]int]bool
 	senses    map[[2]int]bool

@@ -47,8 +47,8 @@ type Radio struct {
 	addr Addr
 	pos  Point
 
-	// spatial-index state (see gridIndex in channel.go)
-	cellKey     [2]int32
+	// who senses this radio, as of channel version nbrsVersion
+	// (Channel.neighbors)
 	nbrs        []nbrEntry
 	nbrsVersion uint64
 
@@ -103,12 +103,11 @@ func (r *Radio) ID() int { return r.id }
 // Addr returns the radio's EUI-64 address.
 func (r *Radio) Addr() Addr { return r.addr }
 
-// SetPos moves the radio, re-filing it in the channel's spatial index and
-// invalidating all cached neighbor sets. Frames already in flight keep the
-// sensing snapshot taken when they hit the air.
+// SetPos moves the radio, invalidating all cached neighbor sets. Frames
+// already in flight keep the sensing snapshot taken when they hit the air.
 func (r *Radio) SetPos(pos Point) {
 	r.pos = pos
-	r.ch.moved(r)
+	r.ch.version++
 }
 
 // State returns the current radio state.

@@ -27,13 +27,6 @@ type probe interface {
 	collect(*FlowResult)
 }
 
-// byteSink is the window accounting every collector flavor shares.
-type byteSink interface {
-	Mark()
-	GoodputKbps() float64
-	BytesSinceMark() int
-}
-
 // sensorTransport is an app transport the anemometer can drain through.
 type sensorTransport interface {
 	app.Transport
@@ -58,7 +51,7 @@ type telemetry struct {
 	// again at the cloud collector behind the modeled WAN.
 	gw *gateway.Gateway
 
-	sink   byteSink
+	sink   *app.CountingSink
 	sensor *app.Sensor
 
 	lat                stats.Sample // per-reading latency since mark, in ms

@@ -30,11 +30,10 @@ func startCoAP(t *telemetry) *coapProbe {
 		port = t.gw.CoAPPort()
 		t.register()
 	} else {
-		sink := app.NewCountingSink(dst.Eng())
-		t.sink = sink
+		t.sink = app.NewCountingSink(dst.Eng())
 		srv := coap.NewServer(dst.Eng(), dst.UDP, fs.Port)
 		srv.OnPost = func(_ ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
-			sink.Received += len(payload)
+			t.sink.Received += len(payload)
 			app.ForEachReading(payload, t.deliver)
 			return coap.CodeChanged
 		}

@@ -29,11 +29,11 @@ func startTCP(t *telemetry, srcCfg, sinkCfg tcplp.Config) *tcpProbe {
 	fs, src, dst := &t.fr.spec, t.fr.src, t.fr.dst
 	switch fs.Pattern {
 	case PatternBulk:
-		t.sink = app.ListenSinkConfig(dst, fs.Port, sinkCfg)
+		t.sink = &app.ListenSinkConfig(dst, fs.Port, sinkCfg).CountingSink
 		p.bulk = app.StartBulkConfig(src, srcCfg, dst.Addr, fs.Port)
 		p.conn = p.bulk.Conn
 	case PatternOnOff:
-		t.sink = app.ListenSinkConfig(dst, fs.Port, sinkCfg)
+		t.sink = &app.ListenSinkConfig(dst, fs.Port, sinkCfg).CountingSink
 		p.bulk = app.StartOnOffConfig(src, srcCfg, dst.Addr, fs.Port, fs.On.D(), fs.Off.D())
 		p.conn = p.bulk.Conn
 	case PatternAnemometer:
@@ -42,7 +42,7 @@ func startTCP(t *telemetry, srcCfg, sinkCfg tcplp.Config) *tcpProbe {
 			port = t.gw.TCPPort()
 			t.register()
 		} else {
-			t.sink = app.ListenReadingSink(dst, fs.Port, sinkCfg, t.deliver)
+			t.sink = &app.ListenReadingSink(dst, fs.Port, sinkCfg, t.deliver).CountingSink
 		}
 		tr := app.NewTCPTransportConfig(src, srcCfg, dst.Addr, port)
 		t.startSensor(tr, app.TCPQueueCap)

@@ -460,6 +460,24 @@ func TestHostileSpecsRejected(t *testing.T) {
 			"sweep", strconv.Itoa(maxCells)},
 		{"too many seeds", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows + `,"seeds":[` + strings.Join(seeds, ",") + `]}`,
 			"seeds", strconv.Itoa(maxSeeds)},
+		{"window of 2e9 segments", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"window_segs":2000000000},` + flows + `}`,
+			"window_segs", strconv.Itoa(maxConnBuf)},
+		{"segments of 1e8 frames", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"seg_frames":100000000},` + flows + `}`,
+			"seg_frames", strconv.Itoa(maxConnBuf)},
+		{"segments of 9e18 frames", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"seg_frames":9223372036854775807},` + flows + `}`,
+			"seg_frames", strconv.Itoa(maxConnBuf)},
+		{"flow window of 2e9 segments", `{"name":"h","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"window_segs":2000000000}]}`,
+			"flow 0: window_segs", strconv.Itoa(maxConnBuf)},
+		{"window axis value of 2e9", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows + `,"sweep":{"window_segs":[4,2000000000]}}`,
+			"window_segs", strconv.Itoa(maxConnBuf)},
+		{"override to 1e8-frame segments", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
+			`,"sweep":{"window_segs":[4],"overrides":[{"when":{"w":"4"},"set":{"seg_frames":100000000}}]}}`,
+			"seg_frames", strconv.Itoa(maxConnBuf)},
+		{"node queue of 2e9 datagrams", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"queue_cap":2000000000},` + flows + `}`,
+			"net: queue_cap", strconv.Itoa(maxQueueCap)},
+		{"WAN queue of 2e9 messages", `{"name":"h","topology":{"kind":"chain","nodes":2},"gateway":{"wan":{"queue_cap":2000000000}},` +
+			`"flows":[{"from":1,"to":"gateway","pattern":"anemometer"}]}`,
+			"wan queue_cap", strconv.Itoa(maxQueueCap)},
 	} {
 		start := time.Now()
 		_, err := ParseSpecs([]byte(c.spec))

@@ -44,6 +44,7 @@ import (
 
 	"tcplp/internal/gateway"
 	"tcplp/internal/mesh"
+	"tcplp/internal/phy"
 	"tcplp/internal/sim"
 	"tcplp/internal/tcplp/cc"
 	"tcplp/internal/uip"
@@ -860,6 +861,11 @@ const (
 	maxNodes = 1 << 20 // mesh nodes one cell may instantiate
 	maxCells = 1 << 16 // cells one sweep spec may expand to
 	maxSeeds = 1 << 12 // seeds one spec may list
+	// Bytes of send (and of receive) buffer one connection may get:
+	// window_segs × the MSS seg_frames derives, counted at the most a
+	// frame can carry (phy.MaxMACPayload).
+	maxConnBuf  = 1 << 20
+	maxQueueCap = 1 << 16 // net.queue_cap, gateway.wan.queue_cap
 )
 
 // validateSweep checks the grid's size — from the axis lengths alone,
@@ -1013,6 +1019,12 @@ func (s *Spec) Validate() error {
 	if len(s.Flows) == 0 {
 		return bad("no flows")
 	}
+	opt := s.options("", 0) // the window and segment size the spec arrives at
+	maxWindow := maxConnBuf / phy.MaxMACPayload / opt.SegFrames
+	if opt.WindowSegs > maxWindow {
+		return bad("net: window_segs %d × seg_frames %d asks for more than %d bytes of buffer per connection (the limit)",
+			opt.WindowSegs, opt.SegFrames, maxConnBuf)
+	}
 	checkRef := func(r NodeRef) error {
 		if r.Host || r.End || r.Gateway {
 			return nil
@@ -1135,6 +1147,10 @@ func (s *Spec) Validate() error {
 		if f.WindowSegs < 0 {
 			return bad("flow %d: negative window_segs", i)
 		}
+		if f.WindowSegs > maxWindow {
+			return bad("flow %d: window_segs %d × seg_frames %d asks for more than %d bytes of buffer per connection (the limit)",
+				i, f.WindowSegs, opt.SegFrames, maxConnBuf)
+		}
 		if f.On < 0 || f.Off < 0 || f.Interval < 0 {
 			return bad("flow %d: negative on/off/interval", i)
 		}
@@ -1196,9 +1212,12 @@ func (s *Spec) Validate() error {
 		if g.WAN.Loss < 0 || g.WAN.Loss >= 1 {
 			return bad("gateway: wan loss %v out of range [0,1)", g.WAN.Loss)
 		}
-		if g.WAN.QueueCap < 0 {
-			return bad("gateway: negative wan queue_cap")
+		if g.WAN.QueueCap < 0 || g.WAN.QueueCap > maxQueueCap {
+			return bad("gateway: wan queue_cap %d out of range [0,%d]", g.WAN.QueueCap, maxQueueCap)
 		}
+	}
+	if s.Net.QueueCap > maxQueueCap {
+		return bad("net: queue_cap %d is over the limit %d", s.Net.QueueCap, maxQueueCap)
 	}
 	if s.Net.PER < 0 || s.Net.PER >= 1 {
 		return bad("per %v out of range [0,1)", s.Net.PER)

@@ -238,10 +238,14 @@ func (c *Conn) processAck(seg *Segment) bool {
 		c.stack.notifyAccept(c)
 	}
 
-	// Record SACK information whatever kind of ACK this is.
+	// Record SACK information whatever kind of ACK this is. A block ending
+	// beyond snd.max acknowledges data never sent and is discarded whole
+	// (RFC 2018 §5, FreeBSD tcp_sack_doack).
 	if c.peerSACK {
 		for _, blk := range seg.SACKBlocks {
-			c.sb.Add(blk, c.sndUna)
+			if blk.End.LEQ(c.sndMax) {
+				c.sb.Add(blk, c.sndUna)
+			}
 		}
 	}
 

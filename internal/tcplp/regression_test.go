@@ -425,3 +425,71 @@ func TestZeroWindowWithFinQueuedNoSpuriousRTO(t *testing.T) {
 		t.Fatalf("after the reader resumed: drained %d of %d, EOF %v, %d timeouts", drained, total, server.EOF(), client.Stats.Timeouts)
 	}
 }
+
+// TestSackBlockBeyondSndMaxIgnored: a SACK block ending beyond snd.max
+// reports data that was never sent. Stored, it inflates SackedBytes until
+// the pipe estimate goes negative and hides the hole under it from
+// NextHole, so it must never enter the scoreboard (RFC 2018 §5: discarded
+// whole, not trimmed). The first data segment is lost; while the rest of
+// the window is in flight the sender is handed one duplicate ACK whose
+// block straddles snd.max. The scoreboard must stay empty, and the loss
+// must still be repaired by fast retransmit, with no timeout.
+func TestSackBlockBeyondSndMaxIgnored(t *testing.T) {
+	cfg := testCfg()
+	cfg.SendBufSize, cfg.RecvBufSize = 8*408, 8*408
+	l := newTestLink(23, 20*sim.Millisecond, cfg)
+	lost := false
+	l.Drop = func(pkt *ip6.Packet) bool {
+		if !lost && len(pkt.Payload) > 200 {
+			lost = true
+			return true
+		}
+		return false
+	}
+	var received []byte
+	l.b.Listen(80, func(c *Conn) {
+		buf := make([]byte, 2048)
+		c.OnReadable = func() {
+			for n := c.Read(buf); n > 0; n = c.Read(buf) {
+				received = append(received, buf[:n]...)
+			}
+		}
+	})
+	payload := make([]byte, 8*408)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	client := l.a.Connect(ip6.AddrFromID(1), 80)
+	client.OnEstablished = func() { client.Write(payload) }
+	for client.State() != StateEstablished {
+		if !l.eng.Step() {
+			t.Fatal("never established")
+		}
+	}
+	if !client.peerSACK || client.sndMax.Diff(client.sndUna) < 2*408 {
+		t.Fatalf("scenario setup: peerSACK %v, %d bytes in flight", client.peerSACK, client.sndMax.Diff(client.sndUna))
+	}
+	hostile := &Segment{
+		SrcPort: 80, DstPort: client.localPort,
+		SeqNum: client.rcvNxt, AckNum: client.sndUna,
+		Flags: FlagACK, Window: uint16(client.sndWnd),
+		SACKBlocks: []SACKBlock{{Start: client.sndUna.Add(408), End: client.sndMax.Add(4000)}},
+	}
+	l.a.Input(&ip6.Packet{
+		Header: ip6.Header{
+			NextHeader: ip6.ProtoTCP, HopLimit: 64,
+			Src: ip6.AddrFromID(1), Dst: ip6.AddrFromID(0),
+		},
+		Payload: hostile.AppendEncode(nil, ip6.AddrFromID(1), ip6.AddrFromID(0)),
+	})
+	if !client.sb.Empty() {
+		t.Fatalf("scoreboard holds %v after a block beyond snd.max %d", client.sb.ranges, client.sndMax)
+	}
+	l.eng.RunUntil(sim.Time(10 * sim.Second))
+	if string(received) != string(payload) {
+		t.Fatalf("received %d of %d bytes", len(received), len(payload))
+	}
+	if !lost || client.Stats.FastRetransmits == 0 || client.Stats.Timeouts != 0 {
+		t.Fatalf("lost %v; the loss was not repaired by fast retransmit: %+v", lost, client.Stats)
+	}
+}
