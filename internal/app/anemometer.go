@@ -249,7 +249,7 @@ type TCPTransport struct {
 // flow's TCP configuration; Attach links the sensor it drains.
 func NewTCPTransportConfig(node *stack.Node, cfg tcplp.Config, collector ip6.Addr, port uint16) *TCPTransport {
 	tr := &TCPTransport{}
-	c := node.TCP.ConnectConfig(collector, port, cfg)
+	c := node.TCP().ConnectConfig(collector, port, cfg)
 	tr.Conn = c
 	c.OnWritable = func() {
 		if tr.sensor != nil {
@@ -298,7 +298,7 @@ type CoAPTransport struct {
 // stack to the collector's server port; a port per flow lets several
 // flows of one mesh run separate collectors.
 func NewCoAPTransportPort(node *stack.Node, collector ip6.Addr, port uint16, confirmable bool, msgSize int) *CoAPTransport {
-	cl := coap.NewClient(node.Eng(), node.UDP, collector, port)
+	cl := coap.NewClient(node.Eng(), node.UDP(), collector, port)
 	if node.Sleep != nil {
 		sc := node.Sleep
 		cl.OnExpectingChange = func(on bool) { sc.SetExpecting(on) }

@@ -118,7 +118,7 @@ func TestCoAPTransportEndToEnd(t *testing.T) {
 	net := stack.New(6, mesh.Chain(2, 10), stack.DefaultOptions())
 	host := net.AttachHost()
 	var s *app.Sensor
-	srv := coap.NewServer(host.Eng(), host.UDP, coap.DefaultPort)
+	srv := coap.NewServer(host.Eng(), host.UDP(), coap.DefaultPort)
 	srv.OnPost = func(_ ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
 		app.ForEachReading(payload, func(uint32) { s.Stats.Delivered++ })
 		return coap.CodeChanged

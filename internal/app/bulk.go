@@ -43,7 +43,7 @@ func listenSinkData(node *stack.Node, port uint16, cfg *tcplp.Config, onData fun
 	// One drain buffer per sink, shared across accepted connections:
 	// drains run synchronously and no onData hook retains the chunk.
 	buf := make([]byte, 4096)
-	l := node.TCP.Listen(port, func(c *tcplp.Conn) {
+	l := node.TCP().Listen(port, func(c *tcplp.Conn) {
 		s.Conn = c
 		c.OnReadable = func() {
 			for {
@@ -83,14 +83,14 @@ type Source struct {
 // StartBulk opens a connection from node to dst:port and streams data
 // indefinitely (until Stop) using the node's default TCP configuration.
 func StartBulk(node *stack.Node, dst ip6.Addr, port uint16) *Source {
-	return StartBulkConfig(node, node.TCP.Config(), dst, port)
+	return StartBulkConfig(node, node.TCP().Config(), dst, port)
 }
 
 // StartBulkConfig is StartBulk with an explicit per-flow TCP
 // configuration (congestion-control variant, window, pacing).
 func StartBulkConfig(node *stack.Node, cfg tcplp.Config, dst ip6.Addr, port uint16) *Source {
 	s := &Source{pattern: makePattern(), active: true}
-	c := node.TCP.ConnectConfig(dst, port, cfg)
+	c := node.TCP().ConnectConfig(dst, port, cfg)
 	s.Conn = c
 	c.OnEstablished = s.pump
 	c.OnWritable = s.pump

@@ -90,7 +90,7 @@ type UDPTransport struct {
 // NewUDPTransport builds a UDP transport from node to collector:port.
 func NewUDPTransport(node *stack.Node, collector ip6.Addr, port uint16, msgSize int) *UDPTransport {
 	t := &UDPTransport{sock: node, dst: collector, dstPort: port, MessageSize: msgSize}
-	t.srcPort = node.UDP.Bind(0, func(ip6.Addr, uint16, []byte) {})
+	t.srcPort = node.UDP().Bind(0, func(ip6.Addr, uint16, []byte) {})
 	return t
 }
 
@@ -113,7 +113,7 @@ func (t *UDPTransport) Send(p []byte) int {
 		tr.Emit(obs.Event{T: t.sock.Eng().Now(), Kind: obs.JourneyData, Node: t.Node, J: jid,
 			A: int64(binary.BigEndian.Uint32(p)), B: int64(n / ReadingSize)})
 	}
-	t.sock.UDP.SendJID(t.dst, t.dstPort, t.srcPort, p[:n], jid)
+	t.sock.UDP().SendJID(t.dst, t.dstPort, t.srcPort, p[:n], jid)
 	t.Sent++
 	t.SentBytes += uint64(n)
 	return n
@@ -125,7 +125,7 @@ func (t *UDPTransport) Send(p []byte) int {
 // deliver.
 func ListenReadingUDP(node *stack.Node, port uint16, deliver func(seq uint32)) *CountingSink {
 	s := &CountingSink{eng: node.Eng()}
-	node.UDP.Bind(port, func(src ip6.Addr, srcPort uint16, payload []byte) {
+	node.UDP().Bind(port, func(src ip6.Addr, srcPort uint16, payload []byte) {
 		s.Received += len(payload)
 		ForEachReading(payload, deliver)
 	})

@@ -46,9 +46,10 @@ type CPUMeter struct {
 	costs Costs
 }
 
-// NewCPUMeter returns a meter using the given cost model.
-func NewCPUMeter(eng *sim.Engine, costs Costs) *CPUMeter {
-	return &CPUMeter{eng: eng, costs: costs}
+// MakeCPUMeter returns a meter using the given cost model, by value: a
+// node holds its meter as a field, not as one more object.
+func MakeCPUMeter(eng *sim.Engine, costs Costs) CPUMeter {
+	return CPUMeter{eng: eng, costs: costs}
 }
 
 // Charge adds d of CPU busy time.

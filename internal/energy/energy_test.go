@@ -8,7 +8,7 @@ import (
 
 func TestCPUMeterDutyCycle(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewCPUMeter(eng, DefaultCosts())
+	m := MakeCPUMeter(eng, DefaultCosts())
 	// 100 ms of busy work over a 10 s window → 1%.
 	m.Charge(100 * sim.Millisecond)
 	eng.RunUntil(sim.Time(10 * sim.Second))
@@ -19,7 +19,7 @@ func TestCPUMeterDutyCycle(t *testing.T) {
 
 func TestCPUMeterReset(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewCPUMeter(eng, DefaultCosts())
+	m := MakeCPUMeter(eng, DefaultCosts())
 	m.Charge(sim.Second)
 	eng.RunUntil(sim.Time(2 * sim.Second))
 	m.Reset()
@@ -36,7 +36,7 @@ func TestCPUMeterReset(t *testing.T) {
 func TestChargeHelpers(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := DefaultCosts()
-	m := NewCPUMeter(eng, c)
+	m := MakeCPUMeter(eng, c)
 	m.ChargeFrameTx()
 	m.ChargeFrameRx()
 	m.ChargeSegment()
@@ -57,7 +57,7 @@ func TestChargeHelpers(t *testing.T) {
 
 func TestDutyCycleClamps(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewCPUMeter(eng, DefaultCosts())
+	m := MakeCPUMeter(eng, DefaultCosts())
 	if m.DutyCycle() != 0 {
 		t.Fatal("zero-elapsed duty cycle not 0")
 	}

@@ -175,9 +175,9 @@ func New(node *stack.Node, cfg Config, seed int64) *Gateway {
 		rdBuf: make([]byte, 4096),
 	}
 	sinkCfg := cfg.SinkCfg
-	l := node.TCP.Listen(cfg.TCPPort, g.accept)
+	l := node.TCP().Listen(cfg.TCPPort, g.accept)
 	l.ConfigFor = func() tcplp.Config { return sinkCfg }
-	srv := coap.NewServer(node.Eng(), node.UDP, cfg.CoAPPort)
+	srv := coap.NewServer(node.Eng(), node.UDP(), cfg.CoAPPort)
 	srv.OnPost = g.onPost
 	if cfg.IdleTimeout > 0 {
 		g.eng.Schedule(cfg.IdleTimeout, g.idleSweep)

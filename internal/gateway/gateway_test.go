@@ -139,7 +139,7 @@ func TestGatewayIdleTimeoutEvicts(t *testing.T) {
 	})
 	// A device that connects and then goes silent: the handshake creates
 	// its table entry, nothing refreshes it.
-	net.Nodes[1].TCP.ConnectConfig(net.Border().Addr, gw.TCPPort(), net.FlowTCPConfig("", 0))
+	net.Nodes[1].TCP().ConnectConfig(net.Border().Addr, gw.TCPPort(), net.FlowTCPConfig("", 0))
 	net.Eng.RunFor(2 * sim.Second)
 	if gw.Active() != 1 {
 		t.Fatalf("active = %d after connect, want 1", gw.Active())

@@ -163,7 +163,7 @@ type Mac struct {
 	queue       []*txJob
 	inflight    *txJob
 	freeJobs    *txJob
-	ackTimer    *sim.Timer
+	ackTimer    sim.Timer
 	sendingAck  bool
 	kickPending bool
 	// Prebuilt callbacks for per-Mac (not per-job) events, plus the
@@ -213,15 +213,15 @@ type Mac struct {
 // are owned by the MAC from this point on.
 func New(eng *sim.Engine, radio *phy.Radio, params Params) *Mac {
 	// The indirect-delivery and duplicate-suppression maps initialise
-	// lazily at their write sites: a 10k-node city is mostly idle
-	// listeners, and four empty maps per node was a visible slice of the
-	// fleet's base heap (nil maps read fine).
+	// lazily at their write sites (nil maps read fine): few MACs parent a
+	// sleepy child, and one that only sends and is ACKed never
+	// deduplicates.
 	m := &Mac{
 		eng:    eng,
 		radio:  radio,
 		params: params,
 	}
-	m.ackTimer = sim.NewTimer(eng, m.ackTimeout)
+	m.ackTimer.Init(eng, m.ackTimeout)
 	m.kickFn = func() {
 		m.kickPending = false
 		m.kick()
@@ -609,14 +609,29 @@ func (m *Mac) finish(status TxStatus) {
 	m.kick()
 }
 
+// keeps reports whether a received frame is this MAC's business, on its
+// header alone: well formed, and addressed to this node or to broadcast
+// or — ACKs carry no address — an ACK while one is awaited. It is the
+// decision the radio's address filter anticipates
+// (FuzzFrameDstAgreesWithMac holds the two equal on every input).
+func (m *Mac) keeps(data []byte) bool {
+	t, dst, err := phy.PeekHeader(data)
+	switch {
+	case err != nil:
+		return false
+	case t == phy.FrameAck:
+		return m.ackTimer.Armed()
+	}
+	return dst == m.radio.Addr() || dst.IsBroadcast()
+}
+
 func (m *Mac) radioReceive(data []byte) {
-	// Frames addressed to someone else are dropped on the header alone,
-	// before the full decode. (A malformed frame fails the same checks in
-	// either place.) The radio's address filter normally withholds them;
-	// the check stays because the filter is a shortcut, not the authority:
-	// a promiscuous radio hands up everything it decodes.
-	if t, dst, err := phy.PeekHeader(data); err != nil ||
-		(t != phy.FrameAck && dst != m.radio.Addr() && !dst.IsBroadcast()) {
+	// Frames for someone else are dropped on the header alone, before the
+	// full decode. (A malformed frame fails the same checks in either
+	// place.) The radio's address filter normally withholds them; the
+	// check stays because the filter is a shortcut, not the authority: a
+	// promiscuous radio hands up everything it decodes.
+	if !m.keeps(data) {
 		return
 	}
 	f := &m.rxFrame

@@ -38,8 +38,8 @@ type SleepController struct {
 	current   sim.Duration // adaptive interval state
 	expecting int          // >0 while transport expects inbound traffic
 	awake     bool         // inside a wakeup (receive) window
-	pollTimer *sim.Timer
-	waitTimer *sim.Timer
+	pollTimer sim.Timer
+	waitTimer sim.Timer
 	pollDone  func(TxStatus, bool) // prebuilt: every poll shares it
 	started   bool
 
@@ -60,8 +60,8 @@ func NewSleepController(eng *sim.Engine, m *Mac, parent phy.Addr) *SleepControll
 		Min:           20 * sim.Millisecond,
 		Max:           5 * sim.Second,
 	}
-	sc.pollTimer = sim.NewTimer(eng, sc.poll)
-	sc.waitTimer = sim.NewTimer(eng, sc.wakeupTimeout)
+	sc.pollTimer.Init(eng, sc.poll)
+	sc.waitTimer.Init(eng, sc.wakeupTimeout)
 	sc.pollDone = sc.afterPoll
 	m.IdleListen = func() bool { return sc.awake }
 	return sc

@@ -23,7 +23,11 @@
 // ChannelClear, FramesReceived, …) read through it. Channel.Reserve sizes
 // the slice once when the topology is known. What only the radio's owner
 // touches (position, callbacks, the 127-byte receive buffer, the neighbor
-// list of its own transmissions) stays in Radio.
+// list of its own transmissions) stays in Radio — the Radios of a
+// reserved topology are one slab too, and a radio's transmit closures and
+// neighbor list (collected in channel scratch, kept at its exact size)
+// are made by its first transmission: a radio that only ever listens,
+// most of a city, is 328 bytes of that slab and its cache line here.
 //
 // Who senses whom is asked of the Propagation model once per topology, not
 // per frame: Channel.neighbors builds a radio's list on its first

@@ -136,6 +136,9 @@ type Channel struct {
 	prop   Propagation
 	radios []*Radio
 	hot    []radioHot // parallel to radios
+	// slab holds the Radio structs Reserve made room for and AddRadio has
+	// not handed out yet: a known topology's radios are one allocation.
+	slab []Radio
 	// filterIdx maps a node id to 1 + the registration index of the
 	// filtering radio with that id's address (0 = none): how frameDst
 	// resolves a unicast destination.
@@ -147,6 +150,7 @@ type Channel struct {
 	version     uint64
 	grid        *CellGrid
 	gridVersion uint64
+	nbrScratch  []nbrEntry // where neighbors collects a list before sizing it
 
 	// PER returns the probability that a frame from src to dst is
 	// corrupted despite no collision. Nil means a perfect channel.
@@ -164,11 +168,13 @@ func NewChannel(eng *sim.Engine, prop Propagation) *Channel {
 }
 
 // Reserve sizes the channel's per-radio tables for n radios with ids below
-// n, so registering a known topology does not regrow them radio by radio.
+// n, and makes those radios' structs in one piece, so registering a known
+// topology neither regrows the tables nor allocates radio by radio.
 func (c *Channel) Reserve(n int) {
 	c.radios = slices.Grow(c.radios, n)
 	c.hot = slices.Grow(c.hot, n)
 	c.filterIdx = slices.Grow(c.filterIdx, n)
+	c.slab = make([]Radio, n)
 }
 
 // Engine returns the channel's simulation engine.
@@ -176,20 +182,19 @@ func (c *Channel) Engine() *sim.Engine { return c.eng }
 
 // AddRadio creates and registers a radio at pos. Radios start asleep.
 func (c *Channel) AddRadio(id int, pos Point) *Radio {
-	r := &Radio{
+	var r *Radio
+	if len(c.slab) > 0 {
+		r, c.slab = &c.slab[0], c.slab[1:]
+	} else {
+		r = new(Radio)
+	}
+	*r = Radio{
 		eng:  c.eng,
 		ch:   c,
 		id:   id,
 		addr: AddrFromID(id),
 		pos:  pos,
 		idx:  int32(len(c.radios)),
-	}
-	r.txBeginFn = func() { c.beginTx(r, r.txData, r.txAir) }
-	r.txDoneFn = func() {
-		r.hot().setState(StateListen, c.eng.Now())
-		if r.OnTxDone != nil {
-			r.OnTxDone()
-		}
 	}
 	c.radios = append(c.radios, r)
 	c.hot = append(c.hot, radioHot{})
@@ -275,13 +280,14 @@ func (c *Channel) busyAt(r *Radio) bool { return c.hot[r.idx].sensed > 0 }
 // RNG stream — each marked with whether it also decodes them. It is the one
 // place the propagation model is consulted: a *UnitDisk about the radios in
 // the 3×3 SenseRange-sized cells around r, any other model about every
-// radio. The list is cached on the radio until a radio is added or moved; a
-// rebuild allocates a fresh slice, as in-flight transmissions hold the old.
+// radio. The list is cached on the radio until a radio is added or moved. It
+// is collected in the channel's scratch slice and cloned at its exact size:
+// a rebuild must not reuse the old list, which in-flight transmissions hold.
 func (c *Channel) neighbors(r *Radio) []nbrEntry {
 	if r.nbrsVersion == c.version {
 		return r.nbrs
 	}
-	var nbrs []nbrEntry
+	nbrs := c.nbrScratch[:0]
 	ask := func(o *Radio) {
 		if o != r && c.prop.Senses(r, o) {
 			nbrs = append(nbrs, nbrEntry{idx: o.idx, connected: c.prop.Connected(r, o)})
@@ -302,8 +308,9 @@ func (c *Channel) neighbors(r *Radio) []nbrEntry {
 			ask(o)
 		}
 	}
-	r.nbrs, r.nbrsVersion = nbrs, c.version
-	return nbrs
+	c.nbrScratch = nbrs
+	r.nbrs, r.nbrsVersion = slices.Clone(nbrs), c.version
+	return r.nbrs
 }
 
 // beginTx is called by a radio when its frame's first bit hits the air.

@@ -54,8 +54,9 @@ type Radio struct {
 
 	energySince sim.Time
 
-	// preallocated transmit closures + their per-transmission arguments;
-	// a radio has at most one frame in flight, so these are reused.
+	// transmit closures, built by the radio's first transmission (most of
+	// a city only ever listens), + their per-transmission arguments; a
+	// radio has at most one frame in flight, so these are reused.
 	txBeginFn func()
 	txDoneFn  func()
 	txData    []byte
@@ -231,6 +232,15 @@ func (r *Radio) transmitAfter(data []byte, lead sim.Duration) {
 	r.txEnd = r.eng.Now().Add(lead + air)
 	r.framesSent++
 	r.txData, r.txAir = data, air
+	if r.txBeginFn == nil {
+		r.txBeginFn = func() { r.ch.beginTx(r, r.txData, r.txAir) }
+		r.txDoneFn = func() {
+			r.hot().setState(StateListen, r.eng.Now())
+			if r.OnTxDone != nil {
+				r.OnTxDone()
+			}
+		}
+	}
 	r.eng.Schedule(lead, r.txBeginFn)
 	r.eng.Schedule(lead+air, r.txDoneFn)
 }

@@ -146,10 +146,10 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 		if !ns.Sleepy {
 			continue
 		}
-		if err := rc.routed("sleepy node", ns.ID); err != nil {
-			return nil, err
+		sc, err := net.MakeSleepyLeaf(ns.ID)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %q: sleepy node %d: %w", spec.Name, ns.ID, err)
 		}
-		sc := net.MakeSleepyLeaf(ns.ID)
 		if ns.SleepInterval > 0 {
 			sc.SleepInterval = ns.SleepInterval.D()
 		}
@@ -164,7 +164,7 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 			sc.Max = ns.MaxInterval.D()
 		}
 		if ns.NoFastPollHint {
-			net.Nodes[ns.ID].TCP.OnExpectingChange = nil
+			net.Nodes[ns.ID].TCP().OnExpectingChange = nil
 		}
 		sc.Start()
 	}
@@ -193,7 +193,7 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 			if end.Host {
 				continue
 			}
-			if err := rc.routed("flow endpoint", rc.resolve(end).ID); err != nil {
+			if err := rc.routed(rc.resolve(end).ID); err != nil {
 				return nil, err
 			}
 		}
@@ -221,13 +221,13 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 	return rc, nil
 }
 
-// routed returns an error naming mesh node id if it has no route to the
-// border router: a run whose flows cannot reach it measures nothing.
-func (rc *runContext) routed(what string, id int) error {
+// routed returns an error naming flow endpoint id if it has no route to
+// the border router: a run whose flows cannot reach it measures nothing.
+func (rc *runContext) routed(id int) error {
 	border := rc.net.Border().ID
 	if rc.net.Routes.Hops(id, border) < 0 {
-		return fmt.Errorf("scenario %q: %s %d has no route to the border router (node %d)",
-			rc.spec.Name, what, id, border)
+		return fmt.Errorf("scenario %q: flow endpoint %d has no route to the border router (node %d)",
+			rc.spec.Name, id, border)
 	}
 	return nil
 }

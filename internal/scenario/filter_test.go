@@ -15,7 +15,9 @@ import (
 // the MAC would have discarded on its own, so a run with the filter
 // switched off on every radio — each MAC back to checking every frame
 // its radio decodes — produces the same Result, field for field, traced
-// or not.
+// or not. Every node is woken first (TestWakeIsInvisible: that changes
+// nothing), since a dormant node has no MAC to check anything and the
+// one its first frame builds would switch its radio's filter back on.
 func TestAddressFilterInvisible(t *testing.T) {
 	sleepyOffice := &Spec{
 		Name:     "office-sleepy",
@@ -56,7 +58,7 @@ func TestAddressFilterInvisible(t *testing.T) {
 		}
 		if !filter {
 			for _, n := range rc.net.Nodes {
-				n.Radio.SetAddressFilter(false)
+				n.Mac().Radio().SetAddressFilter(false)
 			}
 		}
 		return rc.run()

@@ -31,7 +31,7 @@ func startCoAP(t *telemetry) *coapProbe {
 		t.register()
 	} else {
 		t.sink = app.NewCountingSink(dst.Eng())
-		srv := coap.NewServer(dst.Eng(), dst.UDP, fs.Port)
+		srv := coap.NewServer(dst.Eng(), dst.UDP(), fs.Port)
 		srv.OnPost = func(_ ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
 			t.sink.Received += len(payload)
 			app.ForEachReading(payload, t.deliver)

@@ -147,14 +147,12 @@ func (rc *runContext) layerRegistry() *obs.Registry {
 			framesRecv += n.Radio.FramesReceived()
 			rxDropped += n.Radio.ReceptionsDropped()
 		}
-		if n.Mac != nil {
-			st := &n.Mac.Stats
-			ms.DataSent += st.DataSent
-			ms.DataDropped += st.DataDropped
-			ms.Retries += st.Retries
-			ms.CSMAFailures += st.CSMAFailures
-			ms.Duplicates += st.Duplicates
-		}
+		st := n.MacStats()
+		ms.DataSent += st.DataSent
+		ms.DataDropped += st.DataDropped
+		ms.Retries += st.Retries
+		ms.CSMAFailures += st.CSMAFailures
+		ms.Duplicates += st.Duplicates
 		reasmTimeouts += n.ReassemblyTimeouts()
 		ns.PacketsSent += n.Stats.PacketsSent
 		ns.PacketsDelivered += n.Stats.PacketsDelivered
@@ -162,13 +160,13 @@ func (rc *runContext) layerRegistry() *obs.Registry {
 		ns.QueueDrops += n.Stats.QueueDrops
 		ns.REDDrops += n.Stats.REDDrops
 		ns.LinkFailures += n.Stats.LinkFailures
-		addTCP(n.TCP.Stats)
+		addTCP(n.TCPStats())
 	}
 	if h := rc.net.Host; h != nil {
 		reasmTimeouts += h.ReassemblyTimeouts()
 		ns.PacketsSent += h.Stats.PacketsSent
 		ns.PacketsDelivered += h.Stats.PacketsDelivered
-		addTCP(h.TCP.Stats)
+		addTCP(h.TCPStats())
 	}
 	reg := obs.NewRegistry()
 	reg.AddUint("phy", "frames_sent", framesSent)

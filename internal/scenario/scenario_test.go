@@ -501,7 +501,8 @@ func TestHostileSpecsRejected(t *testing.T) {
 
 // TestBuildRunNamesUnroutedNode: a topology that leaves a sleepy node or a
 // flow endpoint cut off from the border router is a build error naming
-// the node, not a MakeSleepyLeaf panic or a silent 0 kb/s run. Validate
+// the node (for a leaf, stack.MakeSleepyLeaf's own error, wrapped), not a
+// panic or a silent 0 kb/s run. Validate
 // keeps such specs out, so the disconnected chain is built unvalidated.
 func TestBuildRunNamesUnroutedNode(t *testing.T) {
 	islands := func() *Spec {
@@ -519,7 +520,7 @@ func TestBuildRunNamesUnroutedNode(t *testing.T) {
 		"sleepy node 1":   sleepy,
 	} {
 		_, err := (&Runner{}).buildRun(spec.withDefaults(), 1)
-		if err == nil || !strings.Contains(err.Error(), want+" has no route") {
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "has no route to the border router") {
 			t.Fatalf("err = %v, want %q named as unrouted", err, want)
 		}
 	}

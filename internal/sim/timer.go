@@ -13,12 +13,20 @@ type Timer struct {
 
 // NewTimer returns a stopped timer that will invoke fn when it fires.
 func NewTimer(eng *Engine, fn func()) *Timer {
-	t := &Timer{eng: eng, fn: fn}
+	t := &Timer{}
+	t.Init(eng, fn)
+	return t
+}
+
+// Init is NewTimer for a Timer held by value, as a field of its owner:
+// it turns the zero Timer into a stopped one that will invoke fn. The
+// timer must not be copied afterwards.
+func (t *Timer) Init(eng *Engine, fn func()) {
+	t.eng, t.fn = eng, fn
 	t.wrap = func() {
 		t.ev = nil
 		t.fn()
 	}
-	return t
 }
 
 // Reset (re)arms the timer to fire after d, replacing any pending firing.

@@ -45,7 +45,7 @@ func TestDatagramPathAllocs(t *testing.T) {
 				dst = net.AttachHost()
 			}
 			var server *tcplp.Conn
-			dst.TCP.Listen(80, func(c *tcplp.Conn) {
+			dst.TCP().Listen(80, func(c *tcplp.Conn) {
 				server = c
 				buf := make([]byte, 4096)
 				c.OnReadable = func() {
@@ -53,7 +53,7 @@ func TestDatagramPathAllocs(t *testing.T) {
 					}
 				}
 			})
-			client := src.TCP.Connect(dst.Addr, 80)
+			client := src.TCP().Connect(dst.Addr, 80)
 			data := make([]byte, 1024)
 			pump := func() {
 				for {
@@ -99,17 +99,21 @@ func TestDatagramPathAllocs(t *testing.T) {
 	}
 }
 
-// TestNodeBuffersLazy: building a network gives no node a reassembler
-// (and so no arena or packet), a fragment pool, a queued-datagram item
-// or frame list, a forwarding cache or a TCP transmit / receive slot:
-// those appear on a node's first datagram, so a city pays nothing for
-// the nodes that never originate, relay or terminate traffic.
-// (TestIdleNodeFootprint bounds the bytes.)
+// TestNodeBuffersLazy: building a network gives no node a MAC or a
+// transport (TestWakeOnFirstAddressedFrame), and waking a node gives it
+// neither a reassembler (and so no arena or packet), a fragment pool, a
+// queued-datagram item or frame list, a forwarding cache nor a TCP
+// transmit / receive slot: those appear on the node's first datagram, so
+// a relay woken by one frame pays for what it relays, not for sockets it
+// never opens. (TestIdleNodeFootprint bounds the bytes.)
 func TestNodeBuffersLazy(t *testing.T) {
 	net := New(1, mesh.RandomGeometric(1000, 16, 1), DefaultOptions())
 	for _, n := range net.Nodes {
+		if n.mac != nil || n.tcp != nil || n.udp != nil || n.red != nil {
+			t.Fatalf("node %d is awake straight out of New", n.ID)
+		}
 		// Other packages' pools are unexported: look, don't touch.
-		tcp := reflect.ValueOf(n.TCP).Elem()
+		tcp := reflect.ValueOf(n.TCP()).Elem()
 		if n.reasm != nil || !reflect.ValueOf(n.frag).IsZero() ||
 			n.outFree != nil || n.outQ != nil || n.fwdCache != nil ||
 			!tcp.FieldByName("txFree").IsNil() || !tcp.FieldByName("rxFree").IsNil() {

@@ -11,11 +11,12 @@ import (
 // TestIdleNodeFootprint pins the heap cost of an idle node at city
 // scale. Most of a 10k-node metro deployment is idle at any instant, so
 // construction-time allocation per node is what bounds how large a
-// topology fits in memory. The budget reflects the lazy-map work: MAC
-// dedup/indirect state, TCP/UDP demux maps, and forwarding caches all
-// allocate on first use rather than in New, and route tables store
-// int32 columns. Regressions that re-introduce eager per-node state
-// show up as a burst well above the bound.
+// topology fits in memory. The budget reflects dormancy ("Dormancy" in
+// the package comment): out of New a node is its slot in the node slab,
+// its radio's slot in the channel's, one method value, and its rows of
+// the topology and the int32 route tables; MAC, TCP and UDP wait for the
+// node's first frame or socket. Regressions that re-introduce eager
+// per-node state show up as a burst well above the bound.
 func TestIdleNodeFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node construction in -short mode")
@@ -39,12 +40,10 @@ func TestIdleNodeFootprint(t *testing.T) {
 		t.Fatalf("built %d nodes, want %d", len(net.Nodes), n)
 	}
 
-	// Measured 2 066 B/node under go 1.24 (2 210 before the reassembler
-	// became lazy too). The bound sits at the old figure: the
-	// datagram-path buffers are all grown on first use, so none of them
-	// may show up here, and eager per-node state of any kind costs
-	// a hundred bytes or more per node.
-	const maxBytesPerNode = 2200
+	// Measured 1 107 B/node under go 1.24 (2 066 when New built every
+	// node's MAC, TCP and UDP stacks). Eager per-node state of any kind
+	// costs a hundred bytes or more per node.
+	const maxBytesPerNode = 1300
 	t.Logf("idle footprint: %.0f B/node (%d nodes)", perNode, n)
 	if perNode > maxBytesPerNode {
 		t.Fatalf("idle footprint = %.0f B/node, budget %d", perNode, maxBytesPerNode)

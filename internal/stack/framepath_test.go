@@ -36,13 +36,13 @@ func TestFramePathAllocs(t *testing.T) {
 	for i := 0; i < 300; i++ { // MAC sequence numbers wrap: every dedup key exists
 		send()
 	}
-	delivered, frames := dst.Stats.PacketsDelivered, src.Mac.Stats.DataSent
+	delivered, frames := dst.Stats.PacketsDelivered, src.Mac().Stats.DataSent
 	const runs = 100
 	perDatagram := testing.AllocsPerRun(runs, send)
 	if got := dst.Stats.PacketsDelivered - delivered; got != runs+1 {
 		t.Fatalf("delivered %d of %d datagrams", got, runs+1)
 	}
-	if got := src.Mac.Stats.DataSent - frames; got != 5*(runs+1) {
+	if got := src.Mac().Stats.DataSent - frames; got != 5*(runs+1) {
 		t.Fatalf("sent %d frames, want %d", got, 5*(runs+1))
 	}
 	// It cost 61 before the frame path was pooled (52 for its five

@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"fmt"
+
 	"tcplp/internal/energy"
 	"tcplp/internal/ip6"
 	"tcplp/internal/mac"
@@ -12,7 +14,6 @@ import (
 	"tcplp/internal/sixlowpan"
 	"tcplp/internal/tcplp"
 	"tcplp/internal/tcplp/cc"
-	"tcplp/internal/udp"
 )
 
 // HostID is the node identifier of the wired cloud host.
@@ -110,28 +111,21 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 		borderID: 0,
 	}
 	net.Opt.TCP = DerivedTCPConfig(net.Opt, opt.TCP)
+	// Every node starts dormant ("Dormancy" in the package comment): a
+	// slot in one slab and a radio that listens and filters, as the MAC
+	// wake builds would have left it.
 	costs := energy.DefaultCosts()
-	for i := 0; i < topo.N(); i++ {
-		n := &Node{
-			ID:   i,
-			Net:  net,
-			Addr: ip6.AddrFromID(i),
-			CPU:  energy.NewCPUMeter(eng, costs),
-		}
+	nodes := make([]Node, topo.N())
+	net.Nodes = make([]*Node, len(nodes))
+	for i := range nodes {
+		n := &nodes[i]
+		n.ID, n.Net, n.Addr = i, net, ip6.AddrFromID(i)
+		n.CPU = energy.MakeCPUMeter(eng, costs)
 		n.Radio = ch.AddRadio(i, topo.Positions[i])
-		n.Mac = mac.New(eng, n.Radio, opt.MAC)
-		n.Mac.OnReceive = n.onFrame
-		n.Mac.Trace = opt.Trace
-		if net.Opt.RED && i != 0 {
-			n.red = mesh.DefaultRED(net.Opt.ECN)
-		}
-		n.TCP = tcplp.NewStack(eng, n.Addr, net.Opt.TCP)
-		n.TCP.Output = n.SendPacket
-		n.TCP.PoolEncode = true // SendPacket consumes payloads synchronously
-		n.TCP.Trace, n.TCP.TraceNode = opt.Trace, i
-		n.UDP = udp.NewStack(n.Addr)
-		n.UDP.Output = n.SendPacket
-		net.Nodes = append(net.Nodes, n)
+		n.Radio.SetAddressFilter(true)
+		n.Radio.SetListen(true)
+		n.Radio.OnReceive = n.firstFrame
+		net.Nodes[i] = n
 	}
 	return net
 }
@@ -206,30 +200,17 @@ func (net *Network) FlowTCPConfig(v cc.Variant, windowSegs int) tcplp.Config {
 }
 
 // AttachHost creates the wired cloud host behind the border router
-// (node 0) and returns it.
+// (node 0) and returns it. Like a mesh node it is dormant until used.
 func (net *Network) AttachHost() *Node {
 	if net.Host != nil {
 		return net.Host
 	}
-	costs := energy.DefaultCosts()
 	host := &Node{
 		ID:   net.hostID,
 		Net:  net,
 		Addr: ip6.AddrFromID(net.hostID),
-		CPU:  energy.NewCPUMeter(net.Eng, costs),
+		CPU:  energy.MakeCPUMeter(net.Eng, energy.DefaultCosts()),
 	}
-	// The host is unconstrained: large buffers, same protocol logic
-	// ("the TCP implementation in the FreeBSD operating system" on both
-	// ends).
-	hostCfg := net.Opt.TCP
-	hostCfg.SendBufSize = 64 * 1024
-	hostCfg.RecvBufSize = 64 * 1024
-	host.TCP = tcplp.NewStack(net.Eng, host.Addr, hostCfg)
-	host.TCP.Output = host.SendPacket
-	host.TCP.PoolEncode = true
-	host.TCP.Trace, host.TCP.TraceNode = net.Opt.Trace, net.hostID
-	host.UDP = udp.NewStack(host.Addr)
-	host.UDP.Output = host.SendPacket
 	net.Host = host
 	connectWire(net.Nodes[0], host, net.Opt.WireDelay)
 	return host
@@ -239,19 +220,20 @@ func (net *Network) AttachHost() *Node {
 // its next hop toward the border router, which queues downstream frames
 // for it (indirect delivery). The leaf's TCP stack drives the fast-poll
 // hint (§9.2). Configure the returned controller (intervals, adaptive
-// mode) and then call its Start method.
-func (net *Network) MakeSleepyLeaf(id int) *mac.SleepController {
+// mode) and then call its Start method. Both the leaf and its parent
+// wake. A leaf the topology cuts off from the border router is an error.
+func (net *Network) MakeSleepyLeaf(id int) (*mac.SleepController, error) {
 	n := net.Nodes[id]
 	parentID, ok := net.Routes.Parent(id, net.borderID)
 	if !ok {
-		panic("stack: leaf has no route to border router")
+		return nil, fmt.Errorf("stack: leaf %d has no route to the border router (node %d)", id, net.borderID)
 	}
 	parent := net.Nodes[parentID]
-	parent.Mac.SetChildSleepy(n.LinkAddr(), true)
-	sc := mac.NewSleepController(net.Eng, n.Mac, parent.LinkAddr())
+	parent.Mac().SetChildSleepy(n.LinkAddr(), true)
+	sc := mac.NewSleepController(net.Eng, n.Mac(), parent.LinkAddr())
 	n.Sleep = sc
-	n.TCP.OnExpectingChange = func(expecting bool) { sc.SetExpecting(expecting) }
-	return sc
+	n.TCP().OnExpectingChange = func(expecting bool) { sc.SetExpecting(expecting) }
+	return sc, nil
 }
 
 // Border returns the border router (node 0).

@@ -10,9 +10,9 @@
 // tryForwardFragment / Reassembler.Input → Node.deliver →
 // tcplp.Stack.Input → Conn.input, and the border ↔ host wire beside it —
 // allocates nothing in steady state, and every buffer on it is created
-// by the node's first datagram, not by New (TestDatagramPathAllocs,
-// TestNodeBuffersLazy). UDP rides it under the same rule —
-// udp.Stack.SendJID → Node.SendPacket down, Node.deliver →
+// by the node's first datagram, neither by New nor by wake
+// (TestDatagramPathAllocs, TestNodeBuffersLazy). UDP rides it under the
+// same rule — udp.Stack.SendJID → Node.SendPacket down, Node.deliver →
 // udp.Stack.Input → Handler up — and app's TestReadingPathAllocs holds
 // the reading path above it to zero. The packages around this one state
 // their own rules (mac: transmit jobs and the receive buffer; sixlowpan:
@@ -48,6 +48,46 @@
 // delivery, and through the lower layers everything else above, so a
 // golden or digest test that moves under it has found a reader that
 // outlived its buffer.
+//
+// # Dormancy
+//
+// A node pays for the layers above its radio when it first uses them
+// (the paper's §4 memory argument — full TCP state only for a live
+// connection — applied to the simulator: a city is mostly nodes nobody
+// addresses). Out of New, every node of every network, a two-node chain
+// included, is dormant: a slot in one []Node slab with its CPU meter
+// inside it, and a radio — itself a slot in the channel's slab — that is
+// registered, listening and filtering on its address, exactly as a MAC
+// would have left it. It owns nothing else: no MAC, no ACK timer, no RED
+// state, no TCP or UDP stack, none of the closures that tie them
+// together. The host behind the border router starts the same way, minus
+// the radio.
+//
+// (*Node).wake builds all of that, once, as New used to. Two things wake
+// a node. Code that asks for a layer: Mac, TCP and UDP are accessors, not
+// fields, and a dormant node's accessor wakes it first, so nothing
+// outside this file can observe a nil layer (pump and deliver go through
+// the accessors too, which covers the border router handed its first
+// packet by the wire, and the host). And the radio: a dormant node's
+// Radio.OnReceive is firstFrame, which wakes the node — mac.New takes
+// OnReceive over — and hands the same bytes to the new MAC, which ACKs
+// and delivers them like any other frame. The radio's address filter
+// (package phy, "Hot state and frame filter") withholds every frame the
+// MAC would have discarded, so that is the first frame addressed to the
+// node, or the first broadcast it decodes.
+//
+// Waking is invisible to a run. Building a MAC, a TCP stack and a UDP
+// stack draws no random number and schedules no event; a dormant radio
+// goes through the same states, PER draws, counters and trace events as
+// one with a MAC behind it; and a MAC whose radio hands it nothing does
+// nothing. So a node woken at build, at its first frame, or half-way
+// through receiving it produces the same Result bit for bit
+// (TestWakeIsInvisible in package scenario runs every checked-in spec
+// both ways; TestWakeOnFirstAddressedFrame pins the moment and the
+// ACK; mac's FuzzFrameDstAgreesWithMac holds the filter to the MAC's own
+// decision). There is no switch for the old behaviour. Counters are read
+// without waking anybody: MacStats and TCPStats report zeros for a
+// dormant node, which is what its layers would have counted.
 package stack
 
 import (
@@ -122,13 +162,17 @@ type Node struct {
 	Net *Network
 
 	Radio *phy.Radio
-	Mac   *mac.Mac
 	Sleep *mac.SleepController
 
 	Addr ip6.Addr
-	TCP  *tcplp.Stack
-	UDP  *udp.Stack
-	CPU  *energy.CPUMeter
+	CPU  energy.CPUMeter
+
+	// The layers above the radio, nil while the node is dormant
+	// ("Dormancy" in the package comment). Only wake, awake's accessors
+	// Mac, TCP and UDP, and the two counter readers name these fields.
+	mac *mac.Mac
+	tcp *tcplp.Stack
+	udp *udp.Stack
 
 	reasm *sixlowpan.Reassembler // nil until reassembler() is first asked for it
 	frag  sixlowpan.Fragmenter
@@ -136,7 +180,7 @@ type Node struct {
 	outQ        []*outItem
 	outFree     *outItem
 	sending     bool
-	frameDoneFn func(mac.TxStatus) // built on first use; every frame's MAC callback
+	frameDoneFn func(mac.TxStatus) // n.frameDone, built by wake; every frame's MAC callback
 
 	red      *mesh.RED
 	fwdCache map[fwdKey]fwdEntry
@@ -153,6 +197,80 @@ type Node struct {
 	DropFilter func(pkt *ip6.Packet) bool
 
 	Stats NodeStats
+}
+
+// Mac returns the node's MAC, waking the node; nil on the wired host.
+func (n *Node) Mac() *mac.Mac { return n.awake().mac }
+
+// TCP returns the node's TCP stack, waking the node.
+func (n *Node) TCP() *tcplp.Stack { return n.awake().tcp }
+
+// UDP returns the node's UDP stack, waking the node.
+func (n *Node) UDP() *udp.Stack { return n.awake().udp }
+
+// awake returns n with its layers built.
+func (n *Node) awake() *Node {
+	if n.tcp == nil {
+		n.wake()
+	}
+	return n
+}
+
+// wake builds what a dormant node lacks: the MAC on its radio (a mesh
+// node), RED state (a relay), and the transports. It draws no random
+// number and schedules no event.
+func (n *Node) wake() {
+	net := n.Net
+	cfg := net.Opt.TCP
+	if n.Radio != nil {
+		n.mac = mac.New(net.Eng, n.Radio, net.Opt.MAC)
+		n.mac.OnReceive = n.onFrame
+		n.mac.Trace = net.Opt.Trace
+		n.frameDoneFn = n.frameDone
+		if net.Opt.RED && n.ID != net.borderID {
+			n.red = mesh.DefaultRED(net.Opt.ECN)
+		}
+	} else {
+		// The host is unconstrained: large buffers, same protocol logic
+		// ("the TCP implementation in the FreeBSD operating system" on
+		// both ends).
+		cfg.SendBufSize = 64 * 1024
+		cfg.RecvBufSize = 64 * 1024
+	}
+	output := n.SendPacket // one method value for both transports
+	n.tcp = tcplp.NewStack(net.Eng, n.Addr, cfg)
+	n.tcp.Output = output
+	n.tcp.PoolEncode = true // SendPacket consumes payloads synchronously
+	n.tcp.Trace, n.tcp.TraceNode = net.Opt.Trace, n.ID
+	n.udp = udp.NewStack(n.Addr)
+	n.udp.Output = output
+}
+
+// firstFrame is a dormant node's Radio.OnReceive: the first frame the
+// radio's address filter lets through wakes the node — mac.New takes
+// over OnReceive — and goes to the new MAC as if it had always been
+// there.
+func (n *Node) firstFrame(data []byte) {
+	n.wake()
+	n.Radio.OnReceive(data)
+}
+
+// MacStats returns the MAC's counters, all zero while the node is
+// dormant. Reading them does not wake it.
+func (n *Node) MacStats() mac.Stats {
+	if n.mac == nil {
+		return mac.Stats{}
+	}
+	return n.mac.Stats
+}
+
+// TCPStats returns the TCP stack's counters, all zero while the node is
+// dormant. Reading them does not wake it.
+func (n *Node) TCPStats() tcplp.StackStats {
+	if n.tcp == nil {
+		return tcplp.StackStats{}
+	}
+	return n.tcp.Stats
 }
 
 // LinkAddr returns the node's 802.15.4 address.
@@ -310,10 +428,7 @@ func (n *Node) pump() {
 	n.sending = true
 	it := n.outQ[0]
 	n.CPU.ChargeFrameTx()
-	if n.frameDoneFn == nil {
-		n.frameDoneFn = n.frameDone
-	}
-	n.Mac.SendJID(it.next, it.frames[it.idx], it.jid, n.frameDoneFn)
+	n.Mac().SendJID(it.next, it.frames[it.idx], it.jid, n.frameDoneFn)
 }
 
 // frameDone is the MAC's verdict on the frame pump last handed it:
@@ -407,7 +522,8 @@ func (n *Node) onFrame(f *phy.Frame) {
 }
 
 // reassembler returns the node's reassembler, created by the first frame
-// that needs one: most of a city never terminates a datagram.
+// that needs one: a relay woken to forward fragments never terminates a
+// datagram.
 func (n *Node) reassembler() *sixlowpan.Reassembler {
 	if n.reasm == nil {
 		n.reasm = sixlowpan.NewReassembler(n.Eng())
@@ -541,8 +657,8 @@ func (n *Node) deliver(pkt *ip6.Packet) {
 	n.CPU.ChargeBytes(len(pkt.Payload))
 	switch pkt.NextHeader {
 	case ip6.ProtoTCP:
-		n.TCP.Input(pkt)
+		n.TCP().Input(pkt)
 	case ip6.ProtoUDP:
-		n.UDP.Input(pkt)
+		n.UDP().Input(pkt)
 	}
 }

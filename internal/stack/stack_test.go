@@ -15,7 +15,7 @@ import (
 func bulkOverMesh(t *testing.T, net *Network, src, dst int, dur sim.Duration) (float64, *tcplp.Conn) {
 	t.Helper()
 	received := 0
-	net.Nodes[dst].TCP.Listen(80, func(c *tcplp.Conn) {
+	net.Nodes[dst].TCP().Listen(80, func(c *tcplp.Conn) {
 		buf := make([]byte, 4096)
 		c.OnReadable = func() {
 			for {
@@ -27,7 +27,7 @@ func bulkOverMesh(t *testing.T, net *Network, src, dst int, dur sim.Duration) (f
 			}
 		}
 	})
-	client := net.Nodes[src].TCP.Connect(ip6.AddrFromID(dst), 80)
+	client := net.Nodes[src].TCP().Connect(ip6.AddrFromID(dst), 80)
 	data := make([]byte, 1024)
 	pump := func() {
 		for {
@@ -91,7 +91,7 @@ func TestTransferByteExactOverMesh(t *testing.T) {
 	}
 	var got bytes.Buffer
 	done := false
-	net.Nodes[0].TCP.Listen(80, func(c *tcplp.Conn) {
+	net.Nodes[0].TCP().Listen(80, func(c *tcplp.Conn) {
 		buf := make([]byte, 4096)
 		c.OnReadable = func() {
 			for {
@@ -107,7 +107,7 @@ func TestTransferByteExactOverMesh(t *testing.T) {
 			}
 		}
 	})
-	client := net.Nodes[3].TCP.Connect(ip6.AddrFromID(0), 80)
+	client := net.Nodes[3].TCP().Connect(ip6.AddrFromID(0), 80)
 	sent := 0
 	pump := func() {
 		for sent < len(payload) {
@@ -146,7 +146,7 @@ func TestUplinkThroughBorderToHost(t *testing.T) {
 	net := New(5, mesh.Chain(3, 10), DefaultOptions())
 	host := net.AttachHost()
 	received := 0
-	host.TCP.Listen(80, func(c *tcplp.Conn) {
+	host.TCP().Listen(80, func(c *tcplp.Conn) {
 		buf := make([]byte, 4096)
 		c.OnReadable = func() {
 			for {
@@ -158,7 +158,7 @@ func TestUplinkThroughBorderToHost(t *testing.T) {
 			}
 		}
 	})
-	client := net.Nodes[2].TCP.Connect(host.Addr, 80)
+	client := net.Nodes[2].TCP().Connect(host.Addr, 80)
 	data := make([]byte, 512)
 	pump := func() {
 		for {
@@ -180,7 +180,7 @@ func TestDownlinkFromHost(t *testing.T) {
 	net := New(6, mesh.Chain(3, 10), DefaultOptions())
 	host := net.AttachHost()
 	received := 0
-	net.Nodes[2].TCP.Listen(80, func(c *tcplp.Conn) {
+	net.Nodes[2].TCP().Listen(80, func(c *tcplp.Conn) {
 		buf := make([]byte, 4096)
 		c.OnReadable = func() {
 			for {
@@ -192,7 +192,7 @@ func TestDownlinkFromHost(t *testing.T) {
 			}
 		}
 	})
-	client := host.TCP.Connect(ip6.AddrFromID(2), 80)
+	client := host.TCP().Connect(ip6.AddrFromID(2), 80)
 	data := make([]byte, 512)
 	pump := func() {
 		for {
@@ -219,7 +219,7 @@ func TestBorderLossInjection(t *testing.T) {
 		return drops%4 == 0 // 25% loss
 	}
 	received := 0
-	host.TCP.Listen(80, func(c *tcplp.Conn) {
+	host.TCP().Listen(80, func(c *tcplp.Conn) {
 		buf := make([]byte, 4096)
 		c.OnReadable = func() {
 			for {
@@ -231,7 +231,7 @@ func TestBorderLossInjection(t *testing.T) {
 			}
 		}
 	})
-	client := net.Nodes[1].TCP.Connect(host.Addr, 80)
+	client := net.Nodes[1].TCP().Connect(host.Addr, 80)
 	data := make([]byte, 512)
 	pump := func() {
 		for {
@@ -259,11 +259,14 @@ func TestSleepyLeafTCPUplink(t *testing.T) {
 	// A duty-cycled leaf sends data upstream; the §9.2 fast-poll hook
 	// must let TCP ACKs reach it quickly despite its radio being off.
 	net := New(8, mesh.Chain(2, 10), DefaultOptions())
-	sc := net.MakeSleepyLeaf(1)
+	sc, err := net.MakeSleepyLeaf(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc.SleepInterval = 4 * sim.Minute
 	sc.Start()
 	received := 0
-	net.Nodes[0].TCP.Listen(80, func(c *tcplp.Conn) {
+	net.Nodes[0].TCP().Listen(80, func(c *tcplp.Conn) {
 		buf := make([]byte, 4096)
 		c.OnReadable = func() {
 			for {
@@ -275,7 +278,7 @@ func TestSleepyLeafTCPUplink(t *testing.T) {
 			}
 		}
 	})
-	client := net.Nodes[1].TCP.Connect(ip6.AddrFromID(0), 80)
+	client := net.Nodes[1].TCP().Connect(ip6.AddrFromID(0), 80)
 	payload := make([]byte, 2000)
 	sent := 0
 	pump := func() {
@@ -301,11 +304,14 @@ func TestSleepyLeafTCPUplink(t *testing.T) {
 
 func TestSleepyLeafDownlink(t *testing.T) {
 	net := New(9, mesh.Chain(2, 10), DefaultOptions())
-	sc := net.MakeSleepyLeaf(1)
+	sc, err := net.MakeSleepyLeaf(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc.SleepInterval = 2 * sim.Second
 	sc.Start()
 	received := 0
-	net.Nodes[1].TCP.Listen(80, func(c *tcplp.Conn) {
+	net.Nodes[1].TCP().Listen(80, func(c *tcplp.Conn) {
 		buf := make([]byte, 4096)
 		c.OnReadable = func() {
 			for {
@@ -317,7 +323,7 @@ func TestSleepyLeafDownlink(t *testing.T) {
 			}
 		}
 	})
-	client := net.Nodes[0].TCP.Connect(ip6.AddrFromID(1), 80)
+	client := net.Nodes[0].TCP().Connect(ip6.AddrFromID(1), 80)
 	sent := 0
 	payload := make([]byte, 3000)
 	pump := func() {
@@ -340,10 +346,10 @@ func TestSleepyLeafDownlink(t *testing.T) {
 func TestUDPAcrossMesh(t *testing.T) {
 	net := New(10, mesh.Chain(4, 10), DefaultOptions())
 	var got []byte
-	net.Nodes[0].UDP.Bind(5683, func(src ip6.Addr, srcPort uint16, payload []byte) {
+	net.Nodes[0].UDP().Bind(5683, func(src ip6.Addr, srcPort uint16, payload []byte) {
 		got = append(got, payload...) // the handler's slice is the reassembler's after the call
 	})
-	net.Nodes[3].UDP.Send(ip6.AddrFromID(0), 5683, 40001, []byte("coap-bound datagram"))
+	net.Nodes[3].UDP().Send(ip6.AddrFromID(0), 5683, 40001, []byte("coap-bound datagram"))
 	net.Eng.RunUntil(sim.Time(5 * sim.Second))
 	if string(got) != "coap-bound datagram" {
 		t.Fatalf("udp payload = %q", got)
@@ -357,8 +363,8 @@ func TestUDPLargeDatagramFragmented(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	var got []byte
-	net.Nodes[0].UDP.Bind(5683, func(src ip6.Addr, srcPort uint16, p []byte) { got = append(got, p...) })
-	net.Nodes[2].UDP.Send(ip6.AddrFromID(0), 5683, 40001, payload)
+	net.Nodes[0].UDP().Bind(5683, func(src ip6.Addr, srcPort uint16, p []byte) { got = append(got, p...) })
+	net.Nodes[2].UDP().Send(ip6.AddrFromID(0), 5683, 40001, payload)
 	net.Eng.RunUntil(sim.Time(5 * sim.Second))
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("fragmented UDP mismatch: %d bytes", len(got))

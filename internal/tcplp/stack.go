@@ -88,8 +88,8 @@ func NewStack(eng *sim.Engine, addr ip6.Addr, cfg Config) *Stack {
 		panic(fmt.Sprintf("tcplp: unknown congestion-control variant %q", cfg.Variant))
 	}
 	// The demux maps initialise lazily at their write sites so a node
-	// that never opens a socket — most of a 10k-node city — carries no
-	// map headers (nil maps read fine).
+	// that never opens a socket — every relay of a city, woken only to
+	// forward — carries no map headers (nil maps read fine).
 	return &Stack{
 		eng:      eng,
 		addr:     addr,
