@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-smoke loc plot
+.PHONY: build test race bench-smoke loc plot profile
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,20 @@ bench-smoke:
 # quote before and after.
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
+
+# CPU profile of one benchmark workload, from its name: the workload
+# file's specs (read, never written) through tcplp-bench on one worker,
+# then the flat top of the profile.
+#   make profile WORKLOAD=bulk_chain [SEEDS=9]
+# Leaves bin/tcplp-bench and $(WORKLOAD).prof for `go tool pprof -list`.
+WORKLOAD ?= bulk_chain
+SEEDS    ?= 9
+
+profile:
+	$(GO) build -o bin/tcplp-bench ./cmd/tcplp-bench
+	$(GO) run ./tools/workloadspecs benchmark/workloads/$(WORKLOAD).json | \
+		bin/tcplp-bench -scenario /dev/stdin -workers 1 -seeds $(SEEDS) -cpuprofile $(WORKLOAD).prof > /dev/null
+	$(GO) tool pprof -top -nodecount=40 bin/tcplp-bench $(WORKLOAD).prof
 
 # Render a sweep spec into a paper-style figure:
 #   make plot SPEC=examples/scenarios/fig6_sweep.json OUT=fig6

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tcplp/internal/sim"
+	"tcplp/internal/sixlowpan"
 	"tcplp/internal/tcplp/cc"
 )
 
@@ -473,6 +474,14 @@ func TestHostileSpecsRejected(t *testing.T) {
 		{"override to 1e8-frame segments", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
 			`,"sweep":{"window_segs":[4],"overrides":[{"when":{"w":"4"},"set":{"seg_frames":100000000}}]}}`,
 			"seg_frames", strconv.Itoa(maxConnBuf)},
+		{"segments of 30 frames", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"seg_frames":30},` + flows + `}`,
+			"net: seg_frames 30", "at most " + strconv.Itoa(maxSegFrames)},
+		{"seg_frames axis value one past the limit", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
+			`,"sweep":{"seg_frames":[5,` + strconv.Itoa(maxSegFrames+1) + `]}}`,
+			"seg_frames " + strconv.Itoa(maxSegFrames+1), strconv.Itoa(sixlowpan.MaxDatagramSize)},
+		{"override to 21-frame segments", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
+			`,"sweep":{"window_segs":[4],"overrides":[{"when":{"w":"4"},"set":{"seg_frames":21}}]}}`,
+			"seg_frames 21", "at most " + strconv.Itoa(maxSegFrames)},
 		{"node queue of 2e9 datagrams", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"queue_cap":2000000000},` + flows + `}`,
 			"net: queue_cap", strconv.Itoa(maxQueueCap)},
 		{"WAN queue of 2e9 messages", `{"name":"h","topology":{"kind":"chain","nodes":2},"gateway":{"wan":{"queue_cap":2000000000}},` +
@@ -496,6 +505,24 @@ func TestHostileSpecsRejected(t *testing.T) {
 		`,"retry_delay":` + ms + `,"seg_frames":` + tens + `,"window_segs":[1,2,3,4,5,6]}}`
 	if _, err := ParseSpecs([]byte(ok)); err != nil {
 		t.Errorf("a 60 000-cell grid (limit %d) rejected: %v", maxCells, err)
+	}
+
+	// The seg_frames bound is derived, and exact: the largest value it
+	// admits fragments and runs (sixlowpan.AppendFragments panics on a
+	// datagram its headers cannot describe — that used to be how 21 and
+	// up were refused, mid-run).
+	edge := `{"name":"edge","topology":{"kind":"chain","nodes":2},"net":{"seg_frames":` + strconv.Itoa(maxSegFrames) +
+		`},` + flows + `,"warmup":"1s","duration":"2s"}`
+	specs, err := ParseSpecs([]byte(edge))
+	if err != nil {
+		t.Fatalf("seg_frames %d (the limit) rejected: %v", maxSegFrames, err)
+	}
+	sr, err := (&Runner{Workers: 1}).Run(specs[0])
+	if err != nil || sr.Runs[0].Flows[0].Bytes == 0 {
+		t.Fatalf("seg_frames %d (the limit) moved no data: %v", maxSegFrames, err)
+	}
+	if datagramSize(maxSegFrames+1) <= sixlowpan.MaxDatagramSize {
+		t.Errorf("seg_frames %d would still fit a %d-byte datagram", maxSegFrames+1, sixlowpan.MaxDatagramSize)
 	}
 }
 

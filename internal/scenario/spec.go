@@ -43,9 +43,12 @@ import (
 	"time"
 
 	"tcplp/internal/gateway"
+	"tcplp/internal/ip6"
 	"tcplp/internal/mesh"
 	"tcplp/internal/phy"
 	"tcplp/internal/sim"
+	"tcplp/internal/sixlowpan"
+	"tcplp/internal/stack"
 	"tcplp/internal/tcplp/cc"
 	"tcplp/internal/uip"
 )
@@ -868,6 +871,23 @@ const (
 	maxQueueCap = 1 << 16 // net.queue_cap, gateway.wan.queue_cap
 )
 
+// datagramSize is the uncompressed IPv6 datagram one full TCP segment of
+// segFrames frames makes — what 6LoWPAN's FRAG1/FRAGN headers must be able
+// to state in their 11-bit datagram_size (sixlowpan.MaxDatagramSize).
+func datagramSize(segFrames int) int {
+	return ip6.HeaderLen + stack.SegmentSizing(segFrames, true).SegmentPayload
+}
+
+// maxSegFrames is the largest seg_frames whose datagram fits that field,
+// worked out from the frame and header sizes rather than written down.
+var maxSegFrames = func() int {
+	f := 1
+	for datagramSize(f+1) <= sixlowpan.MaxDatagramSize {
+		f++
+	}
+	return f
+}()
+
 // validateSweep checks the grid's size — from the axis lengths alone,
 // before anything expands it — and the axis values themselves; the
 // expanded cells are validated individually afterwards.
@@ -1024,6 +1044,12 @@ func (s *Spec) Validate() error {
 	if opt.WindowSegs > maxWindow {
 		return bad("net: window_segs %d × seg_frames %d asks for more than %d bytes of buffer per connection (the limit)",
 			opt.WindowSegs, opt.SegFrames, maxConnBuf)
+	}
+	// Reached by net.seg_frames, a sweep's seg_frames axis and an
+	// override's set.seg_frames alike: each lands in the cell's net block.
+	if opt.SegFrames > maxSegFrames {
+		return bad("net: seg_frames %d makes a %d-byte datagram; 6LoWPAN fragments describe at most %d bytes, so seg_frames is at most %d",
+			opt.SegFrames, datagramSize(opt.SegFrames), sixlowpan.MaxDatagramSize, maxSegFrames)
 	}
 	checkRef := func(r NodeRef) error {
 		if r.Host || r.End || r.Gateway {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 )
 
@@ -160,69 +161,59 @@ func (e *Engine) Cancel(ev *Event) {
 	e.live--
 }
 
-// popNext removes and returns the next live event in (when, seq) order,
-// discarding cancelled entries as it goes. It returns nil when nothing live
-// remains.
-func (e *Engine) popNext() *Event {
+// popNext removes and returns the next live event in (when, seq) order if
+// it fires at or before deadline, discarding the cancelled entries it finds
+// ahead of it. It returns nil when nothing live is due by then. Step, Run
+// and RunUntil all take their events here: the wheel is settled once and
+// the head examined once per event fired.
+func (e *Engine) popNext(deadline Time) *Event {
 	for {
-		haveWheel := e.wheel.settle()
 		var ev *Event
-		if len(e.overflow) > 0 && (!haveWheel || e.overflow[0].when <= e.wheel.minWhen()) {
-			// On a time tie the overflow entry was scheduled first (the
-			// base is monotone), so the heap pops before the wheel.
-			ev = heap.Pop(&e.overflow).(*Event)
-		} else if haveWheel {
-			ev = e.wheel.popMin()
-		} else {
+		if e.wheel.settle() {
+			ev = e.wheel.peekMin()
+		}
+		// On a time tie the overflow entry was scheduled first (the base
+		// is monotone), so the heap pops before the wheel.
+		fromHeap := len(e.overflow) > 0 && (ev == nil || e.overflow[0].when <= ev.when)
+		if fromHeap {
+			ev = e.overflow[0]
+		}
+		if ev == nil || ev.when > deadline {
 			return nil
 		}
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		return ev
-	}
-}
-
-// nextWhen reports the fire time of the next live event, purging cancelled
-// entries from the front of the queue as a side effect.
-func (e *Engine) nextWhen() (Time, bool) {
-	for {
-		haveWheel := e.wheel.settle()
-		if len(e.overflow) > 0 && (!haveWheel || e.overflow[0].when <= e.wheel.minWhen()) {
-			if e.overflow[0].cancelled {
-				e.recycle(heap.Pop(&e.overflow).(*Event))
-				continue
-			}
-			return e.overflow[0].when, true
-		}
-		if !haveWheel {
-			return 0, false
-		}
-		if ev := e.wheel.peekMin(); ev.cancelled {
-			e.recycle(e.wheel.popMin())
+		if fromHeap {
+			heap.Pop(&e.overflow)
 		} else {
-			return ev.when, true
+			e.wheel.popMin()
 		}
+		if !ev.cancelled {
+			return ev
+		}
+		e.recycle(ev)
 	}
 }
 
 // Halt stops Run/RunUntil after the current event returns.
 func (e *Engine) Halt() { e.halted = true }
 
-// Step fires the next event, advancing the clock. It returns false when
-// the queue is empty.
-func (e *Engine) Step() bool {
-	ev := e.popNext()
-	if ev == nil {
-		return false
-	}
+// fire runs ev, advancing the clock to it.
+func (e *Engine) fire(ev *Event) {
 	e.now = ev.when
 	e.live--
 	e.fired++
 	fn := ev.fn
 	e.recycle(ev)
 	fn()
+}
+
+// Step fires the next event, advancing the clock. It returns false when
+// the queue is empty.
+func (e *Engine) Step() bool {
+	ev := e.popNext(math.MaxInt64)
+	if ev == nil {
+		return false
+	}
+	e.fire(ev)
 	return true
 }
 
@@ -232,11 +223,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
 	for !e.halted {
-		when, ok := e.nextWhen()
-		if !ok || when > deadline {
+		ev := e.popNext(deadline)
+		if ev == nil {
 			break
 		}
-		e.Step()
+		e.fire(ev)
 	}
 	if !e.halted && e.now < deadline {
 		e.now = deadline

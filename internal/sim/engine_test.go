@@ -290,3 +290,65 @@ func TestDurationString(t *testing.T) {
 		}
 	}
 }
+
+// frameCadence replays the events of one station sending acknowledged
+// 802.15.4 frames back to back, with the delays the MAC and PHY use.
+type frameCadence struct {
+	e       *Engine
+	frames  int
+	air     Duration
+	txEnd   Time
+	ackWait *Event
+
+	begin, midAir, endTx, txDone, ackIn, ackTimeout func()
+}
+
+func newFrameCadence(e *Engine, id int) *frameCadence {
+	c := &frameCadence{e: e, frames: id}
+	c.begin = func() { // turnaround over: the frame goes on air
+		c.air = 4256 - Duration(c.frames%4)*32*29 // 133 bytes, or up to three 29-byte steps fewer
+		c.txEnd = e.Now().Add(c.air)
+		e.Schedule(c.air, c.endTx)
+		e.Schedule(c.air/2, c.midAir)
+	}
+	c.midAir = func() { e.At(c.txEnd, c.txDone) } // same microsecond as endTx, scheduled later
+	c.endTx = func() {}
+	c.txDone = func() {
+		c.ackWait = e.Schedule(864, c.ackTimeout)
+		e.Schedule(192+352, c.ackIn)
+	}
+	c.ackIn = func() {
+		e.Cancel(c.ackWait)
+		c.frames++
+		if c.frames%16 == 0 {
+			e.Schedule(40*Millisecond, c.begin) // a link-retry delay between datagrams
+		} else {
+			e.Schedule(192, c.begin)
+		}
+	}
+	c.ackTimeout = func() { panic("the ACK timer is always cancelled") }
+	return c
+}
+
+// BenchmarkEngineFrameCadence: ns per event fired when the queue is what a
+// chain run's is — a dozen pending events at most, almost all of them
+// between 64 µs and 5 ms away (wheel levels 1 and 2), with a
+// same-microsecond pair and a cancelled timer per frame. The harness
+// kernel (sim.schedule_fire_ns: 10 000 self-rescheduling timers, horizons
+// to 4 minutes) measures the other regime, where slots hold many distinct
+// times.
+func BenchmarkEngineFrameCadence(b *testing.B) {
+	e := NewEngine(1)
+	for id := 0; id < 3; id++ {
+		e.Schedule(Duration(id)*700, newFrameCadence(e, id).begin)
+	}
+	e.RunFor(Second) // event pool warm
+	if e.Pending() > 12 {
+		b.Fatalf("%d events pending, want a chain's dozen at most", e.Pending())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for target := e.Processed() + uint64(b.N); e.Processed() < target; {
+		e.Step()
+	}
+}

@@ -131,7 +131,14 @@ type fireRec struct {
 // driveWheelWorkload runs the same branching workload — root events that
 // fan out children from their callbacks, with a deterministic subset
 // cancelled up front and another subset cancelled mid-run by a sibling —
-// against an abstract scheduler, returning the firing log.
+// against an abstract scheduler, returning the firing log. Three shapes
+// aim at the wheel's settle rule (the base jumps to the earliest fire time
+// of the slot it drains, and a list of one fire time moves to level 0
+// whole): same-microsecond pairs whose halves are scheduled at different
+// instants, as a frame's txDone and endTx are, some with the earlier half
+// cancelled once both are queued; RunUntil deadlines that stop short of the
+// next event; and, after each, schedules from outside at and just past the
+// stopped clock — behind the base the stop left ahead of it.
 func driveWheelWorkload(t *testing.T, seed int64,
 	schedule func(d Duration, fn func()) (cancel func()),
 	now func() Time,
@@ -155,6 +162,23 @@ func driveWheelWorkload(t *testing.T, seed int64,
 			cid2, depth2 := cid, depth
 			cancels[cid] = schedule(delayFor(cid, k), func() { spawn(cid2, depth2+1) })
 		}
+		// Every 4th event arms a same-microsecond pair: its first half now,
+		// its second from a helper that fires part of the way there. Every
+		// 12th then cancels the first half, leaving a cancelled head in
+		// front of a live event of the same time.
+		if id%4 == 2 {
+			first, second := nextID, nextID+1
+			nextID += 2
+			d := delayFor(first, 3) + 2
+			target := now().Add(d)
+			cancelFirst := schedule(d, func() { spawn(first, 3) })
+			schedule(d/2, func() {
+				schedule(Duration(target-now()), func() { spawn(second, 3) })
+				if id%12 == 2 {
+					cancelFirst()
+				}
+			})
+		}
 		// Every 5th event cancels the lowest-id pending sibling it knows of.
 		if id%5 == 1 {
 			low := -1
@@ -169,12 +193,14 @@ func driveWheelWorkload(t *testing.T, seed int64,
 			}
 		}
 	}
-	roots := 60
-	for i := 0; i < roots; i++ {
+	root := func(d Duration) {
 		id := nextID
 		nextID++
-		id2 := id
-		cancels[id] = schedule(delayFor(id, 7), func() { spawn(id2, 0) })
+		cancels[id] = schedule(d, func() { spawn(id, 0) })
+	}
+	roots := 60
+	for i := 0; i < roots; i++ {
+		root(delayFor(nextID, 7))
 	}
 	// Cancel a deterministic subset before anything runs.
 	for i := 0; i < roots; i += 7 {
@@ -183,11 +209,15 @@ func driveWheelWorkload(t *testing.T, seed int64,
 			delete(cancels, i)
 		}
 	}
-	// Advance in randomized chunks, then drain.
+	// Advance in randomized chunks — most deadlines fall between events —
+	// scheduling from outside after each stop, then drain.
 	deadline := Time(0)
 	for i := 0; i < 6; i++ {
 		deadline = deadline.Add(Duration(rng.Int63n(int64(1) << uint(22+i*2))))
 		runUntil(deadline)
+		root(0)
+		root(1)
+		root(Duration(rng.Int63n(5000)))
 	}
 	run()
 	return log
@@ -259,10 +289,33 @@ func TestWheelOverflowTieFIFO(t *testing.T) {
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("overflow/wheel tie broke FIFO: %v", got)
 	}
+
+	// A run that stops short of the next event leaves the base on that
+	// event's very microsecond. A schedule for that instant is not behind
+	// the base — it joins the wheel after the event already there — while
+	// one a microsecond earlier is, goes to the heap and so fires first:
+	// the heap never holds the later half of a tie.
+	got = got[:0]
+	next := e.Now().Add(5000)
+	e.At(next, func() { got = append(got, 0) })
+	e.RunUntil(e.Now().Add(1000))
+	if e.wheel.base != next {
+		t.Fatalf("base = %d after stopping short of the event at %d", e.wheel.base, next)
+	}
+	e.At(next, func() { got = append(got, 1) })
+	e.At(next-1, func() { got = append(got, -1) })
+	if len(e.overflow) != 1 || e.wheel.queued != 2 {
+		t.Fatalf("%d heap / %d wheel entries, want 1 / 2", len(e.overflow), e.wheel.queued)
+	}
+	e.Run()
+	if len(got) != 3 || got[0] != -1 || got[1] != 0 || got[2] != 1 {
+		t.Fatalf("tie at the jumped base broke FIFO: %v", got)
+	}
 }
 
 // Events scheduled behind an advanced wheel base (possible after an
-// overflow pop) must still fire in global order.
+// overflow pop, or after a run that stopped short of the next event) must
+// still fire in global order.
 func TestWheelBehindBaseSchedule(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
@@ -279,7 +332,7 @@ func TestWheelBehindBaseSchedule(t *testing.T) {
 			e.At(boundary+50, func() { got = append(got, 3) })
 		})
 	})
-	e.At(boundary-10+100, func() { got = append(got, 0) }) // wheel, fires first? no: boundary+90 > boundary+40... keep order check below
+	e.At(boundary-10+100, func() { got = append(got, 0) }) // boundary+90: after 1, 2, 3
 	e.Run()
 	want := []int{1, 2, 3, 0, 4}
 	// boundary+40 < boundary+45 < boundary+50 < boundary+90 < boundary+200.
@@ -290,6 +343,40 @@ func TestWheelBehindBaseSchedule(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v want %v", got, want)
 		}
+	}
+
+	// The base jumps to the earliest wheel event, not to the start of its
+	// slot, so a run that stops short leaves it far ahead of the clock.
+	// Events then scheduled in between go to the heap, fire from there —
+	// the clock still behind the base — and what those schedule lands on
+	// either side of the base; all of it in time order.
+	got = got[:0]
+	t0 := e.Now()
+	e.At(t0+70_000, func() { got = append(got, 5) }) // wheel, level 2
+	e.RunUntil(t0 + 1000)
+	if e.wheel.base != t0+70_000 || e.Now() != t0+1000 {
+		t.Fatalf("base %d, now %d: want the base on the pending event at %d", e.wheel.base, e.Now(), t0+70_000)
+	}
+	e.At(t0+3000, func() {
+		got = append(got, 1)
+		e.At(t0+4000, func() { got = append(got, 2) })   // still behind the base
+		e.At(t0+70_000, func() { got = append(got, 6) }) // on it: after 5
+		e.At(t0+90_000, func() { got = append(got, 7) }) // past it
+	})
+	e.At(t0+2000, func() { got = append(got, 0) })
+	e.At(t0+69_999, func() { got = append(got, 4) })
+	e.At(t0+5000, func() { got = append(got, 3) })
+	if len(e.overflow) != 4 {
+		t.Fatalf("%d events behind the base went to the heap, want 4", len(e.overflow))
+	}
+	e.Run()
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("fired %v, want 0 … 7 in order", got)
+		}
+	}
+	if len(got) != 8 {
+		t.Fatalf("fired %v, want 0 … 7 in order", got)
 	}
 }
 

@@ -17,6 +17,10 @@ const (
 	FragNHeaderLen = 5
 )
 
+// MaxDatagramSize is the largest uncompressed datagram FRAG1/FRAGN can
+// describe: their datagram_size field is 11 bits wide.
+const MaxDatagramSize = 1<<11 - 1
+
 // Fragmentation errors.
 var (
 	ErrNotFragment = errors.New("sixlowpan: not a fragment")
@@ -67,7 +71,7 @@ func ParseFragment(b []byte) (FragInfo, error) {
 		if len(b) < Frag1HeaderLen {
 			return fi, ErrTruncated
 		}
-		fi.DatagramSize = binary.BigEndian.Uint16(b[0:2]) & 0x07ff
+		fi.DatagramSize = binary.BigEndian.Uint16(b[0:2]) & MaxDatagramSize
 		fi.Tag = binary.BigEndian.Uint16(b[2:4])
 		fi.HeaderLen = Frag1HeaderLen
 		return fi, nil
@@ -75,7 +79,7 @@ func ParseFragment(b []byte) (FragInfo, error) {
 		if len(b) < FragNHeaderLen {
 			return fi, ErrTruncated
 		}
-		fi.DatagramSize = binary.BigEndian.Uint16(b[0:2]) & 0x07ff
+		fi.DatagramSize = binary.BigEndian.Uint16(b[0:2]) & MaxDatagramSize
 		fi.Tag = binary.BigEndian.Uint16(b[2:4])
 		fi.Offset = int(b[4]) * 8
 		fi.HeaderLen = FragNHeaderLen
@@ -170,8 +174,9 @@ func (f *Fragmenter) AppendFragments(dst [][]byte, chdr, payload []byte, maxLink
 		return append(dst, one)
 	}
 	size := 40 + len(payload)
-	if size >= 1<<11 {
-		panic(fmt.Sprintf("sixlowpan: datagram of %d bytes exceeds the 2047-byte field", size))
+	if size > MaxDatagramSize {
+		// scenario.Spec.Validate bounds seg_frames so that no spec gets here.
+		panic(fmt.Sprintf("sixlowpan: datagram of %d bytes exceeds the %d-byte field", size, MaxDatagramSize))
 	}
 	tag := f.NextTag()
 	dst = slices.Grow(dst, FrameCount(len(chdr), len(payload), maxLink)) // a new list grows once, a kept one not at all

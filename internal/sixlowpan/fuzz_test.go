@@ -61,6 +61,14 @@ func FuzzReassembler(f *testing.F) {
 	f.Add(uint16(1200), int64(3), []byte{5, 13, 6, 14, 7, 0xc0, 0x08, 0, 1, 0x7a}) // truncated, re-cut, raw tiny FRAG1
 	f.Add(uint16(90), int64(4), []byte{4, 0, 4, 0})                                // clock jumps
 	f.Add(uint16(0), int64(5), []byte{7, 0xe0, 0x30, 0, 1, 200})                   // raw FRAGN, offset beyond size
+	// Shapes TestCoverageMatchesPerByteModel leans on. FRAGN first, a
+	// datagram that ends inside a bitmap word, truncated tails:
+	f.Add(uint16(443), int64(6), []byte{8, 16, 24, 32, 5, 13, 0})
+	// Long re-cuts that straddle bitmap words:
+	f.Add(uint16(1499), int64(7), []byte{6, 14, 22, 30, 62, 126, 254, 0, 8, 16})
+	// The other source opens a partial of the largest datagram_size, near
+	// its end and then past it:
+	f.Add(uint16(65), int64(8), []byte{0x37, 0xe7, 0xff, 0, 1, 0xfb, 0xaa, 0x77, 0xe7, 0xff, 0, 1, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Fuzz(func(t *testing.T, size uint16, seed int64, script []byte) {
 		eng := sim.NewEngine(1)
 		r := NewReassembler(eng)

@@ -23,18 +23,21 @@
 // which it must not be touched.
 //
 // A Reassembler owns one arena per interface: partial-datagram
-// descriptors, coverage bitmaps and payload buffers, all recycled on
-// completion and on expiry alike, plus the one ip6.Packet that Input
-// returns. That packet's Payload aliases an arena buffer (fragmented
-// datagram) or the link payload passed to Input (unfragmented). Packet
-// and payload are valid until Input is next called on the same
-// reassembler, and an unfragmented payload no longer than the link
-// payload itself (the MAC's receive buffer is valid for the OnReceive
-// callback only). Every consumer in this repository finishes with them
-// inside that call — tcplp's receive queue, udp.Decode, AppendFragments
-// and the border's wire all copy what they keep; a new consumer that
-// keeps either must copy too. Nothing in the arena exists before the
-// interface's first fragment.
+// descriptors and payload buffers, both recycled on completion and on
+// expiry alike, plus the one ip6.Packet that Input returns. A
+// descriptor carries its coverage bitmap by value — one bit per payload
+// byte, 256 bytes for the largest datagram the 11-bit datagram_size can
+// state, set a word at a time (package bitmap, as tcplp's receive queue
+// does) — so there is no bitmap to pool. The returned packet's Payload
+// aliases an arena buffer (fragmented datagram) or the link payload
+// passed to Input (unfragmented). Packet and payload are valid until
+// Input is next called on the same reassembler, and an unfragmented
+// payload no longer than the link payload itself (the MAC's receive
+// buffer is valid for the OnReceive callback only). Every consumer in
+// this repository finishes with them inside that call — tcplp's receive
+// queue, udp.Decode, AppendFragments and the border's wire all copy what
+// they keep; a new consumer that keeps either must copy too. Nothing in
+// the arena exists before the interface's first fragment.
 //
 // The -tags poison build (package poison) overwrites released fragment
 // buffers, the free arena buffers and the previous packet at exactly

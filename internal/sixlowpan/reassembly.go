@@ -3,6 +3,7 @@ package sixlowpan
 import (
 	"math"
 
+	"tcplp/internal/bitmap"
 	"tcplp/internal/ip6"
 	"tcplp/internal/obs"
 	"tcplp/internal/phy"
@@ -24,10 +25,13 @@ type partial struct {
 	haveHeader bool
 	size       int    // uncompressed datagram size
 	payload    []byte // size-40 bytes
-	have       []bool // per-byte coverage of payload
-	covered    int
+	covered    int    // payload bytes deposited so far: the bits set in have
 	deadline   sim.Time
 	jid        int64 // journey packet id carried by the fragments (0 = untagged)
+	// have is the coverage of payload, one bit per byte, held by value: a
+	// recycled descriptor is zeroed whole, so a datagram has no bitmap to
+	// allocate, pool or clear.
+	have [(MaxDatagramSize - ip6.HeaderLen + 63) / 64]uint64
 }
 
 // Reassembler rebuilds IPv6 packets from 6LoWPAN link payloads. One
@@ -44,11 +48,10 @@ type Reassembler struct {
 	// leaves a lower bound a lower bound.
 	nextExpiry sim.Time
 
-	// The arena: partial descriptors, have bitmaps and payload buffers
-	// all recycle on both the completion and expiry paths, and grow only
-	// on a node's first datagrams. pkt is what Input returns.
+	// The arena: partial descriptors and payload buffers both recycle on
+	// the completion and expiry paths alike, and grow only on a node's
+	// first datagrams. pkt is what Input returns.
 	freePartial []*partial
-	freeHave    [][]bool
 	freeBuf     [][]byte
 	pkt         ip6.Packet
 
@@ -129,32 +132,12 @@ func (r *Reassembler) getBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// getHave returns an n-entry coverage bitmap, zeroed.
-func (r *Reassembler) getHave(n int) []bool {
-	if ln := len(r.freeHave); ln > 0 {
-		h := r.freeHave[ln-1]
-		r.freeHave[ln-1] = nil
-		r.freeHave = r.freeHave[:ln-1]
-		if cap(h) >= n {
-			h = h[:n]
-			for i := range h {
-				h[i] = false
-			}
-			return h
-		}
-	}
-	return make([]bool, n)
-}
-
 // release returns a partial's storage to the free lists. On the
 // completion path the payload buffer is still what the returned packet
 // aliases: it is only handed out again by a later Input's get.
 func (r *Reassembler) release(p *partial) {
 	if cap(p.payload) > 0 {
 		r.freeBuf = append(r.freeBuf, p.payload)
-	}
-	if cap(p.have) > 0 {
-		r.freeHave = append(r.freeHave, p.have)
 	}
 	*p = partial{}
 	r.freePartial = append(r.freePartial, p)
@@ -239,7 +222,6 @@ func (r *Reassembler) get(src phy.Addr, fi FragInfo) *partial {
 		p = r.popPartial()
 		p.size = int(fi.DatagramSize)
 		p.payload = r.getBuf(int(fi.DatagramSize) - 40)
-		p.have = r.getHave(int(fi.DatagramSize) - 40)
 		r.inflight[k] = p
 	}
 	p.deadline = r.eng.Now().Add(r.timeout)
@@ -253,13 +235,8 @@ func (r *Reassembler) deposit(src phy.Addr, fi FragInfo, p *partial, off int, da
 	if off+len(data) > len(p.payload) {
 		return nil, ErrBadOffset
 	}
-	for i, c := range data {
-		if !p.have[off+i] {
-			p.have[off+i] = true
-			p.covered++
-		}
-		p.payload[off+i] = c
-	}
+	p.covered += bitmap.SetRange(p.have[:], off, off+len(data))
+	copy(p.payload[off:], data)
 	if p.covered < len(p.payload) || !p.haveHeader {
 		return nil, nil
 	}

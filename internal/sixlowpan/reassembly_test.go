@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"tcplp/internal/ip6"
@@ -195,5 +196,171 @@ func TestReassemblerArena(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { round() }); n != 0 {
 		t.Fatalf("fragment + reassemble costs %.0f allocations once warm, want 0", n)
+	}
+}
+
+// modelPartial and modelInput are the reassembler's coverage rule as it
+// was written before the bitmap: one []bool entry, one test, one store
+// and one byte copy per payload byte. They survive as the oracle for
+// TestCoverageMatchesPerByteModel (no expiry: its clock never moves).
+type modelPartial struct {
+	header     ip6.Header
+	haveHeader bool
+	size       int
+	payload    []byte
+	have       []bool
+	covered    int
+}
+
+type modelReassembler map[partialKey]*modelPartial
+
+// modelInput returns the completed datagram's header and payload, or a
+// nil header while fragments are missing.
+func (m modelReassembler) modelInput(src phy.Addr, b []byte) (*ip6.Header, []byte, error) {
+	var off int
+	var data []byte
+	var hdr *ip6.Header
+	fi, err := ParseFragment(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch Classify(b) {
+	case KindFrag1:
+		if fi.DatagramSize < ip6.HeaderLen {
+			return nil, nil, ErrBadOffset
+		}
+		var h ip6.Header
+		n, err := DecompressHeaderInto(&h, b[fi.HeaderLen:])
+		if err != nil {
+			return nil, nil, err
+		}
+		hdr, data = &h, b[fi.HeaderLen+n:]
+	case KindFragN:
+		if fi.Offset < 40 || fi.Offset > int(fi.DatagramSize) {
+			return nil, nil, ErrBadOffset
+		}
+		off, data = fi.Offset-40, b[fi.HeaderLen:]
+	}
+	k := partialKey{src: src, tag: fi.Tag}
+	p := m[k]
+	if p == nil || p.size != int(fi.DatagramSize) {
+		n := int(fi.DatagramSize) - 40
+		p = &modelPartial{size: int(fi.DatagramSize), payload: make([]byte, n), have: make([]bool, n)}
+		m[k] = p
+	}
+	if hdr != nil {
+		p.header, p.haveHeader = *hdr, true
+	}
+	if off+len(data) > len(p.payload) {
+		return nil, nil, ErrBadOffset
+	}
+	for i, c := range data {
+		if !p.have[off+i] {
+			p.have[off+i] = true
+			p.covered++
+		}
+		p.payload[off+i] = c
+	}
+	if p.covered < len(p.payload) || !p.haveHeader {
+		return nil, nil, nil
+	}
+	delete(m, k)
+	return &p.header, p.payload, nil
+}
+
+// TestCoverageMatchesPerByteModel: random fragment sequences — overlapping,
+// duplicated, lengths that are not a multiple of 8 (so ranges start and
+// end inside bitmap words), offsets below the header and past the end,
+// FRAGN before FRAG1, two sources and two tags interleaved, a tag reused
+// at another datagram_size — give the same error, the same completion
+// and the same payload bytes from the word-at-a-time reassembler as from
+// the per-byte model, frame by frame.
+func TestCoverageMatchesPerByteModel(t *testing.T) {
+	sizes := []uint16{40, 41, 47, 48, 103, 104, 105, 168, 169, 511, 1280, MaxDatagramSize}
+	chdr := CompressHeader(meshHeader(1, 2))
+	completions := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewReassembler(sim.NewEngine(1))
+		model := modelReassembler{}
+		size := sizes[rng.Intn(len(sizes))]
+		span := int(size) - 40
+		frame := func(kind, unit, n int) []byte {
+			sz := size
+			if rng.Intn(40) == 0 {
+				sz = sizes[rng.Intn(len(sizes))] // same tag, another size: the partial starts over
+			}
+			disp := [...]uint16{dispFRAG1, dispFRAGN}[kind]
+			b := binary.BigEndian.AppendUint16(nil, disp<<8|sz)
+			b = binary.BigEndian.AppendUint16(b, uint16(1+rng.Intn(2))) // tag
+			if kind == 0 {
+				b = append(b, chdr...)
+			} else {
+				b = append(b, byte(unit))
+			}
+			data := make([]byte, n)
+			rng.Read(data)
+			return append(b, data...)
+		}
+		for step := 0; step < 400; step++ {
+			var b []byte
+			switch c := rng.Intn(10); {
+			case c == 0:
+				b = frame(0, 0, rng.Intn(min(span, 100)+2)) // FRAG1, sometimes one byte too long
+			case c < 8: // FRAGN somewhere inside, any length
+				b = frame(1, 5+rng.Intn(span/8+1), rng.Intn(110))
+			case c == 8: // FRAGN from below the header to past the end
+				b = frame(1, rng.Intn(span/8+8), rng.Intn(110))
+			default: // a long stretch: many whole words at once
+				b = frame(1, 5+rng.Intn(span/8+1), rng.Intn(span+2))
+			}
+			src := phy.AddrFromID(1 + rng.Intn(2))
+			wantHdr, wantPayload, wantErr := model.modelInput(src, b)
+			pkt, err := r.Input(src, b, 0)
+			if err != wantErr {
+				t.Fatalf("seed %d step %d (size %d, frame % x…): err = %v, model %v", seed, step, size, b[:5], err, wantErr)
+			}
+			if (pkt != nil) != (wantHdr != nil) {
+				t.Fatalf("seed %d step %d (size %d): completed = %v, model %v", seed, step, size, pkt != nil, wantHdr != nil)
+			}
+			if pkt != nil {
+				completions++
+				if pkt.Header.Src != wantHdr.Src || pkt.Header.Dst != wantHdr.Dst || pkt.NextHeader != wantHdr.NextHeader ||
+					int(pkt.PayloadLen) != len(wantPayload) || !bytes.Equal(pkt.Payload, wantPayload) {
+					t.Fatalf("seed %d step %d (size %d): completed datagram differs from the model's", seed, step, size)
+				}
+			}
+			if r.Pending() != len(model) {
+				t.Fatalf("seed %d step %d: %d partials pending, model %d", seed, step, r.Pending(), len(model))
+			}
+		}
+	}
+	if completions < 100 {
+		t.Fatalf("only %d datagrams completed: the generator no longer exercises completion", completions)
+	}
+}
+
+// BenchmarkReassemble5: the paper's five-frame segment (§6.1) through the
+// reassembler — five fragments in, one packet out.
+func BenchmarkReassemble5(b *testing.B) {
+	chdr := CompressHeader(meshHeader(1, 2))
+	payload := make([]byte, MaxPayloadForFrames(len(chdr), 5, phy.MaxMACPayload))
+	var f Fragmenter
+	frags := f.Fragment(chdr, payload, phy.MaxMACPayload)
+	if len(frags) != 5 {
+		b.Fatalf("%d fragments, want 5", len(frags))
+	}
+	r := NewReassembler(sim.NewEngine(1))
+	src := phy.AddrFromID(1)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	for i := 0; i < b.N; i++ {
+		var pkt *ip6.Packet
+		for _, frag := range frags {
+			pkt, _ = r.Input(src, frag, 0)
+		}
+		if pkt == nil || len(pkt.Payload) != len(payload) {
+			b.Fatal("five fragments did not complete the datagram")
+		}
 	}
 }

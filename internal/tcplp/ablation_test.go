@@ -34,7 +34,7 @@ type receiveQueue interface {
 	OutOfOrder() int
 	Write(off int, data []byte) (advanced int)
 	Read(p []byte) int
-	SACKRanges(max int) [][2]int
+	SACKRanges(dst [][2]int, max int) [][2]int
 }
 
 // ZeroCopySendBuffer is the linked-list-of-references send buffer. Writes
@@ -263,15 +263,14 @@ func (b *ChainRecvBuffer) Read(p []byte) int {
 }
 
 // SACKRanges implements receiveQueue.
-func (b *ChainRecvBuffer) SACKRanges(max int) [][2]int {
-	var out [][2]int
-	for _, s := range b.segs {
-		if len(out) == max {
+func (b *ChainRecvBuffer) SACKRanges(dst [][2]int, max int) [][2]int {
+	for i, s := range b.segs {
+		if i == max {
 			break
 		}
-		out = append(out, [2]int{s.off, s.off + len(s.data)})
+		dst = append(dst, [2]int{s.off, s.off + len(s.data)})
 	}
-	return out
+	return dst
 }
 
 func TestSendBufferReadAtOffsets(t *testing.T) {

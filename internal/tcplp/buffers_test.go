@@ -1,6 +1,9 @@
 package tcplp
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestCopySendBufferBasics(t *testing.T) {
 	b := NewCopySendBuffer(10)
@@ -59,7 +62,7 @@ func TestRecvBufferOutOfOrderHole(t *testing.T) {
 	if b.Window() != 32 {
 		t.Fatalf("window shrank for OOO data: %d", b.Window())
 	}
-	rs := b.SACKRanges(3)
+	rs := b.SACKRanges(nil, 3)
 	if len(rs) != 1 || rs[0] != [2]int{4, 8} {
 		t.Fatalf("sack ranges = %v", rs)
 	}
@@ -114,7 +117,7 @@ func TestRecvBufferMultipleSACKRanges(t *testing.T) {
 	b.Write(5, []byte("aa"))
 	b.Write(10, []byte("bb"))
 	b.Write(20, []byte("cc"))
-	rs := b.SACKRanges(4)
+	rs := b.SACKRanges(nil, 4)
 	want := [][2]int{{5, 7}, {10, 12}, {20, 22}}
 	if len(rs) != 3 {
 		t.Fatalf("ranges = %v", rs)
@@ -124,7 +127,43 @@ func TestRecvBufferMultipleSACKRanges(t *testing.T) {
 			t.Fatalf("ranges = %v, want %v", rs, want)
 		}
 	}
-	if rs2 := b.SACKRanges(2); len(rs2) != 2 {
+	if rs2 := b.SACKRanges(nil, 2); len(rs2) != 2 {
 		t.Fatalf("max clipping failed: %v", rs2)
 	}
+}
+
+// TestSACKRangesNilWhenInOrder: with nothing out of order SACKRanges
+// hands its argument back without looking at the bitmap — and the scan
+// it skips would have found nothing: through in-order writes and reads
+// that wrap a buffer whose last word has spare bits, and after a hole
+// has been filled, no bit is set beyond the frontier.
+func TestSACKRangesNilWhenInOrder(t *testing.T) {
+	b := NewRecvBuffer(100)
+	rng := rand.New(rand.NewSource(1))
+	p := make([]byte, 100)
+	check := func(when string) {
+		t.Helper()
+		if rs := b.SACKRanges(nil, MaxSACKBlocks); rs != nil {
+			t.Fatalf("%s: SACK ranges %v with OutOfOrder() = %d", when, rs, b.OutOfOrder())
+		}
+		if win := b.Window(); b.scanFrom(0, win, true) != win {
+			t.Fatalf("%s: byte %d beyond the frontier marked present, OutOfOrder() = %d", when, b.scanFrom(0, win, true), b.OutOfOrder())
+		}
+	}
+	check("empty")
+	for i := 0; i < 500; i++ {
+		b.Write(0, p[:rng.Intn(40)])
+		check("after an in-order write")
+		b.Read(p[:rng.Intn(50)])
+		check("after a read")
+	}
+	b.Read(p)
+	b.Write(10, []byte("xx"))
+	if rs := b.SACKRanges(nil, MaxSACKBlocks); len(rs) != 1 || rs[0] != [2]int{10, 12} {
+		t.Fatalf("hole not reported: %v", rs)
+	}
+	if adv := b.Write(0, p[:10]); adv != 12 {
+		t.Fatalf("gap-fill advance = %d", adv)
+	}
+	check("after the hole is filled")
 }

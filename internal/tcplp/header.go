@@ -303,22 +303,39 @@ func DecodeSegment(src, dst ip6.Addr, b []byte) (*Segment, error) {
 // Checksum computes the RFC 2460 TCP checksum of segment bytes b between
 // src and dst. Encoding writes the sum so that verification yields zero.
 func Checksum(src, dst ip6.Addr, b []byte) uint16 {
-	var sum uint32
-	add16 := func(p []byte) {
-		for i := 0; i+1 < len(p); i += 2 {
-			sum += uint32(p[i])<<8 | uint32(p[i+1])
-		}
-		if len(p)%2 == 1 {
-			sum += uint32(p[len(p)-1]) << 8
-		}
-	}
-	add16(src[:])
-	add16(dst[:])
-	sum += uint32(len(b))
-	sum += ip6.ProtoTCP
-	add16(b)
+	sum := uint64(len(b)) + ip6.ProtoTCP
+	sum = sumWords(sum, src[:])
+	sum = sumWords(sum, dst[:])
+	sum = sumWords(sum, b)
+	// Fold 64 → 32 → 16 bits with end-around carry: 2^16 ≡ 1 (mod 0xffff).
+	sum = sum>>32 + sum&0xffffffff
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
+}
+
+// sumWords adds p to a ones'-complement sum as big-endian 16-bit words,
+// eight bytes a step: the two 32-bit halves of a big-endian load are
+// each a pair of such words (2^16 ≡ 1 mod 0xffff, so position within the
+// accumulator does not matter until the final fold), and 2^31 steps fit
+// in 64 bits. An odd last byte is padded with a zero, as the RFC says.
+func sumWords(sum uint64, p []byte) uint64 {
+	for len(p) >= 8 {
+		v := binary.BigEndian.Uint64(p)
+		sum += v>>32 + v&0xffffffff
+		p = p[8:]
+	}
+	if len(p) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(p))
+		p = p[4:]
+	}
+	if len(p) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(p))
+		p = p[2:]
+	}
+	if len(p) == 1 {
+		sum += uint64(p[0]) << 8
+	}
+	return sum
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcplp/internal/bitmap"
 	"tcplp/internal/ip6"
 	"tcplp/internal/sim"
 	"tcplp/internal/tcplp/cc"
@@ -50,8 +51,10 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 		{"overlap or are out of order", func(c, _ *Conn) {
 			c.sb.ranges = []SACKBlock{{Start: c.sndUna.Add(20), End: c.sndUna.Add(30)}, {Start: c.sndUna.Add(5), End: c.sndUna.Add(10)}}
 		}},
-		{"OutOfOrder()", func(_, s *Conn) { s.rcvQ.setRange(s.rcvQ.idx(s.rcvQ.readable+9), s.rcvQ.idx(s.rcvQ.readable+9)+1) }},
-		{"not marked present", func(_, s *Conn) { s.rcvQ.clearRange(s.rcvQ.start, s.rcvQ.start+1) }},
+		{"OutOfOrder()", func(_, s *Conn) {
+			bitmap.SetRange(s.rcvQ.bits, s.rcvQ.idx(s.rcvQ.readable+9), s.rcvQ.idx(s.rcvQ.readable+9)+1)
+		}},
+		{"not marked present", func(_, s *Conn) { bitmap.ClearRange(s.rcvQ.bits, s.rcvQ.start, s.rcvQ.start+1) }},
 		{"spare bitmap bit", func(_, s *Conn) { s.rcvQ.bits[len(s.rcvQ.bits)-1] |= 1 << 63 }},
 		{"window edge", func(_, s *Conn) { s.lastWndAdv += 100 }},
 		{"rexmt and persist both armed", func(c, _ *Conn) { c.persist.Reset(sim.Second) }},

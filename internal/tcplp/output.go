@@ -277,7 +277,7 @@ func (c *Conn) sackRetransmit() bool {
 // optionally carrying FIN. rtx marks retransmissions (they do not move
 // snd.nxt forward past snd.max bookkeeping).
 func (c *Conn) sendData(seq Seq, segLen int, fin bool, rtx bool) {
-	seg := &Segment{
+	seg := Segment{
 		SrcPort: c.localPort,
 		DstPort: c.remotePort,
 		SeqNum:  seq,
@@ -287,7 +287,8 @@ func (c *Conn) sendData(seq Seq, segLen int, fin bool, rtx bool) {
 	}
 	// Options first: they fix the header length, so the payload can be
 	// read from the send buffer straight to where it goes on the wire.
-	c.attachCommonOptions(seg)
+	c.attachCommonOptions(&seg)
+	seg.SACKBlocks = c.sackBlocks(seg.sackStore[:0])
 	var tx *txSlot
 	if segLen > 0 {
 		hl := seg.HeaderLen()
@@ -346,7 +347,7 @@ func (c *Conn) sendData(seq Seq, segLen int, fin bool, rtx bool) {
 		c.armRexmt()
 	}
 	c.setExpecting(true)
-	c.transmit(seg, tx)
+	c.transmit(&seg, tx)
 	c.Stats.BytesSent += uint64(segLen)
 	// Data segments carry an implicit ACK of everything received.
 	c.ackSent()
@@ -358,7 +359,7 @@ func (c *Conn) sendAck() {
 	if c.state == StateClosed || c.state == StateListen {
 		return
 	}
-	seg := &Segment{
+	seg := Segment{
 		SrcPort: c.localPort,
 		DstPort: c.remotePort,
 		SeqNum:  c.sndNxt,
@@ -366,9 +367,10 @@ func (c *Conn) sendAck() {
 		Flags:   FlagACK,
 		Window:  uint16(clampInt(c.rcvQ.Window(), 0, 0xffff)),
 	}
-	c.attachCommonOptions(seg)
+	c.attachCommonOptions(&seg)
+	seg.SACKBlocks = c.sackBlocks(seg.sackStore[:0])
 	c.Stats.AcksSent++
-	c.transmit(seg, nil)
+	c.transmit(&seg, nil)
 	c.ackSent()
 }
 
@@ -383,8 +385,8 @@ func (c *Conn) ackSent() {
 	}
 }
 
-// attachCommonOptions adds timestamps, SACK blocks, and ECN echo to an
-// outgoing segment.
+// attachCommonOptions adds timestamps and ECN echo to an outgoing
+// segment. SACK blocks are the caller's to attach (sackBlocks).
 func (c *Conn) attachCommonOptions(seg *Segment) {
 	if c.peerTS {
 		seg.HasTS = true
@@ -393,17 +395,26 @@ func (c *Conn) attachCommonOptions(seg *Segment) {
 			seg.TSEcr = c.tsRecent
 		}
 	}
-	if c.peerSACK {
-		for _, r := range c.rcvQ.SACKRanges(MaxSACKBlocks) {
-			seg.SACKBlocks = append(seg.SACKBlocks, SACKBlock{
-				Start: c.rcvNxt.Add(r[0]),
-				End:   c.rcvNxt.Add(r[1]),
-			})
-		}
-	}
 	if c.ecnOn && c.eceToSend {
 		seg.Flags |= FlagECE
 	}
+}
+
+// sackBlocks appends the receive queue's out-of-order ranges to dst as
+// SACK blocks. A sender passes its segment's own sackStore[:0], as
+// DecodeSegmentInto does, so a duplicate ACK allocates nothing — and
+// assigns the result itself, to a Segment it holds by value: stored
+// through a *Segment the self-reference would move every outgoing
+// segment to the heap.
+func (c *Conn) sackBlocks(dst []SACKBlock) []SACKBlock {
+	if !c.peerSACK {
+		return dst
+	}
+	var ranges [MaxSACKBlocks][2]int
+	for _, r := range c.rcvQ.SACKRanges(ranges[:0], MaxSACKBlocks) {
+		dst = append(dst, SACKBlock{Start: c.rcvNxt.Add(r[0]), End: c.rcvNxt.Add(r[1])})
+	}
+	return dst
 }
 
 // sendRST emits a reset carrying the given sequence number.

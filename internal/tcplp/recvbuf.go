@@ -1,6 +1,10 @@
 package tcplp
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"tcplp/internal/bitmap"
+)
 
 // RecvBuffer is the receive queue of every connection, the paper's
 // in-place reassembly queue: a flat circular buffer whose space past the
@@ -29,38 +33,6 @@ func NewRecvBuffer(capacity int) *RecvBuffer {
 
 func (b *RecvBuffer) bit(i int) bool  { return b.bits[i/64]&(1<<(i%64)) != 0 }
 func (b *RecvBuffer) idx(off int) int { return (b.start + off) % len(b.buf) }
-
-// setRange sets bits [lo, hi) (linear positions, no wrap) a word at a
-// time and returns how many were previously clear.
-func (b *RecvBuffer) setRange(lo, hi int) int {
-	fresh := 0
-	for lo < hi {
-		w, r := lo/64, lo%64
-		n := 64 - r
-		if n > hi-lo {
-			n = hi - lo
-		}
-		mask := (^uint64(0) >> (64 - n)) << r
-		old := b.bits[w]
-		fresh += n - bits.OnesCount64(old&mask)
-		b.bits[w] = old | mask
-		lo += n
-	}
-	return fresh
-}
-
-// clearRange clears bits [lo, hi) (linear positions, no wrap).
-func (b *RecvBuffer) clearRange(lo, hi int) {
-	for lo < hi {
-		w, r := lo/64, lo%64
-		n := 64 - r
-		if n > hi-lo {
-			n = hi - lo
-		}
-		b.bits[w] &^= (^uint64(0) >> (64 - n)) << r
-		lo += n
-	}
-}
 
 // scanFrom returns the first offset in [i, win) whose presence bit
 // matches want, or win if none, walking the bitmap a word at a time.
@@ -135,7 +107,7 @@ func (b *RecvBuffer) Write(off int, data []byte) int {
 	}
 	copy(b.buf[p0:], data[:n1])
 	copy(b.buf, data[n1:])
-	b.ooo += b.setRange(p0, p0+n1) + b.setRange(0, len(data)-n1)
+	b.ooo += bitmap.SetRange(b.bits, p0, p0+n1) + bitmap.SetRange(b.bits, 0, len(data)-n1)
 	// Advance the in-sequence frontier over any contiguous present bytes,
 	// a word-sized run at a time.
 	advanced := 0
@@ -170,27 +142,34 @@ func (b *RecvBuffer) Read(p []byte) int {
 	}
 	copy(p[:n1], b.buf[b.start:b.start+n1])
 	copy(p[n1:n], b.buf[:n-n1])
-	b.clearRange(b.start, b.start+n1)
-	b.clearRange(0, n-n1)
+	bitmap.ClearRange(b.bits, b.start, b.start+n1)
+	bitmap.ClearRange(b.bits, 0, n-n1)
 	b.start = b.idx(n)
 	b.readable -= n
 	return n
 }
 
-// SACKRanges lists up to max out-of-order ranges as offsets [start, end)
-// relative to rcv.nxt, in sequence order, by scanning the presence
-// bitmap beyond the in-sequence frontier.
-func (b *RecvBuffer) SACKRanges(max int) [][2]int {
-	var out [][2]int
+// SACKRanges appends to dst up to max out-of-order ranges as offsets
+// [start, end) relative to rcv.nxt, in sequence order, by scanning the
+// presence bitmap beyond the in-sequence frontier. dst is the caller's
+// (Conn.sackBlocks keeps it on its stack), so the SACK option costs no
+// allocation. With nothing out of order there is no bit to find — ooo
+// counts exactly the bits beyond the frontier, which -tags invariants
+// checks after every step — and the scan is skipped: that is every
+// segment of a loss-free transfer.
+func (b *RecvBuffer) SACKRanges(dst [][2]int, max int) [][2]int {
+	if b.ooo == 0 {
+		return dst
+	}
 	win := b.Window()
 	i := 1 // offset 0 cannot be present (it would have advanced)
-	for i < win && len(out) < max {
+	for n := 0; i < win && n < max; n++ {
 		start := b.scanFrom(i, win, true)
 		if start >= win {
 			break
 		}
 		i = b.scanFrom(start, win, false)
-		out = append(out, [2]int{start, i})
+		dst = append(dst, [2]int{start, i})
 	}
-	return out
+	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tcplp/internal/ip6"
 	"tcplp/internal/sim"
 )
 
@@ -173,5 +174,62 @@ func TestRTTBackoff(t *testing.T) {
 	}
 	if e.Backoff(30) != DefaultRTOMax {
 		t.Fatalf("backoff clamp: %v", e.Backoff(30))
+	}
+}
+
+// TestDuplicateAckAllocs: with a segment withheld from an established
+// pair, every later segment is answered at once by a duplicate ACK that
+// carries the hole's far side as a SACK block — built in the ACK's own
+// sackStore from ranges on the caller's stack, so the whole exchange
+// (decode, reassembly queue, ACK, encode) allocates nothing. It used to
+// cost two allocations per ACK: the range list and the block list.
+func TestDuplicateAckAllocs(t *testing.T) {
+	l := newTestLink(5, 10*sim.Millisecond, testCfg())
+	var server *Conn
+	l.b.Listen(80, func(c *Conn) { server = c })
+	client := l.a.Connect(ip6.AddrFromID(1), 80)
+	l.eng.RunUntil(sim.Time(sim.Second))
+	if client.State() != StateEstablished || server == nil || !server.peerSACK {
+		t.Fatalf("pair not established with SACK: %v, server %v", client.State(), server)
+	}
+	// Segment 0 of the window is withheld; segments 1 and 2 arrive, over
+	// and over (what a sender's retransmissions look like from here).
+	src, dst := ip6.AddrFromID(0), ip6.AddrFromID(1)
+	var pkts [2]*ip6.Packet
+	for i := range pkts {
+		seg := &Segment{
+			SrcPort: client.localPort, DstPort: 80,
+			SeqNum: server.rcvNxt.Add((i + 1) * 408), AckNum: server.sndNxt,
+			Flags: FlagACK, Window: 1632,
+			HasTS: true, TSVal: server.tsRecent + 1, TSEcr: server.tsRecent,
+			Payload: make([]byte, 408),
+		}
+		pkts[i] = &ip6.Packet{
+			Header:  ip6.Header{NextHeader: ip6.ProtoTCP, HopLimit: 64, Src: src, Dst: dst},
+			Payload: seg.AppendEncode(nil, src, dst),
+		}
+	}
+	acks := 0
+	ack := &Segment{}
+	l.b.PoolEncode = true // as under stack.New: this Output keeps nothing
+	l.b.Output = func(pkt *ip6.Packet) {
+		if err := DecodeSegmentInto(ack, pkt.Src, pkt.Dst, pkt.Payload); err != nil {
+			t.Fatalf("ACK does not decode: %v", err)
+		}
+		acks++
+	}
+	rcvNxt := server.rcvNxt
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		l.b.Input(pkts[n%2])
+		n++
+	})
+	if allocs != 0 {
+		t.Errorf("a duplicate ACK with a SACK block costs %v allocations, want 0", allocs)
+	}
+	want := SACKBlock{Start: rcvNxt.Add(408), End: rcvNxt.Add(3 * 408)}
+	if acks != n || ack.AckNum != rcvNxt || len(ack.SACKBlocks) != 1 || ack.SACKBlocks[0] != want {
+		t.Fatalf("%d segments drew %d ACKs, the last acking %d with SACK %v; want one each, acking %d with %v",
+			n, acks, ack.AckNum, ack.SACKBlocks, rcvNxt, want)
 	}
 }
