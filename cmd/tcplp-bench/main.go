@@ -30,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -118,6 +119,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-window must be >= 1 segment\n")
 			os.Exit(1)
 		}
+		// The upper bound is per segment size: see refuseWindow.
 		fmt.Fprintf(os.Stderr, "window: %d segments\n", *window)
 	}
 	if *seeds < 0 {
@@ -187,6 +189,14 @@ func main() {
 		WindowSegs: *window,
 	}
 	run := func(e experiments.Experiment) {
+		defer func() {
+			if p := recover(); p != nil {
+				if err, ok := p.(error); ok {
+					refuseWindow(err)
+				}
+				panic(p)
+			}
+		}()
 		fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Desc)
 		if e.SweepsVariants && *variant != "" {
 			fmt.Fprintf(os.Stderr, "note: %s sweeps all variants; -variant is ignored for it\n", e.ID)
@@ -348,6 +358,18 @@ func (jt *journeyTotals) report(w io.Writer) bool {
 	return jt.violations == 0
 }
 
+// refuseWindow exits 1 naming -window and its limit when err is a
+// *scenario.WindowError (from RunAll, or in an experiment's panic), which
+// RunAll returns before running any cell; otherwise it returns.
+func refuseWindow(err error) {
+	var we *scenario.WindowError
+	if errors.As(err, &we) {
+		fmt.Fprintf(os.Stderr, "-window %d is over the limit of %d segments at seg_frames %d (the per-connection buffer bound; scenario %q)\n",
+			we.Window, we.Limit, we.SegFrames, we.Spec)
+		os.Exit(1)
+	}
+}
+
 // splitList parses a comma-separated flag value, trimming blanks.
 func splitList(s string) []string {
 	var out []string
@@ -416,6 +438,7 @@ func runScenario(path string, runner *scenario.Runner, seeds int, format, durOve
 	fmt.Fprintf(os.Stderr, "running %d scenario cell(s), %d run(s)...\n", len(cells), nRuns)
 	results, err := runner.RunAll(cells)
 	if err != nil {
+		refuseWindow(err)
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

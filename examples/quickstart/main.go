@@ -19,8 +19,9 @@ func main() {
 	// five 802.15.4 frames, four-segment buffers, every TCP feature on.
 	net := stack.New(42, mesh.Chain(2, 10), stack.DefaultOptions())
 
-	sink := app.ListenSink(net.Nodes[0], 80)
-	src := app.StartBulk(net.Nodes[1], net.Nodes[0].Addr, 80)
+	cfg := net.FlowTCPConfig("", 0)
+	sink := app.ListenSinkConfig(net.Nodes[0], 80, cfg)
+	src := app.StartBulkConfig(net.Nodes[1], cfg, net.Nodes[0].Addr, 80)
 
 	// Let the connection establish and ramp, then measure 30 s.
 	net.Eng.RunFor(5 * sim.Second)

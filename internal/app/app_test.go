@@ -14,8 +14,9 @@ import (
 
 func TestBulkSourceSinkGoodput(t *testing.T) {
 	net := stack.New(1, mesh.Chain(2, 10), stack.DefaultOptions())
-	sink := app.ListenSink(net.Nodes[0], 80)
-	src := app.StartBulk(net.Nodes[1], net.Nodes[0].Addr, 80)
+	cfg := net.FlowTCPConfig("", 0)
+	sink := app.ListenSinkConfig(net.Nodes[0], 80, cfg)
+	src := app.StartBulkConfig(net.Nodes[1], cfg, net.Nodes[0].Addr, 80)
 	net.Eng.RunFor(5 * sim.Second)
 	sink.Mark()
 	net.Eng.RunFor(20 * sim.Second)

@@ -5,7 +5,6 @@ package app
 
 import (
 	"tcplp/internal/ip6"
-	"tcplp/internal/sim"
 	"tcplp/internal/stack"
 	"tcplp/internal/tcplp"
 )
@@ -18,27 +17,18 @@ type Sink struct {
 	Conn *tcplp.Conn
 }
 
-// ListenSink installs a byte-counting server on node:port using the
-// node's default TCP configuration.
-func ListenSink(node *stack.Node, port uint16) *Sink {
-	return listenSink(node, port, nil)
-}
-
 // ListenSinkConfig installs a byte-counting server whose accepted
 // connections use an explicit per-flow TCP configuration (the receive
 // buffer bounds the advertised window, so a flow's window knob must be
 // applied at the sink too).
 func ListenSinkConfig(node *stack.Node, port uint16, cfg tcplp.Config) *Sink {
-	return listenSink(node, port, &cfg)
-}
-
-func listenSink(node *stack.Node, port uint16, cfg *tcplp.Config) *Sink {
 	return listenSinkData(node, port, cfg, nil)
 }
 
-// listenSinkData is listenSink with an optional per-chunk hook invoked
-// on every drained chunk (the reading-parsing collector rides on it).
-func listenSinkData(node *stack.Node, port uint16, cfg *tcplp.Config, onData func([]byte)) *Sink {
+// listenSinkData is ListenSinkConfig with an optional per-chunk hook
+// invoked on every drained chunk (the reading-parsing collector rides on
+// it).
+func listenSinkData(node *stack.Node, port uint16, cfg tcplp.Config, onData func([]byte)) *Sink {
 	s := &Sink{CountingSink: CountingSink{eng: node.Eng()}}
 	// One drain buffer per sink, shared across accepted connections:
 	// drains run synchronously and no onData hook retains the chunk.
@@ -61,10 +51,7 @@ func listenSinkData(node *stack.Node, port uint16, cfg *tcplp.Config, onData fun
 			}
 		}
 	})
-	if cfg != nil {
-		c := *cfg
-		l.ConfigFor = func() tcplp.Config { return c }
-	}
+	l.ConfigFor = func() tcplp.Config { return cfg }
 	return s
 }
 
@@ -76,20 +63,14 @@ type Source struct {
 
 	pattern []byte
 	off     int
-	active  bool // writing (vs. an on-off source's off-period)
 	stopped bool
 }
 
-// StartBulk opens a connection from node to dst:port and streams data
-// indefinitely (until Stop) using the node's default TCP configuration.
-func StartBulk(node *stack.Node, dst ip6.Addr, port uint16) *Source {
-	return StartBulkConfig(node, node.TCP().Config(), dst, port)
-}
-
-// StartBulkConfig is StartBulk with an explicit per-flow TCP
-// configuration (congestion-control variant, window, pacing).
+// StartBulkConfig opens a connection from node to dst:port with an
+// explicit per-flow TCP configuration (congestion-control variant,
+// window) and streams data indefinitely (until Stop).
 func StartBulkConfig(node *stack.Node, cfg tcplp.Config, dst ip6.Addr, port uint16) *Source {
-	s := &Source{pattern: makePattern(), active: true}
+	s := &Source{pattern: makePattern()}
 	c := node.TCP().ConnectConfig(dst, port, cfg)
 	s.Conn = c
 	c.OnEstablished = s.pump
@@ -97,32 +78,8 @@ func StartBulkConfig(node *stack.Node, cfg tcplp.Config, dst ip6.Addr, port uint
 	return s
 }
 
-// StartOnOffConfig opens a connection and alternates on-periods of bulk
-// writing with idle off-periods — the bursty on-off application pattern
-// (firmware pushes, periodic log uploads). The source starts on; each
-// period boundary toggles it.
-func StartOnOffConfig(node *stack.Node, cfg tcplp.Config, dst ip6.Addr, port uint16, on, off sim.Duration) *Source {
-	s := StartBulkConfig(node, cfg, dst, port)
-	eng := node.Eng()
-	var toggle func()
-	toggle = func() {
-		if s.stopped {
-			return
-		}
-		s.active = !s.active
-		if s.active {
-			eng.Schedule(on, toggle)
-			s.pump()
-		} else {
-			eng.Schedule(off, toggle)
-		}
-	}
-	eng.Schedule(on, toggle)
-	return s
-}
-
 func (s *Source) pump() {
-	if s.stopped || !s.active {
+	if s.stopped {
 		return
 	}
 	for {

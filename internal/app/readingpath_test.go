@@ -50,7 +50,7 @@ func TestReadingPathAllocs(t *testing.T) {
 				WAN:     netem.WANConfig{BandwidthKbps: 64, Delay: 300 * sim.Millisecond, Loss: 0.05},
 			}, 23)
 			for _, node := range net.Nodes[1:] {
-				tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig("", 0), net.Border().Addr, gw.TCPPort())
+				tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig("", 0), net.Border().Addr, gateway.DefaultTCPPort)
 				s := sensor(net, tr, app.TCPQueueCap)
 				gw.Register(node.Addr, func(seq uint32) { s.TakeGenTime(seq) }, func(uint32) {}, func(int) {})
 			}

@@ -58,7 +58,7 @@ func (rs *ReadingStream) Reset() { rs.n = 0 }
 // binds at the collector too.
 func ListenReadingSink(node *stack.Node, port uint16, cfg tcplp.Config, deliver func(seq uint32)) *Sink {
 	rs := &ReadingStream{Deliver: deliver}
-	return listenSinkData(node, port, &cfg, rs.Feed)
+	return listenSinkData(node, port, cfg, rs.Feed)
 }
 
 // ---- UDP transport ----

@@ -20,9 +20,9 @@ type ClientStats struct {
 	GiveUps         uint64
 }
 
-// exchange is one request, from Post to its done callback. Exchanges
+// exchange is one request, from PostJID to its done callback. Exchanges
 // are pooled; each owns the buffer its message is encoded into once, at
-// Post, and sent from on every (re)transmission.
+// PostJID, and sent from on every (re)transmission.
 type exchange struct {
 	mid         uint16
 	confirmable bool
@@ -54,7 +54,7 @@ type Client struct {
 	cur     *exchange // NSTART = 1: the one exchange in flight
 	queue   ring.Ring[*exchange]
 	free    []*exchange
-	path    []byte  // Post's scratch copy of the path
+	path    []byte  // PostJID's scratch copy of the path
 	rx      Message // decode target; aliases the datagram during onDatagram
 	nonDone func()  // completes cur, a NON, from the event queue; bound once
 	timer   *sim.Timer
@@ -94,20 +94,15 @@ func (c *Client) Pending() int {
 	return n
 }
 
-// Post sends a POST to path. Confirmable requests are retransmitted and
-// report success/failure via done; nonconfirmable ones are fire-and-
+// PostJID sends a POST to path. Confirmable requests are retransmitted
+// and report success/failure via done; nonconfirmable ones are fire-and-
 // forget (done, if set, is called optimistically after transmission).
-// path and payload are copied before Post returns; done is handed the
-// exchange's copy of the payload, good for the call only.
-func (c *Client) Post(path string, payload []byte, confirmable bool, block *Block1, done func(payload []byte, ok bool)) {
-	c.PostJID(path, payload, confirmable, block, 0, done)
-}
-
-// PostJID is Post with a journey packet id for causal tracing. The id is
-// deliberately reused across every retransmission of the exchange — the
-// analyzer sees one packet identity per CoAP message, a documented
-// simplification (per-attempt MAC/PHY events still distinguish attempts
-// by time).
+// path and payload are copied before PostJID returns; done is handed the
+// exchange's copy of the payload, good for the call only. jid is the
+// journey packet id for causal tracing (0 for none), deliberately reused
+// across every retransmission of the exchange — the analyzer sees one
+// packet identity per CoAP message, a documented simplification
+// (per-attempt MAC/PHY events still distinguish attempts by time).
 func (c *Client) PostJID(path string, payload []byte, confirmable bool, block *Block1, jid int64, done func(payload []byte, ok bool)) {
 	var ex *exchange
 	if k := len(c.free); k > 0 {
@@ -217,7 +212,7 @@ func (c *Client) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
 
 // finish completes ex, which goes back to the pool only after done has
 // returned: done reads the payload (a give-up names the readings lost)
-// and may Post, which must not be handed the buffer done is reading.
+// and may post again, which must not be handed the buffer done is reading.
 func (c *Client) finish(ex *exchange, ok bool) {
 	c.timer.Stop()
 	c.cur = nil

@@ -146,7 +146,7 @@ func TestConfirmableExchange(t *testing.T) {
 	}
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
-	cl.Post("t", []byte("reading"), true, nil, func(_ []byte, s bool) { ok = s })
+	cl.PostJID("t", []byte("reading"), true, nil, 0, func(_ []byte, s bool) { ok = s })
 	p.eng.RunUntil(sim.Time(sim.Second))
 	if !ok || string(got) != "reading" {
 		t.Fatalf("exchange: ok=%v got=%q", ok, got)
@@ -171,7 +171,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
-	cl.Post("t", []byte("x"), true, nil, func(_ []byte, s bool) { ok = s })
+	cl.PostJID("t", []byte("x"), true, nil, 0, func(_ []byte, s bool) { ok = s })
 	p.eng.RunUntil(sim.Time(30 * sim.Second))
 	if !ok || delivered != 1 {
 		t.Fatalf("ok=%v delivered=%d", ok, delivered)
@@ -193,7 +193,7 @@ func TestExponentialBackoffUnderLoss(t *testing.T) {
 		// Blackout: nothing reaches the server.
 	}
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
-	cl.Post("t", []byte("x"), true, nil, nil)
+	cl.PostJID("t", []byte("x"), true, nil, 0, nil)
 	p.eng.RunUntil(sim.Time(5 * sim.Minute))
 	if len(txTimes) != 1+MaxRetransmit {
 		t.Fatalf("transmissions = %d, want %d", len(txTimes), 1+MaxRetransmit)
@@ -230,7 +230,7 @@ func TestDedupUnderSustainedAckLoss(t *testing.T) {
 	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
-	cl.Post("t", []byte("x"), true, nil, func(_ []byte, s bool) { ok = s })
+	cl.PostJID("t", []byte("x"), true, nil, 0, func(_ []byte, s bool) { ok = s })
 	p.eng.RunUntil(sim.Time(5 * sim.Minute))
 	if !ok {
 		t.Fatal("exchange failed despite retransmission budget")
@@ -246,7 +246,7 @@ func TestDedupUnderSustainedAckLoss(t *testing.T) {
 	}
 	// A fresh message ID is a fresh exchange, not a duplicate.
 	delivered = 0
-	cl.Post("t", []byte("y"), true, nil, nil)
+	cl.PostJID("t", []byte("y"), true, nil, 0, nil)
 	p.eng.RunUntil(sim.Time(10 * sim.Minute))
 	if delivered != 1 || srv.Stats.Duplicates != 3 {
 		t.Fatalf("second exchange: delivered=%d duplicates=%d", delivered, srv.Stats.Duplicates)
@@ -259,7 +259,7 @@ func TestGiveUpAfterMaxRetransmit(t *testing.T) {
 	NewServer(p.eng, p.b, DefaultPort)
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	result := -1
-	cl.Post("t", []byte("x"), true, nil, func(_ []byte, s bool) {
+	cl.PostJID("t", []byte("x"), true, nil, 0, func(_ []byte, s bool) {
 		if s {
 			result = 1
 		} else {
@@ -292,7 +292,7 @@ func TestServerDeduplicatesRetransmissions(t *testing.T) {
 	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
-	cl.Post("t", []byte("x"), true, nil, func(_ []byte, s bool) { ok = s })
+	cl.PostJID("t", []byte("x"), true, nil, 0, func(_ []byte, s bool) { ok = s })
 	p.eng.RunUntil(sim.Time(30 * sim.Second))
 	if !ok {
 		t.Fatal("exchange failed")
@@ -311,8 +311,8 @@ func TestNonconfirmableNoAck(t *testing.T) {
 	delivered := 0
 	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
-	cl.Post("t", []byte("x"), false, nil, nil)
-	cl.Post("t", []byte("y"), false, nil, nil)
+	cl.PostJID("t", []byte("x"), false, nil, 0, nil)
+	cl.PostJID("t", []byte("y"), false, nil, 0, nil)
 	p.eng.RunUntil(sim.Time(sim.Second))
 	if delivered != 2 {
 		t.Fatalf("delivered = %d", delivered)
@@ -332,7 +332,7 @@ func TestNSTARTSerialization(t *testing.T) {
 	}
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	for _, s := range []string{"one", "two", "three"} {
-		cl.Post("t", []byte(s), true, nil, nil)
+		cl.PostJID("t", []byte(s), true, nil, 0, nil)
 	}
 	if cl.Pending() != 3 {
 		t.Fatalf("pending = %d", cl.Pending())

@@ -12,7 +12,7 @@
 // and DecodeInto fills the caller's Message, whose token, option values
 // and payload alias the datagram and live as long as it does. A Client
 // pools its exchanges; each owns the buffer its message is encoded into
-// at Post (whose arguments are the caller's again on return), is sent
+// at PostJID (whose arguments are the caller's again on return), is sent
 // from that buffer every time — udp copies it — and goes back to the
 // pool only after its done callback, which is lent the payload, has
 // returned. A Server decodes into its one Message, so OnPost's payload

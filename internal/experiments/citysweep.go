@@ -76,7 +76,7 @@ func CitySweep(o Opts) *Table {
 			start := time.Now()
 			sr, err := o.runner(1).Run(spec)
 			if err != nil {
-				panic(fmt.Sprintf("experiments: invalid city spec: %v", err))
+				panic(fmt.Errorf("experiments: invalid city spec: %w", err))
 			}
 			wall := time.Since(start)
 			runtime.ReadMemStats(&m1)

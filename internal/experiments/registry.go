@@ -94,11 +94,13 @@ func (o Opts) runner(workers int) *scenario.Runner {
 
 // run fans specs out across the scenario runner's worker pool. The
 // specs are built by the experiments themselves, so a validation error
-// is a programming bug, not an input error.
+// is a programming bug, not an input error — except a
+// *scenario.WindowError, which Opts.WindowSegs causes; the panic value
+// wraps the error so a caller can tell them apart.
 func (o Opts) run(specs []*scenario.Spec) []*scenario.SpecResult {
 	res, err := o.runner(o.Workers).RunAll(specs)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: invalid spec: %v", err))
+		panic(fmt.Errorf("experiments: invalid spec: %w", err))
 	}
 	return res
 }

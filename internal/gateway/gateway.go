@@ -5,7 +5,7 @@
 // stops short of (its evaluation ends at the border router).
 //
 // The gateway keeps a per-device connection table — bounded, with
-// least-recently-active eviction and optional idle timeout — parses
+// least-recently-active eviction — parses
 // complete readings out of each device's stream or POSTs, and forwards
 // them upstream as framed WAN messages. A shared cloud-side collector
 // credits deliveries per source, so upstream fairness is measurable
@@ -31,37 +31,26 @@ import (
 	"tcplp/internal/tcplp"
 )
 
-// Default LLN-side terminator ports.
 const (
-	// DefaultTCPPort is the gateway's TCP listening port.
+	// DefaultTCPPort is the gateway's LLN-side TCP listening port.
 	DefaultTCPPort = 7000
-	// DefaultCoAPPort is the gateway's CoAP server port.
+	// DefaultCoAPPort is the gateway's LLN-side CoAP server port.
 	DefaultCoAPPort = coap.DefaultPort
-	// DefaultWANOverhead is the backhaul framing added per forwarded
-	// message (TLS record + TCP/IP headers of a cloud uplink).
-	DefaultWANOverhead = 48
+	// wanFraming is the backhaul framing added per forwarded message (TLS
+	// record + TCP/IP headers of a cloud uplink).
+	wanFraming = 48
 )
 
 // Config parameterizes a gateway.
 type Config struct {
-	// TCPPort/CoAPPort are the LLN-side terminator ports (defaults
-	// DefaultTCPPort / DefaultCoAPPort).
-	TCPPort  uint16
-	CoAPPort uint16
 	// MaxConns bounds the connection table; 0 is unbounded. A full table
 	// evicts its least-recently-active device to admit a new one.
 	MaxConns int
-	// IdleTimeout evicts table entries idle this long; 0 disables the
-	// sweep.
-	IdleTimeout sim.Duration
 	// SinkCfg is the TCP configuration for accepted LLN-side
 	// connections.
 	SinkCfg tcplp.Config
 	// WAN shapes the backhaul link.
 	WAN netem.WANConfig
-	// WANOverhead is framing bytes added per forwarded message (default
-	// DefaultWANOverhead).
-	WANOverhead int
 }
 
 // Stats counts gateway-level events. Reading counts are cumulative;
@@ -70,7 +59,7 @@ type Stats struct {
 	Accepted     uint64 // LLN-side TCP connections accepted
 	Posts        uint64 // CoAP POSTs served
 	Reused       uint64 // arrivals that found a live table entry
-	Evicted      uint64 // entries closed by capacity pressure or idleness
+	Evicted      uint64 // entries closed by capacity pressure
 	ReadingsIn   uint64 // complete readings parsed off LLN flows
 	ReadingsOut  uint64 // readings credited at the cloud collector
 	ReadingsLost uint64 // readings dropped crossing the WAN
@@ -157,15 +146,6 @@ type Gateway struct {
 // listener, a CoAP server, and the WAN link, which gets its own
 // deterministic loss source derived from seed.
 func New(node *stack.Node, cfg Config, seed int64) *Gateway {
-	if cfg.TCPPort == 0 {
-		cfg.TCPPort = DefaultTCPPort
-	}
-	if cfg.CoAPPort == 0 {
-		cfg.CoAPPort = DefaultCoAPPort
-	}
-	if cfg.WANOverhead == 0 {
-		cfg.WANOverhead = DefaultWANOverhead
-	}
 	g := &Gateway{
 		node:  node,
 		eng:   node.Eng(),
@@ -175,13 +155,10 @@ func New(node *stack.Node, cfg Config, seed int64) *Gateway {
 		rdBuf: make([]byte, 4096),
 	}
 	sinkCfg := cfg.SinkCfg
-	l := node.TCP().Listen(cfg.TCPPort, g.accept)
+	l := node.TCP().Listen(DefaultTCPPort, g.accept)
 	l.ConfigFor = func() tcplp.Config { return sinkCfg }
-	srv := coap.NewServer(node.Eng(), node.UDP(), cfg.CoAPPort)
+	srv := coap.NewServer(node.Eng(), node.UDP(), DefaultCoAPPort)
 	srv.OnPost = g.onPost
-	if cfg.IdleTimeout > 0 {
-		g.eng.Schedule(cfg.IdleTimeout, g.idleSweep)
-	}
 	return g
 }
 
@@ -190,12 +167,6 @@ func (g *Gateway) SetTrace(tr *obs.Trace) {
 	g.Trace = tr
 	g.wan.Trace, g.wan.Node = tr, g.node.ID
 }
-
-// TCPPort returns the LLN-side TCP terminator port.
-func (g *Gateway) TCPPort() uint16 { return g.cfg.TCPPort }
-
-// CoAPPort returns the LLN-side CoAP terminator port.
-func (g *Gateway) CoAPPort() uint16 { return g.cfg.CoAPPort }
 
 // WAN returns the backhaul link (stats and queue depth).
 func (g *Gateway) WAN() *netem.WANLink { return g.wan }
@@ -300,19 +271,6 @@ func (g *Gateway) emitReadings(addr ip6.Addr, seqs []uint32, kind obs.Kind, caus
 	}
 }
 
-// idleSweep evicts entries idle past the timeout, rescheduling itself.
-func (g *Gateway) idleSweep() {
-	cutoff := g.eng.Now().Add(-g.cfg.IdleTimeout)
-	for i := 0; i < len(g.entries); {
-		if g.entries[i].lastActive <= cutoff {
-			g.evict(i)
-			continue
-		}
-		i++
-	}
-	g.eng.Schedule(g.cfg.IdleTimeout, g.idleSweep)
-}
-
 // accept terminates one LLN-side TCP connection: the device's table
 // entry adopts it (closing any stale predecessor and resetting stream
 // reassembly — a reconnect is a fresh byte stream) and the drain loop
@@ -375,7 +333,7 @@ func (g *Gateway) flush(e *entry) {
 	}
 	e.pending = nil
 	b.reg = g.regs[e.addr]
-	if g.wan.Send(len(b.seqs)*app.ReadingSize+g.cfg.WANOverhead, b.deliver, b.lost) {
+	if g.wan.Send(len(b.seqs)*app.ReadingSize+wanFraming, b.deliver, b.lost) {
 		g.emitReadings(e.addr, b.seqs, obs.JourneyWanEnq, obs.CauseNone)
 	} else {
 		b.dropped(obs.CauseWanQueueDrop)

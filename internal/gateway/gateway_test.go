@@ -21,9 +21,9 @@ func starNet(seed int64, n int, cfg gateway.Config) (*stack.Network, *gateway.Ga
 
 // startTCPSensor points one device's anemometer stream at the gateway's
 // TCP terminator.
-func startTCPSensor(net *stack.Network, gw *gateway.Gateway, id int, interval sim.Duration) *app.Sensor {
+func startTCPSensor(net *stack.Network, id int, interval sim.Duration) *app.Sensor {
 	node := net.Nodes[id]
-	tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig("", 0), net.Border().Addr, gw.TCPPort())
+	tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig("", 0), net.Border().Addr, gateway.DefaultTCPPort)
 	s := app.NewSensor(net.Eng, tr, app.TCPQueueCap)
 	s.Interval = interval
 	tr.Attach(s)
@@ -33,9 +33,9 @@ func startTCPSensor(net *stack.Network, gw *gateway.Gateway, id int, interval si
 
 // startCoAPSensor points one device's anemometer stream at the
 // gateway's CoAP terminator.
-func startCoAPSensor(net *stack.Network, gw *gateway.Gateway, id int, interval sim.Duration) *app.Sensor {
+func startCoAPSensor(net *stack.Network, id int, interval sim.Duration) *app.Sensor {
 	node := net.Nodes[id]
-	tr := app.NewCoAPTransportPort(node, net.Border().Addr, gw.CoAPPort(), true, 410)
+	tr := app.NewCoAPTransportPort(node, net.Border().Addr, gateway.DefaultCoAPPort, true, 410)
 	s := app.NewSensor(net.Eng, tr, app.CoAPQueueCap)
 	s.Interval = interval
 	tr.Attach(s)
@@ -52,8 +52,8 @@ func TestGatewayTCPEndToEnd(t *testing.T) {
 		func(uint32) { gwCount++ },
 		func(uint32) { e2eCount++ },
 		func(n int) { lostCount += n })
-	startTCPSensor(net, gw, 1, 200*sim.Millisecond)
-	startTCPSensor(net, gw, 2, 200*sim.Millisecond) // unregistered: proxies, unmeasured
+	startTCPSensor(net, 1, 200*sim.Millisecond)
+	startTCPSensor(net, 2, 200*sim.Millisecond) // unregistered: proxies, unmeasured
 	net.Eng.RunFor(30 * sim.Second)
 
 	if gw.Stats.Accepted != 2 || gw.Active() != 2 {
@@ -87,7 +87,7 @@ func TestGatewayConnectionTableEviction(t *testing.T) {
 		WAN:      netem.WANConfig{BandwidthKbps: 100},
 	})
 	for id := 1; id <= devices; id++ {
-		startTCPSensor(net, gw, id, 500*sim.Millisecond)
+		startTCPSensor(net, id, 500*sim.Millisecond)
 	}
 	net.Eng.RunFor(20 * sim.Second)
 
@@ -113,7 +113,7 @@ func TestGatewayCoAPReuse(t *testing.T) {
 	})
 	var e2eCount int
 	gw.Register(net.Nodes[1].Addr, nil, func(uint32) { e2eCount++ }, nil)
-	startCoAPSensor(net, gw, 1, 200*sim.Millisecond)
+	startCoAPSensor(net, 1, 200*sim.Millisecond)
 	net.Eng.RunFor(30 * sim.Second)
 
 	if gw.Stats.Posts < 2 {
@@ -132,25 +132,6 @@ func TestGatewayCoAPReuse(t *testing.T) {
 	}
 }
 
-func TestGatewayIdleTimeoutEvicts(t *testing.T) {
-	net, gw := starNet(14, 2, gateway.Config{
-		IdleTimeout: 5 * sim.Second,
-		WAN:         netem.WANConfig{BandwidthKbps: 100},
-	})
-	// A device that connects and then goes silent: the handshake creates
-	// its table entry, nothing refreshes it.
-	net.Nodes[1].TCP().ConnectConfig(net.Border().Addr, gw.TCPPort(), net.FlowTCPConfig("", 0))
-	net.Eng.RunFor(2 * sim.Second)
-	if gw.Active() != 1 {
-		t.Fatalf("active = %d after connect, want 1", gw.Active())
-	}
-	net.Eng.RunFor(28 * sim.Second)
-	if gw.Active() != 0 || gw.Stats.Evicted != 1 {
-		t.Fatalf("active=%d evicted=%d, want the idle sweep to close the entry",
-			gw.Active(), gw.Stats.Evicted)
-	}
-}
-
 func TestGatewayWANLossAccounted(t *testing.T) {
 	net, gw := starNet(15, 2, gateway.Config{
 		WAN: netem.WANConfig{BandwidthKbps: 100, Loss: 0.5},
@@ -160,7 +141,7 @@ func TestGatewayWANLossAccounted(t *testing.T) {
 		func(uint32) { gwCount++ },
 		func(uint32) { e2eCount++ },
 		func(n int) { lostCount += n })
-	startTCPSensor(net, gw, 1, 100*sim.Millisecond)
+	startTCPSensor(net, 1, 100*sim.Millisecond)
 	net.Eng.RunFor(60 * sim.Second)
 
 	if e2eCount == 0 || lostCount == 0 {
@@ -187,7 +168,7 @@ func TestGatewayDeterministic(t *testing.T) {
 			WAN:      netem.WANConfig{BandwidthKbps: 8, Delay: 50 * sim.Millisecond, Loss: 0.1, QueueCap: 4},
 		})
 		for id := 1; id <= 3; id++ {
-			startTCPSensor(net, gw, id, 200*sim.Millisecond)
+			startTCPSensor(net, id, 200*sim.Millisecond)
 		}
 		net.Eng.RunFor(30 * sim.Second)
 		return gw.Stats, gw.WAN().Stats

@@ -78,12 +78,17 @@ func (s TxStatus) String() string {
 	return "unknown"
 }
 
-// Params are the CSMA-CA and ARQ parameters. The zero value is not
-// useful; use DefaultParams.
+// The unslotted CSMA-CA constants, at IEEE 802.15.4's defaults for
+// macMinBE, macMaxBE and macMaxCSMABackoffs.
+const (
+	minBackoffExp   = 3
+	maxBackoffExp   = 5
+	maxCSMABackoffs = 4
+)
+
+// Params are the ARQ parameters. The zero value is not useful; use
+// DefaultParams.
 type Params struct {
-	MinBE           int // macMinBE
-	MaxBE           int // macMaxBE
-	MaxCSMABackoffs int // macMaxCSMABackoffs
 	// MaxFrameRetries is the number of link-layer retransmissions after
 	// the initial attempt.
 	MaxFrameRetries int
@@ -91,21 +96,14 @@ type Params struct {
 	// waits uniform[0, d] in addition to CSMA backoff, so two frames
 	// that collided are unlikely to collide again (§7.1).
 	RetryDelayMax sim.Duration
-	// DataWaitTimeout is how long a sleepy child listens for an indirect
-	// frame after an ACK with the pending bit set.
-	DataWaitTimeout sim.Duration
 }
 
 // DefaultParams mirrors IEEE 802.15.4 defaults plus the paper's software
 // link-retry scheme with d = 40 ms, the value §7.1 recommends.
 func DefaultParams() Params {
 	return Params{
-		MinBE:           3,
-		MaxBE:           5,
-		MaxCSMABackoffs: 4,
 		MaxFrameRetries: 7,
 		RetryDelayMax:   40 * sim.Millisecond,
-		DataWaitTimeout: 100 * sim.Millisecond,
 	}
 }
 
@@ -312,9 +310,6 @@ func (m *Mac) fired(job *txJob) bool {
 // Radio returns the underlying radio.
 func (m *Mac) Radio() *phy.Radio { return m.radio }
 
-// Params returns the MAC parameters.
-func (m *Mac) Params() Params { return m.params }
-
 // SetChildSleepy registers (or deregisters) a sleepy child: unicast
 // frames to it are held in the indirect queue until it polls.
 // Deregistering releases the held frames to the head of the transmit
@@ -354,16 +349,11 @@ func (m *Mac) applyIdleState() {
 // calls this when its schedule changes the desired radio state.
 func (m *Mac) RefreshIdleState() { m.applyIdleState() }
 
-// Send queues a payload for dst. done (may be nil) is invoked with the
+// SendJID queues a payload for dst. done (may be nil) is invoked with the
 // link-layer outcome. Frames to registered sleepy children are placed on
-// the indirect queue instead of the air.
-func (m *Mac) Send(dst phy.Addr, payload []byte, done func(TxStatus)) {
-	m.SendJID(dst, payload, 0, done)
-}
-
-// SendJID is Send with a journey packet id attached to the frame for
-// causal tracing. The id is simulator metadata: it tags the job, the
-// radio's in-flight transmission, and the obs events of every backoff,
+// the indirect queue instead of the air. jid is the journey packet id of
+// the carried datagram (0 for none): simulator metadata that tags the job,
+// the radio's in-flight transmission, and the obs events of every backoff,
 // retry, and drop, but never appears in wire bytes.
 func (m *Mac) SendJID(dst phy.Addr, payload []byte, jid int64, done func(TxStatus)) {
 	m.seq++
@@ -472,7 +462,7 @@ func (m *Mac) startCSMA() {
 	// Escalate the starting backoff exponent across link retries: two
 	// hidden-terminal victims that collided once spread further apart on
 	// each attempt even before the random retry delay d is added.
-	job.be = min(m.params.MinBE+job.attempts, m.params.MaxBE)
+	job.be = min(minBackoffExp+job.attempts, maxBackoffExp)
 	m.radio.SetListen(true)
 	m.backoffStep()
 }
@@ -503,8 +493,8 @@ func (m *Mac) backoffFire() {
 		return
 	}
 	job.nb++
-	job.be = min(job.be+1, m.params.MaxBE)
-	if job.nb > m.params.MaxCSMABackoffs {
+	job.be = min(job.be+1, maxBackoffExp)
+	if job.nb > maxCSMABackoffs {
 		m.Stats.CSMAFailures++
 		if tr := m.Trace; tr != nil {
 			tr.Emit(obs.Event{T: m.eng.Now(), Kind: obs.MacCSMAFail, Node: m.radio.ID(), A: int64(job.nb), J: job.jid})

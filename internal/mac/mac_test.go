@@ -23,7 +23,7 @@ func TestUnicastDelivery(t *testing.T) {
 	var got []byte
 	b.OnReceive = func(f *phy.Frame) { got = append([]byte(nil), f.Payload...) } // valid for the callback only
 	status := TxStatus(-1)
-	a.Send(b.Radio().Addr(), []byte("payload"), func(s TxStatus) { status = s })
+	a.SendJID(b.Radio().Addr(), []byte("payload"), 0, func(s TxStatus) { status = s })
 	eng.Run()
 	if string(got) != "payload" {
 		t.Fatalf("payload = %q", got)
@@ -41,7 +41,7 @@ func TestQueueFIFO(t *testing.T) {
 	var got []string
 	b.OnReceive = func(f *phy.Frame) { got = append(got, string(f.Payload)) }
 	for _, s := range []string{"one", "two", "three"} {
-		a.Send(b.Radio().Addr(), []byte(s), nil)
+		a.SendJID(b.Radio().Addr(), []byte(s), 0, nil)
 	}
 	eng.Run()
 	if len(got) != 3 || got[0] != "one" || got[1] != "two" || got[2] != "three" {
@@ -68,7 +68,7 @@ func TestRetriesOnLoss(t *testing.T) {
 	delivered := 0
 	b.OnReceive = func(*phy.Frame) { delivered++ }
 	var status TxStatus = -1
-	a.Send(rb.Addr(), []byte("x"), func(s TxStatus) { status = s })
+	a.SendJID(rb.Addr(), []byte("x"), 0, func(s TxStatus) { status = s })
 	eng.Run()
 	if status != TxOK || delivered != 1 {
 		t.Fatalf("status=%v delivered=%d", status, delivered)
@@ -89,7 +89,7 @@ func TestDropAfterMaxRetries(t *testing.T) {
 	a := New(eng, ra, p)
 	New(eng, rb, p)
 	var status TxStatus = -1
-	a.Send(rb.Addr(), []byte("x"), func(s TxStatus) { status = s })
+	a.SendJID(rb.Addr(), []byte("x"), 0, func(s TxStatus) { status = s })
 	eng.Run()
 	if status != TxNoAck {
 		t.Fatalf("status = %v, want no-ack", status)
@@ -118,7 +118,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	b := New(eng, rb, DefaultParams())
 	delivered := 0
 	b.OnReceive = func(*phy.Frame) { delivered++ }
-	a.Send(rb.Addr(), []byte("x"), nil)
+	a.SendJID(rb.Addr(), []byte("x"), 0, nil)
 	eng.Run()
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want 1 (duplicate must be suppressed)", delivered)
@@ -133,7 +133,7 @@ func TestBroadcastNoAck(t *testing.T) {
 	got := 0
 	b.OnReceive = func(*phy.Frame) { got++ }
 	var status TxStatus = -1
-	a.Send(phy.BroadcastAddr, []byte("hello all"), func(s TxStatus) { status = s })
+	a.SendJID(phy.BroadcastAddr, []byte("hello all"), 0, func(s TxStatus) { status = s })
 	eng.Run()
 	if got != 1 || status != TxOK {
 		t.Fatalf("broadcast: got=%d status=%v", got, status)
@@ -164,7 +164,7 @@ func TestRetryDelayBeatsHiddenTerminals(t *testing.T) {
 		payload := make([]byte, 90)
 		var feed func(m *Mac)
 		feed = func(m *Mac) {
-			m.Send(r1.Addr(), payload, func(TxStatus) {
+			m.SendJID(r1.Addr(), payload, 0, func(TxStatus) {
 				if eng.Now() < sim.Time(20*sim.Second) {
 					feed(m)
 				}
@@ -209,8 +209,8 @@ func TestIndirectDelivery(t *testing.T) {
 	// Parent queues two frames for the sleeping child; they must wait in
 	// the indirect queue, then both be delivered in one wakeup window via
 	// the frame-pending bit.
-	parent.Send(childR.Addr(), []byte("first"), nil)
-	parent.Send(childR.Addr(), []byte("second"), nil)
+	parent.SendJID(childR.Addr(), []byte("first"), 0, nil)
+	parent.SendJID(childR.Addr(), []byte("second"), 0, nil)
 	if parent.IndirectQueueLen(childR.Addr()) != 2 {
 		t.Fatalf("indirect queue = %d, want 2", parent.IndirectQueueLen(childR.Addr()))
 	}
@@ -245,7 +245,7 @@ func TestSleepyChildUpstreamAnytime(t *testing.T) {
 	parent.OnReceive = func(f *phy.Frame) { got = string(f.Payload) }
 	var status TxStatus = -1
 	eng.Schedule(sim.Second, func() {
-		child.Send(parentR.Addr(), []byte("up"), func(s TxStatus) { status = s })
+		child.SendJID(parentR.Addr(), []byte("up"), 0, func(s TxStatus) { status = s })
 	})
 	eng.RunUntil(sim.Time(3 * sim.Second))
 	if got != "up" || status != TxOK {
@@ -283,7 +283,7 @@ func TestAdaptiveSleepInterval(t *testing.T) {
 	// A burst of downstream frames must collapse the interval to Min and
 	// drain quickly.
 	for i := 0; i < 10; i++ {
-		parent.Send(childR.Addr(), []byte{byte(i)}, nil)
+		parent.SendJID(childR.Addr(), []byte{byte(i)}, 0, nil)
 	}
 	start := eng.Now()
 	eng.RunUntil(start.Add(10 * sim.Second))
@@ -339,8 +339,8 @@ func TestCSMADefersToBusyChannel(t *testing.T) {
 	count := 0
 	m1.OnReceive = func(*phy.Frame) { count++ }
 	for i := 0; i < 20; i++ {
-		m0.Send(r1.Addr(), make([]byte, 80), nil)
-		m2.Send(r1.Addr(), make([]byte, 80), nil)
+		m0.SendJID(r1.Addr(), make([]byte, 80), 0, nil)
+		m2.SendJID(r1.Addr(), make([]byte, 80), 0, nil)
 	}
 	eng.Run()
 	if count != 40 {
@@ -353,7 +353,7 @@ func TestCSMADefersToBusyChannel(t *testing.T) {
 
 // TestFramePathAllocs pins the zero: once the pools of a two-node
 // exchange are warm (job, transmission, events, dedup map entries), a
-// Mac.Send through load, CSMA, air, ACK and the done callback allocates
+// Mac.SendJID through load, CSMA, air, ACK and the done callback allocates
 // nothing — on either side.
 func TestFramePathAllocs(t *testing.T) {
 	eng, a, b := pair(13)
@@ -363,7 +363,7 @@ func TestFramePathAllocs(t *testing.T) {
 	done := func(s TxStatus) { last = s }
 	payload := make([]byte, phy.MaxMACPayload)
 	exchange := func() {
-		a.Send(b.Radio().Addr(), payload, done)
+		a.SendJID(b.Radio().Addr(), payload, 0, done)
 		eng.Run()
 	}
 	for i := 0; i < 300; i++ { // seq wraps once: every dedup map key exists
@@ -371,7 +371,7 @@ func TestFramePathAllocs(t *testing.T) {
 	}
 	before := delivered
 	if n := testing.AllocsPerRun(200, exchange); n != 0 {
-		t.Fatalf("Mac.Send → ACKed delivery allocates %.1f objects per frame, want 0", n)
+		t.Fatalf("Mac.SendJID → ACKed delivery allocates %.1f objects per frame, want 0", n)
 	}
 	if last != TxOK || delivered-before != 201 { // AllocsPerRun adds one warm-up call
 		t.Fatalf("status=%v delivered=%d", last, delivered-before)
@@ -396,8 +396,8 @@ func TestBroadcastBackToBackIntact(t *testing.T) {
 	first := a.getJob()
 	a.putJob(first) // the job the first Send will take
 	reloaded := false
-	a.Send(phy.BroadcastAddr, []byte("first frame: AAAAAAAAAAAAAAAA"), func(TxStatus) {
-		a.Send(phy.BroadcastAddr, []byte("second frame: BBBBBBBB"), nil)
+	a.SendJID(phy.BroadcastAddr, []byte("first frame: AAAAAAAAAAAAAAAA"), 0, func(TxStatus) {
+		a.SendJID(phy.BroadcastAddr, []byte("second frame: BBBBBBBB"), 0, nil)
 		reloaded = a.inflight == first && first.wire != nil &&
 			strings.HasPrefix(a.DebugState(), "inflight queue=0 ") // not "/loading": wire is this life's
 	})
@@ -445,7 +445,7 @@ func TestJobNotReusedWhileEventQueued(t *testing.T) {
 	var got []string
 	b.OnReceive = func(f *phy.Frame) { got = append(got, string(f.Payload)) }
 
-	a.Send(b.Radio().Addr(), []byte("abandoned"), nil)
+	a.SendJID(b.Radio().Addr(), []byte("abandoned"), 0, nil)
 	old := a.inflight
 	if old == nil || old.pending != 1 {
 		t.Fatalf("want the job loading with its resume event queued, got %+v", old)
@@ -455,7 +455,7 @@ func TestJobNotReusedWhileEventQueued(t *testing.T) {
 	if a.freeJobs != nil {
 		t.Fatal("job recycled while its resume event is still queued")
 	}
-	a.Send(b.Radio().Addr(), []byte("next"), nil)
+	a.SendJID(b.Radio().Addr(), []byte("next"), 0, nil)
 	if a.inflight == old {
 		t.Fatal("job reused while its resume event is still queued")
 	}
@@ -482,7 +482,7 @@ func TestJobNotReusedWhileEventQueued(t *testing.T) {
 	payload := make([]byte, 90)
 	var feed func(m *Mac, dst phy.Addr)
 	feed = func(m *Mac, dst phy.Addr) {
-		m.Send(dst, payload, func(TxStatus) {
+		m.SendJID(dst, payload, 0, func(TxStatus) {
 			checkJobPool(t, m)
 			if eng.Now() < sim.Time(10*sim.Second) {
 				feed(m, dst)
@@ -522,7 +522,7 @@ func TestAckWaitBitTracksTimer(t *testing.T) {
 	payload := make([]byte, 90)
 	var feed func(m *Mac, dst phy.Addr)
 	feed = func(m *Mac, dst phy.Addr) {
-		m.Send(dst, payload, func(TxStatus) {
+		m.SendJID(dst, payload, 0, func(TxStatus) {
 			if eng.Now() < sim.Time(10*sim.Second) {
 				feed(m, dst)
 			}
@@ -564,13 +564,13 @@ func TestDeregisterSleepyChildKeepsOrder(t *testing.T) {
 	child := b.Radio().Addr()
 	a.SetChildSleepy(child, true)
 	for _, s := range []string{"frag1", "fragN-a", "fragN-b"} {
-		a.Send(child, []byte(s), nil)
+		a.SendJID(child, []byte(s), 0, nil)
 	}
 	if a.IndirectQueueLen(child) != 3 {
 		t.Fatalf("held %d frames, want 3", a.IndirectQueueLen(child))
 	}
 	a.SetChildSleepy(child, false)
-	a.Send(child, []byte("later"), nil)
+	a.SendJID(child, []byte("later"), 0, nil)
 	if a.IndirectQueueLen(child) != 0 {
 		t.Fatal("frames still held after deregistering")
 	}

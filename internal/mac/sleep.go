@@ -5,6 +5,10 @@ import (
 	"tcplp/internal/sim"
 )
 
+// dataWaitTimeout is how long a sleepy child listens for an indirect
+// frame after an ACK with the pending bit set.
+const dataWaitTimeout = 100 * sim.Millisecond
+
 // SleepController implements the listen-after-send duty cycling of a
 // Thread sleepy end device (§3.2) and the paper's two refinements:
 //
@@ -144,7 +148,7 @@ func (sc *SleepController) enterWakeup() {
 	sc.Wakeups++
 	sc.awake = true
 	sc.mac.RefreshIdleState()
-	sc.waitTimer.Reset(sc.mac.Params().DataWaitTimeout)
+	sc.waitTimer.Reset(dataWaitTimeout)
 }
 
 // FrameDelivered is called by the MAC owner for each downstream frame
@@ -158,7 +162,7 @@ func (sc *SleepController) FrameDelivered(pending bool) {
 		return
 	}
 	if pending {
-		sc.waitTimer.Reset(sc.mac.Params().DataWaitTimeout)
+		sc.waitTimer.Reset(dataWaitTimeout)
 		return
 	}
 	sc.waitTimer.Stop()

@@ -50,28 +50,6 @@ func TestRandomGeometricDensityScalesArea(t *testing.T) {
 	}
 }
 
-func TestTreeShape(t *testing.T) {
-	depth, fanout := 3, 3
-	topo := Tree(depth, fanout, 20)
-	if want := TreeNodes(depth, fanout); topo.N() != want {
-		t.Fatalf("N=%d want %d", topo.N(), want)
-	}
-	r := ComputeRoutes(topo.Adjacency())
-	// Leaves occupy the last fanout^depth ids and must sit depth hops out.
-	leaves := fanout * fanout * fanout
-	for i := topo.N() - leaves; i < topo.N(); i++ {
-		if h := r.Hops(i, 0); h != depth {
-			t.Fatalf("leaf %d at %d hops, want %d", i, h, depth)
-		}
-	}
-	// Level-1 nodes are direct children of the root.
-	for i := 1; i <= fanout; i++ {
-		if h := r.Hops(i, 0); h != 1 {
-			t.Fatalf("level-1 node %d at %d hops", i, h)
-		}
-	}
-}
-
 // The grid-backed Adjacency must match the all-pairs scan it replaced.
 func TestAdjacencyGridMatchesNaive(t *testing.T) {
 	naive := func(topo Topology) [][]int {
@@ -91,7 +69,6 @@ func TestAdjacencyGridMatchesNaive(t *testing.T) {
 		"twinleaf": TwinLeaf(4, 20),
 		"chain":    Chain(8, 20),
 		"random":   RandomGeometric(250, 10, 3),
-		"tree":     Tree(3, 4, 25),
 	} {
 		got, want := topo.Adjacency(), naive(topo)
 		if len(got) != len(want) {

@@ -41,6 +41,18 @@ func oracleColumn(adj [][]int, dst int) (next, hops []int) {
 	return next, hops
 }
 
+// heapTree links node i to its parent (i-1)/2: a binary tree rooted at the
+// border router, where every route runs through a common ancestor.
+func heapTree(n int) [][]int {
+	adj := make([][]int, n)
+	for i := 1; i < n; i++ {
+		p := (i - 1) / 2
+		adj[p] = append(adj[p], i)
+		adj[i] = append(adj[i], p)
+	}
+	return adj
+}
+
 // Every (src, dst) pair must route as the oracle does, whichever of the
 // border-rooted state, the cached downward routes and the per-destination
 // columns answers — so the pairs are asked in two orders that populate
@@ -51,7 +63,7 @@ func TestRoutesMatchOracle(t *testing.T) {
 		"star":          Star(7, 10).Adjacency(),
 		"office":        Office().Adjacency(),
 		"twinleaf":      TwinLeaf(4, 20).Adjacency(),
-		"tree":          Tree(3, 3, 20).Adjacency(),
+		"tree":          heapTree(40),
 		"random_dense":  RandomGeometric(300, 16, 1).Adjacency(),
 		"random_sparse": RandomGeometric(300, 5, 2).Adjacency(),
 		"random_thin":   RandomGeometric(200, 2.5, 5).Adjacency(),

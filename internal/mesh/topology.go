@@ -142,64 +142,6 @@ func RandomGeometric(n int, density float64, seed int64) Topology {
 	return Topology{Positions: pos, TxRange: txRange, SenseRange: senseRange}
 }
 
-// Tree lays out a fanout-ary tree of the given depth in concentric rings
-// spacing apart, node 0 the root/border router, ids assigned level by
-// level. Each node sits at the middle of its subtree's angular sector, so
-// parent-child pairs are in decode range while ring-skipping shortcuts are
-// not: shortest-path hop count equals tree depth. Nodes in adjacent
-// sectors of the same ring may still hear each other — they share the
-// physical medium, as in a real deployment.
-func Tree(depth, fanout int, spacing float64) Topology {
-	if depth < 0 {
-		depth = 0
-	}
-	if fanout < 1 {
-		fanout = 1
-	}
-	type sector struct {
-		at     phy.Point
-		lo, hi float64 // direction cone inherited by the subtree
-	}
-	level := []sector{{phy.Point{}, 0, 2 * math.Pi}}
-	pos := []phy.Point{{}}
-	for d := 1; d <= depth; d++ {
-		nextLevel := make([]sector, 0, len(level)*fanout)
-		for _, s := range level {
-			step := (s.hi - s.lo) / float64(fanout)
-			for k := 0; k < fanout; k++ {
-				lo, hi := s.lo+float64(k)*step, s.lo+float64(k+1)*step
-				mid := (lo + hi) / 2
-				// Exactly one spacing from the parent, heading into the
-				// child's own direction cone: parent-child links always
-				// decode, ring-skipping shortcuts never do.
-				p := phy.Point{X: s.at.X + spacing*math.Cos(mid), Y: s.at.Y + spacing*math.Sin(mid)}
-				pos = append(pos, p)
-				nextLevel = append(nextLevel, sector{at: p, lo: lo, hi: hi})
-			}
-		}
-		level = nextLevel
-	}
-	return Topology{Positions: pos, TxRange: spacing * 1.25, SenseRange: spacing * 1.25}
-}
-
-// TreeNodes returns the node count of Tree(depth, fanout, ·), saturating
-// at math.MaxInt instead of wrapping, in a few dozen steps whatever the
-// arguments: spec validation bounds the result before anything is built.
-func TreeNodes(depth, fanout int) int {
-	if fanout <= 1 { // a path, counted without walking it (Tree lays out fanout < 1 as one too)
-		return min(max(depth, 0), math.MaxInt-1) + 1
-	}
-	total, level := 1, 1
-	for d := 1; d <= depth; d++ {
-		if level > (math.MaxInt-total)/fanout {
-			return math.MaxInt
-		}
-		level *= fanout
-		total += level
-	}
-	return total
-}
-
 // Adjacency returns the connectivity graph under the unit-disk decode
 // range, built with a uniform grid so the cost is O(n·degree) rather than
 // all-pairs. Neighbor lists are ordered by node id, matching the scan this

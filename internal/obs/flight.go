@@ -62,11 +62,8 @@ func isAttempt(e Event) bool {
 }
 
 // NewFlightRecorder returns a recorder keeping up to ringCap events per
-// bound flow (<=0 selects 256).
+// bound flow.
 func NewFlightRecorder(ringCap int) *FlightRecorder {
-	if ringCap <= 0 {
-		ringCap = 256
-	}
 	return &FlightRecorder{cap: ringCap, flows: map[int]*flightRing{}}
 }
 

@@ -309,12 +309,12 @@ func TestFilterHandsUpOnlyWantedFrames(t *testing.T) {
 	}
 	status := mac.TxStatus(-1)
 	step("unicast + ACK", func() {
-		macs[3].Send(macs[7].Radio().Addr(), []byte("x"), func(s mac.TxStatus) { status = s })
+		macs[3].SendJID(macs[7].Radio().Addr(), []byte("x"), 0, func(s mac.TxStatus) { status = s })
 	}, 2, map[int]int{7: 1, 3: 1, -1: 0})
 	if status != mac.TxOK || macs[7].Stats.AcksSent != 1 {
 		t.Fatalf("unicast status %v, acks sent %d", status, macs[7].Stats.AcksSent)
 	}
-	step("broadcast", func() { macs[3].Send(phy.BroadcastAddr, []byte("x"), nil) }, 1, map[int]int{3: 0, -1: 1})
+	step("broadcast", func() { macs[3].SendJID(phy.BroadcastAddr, []byte("x"), 0, nil) }, 1, map[int]int{3: 0, -1: 1})
 	step("malformed", func() { macs[3].Radio().Transmit(make([]byte, 40)) }, 1, map[int]int{-1: 0})
 	step("stray ACK", func() { macs[3].Radio().Transmit(phy.AckFor(9, false).Encode()) }, 1, map[int]int{-1: 0})
 }

@@ -37,8 +37,6 @@ func (t TopologySpec) build() mesh.Topology {
 			seed = 1
 		}
 		return mesh.RandomGeometric(t.Nodes, t.Density, seed)
-	case TopoTree:
-		return mesh.Tree(t.Depth, t.Fanout, spacing)
 	}
 	panic(fmt.Sprintf("scenario: unvalidated topology kind %q", t.Kind))
 }
@@ -73,9 +71,6 @@ func (s *Spec) options(variant cc.Variant, windowSegs int) stack.Options {
 	opt.ECN = n.ECN
 	if n.HopByHop {
 		opt.Mode = stack.HopByHopReassembly
-	}
-	if n.WireDelay > 0 {
-		opt.WireDelay = n.WireDelay.D()
 	}
 	return opt
 }
@@ -172,11 +167,8 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 		// seed+2: the WAN's loss source must be independent of both the
 		// channel (seed) and the border drop filter (seed+1).
 		rc.gw = gateway.New(net.Border(), gateway.Config{
-			TCPPort:     g.TCPPort,
-			CoAPPort:    g.CoAPPort,
-			MaxConns:    g.MaxConns,
-			IdleTimeout: g.IdleTimeout.D(),
-			SinkCfg:     net.FlowTCPConfig("", 0),
+			MaxConns: g.MaxConns,
+			SinkCfg:  net.FlowTCPConfig("", 0),
 			WAN: netem.WANConfig{
 				BandwidthKbps: g.WAN.BandwidthKbps,
 				Delay:         g.WAN.RTT.D() / 2,
@@ -248,7 +240,7 @@ func (rc *runContext) resolve(r NodeRef) *stack.Node {
 }
 
 // tcpConfigs derives the flow's sender and sink TCP configurations:
-// per-flow variant/window/pacing over the network defaults, host-sized
+// per-flow variant/window over the network defaults, host-sized
 // buffers on host endpoints, and the Table 7 stack-profile override.
 func (rc *runContext) tcpConfigs(fs FlowSpec) (srcCfg, sinkCfg tcplp.Config, err error) {
 	// An empty variant must stay empty so FlowTCPConfig keeps the
@@ -263,9 +255,6 @@ func (rc *runContext) tcpConfigs(fs FlowSpec) (srcCfg, sinkCfg tcplp.Config, err
 		variant = v
 	}
 	cfg := rc.net.FlowTCPConfig(variant, fs.WindowSegs)
-	if fs.Pacing != nil && !*fs.Pacing {
-		cfg.NoPacing = true
-	}
 
 	// The host end is unconstrained (§5: a FreeBSD-class machine), so a
 	// host endpoint keeps large buffers; the flow's window knob binds at
@@ -478,24 +467,11 @@ func (rc *runContext) collectGateway(frs []FlowResult) *GatewayResult {
 	return gr
 }
 
-// RunOne executes the spec for a single seed and returns its result.
-// The run is entirely self-contained — its own engine, channel, and
-// stacks — which is what lets the Runner parallelize seeds safely.
-func RunOne(spec *Spec, seed int64) (Result, error) {
-	return RunOneObs(spec, seed, nil)
-}
-
-// RunOneObs is RunOne with cross-layer observability attached.
-func RunOneObs(spec *Spec, seed int64, oc *ObsConfig) (Result, error) {
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
-	}
-	return (&Runner{Obs: oc}).runDefaulted(spec.withDefaults(), seed)
-}
-
-// runDefaulted is RunOne for a spec that is already validated and
-// defaulted — the Runner's worker path, which hoists both steps out of
-// the per-seed loop.
+// runDefaulted runs one seed of a spec that is already validated and
+// defaulted — the Runner's worker path, which hoists both steps out of the
+// per-seed loop. The run is entirely self-contained — its own engine,
+// channel, and stacks — which is what lets the Runner parallelize seeds
+// safely.
 func (r *Runner) runDefaulted(spec *Spec, seed int64) (Result, error) {
 	rc, err := r.buildRun(spec, seed)
 	if err != nil {

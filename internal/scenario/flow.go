@@ -36,7 +36,7 @@ type sensorTransport interface {
 // telemetry is the accounting every transport's probe shares, because
 // the application above them is the same (§9): the collector-side byte
 // sink, the anemometer sensor, per-reading delivery credit and latency,
-// gateway end-to-end credit, and the window marks. A bulk or on-off TCP
+// gateway end-to-end credit, and the window marks. A bulk TCP
 // stream uses only the sink (sensor stays nil).
 type telemetry struct {
 	fr  *flowRun

@@ -3,6 +3,7 @@ package scenario
 import (
 	"tcplp/internal/app"
 	"tcplp/internal/coap"
+	"tcplp/internal/gateway"
 	"tcplp/internal/ip6"
 	"tcplp/internal/sim"
 	"tcplp/internal/stats"
@@ -27,7 +28,7 @@ func startCoAP(t *telemetry) *coapProbe {
 	fs, src, dst := &t.fr.spec, t.fr.src, t.fr.dst
 	port := fs.Port
 	if t.gw != nil {
-		port = t.gw.CoAPPort()
+		port = gateway.DefaultCoAPPort
 		t.register()
 	} else {
 		t.sink = app.NewCountingSink(dst.Eng())

@@ -4,12 +4,13 @@ import (
 	"fmt"
 
 	"tcplp/internal/app"
+	"tcplp/internal/gateway"
 	"tcplp/internal/sim"
 	"tcplp/internal/stats"
 	"tcplp/internal/tcplp"
 )
 
-// tcpProbe runs bulk, on-off, and anemometer patterns over one TCPlp
+// tcpProbe runs bulk and anemometer patterns over one TCPlp
 // connection — the internal/app workloads the throughput and telemetry
 // experiments share.
 type tcpProbe struct {
@@ -17,7 +18,7 @@ type tcpProbe struct {
 	cfg tcplp.Config // effective sender config (profile-aware)
 
 	conn *tcplp.Conn
-	bulk *app.Source // bulk/onoff sources (nil for anemometer)
+	bulk *app.Source // bulk source (nil for anemometer)
 
 	rtts stats.Sample // RTT samples over the connection's life, in ms
 	base tcplp.ConnStats
@@ -32,14 +33,10 @@ func startTCP(t *telemetry, srcCfg, sinkCfg tcplp.Config) *tcpProbe {
 		t.sink = &app.ListenSinkConfig(dst, fs.Port, sinkCfg).CountingSink
 		p.bulk = app.StartBulkConfig(src, srcCfg, dst.Addr, fs.Port)
 		p.conn = p.bulk.Conn
-	case PatternOnOff:
-		t.sink = &app.ListenSinkConfig(dst, fs.Port, sinkCfg).CountingSink
-		p.bulk = app.StartOnOffConfig(src, srcCfg, dst.Addr, fs.Port, fs.On.D(), fs.Off.D())
-		p.conn = p.bulk.Conn
 	case PatternAnemometer:
 		port := fs.Port
 		if t.gw != nil {
-			port = t.gw.TCPPort()
+			port = gateway.DefaultTCPPort
 			t.register()
 		} else {
 			t.sink = &app.ListenReadingSink(dst, fs.Port, sinkCfg, t.deliver).CountingSink

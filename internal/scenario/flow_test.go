@@ -54,7 +54,7 @@ func TestMessageSize(t *testing.T) {
 func TestFlowMatrix(t *testing.T) {
 	sinks := map[string]NodeRef{"node": NodeID(0), "host": Host(), "gateway": Gateway()}
 	for _, preset := range []string{"tcp", "udp", "coap", "coap-non", "cocoa"} {
-		for _, pattern := range []string{"", PatternBulk, PatternOnOff, PatternAnemometer} {
+		for _, pattern := range []string{"", PatternBulk, PatternAnemometer} {
 			for sink, to := range sinks {
 				protocol, confirmable, rto, _ := protoPreset(preset)
 				spec := &Spec{
@@ -82,7 +82,7 @@ func TestFlowMatrix(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				res, err := RunOne(spec, 1)
+				res, err := runOne(spec, 1, nil)
 				if err != nil {
 					t.Errorf("%s: validated but did not run: %v", spec.Name, err)
 					continue

@@ -28,7 +28,7 @@ func runJourney(t *testing.T, spec *Spec, seed int64) (Result, *journey.Report) 
 		Journey:   true,
 		OnJourney: func(name string, s int64, r *journey.Report) { rep = r },
 	}
-	res, err := RunOneObs(spec, seed, oc)
+	res, err := runOne(spec, seed, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func checkConformance(t *testing.T, rep *journey.Report) *journey.ConformanceRes
 // field of the Result — the attribution rides in its own
 // omitempty pointer, nil when disabled.
 func TestJourneyBitIdentity(t *testing.T) {
-	base, err := RunOneObs(obsSpec(), 42, nil)
+	base, err := runOne(obsSpec(), 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestJourneyDropEventsCarryCause(t *testing.T) {
 		spec.Net.InjectedLoss = 0.1
 		var events bytes.Buffer
 		oc := &ObsConfig{Events: obs.NewNDJSONWriter(&events)}
-		if _, err := RunOneObs(spec, 9, oc); err != nil {
+		if _, err := runOne(spec, 9, oc); err != nil {
 			t.Fatal(err)
 		}
 		for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
@@ -251,7 +251,7 @@ func TestJourneyEventFiltering(t *testing.T) {
 		Events:      obs.NewNDJSONWriter(&events),
 		EventLayers: []string{"tcp"},
 	}
-	if _, err := RunOneObs(obsSpec(), 42, oc); err != nil {
+	if _, err := runOne(obsSpec(), 42, oc); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(events.String()), "\n")
@@ -269,7 +269,7 @@ func TestJourneyEventFiltering(t *testing.T) {
 		Events:     obs.NewNDJSONWriter(&events),
 		EventFlows: []string{"anem"},
 	}
-	if _, err := RunOneObs(obsSpec(), 42, oc); err != nil {
+	if _, err := runOne(obsSpec(), 42, oc); err != nil {
 		t.Fatal(err)
 	}
 	lines = strings.Split(strings.TrimSpace(events.String()), "\n")
@@ -292,7 +292,7 @@ func TestJourneyEventFiltering(t *testing.T) {
 		Events:     obs.NewNDJSONWriter(&events),
 		EventFlows: []string{"no-such-flow"},
 	}
-	if _, err := RunOneObs(obsSpec(), 42, oc); err != nil {
+	if _, err := runOne(obsSpec(), 42, oc); err != nil {
 		t.Fatal(err)
 	}
 	if events.Len() == 0 {
@@ -433,7 +433,7 @@ func TestTracedRunAllocBudget(t *testing.T) {
 	allocated := func(oc *ObsConfig) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := RunOneObs(citySpec(200), 1, oc); err != nil {
+		if _, err := runOne(citySpec(200), 1, oc); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

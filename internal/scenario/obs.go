@@ -12,12 +12,14 @@ import (
 	"tcplp/internal/tcplp"
 )
 
+// flightRing is how many of each flow's most recent trace events the
+// flight recorder keeps.
+const flightRing = 256
+
 // FlightConfig parameterizes the per-flow flight recorder: a bounded
 // ring of each flow's most recent trace events, dumped when something
 // goes wrong.
 type FlightConfig struct {
-	// RingCap bounds each flow's event ring (<=0 selects 256).
-	RingCap int
 	// StallWindow enables the in-run stall checker: a flow whose
 	// transport has tried to move data (payload segment, RTO, reliable
 	// datagram or its retransmission) and seen no progress (no received
@@ -112,7 +114,7 @@ func (rc *runContext) buildTrace(oc *ObsConfig) {
 		tr.AddFrameSink(oc.Pcap)
 	}
 	if fc := oc.Flight; fc != nil {
-		rc.flight = obs.NewFlightRecorder(fc.RingCap)
+		rc.flight = obs.NewFlightRecorder(flightRing)
 		tr.AddSink(rc.flight)
 	}
 	rc.trace = tr

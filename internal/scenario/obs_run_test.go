@@ -26,6 +26,17 @@ func obsSpec() *Spec {
 	}
 }
 
+// runOne runs one seed of spec through a Runner, as RunAll's workers do.
+func runOne(spec *Spec, seed int64, oc *ObsConfig) (Result, error) {
+	c := *spec
+	c.Seeds = []int64{seed}
+	sr, err := (&Runner{Workers: 1, Obs: oc}).Run(&c)
+	if err != nil {
+		return Result{}, err
+	}
+	return sr.Runs[0], nil
+}
+
 // TestObsBitIdentity pins the tentpole contract: attaching pure sinks
 // (NDJSON events, pcap frames, the flight recorder ring) must not
 // change a run's Result in any field — hooks read state, never draw
@@ -33,7 +44,7 @@ func obsSpec() *Spec {
 // deliberately left off here; those schedule engine events and are
 // documented to change Result.Events (only).
 func TestObsBitIdentity(t *testing.T) {
-	base, err := RunOneObs(obsSpec(), 42, nil)
+	base, err := runOne(obsSpec(), 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +56,9 @@ func TestObsBitIdentity(t *testing.T) {
 	oc := &ObsConfig{
 		Events: obs.NewNDJSONWriter(&events),
 		Pcap:   pw,
-		Flight: &FlightConfig{RingCap: 64}, // no stall window, no dump writer
+		Flight: &FlightConfig{}, // no stall window, no dump writer
 	}
-	traced, err := RunOneObs(obsSpec(), 42, oc)
+	traced, err := runOne(obsSpec(), 42, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestObsBitIdentity(t *testing.T) {
 // TestObsLayersAlwaysPopulated: Result.Layers is computed from plain
 // counters, so it is present and identical with tracing on or off.
 func TestObsLayersAlwaysPopulated(t *testing.T) {
-	res, err := RunOne(obsSpec(), 7)
+	res, err := runOne(obsSpec(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +121,10 @@ func TestObsStallDump(t *testing.T) {
 	}
 	var dumps bytes.Buffer
 	oc := &ObsConfig{Flight: &FlightConfig{
-		RingCap:     64,
 		StallWindow: 5 * sim.Second,
 		Out:         &dumps,
 	}}
-	if _, err := RunOneObs(spec, 3, oc); err != nil {
+	if _, err := runOne(spec, 3, oc); err != nil {
 		t.Fatal(err)
 	}
 	out := dumps.String()
@@ -139,11 +149,10 @@ func TestObsIdleFlowNotStalled(t *testing.T) {
 	spec.Duration = Duration(40 * sim.Second)
 	var dumps bytes.Buffer
 	oc := &ObsConfig{Flight: &FlightConfig{
-		RingCap:     64,
 		StallWindow: 2 * sim.Second,
 		Out:         &dumps,
 	}}
-	res, err := RunOneObs(spec, 42, oc)
+	res, err := runOne(spec, 42, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +182,10 @@ func TestObsLowDeliveryDump(t *testing.T) {
 	}
 	var dumps bytes.Buffer
 	oc := &ObsConfig{Flight: &FlightConfig{
-		RingCap:           64,
 		DeliveryThreshold: 0.5,
 		Out:               &dumps,
 	}}
-	res, err := RunOneObs(spec, 3, oc)
+	res, err := runOne(spec, 3, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +205,7 @@ func TestObsMetricsSampler(t *testing.T) {
 		Events:          obs.NewNDJSONWriter(&events),
 		MetricsInterval: 5 * sim.Second,
 	}
-	if _, err := RunOneObs(obsSpec(), 42, oc); err != nil {
+	if _, err := runOne(obsSpec(), 42, oc); err != nil {
 		t.Fatal(err)
 	}
 	n := 0

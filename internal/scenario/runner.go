@@ -225,7 +225,9 @@ func (r *Runner) Run(spec *Spec) (*SpecResult, error) {
 func (r *Runner) RunAll(specs []*Spec) ([]*SpecResult, error) {
 	var cells []*Spec
 	for _, s := range specs {
-		if err := s.Validate(); err != nil {
+		// Against this runner's own window: a spec can only be checked
+		// with the window it will actually run at.
+		if err := s.validate(r.WindowSegs); err != nil {
 			return nil, err
 		}
 		cells = append(cells, s.Expand()...)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tcplp/internal/phy"
 	"tcplp/internal/sim"
 	"tcplp/internal/sixlowpan"
 	"tcplp/internal/tcplp/cc"
@@ -85,10 +87,10 @@ func TestValidateRejects(t *testing.T) {
 		{"bad pattern", func(s *Spec) { s.Flows[0].Pattern = "poisson" }, "unknown pattern"},
 		{"bad per", func(s *Spec) { s.Net.PER = 1.5 }, "out of range"},
 		{"border role", func(s *Spec) { s.Nodes = []NodeSpec{{ID: 0, Sleepy: true}} }, "out of range"},
-		{"negative on-period", func(s *Spec) {
-			s.Flows[0].Pattern = PatternOnOff
-			s.Flows[0].On = Duration(-sim.Second)
-		}, "negative on/off"},
+		{"negative interval", func(s *Spec) {
+			s.Flows[0].Pattern = PatternAnemometer
+			s.Flows[0].Interval = Duration(-sim.Second)
+		}, "negative interval"},
 		{"negative retry delay", func(s *Spec) {
 			d := Duration(-sim.Millisecond)
 			s.Net.RetryDelay = &d
@@ -416,6 +418,45 @@ func TestParseSpecsErrors(t *testing.T) {
 		t.Fatal("two concatenated spec objects accepted")
 	}
 
+	// Knobs that only ever had one value in use were removed: a spec still
+	// naming one is refused with the key (or the value) named, never run
+	// as if the default had been meant. Each is spelled in halves, like
+	// the PHY pool knob above, for the same CI guard.
+	blocks := map[string][2]string{ // where the key goes: {old, new with KV for the key/value}
+		"topology": {`"nodes":2`, `"nodes":2,KV`},
+		"net":      {`"window_segs":4`, `"window_segs":4,KV`},
+		"flow":     {`"to":0`, `"to":0,KV`},
+		"gateway":  {`"window_segs":4}`, `"window_segs":4},"gateway":{KV}`},
+		"override": {`"window_segs":4}`, `"window_segs":4},"sweep":{"window_segs":[4],"overrides":[{"when":{"w":"4"},"set":{KV}}]}`},
+	}
+	for _, k := range []struct{ where, key, value string }{
+		{"topology", "dep" + "th", "2"}, {"topology", "fan" + "out", "2"},
+		{"net", "wire_" + "delay", `"6ms"`}, {"net", "attach_" + "host", "true"},
+		{"flow", "pac" + "ing", "false"}, {"flow", "o" + "n", `"5s"`}, {"flow", "of" + "f", `"5s"`},
+		{"gateway", "tcp_" + "port", "7000"}, {"gateway", "coap_" + "port", "5683"},
+		{"gateway", "idle_" + "timeout", `"60s"`},
+		{"override", "seg_frames", "5"}, {"override", "per", "0.1"},
+		{"override", "retry_delay", `"40ms"`}, {"override", "variant", `"bbr"`},
+	} {
+		b := blocks[k.where]
+		in := strings.Replace(ok, b[0], strings.Replace(b[1], "KV", `"`+k.key+`":`+k.value, 1), 1)
+		for _, form := range []string{in, "[" + ok + "," + in + "]"} {
+			_, err := ParseSpecs([]byte(form))
+			if err == nil || !strings.Contains(err.Error(), `unknown field "`+k.key+`"`) {
+				t.Fatalf("removed %s key %q: %s: err = %v, want it refused by name", k.where, k.key, form, err)
+			}
+		}
+	}
+	for _, c := range []struct{ old, new, value string }{
+		{`"kind":"chain","nodes":2`, `"kind":"` + "tr" + `ee"`, "tree"},
+		{`"to":0`, `"to":0,"pattern":"` + "on" + `off"`, "onoff"},
+	} {
+		in := strings.Replace(ok, c.old, c.new, 1)
+		if _, err := ParseSpecs([]byte(in)); err == nil || !strings.Contains(err.Error(), `"`+c.value+`"`) {
+			t.Fatalf("removed value %q: %s: err = %v, want it refused by name", c.value, in, err)
+		}
+	}
+
 	// A negative spacing gives a negative decode range: no node hears any
 	// other.
 	in := strings.Replace(ok, `"nodes":2`, `"nodes":2,"spacing":-5`, 1)
@@ -424,14 +465,13 @@ func TestParseSpecsErrors(t *testing.T) {
 	}
 }
 
-// TestHostileSpecsRejected: a spec is outside input, so what it asks the
-// process to allocate is bounded by Validate. Each of these used to pass
-// ParseSpecs far enough to die of "fatal error: out of memory" (the
-// sweep inside Validate itself, which expanded it) or, for depth 64, to
-// wrap the node count negative. Each must now be refused at once — the
-// 100 ms budget is what shows no topology was built and no grid
-// expanded — with an error naming the field and the limit.
-func TestHostileSpecsRejected(t *testing.T) {
+// hostileSpec is one spec Validate must refuse at once, and two strings
+// its error must contain: the field (or removed key) and the limit.
+type hostileSpec struct{ name, spec, field, limit string }
+
+// hostileSpecs lists the specs TestHostileSpecsRejected refuses; they seed
+// FuzzParseSpecs too.
+func hostileSpecs() []hostileSpec {
 	flows := `"flows":[{"from":1,"to":0}]`
 	tens := `[1,2,3,4,5,6,7,8,9,10]`
 	ms := `["1ms","2ms","3ms","4ms","5ms","6ms","7ms","8ms","9ms","10ms"]`
@@ -440,13 +480,34 @@ func TestHostileSpecsRejected(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = strconv.Itoa(i + 1)
 	}
-	for _, c := range []struct{ name, spec, field, limit string }{
-		{"tree of 2^31 nodes", `{"name":"h","topology":{"kind":"tree","depth":30,"fanout":2},` + flows + `}`,
-			"depth/fanout", strconv.Itoa(maxNodes)},
-		{"tree whose size wraps", `{"name":"h","topology":{"kind":"tree","depth":64,"fanout":2},` + flows + `}`,
-			"depth/fanout", strconv.Itoa(maxNodes)},
-		{"path of 2e9 nodes as a tree", `{"name":"h","topology":{"kind":"tree","depth":2000000000,"fanout":1},` + flows + `}`,
-			"depth/fanout", strconv.Itoa(maxNodes)},
+	// The tree topology and the override's seg_frames were removed; specs
+	// that used them are still refused at once, now by the key's name
+	// (spelled in halves for the CI guard against their return).
+	tree := func(depth, fanout int) string {
+		return `{"name":"h","topology":{"kind":"tr` + `ee","dep` + `th":` + strconv.Itoa(depth) +
+			`,"fan` + `out":` + strconv.Itoa(fanout) + `},` + flows + `}`
+	}
+	gone := `unknown field "dep` + `th"`
+	// Port skew: A has no port and sits after five per_device replicas, so
+	// it listens on 80+5 — B's port.
+	skew := `{"name":"h","topology":{"kind":"star","nodes":6},"gateway":{},"flows":[` +
+		`{"label":"dev","to":"gateway","per_device":true},{"label":"A","from":1,"to":0},` +
+		`{"label":"B","from":2,"to":0,"port":85}]}`
+	// A fleet of 6 920 devices puts the next direct flow on port 7000, the
+	// gateway's TCP terminator on node 0.
+	onTerminator := `{"name":"h","topology":{"kind":"star","nodes":6921},"gateway":{},"flows":[` +
+		`{"label":"dev","to":"gateway","per_device":true},{"label":"A","from":1,"to":0}]}`
+	// 65 456 replicas put the next direct flow's default port at 80 + 65 456
+	// = 65 536, which used to wrap to port 0 and validate.
+	pastLastPort := `{"name":"h","topology":{"kind":"star","nodes":65457},"gateway":{},"flows":[` +
+		`{"label":"dev","to":"gateway","per_device":true},{"label":"A","from":1,"to":0}]}`
+	return []hostileSpec{
+		{"tree of 2^31 nodes", tree(30, 2), gone, ""},
+		{"tree whose size wraps", tree(64, 2), gone, ""},
+		{"path of 2e9 nodes as a tree", tree(2000000000, 1), gone, ""},
+		{"default port behind per_device replicas", skew, "share sink 0:85", "80 + its index"},
+		{"default port on the gateway's terminator", onTerminator, "port 7000 on node 0", "gateway terminator"},
+		{"default port past the last port", pastLastPort, "started flow 65456 (1->0) has no port", "80 + 65456 is over the last port, 65535"},
 		{"chain of 2e9 nodes", `{"name":"h","topology":{"kind":"chain","nodes":2000000000},` + flows + `}`,
 			"nodes", strconv.Itoa(maxNodes)},
 		{"city of 2e9 nodes", `{"name":"h","topology":{"kind":"random_geometric","nodes":2000000000},` + flows + `}`,
@@ -473,7 +534,7 @@ func TestHostileSpecsRejected(t *testing.T) {
 			"window_segs", strconv.Itoa(maxConnBuf)},
 		{"override to 1e8-frame segments", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
 			`,"sweep":{"window_segs":[4],"overrides":[{"when":{"w":"4"},"set":{"seg_frames":100000000}}]}}`,
-			"seg_frames", strconv.Itoa(maxConnBuf)},
+			`unknown field "seg_frames"`, ""},
 		{"segments of 30 frames", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"seg_frames":30},` + flows + `}`,
 			"net: seg_frames 30", "at most " + strconv.Itoa(maxSegFrames)},
 		{"seg_frames axis value one past the limit", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
@@ -481,18 +542,34 @@ func TestHostileSpecsRejected(t *testing.T) {
 			"seg_frames " + strconv.Itoa(maxSegFrames+1), strconv.Itoa(sixlowpan.MaxDatagramSize)},
 		{"override to 21-frame segments", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
 			`,"sweep":{"window_segs":[4],"overrides":[{"when":{"w":"4"},"set":{"seg_frames":21}}]}}`,
-			"seg_frames 21", "at most " + strconv.Itoa(maxSegFrames)},
+			`unknown field "seg_frames"`, ""},
 		{"node queue of 2e9 datagrams", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"queue_cap":2000000000},` + flows + `}`,
 			"net: queue_cap", strconv.Itoa(maxQueueCap)},
 		{"WAN queue of 2e9 messages", `{"name":"h","topology":{"kind":"chain","nodes":2},"gateway":{"wan":{"queue_cap":2000000000}},` +
 			`"flows":[{"from":1,"to":"gateway","pattern":"anemometer"}]}`,
 			"wan queue_cap", strconv.Itoa(maxQueueCap)},
-	} {
+	}
+}
+
+// TestHostileSpecsRejected: a spec is outside input, so what it asks the
+// process to allocate is bounded by Validate. Most of these used to pass
+// ParseSpecs far enough to die of "fatal error: out of memory" (the sweep
+// inside Validate itself, which expanded it) or to wrap the node count
+// negative; the three port rows used to validate and then lose a flow's
+// sink at run time. Each must now be refused at once — the 100 ms budget
+// is what shows no topology was built and no grid expanded — with an
+// error naming the field and the limit.
+func TestHostileSpecsRejected(t *testing.T) {
+	flows := `"flows":[{"from":1,"to":0}]`
+	tens := `[1,2,3,4,5,6,7,8,9,10]`
+	ms := `["1ms","2ms","3ms","4ms","5ms","6ms","7ms","8ms","9ms","10ms"]`
+	pct := `[0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.1]`
+	for _, c := range hostileSpecs() {
 		start := time.Now()
 		_, err := ParseSpecs([]byte(c.spec))
 		took := time.Since(start)
 		if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), c.limit) {
-			t.Errorf("%s: err = %v, want an error naming %q and the limit %s", c.name, err, c.field, c.limit)
+			t.Errorf("%s: err = %v, want an error naming %q and %q", c.name, err, c.field, c.limit)
 		}
 		if took > 100*time.Millisecond {
 			t.Errorf("%s: refused after %v, want < 100ms (validation must not build or expand anything)", c.name, took)
@@ -554,8 +631,8 @@ func TestBuildRunNamesUnroutedNode(t *testing.T) {
 }
 
 // TestZeroDurationsHonored pins the zero-vs-unset rules: an explicit
-// zero warmup measures from t=0 and a single explicit onoff period is
-// honored; defaults only replace meaningless zeros.
+// zero warmup measures from t=0; defaults only replace meaningless zeros
+// (the measurement window, the sampling interval).
 func TestZeroDurationsHonored(t *testing.T) {
 	s := twinMixed(1)
 	s.Warmup = 0
@@ -567,16 +644,10 @@ func TestZeroDurationsHonored(t *testing.T) {
 	if d.Duration == 0 {
 		t.Fatal("zero-length measurement window kept")
 	}
-	s.Flows[0].Pattern = PatternOnOff
-	s.Flows[0].On = Duration(2 * sim.Second) // off omitted → continuous
+	s.Flows[0].Pattern = PatternAnemometer // interval omitted → 1s
 	d = s.withDefaults()
-	if got := d.Flows[0]; got.On != Duration(2*sim.Second) || got.Off != 0 {
-		t.Fatalf("explicit on-period rewrote off: on=%v off=%v", got.On.D(), got.Off.D())
-	}
-	s.Flows[0].On = 0 // both omitted → 5s/5s default
-	d = s.withDefaults()
-	if got := d.Flows[0]; got.On == 0 || got.Off == 0 {
-		t.Fatalf("onoff defaults not applied: on=%v off=%v", got.On.D(), got.Off.D())
+	if got := d.Flows[0].Interval; got != Duration(sim.Second) {
+		t.Fatalf("anemometer interval default not applied: %v", got.D())
 	}
 }
 
@@ -716,7 +787,7 @@ func TestSweepOverrides(t *testing.T) {
 			Hops: []int{1, 3, 4},
 			Overrides: []Override{{
 				When: OverrideWhen{"hops": "4"},
-				Set:  OverrideSet{WindowSegs: 6, Variant: "bbr"},
+				Set:  OverrideSet{WindowSegs: 6},
 			}},
 		},
 	}
@@ -728,16 +799,15 @@ func TestSweepOverrides(t *testing.T) {
 		t.Fatalf("cells = %d", len(cells))
 	}
 	for i, c := range cells[:2] {
-		if c.Net.WindowSegs != 0 || c.Flows[0].Variant != "" {
+		if c.Net.WindowSegs != 0 {
 			t.Fatalf("cell %d caught the override: %+v", i, c)
 		}
 	}
-	if c := cells[2]; c.Net.WindowSegs != 6 || c.Flows[0].Variant != "bbr" {
-		t.Fatalf("4-hop cell missed the override: window=%d variant=%q",
-			c.Net.WindowSegs, c.Flows[0].Variant)
+	if c := cells[2]; c.Net.WindowSegs != 6 {
+		t.Fatalf("4-hop cell missed the override: window=%d", c.Net.WindowSegs)
 	}
-	// The base spec's flows stay untouched.
-	if spec.Flows[0].Variant != "" {
+	// The base spec stays untouched.
+	if spec.Net.WindowSegs != 0 {
 		t.Fatal("override mutated the base spec")
 	}
 	// JSON round-trip, including the ISSUE's bare-number when-form.
@@ -1010,7 +1080,7 @@ func TestAllExampleSpecsLoad(t *testing.T) {
 	}
 }
 
-// TestPatterns exercises the onoff and anemometer traffic patterns and
+// TestPatterns exercises the bulk and anemometer traffic patterns and
 // the host endpoint on one chain.
 func TestPatterns(t *testing.T) {
 	mk := func(pattern string, f func(*FlowSpec)) *Spec {
@@ -1029,33 +1099,26 @@ func TestPatterns(t *testing.T) {
 	}
 	results, err := (&Runner{}).RunAll([]*Spec{
 		mk(PatternBulk, nil),
-		mk(PatternOnOff, func(f *FlowSpec) {
-			f.On = Duration(2 * sim.Second)
-			f.Off = Duration(2 * sim.Second)
-		}),
 		mk(PatternAnemometer, func(f *FlowSpec) { f.Batch = 4 }),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bulk := results[0].Runs[0].Flows[0].GoodputKbps
-	onoff := results[1].Runs[0].Flows[0].GoodputKbps
-	anem := results[2].Runs[0].Flows[0].GoodputKbps
-	if bulk <= 0 || onoff <= 0 || anem <= 0 {
-		t.Fatalf("goodputs: bulk=%.1f onoff=%.1f anem=%.1f", bulk, onoff, anem)
+	anem := results[1].Runs[0].Flows[0].GoodputKbps
+	if bulk <= 0 || anem <= 0 {
+		t.Fatalf("goodputs: bulk=%.1f anem=%.1f", bulk, anem)
 	}
-	// On-off idles half the time; the anemometer generates 82 B/s.
-	if onoff >= bulk*0.85 {
-		t.Fatalf("onoff %.1f kb/s not throttled vs bulk %.1f kb/s", onoff, bulk)
-	}
+	// The anemometer generates 82 B/s.
 	if anem > 2 {
 		t.Fatalf("anemometer %.1f kb/s, want ≈0.7 (1 Hz × 82 B readings)", anem)
 	}
 }
 
 // TestPerFlowWindowAndPacing pins the per-flow config threading: a w=8
-// flow outruns a w=1 flow on a clean one-hop link, and the pacing=false
-// knob reaches the connection config.
+// flow outruns a w=1 flow on a clean one-hop link, and each flow's
+// variant — the one thing that decides pacing — reaches its connection
+// config.
 func TestPerFlowWindowAndPacing(t *testing.T) {
 	mkWin := func(name string, w int) *Spec {
 		return &Spec{
@@ -1080,26 +1143,24 @@ func TestPerFlowWindowAndPacing(t *testing.T) {
 		t.Fatalf("w=8 (%.1f kb/s) did not outrun w=1 (%.1f kb/s)", w8.GoodputKbps, w1.GoodputKbps)
 	}
 
-	off := false
-	spec := twinMixed(5)
-	spec.Flows[0].Pacing = &off
-	rc, err := (&Runner{}).buildRun(spec.withDefaults(), 5)
+	// Whether a flow paces is its variant's business alone: the BBR flow's
+	// algorithm is a cc.Pacer, the NewReno flow's is not.
+	rc, err := (&Runner{}).buildRun(twinMixed(5).withDefaults(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg0, _, err := rc.tcpConfigs(rc.flows[0].spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg0.NoPacing {
-		t.Fatal("pacing=false did not set NoPacing on the flow config")
-	}
-	cfg1, _, err := rc.tcpConfigs(rc.flows[1].spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg1.NoPacing {
-		t.Fatal("NoPacing leaked onto the second flow")
+	for i, want := range []bool{true, false} {
+		cfg, _, err := rc.tcpConfigs(rc.flows[i].spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg, err := cc.New(cfg.Variant, cc.Params{InitialWindow: cfg.MSS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, paces := alg.(cc.Pacer); paces != want {
+			t.Fatalf("flow %d (%s): paces = %v, want %v", i, cfg.Variant, paces, want)
+		}
 	}
 }
 
@@ -1170,6 +1231,41 @@ func TestRunnerWindowDefault(t *testing.T) {
 		if got := sr.Runs[0].Flows[0].WindowSegs; got != c.want {
 			t.Fatalf("%s: window = %d segments, want %d", c.name, got, c.want)
 		}
+	}
+}
+
+// TestRunnerWindowBounded: the per-connection buffer limit Validate puts
+// on a spec's window holds for the window a Runner supplies too, at the
+// spec's own segment size. One segment past it is a *WindowError naming
+// the window and the limit, and nothing runs; the limit itself passes.
+// A spec's own window_segs, which wins over the Runner's, is checked by
+// its key as before.
+func TestRunnerWindowBounded(t *testing.T) {
+	spec := &Spec{
+		Name:     "runner-window",
+		Topology: TopologySpec{Kind: TopoChain, Nodes: 2},
+		Flows:    []FlowSpec{{From: NodeID(1), To: NodeID(0)}},
+		Duration: Duration(sim.Second),
+	}
+	for _, frames := range []int{0, maxSegFrames} { // 0: the default 5-frame segments
+		spec.Net.SegFrames = frames
+		segFrames := max(frames, 5)
+		limit := maxConnBuf / phy.MaxMACPayload / segFrames
+		_, err := (&Runner{Workers: 1, WindowSegs: limit + 1}).Run(spec)
+		var we *WindowError
+		if !errors.As(err, &we) || we.Window != limit+1 || we.SegFrames != segFrames || we.Limit != limit ||
+			!strings.Contains(err.Error(), "window of "+strconv.Itoa(limit+1)) ||
+			!strings.Contains(err.Error(), "limit at seg_frames "+strconv.Itoa(segFrames)+" is "+strconv.Itoa(limit)) {
+			t.Fatalf("runner window %d at seg_frames %d: err = %v, want a WindowError naming the limit %d", limit+1, segFrames, err, limit)
+		}
+		if err := spec.validate(limit); err != nil {
+			t.Fatalf("runner window %d (the limit) at seg_frames %d: %v", limit, segFrames, err)
+		}
+	}
+	spec.Net.SegFrames, spec.Net.WindowSegs = 0, maxConnBuf/phy.MaxMACPayload/5+1
+	var we *WindowError
+	if err := spec.validate(4); err == nil || errors.As(err, &we) || !strings.Contains(err.Error(), "net: window_segs") {
+		t.Fatalf("spec window over the limit: err = %v, want the net.window_segs error", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package scenario is the declarative multi-flow experiment subsystem:
 // a Spec names a topology, link conditions, per-node duty-cycle roles,
 // and per-flow transport configuration (congestion-control variant,
-// window, pacing, application pattern); a Runner instantiates every
+// window, application pattern); a Runner instantiates every
 // (spec, seed) pair onto the sim/phy/mac/stack layers, fans the runs
 // out across a worker pool — each seed's engine is independent, so
 // parallelism is deterministic — and aggregates per-flow goodput,
@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,7 +45,6 @@ import (
 
 	"tcplp/internal/gateway"
 	"tcplp/internal/ip6"
-	"tcplp/internal/mesh"
 	"tcplp/internal/phy"
 	"tcplp/internal/sim"
 	"tcplp/internal/sixlowpan"
@@ -174,14 +174,11 @@ const (
 	// target mean degree, the border router at the center — the city-scale
 	// generator (guaranteed connected, deterministic in its seed).
 	TopoRandomGeometric = "random_geometric"
-	// TopoTree embeds a fanout-ary tree of the given depth around the
-	// border router; shortest-path hop count equals tree depth.
-	TopoTree = "tree"
 )
 
 // TopologySpec selects and parameterizes the mesh layout.
 type TopologySpec struct {
-	// Kind is one of chain, star, office, twinleaf, random_geometric, tree.
+	// Kind is one of chain, star, office, twinleaf, random_geometric.
 	Kind string `json:"kind"`
 	// Nodes is the node count for chain/star/random_geometric (ignored
 	// otherwise).
@@ -193,9 +190,6 @@ type TopologySpec struct {
 	Spacing float64 `json:"spacing,omitempty"`
 	// Density is the random_geometric target mean node degree (default 6).
 	Density float64 `json:"density,omitempty"`
-	// Depth and Fanout shape the tree topology.
-	Depth  int `json:"depth,omitempty"`
-	Fanout int `json:"fanout,omitempty"`
 	// Seed fixes the random_geometric placement (default 1). It is
 	// deliberately separate from the channel seed list: every seed of a
 	// run explores the same city.
@@ -224,10 +218,6 @@ type NetSpec struct {
 	RED      bool `json:"red,omitempty"`
 	ECN      bool `json:"ecn,omitempty"`
 	HopByHop bool `json:"hop_by_hop,omitempty"`
-	// WireDelay is the one-way border↔host latency (default 6 ms).
-	WireDelay Duration `json:"wire_delay,omitempty"`
-	// AttachHost forces the wired cloud host even when no flow names it.
-	AttachHost bool `json:"attach_host,omitempty"`
 	// InjectedLoss drops packets crossing the border router with this
 	// probability — the §9.4 loss-injection mechanism.
 	InjectedLoss float64 `json:"injected_loss,omitempty"`
@@ -278,20 +268,14 @@ type WANSpec struct {
 
 // GatewaySpec installs the border-router gateway tier: flows addressed
 // "to": "gateway" terminate at the border router's shared per-device
-// connection table and are proxied onto the WAN, with deliveries
-// credited per source at a cloud collector — upstream fairness becomes
-// measurable end-to-end (device → gateway → cloud).
+// connection table (TCP port 7000, CoAP port 5683) and are proxied onto
+// the WAN, with deliveries credited per source at a cloud collector —
+// upstream fairness becomes measurable end-to-end (device → gateway →
+// cloud).
 type GatewaySpec struct {
-	// TCPPort/CoAPPort are the LLN-side terminator ports (defaults 7000
-	// and 5683).
-	TCPPort  uint16 `json:"tcp_port,omitempty"`
-	CoAPPort uint16 `json:"coap_port,omitempty"`
 	// MaxConns bounds the per-device connection table; 0 is unbounded. A
 	// full table evicts its least-recently-active device.
 	MaxConns int `json:"max_conns,omitempty"`
-	// IdleTimeout evicts table entries idle this long; 0 disables the
-	// sweep.
-	IdleTimeout Duration `json:"idle_timeout,omitempty"`
 	// WAN shapes the backhaul link.
 	WAN WANSpec `json:"wan,omitempty"`
 }
@@ -299,7 +283,6 @@ type GatewaySpec struct {
 // Traffic patterns.
 const (
 	PatternBulk       = "bulk"       // saturating stream (default, TCP only)
-	PatternOnOff      = "onoff"      // bulk during on-periods, idle between (TCP only)
 	PatternAnemometer = "anemometer" // §3 sensor: periodic readings, optional batching
 )
 
@@ -312,7 +295,7 @@ type FlowSpec struct {
 	To    NodeRef `json:"to"`
 	// Protocol selects the transport: tcp (default), udp, or
 	// coap. Non-TCP flows carry the anemometer pattern (telemetry);
-	// bulk/onoff streams need TCP's reliability.
+	// bulk streams need TCP's reliability.
 	Protocol string `json:"protocol,omitempty"`
 	// Confirmable selects CoAP CON (default) vs NON exchanges; only
 	// meaningful for protocol "coap".
@@ -320,7 +303,8 @@ type FlowSpec struct {
 	// RTO selects the CoAP retransmission-timeout policy: "default"
 	// (RFC 7252) or "cocoa" (draft-ietf-core-cocoa, the §9.4 baseline).
 	RTO string `json:"rto,omitempty"`
-	// Port is the sink's listening port (default 80+index).
+	// Port is the sink's listening port (default 80 + the flow's index
+	// among the flows a run starts, per_device replicas included).
 	Port uint16 `json:"port,omitempty"`
 	// Variant is the congestion-control algorithm (newreno, cubic,
 	// westwood, bbr, vegas); empty uses the process default.
@@ -330,7 +314,7 @@ type FlowSpec struct {
 	// connection uses the profile's stripped configuration while the
 	// sink stays full TCPlp, whose delayed ACKs penalize stop-and-wait
 	// stacks exactly as the paper's gateway-class receivers did. A
-	// profile overrides variant/window_segs/pacing for the flow.
+	// profile overrides variant/window_segs for the flow.
 	Profile string `json:"profile,omitempty"`
 	// Trace records the sender's congestion-window trajectory over the
 	// measurement window into FlowResult.CwndTrace (Fig. 7a).
@@ -339,18 +323,8 @@ type FlowSpec struct {
 	// segments, applied to both the sender's buffers and the sink's
 	// advertised window.
 	WindowSegs int `json:"window_segs,omitempty"`
-	// Pacing forces pacing off when set to false; unset (null) leaves
-	// the variant's own behaviour (BBR paces, loss-based variants are
-	// ACK-clocked). True is only meaningful for pacing-capable variants.
-	Pacing *bool `json:"pacing,omitempty"`
-	// Pattern is bulk (default), onoff, or anemometer.
+	// Pattern is bulk (default for direct TCP flows) or anemometer.
 	Pattern string `json:"pattern,omitempty"`
-	// On/Off are the onoff pattern's period lengths. Omitting both
-	// selects the 5s/5s default; setting one honors the other as given,
-	// so "off": "0s" with an explicit on-period means continuous
-	// sending.
-	On  Duration `json:"on,omitempty"`
-	Off Duration `json:"off,omitempty"`
 	// Interval is the anemometer sampling period; 0 selects the 1s
 	// default (a zero sampling period is meaningless).
 	Interval Duration `json:"interval,omitempty"`
@@ -465,13 +439,8 @@ func (w *OverrideWhen) UnmarshalJSON(b []byte) error {
 
 // OverrideSet is the patch a matching cell receives.
 type OverrideSet struct {
-	// WindowSegs/SegFrames/PER/RetryDelay override the network knobs.
-	WindowSegs int       `json:"window_segs,omitempty"`
-	SegFrames  int       `json:"seg_frames,omitempty"`
-	PER        *float64  `json:"per,omitempty"`
-	RetryDelay *Duration `json:"retry_delay,omitempty"`
-	// Variant overrides every flow's congestion-control algorithm.
-	Variant string `json:"variant,omitempty"`
+	// WindowSegs overrides the network window, in segments.
+	WindowSegs int `json:"window_segs,omitempty"`
 }
 
 // matches reports whether every when-entry equals the cell coordinate.
@@ -495,21 +464,6 @@ func (o *Override) matches(point []AxisValue) bool {
 func (o *Override) apply(c *Spec) {
 	if o.Set.WindowSegs > 0 {
 		c.Net.WindowSegs = o.Set.WindowSegs
-	}
-	if o.Set.SegFrames > 0 {
-		c.Net.SegFrames = o.Set.SegFrames
-	}
-	if o.Set.PER != nil {
-		c.Net.PER = *o.Set.PER
-	}
-	if o.Set.RetryDelay != nil {
-		d := *o.Set.RetryDelay
-		c.Net.RetryDelay = &d
-	}
-	if o.Set.Variant != "" {
-		for i := range c.Flows {
-			c.Flows[i].Variant = o.Set.Variant
-		}
 	}
 }
 
@@ -771,7 +725,7 @@ var sweepAxes = []sweepAxis{
 				if protocol != protoTCP {
 					// TCP-only knobs have nothing to bind to.
 					f.Variant, f.Profile, f.Trace = "", "", false
-					f.WindowSegs, f.Pacing = 0, nil
+					f.WindowSegs = 0
 				}
 			}
 		},
@@ -888,6 +842,19 @@ var maxSegFrames = func() int {
 	return f
 }()
 
+// WindowError is RunAll's refusal of a Runner's WindowSegs (the CLI's
+// -window): at seg_frames SegFrames the per-connection buffer limit
+// allows Limit segments. A spec's own window_segs is checked by its key.
+type WindowError struct {
+	Spec                     string
+	Window, SegFrames, Limit int
+}
+
+func (e *WindowError) Error() string {
+	return fmt.Sprintf("scenario %q: a default window of %d segments × seg_frames %d asks for more than %d bytes of buffer per connection; the limit at seg_frames %d is %d segments",
+		e.Spec, e.Window, e.SegFrames, maxConnBuf, e.SegFrames, e.Limit)
+}
+
 // validateSweep checks the grid's size — from the axis lengths alone,
 // before anything expands it — and the axis values themselves; the
 // expanded cells are validated individually afterwards.
@@ -942,19 +909,8 @@ func (s *Spec) validateSweep() error {
 					i, axis, want, strings.Join(have, ", "))
 			}
 		}
-		if ov.Set.WindowSegs < 0 || ov.Set.SegFrames < 0 {
-			return bad("override %d: negative window_segs/seg_frames", i)
-		}
-		if ov.Set.PER != nil && (*ov.Set.PER < 0 || *ov.Set.PER >= 1) {
-			return bad("override %d: per %v out of range [0,1)", i, *ov.Set.PER)
-		}
-		if ov.Set.RetryDelay != nil && *ov.Set.RetryDelay < 0 {
-			return bad("override %d: negative retry_delay", i)
-		}
-		if ov.Set.Variant != "" {
-			if _, err := cc.Parse(ov.Set.Variant); err != nil {
-				return bad("override %d: %v", i, err)
-			}
+		if ov.Set.WindowSegs < 0 {
+			return bad("override %d: negative window_segs", i)
 		}
 	}
 	return nil
@@ -969,8 +925,6 @@ func (t TopologySpec) nodeCount() int {
 		return 15
 	case TopoTwinLeaf:
 		return t.PathHops + 2
-	case TopoTree:
-		return mesh.TreeNodes(t.Depth, t.Fanout) // saturates, never wraps
 	}
 	return 0
 }
@@ -978,13 +932,18 @@ func (t TopologySpec) nodeCount() int {
 // sizeField names the topology field(s) that set nodeCount, by kind.
 var sizeField = map[string]string{
 	TopoChain: "nodes", TopoStar: "nodes", TopoRandomGeometric: "nodes",
-	TopoTwinLeaf: "path_hops", TopoTree: "depth/fanout",
+	TopoTwinLeaf: "path_hops",
 }
 
 // Validate checks the spec for structural errors — unknown kinds,
 // out-of-range node ids, bad variants — so a Runner never panics
 // mid-simulation on a malformed file.
-func (s *Spec) Validate() error {
+func (s *Spec) Validate() error { return s.validate(0) }
+
+// validate is Validate for a run whose default window is windowSegs
+// segments (a Runner's WindowSegs; 0 keeps the paper's 4), which the
+// per-connection buffer limit must cover too.
+func (s *Spec) validate(windowSegs int) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
 	}
@@ -999,7 +958,7 @@ func (s *Spec) Validate() error {
 			return err
 		}
 		for _, c := range s.Expand() {
-			if err := c.Validate(); err != nil {
+			if err := c.validate(windowSegs); err != nil {
 				return err
 			}
 		}
@@ -1025,12 +984,8 @@ func (s *Spec) Validate() error {
 		if s.Topology.Density < 0 {
 			return bad("topology random_geometric: negative density")
 		}
-	case TopoTree:
-		if s.Topology.Depth < 1 || s.Topology.Fanout < 1 {
-			return bad("topology tree needs depth >= 1 and fanout >= 1")
-		}
 	default:
-		return bad("unknown topology kind %q (have chain, star, office, twinleaf, random_geometric, tree)", s.Topology.Kind)
+		return bad("unknown topology kind %q (have chain, star, office, twinleaf, random_geometric)", s.Topology.Kind)
 	}
 	n := s.Topology.nodeCount()
 	if n > maxNodes || n < 0 { // < 0: path_hops + 2 wrapped
@@ -1039,9 +994,12 @@ func (s *Spec) Validate() error {
 	if len(s.Flows) == 0 {
 		return bad("no flows")
 	}
-	opt := s.options("", 0) // the window and segment size the spec arrives at
+	opt := s.options("", windowSegs) // the window and segment size the run arrives at
 	maxWindow := maxConnBuf / phy.MaxMACPayload / opt.SegFrames
 	if opt.WindowSegs > maxWindow {
+		if s.Net.WindowSegs == 0 && windowSegs > 0 { // the Runner's window, not the spec's
+			return &WindowError{Spec: s.Name, Window: windowSegs, SegFrames: opt.SegFrames, Limit: maxWindow}
+		}
 		return bad("net: window_segs %d × seg_frames %d asks for more than %d bytes of buffer per connection (the limit)",
 			opt.WindowSegs, opt.SegFrames, maxConnBuf)
 	}
@@ -1060,21 +1018,6 @@ func (s *Spec) Validate() error {
 		}
 		return nil
 	}
-	// The gateway's terminator ports live on node 0; a direct flow
-	// sinking there would silently displace the shared listeners.
-	gwPorts := map[int]bool{}
-	if s.Gateway != nil {
-		tcpPort, coapPort := int(s.Gateway.TCPPort), int(s.Gateway.CoAPPort)
-		if tcpPort == 0 {
-			tcpPort = gateway.DefaultTCPPort
-		}
-		if coapPort == 0 {
-			coapPort = gateway.DefaultCoAPPort
-		}
-		gwPorts[tcpPort] = true
-		gwPorts[coapPort] = true
-	}
-	sinks := map[string]int{}  // "to:port" → flow index
 	gwSrc := map[string]int{}  // gateway-flow source → flow index
 	perDevice, gwFlows := 0, 0 // gateway-flow census
 	for i, f := range s.Flows {
@@ -1144,20 +1087,20 @@ func (s *Spec) Validate() error {
 			}
 		}
 		switch f.Pattern {
-		case "", PatternBulk, PatternOnOff, PatternAnemometer:
+		case "", PatternBulk, PatternAnemometer:
 		default:
-			return bad("flow %d: unknown pattern %q (have bulk, onoff, anemometer)", i, f.Pattern)
+			return bad("flow %d: unknown pattern %q (have bulk, anemometer)", i, f.Pattern)
 		}
 		switch proto {
 		case protoTCP:
 		case protoUDP, protoCoAP:
 			// Non-TCP transports carry telemetry only; the TCP-specific
 			// knobs have nothing to bind to.
-			if f.Pattern == PatternBulk || f.Pattern == PatternOnOff {
+			if f.Pattern == PatternBulk {
 				return bad("flow %d: pattern %q needs protocol tcp (udp/coap flows carry the anemometer pattern)", i, f.Pattern)
 			}
-			if f.Variant != "" || f.Profile != "" || f.Trace || f.WindowSegs != 0 || f.Pacing != nil {
-				return bad("flow %d: variant/profile/trace/window_segs/pacing are TCP knobs; protocol is %q", i, proto)
+			if f.Variant != "" || f.Profile != "" || f.Trace || f.WindowSegs != 0 {
+				return bad("flow %d: variant/profile/trace/window_segs are TCP knobs; protocol is %q", i, proto)
 			}
 		default:
 			return bad("flow %d: unknown protocol %q (have coap, tcp, udp)", i, proto)
@@ -1177,31 +1120,41 @@ func (s *Spec) Validate() error {
 			return bad("flow %d: window_segs %d × seg_frames %d asks for more than %d bytes of buffer per connection (the limit)",
 				i, f.WindowSegs, opt.SegFrames, maxConnBuf)
 		}
-		if f.On < 0 || f.Off < 0 || f.Interval < 0 {
-			return bad("flow %d: negative on/off/interval", i)
+		if f.Interval < 0 {
+			return bad("flow %d: negative interval", i)
 		}
-		// Two flows listening on the same node:port would silently
-		// replace each other's sink (tcplp.Stack.Listen keeps the last
-		// listener), crediting one flow with both streams. Gateway flows
-		// share the gateway's terminators by design and skip the check.
-		if f.To.Gateway {
-			continue
-		}
-		port := int(f.Port)
-		if port == 0 {
-			port = 80 + i // the default withDefaults will assign
-		}
-		if !f.To.Host && !f.To.End && f.To.ID == 0 && gwPorts[port] {
-			return bad("flow %d: port %d on node 0 is a gateway terminator port", i, port)
-		}
-		key := fmt.Sprintf("%s:%d", f.To, port)
-		if prev, dup := sinks[key]; dup {
-			return bad("flows %d and %d share sink %s", prev, i, key)
-		}
-		sinks[key] = i
 	}
 	if perDevice > 1 || (perDevice > 0 && gwFlows > perDevice) {
 		return bad("a per_device gateway template must be the only gateway flow (its replicas cover every device)")
+	}
+	// Two flows listening on the same node:port would silently replace
+	// each other's sink (tcplp.Stack.Listen keeps the last listener),
+	// crediting one flow with both streams; a direct flow on one of the
+	// gateway's terminator ports on node 0 would displace the shared
+	// listener. Gateway flows share the terminators by design. The walk
+	// is the run's own, so every defaulted port is the one the run uses.
+	sinks := map[string]int{} // "to:port" → index in start order
+	err := s.eachStartedFlow(func(i int, f FlowSpec, _ bool) error {
+		if f.To.Gateway {
+			return nil
+		}
+		to := f.To
+		if to.End {
+			to = NodeID(n - 1)
+		}
+		if s.Gateway != nil && !to.Host && to.ID == 0 &&
+			(f.Port == gateway.DefaultTCPPort || f.Port == gateway.DefaultCoAPPort) {
+			return bad("started flow %d: port %d on node 0 is a gateway terminator port", i, f.Port)
+		}
+		key := fmt.Sprintf("%s:%d", to, f.Port)
+		if prev, dup := sinks[key]; dup {
+			return bad("started flows %d and %d share sink %s (a flow without a port gets 80 + its index in start order, per_device replicas counted)", prev, i, key)
+		}
+		sinks[key] = i
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, ns := range s.Nodes {
 		if ns.ID <= 0 || ns.ID >= n {
@@ -1225,9 +1178,6 @@ func (s *Spec) Validate() error {
 	if g := s.Gateway; g != nil {
 		if g.MaxConns < 0 {
 			return bad("gateway: negative max_conns")
-		}
-		if g.IdleTimeout < 0 {
-			return bad("gateway: negative idle_timeout")
 		}
 		if g.WAN.BandwidthKbps < 0 {
 			return bad("gateway: negative wan bandwidth_kbps")
@@ -1257,9 +1207,6 @@ func (s *Spec) Validate() error {
 	if s.Net.RetryDelay != nil && *s.Net.RetryDelay < 0 {
 		return bad("negative retry_delay")
 	}
-	if s.Net.WireDelay < 0 {
-		return bad("negative wire_delay")
-	}
 	if s.Duration < 0 || s.Warmup < 0 {
 		return bad("negative duration")
 	}
@@ -1269,10 +1216,50 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// eachStartedFlow calls fn with every flow a run starts, in start order:
+// each per_device template replicated across its devices (From set, the
+// template fields cleared, replica true) and every direct flow's sink port
+// defaulted to 80 + its index in that order. Validate's sink checks and
+// withDefaults both walk it, so a port one clears is the port the other
+// assigns. A default past the last port is an error, not a wrapped
+// port. The walk stops at the first error.
+func (s *Spec) eachStartedFlow(fn func(i int, f FlowSpec, replica bool) error) error {
+	n, i := s.Topology.nodeCount(), 0
+	start := func(f FlowSpec, replica bool) error {
+		if f.Port == 0 && !f.To.Gateway {
+			// Gateway flows keep port 0: they share the gateway's
+			// terminator ports instead of a private sink.
+			if 80+i > math.MaxUint16 {
+				return fmt.Errorf("scenario %q: started flow %d (%s->%s) has no port, and its default 80 + %d is over the last port, %d; give it a port",
+					s.Name, i, f.From, f.To, i, math.MaxUint16)
+			}
+			f.Port = uint16(80 + i)
+		}
+		i++
+		return fn(i-1, f, replica)
+	}
+	for _, f := range s.Flows {
+		if !f.PerDevice {
+			if err := start(f, false); err != nil {
+				return err
+			}
+			continue
+		}
+		for id := 1; id < n; id += max(f.Stride, 1) {
+			r := f
+			r.PerDevice, r.Stride, r.From = false, 0, NodeID(id)
+			if err := start(r, true); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // withDefaults returns a copy of the spec with defaults applied:
 // measurement schedule, seeds, flow labels and ports. A zero warmup is
 // honored (measure from t=0); zero values are only replaced where zero
-// is meaningless (duration, interval, both onoff periods omitted).
+// is meaningless (duration, interval).
 func (s *Spec) withDefaults() *Spec {
 	out := *s
 	if out.Duration == 0 {
@@ -1299,35 +1286,11 @@ func (s *Spec) withDefaults() *Spec {
 		}
 		out.AllNodes = nil
 	}
-	// Replicate per_device flow templates across the device fleet before
-	// per-flow defaulting, so each replica gets its own label.
+	// Each per_device replica gets its own label.
 	out.Flows = make([]FlowSpec, 0, len(s.Flows))
-	for _, f := range s.Flows {
-		if !f.PerDevice {
-			out.Flows = append(out.Flows, f)
-			continue
-		}
-		step := f.Stride
-		if step < 1 {
-			step = 1
-		}
-		for id := 1; id < out.Topology.nodeCount(); id += step {
-			r := f
-			r.PerDevice = false
-			r.Stride = 0
-			r.From = NodeID(id)
-			if f.Label != "" {
-				r.Label = fmt.Sprintf("%s-%d", f.Label, id)
-			}
-			out.Flows = append(out.Flows, r)
-		}
-	}
-	for i := range out.Flows {
-		f := &out.Flows[i]
-		if f.Port == 0 && !f.To.Gateway {
-			// Gateway flows keep port 0: they share the gateway's
-			// terminator ports instead of a private sink.
-			f.Port = uint16(80 + i)
+	s.eachStartedFlow(func(_ int, f FlowSpec, replica bool) error {
+		if replica && f.Label != "" {
+			f.Label = fmt.Sprintf("%s-%d", f.Label, f.From.ID)
 		}
 		if f.Label == "" {
 			f.Label = fmt.Sprintf("%s->%s", f.From, f.To)
@@ -1344,22 +1307,18 @@ func (s *Spec) withDefaults() *Spec {
 				f.Pattern = PatternBulk
 			}
 		}
-		if f.Pattern == PatternOnOff && f.On == 0 && f.Off == 0 {
-			f.On = Duration(5 * sim.Second)
-			f.Off = Duration(5 * sim.Second)
-		}
 		if f.Pattern == PatternAnemometer && f.Interval == 0 {
 			f.Interval = Duration(sim.Second)
 		}
-	}
+		out.Flows = append(out.Flows, f)
+		return nil
+	})
 	return &out
 }
 
-// needsHost reports whether the wired cloud host must be attached.
+// needsHost reports whether the wired cloud host must be attached: a
+// flow names it.
 func (s *Spec) needsHost() bool {
-	if s.Net.AttachHost {
-		return true
-	}
 	for _, f := range s.Flows {
 		if f.From.Host || f.To.Host {
 			return true

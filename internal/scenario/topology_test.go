@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"tcplp/internal/mesh"
 	"tcplp/internal/sim"
 )
 
@@ -33,12 +32,6 @@ func TestGeneratedTopologyValidation(t *testing.T) {
 	}{
 		{"too few nodes", func(s *Spec) { s.Topology.Nodes = 1 }, "nodes >= 2"},
 		{"negative density", func(s *Spec) { s.Topology.Density = -1 }, "density"},
-		{"tree without depth", func(s *Spec) {
-			s.Topology = TopologySpec{Kind: TopoTree, Fanout: 2}
-		}, "depth"},
-		{"tree without fanout", func(s *Spec) {
-			s.Topology = TopologySpec{Kind: TopoTree, Depth: 2}
-		}, "fanout"},
 	}
 	for _, c := range cases {
 		spec := citySpec(12)
@@ -51,50 +44,27 @@ func TestGeneratedTopologyValidation(t *testing.T) {
 	if err := citySpec(12).Validate(); err != nil {
 		t.Fatalf("valid random_geometric spec rejected: %v", err)
 	}
-	tree := citySpec(0)
-	tree.Topology = TopologySpec{Kind: TopoTree, Depth: 2, Fanout: 3}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("valid tree spec rejected: %v", err)
-	}
 }
 
-// TestGeneratedTopologyRuns drives both generator kinds end-to-end: the
+// TestGeneratedTopologyRuns drives the generated kind end-to-end: the
 // run must deliver telemetry (the mesh is connected by construction) and
 // report a deterministic event count.
 func TestGeneratedTopologyRuns(t *testing.T) {
-	for _, spec := range []*Spec{
-		citySpec(12),
-		func() *Spec {
-			s := citySpec(0)
-			s.Name = "tree-test"
-			s.Topology = TopologySpec{Kind: TopoTree, Depth: 2, Fanout: 2}
-			return s
-		}(),
-	} {
-		res, err := (&Runner{}).Run(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		run := res.Runs[0]
-		if run.Events == 0 {
-			t.Fatalf("%s: no events recorded", spec.Name)
-		}
-		delivered := uint64(0)
-		for _, f := range run.Flows {
-			delivered += f.Delivered
-		}
-		if delivered == 0 {
-			t.Fatalf("%s: no readings delivered", spec.Name)
-		}
+	spec := citySpec(12)
+	res, err := (&Runner{}).Run(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
 	}
-}
-
-// TestTreeNodeCount pins the tree kind's derived fleet size: flow
-// validation and per-device replication both depend on it.
-func TestTreeNodeCount(t *testing.T) {
-	ts := TopologySpec{Kind: TopoTree, Depth: 3, Fanout: 2}
-	if got, want := ts.nodeCount(), mesh.TreeNodes(3, 2); got != want {
-		t.Fatalf("nodeCount = %d, want %d", got, want)
+	run := res.Runs[0]
+	if run.Events == 0 {
+		t.Fatalf("%s: no events recorded", spec.Name)
+	}
+	delivered := uint64(0)
+	for _, f := range run.Flows {
+		delivered += f.Delivered
+	}
+	if delivered == 0 {
+		t.Fatalf("%s: no readings delivered", spec.Name)
 	}
 }
 

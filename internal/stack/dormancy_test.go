@@ -60,7 +60,7 @@ func TestWakeOnFirstAddressedFrame(t *testing.T) {
 
 	t.Run("broadcast", func(t *testing.T) {
 		net := New(3, mesh.Chain(3, 10), DefaultOptions())
-		net.Nodes[1].Mac().Send(phy.BroadcastAddr, []byte{0xff}, nil)
+		net.Nodes[1].Mac().SendJID(phy.BroadcastAddr, []byte{0xff}, 0, nil)
 		net.Eng.Run()
 		for _, n := range []*Node{net.Nodes[0], net.Nodes[2]} {
 			if !awake(n) || n.CPU.Busy() != energyFrameRx {
@@ -78,7 +78,7 @@ func TestWakeOnFirstAddressedFrame(t *testing.T) {
 		bystander := net.Nodes[0]
 		bystander.Radio.SetAddressFilter(false)
 		var status mac.TxStatus = -1
-		net.Nodes[1].Mac().Send(net.Nodes[2].LinkAddr(), []byte{0xff}, func(s mac.TxStatus) { status = s })
+		net.Nodes[1].Mac().SendJID(net.Nodes[2].LinkAddr(), []byte{0xff}, 0, func(s mac.TxStatus) { status = s })
 		for !awake(bystander) && net.Eng.Step() {
 		}
 		if got := bystander.Radio.FramesReceived(); got != 1 {
@@ -99,7 +99,7 @@ func TestWakeOnFirstAddressedFrame(t *testing.T) {
 		net := New(3, mesh.Chain(2, 10), DefaultOptions())
 		src, dst := net.Nodes[1], net.Nodes[0]
 		var status mac.TxStatus = -1
-		src.Mac().Send(dst.LinkAddr(), make([]byte, 60), func(s mac.TxStatus) { status = s })
+		src.Mac().SendJID(dst.LinkAddr(), make([]byte, 60), 0, func(s mac.TxStatus) { status = s })
 		for dst.Radio.State() != phy.StateRx && net.Eng.Step() {
 		}
 		if awake(dst) {

@@ -19,6 +19,10 @@ import (
 // HostID is the node identifier of the wired cloud host.
 const HostID = 999
 
+// hostWireDelay is the one-way border↔host latency (§9.2: ≈6 ms each
+// way for the 12 ms RTT to EC2).
+const hostWireDelay = 6 * sim.Millisecond
+
 // Options configures a simulated network.
 type Options struct {
 	// MAC holds the CSMA/ARQ parameters, including the §7.1 link-retry
@@ -41,9 +45,6 @@ type Options struct {
 	// RED enables random early detection at relays; ECN additionally
 	// marks instead of dropping (Appendix A).
 	RED, ECN bool
-	// WireDelay is the one-way border↔host latency (§9.2: ≈6 ms each
-	// way for the 12 ms RTT to EC2).
-	WireDelay sim.Duration
 	// PER applies a uniform per-frame corruption probability on every
 	// radio link (beyond collisions).
 	PER float64
@@ -63,7 +64,6 @@ func DefaultOptions() Options {
 		SegFrames:  5,
 		WindowSegs: 4,
 		QueueCap:   32,
-		WireDelay:  6 * sim.Millisecond,
 	}
 }
 
@@ -212,7 +212,7 @@ func (net *Network) AttachHost() *Node {
 		CPU:  energy.MakeCPUMeter(net.Eng, energy.DefaultCosts()),
 	}
 	net.Host = host
-	connectWire(net.Nodes[0], host, net.Opt.WireDelay)
+	connectWire(net.Nodes[0], host)
 	return host
 }
 
@@ -262,16 +262,15 @@ func (net *Network) TotalLossEvents() uint64 {
 
 // ---- wire (border router ↔ cloud host) ----
 
-// wireEnd is one direction of the wire: a constant-delay FIFO. Packets
+// wireEnd is one direction of the wire: a FIFO of hostWireDelay. Packets
 // in flight sit in pooled slots, linked in send order; every send
 // schedules the same prebuilt callback, and because the delay is
 // constant and the engine fires same-instant events in schedule order,
 // the k-th callback to fire always finds the k-th packet sent at the
 // head.
 type wireEnd struct {
-	eng   *sim.Engine
-	delay sim.Duration
-	peer  *Node
+	eng  *sim.Engine
+	peer *Node
 
 	head, tail *wireSlot // in flight, oldest first
 	free       *wireSlot
@@ -287,16 +286,13 @@ type wireSlot struct {
 	next *wireSlot
 }
 
-func connectWire(border, host *Node, delay sim.Duration) {
-	if delay == 0 {
-		delay = 6 * sim.Millisecond
-	}
-	border.wire = newWireEnd(border.Eng(), delay, host)
-	host.wire = newWireEnd(host.Eng(), delay, border)
+func connectWire(border, host *Node) {
+	border.wire = newWireEnd(border.Eng(), host)
+	host.wire = newWireEnd(host.Eng(), border)
 }
 
-func newWireEnd(eng *sim.Engine, delay sim.Duration, peer *Node) *wireEnd {
-	w := &wireEnd{eng: eng, delay: delay, peer: peer}
+func newWireEnd(eng *sim.Engine, peer *Node) *wireEnd {
+	w := &wireEnd{eng: eng, peer: peer}
 	w.deliverFn = w.deliver
 	return w
 }
@@ -321,7 +317,7 @@ func (w *wireEnd) send(pkt *ip6.Packet) {
 		w.tail.next = s
 	}
 	w.tail = s
-	w.eng.Schedule(w.delay, w.deliverFn)
+	w.eng.Schedule(hostWireDelay, w.deliverFn)
 }
 
 // deliver hands the oldest packet in flight to the peer and recycles

@@ -67,25 +67,29 @@ type Config struct {
 	UseTimestamps  bool
 	UseDelayedAcks bool
 	UseECN         bool
-	NoDelay        bool // disable Nagle
 
-	RTOMin, RTOMax sim.Duration
+	// RTOMin floors the retransmission timeout (the ceiling is
+	// DefaultRTOMax for every connection).
+	RTOMin sim.Duration
 	// MaxRetransmits is how many consecutive RTOs abort the connection
 	// (paper §9.4: TCP performs up to 12 retransmissions).
 	MaxRetransmits int
-	DelAckTimeout  sim.Duration
-	// MSL sets TIME_WAIT duration (2·MSL).
-	MSL sim.Duration
 	// InitialCwndSegs is the initial window in segments (RFC 6928: 10).
 	InitialCwndSegs int
 	// Variant selects the congestion-control algorithm
-	// (internal/tcplp/cc); empty selects NewReno.
+	// (internal/tcplp/cc); empty selects NewReno. It alone decides
+	// whether the connection paces: a variant implementing cc.Pacer does.
 	Variant cc.Variant
-	// NoPacing forces ACK-clocked sending even when the variant
-	// implements cc.Pacer — the per-flow pacing on/off knob of the
-	// scenario subsystem.
-	NoPacing bool
 }
+
+// Timers every connection shares. Nagle's algorithm is always on.
+const (
+	// delayedAckTimeout bounds how long a delayed ACK waits for a second
+	// segment.
+	delayedAckTimeout = 100 * sim.Millisecond
+	// maxSegmentLifetime sets the TIME_WAIT duration (twice this).
+	maxSegmentLifetime = 5 * sim.Second
+)
 
 // DefaultConfig mirrors the paper's standard configuration: MSS of five
 // frames' worth of payload (≈408-460 B, set by the stack), 4-segment
@@ -98,12 +102,8 @@ func DefaultConfig() Config {
 		UseSACK:         true,
 		UseTimestamps:   true,
 		UseDelayedAcks:  true,
-		NoDelay:         false,
 		RTOMin:          DefaultRTOMin,
-		RTOMax:          DefaultRTOMax,
 		MaxRetransmits:  12,
-		DelAckTimeout:   100 * sim.Millisecond,
-		MSL:             5 * sim.Second,
 		InitialCwndSegs: 10,
 		Variant:         cc.NewReno,
 	}
@@ -244,7 +244,7 @@ func newConn(s *Stack, cfg Config) *Conn {
 		cfg:   cfg,
 		cong:  alg,
 		state: StateClosed,
-		rtt:   newRTTEstimator(cfg.RTOMin, cfg.RTOMax),
+		rtt:   newRTTEstimator(cfg.RTOMin),
 		// Both buffers live in the Conn by value: one allocation for the
 		// connection, one each for the byte arrays and the bitmap.
 		sndBuf: *NewCopySendBuffer(cfg.SendBufSize),

@@ -26,7 +26,7 @@ func (c *Conn) input(seg *Segment, ce bool) {
 		// would let two TIME_WAIT peers ping-pong forever.
 		if seg.Len() > 0 {
 			c.sendAck()
-			c.timeWait.Reset(2 * c.cfg.MSL)
+			c.timeWait.Reset(2 * maxSegmentLifetime)
 		}
 		return
 	}
@@ -482,7 +482,7 @@ func (c *Conn) processPayload(seg *Segment, ce bool) {
 			if !c.cfg.UseDelayedAcks || c.segsToAck >= 2 {
 				c.sendAck()
 			} else if !c.delAckTimer.Armed() {
-				c.delAckTimer.Reset(c.cfg.DelAckTimeout)
+				c.delAckTimer.Reset(delayedAckTimeout)
 			}
 		}
 		if c.OnReadable != nil {

@@ -21,12 +21,8 @@ func (c *Conn) effMSS() int {
 
 // pacingRate returns the variant's current pacing rate in bytes per
 // second, or 0 when the algorithm is ACK-clocked (does not implement
-// cc.Pacer), pacing is disabled by configuration, or there is no rate
-// yet.
+// cc.Pacer) or there is no rate yet.
 func (c *Conn) pacingRate() float64 {
-	if c.cfg.NoPacing {
-		return 0
-	}
 	p, ok := c.cong.(cc.Pacer)
 	if !ok {
 		return 0
@@ -215,7 +211,7 @@ func (c *Conn) sendLoop() {
 			// Retransmission (snd.nxt was pulled back): never blocked by
 			// silly-window rules, or an RTO could loop without sending.
 			sendNow = true
-		case segLen > 0 && segLen == avail && (c.cfg.NoDelay || c.sndNxt == c.sndUna):
+		case segLen > 0 && segLen == avail && c.sndNxt == c.sndUna:
 			sendNow = true
 		case segLen > 0 && c.maxSndWnd > 0 && segLen >= c.maxSndWnd/2:
 			sendNow = true
@@ -584,7 +580,7 @@ func (c *Conn) enterTimeWait() {
 	c.setState(StateTimeWait)
 	c.rexmt.Stop()
 	c.persist.Stop()
-	c.timeWait.Reset(2 * c.cfg.MSL)
+	c.timeWait.Reset(2 * maxSegmentLifetime)
 }
 
 func (c *Conn) onTimeWaitExpiry() {

@@ -21,17 +21,14 @@ type rttEstimator struct {
 	rto    sim.Duration
 	valid  bool
 
-	rtoMin, rtoMax sim.Duration
+	rtoMin sim.Duration
 }
 
-func newRTTEstimator(rtoMin, rtoMax sim.Duration) *rttEstimator {
+func newRTTEstimator(rtoMin sim.Duration) *rttEstimator {
 	if rtoMin == 0 {
 		rtoMin = DefaultRTOMin
 	}
-	if rtoMax == 0 {
-		rtoMax = DefaultRTOMax
-	}
-	return &rttEstimator{rto: InitialRTO, rtoMin: rtoMin, rtoMax: rtoMax}
+	return &rttEstimator{rto: InitialRTO, rtoMin: rtoMin}
 }
 
 // Sample folds one measured round-trip time into the estimator.
@@ -53,7 +50,7 @@ func (e *rttEstimator) Sample(rtt sim.Duration) {
 		e.srtt = (7*e.srtt + rtt) / 8
 	}
 	rto := e.srtt + max(4*e.rttvar, sim.Millisecond)
-	e.rto = clampDur(rto, e.rtoMin, e.rtoMax)
+	e.rto = clampDur(rto, e.rtoMin, DefaultRTOMax)
 }
 
 // RTO returns the current retransmission timeout (before backoff).
@@ -68,11 +65,11 @@ func (e *rttEstimator) Backoff(shift int) sim.Duration {
 	rto := e.rto
 	for i := 0; i < shift; i++ {
 		rto *= 2
-		if rto >= e.rtoMax {
-			return e.rtoMax
+		if rto >= DefaultRTOMax {
+			return DefaultRTOMax
 		}
 	}
-	return clampDur(rto, e.rtoMin, e.rtoMax)
+	return clampDur(rto, e.rtoMin, DefaultRTOMax)
 }
 
 func clampDur(d, lo, hi sim.Duration) sim.Duration {

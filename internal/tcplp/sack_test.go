@@ -134,7 +134,7 @@ func TestQuickScoreboardInvariants(t *testing.T) {
 }
 
 func TestRTTEstimatorConvergence(t *testing.T) {
-	e := newRTTEstimator(0, 0)
+	e := newRTTEstimator(0)
 	if e.RTO() != InitialRTO {
 		t.Fatalf("initial RTO = %v", e.RTO())
 	}
@@ -151,7 +151,7 @@ func TestRTTEstimatorConvergence(t *testing.T) {
 }
 
 func TestRTTEstimatorVariance(t *testing.T) {
-	e := newRTTEstimator(0, 0)
+	e := newRTTEstimator(0)
 	for i := 0; i < 50; i++ {
 		if i%2 == 0 {
 			e.Sample(100 * sim.Millisecond)
@@ -166,7 +166,7 @@ func TestRTTEstimatorVariance(t *testing.T) {
 }
 
 func TestRTTBackoff(t *testing.T) {
-	e := newRTTEstimator(0, 0)
+	e := newRTTEstimator(0)
 	e.Sample(500 * sim.Millisecond)
 	base := e.RTO()
 	if e.Backoff(1) != 2*base || e.Backoff(2) != 4*base {

@@ -104,9 +104,6 @@ func (s *Stack) Engine() *sim.Engine { return s.eng }
 // Addr returns the stack's IPv6 address.
 func (s *Stack) Addr() ip6.Addr { return s.addr }
 
-// Config returns the stack's default connection configuration.
-func (s *Stack) Config() Config { return s.cfg }
-
 // tsNow is the RFC 7323 timestamp clock (1 ms granularity).
 func (s *Stack) tsNow() uint32 {
 	return uint32(int64(s.eng.Now())/int64(sim.Millisecond)) + 1
