@@ -76,16 +76,21 @@ reach:
 
 # CPU profile of one benchmark workload, from its name: the workload
 # file's specs (read, never written) through tcplp-bench on one worker,
-# then the flat top of the profile.
-#   make profile WORKLOAD=bulk_chain [SEEDS=9]
+# then the flat top of the profile. SETUP=1 profiles the zero-window runs
+# instead (-warmup 0s -duration 1ms), which are what setup_s times:
+# topology, adjacency, stack.New, flow start; they are short, so it runs
+# 200 seeds unless SEEDS says otherwise.
+#   make profile WORKLOAD=bulk_chain [SEEDS=9] [SETUP=1]
 # Leaves bin/tcplp-bench and $(WORKLOAD).prof for `go tool pprof -list`.
 WORKLOAD ?= bulk_chain
-SEEDS    ?= 9
+SETUP    ?=
+SEEDS    ?= $(if $(SETUP),200,9)
 
 profile:
 	$(GO) build -o bin/tcplp-bench ./cmd/tcplp-bench
 	$(GO) run ./tools/workloadspecs benchmark/workloads/$(WORKLOAD).json | \
-		bin/tcplp-bench -scenario /dev/stdin -workers 1 -seeds $(SEEDS) -cpuprofile $(WORKLOAD).prof > /dev/null
+		bin/tcplp-bench -scenario /dev/stdin -workers 1 -seeds $(SEEDS) $(if $(SETUP),-warmup 0s -duration 1ms) \
+		-cpuprofile $(WORKLOAD).prof > /dev/null
 	$(GO) tool pprof -top -nodecount=40 bin/tcplp-bench $(WORKLOAD).prof
 
 # Render a sweep spec into a paper-style figure:

@@ -8,7 +8,6 @@ package mesh
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"tcplp/internal/phy"
 )
@@ -124,12 +123,14 @@ func RandomGeometric(n int, density float64, seed int64) Topology {
 		placed := false
 		for try := 0; try < 100 && !placed; try++ {
 			p := phy.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-			grid.Near(p, func(id int) bool {
-				placed = p.Dist(pos[id]) <= txRange
-				return !placed
-			})
-			if placed {
-				place(p)
+		walk:
+			for _, id := range grid.Near(p) {
+				for ; id >= 0; id = grid.Next(id) {
+					if placed = p.Within(pos[id], txRange); placed {
+						place(p)
+						break walk
+					}
+				}
 			}
 		}
 		if !placed {
@@ -143,9 +144,12 @@ func RandomGeometric(n int, density float64, seed int64) Topology {
 }
 
 // Adjacency returns the connectivity graph under the unit-disk decode
-// range, built with a uniform grid so the cost is O(n·degree) rather than
-// all-pairs. Neighbor lists are ordered by node id, matching the scan this
-// replaced.
+// range: adj[i] lists, in id order, every other node within TxRange of
+// node i (nil if none). Each pair is tested once, from its lower id,
+// against the ids above it that the grid holds around it, so the cost is
+// O(n·degree) rather than all-pairs. The lists are one backing array of
+// fewer than 2^31 entries, each capped at its length so that an append to
+// one cannot run into the next.
 func (t Topology) Adjacency() [][]int {
 	n := t.N()
 	adj := make([][]int, n)
@@ -156,17 +160,65 @@ func (t Topology) Adjacency() [][]int {
 	for i, p := range t.Positions {
 		grid.Add(i, p)
 	}
-	var nbrs []int
+	// First walk: test each pair, keep the answer as a bit in walk order,
+	// count degrees. Nothing branches on an answer (in is 0 or 1): which
+	// way a pair falls is not predictable.
+	degree, links := make([]int32, n), 0
+	linked, walked := make([]uint64, 0, n), uint(0)
 	for i, p := range t.Positions {
-		nbrs = nbrs[:0]
-		grid.Near(p, func(j int) bool {
-			if i != j && p.Dist(t.Positions[j]) <= t.TxRange {
-				nbrs = append(nbrs, j)
+		for _, j := range grid.Near(p) {
+			for ; j > int32(i); j = grid.Next(j) {
+				if walked%64 == 0 {
+					linked = append(linked, 0)
+				}
+				var in int32
+				if p.Within(t.Positions[j], t.TxRange) {
+					in = 1
+				}
+				linked[walked/64] |= uint64(in) << (walked % 64)
+				walked++
+				degree[i] += in
+				degree[j] += in
+				links += int(in)
 			}
-			return true
-		})
-		sort.Ints(nbrs)
-		adj[i] = append([]int(nil), nbrs...)
+		}
+	}
+	// Hand out the lists; from here at[i] is where list i's next entry
+	// goes, and a pair out of range writes to the spare last slot.
+	nbrs, spare := make([]int, 2*links+1), int32(2*links)
+	at, start := degree, int32(0)
+	for i, d := range degree {
+		if d > 0 {
+			adj[i] = nbrs[start : start+d : start+d]
+		}
+		at[i], start = start, start+d
+	}
+	// Second walk, reading the bits: i goes into each higher neighbour's
+	// list, so every list's lower part fills in id order.
+	walked = 0
+	for i, p := range t.Positions {
+		for _, j := range grid.Near(p) {
+			for ; j > int32(i); j = grid.Next(j) {
+				in := int32(linked[walked/64] >> (walked % 64) & 1)
+				walked++
+				k := at[j]
+				if in == 0 {
+					k = spare
+				}
+				nbrs[k] = i
+				at[j] += in
+			}
+		}
+	}
+	// Higher parts: list j, read while it holds only its lower part,
+	// writes j into each of those lists in turn, so they fill in id order.
+	start = 0
+	for j := range adj {
+		for _, i := range nbrs[start:at[j]] {
+			nbrs[at[i]] = j
+			at[i]++
+		}
+		start += int32(len(adj[j]))
 	}
 	return adj
 }

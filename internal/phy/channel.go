@@ -288,11 +288,6 @@ func (c *Channel) neighbors(r *Radio) []nbrEntry {
 		return r.nbrs
 	}
 	nbrs := c.nbrScratch[:0]
-	ask := func(o *Radio) {
-		if o != r && c.prop.Senses(r, o) {
-			nbrs = append(nbrs, nbrEntry{idx: o.idx, connected: c.prop.Connected(r, o)})
-		}
-	}
 	if ud, ok := c.prop.(*UnitDisk); ok && ud.SenseRange > 0 {
 		if c.gridVersion != c.version {
 			c.grid = NewCellGrid(ud.SenseRange, len(c.radios))
@@ -301,11 +296,19 @@ func (c *Channel) neighbors(r *Radio) []nbrEntry {
 			}
 			c.gridVersion = c.version
 		}
-		c.grid.Near(r.pos, func(i int) bool { ask(c.radios[i]); return true })
+		for _, i := range c.grid.Near(r.pos) {
+			for ; i >= 0; i = c.grid.Next(i) {
+				if o := c.radios[i]; ud.Senses(r, o) {
+					nbrs = append(nbrs, nbrEntry{idx: i, connected: ud.Connected(r, o)})
+				}
+			}
+		}
 		slices.SortFunc(nbrs, func(a, b nbrEntry) int { return cmp.Compare(a.idx, b.idx) })
 	} else {
 		for _, o := range c.radios {
-			ask(o)
+			if o != r && c.prop.Senses(r, o) {
+				nbrs = append(nbrs, nbrEntry{idx: o.idx, connected: c.prop.Connected(r, o)})
+			}
 		}
 	}
 	c.nbrScratch = nbrs

@@ -6,29 +6,41 @@ import "math"
 // one cell size of p is found in the 3×3 cells around p's. Cells are
 // hashed into flat arrays rather than laid out over a bounding box, so
 // points may be added one at a time anywhere in the plane (which
-// mesh.RandomGeometric's fallback placement needs) and building the grid costs
-// three allocations whatever the point count.
+// mesh.RandomGeometric's fallback placement needs) and building the grid
+// costs three allocations whatever the point count.
+//
+// Cell (cx, cy) goes to bucket cx·stride + cy modulo the table size, with
+// stride odd and a little over the table's square root. So the nine cells
+// around a point always land in nine distinct buckets (the table has at
+// least 16), and a row of cells, or a field up to about the table's square
+// root on a side, gets one bucket per cell. A bucket that does hold
+// several cells hands its callers the other cells' ids as well: the grid
+// does not tell them apart, since every caller tests the distance of what
+// it is handed anyway.
+//
+// Ids are added in increasing order — every caller numbers its points as
+// it adds them — so each bucket's chain runs from the highest id down.
 type CellGrid struct {
-	cell  float64
-	shift uint
-	head  []int32  // head[b] = newest id in hash bucket b, -1 if none
-	next  []int32  // next[id] = the id added to the same bucket before it, -1 if none
-	key   []uint64 // key[id] = id's cell: other cells can share its bucket
+	cell   float64
+	stride uint32
+	mask   uint32
+	head   []int32 // head[b] = newest id in bucket b, -1 if none
+	next   []int32 // next[id] = the id added to the same bucket before it, -1 if none
 }
 
 // NewCellGrid returns an empty grid for ids 0..n-1 with the given cell
 // size.
 func NewCellGrid(cell float64, n int) *CellGrid {
-	bits := uint(1)
+	bits := uint(4)
 	for 1<<bits < n {
 		bits++
 	}
 	g := &CellGrid{
-		cell:  cell,
-		shift: 64 - bits,
-		head:  make([]int32, 1<<bits),
-		next:  make([]int32, n),
-		key:   make([]uint64, n),
+		cell:   cell,
+		stride: 1<<((bits+1)/2) + 1,
+		mask:   1<<bits - 1,
+		head:   make([]int32, 1<<bits),
+		next:   make([]int32, n),
 	}
 	for b := range g.head {
 		g.head[b] = -1
@@ -36,36 +48,39 @@ func NewCellGrid(cell float64, n int) *CellGrid {
 	return g
 }
 
+func (g *CellGrid) bucket(cx, cy int32) uint32 {
+	return (uint32(cx)*g.stride + uint32(cy)) & g.mask
+}
+
 func (g *CellGrid) cellOf(p Point) (cx, cy int32) {
 	return int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))
 }
 
-func cellKey(cx, cy int32) uint64 { return uint64(uint32(cx))<<32 | uint64(uint32(cy)) }
-
-// bucket is Fibonacci hashing: the top bits of key × 2^64/φ.
-func (g *CellGrid) bucket(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> g.shift }
-
-// Add indexes id at p.
+// Add indexes id at p. id must be above every id added before it.
 func (g *CellGrid) Add(id int, p Point) {
-	k := cellKey(g.cellOf(p))
-	b := g.bucket(k)
-	g.key[id] = k
+	b := g.bucket(g.cellOf(p))
 	g.next[id] = g.head[b]
 	g.head[b] = int32(id)
 }
 
-// Near calls visit with each id added in the 3×3 cells around p, once
-// each, until visit returns false.
-func (g *CellGrid) Near(p Point, visit func(id int) bool) {
+// Near returns the newest id in the bucket of each of the 3×3 cells around
+// p, -1 where a bucket is empty. Walking each one down with Next visits,
+// once each and highest first, every id added in those cells and any
+// other cell's that shares a bucket with one:
+//
+//	for _, id := range g.Near(p) {
+//		for ; id >= 0; id = g.Next(id) { … }
+//	}
+//
+// A walk that wants only the ids above some i stops at the first id <= i.
+func (g *CellGrid) Near(p Point) [9]int32 {
 	cx, cy := g.cellOf(p)
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			k := cellKey(cx+dx, cy+dy)
-			for id := g.head[g.bucket(k)]; id >= 0; id = g.next[id] {
-				if g.key[id] == k && !visit(int(id)) {
-					return
-				}
-			}
-		}
+	var heads [9]int32
+	for k := range heads {
+		heads[k] = g.head[g.bucket(cx+int32(k/3)-1, cy+int32(k%3)-1)]
 	}
+	return heads
 }
+
+// Next returns the id added to id's bucket before it, -1 if none.
+func (g *CellGrid) Next(id int32) int32 { return g.next[id] }

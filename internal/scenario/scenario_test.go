@@ -469,6 +469,16 @@ func TestParseSpecsErrors(t *testing.T) {
 // its error must contain: the field (or removed key) and the limit.
 type hostileSpec struct{ name, spec, field, limit string }
 
+// starOverBudget is the smallest star whose estimated adjacency is over
+// maxAdjacency.
+func starOverBudget() int {
+	n := 2
+	for (TopologySpec{Kind: TopoStar, Nodes: n}).adjacencyEntries() <= maxAdjacency {
+		n++
+	}
+	return n
+}
+
 // hostileSpecs lists the specs TestHostileSpecsRejected refuses; they seed
 // FuzzParseSpecs too.
 func hostileSpecs() []hostileSpec {
@@ -501,7 +511,19 @@ func hostileSpecs() []hostileSpec {
 	// = 65 536, which used to wrap to port 0 and validate.
 	pastLastPort := `{"name":"h","topology":{"kind":"star","nodes":65457},"gateway":{},"flows":[` +
 		`{"label":"dev","to":"gateway","per_device":true},{"label":"A","from":1,"to":0}]}`
+	star := func(nodes int) string {
+		return `{"name":"h","topology":{"kind":"star","nodes":` + strconv.Itoa(nodes) + `},` + flows + `}`
+	}
+	field := func(nodes int, density string) string {
+		return `{"name":"h","topology":{"kind":"random_geometric","nodes":` + strconv.Itoa(nodes) +
+			`,"density":` + density + `},` + flows + `}`
+	}
+	budget := strconv.Itoa(maxAdjacency)
 	return []hostileSpec{
+		{"star of 2^20 nodes", star(1 << 20), "nodes 1048576", budget},
+		{"star just over the adjacency budget", star(starOverBudget()), "nodes " + strconv.Itoa(starOverBudget()), budget},
+		{"random field of 2^20 nodes at density 1e6", field(1<<20, "1e6"), "nodes 1048576 at density 1e+06", budget},
+		{"random field of 2^20 nodes just over density 16", field(1<<20, "16.001"), "nodes 1048576 at density 16.001", budget},
 		{"tree of 2^31 nodes", tree(30, 2), gone, ""},
 		{"tree whose size wraps", tree(64, 2), gone, ""},
 		{"path of 2e9 nodes as a tree", tree(2000000000, 1), gone, ""},
@@ -582,6 +604,16 @@ func TestHostileSpecsRejected(t *testing.T) {
 		`,"retry_delay":` + ms + `,"seg_frames":` + tens + `,"window_segs":[1,2,3,4,5,6]}}`
 	if _, err := ParseSpecs([]byte(ok)); err != nil {
 		t.Errorf("a 60 000-cell grid (limit %d) rejected: %v", maxCells, err)
+	}
+	// Just inside the adjacency budget: the largest star, and a field of
+	// every node the node limit admits at the city examples' density.
+	for _, topo := range []string{
+		`{"kind":"star","nodes":` + strconv.Itoa(starOverBudget()-1) + `}`,
+		`{"kind":"random_geometric","nodes":` + strconv.Itoa(maxNodes) + `,"density":16}`,
+	} {
+		if _, err := ParseSpecs([]byte(`{"name":"ok","topology":` + topo + `,` + flows + `}`)); err != nil {
+			t.Errorf("%s rejected: %v", topo, err)
+		}
 	}
 
 	// The seg_frames bound is derived, and exact: the largest value it

@@ -823,7 +823,36 @@ const (
 	// frame can carry (phy.MaxMACPayload).
 	maxConnBuf  = 1 << 20
 	maxQueueCap = 1 << 16 // net.queue_cap, gateway.wan.queue_cap
+	// Neighbour-list entries (a link counted from both ends) a topology's
+	// adjacency may hold by adjacencyEntries' estimate: every node the node
+	// limit admits at the mean degree the city examples are built for
+	// (density 16). city_100k.json estimates at 1.6 M (7.9 M built: its
+	// placement clusters round the border router); a 16 000-node star,
+	// whose leaves each decode 41% of the others, at 105 M (839 MB built).
+	maxAdjacency = maxNodes * 16
 )
+
+// adjacencyEntries estimates, from the size fields alone, how many
+// neighbour-list entries the topology's adjacency holds.
+func (t TopologySpec) adjacencyEntries() float64 {
+	n := float64(t.nodeCount())
+	switch t.Kind {
+	case TopoStar:
+		// mesh.Star's decode range is 1.2 radii: the hub reaches every
+		// leaf, and a leaf every leaf within 2·asin(0.6) ≈ 73.7° of it.
+		leaves := n - 1
+		return 2*leaves + leaves*leaves*2*math.Asin(0.6)/math.Pi
+	case TopoRandomGeometric:
+		density := t.Density
+		if density == 0 {
+			density = 6 // mesh.RandomGeometric's default
+		}
+		// The target mean degree; once the field clamps to one range
+		// across, every node decodes nearly every other.
+		return n * math.Min(density, n-1)
+	}
+	return 2 * n // a path (chain, twinleaf), or the 15-node office
+}
 
 // datagramSize is the uncompressed IPv6 datagram one full TCP segment of
 // segFrames frames makes — what 6LoWPAN's FRAG1/FRAGN headers must be able
@@ -1212,6 +1241,17 @@ func (s *Spec) validate(windowSegs int) error {
 	}
 	if s.DCSample < 0 || s.IdleSettle < 0 || s.IdleWindow < 0 {
 		return bad("negative dc_sample/idle_settle/idle_window")
+	}
+	// Checked last, so that a fleet too dense to build still reports the
+	// port it would have got wrong first. Only a star or a random field
+	// can get here: a path of maxNodes nodes is 2 M entries.
+	if links := s.Topology.adjacencyEntries(); links > maxAdjacency {
+		size := fmt.Sprintf("nodes %d", n)
+		if s.Topology.Kind == TopoRandomGeometric {
+			size += fmt.Sprintf(" at density %g", s.Topology.Density)
+		}
+		return bad("topology %s: %s make an adjacency of about %.0f neighbour entries, more than %d (the limit)",
+			s.Topology.Kind, size, links, maxAdjacency)
 	}
 	return nil
 }

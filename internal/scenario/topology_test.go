@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -161,4 +162,24 @@ func itoa(v int) string {
 		return string(rune('0' + v))
 	}
 	return string(rune('0'+v/10)) + string(rune('0'+v%10))
+}
+
+// The adjacency estimate Validate budgets against must track what the
+// generators build where the budget can bind: a star, and a random field
+// clamped to one range across.
+func TestAdjacencyEstimateMatchesBuilt(t *testing.T) {
+	for _, ts := range []TopologySpec{
+		{Kind: TopoStar, Nodes: 200},
+		{Kind: TopoStar, Nodes: 2000},
+		{Kind: TopoRandomGeometric, Nodes: 300, Density: 1e6},
+		{Kind: TopoRandomGeometric, Nodes: 2000, Density: 1e6},
+	} {
+		built := 0
+		for _, nbrs := range ts.build().Adjacency() {
+			built += len(nbrs)
+		}
+		if est := ts.adjacencyEntries(); math.Abs(est-float64(built)) > 0.05*float64(built) {
+			t.Errorf("%s of %d nodes, density %g: estimate %.0f entries, built %d", ts.Kind, ts.Nodes, ts.Density, est, built)
+		}
+	}
 }
