@@ -46,7 +46,7 @@ reach:
 	@set -e; \
 	run() { GOCOVERDIR=$(REACH)/cov $(REACH)/tcplp-bench -workers 2 "$$@" > /dev/null 2> $(REACH)/run.log || \
 		{ echo "reach: tcplp-bench $$* failed:" >&2; tail -20 $(REACH)/run.log >&2; exit 1; }; }; \
-	short="-warmup 2s -duration 6s -journey -flight-stall 0 -flight-threshold 0"; \
+	short="-warmup 2s -duration 6s -journey"; \
 	for f in examples/scenarios/*.json; do \
 		case "$$f" in */city_1k.json|*/city_10k.json|*/city_100k.json) continue;; esac; \
 		run -scenario "$$f" $$short; \

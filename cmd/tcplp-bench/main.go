@@ -70,40 +70,13 @@ func main() {
 		jrny     = flag.Bool("journey", false, "reconstruct per-reading packet journeys, attach latency attribution to flow results and check trace conformance, exiting 1 on a violation (scenario runs)")
 		jrnyOut  = flag.String("journey-out", "", "write per-reading span trees as Chrome trace events to this file (Perfetto-loadable; implies -journey)")
 		metrIntv = flag.String("metrics-interval", "", "sample per-layer metrics into -events-out at this period (e.g. 10s)")
-		stallWin = flag.String("flight-stall", "4s", "flight-recorder stall window (0 disables the stall checker)")
-		delivThr = flag.Float64("flight-threshold", 0.5, "flight-recorder end-of-run delivery-ratio dump threshold (0 disables)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after GC) to this file")
 	)
 	flag.Parse()
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		path := *memProf
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
+	// Every flag is parsed and checked before the first file is created,
+	// so a refused invocation leaves earlier output files as they were.
 	var ccVariant cc.Variant
 	if *variant != "" {
 		v, err := cc.Parse(*variant)
@@ -116,7 +89,7 @@ func main() {
 	}
 	if *window != 0 {
 		if *window < 1 {
-			fmt.Fprintf(os.Stderr, "-window must be >= 1 segment\n")
+			fmt.Fprintln(os.Stderr, "-window must be >= 1 segment")
 			os.Exit(1)
 		}
 		// The upper bound is per segment size: see refuseWindow.
@@ -135,15 +108,35 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-scenario cannot be combined with -exp/-scale/-markdown; set durations and seeds in the spec file")
 			os.Exit(1)
 		}
-		oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, *metrIntv, *stallWin, *jrny, *jrnyOut, *delivThr)
+		cells := loadScenario(*scenFile, *seeds, *format, *durFlag, *warmFlag)
+		if *evOut == "" && *metrIntv != "" {
+			fmt.Fprintln(os.Stderr, "-metrics-interval needs -events-out to write the samples to")
+			os.Exit(1)
+		}
+		if *evOut == "" && (*evLayers != "" || *evFlows != "") {
+			fmt.Fprintln(os.Stderr, "-events-layers/-events-flow need -events-out to filter")
+			os.Exit(1)
+		}
+		var metrics scenario.Duration
+		if *metrIntv != "" {
+			metrics = parseDur("metrics-interval", *metrIntv)
+		}
+		runner := &scenario.Runner{Workers: *workers, Variant: ccVariant, WindowSegs: *window}
+		if err := runner.Validate(cells); err != nil {
+			refuseWindow(err)
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		defer startProfiles(*cpuProf, *memProf)()
+		oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, metrics, *jrny, *jrnyOut)
 		// Every traced run goes through the conformance checker.
 		var jt *journeyTotals
 		if oc != nil && (oc.Journey || oc.JourneyOut != nil) {
 			jt = &journeyTotals{}
 			oc.OnJourney = jt.observe
 		}
-		runner := &scenario.Runner{Workers: *workers, Obs: oc, Variant: ccVariant, WindowSegs: *window}
-		runScenario(*scenFile, runner, *seeds, *format, *durFlag, *warmFlag)
+		runner.Obs = oc
+		runScenario(cells, runner, *format)
 		finish()
 		if jt != nil {
 			out := os.Stderr // keep csv/json output parseable
@@ -174,6 +167,15 @@ func main() {
 			os.Exit(0)
 		}
 		return
+	}
+	todo := experiments.Registry
+	if *exp != "all" {
+		e, ok := experiments.Find(*exp)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *exp)
+			os.Exit(1)
+		}
+		todo = []experiments.Experiment{e}
 	}
 
 	if *ci && *seeds < 2 {
@@ -212,19 +214,49 @@ func main() {
 			}
 		}
 	}
-
-	if *exp == "all" {
-		for _, e := range experiments.Registry {
-			run(e)
-		}
-		return
+	defer startProfiles(*cpuProf, *memProf)()
+	for _, e := range todo {
+		run(e)
 	}
-	e, ok := experiments.Find(*exp)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *exp)
+}
+
+// create creates (or truncates) an output file, exiting 1 when it cannot.
+func create(path string) *os.File {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	run(e)
+	return f
+}
+
+// startProfiles starts the -cpuprofile profile; the returned func, run at
+// exit, writes the -memprofile heap profile and stops the CPU profile.
+func startProfiles(cpuProf, memProf string) (stop func()) {
+	if cpuProf != "" {
+		if err := pprof.StartCPUProfile(create(cpuProf)); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
+	return func() {
+		if cpuProf != "" {
+			defer pprof.StopCPUProfile()
+		}
+		if memProf == "" {
+			return
+		}
+		f, err := os.Create(memProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return
+		}
+		defer f.Close()
+		runtime.GC() // settle the heap so the profile shows live objects
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}
 }
 
 // parseDur converts a -duration/-warmup override into a scenario
@@ -238,40 +270,24 @@ func parseDur(flagName, s string) scenario.Duration {
 	return scenario.Duration(d / time.Microsecond)
 }
 
-// buildObsConfig assembles the scenario runner's observability config
-// from the CLI flags; nil when no capture was requested. The flight
-// recorder rides along whenever any capture is on, dumping stalled or
-// low-delivery flow timelines to stderr. The returned finish func
-// flushes deferred writers (the Chrome trace's closing bracket) and
-// must run after the scenario completes.
-func buildObsConfig(traceOut, evOut, evLayers, evFlows, metrIntv, stallWin string, jrny bool, jrnyOut string, delivThr float64) (*scenario.ObsConfig, func()) {
+// buildObsConfig creates the capture files and assembles the scenario
+// runner's observability config from checked flags; nil when no capture
+// was requested. The returned finish func flushes
+// deferred writers (the Chrome trace's closing bracket) and must run
+// after the scenario completes.
+func buildObsConfig(traceOut, evOut, evLayers, evFlows string, metrics scenario.Duration, jrny bool, jrnyOut string) (*scenario.ObsConfig, func()) {
 	finish := func() {}
 	if traceOut == "" && evOut == "" && !jrny && jrnyOut == "" {
-		if metrIntv != "" {
-			fmt.Fprintln(os.Stderr, "-metrics-interval needs -events-out to write the samples to")
-			os.Exit(1)
-		}
-		if evLayers != "" || evFlows != "" {
-			fmt.Fprintln(os.Stderr, "-events-layers/-events-flow need -events-out to filter")
-			os.Exit(1)
-		}
 		return nil, finish
 	}
-	oc := &scenario.ObsConfig{Journey: jrny}
-	if evLayers != "" || evFlows != "" {
-		if evOut == "" {
-			fmt.Fprintln(os.Stderr, "-events-layers/-events-flow need -events-out to filter")
-			os.Exit(1)
-		}
-		oc.EventLayers = splitList(evLayers)
-		oc.EventFlows = splitList(evFlows)
+	oc := &scenario.ObsConfig{
+		Journey:         jrny,
+		EventLayers:     splitList(evLayers),
+		EventFlows:      splitList(evFlows),
+		MetricsInterval: metrics.D(),
 	}
 	if jrnyOut != "" {
-		f, err := os.Create(jrnyOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		f := create(jrnyOut)
 		cw := journey.NewChromeWriter(f)
 		oc.JourneyOut = cw
 		finish = func() {
@@ -282,40 +298,16 @@ func buildObsConfig(traceOut, evOut, evLayers, evFlows, metrIntv, stallWin strin
 		}
 	}
 	if evOut != "" {
-		f, err := os.Create(evOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		oc.Events = obs.NewNDJSONWriter(f)
-		if metrIntv != "" {
-			oc.MetricsInterval = parseDur("metrics-interval", metrIntv).D()
-		}
-	} else if metrIntv != "" {
-		fmt.Fprintln(os.Stderr, "-metrics-interval needs -events-out to write the samples to")
-		os.Exit(1)
+		oc.Events = obs.NewNDJSONWriter(create(evOut))
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		pw, err := obs.NewPcapWriter(f)
+		pw, err := obs.NewPcapWriter(create(traceOut))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		oc.Pcap = pw
 	}
-	fc := &scenario.FlightConfig{
-		DeliveryThreshold: delivThr,
-		Out:               obs.NewDumpWriter(os.Stderr),
-	}
-	if stallWin != "" && stallWin != "0" {
-		fc.StallWindow = parseDur("flight-stall", stallWin).D()
-	}
-	oc.Flight = fc
 	return oc, finish
 }
 
@@ -359,8 +351,8 @@ func (jt *journeyTotals) report(w io.Writer) bool {
 }
 
 // refuseWindow exits 1 naming -window and its limit when err is a
-// *scenario.WindowError (from RunAll, or in an experiment's panic), which
-// RunAll returns before running any cell; otherwise it returns.
+// *scenario.WindowError (from Runner.Validate, or in an experiment's
+// panic); otherwise it returns.
 func refuseWindow(err error) {
 	var we *scenario.WindowError
 	if errors.As(err, &we) {
@@ -381,10 +373,9 @@ func splitList(s string) []string {
 	return out
 }
 
-// runScenario loads a spec file, applies schedule/seed overrides,
-// expands sweeps, fans the cells out across the worker pool, and prints
-// the results in the requested format.
-func runScenario(path string, runner *scenario.Runner, seeds int, format, durOverride, warmOverride string) {
+// loadScenario loads a spec file, applies schedule/seed overrides and
+// expands sweeps into the cells a run executes.
+func loadScenario(path string, seeds int, format, durOverride, warmOverride string) []*scenario.Spec {
 	switch format {
 	case "summary", "csv", "json":
 	default:
@@ -427,18 +418,19 @@ func runScenario(path string, runner *scenario.Runner, seeds int, format, durOve
 	for _, s := range specs {
 		cells = append(cells, s.Expand()...)
 	}
+	return cells
+}
+
+// runScenario fans the cells out across the worker pool and prints the
+// results in the requested format.
+func runScenario(cells []*scenario.Spec, runner *scenario.Runner, format string) {
 	nRuns := 0
 	for _, s := range cells {
-		n := len(s.Seeds)
-		if n == 0 {
-			n = 1
-		}
-		nRuns += n
+		nRuns += max(len(s.Seeds), 1)
 	}
 	fmt.Fprintf(os.Stderr, "running %d scenario cell(s), %d run(s)...\n", len(cells), nRuns)
 	results, err := runner.RunAll(cells)
 	if err != nil {
-		refuseWindow(err)
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -448,14 +440,12 @@ func runScenario(path string, runner *scenario.Runner, seeds int, format, durOve
 			fmt.Print(sr.Summary())
 		}
 	case "csv":
-		if err := scenario.WriteCSV(os.Stdout, results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = scenario.WriteCSV(os.Stdout, results)
 	case "json":
-		if err := scenario.WriteJSON(os.Stdout, results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = scenario.WriteJSON(os.Stdout, results)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -1,14 +1,16 @@
 // Package obs is the cross-layer observability subsystem: typed trace
-// events, frame capture, per-layer metric aggregation, exporters
-// (NDJSON, pcapng), and a per-flow flight recorder.
+// events, frame capture, per-layer metric aggregation and exporters
+// (NDJSON, pcapng).
 //
 // The design constraint is zero overhead when disabled: every layer
 // holds a *Trace pointer that is nil by default, and every hook site is
 // guarded (`if tr != nil`). Events are small flat structs passed by
 // value, so the disabled path costs one predictable branch and no
-// allocations, and — because hooks only read state and never draw from
-// the engine RNG or schedule events — enabling a sink cannot perturb a
-// run's determinism.
+// allocations. Hooks and sinks only read state: they never draw from the
+// engine RNG or schedule events, and neither do the periodic metric
+// samples, which the scenario runner takes between engine slices. So
+// enabling any of them leaves a run's result bit-identical, its event
+// count included.
 package obs
 
 import (

@@ -53,6 +53,9 @@ func within(dx, dy, r float64) bool {
 // arise structurally: a transmitter's CCA cannot sense a node outside its
 // Senses range, yet both of their frames can collide at a receiver in
 // between.
+//
+// UnitDisk is the model every run uses; tests substitute their own
+// through this interface (the explicit Graph of export_test.go).
 type Propagation interface {
 	Connected(a, b *Radio) bool
 	Senses(a, b *Radio) bool
@@ -82,45 +85,4 @@ func (u *UnitDisk) Connected(a, b *Radio) bool {
 // Senses reports whether a's transmissions raise energy at b.
 func (u *UnitDisk) Senses(a, b *Radio) bool {
 	return a != b && a.pos.Within(b.pos, u.SenseRange)
-}
-
-// Graph is an explicit adjacency model for tests and contrived topologies.
-// Links are directional; use AddLink twice (or AddBiLink) for symmetry. A
-// channel asks once per topology, so links must be complete before the
-// first frame, or be followed by an AddRadio or SetPos.
-type Graph struct {
-	connected map[[2]int]bool
-	senses    map[[2]int]bool
-}
-
-// NewGraph returns an empty explicit-connectivity model.
-func NewGraph() *Graph {
-	return &Graph{connected: map[[2]int]bool{}, senses: map[[2]int]bool{}}
-}
-
-// AddLink makes b able to decode (and sense) a.
-func (g *Graph) AddLink(a, b int) {
-	g.connected[[2]int{a, b}] = true
-	g.senses[[2]int{a, b}] = true
-}
-
-// AddBiLink makes a and b able to decode each other.
-func (g *Graph) AddBiLink(a, b int) {
-	g.AddLink(a, b)
-	g.AddLink(b, a)
-}
-
-// AddSense makes b sense (but not decode) a's transmissions.
-func (g *Graph) AddSense(a, b int) {
-	g.senses[[2]int{a, b}] = true
-}
-
-// Connected implements Propagation.
-func (g *Graph) Connected(a, b *Radio) bool {
-	return g.connected[[2]int{a.id, b.id}]
-}
-
-// Senses implements Propagation.
-func (g *Graph) Senses(a, b *Radio) bool {
-	return g.senses[[2]int{a.id, b.id}] || g.connected[[2]int{a.id, b.id}]
 }

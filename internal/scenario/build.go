@@ -110,10 +110,8 @@ type runContext struct {
 	// Observability (nil/zero unless the Runner carries an ObsConfig).
 	oc          *ObsConfig
 	trace       *obs.Trace
-	flight      *obs.FlightRecorder
 	recorder    *journey.Recorder
 	eventFilter *obs.FilterSink
-	stallDumped map[int]bool
 }
 
 // buildRun instantiates the spec onto the stack layers for one seed.
@@ -194,9 +192,6 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 			return nil, err
 		}
 		rc.flows = append(rc.flows, fr)
-		if rc.flight != nil {
-			rc.flight.Bind(fr.src.ID, fr.spec.Label)
-		}
 	}
 	// The -events-flow filter names flows by label; flows only resolve
 	// to source nodes here, after startFlow, so the allow-list is
@@ -416,7 +411,6 @@ func (rc *runContext) collect() Result {
 		if jrep != nil {
 			fres.Journey = jrep.Flows[fr.src.ID]
 		}
-		rc.dumpLowDelivery(fr, &fres)
 		goodputs = append(goodputs, fres.GoodputKbps)
 		res.AggregateKbps += fres.GoodputKbps
 		res.Flows = append(res.Flows, fres)
@@ -488,9 +482,7 @@ func (rc *runContext) run() Result {
 	if rc.spec.DCSample > 0 {
 		rc.scheduleDCSamples()
 	}
-	rc.scheduleMetricsSamples()
-	rc.scheduleStallChecks()
-	rc.net.Eng.RunFor(rc.spec.Duration.D())
+	rc.runWindow()
 	if rc.spec.IdleWindow > 0 {
 		rc.runIdlePhase()
 	}

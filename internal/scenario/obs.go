@@ -1,9 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-	"io"
-
 	"tcplp/internal/mac"
 	"tcplp/internal/obs"
 	"tcplp/internal/obs/journey"
@@ -12,36 +9,11 @@ import (
 	"tcplp/internal/tcplp"
 )
 
-// flightRing is how many of each flow's most recent trace events the
-// flight recorder keeps.
-const flightRing = 256
-
-// FlightConfig parameterizes the per-flow flight recorder: a bounded
-// ring of each flow's most recent trace events, dumped when something
-// goes wrong.
-type FlightConfig struct {
-	// StallWindow enables the in-run stall checker: a flow whose
-	// transport has tried to move data (payload segment, RTO, reliable
-	// datagram or its retransmission) and seen no progress (no received
-	// segment / completed exchange) for a full window since gets its
-	// ring dumped once. An idle flow — nothing outstanding — is never
-	// stalled. It approximates the k·RTO stall criterion without
-	// per-flow RTO introspection. Zero disables the checker. Note the
-	// checker schedules engine events, so it changes Result.Events
-	// (never the protocol outcome).
-	StallWindow sim.Duration
-	// DeliveryThreshold dumps a telemetry flow's ring at collect time
-	// when its delivery ratio lands below the threshold (0 disables).
-	// This path schedules nothing.
-	DeliveryThreshold float64
-	// Out receives dumps; wrap a shared writer in obs.NewDumpWriter when
-	// runs execute in parallel.
-	Out io.Writer
-}
-
 // ObsConfig switches on cross-layer observability for every run a
 // Runner executes. The zero/nil config is fully disabled: no trace is
-// threaded and every layer hook stays a nil check.
+// threaded and every layer hook stays a nil check. No setting draws RNG
+// or schedules an event, so a run's Result is bit-identical under any
+// config (FlowResult.Journey aside, which Journey fills in).
 type ObsConfig struct {
 	// Events receives the structured NDJSON event trace, tagged with
 	// each run's name and seed.
@@ -50,12 +22,11 @@ type ObsConfig struct {
 	// Wireshark-openable).
 	Pcap *obs.PcapWriter
 	// MetricsInterval samples the per-layer metric registry into Events
-	// as NDJSON "metrics" records at this period (0 disables; requires
-	// Events). The sampler schedules engine events, so it changes
-	// Result.Events — never the protocol outcome.
+	// as NDJSON "metrics" records at this period of the measurement
+	// window (0 disables; requires Events). The window then runs in
+	// slices of this length and each sample is taken between two of
+	// them, so it sees every event that fires at its instant.
 	MetricsInterval sim.Duration
-	// Flight enables the per-flow flight recorder.
-	Flight *FlightConfig
 	// Journey reconstructs per-reading causal span trees and attaches
 	// each telemetry flow's critical-path latency attribution to its
 	// FlowResult. Every run folds its events into the reconstruction as
@@ -79,8 +50,7 @@ type ObsConfig struct {
 
 // enabled reports whether the config asks for any instrumentation.
 func (oc *ObsConfig) enabled() bool {
-	return oc != nil && (oc.Events != nil || oc.Pcap != nil || oc.Flight != nil ||
-		oc.Journey || oc.JourneyOut != nil)
+	return oc != nil && (oc.Events != nil || oc.Pcap != nil || oc.Journey || oc.JourneyOut != nil)
 }
 
 // journeyOn reports whether journey reconstruction is requested.
@@ -112,10 +82,6 @@ func (rc *runContext) buildTrace(oc *ObsConfig) {
 	}
 	if oc.Pcap != nil {
 		tr.AddFrameSink(oc.Pcap)
-	}
-	if fc := oc.Flight; fc != nil {
-		rc.flight = obs.NewFlightRecorder(flightRing)
-		tr.AddSink(rc.flight)
 	}
 	rc.trace = tr
 }
@@ -209,89 +175,19 @@ func (rc *runContext) layerRegistry() *obs.Registry {
 	return reg
 }
 
-// scheduleMetricsSamples arms the periodic layer-metric sampler: every
-// MetricsInterval of the measurement window, snapshot the registry into
-// the NDJSON writer as a "metrics" record.
-func (rc *runContext) scheduleMetricsSamples() {
-	oc := rc.oc
-	if oc == nil || oc.Events == nil || oc.MetricsInterval <= 0 {
-		return
-	}
-	period := oc.MetricsInterval
-	n := int(rc.spec.Duration.D() / period)
-	for i := 1; i <= n; i++ {
-		rc.net.Eng.Schedule(sim.Duration(i)*period, func() {
-			oc.Events.Metrics(rc.spec.Name, rc.seed, int64(rc.net.Eng.Now()),
-				rc.layerRegistry().Layers())
-		})
-	}
-}
-
-// scheduleStallChecks arms the flight recorder's in-run stall checker:
-// every StallWindow, a bound flow whose transport has had an attempt
-// outstanding for at least one full window gets its ring dumped (once
-// per run). A flow with nothing outstanding is idle, however long ago
-// it last made progress.
-func (rc *runContext) scheduleStallChecks() {
-	oc := rc.oc
-	if oc == nil || oc.Flight == nil || oc.Flight.StallWindow <= 0 ||
-		oc.Flight.Out == nil || rc.flight == nil {
-		return
-	}
-	w := oc.Flight.StallWindow
-	start := rc.net.Eng.Now()
-	n := int(rc.spec.Duration.D() / w)
-	for i := 1; i <= n; i++ {
-		rc.net.Eng.Schedule(sim.Duration(i)*w, func() { rc.checkStalls(start, w) })
-	}
-}
-
-func (rc *runContext) checkStalls(start sim.Time, w sim.Duration) {
-	now := rc.net.Eng.Now()
-	for _, fr := range rc.flows {
-		node := fr.src.ID
-		if rc.stallDumped == nil {
-			rc.stallDumped = map[int]bool{}
-		}
-		if rc.stallDumped[node] {
-			continue
-		}
-		since, ok := rc.flight.Unanswered(node)
-		if !ok {
-			continue
-		}
-		if since < start {
-			since = start // the measurement window opens the baseline
-		}
-		if now.Sub(since) >= w {
-			rc.stallDumped[node] = true
-			rc.flight.Dump(rc.oc.Flight.Out, node, rc.spec.Name, rc.seed,
-				fmt.Sprintf("stalled: no progress for %d us (window %d us)",
-					int64(now.Sub(since)), int64(w)))
+// runWindow runs the measurement window. With a metrics interval it runs
+// in MetricsInterval slices and snapshots the registry into the NDJSON
+// writer as a "metrics" record at the end of each whole one: between
+// slices, so the sampler never enters the engine and the run is the one
+// a single RunFor would have made.
+func (rc *runContext) runWindow() {
+	eng := rc.net.Eng
+	end := eng.Now().Add(rc.spec.Duration.D())
+	if oc := rc.oc; oc != nil && oc.Events != nil && oc.MetricsInterval > 0 {
+		for t := eng.Now().Add(oc.MetricsInterval); t <= end; t = t.Add(oc.MetricsInterval) {
+			eng.RunUntil(t)
+			oc.Events.Metrics(rc.spec.Name, rc.seed, int64(t), rc.layerRegistry().Layers())
 		}
 	}
-}
-
-// dumpLowDelivery is the collect-time flight check: a telemetry flow
-// ending the run below the delivery threshold dumps its ring (unless
-// the stall checker already did).
-func (rc *runContext) dumpLowDelivery(fr *flowRun, fres *FlowResult) {
-	oc := rc.oc
-	if oc == nil || oc.Flight == nil || oc.Flight.Out == nil || rc.flight == nil {
-		return
-	}
-	th := oc.Flight.DeliveryThreshold
-	if th <= 0 || fres.Generated == 0 || fres.DeliveryRatio >= th {
-		return
-	}
-	node := fr.src.ID
-	if rc.stallDumped[node] {
-		return
-	}
-	if rc.stallDumped == nil {
-		rc.stallDumped = map[int]bool{}
-	}
-	rc.stallDumped[node] = true
-	rc.flight.Dump(oc.Flight.Out, node, rc.spec.Name, rc.seed,
-		fmt.Sprintf("delivery ratio %.3f below threshold %.3f", fres.DeliveryRatio, th))
+	eng.RunUntil(end)
 }

@@ -37,12 +37,12 @@ func runOne(spec *Spec, seed int64, oc *ObsConfig) (Result, error) {
 	return sr.Runs[0], nil
 }
 
-// TestObsBitIdentity pins the tentpole contract: attaching pure sinks
-// (NDJSON events, pcap frames, the flight recorder ring) must not
-// change a run's Result in any field — hooks read state, never draw
-// RNG or schedule events. The metrics sampler and stall checker are
-// deliberately left off here; those schedule engine events and are
-// documented to change Result.Events (only).
+// TestObsBitIdentity pins the tentpole contract: attaching every
+// instrument (NDJSON events with periodic metric samples, pcap frames,
+// journey reconstruction) must not change a run's Result in any field,
+// Events included — hooks read state, never draw RNG or schedule
+// events, and the sampler reads the registry between engine slices.
+// Journey adds its own attribution block and nothing else.
 func TestObsBitIdentity(t *testing.T) {
 	base, err := runOne(obsSpec(), 42, nil)
 	if err != nil {
@@ -54,18 +54,28 @@ func TestObsBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	oc := &ObsConfig{
-		Events: obs.NewNDJSONWriter(&events),
-		Pcap:   pw,
-		Flight: &FlightConfig{}, // no stall window, no dump writer
+		Events:          obs.NewNDJSONWriter(&events),
+		Pcap:            pw,
+		MetricsInterval: 3 * sim.Second, // 20 s window: six samples and a partial slice
+		Journey:         true,
 	}
 	traced, err := runOne(obsSpec(), 42, oc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := range traced.Flows {
+		if traced.Flows[i].Journey == nil {
+			t.Fatalf("flow %q: no journey attribution", traced.Flows[i].Label)
+		}
+		traced.Flows[i].Journey = nil
+	}
 	bj, _ := json.Marshal(base)
 	tj, _ := json.Marshal(traced)
 	if !bytes.Equal(bj, tj) {
 		t.Errorf("tracing perturbed the run:\ndisabled: %s\nenabled:  %s", bj, tj)
+	}
+	if n := strings.Count(events.String(), `"type":"metrics"`); n != 6 {
+		t.Errorf("got %d metrics samples, want 6", n)
 	}
 	if events.Len() == 0 {
 		t.Error("no NDJSON events captured")
@@ -100,100 +110,6 @@ func TestObsLayersAlwaysPopulated(t *testing.T) {
 	}
 	if res.layer("tcp", "segs_in") <= 0 {
 		t.Errorf("tcp.segs_in = %v, want > 0", res.layer("tcp", "segs_in"))
-	}
-}
-
-// TestObsStallDump forces a black-hole flow — every packet the border
-// router forwards is dropped — and checks the stall checker dumps the
-// flow's ring mid-run with the stall reason.
-func TestObsStallDump(t *testing.T) {
-	spec := &Spec{
-		Name:     "obs-stall",
-		Topology: TopologySpec{Kind: TopoStar, Nodes: 3},
-		Net:      NetSpec{InjectedLoss: 0.999},
-		Flows: []FlowSpec{{
-			Label: "doomed", From: NodeID(1), To: Host(),
-			Pattern:  PatternAnemometer,
-			Interval: Duration(1 * sim.Second), Batch: 2,
-		}},
-		Warmup:   Duration(1 * sim.Second),
-		Duration: Duration(30 * sim.Second),
-	}
-	var dumps bytes.Buffer
-	oc := &ObsConfig{Flight: &FlightConfig{
-		StallWindow: 5 * sim.Second,
-		Out:         &dumps,
-	}}
-	if _, err := runOne(spec, 3, oc); err != nil {
-		t.Fatal(err)
-	}
-	out := dumps.String()
-	if !strings.Contains(out, "flight recorder") || !strings.Contains(out, "stalled: no progress") {
-		t.Fatalf("stall dump missing, got:\n%s", out)
-	}
-	if !strings.Contains(out, `flow "doomed"`) {
-		t.Errorf("dump not attributed to the flow:\n%s", out)
-	}
-	if n := strings.Count(out, "=== flight recorder"); n != 1 {
-		t.Errorf("black-hole flow dumped %d times, want once", n)
-	}
-}
-
-// TestObsIdleFlowNotStalled: a healthy sensor that samples less often
-// than the stall window spends most of every window with nothing
-// outstanding. That is idle, not stalled, and must dump nothing.
-func TestObsIdleFlowNotStalled(t *testing.T) {
-	spec := obsSpec()
-	spec.Flows[0].Interval = Duration(5 * sim.Second)
-	spec.Flows[0].Batch = 1
-	spec.Duration = Duration(40 * sim.Second)
-	var dumps bytes.Buffer
-	oc := &ObsConfig{Flight: &FlightConfig{
-		StallWindow: 2 * sim.Second,
-		Out:         &dumps,
-	}}
-	res, err := runOne(spec, 42, oc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := res.Flows[0]; f.Delivered < 6 || f.DeliveryRatio < 0.9 {
-		t.Fatalf("flow delivered %d readings (ratio %.2f); the healthy-flow premise is broken",
-			f.Delivered, f.DeliveryRatio)
-	}
-	if dumps.Len() != 0 {
-		t.Errorf("idle healthy flow was dumped as stalled:\n%s", truncate(dumps.String(), 600))
-	}
-}
-
-// TestObsLowDeliveryDump: with the stall checker off, a flow ending the
-// run under the delivery threshold dumps at collect time instead.
-func TestObsLowDeliveryDump(t *testing.T) {
-	spec := &Spec{
-		Name:     "obs-lowdeliv",
-		Topology: TopologySpec{Kind: TopoStar, Nodes: 3},
-		Net:      NetSpec{InjectedLoss: 0.999},
-		Flows: []FlowSpec{{
-			Label: "doomed", From: NodeID(1), To: Host(),
-			Pattern:  PatternAnemometer,
-			Interval: Duration(1 * sim.Second), Batch: 2,
-		}},
-		Warmup:   Duration(1 * sim.Second),
-		Duration: Duration(15 * sim.Second),
-	}
-	var dumps bytes.Buffer
-	oc := &ObsConfig{Flight: &FlightConfig{
-		DeliveryThreshold: 0.5,
-		Out:               &dumps,
-	}}
-	res, err := runOne(spec, 3, oc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Flows[0].DeliveryRatio >= 0.5 {
-		t.Fatalf("black-hole flow delivered %.3f; test premise broken", res.Flows[0].DeliveryRatio)
-	}
-	if !strings.Contains(dumps.String(), "delivery ratio") {
-		t.Fatalf("low-delivery dump missing, got:\n%s", dumps.String())
 	}
 }
 

@@ -219,17 +219,28 @@ func (r *Runner) Run(spec *Spec) (*SpecResult, error) {
 	return out[0], nil
 }
 
+// Validate checks specs as RunAll will: against this runner's own
+// window, since a spec can only be checked with the window it will
+// actually run at.
+func (r *Runner) Validate(specs []*Spec) error {
+	for _, s := range specs {
+		if err := s.validate(r.WindowSegs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunAll expands every sweep, executes every (cell, seed) pair across
 // the pool, and returns one SpecResult per expanded cell, in input
-// order (a spec without a sweep is its own single cell).
+// order (a spec without a sweep is its own single cell). It refuses
+// what Validate refuses before running any cell.
 func (r *Runner) RunAll(specs []*Spec) ([]*SpecResult, error) {
+	if err := r.Validate(specs); err != nil {
+		return nil, err
+	}
 	var cells []*Spec
 	for _, s := range specs {
-		// Against this runner's own window: a spec can only be checked
-		// with the window it will actually run at.
-		if err := s.validate(r.WindowSegs); err != nil {
-			return nil, err
-		}
 		cells = append(cells, s.Expand()...)
 	}
 	type job struct{ si, ri int }
