@@ -28,10 +28,11 @@ loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 # Reach report: the functions no CI run executes. A cover-built
-# tcplp-bench runs every example spec but the city ones, journey-traced
-# (CI's only example run: a failed run or conformance check fails it),
-# the benchmark workloads' specs (read, never written), one run per
-# exporter flag and -exp all -scale 0.05;
+# tcplp-bench runs every example spec but the city ones and every paper
+# spec (examples/scenarios/paper), journey-traced (CI's only example run:
+# a failed run or conformance check fails it), the benchmark workloads'
+# specs (read, never written), one run per exporter flag and -exp all
+# -scale 0.05, journey-traced too;
 # go tool covdata then lists every function that never ran. Each must be
 # in tools/reach.allow with a reason; a newly unreached function fails,
 # an allowed one that now runs is reported for removal from the list.
@@ -47,7 +48,7 @@ reach:
 	run() { GOCOVERDIR=$(REACH)/cov $(REACH)/tcplp-bench -workers 2 "$$@" > /dev/null 2> $(REACH)/run.log || \
 		{ echo "reach: tcplp-bench $$* failed:" >&2; tail -20 $(REACH)/run.log >&2; exit 1; }; }; \
 	short="-warmup 2s -duration 6s -journey"; \
-	for f in examples/scenarios/*.json; do \
+	for f in examples/scenarios/*.json examples/scenarios/paper/*.json; do \
 		case "$$f" in */city_1k.json|*/city_10k.json|*/city_100k.json) continue;; esac; \
 		run -scenario "$$f" $$short; \
 	done; \
@@ -62,7 +63,7 @@ reach:
 	run -scenario $$ex $$short -journey-out $(REACH)/journeys.json; \
 	run -scenario $$ex $$short -format csv; \
 	run -scenario $$ex $$short -format json; \
-	run -exp all -scale 0.05
+	run -exp all -scale 0.05 -journey
 	@$(GO) tool covdata func -i=$(REACH)/cov > $(REACH)/func.txt
 	@awk '$$NF == "0.0%" { sub(/^tcplp\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' \
 		$(REACH)/func.txt | sort > $(REACH)/unreached.txt
@@ -94,9 +95,9 @@ profile:
 	$(GO) tool pprof -top -nodecount=40 bin/tcplp-bench $(WORKLOAD).prof
 
 # Render a sweep spec into a paper-style figure:
-#   make plot SPEC=examples/scenarios/fig6_sweep.json OUT=fig6
+#   make plot SPEC=examples/scenarios/paper/fig6.json OUT=fig6
 # Produces $(OUT).csv and $(OUT).png (needs gnuplot).
-SPEC ?= examples/scenarios/fig6_sweep.json
+SPEC ?= examples/scenarios/paper/fig6.json
 OUT  ?= sweep
 
 plot:

@@ -38,7 +38,7 @@ type cell struct {
 // that keeps per-iteration simulated time modest (the cmd runs the
 // full-scale versions) and the cells worth watching.
 type expBench struct {
-	scale experiments.Scale
+	scale float64
 	cells []cell
 }
 
@@ -119,7 +119,10 @@ func BenchmarkExperiments(b *testing.B) {
 		b.Run(e.ID, func(b *testing.B) {
 			var tabs []*experiments.Table
 			for i := 0; i < b.N; i++ {
-				tabs = e.Run(experiments.Opts{Scale: eb.scale})
+				var err error
+				if tabs, err = e.Run(experiments.Opts{Rewrite: scenario.Rewrite{Scale: eb.scale}}); err != nil {
+					b.Fatal(err)
+				}
 			}
 			for _, c := range eb.cells {
 				b.ReportMetric(cellF(b, tabs, c), c.metric)

@@ -1,11 +1,19 @@
 // Command tcplp-bench reproduces the paper's tables and figures and
 // runs declarative multi-flow scenarios. Each experiment id corresponds
 // to one table or figure of the evaluation; "all" runs the complete
-// set. Every simulating experiment executes through the scenario
-// runner, so -workers parallelizes its (spec, seed) grid without
-// changing a single cell (serial and parallel aggregates are
-// bit-identical) and -seeds N runs every measurement point over N
-// independent channel realizations, rendered as mean ± σ.
+// set. A simulating experiment is a spec file under
+// examples/scenarios/paper run through the same pipeline as -scenario,
+// then rendered as the paper's table: -workers parallelizes its (spec,
+// seed) grid without changing a single cell (serial and parallel
+// aggregates are bit-identical), and the capture flags (-journey,
+// -events-out, -trace-out, …) work in both modes.
+//
+// -scale, -seeds, -variant, -window, -warmup and -duration rewrite the
+// specs before they run, the same way in both modes (scenario.Rewrite):
+// -scale shrinks every warmup and window (never below 5 s), -seeds N
+// runs every cell over N independent channel realizations (rendered as
+// mean ± σ by -exp), -variant and -window set every TCP flow's variant
+// and every cell's window where the spec names none.
 //
 // A scenario file describes topology, link conditions, node roles,
 // per-flow transport configuration, and optionally a sweep block that
@@ -19,6 +27,7 @@
 //	tcplp-bench -exp fig9 -seeds 5 -ci            # Student-t 95% CI cells
 //	tcplp-bench -exp all -scale 0.1
 //	tcplp-bench -exp ccvariants -window 8
+//	tcplp-bench -scenario examples/scenarios/paper/fig4.json -scale 0.1 -format json  # fig4's cells, raw
 //	tcplp-bench -scenario examples/scenarios/twinleaf_mixed.json
 //	tcplp-bench -scenario examples/scenarios/interference.json   # TCP vs CoAP
 //	tcplp-bench -scenario sweep.json -workers 8 -format csv > out.csv
@@ -51,23 +60,23 @@ import (
 func main() {
 	var (
 		exp      = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		scale    = flag.Float64("scale", 1.0, "duration scale factor (1.0 = full runs)")
-		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown")
+		scale    = flag.Float64("scale", 1.0, "multiply every warmup and measurement window by this factor, never below 5 s (1.0 = as the spec says)")
+		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables (experiments)")
 		list     = flag.Bool("list", false, "list experiment ids")
-		variant  = flag.String("variant", "", "congestion-control variant for all experiments (newreno|cubic|westwood|bbr|vegas)")
-		window   = flag.Int("window", 0, "send/receive window in segments for all experiments (default 4)")
-		seeds    = flag.Int("seeds", 0, "independent seeds per measurement point (experiments: mean ± σ tables; scenarios: overrides the spec's seed list)")
+		variant  = flag.String("variant", "", "congestion-control variant of every TCP flow that names none (newreno|cubic|westwood|bbr|vegas)")
+		window   = flag.Int("window", 0, "send/receive window in segments of every cell that sets none (default 4)")
+		seeds    = flag.Int("seeds", 0, "run every cell over this many seeds, 99991 apart from its first (experiments render mean ± σ)")
 		ci       = flag.Bool("ci", false, "render multi-seed cells as mean ± Student-t 95% CI instead of mean ± σ")
 		workers  = flag.Int("workers", 0, "worker pool size for the scenario runner (0 = all CPUs)")
 		scenFile = flag.String("scenario", "", "run a JSON scenario spec file instead of an experiment")
 		format   = flag.String("format", "summary", "scenario output: summary|csv|json")
-		durFlag  = flag.String("duration", "", "override every scenario spec's measurement window (e.g. 5s)")
-		warmFlag = flag.String("warmup", "", "override every scenario spec's warmup (e.g. 1s)")
-		traceOut = flag.String("trace-out", "", "capture every 802.15.4 frame to this pcapng file (scenario runs)")
-		evOut    = flag.String("events-out", "", "write the structured NDJSON event trace to this file (scenario runs)")
+		durFlag  = flag.String("duration", "", "replace every spec's measurement window (e.g. 5s)")
+		warmFlag = flag.String("warmup", "", "replace every spec's warmup (e.g. 1s)")
+		traceOut = flag.String("trace-out", "", "capture every 802.15.4 frame to this pcapng file")
+		evOut    = flag.String("events-out", "", "write the structured NDJSON event trace to this file")
 		evLayers = flag.String("events-layers", "", "filter -events-out to these comma-separated layers (phy,mac,sixlowpan,ip,tcp,coap,gateway,wan,journey)")
 		evFlows  = flag.String("events-flow", "", "filter -events-out to these comma-separated flow labels' source nodes")
-		jrny     = flag.Bool("journey", false, "reconstruct per-reading packet journeys, attach latency attribution to flow results and check trace conformance, exiting 1 on a violation (scenario runs)")
+		jrny     = flag.Bool("journey", false, "reconstruct per-reading packet journeys, attach latency attribution to flow results and check trace conformance, exiting 1 on a violation")
 		jrnyOut  = flag.String("journey-out", "", "write per-reading span trees as Chrome trace events to this file (Perfetto-loadable; implies -journey)")
 		metrIntv = flag.String("metrics-interval", "", "sample per-layer metrics into -events-out at this period (e.g. 10s)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
@@ -75,149 +84,162 @@ func main() {
 	)
 	flag.Parse()
 
-	// Every flag is parsed and checked before the first file is created,
-	// so a refused invocation leaves earlier output files as they were.
-	var ccVariant cc.Variant
+	// Every flag is parsed and checked, and every spec loaded and
+	// rewritten, before the first file is created, so a refused
+	// invocation leaves earlier output files as they were.
+	rw := scenario.Rewrite{Scale: *scale, Seeds: *seeds, WindowSegs: *window}
+	if *scale <= 0 {
+		refuse("-scale must be > 0")
+	}
 	if *variant != "" {
 		v, err := cc.Parse(*variant)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			refuse(err.Error())
 		}
-		ccVariant = v
+		rw.Variant = v
 		fmt.Fprintf(os.Stderr, "congestion control: %s\n", v)
 	}
 	if *window != 0 {
 		if *window < 1 {
-			fmt.Fprintln(os.Stderr, "-window must be >= 1 segment")
-			os.Exit(1)
+			refuse("-window must be >= 1 segment")
 		}
 		// The upper bound is per segment size: see refuseWindow.
 		fmt.Fprintf(os.Stderr, "window: %d segments\n", *window)
 	}
 	if *seeds < 0 {
-		fmt.Fprintln(os.Stderr, "-seeds must be >= 1 (omit or 0 for the single-seed default)")
-		os.Exit(1)
+		refuse("-seeds must be >= 1 (omit or 0 for the spec's own seeds)")
+	}
+	if *durFlag != "" {
+		d := parseDur("duration", *durFlag)
+		rw.Duration = &d
+	}
+	if *warmFlag != "" {
+		d := parseDur("warmup", *warmFlag)
+		rw.Warmup = &d
+	}
+	if *evOut == "" && *metrIntv != "" {
+		refuse("-metrics-interval needs -events-out to write the samples to")
+	}
+	if *evOut == "" && (*evLayers != "" || *evFlows != "") {
+		refuse("-events-layers/-events-flow need -events-out to filter")
+	}
+	var metrics scenario.Duration
+	if *metrIntv != "" {
+		metrics = parseDur("metrics-interval", *metrIntv)
 	}
 
+	// What runs: the scenario file's cells, or each experiment's.
+	var cells []*scenario.Spec
+	var todo []experiments.Experiment
 	if *scenFile != "" {
-		// The experiment flags have no meaning for scenarios — a spec
-		// carries its own absolute durations — so reject them rather
-		// than silently run something other than what was asked for.
-		if *exp != "" || *markdown || *scale != 1.0 {
-			fmt.Fprintln(os.Stderr, "-scenario cannot be combined with -exp/-scale/-markdown; set durations and seeds in the spec file")
-			os.Exit(1)
+		if *exp != "" || *markdown {
+			refuse("-scenario cannot be combined with -exp/-markdown; -exp <id> runs examples/scenarios/paper/<id>.json and renders its tables")
 		}
-		cells := loadScenario(*scenFile, *seeds, *format, *durFlag, *warmFlag)
-		if *evOut == "" && *metrIntv != "" {
-			fmt.Fprintln(os.Stderr, "-metrics-interval needs -events-out to write the samples to")
-			os.Exit(1)
+		switch *format {
+		case "summary", "csv", "json":
+		default:
+			// Fail before the sweep runs, not after: full-scale scenario
+			// files can take a long time.
+			refuse(fmt.Sprintf("unknown -format %q (have summary, csv, json)", *format))
 		}
-		if *evOut == "" && (*evLayers != "" || *evFlows != "") {
-			fmt.Fprintln(os.Stderr, "-events-layers/-events-flow need -events-out to filter")
-			os.Exit(1)
+		data, err := os.ReadFile(*scenFile)
+		if err != nil {
+			refuse(err.Error())
 		}
-		var metrics scenario.Duration
-		if *metrIntv != "" {
-			metrics = parseDur("metrics-interval", *metrIntv)
+		specs, err := scenario.ParseSpecs(data)
+		if err != nil {
+			refuse(err.Error())
 		}
-		runner := &scenario.Runner{Workers: *workers, Variant: ccVariant, WindowSegs: *window}
-		if err := runner.Validate(cells); err != nil {
-			refuseWindow(err)
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer startProfiles(*cpuProf, *memProf)()
-		oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, metrics, *jrny, *jrnyOut)
-		// Every traced run goes through the conformance checker.
-		var jt *journeyTotals
-		if oc != nil && (oc.Journey || oc.JourneyOut != nil) {
-			jt = &journeyTotals{}
-			oc.OnJourney = jt.observe
-		}
-		runner.Obs = oc
-		runScenario(cells, runner, *format)
-		finish()
-		if jt != nil {
-			out := os.Stderr // keep csv/json output parseable
-			if *format == "summary" {
-				out = os.Stdout
+		cells = rewrite(rw, specs, *scenFile)
+	} else {
+		if *list || *exp == "" {
+			fmt.Println("experiments:")
+			for _, e := range experiments.Registry {
+				fmt.Printf("  %-10s %s\n", e.ID, e.Desc)
 			}
-			if !jt.report(out) {
-				os.Exit(1)
+			return
+		}
+		todo = experiments.Registry
+		if *exp != "all" {
+			e, ok := experiments.Find(*exp)
+			if !ok {
+				refuse(fmt.Sprintf("unknown experiment %q (try -list)", *exp))
+			}
+			todo = []experiments.Experiment{e}
+		}
+		for _, e := range todo {
+			specs, err := e.Specs()
+			if err != nil {
+				refuse(err.Error())
+			}
+			if specs != nil {
+				rewrite(rw, specs, e.ID) // refused here, not halfway through -exp all
 			}
 		}
-		return
-	}
-	if *durFlag != "" || *warmFlag != "" {
-		fmt.Fprintln(os.Stderr, "-duration/-warmup only apply to -scenario; use -scale for experiments")
-		os.Exit(1)
-	}
-	if *traceOut != "" || *evOut != "" || *metrIntv != "" || *jrny || *jrnyOut != "" {
-		fmt.Fprintln(os.Stderr, "-trace-out/-events-out/-journey/-journey-out/-metrics-interval only apply to -scenario runs")
-		os.Exit(1)
+		if *ci && *seeds < 2 {
+			fmt.Fprintln(os.Stderr, "note: -ci needs -seeds >= 2 to have anything to put an interval on")
+		}
 	}
 
-	if *list || *exp == "" {
-		fmt.Println("experiments:")
-		for _, e := range experiments.Registry {
-			fmt.Printf("  %-10s %s\n", e.ID, e.Desc)
-		}
-		if *exp == "" {
-			os.Exit(0)
-		}
-		return
-	}
-	todo := experiments.Registry
-	if *exp != "all" {
-		e, ok := experiments.Find(*exp)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *exp)
-			os.Exit(1)
-		}
-		todo = []experiments.Experiment{e}
-	}
-
-	if *ci && *seeds < 2 {
-		fmt.Fprintln(os.Stderr, "note: -ci needs -seeds >= 2 to have anything to put an interval on")
-	}
-	opts := experiments.Opts{
-		Scale:   experiments.Scale(*scale),
-		Seeds:   *seeds,
-		Workers: *workers,
-		CI:      *ci,
-
-		Variant:    ccVariant,
-		WindowSegs: *window,
-	}
-	run := func(e experiments.Experiment) {
-		defer func() {
-			if p := recover(); p != nil {
-				if err, ok := p.(error); ok {
-					refuseWindow(err)
-				}
-				panic(p)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Desc)
-		if e.SweepsVariants && *variant != "" {
-			fmt.Fprintf(os.Stderr, "note: %s sweeps all variants; -variant is ignored for it\n", e.ID)
-		}
-		if *seeds > 1 && !e.MultiSeed {
-			fmt.Fprintf(os.Stderr, "note: %s does not run through the scenario runner; -seeds is ignored for it\n", e.ID)
-		}
-		for _, tab := range e.Run(opts) {
-			if *markdown {
-				fmt.Println(tab.Markdown())
-			} else {
-				fmt.Println(tab.String())
-			}
-		}
-	}
 	defer startProfiles(*cpuProf, *memProf)()
-	for _, e := range todo {
-		run(e)
+	oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, metrics, *jrny, *jrnyOut)
+	// Every traced run goes through the conformance checker.
+	var jt *journeyTotals
+	if oc != nil && (oc.Journey || oc.JourneyOut != nil) {
+		jt = &journeyTotals{}
+		oc.OnJourney = jt.observe
 	}
+	runner := &scenario.Runner{Workers: *workers, Obs: oc}
+	if *scenFile != "" {
+		runScenario(cells, runner, *format)
+	} else {
+		opts := experiments.Opts{Rewrite: rw, Runner: runner, CI: *ci}
+		for _, e := range todo {
+			fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Desc)
+			tabs, err := e.Run(opts)
+			if err != nil {
+				refuse(err.Error())
+			}
+			for _, tab := range tabs {
+				if *markdown {
+					fmt.Println(tab.Markdown())
+				} else {
+					fmt.Println(tab.String())
+				}
+			}
+		}
+	}
+	finish()
+	if jt != nil {
+		out := os.Stderr // keep csv/json output parseable
+		if *scenFile == "" || *format == "summary" {
+			out = os.Stdout
+		}
+		if !jt.report(out) {
+			os.Exit(1)
+		}
+	}
+}
+
+// refuse prints why an invocation is refused and exits 1.
+func refuse(msg string) {
+	fmt.Fprintln(os.Stderr, msg)
+	os.Exit(1)
+}
+
+// rewrite applies the flags' rewrite to the specs of a scenario file or
+// an experiment (named by what), exiting 1 when it refuses them, and
+// notes a flag that changed nothing.
+func rewrite(rw scenario.Rewrite, specs []*scenario.Spec, what string) []*scenario.Spec {
+	cells, unused, err := rw.Apply(specs)
+	if err != nil {
+		refuseWindow(err)
+		refuse(err.Error())
+	}
+	for _, u := range unused {
+		fmt.Fprintf(os.Stderr, "note: %s sets its own %s everywhere; -%s changes nothing\n", what, u, u)
+	}
+	return cells
 }
 
 // create creates (or truncates) an output file, exiting 1 when it cannot.
@@ -351,8 +373,7 @@ func (jt *journeyTotals) report(w io.Writer) bool {
 }
 
 // refuseWindow exits 1 naming -window and its limit when err is a
-// *scenario.WindowError (from Runner.Validate, or in an experiment's
-// panic); otherwise it returns.
+// *scenario.WindowError; otherwise it returns.
 func refuseWindow(err error) {
 	var we *scenario.WindowError
 	if errors.As(err, &we) {
@@ -371,54 +392,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// loadScenario loads a spec file, applies schedule/seed overrides and
-// expands sweeps into the cells a run executes.
-func loadScenario(path string, seeds int, format, durOverride, warmOverride string) []*scenario.Spec {
-	switch format {
-	case "summary", "csv", "json":
-	default:
-		// Fail before the sweep runs, not after: full-scale scenario
-		// files can take a long time.
-		fmt.Fprintf(os.Stderr, "unknown -format %q (have summary, csv, json)\n", format)
-		os.Exit(1)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	specs, err := scenario.ParseSpecs(data)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for _, s := range specs {
-		if durOverride != "" {
-			s.Duration = parseDur("duration", durOverride)
-		}
-		if warmOverride != "" {
-			s.Warmup = parseDur("warmup", warmOverride)
-		}
-		if seeds > 0 {
-			base := int64(1)
-			if len(s.Seeds) > 0 {
-				base = s.Seeds[0]
-			}
-			s.Seeds = make([]int64, seeds)
-			for i := range s.Seeds {
-				s.Seeds[i] = base + int64(i)
-			}
-		}
-	}
-	// Expand sweeps up front so the run count is honest; expansion is
-	// idempotent, so handing the cells to RunAll changes nothing.
-	var cells []*scenario.Spec
-	for _, s := range specs {
-		cells = append(cells, s.Expand()...)
-	}
-	return cells
 }
 
 // runScenario fans the cells out across the worker pool and prints the

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,7 +58,8 @@ const probeSpec = `{"name":"probe","topology":{"kind":"chain","nodes":3},
 	"warmup":"1s","duration":"4s"}`
 
 // TestRefusedFlagsKeepOutputFiles: an invocation refused for its flags or
-// its spec exits 1 before it creates a file, so an earlier file at an
+// its spec — in either mode; -exp all checks every experiment's rewritten
+// file first — exits 1 before it creates a file, so an earlier file at an
 // output path (here a journey trace and a CPU profile) keeps its bytes.
 func TestRefusedFlagsKeepOutputFiles(t *testing.T) {
 	run, dir := buildCLI(t)
@@ -75,7 +78,11 @@ func TestRefusedFlagsKeepOutputFiles(t *testing.T) {
 		{"-scenario", spec, "-journey-out", out, "-events-out", ev, "-window", "3000000"},
 		{"-scenario", filepath.Join(dir, "missing.json"), "-journey-out", out},
 		{"-scenario", spec, "-cpuprofile", out, "-metrics-interval", "1s"},
+		{"-scenario", spec, "-journey-out", out, "-scale", "0"},
+		{"-scenario", spec, "-exp", "fig4", "-journey-out", out},
 		{"-exp", "nosuch", "-cpuprofile", out},
+		{"-exp", "fig4", "-journey-out", out, "-events-out", ev, "-window", "3000000"},
+		{"-exp", "all", "-journey-out", out, "-seeds", "5000"},
 	} {
 		code, stdout, stderr := run(args...)
 		if code != 1 || stdout != "" {
@@ -194,5 +201,66 @@ func TestWindowFlagBounded(t *testing.T) {
 	args := append([]string{"-scenario", spec, "-window", strconv.Itoa(scenarioLimit + 1)}, short...)
 	if code, _, stderr := run(args...); code != 1 || !limitRe.MatchString(stderr) {
 		t.Errorf("%v: exit %d, want the refusal one past the limit\n%s", args, code, stderr)
+	}
+}
+
+// TestRewriteFlagsBothModes: -scale, -seeds and -window rewrite a spec
+// file the same way under -scenario and under -exp, whose tables are
+// rendered from exactly those cells; a rewrite no cell takes is noted;
+// and the capture flags work for experiments too.
+func TestRewriteFlagsBothModes(t *testing.T) {
+	run, _ := buildCLI(t)
+	flags := []string{"-scale", "0.05", "-seeds", "2", "-window", "8", "-workers", "1"}
+	code, stdout, stderr := run(append([]string{"-scenario", filepath.Join("..", "..", "examples", "scenarios", "paper", "fig4.json"), "-format", "json"}, flags...)...)
+	if code != 0 {
+		t.Fatalf("-scenario fig4.json: exit %d\n%s", code, stderr)
+	}
+	var cells []struct {
+		Spec struct {
+			Warmup, Duration string
+			Seeds            []int64
+			Net              struct {
+				WindowSegs int `json:"window_segs"`
+			}
+		}
+		Runs []struct {
+			Flows []struct {
+				GoodputKbps float64 `json:"goodput_kbps"`
+			}
+		}
+	}
+	if err := json.Unmarshal([]byte(stdout), &cells); err != nil || len(cells) != 14 {
+		t.Fatalf("-scenario fig4.json: %d cells (err %v), want 14", len(cells), err)
+	}
+	for _, c := range cells {
+		s := c.Spec
+		if s.Warmup != "5s" || s.Duration != "5s" || len(s.Seeds) != 2 || s.Seeds[1] != s.Seeds[0]+99991 || s.Net.WindowSegs != 8 {
+			t.Fatalf("rewritten cell %+v: want 5s windows, seeds 99991 apart, window 8", s)
+		}
+	}
+	code, stdout, stderr = run(append([]string{"-exp", "fig4"}, flags...)...)
+	if code != 0 {
+		t.Fatalf("-exp fig4: exit %d\n%s", code, stderr)
+	}
+	// Row 2 frames, uplink: the first cell's two runs as mean ± σ.
+	a, b := cells[0].Runs[0].Flows[0].GoodputKbps, cells[0].Runs[1].Flows[0].GoodputKbps
+	mean, sd := (a+b)/2, math.Abs(a-b)/2 // σ over the population, as stats.MeanStdDev
+	if want := fmt.Sprintf("%.1f ± %.1f", mean, sd); !strings.Contains(stdout, want) {
+		t.Errorf("-exp fig4 table lacks the uplink cell %q of the -scenario run:\n%s", want, stdout)
+	}
+
+	code, stdout, stderr = run("-exp", "fig8", "-scale", "0.05", "-duration", "2s", "-journey")
+	if code != 0 || !strings.Contains(stdout, "journey conformance:") {
+		t.Errorf("-exp fig8 -journey: exit %d, no conformance line\n%s%s", code, stdout, stderr)
+	}
+	for _, c := range []struct{ exp, flag, value string }{
+		{"fig14", "-window", "8"},       // both cells set window_segs 6
+		{"pacing", "-variant", "cubic"}, // both cells sweep variants
+	} {
+		code, _, stderr = run("-exp", c.exp, "-scale", "0.05", "-duration", "2s", c.flag, c.value)
+		note := fmt.Sprintf("note: %s sets its own %s everywhere; %s changes nothing", c.exp, c.flag[1:], c.flag)
+		if code != 0 || !strings.Contains(stderr, note) {
+			t.Errorf("-exp %s %s %s: exit %d, want the note %q\n%s", c.exp, c.flag, c.value, code, note, stderr)
+		}
 	}
 }

@@ -5,73 +5,25 @@ import (
 	"tcplp/internal/sim"
 )
 
-// The Appendix C duty-cycled-link study runs through the scenario
-// subsystem too: each measurement is a two-node chain whose leaf is a
-// sleepy node with the fast-poll hint disabled (Appendix C studies the
-// raw protocol), driving one bulk flow to or from the wired host. The
+// The Appendix C duty-cycled-link study: each measurement is a two-node
+// chain whose leaf is a sleepy node with the fast-poll hint disabled
+// (Appendix C studies the raw protocol), driving one bulk flow to or from
+// the wired host — an uplink spec, then a downlink spec, per row. The
 // renderers reproduce the bespoke loop bit-for-bit
 // (testdata/equiv_fig12..fig14).
 
-// dutyCycledSpec builds one such run: uplink (leaf → host) or downlink,
-// a fixed or adaptive sleep interval, and the window in segments.
-func dutyCycledSpec(name string, uplink bool, sleep sim.Duration, adaptive bool,
-	windowSegs int, warm, dur sim.Duration, seeds []int64) *scenario.Spec {
-
-	noFastPoll := scenario.Duration(0)
-	ns := scenario.NodeSpec{
-		ID: 1, Sleepy: true,
-		FastInterval:   &noFastPoll,
-		NoFastPollHint: true,
-	}
-	if adaptive {
-		ns.Adaptive = true
-		ns.MinInterval = scenario.Duration(20 * sim.Millisecond)
-		ns.MaxInterval = scenario.Duration(5 * sim.Second)
-		ns.SleepInterval = scenario.Duration(5 * sim.Second)
-	} else {
-		ns.SleepInterval = scenario.Duration(sleep)
-	}
-	flow := scenario.FlowSpec{From: scenario.NodeID(1), To: scenario.Host()}
-	if !uplink {
-		flow = scenario.FlowSpec{From: scenario.Host(), To: scenario.NodeID(1)}
-	}
-	return &scenario.Spec{
-		Name:     name,
-		Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: 2},
-		Net:      scenario.NetSpec{WindowSegs: windowSegs},
-		Nodes:    []scenario.NodeSpec{ns},
-		Flows:    []scenario.FlowSpec{flow},
-		Warmup:   scenario.Duration(warm),
-		Duration: scenario.Duration(dur),
-		Seeds:    seeds,
-	}
-}
-
-// Fig12 sweeps a fixed sleep interval and reports TCP RTT and goodput in
+// fig12 sweeps a fixed sleep interval and reports TCP RTT and goodput in
 // both directions over the duty-cycled link.
-func Fig12(o Opts) *Table {
-	scale := o.scale()
+func fig12(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:      "fig12",
 		Title:   "TCP over a duty-cycled link: fixed sleep interval sweep",
 		Columns: []string{"Sleep interval", "Up kb/s", "Up RTT ms", "Down kb/s", "Down RTT ms"},
 	}
-	warm, dur := scale.dur(20*sim.Second), scale.dur(2*sim.Minute)
-	intervals := []sim.Duration{
-		20 * sim.Millisecond, 50 * sim.Millisecond, 100 * sim.Millisecond,
-		250 * sim.Millisecond, 500 * sim.Millisecond, sim.Second, 2 * sim.Second,
-	}
-	var specs []*scenario.Spec
-	for i, iv := range intervals {
-		specs = append(specs,
-			dutyCycledSpec("fig12-up-"+iv.String(), true, iv, false, 4, warm, dur, o.seeds(int64(800+i))),
-			dutyCycledSpec("fig12-down-"+iv.String(), false, iv, false, 4, warm, dur, o.seeds(int64(850+i))))
-	}
-	res := o.run(specs)
 	meanRTT := func(f scenario.FlowResult) float64 { return f.MeanRTTms }
-	for i, iv := range intervals {
-		up, down := res[2*i], res[2*i+1]
-		t.AddRow(iv.String(),
+	for i := 0; i+1 < len(res); i += 2 {
+		up, down := res[i], res[i+1]
+		t.AddRow(sim.Duration(up.Spec.Nodes[0].SleepInterval).String(),
 			o.cell(flowSeries(up, 0, goodputOf), f1),
 			o.cell(flowSeries(up, 0, meanRTT), f1),
 			o.cell(flowSeries(down, 0, goodputOf), f1),
@@ -81,64 +33,42 @@ func Fig12(o Opts) *Table {
 	return t
 }
 
-// Fig13 reports the RTT distribution at a fixed two-second sleep
+// fig13 reports the RTT distribution at a fixed two-second sleep
 // interval, uplink and downlink.
-func Fig13(o Opts) *Table {
-	scale := o.scale()
+func fig13(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:      "fig13",
 		Title:   "RTT distribution, duty-cycled link, 2 s sleep interval",
 		Columns: []string{"Direction", "p10 ms", "Median ms", "p90 ms", "Max ms"},
 	}
-	warm, dur := scale.dur(30*sim.Second), scale.dur(4*sim.Minute)
-	res := o.run([]*scenario.Spec{
-		dutyCycledSpec("fig13-up", true, 2*sim.Second, false, 4, warm, dur, o.seeds(900)),
-		dutyCycledSpec("fig13-down", false, 2*sim.Second, false, 4, warm, dur, o.seeds(901)),
-	})
-	add := func(label string, sr *scenario.SpecResult) {
+	for i, label := range []string{"uplink", "downlink"} {
+		sr := res[i]
 		t.AddRow(label,
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.RTTp10ms }), f1),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.MedianRTTms }), f1),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.RTTp90ms }), f1),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.RTTMaxms }), f1))
 	}
-	add("uplink", res[0])
-	add("downlink", res[1])
 	t.Note("paper Fig. 13: uplink RTT ≈ the sleep interval (self-clocking); downlink clusters at multiples of it")
 	return t
 }
 
-// Fig14 evaluates the Trickle-based adaptive sleep interval of Appendix
-// C.2: goodput with 6-segment buffers, and — via the spec's idle phase —
-// the duty cycle after traffic stops.
-func Fig14(o Opts) *Table {
-	scale := o.scale()
+// fig14 evaluates the Trickle-based adaptive sleep interval of Appendix
+// C.2: goodput with 6-segment buffers, and — via the spec's idle phase,
+// which -scale leaves alone — the duty cycle after traffic stops.
+func fig14(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:      "fig14",
 		Title:   "Adaptive (Trickle) sleep interval: smin=20ms smax=5s, 6-segment buffers",
 		Columns: []string{"Direction", "Goodput kb/s", "Median RTT ms", "Idle duty cycle"},
 	}
-	warm, dur := scale.dur(20*sim.Second), scale.dur(2*sim.Minute)
-	mk := func(name string, uplink bool, seed int64) *scenario.Spec {
-		s := dutyCycledSpec(name, uplink, 0, true, 6, warm, dur, o.seeds(seed))
-		// The idle probe is unscaled, like the bespoke loop: back off to
-		// smax for 30 s, then measure two idle minutes.
-		s.IdleSettle = scenario.Duration(30 * sim.Second)
-		s.IdleWindow = scenario.Duration(2 * sim.Minute)
-		return s
-	}
-	res := o.run([]*scenario.Spec{
-		mk("fig14-up", true, 910),
-		mk("fig14-down", false, 911),
-	})
-	add := func(label string, sr *scenario.SpecResult) {
+	for i, label := range []string{"uplink", "downlink"} {
+		sr := res[i]
 		t.AddRow(label,
 			o.cell(flowSeries(sr, 0, goodputOf), f1),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.MedianRTTms }), f1),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.IdleRadioDC }), pct))
 	}
-	add("uplink", res[0])
-	add("downlink", res[1])
 	t.Note("paper §C.2: 68.6 kb/s up / 55.6 kb/s down with a ≈0.1%% idle duty cycle")
 	return t
 }

@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"tcplp/examples/scenarios/paper"
+	"tcplp/internal/scenario"
 	"tcplp/internal/sim"
 	"tcplp/internal/tcplp/cc"
 )
@@ -33,7 +37,30 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 	return v
 }
 
-var quick = Opts{Scale: 0.15}
+// scaled runs an experiment's spec file at the given -scale.
+func scaled(scale float64) Opts { return Opts{Rewrite: scenario.Rewrite{Scale: scale}} }
+
+var quick = scaled(0.15)
+
+// run runs the registry experiment id and returns its tables.
+func run(t *testing.T, id string, o Opts) []*Table {
+	t.Helper()
+	e, ok := Find(id)
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	tabs, err := e.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tabs
+}
+
+// run1 is run for a one-table experiment.
+func run1(t *testing.T, id string, o Opts) *Table {
+	t.Helper()
+	return run(t, id, o)[0]
+}
 
 func TestStaticTables(t *testing.T) {
 	for _, f := range []func() *Table{Table1, Table2, Table34, Table5, Table6, ModelComparison} {
@@ -64,7 +91,7 @@ func TestTable6HeaderBudget(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	tab := Fig4(quick)
+	tab := run1(t, "fig4", quick)
 	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -84,7 +111,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	tab := Fig5(quick)
+	tab := run1(t, "fig5", quick)
 	g1 := cell(t, tab, 0, 2)
 	g4 := cell(t, tab, 3, 2)
 	g6 := cell(t, tab, 5, 2)
@@ -98,7 +125,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	tab := Table7(quick)
+	tab := run1(t, "table7", quick)
 	// Last row is TCPlp; first is uIP.
 	uip1 := cell(t, tab, 0, 3)
 	tcplp1 := cell(t, tab, len(tab.Rows)-1, 3)
@@ -108,7 +135,7 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	tabs := Fig6(quick)
+	tabs := run(t, "fig6", quick)
 	if len(tabs) != 5 {
 		t.Fatalf("tables = %d", len(tabs))
 	}
@@ -133,7 +160,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestCwndTraceShape(t *testing.T) {
-	tab := CwndTrace(quick)
+	tab := run1(t, "fig7a", quick)
 	if cell(t, tab, 0, 1) == 0 {
 		t.Fatal("no cwnd events")
 	}
@@ -143,7 +170,7 @@ func TestCwndTraceShape(t *testing.T) {
 }
 
 func TestHopSweepShape(t *testing.T) {
-	tab := HopSweep(quick)
+	tab := run1(t, "hopsweep", quick)
 	g1 := cell(t, tab, 0, 1)
 	g2 := cell(t, tab, 1, 1)
 	g3 := cell(t, tab, 2, 1)
@@ -157,7 +184,7 @@ func TestHopSweepShape(t *testing.T) {
 }
 
 func TestTable9Shape(t *testing.T) {
-	tab := Table9(Opts{Scale: 0.08})
+	tab := run1(t, "table9", scaled(0.08))
 	// w=4 rows: fair (Jain close to 1).
 	if j := cell(t, tab, 0, 3); j < 0.8 {
 		t.Fatalf("one-hop w=4 unfair: Jain %.3f", j)
@@ -185,7 +212,7 @@ func TestTable9Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tab := Fig8(Opts{Scale: 0.1})
+	tab := run1(t, "fig8", scaled(0.1))
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -206,7 +233,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	tab := Fig12(Opts{Scale: 0.2})
+	tab := run1(t, "fig12", scaled(0.2))
 	gFast := cell(t, tab, 0, 1) // 20 ms
 	gSlow := cell(t, tab, len(tab.Rows)-1, 1)
 	if gFast < 5*gSlow {
@@ -220,7 +247,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	tab := Fig14(Opts{Scale: 0.3})
+	tab := run1(t, "fig14", scaled(0.3))
 	up := cell(t, tab, 0, 1)
 	idle := cell(t, tab, 0, 3)
 	if up < 30 {
@@ -232,7 +259,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestCCVariantsShape(t *testing.T) {
-	tab := CCVariants(quick)
+	tab := run1(t, "ccvariants", quick)
 	// (4 loss rates + 4 retry delays) × variants.
 	nv := len(cc.Variants())
 	if len(tab.Rows) != 8*nv {
@@ -272,7 +299,7 @@ func TestCCVariantsShape(t *testing.T) {
 }
 
 func TestPacingShape(t *testing.T) {
-	tab := Pacing(quick)
+	tab := run1(t, "pacing", quick)
 	// 2 scenarios × {newreno, bbr}.
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -312,11 +339,11 @@ func TestGoldenEquivalence(t *testing.T) {
 				name, got, want)
 		}
 	}
-	check("equiv_fig4.txt", Fig4(quick))
-	check("equiv_fig5.txt", Fig5(quick))
-	check("equiv_fig6.txt", Fig6(quick)...)
-	check("equiv_hopsweep.txt", HopSweep(quick))
-	check("equiv_table7.txt", Table7(quick))
+	check("equiv_fig4.txt", run1(t, "fig4", quick))
+	check("equiv_fig5.txt", run1(t, "fig5", quick))
+	check("equiv_fig6.txt", run(t, "fig6", quick)...)
+	check("equiv_hopsweep.txt", run1(t, "hopsweep", quick))
+	check("equiv_table7.txt", run1(t, "table7", quick))
 }
 
 // TestGoldenEquivalenceApps pins the protocol-driver port of the §9
@@ -340,24 +367,24 @@ func TestGoldenEquivalenceApps(t *testing.T) {
 				name, got, want)
 		}
 	}
-	check("equiv_fig8.txt", Fig8(Opts{Scale: 0.1}))
-	check("equiv_fig9.txt", Fig9(Opts{Scale: 0.05})...)
-	check("equiv_fig10.txt", Fig10(Opts{Scale: 0.1}))
-	check("equiv_table8.txt", Table8(Opts{Scale: 0.02}))
-	check("equiv_fig12.txt", Fig12(Opts{Scale: 0.2}))
-	check("equiv_fig13.txt", Fig13(Opts{Scale: 0.2}))
-	check("equiv_fig14.txt", Fig14(Opts{Scale: 0.3}))
+	check("equiv_fig8.txt", run1(t, "fig8", scaled(0.1)))
+	check("equiv_fig9.txt", run(t, "fig9", scaled(0.05))...)
+	check("equiv_fig10.txt", run1(t, "fig10", scaled(0.1)))
+	check("equiv_table8.txt", run1(t, "table8", scaled(0.02)))
+	check("equiv_fig12.txt", run1(t, "fig12", scaled(0.2)))
+	check("equiv_fig13.txt", run1(t, "fig13", scaled(0.2)))
+	check("equiv_fig14.txt", run1(t, "fig14", scaled(0.3)))
 }
 
 // TestFig6WorkersBitIdentical is the parallelization contract at the
 // experiment level: the same fig6 sweep through a serial and a wide
 // worker pool must render byte-identical tables.
 func TestFig6WorkersBitIdentical(t *testing.T) {
-	o := Opts{Scale: 0.05}
-	o.Workers = 1
-	serial := Fig6(o)
-	o.Workers = 4
-	parallel := Fig6(o)
+	o := scaled(0.05)
+	o.Runner = &scenario.Runner{Workers: 1}
+	serial := run(t, "fig6", o)
+	o.Runner = &scenario.Runner{Workers: 4}
+	parallel := run(t, "fig6", o)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("serial and parallel fig6 tables differ:\nserial:   %+v\nparallel: %+v",
 			serial, parallel)
@@ -367,7 +394,9 @@ func TestFig6WorkersBitIdentical(t *testing.T) {
 // TestMultiSeedErrorBars pins the ± σ rendering: with Seeds > 1 every
 // measured cell carries an error bar and the mean still parses.
 func TestMultiSeedErrorBars(t *testing.T) {
-	tab := Fig5(Opts{Scale: 0.05, Seeds: 3, Workers: 4})
+	o := scaled(0.05)
+	o.Rewrite.Seeds, o.Runner = 3, &scenario.Runner{Workers: 4}
+	tab := run1(t, "fig5", o)
 	pm := regexp.MustCompile(`^\d+(\.\d+)? ± \d+(\.\d+)?$`)
 	for i, row := range tab.Rows {
 		if !pm.MatchString(row[2]) {
@@ -378,7 +407,7 @@ func TestMultiSeedErrorBars(t *testing.T) {
 		}
 	}
 	// Single-seed runs keep plain point estimates.
-	tab = Fig5(Opts{Scale: 0.05})
+	tab = run1(t, "fig5", scaled(0.05))
 	if strings.Contains(tab.Rows[0][2], "±") {
 		t.Fatalf("single-seed cell %q carries an error bar", tab.Rows[0][2])
 	}
@@ -388,10 +417,11 @@ func TestMultiSeedErrorBars(t *testing.T) {
 // spread than ± σ (the Student-t interval at 3 seeds is 2.48·s/√3 ≈
 // 1.75σ) around the identical mean.
 func TestCICells(t *testing.T) {
-	o := Opts{Scale: 0.05, Seeds: 3, Workers: 4}
-	sigma := Fig5(o)
+	o := scaled(0.05)
+	o.Rewrite.Seeds, o.Runner = 3, &scenario.Runner{Workers: 4}
+	sigma := run1(t, "fig5", o)
 	o.CI = true
-	ci := Fig5(o)
+	ci := run1(t, "fig5", o)
 	widened := false
 	for i := range sigma.Rows {
 		ms, ss, okS := strings.Cut(sigma.Rows[i][2], " ± ")
@@ -418,6 +448,10 @@ func TestCICells(t *testing.T) {
 	}
 }
 
+// TestRegistryComplete: every paper artifact has an id, and the
+// simulating ids and the spec files under examples/scenarios/paper are
+// the same set — no experiment without its file, no file no experiment
+// reads.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "table34", "table5", "table6",
 		"fig4", "fig5", "table7", "fig6", "fig7a", "hopsweep", "model",
@@ -431,12 +465,47 @@ func TestRegistryComplete(t *testing.T) {
 	if _, ok := Find("nope"); ok {
 		t.Fatal("Find accepted an unknown id")
 	}
-}
-
-func TestScaleFloor(t *testing.T) {
-	if d := Scale(0.0001).dur(time600); d < 5*sim.Second {
-		t.Fatalf("scale floor broken: %v", d)
+	files, err := fs.Glob(paper.Files, "*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var simulating []string
+	for _, e := range Registry {
+		specs, err := e.Specs()
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if (e.static == nil) != (len(specs) > 0) {
+			t.Fatalf("%s: static %v, but %d specs", e.ID, e.static != nil, len(specs))
+		}
+		if len(specs) > 0 {
+			simulating = append(simulating, e.ID+".json")
+		}
+	}
+	slices.Sort(simulating)
+	if !reflect.DeepEqual(files, simulating) {
+		t.Fatalf("spec files %v, simulating experiments %v", files, simulating)
 	}
 }
 
-const time600 = 600 * sim.Second
+// TestScaleFloor: -scale never shrinks a warmup or window below 5 s, nor
+// a dc_sample run below one sample period — fig10 stays an hour long.
+func TestScaleFloor(t *testing.T) {
+	for _, id := range []string{"fig4", "fig10"} {
+		e, _ := Find(id)
+		specs, err := e.Specs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, _, err := scenario.Rewrite{Scale: 0.0001}.Apply(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			floor := max(scenario.Duration(5*sim.Second), c.DCSample)
+			if c.Duration != floor || (c.Warmup != 0 && c.Warmup != floor) {
+				t.Fatalf("%s: warmup %v, window %v at scale 0.0001; want the %v floor", c.Name, c.Warmup, c.Duration, floor)
+			}
+		}
+	}
+}

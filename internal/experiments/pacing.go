@@ -1,76 +1,28 @@
 package experiments
 
-import (
-	"tcplp/internal/scenario"
-	"tcplp/internal/sim"
-	"tcplp/internal/tcplp/cc"
-)
+import "tcplp/internal/scenario"
 
-// Pacing is the paced-vs-unpaced head-to-head: the same bulk flow run
+// pacing is the paced-vs-unpaced head-to-head: the same bulk flow run
 // under ACK-clocked NewReno and paced BBR over the two scenarios where
 // burst clocking hurts most — the hidden-terminal chain (d = 0, where
 // an ACK releasing a back-to-back window train maximizes intra-path
 // collisions, §7.1) and a duty-cycled leaf (where a burst arriving
 // while the radio sleeps piles up in the parent's indirect queue,
-// §9.2). The channel realization is held fixed per scenario so rows
-// differ only by the algorithm; both scenarios are declarative specs
-// run by the scenario subsystem.
-func Pacing(o Opts) *Table {
+// §9.2). Each scenario is a variants sweep on one seed, so its rows
+// differ only by the algorithm.
+func pacing(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:    "pacing",
 		Title: "Send pacing: ACK-clocked NewReno vs paced BBR",
 		Columns: []string{"Scenario", "Variant", "Goodput kb/s", "Rtx",
 			"Timeouts", "SRTT ms"},
 	}
-	warm, dur := o.scale().dur(15*sim.Second), o.scale().dur(90*sim.Second)
-	variants := []cc.Variant{cc.NewReno, cc.Bbr}
-	noRetryDelay := scenario.Duration(0)
-	noFastPoll := scenario.Duration(0)
-
-	var specs []*scenario.Spec
-	var labels []string
-	// Hidden-terminal chain: three hops, no link-retry delay, uplink.
-	for _, v := range variants {
-		specs = append(specs, &scenario.Spec{
-			Name:     "pacing-hidden-" + string(v),
-			Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: 4},
-			Net:      scenario.NetSpec{RetryDelay: &noRetryDelay},
-			Flows: []scenario.FlowSpec{{
-				From: scenario.NodeID(3), To: scenario.NodeID(0), Variant: string(v),
-			}},
-			Warmup:   scenario.Duration(warm),
-			Duration: scenario.Duration(dur),
-			Seeds:    o.seeds(960),
-		})
-		labels = append(labels, "hidden terminal (3 hops, d=0)")
-	}
-	// Duty-cycled leaf: downlink through the parent's indirect queue,
-	// fixed 250 ms sleep interval with the fast-poll hint disabled
-	// (Appendix C conditions, where burst timing is everything).
-	for _, v := range variants {
-		specs = append(specs, &scenario.Spec{
-			Name:     "pacing-dutycycled-" + string(v),
-			Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: 2},
-			Nodes: []scenario.NodeSpec{{
-				ID: 1, Sleepy: true,
-				SleepInterval:  scenario.Duration(250 * sim.Millisecond),
-				FastInterval:   &noFastPoll,
-				NoFastPollHint: true,
-			}},
-			Flows: []scenario.FlowSpec{{
-				From: scenario.NodeID(0), To: scenario.NodeID(1), Variant: string(v),
-			}},
-			Warmup:   scenario.Duration(warm),
-			Duration: scenario.Duration(dur),
-			Seeds:    o.seeds(961),
-		})
-		labels = append(labels, "duty-cycled leaf (250 ms sleep, downlink)")
-	}
-
-	results := o.run(specs)
-	for i, sr := range results {
-		variant := sr.Runs[0].Flows[0].Variant
-		t.AddRow(labels[i], variant,
+	for i, sr := range res {
+		label := "hidden terminal (3 hops, d=0)"
+		if i >= len(res)/2 {
+			label = "duty-cycled leaf (250 ms sleep, downlink)"
+		}
+		t.AddRow(label, sr.Runs[0].Flows[0].Variant,
 			o.cell(flowSeries(sr, 0, goodputOf), f1),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.Timeouts + f.FastRtx) }), f0),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.Timeouts) }), f0),

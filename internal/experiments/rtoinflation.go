@@ -1,50 +1,30 @@
 package experiments
 
-import (
-	"fmt"
+import "tcplp/internal/scenario"
 
-	"tcplp/internal/scenario"
-	"tcplp/internal/sim"
-)
-
-// RTOInflation is the mechanism study behind the Fig. 9a CoCoA collapse:
-// it sweeps injected loss like Fig. 9 but renders the retransmission
-// timers themselves — the flow's end-of-run RTO estimate (CoCoA's
-// overall estimator, observed through coap.SamplingPolicy; RFC 7252
-// CoAP keeps no estimator and reports 0) against the median measured
-// exchange RTT, plus their ratio. Under loss CoCoA's weak estimator
-// feeds retransmission-inflated RTT samples back into the overall RTO,
-// which balloons relative to the true path RTT, stretching recovery and
-// collapsing delivery while plain CoAP's fixed timer keeps pace.
-func RTOInflation(o Opts) *Table {
-	scale := o.scale()
+// rtoInflation is the mechanism study behind the Fig. 9a CoCoA collapse:
+// an injected_loss × protocols sweep like Fig. 9 (CoCoA, CoAP) rendering
+// the retransmission timers themselves — the flow's end-of-run RTO
+// estimate (CoCoA's overall estimator, observed through
+// coap.SamplingPolicy; RFC 7252 CoAP keeps no estimator and reports 0)
+// against the median measured exchange RTT, plus their ratio. Under loss
+// CoCoA's weak estimator feeds retransmission-inflated RTT samples back
+// into the overall RTO, which balloons relative to the true path RTT,
+// stretching recovery and collapsing delivery while plain CoAP's fixed
+// timer keeps pace.
+func rtoInflation(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:    "rto_inflation",
 		Title: "CoCoA RTO inflation vs injected loss",
 		Columns: []string{"Loss", "Protocol", "Reliability",
 			"RTT p50 ms", "RTO ms", "RTO/RTT"},
 	}
-	warm, dur := scale.dur(2*sim.Minute), scale.dur(20*sim.Minute)
-	losses := []float64{0, 0.06, 0.12, 0.21}
-	protos := []string{"cocoa", "coap"}
-	names := []string{"CoCoA", "CoAP"}
-	var specs []*scenario.Spec
-	for li, loss := range losses {
-		specs = append(specs, anemSweep(
-			fmt.Sprintf("rtoinfl-loss%.0f", loss*100),
-			protos, 1, true, SensorNodes, loss, false, warm, dur,
-			o.seeds(801+int64(li)*int64(len(protos)))))
-	}
-	res := o.run(specs)
-	for li, loss := range losses {
-		for pi, name := range names {
-			sr := res[li*len(protos)+pi]
-			t.AddRow(pct(loss), name,
-				o.cell(runSeries(sr, anemRel), pct),
-				o.cell(runSeries(sr, anemMedianRTT), f1),
-				o.cell(runSeries(sr, anemRTO), f1),
-				o.cell(runSeries(sr, anemRTOInflation), f2))
-		}
+	for _, sr := range res {
+		t.AddRow(pct(sr.Spec.Net.InjectedLoss), protoName(sr),
+			o.cell(runSeries(sr, anemRel), pct),
+			o.cell(runSeries(sr, anemMedianRTT), f1),
+			o.cell(runSeries(sr, anemRTO), f1),
+			o.cell(runSeries(sr, anemRTOInflation), f2))
 	}
 	t.Note("paper Fig. 9: CoCoA's overall RTO inflates well past the path RTT as loss grows; CoAP's fixed 2-3 s timer reports no estimator (RTO 0)")
 	return t

@@ -1,9 +1,11 @@
-// Package experiments contains one runner per table and figure of the
-// paper's evaluation. Each runner builds the scenario from the library's
-// public pieces, runs it, and returns a Table whose rows correspond to
-// the points the paper plots. cmd/tcplp-bench prints them; the root-level
-// bench_test.go runs them all from one table; each table's notes quote
-// the paper's numbers next to the measured ones.
+// Package experiments renders the paper's evaluation: one registry entry
+// per table and figure. A simulating entry is data plus a renderer — its
+// specs are the file examples/scenarios/paper/<id>.json, run through the
+// same scenario pipeline as tcplp-bench -scenario, and the renderer turns
+// the per-seed results into a Table whose rows are the points the paper
+// plots. cmd/tcplp-bench prints them; the root-level bench_test.go runs
+// them all from one table; each table's notes quote the paper's numbers
+// next to the measured ones.
 package experiments
 
 import (
@@ -95,7 +97,6 @@ func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 func di(v int) string      { return fmt.Sprintf("%d", v) }
-func du(v uint64) string   { return fmt.Sprintf("%d", v) }
 
 // cell renders one table cell from per-seed observations: a single
 // observation stays the plain point estimate, several render as

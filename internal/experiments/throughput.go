@@ -7,28 +7,8 @@ import (
 	"tcplp/internal/model"
 	"tcplp/internal/scenario"
 	"tcplp/internal/sim"
-	"tcplp/internal/stack"
 	"tcplp/internal/uip"
 )
-
-// Scale shrinks experiment durations for quick runs (benchmarks use
-// Scale < 1); 1.0 reproduces the full published sweeps.
-type Scale float64
-
-func (s Scale) dur(d sim.Duration) sim.Duration {
-	out := sim.Duration(float64(d) * float64(s))
-	if out < 5*sim.Second {
-		out = 5 * sim.Second
-	}
-	return out
-}
-
-// Every simulating experiment below is a declarative scenario spec (or
-// sweep of specs) fanned out by scenario.Runner plus a renderer over
-// the per-seed results: one engine-instantiation path, one aggregation
-// path, one output path. Multi-seed runs (Opts.Seeds > 1) render
-// mean ± σ cells; the worker pool only changes wall-clock time, never
-// the tables.
 
 // msDur converts a milliseconds measurement back to a duration without
 // losing the underlying microsecond count to float rounding.
@@ -63,67 +43,36 @@ func eq2Pred(run scenario.Result) float64 {
 	return model.TCPlpGoodput(fl.MSS, rtt, fl.WindowSegs, segLoss(run)) / 1000
 }
 
-// Fig4 sweeps the MSS from 2 to 8 frames over the Fig. 2 setup (mote ↔
-// border router ↔ wired host, one wireless hop) and reports uplink and
-// downlink goodput: one seg_frames-axis sweep spec per direction.
-func Fig4(o Opts) *Table {
+// fig4: the MSS from 2 to 8 frames over the Fig. 2 setup (mote ↔ border
+// router ↔ wired host, one wireless hop), uplink and downlink goodput — one
+// seg_frames sweep per direction.
+func fig4(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:      "fig4",
 		Title:   "Goodput vs maximum segment size (frames), one hop via border router",
 		Columns: []string{"MSS (frames)", "MSS (bytes)", "Uplink kb/s", "Downlink kb/s"},
 	}
-	warm, dur := o.scale().dur(10*sim.Second), o.scale().dur(60*sim.Second)
-	frames := []int{2, 3, 4, 5, 6, 7, 8}
-	mk := func(dir string, from, to scenario.NodeRef, seed int64) *scenario.Spec {
-		return &scenario.Spec{
-			Name:     "fig4-" + dir,
-			Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: 2},
-			Flows:    []scenario.FlowSpec{{From: from, To: to}},
-			Sweep:    &scenario.Sweep{SegFrames: frames},
-			Warmup:   scenario.Duration(warm),
-			Duration: scenario.Duration(dur),
-			Seeds:    o.seeds(seed),
-		}
-	}
-	res := o.run([]*scenario.Spec{
-		mk("up", scenario.NodeID(1), scenario.Host(), 40),
-		mk("down", scenario.Host(), scenario.NodeID(1), 41),
-	})
-	up, down := res[:len(frames)], res[len(frames):]
-	for i, fr := range frames {
-		info := stack.SegmentSizing(fr, true)
-		t.AddRow(di(fr), di(info.MSS),
-			o.cell(flowSeries(up[i], 0, goodputOf), f1),
+	up, down := res[:len(res)/2], res[len(res)/2:]
+	for i, sr := range up {
+		t.AddRow(di(sr.Spec.Net.SegFrames), di(sr.Runs[0].Flows[0].MSS),
+			o.cell(flowSeries(sr, 0, goodputOf), f1),
 			o.cell(flowSeries(down[i], 0, goodputOf), f1))
 	}
 	t.Note("paper Fig. 4: poor goodput at small MSS from header overhead, diminishing gains past 5 frames")
 	return t
 }
 
-// Fig5 sweeps the send/receive buffer (window) size in segments and
-// reports downlink goodput and RTT (the paper's Fig. 5 measures the
-// downlink through the border router): one window_segs-axis sweep.
-func Fig5(o Opts) *Table {
+// fig5: downlink goodput and RTT through the border router against the
+// send/receive buffer (window) size in segments — one window_segs sweep.
+func fig5(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:      "fig5",
 		Title:   "Goodput and RTT vs window (buffer) size, downlink",
 		Columns: []string{"Window (segs)", "Window (bytes)", "Goodput kb/s", "SRTT ms"},
 	}
-	warm, dur := o.scale().dur(10*sim.Second), o.scale().dur(60*sim.Second)
-	windows := []int{1, 2, 3, 4, 5, 6}
-	res := o.run([]*scenario.Spec{{
-		Name:     "fig5",
-		Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: 2},
-		Flows:    []scenario.FlowSpec{{From: scenario.Host(), To: scenario.NodeID(1)}},
-		Sweep:    &scenario.Sweep{WindowSegs: windows, SeedStep: 1},
-		Warmup:   scenario.Duration(warm),
-		Duration: scenario.Duration(dur),
-		Seeds:    o.seeds(51),
-	}})
-	for i, segs := range windows {
-		sr := res[i]
-		mss := sr.Runs[0].Flows[0].MSS
-		t.AddRow(di(segs), di(segs*mss),
+	for _, sr := range res {
+		segs := sr.Spec.Net.WindowSegs
+		t.AddRow(di(segs), di(segs*sr.Runs[0].Flows[0].MSS),
 			o.cell(flowSeries(sr, 0, goodputOf), f1),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.SRTTms }), f1))
 	}
@@ -131,91 +80,44 @@ func Fig5(o Opts) *Table {
 	return t
 }
 
-// Table7 compares TCPlp against the simplified embedded stacks of prior
-// studies, one hop and three hops: one spec per (profile, hop count),
-// using the per-flow stack-profile knob.
-func Table7(o Opts) *Table {
+// table7: TCPlp against the simplified embedded stacks of prior studies,
+// one hop and three hops — a (1-hop, 3-hop) pair of specs per stack
+// profile, TCPlp's pair last.
+func table7(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:      "table7",
 		Title:   "Goodput of simplified stacks vs TCPlp",
 		Columns: []string{"Stack", "MSS", "Window", "1-hop kb/s", "3-hop kb/s"},
 	}
-	warm, dur := o.scale().dur(10*sim.Second), o.scale().dur(60*sim.Second)
-	mk := func(name, profile string, hops int, seed int64) *scenario.Spec {
-		return &scenario.Spec{
-			Name:     name,
-			Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: hops + 1},
-			Flows: []scenario.FlowSpec{{
-				From: scenario.NodeID(hops), To: scenario.NodeID(0), Profile: profile,
-			}},
-			Warmup:   scenario.Duration(warm),
-			Duration: scenario.Duration(dur),
-			Seeds:    o.seeds(seed),
+	for i := 0; i+1 < len(res); i += 2 {
+		one, three := res[i], res[i+1]
+		stack, mss, window := "TCPlp", "5 frames", fmt.Sprintf("%d segs", one.Runs[0].Flows[0].WindowSegs)
+		if key := one.Spec.Flows[0].Profile; key != "" {
+			p, _ := uip.ParseProfile(key) // validated
+			stack, mss, window = p.String(), fmt.Sprintf("%d frame(s)", p.SegFrames()), "1 seg"
 		}
+		t.AddRow(stack, mss, window,
+			o.cell(flowSeries(one, 0, goodputOf), f1),
+			o.cell(flowSeries(three, 0, goodputOf), f1))
 	}
-	var specs []*scenario.Spec
-	for i, p := range uip.Profiles() {
-		specs = append(specs,
-			mk("table7-"+p.Key()+"-1hop", p.Key(), 1, int64(60+i)),
-			mk("table7-"+p.Key()+"-3hop", p.Key(), 3, int64(70+i)))
-	}
-	specs = append(specs,
-		mk("table7-tcplp-1hop", "", 1, 81),
-		mk("table7-tcplp-3hop", "", 3, 82))
-	res := o.run(specs)
-	for i, p := range uip.Profiles() {
-		t.AddRow(p.String(), fmt.Sprintf("%d frame(s)", p.SegFrames()), "1 seg",
-			o.cell(flowSeries(res[2*i], 0, goodputOf), f1),
-			o.cell(flowSeries(res[2*i+1], 0, goodputOf), f1))
-	}
-	n := len(res)
-	t.AddRow("TCPlp", "5 frames", "4 segs",
-		o.cell(flowSeries(res[n-2], 0, goodputOf), f1),
-		o.cell(flowSeries(res[n-1], 0, goodputOf), f1))
 	t.Note("paper Table 7: uIP-class 1.5-15 kb/s one hop vs TCPlp ≈75 kb/s — a 5-40x gap")
 	return t
 }
 
-// DefaultRetryDelays is the Fig. 6 x-axis.
-func DefaultRetryDelays() []sim.Duration {
-	return []sim.Duration{0, 5 * sim.Millisecond, 10 * sim.Millisecond,
-		20 * sim.Millisecond, 30 * sim.Millisecond, 40 * sim.Millisecond,
-		60 * sim.Millisecond, 80 * sim.Millisecond, 100 * sim.Millisecond}
-}
-
-// Fig6 produces the four panels of Fig. 6 plus the Fig. 7b recovery
-// counts: the effect of the random link-retry delay d on loss, goodput
-// (with the Eq. 2 prediction), RTT, and total frames, for one and three
-// hops. Both hop counts are retry_delay-axis sweeps fanned out in one
-// RunAll, so -workers parallelizes the whole figure.
-func Fig6(o Opts) []*Table {
-	ds := DefaultRetryDelays()
-	warm, dur := o.scale().dur(15*sim.Second), o.scale().dur(90*sim.Second)
-	axis := make([]scenario.Duration, len(ds))
-	for i, d := range ds {
-		axis[i] = scenario.Duration(d)
-	}
-	mk := func(hops int, seed int64) *scenario.Spec {
-		return &scenario.Spec{
-			Name:     fmt.Sprintf("fig6-%dhop", hops),
-			Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: hops + 1},
-			Flows:    []scenario.FlowSpec{{From: scenario.NodeID(hops), To: scenario.NodeID(0)}},
-			Sweep:    &scenario.Sweep{RetryDelay: axis, SeedStep: 1},
-			Warmup:   scenario.Duration(warm),
-			Duration: scenario.Duration(dur),
-			Seeds:    o.seeds(seed),
-		}
-	}
-	res := o.run([]*scenario.Spec{mk(1, 110), mk(3, 130)})
-	one, three := res[:len(ds)], res[len(ds):]
-
+// fig6: the four panels of Fig. 6 plus the Fig. 7b recovery counts — the
+// effect of the random link-retry delay d on loss, goodput (with the
+// Eq. 2 prediction), RTT and total frames, at one hop (the first
+// retry_delay sweep) and three hops (the second).
+func fig6(o Opts, res []*scenario.SpecResult) []*Table {
+	one, three := res[:len(res)/2], res[len(res)/2:]
+	d := func(sr *scenario.SpecResult) string { return f1(sr.Spec.Net.RetryDelay.D().Milliseconds()) }
 	mkTab := func(id, title string, cols []string) *Table {
 		return &Table{ID: id, Title: title, Columns: cols}
 	}
 	lossPanel := func(id, title string, cells []*scenario.SpecResult) *Table {
 		tab := mkTab(id, title, []string{"d (ms)", "Seg loss", "Goodput kb/s", "Eq.2 pred kb/s"})
-		for i, sr := range cells {
-			tab.AddRow(f1(ds[i].Milliseconds()),
+		for _, sr := range cells {
+			tab.AddRow(d(sr),
 				o.cell(runSeries(sr, segLoss), pct),
 				o.cell(flowSeries(sr, 0, goodputOf), f1),
 				o.cell(runSeries(sr, eq2Pred), f1))
@@ -230,14 +132,13 @@ func Fig6(o Opts) []*Table {
 		[]string{"d (ms)", "Frames"})
 	t7b := mkTab("fig7b", "Three hops: TCP loss recovery vs max link-retry delay",
 		[]string{"d (ms)", "Timeouts", "Fast retransmissions"})
-	for i, sr := range three {
-		d := f1(ds[i].Milliseconds())
-		t6c.AddRow(d,
+	for _, sr := range three {
+		t6c.AddRow(d(sr),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.MedianRTTms }), f1),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.SRTTms }), f1))
-		t6d.AddRow(d,
+		t6d.AddRow(d(sr),
 			o.cell(runSeries(sr, func(r scenario.Result) float64 { return float64(r.FramesSent) }), f0))
-		t7b.AddRow(d,
+		t7b.AddRow(d(sr),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.Timeouts) }), f0),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.FastRtx) }), f0))
 	}
@@ -246,87 +147,56 @@ func Fig6(o Opts) []*Table {
 	return []*Table{t6a, t6b, t6c, t6d, t7b}
 }
 
-// CwndTrace summarises Fig. 7a: the congestion window of a three-hop
-// flow with d = 0 (hidden-terminal losses) observed over an interval —
-// a single traced-flow spec. examples/scenarios/fig7a_cwnd.json is the
-// same spec as a file; -format json on it prints the trajectory itself
-// (runs[0].flows[0].cwnd_trace).
-func CwndTrace(o Opts) *Table {
-	start := o.scale().dur(30 * sim.Second)
-	window := o.scale().dur(100 * sim.Second)
-	noRetry := scenario.Duration(0)
-	run := o.run([]*scenario.Spec{{
-		Name:     "fig7a",
-		Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: 4},
-		Net:      scenario.NetSpec{RetryDelay: &noRetry},
-		Flows: []scenario.FlowSpec{{
-			From: scenario.NodeID(3), To: scenario.NodeID(0), Trace: true,
-		}},
-		Warmup:   scenario.Duration(start),
-		Duration: scenario.Duration(window),
-		Seeds:    []int64{7},
-	}})[0].Runs[0]
-	fl := run.Flows[0]
-	trace := fl.CwndTrace
-
-	maxCwnd := fl.WindowSegs * fl.MSS
-	atMax := 0
-	for _, p := range trace {
-		if p.Cwnd >= maxCwnd {
-			atMax++
-		}
-	}
+// fig7a summarises Fig. 7a: the congestion window of a three-hop flow
+// with d = 0 (hidden-terminal losses) over an interval. -format json of
+// the same file prints the trajectory itself (runs[0].flows[0].cwnd_trace).
+func fig7a(o Opts, res []*scenario.SpecResult) *Table {
+	sr := res[0]
 	t := &Table{
 		ID:      "fig7a",
-		Title:   "cwnd behaviour, three hops, d=0 (summary; the series: -scenario examples/scenarios/fig7a_cwnd.json -format json)",
+		Title:   "cwnd behaviour, three hops, d=0 (summary; the series: -scenario examples/scenarios/paper/fig7a.json -format json)",
 		Columns: []string{"Metric", "Value"},
 	}
-	t.AddRow("congestion events traced", di(len(trace)))
-	if len(trace) > 0 {
-		t.AddRow("samples at max window", pct(float64(atMax)/float64(len(trace))))
+	traced := true
+	for _, run := range sr.Runs {
+		traced = traced && len(run.Flows[0].CwndTrace) > 0
 	}
-	t.AddRow("timeouts", du(fl.Timeouts))
-	t.AddRow("fast retransmissions", du(fl.FastRtx))
+	t.AddRow("congestion events traced",
+		o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(len(f.CwndTrace)) }), f0))
+	if traced {
+		t.AddRow("samples at max window", o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 {
+			atMax := 0
+			for _, p := range f.CwndTrace {
+				if p.Cwnd >= f.WindowSegs*f.MSS {
+					atMax++
+				}
+			}
+			return float64(atMax) / float64(len(f.CwndTrace))
+		}), pct))
+	}
+	t.AddRow("timeouts", o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.Timeouts) }), f0))
+	t.AddRow("fast retransmissions", o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.FastRtx) }), f0))
 	t.Note("paper Fig. 7a: cwnd recovers to the (4-segment) maximum almost immediately after every loss — no sawtooth")
 	return t
 }
 
-// HopSweep reproduces the §7.2 hop-count measurement at d = 40 ms and
-// compares it with the B/min(h,3) radio-scheduling bound: one hops-axis
-// sweep with an "end"-referenced sender. The paper's 4-hop outlier
-// (which needed a 6-segment window to fill the pipe) is a per-cell
-// override in the same grid, not a separate spec.
-func HopSweep(o Opts) *Table {
+// hopSweep: the §7.2 hop-count measurement at d = 40 ms against the
+// B/min(h,3) radio-scheduling bound — one hops sweep, the first cell one
+// hop. The paper's 4-hop outlier (which needed a 6-segment window to fill
+// the pipe) is a per-cell override in the same grid.
+func hopSweep(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:      "hopsweep",
 		Title:   "Goodput vs hop count (d = 40 ms)",
 		Columns: []string{"Hops", "Goodput kb/s", "×1-hop", "Bound factor"},
 	}
-	warm, dur := o.scale().dur(15*sim.Second), o.scale().dur(90*sim.Second)
-	res := o.run([]*scenario.Spec{{
-		Name:     "hopsweep",
-		Topology: scenario.TopologySpec{Kind: scenario.TopoChain},
-		Flows:    []scenario.FlowSpec{{From: scenario.End(), To: scenario.NodeID(0)}},
-		Sweep: &scenario.Sweep{
-			Hops: []int{1, 2, 3, 4}, SeedStep: 1,
-			Overrides: []scenario.Override{{
-				When: scenario.OverrideWhen{"hops": "4"},
-				Set:  scenario.OverrideSet{WindowSegs: 6},
-			}},
-		},
-		Warmup:   scenario.Duration(warm),
-		Duration: scenario.Duration(dur),
-		Seeds:    o.seeds(201),
-	}})
-	var oneHop []float64
-	for hops := 1; hops <= 4; hops++ {
-		g := flowSeries(res[hops-1], 0, goodputOf)
-		if hops == 1 {
-			oneHop = g
-		}
+	oneHop := flowSeries(res[0], 0, goodputOf)
+	for _, sr := range res {
+		hops := sr.Spec.Topology.Nodes - 1
+		g := flowSeries(sr, 0, goodputOf)
 		// Pair seed index k of this hop count with seed index k of the
 		// 1-hop cell. The cells run different channel realizations
-		// (SeedStep offsets them), so a multi-seed ±σ on this column is
+		// (seed_step offsets them), so a multi-seed ±σ on this column is
 		// the spread of ratios of independent runs, not a
 		// common-random-number paired estimate.
 		ratios := make([]float64, len(g))
@@ -342,47 +212,18 @@ func HopSweep(o Opts) *Table {
 	return t
 }
 
-// Table9 measures fairness and efficiency for two simultaneous flows
-// (Appendix A): one hop and three hops with the standard 4-segment
-// window, three hops with a 7-segment window with and without RED/ECN
-// at the relays, and — the ROADMAP's inter-variant fairness question —
-// the same w=7 bottleneck with a paced BBR flow against NewReno. Each
-// row is a declarative twin-leaf scenario run by the scenario
-// subsystem, which computes the per-flow goodputs and the Jain index.
-func Table9(o Opts) *Table {
+// table9: fairness and efficiency for two simultaneous flows
+// (Appendix A) — one hop and three hops with the standard 4-segment
+// window, three hops with a 7-segment window with and without RED/ECN at
+// the relays, and the same w=7 bottleneck with a paced BBR flow against
+// NewReno. Each row is a twin-leaf spec named after the row.
+func table9(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:      "table9",
 		Title:   "Two simultaneous flows: fairness and efficiency",
 		Columns: []string{"Scenario", "Flow A kb/s", "Flow B kb/s", "Jain index", "Aggregate kb/s"},
 	}
-	warm, dur := o.scale().dur(20*sim.Second), o.scale().dur(5*sim.Minute)
-	mk := func(name string, pathHops, windowSegs int, red bool, seed int64, variantA, variantB string) *scenario.Spec {
-		return &scenario.Spec{
-			Name:     name,
-			Topology: scenario.TopologySpec{Kind: scenario.TopoTwinLeaf, PathHops: pathHops},
-			Net: scenario.NetSpec{
-				WindowSegs: windowSegs,
-				RED:        red, ECN: red, HopByHop: red,
-			},
-			Flows: []scenario.FlowSpec{
-				{Label: "A", From: scenario.NodeID(pathHops), To: scenario.NodeID(0),
-					Port: 80, Variant: variantA},
-				{Label: "B", From: scenario.NodeID(pathHops + 1), To: scenario.NodeID(0),
-					Port: 81, Variant: variantB},
-			},
-			Warmup:   scenario.Duration(warm),
-			Duration: scenario.Duration(dur),
-			Seeds:    o.seeds(seed),
-		}
-	}
-	results := o.run([]*scenario.Spec{
-		mk("1 hop, w=4", 1, 4, false, 300, "", ""),
-		mk("3 hops, w=4", 3, 4, false, 301, "", ""),
-		mk("3 hops, w=7", 3, 7, false, 302, "", ""),
-		mk("3 hops, w=7, RED+ECN", 3, 7, true, 303, "", ""),
-		mk("3 hops, w=7, paced BBR vs NewReno", 3, 7, false, 304, "bbr", "newreno"),
-	})
-	for _, sr := range results {
+	for _, sr := range res {
 		t.AddRow(sr.Spec.Name,
 			o.cell(flowSeries(sr, 0, goodputOf), f1),
 			o.cell(flowSeries(sr, 1, goodputOf), f1),

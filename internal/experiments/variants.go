@@ -4,79 +4,30 @@ import (
 	"fmt"
 
 	"tcplp/internal/scenario"
-	"tcplp/internal/sim"
-	"tcplp/internal/tcplp/cc"
 )
 
-// ccVariantRetryDelays is the link-retry-delay axis of the variant
-// head-to-head: hidden-terminal conditions (d = 0) through the §7.1
-// recommended 40 ms to the Fig. 6 tail.
-var ccVariantRetryDelays = []sim.Duration{0, 10 * sim.Millisecond,
-	40 * sim.Millisecond, 100 * sim.Millisecond}
-
-// CCVariants is the congestion-control head-to-head: one bulk flow over
+// ccVariants is the congestion-control head-to-head: one bulk flow over
 // the lossy three-hop chain, swept along two loss axes — uniform
 // per-frame corruption (wireless noise) and the hidden-terminal
 // link-retry delay d of Fig. 6 (collision losses) — once per registered
 // variant. It asks the paper's natural follow-up question: which
 // loss-response policy suits which loss process, holding the scenario
-// fixed and varying only the algorithm. The whole sweep is a list of
-// declarative specs fanned out by the scenario runner.
-func CCVariants(o Opts) *Table {
+// fixed and varying only the algorithm. Each loss point is a variants
+// sweep on one seed, so rows of a point differ only by the algorithm; the
+// d-axis specs are the ones that set retry_delay.
+func ccVariants(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:    "ccvariants",
 		Title: "Congestion-control variants, three hops: frame-loss and link-retry-delay sweeps",
 		Columns: []string{"Axis", "Variant", "Goodput kb/s",
 			"Timeouts", "Fast rtx", "SRTT ms"},
 	}
-	warm, dur := o.scale().dur(15*sim.Second), o.scale().dur(90*sim.Second)
-	mkSpec := func(name string, v cc.Variant, per float64, retry *sim.Duration, seed int64) *scenario.Spec {
-		s := &scenario.Spec{
-			Name:     name,
-			Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: 4},
-			Net:      scenario.NetSpec{PER: per},
-			Flows: []scenario.FlowSpec{{
-				From: scenario.NodeID(3), To: scenario.NodeID(0), Variant: string(v),
-			}},
-			Warmup:   scenario.Duration(warm),
-			Duration: scenario.Duration(dur),
-			Seeds:    o.seeds(seed),
+	for _, sr := range res {
+		axis := pct(sr.Spec.Net.PER)
+		if d := sr.Spec.Net.RetryDelay; d != nil {
+			axis = fmt.Sprintf("d=%.0fms", d.D().Milliseconds())
 		}
-		if retry != nil {
-			rd := scenario.Duration(*retry)
-			s.Net.RetryDelay = &rd
-		}
-		return s
-	}
-
-	var specs []*scenario.Spec
-	var axes []string
-	// Uniform-PER axis: same seed for every variant at a given loss
-	// rate, so the channel realization is held fixed and rows differ
-	// only by the algorithm.
-	for round, per := range []float64{0, 0.01, 0.03, 0.06} {
-		for _, v := range cc.Variants() {
-			specs = append(specs, mkSpec(
-				fmt.Sprintf("ccvariants-per%.0f-%s", per*100, v),
-				v, per, nil, int64(400+round)))
-			axes = append(axes, pct(per))
-		}
-	}
-	// Link-retry-delay axis (Fig. 6 conditions): hidden-terminal
-	// collision losses instead of corruption, again seed-matched.
-	for round, d := range ccVariantRetryDelays {
-		d := d
-		for _, v := range cc.Variants() {
-			specs = append(specs, mkSpec(
-				fmt.Sprintf("ccvariants-d%s-%s", d, v),
-				v, 0, &d, int64(440+round)))
-			axes = append(axes, fmt.Sprintf("d=%.0fms", d.Milliseconds()))
-		}
-	}
-	results := o.run(specs)
-	for i, sr := range results {
-		variant := sr.Runs[0].Flows[0].Variant
-		t.AddRow(axes[i], variant,
+		t.AddRow(axis, sr.Runs[0].Flows[0].Variant,
 			o.cell(flowSeries(sr, 0, goodputOf), f1),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.Timeouts) }), f0),
 			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.FastRtx) }), f0),

@@ -41,18 +41,9 @@ func (t TopologySpec) build() mesh.Topology {
 	panic(fmt.Sprintf("scenario: unvalidated topology kind %q", t.Kind))
 }
 
-// options translates NetSpec into stack options. variant and
-// windowSegs are the Runner's defaults (zero values keep the paper's
-// NewReno and 4 segments); the spec's own net.window_segs and each
-// flow's variant still win over them.
-func (s *Spec) options(variant cc.Variant, windowSegs int) stack.Options {
+// options translates NetSpec into stack options.
+func (s *Spec) options() stack.Options {
 	opt := stack.DefaultOptions()
-	if variant != "" {
-		opt.TCP.Variant = variant
-	}
-	if windowSegs > 0 {
-		opt.WindowSegs = windowSegs
-	}
 	n := s.Net
 	opt.PER = n.PER
 	if n.RetryDelay != nil {
@@ -120,7 +111,7 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 	oc := r.Obs
 	rc := &runContext{spec: spec, seed: seed}
 	rc.buildTrace(oc)
-	opt := spec.options(r.Variant, r.WindowSegs)
+	opt := spec.options()
 	opt.Trace = rc.trace
 	net := stack.New(seed, spec.Topology.build(), opt)
 	rc.net = net
@@ -238,16 +229,9 @@ func (rc *runContext) resolve(r NodeRef) *stack.Node {
 // per-flow variant/window over the network defaults, host-sized
 // buffers on host endpoints, and the Table 7 stack-profile override.
 func (rc *runContext) tcpConfigs(fs FlowSpec) (srcCfg, sinkCfg tcplp.Config, err error) {
-	// An empty variant must stay empty so FlowTCPConfig keeps the
-	// network default (which carries Runner.Variant); cc.Parse would
-	// collapse it to NewReno.
-	var variant cc.Variant
-	if fs.Variant != "" {
-		v, perr := cc.Parse(fs.Variant)
-		if perr != nil {
-			return srcCfg, sinkCfg, perr // unreachable after Validate
-		}
-		variant = v
+	variant, err := cc.Parse(fs.Variant) // "" is NewReno, the paper's
+	if err != nil {
+		return srcCfg, sinkCfg, err // unreachable after Validate
 	}
 	cfg := rc.net.FlowTCPConfig(variant, fs.WindowSegs)
 

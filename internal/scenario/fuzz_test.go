@@ -16,9 +16,11 @@ import (
 // guard below it. An error from the run (an unrouted endpoint, say) is a
 // refusal, not a failure.
 func FuzzParseSpecs(f *testing.F) {
-	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
-	if err != nil || len(examples) == 0 {
-		f.Fatalf("example specs missing: %v", err)
+	examples, _ := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	paper, _ := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "paper", "*.json"))
+	examples = append(examples, paper...)
+	if len(examples) == 0 {
+		f.Fatal("example specs missing")
 	}
 	for _, path := range examples {
 		f.Add(readFile(f, path))

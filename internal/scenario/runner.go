@@ -1,13 +1,11 @@
 package scenario
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
 	"tcplp/internal/obs/journey"
 	"tcplp/internal/stats"
-	"tcplp/internal/tcplp/cc"
 )
 
 // CwndPoint is one congestion-window observation of a traced flow.
@@ -198,37 +196,6 @@ type Runner struct {
 	// runs interleave whole records; use Workers=1 for a strictly
 	// ordered trace.
 	Obs *ObsConfig
-	// Variant and WindowSegs replace the paper defaults (NewReno, 4
-	// segments) for every run; zero values keep them. A flow's own
-	// variant and a spec's net.window_segs take precedence.
-	Variant    cc.Variant
-	WindowSegs int
-}
-
-// Run executes one non-sweep spec over its seed list. A spec carrying a
-// sweep expands to many cells with one result each; use RunAll for it.
-func (r *Runner) Run(spec *Spec) (*SpecResult, error) {
-	if spec.Sweep != nil && !spec.Sweep.empty() {
-		return nil, fmt.Errorf("scenario %q: spec has a sweep (%d cells); use RunAll",
-			spec.Name, len(spec.Expand()))
-	}
-	out, err := r.RunAll([]*Spec{spec})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// Validate checks specs as RunAll will: against this runner's own
-// window, since a spec can only be checked with the window it will
-// actually run at.
-func (r *Runner) Validate(specs []*Spec) error {
-	for _, s := range specs {
-		if err := s.validate(r.WindowSegs); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunAll expands every sweep, executes every (cell, seed) pair across
@@ -236,8 +203,10 @@ func (r *Runner) Validate(specs []*Spec) error {
 // order (a spec without a sweep is its own single cell). It refuses
 // what Validate refuses before running any cell.
 func (r *Runner) RunAll(specs []*Spec) ([]*SpecResult, error) {
-	if err := r.Validate(specs); err != nil {
-		return nil, err
+	for _, s := range specs {
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	var cells []*Spec
 	for _, s := range specs {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,25 @@ import (
 	"tcplp/internal/sixlowpan"
 	"tcplp/internal/tcplp/cc"
 )
+
+// Host, End and Gateway are the named NodeRefs, for specs built in Go.
+func Host() NodeRef    { return NodeRef{Host: true} }
+func End() NodeRef     { return NodeRef{End: true} }
+func Gateway() NodeRef { return NodeRef{Gateway: true} }
+
+// Run executes one non-sweep spec over its seed list. A spec carrying a
+// sweep expands to many cells with one result each; use RunAll for it.
+func (r *Runner) Run(spec *Spec) (*SpecResult, error) {
+	if spec.Sweep != nil && !spec.Sweep.empty() {
+		return nil, fmt.Errorf("scenario %q: spec has a sweep (%d cells); use RunAll",
+			spec.Name, len(spec.Expand()))
+	}
+	out, err := r.RunAll([]*Spec{spec})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
 
 // twinMixed is the twin-leaf mixed-variant scenario of the ROADMAP's
 // fairness question: paced BBR vs NewReno at w=7 over a shared 3-hop
@@ -1060,14 +1080,17 @@ func TestExampleSpecRuns(t *testing.T) {
 }
 
 // TestAllExampleSpecsLoad keeps every checked-in spec loadable: each
-// file under examples/scenarios parses, validates, and expands (CI
-// additionally runs them all at a short duration).
+// file under examples/scenarios and examples/scenarios/paper parses,
+// validates, and expands (CI additionally runs them all at a short
+// duration).
 func TestAllExampleSpecsLoad(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "scenarios")
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) < 15 {
-		t.Fatalf("example specs missing: %v (err %v)", files, err)
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	paper, _ := filepath.Glob(filepath.Join(dir, "paper", "*.json"))
+	if len(files) < 12 || len(paper) < 19 {
+		t.Fatalf("example specs missing: %v %v", files, paper)
 	}
+	files = append(files, paper...)
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
@@ -1083,9 +1106,9 @@ func TestAllExampleSpecsLoad(t *testing.T) {
 			}
 		}
 	}
-	// And the sweep example actually runs shortened: one grid, one
-	// result per cell, every cell alive.
-	data, err := os.ReadFile(filepath.Join(dir, "fig6_sweep.json"))
+	// And the Fig. 6 sweep actually runs shortened: one grid, one result
+	// per cell, every cell alive.
+	data, err := os.ReadFile(filepath.Join(dir, "paper", "fig6.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1103,7 +1126,7 @@ func TestAllExampleSpecsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res) != 18 { // {1, 3} hops × 9 retry delays
-		t.Fatalf("fig6_sweep cells = %d, want 18", len(res))
+		t.Fatalf("fig6 cells = %d, want 18", len(res))
 	}
 	for _, sr := range res {
 		if g := sr.Runs[0].Flows[0].GoodputKbps; g <= 0 {
@@ -1196,41 +1219,59 @@ func TestPerFlowWindowAndPacing(t *testing.T) {
 	}
 }
 
+// rewritten applies rw to spec and fails the test on an error.
+func rewritten(t *testing.T, rw Rewrite, spec *Spec) []*Spec {
+	t.Helper()
+	cells, _, err := rw.Apply([]*Spec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
+}
+
 // TestEmptyVariantKeepsDefault pins the -variant contract: a flow with
-// no variant inherits Runner.Variant instead of collapsing to NewReno
+// no variant gets Rewrite.Variant instead of collapsing to NewReno
 // through cc.Parse(""), and a flow's own variant still wins.
 func TestEmptyVariantKeepsDefault(t *testing.T) {
 	spec := &Spec{
 		Name:     "default-variant",
 		Topology: TopologySpec{Kind: TopoChain, Nodes: 2},
 		Flows: []FlowSpec{
-			{From: NodeID(1), To: NodeID(0)},                     // inherits cubic
+			{From: NodeID(1), To: NodeID(0)},                     // gets cubic
 			{From: NodeID(0), To: NodeID(1), Variant: "newreno"}, // explicit override
 		},
 		Warmup:   Duration(5 * sim.Second),
 		Duration: Duration(5 * sim.Second),
 		Seeds:    []int64{3},
 	}
-	sr, err := (&Runner{Workers: 1, Variant: cc.Cubic}).Run(spec)
+	res, err := (&Runner{Workers: 1}).RunAll(rewritten(t, Rewrite{Variant: cc.Cubic}, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := sr.Runs[0].Flows[0].Variant; v != "cubic" {
+	if v := res[0].Runs[0].Flows[0].Variant; v != "cubic" {
 		t.Fatalf("defaulted flow variant = %q, want cubic", v)
 	}
-	if v := sr.Runs[0].Flows[1].Variant; v != "newreno" {
+	if v := res[0].Runs[0].Flows[1].Variant; v != "newreno" {
 		t.Fatalf("explicit flow variant = %q, want newreno", v)
 	}
-	sr, err = (&Runner{Workers: 1}).Run(spec)
+	if spec.Flows[0].Variant != "" {
+		t.Fatalf("Apply rewrote its input: flow variant %q", spec.Flows[0].Variant)
+	}
+	sr, err := (&Runner{Workers: 1}).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := sr.Runs[0].Flows[0].Variant; v != "newreno" {
-		t.Fatalf("zero Runner: flow variant = %q, want the paper's newreno", v)
+		t.Fatalf("no rewrite: flow variant = %q, want the paper's newreno", v)
+	}
+	// Every TCP flow naming its own variant leaves -variant unused.
+	spec.Flows[0].Variant = "bbr"
+	if _, unused, err := (Rewrite{Variant: cc.Cubic}).Apply([]*Spec{spec}); err != nil || !reflect.DeepEqual(unused, []string{"variant"}) {
+		t.Fatalf("unused = %v (err %v), want [variant]", unused, err)
 	}
 }
 
-// TestRunnerWindowDefault is the -window analogue: Runner.WindowSegs
+// TestRunnerWindowDefault is the -window analogue: Rewrite.WindowSegs
 // replaces the paper's 4 segments only where the spec leaves
 // net.window_segs unset.
 func TestRunnerWindowDefault(t *testing.T) {
@@ -1247,31 +1288,30 @@ func TestRunnerWindowDefault(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name      string
-		runner    Runner
+		rw        Rewrite
 		netWindow int
 		want      int
 	}{
-		{"paper default", Runner{}, 0, 4},
-		{"runner default", Runner{WindowSegs: 8}, 0, 8},
-		{"spec wins over runner", Runner{WindowSegs: 8}, 2, 2},
+		{"paper default", Rewrite{}, 0, 4},
+		{"rewritten default", Rewrite{WindowSegs: 8}, 0, 8},
+		{"spec wins over the rewrite", Rewrite{WindowSegs: 8}, 2, 2},
 	} {
-		c.runner.Workers = 1
-		sr, err := c.runner.Run(mk(c.netWindow))
+		res, err := (&Runner{Workers: 1}).RunAll(rewritten(t, c.rw, mk(c.netWindow)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sr.Runs[0].Flows[0].WindowSegs; got != c.want {
+		if got := res[0].Runs[0].Flows[0].WindowSegs; got != c.want {
 			t.Fatalf("%s: window = %d segments, want %d", c.name, got, c.want)
 		}
 	}
 }
 
 // TestRunnerWindowBounded: the per-connection buffer limit Validate puts
-// on a spec's window holds for the window a Runner supplies too, at the
-// spec's own segment size. One segment past it is a *WindowError naming
-// the window and the limit, and nothing runs; the limit itself passes.
-// A spec's own window_segs, which wins over the Runner's, is checked by
-// its key as before.
+// on a spec's window holds for the window a Rewrite supplies too, at the
+// cell's own segment size. One segment past it is a *WindowError naming
+// the window and the limit; the limit itself passes. A spec's own
+// window_segs, which wins over the rewrite's, is checked by its key as
+// before.
 func TestRunnerWindowBounded(t *testing.T) {
 	spec := &Spec{
 		Name:     "runner-window",
@@ -1283,28 +1323,29 @@ func TestRunnerWindowBounded(t *testing.T) {
 		spec.Net.SegFrames = frames
 		segFrames := max(frames, 5)
 		limit := maxConnBuf / phy.MaxMACPayload / segFrames
-		_, err := (&Runner{Workers: 1, WindowSegs: limit + 1}).Run(spec)
+		_, _, err := Rewrite{WindowSegs: limit + 1}.Apply([]*Spec{spec})
 		var we *WindowError
 		if !errors.As(err, &we) || we.Window != limit+1 || we.SegFrames != segFrames || we.Limit != limit ||
 			!strings.Contains(err.Error(), "window of "+strconv.Itoa(limit+1)) ||
 			!strings.Contains(err.Error(), "limit at seg_frames "+strconv.Itoa(segFrames)+" is "+strconv.Itoa(limit)) {
-			t.Fatalf("runner window %d at seg_frames %d: err = %v, want a WindowError naming the limit %d", limit+1, segFrames, err, limit)
+			t.Fatalf("rewritten window %d at seg_frames %d: err = %v, want a WindowError naming the limit %d", limit+1, segFrames, err, limit)
 		}
-		if err := spec.validate(limit); err != nil {
-			t.Fatalf("runner window %d (the limit) at seg_frames %d: %v", limit, segFrames, err)
+		if _, _, err := (Rewrite{WindowSegs: limit}).Apply([]*Spec{spec}); err != nil {
+			t.Fatalf("rewritten window %d (the limit) at seg_frames %d: %v", limit, segFrames, err)
 		}
 	}
 	spec.Net.SegFrames, spec.Net.WindowSegs = 0, maxConnBuf/phy.MaxMACPayload/5+1
 	var we *WindowError
-	if err := spec.validate(4); err == nil || errors.As(err, &we) || !strings.Contains(err.Error(), "net: window_segs") {
+	if err := spec.Validate(); err == nil || errors.As(err, &we) || !strings.Contains(err.Error(), "net: window_segs") {
 		t.Fatalf("spec window over the limit: err = %v, want the net.window_segs error", err)
 	}
 }
 
-// TestConcurrentRunnersKeepTheirDefaults runs two Runners with different
-// transport defaults at once in one process (meaningful under -race):
-// each Result must equal the same Runner's solo run. With the defaults
-// in package variables this could not even be written down.
+// TestConcurrentRunnersKeepTheirDefaults runs two differently rewritten
+// specs through two Runners at once in one process (meaningful under
+// -race): each Result must equal the same rewrite's solo run. With the
+// transport defaults in package variables this could not even be
+// written down.
 func TestConcurrentRunnersKeepTheirDefaults(t *testing.T) {
 	spec := func() *Spec {
 		s := twinMixed(1, 2)
@@ -1313,42 +1354,45 @@ func TestConcurrentRunnersKeepTheirDefaults(t *testing.T) {
 		s.Duration = Duration(15 * sim.Second)
 		return s
 	}
-	runners := []*Runner{
-		{Workers: 2, Variant: cc.Cubic, WindowSegs: 8},
-		{Workers: 2, Variant: cc.Westwood},
+	rewrites := []Rewrite{
+		{Variant: cc.Cubic, WindowSegs: 8},
+		{Variant: cc.Westwood},
 	}
-	solo := make([]*SpecResult, len(runners))
-	for i, r := range runners {
-		sr, err := r.Run(spec())
+	run := func(rw Rewrite) ([]*SpecResult, error) {
+		return (&Runner{Workers: 2}).RunAll(rewritten(t, rw, spec()))
+	}
+	solo := make([][]*SpecResult, len(rewrites))
+	for i, rw := range rewrites {
+		res, err := run(rw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo[i] = sr
+		solo[i] = res
 	}
-	if reflect.DeepEqual(solo[0].Runs, solo[1].Runs) {
-		t.Fatal("the two Runners' defaults did not change the runs")
+	if reflect.DeepEqual(solo[0][0].Runs, solo[1][0].Runs) {
+		t.Fatal("the two rewrites did not change the runs")
 	}
-	together := make([]*SpecResult, len(runners))
-	errs := make([]error, len(runners))
+	together := make([][]*SpecResult, len(rewrites))
+	errs := make([]error, len(rewrites))
 	var wg sync.WaitGroup
-	for i, r := range runners {
-		i, r := i, r
+	for i, rw := range rewrites {
+		i, rw := i, rw
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			together[i], errs[i] = r.Run(spec())
+			together[i], errs[i] = run(rw)
 		}()
 	}
 	wg.Wait()
-	for i := range runners {
+	for i, rw := range rewrites {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if !reflect.DeepEqual(solo[i].Runs, together[i].Runs) {
-			t.Fatalf("runner %d (%s): concurrent runs differ from its solo runs", i, runners[i].Variant)
+		if !reflect.DeepEqual(solo[i][0].Runs, together[i][0].Runs) {
+			t.Fatalf("rewrite %d (%s): concurrent runs differ from its solo runs", i, rw.Variant)
 		}
-		if v := together[i].Runs[0].Flows[0].Variant; v != string(runners[i].Variant) {
-			t.Fatalf("runner %d: flow variant = %q, want %q", i, v, runners[i].Variant)
+		if v := together[i][0].Runs[0].Flows[0].Variant; v != string(rw.Variant) {
+			t.Fatalf("rewrite %d: flow variant = %q, want %q", i, v, rw.Variant)
 		}
 	}
 }

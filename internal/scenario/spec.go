@@ -8,9 +8,11 @@
 // retransmissions, RTT, energy duty cycle, and Jain's fairness index.
 //
 // Specs are JSON-serializable, so a sweep is data, not a bespoke
-// driver: cmd/tcplp-bench's -scenario mode runs a spec file, and the
-// ccvariants/pacing/table9 experiments are thin spec builders over the
-// same machinery.
+// driver: cmd/tcplp-bench's -scenario mode runs a spec file, every
+// experiment of the paper's evaluation is one such file
+// (examples/scenarios/paper), and the command line's -scale, -seeds,
+// -variant, -window, -warmup and -duration are one Rewrite of the specs,
+// applied before they run.
 //
 // # Flow probes
 //
@@ -104,18 +106,6 @@ type NodeRef struct {
 
 // NodeID returns a reference to mesh node id.
 func NodeID(id int) NodeRef { return NodeRef{ID: id} }
-
-// Host returns a reference to the wired cloud host.
-func Host() NodeRef { return NodeRef{Host: true} }
-
-// End returns a reference to the topology's last node (a chain's far
-// end; resolved against whatever node count the cell expands to).
-func End() NodeRef { return NodeRef{End: true} }
-
-// Gateway returns a reference to the spec's gateway tier: the flow
-// terminates at the border router's shared gateway and is credited
-// end-to-end at the cloud collector behind the modeled WAN.
-func Gateway() NodeRef { return NodeRef{Gateway: true} }
 
 func (r NodeRef) String() string {
 	if r.Host {
@@ -535,6 +525,9 @@ type Spec struct {
 	Seeds []int64 `json:"seeds,omitempty"`
 }
 
+// defaultDuration is the measurement window of a spec that names none.
+const defaultDuration = Duration(60 * sim.Second)
+
 // ParseSpecs decodes a JSON spec file holding either one spec object or
 // an array of specs, and validates each. Unknown keys are an error, not
 // a silent no-op. The form is decided by the first byte so a decode
@@ -871,7 +864,13 @@ var maxSegFrames = func() int {
 	return f
 }()
 
-// WindowError is RunAll's refusal of a Runner's WindowSegs (the CLI's
+// maxWindowSegs is the largest window, in segments, the per-connection
+// buffer limit allows at segFrames frames per segment.
+func maxWindowSegs(segFrames int) int {
+	return maxConnBuf / phy.MaxMACPayload / segFrames
+}
+
+// WindowError is Rewrite.Apply's refusal of its WindowSegs (the CLI's
 // -window): at seg_frames SegFrames the per-connection buffer limit
 // allows Limit segments. A spec's own window_segs is checked by its key.
 type WindowError struct {
@@ -967,12 +966,7 @@ var sizeField = map[string]string{
 // Validate checks the spec for structural errors — unknown kinds,
 // out-of-range node ids, bad variants — so a Runner never panics
 // mid-simulation on a malformed file.
-func (s *Spec) Validate() error { return s.validate(0) }
-
-// validate is Validate for a run whose default window is windowSegs
-// segments (a Runner's WindowSegs; 0 keeps the paper's 4), which the
-// per-connection buffer limit must cover too.
-func (s *Spec) validate(windowSegs int) error {
+func (s *Spec) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
 	}
@@ -987,7 +981,7 @@ func (s *Spec) validate(windowSegs int) error {
 			return err
 		}
 		for _, c := range s.Expand() {
-			if err := c.validate(windowSegs); err != nil {
+			if err := c.Validate(); err != nil {
 				return err
 			}
 		}
@@ -1023,12 +1017,9 @@ func (s *Spec) validate(windowSegs int) error {
 	if len(s.Flows) == 0 {
 		return bad("no flows")
 	}
-	opt := s.options("", windowSegs) // the window and segment size the run arrives at
-	maxWindow := maxConnBuf / phy.MaxMACPayload / opt.SegFrames
+	opt := s.options() // the window and segment size the run arrives at
+	maxWindow := maxWindowSegs(opt.SegFrames)
 	if opt.WindowSegs > maxWindow {
-		if s.Net.WindowSegs == 0 && windowSegs > 0 { // the Runner's window, not the spec's
-			return &WindowError{Spec: s.Name, Window: windowSegs, SegFrames: opt.SegFrames, Limit: maxWindow}
-		}
 		return bad("net: window_segs %d × seg_frames %d asks for more than %d bytes of buffer per connection (the limit)",
 			opt.WindowSegs, opt.SegFrames, maxConnBuf)
 	}
@@ -1303,7 +1294,7 @@ func (s *Spec) eachStartedFlow(fn func(i int, f FlowSpec, replica bool) error) e
 func (s *Spec) withDefaults() *Spec {
 	out := *s
 	if out.Duration == 0 {
-		out.Duration = Duration(60 * sim.Second)
+		out.Duration = defaultDuration
 	}
 	if len(out.Seeds) == 0 {
 		out.Seeds = []int64{1}

@@ -13,26 +13,27 @@ import (
 // TestWakeIsInvisible pins the contract of dormancy (package stack,
 // "Dormancy"): a node's MAC, TCP and UDP stacks are built when something
 // first needs them, and when that happens cannot be told from the
-// Result. Every cell of every checked-in spec — examples/scenarios and
-// the five benchmark workloads — runs twice at a short window, once as
-// built and once with every node woken before the first event, the
-// network stack.New used to build; the two Results are equal field for
-// field.
+// Result. Every cell of every checked-in spec — examples/scenarios, the
+// paper's specs under it and the five benchmark workloads — runs twice
+// at a short window, once as built and once with every node woken before
+// the first event, the network stack.New used to build; the two Results
+// are equal field for field.
 func TestWakeIsInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every checked-in spec twice")
 	}
 	root := filepath.Join("..", "..")
 	examples, _ := filepath.Glob(filepath.Join(root, "examples", "scenarios", "*.json"))
+	paper, _ := filepath.Glob(filepath.Join(root, "examples", "scenarios", "paper", "*.json"))
 	workloads, _ := filepath.Glob(filepath.Join(root, "benchmark", "workloads", "*.json"))
-	if len(examples) < 15 || len(workloads) != 5 {
-		t.Fatalf("found %d example specs and %d workloads, want >= 15 and 5", len(examples), len(workloads))
+	if len(examples) < 12 || len(paper) < 19 || len(workloads) != 5 {
+		t.Fatalf("found %d example specs, %d paper specs and %d workloads, want >= 12, >= 19 and 5", len(examples), len(paper), len(workloads))
 	}
 	// The cities keep their density and flow pattern but not their size:
 	// 100 000 nodes woken at once is a few hundred megabytes.
 	const maxNodes = 10000
 	cells, silent := 0, 0
-	for _, f := range append(examples, workloads...) {
+	for _, f := range append(append(examples, paper...), workloads...) {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
@@ -48,9 +49,14 @@ func TestWakeIsInvisible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
+		// The paper's grids are large; their cells run a shorter window.
+		window := Duration(90 * sim.Second)
+		if filepath.Base(filepath.Dir(f)) == "paper" {
+			window = Duration(70 * sim.Second)
+		}
 		for _, s := range specs {
 			s.Warmup = min(s.Warmup, Duration(10*sim.Second))
-			s.Duration = min(s.Duration, Duration(90*sim.Second))
+			s.Duration = min(s.Duration, window)
 			s.Topology.Nodes = min(s.Topology.Nodes, maxNodes)
 			for _, cell := range s.Expand() {
 				cells++

@@ -86,26 +86,8 @@ func (p Profile) Config() tcplp.Config {
 	return cfg
 }
 
-// Profiles lists every baseline for the Table 7 sweep.
-func Profiles() []Profile { return []Profile{UIP, BLIP, Hewage, ArchRock} }
-
-// Key returns the profile's identifier as used in scenario specs.
-func (p Profile) Key() string {
-	switch p {
-	case UIP:
-		return "uip"
-	case BLIP:
-		return "blip"
-	case Hewage:
-		return "uip50"
-	case ArchRock:
-		return "archrock"
-	}
-	return "?"
-}
-
-// ParseProfile resolves a profile name used in scenario specs,
-// accepting the Key form and common aliases.
+// ParseProfile resolves a profile name used in scenario specs (uip,
+// blip, uip50, archrock), accepting common aliases.
 func ParseProfile(s string) (Profile, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "uip":

@@ -4,6 +4,9 @@ import (
 	"testing"
 )
 
+// Profiles lists every baseline of Table 7.
+func Profiles() []Profile { return []Profile{UIP, BLIP, Hewage, ArchRock} }
+
 func TestProfilesMatchTable1(t *testing.T) {
 	for _, p := range Profiles() {
 		cfg := p.Config()
