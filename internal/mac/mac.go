@@ -35,11 +35,17 @@
 // and handleAck still make every check themselves — the MAC decides, the
 // radio only spares it frames it would have discarded.
 //
-// Jobs are recycled through a per-MAC free list, scheduler callbacks and
-// all. A job returns to the list only when it is finished and no engine
-// event or radio OnTxDone registration still holds one of its callbacks
-// (txJob.pending counts them), so the "is this job still in flight"
-// guard of a late event can never be satisfied by the object's next life.
+// # One frame, one step
+//
+// One frame is in flight at a time, and it always has exactly one next
+// step: an engine event holding one of the Mac's step callbacks, the
+// radio's OnTxDone, or the wait for its ACK. finish runs only from a
+// frame's last step, so it returns the job to the per-MAC free list at
+// once: no step of a finished job is left to run against the object's
+// next life. A frame queued behind an ACK being sent starts when the ACK
+// leaves the air (ackDone), one queued behind a frame in flight starts
+// from finish. The -tags invariants build checks both rules after every
+// MAC callback (invariants_on.go).
 //
 // The -tags poison build (package poison) overwrites a job's wire buffer
 // when the job is recycled, and the channel does the same to a released
@@ -48,8 +54,6 @@
 package mac
 
 import (
-	"strconv"
-
 	"tcplp/internal/obs"
 	"tcplp/internal/phy"
 	"tcplp/internal/poison"
@@ -132,23 +136,8 @@ type txJob struct {
 	attempts int
 	nb, be   int
 	indirect bool
-	jid      int64 // journey packet id of the carried datagram (0 = untagged)
-
-	// pending counts the engine events and radio.OnTxDone registrations
-	// that hold one of the callbacks below. A finished job is recycled
-	// only at zero.
-	pending int
-	next    *txJob // free list
-
-	// Scheduler callbacks, built once per job object instead of once per
-	// backoff step / retry / load: a job under CSMA pressure schedules
-	// many events, and per-event closures dominated the MAC's
-	// allocation profile. Each goes through Mac.fired, so a stale event
-	// for a finished job is a no-op.
-	resumeFn func() // load done or retry delay elapsed: start CSMA
-	stepFn   func() // radio freed mid-backoff: take another backoff step
-	fireFn   func() // backoff+CCA delay elapsed: assess the channel
-	txDoneFn func() // frame left the air
+	jid      int64  // journey packet id of the carried datagram (0 = untagged)
+	next     *txJob // free list
 }
 
 // Mac is one node's MAC instance.
@@ -157,17 +146,24 @@ type Mac struct {
 	radio  *phy.Radio
 	params Params
 
-	seq         uint8
-	queue       []*txJob
-	inflight    *txJob
-	freeJobs    *txJob
-	ackTimer    sim.Timer
-	sendingAck  bool
-	kickPending bool
-	// Prebuilt callbacks for per-Mac (not per-job) events, plus the
-	// state the ACK-completion callback needs (one ACK transmission can
-	// be outstanding at a time).
-	kickFn        func()
+	seq        uint8
+	queue      []*txJob
+	inflight   *txJob
+	freeJobs   *txJob
+	ackTimer   sim.Timer
+	sendingAck bool
+	// The step callbacks of the frame in flight, built once: a frame
+	// under CSMA pressure schedules many events, and per-event closures
+	// dominated the MAC's allocation profile.
+	resumeFn func() // load done or retry delay elapsed: start CSMA
+	stepFn   func() // radio freed mid-backoff: take another backoff step
+	fireFn   func() // backoff+CCA delay elapsed: assess the channel
+	txDoneFn func() // the frame left the air
+	// steps counts the frame's pending steps in the invariants build and
+	// is empty otherwise.
+	steps stepCount
+	// The ACK-completion callback and the state it needs (one ACK
+	// transmission can be outstanding at a time).
 	ackDoneFn     func()
 	ackWasWaiting bool
 	ackBuf        [phy.AckFrameLen]byte // wire bytes of the ACK being sent
@@ -219,65 +215,29 @@ func New(eng *sim.Engine, radio *phy.Radio, params Params) *Mac {
 		radio:  radio,
 		params: params,
 	}
-	m.ackTimer.Init(eng, m.ackTimeout)
-	m.kickFn = func() {
-		m.kickPending = false
-		m.kick()
-	}
-	m.ackDoneFn = func() {
-		m.radio.OnTxDone = nil
-		m.sendingAck = false
-		m.Stats.AcksSent++
-		if m.ackWasWaiting && m.inflight != nil {
-			// Our own pending exchange lost its ACK window; retry it.
-			m.linkRetry(TxNoAck)
-		} else {
-			m.applyIdleState()
-			m.kick()
-		}
-	}
-	radio.OnReceive = m.radioReceive
+	m.ackTimer.Init(eng, m.checked("ack timeout", m.ackTimeout))
+	m.resumeFn = m.step("resume", m.startCSMA)
+	m.stepFn = m.step("backoff step", m.backoffStep)
+	m.fireFn = m.step("backoff fire", m.backoffFire)
+	m.txDoneFn = m.step("tx done", m.txDone)
+	m.ackDoneFn = m.checked("ack done", m.ackDone)
+	radio.OnReceive = m.checkedRx(m.radioReceive)
 	radio.SetAddressFilter(true)
 	m.applyIdleState()
 	return m
 }
 
 // getJob returns a zeroed transmit job from the free list, building a new
-// one — with the scheduler callbacks every later use of the object
-// shares — only when the list is empty.
+// one only when the list is empty.
 func (m *Mac) getJob() *txJob {
 	if job := m.freeJobs; job != nil {
 		m.freeJobs, job.next = job.next, nil
 		return job
 	}
-	job := &txJob{}
-	job.resumeFn = func() {
-		if m.fired(job) {
-			m.startCSMA()
-		}
-	}
-	job.stepFn = func() {
-		if m.fired(job) {
-			m.backoffStep()
-		}
-	}
-	job.fireFn = func() {
-		if m.fired(job) {
-			m.backoffFire()
-		}
-	}
-	job.txDoneFn = func() {
-		m.radio.OnTxDone = nil
-		if m.fired(job) {
-			m.txDone()
-		} else {
-			m.applyIdleState()
-		}
-	}
-	return job
+	return &txJob{}
 }
 
-// putJob recycles a finished job that nothing references any more.
+// putJob recycles a finished job.
 func (m *Mac) putJob(job *txJob) {
 	poison.Bytes(job.wireBuf[:])
 	job.frame = phy.Frame{}
@@ -286,49 +246,16 @@ func (m *Mac) putJob(job *txJob) {
 	job.next, m.freeJobs = m.freeJobs, job
 }
 
-// after schedules one of job's callbacks, counting the reference.
-func (m *Mac) after(d sim.Duration, job *txJob, fn func()) {
-	job.pending++
-	m.eng.Schedule(d, fn)
-}
-
-// fired accounts for one of job's callbacks having run and reports
-// whether job is still the frame in flight. If it is not, the job
-// finished while the event was queued, and the last such event to fire
-// recycles it.
-func (m *Mac) fired(job *txJob) bool {
-	job.pending--
-	if m.inflight == job {
-		return true
-	}
-	if job.pending == 0 {
-		m.putJob(job)
-	}
-	return false
-}
-
 // Radio returns the underlying radio.
 func (m *Mac) Radio() *phy.Radio { return m.radio }
 
-// SetChildSleepy registers (or deregisters) a sleepy child: unicast
-// frames to it are held in the indirect queue until it polls.
-// Deregistering releases the held frames to the head of the transmit
-// queue in the order they were held.
-func (m *Mac) SetChildSleepy(child phy.Addr, sleepy bool) {
-	if sleepy {
-		if m.sleepyChildren == nil {
-			m.sleepyChildren = map[phy.Addr]bool{}
-		}
-		m.sleepyChildren[child] = true
-		return
+// SetChildSleepy registers a sleepy child: unicast frames to it are held
+// in the indirect queue until it polls.
+func (m *Mac) SetChildSleepy(child phy.Addr) {
+	if m.sleepyChildren == nil {
+		m.sleepyChildren = map[phy.Addr]bool{}
 	}
-	delete(m.sleepyChildren, child)
-	held := m.indirectQ[child]
-	delete(m.indirectQ, child)
-	if len(held) > 0 {
-		m.queue = append(held, m.queue...)
-		m.kick()
-	}
+	m.sleepyChildren[child] = true
 }
 
 // IndirectQueueLen returns the number of frames held for child.
@@ -420,18 +347,11 @@ func (m *Mac) enqueue(job *txJob) {
 	m.kick()
 }
 
+// kick starts the frame at the head of the queue unless a frame is in
+// flight or an ACK is being sent. Each of those ends by kicking again —
+// finish and ackDone — so a queued frame starts once the MAC is free.
 func (m *Mac) kick() {
-	if m.inflight != nil || len(m.queue) == 0 {
-		return
-	}
-	if m.radio.Transmitting() || m.sendingAck {
-		// The radio is busy with an ACK or a late transmission. Poll
-		// until it frees: relying on every completion path to re-kick
-		// proved fragile (a lost wakeup strands the queue forever).
-		if !m.kickPending {
-			m.kickPending = true
-			m.eng.Schedule(phy.UnitBackoff, m.kickFn)
-		}
+	if m.inflight != nil || m.sendingAck || len(m.queue) == 0 {
 		return
 	}
 	job := m.queue[0]
@@ -444,7 +364,8 @@ func (m *Mac) kick() {
 	// (§4).
 	m.radio.SetListen(true)
 	job.wire = job.frame.AppendEncode(job.wireBuf[:0])
-	m.after(phy.LoadTime(len(job.wire)), job, job.resumeFn)
+	m.steps.add(1)
+	m.eng.Schedule(phy.LoadTime(len(job.wire)), m.resumeFn)
 }
 
 // popFront removes q[0] by copying the tail down, so the queue keeps its
@@ -469,15 +390,13 @@ func (m *Mac) startCSMA() {
 
 func (m *Mac) backoffStep() {
 	job := m.inflight
-	if job == nil {
-		return
-	}
 	slots := m.eng.Rand().Intn(1 << job.be)
 	if tr := m.Trace; tr != nil {
 		tr.Emit(obs.Event{T: m.eng.Now(), Kind: obs.MacBackoff, Node: m.radio.ID(), A: int64(job.be), B: int64(slots), J: job.jid})
 	}
 	delay := sim.Duration(slots)*phy.UnitBackoff + phy.CCATime
-	m.after(delay, job, job.fireFn)
+	m.steps.add(1)
+	m.eng.Schedule(delay, m.fireFn)
 }
 
 // backoffFire assesses the channel after a backoff+CCA delay.
@@ -485,7 +404,8 @@ func (m *Mac) backoffFire() {
 	job := m.inflight
 	if m.radio.Transmitting() {
 		// An ACK we owed someone is on air; retry shortly.
-		m.after(phy.UnitBackoff, job, job.stepFn)
+		m.steps.add(1)
+		m.eng.Schedule(phy.UnitBackoff, m.stepFn)
 		return
 	}
 	if m.radio.ChannelClear() {
@@ -510,14 +430,15 @@ func (m *Mac) transmit() {
 	if job.attempts > 0 {
 		m.Stats.Retries++
 	}
-	job.pending++
-	m.radio.OnTxDone = job.txDoneFn
+	m.steps.add(1)
+	m.radio.OnTxDone = m.txDoneFn
 	m.radio.TxJID = job.jid
 	m.radio.TransmitLoaded(job.wire)
 }
 
 // txDone runs when the in-flight job's frame has left the air.
 func (m *Mac) txDone() {
+	m.radio.OnTxDone = nil
 	if !m.inflight.frame.AckRequest {
 		m.finish(TxOK)
 		return
@@ -535,9 +456,6 @@ func (m *Mac) stopAckWait() {
 
 func (m *Mac) ackTimeout() {
 	m.radio.SetAckWait(false)
-	if m.inflight == nil {
-		return
-	}
 	m.linkRetry(TxNoAck)
 }
 
@@ -561,10 +479,12 @@ func (m *Mac) linkRetry(cause TxStatus) {
 	if tr := m.Trace; tr != nil {
 		tr.Emit(obs.Event{T: m.eng.Now(), Kind: obs.MacRetry, Node: m.radio.ID(), A: int64(job.attempts), B: int64(delay), J: job.jid})
 	}
-	m.after(delay, job, job.resumeFn)
+	m.steps.add(1)
+	m.eng.Schedule(delay, m.resumeFn)
 }
 
 func (m *Mac) finish(status TxStatus) {
+	m.checkFinish()
 	job := m.inflight
 	m.inflight = nil
 	m.stopAckWait()
@@ -585,12 +505,9 @@ func (m *Mac) finish(status TxStatus) {
 	}
 	m.applyIdleState()
 	// Recycle before the callback, so a Send from inside it (the stack's
-	// frame pump) reuses this job; if one of the job's events is still
-	// queued, the last of them to fire recycles it instead (fired).
+	// frame pump) reuses this job.
 	done, pollDone := job.done, job.pollDone
-	if job.pending == 0 {
-		m.putJob(job)
-	}
+	m.putJob(job)
 	if done != nil {
 		done(status)
 	} else if pollDone != nil {
@@ -679,6 +596,20 @@ func (m *Mac) handleAck(f *phy.Frame) {
 	m.finish(TxOK)
 }
 
+// ackDone runs when the ACK being sent has left the air.
+func (m *Mac) ackDone() {
+	m.radio.OnTxDone = nil
+	m.sendingAck = false
+	m.Stats.AcksSent++
+	if m.ackWasWaiting {
+		// Our own frame lost its ACK window to this ACK; retry it.
+		m.linkRetry(TxNoAck)
+		return
+	}
+	m.applyIdleState()
+	m.kick()
+}
+
 func (m *Mac) sendAck(seq uint8, pending bool) {
 	if m.radio.Transmitting() {
 		return // cannot ACK while our own frame is on air (rare)
@@ -711,19 +642,4 @@ func (m *Mac) serveDataRequest(child phy.Addr) {
 	m.indirectQ[child] = q
 	job.frame.FramePending = len(q) > 0
 	m.enqueue(job)
-}
-
-// DebugState summarizes internal MAC progress state (diagnostics only).
-func (m *Mac) DebugState() string {
-	st := "idle"
-	if m.inflight != nil {
-		st = "inflight"
-		if m.inflight.wire == nil {
-			st += "/loading"
-		}
-	}
-	return st + " queue=" + strconv.Itoa(len(m.queue)) +
-		" sendingAck=" + strconv.FormatBool(m.sendingAck) +
-		" ackTimerArmed=" + strconv.FormatBool(m.ackTimer.Armed()) +
-		" radio=" + m.radio.State().String()
 }

@@ -2,7 +2,6 @@ package mac
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"tcplp/internal/phy"
@@ -195,7 +194,7 @@ func TestIndirectDelivery(t *testing.T) {
 	childR := ch.AddRadio(1, phy.Point{X: 1})
 	parent := New(eng, parentR, DefaultParams())
 	child := New(eng, childR, DefaultParams())
-	parent.SetChildSleepy(childR.Addr(), true)
+	parent.SetChildSleepy(childR.Addr())
 
 	sc := NewSleepController(eng, child, parentR.Addr())
 	sc.SleepInterval = 500 * sim.Millisecond
@@ -238,7 +237,7 @@ func TestSleepyChildUpstreamAnytime(t *testing.T) {
 	childR := ch.AddRadio(1, phy.Point{X: 1})
 	parent := New(eng, parentR, DefaultParams())
 	child := New(eng, childR, DefaultParams())
-	parent.SetChildSleepy(childR.Addr(), true)
+	parent.SetChildSleepy(childR.Addr())
 	sc := NewSleepController(eng, child, parentR.Addr())
 	sc.Start()
 	got := ""
@@ -263,7 +262,7 @@ func TestAdaptiveSleepInterval(t *testing.T) {
 	childR := ch.AddRadio(1, phy.Point{X: 1})
 	parent := New(eng, parentR, DefaultParams())
 	child := New(eng, childR, DefaultParams())
-	parent.SetChildSleepy(childR.Addr(), true)
+	parent.SetChildSleepy(childR.Addr())
 	sc := NewSleepController(eng, child, parentR.Addr())
 	sc.Adaptive = true
 	sc.Min = 20 * sim.Millisecond
@@ -307,7 +306,7 @@ func TestFastPollWhileExpecting(t *testing.T) {
 	childR := ch.AddRadio(1, phy.Point{X: 1})
 	parent := New(eng, parentR, DefaultParams())
 	child := New(eng, childR, DefaultParams())
-	parent.SetChildSleepy(childR.Addr(), true)
+	parent.SetChildSleepy(childR.Addr())
 	sc := NewSleepController(eng, child, parentR.Addr())
 	sc.SleepInterval = 4 * sim.Minute
 	sc.FastInterval = 100 * sim.Millisecond
@@ -398,8 +397,7 @@ func TestBroadcastBackToBackIntact(t *testing.T) {
 	reloaded := false
 	a.SendJID(phy.BroadcastAddr, []byte("first frame: AAAAAAAAAAAAAAAA"), 0, func(TxStatus) {
 		a.SendJID(phy.BroadcastAddr, []byte("second frame: BBBBBBBB"), 0, nil)
-		reloaded = a.inflight == first && first.wire != nil &&
-			strings.HasPrefix(a.DebugState(), "inflight queue=0 ") // not "/loading": wire is this life's
+		reloaded = a.inflight == first && first.wire != nil && len(a.queue) == 0 // wire is this life's
 	})
 	eng.Run()
 
@@ -415,8 +413,7 @@ func TestBroadcastBackToBackIntact(t *testing.T) {
 }
 
 // checkJobPool asserts the free-list invariants: nothing on the list is
-// referenced by an event, in flight or queued, and everything on it is
-// zeroed for its next use.
+// in flight or queued, and everything on it is zeroed for its next use.
 func checkJobPool(t *testing.T, m *Mac) {
 	t.Helper()
 	live := map[*txJob]bool{m.inflight: true}
@@ -424,9 +421,6 @@ func checkJobPool(t *testing.T, m *Mac) {
 		live[j] = true
 	}
 	for j := m.freeJobs; j != nil; j = j.next {
-		if j.pending != 0 {
-			t.Fatalf("free job still referenced by %d event(s)", j.pending)
-		}
 		if live[j] {
 			t.Fatal("free job is also in flight or queued")
 		}
@@ -436,42 +430,13 @@ func checkJobPool(t *testing.T, m *Mac) {
 	}
 }
 
-// TestJobNotReusedWhileEventQueued pins the other ownership rule: a job
-// that finishes while one of its scheduler events is still queued stays
-// off the free list until that event has fired, so the event's "still in
-// flight?" guard cannot be satisfied by the object's next life.
-func TestJobNotReusedWhileEventQueued(t *testing.T) {
-	eng, a, b := pair(15)
-	var got []string
-	b.OnReceive = func(f *phy.Frame) { got = append(got, string(f.Payload)) }
-
-	a.SendJID(b.Radio().Addr(), []byte("abandoned"), 0, nil)
-	old := a.inflight
-	if old == nil || old.pending != 1 {
-		t.Fatalf("want the job loading with its resume event queued, got %+v", old)
-	}
-	// Finish it under the queued event, as a path that gives up early would.
-	a.finish(TxChannelBusy)
-	if a.freeJobs != nil {
-		t.Fatal("job recycled while its resume event is still queued")
-	}
-	a.SendJID(b.Radio().Addr(), []byte("next"), 0, nil)
-	if a.inflight == old {
-		t.Fatal("job reused while its resume event is still queued")
-	}
-	eng.Run()
-	if a.freeJobs == nil || old.pending != 0 {
-		t.Fatalf("job not recycled after its last event fired (pending=%d)", old.pending)
-	}
-	if len(got) != 1 || got[0] != "next" {
-		t.Fatalf("delivered %q, want only the second frame, once", got)
-	}
-	checkJobPool(t, a)
-
-	// The production paths the rule guards: two hidden senders and the
-	// receiver answering each, so ACKs are owed mid-backoff, ACK windows
-	// are forfeited to outgoing ACKs (ackWasWaiting), and retries pile up.
-	eng = sim.NewEngine(16)
+// TestFreeJobsUnusedAndZeroed: with two hidden senders and the receiver
+// answering each, so ACKs are owed mid-backoff, ACK windows are forfeited
+// to outgoing ACKs (ackWasWaiting) and retries pile up, every job on a
+// free list is neither in flight nor queued and is zeroed, checked from
+// each done callback and at the end.
+func TestFreeJobsUnusedAndZeroed(t *testing.T) {
+	eng := sim.NewEngine(16)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(1.0, 1.0))
 	p := DefaultParams()
 	p.MaxFrameRetries = 4
@@ -535,8 +500,8 @@ func TestAckWaitBitTracksTimer(t *testing.T) {
 	for eng.Step() {
 		for i, m := range macs {
 			if m.radio.AckWait() != m.ackTimer.Armed() {
-				t.Fatalf("t=%v mac %d: radio ACK-wait bit %v, ackTimer armed %v (%s)",
-					eng.Now(), i, m.radio.AckWait(), m.ackTimer.Armed(), m.DebugState())
+				t.Fatalf("t=%v mac %d: radio ACK-wait bit %v, ackTimer armed %v (in flight %v, queue %d, sending ACK %v)",
+					eng.Now(), i, m.radio.AckWait(), m.ackTimer.Armed(), m.inflight != nil, len(m.queue), m.sendingAck)
 			}
 			if m.ackTimer.Armed() {
 				armed++
@@ -554,29 +519,39 @@ func TestAckWaitBitTracksTimer(t *testing.T) {
 	}
 }
 
-// TestDeregisterSleepyChildKeepsOrder: frames held for a sleepy child are
-// released in the order they were held (a datagram's FRAG1 before its
-// FRAGNs), ahead of frames already queued.
-func TestDeregisterSleepyChildKeepsOrder(t *testing.T) {
-	eng, a, b := pair(17)
+// TestFrameQueuedBehindAckStartsWhenAckEnds: a frame sent while the MAC
+// is transmitting an ACK waits on nothing of its own — no engine event is
+// scheduled for it — and starts loading in the same event that ends the
+// ACK.
+func TestFrameQueuedBehindAckStartsWhenAckEnds(t *testing.T) {
+	eng, a, b := pair(19)
+	a.SendJID(b.Radio().Addr(), []byte("to b"), 0, nil)
+	for !b.sendingAck {
+		if !eng.Step() {
+			t.Fatal("b never sent an ACK")
+		}
+	}
+	pending := eng.Pending()
+	b.SendJID(a.Radio().Addr(), []byte("queued behind the ACK"), 0, nil)
+	if eng.Pending() != pending {
+		t.Fatalf("queueing behind the ACK scheduled %d engine event(s)", eng.Pending()-pending)
+	}
+	if b.inflight != nil || len(b.queue) != 1 {
+		t.Fatalf("frame started while the ACK is on air (in flight %v, queue %d)", b.inflight != nil, len(b.queue))
+	}
+	for b.sendingAck {
+		if b.inflight != nil {
+			t.Fatal("frame started before the ACK left the air")
+		}
+		eng.Step()
+	}
+	if b.Stats.AcksSent != 1 || b.inflight == nil || b.inflight.wire == nil || len(b.queue) != 0 {
+		t.Fatalf("when the ACK left the air: acks %d, in flight %v, queue %d", b.Stats.AcksSent, b.inflight != nil, len(b.queue))
+	}
 	var got []string
-	b.OnReceive = func(f *phy.Frame) { got = append(got, string(f.Payload)) }
-	child := b.Radio().Addr()
-	a.SetChildSleepy(child, true)
-	for _, s := range []string{"frag1", "fragN-a", "fragN-b"} {
-		a.SendJID(child, []byte(s), 0, nil)
-	}
-	if a.IndirectQueueLen(child) != 3 {
-		t.Fatalf("held %d frames, want 3", a.IndirectQueueLen(child))
-	}
-	a.SetChildSleepy(child, false)
-	a.SendJID(child, []byte("later"), 0, nil)
-	if a.IndirectQueueLen(child) != 0 {
-		t.Fatal("frames still held after deregistering")
-	}
+	a.OnReceive = func(f *phy.Frame) { got = append(got, string(f.Payload)) }
 	eng.Run()
-	want := []string{"frag1", "fragN-a", "fragN-b", "later"}
-	if !slices.Equal(got, want) {
-		t.Fatalf("arrival order %q, want %q", got, want)
+	if !slices.Equal(got, []string{"queued behind the ACK"}) {
+		t.Fatalf("a received %q", got)
 	}
 }

@@ -211,10 +211,6 @@ func DeliveryRatio(gen, deliv, backlog uint64) float64 {
 // segments (§9.3 sizes each CoAP batch message like a five-frame
 // segment).
 func messageSize(net *stack.Network, readingSize int) int {
-	frames := net.Opt.SegFrames
-	if frames == 0 {
-		frames = 5
-	}
-	info := stack.SegmentSizing(frames, true)
+	info := stack.SegmentSizing(net.Opt.SegFrames, true)
 	return info.SegmentPayload / readingSize * readingSize
 }

@@ -163,20 +163,13 @@ func SegmentSizing(frames int, useTimestamps bool) MSSInfo {
 
 // DerivedTCPConfig computes the TCP configuration New derives from opt:
 // MSS from the segment-in-frames knob and buffers from the window knob.
+// Both must be set, as in DefaultOptions and in every Network's Opt.
 func DerivedTCPConfig(opt Options, base tcplp.Config) tcplp.Config {
-	segFrames := opt.SegFrames
-	if segFrames == 0 {
-		segFrames = 5
-	}
-	windowSegs := opt.WindowSegs
-	if windowSegs == 0 {
-		windowSegs = 4
-	}
-	info := SegmentSizing(segFrames, base.UseTimestamps)
+	info := SegmentSizing(opt.SegFrames, base.UseTimestamps)
 	cfg := base
 	cfg.MSS = info.MSS
-	cfg.SendBufSize = windowSegs * info.MSS
-	cfg.RecvBufSize = windowSegs * info.MSS
+	cfg.SendBufSize = opt.WindowSegs * info.MSS
+	cfg.RecvBufSize = opt.WindowSegs * info.MSS
 	cfg.UseECN = opt.ECN
 	return cfg
 }
@@ -229,7 +222,7 @@ func (net *Network) MakeSleepyLeaf(id int) (*mac.SleepController, error) {
 		return nil, fmt.Errorf("stack: leaf %d has no route to the border router (node %d)", id, net.borderID)
 	}
 	parent := net.Nodes[parentID]
-	parent.Mac().SetChildSleepy(n.LinkAddr(), true)
+	parent.Mac().SetChildSleepy(n.LinkAddr())
 	sc := mac.NewSleepController(net.Eng, n.Mac(), parent.LinkAddr())
 	n.Sleep = sc
 	n.TCP().OnExpectingChange = func(expecting bool) { sc.SetExpecting(expecting) }

@@ -505,7 +505,7 @@ func (n *Node) onFrame(f *phy.Frame) {
 	if err != nil || pkt == nil {
 		return
 	}
-	if pkt.Dst == n.Addr || (n.wire != nil && n.isHostBound(pkt)) {
+	if pkt.Dst == n.Addr || (n.wire != nil && n.addrIsHost(pkt.Dst)) {
 		if pkt.Dst != n.Addr {
 			// Border router: reassembled uplink packet headed for the
 			// host crosses the wire as a whole IPv6 packet.
@@ -530,11 +530,6 @@ func (n *Node) reassembler() *sixlowpan.Reassembler {
 		n.reasm.Trace, n.reasm.Node = n.Net.Opt.Trace, n.ID
 	}
 	return n.reasm
-}
-
-func (n *Node) isHostBound(pkt *ip6.Packet) bool {
-	id, ok := pkt.Dst.ID()
-	return ok && id == n.Net.hostID
 }
 
 // tryForwardFragment relays a fragment that is not addressed to us,

@@ -159,6 +159,7 @@ type Conn struct {
 	// Congestion control: cong owns cwnd/ssthresh (internal/tcplp/cc);
 	// the fields below are the recovery machinery shared by all variants.
 	cong        cc.Algorithm
+	pacer       cc.Pacer // cong if it paces, else nil
 	dupAcks     int
 	inRecovery  bool
 	recover     Seq
@@ -256,6 +257,10 @@ func newConn(s *Stack, cfg Config) *Conn {
 	c.timeWait = sim.NewTimer(s.eng, c.checked("2MSL timer", c.onTimeWaitExpiry))
 	c.paceTimer = sim.NewTimer(s.eng, c.output)
 	c.peerMSS = 536
+	// Asked once here, not per send: a failing assertion to an interface
+	// goes through the runtime, whose per-call-site cache allocates when
+	// it first records the type, at a random call (about 1 in 1024).
+	c.pacer, _ = alg.(cc.Pacer)
 	return c
 }
 

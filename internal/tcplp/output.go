@@ -6,7 +6,6 @@ import (
 	"tcplp/internal/ip6"
 	"tcplp/internal/obs"
 	"tcplp/internal/sim"
-	"tcplp/internal/tcplp/cc"
 )
 
 // effMSS is the MSS we may send: the peer's advertised MSS clamped by our
@@ -23,11 +22,10 @@ func (c *Conn) effMSS() int {
 // second, or 0 when the algorithm is ACK-clocked (does not implement
 // cc.Pacer) or there is no rate yet.
 func (c *Conn) pacingRate() float64 {
-	p, ok := c.cong.(cc.Pacer)
-	if !ok {
+	if c.pacer == nil {
 		return 0
 	}
-	return p.PacingRate(c.effMSS(), c.rtt.SRTT())
+	return c.pacer.PacingRate(c.effMSS(), c.rtt.SRTT())
 }
 
 // paceCharge advances the pacing release clock after a segment of n
