@@ -120,7 +120,7 @@ func TestCoAPTransportEndToEnd(t *testing.T) {
 	host := net.AttachHost()
 	var s *app.Sensor
 	srv := coap.NewServer(host.Eng(), host.UDP(), coap.DefaultPort)
-	srv.OnPost = func(_ ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
+	srv.OnPost = func(_ ip6.Addr, payload []byte) coap.Code {
 		app.ForEachReading(payload, func(uint32) { s.Stats.Delivered++ })
 		return coap.CodeChanged
 	}

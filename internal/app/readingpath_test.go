@@ -62,7 +62,7 @@ func TestReadingPathAllocs(t *testing.T) {
 			var s *app.Sensor
 			deliver := func(seq uint32) { got++; s.TakeGenTime(seq) }
 			srv := coap.NewServer(net.Eng, net.Nodes[0].UDP(), coap.DefaultPort)
-			srv.OnPost = func(_ ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
+			srv.OnPost = func(_ ip6.Addr, payload []byte) coap.Code {
 				app.ForEachReading(payload, deliver)
 				return coap.CodeChanged
 			}

@@ -47,6 +47,13 @@ type Client struct {
 	// Policy supplies RTOs: DefaultPolicy or CoCoA.
 	Policy RTOPolicy
 
+	// OnSample, when set, receives each completed exchange's time since
+	// first transmission, the sample Policy then learns from, so CON
+	// flows report RTT distributions the way TCP flows do. Samples for
+	// retransmitted exchanges conflate retransmission delay into "RTT"
+	// (the §9.4 CoCoA pathology makes that visible).
+	OnSample func(sinceFirstTx sim.Duration)
+
 	// OnExpectingChange mirrors the TCP stack's duty-cycle hint: true
 	// while a confirmable exchange awaits its ACK (§9.2).
 	OnExpectingChange func(bool)
@@ -168,7 +175,6 @@ func (c *Client) onTimeout() {
 	ex.retries++
 	if ex.retries > MaxRetransmit {
 		c.Stats.GiveUps++
-		c.Policy.OnGiveUp()
 		c.finish(ex, false)
 		return
 	}
@@ -198,14 +204,14 @@ func (c *Client) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
 	}
 	c.timer.Stop()
 	c.Stats.Responses++
-	c.Policy.OnResponse(c.eng.Now().Sub(ex.firstTx), ex.retries)
+	sample := c.eng.Now().Sub(ex.firstTx)
+	if c.OnSample != nil {
+		c.OnSample(sample)
+	}
+	c.Policy.OnResponse(sample, ex.retries)
 	if tr := c.Trace; tr != nil {
-		var overall int64
-		if rr, ok := c.Policy.(interface{ OverallRTO() sim.Duration }); ok {
-			overall = int64(rr.OverallRTO())
-		}
 		tr.Emit(obs.Event{T: c.eng.Now(), Kind: obs.CoAPRTO, Node: c.Node,
-			A: int64(c.eng.Now().Sub(ex.firstTx)), B: overall})
+			A: int64(sample), B: int64(c.Policy.OverallRTO())})
 	}
 	c.finish(ex, m.Type == ACK && m.Code != CodeNotFound)
 }

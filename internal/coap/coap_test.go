@@ -2,6 +2,7 @@ package coap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,37 @@ import (
 	"tcplp/internal/sim"
 	"tcplp/internal/udp"
 )
+
+// GetOption returns the first option with the given number.
+func (m *Message) GetOption(num uint16) ([]byte, bool) {
+	for _, o := range m.Options {
+		if o.Number == num {
+			return o.Value, true
+		}
+	}
+	return nil, false
+}
+
+// Size returns the block size in bytes.
+func (b Block1) Size() int { return 1 << (b.SZX + 4) }
+
+// DecodeBlock1 unpacks a Block1 option value: the inverse the tests and
+// FuzzDecodeBlock1 check Block1.AppendEncode against (the server reads
+// each block as a whole request and never decodes the option).
+func DecodeBlock1(b []byte) (Block1, error) {
+	var v uint32
+	switch len(b) {
+	case 1:
+		v = uint32(b[0])
+	case 2:
+		v = uint32(binary.BigEndian.Uint16(b))
+	case 3:
+		v = uint32(b[0])<<16 | uint32(b[1])<<8 | uint32(b[2])
+	default:
+		return Block1{}, ErrBadOption
+	}
+	return Block1{Num: v >> 4, More: v&0x8 != 0, SZX: uint8(v & 0x7)}, nil
+}
 
 func TestMessageRoundTrip(t *testing.T) {
 	m := &Message{
@@ -140,7 +172,7 @@ func TestConfirmableExchange(t *testing.T) {
 	p := newPipe(1, 20*sim.Millisecond)
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	var got []byte
-	srv.OnPost = func(src ip6.Addr, payload []byte, _ Block1, _ bool) Code {
+	srv.OnPost = func(src ip6.Addr, payload []byte) Code {
 		got = append(got, payload...) // the payload is the server's after the call
 		return CodeChanged
 	}
@@ -168,7 +200,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	}
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	delivered := 0
-	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
+	srv.OnPost = func(ip6.Addr, []byte) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
 	cl.PostJID("t", []byte("x"), true, nil, 0, func(_ []byte, s bool) { ok = s })
@@ -227,7 +259,7 @@ func TestDedupUnderSustainedAckLoss(t *testing.T) {
 	}
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	delivered := 0
-	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
+	srv.OnPost = func(ip6.Addr, []byte) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
 	cl.PostJID("t", []byte("x"), true, nil, 0, func(_ []byte, s bool) { ok = s })
@@ -289,7 +321,7 @@ func TestServerDeduplicatesRetransmissions(t *testing.T) {
 	}
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	delivered := 0
-	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
+	srv.OnPost = func(ip6.Addr, []byte) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	ok := false
 	cl.PostJID("t", []byte("x"), true, nil, 0, func(_ []byte, s bool) { ok = s })
@@ -309,7 +341,7 @@ func TestNonconfirmableNoAck(t *testing.T) {
 	p := newPipe(5, 20*sim.Millisecond)
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	delivered := 0
-	srv.OnPost = func(ip6.Addr, []byte, Block1, bool) Code { delivered++; return CodeChanged }
+	srv.OnPost = func(ip6.Addr, []byte) Code { delivered++; return CodeChanged }
 	cl := NewClient(p.eng, p.a, ip6.AddrFromID(1), DefaultPort)
 	cl.PostJID("t", []byte("x"), false, nil, 0, nil)
 	cl.PostJID("t", []byte("y"), false, nil, 0, nil)
@@ -326,7 +358,7 @@ func TestNSTARTSerialization(t *testing.T) {
 	p := newPipe(6, 50*sim.Millisecond)
 	srv := NewServer(p.eng, p.b, DefaultPort)
 	var order []string
-	srv.OnPost = func(src ip6.Addr, payload []byte, _ Block1, _ bool) Code {
+	srv.OnPost = func(src ip6.Addr, payload []byte) Code {
 		order = append(order, string(payload))
 		return CodeChanged
 	}

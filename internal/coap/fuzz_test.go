@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"tcplp/internal/ip6"
+	"tcplp/internal/sim"
 )
 
 // Seeds shared by the fuzz targets: a POST as the client sends it, the
@@ -25,6 +28,35 @@ func TestDecodeRejectsOptionNumberWrap(t *testing.T) {
 	// The largest number that fits still decodes.
 	if m, err := Decode([]byte{0x40, 0x02, 0, 1, 0xe0, 0xfe, 0xf2}); err != nil || m.Options[0].Number != 0xffff {
 		t.Fatalf("option 65535: %+v, %v", m, err)
+	}
+}
+
+// A header whose token length nibble is 9–15 (RFC 7252 reserves them) is
+// refused by DecodeInto as truncated, even with the bytes present, so
+// nothing a peer sends reaches AppendEncode's "token too long" panic: the
+// server neither hands it to OnPost nor answers it.
+func TestTokenLengthOverEightRefused(t *testing.T) {
+	p := newPipe(1, sim.Millisecond)
+	srv := NewServer(p.eng, p.b, DefaultPort)
+	srv.OnPost = func(ip6.Addr, []byte) Code {
+		t.Error("a request with an oversized token reached OnPost")
+		return CodeChanged
+	}
+	answered := 0
+	p.a.Bind(DefaultPort+1, func(ip6.Addr, uint16, []byte) { answered++ })
+	for tkl := 9; tkl <= 15; tkl++ {
+		b := []byte{1<<6 | uint8(CON)<<4 | uint8(tkl), uint8(CodePOST), 0, uint8(tkl)}
+		b = append(b, bytes.Repeat([]byte{0xab}, tkl)...)
+		b = append(b, 0xff, 'x')
+		var m Message
+		if err := DecodeInto(&m, b); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("token length %d: DecodeInto = %v, want ErrTruncated", tkl, err)
+		}
+		p.a.Send(ip6.AddrFromID(1), DefaultPort, DefaultPort+1, b)
+	}
+	p.eng.RunUntil(sim.Time(sim.Second))
+	if srv.Stats.Requests != 0 || answered != 0 {
+		t.Fatalf("server took %d requests and answered %d, want none", srv.Stats.Requests, answered)
 	}
 }
 

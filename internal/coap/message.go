@@ -110,16 +110,6 @@ func (m *Message) AddOption(num uint16, val []byte) {
 	m.Options[i] = opt
 }
 
-// GetOption returns the first option with the given number.
-func (m *Message) GetOption(num uint16) ([]byte, bool) {
-	for _, o := range m.Options {
-		if o.Number == num {
-			return o.Value, true
-		}
-	}
-	return nil, false
-}
-
 // Encode serializes the message into a fresh buffer.
 // Outside tests only benchmark/kernels.go calls it; it leaves with the
 // benchmark refresh (ROADMAP item 5).
@@ -256,9 +246,6 @@ type Block1 struct {
 	SZX  uint8
 }
 
-// Size returns the block size in bytes.
-func (b Block1) Size() int { return 1 << (b.SZX + 4) }
-
 // AppendEncode appends the packed option value (1–3 bytes) to dst.
 func (b Block1) AppendEncode(dst []byte) []byte {
 	v := b.Num<<4 | uint32(b.SZX)&0x7
@@ -273,20 +260,4 @@ func (b Block1) AppendEncode(dst []byte) []byte {
 	default:
 		return append(dst, uint8(v>>16), uint8(v>>8), uint8(v))
 	}
-}
-
-// DecodeBlock1 unpacks a Block1 option value.
-func DecodeBlock1(b []byte) (Block1, error) {
-	var v uint32
-	switch len(b) {
-	case 1:
-		v = uint32(b[0])
-	case 2:
-		v = uint32(binary.BigEndian.Uint16(b))
-	case 3:
-		v = uint32(b[0])<<16 | uint32(b[1])<<8 | uint32(b[2])
-	default:
-		return Block1{}, ErrBadOption
-	}
-	return Block1{Num: v >> 4, More: v&0x8 != 0, SZX: uint8(v & 0x7)}, nil
 }

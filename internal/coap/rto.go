@@ -30,8 +30,9 @@ type RTOPolicy interface {
 	// retransmitted exchange conflates queueing and retransmission
 	// delays into "RTT".
 	OnResponse(sinceFirstTx sim.Duration, retransmissions int)
-	// OnGiveUp records an abandoned exchange.
-	OnGiveUp()
+	// OverallRTO returns the policy's current RTO estimate, or 0 for a
+	// policy that keeps none.
+	OverallRTO() sim.Duration
 }
 
 // DefaultPolicy is stock RFC 7252: RTO uniform in
@@ -53,8 +54,8 @@ func (DefaultPolicy) Backoff(prev sim.Duration) sim.Duration { return prev * 2 }
 // OnResponse implements RTOPolicy.
 func (DefaultPolicy) OnResponse(sim.Duration, int) {}
 
-// OnGiveUp implements RTOPolicy.
-func (DefaultPolicy) OnGiveUp() {}
+// OverallRTO implements RTOPolicy: RFC 7252 keeps no estimate.
+func (DefaultPolicy) OverallRTO() sim.Duration { return 0 }
 
 // CoCoA implements draft-ietf-core-cocoa: two RTT estimators (strong for
 // exchanges that completed without retransmission, weak for those that
@@ -133,11 +134,8 @@ func (c *CoCoA) updateEstimator(srtt, rttvar *sim.Duration, valid *bool, sample 
 	return *srtt + k**rttvar
 }
 
-// OnGiveUp implements RTOPolicy (no draft-specified action).
-func (c *CoCoA) OnGiveUp() {}
-
-// OverallRTO exposes the current blended estimate (for tests and the
-// Fig. 9 analysis).
+// OverallRTO implements RTOPolicy: the current blended estimate (for
+// tests and the Fig. 9 analysis).
 func (c *CoCoA) OverallRTO() sim.Duration { return c.overall }
 
 func clamp(d, lo, hi sim.Duration) sim.Duration {

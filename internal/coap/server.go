@@ -44,9 +44,9 @@ type Server struct {
 	port uint16
 
 	// OnPost handles a (deduplicated) request payload and returns the
-	// response code; block is the request's Block1 option if blockwise.
-	// payload aliases the datagram: good for the call only.
-	OnPost func(src ip6.Addr, payload []byte, block Block1, blockwise bool) Code
+	// response code. Each block of a blockwise batch arrives as its own
+	// request. payload aliases the datagram: good for the call only.
+	OnPost func(src ip6.Addr, payload []byte) Code
 
 	dedup map[dedupKey]dedupEntry
 	rx    Message // decode target; aliases the datagram during onDatagram
@@ -98,9 +98,7 @@ func (s *Server) handle(src ip6.Addr, m *Message) Code {
 	if s.OnPost == nil {
 		return CodeChanged
 	}
-	v, _ := m.GetOption(OptBlock1)
-	blk, err := DecodeBlock1(v) // without the option v is empty, which is no Block1 value either
-	return s.OnPost(src, m.Payload, blk, err == nil)
+	return s.OnPost(src, m.Payload)
 }
 
 func (s *Server) gc() {

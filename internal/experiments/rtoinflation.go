@@ -5,8 +5,8 @@ import "tcplp/internal/scenario"
 // rtoInflation is the mechanism study behind the Fig. 9a CoCoA collapse:
 // an injected_loss × protocols sweep like Fig. 9 (CoCoA, CoAP) rendering
 // the retransmission timers themselves — the flow's end-of-run RTO
-// estimate (CoCoA's overall estimator, observed through
-// coap.SamplingPolicy; RFC 7252 CoAP keeps no estimator and reports 0)
+// estimate (CoCoA's overall estimator, read through
+// coap.RTOPolicy.OverallRTO; RFC 7252 CoAP keeps no estimator and reports 0)
 // against the median measured exchange RTT, plus their ratio. Under loss
 // CoCoA's weak estimator feeds retransmission-inflated RTT samples back
 // into the overall RTO, which balloons relative to the true path RTT,

@@ -299,7 +299,7 @@ func (g *Gateway) accept(c *tcplp.Conn) {
 
 // onPost terminates one CoAP POST: datagram payloads carry whole
 // readings, so they skip stream reassembly; payload is lent for the call.
-func (g *Gateway) onPost(src ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
+func (g *Gateway) onPost(src ip6.Addr, payload []byte) coap.Code {
 	g.Stats.Posts++
 	e := g.touch(src)
 	app.ForEachReading(payload, e.stream.Deliver)

@@ -16,8 +16,7 @@ import (
 // node.
 type coapProbe struct {
 	*telemetry
-	tr     *app.CoAPTransport
-	policy *coap.SamplingPolicy // wraps the flow's RTO policy
+	tr *app.CoAPTransport
 
 	rtts stats.Sample // exchange RTT samples over the flow's life, ms
 	base coap.ClientStats
@@ -33,7 +32,7 @@ func startCoAP(t *telemetry) *coapProbe {
 	} else {
 		t.sink = app.NewCountingSink(dst.Eng())
 		srv := coap.NewServer(dst.Eng(), dst.UDP(), fs.Port)
-		srv.OnPost = func(_ ip6.Addr, payload []byte, _ coap.Block1, _ bool) coap.Code {
+		srv.OnPost = func(_ ip6.Addr, payload []byte) coap.Code {
 			t.sink.Received += len(payload)
 			app.ForEachReading(payload, t.deliver)
 			return coap.CodeChanged
@@ -42,17 +41,12 @@ func startCoAP(t *telemetry) *coapProbe {
 
 	confirmable := fs.Confirmable == nil || *fs.Confirmable
 	p.tr = app.NewCoAPTransportPort(src, dst.Addr, port, confirmable, messageSize(t.net, app.ReadingSize))
-	var policy coap.RTOPolicy = coap.DefaultPolicy{}
 	if fs.RTO == "cocoa" {
-		policy = coap.NewCoCoA()
+		p.tr.Client.Policy = coap.NewCoCoA()
 	}
-	// The sampling wrapper is a pure observer (no extra RNG draws, no
-	// timing change), so CON flows report RTT distributions like TCP
-	// flows do without perturbing results.
-	p.policy = &coap.SamplingPolicy{Inner: policy, OnSample: func(d sim.Duration, retx int) {
+	p.tr.Client.OnSample = func(d sim.Duration) {
 		p.rtts.Add(d.Milliseconds())
-	}}
-	p.tr.Client.Policy = p.policy
+	}
 	p.tr.Client.Trace = t.trace
 	p.tr.Client.Node = src.ID
 	p.tr.Trace = t.trace
@@ -74,7 +68,7 @@ func (p *coapProbe) collect(r *FlowResult) {
 	r.MSS = p.tr.MessageSize
 	r.Retransmits = st.Retransmissions - p.base.Retransmissions
 	r.Timeouts = st.GiveUps - p.base.GiveUps
-	r.RTOms = p.policy.OverallRTO().Milliseconds()
+	r.RTOms = p.tr.Client.Policy.OverallRTO().Milliseconds()
 	fillRTT(r, &p.rtts)
 	p.telemetry.collect(r, p.tr.Client.Pending()*p.tr.MessageSize/app.ReadingSize)
 }

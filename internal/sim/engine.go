@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 )
@@ -18,7 +17,6 @@ import (
 type Event struct {
 	when      Time
 	seq       uint64 // tie-break so equal-time events fire in schedule order
-	index     int    // overflow-heap index, -1 while wheel-resident or free
 	fn        func()
 	next      *Event // wheel slot list / free list link
 	cancelled bool
@@ -30,54 +28,22 @@ func (ev *Event) When() Time { return ev.when }
 // Cancelled reports whether Cancel was called before the event fired.
 func (ev *Event) Cancelled() bool { return ev.cancelled }
 
-// eventQueue orders the overflow heap by (when, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
-}
-
 // Engine is a single-threaded discrete-event scheduler with a deterministic
 // random source. It is not safe for concurrent use: the entire simulated
 // network runs in one goroutine, which is what makes runs reproducible.
 //
-// Internally the queue is a hierarchical timer wheel (see wheel.go) plus an
-// overflow heap, with fired events recycled through a free list, so the
+// Internally the queue is a hierarchical timer wheel spanning every Time
+// (see wheel.go), with fired events recycled through a free list, so the
 // steady-state hot path of Schedule → fire performs no allocation. Firing
 // order is bit-identical to a single (when, seq) priority queue.
 type Engine struct {
-	now      Time
-	wheel    wheel
-	overflow eventQueue
-	free     *Event // recycled Event objects
-	seq      uint64
-	live     int // scheduled, uncancelled, unfired events
-	rng      *rand.Rand
-	fired    uint64
-	halted   bool
+	now   Time
+	wheel wheel
+	free  *Event // recycled Event objects
+	seq   uint64
+	live  int // scheduled, uncancelled, unfired events
+	rng   *rand.Rand
+	fired uint64
 }
 
 // NewEngine returns an engine whose clock starts at 0 and whose random
@@ -117,13 +83,12 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	e.seq++
 	ev := e.alloc()
 	ev.when, ev.seq, ev.fn = t, e.seq, fn
-	if e.wheel.queued == 0 && e.wheel.base < e.now {
-		// Empty wheel: pull the base up so short delays stay in level 0.
+	if e.wheel.queued == 0 {
+		// Empty wheel: put the base on the clock, so short delays stay in
+		// level 0 even after a Step discarded cancelled entries past it.
 		e.wheel.base = e.now
 	}
-	if !e.wheel.insert(ev) {
-		heap.Push(&e.overflow, ev)
-	}
+	e.wheel.insert(ev)
 	e.live++
 	return ev
 }
@@ -132,11 +97,10 @@ func (e *Engine) alloc() *Event {
 	if ev := e.free; ev != nil {
 		e.free = ev.next
 		ev.next = nil
-		ev.index = -1
 		ev.cancelled = false
 		return ev
 	}
-	return &Event{index: -1}
+	return &Event{}
 }
 
 // recycle returns a fired or cancelled-and-collected event to the free
@@ -165,36 +129,17 @@ func (e *Engine) Cancel(ev *Event) {
 // it fires at or before deadline, discarding the cancelled entries it finds
 // ahead of it. It returns nil when nothing live is due by then. Step, Run
 // and RunUntil all take their events here: the wheel is settled once and
-// the head examined once per event fired.
+// its head examined once per event fired.
 func (e *Engine) popNext(deadline Time) *Event {
-	for {
-		var ev *Event
-		if e.wheel.settle() {
-			ev = e.wheel.peekMin()
-		}
-		// On a time tie the overflow entry was scheduled first (the base
-		// is monotone), so the heap pops before the wheel.
-		fromHeap := len(e.overflow) > 0 && (ev == nil || e.overflow[0].when <= ev.when)
-		if fromHeap {
-			ev = e.overflow[0]
-		}
-		if ev == nil || ev.when > deadline {
-			return nil
-		}
-		if fromHeap {
-			heap.Pop(&e.overflow)
-		} else {
-			e.wheel.popMin()
-		}
+	for e.wheel.settle(deadline) {
+		ev := e.wheel.popMin()
 		if !ev.cancelled {
 			return ev
 		}
 		e.recycle(ev)
 	}
+	return nil
 }
-
-// Halt stops Run/RunUntil after the current event returns.
-func (e *Engine) Halt() { e.halted = true }
 
 // fire runs ev, advancing the clock to it.
 func (e *Engine) fire(ev *Event) {
@@ -221,15 +166,10 @@ func (e *Engine) Step() bool {
 // deadline. Events scheduled during the run are processed if they fall
 // within the deadline.
 func (e *Engine) RunUntil(deadline Time) {
-	e.halted = false
-	for !e.halted {
-		ev := e.popNext(deadline)
-		if ev == nil {
-			break
-		}
+	for ev := e.popNext(deadline); ev != nil; ev = e.popNext(deadline) {
 		e.fire(ev)
 	}
-	if !e.halted && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
@@ -237,9 +177,8 @@ func (e *Engine) RunUntil(deadline Time) {
 // RunFor advances the simulation by d.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
-// Run processes events until the queue is empty or Halt is called.
+// Run processes events until the queue is empty.
 func (e *Engine) Run() {
-	e.halted = false
-	for !e.halted && e.Step() {
+	for e.Step() {
 	}
 }

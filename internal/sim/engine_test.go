@@ -119,23 +119,6 @@ func TestPastScheduleClamps(t *testing.T) {
 	e.Run()
 }
 
-func TestHalt(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Duration(i), func() {
-			count++
-			if count == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 after Halt", count)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []int64 {
 		e := NewEngine(seed)

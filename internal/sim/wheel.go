@@ -2,26 +2,30 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timer wheel backing Engine's event queue.
+// Hierarchical timer wheel: Engine's event queue.
 //
 // The wheel has wheelLevels levels of wheelSlots slots each, with a 1 µs
 // tick at level 0, so level l covers a 2^(wheelBits*(l+1)) µs window around
-// the wheel base. An event lives at the lowest level whose parent window it
-// shares with the base (Linux-style placement): level 0 slots therefore hold
-// exactly one distinct fire time each, and every event at level l ≥ 1 sits
-// in a slot past the base's own at that level, later than everything below.
+// the wheel base and the top level spans every Time. An event lives at the
+// lowest level whose parent window it shares with the base (Linux-style
+// placement): level 0 slots therefore hold exactly one distinct fire time
+// each, and every event at level l ≥ 1 sits in a slot past the base's own
+// at that level, later than everything below.
 //
 // base is a lower bound on every wheel-resident fire time, and it only ever
 // advances: to the event a pop returns, and — in settle, when level 0 has run
-// empty — to the earliest fire time left in the wheel. That event is in the
-// first occupied slot of the lowest occupied level (the levels below are
-// empty, the slots before it too), so settle drains that one slot, moves
-// the base to the earliest time in it rather than to the slot's start, and
-// re-files its events against the new base: the earliest lands in level 0,
-// the rest as low as their distance from it allows, none of them to be
-// touched again at the levels in between. A list whose events all fire at
-// that one time — a lone timer, or a frame's txDone + endTx pair — is handed
-// to its level-0 slot as it is.
+// empty — to the earliest fire time left in the wheel, if that is due by the
+// pop's deadline. That event is in the first occupied slot of the lowest
+// occupied level (the levels below are empty, the slots before it too), so
+// settle drains that one slot, moves the base to the earliest time in it
+// rather than to the slot's start, and re-files its events against the new
+// base: the earliest lands in level 0, the rest as low as their distance
+// from it allows, none of them to be touched again at the levels in
+// between. A list whose events all fire at that one time — a lone timer, or
+// a frame's txDone + endTx pair — is handed to its level-0 slot as it is.
+// A slot whose earliest event is past the deadline stays as it is, so the
+// base never passes the clock at a RunUntil stop, and At puts an empty
+// wheel's base on the clock: every event is scheduled at or after the base.
 //
 // Pops preserve the engine's (when, seq) firing order bit-identically. Every
 // slot list is in schedule order: direct inserts append as they are
@@ -30,34 +34,25 @@ import "math/bits"
 // afterwards was scheduled, and therefore sequenced, later. A level-0 list
 // holds one fire time, so its head is the smallest seq at the wheel's
 // earliest time.
-//
-// Events outside the top-level window — and events behind the base, which a
-// caller can schedule after an overflow pop or after a RunUntil that stopped
-// short of the event settle moved the base to — go to a (when, seq) min-heap
-// instead. An entry filed there for being behind the base is strictly
-// earlier than every wheel event, then and later. On equal fire times the
-// heap entry was always scheduled first (the base is monotone, so the
-// far-away insert happened earlier), which is why Engine pops the overflow
-// heap on ties.
 const (
-	wheelBits     = 6
-	wheelSlots    = 1 << wheelBits
-	wheelMask     = wheelSlots - 1
-	wheelLevels   = 5
-	wheelSpanBits = wheelBits * wheelLevels // ≈ 17.9 simulated minutes
+	wheelBits   = 6
+	wheelSlots  = 1 << wheelBits
+	wheelMask   = wheelSlots - 1
+	wheelLevels = 11 // 66 bits: every non-negative Time
 )
 
-// evList is an intrusive singly-linked FIFO of events threaded through
-// Event.next.
+// evList is an intrusive FIFO of events threaded through Event.next. It is
+// circular — the tail's next is the head — so a slot is one pointer and the
+// slot table 5.5 KiB, allocated once per engine (a sweep builds one per run).
 type evList struct {
-	head, tail *Event
+	tail *Event // nil when empty
 }
 
 func (l *evList) append(ev *Event) {
-	ev.next = nil
 	if l.tail == nil {
-		l.head = ev
+		ev.next = ev
 	} else {
+		ev.next = l.tail.next
 		l.tail.next = ev
 	}
 	l.tail = ev
@@ -70,36 +65,28 @@ type wheel struct {
 	queued int                 // wheel-resident entries, cancelled included
 }
 
-// insert files ev at the lowest level sharing a parent window with base.
-// It reports false — leaving ev untouched — when the event belongs in the
-// overflow heap instead (fires beyond the top window, or behind the base).
-func (w *wheel) insert(ev *Event) bool {
-	if ev.when < w.base {
-		return false
-	}
-	d := uint64(ev.when ^ w.base)
-	if d>>wheelSpanBits != 0 {
-		return false
-	}
+// insert files ev at the lowest level sharing a parent window with base;
+// ev must not fire before the base.
+func (w *wheel) insert(ev *Event) {
 	level := 0
-	if d != 0 {
+	if d := uint64(ev.when ^ w.base); d != 0 {
 		level = (bits.Len64(d) - 1) / wheelBits
 	}
 	s := (uint64(ev.when) >> (level * wheelBits)) & wheelMask
 	w.slot[level][s].append(ev)
 	w.occ[level] |= 1 << s
 	w.queued++
-	return true
 }
 
 // settle makes level 0 hold the wheel's earliest events: when it is empty,
 // the first occupied slot of the lowest occupied level is drained, the base
 // advances to the earliest fire time in it, and its events are re-filed
-// against that base (see the header). It reports false when the wheel holds
-// no events at all.
-func (w *wheel) settle() bool {
+// against that base (see the header). It reports whether the earliest event
+// fires by deadline; when it does not, or the wheel is empty, the wheel is
+// left as it was.
+func (w *wheel) settle(deadline Time) bool {
 	if w.occ[0] != 0 {
-		return true
+		return w.slot[0][bits.TrailingZeros64(w.occ[0])].tail.next.when <= deadline
 	}
 	level := 1
 	for ; level < wheelLevels && w.occ[level] == 0; level++ {
@@ -109,15 +96,19 @@ func (w *wheel) settle() bool {
 	}
 	s := bits.TrailingZeros64(w.occ[level])
 	lst := w.slot[level][s]
-	w.slot[level][s] = evList{}
-	w.occ[level] &^= 1 << uint(s)
-	first, same := lst.head.when, true
-	for ev := lst.head.next; ev != nil; ev = ev.next {
+	head := lst.tail.next
+	first, same := head.when, true
+	for ev := head.next; ev != head; ev = ev.next {
 		if ev.when != first {
 			same = false
 			first = min(first, ev.when)
 		}
 	}
+	if first > deadline {
+		return false
+	}
+	w.slot[level][s] = evList{}
+	w.occ[level] &^= 1 << uint(s)
 	w.base = first
 	if same {
 		s0 := uint(first & wheelMask)
@@ -125,32 +116,29 @@ func (w *wheel) settle() bool {
 		w.occ[0] |= 1 << s0
 		return true
 	}
-	for ev := lst.head; ev != nil; {
+	for ev := head; ; {
 		next := ev.next
 		w.queued--
 		w.insert(ev) // below level: it shares the drained slot with the base
+		if ev == lst.tail {
+			return true
+		}
 		ev = next
 	}
-	return true
 }
 
-// peekMin returns the earliest event (head of the minimum level-0 slot =
-// smallest seq at that time) without removing it. Only valid after settle
-// returned true.
-func (w *wheel) peekMin() *Event {
-	return w.slot[0][bits.TrailingZeros64(w.occ[0])].head
-}
-
-// popMin removes and returns the earliest event and advances the base to
-// it. Only valid after settle returned true.
+// popMin removes and returns the earliest event (head of the minimum
+// level-0 slot = smallest seq at that time) and advances the base to it.
+// Only valid after settle returned true.
 func (w *wheel) popMin() *Event {
 	s := bits.TrailingZeros64(w.occ[0])
 	lst := &w.slot[0][s]
-	ev := lst.head
-	lst.head = ev.next
-	if lst.head == nil {
+	ev := lst.tail.next
+	if ev == lst.tail {
 		lst.tail = nil
 		w.occ[0] &^= 1 << uint(s)
+	} else {
+		lst.tail.next = ev.next
 	}
 	w.queued--
 	w.base = ev.when

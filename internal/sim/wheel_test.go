@@ -2,7 +2,9 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -94,7 +96,7 @@ func (e *refEngine) RunUntil(deadline Time) {
 }
 
 // delayFor derives a deterministic pseudo-random delay for event (id, k),
-// spread across wheel levels, level boundaries, and the overflow span so
+// spread across wheel levels and level boundaries, up to 2^31 µs ahead, so
 // every placement path gets exercised.
 func delayFor(id, k int) Duration {
 	h := uint64(id)*0x9e3779b97f4a7c15 + uint64(k)*0xbf58476d1ce4e5b9
@@ -115,11 +117,11 @@ func delayFor(id, k int) Duration {
 	case 5:
 		return Duration(h>>8) % (1 << 30) // level 4
 	case 6:
-		// Hug the top-window boundary from both sides: these flip between
-		// wheel and overflow depending on where the base sits.
+		// Hug the level-4/level-5 boundary from both sides: these flip
+		// between the two depending on where the base sits.
 		return Duration(1<<30) - 32 + Duration(h>>8)%64
 	default:
-		return Duration(1<<30) + Duration(h>>8)%(1<<31) // overflow heap
+		return Duration(1<<30) + Duration(h>>8)%(1<<31) // level 5
 	}
 }
 
@@ -138,7 +140,7 @@ type fireRec struct {
 // instants, as a frame's txDone and endTx are, some with the earlier half
 // cancelled once both are queued; RunUntil deadlines that stop short of the
 // next event; and, after each, schedules from outside at and just past the
-// stopped clock — behind the base the stop left ahead of it.
+// stopped clock, ahead of the event the stop left pending.
 func driveWheelWorkload(t *testing.T, seed int64,
 	schedule func(d Duration, fn func()) (cancel func()),
 	now func() Time,
@@ -269,64 +271,62 @@ func driveWheelWorkloadOn(t *testing.T, seed int64, eng *Engine) []fireRec {
 			return func() { eng.Cancel(ev) }
 		},
 		eng.Now,
-		func(deadline Time) { eng.RunUntil(deadline) },
+		func(deadline Time) {
+			eng.RunUntil(deadline)
+			if eng.wheel.base > eng.Now() {
+				t.Fatalf("seed %d: base %d passed the clock %d at a RunUntil stop", seed, eng.wheel.base, eng.Now())
+			}
+		},
 		eng.Run)
 }
 
-// Equal-time events spanning the wheel/overflow boundary still fire in
-// schedule order.
-func TestWheelOverflowTieFIFO(t *testing.T) {
+// Equal-time events, one scheduled far ahead and the rest once the clock
+// is close, still fire in schedule order.
+func TestWheelFarAndNearTieFIFO(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	target := Time(1<<30) + 77 // beyond the top window: overflow at t=0
+	target := Time(1<<30) + 77 // level 5 at t=0
 	e.At(target, func() { got = append(got, 0) })
-	// March the base close enough that the same instant lands in the wheel.
+	// March the base close enough that the same instant lands in level 0.
 	e.Schedule(Duration(1<<30)+10, func() {
-		e.At(target, func() { got = append(got, 1) }) // wheel resident
+		e.At(target, func() { got = append(got, 1) })
 		e.At(target, func() { got = append(got, 2) })
 	})
 	e.Run()
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("overflow/wheel tie broke FIFO: %v", got)
+		t.Fatalf("far/near tie broke FIFO: %v", got)
 	}
 
-	// A run that stops short of the next event leaves the base on that
-	// event's very microsecond. A schedule for that instant is not behind
-	// the base — it joins the wheel after the event already there — while
-	// one a microsecond earlier is, goes to the heap and so fires first:
-	// the heap never holds the later half of a tie.
+	// A run that stops short of the next event leaves the base at or behind
+	// the clock. A schedule for that event's instant joins the wheel after the
+	// event already there; one a microsecond earlier fires first.
 	got = got[:0]
 	next := e.Now().Add(5000)
 	e.At(next, func() { got = append(got, 0) })
 	e.RunUntil(e.Now().Add(1000))
-	if e.wheel.base != next {
-		t.Fatalf("base = %d after stopping short of the event at %d", e.wheel.base, next)
+	if e.wheel.base > e.Now() {
+		t.Fatalf("base %d passed the clock %d stopping short of the event at %d", e.wheel.base, e.Now(), next)
 	}
 	e.At(next, func() { got = append(got, 1) })
 	e.At(next-1, func() { got = append(got, -1) })
-	if len(e.overflow) != 1 || e.wheel.queued != 2 {
-		t.Fatalf("%d heap / %d wheel entries, want 1 / 2", len(e.overflow), e.wheel.queued)
-	}
 	e.Run()
 	if len(got) != 3 || got[0] != -1 || got[1] != 0 || got[2] != 1 {
-		t.Fatalf("tie at the jumped base broke FIFO: %v", got)
+		t.Fatalf("tie after a stop short broke FIFO: %v", got)
 	}
 }
 
-// Events scheduled behind an advanced wheel base (possible after an
-// overflow pop, or after a run that stopped short of the next event) must
-// still fire in global order.
-func TestWheelBehindBaseSchedule(t *testing.T) {
+// Events scheduled across a level boundary, and between a stopped clock
+// and the event the stop left pending, fire in global order; the base
+// never passes the clock at the stop.
+func TestWheelStopShortKeepsBaseOnClock(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
 	boundary := Time(1 << 30)
 	e.At(boundary-10, func() {
-		// Now the base sits just below the top-window boundary; everything
-		// past the boundary overflows.
+		// Now the base sits just below the level-4/level-5 boundary;
+		// everything past it lands in level 5.
 		e.At(boundary+40, func() {
 			got = append(got, 1)
-			// The wheel base may sit ahead of now here; these must still
-			// interleave correctly.
 			e.At(boundary+45, func() { got = append(got, 2) })
 			e.At(boundary+200, func() { got = append(got, 4) })
 			e.At(boundary+50, func() { got = append(got, 3) })
@@ -345,30 +345,25 @@ func TestWheelBehindBaseSchedule(t *testing.T) {
 		}
 	}
 
-	// The base jumps to the earliest wheel event, not to the start of its
-	// slot, so a run that stops short leaves it far ahead of the clock.
-	// Events then scheduled in between go to the heap, fire from there —
-	// the clock still behind the base — and what those schedule lands on
-	// either side of the base; all of it in time order.
+	// A run that stops short of a far event leaves the base at or behind the
+	// clock, so events then scheduled in between, and what those schedule
+	// on either side of the pending event, fire in time order.
 	got = got[:0]
 	t0 := e.Now()
-	e.At(t0+70_000, func() { got = append(got, 5) }) // wheel, level 2
+	e.At(t0+70_000, func() { got = append(got, 5) }) // level 2
 	e.RunUntil(t0 + 1000)
-	if e.wheel.base != t0+70_000 || e.Now() != t0+1000 {
-		t.Fatalf("base %d, now %d: want the base on the pending event at %d", e.wheel.base, e.Now(), t0+70_000)
+	if e.wheel.base > e.Now() || e.Now() != t0+1000 {
+		t.Fatalf("base %d, now %d: want the base at or behind the clock at %d", e.wheel.base, e.Now(), t0+1000)
 	}
 	e.At(t0+3000, func() {
 		got = append(got, 1)
-		e.At(t0+4000, func() { got = append(got, 2) })   // still behind the base
-		e.At(t0+70_000, func() { got = append(got, 6) }) // on it: after 5
+		e.At(t0+4000, func() { got = append(got, 2) })
+		e.At(t0+70_000, func() { got = append(got, 6) }) // on the pending event: after 5
 		e.At(t0+90_000, func() { got = append(got, 7) }) // past it
 	})
 	e.At(t0+2000, func() { got = append(got, 0) })
 	e.At(t0+69_999, func() { got = append(got, 4) })
 	e.At(t0+5000, func() { got = append(got, 3) })
-	if len(e.overflow) != 4 {
-		t.Fatalf("%d events behind the base went to the heap, want 4", len(e.overflow))
-	}
 	e.Run()
 	for i, id := range got {
 		if id != i {
@@ -378,6 +373,77 @@ func TestWheelBehindBaseSchedule(t *testing.T) {
 	if len(got) != 8 {
 		t.Fatalf("fired %v, want 0 … 7 in order", got)
 	}
+}
+
+// The wheel's top level spans every Time: events at 2^31, 2^40 and 2^62 µs
+// and at the last representable microsecond, each with an equal-time tie
+// scheduled later, fire in (when, seq) order under Step, Run and a RunUntil
+// that stops short of them.
+func TestWheelSpansAllTime(t *testing.T) {
+	times := []Time{1 << 62, math.MaxInt64, 1 << 31, 1 << 40}
+	type rec struct {
+		at Time
+		id int
+	}
+	// schedule arms, for each time, one event now and its tie from an
+	// event a quarter of the way there; want is the (when, seq) order.
+	schedule := func(e *Engine, got *[]rec) []rec {
+		var want []rec
+		for i, at := range times {
+			at, id := at, 2*i
+			e.At(at, func() { *got = append(*got, rec{e.Now(), id}) })
+			e.At(at/4, func() {
+				e.At(at, func() { *got = append(*got, rec{e.Now(), id + 1}) })
+			})
+			want = append(want, rec{at, id}, rec{at, id + 1})
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		return want
+	}
+	check := func(mode string, got, want []rec) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: fired %v, want %v", mode, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: fired %v, want %v", mode, got, want)
+			}
+		}
+	}
+
+	e := NewEngine(1)
+	var got []rec
+	want := schedule(e, &got)
+	for e.Step() {
+	}
+	check("Step", got, want)
+
+	e, got = NewEngine(1), nil
+	want = schedule(e, &got)
+	e.Run()
+	check("Run", got, want)
+
+	// Stop short of each far time in turn, then a microsecond before the
+	// last one; the base stays at or behind the clock at every stop.
+	e, got = NewEngine(1), nil
+	want = schedule(e, &got)
+	for _, stop := range []Time{1 << 30, 1<<31 - 1, 1 << 39, 1<<62 - 1, math.MaxInt64 - 1} {
+		e.RunUntil(stop)
+		if e.Now() != stop || e.wheel.base > e.Now() {
+			t.Fatalf("RunUntil(%d): now %d, base %d", stop, e.Now(), e.wheel.base)
+		}
+		for _, r := range got {
+			if r.at > stop {
+				t.Fatalf("RunUntil(%d) fired %v past its deadline", stop, r)
+			}
+		}
+	}
+	if len(got) != len(want)-2 {
+		t.Fatalf("RunUntil: fired %d before the last time, want %d", len(got), len(want)-2)
+	}
+	e.RunUntil(math.MaxInt64)
+	check("RunUntil", got, want)
 }
 
 // Pending must track live (uncancelled, unfired) events under lazy
