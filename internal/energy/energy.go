@@ -3,7 +3,7 @@
 // comes from a documented per-operation cost model, since a discrete-event
 // simulation has no real microcontroller to measure.
 //
-// The cost model is a substitution (DefaultCosts below): absolute CPU numbers
+// The cost model is a substitution (the costs below): absolute CPU numbers
 // are model outputs, calibrated so a batched anemometer workload lands in
 // the paper's ≈1% range; only relative comparisons (TCP vs CoAP, batching
 // vs not) are claimed.
@@ -11,45 +11,34 @@ package energy
 
 import "tcplp/internal/sim"
 
-// Costs is the CPU time charged per operation.
-type Costs struct {
-	// FrameTx / FrameRx cover driver work per 802.15.4 frame, dominated
-	// by the SPI transfer the paper measures (§6.4).
-	FrameTx, FrameRx sim.Duration
-	// Segment covers transport-layer processing per TCP segment or CoAP
-	// message.
-	Segment sim.Duration
-	// PerKByte covers payload copies, per 1024 bytes moved at the app
+// The CPU time charged per operation, for a 48 MHz Cortex-M0+ running a
+// software MAC: the 4 ms SPI transfer of a full frame is CPU-attended,
+// transport processing is sub-millisecond (§6.4 finds TCP processing does
+// not limit throughput).
+const (
+	// FrameTxCost / FrameRxCost cover driver work per 802.15.4 frame,
+	// dominated by the SPI transfer the paper measures (§6.4).
+	FrameTxCost = 4 * sim.Millisecond
+	FrameRxCost = 2 * sim.Millisecond
+	// SegmentCost covers transport-layer processing per TCP segment or
+	// CoAP message.
+	SegmentCost = 600 * sim.Microsecond
+	// PerKByteCost covers payload copies, per 1024 bytes moved at the app
 	// boundary.
-	PerKByte sim.Duration
-}
-
-// DefaultCosts reflect a 48 MHz Cortex-M0+ running a software MAC: the
-// 4 ms SPI transfer of a full frame is CPU-attended, transport processing
-// is sub-millisecond (§6.4 finds TCP processing does not limit
-// throughput).
-func DefaultCosts() Costs {
-	return Costs{
-		FrameTx:  4 * sim.Millisecond,
-		FrameRx:  2 * sim.Millisecond,
-		Segment:  600 * sim.Microsecond,
-		PerKByte: 250 * sim.Microsecond,
-	}
-}
+	PerKByteCost = 250 * sim.Microsecond
+)
 
 // CPUMeter accumulates CPU busy time against the simulation clock.
 type CPUMeter struct {
 	eng   *sim.Engine
 	busy  sim.Duration
 	since sim.Time
-
-	costs Costs
 }
 
-// MakeCPUMeter returns a meter using the given cost model, by value: a
-// node holds its meter as a field, not as one more object.
-func MakeCPUMeter(eng *sim.Engine, costs Costs) CPUMeter {
-	return CPUMeter{eng: eng, costs: costs}
+// MakeCPUMeter returns a meter by value: a node holds its meter as a
+// field, not as one more object.
+func MakeCPUMeter(eng *sim.Engine) CPUMeter {
+	return CPUMeter{eng: eng}
 }
 
 // Charge adds d of CPU busy time.
@@ -60,17 +49,17 @@ func (m *CPUMeter) Charge(d sim.Duration) {
 }
 
 // ChargeFrameTx charges the per-frame transmit cost.
-func (m *CPUMeter) ChargeFrameTx() { m.Charge(m.costs.FrameTx) }
+func (m *CPUMeter) ChargeFrameTx() { m.Charge(FrameTxCost) }
 
 // ChargeFrameRx charges the per-frame receive cost.
-func (m *CPUMeter) ChargeFrameRx() { m.Charge(m.costs.FrameRx) }
+func (m *CPUMeter) ChargeFrameRx() { m.Charge(FrameRxCost) }
 
 // ChargeSegment charges the per-segment transport cost.
-func (m *CPUMeter) ChargeSegment() { m.Charge(m.costs.Segment) }
+func (m *CPUMeter) ChargeSegment() { m.Charge(SegmentCost) }
 
 // ChargeBytes charges the copy cost for n payload bytes.
 func (m *CPUMeter) ChargeBytes(n int) {
-	m.Charge(m.costs.PerKByte * sim.Duration(n) / 1024)
+	m.Charge(PerKByteCost * sim.Duration(n) / 1024)
 }
 
 // Busy returns the accumulated CPU time since the last Reset.

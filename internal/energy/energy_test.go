@@ -8,7 +8,7 @@ import (
 
 func TestCPUMeterDutyCycle(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := MakeCPUMeter(eng, DefaultCosts())
+	m := MakeCPUMeter(eng)
 	// 100 ms of busy work over a 10 s window → 1%.
 	m.Charge(100 * sim.Millisecond)
 	eng.RunUntil(sim.Time(10 * sim.Second))
@@ -19,7 +19,7 @@ func TestCPUMeterDutyCycle(t *testing.T) {
 
 func TestCPUMeterReset(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := MakeCPUMeter(eng, DefaultCosts())
+	m := MakeCPUMeter(eng)
 	m.Charge(sim.Second)
 	eng.RunUntil(sim.Time(2 * sim.Second))
 	m.Reset()
@@ -35,29 +35,28 @@ func TestCPUMeterReset(t *testing.T) {
 
 func TestChargeHelpers(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := DefaultCosts()
-	m := MakeCPUMeter(eng, c)
+	m := MakeCPUMeter(eng)
 	m.ChargeFrameTx()
 	m.ChargeFrameRx()
 	m.ChargeSegment()
-	want := c.FrameTx + c.FrameRx + c.Segment
+	want := FrameTxCost + FrameRxCost + SegmentCost
 	if m.Busy() != want {
 		t.Fatalf("busy = %v, want %v", m.Busy(), want)
 	}
 	m.Reset()
 	m.ChargeBytes(2048)
-	if m.Busy() != 2*c.PerKByte {
-		t.Fatalf("byte charge = %v, want %v", m.Busy(), 2*c.PerKByte)
+	if m.Busy() != 2*PerKByteCost {
+		t.Fatalf("byte charge = %v, want %v", m.Busy(), 2*PerKByteCost)
 	}
 	m.Charge(-5) // negative charges ignored
-	if m.Busy() != 2*c.PerKByte {
+	if m.Busy() != 2*PerKByteCost {
 		t.Fatal("negative charge accepted")
 	}
 }
 
 func TestDutyCycleClamps(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := MakeCPUMeter(eng, DefaultCosts())
+	m := MakeCPUMeter(eng)
 	if m.DutyCycle() != 0 {
 		t.Fatal("zero-elapsed duty cycle not 0")
 	}

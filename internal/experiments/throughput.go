@@ -183,7 +183,7 @@ func fig7a(o Opts, res []*scenario.SpecResult) *Table {
 // hopSweep: the §7.2 hop-count measurement at d = 40 ms against the
 // B/min(h,3) radio-scheduling bound — one hops sweep, the first cell one
 // hop. The paper's 4-hop outlier (which needed a 6-segment window to fill
-// the pipe) is a per-cell override in the same grid.
+// the pipe) is a second spec of the same name in the same file.
 func hopSweep(o Opts, res []*scenario.SpecResult) *Table {
 	t := &Table{
 		ID:      "hopsweep",

@@ -90,12 +90,15 @@ const (
 	maxCSMABackoffs = 4
 )
 
+// maxFrameRetries is the number of link-layer retransmissions after the
+// initial attempt.
+const maxFrameRetries = 7
+
 // Params are the ARQ parameters. The zero value is not useful; use
 // DefaultParams.
 type Params struct {
-	// MaxFrameRetries is the number of link-layer retransmissions after
-	// the initial attempt.
-	MaxFrameRetries int
+	// maxRetries is maxFrameRetries; tests lower it.
+	maxRetries int
 	// RetryDelayMax is the paper's d: before each link retry the node
 	// waits uniform[0, d] in addition to CSMA backoff, so two frames
 	// that collided are unlikely to collide again (§7.1).
@@ -106,8 +109,8 @@ type Params struct {
 // link-retry scheme with d = 40 ms, the value §7.1 recommends.
 func DefaultParams() Params {
 	return Params{
-		MaxFrameRetries: 7,
-		RetryDelayMax:   40 * sim.Millisecond,
+		maxRetries:    maxFrameRetries,
+		RetryDelayMax: 40 * sim.Millisecond,
 	}
 }
 
@@ -187,10 +190,6 @@ type Mac struct {
 
 	// OnReceive is invoked for every accepted data or command frame.
 	OnReceive func(f *phy.Frame)
-
-	// OnDataRequest is invoked when a DataRequest command arrives (parent
-	// side), after the ACK (with pending bit) has been generated.
-	OnDataRequest func(child phy.Addr)
 
 	// indirect delivery state (parent side)
 	sleepyChildren map[phy.Addr]bool
@@ -462,7 +461,7 @@ func (m *Mac) ackTimeout() {
 func (m *Mac) linkRetry(cause TxStatus) {
 	job := m.inflight
 	job.attempts++
-	if job.attempts > m.params.MaxFrameRetries {
+	if job.attempts > m.params.maxRetries {
 		m.finish(cause)
 		return
 	}
@@ -577,9 +576,6 @@ func (m *Mac) radioReceive(data []byte) {
 
 	if f.Type == phy.FrameCommand && f.Command == phy.DataRequest {
 		m.serveDataRequest(f.Src)
-		if m.OnDataRequest != nil {
-			m.OnDataRequest(f.Src)
-		}
 		return
 	}
 	if m.OnReceive != nil {

@@ -84,7 +84,7 @@ func TestDropAfterMaxRetries(t *testing.T) {
 	rb := ch.AddRadio(1, phy.Point{X: 1})
 	ch.PER = func(src, dst *phy.Radio) float64 { return 1 } // total blackout
 	p := DefaultParams()
-	p.MaxFrameRetries = 3
+	p.maxRetries = 3
 	a := New(eng, ra, p)
 	New(eng, rb, p)
 	var status TxStatus = -1
@@ -154,7 +154,7 @@ func TestRetryDelayBeatsHiddenTerminals(t *testing.T) {
 		r2 := ch.AddRadio(2, phy.Point{X: 2})
 		p := DefaultParams()
 		p.RetryDelayMax = d
-		p.MaxFrameRetries = 4
+		p.maxRetries = 4
 		m0 := New(eng, r0, p)
 		m1 := New(eng, r1, p)
 		m2 := New(eng, r2, p)
@@ -265,21 +265,19 @@ func TestAdaptiveSleepInterval(t *testing.T) {
 	parent.SetChildSleepy(childR.Addr())
 	sc := NewSleepController(eng, child, parentR.Addr())
 	sc.Adaptive = true
-	sc.Min = 20 * sim.Millisecond
-	sc.Max = 5 * sim.Second
 	received := 0
 	child.OnReceive = func(f *phy.Frame) {
 		received++
 		sc.FrameDelivered(f.FramePending)
 	}
 	sc.Start()
-	// With no traffic the interval must back off to Max.
+	// With no traffic the interval must back off to adaptiveMax.
 	eng.RunUntil(sim.Time(60 * sim.Second))
-	if sc.current != sc.Max {
-		t.Fatalf("idle interval = %v, want %v", sc.current, sc.Max)
+	if sc.current != adaptiveMax {
+		t.Fatalf("idle interval = %v, want %v", sc.current, adaptiveMax)
 	}
 	pollsBefore := sc.Polls
-	// A burst of downstream frames must collapse the interval to Min and
+	// A burst of downstream frames must collapse the interval to adaptiveMin and
 	// drain quickly.
 	for i := 0; i < 10; i++ {
 		parent.SendJID(childR.Addr(), []byte{byte(i)}, 0, nil)
@@ -289,12 +287,12 @@ func TestAdaptiveSleepInterval(t *testing.T) {
 	if received != 10 {
 		t.Fatalf("received %d of 10 burst frames", received)
 	}
-	if sc.current != sc.Min && sc.Polls == pollsBefore {
+	if sc.current != adaptiveMin && sc.Polls == pollsBefore {
 		t.Fatal("adaptive interval did not react to burst")
 	}
 	// And back off again when idle.
 	eng.RunUntil(eng.Now().Add(60 * sim.Second))
-	if sc.current != sc.Max {
+	if sc.current != adaptiveMax {
 		t.Fatalf("interval did not back off after burst: %v", sc.current)
 	}
 }
@@ -439,7 +437,7 @@ func TestFreeJobsUnusedAndZeroed(t *testing.T) {
 	eng := sim.NewEngine(16)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(1.0, 1.0))
 	p := DefaultParams()
-	p.MaxFrameRetries = 4
+	p.maxRetries = 4
 	var macs []*Mac
 	for i := 0; i < 3; i++ {
 		macs = append(macs, New(eng, ch.AddRadio(i, phy.Point{X: float64(i)}), p))
@@ -479,7 +477,7 @@ func TestAckWaitBitTracksTimer(t *testing.T) {
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(1.0, 1.0))
 	ch.PER = func(src, dst *phy.Radio) float64 { return 0.2 }
 	p := DefaultParams()
-	p.MaxFrameRetries = 4
+	p.maxRetries = 4
 	var macs []*Mac
 	for i := 0; i < 3; i++ {
 		macs = append(macs, New(eng, ch.AddRadio(i, phy.Point{X: float64(i)}), p))

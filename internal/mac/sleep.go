@@ -9,6 +9,13 @@ import (
 // frame after an ACK with the pending bit set.
 const dataWaitTimeout = 100 * sim.Millisecond
 
+// adaptiveMin and adaptiveMax bound the adaptive sleep interval
+// (Appendix C: 20 ms / 5 s).
+const (
+	adaptiveMin = 20 * sim.Millisecond
+	adaptiveMax = 5 * sim.Second
+)
+
 // SleepController implements the listen-after-send duty cycling of a
 // Thread sleepy end device (§3.2) and the paper's two refinements:
 //
@@ -17,8 +24,8 @@ const dataWaitTimeout = 100 * sim.Millisecond
 //     marks itself "expecting", and returns to SleepInterval otherwise.
 //
 //   - Trickle-style adaptive sleep interval (Appendix C): on receiving a
-//     downstream packet the interval collapses to Min; each poll that
-//     yields nothing doubles it, clamped at Max.
+//     downstream packet the interval collapses to adaptiveMin; each poll
+//     that yields nothing doubles it, clamped at adaptiveMax.
 //
 // The controller owns the leaf radio's idle state: the radio sleeps
 // except while transmitting, polling, or in the post-poll wakeup window.
@@ -36,8 +43,6 @@ type SleepController struct {
 
 	// Adaptive enables the Trickle-controlled interval of Appendix C.
 	Adaptive bool
-	// Min/Max bound the adaptive interval (paper: 20 ms / 5 s).
-	Min, Max sim.Duration
 
 	current   sim.Duration // adaptive interval state
 	expecting int          // >0 while transport expects inbound traffic
@@ -61,8 +66,6 @@ func NewSleepController(eng *sim.Engine, m *Mac, parent phy.Addr) *SleepControll
 		parent:        parent,
 		SleepInterval: 4 * sim.Minute,
 		FastInterval:  100 * sim.Millisecond,
-		Min:           20 * sim.Millisecond,
-		Max:           5 * sim.Second,
 	}
 	sc.pollTimer.Init(eng, sc.poll)
 	sc.waitTimer.Init(eng, sc.wakeupTimeout)
@@ -106,12 +109,7 @@ func (sc *SleepController) interval() sim.Duration {
 		return sc.FastInterval
 	}
 	if sc.Adaptive {
-		if sc.current < sc.Min {
-			sc.current = sc.Min
-		}
-		if sc.current > sc.Max {
-			sc.current = sc.Max
-		}
+		sc.current = min(max(sc.current, adaptiveMin), adaptiveMax)
 		return sc.current
 	}
 	return sc.SleepInterval
@@ -133,7 +131,7 @@ func (sc *SleepController) afterPoll(status TxStatus, pending bool) {
 
 func (sc *SleepController) afterEmptyPoll() {
 	if sc.Adaptive && sc.expecting == 0 {
-		sc.current = min(sc.current*2, sc.Max)
+		sc.current = min(sc.current*2, adaptiveMax)
 	}
 	sc.scheduleNext()
 }
@@ -156,7 +154,7 @@ func (sc *SleepController) enterWakeup() {
 // queued (frame-pending bit), in which case the window extends.
 func (sc *SleepController) FrameDelivered(pending bool) {
 	if sc.Adaptive {
-		sc.current = sc.Min
+		sc.current = adaptiveMin
 	}
 	if !sc.awake {
 		return

@@ -113,15 +113,15 @@ func TestQuickRoutesReachability(t *testing.T) {
 
 func TestREDBehaviour(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	r := DefaultRED(false)
-	// Below MinTh: always pass.
+	r := NewRED(false)
+	// Below the minimum threshold: always pass.
 	for i := 0; i < 100; i++ {
 		if r.OnArrival(0, false, rng) != REDPass {
-			t.Fatal("drop below MinTh")
+			t.Fatal("drop below the minimum threshold")
 		}
 	}
-	// Far above MaxTh: always drop (no ECN).
-	r2 := DefaultRED(false)
+	// Far above the maximum threshold: always drop (no ECN).
+	r2 := NewRED(false)
 	drops := 0
 	for i := 0; i < 100; i++ {
 		if r2.OnArrival(20, false, rng) == REDDrop {
@@ -129,10 +129,10 @@ func TestREDBehaviour(t *testing.T) {
 		}
 	}
 	if drops < 90 {
-		t.Fatalf("above MaxTh drops = %d/100", drops)
+		t.Fatalf("above the maximum threshold drops = %d/100", drops)
 	}
 	// Between thresholds: probabilistic.
-	r3 := DefaultRED(false)
+	r3 := NewRED(false)
 	mid := 0
 	for i := 0; i < 2000; i++ {
 		if r3.OnArrival(4, false, rng) == REDDrop {
@@ -146,7 +146,7 @@ func TestREDBehaviour(t *testing.T) {
 
 func TestREDMarksWithECN(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	r := DefaultRED(true)
+	r := NewRED(true)
 	marks, drops := 0, 0
 	for i := 0; i < 100; i++ {
 		switch r.OnArrival(20, true, rng) {
@@ -173,7 +173,7 @@ func TestREDMarksWithECN(t *testing.T) {
 func TestQuickREDAverageBounded(t *testing.T) {
 	f := func(seed int64, lens []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := DefaultRED(seed%2 == 0)
+		r := NewRED(seed%2 == 0)
 		for _, l := range lens {
 			q := int(l % 32)
 			switch r.OnArrival(q, l%3 == 0, rng) {

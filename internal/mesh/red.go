@@ -12,16 +12,20 @@ const (
 	REDDrop
 )
 
+// RED's parameters, sized for the paper's tiny relay queues.
+const (
+	// minThresh / maxThresh are the average-queue thresholds in packets.
+	minThresh, maxThresh = 2, 6
+	// maxMarkProb is the marking probability at maxThresh.
+	maxMarkProb = 0.2
+	// avgWeight is the EWMA weight for the average queue length.
+	avgWeight = 0.25
+)
+
 // RED implements Random Early Detection (Floyd & Jacobson 1993) for relay
 // queues. The paper's Appendix A uses RED together with ECN to restore
 // fairness between competing TCP flows when buffers exceed four segments.
 type RED struct {
-	// MinTh / MaxTh are the average-queue thresholds in packets.
-	MinTh, MaxTh float64
-	// MaxP is the marking probability at MaxTh.
-	MaxP float64
-	// Wq is the EWMA weight for the average queue length.
-	Wq float64
 	// UseECN marks instead of dropping when possible.
 	UseECN bool
 
@@ -31,25 +35,25 @@ type RED struct {
 	Marks, Drops uint64
 }
 
-// DefaultRED returns parameters sized for the paper's tiny relay queues.
-func DefaultRED(useECN bool) *RED {
-	return &RED{MinTh: 2, MaxTh: 6, MaxP: 0.2, Wq: 0.25, UseECN: useECN}
+// NewRED returns a relay queue's RED state.
+func NewRED(useECN bool) *RED {
+	return &RED{UseECN: useECN}
 }
 
 // OnArrival updates the average queue estimate with the instantaneous
 // queue length qlen and returns the verdict for the arriving packet.
 // canMark reports whether the packet is ECN-capable (ECT set).
 func (r *RED) OnArrival(qlen int, canMark bool, rng *rand.Rand) REDAction {
-	r.avg = (1-r.Wq)*r.avg + r.Wq*float64(qlen)
+	r.avg = (1-avgWeight)*r.avg + avgWeight*float64(qlen)
 	switch {
-	case r.avg < r.MinTh:
+	case r.avg < minThresh:
 		r.count = 0
 		return REDPass
-	case r.avg >= r.MaxTh:
+	case r.avg >= maxThresh:
 		r.count = 0
 		return r.verdict(canMark)
 	default:
-		pb := r.MaxP * (r.avg - r.MinTh) / (r.MaxTh - r.MinTh)
+		pb := maxMarkProb * (r.avg - minThresh) / (maxThresh - minThresh)
 		pa := pb / (1 - float64(r.count)*pb)
 		if pa < 0 || pa > 1 {
 			pa = 1

@@ -92,8 +92,13 @@ func Office() Topology {
 	return Topology{Positions: pos, TxRange: 10, SenseRange: 13}
 }
 
+// DefaultDensity is the mean node degree RandomGeometric aims for when
+// given none.
+const DefaultDensity = 6
+
 // RandomGeometric places n nodes uniformly in a square sized so the
-// expected node degree is density, with node 0 (the border router) at the
+// expected node degree is density (DefaultDensity if not positive), with
+// node 0 (the border router) at the
 // center. Placement is deterministic in seed. Each node is guaranteed a
 // decode-range neighbor among the nodes placed before it, so the topology
 // is always connected: samples with no neighbor are rejected, and after
@@ -102,7 +107,7 @@ func Office() Topology {
 func RandomGeometric(n int, density float64, seed int64) Topology {
 	const txRange, senseRange = 10.0, 13.0
 	if density <= 0 {
-		density = 6
+		density = DefaultDensity
 	}
 	if n < 1 {
 		n = 1

@@ -79,8 +79,6 @@ func AddOfficeInterference(net *stack.Network, peak float64) []*phy.Interferer {
 	for i, p := range spots {
 		in := phy.NewInterferer(net.Channel, 900+i, p)
 		in.Activity = profile
-		in.BurstMean = 3 * sim.Millisecond
-		in.MeanGap = 60 * sim.Millisecond
 		out = append(out, in)
 	}
 	return out

@@ -242,8 +242,8 @@ func TestInterfererRaisesLoss(t *testing.T) {
 	a := ch.AddRadio(0, Point{X: 0})
 	b := ch.AddRadio(1, Point{X: 1})
 	in := NewInterferer(ch, 99, Point{X: 1.2})
-	in.BurstMean = 4 * sim.Millisecond
-	in.MeanGap = 8 * sim.Millisecond
+	in.burstMean = 4 * sim.Millisecond
+	in.meanGap = 8 * sim.Millisecond
 	a.SetListen(true)
 	b.SetListen(true)
 	received := 0
@@ -360,8 +360,8 @@ func TestInterfererBurstAllocs(t *testing.T) {
 	ch := NewChannel(eng, NewUnitDisk(1.0, 1.5))
 	ch.AddRadio(0, Point{X: 1}).SetListen(true)
 	in := NewInterferer(ch, 99, Point{})
-	in.BurstMean = 200 * sim.Millisecond // some 46 frames a burst
-	in.MeanGap = sim.Millisecond
+	in.burstMean = 200 * sim.Millisecond // some 46 frames a burst
+	in.meanGap = sim.Millisecond
 	bursts := 0
 	in.Activity = func(sim.Time) float64 { bursts++; return 1 } // asked once per burst
 	in.Start()

@@ -4,20 +4,25 @@ import (
 	"tcplp/internal/sim"
 )
 
+// An office interferer's burst process (§9.5).
+const (
+	officeBurst = 3 * sim.Millisecond  // mean burst duration
+	officeGap   = 60 * sim.Millisecond // mean idle gap between bursts at activity 1.0
+)
+
 // Interferer is an external noise source (WiFi, microwave ovens, "regular
 // human activity in an office", §9.5). It occupies the channel in bursts:
-// burst lengths are exponentially distributed around BurstMean, and gaps
-// between bursts are exponential around the reciprocal of the current
-// activity rate. Activity(t) lets callers shape a diurnal profile for the
-// Fig. 10 experiment.
+// burst lengths are exponentially distributed around a 3 ms mean, and
+// gaps between bursts are exponential around a 60 ms mean divided by the
+// current activity. Activity(t) lets callers shape a diurnal profile for
+// the Fig. 10 experiment.
 type Interferer struct {
 	eng   *sim.Engine
 	radio *Radio
 
-	// BurstMean is the mean burst duration.
-	BurstMean sim.Duration
-	// MeanGap is the mean idle gap between bursts at activity 1.0.
-	MeanGap sim.Duration
+	// burstMean and meanGap are officeBurst and officeGap; tests change
+	// them.
+	burstMean, meanGap sim.Duration
 	// Activity returns the relative activity level at time t; 0 disables
 	// interference, 1 is nominal. Nil means constant 1.
 	Activity func(t sim.Time) float64
@@ -39,8 +44,8 @@ func NewInterferer(c *Channel, id int, pos Point) *Interferer {
 	in := &Interferer{
 		eng:       c.eng,
 		radio:     r,
-		BurstMean: 2 * sim.Millisecond,
-		MeanGap:   50 * sim.Millisecond,
+		burstMean: officeBurst,
+		meanGap:   officeGap,
 	}
 	r.OnTxDone = in.emit
 	return in
@@ -78,7 +83,7 @@ func (in *Interferer) scheduleNext() {
 		in.eng.Schedule(sim.Second, in.scheduleNext)
 		return
 	}
-	gap := sim.Duration(in.eng.Rand().ExpFloat64() * float64(in.MeanGap) / act)
+	gap := sim.Duration(in.eng.Rand().ExpFloat64() * float64(in.meanGap) / act)
 	in.eng.Schedule(gap, in.burst)
 }
 
@@ -87,10 +92,10 @@ func (in *Interferer) burst() {
 		return
 	}
 	if in.radio.Transmitting() {
-		in.eng.Schedule(in.BurstMean, in.scheduleNext)
+		in.eng.Schedule(in.burstMean, in.scheduleNext)
 		return
 	}
-	d := sim.Duration(in.eng.Rand().ExpFloat64() * float64(in.BurstMean))
+	d := sim.Duration(in.eng.Rand().ExpFloat64() * float64(in.burstMean))
 	if d < UnitBackoff {
 		d = UnitBackoff
 	}

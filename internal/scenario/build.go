@@ -141,12 +141,6 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 			sc.FastInterval = ns.FastInterval.D()
 		}
 		sc.Adaptive = ns.Adaptive
-		if ns.MinInterval > 0 {
-			sc.Min = ns.MinInterval.D()
-		}
-		if ns.MaxInterval > 0 {
-			sc.Max = ns.MaxInterval.D()
-		}
 		if ns.NoFastPollHint {
 			net.Nodes[ns.ID].TCP().OnExpectingChange = nil
 		}
@@ -240,12 +234,12 @@ func (rc *runContext) tcpConfigs(fs FlowSpec) (srcCfg, sinkCfg tcplp.Config, err
 	// the mote end, which is what bounds the transfer either way.
 	sinkCfg = cfg
 	if fs.To.Host {
-		sinkCfg.SendBufSize = 64 * 1024
-		sinkCfg.RecvBufSize = 64 * 1024
+		sinkCfg.SendBufSize = stack.HostBufSize
+		sinkCfg.RecvBufSize = stack.HostBufSize
 	}
 	srcCfg = cfg
 	if fs.From.Host {
-		srcCfg.SendBufSize = 64 * 1024
+		srcCfg.SendBufSize = stack.HostBufSize
 	}
 	if fs.Profile != "" {
 		// Table 7 baselines: the sender runs the simplified-stack
@@ -333,6 +327,10 @@ func (rc *runContext) scheduleDCSamples() {
 	}
 }
 
+// idleSettle is how long the network settles between the flows stopping
+// and the idle window's meters resetting.
+const idleSettle = 30 * sim.Second
+
 // runIdlePhase appends the Fig. 14 idle measurement: every flow stops
 // (window-rate metrics freeze at this instant), the network settles,
 // each flow's mesh endpoint resets its radio meter, and the idle window
@@ -341,7 +339,7 @@ func (rc *runContext) runIdlePhase() {
 	for _, fr := range rc.flows {
 		fr.probe.stop()
 	}
-	rc.net.Eng.RunFor(rc.spec.IdleSettle.D())
+	rc.net.Eng.RunFor(idleSettle)
 	for _, fr := range rc.flows {
 		if node := fr.meshNode(); node.Radio != nil {
 			node.Radio.ResetEnergy()

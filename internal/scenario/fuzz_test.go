@@ -58,7 +58,7 @@ func FuzzParseSpecs(f *testing.F) {
 			}
 			for _, c := range cells {
 				c.Warmup, c.Duration = 0, Duration(sim.Second)
-				c.IdleSettle, c.IdleWindow = 0, 0
+				c.IdleWindow = 0
 			}
 			(&Runner{Workers: 1}).RunAll(cells)
 		}
@@ -72,8 +72,7 @@ func FuzzParseSpecs(f *testing.F) {
 func fuzzBudget(s *Spec) ([]*Spec, bool) {
 	coarse := func(d Duration) bool { return d == 0 || d >= Duration(10*sim.Millisecond) }
 	node := func(ns *NodeSpec) bool {
-		return ns == nil || (coarse(ns.SleepInterval) && coarse(ns.MinInterval) && coarse(ns.MaxInterval) &&
-			(ns.FastInterval == nil || coarse(*ns.FastInterval)))
+		return ns == nil || (coarse(ns.SleepInterval) && (ns.FastInterval == nil || coarse(*ns.FastInterval)))
 	}
 	cells := s.Expand()
 	cells = cells[:min(len(cells), 4)]

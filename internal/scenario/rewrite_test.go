@@ -18,7 +18,6 @@ func TestRewriteScale(t *testing.T) {
 		Flows:      []FlowSpec{{From: NodeID(1), To: NodeID(0)}},
 		Warmup:     Duration(20 * sim.Second),
 		Duration:   Duration(10 * sim.Minute),
-		IdleSettle: Duration(30 * sim.Second),
 		IdleWindow: Duration(2 * sim.Minute),
 	}
 	day := &Spec{
@@ -35,27 +34,26 @@ func TestRewriteScale(t *testing.T) {
 	}
 	five := Duration(5 * sim.Second)
 	for _, c := range []struct {
-		rw                 Rewrite
-		spec               *Spec
-		warmup, window     Duration
-		settle, idleWindow Duration
+		rw                         Rewrite
+		spec                       *Spec
+		warmup, window, idleWindow Duration
 	}{
-		{Rewrite{}, spec, spec.Warmup, spec.Duration, spec.IdleSettle, spec.IdleWindow},
-		{Rewrite{Scale: 1}, spec, spec.Warmup, spec.Duration, spec.IdleSettle, spec.IdleWindow},
-		{Rewrite{Scale: 0.5}, spec, Duration(10 * sim.Second), Duration(5 * sim.Minute), spec.IdleSettle, spec.IdleWindow},
-		{Rewrite{Scale: 0.0001}, spec, five, five, spec.IdleSettle, spec.IdleWindow},
-		{Rewrite{Scale: 0.1, Warmup: &five}, spec, five, Duration(sim.Minute), spec.IdleSettle, spec.IdleWindow},
-		{Rewrite{Scale: 0.1}, day, 0, Duration(144 * sim.Minute), 0, 0},
-		{Rewrite{Scale: 0.02}, day, 0, Duration(sim.Hour), 0, 0},
-		{Rewrite{Scale: 0.02, Duration: &five}, day, 0, five, 0, 0},
-		{Rewrite{Scale: 0.5}, noWindow, 0, Duration(30 * sim.Second), 0, 0},
+		{Rewrite{}, spec, spec.Warmup, spec.Duration, spec.IdleWindow},
+		{Rewrite{Scale: 1}, spec, spec.Warmup, spec.Duration, spec.IdleWindow},
+		{Rewrite{Scale: 0.5}, spec, Duration(10 * sim.Second), Duration(5 * sim.Minute), spec.IdleWindow},
+		{Rewrite{Scale: 0.0001}, spec, five, five, spec.IdleWindow},
+		{Rewrite{Scale: 0.1, Warmup: &five}, spec, five, Duration(sim.Minute), spec.IdleWindow},
+		{Rewrite{Scale: 0.1}, day, 0, Duration(144 * sim.Minute), 0},
+		{Rewrite{Scale: 0.02}, day, 0, Duration(sim.Hour), 0},
+		{Rewrite{Scale: 0.02, Duration: &five}, day, 0, five, 0},
+		{Rewrite{Scale: 0.5}, noWindow, 0, Duration(30 * sim.Second), 0},
 	} {
 		before := *c.spec
 		cells := rewritten(t, c.rw, c.spec)
 		got := cells[0]
-		if got.Warmup != c.warmup || got.Duration != c.window || got.IdleSettle != c.settle || got.IdleWindow != c.idleWindow {
-			t.Errorf("%s under %+v: warmup %v window %v idle %v+%v, want %v %v %v+%v", c.spec.Name, c.rw,
-				got.Warmup, got.Duration, got.IdleSettle, got.IdleWindow, c.warmup, c.window, c.settle, c.idleWindow)
+		if got.Warmup != c.warmup || got.Duration != c.window || got.IdleWindow != c.idleWindow {
+			t.Errorf("%s under %+v: warmup %v window %v idle %v, want %v %v %v", c.spec.Name, c.rw,
+				got.Warmup, got.Duration, got.IdleWindow, c.warmup, c.window, c.idleWindow)
 		}
 		if !reflect.DeepEqual(*c.spec, before) {
 			t.Fatalf("Apply rewrote its input %s", c.spec.Name)

@@ -239,7 +239,8 @@ func TestSweepValidate(t *testing.T) {
 		topo  string
 		want  string
 	}{
-		{"hops on star", Sweep{Hops: []int{2}}, TopoStar, "needs a chain or twinleaf"},
+		{"hops on star", Sweep{Hops: []int{2}}, TopoStar, "hops axis needs a chain topology"},
+		{"hops on twinleaf", Sweep{Hops: []int{2}}, TopoTwinLeaf, "hops axis needs a chain topology"},
 		{"zero hops", Sweep{Hops: []int{0}}, "", "hops value 0"},
 		{"per out of range", Sweep{PER: []float64{1.5}}, "", "out of range"},
 		{"negative d", Sweep{RetryDelay: []Duration{Duration(-sim.Second)}}, "", "negative retry_delay"},
@@ -443,11 +444,14 @@ func TestParseSpecsErrors(t *testing.T) {
 	// as if the default had been meant. Each is spelled in halves, like
 	// the PHY pool knob above, for the same CI guard.
 	blocks := map[string][2]string{ // where the key goes: {old, new with KV for the key/value}
-		"topology": {`"nodes":2`, `"nodes":2,KV`},
-		"net":      {`"window_segs":4`, `"window_segs":4,KV`},
-		"flow":     {`"to":0`, `"to":0,KV`},
-		"gateway":  {`"window_segs":4}`, `"window_segs":4},"gateway":{KV}`},
-		"override": {`"window_segs":4}`, `"window_segs":4},"sweep":{"window_segs":[4],"overrides":[{"when":{"w":"4"},"set":{KV}}]}`},
+		"topology":  {`"nodes":2`, `"nodes":2,KV`},
+		"net":       {`"window_segs":4`, `"window_segs":4,KV`},
+		"flow":      {`"to":0`, `"to":0,KV`},
+		"gateway":   {`"window_segs":4}`, `"window_segs":4},"gateway":{KV}`},
+		"sweep":     {`"window_segs":4}`, `"window_segs":4},"sweep":{"window_segs":[4],KV}`},
+		"node":      {`"window_segs":4}`, `"window_segs":4},"nodes":[{"id":1,"sleepy":true,"adaptive":true,KV}]`},
+		"all_nodes": {`"window_segs":4}`, `"window_segs":4},"all_nodes":{"sleepy":true,"adaptive":true,KV}`},
+		"spec":      {`"name":"x"`, `"name":"x",KV`},
 	}
 	for _, k := range []struct{ where, key, value string }{
 		{"topology", "dep" + "th", "2"}, {"topology", "fan" + "out", "2"},
@@ -455,8 +459,10 @@ func TestParseSpecsErrors(t *testing.T) {
 		{"flow", "pac" + "ing", "false"}, {"flow", "o" + "n", `"5s"`}, {"flow", "of" + "f", `"5s"`},
 		{"gateway", "tcp_" + "port", "7000"}, {"gateway", "coap_" + "port", "5683"},
 		{"gateway", "idle_" + "timeout", `"60s"`},
-		{"override", "seg_frames", "5"}, {"override", "per", "0.1"},
-		{"override", "retry_delay", `"40ms"`}, {"override", "variant", `"bbr"`},
+		{"sweep", "over" + "rides", `[{"when":{"w":"4"},"set":{"window_segs":6}}]`},
+		{"node", "min_" + "interval", `"20ms"`}, {"node", "max_" + "interval", `"5s"`},
+		{"all_nodes", "min_" + "interval", `"20ms"`}, {"all_nodes", "max_" + "interval", `"5s"`},
+		{"spec", "idle_" + "settle", `"30s"`},
 	} {
 		b := blocks[k.where]
 		in := strings.Replace(ok, b[0], strings.Replace(b[1], "KV", `"`+k.key+`":`+k.value, 1), 1)
@@ -510,9 +516,9 @@ func hostileSpecs() []hostileSpec {
 	for i := range seeds {
 		seeds[i] = strconv.Itoa(i + 1)
 	}
-	// The tree topology and the override's seg_frames were removed; specs
-	// that used them are still refused at once, now by the key's name
-	// (spelled in halves for the CI guard against their return).
+	// The tree topology was removed; a spec that uses it is still refused
+	// at once, now by the key's name (spelled in halves for the CI guard
+	// against its return).
 	tree := func(depth, fanout int) string {
 		return `{"name":"h","topology":{"kind":"tr` + `ee","dep` + `th":` + strconv.Itoa(depth) +
 			`,"fan` + `out":` + strconv.Itoa(fanout) + `},` + flows + `}`
@@ -574,19 +580,23 @@ func hostileSpecs() []hostileSpec {
 			"flow 0: window_segs", strconv.Itoa(maxConnBuf)},
 		{"window axis value of 2e9", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows + `,"sweep":{"window_segs":[4,2000000000]}}`,
 			"window_segs", strconv.Itoa(maxConnBuf)},
-		{"override to 1e8-frame segments", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
-			`,"sweep":{"window_segs":[4],"overrides":[{"when":{"w":"4"},"set":{"seg_frames":100000000}}]}}`,
-			`unknown field "seg_frames"`, ""},
 		{"segments of 30 frames", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"seg_frames":30},` + flows + `}`,
 			"net: seg_frames 30", "at most " + strconv.Itoa(maxSegFrames)},
 		{"seg_frames axis value one past the limit", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
 			`,"sweep":{"seg_frames":[5,` + strconv.Itoa(maxSegFrames+1) + `]}}`,
 			"seg_frames " + strconv.Itoa(maxSegFrames+1), strconv.Itoa(sixlowpan.MaxDatagramSize)},
-		{"override to 21-frame segments", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows +
-			`,"sweep":{"window_segs":[4],"overrides":[{"when":{"w":"4"},"set":{"seg_frames":21}}]}}`,
-			`unknown field "seg_frames"`, ""},
 		{"node queue of 2e9 datagrams", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"queue_cap":2000000000},` + flows + `}`,
 			"net: queue_cap", strconv.Itoa(maxQueueCap)},
+		// Negative sizes used to run as if unset (the defaults replace
+		// only positive values), so a typo measured the default network.
+		{"negative seg_frames", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"seg_frames":-3},` + flows + `}`,
+			"net: negative seg_frames", ""},
+		{"negative window_segs", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"window_segs":-2},` + flows + `}`,
+			"net: negative window_segs", ""},
+		{"negative queue_cap", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"queue_cap":-5},` + flows + `}`,
+			"net: queue_cap -5", "[0," + strconv.Itoa(maxQueueCap) + "]"},
+		{"negative batch", `{"name":"h","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"pattern":"anemometer","batch":-4}]}`,
+			"flow 0: negative batch", ""},
 		{"WAN queue of 2e9 messages", `{"name":"h","topology":{"kind":"chain","nodes":2},"gateway":{"wan":{"queue_cap":2000000000}},` +
 			`"flows":[{"from":1,"to":"gateway","pattern":"anemometer"}]}`,
 			"wan queue_cap", strconv.Itoa(maxQueueCap)},
@@ -826,86 +836,6 @@ func TestCoAPConRecoversNonLoses(t *testing.T) {
 	}
 }
 
-// TestSweepOverrides pins the per-cell override contract: matching
-// cells get the set-block after the axis values, non-matching cells are
-// untouched, numeric when-values are accepted, and the whole thing
-// round-trips through JSON.
-func TestSweepOverrides(t *testing.T) {
-	spec := &Spec{
-		Name:     "grid",
-		Topology: TopologySpec{Kind: TopoChain},
-		Flows:    []FlowSpec{{From: End(), To: NodeID(0)}},
-		Sweep: &Sweep{
-			Hops: []int{1, 3, 4},
-			Overrides: []Override{{
-				When: OverrideWhen{"hops": "4"},
-				Set:  OverrideSet{WindowSegs: 6},
-			}},
-		},
-	}
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cells := spec.Expand()
-	if len(cells) != 3 {
-		t.Fatalf("cells = %d", len(cells))
-	}
-	for i, c := range cells[:2] {
-		if c.Net.WindowSegs != 0 {
-			t.Fatalf("cell %d caught the override: %+v", i, c)
-		}
-	}
-	if c := cells[2]; c.Net.WindowSegs != 6 {
-		t.Fatalf("4-hop cell missed the override: window=%d", c.Net.WindowSegs)
-	}
-	// The base spec stays untouched.
-	if spec.Net.WindowSegs != 0 {
-		t.Fatal("override mutated the base spec")
-	}
-	// JSON round-trip, including the ISSUE's bare-number when-form.
-	data, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseSpecs(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(parsed[0], spec) {
-		t.Fatalf("override round trip mismatch:\n in:  %+v\n out: %+v", spec.Sweep, parsed[0].Sweep)
-	}
-	raw := `{"name":"g","topology":{"kind":"chain"},"flows":[{"from":"end","to":0}],
-		"sweep":{"hops":[1,4],"overrides":[{"when":{"hops":4},"set":{"window_segs":6}}]}}`
-	parsed, err = ParseSpecs([]byte(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := parsed[0].Expand()[1]; c.Net.WindowSegs != 6 {
-		t.Fatalf("numeric when-value not matched: %+v", c)
-	}
-	// Validation rejects overrides conditioned on unpopulated axes and
-	// empty when-blocks.
-	bad := *spec
-	bad.Sweep = &Sweep{Hops: []int{1}, Overrides: []Override{{
-		When: OverrideWhen{"per": "7%"}, Set: OverrideSet{WindowSegs: 2},
-	}}}
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "does not populate") {
-		t.Fatalf("unpopulated-axis override accepted: %v", err)
-	}
-	bad.Sweep = &Sweep{Hops: []int{1}, Overrides: []Override{{Set: OverrideSet{WindowSegs: 2}}}}
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "empty when-block") {
-		t.Fatalf("empty when-block accepted: %v", err)
-	}
-	// A when-value no cell will ever take ("04", "40 ms") is an error,
-	// not a silently inert patch.
-	bad.Sweep = &Sweep{Hops: []int{1, 4}, Overrides: []Override{{
-		When: OverrideWhen{"hops": "04"}, Set: OverrideSet{WindowSegs: 6},
-	}}}
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "never takes value") {
-		t.Fatalf("mistyped when-value accepted: %v", err)
-	}
-}
-
 // TestDCSampleAndIdleWindow pins the two new instruments: dc_sample
 // produces one mean-duty-cycle sample per period, and idle_window
 // freezes the window-rate metrics at the stop instant (a run with an
@@ -916,11 +846,7 @@ func TestDCSampleAndIdleWindow(t *testing.T) {
 		s := &Spec{
 			Name:     "instruments",
 			Topology: TopologySpec{Kind: TopoChain, Nodes: 2},
-			Nodes: []NodeSpec{{
-				ID: 1, Sleepy: true, Adaptive: true,
-				MinInterval: Duration(20 * sim.Millisecond),
-				MaxInterval: Duration(500 * sim.Millisecond),
-			}},
+			Nodes:    []NodeSpec{{ID: 1, Sleepy: true, Adaptive: true}},
 			Flows:    []FlowSpec{{From: NodeID(1), To: NodeID(0)}},
 			Warmup:   Duration(5 * sim.Second),
 			Duration: Duration(30 * sim.Second),
@@ -928,7 +854,6 @@ func TestDCSampleAndIdleWindow(t *testing.T) {
 			Seeds:    []int64{17},
 		}
 		if idle {
-			s.IdleSettle = Duration(5 * sim.Second)
 			s.IdleWindow = Duration(20 * sim.Second)
 		}
 		return s

@@ -40,13 +40,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"tcplp/internal/gateway"
 	"tcplp/internal/ip6"
+	"tcplp/internal/mesh"
 	"tcplp/internal/phy"
 	"tcplp/internal/sim"
 	"tcplp/internal/sixlowpan"
@@ -228,12 +228,9 @@ type NodeSpec struct {
 	// expected; unset keeps the 100 ms default, "0s" disables fast
 	// polling (Appendix C conditions).
 	FastInterval *Duration `json:"fast_interval,omitempty"`
-	// Adaptive enables the Trickle-controlled interval of Appendix C.
+	// Adaptive enables the Trickle-controlled interval of Appendix C,
+	// between the paper's 20 ms and 5 s bounds.
 	Adaptive bool `json:"adaptive,omitempty"`
-	// MinInterval/MaxInterval bound the adaptive interval; zero keeps
-	// the paper's 20 ms / 5 s defaults.
-	MinInterval Duration `json:"min_interval,omitempty"`
-	MaxInterval Duration `json:"max_interval,omitempty"`
 	// NoFastPollHint detaches the TCP expecting-data hint from the
 	// sleep controller (the §9.2 refinement off).
 	NoFastPollHint bool `json:"no_fast_poll_hint,omitempty"`
@@ -346,9 +343,8 @@ type AxisValue struct {
 // axis varying fastest; each expanded cell records its coordinates in
 // Spec.Point and appends them to its name.
 type Sweep struct {
-	// Hops regrows the topology per cell: a chain gets hops+1 nodes, a
-	// twinleaf a hops-long relay path. Use the "end" node reference in
-	// flows so endpoints follow the far end of the chain.
+	// Hops regrows a chain per cell to hops+1 nodes. Use the "end" node
+	// reference in flows so endpoints follow the far end of the chain.
 	Hops []int `json:"hops,omitempty"`
 	// Devices sweeps the mesh device count: a star or chain gets
 	// devices+1 nodes per cell (the border router plus that many
@@ -387,74 +383,6 @@ type Sweep struct {
 	// per-condition seeding; 0 (the default) holds the channel
 	// realization fixed across cells so rows differ only by the axis.
 	SeedStep int64 `json:"seed_step,omitempty"`
-	// Overrides patch individual cells after axis expansion: a cell
-	// whose coordinates match every "when" entry gets the "set" block
-	// applied, folding outliers (the §7.2 4-hop point needs a 6-segment
-	// window) into the grid instead of a separate spec.
-	Overrides []Override `json:"overrides,omitempty"`
-}
-
-// Override is one conditional cell patch of a sweep.
-type Override struct {
-	// When matches cell coordinates by axis key (hops, per, d, mss, w,
-	// cc) against the coordinate value exactly as it appears in the
-	// cell's Point/name ("4", "40ms", "7%"); bare JSON numbers are
-	// accepted and compared literally.
-	When OverrideWhen `json:"when"`
-	// Set is applied to matching cells after the axis values.
-	Set OverrideSet `json:"set"`
-}
-
-// OverrideWhen maps axis keys to required coordinate values.
-type OverrideWhen map[string]string
-
-// UnmarshalJSON accepts string or bare-number values ({"hops": 4}).
-func (w *OverrideWhen) UnmarshalJSON(b []byte) error {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return fmt.Errorf("scenario: bad override when-block: %v", err)
-	}
-	out := OverrideWhen{}
-	for k, v := range raw {
-		var s string
-		if err := json.Unmarshal(v, &s); err == nil {
-			out[k] = s
-			continue
-		}
-		out[k] = string(bytes.TrimSpace(v))
-	}
-	*w = out
-	return nil
-}
-
-// OverrideSet is the patch a matching cell receives.
-type OverrideSet struct {
-	// WindowSegs overrides the network window, in segments.
-	WindowSegs int `json:"window_segs,omitempty"`
-}
-
-// matches reports whether every when-entry equals the cell coordinate.
-func (o *Override) matches(point []AxisValue) bool {
-	for axis, want := range o.When {
-		found := false
-		for _, av := range point {
-			if av.Axis == axis {
-				found = av.Value == want
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// apply patches the cell.
-func (o *Override) apply(c *Spec) {
-	if o.Set.WindowSegs > 0 {
-		c.Net.WindowSegs = o.Set.WindowSegs
-	}
 }
 
 // empty reports whether no axis has any values.
@@ -514,11 +442,10 @@ type Spec struct {
 	// Fig. 10 hourly-duty-cycle instrument.
 	DCSample Duration `json:"dc_sample,omitempty"`
 	// IdleWindow, when set, appends an idle phase after the measurement
-	// window: every flow stops, the network settles for IdleSettle,
+	// window: every flow stops, the network settles for 30 s (idleSettle),
 	// each flow's mesh endpoint resets its radio meter, and after
 	// IdleWindow its duty cycle lands in FlowResult.IdleRadioDC — the
 	// Fig. 14 idle-cost instrument.
-	IdleSettle Duration `json:"idle_settle,omitempty"`
 	IdleWindow Duration `json:"idle_window,omitempty"`
 	// Seeds lists the independent channel realizations to run
 	// (default [1]).
@@ -578,10 +505,9 @@ type sweepOpt struct {
 }
 
 // sweepAxis defines one sweep dimension, once: the coordinate key cells
-// and override when-blocks name it by, its values as expansion options,
-// and the check a value must pass on the spec that sweeps it.
+// name it by, its values as expansion options, and the check a value
+// must pass on the spec that sweeps it.
 type sweepAxis struct {
-	key   string
 	opts  func(*Sweep) []sweepOpt
 	check func(*Spec) error
 }
@@ -591,7 +517,6 @@ type sweepAxis struct {
 func axisOf[T any](key string, vals func(*Sweep) []T, label func(T) string,
 	apply func(*Spec, T), check func(*Spec, T) error) sweepAxis {
 	return sweepAxis{
-		key: key,
 		opts: func(sw *Sweep) []sweepOpt {
 			vs := vals(sw)
 			out := make([]sweepOpt, 0, len(vs))
@@ -664,13 +589,8 @@ func sized(name string, min int, needs string, kinds ...string) func(*Spec, int)
 // order (the last-listed axis varies fastest).
 var sweepAxes = []sweepAxis{
 	axisOf("hops", func(sw *Sweep) []int { return sw.Hops }, strconv.Itoa,
-		func(c *Spec, h int) {
-			if c.Topology.Kind == TopoTwinLeaf {
-				c.Topology.PathHops = h
-			} else { // chain (validated)
-				c.Topology.Nodes = h + 1
-			}
-		}, sized("hops", 1, "chain or twinleaf topology", TopoChain, TopoTwinLeaf)),
+		func(c *Spec, h int) { c.Topology.Nodes = h + 1 },
+		sized("hops", 1, "chain topology", TopoChain)),
 	axisOf("dev", func(sw *Sweep) []int { return sw.Devices }, strconv.Itoa,
 		func(c *Spec, d int) { c.Topology.Nodes = d + 1 },
 		sized("devices", 1, "star or chain topology", TopoStar, TopoChain)),
@@ -794,11 +714,6 @@ func (s *Spec) cell(i int, picked []sweepOpt) *Spec {
 	if len(parts) > 0 {
 		c.Name = s.Name + "/" + strings.Join(parts, "/")
 	}
-	for i := range s.Sweep.Overrides {
-		if ov := &s.Sweep.Overrides[i]; ov.matches(c.Point) {
-			ov.apply(&c)
-		}
-	}
 	return &c
 }
 
@@ -838,7 +753,7 @@ func (t TopologySpec) adjacencyEntries() float64 {
 	case TopoRandomGeometric:
 		density := t.Density
 		if density == 0 {
-			density = 6 // mesh.RandomGeometric's default
+			density = mesh.DefaultDensity
 		}
 		// The target mean degree; once the field clamps to one range
 		// across, every node decodes nearly every other.
@@ -890,55 +805,15 @@ func (s *Spec) validateSweep() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %q: sweep: %s", s.Name, fmt.Sprintf(format, args...))
 	}
-	sw := s.Sweep
-	axes, cells := sw.axes(), 1
-	for _, dim := range axes {
+	cells := 1
+	for _, dim := range s.Sweep.axes() {
 		if cells *= len(dim); cells > maxCells {
 			return bad("the axes multiply out to more than %d cells (the limit); split the grid", maxCells)
 		}
 	}
-	keys := make([]string, len(sweepAxes))
-	for i, ax := range sweepAxes {
+	for _, ax := range sweepAxes {
 		if err := ax.check(s); err != nil {
 			return bad("%v", err)
-		}
-		keys[i] = ax.key
-	}
-	// Collect the exact coordinate strings each populated axis will
-	// expand to, so a mistyped override value ("04", "40 ms") is a
-	// validation error instead of a silently inert patch.
-	axisValues := map[string]map[string]bool{}
-	for _, dim := range axes {
-		for _, opt := range dim {
-			vs := axisValues[opt.av.Axis]
-			if vs == nil {
-				vs = map[string]bool{}
-				axisValues[opt.av.Axis] = vs
-			}
-			vs[opt.av.Value] = true
-		}
-	}
-	for i, ov := range sw.Overrides {
-		if len(ov.When) == 0 {
-			return bad("override %d has an empty when-block", i)
-		}
-		for axis, want := range ov.When {
-			vs := axisValues[axis]
-			if vs == nil {
-				return bad("override %d conditions on axis %q, which the sweep does not populate (keys: %s)", i, axis, strings.Join(keys, ", "))
-			}
-			if !vs[want] {
-				have := make([]string, 0, len(vs))
-				for v := range vs {
-					have = append(have, v)
-				}
-				sort.Strings(have)
-				return bad("override %d: axis %q never takes value %q (cells: %s)",
-					i, axis, want, strings.Join(have, ", "))
-			}
-		}
-		if ov.Set.WindowSegs < 0 {
-			return bad("override %d: negative window_segs", i)
 		}
 	}
 	return nil
@@ -1017,14 +892,20 @@ func (s *Spec) Validate() error {
 	if len(s.Flows) == 0 {
 		return bad("no flows")
 	}
+	if s.Net.SegFrames < 0 {
+		return bad("net: negative seg_frames")
+	}
+	if s.Net.WindowSegs < 0 {
+		return bad("net: negative window_segs")
+	}
 	opt := s.options() // the window and segment size the run arrives at
 	maxWindow := maxWindowSegs(opt.SegFrames)
 	if opt.WindowSegs > maxWindow {
 		return bad("net: window_segs %d × seg_frames %d asks for more than %d bytes of buffer per connection (the limit)",
 			opt.WindowSegs, opt.SegFrames, maxConnBuf)
 	}
-	// Reached by net.seg_frames, a sweep's seg_frames axis and an
-	// override's set.seg_frames alike: each lands in the cell's net block.
+	// Reached by net.seg_frames and a sweep's seg_frames axis alike: each
+	// lands in the cell's net block.
 	if opt.SegFrames > maxSegFrames {
 		return bad("net: seg_frames %d makes a %d-byte datagram; 6LoWPAN fragments describe at most %d bytes, so seg_frames is at most %d",
 			opt.SegFrames, datagramSize(opt.SegFrames), sixlowpan.MaxDatagramSize, maxSegFrames)
@@ -1143,6 +1024,9 @@ func (s *Spec) Validate() error {
 		if f.Interval < 0 {
 			return bad("flow %d: negative interval", i)
 		}
+		if f.Batch < 0 {
+			return bad("flow %d: negative batch", i)
+		}
 	}
 	if perDevice > 1 || (perDevice > 0 && gwFlows > perDevice) {
 		return bad("a per_device gateway template must be the only gateway flow (its replicas cover every device)")
@@ -1183,16 +1067,10 @@ func (s *Spec) Validate() error {
 		if ns.SleepInterval < 0 || (ns.FastInterval != nil && *ns.FastInterval < 0) {
 			return bad("node %d: negative sleep/fast interval", ns.ID)
 		}
-		if ns.MinInterval < 0 || ns.MaxInterval < 0 {
-			return bad("node %d: negative min/max interval", ns.ID)
-		}
 	}
 	if a := s.AllNodes; a != nil {
 		if a.SleepInterval < 0 || (a.FastInterval != nil && *a.FastInterval < 0) {
 			return bad("all_nodes: negative sleep/fast interval")
-		}
-		if a.MinInterval < 0 || a.MaxInterval < 0 {
-			return bad("all_nodes: negative min/max interval")
 		}
 	}
 	if g := s.Gateway; g != nil {
@@ -1212,8 +1090,8 @@ func (s *Spec) Validate() error {
 			return bad("gateway: wan queue_cap %d out of range [0,%d]", g.WAN.QueueCap, maxQueueCap)
 		}
 	}
-	if s.Net.QueueCap > maxQueueCap {
-		return bad("net: queue_cap %d is over the limit %d", s.Net.QueueCap, maxQueueCap)
+	if s.Net.QueueCap < 0 || s.Net.QueueCap > maxQueueCap {
+		return bad("net: queue_cap %d out of range [0,%d]", s.Net.QueueCap, maxQueueCap)
 	}
 	if s.Net.PER < 0 || s.Net.PER >= 1 {
 		return bad("per %v out of range [0,1)", s.Net.PER)
@@ -1230,8 +1108,8 @@ func (s *Spec) Validate() error {
 	if s.Duration < 0 || s.Warmup < 0 {
 		return bad("negative duration")
 	}
-	if s.DCSample < 0 || s.IdleSettle < 0 || s.IdleWindow < 0 {
-		return bad("negative dc_sample/idle_settle/idle_window")
+	if s.DCSample < 0 || s.IdleWindow < 0 {
+		return bad("negative dc_sample/idle_window")
 	}
 	// Checked last, so that a fleet too dense to build still reports the
 	// port it would have got wrong first. Only a star or a random field

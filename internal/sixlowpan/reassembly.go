@@ -1,7 +1,10 @@
 package sixlowpan
 
 import (
+	"bytes"
+	"cmp"
 	"math"
+	"slices"
 
 	"tcplp/internal/bitmap"
 	"tcplp/internal/ip6"
@@ -40,7 +43,7 @@ type partial struct {
 // owns the arena and the packet Input returns.
 type Reassembler struct {
 	eng      *sim.Engine
-	timeout  sim.Duration
+	timeout  sim.Duration // DefaultReassemblyTimeout; tests shorten it
 	inflight map[partialKey]*partial
 	// nextExpiry is no later than the earliest deadline in inflight, so
 	// expire can skip the sweep until that time (the zero value forces
@@ -73,9 +76,6 @@ func NewReassembler(eng *sim.Engine) *Reassembler {
 	return r
 }
 
-// SetTimeout overrides the reassembly timeout.
-func (r *Reassembler) SetTimeout(d sim.Duration) { r.timeout = d }
-
 // Pending returns the number of partially reassembled datagrams.
 func (r *Reassembler) Pending() int {
 	r.expire()
@@ -85,24 +85,38 @@ func (r *Reassembler) Pending() int {
 // expire drops partial datagrams whose deadline has passed. It runs
 // before every Input and Pending, so a partial is gone by the first call
 // at or after its deadline; between deadlines it costs one comparison
-// instead of a map sweep.
+// instead of a map sweep. The partials one sweep drops go in (link
+// source, tag) order, not the map's, so their FragTimeout events are
+// deterministic.
 func (r *Reassembler) expire() {
 	now := r.eng.Now()
 	if now < r.nextExpiry {
 		return
 	}
 	earliest := sim.Time(math.MaxInt64)
+	var buf [8]partialKey
+	expired := buf[:0]
 	for k, p := range r.inflight {
 		if now >= p.deadline {
-			delete(r.inflight, k)
-			r.TimedOut++
-			if tr := r.Trace; tr != nil {
-				tr.Emit(obs.Event{T: now, Kind: obs.FragTimeout, Node: r.Node, A: int64(k.tag), J: p.jid, Cause: obs.CauseReassemblyTimeout})
-			}
-			r.release(p)
+			expired = append(expired, k)
 		} else if p.deadline < earliest {
 			earliest = p.deadline
 		}
+	}
+	slices.SortFunc(expired, func(a, b partialKey) int {
+		if c := bytes.Compare(a.src[:], b.src[:]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.tag, b.tag)
+	})
+	for _, k := range expired {
+		p := r.inflight[k]
+		delete(r.inflight, k)
+		r.TimedOut++
+		if tr := r.Trace; tr != nil {
+			tr.Emit(obs.Event{T: now, Kind: obs.FragTimeout, Node: r.Node, A: int64(k.tag), J: p.jid, Cause: obs.CauseReassemblyTimeout})
+		}
+		r.release(p)
 	}
 	r.nextExpiry = earliest
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -144,13 +145,47 @@ func TestReassemblyExpiryWatermark(t *testing.T) {
 	pending(4*life + sim.Second)       // … and drops them on time
 	input(4*life+2*sim.Second, a1, aTag)
 	timeout = sim.Second // a shorter timeout: the new partial's deadline undercuts the watermark
-	r.SetTimeout(timeout)
+	r.timeout = timeout
 	input(4*life+3*sim.Second, b1, bTag)
 	pending(4*life + 4*sim.Second - 1)
 	pending(4*life + 4*sim.Second) // B, created second, expires first
 	pending(5*life + 2*sim.Second) // A on its original, longer deadline
 	if wantTimedOut != 7 {
 		t.Fatalf("script expired %d partials, want 7", wantTimedOut)
+	}
+}
+
+// TestFragTimeoutOrder: partials that expire in one sweep emit their
+// FragTimeout events in tag order, whatever order they arrived in and
+// however the map iterates. Thirty fresh reassemblers each drop six
+// incomplete datagrams at once.
+func TestFragTimeoutOrder(t *testing.T) {
+	chdr := CompressHeader(meshHeader(1, 2))
+	for run := 0; run < 30; run++ {
+		eng := sim.NewEngine(1)
+		r := NewReassembler(eng)
+		var log eventLog
+		r.Trace = obs.NewTrace()
+		r.Trace.AddSink(&log)
+		for _, tag := range []uint16{4, 1, 6, 2, 5, 3} {
+			frame := binary.BigEndian.AppendUint16(nil, uint16(dispFRAG1)<<8|300)
+			frame = binary.BigEndian.AppendUint16(frame, tag)
+			frame = append(frame, chdr...)
+			if pkt, err := r.Input(phy.AddrFromID(1), frame, 0); pkt != nil || err != nil {
+				t.Fatalf("FRAG1 tag %d: Input = %v, %v", tag, pkt, err)
+			}
+		}
+		eng.RunFor(DefaultReassemblyTimeout)
+		if r.Pending() != 0 {
+			t.Fatalf("run %d: partials left after the timeout", run)
+		}
+		var tags []int64
+		for _, e := range log {
+			tags = append(tags, e.A)
+		}
+		if fmt.Sprint(tags) != "[1 2 3 4 5 6]" {
+			t.Fatalf("run %d: FragTimeout tags %v, want [1 2 3 4 5 6]", run, tags)
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func TestWakeOnFirstAddressedFrame(t *testing.T) {
 		net.Nodes[1].Mac().SendJID(phy.BroadcastAddr, []byte{0xff}, 0, nil)
 		net.Eng.Run()
 		for _, n := range []*Node{net.Nodes[0], net.Nodes[2]} {
-			if !awake(n) || n.CPU.Busy() != energyFrameRx {
+			if !awake(n) || n.CPU.Busy() != energy.FrameRxCost {
 				t.Fatalf("node %d: awake %v, CPU %v: a broadcast wakes every hearer and reaches its onFrame once",
 					n.ID, awake(n), n.CPU.Busy())
 			}
@@ -88,7 +88,7 @@ func TestWakeOnFirstAddressedFrame(t *testing.T) {
 		if st := bystander.MacStats(); bystander.CPU.Busy() != 0 || st.AcksSent != 0 {
 			t.Fatalf("bystander accepted a frame for node 2: CPU %v, %+v", bystander.CPU.Busy(), st)
 		}
-		if status != mac.TxOK || net.Nodes[2].CPU.Busy() != energyFrameRx {
+		if status != mac.TxOK || net.Nodes[2].CPU.Busy() != energy.FrameRxCost {
 			t.Fatalf("the frame itself: status %v, receiver CPU %v", status, net.Nodes[2].CPU.Busy())
 		}
 	})
@@ -110,7 +110,7 @@ func TestWakeOnFirstAddressedFrame(t *testing.T) {
 			t.Fatalf("waking mid-reception left the radio in %v", dst.Radio.State())
 		}
 		net.Eng.Run()
-		if dst.Radio.FramesReceived() != 1 || dst.Radio.ReceptionsDropped() != 0 || dst.CPU.Busy() != energyFrameRx {
+		if dst.Radio.FramesReceived() != 1 || dst.Radio.ReceptionsDropped() != 0 || dst.CPU.Busy() != energy.FrameRxCost {
 			t.Fatalf("receiver: %d frames decoded, %d dropped, CPU %v, want 1, 0 and one frame's worth",
 				dst.Radio.FramesReceived(), dst.Radio.ReceptionsDropped(), dst.CPU.Busy())
 		}
@@ -157,6 +157,3 @@ func TestBuildAllocsPerNode(t *testing.T) {
 			perNode, maxBuildAllocsPerNode)
 	}
 }
-
-// energyFrameRx is what onFrame charges the CPU meter per frame.
-var energyFrameRx = energy.DefaultCosts().FrameRx

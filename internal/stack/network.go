@@ -19,6 +19,11 @@ import (
 // HostID is the node identifier of the wired cloud host.
 const HostID = 999
 
+// HostBufSize is the wired host's TCP send and receive buffer size. The
+// host is unconstrained — same protocol logic ("the TCP implementation in
+// the FreeBSD operating system" on both ends), large buffers.
+const HostBufSize = 64 * 1024
+
 // hostWireDelay is the one-way border↔host latency (§9.2: ≈6 ms each
 // way for the 12 ms RTT to EC2).
 const hostWireDelay = 6 * sim.Millisecond
@@ -114,13 +119,12 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 	// Every node starts dormant ("Dormancy" in the package comment): a
 	// slot in one slab and a radio that listens and filters, as the MAC
 	// wake builds would have left it.
-	costs := energy.DefaultCosts()
 	nodes := make([]Node, topo.N())
 	net.Nodes = make([]*Node, len(nodes))
 	for i := range nodes {
 		n := &nodes[i]
 		n.ID, n.Net, n.Addr = i, net, ip6.AddrFromID(i)
-		n.CPU = energy.MakeCPUMeter(eng, costs)
+		n.CPU = energy.MakeCPUMeter(eng)
 		n.Radio = ch.AddRadio(i, topo.Positions[i])
 		n.Radio.SetAddressFilter(true)
 		n.Radio.SetListen(true)
@@ -202,7 +206,7 @@ func (net *Network) AttachHost() *Node {
 		ID:   net.hostID,
 		Net:  net,
 		Addr: ip6.AddrFromID(net.hostID),
-		CPU:  energy.MakeCPUMeter(net.Eng, energy.DefaultCosts()),
+		CPU:  energy.MakeCPUMeter(net.Eng),
 	}
 	net.Host = host
 	connectWire(net.Nodes[0], host)

@@ -228,14 +228,11 @@ func (n *Node) wake() {
 		n.mac.Trace = net.Opt.Trace
 		n.frameDoneFn = n.frameDone
 		if net.Opt.RED && n.ID != net.borderID {
-			n.red = mesh.DefaultRED(net.Opt.ECN)
+			n.red = mesh.NewRED(net.Opt.ECN)
 		}
 	} else {
-		// The host is unconstrained: large buffers, same protocol logic
-		// ("the TCP implementation in the FreeBSD operating system" on
-		// both ends).
-		cfg.SendBufSize = 64 * 1024
-		cfg.RecvBufSize = 64 * 1024
+		cfg.SendBufSize = HostBufSize
+		cfg.RecvBufSize = HostBufSize
 	}
 	output := n.SendPacket // one method value for both transports
 	n.tcp = tcplp.NewStack(net.Eng, n.Addr, cfg)

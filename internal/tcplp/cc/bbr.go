@@ -306,9 +306,7 @@ func (b *bbr) OnAck(now sim.Time, mss, acked int, srtt sim.Duration) {
 			b.cwnd = target
 		}
 	}
-	if b.cwnd > b.p.MaxWindow {
-		b.cwnd = b.p.MaxWindow
-	}
+	b.cwnd = min(b.cwnd, maxWindow)
 }
 
 // Recovery ACKs still carry delivery-rate information; keep the model

@@ -63,18 +63,14 @@ func Parse(s string) (Variant, error) {
 	return "", fmt.Errorf("cc: unknown variant %q (have newreno, cubic, westwood, bbr, vegas)", s)
 }
 
-// DefaultMaxWindow caps congestion-avoidance growth when Params leaves
-// MaxWindow unset.
-const DefaultMaxWindow = 1 << 22
+// maxWindow caps congestion-avoidance growth, in bytes.
+const maxWindow = 1 << 22
 
 // Params seeds an Algorithm at construction.
 type Params struct {
 	// InitialWindow is the initial congestion window in bytes
 	// (RFC 6928-style: InitialCwndSegs × MSS).
 	InitialWindow int
-	// MaxWindow caps congestion-avoidance growth in bytes; 0 selects
-	// DefaultMaxWindow.
-	MaxWindow int
 }
 
 // Algorithm owns cwnd and ssthresh for one connection. The MSS is passed
@@ -152,9 +148,6 @@ func Valid(v Variant) bool {
 
 // New constructs the named algorithm; an empty variant selects NewReno.
 func New(v Variant, p Params) (Algorithm, error) {
-	if p.MaxWindow <= 0 {
-		p.MaxWindow = DefaultMaxWindow
-	}
 	if v == "" {
 		v = NewReno
 	}
@@ -230,7 +223,5 @@ func (w *window) growReno(mss, acked int) {
 	} else {
 		w.cwnd += max(mss*mss/w.cwnd, 1)
 	}
-	if w.cwnd > w.p.MaxWindow {
-		w.cwnd = w.p.MaxWindow
-	}
+	w.cwnd = min(w.cwnd, maxWindow)
 }

@@ -13,7 +13,7 @@ const (
 
 func mk(t *testing.T, v Variant) Algorithm {
 	t.Helper()
-	a, err := New(v, Params{InitialWindow: iw, MaxWindow: 1 << 22})
+	a, err := New(v, Params{InitialWindow: iw})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,7 @@ func (c *cubic) Init(now sim.Time) {
 func (c *cubic) OnAck(now sim.Time, mss, acked int, srtt sim.Duration) {
 	if c.cwnd < c.ssthresh {
 		c.cwnd += min(acked, mss)
-		if c.cwnd > c.p.MaxWindow {
-			c.cwnd = c.p.MaxWindow
-		}
+		c.cwnd = min(c.cwnd, maxWindow)
 		return
 	}
 	segs := float64(c.cwnd) / float64(mss)
@@ -94,9 +92,7 @@ func (c *cubic) OnAck(now sim.Time, mss, acked int, srtt sim.Duration) {
 	whole := int(c.frac)
 	c.frac -= float64(whole)
 	c.cwnd += whole
-	if c.cwnd > c.p.MaxWindow {
-		c.cwnd = c.p.MaxWindow
-	}
+	c.cwnd = min(c.cwnd, maxWindow)
 }
 
 // ssthreshOnLoss applies the CUBIC multiplicative decrease with fast

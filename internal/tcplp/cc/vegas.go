@@ -114,9 +114,7 @@ func (v *vegas) OnAck(now sim.Time, mss, acked int, srtt sim.Duration) {
 	case diff > vegasBeta:
 		v.cwnd -= mss
 	}
-	if v.cwnd > v.p.MaxWindow {
-		v.cwnd = v.p.MaxWindow
-	}
+	v.cwnd = min(v.cwnd, maxWindow)
 	if v.cwnd < 2*mss {
 		v.cwnd = 2 * mss
 	}
