@@ -344,6 +344,14 @@ func TestGoldenEquivalence(t *testing.T) {
 	check("equiv_fig6.txt", run(t, "fig6", quick)...)
 	check("equiv_hopsweep.txt", run1(t, "hopsweep", quick))
 	check("equiv_table7.txt", run1(t, "table7", quick))
+	// Rendered by the hand-written renderers before the column-list
+	// pivot replaced them; the last pins the multi-seed -ci cells.
+	for _, id := range []string{"fig7a", "table9", "rto_inflation", "ccvariants", "pacing", "gateway_capacity", "citysweep"} {
+		check("equiv_"+id+".txt", run(t, id, scaled(0.05))...)
+	}
+	ci := scaled(0.05)
+	ci.Rewrite.Seeds, ci.CI = 2, true
+	check("equiv_table9_ci.txt", run1(t, "table9", ci))
 }
 
 // TestGoldenEquivalenceApps pins the protocol-driver port of the §9
