@@ -31,8 +31,8 @@ loc:
 # tcplp-bench runs every example spec but the city ones and every paper
 # spec (examples/scenarios/paper), journey-traced (CI's only example run:
 # a failed run or conformance check fails it), the benchmark workloads'
-# specs (read, never written), one run per exporter flag and -exp all
-# -scale 0.05, journey-traced too;
+# specs (read, never written), one run per exporter flag, one markdown
+# summary with -ci cells and -exp all -scale 0.05, journey-traced too;
 # go tool covdata then lists every function that never ran. Each must be
 # in tools/reach.allow with a reason; a newly unreached function fails,
 # an allowed one that now runs is reported for removal from the list.
@@ -63,6 +63,7 @@ reach:
 	run -scenario $$ex $$short -journey-out $(REACH)/journeys.json; \
 	run -scenario $$ex $$short -format csv; \
 	run -scenario $$ex $$short -format json; \
+	run -scenario $$ex $$short -markdown -ci -seeds 2; \
 	run -exp all -scale 0.05 -journey
 	@$(GO) tool covdata func -i=$(REACH)/cov > $(REACH)/func.txt
 	@awk '$$NF == "0.0%" { sub(/^tcplp\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' \

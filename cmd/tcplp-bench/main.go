@@ -4,15 +4,17 @@
 // set. A simulating experiment is a spec file under
 // examples/scenarios/paper run through the same pipeline as -scenario,
 // then rendered as the paper's table: -workers parallelizes its (spec,
-// seed) grid without changing a single cell (serial and parallel
-// aggregates are bit-identical), and the capture flags (-journey,
-// -events-out, -trace-out, …) work in both modes.
+// seed) grid without changing a single cell (serial and parallel runs
+// are bit-identical), and the capture flags (-journey, -events-out,
+// -trace-out, …) work in both modes. A -scenario summary is one more
+// table per cell, printed the same way, so -markdown and -ci work in
+// both modes too.
 //
 // -scale, -seeds, -variant, -window, -warmup and -duration rewrite the
 // specs before they run, the same way in both modes (scenario.Rewrite):
 // -scale shrinks every warmup and window (never below 5 s), -seeds N
 // runs every cell over N independent channel realizations (rendered as
-// mean ± σ by -exp), -variant and -window set every TCP flow's variant
+// mean ± σ cells), -variant and -window set every TCP flow's variant
 // and every cell's window where the spec names none.
 //
 // A scenario file describes topology, link conditions, node roles,
@@ -61,7 +63,7 @@ func main() {
 	var (
 		exp      = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		scale    = flag.Float64("scale", 1.0, "multiply every warmup and measurement window by this factor, never below 5 s (1.0 = as the spec says)")
-		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables (experiments)")
+		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables (experiments and the scenario summary)")
 		list     = flag.Bool("list", false, "list experiment ids")
 		variant  = flag.String("variant", "", "congestion-control variant of every TCP flow that names none (newreno|cubic|westwood|bbr|vegas)")
 		window   = flag.Int("window", 0, "send/receive window in segments of every cell that sets none (default 4)")
@@ -132,11 +134,15 @@ func main() {
 	var cells []*scenario.Spec
 	var todo []experiments.Experiment
 	if *scenFile != "" {
-		if *exp != "" || *markdown {
-			refuse("-scenario cannot be combined with -exp/-markdown; -exp <id> runs examples/scenarios/paper/<id>.json and renders its tables")
+		if *exp != "" {
+			refuse("-scenario cannot be combined with -exp; -exp <id> runs examples/scenarios/paper/<id>.json and renders its tables")
 		}
 		switch *format {
-		case "summary", "csv", "json":
+		case "summary":
+		case "csv", "json":
+			if *markdown || *ci {
+				refuse("-markdown and -ci render the summary table; -format " + *format + " prints every seed's values")
+			}
 		default:
 			// Fail before the sweep runs, not after: full-scale scenario
 			// files can take a long time.
@@ -190,10 +196,14 @@ func main() {
 		oc.OnJourney = jt.observe
 	}
 	runner := &scenario.Runner{Workers: *workers, Obs: oc}
+	opts := experiments.Opts{Rewrite: rw, Runner: runner, CI: *ci}
+	render := (*experiments.Table).String
+	if *markdown {
+		render = (*experiments.Table).Markdown
+	}
 	if *scenFile != "" {
-		runScenario(cells, runner, *format)
+		runScenario(cells, opts, *format, render)
 	} else {
-		opts := experiments.Opts{Rewrite: rw, Runner: runner, CI: *ci}
 		for _, e := range todo {
 			fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Desc)
 			tabs, err := e.Run(opts)
@@ -201,11 +211,7 @@ func main() {
 				refuse(err.Error())
 			}
 			for _, tab := range tabs {
-				if *markdown {
-					fmt.Println(tab.Markdown())
-				} else {
-					fmt.Println(tab.String())
-				}
+				fmt.Println(render(tab))
 			}
 		}
 	}
@@ -395,14 +401,15 @@ func splitList(s string) []string {
 }
 
 // runScenario fans the cells out across the worker pool and prints the
-// results in the requested format.
-func runScenario(cells []*scenario.Spec, runner *scenario.Runner, format string) {
+// results in the requested format: a summary is each cell's table, as
+// -exp prints one, then its journey waterfalls.
+func runScenario(cells []*scenario.Spec, o experiments.Opts, format string, render func(*experiments.Table) string) {
 	nRuns := 0
 	for _, s := range cells {
 		nRuns += max(len(s.Seeds), 1)
 	}
 	fmt.Fprintf(os.Stderr, "running %d scenario cell(s), %d run(s)...\n", len(cells), nRuns)
-	results, err := runner.RunAll(cells)
+	results, err := o.Runner.RunAll(cells)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -410,7 +417,7 @@ func runScenario(cells []*scenario.Spec, runner *scenario.Runner, format string)
 	switch format {
 	case "summary":
 		for _, sr := range results {
-			fmt.Print(sr.Summary())
+			fmt.Println(render(experiments.Summary(o, sr)) + sr.Waterfall())
 		}
 	case "csv":
 		err = scenario.WriteCSV(os.Stdout, results)

@@ -80,6 +80,8 @@ func TestRefusedFlagsKeepOutputFiles(t *testing.T) {
 		{"-scenario", spec, "-cpuprofile", out, "-metrics-interval", "1s"},
 		{"-scenario", spec, "-journey-out", out, "-scale", "0"},
 		{"-scenario", spec, "-exp", "fig4", "-journey-out", out},
+		{"-scenario", spec, "-journey-out", out, "-format", "csv", "-markdown"},
+		{"-scenario", spec, "-journey-out", out, "-format", "json", "-ci"},
 		{"-exp", "nosuch", "-cpuprofile", out},
 		{"-exp", "fig4", "-journey-out", out, "-events-out", ev, "-window", "3000000"},
 		{"-exp", "all", "-journey-out", out, "-seeds", "5000"},
@@ -206,12 +208,14 @@ func TestWindowFlagBounded(t *testing.T) {
 
 // TestRewriteFlagsBothModes: -scale, -seeds and -window rewrite a spec
 // file the same way under -scenario and under -exp, whose tables are
-// rendered from exactly those cells; a rewrite no cell takes is noted;
-// and the capture flags work for experiments too.
+// rendered from exactly those cells — as is the -scenario summary, with
+// -markdown too; a rewrite no cell takes is noted; and the capture flags
+// work for experiments too.
 func TestRewriteFlagsBothModes(t *testing.T) {
 	run, _ := buildCLI(t)
 	flags := []string{"-scale", "0.05", "-seeds", "2", "-window", "8", "-workers", "1"}
-	code, stdout, stderr := run(append([]string{"-scenario", filepath.Join("..", "..", "examples", "scenarios", "paper", "fig4.json"), "-format", "json"}, flags...)...)
+	fig4 := filepath.Join("..", "..", "examples", "scenarios", "paper", "fig4.json")
+	code, stdout, stderr := run(append([]string{"-scenario", fig4, "-format", "json"}, flags...)...)
 	if code != 0 {
 		t.Fatalf("-scenario fig4.json: exit %d\n%s", code, stderr)
 	}
@@ -245,8 +249,18 @@ func TestRewriteFlagsBothModes(t *testing.T) {
 	// Row 2 frames, uplink: the first cell's two runs as mean ± σ.
 	a, b := cells[0].Runs[0].Flows[0].GoodputKbps, cells[0].Runs[1].Flows[0].GoodputKbps
 	mean, sd := (a+b)/2, math.Abs(a-b)/2 // σ over the population, as stats.MeanStdDev
-	if want := fmt.Sprintf("%.1f ± %.1f", mean, sd); !strings.Contains(stdout, want) {
+	want := fmt.Sprintf("%.1f ± %.1f", mean, sd)
+	if !strings.Contains(stdout, want) {
 		t.Errorf("-exp fig4 table lacks the uplink cell %q of the -scenario run:\n%s", want, stdout)
+	}
+	// The -scenario summary renders the same runs through the same cells.
+	code, stdout, stderr = run(append([]string{"-scenario", fig4}, flags...)...)
+	if code != 0 || !strings.Contains(stdout, want) {
+		t.Errorf("-scenario fig4.json summary: exit %d, lacks the uplink cell %q:\n%s%s", code, want, stdout, stderr)
+	}
+	code, stdout, stderr = run("-scenario", fig4, "-scale", "0.05", "-markdown")
+	if code != 0 || !strings.Contains(stdout, "| Flow | Protocol | Variant | kb/s |") {
+		t.Errorf("-scenario fig4.json -markdown: exit %d, no markdown table:\n%s%s", code, stdout, stderr)
 	}
 
 	code, stdout, stderr = run("-exp", "fig8", "-scale", "0.05", "-duration", "2s", "-journey")

@@ -15,60 +15,29 @@ import (
 // fig12 sweeps a fixed sleep interval and reports TCP RTT and goodput in
 // both directions over the duty-cycled link.
 func fig12(o Opts, res []*scenario.SpecResult) *Table {
-	t := &Table{
-		ID:      "fig12",
-		Title:   "TCP over a duty-cycled link: fixed sleep interval sweep",
-		Columns: []string{"Sleep interval", "Up kb/s", "Up RTT ms", "Down kb/s", "Down RTT ms"},
-	}
-	meanRTT := func(f scenario.FlowResult) float64 { return f.MeanRTTms }
-	for i := 0; i+1 < len(res); i += 2 {
-		up, down := res[i], res[i+1]
-		t.AddRow(sim.Duration(up.Spec.Nodes[0].SleepInterval).String(),
-			o.cell(flowSeries(up, 0, goodputOf), f1),
-			o.cell(flowSeries(up, 0, meanRTT), f1),
-			o.cell(flowSeries(down, 0, goodputOf), f1),
-			o.cell(flowSeries(down, 0, meanRTT), f1))
-	}
-	t.Note("paper Fig. 12: ≈full goodput at 20 ms; throughput collapses as the interval exceeds what the 4-segment window can cover (uplink RTT ≈ sleep interval from self-clocking)")
-	return t
+	return pivot(o, "fig12", "TCP over a duty-cycled link: fixed sleep interval sweep", groups(res, 2), []column{
+		label("Sleep interval", func(sr *scenario.SpecResult) string { return sim.Duration(sr.Spec.Nodes[0].SleepInterval).String() }),
+		m("Up kb/s", 0, goodput, f1), m("Up RTT ms", 0, meanRTT, f1),
+		m("Down kb/s", 1, goodput, f1), m("Down RTT ms", 1, meanRTT, f1),
+	}, "paper Fig. 12: ≈full goodput at 20 ms; throughput collapses as the interval exceeds what the 4-segment window can cover (uplink RTT ≈ sleep interval from self-clocking)")
 }
 
 // fig13 reports the RTT distribution at a fixed two-second sleep
 // interval, uplink and downlink.
 func fig13(o Opts, res []*scenario.SpecResult) *Table {
-	t := &Table{
-		ID:      "fig13",
-		Title:   "RTT distribution, duty-cycled link, 2 s sleep interval",
-		Columns: []string{"Direction", "p10 ms", "Median ms", "p90 ms", "Max ms"},
-	}
-	for i, label := range []string{"uplink", "downlink"} {
-		sr := res[i]
-		t.AddRow(label,
-			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.RTTp10ms }), f1),
-			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.MedianRTTms }), f1),
-			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.RTTp90ms }), f1),
-			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.RTTMaxms }), f1))
-	}
-	t.Note("paper Fig. 13: uplink RTT ≈ the sleep interval (self-clocking); downlink clusters at multiples of it")
-	return t
+	return pivot(o, "fig13", "RTT distribution, duty-cycled link, 2 s sleep interval", groups(res, 1), []column{
+		fixed("Direction", "uplink", "downlink"),
+		m("p10 ms", 0, rttP10, f1), m("Median ms", 0, medianRTT, f1),
+		m("p90 ms", 0, rttP90, f1), m("Max ms", 0, rttMax, f1),
+	}, "paper Fig. 13: uplink RTT ≈ the sleep interval (self-clocking); downlink clusters at multiples of it")
 }
 
 // fig14 evaluates the Trickle-based adaptive sleep interval of Appendix
 // C.2: goodput with 6-segment buffers, and — via the spec's idle phase,
 // which -scale leaves alone — the duty cycle after traffic stops.
 func fig14(o Opts, res []*scenario.SpecResult) *Table {
-	t := &Table{
-		ID:      "fig14",
-		Title:   "Adaptive (Trickle) sleep interval: smin=20ms smax=5s, 6-segment buffers",
-		Columns: []string{"Direction", "Goodput kb/s", "Median RTT ms", "Idle duty cycle"},
-	}
-	for i, label := range []string{"uplink", "downlink"} {
-		sr := res[i]
-		t.AddRow(label,
-			o.cell(flowSeries(sr, 0, goodputOf), f1),
-			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.MedianRTTms }), f1),
-			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.IdleRadioDC }), pct))
-	}
-	t.Note("paper §C.2: 68.6 kb/s up / 55.6 kb/s down with a ≈0.1%% idle duty cycle")
-	return t
+	return pivot(o, "fig14", "Adaptive (Trickle) sleep interval: smin=20ms smax=5s, 6-segment buffers", groups(res, 1), []column{
+		fixed("Direction", "uplink", "downlink"),
+		m("Goodput kb/s", 0, goodput, f1), m("Median RTT ms", 0, medianRTT, f1), m("Idle duty cycle", 0, idleDC, pct),
+	}, "paper §C.2: 68.6 kb/s up / 55.6 kb/s down with a ≈0.1% idle duty cycle")
 }

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"tcplp/internal/scenario"
-	"tcplp/internal/sim"
-)
+import "tcplp/internal/scenario"
 
 // The §9 application study — anemometer telemetry over TCPlp, CoAP,
 // CoCoA, and unreliable transports — is office-topology specs with sleepy
@@ -12,70 +9,20 @@ import (
 // bespoke harness's pooled arithmetic bit-for-bit (pinned by
 // testdata/equiv_fig8..table8).
 
-// anemRel pools one run's reliability exactly as §9.2 defines it: the
-// shared delivery-ratio formula over reading counts summed across the
-// sensors (the ratio of sums, not the mean of per-flow ratios).
-func anemRel(run scenario.Result) float64 {
-	var gen, deliv, backlog uint64
-	for _, fl := range run.Flows {
-		gen += fl.Generated
-		deliv += fl.Delivered
-		backlog += fl.Backlog
-	}
-	return scenario.DeliveryRatio(gen, deliv, backlog)
-}
-
-// anemRadioDC / anemCPUDC are the mean duty cycles across sensor nodes.
-func anemRadioDC(run scenario.Result) float64 {
-	dc := 0.0
-	for _, fl := range run.Flows {
-		dc += fl.RadioDC
-	}
-	return dc / float64(len(run.Flows))
-}
-
-func anemCPUDC(run scenario.Result) float64 {
-	dc := 0.0
-	for _, fl := range run.Flows {
-		dc += fl.CPUDC
-	}
-	return dc / float64(len(run.Flows))
-}
-
-// anemPer10 normalizes a summed per-flow counter to events per 10
-// minutes per node.
-func anemPer10(run scenario.Result, dur sim.Duration, count func(scenario.FlowResult) uint64) float64 {
-	per10 := dur.Seconds() / 600
-	if per10 <= 0 {
-		return 0
-	}
-	var total uint64
-	for _, fl := range run.Flows {
-		total += count(fl)
-	}
-	return float64(total) / per10 / float64(len(run.Flows))
-}
-
 // fig8 compares batching vs per-reading transmission for CoAP, CoCoA,
 // and TCPlp in favorable (night) conditions: radio and CPU duty cycles.
-// The file holds one protocols sweep without batching, then one with.
+// The file holds one protocols sweep without batching, then one with;
+// each protocol's two cells are consecutive rows.
 func fig8(o Opts, res []*scenario.SpecResult) *Table {
-	t := &Table{
-		ID:      "fig8",
-		Title:   "Effect of batching on power (favorable conditions)",
-		Columns: []string{"Protocol", "Batching", "Reliability", "Radio DC", "CPU DC"},
+	var rows [][]*scenario.SpecResult
+	for _, pair := range zip(res) {
+		rows = append(rows, pair[:1], pair[1:])
 	}
-	nobatch, batch := res[:len(res)/2], res[len(res)/2:]
-	for i := range nobatch {
-		for bi, sr := range []*scenario.SpecResult{nobatch[i], batch[i]} {
-			t.AddRow(protoName(sr), []string{"no", "yes"}[bi],
-				o.cell(runSeries(sr, anemRel), pct),
-				o.cell(runSeries(sr, anemRadioDC), pct),
-				o.cell(runSeries(sr, anemCPUDC), pct))
-		}
-	}
-	t.Note("paper Fig. 8: all three protocols ≈100%% reliable and comparable; batching cuts both duty cycles sharply")
-	return t
+	return pivot(o, "fig8", "Effect of batching on power (favorable conditions)", rows, []column{
+		label("Protocol", protoName),
+		fixed("Batching", "no", "yes"),
+		m("Reliability", 0, anemRel, pct), m("Radio DC", 0, anemRadioDC, pct), m("CPU DC", 0, anemCPUDC, pct),
+	}, "paper Fig. 8: all three protocols ≈100% reliable and comparable; batching cuts both duty cycles sharply")
 }
 
 // protoName is the paper's name for the transport a protocols-sweep cell
@@ -93,34 +40,27 @@ func protoName(sr *scenario.SpecResult) string {
 // reliability, retransmissions, and duty cycles for the three reliable
 // protocols: one injected_loss × protocols sweep (TCPlp, CoCoA, CoAP).
 func fig9(o Opts, res []*scenario.SpecResult) []*Table {
-	rel := &Table{ID: "fig9a", Title: "Reliability vs injected loss",
-		Columns: []string{"Loss", "TCPlp", "CoCoA", "CoAP"}}
-	rtx := &Table{ID: "fig9b", Title: "Transport retransmissions per 10 min vs injected loss",
-		Columns: []string{"Loss", "TCPlp", "TCPlp RTOs", "CoCoA", "CoAP"}}
-	radio := &Table{ID: "fig9c", Title: "Radio duty cycle vs injected loss",
-		Columns: []string{"Loss", "TCPlp", "CoCoA", "CoAP"}}
-	cpu := &Table{ID: "fig9d", Title: "CPU duty cycle vs injected loss",
-		Columns: []string{"Loss", "TCPlp", "CoCoA", "CoAP"}}
-	rtxOf := func(fl scenario.FlowResult) uint64 { return fl.Retransmits }
-	rtoOf := func(fl scenario.FlowResult) uint64 { return fl.Timeouts }
-	for i := 0; i+2 < len(res); i += 3 {
-		tcp, cocoa, coap := res[i], res[i+1], res[i+2]
-		l := pct(tcp.Spec.Net.InjectedLoss)
-		relOf := func(sr *scenario.SpecResult) string { return o.cell(runSeries(sr, anemRel), pct) }
-		rel.AddRow(l, relOf(tcp), relOf(cocoa), relOf(coap))
-		per10 := func(sr *scenario.SpecResult, count func(scenario.FlowResult) uint64) string {
-			return o.cell(runSeries(sr, func(r scenario.Result) float64 {
-				return anemPer10(r, sr.Spec.Duration.D(), count)
-			}), f1)
-		}
-		rtx.AddRow(l, per10(tcp, rtxOf), per10(tcp, rtoOf), per10(cocoa, rtxOf), per10(coap, rtxOf))
-		radioOf := func(sr *scenario.SpecResult) string { return o.cell(runSeries(sr, anemRadioDC), pct) }
-		radio.AddRow(l, radioOf(tcp), radioOf(cocoa), radioOf(coap))
-		cpuOf := func(sr *scenario.SpecResult) string { return o.cell(runSeries(sr, anemCPUDC), pct) }
-		cpu.AddRow(l, cpuOf(tcp), cpuOf(cocoa), cpuOf(coap))
+	rows := groups(res, 3)
+	loss := label("Loss", func(sr *scenario.SpecResult) string { return pct(sr.Spec.Net.InjectedLoss) })
+	each := func(metric func(scenario.Result) float64) []column {
+		return []column{loss, m("TCPlp", 0, metric, pct), m("CoCoA", 1, metric, pct), m("CoAP", 2, metric, pct)}
 	}
-	rel.Note("paper Fig. 9a: TCP and CoAP near 100%% through 15%% loss; CoCoA collapses from RTT inflation")
-	return []*Table{rel, rtx, radio, cpu}
+	// rate is a flow counter per 10 minutes per node of the row's j-th cell.
+	rate := func(head string, j int, count func(scenario.Result) float64) column {
+		return column{head, func(o Opts, _ int, row []*scenario.SpecResult) string {
+			return o.cell(series(row[j], per10(row[j].Spec.Duration.D(), count)), f1)
+		}}
+	}
+	return []*Table{
+		pivot(o, "fig9a", "Reliability vs injected loss", rows, each(anemRel),
+			"paper Fig. 9a: TCP and CoAP near 100% through 15% loss; CoCoA collapses from RTT inflation"),
+		pivot(o, "fig9b", "Transport retransmissions per 10 min vs injected loss", rows, []column{
+			loss, rate("TCPlp", 0, retransmits), rate("TCPlp RTOs", 0, timeouts),
+			rate("CoCoA", 1, retransmits), rate("CoAP", 2, retransmits),
+		}),
+		pivot(o, "fig9c", "Radio duty cycle vs injected loss", rows, each(anemRadioDC)),
+		pivot(o, "fig9d", "CPU duty cycle vs injected loss", rows, each(anemCPUDC)),
+	}
 }
 
 // fig10 runs TCPlp and CoAP for a full day under diurnal interference
@@ -133,18 +73,11 @@ func fig10(o Opts, res []*scenario.SpecResult) *Table {
 		Title:   "Hourly radio duty cycle over a day with diurnal interference",
 		Columns: []string{"Hour", "TCPlp DC", "CoAP DC"},
 	}
-	dcSeries := func(sr *scenario.SpecResult, h int) []float64 {
-		out := make([]float64, 0, len(sr.Runs))
-		for _, run := range sr.Runs {
-			if h < len(run.DCSamples) {
-				out = append(out, run.DCSamples[h])
-			}
-		}
-		return out
-	}
+	// Every run of a spec takes the same number of samples.
 	n := min(len(res[0].Runs[0].DCSamples), len(res[1].Runs[0].DCSamples))
 	for h := 0; h < n; h++ {
-		t.AddRow(di(h), o.cell(dcSeries(res[0], h), pct), o.cell(dcSeries(res[1], h), pct))
+		hour := func(r scenario.Result) float64 { return r.DCSamples[h] }
+		t.AddRow(di(h), o.cell(series(res[0], hour), pct), o.cell(series(res[1], hour), pct))
 	}
 	t.Note("paper Fig. 10: CoAP cheaper at night; TCPlp comparable or better during working-hours interference")
 	return t
@@ -153,18 +86,8 @@ func fig10(o Opts, res []*scenario.SpecResult) *Table {
 // table8 summarizes full-day performance including the unreliable
 // (nonconfirmable) baseline of §9.6: one spec per row.
 func table8(o Opts, res []*scenario.SpecResult) *Table {
-	t := &Table{
-		ID:      "table8",
-		Title:   "Full-day performance with interference",
-		Columns: []string{"Protocol", "Reliability", "Radio DC", "CPU DC"},
-	}
-	names := []string{"TCPlp", "CoAP", "Unreliable, no batch", "Unreliable, batch"}
-	for i, sr := range res {
-		t.AddRow(names[i],
-			o.cell(runSeries(sr, anemRel), pct),
-			o.cell(runSeries(sr, anemRadioDC), pct),
-			o.cell(runSeries(sr, anemCPUDC), pct))
-	}
-	t.Note("paper Table 8: reliability costs ≈3x duty cycle vs the unreliable baseline; TCPlp 99.3%%, CoAP 99.5%%")
-	return t
+	return pivot(o, "table8", "Full-day performance with interference", groups(res, 1), []column{
+		fixed("Protocol", "TCPlp", "CoAP", "Unreliable, no batch", "Unreliable, batch"),
+		m("Reliability", 0, anemRel, pct), m("Radio DC", 0, anemRadioDC, pct), m("CPU DC", 0, anemCPUDC, pct),
+	}, "paper Table 8: reliability costs ≈3x duty cycle vs the unreliable baseline; TCPlp 99.3%, CoAP 99.5%")
 }

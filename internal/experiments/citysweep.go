@@ -10,16 +10,10 @@ import "tcplp/internal/scenario"
 // events each run took — deterministic, like every other cell; the host's
 // time per event is benchmark/'s metro_10k workload.
 func citySweep(o Opts, res []*scenario.SpecResult) *Table {
-	t := &Table{
-		ID:      "citysweep",
-		Title:   "City-scale mesh: delivery and simulator events vs node count",
-		Columns: []string{"Nodes", "Variant", "Flows", "Agg kb/s", "Jain", "kevents"},
-	}
-	for _, sr := range res {
-		t.AddRow(di(sr.Spec.Topology.Nodes), sr.Runs[0].Flows[0].Variant, di(len(sr.Runs[0].Flows)),
-			o.cell(runSeries(sr, func(r scenario.Result) float64 { return r.AggregateKbps }), f1),
-			o.cell(runSeries(sr, func(r scenario.Result) float64 { return r.Jain }), f3),
-			o.cell(runSeries(sr, func(r scenario.Result) float64 { return float64(r.Events) / 1000 }), f0))
-	}
-	return t
+	return pivot(o, "citysweep", "City-scale mesh: delivery and simulator events vs node count", groups(res, 1), []column{
+		label("Nodes", func(sr *scenario.SpecResult) string { return di(sr.Spec.Topology.Nodes) }),
+		label("Variant", variant),
+		label("Flows", func(sr *scenario.SpecResult) string { return di(len(sr.Runs[0].Flows)) }),
+		m("Agg kb/s", 0, aggKbps, f1), m("Jain", 0, jain, f3), m("kevents", 0, kevents, f0),
+	})
 }

@@ -517,3 +517,40 @@ func TestScaleFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestSummary: a -scenario cell renders as one more table — a row per
+// flow, the run-level numbers as notes — whose markdown escapes the
+// pipes a spec's flow label may hold.
+func TestSummary(t *testing.T) {
+	specs, err := scenario.ParseSpecs([]byte(`{"name":"mixed","topology":{"kind":"twinleaf","path_hops":3},
+		"flows":[{"label":"a|b","from":3,"to":0,"port":80,"variant":"bbr"},
+		         {"label":"nr","from":4,"to":0,"port":81,"variant":"newreno"}],
+		"warmup":"1s","duration":"4s","seeds":[1,2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&scenario.Runner{}).RunAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := Summary(Opts{}, res[0])
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "a|b" || tab.Rows[0][2] != "bbr" {
+		t.Fatalf("summary rows: %q", tab.Rows)
+	}
+	if s := tab.String(); !strings.Contains(s, "2 flow(s) x 2 seed(s)") || !strings.Contains(s, "note: jain ") {
+		t.Fatalf("summary missing fields:\n%s", s)
+	}
+	if !strings.Contains(tab.Rows[0][3], " ± ") {
+		t.Fatalf("two-seed goodput cell %q lacks its error bar", tab.Rows[0][3])
+	}
+	md := tab.Markdown()
+	for _, line := range strings.Split(md, "\n") {
+		if strings.HasPrefix(line, "| a") {
+			if !strings.HasPrefix(line, `| a\|b | tcp | bbr |`) || strings.Count(line, " | ") != len(tab.Columns)-1 {
+				t.Fatalf("markdown row %q: the label's pipe splits it", line)
+			}
+			return
+		}
+	}
+	t.Fatalf("no a|b row in the markdown:\n%s", md)
+}

@@ -1,6 +1,10 @@
 package experiments
 
-import "tcplp/internal/scenario"
+import (
+	"strings"
+
+	"tcplp/internal/scenario"
+)
 
 // pacing is the paced-vs-unpaced head-to-head: the same bulk flow run
 // under ACK-clocked NewReno and paced BBR over the two scenarios where
@@ -11,23 +15,17 @@ import "tcplp/internal/scenario"
 // §9.2). Each scenario is a variants sweep on one seed, so its rows
 // differ only by the algorithm.
 func pacing(o Opts, res []*scenario.SpecResult) *Table {
-	t := &Table{
-		ID:    "pacing",
-		Title: "Send pacing: ACK-clocked NewReno vs paced BBR",
-		Columns: []string{"Scenario", "Variant", "Goodput kb/s", "Rtx",
-			"Timeouts", "SRTT ms"},
+	scenarios := map[string]string{
+		"pacing-hidden":     "hidden terminal (3 hops, d=0)",
+		"pacing-dutycycled": "duty-cycled leaf (250 ms sleep, downlink)",
 	}
-	for i, sr := range res {
-		label := "hidden terminal (3 hops, d=0)"
-		if i >= len(res)/2 {
-			label = "duty-cycled leaf (250 ms sleep, downlink)"
-		}
-		t.AddRow(label, sr.Runs[0].Flows[0].Variant,
-			o.cell(flowSeries(sr, 0, goodputOf), f1),
-			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.Timeouts + f.FastRtx) }), f0),
-			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return float64(f.Timeouts) }), f0),
-			o.cell(flowSeries(sr, 0, func(f scenario.FlowResult) float64 { return f.SRTTms }), f1))
-	}
-	t.Note("paced BBR releases at most 2 segments back-to-back (pinned by the transfer-test gap assertion); ACK-clocked variants emit full window trains")
-	return t
+	return pivot(o, "pacing", "Send pacing: ACK-clocked NewReno vs paced BBR", groups(res, 1), []column{
+		label("Scenario", func(sr *scenario.SpecResult) string {
+			name, _, _ := strings.Cut(sr.Spec.Name, "/") // the spec's, not its cell's
+			return scenarios[name]
+		}),
+		label("Variant", variant),
+		m("Goodput kb/s", 0, goodput, f1), m("Rtx", 0, recoveries, f0),
+		m("Timeouts", 0, timeouts, f0), m("SRTT ms", 0, srtt, f1),
+	}, "paced BBR releases at most 2 segments back-to-back (pinned by the transfer-test gap assertion); ACK-clocked variants emit full window trains")
 }

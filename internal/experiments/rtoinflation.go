@@ -13,61 +13,10 @@ import "tcplp/internal/scenario"
 // stretching recovery and collapsing delivery while plain CoAP's fixed
 // timer keeps pace.
 func rtoInflation(o Opts, res []*scenario.SpecResult) *Table {
-	t := &Table{
-		ID:    "rto_inflation",
-		Title: "CoCoA RTO inflation vs injected loss",
-		Columns: []string{"Loss", "Protocol", "Reliability",
-			"RTT p50 ms", "RTO ms", "RTO/RTT"},
-	}
-	for _, sr := range res {
-		t.AddRow(pct(sr.Spec.Net.InjectedLoss), protoName(sr),
-			o.cell(runSeries(sr, anemRel), pct),
-			o.cell(runSeries(sr, anemMedianRTT), f1),
-			o.cell(runSeries(sr, anemRTO), f1),
-			o.cell(runSeries(sr, anemRTOInflation), f2))
-	}
-	t.Note("paper Fig. 9: CoCoA's overall RTO inflates well past the path RTT as loss grows; CoAP's fixed 2-3 s timer reports no estimator (RTO 0)")
-	return t
-}
-
-// anemMedianRTT is the mean across a run's sensor flows of each flow's
-// median exchange RTT (ms); flows with no samples are skipped.
-func anemMedianRTT(run scenario.Result) float64 {
-	s, n := 0.0, 0
-	for _, fl := range run.Flows {
-		if fl.MedianRTTms > 0 {
-			s += fl.MedianRTTms
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-// anemRTO is the mean end-of-run RTO estimate (ms) across sensor flows
-// that keep one (CoCoA's overall estimator; plain CoAP reports 0).
-func anemRTO(run scenario.Result) float64 {
-	s, n := 0.0, 0
-	for _, fl := range run.Flows {
-		if fl.RTOms > 0 {
-			s += fl.RTOms
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-// anemRTOInflation is the run's RTO-to-median-RTT ratio — the Fig. 9
-// inflation factor (0 when either side is unmeasured).
-func anemRTOInflation(run scenario.Result) float64 {
-	rtt := anemMedianRTT(run)
-	if rtt <= 0 {
-		return 0
-	}
-	return anemRTO(run) / rtt
+	return pivot(o, "rto_inflation", "CoCoA RTO inflation vs injected loss", groups(res, 1), []column{
+		label("Loss", func(sr *scenario.SpecResult) string { return pct(sr.Spec.Net.InjectedLoss) }),
+		label("Protocol", protoName),
+		m("Reliability", 0, anemRel, pct), m("RTT p50 ms", 0, anemMedianRTT, f1),
+		m("RTO ms", 0, anemRTO, f1), m("RTO/RTT", 0, anemRTOInflation, f2),
+	}, "paper Fig. 9: CoCoA's overall RTO inflates well past the path RTT as loss grows; CoAP's fixed 2-3 s timer reports no estimator (RTO 0)")
 }

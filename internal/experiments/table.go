@@ -6,6 +6,12 @@
 // plots. cmd/tcplp-bench prints them; the root-level bench_test.go runs
 // them all from one table; each table's notes quote the paper's numbers
 // next to the measured ones.
+//
+// Every measured cell, -scenario's Summary included, is a run metric
+// (metrics.go) over a cell's seeds reduced by Opts.cell, and a renderer
+// is a column list over pivot; only fig7a, fig10 and the static tables
+// build a Table by hand. Columns stay in Go: a table block in a spec
+// would be one more construct for Validate and the spec fuzzer.
 package experiments
 
 import (
@@ -80,10 +86,18 @@ func (t *Table) String() string {
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s: %s\n\n", t.ID, t.Title)
-	b.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
+	// A cell may hold a spec's flow label: escape its pipes.
+	writeRow := func(cells []string) {
+		b.WriteString("|")
+		for _, c := range cells {
+			b.WriteString(" " + strings.ReplaceAll(c, "|", `\|`) + " |")
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(t.Columns)
 	b.WriteString("|" + strings.Repeat("---|", len(t.Columns)) + "\n")
 	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
+		writeRow(row)
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "\n*%s*\n", n)
@@ -91,12 +105,13 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
-func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
-func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-func di(v int) string      { return fmt.Sprintf("%d", v) }
+func f1(v float64) string   { return fmt.Sprintf("%.1f", v) }
+func f2(v float64) string   { return fmt.Sprintf("%.2f", v) }
+func f3(v float64) string   { return fmt.Sprintf("%.3f", v) }
+func f0(v float64) string   { return fmt.Sprintf("%.0f", v) }
+func pct(v float64) string  { return fmt.Sprintf("%.1f%%", v*100) }
+func pct2(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
+func di(v int) string       { return fmt.Sprintf("%d", v) }
 
 // cell renders one table cell from per-seed observations: a single
 // observation stays the plain point estimate, several render as
@@ -115,25 +130,63 @@ func (o Opts) cell(xs []float64, f func(float64) string) string {
 	return f(mean) + " ± " + f(sd)
 }
 
-// flowSeries collects one per-seed metric of flow fi across a spec's
-// runs, in seed order.
-func flowSeries(sr *scenario.SpecResult, fi int, f func(scenario.FlowResult) float64) []float64 {
-	out := make([]float64, len(sr.Runs))
-	for i, run := range sr.Runs {
-		out[i] = f(run.Flows[fi])
-	}
-	return out
+// A column is one header of a pivot table and how a row renders under
+// it, from the row's index and its group of cells.
+type column struct {
+	head string
+	cell func(o Opts, i int, row []*scenario.SpecResult) string
 }
 
-// runSeries collects one per-seed run-level metric across a spec's
-// runs, in seed order.
-func runSeries(sr *scenario.SpecResult, f func(scenario.Result) float64) []float64 {
-	out := make([]float64, len(sr.Runs))
-	for i, run := range sr.Runs {
-		out[i] = f(run)
+// pivot renders a table with one row per group of cells and one column
+// per entry of cols.
+func pivot(o Opts, id, title string, rows [][]*scenario.SpecResult, cols []column, notes ...string) *Table {
+	t := &Table{ID: id, Title: title, Notes: notes}
+	for _, c := range cols {
+		t.Columns = append(t.Columns, c.head)
 	}
-	return out
+	for i, row := range rows {
+		cells := make([]string, len(cols))
+		for j, c := range cols {
+			cells[j] = c.cell(o, i, row)
+		}
+		t.AddRow(cells...)
+	}
+	return t
 }
 
-// goodputOf is the most common flow metric selector.
-func goodputOf(f scenario.FlowResult) float64 { return f.GoodputKbps }
+// m is a column of metric over the row's j-th cell, one cell per row
+// reduced across seeds.
+func m(head string, j int, metric func(scenario.Result) float64, f func(float64) string) column {
+	return column{head, func(o Opts, _ int, row []*scenario.SpecResult) string {
+		return o.cell(series(row[j], metric), f)
+	}}
+}
+
+// label is a column of text about the row's first cell.
+func label(head string, f func(*scenario.SpecResult) string) column {
+	return column{head, func(_ Opts, _ int, row []*scenario.SpecResult) string { return f(row[0]) }}
+}
+
+// fixed is a column of given text: row i shows vals[i mod len(vals)].
+func fixed(head string, vals ...string) column {
+	return column{head, func(_ Opts, i int, _ []*scenario.SpecResult) string { return vals[i%len(vals)] }}
+}
+
+// groups splits cells into rows of k consecutive cells.
+func groups(cells []*scenario.SpecResult, k int) [][]*scenario.SpecResult {
+	var rows [][]*scenario.SpecResult
+	for i := 0; i+k <= len(cells); i += k {
+		rows = append(rows, cells[i:i+k])
+	}
+	return rows
+}
+
+// zip pairs the two halves of cells: row i is the i-th cell of each.
+func zip(cells []*scenario.SpecResult) [][]*scenario.SpecResult {
+	a, b := cells[:len(cells)/2], cells[len(cells)/2:]
+	rows := make([][]*scenario.SpecResult, len(a))
+	for i := range a {
+		rows[i] = []*scenario.SpecResult{a[i], b[i]}
+	}
+	return rows
+}

@@ -216,9 +216,6 @@ func TestGatewayRunEndToEnd(t *testing.T) {
 	if run.Gateway.ActiveConns != 3 {
 		t.Fatalf("active connections = %d, want 3: %+v", run.Gateway.ActiveConns, run.Gateway)
 	}
-	if sr.Agg.CreditJainMean <= 0 {
-		t.Fatalf("aggregate credit jain = %v", sr.Agg.CreditJainMean)
-	}
 }
 
 // TestGatewaySerialParallelIdentical extends the runner's bit-identity
@@ -237,9 +234,6 @@ func TestGatewaySerialParallelIdentical(t *testing.T) {
 	if !reflect.DeepEqual(serial.Runs, parallel.Runs) {
 		t.Fatalf("serial and parallel gateway runs differ:\nserial:   %+v\nparallel: %+v",
 			serial.Runs, parallel.Runs)
-	}
-	if !reflect.DeepEqual(serial.Agg, parallel.Agg) {
-		t.Fatalf("aggregates differ:\nserial:   %+v\nparallel: %+v", serial.Agg, parallel.Agg)
 	}
 	if reflect.DeepEqual(serial.Runs[0].Flows, serial.Runs[1].Flows) {
 		t.Fatal("different seeds produced identical gateway results")

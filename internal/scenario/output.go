@@ -61,70 +61,30 @@ func WriteCSV(w io.Writer, results []*SpecResult) error {
 	return cw.Error()
 }
 
-// WriteJSON emits the full result set — specs, per-seed runs, and
-// aggregates — as indented JSON.
+// WriteJSON emits the full result set — specs and per-seed runs — as
+// indented JSON.
 func WriteJSON(w io.Writer, results []*SpecResult) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(results)
 }
 
-// Summary renders a spec's aggregate as aligned plain text: one line
-// per flow plus the fairness line.
-func (sr *SpecResult) Summary() string {
+// Waterfall renders the latency waterfall of each flow of the spec's
+// first run that carries a journey report (-journey) under a header; ""
+// when none does. One seed keeps it bounded: the full per-seed
+// attribution is in the JSON output.
+func (sr *SpecResult) Waterfall() string {
 	var b strings.Builder
-	name := sr.Spec.Name
-	if name == "" {
-		name = "(unnamed)"
-	}
-	fmt.Fprintf(&b, "== scenario %s: %d flow(s) x %d seed(s) ==\n",
-		name, len(sr.Agg.Flows), len(sr.Runs))
-	for _, fa := range sr.Agg.Flows {
-		kind := fa.Variant
-		if kind == "" {
-			kind = fa.Protocol
-		} else if fa.Protocol != "" && fa.Protocol != "tcp" {
-			kind = fa.Protocol + "/" + fa.Variant
+	r0 := sr.Runs[0]
+	for _, fl := range r0.Flows {
+		if fl.Journey == nil {
+			continue
 		}
-		fmt.Fprintf(&b, "  %-24s %-9s %7.1f kb/s (±%.1f, min %.1f, max %.1f)  rtx %.1f  rto %.1f  srtt %.0f ms  radio %.2f%%",
-			fa.Label, kind, fa.GoodputMeanKbps, fa.GoodputStdKbps,
-			fa.GoodputMinKbps, fa.GoodputMaxKbps, fa.RetransmitsMean,
-			fa.TimeoutsMean, fa.SRTTMeanMs, fa.RadioDCMean*100)
-		if fa.Pattern == PatternAnemometer {
-			fmt.Fprintf(&b, "  deliv %.1f%%  lat p50 %.0f ms p99 %.0f ms",
-				fa.DeliveryMean*100, fa.LatencyP50MeanMs, fa.LatencyP99MeanMs)
+		if b.Len() == 0 {
+			fmt.Fprintf(&b, "  packet journeys (seed %d):\n", r0.Seed)
 		}
-		if fa.Gateway {
-			fmt.Fprintf(&b, "  e2e %.1f%%  share %.3f",
-				fa.E2EDeliveryMean*100, fa.CreditShareMean)
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "  jain %.3f (min %.3f)  aggregate %.1f kb/s\n",
-		sr.Agg.JainMean, sr.Agg.JainMin, sr.Agg.AggregateMeanKbps)
-	if len(sr.Runs) > 0 && sr.Runs[0].Gateway != nil {
-		fmt.Fprintf(&b, "  gateway: credit jain %.3f (min %.3f)  wan drops %.1f  queue max %.1f\n",
-			sr.Agg.CreditJainMean, sr.Agg.CreditJainMin,
-			sr.Agg.WANDropsMean, sr.Agg.WANQueueMaxMean)
-	}
-	// With -journey on, each flow carries its latency waterfall; render
-	// the first run's (one seed keeps the summary bounded — the full
-	// per-seed attribution is in the JSON output).
-	if len(sr.Runs) > 0 {
-		r0 := sr.Runs[0]
-		printed := false
-		for i := range r0.Flows {
-			jf := r0.Flows[i].Journey
-			if jf == nil {
-				continue
-			}
-			if !printed {
-				fmt.Fprintf(&b, "  packet journeys (seed %d):\n", r0.Seed)
-				printed = true
-			}
-			for _, line := range strings.Split(strings.TrimRight(jf.Waterfall(), "\n"), "\n") {
-				fmt.Fprintf(&b, "    %s\n", line)
-			}
+		for _, line := range strings.Split(strings.TrimRight(fl.Journey.Waterfall(), "\n"), "\n") {
+			fmt.Fprintf(&b, "    %s\n", line)
 		}
 	}
 	return b.String()

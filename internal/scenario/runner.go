@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"tcplp/internal/obs/journey"
-	"tcplp/internal/stats"
 )
 
 // CwndPoint is one congestion-window observation of a traced flow.
@@ -138,56 +137,17 @@ func (r *Result) layer(layer, metric string) float64 {
 	return 0
 }
 
-// FlowAggregate summarizes one flow across a spec's seeds.
-type FlowAggregate struct {
-	Label            string  `json:"label"`
-	Gateway          bool    `json:"gateway,omitempty"`
-	Protocol         string  `json:"protocol"`
-	Variant          string  `json:"variant,omitempty"`
-	Pattern          string  `json:"pattern"`
-	GoodputMeanKbps  float64 `json:"goodput_mean_kbps"`
-	GoodputStdKbps   float64 `json:"goodput_std_kbps"`
-	GoodputMinKbps   float64 `json:"goodput_min_kbps"`
-	GoodputMaxKbps   float64 `json:"goodput_max_kbps"`
-	RetransmitsMean  float64 `json:"retransmits_mean"`
-	TimeoutsMean     float64 `json:"timeouts_mean"`
-	SRTTMeanMs       float64 `json:"srtt_mean_ms"`
-	DeliveryMean     float64 `json:"delivery_mean"`
-	LatencyP50MeanMs float64 `json:"lat_p50_mean_ms"`
-	LatencyP99MeanMs float64 `json:"lat_p99_mean_ms"`
-	// Gateway-flow across-seed means (zero for direct flows).
-	E2EDeliveryMean float64 `json:"e2e_delivery_mean,omitempty"`
-	CreditShareMean float64 `json:"credit_share_mean,omitempty"`
-	RadioDCMean     float64 `json:"radio_dc_mean"`
-	CPUDCMean       float64 `json:"cpu_dc_mean"`
-}
-
-// Aggregate summarizes a spec across its seeds.
-type Aggregate struct {
-	Flows             []FlowAggregate `json:"flows"`
-	JainMean          float64         `json:"jain_mean"`
-	JainMin           float64         `json:"jain_min"`
-	AggregateMeanKbps float64         `json:"aggregate_mean_kbps"`
-	// Gateway-tier across-seed summaries of a gateway spec: fairness
-	// over per-source cloud credits and WAN pressure.
-	CreditJainMean  float64 `json:"credit_jain_mean,omitempty"`
-	CreditJainMin   float64 `json:"credit_jain_min,omitempty"`
-	WANDropsMean    float64 `json:"wan_drops_mean,omitempty"`
-	WANQueueMaxMean float64 `json:"wan_queue_max_mean,omitempty"`
-}
-
-// SpecResult is one spec's runs (in seed order) plus their aggregate.
+// SpecResult is one spec's runs, in seed order.
 type SpecResult struct {
-	Spec *Spec     `json:"spec"`
-	Runs []Result  `json:"runs"`
-	Agg  Aggregate `json:"aggregate"`
+	Spec *Spec    `json:"spec"`
+	Runs []Result `json:"runs"`
 }
 
 // Runner executes specs across a worker pool. Each (spec, seed) pair is
 // an independent simulation — its own engine, channel, and stacks — so
-// the pool only changes wall-clock time, never results: aggregates are
-// computed in (spec, seed) order after every run completes, and a
-// serial run (Workers=1) is bit-identical to a parallel one.
+// the pool only changes wall-clock time, never results: each run lands
+// in its (spec, seed) slot, and a serial run (Workers=1) is
+// bit-identical to a parallel one.
 type Runner struct {
 	// Workers bounds concurrent runs; 0 uses all CPUs.
 	Workers int
@@ -259,81 +219,5 @@ func (r *Runner) RunAll(specs []*Spec) ([]*SpecResult, error) {
 			return nil, err
 		}
 	}
-	for _, sr := range out {
-		sr.Agg = aggregate(sr.Runs)
-	}
 	return out, nil
-}
-
-// aggregate folds a spec's per-seed runs into across-seed summaries,
-// always iterating in seed order so the result is independent of run
-// completion order.
-func aggregate(runs []Result) Aggregate {
-	agg := Aggregate{}
-	if len(runs) == 0 {
-		return agg
-	}
-	nFlows := len(runs[0].Flows)
-	var jain, total stats.Sample
-	for fi := 0; fi < nFlows; fi++ {
-		var goodput, rtx, rto, srtt, deliv, p50, p99, e2e, share, radio, cpu stats.Sample
-		for _, run := range runs {
-			f := run.Flows[fi]
-			goodput.Add(f.GoodputKbps)
-			rtx.Add(float64(f.Retransmits))
-			rto.Add(float64(f.Timeouts))
-			srtt.Add(f.SRTTms)
-			deliv.Add(f.DeliveryRatio)
-			p50.Add(f.LatencyP50ms)
-			p99.Add(f.LatencyP99ms)
-			e2e.Add(f.E2EDeliveryRatio)
-			share.Add(f.CreditShare)
-			radio.Add(f.RadioDC)
-			cpu.Add(f.CPUDC)
-		}
-		agg.Flows = append(agg.Flows, FlowAggregate{
-			Label:            runs[0].Flows[fi].Label,
-			Gateway:          runs[0].Flows[fi].Gateway,
-			Protocol:         runs[0].Flows[fi].Protocol,
-			Variant:          runs[0].Flows[fi].Variant,
-			Pattern:          runs[0].Flows[fi].Pattern,
-			GoodputMeanKbps:  goodput.Mean(),
-			GoodputStdKbps:   goodput.StdDev(),
-			GoodputMinKbps:   goodput.Min(),
-			GoodputMaxKbps:   goodput.Max(),
-			RetransmitsMean:  rtx.Mean(),
-			TimeoutsMean:     rto.Mean(),
-			SRTTMeanMs:       srtt.Mean(),
-			DeliveryMean:     deliv.Mean(),
-			LatencyP50MeanMs: p50.Mean(),
-			LatencyP99MeanMs: p99.Mean(),
-			RadioDCMean:      radio.Mean(),
-			CPUDCMean:        cpu.Mean(),
-		})
-		if runs[0].Flows[fi].Gateway {
-			agg.Flows[fi].E2EDeliveryMean = e2e.Mean()
-			agg.Flows[fi].CreditShareMean = share.Mean()
-		}
-	}
-	for _, run := range runs {
-		jain.Add(run.Jain)
-		total.Add(run.AggregateKbps)
-	}
-	agg.JainMean = jain.Mean()
-	agg.JainMin = jain.Min()
-	agg.AggregateMeanKbps = total.Mean()
-	if runs[0].Gateway != nil {
-		var cj, drops, qmax stats.Sample
-		for _, run := range runs {
-			g := run.Gateway
-			cj.Add(g.CreditJain)
-			drops.Add(float64(g.WANQueueDrops + g.WANLossDrops))
-			qmax.Add(float64(g.WANQueueMax))
-		}
-		agg.CreditJainMean = cj.Mean()
-		agg.CreditJainMin = cj.Min()
-		agg.WANDropsMean = drops.Mean()
-		agg.WANQueueMaxMean = qmax.Mean()
-	}
-	return agg
 }

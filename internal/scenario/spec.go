@@ -4,7 +4,7 @@
 // window, application pattern); a Runner instantiates every
 // (spec, seed) pair onto the sim/phy/mac/stack layers, fans the runs
 // out across a worker pool — each seed's engine is independent, so
-// parallelism is deterministic — and aggregates per-flow goodput,
+// parallelism is deterministic — and reports each run's per-flow goodput,
 // retransmissions, RTT, energy duty cycle, and Jain's fairness index.
 //
 // Specs are JSON-serializable, so a sweep is data, not a bespoke

@@ -56,9 +56,6 @@ func (s *Sample) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
-// Min returns the smallest observation.
-func (s *Sample) Min() float64 { return s.Quantile(0) }
-
 // Max returns the largest observation.
 func (s *Sample) Max() float64 { return s.Quantile(1) }
 
@@ -79,16 +76,6 @@ func JainIndex(xs []float64) float64 {
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	_, sd := MeanStdDev(s.xs)
-	return sd
-}
-
-// CI95 returns the half-width of the Student-t 95% confidence interval
-// of the mean; 0 for fewer than two observations.
-func (s *Sample) CI95() float64 { return CI95(s.xs) }
 
 // MeanStdDev returns the arithmetic mean and population standard
 // deviation of xs in one pass (0, 0 for an empty input).
