@@ -8,7 +8,9 @@
 // are bit-identical), and the capture flags (-journey, -events-out,
 // -trace-out, …) work in both modes. A -scenario summary is one more
 // table per cell, printed the same way, so -markdown and -ci work in
-// both modes too.
+// both modes too. -manifest-out writes what each run of a -scenario cost
+// the simulator (scenario.Manifest), one JSON object per run, and leaves
+// the printed results as they are without it.
 //
 // -scale, -seeds, -variant, -window, -warmup and -duration rewrite the
 // specs before they run, the same way in both modes (scenario.Rewrite):
@@ -34,6 +36,7 @@
 //	tcplp-bench -scenario examples/scenarios/interference.json   # TCP vs CoAP
 //	tcplp-bench -scenario sweep.json -workers 8 -format csv > out.csv
 //	tcplp-bench -scenario spec.json -duration 5s -warmup 1s  # smoke run
+//	tcplp-bench -scenario spec.json -workers 1 -manifest-out runs.ndjson  # phase times, counters
 //
 // Scale 1.0 runs the full published durations (the fig10/table8 day-long
 // runs take a while); smaller scales shrink the measurement windows
@@ -41,6 +44,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,6 +87,7 @@ func main() {
 		metrIntv = flag.String("metrics-interval", "", "sample per-layer metrics into -events-out at this period (e.g. 10s)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after GC) to this file")
+		manifOut = flag.String("manifest-out", "", "write each -scenario run's manifest (identity, wall-clock and allocations per phase, engine and channel counters) to this file, one JSON object per run")
 	)
 	flag.Parse()
 
@@ -124,6 +129,9 @@ func main() {
 	}
 	if *evOut == "" && (*evLayers != "" || *evFlows != "") {
 		refuse("-events-layers/-events-flow need -events-out to filter")
+	}
+	if *manifOut != "" && *scenFile == "" {
+		refuse("-manifest-out needs -scenario")
 	}
 	var metrics scenario.Duration
 	if *metrIntv != "" {
@@ -188,7 +196,11 @@ func main() {
 	}
 
 	defer startProfiles(*cpuProf, *memProf)()
-	oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, metrics, *jrny, *jrnyOut)
+	oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, metrics, *jrny, *jrnyOut, *manifOut != "")
+	var manifests *os.File
+	if *manifOut != "" {
+		manifests = create(*manifOut)
+	}
 	// Every traced run goes through the conformance checker.
 	var jt *journeyTotals
 	if oc != nil && (oc.Journey || oc.JourneyOut != nil) {
@@ -202,7 +214,7 @@ func main() {
 		render = (*experiments.Table).Markdown
 	}
 	if *scenFile != "" {
-		runScenario(cells, opts, *format, render)
+		runScenario(cells, opts, *format, render, manifests)
 	} else {
 		for _, e := range todo {
 			fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Desc)
@@ -300,15 +312,16 @@ func parseDur(flagName, s string) scenario.Duration {
 
 // buildObsConfig creates the capture files and assembles the scenario
 // runner's observability config from checked flags; nil when no capture
-// was requested. The returned finish func flushes
+// or manifest was requested. The returned finish func flushes
 // deferred writers (the Chrome trace's closing bracket) and must run
 // after the scenario completes.
-func buildObsConfig(traceOut, evOut, evLayers, evFlows string, metrics scenario.Duration, jrny bool, jrnyOut string) (*scenario.ObsConfig, func()) {
+func buildObsConfig(traceOut, evOut, evLayers, evFlows string, metrics scenario.Duration, jrny bool, jrnyOut string, manifest bool) (*scenario.ObsConfig, func()) {
 	finish := func() {}
-	if traceOut == "" && evOut == "" && !jrny && jrnyOut == "" {
+	if traceOut == "" && evOut == "" && !jrny && jrnyOut == "" && !manifest {
 		return nil, finish
 	}
 	oc := &scenario.ObsConfig{
+		Manifest:        manifest,
 		Journey:         jrny,
 		EventLayers:     splitList(evLayers),
 		EventFlows:      splitList(evFlows),
@@ -402,8 +415,9 @@ func splitList(s string) []string {
 
 // runScenario fans the cells out across the worker pool and prints the
 // results in the requested format: a summary is each cell's table, as
-// -exp prints one, then its journey waterfalls.
-func runScenario(cells []*scenario.Spec, o experiments.Opts, format string, render func(*experiments.Table) string) {
+// -exp prints one, then its journey waterfalls. With manifests, each
+// run's manifest goes there first, and out of the printed results.
+func runScenario(cells []*scenario.Spec, o experiments.Opts, format string, render func(*experiments.Table) string, manifests *os.File) {
 	nRuns := 0
 	for _, s := range cells {
 		nRuns += max(len(s.Seeds), 1)
@@ -413,6 +427,12 @@ func runScenario(cells []*scenario.Spec, o experiments.Opts, format string, rend
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	if manifests != nil {
+		if err := writeManifests(manifests, results); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 	switch format {
 	case "summary":
@@ -428,4 +448,20 @@ func runScenario(cells []*scenario.Spec, o experiments.Opts, format string, rend
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// writeManifests writes every run's manifest to f, one JSON object per
+// line in cell and seed order, clears it from the run, and closes f.
+func writeManifests(f *os.File, results []*scenario.SpecResult) error {
+	enc := json.NewEncoder(f)
+	for _, sr := range results {
+		for i := range sr.Runs {
+			if err := enc.Encode(sr.Runs[i].Manifest); err != nil {
+				f.Close()
+				return err
+			}
+			sr.Runs[i].Manifest = nil
+		}
+	}
+	return f.Close()
 }

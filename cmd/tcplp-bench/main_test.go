@@ -85,6 +85,7 @@ func TestRefusedFlagsKeepOutputFiles(t *testing.T) {
 		{"-exp", "nosuch", "-cpuprofile", out},
 		{"-exp", "fig4", "-journey-out", out, "-events-out", ev, "-window", "3000000"},
 		{"-exp", "all", "-journey-out", out, "-seeds", "5000"},
+		{"-exp", "fig4", "-journey-out", out, "-manifest-out", ev},
 	} {
 		code, stdout, stderr := run(args...)
 		if code != 1 || stdout != "" {
@@ -133,11 +134,25 @@ func TestCaptureIsBitNeutral(t *testing.T) {
 		{"-events-out", f("l.ndjson"), "-events-layers", "tcp", "-events-flow", "anem"},
 		{"-events-out", f("m.ndjson"), "-metrics-interval", "1s"},
 		{"-trace-out", f("p.pcapng")},
+		{"-manifest-out", f("runs.ndjson")},
 		all,
 	} {
 		if got := output(capture...); got != plain {
 			t.Errorf("%v perturbed the run:\nplain:    %s\ncaptured: %s", capture, plain, got)
 		}
+	}
+	// One manifest per run, for the run named.
+	b, err := os.ReadFile(f("runs.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Spec   string
+		Phases []struct{ Name string }
+		Events uint64
+	}
+	if lines := bytes.Count(b, []byte("\n")); lines != 1 || json.Unmarshal(b, &m) != nil || m.Spec != "probe" || len(m.Phases) != 3 || m.Events == 0 {
+		t.Errorf("-manifest-out wrote %q, want one manifest of the probe run", b)
 	}
 	if b, err := os.ReadFile(f("m.ndjson")); err != nil || bytes.Count(b, []byte(`"type":"metrics"`)) != 4 {
 		t.Errorf("-metrics-interval 1s over a 4 s window: want 4 samples in the event file (err %v)", err)

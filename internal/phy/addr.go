@@ -9,14 +9,27 @@
 //
 // # Hot state and frame filter
 //
-// A transmission is paid for once per radio that senses it, at frame start
-// and again at frame end, so what those two loops touch per radio decides
-// what a dense network costs to simulate. Everything they read or write
-// lives in one radioHot entry per radio, in a channel-owned slice indexed
-// by registration index: the radio's state and its per-state time
-// accumulators, the count of sensed on-air transmissions, the reception in
-// progress (the transmission's serial number, not a pointer to it) with
-// its corrupted flag, the frames-received and receptions-dropped counters,
+// A transmission costs two walks of its sender's sensed neighbors and one
+// of the radios that locked onto it. Frame start walks every sensed
+// neighbor: it raises the neighbor's sensed energy, corrupts a reception
+// in progress, and locks a lone listener that can decode the frame, linking
+// it onto the frame's locked list in neighbor order. Frame end walks the
+// same snapshot once more to drop the energy, then resolves receptions
+// over the locked list alone: a metro radio senses some 85 neighbors per
+// frame, about half of them lock on, and fewer than one wants the frame.
+// The list is exact because only frame start sets a reception's serial,
+// and a locked radio that slept or transmitted mid-frame has cleared it
+// (-tags invariants checks the list against the full snapshot walk). The
+// frame's end is the continuation of the sender's txDone event
+// (sim.Engine.Then), not a queue entry of its own.
+//
+// So what those loops touch per radio decides what a dense network costs
+// to simulate. Everything they read or write lives in one radioHot entry
+// per radio, in a channel-owned slice indexed by registration index: the
+// radio's state and its per-state time accumulators, the count of sensed
+// on-air transmissions, the reception in progress (the transmission's
+// serial number, not a pointer to it) with its corrupted flag and its link
+// in the locked list, the frames-received and receptions-dropped counters,
 // and the two filter bits below. An entry is 64 bytes and pointer-free —
 // one cache line per sensed neighbor, nothing for the collector to scan or
 // write-barrier — and Radio's accessors (State, TimeIn, DutyCycle,

@@ -14,8 +14,9 @@ import (
 // nothing.
 //
 // The on-air bytes belong to the transmission: beginTx copies the
-// sender's frame into buf, and data is a slice of it. The sender's
-// OnTxDone fires before endTx at the same timestamp, so a MAC may reuse
+// sender's frame into buf, and data is a slice of it. endTx is the
+// continuation of the sender's txDone event (sim.Engine.Then), so the
+// sender's OnTxDone fires first at the same timestamp, and a MAC may reuse
 // its frame buffer for the next frame before this one's receivers have
 // been handed the bytes.
 type transmission struct {
@@ -27,6 +28,10 @@ type transmission struct {
 	jid    int64      // journey packet id snapshot (metadata; 0 = untagged)
 	serial uint32     // what a receiver's radioHot.rx holds while locked onto this frame
 	nbrs   []nbrEntry // sender's sensed-neighbor snapshot at frame start
+	// locked is 1 + the registration index of the first radio beginTx
+	// locked onto this frame (0 = none); each locked radio's
+	// radioHot.lockNext links the next, in neighbor order.
+	locked int32
 	endFn  func()
 	next   *transmission // pool free list
 }
@@ -55,10 +60,16 @@ type radioHot struct {
 	rxDropped  uint64
 	sensed     int32  // on-air transmissions from sensed neighbors
 	rx         uint32 // serial of the transmission being received (0 = none)
-	state      State
-	corrupted  bool // the reception in progress overlapped other energy
-	filter     bool // address recognition on (Radio.SetAddressFilter)
-	ackWait    bool // the MAC is awaiting an immediate ACK (Radio.SetAckWait)
+	// lockNext links the radios a frame's beginTx locked onto
+	// (transmission.locked): 1 + the next one's registration index, 0 at
+	// the end. A radio is on one frame's list at a time: until that frame
+	// ends, its energy keeps sensed above zero, and beginTx locks only a
+	// radio that senses nothing else.
+	lockNext  int32
+	state     State
+	corrupted bool // the reception in progress overlapped other energy
+	filter    bool // address recognition on (Radio.SetAddressFilter)
+	ackWait   bool // the MAC is awaiting an immediate ACK (Radio.SetAckWait)
 }
 
 func (h *radioHot) setState(s State, now sim.Time) {
@@ -127,10 +138,12 @@ func (h *radioHot) wants(idx, dst int32) bool {
 //     beyond collisions.
 //
 // Who senses whom is asked of the propagation model once per topology
-// (neighbors) and cached per radio, so a transmission costs O(neighbors):
-// it walks its sender's list at frame start, raising each neighbor's
-// sensed-energy counter, and the same snapshot at frame end, so a radio
-// moved mid-frame changes sensing from the next frame on, under any model.
+// (neighbors) and cached per radio. A transmission walks its sender's list
+// at frame start, raising each neighbor's sensed-energy counter and
+// locking the listeners that can decode it, and the same snapshot at frame
+// end to drop the energy again, so a radio moved mid-frame changes sensing
+// from the next frame on, under any model. Receptions are then resolved
+// over the locked radios only.
 type Channel struct {
 	eng    *sim.Engine
 	prop   Propagation
@@ -151,6 +164,7 @@ type Channel struct {
 	grid        *CellGrid
 	gridVersion uint64
 	nbrScratch  []nbrEntry // where neighbors collects a list before sizing it
+	cnt         Counters
 
 	// PER returns the probability that a frame from src to dst is
 	// corrupted despite no collision. Nil means a perfect channel.
@@ -161,6 +175,23 @@ type Channel struct {
 	// perturb a run.
 	Trace *obs.Trace
 }
+
+// Counters is what the channel's per-frame loops did over a run, for the
+// run manifest. Each is one integer add on a path the channel takes
+// anyway.
+type Counters struct {
+	// Frames counts transmissions put on air, noise included.
+	Frames uint64 `json:"frames"`
+	// SensedVisits counts the sensed-neighbor entries frame starts walked;
+	// frame ends walk each snapshot once more to drop its energy.
+	SensedVisits uint64 `json:"sensed_visits"`
+	// Resolved counts receptions resolved at frame end: a locked radio
+	// still on the frame, collided, lost to PER or decoded.
+	Resolved uint64 `json:"resolved"`
+}
+
+// Counters returns the channel's counters so far.
+func (c *Channel) Counters() Counters { return c.cnt }
 
 // NewChannel returns an empty channel using the given propagation model.
 func NewChannel(eng *sim.Engine, prop Propagation) *Channel {
@@ -337,7 +368,10 @@ func (c *Channel) beginTx(sender *Radio, data []byte, air sim.Duration) {
 
 	nbrs := c.neighbors(sender)
 	t.nbrs = nbrs
+	c.cnt.Frames++
+	c.cnt.SensedVisits += uint64(len(nbrs))
 	hot := c.hot
+	link := &t.locked // where the next locked radio's index goes
 	for _, nb := range nbrs {
 		h := &hot[nb.idx]
 		h.sensed++
@@ -349,11 +383,15 @@ func (c *Channel) beginTx(sender *Radio, data []byte, air sim.Duration) {
 			// radio's own frames never count toward its own sensing).
 			if decodable && nb.connected && h.sensed == 1 {
 				h.beginRx(t.serial, now)
+				*link = nb.idx + 1
+				link = &h.lockNext
 			}
 		}
 	}
+	*link = 0
 
-	c.eng.Schedule(air, t.endFn)
+	// The frame ends when the sender's txDone fires, right after it.
+	c.eng.Then(sender.txDone, t.endFn)
 }
 
 // endTx resolves all receptions of t and removes it from the air.
@@ -365,10 +403,17 @@ func (c *Channel) endTx(t *transmission) {
 	for _, nb := range t.nbrs {
 		hot[nb.idx].sensed--
 	}
-	for _, nb := range t.nbrs {
+	c.checkLocked(t)
+	// Only a radio beginTx locked can hold t's serial, so walking the
+	// locked list visits every receiver the full snapshot would, in the
+	// same (neighbor) order. One that slept or started transmitting since
+	// has let go of t: rx no longer matches.
+	for i := t.locked; i != 0; {
+		idx := i - 1
 		// c.hot afresh each time: a callback may have added a radio.
-		if c.hot[nb.idx].rx == t.serial {
-			c.endRx(nb.idx, t, dst)
+		i = c.hot[idx].lockNext
+		if c.hot[idx].rx == t.serial {
+			c.endRx(idx, t, dst)
 		}
 	}
 	c.releaseTx(t)
@@ -380,6 +425,7 @@ func (c *Channel) endTx(t *transmission) {
 // trace events. Only the copy into the receive buffer and the call upward
 // depend on whether the radio wants a frame for dst.
 func (c *Channel) endRx(idx int32, t *transmission, dst int32) {
+	c.cnt.Resolved++
 	h := &c.hot[idx]
 	now := c.eng.Now()
 	// PER is asked about every locked receiver, collided or not: callers

@@ -1,6 +1,8 @@
 package phy
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -377,5 +379,81 @@ func TestInterfererBurstAllocs(t *testing.T) {
 	}
 	if allocs > 4*perRun {
 		t.Fatalf("%.0f allocations per run for %.0f bursts of %.0f frames: want O(bursts)", allocs, perRun, frames)
+	}
+}
+
+// A radio that locked onto a frame and then slept or started transmitting
+// before its end has let go of it: the frame's end resolves only the
+// receivers still on it, and asks PER about nothing else.
+func TestLetGoReceiverNotResolved(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := NewGraph()
+	ch := NewChannel(eng, g)
+	for id := 0; id < 4; id++ {
+		ch.AddRadio(id, Point{}).SetListen(true)
+		if id > 0 {
+			g.AddLink(0, id)
+		}
+	}
+	rs := ch.Radios()
+	a, sleeper, talker, keeper := rs[0], rs[1], rs[2], rs[3]
+	var asked []int
+	ch.PER = func(_, dst *Radio) float64 { asked = append(asked, dst.ID()); return 0 }
+	got := map[int]int{}
+	for _, r := range rs[1:] {
+		r := r
+		r.OnReceive = func([]byte) { got[r.ID()]++ }
+	}
+	frame := (&Frame{Type: FrameData, Dst: BroadcastAddr, Src: a.Addr(), Payload: make([]byte, 60)}).Encode()
+	a.Transmit(frame)
+	mid := LoadTime(len(frame)) + AirTime(len(frame))/2
+	eng.Schedule(mid, func() {
+		for _, r := range rs[1:] {
+			if r.State() != StateRx {
+				t.Fatalf("radio %d is %v mid-frame, want rx", r.ID(), r.State())
+			}
+		}
+		sleeper.SetListen(false)
+		talker.Transmit(make([]byte, 10))
+	})
+	eng.Run()
+	if fmt.Sprint(asked) != "[3]" || got[keeper.ID()] != 1 || len(got) != 1 {
+		t.Fatalf("PER asked about %v, frames handed up %v: want only radio 3", asked, got)
+	}
+	if c := ch.Counters(); c.Frames != 2 || c.Resolved != 1 {
+		t.Fatalf("counters %+v: want 2 frames on air, 1 reception resolved", c)
+	}
+	for _, r := range []*Radio{sleeper, talker} {
+		if r.FramesReceived() != 0 || r.ReceptionsDropped() != 1 {
+			t.Fatalf("radio %d: received %d, dropped %d; want 0 and 1", r.ID(), r.FramesReceived(), r.ReceptionsDropped())
+		}
+	}
+}
+
+// TestLockedSetAllocs: a frame that 48 listeners lock onto costs no
+// allocation to resolve. The locked set is a list threaded through the
+// listeners' own entries, so it neither grows per frame nor per
+// transmission object.
+func TestLockedSetAllocs(t *testing.T) {
+	const listeners = 48
+	eng := sim.NewEngine(1)
+	ch := NewChannel(eng, NewUnitDisk(1.0, 1.5))
+	ch.Reserve(listeners + 1)
+	sender := ch.AddRadio(0, Point{})
+	sender.SetListen(true)
+	for i := 1; i <= listeners; i++ {
+		angle := 2 * math.Pi * float64(i) / listeners
+		ch.AddRadio(i, Point{X: 0.4 * math.Cos(angle), Y: 0.4 * math.Sin(angle)}).SetListen(true)
+	}
+	frame := (&Frame{Type: FrameData, Dst: BroadcastAddr, Src: sender.Addr(), Payload: make([]byte, 80)}).Encode()
+	send := func() { sender.Transmit(frame); eng.Run() }
+	send() // neighbor list, transmit closures, transmission object, event pool
+	before := ch.Counters()
+	const runs = 20
+	if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
+		t.Fatalf("%.1f allocations per frame, want 0", allocs)
+	}
+	if got := ch.Counters().Resolved - before.Resolved; got != (runs+1)*listeners {
+		t.Fatalf("%d receptions resolved over %d frames, want %d each", got, runs+1, listeners)
 	}
 }

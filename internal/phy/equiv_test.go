@@ -25,10 +25,16 @@ func unitDisk(txRange, senseRange float64, allPairs bool) phy.Propagation {
 }
 
 // phyTrace runs scripted contending traffic over topo and returns a full
-// delivery/collision trace: every frame handed up (receiver, size, time)
-// plus each radio's sent/received/dropped counters. The per-link PER draw
-// consumes the shared engine RNG, so the trace also proves the delivery
-// *iteration order* matches — any reordering desynchronizes the stream.
+// delivery/collision trace: every reception resolved at a frame's end
+// (sender, receiver, time: the PER model is asked once per resolved
+// receiver), every frame handed up (receiver, size, time) plus each
+// radio's sent/received/dropped counters. The per-link PER draw consumes
+// the shared engine RNG, so the trace also proves the delivery *iteration
+// order* matches — any reordering desynchronizes the stream — and the
+// resolutions of one frame's end must come in neighbor (here: id) order.
+// Radios also sleep for a moment at scripted times, and transmit whenever
+// the script says, so receivers let go of frames mid-air and must not be
+// resolved.
 //
 // With filtered set, every radio recognises addresses and the script puts
 // real frames on air — unicast to a random node, broadcast, ACKs and
@@ -38,8 +44,20 @@ func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute, filtered bool
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	ch := phy.NewChannel(eng, unitDisk(topo.TxRange, topo.SenseRange, brute))
-	ch.PER = func(src, dst *phy.Radio) float64 { return 0.05 }
 	var trace strings.Builder
+	var lastSrc, lastDst int
+	var lastAt sim.Time
+	ch.PER = func(src, dst *phy.Radio) float64 {
+		if src.ID() == lastSrc && eng.Now() == lastAt && dst.ID() <= lastDst {
+			t.Fatalf("frame from %d at %d: resolved receiver %d after %d, want neighbor order", src.ID(), lastAt, dst.ID(), lastDst)
+		}
+		if dst.State() != phy.StateRx {
+			t.Fatalf("frame from %d at %d: resolved receiver %d in state %v", src.ID(), eng.Now(), dst.ID(), dst.State())
+		}
+		lastSrc, lastDst, lastAt = src.ID(), dst.ID(), eng.Now()
+		fmt.Fprintf(&trace, "resolve %d→%d at %d\n", src.ID(), dst.ID(), eng.Now())
+		return 0.05
+	}
 	radios := make([]*phy.Radio, topo.N())
 	for i, p := range topo.Positions {
 		r := ch.AddRadio(i, p)
@@ -76,6 +94,24 @@ func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute, filtered bool
 				r.Transmit(frame)
 			}
 		})
+		if k%4 == 0 {
+			// r's nearest radio naps from the middle of r's frame.
+			near, best := -1, 0.0
+			for j, p := range topo.Positions {
+				dx, dy := p.X-topo.Positions[r.ID()].X, p.Y-topo.Positions[r.ID()].Y
+				if d := dx*dx + dy*dy; j != r.ID() && (near < 0 || d < best) {
+					near, best = j, d
+				}
+			}
+			sleeper := radios[near]
+			mid := at + sim.Time(phy.LoadTime(len(frame))+phy.AirTime(len(frame))/2)
+			nap := sim.Duration(script.Int63n(int64(3 * sim.Millisecond)))
+			eng.At(mid, func() {
+				fmt.Fprintf(&trace, "nap %d while %v at %d\n", sleeper.ID(), sleeper.State(), eng.Now())
+				sleeper.SetListen(false)
+				eng.Schedule(nap, func() { sleeper.SetListen(true) })
+			})
+		}
 	}
 	eng.Run()
 	for i, r := range radios {
@@ -110,6 +146,9 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 						}
 					}
 					t.Fatalf("%s seed %d filtered %v: trace lengths differ (%d vs %d lines)", name, seed, filtered, len(gl), len(bl))
+				}
+				if !strings.Contains(grid, "while rx") {
+					t.Fatalf("%s seed %d filtered %v: no radio slept mid-reception", name, seed, filtered)
 				}
 				if !filtered {
 					promiscuous = strings.Count(grid, "rx ")

@@ -61,6 +61,9 @@ type Radio struct {
 	txDoneFn  func()
 	txData    []byte
 	txAir     sim.Duration
+	// txDone is the pending event of the frame in flight's txDoneFn, to
+	// which beginTx attaches the frame's end (sim.Engine.Then).
+	txDone *sim.Event
 
 	// NoiseOnly marks an interference source: its transmissions corrupt
 	// receptions and trip CCAs but are never decoded by anyone.
@@ -88,8 +91,6 @@ type Radio struct {
 	// OnTxDone is invoked when a transmission completes (frame fully on
 	// air and trailing SPI work done).
 	OnTxDone func()
-
-	txEnd sim.Time
 
 	framesSent uint64
 }
@@ -229,7 +230,6 @@ func (r *Radio) transmitAfter(data []byte, lead sim.Duration) {
 	h.abortRx()
 	h.setState(StateTx, r.eng.Now())
 	air := AirTime(len(data))
-	r.txEnd = r.eng.Now().Add(lead + air)
 	r.framesSent++
 	r.txData, r.txAir = data, air
 	if r.txBeginFn == nil {
@@ -242,5 +242,5 @@ func (r *Radio) transmitAfter(data []byte, lead sim.Duration) {
 		}
 	}
 	r.eng.Schedule(lead, r.txBeginFn)
-	r.eng.Schedule(lead+air, r.txDoneFn)
+	r.txDone = r.eng.Schedule(lead+air, r.txDoneFn)
 }

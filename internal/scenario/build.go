@@ -449,16 +449,23 @@ func (rc *runContext) collectGateway(frs []FlowResult) *GatewayResult {
 // channel, and stacks — which is what lets the Runner parallelize seeds
 // safely.
 func (r *Runner) runDefaulted(spec *Spec, seed int64) (Result, error) {
+	mc := startManifest(r.Obs)
 	rc, err := r.buildRun(spec, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	return rc.run(), nil
+	mc.lap("build")
+	rc.run()
+	mc.lap("run")
+	res := rc.collect()
+	mc.lap("collect")
+	res.Manifest = mc.manifest(rc)
+	return res, nil
 }
 
 // run drives a built run through warm-up, the measurement window and the
-// optional idle phase, and collects its Result.
-func (rc *runContext) run() Result {
+// optional idle phase.
+func (rc *runContext) run() {
 	rc.net.Eng.RunFor(rc.spec.Warmup.D())
 	rc.mark()
 	if rc.spec.DCSample > 0 {
@@ -468,5 +475,4 @@ func (rc *runContext) run() Result {
 	if rc.spec.IdleWindow > 0 {
 		rc.runIdlePhase()
 	}
-	return rc.collect()
 }

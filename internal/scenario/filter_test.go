@@ -61,7 +61,8 @@ func TestAddressFilterInvisible(t *testing.T) {
 				n.Mac().Radio().SetAddressFilter(false)
 			}
 		}
-		return rc.run()
+		rc.run()
+		return rc.collect()
 	}
 	digest := func(res Result) [32]byte {
 		b, err := json.Marshal(res)

@@ -46,6 +46,9 @@ type ObsConfig struct {
 	// EventFlows filters the NDJSON event stream to events from the
 	// named flows' source nodes (flow labels; empty keeps every node).
 	EventFlows []string
+	// Manifest fills each Result's Manifest. It needs no trace and moves
+	// no other field.
+	Manifest bool
 }
 
 // enabled reports whether the config asks for any instrumentation.

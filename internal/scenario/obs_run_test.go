@@ -134,3 +134,64 @@ func TestObsMetricsSampler(t *testing.T) {
 		t.Errorf("got %d metrics samples, want 4", n)
 	}
 }
+
+// TestManifestIsBitNeutral: asking for the run manifest fills it on every
+// run of a gateway sweep, and once it is cleared the Results equal those
+// of the same sweep run without it, Events included.
+func TestManifestIsBitNeutral(t *testing.T) {
+	specs, err := ParseSpecs([]byte(`{
+		"name": "manifest-gw",
+		"topology": {"kind": "star"},
+		"all_nodes": {"sleepy": true, "sleep_interval": "2s"},
+		"gateway": {"max_conns": 4, "wan": {"bandwidth_kbps": 8, "rtt": "100ms", "loss": 0.01, "queue_cap": 8}},
+		"flows": [{"label": "dev", "to": "gateway", "per_device": true, "pattern": "anemometer", "interval": "500ms"}],
+		"sweep": {"devices": [2, 6]},
+		"warmup": "2s", "duration": "8s", "seeds": [3, 4]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(oc *ObsConfig) []*SpecResult {
+		out, err := (&Runner{Workers: 2, Obs: oc}).RunAll(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	plain, withM := run(nil), run(&ObsConfig{Manifest: true})
+	for ci := range withM {
+		for ri := range withM[ci].Runs {
+			res := &withM[ci].Runs[ri]
+			m := res.Manifest
+			if m == nil {
+				t.Fatalf("cell %d run %d: no manifest", ci, ri)
+			}
+			if m.Spec != res.Name || m.Seed != res.Seed || len(m.SpecSHA256) != 64 || m.GoVersion == "" {
+				t.Fatalf("manifest identity %+v for run %s seed %d", m, res.Name, res.Seed)
+			}
+			var names []string
+			for _, p := range m.Phases {
+				names = append(names, p.Name)
+				if p.WallNs <= 0 {
+					t.Fatalf("phase %s took %d ns", p.Name, p.WallNs)
+				}
+			}
+			if strings.Join(names, ",") != "build,run,collect" {
+				t.Fatalf("phases %v, want build, run, collect", names)
+			}
+			c, e := m.Channel, m.Engine
+			// Every frame's end is its txDone's continuation; a frame still
+			// on air at the end has not run it yet.
+			ends := e.ThenInline + e.ThenFiled
+			if m.Events != res.Events || c.Frames < res.FramesSent || ends > c.Frames || ends+8 < c.Frames || c.Resolved > c.SensedVisits {
+				t.Fatalf("manifest counters %+v against events %d, frames sent %d", m, res.Events, res.FramesSent)
+			}
+			res.Manifest = nil
+		}
+	}
+	pj, _ := json.Marshal(plain)
+	mj, _ := json.Marshal(withM)
+	if !bytes.Equal(pj, mj) {
+		t.Errorf("the manifest perturbed the runs:\nwithout: %s\nwith:    %s", pj, mj)
+	}
+}

@@ -127,6 +127,11 @@ type Result struct {
 	// counters, so it is populated — and identical — whether or not
 	// tracing is enabled.
 	Layers map[string]map[string]float64 `json:"layers,omitempty"`
+	// Manifest is what the run cost the simulator (host time,
+	// allocations, engine and channel counters): filled only when the
+	// runner's ObsConfig asks for it, and never part of what a run
+	// measured, so a digest of the Result should clear it.
+	Manifest *Manifest `json:"manifest,omitempty"`
 }
 
 // layer reads one registry value ("" layers read as 0 — CSV-friendly).

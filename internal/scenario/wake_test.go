@@ -73,7 +73,8 @@ func TestWakeIsInvisible(t *testing.T) {
 							h.TCP()
 						}
 					}
-					res := rc.run()
+					rc.run()
+					res := rc.collect()
 					// A radio that never sent a frame never ACKed one: nobody
 					// addressed the node, so only an accessor could have woken it.
 					quiet := 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -333,5 +334,141 @@ func BenchmarkEngineFrameCadence(b *testing.B) {
 	b.ResetTimer()
 	for target := e.Processed() + uint64(b.N); e.Processed() < target; {
 		e.Step()
+	}
+}
+
+// thenOrder schedules a parent at 10 µs, then the same-instant events in
+// between that between asks for, then attaches a continuation to the
+// parent, and returns the firing log after a full run. The parent's
+// callback schedules one more event for its own instant.
+func thenOrder(t *testing.T, between func(e *Engine, at func(string))) ([]string, Counters) {
+	t.Helper()
+	e := NewEngine(1)
+	var got []string
+	log := func(s string) func() { return func() { got = append(got, s) } }
+	e.At(10, log("before")) // sequenced before the parent
+	parent := e.At(10, func() {
+		got = append(got, "parent")
+		e.At(10, log("scheduled by parent"))
+	})
+	between(e, func(s string) { e.At(10, log(s)) })
+	e.Then(parent, log("then"))
+	e.At(10, log("after then"))
+	e.Run()
+	return got, e.Counters()
+}
+
+func TestThenFiresRightAfterParent(t *testing.T) {
+	got, cnt := thenOrder(t, func(*Engine, func(string)) {})
+	want := []string{"before", "parent", "then", "after then", "scheduled by parent"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if cnt != (Counters{ThenInline: 1}) {
+		t.Fatalf("counters %+v, want the continuation run inline", cnt)
+	}
+}
+
+// A live event sequenced between parent and continuation fires between
+// them: the continuation is filed at its reserved place, not run next.
+func TestThenYieldsToLiveEventBetween(t *testing.T) {
+	got, cnt := thenOrder(t, func(_ *Engine, at func(string)) { at("between") })
+	want := []string{"before", "parent", "between", "then", "after then", "scheduled by parent"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if cnt != (Counters{ThenFiled: 1}) {
+		t.Fatalf("counters %+v, want the continuation filed", cnt)
+	}
+}
+
+// A cancelled event between them neither fires nor moves the
+// continuation, whether it was cancelled before the parent fired or by
+// the parent's callback.
+func TestThenIgnoresCancelledEventBetween(t *testing.T) {
+	want := []string{"before", "parent", "then", "after then", "scheduled by parent"}
+	got, cnt := thenOrder(t, func(e *Engine, _ func(string)) {
+		e.Cancel(e.At(10, func() { t.Error("cancelled event fired") }))
+	})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cancelled up front: fired %v, want %v", got, want)
+	}
+	if cnt != (Counters{ThenInline: 1, CancelledPops: 1}) {
+		t.Fatalf("cancelled up front: counters %+v, want the continuation run inline", cnt)
+	}
+
+	e := NewEngine(1)
+	got = nil
+	var victim *Event
+	parent := e.At(10, func() { got = append(got, "parent"); e.Cancel(victim) })
+	victim = e.At(10, func() { t.Error("cancelled event fired") })
+	e.Then(parent, func() { got = append(got, "then") })
+	e.At(10, func() { got = append(got, "after then") })
+	e.Run()
+	if want := []string{"parent", "then", "after then"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cancelled by the parent: fired %v, want %v", got, want)
+	}
+	if c := e.Counters(); c.ThenInline != 1 || c.ThenFiled != 0 {
+		t.Fatalf("counters %+v, want the continuation run inline", c)
+	}
+}
+
+// Cancelling the parent does not cancel its continuation: it fires at its
+// reserved place, as the At it stands for would, whether the parent was
+// cancelled before Then, after it, or by an event of the same instant.
+func TestThenSurvivesCancelledParent(t *testing.T) {
+	for _, when := range []string{"before Then", "after Then", "mid-run"} {
+		e := NewEngine(1)
+		var got []string
+		log := func(s string) func() { return func() { got = append(got, s) } }
+		var parent *Event
+		e.At(10, func() {
+			got = append(got, "first")
+			if when == "mid-run" {
+				e.Cancel(parent)
+			}
+		})
+		parent = e.At(10, func() { t.Error("cancelled parent fired") })
+		e.At(10, log("between"))
+		if when == "before Then" {
+			e.Cancel(parent)
+		}
+		e.Then(parent, log("then"))
+		if when == "after Then" {
+			e.Cancel(parent)
+		}
+		e.At(10, log("after"))
+		e.Run()
+		if want := []string{"first", "between", "then", "after"}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("cancelled %s: fired %v, want %v", when, got, want)
+		}
+		if e.Processed() != 4 || e.Pending() != 0 {
+			t.Fatalf("cancelled %s: Processed %d, Pending %d, want 4 and 0", when, e.Processed(), e.Pending())
+		}
+	}
+}
+
+// Processed, Pending and Step count a continuation as one event of its
+// own, as they would the At it replaces: Step fires the parent, and the
+// next Step the continuation.
+func TestThenCountsAsOneEvent(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	parent := e.At(10, func() { got = append(got, "parent") })
+	e.Then(parent, func() { got = append(got, "then") })
+	if e.Pending() != 2 {
+		t.Fatalf("Pending %d with a parent and its continuation, want 2", e.Pending())
+	}
+	if !e.Step() || fmt.Sprint(got) != "[parent]" || e.Processed() != 1 || e.Pending() != 1 {
+		t.Fatalf("first Step: fired %v, Processed %d, Pending %d; want [parent], 1, 1", got, e.Processed(), e.Pending())
+	}
+	if !e.Step() || fmt.Sprint(got) != "[parent then]" || e.Processed() != 2 || e.Pending() != 0 {
+		t.Fatalf("second Step: fired %v, Processed %d, Pending %d; want [parent then], 2, 0", got, e.Processed(), e.Pending())
+	}
+	if e.Step() {
+		t.Fatal("a third Step fired something")
+	}
+	if c := e.Counters(); c != (Counters{ThenInline: 1}) {
+		t.Fatalf("counters %+v, want one continuation run inline", c)
 	}
 }

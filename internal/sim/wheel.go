@@ -22,18 +22,25 @@ import "math/bits"
 // base: the earliest lands in level 0, the rest as low as their distance
 // from it allows, none of them to be touched again at the levels in
 // between. A list whose events all fire at that one time — a lone timer, or
-// a frame's txDone + endTx pair — is handed to its level-0 slot as it is.
-// A slot whose earliest event is past the deadline stays as it is, so the
-// base never passes the clock at a RunUntil stop, and At puts an empty
-// wheel's base on the clock: every event is scheduled at or after the base.
+// ties scheduled at different instants — is handed to its level-0 slot as
+// it is. A slot whose earliest event is past the deadline
+// stays as it is, so the base never passes the clock at a RunUntil stop,
+// and At puts an empty wheel's base on the clock: every event is scheduled
+// at or after the base. While an event's callback runs, the base is at its
+// fire time, so every other event due then sits in one level-0 slot.
 //
 // Pops preserve the engine's (when, seq) firing order bit-identically. Every
-// slot list is in schedule order: direct inserts append as they are
-// scheduled, and a drained list is dealt out in list order into lists that
-// were empty (all lower levels were), so whatever is inserted there
-// afterwards was scheduled, and therefore sequenced, later. A level-0 list
-// holds one fire time, so its head is the smallest seq at the wheel's
-// earliest time.
+// slot list is in seq order. insert keeps it so: an event scheduled by At
+// has the largest seq yet and is appended, and so is each event a drained
+// list deals out in list order into lists that were empty (all lower levels
+// were); only a continuation (Engine.Then), which reserved its seq when it
+// was attached, can land ahead of entries already there, and insert walks
+// the list to its place. A level-0 list holds one fire time, so its head is
+// the smallest seq at the wheel's earliest time.
+//
+// A frame's end is one entry here, the sender's txDone: the channel's endTx
+// is its continuation, and enters the wheel only when liveBefore finds a
+// live event sequenced between the two.
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits
@@ -65,17 +72,47 @@ type wheel struct {
 	queued int                 // wheel-resident entries, cancelled included
 }
 
-// insert files ev at the lowest level sharing a parent window with base;
-// ev must not fire before the base.
+// insert files ev at the lowest level sharing a parent window with base,
+// at its seq's place in the slot list (the end, unless ev is a
+// continuation); ev must not fire before the base.
 func (w *wheel) insert(ev *Event) {
 	level := 0
 	if d := uint64(ev.when ^ w.base); d != 0 {
 		level = (bits.Len64(d) - 1) / wheelBits
 	}
 	s := (uint64(ev.when) >> (level * wheelBits)) & wheelMask
-	w.slot[level][s].append(ev)
+	lst := &w.slot[level][s]
+	if lst.tail == nil || lst.tail.seq < ev.seq {
+		lst.append(ev)
+	} else {
+		prev := lst.tail // the head's predecessor
+		for prev.next.seq < ev.seq {
+			prev = prev.next
+		}
+		ev.next, prev.next = prev.next, ev
+	}
 	w.occ[level] |= 1 << s
 	w.queued++
+}
+
+// liveBefore reports whether an uncancelled event due at c's fire time is
+// sequenced before c. Only valid while the base is at that time (the
+// callback of the event c follows has just run), when every such event is
+// in one level-0 slot, in seq order.
+func (w *wheel) liveBefore(c *Event) bool {
+	lst := w.slot[0][c.when&wheelMask]
+	if lst.tail == nil {
+		return false
+	}
+	for ev := lst.tail.next; ev.seq < c.seq; ev = ev.next {
+		if !ev.cancelled {
+			return true
+		}
+		if ev == lst.tail {
+			break
+		}
+	}
+	return false
 }
 
 // settle makes level 0 hold the wheel's earliest events: when it is empty,

@@ -140,9 +140,14 @@ type fireRec struct {
 // instants, as a frame's txDone and endTx are, some with the earlier half
 // cancelled once both are queued; RunUntil deadlines that stop short of the
 // next event; and, after each, schedules from outside at and just past the
-// stopped clock, ahead of the event the stop left pending.
+// stopped clock, ahead of the event the stop left pending. Half of the
+// pairs attach their second half with then, which on the Engine is Then
+// (the continuation of a frame's txDone) and on the reference an At of the
+// first half's time; half of those first put a third event at that
+// instant, sequenced between the two, so the continuation is filed (at its
+// reserved place) as well as run next.
 func driveWheelWorkload(t *testing.T, seed int64,
-	schedule func(d Duration, fn func()) (cancel func()),
+	schedule func(d Duration, fn func()) (cancel func(), then func(fn func())),
 	now func() Time,
 	runUntil func(Time), run func()) []fireRec {
 	t.Helper()
@@ -162,7 +167,7 @@ func driveWheelWorkload(t *testing.T, seed int64,
 			cid := nextID
 			nextID++
 			cid2, depth2 := cid, depth
-			cancels[cid] = schedule(delayFor(cid, k), func() { spawn(cid2, depth2+1) })
+			cancels[cid], _ = schedule(delayFor(cid, k), func() { spawn(cid2, depth2+1) })
 		}
 		// Every 4th event arms a same-microsecond pair: its first half now,
 		// its second from a helper that fires part of the way there. Every
@@ -173,9 +178,20 @@ func driveWheelWorkload(t *testing.T, seed int64,
 			nextID += 2
 			d := delayFor(first, 3) + 2
 			target := now().Add(d)
-			cancelFirst := schedule(d, func() { spawn(first, 3) })
+			cancelFirst, thenFirst := schedule(d, func() { spawn(first, 3) })
 			schedule(d/2, func() {
-				schedule(Duration(target-now()), func() { spawn(second, 3) })
+				if id%8 == 2 {
+					// Every 16th puts a third event at that instant,
+					// sequenced between the two halves, first.
+					if id%16 == 2 {
+						between := nextID
+						nextID++
+						schedule(Duration(target-now()), func() { spawn(between, 3) })
+					}
+					thenFirst(func() { spawn(second, 3) })
+				} else {
+					schedule(Duration(target-now()), func() { spawn(second, 3) })
+				}
 				if id%12 == 2 {
 					cancelFirst()
 				}
@@ -198,7 +214,7 @@ func driveWheelWorkload(t *testing.T, seed int64,
 	root := func(d Duration) {
 		id := nextID
 		nextID++
-		cancels[id] = schedule(d, func() { spawn(id, 0) })
+		cancels[id], _ = schedule(d, func() { spawn(id, 0) })
 	}
 	roots := 60
 	for i := 0; i < roots; i++ {
@@ -229,15 +245,20 @@ func driveWheelWorkload(t *testing.T, seed int64,
 // test: the wheel engine must fire the exact event sequence, at the exact
 // times, that the reference priority queue fires.
 func TestWheelMatchesHeapOrder(t *testing.T) {
+	var cnt Counters
 	for seed := int64(1); seed <= 25; seed++ {
 		eng := NewEngine(seed)
 		gotLog := driveWheelWorkloadOn(t, seed, eng)
+		c := eng.Counters()
+		cnt.ThenInline += c.ThenInline
+		cnt.ThenFiled += c.ThenFiled
 
 		ref := &refEngine{}
 		refLog := driveWheelWorkload(t, seed,
-			func(d Duration, fn func()) func() {
+			func(d Duration, fn func()) (func(), func(func())) {
 				ev := ref.Schedule(d, fn)
-				return func() { ref.Cancel(ev) }
+				return func() { ref.Cancel(ev) },
+					func(fn func()) { ref.Schedule(ev.when.Sub(ref.now), fn) }
 			},
 			func() Time { return ref.now },
 			func(deadline Time) { ref.RunUntil(deadline) },
@@ -261,14 +282,19 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 			t.Fatalf("seed %d: Pending()=%d after drain", seed, eng.Pending())
 		}
 	}
+	// Both of a continuation's paths were taken, not just the usual one.
+	if cnt.ThenInline == 0 || cnt.ThenFiled == 0 {
+		t.Fatalf("continuations over all seeds: %+v, want some run next and some filed", cnt)
+	}
+	t.Logf("continuations over all seeds: %+v", cnt)
 }
 
 func driveWheelWorkloadOn(t *testing.T, seed int64, eng *Engine) []fireRec {
 	t.Helper()
 	return driveWheelWorkload(t, seed,
-		func(d Duration, fn func()) func() {
+		func(d Duration, fn func()) (func(), func(func())) {
 			ev := eng.Schedule(d, fn)
-			return func() { eng.Cancel(ev) }
+			return func() { eng.Cancel(ev) }, func(fn func()) { eng.Then(ev, fn) }
 		},
 		eng.Now,
 		func(deadline Time) {
