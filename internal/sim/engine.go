@@ -139,20 +139,20 @@ func (e *Engine) At(t Time, fn func()) *Event {
 // that At would take, so no other event's order moves; what it saves is
 // the wheel entry, since the continuation almost always fires straight
 // after its parent (see Engine). Cancelling parent does not cancel the
-// continuation, which still fires in its place. A second continuation on
-// the same parent follows the first. A continuation cannot itself be
-// cancelled. Then on a cancelled parent is At(parent.When(), fn).
+// continuation, which still fires in its place. An event carries at most
+// one continuation, and a continuation cannot itself be cancelled. Then on
+// a cancelled parent is At(parent.When(), fn).
 func (e *Engine) Then(parent *Event, fn func()) {
 	if parent.cancelled {
 		e.At(parent.when, fn)
 		return
 	}
+	if parent.then != nil {
+		panic("sim: Then on an event that already has a continuation")
+	}
 	e.seq++
 	c := e.alloc()
 	c.when, c.seq, c.fn = parent.when, e.seq, fn
-	for parent.then != nil {
-		parent = parent.then
-	}
 	parent.then = c
 	e.live++
 }

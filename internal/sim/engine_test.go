@@ -472,3 +472,16 @@ func TestThenCountsAsOneEvent(t *testing.T) {
 		t.Fatalf("counters %+v, want one continuation run inline", c)
 	}
 }
+
+// An event carries one continuation: a second Then on it is refused.
+func TestThenOnce(t *testing.T) {
+	e := NewEngine(1)
+	parent := e.At(10, func() {})
+	e.Then(parent, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second continuation on one event was accepted")
+		}
+	}()
+	e.Then(parent, func() {})
+}

@@ -1,10 +1,10 @@
 // Command benchpair measures a change against its parent with the
 // repository benchmark and writes the BENCH_<n>.json a performance claim
-// cites. It exports both revisions into fresh directories (git archive: the
-// committed files only, as the benchmark's own runner sees them), runs N
-// alternating pairs of
+// cites. It exports both revisions into a new temporary directory (git
+// archive: the committed files only, as the benchmark's own runner sees
+// them), removed when it is done, and runs N alternating pairs of
 //
-//	bash benchmark/run.sh -workload W -seed S -seconds T -trace 0
+//	bash benchmark/run.sh -workload W -seed S -trace 0
 //
 // per workload in each tree, seed S = -seed + pair, and reads each run's
 // benchmark/out/W.trace0.json. It fails (exit 1) if a run is not correct
@@ -12,12 +12,15 @@
 // the six simulated metrics: a change that moves what the network does is
 // not a performance change. Then it prints, per (workload, metric), both
 // sides' median and quartiles, the ratio of medians, the pairs the change
-// won, lost and tied, and the verdict of an exact two-sided sign test over
-// the pairs (p < 0.05 resolves: 10/0 and 9/1 do, 8/2 does not). The
-// benchmark directory is read and run, never written.
+// won, lost and tied, the p-value of an exact two-sided sign test over the
+// pairs, and a verdict: "better" (or "worse") only when the change won (or
+// lost) at least nine in ten of all pairs run, ties counting for neither,
+// the sign test gives p < 0.05, and the medians differ by more than the
+// base runs' interquartile range; "unresolved" otherwise. Of ten pairs,
+// 10/0 and 9/1 can resolve and 8/2 cannot. The benchmark directory is read
+// and run, never written.
 //
 //	go run ./tools/benchpair -base HEAD^ -change HEAD -pairs 10 -seed 101 -out BENCH_37.json
-//	go run ./tools/benchpair -summarize BENCH_37.json   # the table again, from the samples
 package main
 
 import (
@@ -78,11 +81,10 @@ type Row struct {
 	GapOverIQR bool `json:"gap_over_iqr"`
 }
 
-// File is what -out writes and -summarize reads.
+// File is what -out writes.
 type File struct {
 	Base      string            `json:"base"`
 	Change    string            `json:"change"`
-	Seconds   float64           `json:"seconds"`
 	Better    map[string]string `json:"better"` // metric → lower | higher, from BENCHMARK.json
 	Workloads []Workload        `json:"workloads"`
 	Summary   []Row             `json:"summary"`
@@ -94,22 +96,11 @@ func main() {
 		change    = flag.String("change", "HEAD", "changed revision")
 		pairs     = flag.Int("pairs", 10, "alternating pairs per workload")
 		seed      = flag.Int64("seed", 101, "seed of the first pair; pair i runs seed+i")
-		seconds   = flag.Float64("seconds", 10, "timed seconds per run (run.sh -seconds)")
 		workloads = flag.String("workloads", "", "comma-separated workloads (default: every one in BENCHMARK.json)")
-		work      = flag.String("workdir", "", "where the two trees are exported (default: a new temporary directory)")
 		out       = flag.String("out", "", "write the samples and the table to this BENCH_<n>.json")
-		summarize = flag.String("summarize", "", "print the table of an existing samples file and exit")
 	)
 	flag.Parse()
-	if *summarize != "" {
-		f, err := readFile(*summarize)
-		if err != nil {
-			fatal(err)
-		}
-		printTable(os.Stdout, summary(f))
-		return
-	}
-	f, err := measure(*base, *change, *pairs, *seed, *seconds, *workloads, *work)
+	f, err := measure(*base, *change, *pairs, *seed, *workloads)
 	if f == nil {
 		fatal(err)
 	}
@@ -135,29 +126,16 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-func readFile(path string) (*File, error) {
-	b, err := os.ReadFile(path)
+// measure exports both trees into a new temporary directory, runs the
+// pairs and removes the directory. A pair that simulated differently, or a
+// run that is not correct, is recorded and reported in the error; a run
+// that could not be read at all stops the measurement.
+func measure(base, change string, pairs int, seed int64, only string) (*File, error) {
+	work, err := os.MkdirTemp("", "benchpair")
 	if err != nil {
 		return nil, err
 	}
-	var f File
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &f, nil
-}
-
-// measure exports both trees and runs the pairs. A pair that simulated
-// differently, or a run that is not correct, is recorded and reported in
-// the error; a run that could not be read at all stops the measurement.
-func measure(base, change string, pairs int, seed int64, seconds float64, only, work string) (*File, error) {
-	if work == "" {
-		dir, err := os.MkdirTemp("", "benchpair")
-		if err != nil {
-			return nil, err
-		}
-		work = dir
-	}
+	defer os.RemoveAll(work)
 	trees := map[string]string{"base": filepath.Join(work, "base"), "change": filepath.Join(work, "change")}
 	for side, rev := range map[string]string{"base": base, "change": change} {
 		if err := export(rev, trees[side]); err != nil {
@@ -172,7 +150,7 @@ func measure(base, change string, pairs int, seed int64, seconds float64, only, 
 	if only != "" {
 		names = strings.Split(only, ",")
 	}
-	f := &File{Base: base, Change: change, Seconds: seconds, Better: contract.better}
+	f := &File{Base: base, Change: change, Better: contract.better}
 	var bad []string
 	for _, name := range names {
 		w := Workload{Name: name}
@@ -184,7 +162,7 @@ func measure(base, change string, pairs int, seed int64, seconds float64, only, 
 			}
 			for _, side := range order {
 				fmt.Fprintf(os.Stderr, "benchpair: %s pair %d/%d seed %d: %s\n", name, i+1, pairs, p.Seed, side)
-				r, err := runOnce(trees[side], name, p.Seed, seconds)
+				r, err := runOnce(trees[side], name, p.Seed)
 				if err != nil {
 					return nil, fmt.Errorf("%s seed %d in the %s tree: %v", name, p.Seed, side, err)
 				}
@@ -224,9 +202,9 @@ func (p Pair) mismatches(workload string) []string {
 	return bad
 }
 
-// export writes the committed files of rev into the empty directory dir.
+// export writes the committed files of rev into dir, which must not exist.
 func export(rev, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.Mkdir(dir, 0o755); err != nil {
 		return err
 	}
 	archive := exec.Command("git", "archive", rev)
@@ -281,13 +259,14 @@ func readContract(path string) (contract, error) {
 	return out, nil
 }
 
-// runOnce runs one end-to-end benchmark run in tree and reads its output.
-// run.sh exits 1 when the run is not correct; the output says so too.
-func runOnce(tree, workload string, seed int64, seconds float64) (Run, error) {
+// runOnce runs one end-to-end benchmark run in tree, for as long as the
+// benchmark's own default, and reads its output. run.sh exits 1 when the
+// run is not correct; the output says so too.
+func runOnce(tree, workload string, seed int64) (Run, error) {
 	path := filepath.Join(tree, "benchmark", "out", workload+".trace0.json")
 	os.Remove(path)
 	cmd := exec.Command("bash", "benchmark/run.sh", "-workload", workload,
-		"-seed", fmt.Sprint(seed), "-seconds", fmt.Sprint(seconds), "-trace", "0")
+		"-seed", fmt.Sprint(seed), "-trace", "0")
 	cmd.Dir = tree
 	var stderr strings.Builder
 	cmd.Stdout, cmd.Stderr = io.Discard, &stderr
@@ -350,17 +329,27 @@ func summary(f *File) []Row {
 			}
 			r.GapOverIQR = math.Abs(r.Change[1]-r.Base[1]) > r.Base[2]-r.Base[0]
 			r.P = signTest(r.Wins, r.Losses)
-			r.Verdict = "unresolved"
-			if r.P < 0.05 {
-				r.Verdict = "better"
-				if r.Losses > r.Wins {
-					r.Verdict = "worse"
-				}
-			}
+			r.Verdict = verdict(r, len(w.Pairs))
 			rows = append(rows, r)
 		}
 	}
 	return rows
+}
+
+// verdict resolves a row of n pairs: one side won at least nine in ten of
+// them (ties count for neither), the sign test agrees (p < 0.05) and the
+// medians differ by more than the base runs' interquartile range.
+func verdict(r Row, n int) string {
+	if r.P >= 0.05 || !r.GapOverIQR {
+		return "unresolved"
+	}
+	switch {
+	case 10*r.Wins >= 9*n:
+		return "better"
+	case 10*r.Losses >= 9*n:
+		return "worse"
+	}
+	return "unresolved"
 }
 
 // quartiles returns the first quartile, median and third quartile of xs,
@@ -399,13 +388,9 @@ func printTable(w io.Writer, rows []Row) {
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "workload\tmetric\tbase median\t[q1, q3]\tchange median\t[q1, q3]\tratio\tW/L/T\tp\tverdict\t")
 	for _, r := range rows {
-		gap := ""
-		if r.Verdict != "unresolved" && r.GapOverIQR {
-			gap = ", gap > IQR"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%.4g\t[%.4g, %.4g]\t%.4g\t[%.4g, %.4g]\t%.3f\t%d/%d/%d\t%.3f\t%s%s\t\n",
+		fmt.Fprintf(tw, "%s\t%s\t%.4g\t[%.4g, %.4g]\t%.4g\t[%.4g, %.4g]\t%.3f\t%d/%d/%d\t%.3f\t%s\t\n",
 			r.Workload, r.Metric, r.Base[1], r.Base[0], r.Base[2], r.Change[1], r.Change[0], r.Change[2],
-			r.Ratio, r.Wins, r.Losses, r.Ties, r.P, r.Verdict, gap)
+			r.Ratio, r.Wins, r.Losses, r.Ties, r.P, r.Verdict)
 	}
 	tw.Flush()
 }

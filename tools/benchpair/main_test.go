@@ -1,18 +1,33 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"testing"
 )
 
-// The verdict logic on canned samples (testdata/samples.json; no benchmark
-// runs): a change measured against itself is unresolved on every metric,
-// 10/0 is resolved and 8/2 is not.
-func TestVerdicts(t *testing.T) {
-	f, err := readFile("testdata/samples.json")
+func readFile(t *testing.T, path string) *File {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var f File
+	if err := json.Unmarshal(b, &f); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return &f
+}
+
+// The verdict logic on canned samples (testdata/samples.json; no benchmark
+// runs): a change measured against itself is unresolved on every metric,
+// 10/0 is resolved and 8/2 is not. 17/3 of 20 pairs is not, although the
+// sign test alone would resolve it, since 17 is under nine in ten; nor is a
+// 10/0 whose gap between medians is inside the base runs' interquartile
+// range.
+func TestVerdicts(t *testing.T) {
+	f := readFile(t, "testdata/samples.json")
 	rows := map[string]Row{}
 	for _, r := range summary(f) {
 		rows[r.Workload+" "+r.Metric] = r
@@ -28,6 +43,8 @@ func TestVerdicts(t *testing.T) {
 		{"ten_zero allocs_k", "better", 10, 0, 0.002},
 		{"ten_zero goodput_kbps", "unresolved", 0, 0, 1},
 		{"eight_two wall_s", "unresolved", 8, 2, 0.109},
+		{"seventeen_three wall_s", "unresolved", 17, 3, 0.003},
+		{"ten_zero_narrow wall_s", "unresolved", 10, 0, 0.002},
 	} {
 		r, ok := rows[c.key]
 		if !ok {
@@ -39,6 +56,12 @@ func TestVerdicts(t *testing.T) {
 	}
 	if r := rows["ten_zero wall_s"]; !r.GapOverIQR || math.Abs(r.Ratio-1.345/1.545) > 1e-9 {
 		t.Errorf("ten_zero wall_s: ratio %v, gap over IQR %v", r.Ratio, r.GapOverIQR)
+	}
+	if r := rows["seventeen_three wall_s"]; !r.GapOverIQR {
+		t.Errorf("seventeen_three wall_s: gap within the IQR; the case should turn on the 9/10 rule alone")
+	}
+	if r := rows["ten_zero_narrow wall_s"]; r.GapOverIQR {
+		t.Errorf("ten_zero_narrow wall_s: gap over the IQR")
 	}
 }
 
@@ -57,11 +80,7 @@ func TestSignTest(t *testing.T) {
 // A pair whose runs simulated differently, or a run that is not correct,
 // is named.
 func TestMismatches(t *testing.T) {
-	f, err := readFile("testdata/samples.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := f.Workloads[0].Pairs[0]
+	p := readFile(t, "testdata/samples.json").Workloads[0].Pairs[0]
 	if bad := p.mismatches("self"); len(bad) != 0 {
 		t.Fatalf("an identical pair reported %v", bad)
 	}
