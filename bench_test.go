@@ -140,7 +140,7 @@ func lossyOneHopGoodput(mutate func(*tcplp.Config)) float64 {
 	opt := stack.DefaultOptions()
 	opt.PER = 0.05
 	net := stack.New(123, mesh.Chain(2, 10), opt)
-	cfg := net.FlowTCPConfig("", 0)
+	cfg := net.FlowTCPConfig("")
 	mutate(&cfg)
 	sink := app.ListenSinkConfig(net.Nodes[0], 80, cfg)
 	src := app.StartBulkConfig(net.Nodes[1], cfg, net.Nodes[0].Addr, 80)

@@ -54,7 +54,7 @@ func writeFile(t *testing.T, dir, name, content string) string {
 // under a second.
 const probeSpec = `{"name":"probe","topology":{"kind":"chain","nodes":3},
 	"flows":[{"label":"anem","from":2,"to":0,"pattern":"anemometer","interval":"500ms","batch":2},
-	         {"label":"bulk","from":1,"to":0,"port":81}],
+	         {"label":"bulk","from":1,"to":0}],
 	"warmup":"1s","duration":"4s"}`
 
 // TestRefusedFlagsKeepOutputFiles: an invocation refused for its flags or

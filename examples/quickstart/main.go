@@ -19,7 +19,7 @@ func main() {
 	// five 802.15.4 frames, four-segment buffers, every TCP feature on.
 	net := stack.New(42, mesh.Chain(2, 10), stack.DefaultOptions())
 
-	cfg := net.FlowTCPConfig("", 0)
+	cfg := net.FlowTCPConfig("")
 	sink := app.ListenSinkConfig(net.Nodes[0], 80, cfg)
 	src := app.StartBulkConfig(net.Nodes[1], cfg, net.Nodes[0].Addr, 80)
 

@@ -14,7 +14,7 @@ import (
 
 func TestBulkSourceSinkGoodput(t *testing.T) {
 	net := stack.New(1, mesh.Chain(2, 10), stack.DefaultOptions())
-	cfg := net.FlowTCPConfig("", 0)
+	cfg := net.FlowTCPConfig("")
 	sink := app.ListenSinkConfig(net.Nodes[0], 80, cfg)
 	src := app.StartBulkConfig(net.Nodes[1], cfg, net.Nodes[0].Addr, 80)
 	net.Eng.RunFor(5 * sim.Second)
@@ -97,7 +97,7 @@ func (r *recordingTransport) CanSend() int      { return 1 << 20 }
 func TestTCPTransportEndToEnd(t *testing.T) {
 	net := stack.New(5, mesh.Chain(2, 10), stack.DefaultOptions())
 	host := net.AttachHost()
-	cfg := net.FlowTCPConfig("", 0)
+	cfg := net.FlowTCPConfig("")
 	var s *app.Sensor
 	sink := app.ListenReadingSink(host, 80, cfg, func(uint32) { s.Stats.Delivered++ })
 

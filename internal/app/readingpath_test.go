@@ -46,11 +46,10 @@ func TestReadingPathAllocs(t *testing.T) {
 		{"tcp-gateway-wan", func() (*stack.Network, func() uint64) {
 			net := stack.New(21, mesh.Star(2, 10), stack.DefaultOptions())
 			gw := gateway.New(net.Border(), gateway.Config{
-				SinkCfg: net.FlowTCPConfig("", 0),
-				WAN:     netem.WANConfig{BandwidthKbps: 64, Delay: 300 * sim.Millisecond, Loss: 0.05},
+				WAN: netem.WANConfig{BandwidthKbps: 64, Delay: 300 * sim.Millisecond, Loss: 0.05},
 			}, 23)
 			for _, node := range net.Nodes[1:] {
-				tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig("", 0), net.Border().Addr, gateway.DefaultTCPPort)
+				tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig(""), net.Border().Addr, gateway.DefaultTCPPort)
 				s := sensor(net, tr, app.TCPQueueCap)
 				gw.Register(node.Addr, func(seq uint32) { s.TakeGenTime(seq) }, func(uint32) {}, func(int) {})
 			}

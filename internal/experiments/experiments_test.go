@@ -523,8 +523,8 @@ func TestScaleFloor(t *testing.T) {
 // pipes a spec's flow label may hold.
 func TestSummary(t *testing.T) {
 	specs, err := scenario.ParseSpecs([]byte(`{"name":"mixed","topology":{"kind":"twinleaf","path_hops":3},
-		"flows":[{"label":"a|b","from":3,"to":0,"port":80,"variant":"bbr"},
-		         {"label":"nr","from":4,"to":0,"port":81,"variant":"newreno"}],
+		"flows":[{"label":"a|b","from":3,"to":0,"variant":"bbr"},
+		         {"label":"nr","from":4,"to":0,"variant":"newreno"}],
 		"warmup":"1s","duration":"4s","seeds":[1,2]}`))
 	if err != nil {
 		t.Fatal(err)

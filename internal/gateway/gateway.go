@@ -46,9 +46,6 @@ type Config struct {
 	// MaxConns bounds the connection table; 0 is unbounded. A full table
 	// evicts its least-recently-active device to admit a new one.
 	MaxConns int
-	// SinkCfg is the TCP configuration for accepted LLN-side
-	// connections.
-	SinkCfg tcplp.Config
 	// WAN shapes the backhaul link.
 	WAN netem.WANConfig
 }
@@ -143,8 +140,9 @@ type Gateway struct {
 }
 
 // New installs a gateway on node (the border router): a shared TCP
-// listener, a CoAP server, and the WAN link, which gets its own
-// deterministic loss source derived from seed.
+// listener, whose connections take the node's TCP configuration, a CoAP
+// server, and the WAN link, which gets its own deterministic loss source
+// derived from seed.
 func New(node *stack.Node, cfg Config, seed int64) *Gateway {
 	g := &Gateway{
 		node:  node,
@@ -154,9 +152,7 @@ func New(node *stack.Node, cfg Config, seed int64) *Gateway {
 		regs:  map[ip6.Addr]*registration{},
 		rdBuf: make([]byte, 4096),
 	}
-	sinkCfg := cfg.SinkCfg
-	l := node.TCP().Listen(DefaultTCPPort, g.accept)
-	l.ConfigFor = func() tcplp.Config { return sinkCfg }
+	node.TCP().Listen(DefaultTCPPort, g.accept)
 	srv := coap.NewServer(node.Eng(), node.UDP(), DefaultCoAPPort)
 	srv.OnPost = g.onPost
 	return g

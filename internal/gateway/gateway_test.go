@@ -15,7 +15,6 @@ import (
 // and installs a gateway with the given table/WAN shape.
 func starNet(seed int64, n int, cfg gateway.Config) (*stack.Network, *gateway.Gateway) {
 	net := stack.New(seed, mesh.Star(n, 10), stack.DefaultOptions())
-	cfg.SinkCfg = net.FlowTCPConfig("", 0)
 	return net, gateway.New(net.Border(), cfg, seed+2)
 }
 
@@ -23,7 +22,7 @@ func starNet(seed int64, n int, cfg gateway.Config) (*stack.Network, *gateway.Ga
 // TCP terminator.
 func startTCPSensor(net *stack.Network, id int, interval sim.Duration) *app.Sensor {
 	node := net.Nodes[id]
-	tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig("", 0), net.Border().Addr, gateway.DefaultTCPPort)
+	tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig(""), net.Border().Addr, gateway.DefaultTCPPort)
 	s := app.NewSensor(net.Eng, tr, app.TCPQueueCap)
 	s.Interval = interval
 	tr.Attach(s)

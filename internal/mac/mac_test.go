@@ -322,6 +322,28 @@ func TestFastPollWhileExpecting(t *testing.T) {
 	}
 }
 
+// TestNoFastPollAtZeroFastInterval: a FastInterval of 0 turns the §9.2
+// hint off, so a transport that starts expecting leaves the next poll
+// where the sleep interval put it.
+func TestNoFastPollAtZeroFastInterval(t *testing.T) {
+	eng := sim.NewEngine(11)
+	ch := phy.NewChannel(eng, phy.NewUnitDisk(1.0, 1.0))
+	parentR := ch.AddRadio(0, phy.Point{X: 0})
+	childR := ch.AddRadio(1, phy.Point{X: 1})
+	parent := New(eng, parentR, DefaultParams())
+	child := New(eng, childR, DefaultParams())
+	parent.SetChildSleepy(childR.Addr())
+	sc := NewSleepController(eng, child, parentR.Addr())
+	sc.SleepInterval = 2 * sim.Second
+	sc.FastInterval = 0
+	sc.Start()
+	eng.RunUntil(sim.Time(sim.Second))
+	sc.SetExpecting(true)
+	if when, ok := sc.pollTimer.Deadline(); !ok || when != sim.Time(2*sim.Second) {
+		t.Fatalf("next poll at %v (armed %v) after SetExpecting(true), want it left at 2s", when, ok)
+	}
+}
+
 func TestCSMADefersToBusyChannel(t *testing.T) {
 	// Nodes 0 and 2 both in sense range of each other (sense 2.0) sending
 	// to 1: CSMA should avoid almost all collisions.

@@ -38,7 +38,8 @@ type SleepController struct {
 	// minutes).
 	SleepInterval sim.Duration
 	// FastInterval is the poll period while a response is expected
-	// (paper: 100 ms).
+	// (paper: 100 ms). Zero turns the §9.2 hint off: SetExpecting is then
+	// ignored (Appendix C studies fixed intervals without it).
 	FastInterval sim.Duration
 
 	// Adaptive enables the Trickle-controlled interval of Appendix C.
@@ -89,6 +90,9 @@ func (sc *SleepController) Start() {
 // waiting for a response (unACKed TCP data in flight, outstanding CoAP
 // confirmable, ...). While expecting, polls run at FastInterval.
 func (sc *SleepController) SetExpecting(on bool) {
+	if sc.FastInterval == 0 {
+		return
+	}
 	if on {
 		sc.expecting++
 		if sc.expecting == 1 && sc.started {
@@ -101,11 +105,9 @@ func (sc *SleepController) SetExpecting(on bool) {
 	}
 }
 
-// interval returns the next poll delay under the current policy. A
-// FastInterval of zero disables expecting-driven fast polling (Appendix C
-// studies fixed intervals without the §9.2 hint).
+// interval returns the next poll delay under the current policy.
 func (sc *SleepController) interval() sim.Duration {
-	if sc.expecting > 0 && sc.FastInterval > 0 {
+	if sc.expecting > 0 {
 		return sc.FastInterval
 	}
 	if sc.Adaptive {

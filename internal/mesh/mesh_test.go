@@ -113,15 +113,15 @@ func TestQuickRoutesReachability(t *testing.T) {
 
 func TestREDBehaviour(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	r := NewRED(false)
+	r := NewRED()
 	// Below the minimum threshold: always pass.
 	for i := 0; i < 100; i++ {
 		if r.OnArrival(0, false, rng) != REDPass {
 			t.Fatal("drop below the minimum threshold")
 		}
 	}
-	// Far above the maximum threshold: always drop (no ECN).
-	r2 := NewRED(false)
+	// Far above the maximum threshold: always drop (not ECN-capable).
+	r2 := NewRED()
 	drops := 0
 	for i := 0; i < 100; i++ {
 		if r2.OnArrival(20, false, rng) == REDDrop {
@@ -132,7 +132,7 @@ func TestREDBehaviour(t *testing.T) {
 		t.Fatalf("above the maximum threshold drops = %d/100", drops)
 	}
 	// Between thresholds: probabilistic.
-	r3 := NewRED(false)
+	r3 := NewRED()
 	mid := 0
 	for i := 0; i < 2000; i++ {
 		if r3.OnArrival(4, false, rng) == REDDrop {
@@ -146,7 +146,7 @@ func TestREDBehaviour(t *testing.T) {
 
 func TestREDMarksWithECN(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	r := NewRED(true)
+	r := NewRED()
 	marks, drops := 0, 0
 	for i := 0; i < 100; i++ {
 		switch r.OnArrival(20, true, rng) {
@@ -173,7 +173,7 @@ func TestREDMarksWithECN(t *testing.T) {
 func TestQuickREDAverageBounded(t *testing.T) {
 	f := func(seed int64, lens []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewRED(seed%2 == 0)
+		r := NewRED()
 		for _, l := range lens {
 			q := int(l % 32)
 			switch r.OnArrival(q, l%3 == 0, rng) {

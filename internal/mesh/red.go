@@ -24,11 +24,9 @@ const (
 
 // RED implements Random Early Detection (Floyd & Jacobson 1993) for relay
 // queues. The paper's Appendix A uses RED together with ECN to restore
-// fairness between competing TCP flows when buffers exceed four segments.
+// fairness between competing TCP flows when buffers exceed four segments,
+// so an ECN-capable packet is marked where another is dropped.
 type RED struct {
-	// UseECN marks instead of dropping when possible.
-	UseECN bool
-
 	avg   float64
 	count int
 
@@ -36,9 +34,7 @@ type RED struct {
 }
 
 // NewRED returns a relay queue's RED state.
-func NewRED(useECN bool) *RED {
-	return &RED{UseECN: useECN}
-}
+func NewRED() *RED { return &RED{} }
 
 // OnArrival updates the average queue estimate with the instantaneous
 // queue length qlen and returns the verdict for the arriving packet.
@@ -68,7 +64,7 @@ func (r *RED) OnArrival(qlen int, canMark bool, rng *rand.Rand) REDAction {
 }
 
 func (r *RED) verdict(canMark bool) REDAction {
-	if r.UseECN && canMark {
+	if canMark {
 		r.Marks++
 		return REDMark
 	}

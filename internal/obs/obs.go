@@ -1,6 +1,7 @@
 // Package obs is the cross-layer observability subsystem: typed trace
-// events, frame capture, per-layer metric aggregation and exporters
-// (NDJSON, pcapng).
+// events, frame capture and exporters (NDJSON, pcapng). The per-layer
+// metrics an NDJSON "metrics" record carries are summed by the scenario
+// runner from each layer's own counters (Result.Layers).
 //
 // The design constraint is zero overhead when disabled: every layer
 // holds a *Trace pointer that is nil by default, and every hook site is

@@ -124,20 +124,3 @@ func BenchmarkEmitEnabled(b *testing.B) {
 		tr.Emit(Event{T: sim.Time(i), Kind: TCPSend, Node: 1, A: int64(i), Len: 944})
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Add("mac", "retries", 3)
-	r.AddUint("mac", "retries", 2)
-	r.Add("phy", "frames_sent", 10)
-	if got := r.Get("mac", "retries"); got != 5 {
-		t.Errorf("Get(mac, retries) = %v, want 5", got)
-	}
-	if got := r.Get("nope", "nothing"); got != 0 {
-		t.Errorf("Get on absent layer = %v, want 0", got)
-	}
-	ls := r.Layers()
-	if len(ls) != 2 || ls["phy"]["frames_sent"] != 10 {
-		t.Errorf("Layers() = %v", ls)
-	}
-}

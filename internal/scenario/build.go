@@ -59,8 +59,7 @@ func (s *Spec) options() stack.Options {
 		opt.QueueCap = n.QueueCap
 	}
 	opt.RED = n.RED
-	opt.ECN = n.ECN
-	if n.HopByHop {
+	if n.HopByHop || n.RED {
 		opt.Mode = stack.HopByHopReassembly
 	}
 	return opt
@@ -141,9 +140,6 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 			sc.FastInterval = ns.FastInterval.D()
 		}
 		sc.Adaptive = ns.Adaptive
-		if ns.NoFastPollHint {
-			net.Nodes[ns.ID].TCP().OnExpectingChange = nil
-		}
 		sc.Start()
 	}
 	if g := spec.Gateway; g != nil {
@@ -151,7 +147,6 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 		// channel (seed) and the border drop filter (seed+1).
 		rc.gw = gateway.New(net.Border(), gateway.Config{
 			MaxConns: g.MaxConns,
-			SinkCfg:  net.FlowTCPConfig("", 0),
 			WAN: netem.WANConfig{
 				BandwidthKbps: g.WAN.BandwidthKbps,
 				Delay:         g.WAN.RTT.D() / 2,
@@ -220,17 +215,17 @@ func (rc *runContext) resolve(r NodeRef) *stack.Node {
 }
 
 // tcpConfigs derives the flow's sender and sink TCP configurations:
-// per-flow variant/window over the network defaults, host-sized
+// the per-flow variant over the network's configuration, host-sized
 // buffers on host endpoints, and the Table 7 stack-profile override.
 func (rc *runContext) tcpConfigs(fs FlowSpec) (srcCfg, sinkCfg tcplp.Config, err error) {
 	variant, err := cc.Parse(fs.Variant) // "" is NewReno, the paper's
 	if err != nil {
 		return srcCfg, sinkCfg, err // unreachable after Validate
 	}
-	cfg := rc.net.FlowTCPConfig(variant, fs.WindowSegs)
+	cfg := rc.net.FlowTCPConfig(variant)
 
 	// The host end is unconstrained (§5: a FreeBSD-class machine), so a
-	// host endpoint keeps large buffers; the flow's window knob binds at
+	// host endpoint keeps large buffers; the network's window binds at
 	// the mote end, which is what bounds the transfer either way.
 	sinkCfg = cfg
 	if fs.To.Host {
@@ -301,29 +296,23 @@ func (rc *runContext) mark() {
 	}
 }
 
-// scheduleDCSamples arms the Fig. 10 duty-cycle sampler: at every
-// DCSample boundary of the measurement window, record the mean radio
-// duty cycle across the flow source nodes and reset their meters.
-func (rc *runContext) scheduleDCSamples() {
-	period := rc.spec.DCSample.D()
-	n := int(rc.spec.Duration.D() / period)
-	for i := 1; i <= n; i++ {
-		rc.net.Eng.Schedule(sim.Duration(i)*period, func() {
-			dc := 0.0
-			cnt := 0
-			for _, fr := range rc.flows {
-				node := fr.meshNode()
-				if node.Radio == nil {
-					continue
-				}
-				dc += node.Radio.DutyCycle()
-				node.Radio.ResetEnergy()
-				cnt++
-			}
-			if cnt > 0 {
-				rc.dcSamples = append(rc.dcSamples, dc/float64(cnt))
-			}
-		})
+// sampleDC is one Fig. 10 duty-cycle sample, taken at every DCSample
+// boundary of the measurement window: the mean radio duty cycle across
+// the flows' mesh endpoints, whose meters then reset.
+func (rc *runContext) sampleDC() {
+	dc := 0.0
+	cnt := 0
+	for _, fr := range rc.flows {
+		node := fr.meshNode()
+		if node.Radio == nil {
+			continue
+		}
+		dc += node.Radio.DutyCycle()
+		node.Radio.ResetEnergy()
+		cnt++
+	}
+	if cnt > 0 {
+		rc.dcSamples = append(rc.dcSamples, dc/float64(cnt))
 	}
 }
 
@@ -401,7 +390,7 @@ func (rc *runContext) collect() Result {
 	if rc.gw != nil {
 		res.Gateway = rc.collectGateway(res.Flows)
 	}
-	res.Layers = rc.layerRegistry().Layers()
+	res.Layers = rc.layers()
 	return res
 }
 
@@ -468,9 +457,6 @@ func (r *Runner) runDefaulted(spec *Spec, seed int64) (Result, error) {
 func (rc *runContext) run() {
 	rc.net.Eng.RunFor(rc.spec.Warmup.D())
 	rc.mark()
-	if rc.spec.DCSample > 0 {
-		rc.scheduleDCSamples()
-	}
 	rc.runWindow()
 	if rc.spec.IdleWindow > 0 {
 		rc.runIdlePhase()

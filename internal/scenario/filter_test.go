@@ -41,7 +41,7 @@ func TestAddressFilterInvisible(t *testing.T) {
 	chain := obsSpec()
 	chain.Topology.Nodes = 5
 	chain.Flows[0].From = NodeID(4)
-	chain.Flows = append(chain.Flows, FlowSpec{Label: "bulk", From: NodeID(3), To: NodeID(0), Port: 81})
+	chain.Flows = append(chain.Flows, FlowSpec{Label: "bulk", From: NodeID(3), To: NodeID(0)})
 
 	run := func(spec *Spec, filter, traced bool) Result {
 		t.Helper()

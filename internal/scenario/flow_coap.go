@@ -25,13 +25,13 @@ type coapProbe struct {
 func startCoAP(t *telemetry) *coapProbe {
 	p := &coapProbe{telemetry: t}
 	fs, src, dst := &t.fr.spec, t.fr.src, t.fr.dst
-	port := fs.Port
+	port := fs.port
 	if t.gw != nil {
 		port = gateway.DefaultCoAPPort
 		t.register()
 	} else {
 		t.sink = app.NewCountingSink(dst.Eng())
-		srv := coap.NewServer(dst.Eng(), dst.UDP(), fs.Port)
+		srv := coap.NewServer(dst.Eng(), dst.UDP(), fs.port)
 		srv.OnPost = func(_ ip6.Addr, payload []byte) coap.Code {
 			t.sink.Received += len(payload)
 			app.ForEachReading(payload, t.deliver)

@@ -30,16 +30,16 @@ func startTCP(t *telemetry, srcCfg, sinkCfg tcplp.Config) *tcpProbe {
 	fs, src, dst := &t.fr.spec, t.fr.src, t.fr.dst
 	switch fs.Pattern {
 	case PatternBulk:
-		t.sink = &app.ListenSinkConfig(dst, fs.Port, sinkCfg).CountingSink
-		p.bulk = app.StartBulkConfig(src, srcCfg, dst.Addr, fs.Port)
+		t.sink = &app.ListenSinkConfig(dst, fs.port, sinkCfg).CountingSink
+		p.bulk = app.StartBulkConfig(src, srcCfg, dst.Addr, fs.port)
 		p.conn = p.bulk.Conn
 	case PatternAnemometer:
-		port := fs.Port
+		port := fs.port
 		if t.gw != nil {
 			port = gateway.DefaultTCPPort
 			t.register()
 		} else {
-			t.sink = &app.ListenReadingSink(dst, fs.Port, sinkCfg, t.deliver).CountingSink
+			t.sink = &app.ListenReadingSink(dst, fs.port, sinkCfg, t.deliver).CountingSink
 		}
 		tr := app.NewTCPTransportConfig(src, srcCfg, dst.Addr, port)
 		t.startSensor(tr, app.TCPQueueCap)

@@ -14,8 +14,8 @@ type udpProbe struct {
 
 func startUDP(t *telemetry) *udpProbe {
 	fs, src, dst := &t.fr.spec, t.fr.src, t.fr.dst
-	t.sink = app.ListenReadingUDP(dst, fs.Port, t.deliver)
-	tr := app.NewUDPTransport(src, dst.Addr, fs.Port, messageSize(t.net, app.ReadingSize))
+	t.sink = app.ListenReadingUDP(dst, fs.port, t.deliver)
+	tr := app.NewUDPTransport(src, dst.Addr, fs.port, messageSize(t.net, app.ReadingSize))
 	tr.Trace = t.trace
 	tr.Node = src.ID
 	t.startSensor(tr, app.CoAPQueueCap)

@@ -67,7 +67,6 @@ func TestGatewayValidateRejects(t *testing.T) {
 			s.Flows[0].From = Gateway()
 			s.Flows[0].To = NodeID(0)
 		}, "sink reference"},
-		{"explicit port", func(s *Spec) { s.Flows[0].Port = 80 }, "drop \"port\""},
 		{"udp gateway flow", func(s *Spec) { s.Flows[0].Protocol = "udp" }, "protocol tcp or coap"},
 		{"bulk gateway flow", func(s *Spec) {
 			s.Flows[0].PerDevice = false
@@ -90,11 +89,6 @@ func TestGatewayValidateRejects(t *testing.T) {
 			extra.From = NodeID(1)
 			s.Flows = append(s.Flows, extra)
 		}, "only gateway flow"},
-		{"terminator port collision", func(s *Spec) {
-			s.Flows = append(s.Flows, FlowSpec{
-				From: NodeID(2), To: NodeID(0), Port: 7000,
-			})
-		}, "gateway terminator port"},
 		{"negative max_conns", func(s *Spec) { s.Gateway.MaxConns = -1 }, "negative max_conns"},
 		{"wan loss out of range", func(s *Spec) { s.Gateway.WAN.Loss = 1.0 }, "out of range"},
 		{"devices axis on twinleaf", func(s *Spec) {

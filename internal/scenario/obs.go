@@ -21,7 +21,7 @@ type ObsConfig struct {
 	// Pcap captures every 802.15.4 frame put on air (pcapng,
 	// Wireshark-openable).
 	Pcap *obs.PcapWriter
-	// MetricsInterval samples the per-layer metric registry into Events
+	// MetricsInterval samples the per-layer metrics (Result.Layers) into Events
 	// as NDJSON "metrics" records at this period of the measurement
 	// window (0 disables; requires Events). The window then runs in
 	// slices of this length and each sample is taken between two of
@@ -89,15 +89,12 @@ func (rc *runContext) buildTrace(oc *ObsConfig) {
 	rc.trace = tr
 }
 
-// layerRegistry aggregates every layer's counters across the run's
-// nodes into the named-metric registry. It reads existing statistics —
-// no trace required — so Result.Layers is identical whether or not
-// tracing is enabled, and deterministic per (spec, seed).
-func (rc *runContext) layerRegistry() *obs.Registry {
-	// Sum in locals and enter each metric once: a string-keyed registry
-	// update per node per counter is 200 k map operations on a 10k-node
-	// run. The sums are exact integers far below 2^53, so the float64
-	// registry ends up with the same values either way.
+// layers sums every layer's counters across the run's nodes into the
+// per-layer metric map of Result.Layers and the "metrics" records. It
+// reads existing statistics — no trace required — so Result.Layers is
+// identical whether or not tracing is enabled, and deterministic per
+// (spec, seed). The sums are exact integers far below 2^53.
+func (rc *runContext) layers() map[string]map[string]float64 {
 	var (
 		framesSent, framesRecv, rxDropped uint64
 		ms                                mac.Stats
@@ -139,57 +136,68 @@ func (rc *runContext) layerRegistry() *obs.Registry {
 		ns.PacketsDelivered += h.Stats.PacketsDelivered
 		addTCP(h.TCPStats())
 	}
-	reg := obs.NewRegistry()
-	reg.AddUint("phy", "frames_sent", framesSent)
-	reg.AddUint("phy", "frames_recv", framesRecv)
-	reg.AddUint("phy", "rx_dropped", rxDropped)
-	reg.AddUint("mac", "data_sent", ms.DataSent)
-	reg.AddUint("mac", "data_dropped", ms.DataDropped)
-	reg.AddUint("mac", "retries", ms.Retries)
-	reg.AddUint("mac", "csma_failures", ms.CSMAFailures)
-	reg.AddUint("mac", "duplicates", ms.Duplicates)
-	reg.AddUint("sixlowpan", "reassembly_timeouts", reasmTimeouts)
-	reg.AddUint("ip", "packets_sent", ns.PacketsSent)
-	reg.AddUint("ip", "packets_delivered", ns.PacketsDelivered)
-	reg.AddUint("ip", "fragments_fwd", ns.FragmentsFwd)
-	reg.AddUint("ip", "queue_drops", ns.QueueDrops)
-	reg.AddUint("ip", "red_drops", ns.REDDrops)
-	reg.AddUint("ip", "link_failures", ns.LinkFailures)
-	reg.AddUint("tcp", "segs_in", ts.SegsIn)
-	reg.AddUint("tcp", "no_socket", ts.NoSocket)
-	reg.AddUint("tcp", "rsts_sent", ts.RSTsSent)
-	reg.AddUint("tcp", "conns_opened", ts.ConnsOpened)
-	reg.AddUint("tcp", "conns_accepted", ts.ConnsAccepted)
+	f := func(v uint64) float64 { return float64(v) }
+	layers := map[string]map[string]float64{
+		"phy": {"frames_sent": f(framesSent), "frames_recv": f(framesRecv), "rx_dropped": f(rxDropped)},
+		"mac": {"data_sent": f(ms.DataSent), "data_dropped": f(ms.DataDropped), "retries": f(ms.Retries),
+			"csma_failures": f(ms.CSMAFailures), "duplicates": f(ms.Duplicates)},
+		"sixlowpan": {"reassembly_timeouts": f(reasmTimeouts)},
+		"ip": {"packets_sent": f(ns.PacketsSent), "packets_delivered": f(ns.PacketsDelivered),
+			"fragments_fwd": f(ns.FragmentsFwd), "queue_drops": f(ns.QueueDrops),
+			"red_drops": f(ns.REDDrops), "link_failures": f(ns.LinkFailures)},
+		"tcp": {"segs_in": f(ts.SegsIn), "no_socket": f(ts.NoSocket), "rsts_sent": f(ts.RSTsSent),
+			"conns_opened": f(ts.ConnsOpened), "conns_accepted": f(ts.ConnsAccepted)},
+	}
 	if rc.gw != nil {
 		gs, ws := rc.gw.Stats, rc.gw.WAN().Stats
-		reg.AddUint("gateway", "accepted", gs.Accepted)
-		reg.AddUint("gateway", "posts", gs.Posts)
-		reg.AddUint("gateway", "reused", gs.Reused)
-		reg.AddUint("gateway", "evicted", gs.Evicted)
-		reg.AddUint("gateway", "readings_in", gs.ReadingsIn)
-		reg.AddUint("gateway", "readings_out", gs.ReadingsOut)
-		reg.AddUint("gateway", "readings_lost", gs.ReadingsLost)
-		reg.AddUint("wan", "sent", ws.Sent)
-		reg.AddUint("wan", "delivered", ws.Delivered)
-		reg.AddUint("wan", "queue_drops", ws.QueueDrops)
-		reg.AddUint("wan", "loss_drops", ws.LossDrops)
-		reg.AddUint("wan", "bytes_sent", ws.BytesSent)
+		layers["gateway"] = map[string]float64{"accepted": f(gs.Accepted), "posts": f(gs.Posts),
+			"reused": f(gs.Reused), "evicted": f(gs.Evicted), "readings_in": f(gs.ReadingsIn),
+			"readings_out": f(gs.ReadingsOut), "readings_lost": f(gs.ReadingsLost)}
+		layers["wan"] = map[string]float64{"sent": f(ws.Sent), "delivered": f(ws.Delivered),
+			"queue_drops": f(ws.QueueDrops), "loss_drops": f(ws.LossDrops), "bytes_sent": f(ws.BytesSent)}
 	}
-	return reg
+	return layers
 }
 
-// runWindow runs the measurement window. With a metrics interval it runs
-// in MetricsInterval slices and snapshots the registry into the NDJSON
-// writer as a "metrics" record at the end of each whole one: between
-// slices, so the sampler never enters the engine and the run is the one
-// a single RunFor would have made.
+// runWindow runs the measurement window. Its samplers — the Fig. 10
+// duty-cycle sample every DCSample and, with a metrics interval, a
+// "metrics" record of rc.layers every MetricsInterval — each run at the
+// end of every whole period, between two engine slices: a sample sees
+// every event that fires at its instant, and the run is the one a single
+// RunFor would have made.
 func (rc *runContext) runWindow() {
 	eng := rc.net.Eng
 	end := eng.Now().Add(rc.spec.Duration.D())
+	type sampler struct {
+		period sim.Duration
+		next   sim.Time
+		take   func(t sim.Time)
+	}
+	var samplers []*sampler
+	if p := rc.spec.DCSample.D(); p > 0 {
+		samplers = append(samplers, &sampler{p, eng.Now().Add(p), func(sim.Time) { rc.sampleDC() }})
+	}
 	if oc := rc.oc; oc != nil && oc.Events != nil && oc.MetricsInterval > 0 {
-		for t := eng.Now().Add(oc.MetricsInterval); t <= end; t = t.Add(oc.MetricsInterval) {
-			eng.RunUntil(t)
-			oc.Events.Metrics(rc.spec.Name, rc.seed, int64(t), rc.layerRegistry().Layers())
+		samplers = append(samplers, &sampler{oc.MetricsInterval, eng.Now().Add(oc.MetricsInterval), func(t sim.Time) {
+			oc.Events.Metrics(rc.spec.Name, rc.seed, int64(t), rc.layers())
+		}})
+	}
+	for {
+		t, due := end, false
+		for _, s := range samplers {
+			if s.next <= t {
+				t, due = s.next, true
+			}
+		}
+		if !due {
+			break
+		}
+		eng.RunUntil(t)
+		for _, s := range samplers {
+			if s.next == t {
+				s.take(t)
+				s.next = t.Add(s.period)
+			}
 		}
 	}
 	eng.RunUntil(end)

@@ -17,7 +17,7 @@ func obsSpec() *Spec {
 		Name:     "obs-probe",
 		Topology: TopologySpec{Kind: TopoChain, Nodes: 3},
 		Flows: []FlowSpec{{
-			Label: "anem", From: NodeID(2), To: NodeID(0), Port: 80,
+			Label: "anem", From: NodeID(2), To: NodeID(0),
 			Pattern:  PatternAnemometer,
 			Interval: Duration(500 * sim.Millisecond), Batch: 2,
 		}},

@@ -49,8 +49,8 @@ func twinMixed(seeds ...int64) *Spec {
 		Topology: TopologySpec{Kind: TopoTwinLeaf, PathHops: 3},
 		Net:      NetSpec{WindowSegs: 7},
 		Flows: []FlowSpec{
-			{Label: "bbr", From: NodeID(3), To: NodeID(0), Port: 80, Variant: "bbr"},
-			{Label: "newreno", From: NodeID(4), To: NodeID(0), Port: 81, Variant: "newreno"},
+			{Label: "bbr", From: NodeID(3), To: NodeID(0), Variant: "bbr"},
+			{Label: "newreno", From: NodeID(4), To: NodeID(0), Variant: "newreno"},
 		},
 		Warmup:   Duration(10 * sim.Second),
 		Duration: Duration(40 * sim.Second),
@@ -116,7 +116,6 @@ func TestValidateRejects(t *testing.T) {
 			d := Duration(-sim.Millisecond)
 			s.Net.RetryDelay = &d
 		}, "negative retry_delay"},
-		{"duplicate sink", func(s *Spec) { s.Flows[1].Port = 80 }, "share sink"},
 		{"unknown protocol", func(s *Spec) { s.Flows[0].Protocol = "quic" }, "unknown protocol"},
 		{"bulk over coap", func(s *Spec) {
 			s.Flows[0].Variant = ""
@@ -137,10 +136,6 @@ func TestValidateRejects(t *testing.T) {
 		{"bad injected loss", func(s *Spec) { s.Net.InjectedLoss = 1.2 }, "out of range"},
 		{"negative interference", func(s *Spec) { s.Net.Interference = -1 }, "negative interference"},
 		{"negative dc_sample", func(s *Spec) { s.DCSample = Duration(-sim.Second) }, "negative dc_sample"},
-		{"default-port collision", func(s *Spec) {
-			s.Flows[0].Port = 81 // collides with flow 1's default 80+1
-			s.Flows[1].Port = 0
-		}, "share sink"},
 	}
 	for _, c := range cases {
 		spec := twinMixed(1)
@@ -370,8 +365,8 @@ func TestTraceFlow(t *testing.T) {
 		Name:     "trace",
 		Topology: TopologySpec{Kind: TopoChain, Nodes: 2},
 		Flows: []FlowSpec{
-			{From: NodeID(1), To: NodeID(0), Port: 80, Trace: true},
-			{From: NodeID(0), To: NodeID(1), Port: 81},
+			{From: NodeID(1), To: NodeID(0), Trace: true},
+			{From: NodeID(0), To: NodeID(1)},
 		},
 		Warmup:   Duration(5 * sim.Second),
 		Duration: Duration(20 * sim.Second),
@@ -464,6 +459,8 @@ func TestParseSpecsErrors(t *testing.T) {
 		{"node", "min_" + "interval", `"20ms"`}, {"node", "max_" + "interval", `"5s"`},
 		{"all_nodes", "min_" + "interval", `"20ms"`}, {"all_nodes", "max_" + "interval", `"5s"`},
 		{"spec", "idle_" + "settle", `"30s"`},
+		{"flow", "po" + "rt", "80"}, {"flow", "window_" + "segs", "2"},
+		{"net", "ec" + "n", "true"}, {"node", "no_fast_poll_" + "hint", "true"},
 	} {
 		b := blocks[k.where]
 		in := strings.Replace(ok, b[0], strings.Replace(b[1], "KV", `"`+k.key+`":`+k.value, 1), 1)
@@ -525,11 +522,10 @@ func hostileSpecs() []hostileSpec {
 			`,"fan` + `out":` + strconv.Itoa(fanout) + `},` + flows + `}`
 	}
 	gone := `unknown field "dep` + `th"`
-	// Port skew: A has no port and sits after five per_device replicas, so
-	// it listens on 80+5 — B's port.
-	skew := `{"name":"h","topology":{"kind":"star","nodes":6},"gateway":{},"flows":[` +
-		`{"label":"dev","to":"gateway","per_device":true},{"label":"A","from":1,"to":0},` +
-		`{"label":"B","from":2,"to":0,"port":85}]}`
+	// One node given two roles used to build two sleep controllers that
+	// fought over its radio.
+	twice := `{"name":"h","topology":{"kind":"chain","nodes":2},"nodes":[{"id":1,"sleepy":true,"sleep_interval":"250ms"},` +
+		`{"id":1,"sleepy":true,"sleep_interval":"5s"}],` + flows + `}`
 	// A fleet of 6 920 devices puts the next direct flow on port 7000, the
 	// gateway's TCP terminator on node 0.
 	onTerminator := `{"name":"h","topology":{"kind":"star","nodes":6921},"gateway":{},"flows":[` +
@@ -554,9 +550,9 @@ func hostileSpecs() []hostileSpec {
 		{"tree of 2^31 nodes", tree(30, 2), gone, ""},
 		{"tree whose size wraps", tree(64, 2), gone, ""},
 		{"path of 2e9 nodes as a tree", tree(2000000000, 1), gone, ""},
-		{"default port behind per_device replicas", skew, "share sink 0:85", "80 + its index"},
+		{"node listed twice", twice, "node 1", "listed twice in nodes"},
 		{"default port on the gateway's terminator", onTerminator, "port 7000 on node 0", "gateway terminator"},
-		{"default port past the last port", pastLastPort, "started flow 65456 (1->0) has no port", "80 + 65456 is over the last port, 65535"},
+		{"default port past the last port", pastLastPort, "started flow 65456 (1->0) would listen on port 80 + 65456", "past the last port, 65535"},
 		{"chain of 2e9 nodes", `{"name":"h","topology":{"kind":"chain","nodes":2000000000},` + flows + `}`,
 			"nodes", strconv.Itoa(maxNodes)},
 		{"city of 2e9 nodes", `{"name":"h","topology":{"kind":"random_geometric","nodes":2000000000},` + flows + `}`,
@@ -577,8 +573,10 @@ func hostileSpecs() []hostileSpec {
 			"seg_frames", strconv.Itoa(maxConnBuf)},
 		{"segments of 9e18 frames", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"seg_frames":9223372036854775807},` + flows + `}`,
 			"seg_frames", strconv.Itoa(maxConnBuf)},
+		// The per-flow window was removed; a flow still asking for 2e9
+		// segments is refused by the key's name.
 		{"flow window of 2e9 segments", `{"name":"h","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"window_segs":2000000000}]}`,
-			"flow 0: window_segs", strconv.Itoa(maxConnBuf)},
+			`unknown field "window_segs"`, ""},
 		{"window axis value of 2e9", `{"name":"h","topology":{"kind":"chain","nodes":2},` + flows + `,"sweep":{"window_segs":[4,2000000000]}}`,
 			"window_segs", strconv.Itoa(maxConnBuf)},
 		{"segments of 30 frames", `{"name":"h","topology":{"kind":"chain","nodes":2},"net":{"seg_frames":30},` + flows + `}`,
@@ -608,7 +606,7 @@ func hostileSpecs() []hostileSpec {
 // process to allocate is bounded by Validate. Most of these used to pass
 // ParseSpecs far enough to die of "fatal error: out of memory" (the sweep
 // inside Validate itself, which expanded it) or to wrap the node count
-// negative; the three port rows used to validate and then lose a flow's
+// negative; the two port rows used to validate and then lose a flow's
 // sink at run time. Each must now be refused at once — the 100 ms budget
 // is what shows no topology was built and no grid expanded — with an
 // error naming the field and the limit.
@@ -1094,8 +1092,8 @@ func TestPatterns(t *testing.T) {
 	}
 }
 
-// TestPerFlowWindowAndPacing pins the per-flow config threading: a w=8
-// flow outruns a w=1 flow on a clean one-hop link, and each flow's
+// TestPerFlowWindowAndPacing pins the config threading: a w=8 network's
+// flow outruns a w=1 network's on a clean one-hop link, and each flow's
 // variant — the one thing that decides pacing — reaches its connection
 // config.
 func TestPerFlowWindowAndPacing(t *testing.T) {
@@ -1103,7 +1101,8 @@ func TestPerFlowWindowAndPacing(t *testing.T) {
 		return &Spec{
 			Name:     name,
 			Topology: TopologySpec{Kind: TopoChain, Nodes: 2},
-			Flows:    []FlowSpec{{From: NodeID(1), To: NodeID(0), WindowSegs: w}},
+			Net:      NetSpec{WindowSegs: w},
+			Flows:    []FlowSpec{{From: NodeID(1), To: NodeID(0)}},
 			Warmup:   Duration(5 * sim.Second),
 			Duration: Duration(30 * sim.Second),
 			Seeds:    []int64{11},
@@ -1318,6 +1317,41 @@ func TestConcurrentRunnersKeepTheirDefaults(t *testing.T) {
 		if v := together[i][0].Runs[0].Flows[0].Variant; v != string(rw.Variant) {
 			t.Fatalf("rewrite %d: flow variant = %q, want %q", i, v, rw.Variant)
 		}
+	}
+}
+
+// TestREDAloneRunsAppendixA: "red" alone is Appendix A's relays — RED
+// marking ECN-capable packets over whole-packet relaying. It used to be
+// accepted and do nothing without its two companion keys: the w=7
+// twinleaf ran exactly as without it.
+func TestREDAloneRunsAppendixA(t *testing.T) {
+	run := func(red bool) (Result, uint64) {
+		t.Helper()
+		s := twinMixed(303)
+		s.Flows[0].Variant, s.Flows[1].Variant = "", ""
+		s.Net.RED = red
+		s.Warmup, s.Duration = Duration(5*sim.Second), Duration(30*sim.Second)
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		rc, err := (&Runner{}).buildRun(s.withDefaults(), 303)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.run()
+		var marks uint64
+		for _, n := range rc.net.Nodes {
+			marks += n.Stats.REDMarks
+		}
+		return rc.collect(), marks
+	}
+	plain, _ := run(false)
+	red, marks := run(true)
+	if drops := red.Layers["ip"]["red_drops"]; drops == 0 && marks == 0 {
+		t.Fatal("red: no RED drop and no RED mark")
+	}
+	if reflect.DeepEqual(plain, red) {
+		t.Fatal("red: the run equals the plain one")
 	}
 }
 

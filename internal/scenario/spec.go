@@ -187,7 +187,7 @@ type TopologySpec struct {
 }
 
 // NetSpec sets network-wide knobs: link conditions, segment sizing, the
-// default window, queueing, and RED/ECN at relays.
+// window, queueing, and Appendix A's RED/ECN relays.
 type NetSpec struct {
 	// PER is a uniform per-frame corruption probability on every link.
 	PER float64 `json:"per,omitempty"`
@@ -197,16 +197,17 @@ type NetSpec struct {
 	RetryDelay *Duration `json:"retry_delay,omitempty"`
 	// SegFrames is the TCP MSS in 802.15.4 frames (default 5).
 	SegFrames int `json:"seg_frames,omitempty"`
-	// WindowSegs is the default per-flow window in segments (default 4);
-	// individual flows may override it.
+	// WindowSegs is every TCP flow's window in segments (default 4),
+	// applied to both the sender's buffers and the sink's advertised
+	// window.
 	WindowSegs int `json:"window_segs,omitempty"`
 	// QueueCap bounds each node's datagram transmit queue.
 	QueueCap int `json:"queue_cap,omitempty"`
-	// RED/ECN enable random early detection (and marking) at relays;
-	// HopByHop selects whole-packet reassembly at relays, which RED
-	// requires to see packets (Appendix A).
-	RED      bool `json:"red,omitempty"`
-	ECN      bool `json:"ecn,omitempty"`
+	// RED runs Appendix A's relays: random early detection that marks
+	// ECN-capable packets (TCP sets ECT) over whole-packet relaying, which
+	// RED needs to see packets at all.
+	RED bool `json:"red,omitempty"`
+	// HopByHop selects whole-packet reassembly at relays without RED.
 	HopByHop bool `json:"hop_by_hop,omitempty"`
 	// InjectedLoss drops packets crossing the border router with this
 	// probability — the §9.4 loss-injection mechanism.
@@ -225,15 +226,12 @@ type NodeSpec struct {
 	// SleepInterval is the base data-request period (default 4 min).
 	SleepInterval Duration `json:"sleep_interval,omitempty"`
 	// FastInterval is the poll period while a transport response is
-	// expected; unset keeps the 100 ms default, "0s" disables fast
-	// polling (Appendix C conditions).
+	// expected (the §9.2 hint); unset keeps the 100 ms default, "0s"
+	// turns the hint off (Appendix C conditions).
 	FastInterval *Duration `json:"fast_interval,omitempty"`
 	// Adaptive enables the Trickle-controlled interval of Appendix C,
 	// between the paper's 20 ms and 5 s bounds.
 	Adaptive bool `json:"adaptive,omitempty"`
-	// NoFastPollHint detaches the TCP expecting-data hint from the
-	// sleep controller (the §9.2 refinement off).
-	NoFastPollHint bool `json:"no_fast_poll_hint,omitempty"`
 }
 
 // WANSpec shapes the gateway's modeled wide-area backhaul: a
@@ -290,9 +288,6 @@ type FlowSpec struct {
 	// RTO selects the CoAP retransmission-timeout policy: "default"
 	// (RFC 7252) or "cocoa" (draft-ietf-core-cocoa, the §9.4 baseline).
 	RTO string `json:"rto,omitempty"`
-	// Port is the sink's listening port (default 80 + the flow's index
-	// among the flows a run starts, per_device replicas included).
-	Port uint16 `json:"port,omitempty"`
 	// Variant is the congestion-control algorithm (newreno, cubic,
 	// westwood, bbr, vegas); empty uses the process default.
 	Variant string `json:"variant,omitempty"`
@@ -301,15 +296,11 @@ type FlowSpec struct {
 	// connection uses the profile's stripped configuration while the
 	// sink stays full TCPlp, whose delayed ACKs penalize stop-and-wait
 	// stacks exactly as the paper's gateway-class receivers did. A
-	// profile overrides variant/window_segs for the flow.
+	// profile overrides the variant and the network window for the flow.
 	Profile string `json:"profile,omitempty"`
 	// Trace records the sender's congestion-window trajectory over the
 	// measurement window into FlowResult.CwndTrace (Fig. 7a).
 	Trace bool `json:"trace,omitempty"`
-	// WindowSegs overrides the network window for this flow, in
-	// segments, applied to both the sender's buffers and the sink's
-	// advertised window.
-	WindowSegs int `json:"window_segs,omitempty"`
 	// Pattern is bulk (default for direct TCP flows) or anemometer.
 	Pattern string `json:"pattern,omitempty"`
 	// Interval is the anemometer sampling period; 0 selects the 1s
@@ -328,6 +319,10 @@ type FlowSpec struct {
 	// thousand-node mesh carries a hundred instrumented flows rather than
 	// one per node. 0 or 1 keeps every device.
 	Stride int `json:"stride,omitempty"`
+
+	// port is a direct flow's sink port: 80 + the flow's index among the
+	// flows a run starts, per_device replicas included (eachStartedFlow).
+	port uint16
 }
 
 // AxisValue is one coordinate of an expanded sweep cell, e.g.
@@ -367,8 +362,7 @@ type Sweep struct {
 	RetryDelay []Duration `json:"retry_delay,omitempty"`
 	// SegFrames sweeps the TCP MSS in 802.15.4 frames (Fig. 4).
 	SegFrames []int `json:"seg_frames,omitempty"`
-	// WindowSegs sweeps the network default window in segments (Fig. 5);
-	// flows with an explicit per-flow window keep it.
+	// WindowSegs sweeps the network window in segments (Fig. 5).
 	WindowSegs []int `json:"window_segs,omitempty"`
 	// Variants sweeps the congestion-control algorithm, overriding every
 	// flow's variant per cell.
@@ -506,14 +500,16 @@ type sweepOpt struct {
 
 // sweepAxis defines one sweep dimension, once: the coordinate key cells
 // name it by, its values as expansion options, and the check a value
-// must pass on the spec that sweeps it.
+// must pass on the spec that sweeps it — only where an expanded cell's
+// Validate cannot make it: the topology kind an axis regrows, or a value
+// the cell would read as unset.
 type sweepAxis struct {
 	opts  func(*Sweep) []sweepOpt
 	check func(*Spec) error
 }
 
-// axisOf builds an axis over the Sweep field vals reads. check sees the
-// sweep spec (for the topology an axis needs) and one value.
+// axisOf builds an axis over the Sweep field vals reads. check, if any,
+// sees the sweep spec (for the topology an axis needs) and one value.
 func axisOf[T any](key string, vals func(*Sweep) []T, label func(T) string,
 	apply func(*Spec, T), check func(*Spec, T) error) sweepAxis {
 	return sweepAxis{
@@ -527,6 +523,9 @@ func axisOf[T any](key string, vals func(*Sweep) []T, label func(T) string,
 			return out
 		},
 		check: func(s *Spec) error {
+			if check == nil {
+				return nil
+			}
 			for _, v := range vals(s.Sweep) {
 				if err := check(s, v); err != nil {
 					return err
@@ -540,26 +539,6 @@ func axisOf[T any](key string, vals func(*Sweep) []T, label func(T) string,
 // percent labels a probability; 6 significant digits keep labels like
 // 7% from leaking float noise (0.07·100 is not exactly 7 in binary).
 func percent(p float64) string { return strconv.FormatFloat(p*100, 'g', 6, 64) + "%" }
-
-// probability is the check of the per and injected_loss axes.
-func probability(name string) func(*Spec, float64) error {
-	return func(_ *Spec, p float64) error {
-		if p < 0 || p >= 1 {
-			return fmt.Errorf("%s value %v out of range [0,1)", name, p)
-		}
-		return nil
-	}
-}
-
-// nonNegative is the check of the interference and retry_delay axes.
-func nonNegative[T ~int64 | ~float64](name string) func(*Spec, T) error {
-	return func(_ *Spec, v T) error {
-		if v < 0 {
-			return fmt.Errorf("negative %s value %v", name, v)
-		}
-		return nil
-	}
-}
 
 // atLeast is the check of the plain integer axes.
 func atLeast(name string, min int) func(*Spec, int) error {
@@ -603,13 +582,13 @@ var sweepAxes = []sweepAxis{
 			return atLeast("nodes", 2)(s, n)
 		}),
 	axisOf("per", func(sw *Sweep) []float64 { return sw.PER }, percent,
-		func(c *Spec, p float64) { c.Net.PER = p }, probability("per")),
+		func(c *Spec, p float64) { c.Net.PER = p }, nil),
 	axisOf("loss", func(sw *Sweep) []float64 { return sw.InjectedLoss }, percent,
-		func(c *Spec, p float64) { c.Net.InjectedLoss = p }, probability("injected_loss")),
+		func(c *Spec, p float64) { c.Net.InjectedLoss = p }, nil),
 	axisOf("intf", func(sw *Sweep) []float64 { return sw.Interference }, percent,
-		func(c *Spec, v float64) { c.Net.Interference = v }, nonNegative[float64]("interference")),
+		func(c *Spec, v float64) { c.Net.Interference = v }, nil),
 	axisOf("d", func(sw *Sweep) []Duration { return sw.RetryDelay }, Duration.String,
-		func(c *Spec, d Duration) { c.Net.RetryDelay = &d }, nonNegative[Duration]("retry_delay")),
+		func(c *Spec, d Duration) { c.Net.RetryDelay = &d }, nil),
 	axisOf("mss", func(sw *Sweep) []int { return sw.SegFrames },
 		func(f int) string { return strconv.Itoa(f) + "f" },
 		func(c *Spec, f int) { c.Net.SegFrames = f }, atLeast("seg_frames", 1)),
@@ -621,11 +600,7 @@ var sweepAxes = []sweepAxis{
 			for i := range c.Flows {
 				c.Flows[i].Variant = v
 			}
-		},
-		func(_ *Spec, v string) error {
-			_, err := cc.Parse(v)
-			return err
-		}),
+		}, nil),
 	axisOf("proto", func(sw *Sweep) []string { return sw.Protocols },
 		func(p string) string { return p },
 		func(c *Spec, p string) {
@@ -638,7 +613,6 @@ var sweepAxes = []sweepAxis{
 				if protocol != protoTCP {
 					// TCP-only knobs have nothing to bind to.
 					f.Variant, f.Profile, f.Trace = "", "", false
-					f.WindowSegs = 0
 				}
 			}
 		},
@@ -799,7 +773,7 @@ func (e *WindowError) Error() string {
 }
 
 // validateSweep checks the grid's size — from the axis lengths alone,
-// before anything expands it — and the axis values themselves; the
+// before anything expands it — and what the axes alone check; the
 // expanded cells are validated individually afterwards.
 func (s *Spec) validateSweep() error {
 	bad := func(format string, args ...any) error {
@@ -899,8 +873,7 @@ func (s *Spec) Validate() error {
 		return bad("net: negative window_segs")
 	}
 	opt := s.options() // the window and segment size the run arrives at
-	maxWindow := maxWindowSegs(opt.SegFrames)
-	if opt.WindowSegs > maxWindow {
+	if opt.WindowSegs > maxWindowSegs(opt.SegFrames) {
 		return bad("net: window_segs %d × seg_frames %d asks for more than %d bytes of buffer per connection (the limit)",
 			opt.WindowSegs, opt.SegFrames, maxConnBuf)
 	}
@@ -956,9 +929,6 @@ func (s *Spec) Validate() error {
 			default:
 				return bad("flow %d: gateway flows carry telemetry (anemometer), not pattern %q", i, f.Pattern)
 			}
-			if f.Port != 0 {
-				return bad("flow %d: gateway flows use the gateway's terminator ports; drop \"port\"", i)
-			}
 			// The gateway credits deliveries per source address; two flows
 			// from one device would collide in its registration table.
 			gwFlows++
@@ -1000,8 +970,8 @@ func (s *Spec) Validate() error {
 			if f.Pattern == PatternBulk {
 				return bad("flow %d: pattern %q needs protocol tcp (udp/coap flows carry the anemometer pattern)", i, f.Pattern)
 			}
-			if f.Variant != "" || f.Profile != "" || f.Trace || f.WindowSegs != 0 {
-				return bad("flow %d: variant/profile/trace/window_segs are TCP knobs; protocol is %q", i, proto)
+			if f.Variant != "" || f.Profile != "" || f.Trace {
+				return bad("flow %d: variant/profile/trace are TCP knobs; protocol is %q", i, proto)
 			}
 		default:
 			return bad("flow %d: unknown protocol %q (have coap, tcp, udp)", i, proto)
@@ -1014,13 +984,6 @@ func (s *Spec) Validate() error {
 		default:
 			return bad("flow %d: unknown rto policy %q (have default, cocoa)", i, f.RTO)
 		}
-		if f.WindowSegs < 0 {
-			return bad("flow %d: negative window_segs", i)
-		}
-		if f.WindowSegs > maxWindow {
-			return bad("flow %d: window_segs %d × seg_frames %d asks for more than %d bytes of buffer per connection (the limit)",
-				i, f.WindowSegs, opt.SegFrames, maxConnBuf)
-		}
 		if f.Interval < 0 {
 			return bad("flow %d: negative interval", i)
 		}
@@ -1031,39 +994,32 @@ func (s *Spec) Validate() error {
 	if perDevice > 1 || (perDevice > 0 && gwFlows > perDevice) {
 		return bad("a per_device gateway template must be the only gateway flow (its replicas cover every device)")
 	}
-	// Two flows listening on the same node:port would silently replace
-	// each other's sink (tcplp.Stack.Listen keeps the last listener),
-	// crediting one flow with both streams; a direct flow on one of the
-	// gateway's terminator ports on node 0 would displace the shared
-	// listener. Gateway flows share the terminators by design. The walk
-	// is the run's own, so every defaulted port is the one the run uses.
-	sinks := map[string]int{} // "to:port" → index in start order
+	// Every direct flow listens on its own port (80 + its index in start
+	// order), but one on a gateway's terminator port on node 0 would
+	// displace the shared listener. Gateway flows share the terminators
+	// by design. The walk is the run's own, so every port is the one the
+	// run uses.
 	err := s.eachStartedFlow(func(i int, f FlowSpec, _ bool) error {
-		if f.To.Gateway {
-			return nil
+		if s.Gateway != nil && !f.To.Gateway && !f.To.Host && !f.To.End && f.To.ID == 0 &&
+			(f.port == gateway.DefaultTCPPort || f.port == gateway.DefaultCoAPPort) {
+			return bad("started flow %d: port %d on node 0 is a gateway terminator port", i, f.port)
 		}
-		to := f.To
-		if to.End {
-			to = NodeID(n - 1)
-		}
-		if s.Gateway != nil && !to.Host && to.ID == 0 &&
-			(f.Port == gateway.DefaultTCPPort || f.Port == gateway.DefaultCoAPPort) {
-			return bad("started flow %d: port %d on node 0 is a gateway terminator port", i, f.Port)
-		}
-		key := fmt.Sprintf("%s:%d", to, f.Port)
-		if prev, dup := sinks[key]; dup {
-			return bad("started flows %d and %d share sink %s (a flow without a port gets 80 + its index in start order, per_device replicas counted)", prev, i, key)
-		}
-		sinks[key] = i
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	roles := map[int]bool{} // node ids with a Nodes entry
 	for _, ns := range s.Nodes {
 		if ns.ID <= 0 || ns.ID >= n {
 			return bad("node spec id %d out of range (1..%d)", ns.ID, n-1)
 		}
+		// Two roles for one node would build two sleep controllers that
+		// poll the same parent and fight over the radio's idle state.
+		if roles[ns.ID] {
+			return bad("node %d is listed twice in nodes", ns.ID)
+		}
+		roles[ns.ID] = true
 		if ns.SleepInterval < 0 || (ns.FastInterval != nil && *ns.FastInterval < 0) {
 			return bad("node %d: negative sleep/fast interval", ns.ID)
 		}
@@ -1128,21 +1084,21 @@ func (s *Spec) Validate() error {
 // eachStartedFlow calls fn with every flow a run starts, in start order:
 // each per_device template replicated across its devices (From set, the
 // template fields cleared, replica true) and every direct flow's sink port
-// defaulted to 80 + its index in that order. Validate's sink checks and
+// set to 80 + its index in that order. Validate's port check and
 // withDefaults both walk it, so a port one clears is the port the other
-// assigns. A default past the last port is an error, not a wrapped
-// port. The walk stops at the first error.
+// assigns. A port past the last one is an error, not a wrapped port. The
+// walk stops at the first error.
 func (s *Spec) eachStartedFlow(fn func(i int, f FlowSpec, replica bool) error) error {
 	n, i := s.Topology.nodeCount(), 0
 	start := func(f FlowSpec, replica bool) error {
-		if f.Port == 0 && !f.To.Gateway {
+		if !f.To.Gateway {
 			// Gateway flows keep port 0: they share the gateway's
 			// terminator ports instead of a private sink.
 			if 80+i > math.MaxUint16 {
-				return fmt.Errorf("scenario %q: started flow %d (%s->%s) has no port, and its default 80 + %d is over the last port, %d; give it a port",
+				return fmt.Errorf("scenario %q: started flow %d (%s->%s) would listen on port 80 + %d, past the last port, %d",
 					s.Name, i, f.From, f.To, i, math.MaxUint16)
 			}
-			f.Port = uint16(80 + i)
+			f.port = uint16(80 + i)
 		}
 		i++
 		return fn(i-1, f, replica)
@@ -1166,7 +1122,7 @@ func (s *Spec) eachStartedFlow(fn func(i int, f FlowSpec, replica bool) error) e
 }
 
 // withDefaults returns a copy of the spec with defaults applied:
-// measurement schedule, seeds, flow labels and ports. A zero warmup is
+// measurement schedule, seeds, flow labels and sink ports. A zero warmup is
 // honored (measure from t=0); zero values are only replaced where zero
 // is meaningless (duration, interval).
 func (s *Spec) withDefaults() *Spec {

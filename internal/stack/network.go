@@ -19,6 +19,9 @@ import (
 // HostID is the node identifier of the wired cloud host.
 const HostID = 999
 
+// borderID is the node identifier of the border router.
+const borderID = 0
+
 // HostBufSize is the wired host's TCP send and receive buffer size. The
 // host is unconstrained — same protocol logic ("the TCP implementation in
 // the FreeBSD operating system" on both ends), large buffers.
@@ -47,9 +50,10 @@ type Options struct {
 	Mode ForwardingMode
 	// QueueCap bounds each node's datagram transmit queue.
 	QueueCap int
-	// RED enables random early detection at relays; ECN additionally
-	// marks instead of dropping (Appendix A).
-	RED, ECN bool
+	// RED enables Appendix A's relays: random early detection that marks
+	// ECN-capable packets (every TCP segment sets ECT) instead of
+	// dropping them. It sees whole packets only, under HopByHopReassembly.
+	RED bool
 	// PER applies a uniform per-frame corruption probability on every
 	// radio link (beyond collisions).
 	PER float64
@@ -82,22 +86,11 @@ type Network struct {
 
 	Nodes []*Node
 	Host  *Node
-
-	hostID   int
-	borderID int
 }
 
-// New builds a network over topo with node 0 as the border router.
+// New builds a network over topo with node 0 as the border router. opt
+// is DefaultOptions with any changes made on top.
 func New(seed int64, topo mesh.Topology, opt Options) *Network {
-	if opt.QueueCap == 0 {
-		opt.QueueCap = 32
-	}
-	if opt.SegFrames == 0 {
-		opt.SegFrames = 5
-	}
-	if opt.WindowSegs == 0 {
-		opt.WindowSegs = 4
-	}
 	eng := sim.NewEngine(seed)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(topo.TxRange, topo.SenseRange))
 	ch.Reserve(topo.N())
@@ -107,13 +100,11 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 		ch.PER = func(src, dst *phy.Radio) float64 { return per }
 	}
 	net := &Network{
-		Eng:      eng,
-		Channel:  ch,
-		Topo:     topo,
-		Routes:   mesh.ComputeRoutes(topo.Adjacency()),
-		Opt:      opt,
-		hostID:   HostID,
-		borderID: 0,
+		Eng:     eng,
+		Channel: ch,
+		Topo:    topo,
+		Routes:  mesh.ComputeRoutes(topo.Adjacency()),
+		Opt:     opt,
 	}
 	net.Opt.TCP = DerivedTCPConfig(net.Opt, opt.TCP)
 	// Every node starts dormant ("Dormancy" in the package comment): a
@@ -174,22 +165,16 @@ func DerivedTCPConfig(opt Options, base tcplp.Config) tcplp.Config {
 	cfg.MSS = info.MSS
 	cfg.SendBufSize = opt.WindowSegs * info.MSS
 	cfg.RecvBufSize = opt.WindowSegs * info.MSS
-	cfg.UseECN = opt.ECN
+	cfg.UseECN = opt.RED
 	return cfg
 }
 
-// FlowTCPConfig derives a per-flow TCP configuration: the network's
-// option set with the window (in segments) and congestion-control
-// variant overridden. A windowSegs of 0 keeps the network's window; an
-// empty variant keeps the network default. Use it with
-// tcplp.Stack.ConnectConfig / Listener.ConfigFor to mix variants and
-// window sizes between flows of one mesh.
-func (net *Network) FlowTCPConfig(v cc.Variant, windowSegs int) tcplp.Config {
-	opt := net.Opt
-	if windowSegs > 0 {
-		opt.WindowSegs = windowSegs
-	}
-	cfg := DerivedTCPConfig(opt, opt.TCP)
+// FlowTCPConfig is the network's TCP configuration (Opt.TCP) with the
+// congestion-control variant v; an empty v keeps the network default.
+// Use it with tcplp.Stack.ConnectConfig / Listener.ConfigFor to mix
+// variants between flows of one mesh.
+func (net *Network) FlowTCPConfig(v cc.Variant) tcplp.Config {
+	cfg := net.Opt.TCP
 	if v != "" {
 		cfg.Variant = v
 	}
@@ -203,9 +188,9 @@ func (net *Network) AttachHost() *Node {
 		return net.Host
 	}
 	host := &Node{
-		ID:   net.hostID,
+		ID:   HostID,
 		Net:  net,
-		Addr: ip6.AddrFromID(net.hostID),
+		Addr: ip6.AddrFromID(HostID),
 		CPU:  energy.MakeCPUMeter(net.Eng),
 	}
 	net.Host = host
@@ -221,9 +206,9 @@ func (net *Network) AttachHost() *Node {
 // wake. A leaf the topology cuts off from the border router is an error.
 func (net *Network) MakeSleepyLeaf(id int) (*mac.SleepController, error) {
 	n := net.Nodes[id]
-	parentID, ok := net.Routes.Parent(id, net.borderID)
+	parentID, ok := net.Routes.Parent(id, borderID)
 	if !ok {
-		return nil, fmt.Errorf("stack: leaf %d has no route to the border router (node %d)", id, net.borderID)
+		return nil, fmt.Errorf("stack: leaf %d has no route to the border router (node %d)", id, borderID)
 	}
 	parent := net.Nodes[parentID]
 	parent.Mac().SetChildSleepy(n.LinkAddr())
@@ -234,7 +219,7 @@ func (net *Network) MakeSleepyLeaf(id int) (*mac.SleepController, error) {
 }
 
 // Border returns the border router (node 0).
-func (net *Network) Border() *Node { return net.Nodes[net.borderID] }
+func (net *Network) Border() *Node { return net.Nodes[borderID] }
 
 // TotalFramesSent sums frames put on air by all mesh radios — the
 // Fig. 6d metric.

@@ -227,8 +227,8 @@ func (n *Node) wake() {
 		n.mac.OnReceive = n.onFrame
 		n.mac.Trace = net.Opt.Trace
 		n.frameDoneFn = n.frameDone
-		if net.Opt.RED && n.ID != net.borderID {
-			n.red = mesh.NewRED(net.Opt.ECN)
+		if net.Opt.RED && n.ID != borderID {
+			n.red = mesh.NewRED()
 		}
 	} else {
 		cfg.SendBufSize = HostBufSize
@@ -306,7 +306,7 @@ func (n *Node) route(pkt *ip6.Packet, forwarded bool) {
 		return
 	}
 	// Toward the wired host (or from it): the border router bridges.
-	if n.wire != nil && (n.Radio == nil || dstID == n.Net.hostID) {
+	if n.wire != nil && (n.Radio == nil || dstID == HostID) {
 		if n.Radio != nil { // we are the border router, egress to wire
 			if n.dropAtBorder(pkt) {
 				return
@@ -317,8 +317,8 @@ func (n *Node) route(pkt *ip6.Packet, forwarded bool) {
 	}
 	// Host-bound traffic inside the mesh routes toward the border router.
 	target := dstID
-	if dstID == n.Net.hostID {
-		target = n.Net.borderID
+	if dstID == HostID {
+		target = borderID
 	}
 	next, ok := n.Net.Routes.NextHop(n.ID, target)
 	if !ok {
@@ -558,8 +558,8 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 			return false
 		}
 		target := dstID
-		if dstID == n.Net.hostID {
-			target = n.Net.borderID
+		if dstID == HostID {
+			target = borderID
 		}
 		next, ok := n.Net.Routes.NextHop(n.ID, target)
 		if !ok {
@@ -639,7 +639,7 @@ func (n *Node) gcFwdCache() {
 
 func (n *Node) addrIsHost(a ip6.Addr) bool {
 	id, ok := a.ID()
-	return ok && id == n.Net.hostID
+	return ok && id == HostID
 }
 
 // deliver hands a packet addressed to this node to its transports.
