@@ -19,7 +19,7 @@ type Sink struct {
 
 // ListenSinkConfig installs a byte-counting server whose accepted
 // connections use an explicit per-flow TCP configuration (the receive
-// buffer bounds the advertised window, so a flow's window knob must be
+// buffer bounds the advertised window, so the flow's window must be
 // applied at the sink too).
 func ListenSinkConfig(node *stack.Node, port uint16, cfg tcplp.Config) *Sink {
 	return listenSinkData(node, port, cfg, nil)

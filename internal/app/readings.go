@@ -54,7 +54,7 @@ func (rs *ReadingStream) Reset() { rs.n = 0 }
 // ListenReadingSink installs a reading-parsing TCP collector for one
 // flow on node:port: the shared Sink drain loop with each chunk also
 // fed through stream reassembly, handing every complete reading to
-// deliver. The accepted connection uses cfg, so a flow's window knob
+// deliver. The accepted connection uses cfg, so the flow's window
 // binds at the collector too.
 func ListenReadingSink(node *stack.Node, port uint16, cfg tcplp.Config, deliver func(seq uint32)) *Sink {
 	rs := &ReadingStream{Deliver: deliver}

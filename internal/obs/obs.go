@@ -128,8 +128,8 @@ func (k Kind) String() string {
 }
 
 // Layer returns the protocol layer a kind belongs to, for event-file
-// filtering (`-events-layers`). The names match the metric registry's
-// layer keys where both exist.
+// filtering (`-events-layers`). The names match the scenario runner's
+// per-layer metric keys (Result.Layers) where both exist.
 func (k Kind) Layer() string {
 	switch k {
 	case PhyTx, PhyRxDrop, PhyCollision:

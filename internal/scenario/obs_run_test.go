@@ -41,7 +41,7 @@ func runOne(spec *Spec, seed int64, oc *ObsConfig) (Result, error) {
 // instrument (NDJSON events with periodic metric samples, pcap frames,
 // journey reconstruction) must not change a run's Result in any field,
 // Events included — hooks read state, never draw RNG or schedule
-// events, and the sampler reads the registry between engine slices.
+// events, and the sampler reads the layer counters between engine slices.
 // Journey adds its own attribution block and nothing else.
 func TestObsBitIdentity(t *testing.T) {
 	base, err := runOne(obsSpec(), 42, nil)

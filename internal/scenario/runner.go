@@ -122,8 +122,8 @@ type Result struct {
 	// DCSamples holds the periodic mean radio duty cycle across flow
 	// source nodes of a dc_sample spec (Fig. 10's hourly series).
 	DCSamples []float64 `json:"dc_samples,omitempty"`
-	// Layers is the per-layer metric registry aggregated across the
-	// run's nodes (layer → metric → value). It is computed from plain
+	// Layers is the per-layer metrics summed across the run's nodes
+	// (layer → metric → value). It is computed from plain
 	// counters, so it is populated — and identical — whether or not
 	// tracing is enabled.
 	Layers map[string]map[string]float64 `json:"layers,omitempty"`

@@ -1,7 +1,7 @@
 // Package scenario is the declarative multi-flow experiment subsystem:
 // a Spec names a topology, link conditions, per-node duty-cycle roles,
-// and per-flow transport configuration (congestion-control variant,
-// window, application pattern); a Runner instantiates every
+// and per-flow transport configuration (protocol, congestion-control
+// variant, application pattern); a Runner instantiates every
 // (spec, seed) pair onto the sim/phy/mac/stack layers, fans the runs
 // out across a worker pool — each seed's engine is independent, so
 // parallelism is deterministic — and reports each run's per-flow goodput,
