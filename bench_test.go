@@ -1,10 +1,9 @@
 // Package benchmarks regenerates every table and figure of the paper's
 // evaluation as a Go benchmark — one table-driven bench over
-// experiments.Registry — plus ablation benches for the design choices:
-// each Table 1 TCP feature toggled off, and fragment forwarding against
-// hop-by-hop reassembly. (The buffer-design ablation — in-place
-// reassembly vs an mbuf chain, copying vs zero-copy send buffer — lives
-// beside the buffers, in internal/tcplp/ablation_test.go.)
+// experiments.Registry — plus an ablation bench for the design choices:
+// each Table 1 TCP feature toggled off. (The buffer-design ablation —
+// in-place reassembly vs an mbuf chain, copying vs zero-copy send buffer
+// — lives beside the buffers, in internal/tcplp/ablation_test.go.)
 //
 // Throughput numbers are reported as custom metrics (kb/s etc.); ns/op
 // measures simulation wall cost, not protocol performance. Numbers of
@@ -177,31 +176,4 @@ func BenchmarkAblationFeatures(b *testing.B) {
 			b.ReportMetric(kbps, "kbps")
 		})
 	}
-}
-
-// BenchmarkAblationForwardingMode is a two-cell spec: the same three-hop
-// bulk flow with relays forwarding fragments (the default) and
-// reassembling hop by hop.
-func BenchmarkAblationForwardingMode(b *testing.B) {
-	mk := func(name string, hopByHop bool) *scenario.Spec {
-		return &scenario.Spec{
-			Name:     name,
-			Topology: scenario.TopologySpec{Kind: scenario.TopoChain, Nodes: 4},
-			Net:      scenario.NetSpec{HopByHop: hopByHop},
-			Flows:    []scenario.FlowSpec{{From: scenario.NodeID(3), To: scenario.NodeID(0)}},
-			Warmup:   scenario.Duration(5 * sim.Second),
-			Duration: scenario.Duration(20 * sim.Second),
-			Seeds:    []int64{5},
-		}
-	}
-	specs := []*scenario.Spec{mk("fragment-forwarding", false), mk("hop-by-hop", true)}
-	var res []*scenario.SpecResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		if res, err = (&scenario.Runner{}).RunAll(specs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res[0].Runs[0].Flows[0].GoodputKbps, "kbps_3hop_fragment_forwarding")
-	b.ReportMetric(res[1].Runs[0].Flows[0].GoodputKbps, "kbps_3hop_hop_by_hop")
 }

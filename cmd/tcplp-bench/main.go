@@ -110,7 +110,7 @@ func main() {
 		if *window < 1 {
 			refuse("-window must be >= 1 segment")
 		}
-		// The upper bound is per segment size: see refuseWindow.
+		// The upper bound is per segment size: Rewrite.Apply checks it.
 		fmt.Fprintf(os.Stderr, "window: %d segments\n", *window)
 	}
 	if *seeds < 0 {
@@ -251,7 +251,6 @@ func refuse(msg string) {
 func rewrite(rw scenario.Rewrite, specs []*scenario.Spec, what string) []*scenario.Spec {
 	cells, unused, err := rw.Apply(specs)
 	if err != nil {
-		refuseWindow(err)
 		refuse(err.Error())
 	}
 	for _, u := range unused {
@@ -312,11 +311,21 @@ func parseDur(flagName, s string) scenario.Duration {
 
 // buildObsConfig creates the capture files and assembles the scenario
 // runner's observability config from checked flags; nil when no capture
-// or manifest was requested. The returned finish func flushes
-// deferred writers (the Chrome trace's closing bracket) and must run
-// after the scenario completes.
+// or manifest was requested. The returned finish func must run after the
+// scenario completes: it writes the Chrome trace's closing bracket and
+// closes every capture file, and exits 1 if any write or close failed.
 func buildObsConfig(traceOut, evOut, evLayers, evFlows string, metrics scenario.Duration, jrny bool, jrnyOut string, manifest bool) (*scenario.ObsConfig, func()) {
-	finish := func() {}
+	var closers []func() error // one per capture file: its writer's first error, then Close's
+	finish := func() {
+		var errs []error
+		for _, c := range closers {
+			errs = append(errs, c())
+		}
+		if err := errors.Join(errs...); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 	if traceOut == "" && evOut == "" && !jrny && jrnyOut == "" && !manifest {
 		return nil, finish
 	}
@@ -331,23 +340,23 @@ func buildObsConfig(traceOut, evOut, evLayers, evFlows string, metrics scenario.
 		f := create(jrnyOut)
 		cw := journey.NewChromeWriter(f)
 		oc.JourneyOut = cw
-		finish = func() {
-			if err := cw.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			f.Close()
-		}
+		closers = append(closers, func() error { return errors.Join(cw.Close(), f.Close()) })
 	}
 	if evOut != "" {
-		oc.Events = obs.NewNDJSONWriter(create(evOut))
+		f := create(evOut)
+		ev := obs.NewNDJSONWriter(f)
+		oc.Events = ev
+		closers = append(closers, func() error { return errors.Join(ev.Err(), f.Close()) })
 	}
 	if traceOut != "" {
-		pw, err := obs.NewPcapWriter(create(traceOut))
+		f := create(traceOut)
+		pw, err := obs.NewPcapWriter(f)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		oc.Pcap = pw
+		closers = append(closers, func() error { return errors.Join(pw.Err(), f.Close()) })
 	}
 	return oc, finish
 }
@@ -389,17 +398,6 @@ func (jt *journeyTotals) report(w io.Writer) bool {
 		fmt.Fprintf(os.Stderr, "journey conformance violation: %s\n", v)
 	}
 	return jt.violations == 0
-}
-
-// refuseWindow exits 1 naming -window and its limit when err is a
-// *scenario.WindowError; otherwise it returns.
-func refuseWindow(err error) {
-	var we *scenario.WindowError
-	if errors.As(err, &we) {
-		fmt.Fprintf(os.Stderr, "-window %d is over the limit of %d segments at seg_frames %d (the per-connection buffer bound; scenario %q)\n",
-			we.Window, we.Limit, we.SegFrames, we.Spec)
-		os.Exit(1)
-	}
 }
 
 // splitList parses a comma-separated flag value, trimming blanks.

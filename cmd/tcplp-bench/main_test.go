@@ -57,6 +57,25 @@ const probeSpec = `{"name":"probe","topology":{"kind":"chain","nodes":3},
 	         {"label":"bulk","from":1,"to":0}],
 	"warmup":"1s","duration":"4s"}`
 
+// TestCaptureWriteFailureExits1: a capture file the run cannot write
+// fails the invocation. /dev/full opens and then refuses every write, so
+// each capture flag gets its file and loses what it writes: exit 1, with
+// the error naming the file. (An events or journey file used to fail
+// silently with exit 0.)
+func TestCaptureWriteFailureExits1(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail writes with")
+	}
+	run, dir := buildCLI(t)
+	spec := writeFile(t, dir, "probe.json", probeSpec)
+	for _, flag := range []string{"-events-out", "-journey-out", "-trace-out"} {
+		code, _, stderr := run("-scenario", spec, flag, "/dev/full")
+		if code != 1 || !strings.Contains(stderr, "/dev/full") {
+			t.Errorf("%s /dev/full: exit %d, stderr %q; want exit 1 naming the file", flag, code, stderr)
+		}
+	}
+}
+
 // TestRefusedFlagsKeepOutputFiles: an invocation refused for its flags or
 // its spec — in either mode; -exp all checks every experiment's rewritten
 // file first — exits 1 before it creates a file, so an earlier file at an

@@ -25,21 +25,12 @@ const (
 	CoAPQueueCap = 104
 )
 
-// SensorStats measures a sensor's delivery performance; reliability is
-// delivered/generated (§9.2's definition).
+// SensorStats counts a sensor's readings. Delivered is credited by the
+// collector, where §9.2 measures reliability.
 type SensorStats struct {
 	Generated uint64
-	Queued    uint64
 	Dropped   uint64 // application-queue overflow
-	Delivered uint64 // confirmed by the transport
-}
-
-// Reliability returns delivered readings over generated readings.
-func (s SensorStats) Reliability() float64 {
-	if s.Generated == 0 {
-		return 1
-	}
-	return float64(s.Delivered) / float64(s.Generated)
+	Delivered uint64 // credited at the collector
 }
 
 // Transport abstracts how batches leave the node (TCP stream vs CoAP
@@ -75,12 +66,12 @@ type Sensor struct {
 	genTime map[uint32]sim.Time // queued-reading generation times, by seq
 	tick    func()              // sample, bound once by Start for every Schedule
 
-	// Trace/Node, when Trace is non-nil, emit per-reading journey
-	// events (generation, transport acceptance, app-queue loss). All
-	// journey bookkeeping below is gated on Trace so the disabled path
-	// allocates nothing.
-	Trace *obs.Trace
-	Node  int
+	// trace, the node's, when non-nil, takes per-reading journey events
+	// (generation, transport acceptance, app-queue loss) tagged with
+	// node, its id. All journey bookkeeping below is gated on trace so
+	// the disabled path allocates nothing.
+	trace *obs.Trace
+	node  int
 	// enqSeqs holds queued-but-not-yet-accepted reading seqs in order;
 	// acceptedBytes counts transport-accepted bytes (transports may
 	// accept partial readings), and enqCount numbers fully accepted
@@ -113,15 +104,23 @@ func (s *Sensor) pruneGenTimes() {
 	}
 }
 
-// NewSensor builds a sensor over a transport.
-func NewSensor(eng *sim.Engine, tr Transport, queueCap int) *Sensor {
-	return &Sensor{
-		eng:       eng,
+// NewSensor builds a sensor on node over a transport. A transport of
+// this package is linked back to the sensor, which it then wakes
+// whenever it can take more.
+func NewSensor(node *stack.Node, tr Transport, queueCap int) *Sensor {
+	s := &Sensor{
+		eng:       node.Eng(),
 		transport: tr,
 		Interval:  DefaultInterval,
 		QueueCap:  queueCap,
 		genTime:   map[uint32]sim.Time{},
+		trace:     node.Net.Opt.Trace,
+		node:      node.ID,
 	}
+	if l, ok := tr.(interface{ attach(*Sensor) }); ok {
+		l.attach(s)
+	}
+	return s
 }
 
 // Start begins sampling.
@@ -155,19 +154,18 @@ func (s *Sensor) sample() {
 	}
 	s.Stats.Generated++
 	s.seq++
-	if tr := s.Trace; tr != nil {
-		tr.Emit(obs.Event{T: s.eng.Now(), Kind: obs.JourneyGen, Node: s.Node, A: int64(s.seq)})
+	if tr := s.trace; tr != nil {
+		tr.Emit(obs.Event{T: s.eng.Now(), Kind: obs.JourneyGen, Node: s.node, A: int64(s.seq)})
 	}
 	if s.QueueDepth() >= s.QueueCap {
 		s.Stats.Dropped++
-		if tr := s.Trace; tr != nil {
-			tr.Emit(obs.Event{T: s.eng.Now(), Kind: obs.JourneyLoss, Node: s.Node, A: int64(s.seq), Cause: obs.CauseAppQueueFull})
+		if tr := s.trace; tr != nil {
+			tr.Emit(obs.Event{T: s.eng.Now(), Kind: obs.JourneyLoss, Node: s.node, A: int64(s.seq), Cause: obs.CauseAppQueueFull})
 		}
 	} else {
 		s.enqueueReading()
-		s.Stats.Queued++
 		s.genTime[s.seq] = s.eng.Now()
-		if s.Trace != nil {
+		if s.trace != nil {
 			s.enqSeqs = append(s.enqSeqs, s.seq)
 		}
 	}
@@ -218,7 +216,7 @@ func (s *Sensor) drain() {
 // application queue and a JourneyEnq marks it with its acceptance index
 // (its 0-based position in the transport byte stream, in readings).
 func (s *Sensor) noteAccepted(n int) {
-	tr := s.Trace
+	tr := s.trace
 	if tr == nil {
 		return
 	}
@@ -226,7 +224,7 @@ func (s *Sensor) noteAccepted(n int) {
 	for len(s.enqSeqs) > 0 && s.acceptedBytes >= (s.enqCount+1)*ReadingSize {
 		seq := s.enqSeqs[0]
 		s.enqSeqs = s.enqSeqs[1:]
-		tr.Emit(obs.Event{T: s.eng.Now(), Kind: obs.JourneyEnq, Node: s.Node, A: int64(seq), B: s.enqCount})
+		tr.Emit(obs.Event{T: s.eng.Now(), Kind: obs.JourneyEnq, Node: s.node, A: int64(seq), B: s.enqCount})
 		s.enqCount++
 	}
 }
@@ -246,7 +244,7 @@ type TCPTransport struct {
 }
 
 // NewTCPTransportConfig connects node to collector:port under the
-// flow's TCP configuration; Attach links the sensor it drains.
+// flow's TCP configuration; NewSensor links the sensor it drains.
 func NewTCPTransportConfig(node *stack.Node, cfg tcplp.Config, collector ip6.Addr, port uint16) *TCPTransport {
 	tr := &TCPTransport{}
 	c := node.TCP().ConnectConfig(collector, port, cfg)
@@ -259,9 +257,9 @@ func NewTCPTransportConfig(node *stack.Node, cfg tcplp.Config, collector ip6.Add
 	return tr
 }
 
-// Attach links the sensor that drains through this transport (delivery
+// attach links the sensor that drains through this transport (delivery
 // itself is counted at the collector side, as the paper measures it).
-func (t *TCPTransport) Attach(s *Sensor) { t.sensor = s }
+func (t *TCPTransport) attach(s *Sensor) { t.sensor = s }
 
 // Send implements Transport.
 func (t *TCPTransport) Send(p []byte) int {
@@ -283,11 +281,6 @@ type CoAPTransport struct {
 	// MessageSize is the payload bytes per POST.
 	MessageSize int
 
-	// Trace/Node, when Trace is non-nil, tag each POST with a journey
-	// packet id and emit per-batch journey events (obs).
-	Trace *obs.Trace
-	Node  int
-
 	eng      *sim.Engine
 	sensor   *Sensor
 	blockNum uint32
@@ -298,7 +291,10 @@ type CoAPTransport struct {
 // stack to the collector's server port; a port per flow lets several
 // flows of one mesh run separate collectors.
 func NewCoAPTransportPort(node *stack.Node, collector ip6.Addr, port uint16, confirmable bool, msgSize int) *CoAPTransport {
+	// The client's trace, the node's, also takes the transport's journey
+	// events: each POST's packet id and its readings' give-ups.
 	cl := coap.NewClient(node.Eng(), node.UDP(), collector, port)
+	cl.Trace, cl.Node = node.Net.Opt.Trace, node.ID
 	if node.Sleep != nil {
 		sc := node.Sleep
 		cl.OnExpectingChange = func(on bool) { sc.SetExpecting(on) }
@@ -308,8 +304,8 @@ func NewCoAPTransportPort(node *stack.Node, collector ip6.Addr, port uint16, con
 	return t
 }
 
-// Attach links the sensor that drains through this transport.
-func (t *CoAPTransport) Attach(s *Sensor) { t.sensor = s }
+// attach links the sensor that drains through this transport.
+func (t *CoAPTransport) attach(s *Sensor) { t.sensor = s }
 
 // Send implements Transport: it takes up to MessageSize whole readings
 // per POST, NSTART=1 plus a short queue.
@@ -327,13 +323,13 @@ func (t *CoAPTransport) Send(p []byte) int {
 	blk := coap.Block1{Num: t.blockNum, More: false, SZX: 6}
 	t.blockNum++
 	var jid int64
-	if tr := t.Trace; tr != nil {
+	if tr := t.Client.Trace; tr != nil {
 		jid = tr.NextID()
 		reliable := int64(0)
 		if t.Confirmable {
 			reliable = 1
 		}
-		tr.Emit(obs.Event{T: t.eng.Now(), Kind: obs.JourneyData, Node: t.Node, J: jid,
+		tr.Emit(obs.Event{T: t.eng.Now(), Kind: obs.JourneyData, Node: t.Client.Node, J: jid,
 			A: int64(binary.BigEndian.Uint32(p)), B: int64(n / ReadingSize), Len: int(reliable)})
 	}
 	t.Client.PostJID("telemetry", p[:n], t.Confirmable, &blk, jid, t.posted)
@@ -346,10 +342,10 @@ func (t *CoAPTransport) Send(p []byte) int {
 // resumes.
 func (t *CoAPTransport) onPosted(payload []byte, ok bool) {
 	if !ok && t.Confirmable {
-		if tr := t.Trace; tr != nil {
+		if tr := t.Client.Trace; tr != nil {
 			now := t.eng.Now()
 			ForEachReading(payload, func(seq uint32) {
-				tr.Emit(obs.Event{T: now, Kind: obs.JourneyLoss, Node: t.Node, A: int64(seq), Cause: obs.CauseCoAPGiveUp})
+				tr.Emit(obs.Event{T: now, Kind: obs.JourneyLoss, Node: t.Client.Node, A: int64(seq), Cause: obs.CauseCoAPGiveUp})
 			})
 		}
 	}

@@ -43,12 +43,12 @@ func TestVerifyPattern(t *testing.T) {
 }
 
 func TestSensorQueueOverflow(t *testing.T) {
-	eng := sim.NewEngine(3)
+	net := stack.New(3, mesh.Chain(2, 10), stack.DefaultOptions())
 	// A transport that never accepts anything.
-	s := app.NewSensor(eng, blockedTransport{}, 4)
+	s := app.NewSensor(net.Nodes[1], blockedTransport{}, 4)
 	s.Interval = sim.Second
 	s.Start()
-	eng.RunUntil(sim.Time(10 * sim.Second))
+	net.Eng.RunUntil(sim.Time(10 * sim.Second))
 	if s.Stats.Generated != 10 {
 		t.Fatalf("generated = %d", s.Stats.Generated)
 	}
@@ -60,20 +60,19 @@ func TestSensorQueueOverflow(t *testing.T) {
 type blockedTransport struct{}
 
 func (blockedTransport) Send(p []byte) int { return 0 }
-func (blockedTransport) CanSend() int      { return 0 }
 
 func TestSensorBatchingHoldsUntilThreshold(t *testing.T) {
-	eng := sim.NewEngine(4)
+	net := stack.New(4, mesh.Chain(2, 10), stack.DefaultOptions())
 	rec := &recordingTransport{}
-	s := app.NewSensor(eng, rec, 128)
+	s := app.NewSensor(net.Nodes[1], rec, 128)
 	s.Interval = sim.Second
 	s.Batch = 8
 	s.Start()
-	eng.RunUntil(sim.Time(7 * sim.Second))
+	net.Eng.RunUntil(sim.Time(7 * sim.Second))
 	if rec.calls != 0 {
 		t.Fatalf("transport invoked before batch threshold: %d", rec.calls)
 	}
-	eng.RunUntil(sim.Time(9 * sim.Second))
+	net.Eng.RunUntil(sim.Time(9 * sim.Second))
 	if rec.calls == 0 {
 		t.Fatal("batch never flushed")
 	}
@@ -88,12 +87,12 @@ type recordingTransport struct {
 }
 
 func (r *recordingTransport) Send(p []byte) int { r.calls++; r.bytes += len(p); return len(p) }
-func (r *recordingTransport) CanSend() int      { return 1 << 20 }
 
 // The two end-to-end tests credit readings where a scenario run does:
 // at the production collector-side sinks (ListenReadingSink for TCP, a
-// coap.Server handing each POST to ForEachReading for CoAP), reliability
-// measured at the server as the paper does.
+// coap.Server handing each POST to ForEachReading for CoAP), delivery
+// counted at the server as the paper does. Each wants nine in ten of the
+// readings generated delivered, the backlog still queued included.
 func TestTCPTransportEndToEnd(t *testing.T) {
 	net := stack.New(5, mesh.Chain(2, 10), stack.DefaultOptions())
 	host := net.AttachHost()
@@ -102,16 +101,15 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	sink := app.ListenReadingSink(host, 80, cfg, func(uint32) { s.Stats.Delivered++ })
 
 	tr := app.NewTCPTransportConfig(net.Nodes[1], cfg, host.Addr, 80)
-	s = app.NewSensor(net.Eng, tr, app.TCPQueueCap)
+	s = app.NewSensor(net.Nodes[1], tr, app.TCPQueueCap)
 	s.Interval = 200 * sim.Millisecond
-	tr.Attach(s)
 	s.Start()
 	net.Eng.RunFor(30 * sim.Second)
 	if s.Stats.Delivered == 0 || sink.Received != int(s.Stats.Delivered)*app.ReadingSize {
 		t.Fatalf("collected %d readings in %d bytes over TCP", s.Stats.Delivered, sink.Received)
 	}
-	if s.Stats.Reliability() < 0.9 {
-		t.Fatalf("reliability = %.2f", s.Stats.Reliability())
+	if st := s.Stats; st.Delivered*10 < st.Generated*9 {
+		t.Fatalf("delivered %d of %d readings over TCP", st.Delivered, st.Generated)
 	}
 }
 
@@ -126,16 +124,15 @@ func TestCoAPTransportEndToEnd(t *testing.T) {
 	}
 
 	tr := app.NewCoAPTransportPort(net.Nodes[1], host.Addr, coap.DefaultPort, true, 410)
-	s = app.NewSensor(net.Eng, tr, app.CoAPQueueCap)
+	s = app.NewSensor(net.Nodes[1], tr, app.CoAPQueueCap)
 	s.Interval = 200 * sim.Millisecond
-	tr.Attach(s)
 	s.Start()
 	net.Eng.RunFor(30 * sim.Second)
 	if s.Stats.Delivered == 0 {
 		t.Fatal("no readings collected over CoAP")
 	}
-	if s.Stats.Reliability() < 0.9 {
-		t.Fatalf("reliability = %.2f", s.Stats.Reliability())
+	if st := s.Stats; st.Delivered*10 < st.Generated*9 {
+		t.Fatalf("delivered %d of %d readings over CoAP", st.Delivered, st.Generated)
 	}
 }
 

@@ -29,13 +29,9 @@ import (
 // allocs_k's business in the benchmark, not an exact zero's.
 func TestReadingPathAllocs(t *testing.T) {
 	const interval = 250 * sim.Millisecond
-	sensor := func(net *stack.Network, tr interface {
-		app.Transport
-		Attach(*app.Sensor)
-	}, queueCap int) *app.Sensor {
-		s := app.NewSensor(net.Eng, tr, queueCap)
+	sensor := func(node *stack.Node, tr app.Transport, queueCap int) *app.Sensor {
+		s := app.NewSensor(node, tr, queueCap)
 		s.Interval = interval
-		tr.Attach(s)
 		s.Start()
 		return s
 	}
@@ -50,7 +46,7 @@ func TestReadingPathAllocs(t *testing.T) {
 			}, 23)
 			for _, node := range net.Nodes[1:] {
 				tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig(""), net.Border().Addr, gateway.DefaultTCPPort)
-				s := sensor(net, tr, app.TCPQueueCap)
+				s := sensor(node, tr, app.TCPQueueCap)
 				gw.Register(node.Addr, func(seq uint32) { s.TakeGenTime(seq) }, func(uint32) {}, func(int) {})
 			}
 			return net, func() uint64 { return gw.Stats.ReadingsOut }
@@ -65,7 +61,7 @@ func TestReadingPathAllocs(t *testing.T) {
 				app.ForEachReading(payload, deliver)
 				return coap.CodeChanged
 			}
-			s = sensor(net, app.NewCoAPTransportPort(net.Nodes[1], net.Nodes[0].Addr, coap.DefaultPort, true, 410), app.CoAPQueueCap)
+			s = sensor(net.Nodes[1], app.NewCoAPTransportPort(net.Nodes[1], net.Nodes[0].Addr, coap.DefaultPort, true, 410), app.CoAPQueueCap)
 			return net, func() uint64 { return got }
 		}},
 		{"udp", func() (*stack.Network, func() uint64) {
@@ -73,7 +69,7 @@ func TestReadingPathAllocs(t *testing.T) {
 			var got uint64
 			var s *app.Sensor
 			app.ListenReadingUDP(net.Nodes[0], 9000, func(seq uint32) { got++; s.TakeGenTime(seq) })
-			s = sensor(net, app.NewUDPTransport(net.Nodes[1], net.Nodes[0].Addr, 9000, 410), app.CoAPQueueCap)
+			s = sensor(net.Nodes[1], app.NewUDPTransport(net.Nodes[1], net.Nodes[0].Addr, 9000, 410), app.CoAPQueueCap)
 			return net, func() uint64 { return got }
 		}},
 	} {

@@ -75,13 +75,6 @@ type UDPTransport struct {
 	// MessageSize is the payload bytes per datagram.
 	MessageSize int
 
-	// Trace/Node, when Trace is non-nil, tag each datagram with a
-	// journey packet id for causal tracing (obs).
-	Trace *obs.Trace
-	Node  int
-
-	sensor *Sensor
-
 	// Sent counts datagrams put on the wire; SentBytes their payload.
 	Sent      uint64
 	SentBytes uint64
@@ -94,9 +87,6 @@ func NewUDPTransport(node *stack.Node, collector ip6.Addr, port uint16, msgSize 
 	return t
 }
 
-// Attach links the sensor that drains through this transport.
-func (t *UDPTransport) Attach(s *Sensor) { t.sensor = s }
-
 // Send implements Transport: up to MessageSize whole readings per
 // datagram.
 func (t *UDPTransport) Send(p []byte) int {
@@ -107,10 +97,11 @@ func (t *UDPTransport) Send(p []byte) int {
 	if n == 0 {
 		return 0
 	}
+	// The node's trace, when on, tags each datagram for causal tracing.
 	var jid int64
-	if tr := t.Trace; tr != nil {
+	if tr := t.sock.Net.Opt.Trace; tr != nil {
 		jid = tr.NextID()
-		tr.Emit(obs.Event{T: t.sock.Eng().Now(), Kind: obs.JourneyData, Node: t.Node, J: jid,
+		tr.Emit(obs.Event{T: t.sock.Eng().Now(), Kind: obs.JourneyData, Node: t.sock.ID, J: jid,
 			A: int64(binary.BigEndian.Uint32(p)), B: int64(n / ReadingSize)})
 	}
 	t.sock.UDP().SendJID(t.dst, t.dstPort, t.srcPort, p[:n], jid)

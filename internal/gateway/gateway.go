@@ -133,16 +133,13 @@ type Gateway struct {
 	rdBuf []byte
 
 	Stats Stats
-
-	// Trace, when non-nil, emits connection-table admit/evict events
-	// (obs), tagged with the border router's node id.
-	Trace *obs.Trace
 }
 
 // New installs a gateway on node (the border router): a shared TCP
 // listener, whose connections take the node's TCP configuration, a CoAP
 // server, and the WAN link, which gets its own deterministic loss source
-// derived from seed.
+// derived from seed. The gateway and its WAN link emit to the node's
+// trace.
 func New(node *stack.Node, cfg Config, seed int64) *Gateway {
 	g := &Gateway{
 		node:  node,
@@ -152,16 +149,11 @@ func New(node *stack.Node, cfg Config, seed int64) *Gateway {
 		regs:  map[ip6.Addr]*registration{},
 		rdBuf: make([]byte, 4096),
 	}
+	g.wan.Trace, g.wan.Node = node.Net.Opt.Trace, node.ID
 	node.TCP().Listen(DefaultTCPPort, g.accept)
 	srv := coap.NewServer(node.Eng(), node.UDP(), DefaultCoAPPort)
 	srv.OnPost = g.onPost
 	return g
-}
-
-// SetTrace threads the obs trace through the gateway and its WAN link.
-func (g *Gateway) SetTrace(tr *obs.Trace) {
-	g.Trace = tr
-	g.wan.Trace, g.wan.Node = tr, g.node.ID
 }
 
 // WAN returns the backhaul link (stats and queue depth).
@@ -204,7 +196,7 @@ func (g *Gateway) touch(addr ip6.Addr) *entry {
 		g.byAddr = map[ip6.Addr]*entry{}
 	}
 	g.byAddr[addr] = e
-	if tr := g.Trace; tr != nil {
+	if tr := g.node.Net.Opt.Trace; tr != nil {
 		tr.Emit(obs.Event{T: now, Kind: obs.GwAdmit, Node: g.node.ID, A: int64(len(g.entries))})
 	}
 	return e
@@ -233,7 +225,7 @@ func (g *Gateway) evict(i int) {
 	g.entries = append(g.entries[:i], g.entries[i+1:]...)
 	delete(g.byAddr, e.addr)
 	g.Stats.Evicted++
-	if tr := g.Trace; tr != nil {
+	if tr := g.node.Net.Opt.Trace; tr != nil {
 		tr.Emit(obs.Event{T: g.eng.Now(), Kind: obs.GwEvict, Node: g.node.ID, A: int64(len(g.entries))})
 	}
 	if b := e.pending; b != nil {
@@ -253,7 +245,7 @@ func (g *Gateway) evict(i int) {
 // cause, or JourneyWanEnq — WAN acceptance, the boundary between the
 // gateway table and the backhaul.
 func (g *Gateway) emitReadings(addr ip6.Addr, seqs []uint32, kind obs.Kind, cause obs.Cause) {
-	tr := g.Trace
+	tr := g.node.Net.Opt.Trace
 	if tr == nil || len(seqs) == 0 {
 		return
 	}

@@ -23,9 +23,8 @@ func starNet(seed int64, n int, cfg gateway.Config) (*stack.Network, *gateway.Ga
 func startTCPSensor(net *stack.Network, id int, interval sim.Duration) *app.Sensor {
 	node := net.Nodes[id]
 	tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig(""), net.Border().Addr, gateway.DefaultTCPPort)
-	s := app.NewSensor(net.Eng, tr, app.TCPQueueCap)
+	s := app.NewSensor(node, tr, app.TCPQueueCap)
 	s.Interval = interval
-	tr.Attach(s)
 	s.Start()
 	return s
 }
@@ -35,9 +34,8 @@ func startTCPSensor(net *stack.Network, id int, interval sim.Duration) *app.Sens
 func startCoAPSensor(net *stack.Network, id int, interval sim.Duration) *app.Sensor {
 	node := net.Nodes[id]
 	tr := app.NewCoAPTransportPort(node, net.Border().Addr, gateway.DefaultCoAPPort, true, 410)
-	s := app.NewSensor(net.Eng, tr, app.CoAPQueueCap)
+	s := app.NewSensor(node, tr, app.CoAPQueueCap)
 	s.Interval = interval
-	tr.Attach(s)
 	s.Start()
 	return s
 }

@@ -323,15 +323,6 @@ func (m *Mac) SendDataRequest(parent phy.Addr, done func(TxStatus, bool)) {
 	m.enqueue(job)
 }
 
-// QueueLen returns the number of frames waiting (excluding indirect).
-func (m *Mac) QueueLen() int {
-	n := len(m.queue)
-	if m.inflight != nil {
-		n++
-	}
-	return n
-}
-
 func (m *Mac) enqueue(job *txJob) {
 	if job.indirect {
 		// Indirect frames jump the queue: §9.5 improvement (1),

@@ -40,9 +40,6 @@ type WANStats struct {
 	MaxQueue   int    // peak queue depth since the last reset
 }
 
-// Drops totals messages lost on the link, either flavor.
-func (s WANStats) Drops() uint64 { return s.QueueDrops + s.LossDrops }
-
 // WANLink is one instantiated WAN. It carries opaque application
 // messages — the gateway's forwarded reading batches — rather than
 // simulated packets: bandwidth is modeled as serialization time on a

@@ -59,9 +59,6 @@ func (s *Spec) options() stack.Options {
 		opt.QueueCap = n.QueueCap
 	}
 	opt.RED = n.RED
-	if n.HopByHop || n.RED {
-		opt.Mode = stack.HopByHopReassembly
-	}
 	return opt
 }
 
@@ -125,10 +122,12 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 			in.Start()
 		}
 	}
+	sleepy := false // some node sleeps: routes need checking for sleepy relays
 	for _, ns := range spec.Nodes {
 		if !ns.Sleepy {
 			continue
 		}
+		sleepy = true
 		sc, err := net.MakeSleepyLeaf(ns.ID)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: sleepy node %d: %w", spec.Name, ns.ID, err)
@@ -154,16 +153,13 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 				QueueCap:      g.WAN.QueueCap,
 			},
 		}, seed+2)
-		if rc.trace != nil {
-			rc.gw.SetTrace(rc.trace)
-		}
 	}
 	for _, fs := range spec.Flows {
 		for _, end := range []NodeRef{fs.From, fs.To} {
 			if end.Host {
 				continue
 			}
-			if err := rc.routed(rc.resolve(end).ID); err != nil {
+			if err := rc.routed(rc.resolve(end).ID, sleepy); err != nil {
 				return nil, err
 			}
 		}
@@ -189,12 +185,27 @@ func (r *Runner) buildRun(spec *Spec, seed int64) (*runContext, error) {
 }
 
 // routed returns an error naming flow endpoint id if it has no route to
-// the border router: a run whose flows cannot reach it measures nothing.
-func (rc *runContext) routed(id int) error {
-	border := rc.net.Border().ID
-	if rc.net.Routes.Hops(id, border) < 0 {
+// the border router, or, when sleepy is set, if a sleepy node relays on
+// its route up to the border router or back down: a run whose flows
+// cannot reach it measures nothing, and a sleepy node's radio is off
+// when its children send. Without sleepy nodes no route is walked.
+func (rc *runContext) routed(id int, sleepy bool) error {
+	routes, border := rc.net.Routes, rc.net.Border().ID
+	if routes.Hops(id, border) < 0 {
 		return fmt.Errorf("scenario %q: flow endpoint %d has no route to the border router (node %d)",
 			rc.spec.Name, id, border)
+	}
+	if !sleepy {
+		return nil
+	}
+	for _, leg := range [][2]int{{id, border}, {border, id}} {
+		from, to := leg[0], leg[1]
+		for hop, _ := routes.NextHop(from, to); hop != to; hop, _ = routes.NextHop(hop, to) {
+			if rc.net.Nodes[hop].Sleep != nil {
+				return fmt.Errorf("scenario %q: flow endpoint %d routes through sleepy node %d, which relays nothing",
+					rc.spec.Name, id, hop)
+			}
+		}
 	}
 	return nil
 }

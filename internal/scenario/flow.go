@@ -27,12 +27,6 @@ type probe interface {
 	collect(*FlowResult)
 }
 
-// sensorTransport is an app transport the anemometer can drain through.
-type sensorTransport interface {
-	app.Transport
-	Attach(*app.Sensor)
-}
-
 // telemetry is the accounting every transport's probe shares, because
 // the application above them is the same (§9): the collector-side byte
 // sink, the anemometer sensor, per-reading delivery credit and latency,
@@ -42,9 +36,6 @@ type telemetry struct {
 	fr  *flowRun
 	net *stack.Network
 	eng *sim.Engine
-	// trace carries the journey terminal events (nil when observability
-	// is off).
-	trace *obs.Trace
 	// gw is the run's gateway for a flow addressed to it: the flow
 	// connects to the gateway's shared LLN-side terminator instead of a
 	// private sink, and is credited at the gateway (the mesh hop) and
@@ -66,7 +57,7 @@ type telemetry struct {
 }
 
 func newTelemetry(rc *runContext, fr *flowRun) *telemetry {
-	t := &telemetry{fr: fr, net: rc.net, eng: fr.src.Eng(), trace: rc.net.Opt.Trace}
+	t := &telemetry{fr: fr, net: rc.net, eng: fr.src.Eng()}
 	if fr.spec.To.Gateway {
 		t.gw = rc.gw
 	}
@@ -79,15 +70,23 @@ func (t *telemetry) register() {
 	t.sink = t.gw.Register(t.fr.src.Addr, t.deliver, t.e2eDeliver, t.onWANLost)
 }
 
-// startSensor builds the anemometer over tr and starts it sampling.
-func (t *telemetry) startSensor(tr sensorTransport, queueCap int) {
-	t.sensor = app.NewSensor(t.eng, tr, queueCap)
+// startSensor builds the anemometer on the flow's source over tr and
+// starts it sampling.
+func (t *telemetry) startSensor(tr app.Transport) {
+	t.sensor = app.NewSensor(t.fr.src, tr, sensorQueueCap(t.fr.spec.Protocol))
 	t.sensor.Interval = t.fr.spec.Interval.D()
 	t.sensor.Batch = t.fr.spec.Batch
-	t.sensor.Trace = t.trace
-	t.sensor.Node = t.fr.src.ID
-	tr.Attach(t.sensor)
 	t.sensor.Start()
+}
+
+// sensorQueueCap is the anemometer's application queue, in readings,
+// over a transport: §9.2 gives CoAP the larger queue because TCP's send
+// buffer holds readings too. UDP gets CoAP's.
+func sensorQueueCap(protocol string) int {
+	if protocol == protoTCP {
+		return app.TCPQueueCap
+	}
+	return app.CoAPQueueCap
 }
 
 // deliver credits one reading arriving at the collector, exactly where
@@ -116,8 +115,9 @@ func (t *telemetry) e2eDeliver(seq uint32) {
 // onWANLost records readings dropped crossing the WAN.
 func (t *telemetry) onWANLost(n int) { t.wanLost += uint64(n) }
 
+// emit records a journey terminal event for the flow's reading seq.
 func (t *telemetry) emit(kind obs.Kind, seq uint32) {
-	if tr := t.trace; tr != nil {
+	if tr := t.net.Opt.Trace; tr != nil {
 		tr.Emit(obs.Event{T: t.eng.Now(), Kind: kind, Node: t.fr.src.ID, A: int64(seq)})
 	}
 }

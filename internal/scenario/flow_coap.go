@@ -47,11 +47,7 @@ func startCoAP(t *telemetry) *coapProbe {
 	p.tr.Client.OnSample = func(d sim.Duration) {
 		p.rtts.Add(d.Milliseconds())
 	}
-	p.tr.Client.Trace = t.trace
-	p.tr.Client.Node = src.ID
-	p.tr.Trace = t.trace
-	p.tr.Node = src.ID
-	t.startSensor(p.tr, app.CoAPQueueCap)
+	t.startSensor(p.tr)
 	return p
 }
 

@@ -42,7 +42,7 @@ func startTCP(t *telemetry, srcCfg, sinkCfg tcplp.Config) *tcpProbe {
 			t.sink = &app.ListenReadingSink(dst, fs.port, sinkCfg, t.deliver).CountingSink
 		}
 		tr := app.NewTCPTransportConfig(src, srcCfg, dst.Addr, port)
-		t.startSensor(tr, app.TCPQueueCap)
+		t.startSensor(tr)
 		p.conn = tr.Conn
 	default:
 		panic(fmt.Sprintf("scenario: unvalidated tcp pattern %q", fs.Pattern))

@@ -16,9 +16,7 @@ func startUDP(t *telemetry) *udpProbe {
 	fs, src, dst := &t.fr.spec, t.fr.src, t.fr.dst
 	t.sink = app.ListenReadingUDP(dst, fs.port, t.deliver)
 	tr := app.NewUDPTransport(src, dst.Addr, fs.port, messageSize(t.net, app.ReadingSize))
-	tr.Trace = t.trace
-	tr.Node = src.ID
-	t.startSensor(tr, app.CoAPQueueCap)
+	t.startSensor(tr)
 	return &udpProbe{telemetry: t, tr: tr}
 }
 

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+
 	"tcplp/internal/sim"
 	"tcplp/internal/tcplp/cc"
 )
@@ -25,7 +27,7 @@ type Rewrite struct {
 	// names none.
 	Variant cc.Variant
 	// WindowSegs is the network window, in segments, of every cell that
-	// sets none. A flow's own window_segs still wins.
+	// sets none.
 	WindowSegs int
 }
 
@@ -42,7 +44,8 @@ const minScaled = Duration(5 * sim.Second)
 // they were. unused names each field that changed no cell — "variant"
 // when every TCP flow names its own, "window" when every cell sets its
 // own — so a caller can say the flag did nothing. A WindowSegs over a
-// cell's per-connection buffer bound is a *WindowError.
+// cell's per-connection buffer bound is refused in the command line's
+// terms, naming -window and the limit at the cell's seg_frames.
 func (rw Rewrite) Apply(specs []*Spec) (cells []*Spec, unused []string, err error) {
 	variantUsed, windowUsed := false, false
 	for _, s := range specs {
@@ -86,7 +89,8 @@ func (rw Rewrite) Apply(specs []*Spec) (cells []*Spec, unused []string, err erro
 			if rw.WindowSegs > 0 && c.Net.WindowSegs == 0 {
 				segFrames := c.options().SegFrames
 				if limit := maxWindowSegs(segFrames); rw.WindowSegs > limit {
-					return nil, nil, &WindowError{Spec: c.Name, Window: rw.WindowSegs, SegFrames: segFrames, Limit: limit}
+					return nil, nil, fmt.Errorf("-window %d is over the limit of %d segments at seg_frames %d (the per-connection buffer bound; scenario %q)",
+						rw.WindowSegs, limit, segFrames, c.Name)
 				}
 				c.Net.WindowSegs = rw.WindowSegs
 				windowUsed = true

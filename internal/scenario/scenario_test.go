@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -461,6 +460,7 @@ func TestParseSpecsErrors(t *testing.T) {
 		{"spec", "idle_" + "settle", `"30s"`},
 		{"flow", "po" + "rt", "80"}, {"flow", "window_" + "segs", "2"},
 		{"net", "ec" + "n", "true"}, {"node", "no_fast_poll_" + "hint", "true"},
+		{"net", "hop_by_" + "hop", "true"},
 	} {
 		b := blocks[k.where]
 		in := strings.Replace(ok, b[0], strings.Replace(b[1], "KV", `"`+k.key+`":`+k.value, 1), 1)
@@ -596,6 +596,16 @@ func hostileSpecs() []hostileSpec {
 			"net: queue_cap -5", "[0," + strconv.Itoa(maxQueueCap) + "]"},
 		{"negative batch", `{"name":"h","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"pattern":"anemometer","batch":-4}]}`,
 			"flow 0: negative batch", ""},
+		// A batch the sensor's queue cannot hold used to run and deliver
+		// nothing, with ratio 0 and no error. The protocols axis changes
+		// the queue, so each cell is checked.
+		{"batch over the TCP sensor queue", `{"name":"h","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"pattern":"anemometer","batch":65}]}`,
+			"flow 0: batch 65", "64 readings the sensor queues over tcp"},
+		{"batch over the UDP sensor queue", `{"name":"h","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"protocol":"udp","batch":105}]}`,
+			"flow 0: batch 105", "104 readings the sensor queues over udp"},
+		{"batch over TCP's queue in a protocols cell", `{"name":"h","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"protocol":"coap","batch":100}],` +
+			`"sweep":{"protocols":["coap","tcp"]}}`,
+			"h/proto=tcp", "batch 100 is more than the 64 readings"},
 		{"WAN queue of 2e9 messages", `{"name":"h","topology":{"kind":"chain","nodes":2},"gateway":{"wan":{"queue_cap":2000000000}},` +
 			`"flows":[{"from":1,"to":"gateway","pattern":"anemometer"}]}`,
 			"wan queue_cap", strconv.Itoa(maxQueueCap)},
@@ -688,6 +698,35 @@ func TestBuildRunNamesUnroutedNode(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "has no route to the border router") {
 			t.Fatalf("err = %v, want %q named as unrouted", err, want)
 		}
+	}
+}
+
+// TestBuildRunRefusesSleepyRelay: a sleepy node's radio is off while its
+// children send, so a flow routed through one relays nothing. A bulk
+// flow 2 -> 0 over a 3-node chain with node 1 sleepy used to run at
+// 0 kb/s with four RTOs and no error; either direction is now a build
+// error naming the endpoint and the sleepy relay. A sleepy endpoint is
+// what a sleepy node is for, and builds.
+func TestBuildRunRefusesSleepyRelay(t *testing.T) {
+	chain := func(from, to NodeRef, sleepy int) *Spec {
+		return &Spec{
+			Name:     "sleepy-relay",
+			Topology: TopologySpec{Kind: TopoChain, Nodes: 3},
+			Nodes:    []NodeSpec{{ID: sleepy, Sleepy: true}},
+			Flows:    []FlowSpec{{From: from, To: to}},
+		}
+	}
+	for _, s := range []*Spec{chain(NodeID(2), NodeID(0), 1), chain(NodeID(0), NodeID(2), 1)} {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := (&Runner{}).buildRun(s.withDefaults(), 1)
+		if err == nil || !strings.Contains(err.Error(), "flow endpoint 2 routes through sleepy node 1") {
+			t.Errorf("%s -> %s: err = %v, want endpoint 2 and sleepy node 1 named", s.Flows[0].From, s.Flows[0].To, err)
+		}
+	}
+	if _, err := (&Runner{}).buildRun(chain(NodeID(2), NodeID(0), 2).withDefaults(), 1); err != nil {
+		t.Errorf("sleepy endpoint refused: %v", err)
 	}
 }
 
@@ -1231,10 +1270,10 @@ func TestRunnerWindowDefault(t *testing.T) {
 
 // TestRunnerWindowBounded: the per-connection buffer limit Validate puts
 // on a spec's window holds for the window a Rewrite supplies too, at the
-// cell's own segment size. One segment past it is a *WindowError naming
-// the window and the limit; the limit itself passes. A spec's own
-// window_segs, which wins over the rewrite's, is checked by its key as
-// before.
+// cell's own segment size. One segment past it is refused in the
+// command line's terms, naming -window, the limit and the segment size;
+// the limit itself passes. A spec's own window_segs, which wins over the
+// rewrite's, is checked by its key.
 func TestRunnerWindowBounded(t *testing.T) {
 	spec := &Spec{
 		Name:     "runner-window",
@@ -1247,19 +1286,16 @@ func TestRunnerWindowBounded(t *testing.T) {
 		segFrames := max(frames, 5)
 		limit := maxConnBuf / phy.MaxMACPayload / segFrames
 		_, _, err := Rewrite{WindowSegs: limit + 1}.Apply([]*Spec{spec})
-		var we *WindowError
-		if !errors.As(err, &we) || we.Window != limit+1 || we.SegFrames != segFrames || we.Limit != limit ||
-			!strings.Contains(err.Error(), "window of "+strconv.Itoa(limit+1)) ||
-			!strings.Contains(err.Error(), "limit at seg_frames "+strconv.Itoa(segFrames)+" is "+strconv.Itoa(limit)) {
-			t.Fatalf("rewritten window %d at seg_frames %d: err = %v, want a WindowError naming the limit %d", limit+1, segFrames, err, limit)
+		want := fmt.Sprintf("-window %d is over the limit of %d segments at seg_frames %d (", limit+1, limit, segFrames)
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("rewritten window %d at seg_frames %d: err = %v, want %q…", limit+1, segFrames, err, want)
 		}
 		if _, _, err := (Rewrite{WindowSegs: limit}).Apply([]*Spec{spec}); err != nil {
 			t.Fatalf("rewritten window %d (the limit) at seg_frames %d: %v", limit, segFrames, err)
 		}
 	}
 	spec.Net.SegFrames, spec.Net.WindowSegs = 0, maxConnBuf/phy.MaxMACPayload/5+1
-	var we *WindowError
-	if err := spec.Validate(); err == nil || errors.As(err, &we) || !strings.Contains(err.Error(), "net: window_segs") {
+	if err := spec.Validate(); err == nil || strings.HasPrefix(err.Error(), "-window") || !strings.Contains(err.Error(), "net: window_segs") {
 		t.Fatalf("spec window over the limit: err = %v, want the net.window_segs error", err)
 	}
 }

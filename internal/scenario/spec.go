@@ -207,8 +207,6 @@ type NetSpec struct {
 	// ECN-capable packets (TCP sets ECT) over whole-packet relaying, which
 	// RED needs to see packets at all.
 	RED bool `json:"red,omitempty"`
-	// HopByHop selects whole-packet reassembly at relays without RED.
-	HopByHop bool `json:"hop_by_hop,omitempty"`
 	// InjectedLoss drops packets crossing the border router with this
 	// probability — the §9.4 loss-injection mechanism.
 	InjectedLoss float64 `json:"injected_loss,omitempty"`
@@ -759,19 +757,6 @@ func maxWindowSegs(segFrames int) int {
 	return maxConnBuf / phy.MaxMACPayload / segFrames
 }
 
-// WindowError is Rewrite.Apply's refusal of its WindowSegs (the CLI's
-// -window): at seg_frames SegFrames the per-connection buffer limit
-// allows Limit segments. A spec's own window_segs is checked by its key.
-type WindowError struct {
-	Spec                     string
-	Window, SegFrames, Limit int
-}
-
-func (e *WindowError) Error() string {
-	return fmt.Sprintf("scenario %q: a default window of %d segments × seg_frames %d asks for more than %d bytes of buffer per connection; the limit at seg_frames %d is %d segments",
-		e.Spec, e.Window, e.SegFrames, maxConnBuf, e.SegFrames, e.Limit)
-}
-
 // validateSweep checks the grid's size — from the axis lengths alone,
 // before anything expands it — and what the axes alone check; the
 // expanded cells are validated individually afterwards.
@@ -989,6 +974,12 @@ func (s *Spec) Validate() error {
 		}
 		if f.Batch < 0 {
 			return bad("flow %d: negative batch", i)
+		}
+		// The sensor drains only once batch readings are queued, so a
+		// batch its queue cannot hold would never send.
+		if limit := sensorQueueCap(proto); f.Batch > limit {
+			return bad("flow %d: batch %d is more than the %d readings the sensor queues over %s, so it would never send",
+				i, f.Batch, limit, proto)
 		}
 	}
 	if perDevice > 1 || (perDevice > 0 && gwFlows > perDevice) {

@@ -45,14 +45,12 @@ type Options struct {
 	// WindowSegs is the send/receive buffer size in segments (§6.2;
 	// paper default 4).
 	WindowSegs int
-	// Mode selects fragment forwarding (default) or hop-by-hop
-	// reassembly.
-	Mode ForwardingMode
 	// QueueCap bounds each node's datagram transmit queue.
 	QueueCap int
 	// RED enables Appendix A's relays: random early detection that marks
 	// ECN-capable packets (every TCP segment sets ECT) instead of
-	// dropping them. It sees whole packets only, under HopByHopReassembly.
+	// dropping them, over relays that reassemble every packet, since RED
+	// sees whole packets only. Without it relays forward fragments.
 	RED bool
 	// PER applies a uniform per-frame corruption probability on every
 	// radio link (beyond collisions).

@@ -105,26 +105,12 @@ import (
 	"tcplp/internal/udp"
 )
 
-// ForwardingMode selects how relays handle 6LoWPAN fragments.
-type ForwardingMode int
-
-// Forwarding modes.
-const (
-	// FragmentForwarding relays individual fragments toward the
-	// destination with end-to-end reassembly — OpenThread's behaviour and
-	// the paper's default.
-	FragmentForwarding ForwardingMode = iota
-	// HopByHopReassembly reassembles whole IPv6 packets at every relay —
-	// the modification Appendix A needed for RED/ECN.
-	HopByHopReassembly
-)
-
 // NodeStats counts IP-layer events at one node.
 type NodeStats struct {
 	PacketsSent      uint64 // locally originated datagrams
 	PacketsDelivered uint64 // datagrams delivered to local transports
 	FragmentsFwd     uint64 // fragments relayed (fragment forwarding)
-	PacketsFwd       uint64 // packets relayed (hop-by-hop mode / border)
+	PacketsFwd       uint64 // whole packets relayed (RED relays / border)
 	QueueDrops       uint64 // tail drops at the datagram queue
 	REDDrops         uint64
 	REDMarks         uint64
@@ -315,12 +301,7 @@ func (n *Node) route(pkt *ip6.Packet, forwarded bool) {
 		n.wire.send(pkt)
 		return
 	}
-	// Host-bound traffic inside the mesh routes toward the border router.
-	target := dstID
-	if dstID == HostID {
-		target = borderID
-	}
-	next, ok := n.Net.Routes.NextHop(n.ID, target)
+	next, ok := n.nextHop(dstID)
 	if !ok {
 		n.emitIPDrop(pkt.JID, obs.CauseNoRoute, 0)
 		return
@@ -347,6 +328,15 @@ func (n *Node) route(pkt *ip6.Packet, forwarded bool) {
 			A: int64(len(it.frames)), Len: len(chdr) + len(pkt.Payload), J: pkt.JID})
 	}
 	n.enqueue(it)
+}
+
+// nextHop returns the neighbour toward node dst on the static routes;
+// host-bound traffic inside the mesh routes toward the border router.
+func (n *Node) nextHop(dst int) (int, bool) {
+	if dst == HostID {
+		dst = borderID
+	}
+	return n.Net.Routes.NextHop(n.ID, dst)
 }
 
 // newOutItem takes an item with an empty frame list off the free list.
@@ -463,9 +453,6 @@ func (n *Node) popAndContinue() {
 	n.pump()
 }
 
-// QueueLen returns the number of queued datagrams (RED input).
-func (n *Node) QueueLen() int { return len(n.outQ) }
-
 // ReassemblyTimeouts returns datagrams abandoned for missing fragments.
 func (n *Node) ReassemblyTimeouts() uint64 {
 	if n.reasm == nil {
@@ -493,27 +480,21 @@ func (n *Node) onFrame(f *phy.Frame) {
 	if len(payload) == 0 {
 		return
 	}
-	if n.Net.Opt.Mode == FragmentForwarding {
-		if n.tryForwardFragment(f.Src, payload, f.J) {
-			return
-		}
+	// RED needs whole packets, so its relays reassemble each one
+	// (Appendix A); every other relay forwards fragments as they come.
+	if !n.Net.Opt.RED && n.tryForwardFragment(f.Src, payload, f.J) {
+		return
 	}
 	pkt, err := n.reassembler().Input(f.Src, payload, f.J)
 	if err != nil || pkt == nil {
 		return
 	}
-	if pkt.Dst == n.Addr || (n.wire != nil && n.addrIsHost(pkt.Dst)) {
-		if pkt.Dst != n.Addr {
-			// Border router: reassembled uplink packet headed for the
-			// host crosses the wire as a whole IPv6 packet.
-			n.Stats.PacketsFwd++
-			n.route(pkt, true)
-			return
-		}
+	if pkt.Dst == n.Addr {
 		n.deliver(pkt)
 		return
 	}
-	// Hop-by-hop relay of a complete packet.
+	// A whole packet to relay: a RED relay's, or a host-bound one the
+	// border router bridges onto the wire.
 	n.Stats.PacketsFwd++
 	n.route(pkt, true)
 }
@@ -557,11 +538,7 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 		if !ok {
 			return false
 		}
-		target := dstID
-		if dstID == HostID {
-			target = borderID
-		}
-		next, ok := n.Net.Routes.NextHop(n.ID, target)
+		next, ok := n.nextHop(dstID)
 		if !ok {
 			n.emitIPDrop(jid, obs.CauseNoRoute, 0)
 			return true // unroutable: swallow
