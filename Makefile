@@ -33,7 +33,7 @@ loc:
 # a failed run or conformance check fails it), the benchmark workloads'
 # specs (read, never written), one run per exporter flag, one markdown
 # summary with -ci cells, one run writing its manifest (-manifest-out)
-# and -exp all -scale 0.05, journey-traced too;
+# and -exp all -scale 0.05, journey-traced and writing its manifests too;
 # go tool covdata then lists every function that never ran. Each must be
 # in tools/reach.allow with a reason; a newly unreached function fails,
 # an allowed one that now runs is reported for removal from the list.
@@ -66,7 +66,7 @@ reach:
 	run -scenario $$ex $$short -format json; \
 	run -scenario $$ex $$short -workers 1 -manifest-out $(REACH)/manifest.ndjson; \
 	run -scenario $$ex $$short -markdown -ci -seeds 2; \
-	run -exp all -scale 0.05 -journey
+	run -exp all -scale 0.05 -journey -manifest-out $(REACH)/exp-manifests.ndjson
 	@$(GO) tool covdata func -i=$(REACH)/cov > $(REACH)/func.txt
 	@awk '$$NF == "0.0%" { sub(/^tcplp\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' \
 		$(REACH)/func.txt | sort > $(REACH)/unreached.txt

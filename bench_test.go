@@ -116,12 +116,21 @@ func BenchmarkExperiments(b *testing.B) {
 			b.Fatalf("experiment %q has no entry in expBenches", e.ID)
 		}
 		b.Run(e.ID, func(b *testing.B) {
+			file, err := e.File()
+			if err != nil {
+				b.Fatal(err)
+			}
 			var tabs []*experiments.Table
 			for i := 0; i < b.N; i++ {
-				var err error
-				if tabs, err = e.Run(experiments.Opts{Rewrite: scenario.Rewrite{Scale: eb.scale}}); err != nil {
+				cells, _, err := experiments.Load(file, scenario.Rewrite{Scale: eb.scale})
+				if err != nil {
 					b.Fatal(err)
 				}
+				res, err := (&scenario.Runner{}).RunAll(cells)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tabs = e.Tables(experiments.Opts{}, res)
 			}
 			for _, c := range eb.cells {
 				b.ReportMetric(cellF(b, tabs, c), c.metric)

@@ -8,9 +8,13 @@
 // are bit-identical), and the capture flags (-journey, -events-out,
 // -trace-out, …) work in both modes. A -scenario summary is one more
 // table per cell, printed the same way, so -markdown and -ci work in
-// both modes too. -manifest-out writes what each run of a -scenario cost
-// the simulator (scenario.Manifest), one JSON object per run, and leaves
-// the printed results as they are without it.
+// both modes too. Both modes are one list of jobs, one per spec file,
+// each loaded once before anything runs, then run and printed by one
+// loop. -manifest-out writes what each run cost the simulator
+// (scenario.Manifest), one JSON object per run, in either mode — with
+// -exp all, the per-phase costs of the full evaluation — and leaves the
+// printed results as they are without it. -format prints a -scenario
+// file's runs; an experiment's are its file under -scenario.
 //
 // -scale, -seeds, -variant, -window, -warmup and -duration rewrite the
 // specs before they run, the same way in both modes (scenario.Rewrite):
@@ -31,6 +35,7 @@
 //	tcplp-bench -exp fig9 -seeds 5 -ci            # Student-t 95% CI cells
 //	tcplp-bench -exp all -scale 0.1
 //	tcplp-bench -exp ccvariants -window 8
+//	tcplp-bench -exp all -scale 0.1 -workers 1 -manifest-out runs.ndjson  # per-run phase costs
 //	tcplp-bench -scenario examples/scenarios/paper/fig4.json -scale 0.1 -format json  # fig4's cells, raw
 //	tcplp-bench -scenario examples/scenarios/twinleaf_mixed.json
 //	tcplp-bench -scenario examples/scenarios/interference.json   # TCP vs CoAP
@@ -44,6 +49,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -94,6 +100,9 @@ func main() {
 	// Every flag is parsed and checked, and every spec loaded and
 	// rewritten, before the first file is created, so a refused
 	// invocation leaves earlier output files as they were.
+	if *list && flag.NFlag() > 1 {
+		refuse("-list stands alone: it prints the experiment ids and runs nothing")
+	}
 	rw := scenario.Rewrite{Scale: *scale, Seeds: *seeds, WindowSegs: *window}
 	if *scale <= 0 {
 		refuse("-scale must be > 0")
@@ -130,50 +139,46 @@ func main() {
 	if *evOut == "" && (*evLayers != "" || *evFlows != "") {
 		refuse("-events-layers/-events-flow need -events-out to filter")
 	}
-	if *manifOut != "" && *scenFile == "" {
-		refuse("-manifest-out needs -scenario")
-	}
 	var metrics scenario.Duration
 	if *metrIntv != "" {
 		metrics = parseDur("metrics-interval", *metrIntv)
 	}
+	switch *format {
+	case "summary":
+	case "csv", "json":
+		if *scenFile == "" {
+			refuse(fmt.Sprintf("-format %s prints a -scenario file's runs; an experiment's are -scenario examples/scenarios/paper/<id>.json -format %[1]s", *format))
+		}
+		if *markdown || *ci {
+			refuse("-markdown and -ci render the summary table; -format " + *format + " prints every seed's values")
+		}
+	default:
+		// Fail before anything runs, not after: full-scale spec files can
+		// take a long time.
+		refuse(fmt.Sprintf("unknown -format %q (have summary, csv, json)", *format))
+	}
 
-	// What runs: the scenario file's cells, or each experiment's.
-	var cells []*scenario.Spec
-	var todo []experiments.Experiment
+	// What runs: one job per spec file, the -scenario file's or each
+	// experiment's.
+	var jobs []job
 	if *scenFile != "" {
 		if *exp != "" {
 			refuse("-scenario cannot be combined with -exp; -exp <id> runs examples/scenarios/paper/<id>.json and renders its tables")
 		}
-		switch *format {
-		case "summary":
-		case "csv", "json":
-			if *markdown || *ci {
-				refuse("-markdown and -ci render the summary table; -format " + *format + " prints every seed's values")
-			}
-		default:
-			// Fail before the sweep runs, not after: full-scale scenario
-			// files can take a long time.
-			refuse(fmt.Sprintf("unknown -format %q (have summary, csv, json)", *format))
-		}
-		data, err := os.ReadFile(*scenFile)
+		file, err := os.ReadFile(*scenFile)
 		if err != nil {
 			refuse(err.Error())
 		}
-		specs, err := scenario.ParseSpecs(data)
-		if err != nil {
-			refuse(err.Error())
-		}
-		cells = rewrite(rw, specs, *scenFile)
+		jobs = []job{{name: *scenFile, file: file}}
 	} else {
-		if *list || *exp == "" {
+		if *exp == "" {
 			fmt.Println("experiments:")
 			for _, e := range experiments.Registry {
 				fmt.Printf("  %-10s %s\n", e.ID, e.Desc)
 			}
 			return
 		}
-		todo = experiments.Registry
+		todo := experiments.Registry
 		if *exp != "all" {
 			e, ok := experiments.Find(*exp)
 			if !ok {
@@ -181,25 +186,38 @@ func main() {
 			}
 			todo = []experiments.Experiment{e}
 		}
-		for _, e := range todo {
-			specs, err := e.Specs()
+		for i := range todo {
+			file, err := todo[i].File()
 			if err != nil {
 				refuse(err.Error())
 			}
-			if specs != nil {
-				rewrite(rw, specs, e.ID) // refused here, not halfway through -exp all
-			}
+			jobs = append(jobs, job{exp: &todo[i], name: todo[i].ID, file: file})
 		}
 		if *ci && *seeds < 2 {
 			fmt.Fprintln(os.Stderr, "note: -ci needs -seeds >= 2 to have anything to put an interval on")
 		}
 	}
+	// Each file is parsed and rewritten here, once: the cells loaded are
+	// the cells that run, and -exp all is refused before it starts.
+	for i := range jobs {
+		j := &jobs[i]
+		cells, unused, err := experiments.Load(j.file, rw)
+		if err != nil {
+			refuse(err.Error())
+		}
+		for _, u := range unused {
+			fmt.Fprintf(os.Stderr, "note: %s sets its own %s everywhere; -%s changes nothing\n", j.name, u, u)
+		}
+		j.cells = cells
+	}
 
-	defer startProfiles(*cpuProf, *memProf)()
-	oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, metrics, *jrny, *jrnyOut, *manifOut != "")
+	closers := startProfiles(*cpuProf, *memProf)
+	oc, captures := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, metrics, *jrny, *jrnyOut, *manifOut != "")
+	closers = append(closers, captures...)
 	var manifests *os.File
 	if *manifOut != "" {
 		manifests = create(*manifOut)
+		closers = append(closers, manifests.Close)
 	}
 	// Every traced run goes through the conformance checker.
 	var jt *journeyTotals
@@ -208,29 +226,56 @@ func main() {
 		oc.OnJourney = jt.observe
 	}
 	runner := &scenario.Runner{Workers: *workers, Obs: oc}
-	opts := experiments.Opts{Rewrite: rw, Runner: runner, CI: *ci}
+	o := experiments.Opts{CI: *ci}
 	render := (*experiments.Table).String
 	if *markdown {
 		render = (*experiments.Table).Markdown
 	}
-	if *scenFile != "" {
-		runScenario(cells, opts, *format, render, manifests)
-	} else {
-		for _, e := range todo {
-			fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Desc)
-			tabs, err := e.Run(opts)
-			if err != nil {
+	// Run each job's cells and print them: an experiment's tables, or the
+	// -scenario file's runs in -format, a summary being each cell's table
+	// then its journey waterfalls. Each run's manifest goes to
+	// -manifest-out first, and out of the printed results.
+	for _, j := range jobs {
+		if j.exp != nil {
+			fmt.Fprintf(os.Stderr, "running %s (%s)...\n", j.exp.ID, j.exp.Desc)
+		} else {
+			nRuns := 0
+			for _, s := range j.cells {
+				nRuns += max(len(s.Seeds), 1)
+			}
+			fmt.Fprintf(os.Stderr, "running %d scenario cell(s), %d run(s)...\n", len(j.cells), nRuns)
+		}
+		results, err := runner.RunAll(j.cells)
+		if err != nil {
+			refuse(err.Error())
+		}
+		if manifests != nil {
+			if err := writeManifests(manifests, results); err != nil {
 				refuse(err.Error())
 			}
-			for _, tab := range tabs {
+		}
+		switch {
+		case j.exp != nil:
+			for _, tab := range j.exp.Tables(o, results) {
 				fmt.Println(render(tab))
 			}
+		case *format == "summary":
+			for _, sr := range results {
+				fmt.Println(render(experiments.Summary(o, sr)) + sr.Waterfall())
+			}
+		case *format == "csv":
+			err = scenario.WriteCSV(os.Stdout, results)
+		default:
+			err = scenario.WriteJSON(os.Stdout, results)
+		}
+		if err != nil {
+			refuse(err.Error())
 		}
 	}
-	finish()
+	closeAll(closers)
 	if jt != nil {
 		out := os.Stderr // keep csv/json output parseable
-		if *scenFile == "" || *format == "summary" {
+		if *format == "summary" {
 			out = os.Stdout
 		}
 		if !jt.report(out) {
@@ -239,63 +284,68 @@ func main() {
 	}
 }
 
-// refuse prints why an invocation is refused and exits 1.
+// A job is one spec file an invocation runs and prints: the -scenario
+// file (exp nil), or an experiment's.
+type job struct {
+	exp   *experiments.Experiment
+	name  string // what a note calls the file: its path, or the experiment's id
+	file  []byte // nil for a static table
+	cells []*scenario.Spec
+}
+
+// refuse prints why an invocation is refused, or failed, and exits 1.
 func refuse(msg string) {
 	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
-}
-
-// rewrite applies the flags' rewrite to the specs of a scenario file or
-// an experiment (named by what), exiting 1 when it refuses them, and
-// notes a flag that changed nothing.
-func rewrite(rw scenario.Rewrite, specs []*scenario.Spec, what string) []*scenario.Spec {
-	cells, unused, err := rw.Apply(specs)
-	if err != nil {
-		refuse(err.Error())
-	}
-	for _, u := range unused {
-		fmt.Fprintf(os.Stderr, "note: %s sets its own %s everywhere; -%s changes nothing\n", what, u, u)
-	}
-	return cells
 }
 
 // create creates (or truncates) an output file, exiting 1 when it cannot.
 func create(path string) *os.File {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		refuse(err.Error())
 	}
 	return f
 }
 
-// startProfiles starts the -cpuprofile profile; the returned func, run at
-// exit, writes the -memprofile heap profile and stops the CPU profile.
-func startProfiles(cpuProf, memProf string) (stop func()) {
+// closeAll runs every closer of the invocation's output files and exits 1
+// if any reports an error, printing each.
+func closeAll(closers []func() error) {
+	var errs []error
+	for _, c := range closers {
+		errs = append(errs, c())
+	}
+	if err := errors.Join(errs...); err != nil {
+		refuse(err.Error())
+	}
+}
+
+// startProfiles creates the -cpuprofile and -memprofile files and starts
+// the CPU profile. It returns their closers: the first stops the CPU
+// profile, the second writes the heap profile (after a GC), and each
+// flushes and closes its file, returning the first write error or the
+// close's.
+func startProfiles(cpuProf, memProf string) (closers []func() error) {
 	if cpuProf != "" {
-		if err := pprof.StartCPUProfile(create(cpuProf)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		f := create(cpuProf)
+		w := bufio.NewWriter(f) // keeps the first write error pprof drops
+		if err := pprof.StartCPUProfile(w); err != nil {
+			refuse(err.Error())
 		}
+		closers = append(closers, func() error {
+			pprof.StopCPUProfile()
+			return errors.Join(w.Flush(), f.Close())
+		})
 	}
-	return func() {
-		if cpuProf != "" {
-			defer pprof.StopCPUProfile()
-		}
-		if memProf == "" {
-			return
-		}
-		f, err := os.Create(memProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		defer f.Close()
-		runtime.GC() // settle the heap so the profile shows live objects
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
+	if memProf != "" {
+		f := create(memProf)
+		w := bufio.NewWriter(f)
+		closers = append(closers, func() error {
+			runtime.GC() // settle the heap so the profile shows live objects
+			return errors.Join(pprof.WriteHeapProfile(w), w.Flush(), f.Close())
+		})
 	}
+	return closers
 }
 
 // parseDur converts a -duration/-warmup override into a scenario
@@ -311,23 +361,13 @@ func parseDur(flagName, s string) scenario.Duration {
 
 // buildObsConfig creates the capture files and assembles the scenario
 // runner's observability config from checked flags; nil when no capture
-// or manifest was requested. The returned finish func must run after the
-// scenario completes: it writes the Chrome trace's closing bracket and
-// closes every capture file, and exits 1 if any write or close failed.
-func buildObsConfig(traceOut, evOut, evLayers, evFlows string, metrics scenario.Duration, jrny bool, jrnyOut string, manifest bool) (*scenario.ObsConfig, func()) {
-	var closers []func() error // one per capture file: its writer's first error, then Close's
-	finish := func() {
-		var errs []error
-		for _, c := range closers {
-			errs = append(errs, c())
-		}
-		if err := errors.Join(errs...); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+// or manifest was requested. The closers, one per capture file, run after
+// every run: each writes what its file still lacks (the Chrome trace's
+// closing bracket), closes it and returns its writer's first error, then
+// Close's.
+func buildObsConfig(traceOut, evOut, evLayers, evFlows string, metrics scenario.Duration, jrny bool, jrnyOut string, manifest bool) (_ *scenario.ObsConfig, closers []func() error) {
 	if traceOut == "" && evOut == "" && !jrny && jrnyOut == "" && !manifest {
-		return nil, finish
+		return nil, nil
 	}
 	oc := &scenario.ObsConfig{
 		Manifest:        manifest,
@@ -352,13 +392,12 @@ func buildObsConfig(traceOut, evOut, evLayers, evFlows string, metrics scenario.
 		f := create(traceOut)
 		pw, err := obs.NewPcapWriter(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			refuse(err.Error())
 		}
 		oc.Pcap = pw
 		closers = append(closers, func() error { return errors.Join(pw.Err(), f.Close()) })
 	}
-	return oc, finish
+	return oc, closers
 }
 
 // journeyTotals sums the conformance checker's verdicts over every
@@ -411,55 +450,17 @@ func splitList(s string) []string {
 	return out
 }
 
-// runScenario fans the cells out across the worker pool and prints the
-// results in the requested format: a summary is each cell's table, as
-// -exp prints one, then its journey waterfalls. With manifests, each
-// run's manifest goes there first, and out of the printed results.
-func runScenario(cells []*scenario.Spec, o experiments.Opts, format string, render func(*experiments.Table) string, manifests *os.File) {
-	nRuns := 0
-	for _, s := range cells {
-		nRuns += max(len(s.Seeds), 1)
-	}
-	fmt.Fprintf(os.Stderr, "running %d scenario cell(s), %d run(s)...\n", len(cells), nRuns)
-	results, err := o.Runner.RunAll(cells)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if manifests != nil {
-		if err := writeManifests(manifests, results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	switch format {
-	case "summary":
-		for _, sr := range results {
-			fmt.Println(render(experiments.Summary(o, sr)) + sr.Waterfall())
-		}
-	case "csv":
-		err = scenario.WriteCSV(os.Stdout, results)
-	case "json":
-		err = scenario.WriteJSON(os.Stdout, results)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
 // writeManifests writes every run's manifest to f, one JSON object per
-// line in cell and seed order, clears it from the run, and closes f.
+// line in cell and seed order, and clears it from the run.
 func writeManifests(f *os.File, results []*scenario.SpecResult) error {
 	enc := json.NewEncoder(f)
 	for _, sr := range results {
 		for i := range sr.Runs {
 			if err := enc.Encode(sr.Runs[i].Manifest); err != nil {
-				f.Close()
 				return err
 			}
 			sr.Runs[i].Manifest = nil
 		}
 	}
-	return f.Close()
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -57,18 +58,18 @@ const probeSpec = `{"name":"probe","topology":{"kind":"chain","nodes":3},
 	         {"label":"bulk","from":1,"to":0}],
 	"warmup":"1s","duration":"4s"}`
 
-// TestCaptureWriteFailureExits1: a capture file the run cannot write
-// fails the invocation. /dev/full opens and then refuses every write, so
-// each capture flag gets its file and loses what it writes: exit 1, with
-// the error naming the file. (An events or journey file used to fail
-// silently with exit 0.)
+// TestCaptureWriteFailureExits1: a capture or profile file the run
+// cannot write fails the invocation. /dev/full opens and then refuses
+// every write, so each flag gets its file and loses what it writes: exit
+// 1, with the error naming the file. (An events or journey file, and
+// either profile, used to fail silently with exit 0.)
 func TestCaptureWriteFailureExits1(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full to fail writes with")
 	}
 	run, dir := buildCLI(t)
 	spec := writeFile(t, dir, "probe.json", probeSpec)
-	for _, flag := range []string{"-events-out", "-journey-out", "-trace-out"} {
+	for _, flag := range []string{"-events-out", "-journey-out", "-trace-out", "-cpuprofile", "-memprofile"} {
 		code, _, stderr := run("-scenario", spec, flag, "/dev/full")
 		if code != 1 || !strings.Contains(stderr, "/dev/full") {
 			t.Errorf("%s /dev/full: exit %d, stderr %q; want exit 1 naming the file", flag, code, stderr)
@@ -80,6 +81,8 @@ func TestCaptureWriteFailureExits1(t *testing.T) {
 // its spec — in either mode; -exp all checks every experiment's rewritten
 // file first — exits 1 before it creates a file, so an earlier file at an
 // output path (here a journey trace and a CPU profile) keeps its bytes.
+// A flag the mode would ignore is refused too: -format under -exp, -list
+// with anything.
 func TestRefusedFlagsKeepOutputFiles(t *testing.T) {
 	run, dir := buildCLI(t)
 	spec := writeFile(t, dir, "probe.json", probeSpec)
@@ -104,7 +107,11 @@ func TestRefusedFlagsKeepOutputFiles(t *testing.T) {
 		{"-exp", "nosuch", "-cpuprofile", out},
 		{"-exp", "fig4", "-journey-out", out, "-events-out", ev, "-window", "3000000"},
 		{"-exp", "all", "-journey-out", out, "-seeds", "5000"},
-		{"-exp", "fig4", "-journey-out", out, "-manifest-out", ev},
+		{"-exp", "table5", "-journey-out", out, "-format", "bogus"},
+		{"-exp", "fig4", "-journey-out", out, "-format", "json"},
+		{"-exp", "fig4", "-journey-out", out, "-format", "csv"},
+		{"-scenario", spec, "-journey-out", out, "-list"},
+		{"-exp", "fig4", "-journey-out", out, "-list"},
 	} {
 		code, stdout, stderr := run(args...)
 		if code != 1 || stdout != "" {
@@ -244,9 +251,9 @@ func TestWindowFlagBounded(t *testing.T) {
 // file the same way under -scenario and under -exp, whose tables are
 // rendered from exactly those cells — as is the -scenario summary, with
 // -markdown too; a rewrite no cell takes is noted; and the capture flags
-// work for experiments too.
+// and -manifest-out work for experiments too.
 func TestRewriteFlagsBothModes(t *testing.T) {
-	run, _ := buildCLI(t)
+	run, dir := buildCLI(t)
 	flags := []string{"-scale", "0.05", "-seeds", "2", "-window", "8", "-workers", "1"}
 	fig4 := filepath.Join("..", "..", "examples", "scenarios", "paper", "fig4.json")
 	code, stdout, stderr := run(append([]string{"-scenario", fig4, "-format", "json"}, flags...)...)
@@ -255,9 +262,9 @@ func TestRewriteFlagsBothModes(t *testing.T) {
 	}
 	var cells []struct {
 		Spec struct {
-			Warmup, Duration string
-			Seeds            []int64
-			Net              struct {
+			Name, Warmup, Duration string
+			Seeds                  []int64
+			Net                    struct {
 				WindowSegs int `json:"window_segs"`
 			}
 		}
@@ -286,6 +293,32 @@ func TestRewriteFlagsBothModes(t *testing.T) {
 	want := fmt.Sprintf("%.1f ± %.1f", mean, sd)
 	if !strings.Contains(stdout, want) {
 		t.Errorf("-exp fig4 table lacks the uplink cell %q of the -scenario run:\n%s", want, stdout)
+	}
+	// -manifest-out writes one manifest per run of those cells, in cell and
+	// seed order, and prints the same tables.
+	manifests := filepath.Join(dir, "runs.ndjson")
+	code, withManifests, stderr := run(append([]string{"-exp", "fig4", "-manifest-out", manifests}, flags...)...)
+	if code != 0 || withManifests != stdout {
+		t.Errorf("-exp fig4 -manifest-out: exit %d, stdout differs from the plain run's:\n%s%s", code, withManifests, stderr)
+	}
+	var runs []string
+	for _, c := range cells {
+		for _, seed := range c.Spec.Seeds {
+			runs = append(runs, fmt.Sprintf("%s seed %d", c.Spec.Name, seed))
+		}
+	}
+	var got []string
+	nd, err := os.ReadFile(manifests)
+	for dec := json.NewDecoder(bytes.NewReader(nd)); err == nil && dec.More(); {
+		var m struct {
+			Spec string
+			Seed int64
+		}
+		err = dec.Decode(&m)
+		got = append(got, fmt.Sprintf("%s seed %d", m.Spec, m.Seed))
+	}
+	if err != nil || !slices.Equal(got, runs) {
+		t.Errorf("-exp fig4 -manifest-out wrote manifests of %q (err %v), want %q", got, err, runs)
 	}
 	// The -scenario summary renders the same runs through the same cells.
 	code, stdout, stderr = run(append([]string{"-scenario", fig4}, flags...)...)

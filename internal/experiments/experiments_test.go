@@ -37,29 +37,56 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 	return v
 }
 
+// config is how a test runs an experiment: the rewrite its spec file
+// gets, the runner (nil: one on all CPUs) and how its tables render.
+type config struct {
+	rw     scenario.Rewrite
+	runner *scenario.Runner
+	o      Opts
+}
+
 // scaled runs an experiment's spec file at the given -scale.
-func scaled(scale float64) Opts { return Opts{Rewrite: scenario.Rewrite{Scale: scale}} }
+func scaled(scale float64) config { return config{rw: scenario.Rewrite{Scale: scale}} }
 
 var quick = scaled(0.15)
 
-// run runs the registry experiment id and returns its tables.
-func run(t *testing.T, id string, o Opts) []*Table {
+// load loads the registry experiment id's spec file under rw.
+func load(t *testing.T, id string, rw scenario.Rewrite) (Experiment, []*scenario.Spec) {
 	t.Helper()
 	e, ok := Find(id)
 	if !ok {
 		t.Fatalf("no experiment %q", id)
 	}
-	tabs, err := e.Run(o)
+	file, err := e.File()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tabs
+	cells, _, err := Load(file, rw)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return e, cells
+}
+
+// run runs the registry experiment id and returns its tables.
+func run(t *testing.T, id string, c config) []*Table {
+	t.Helper()
+	e, cells := load(t, id, c.rw)
+	runner := c.runner
+	if runner == nil {
+		runner = &scenario.Runner{}
+	}
+	res, err := runner.RunAll(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Tables(c.o, res)
 }
 
 // run1 is run for a one-table experiment.
-func run1(t *testing.T, id string, o Opts) *Table {
+func run1(t *testing.T, id string, c config) *Table {
 	t.Helper()
-	return run(t, id, o)[0]
+	return run(t, id, c)[0]
 }
 
 func TestStaticTables(t *testing.T) {
@@ -350,7 +377,7 @@ func TestGoldenEquivalence(t *testing.T) {
 		check("equiv_"+id+".txt", run(t, id, scaled(0.05))...)
 	}
 	ci := scaled(0.05)
-	ci.Rewrite.Seeds, ci.CI = 2, true
+	ci.rw.Seeds, ci.o.CI = 2, true
 	check("equiv_table9_ci.txt", run1(t, "table9", ci))
 }
 
@@ -388,11 +415,11 @@ func TestGoldenEquivalenceApps(t *testing.T) {
 // experiment level: the same fig6 sweep through a serial and a wide
 // worker pool must render byte-identical tables.
 func TestFig6WorkersBitIdentical(t *testing.T) {
-	o := scaled(0.05)
-	o.Runner = &scenario.Runner{Workers: 1}
-	serial := run(t, "fig6", o)
-	o.Runner = &scenario.Runner{Workers: 4}
-	parallel := run(t, "fig6", o)
+	c := scaled(0.05)
+	c.runner = &scenario.Runner{Workers: 1}
+	serial := run(t, "fig6", c)
+	c.runner = &scenario.Runner{Workers: 4}
+	parallel := run(t, "fig6", c)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("serial and parallel fig6 tables differ:\nserial:   %+v\nparallel: %+v",
 			serial, parallel)
@@ -402,9 +429,9 @@ func TestFig6WorkersBitIdentical(t *testing.T) {
 // TestMultiSeedErrorBars pins the ± σ rendering: with Seeds > 1 every
 // measured cell carries an error bar and the mean still parses.
 func TestMultiSeedErrorBars(t *testing.T) {
-	o := scaled(0.05)
-	o.Rewrite.Seeds, o.Runner = 3, &scenario.Runner{Workers: 4}
-	tab := run1(t, "fig5", o)
+	c := scaled(0.05)
+	c.rw.Seeds, c.runner = 3, &scenario.Runner{Workers: 4}
+	tab := run1(t, "fig5", c)
 	pm := regexp.MustCompile(`^\d+(\.\d+)? ± \d+(\.\d+)?$`)
 	for i, row := range tab.Rows {
 		if !pm.MatchString(row[2]) {
@@ -425,11 +452,11 @@ func TestMultiSeedErrorBars(t *testing.T) {
 // spread than ± σ (the Student-t interval at 3 seeds is 2.48·s/√3 ≈
 // 1.75σ) around the identical mean.
 func TestCICells(t *testing.T) {
-	o := scaled(0.05)
-	o.Rewrite.Seeds, o.Runner = 3, &scenario.Runner{Workers: 4}
-	sigma := run1(t, "fig5", o)
-	o.CI = true
-	ci := run1(t, "fig5", o)
+	c := scaled(0.05)
+	c.rw.Seeds, c.runner = 3, &scenario.Runner{Workers: 4}
+	sigma := run1(t, "fig5", c)
+	c.o.CI = true
+	ci := run1(t, "fig5", c)
 	widened := false
 	for i := range sigma.Rows {
 		ms, ss, okS := strings.Cut(sigma.Rows[i][2], " ± ")
@@ -479,14 +506,11 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	var simulating []string
 	for _, e := range Registry {
-		specs, err := e.Specs()
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+		_, cells := load(t, e.ID, scenario.Rewrite{})
+		if (e.static == nil) != (len(cells) > 0) {
+			t.Fatalf("%s: static %v, but %d cells", e.ID, e.static != nil, len(cells))
 		}
-		if (e.static == nil) != (len(specs) > 0) {
-			t.Fatalf("%s: static %v, but %d specs", e.ID, e.static != nil, len(specs))
-		}
-		if len(specs) > 0 {
+		if len(cells) > 0 {
 			simulating = append(simulating, e.ID+".json")
 		}
 	}
@@ -500,15 +524,7 @@ func TestRegistryComplete(t *testing.T) {
 // a dc_sample run below one sample period — fig10 stays an hour long.
 func TestScaleFloor(t *testing.T) {
 	for _, id := range []string{"fig4", "fig10"} {
-		e, _ := Find(id)
-		specs, err := e.Specs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells, _, err := scenario.Rewrite{Scale: 0.0001}.Apply(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, cells := load(t, id, scenario.Rewrite{Scale: 0.0001})
 		for _, c := range cells {
 			floor := max(scenario.Duration(5*sim.Second), c.DCSample)
 			if c.Duration != floor || (c.Warmup != 0 && c.Warmup != floor) {

@@ -5,15 +5,9 @@ import (
 	"tcplp/internal/scenario"
 )
 
-// Opts configures an experiment run. The zero value runs the full-scale,
-// single-seed spec file on all CPUs and renders mean ± σ cells.
+// Opts is how an experiment's tables are rendered. The zero value
+// renders multi-seed cells as mean ± σ.
 type Opts struct {
-	// Rewrite is applied to the experiment's spec file before it runs
-	// (tcplp-bench -scale, -seeds, -variant, -window, -warmup, -duration).
-	Rewrite scenario.Rewrite
-	// Runner runs the cells (nil: a Runner on all CPUs). Tables are
-	// identical whatever its pool size.
-	Runner *scenario.Runner
 	// CI renders multi-seed cells as mean ± Student-t 95% confidence
 	// half-width instead of mean ± σ (tcplp-bench -ci).
 	CI bool
@@ -26,47 +20,41 @@ type Experiment struct {
 	ID     string
 	Desc   string
 	static func() *Table
-	// render receives one result per expanded cell of the spec file, in
-	// file order.
+	// render receives one result per loaded cell, in Load's order.
 	render func(o Opts, res []*scenario.SpecResult) []*Table
 }
 
-// Specs returns the experiment's spec file, parsed and validated; nil
-// for a static table.
-func (e Experiment) Specs() ([]*scenario.Spec, error) {
+// File returns the experiment's spec file; nil for a static table.
+func (e Experiment) File() ([]byte, error) {
 	if e.static != nil {
 		return nil, nil
 	}
-	data, err := paper.Files.ReadFile(e.ID + ".json")
-	if err != nil {
-		return nil, err
-	}
-	return scenario.ParseSpecs(data)
+	return paper.Files.ReadFile(e.ID + ".json")
 }
 
-// Run produces the experiment's tables: a static table, or its spec
-// file with o.Rewrite applied, run and rendered.
-func (e Experiment) Run(o Opts) ([]*Table, error) {
+// Load is the one step from a spec file — an experiment's File or a
+// tcplp-bench -scenario file — to the cells that run: it parses and
+// validates the file, then applies rw (scenario.Rewrite.Apply). unused
+// names each field of rw that changed no cell. A nil file, a static
+// table's, loads no cells.
+func Load(file []byte, rw scenario.Rewrite) (cells []*scenario.Spec, unused []string, err error) {
+	if file == nil {
+		return nil, nil, nil
+	}
+	specs, err := scenario.ParseSpecs(file)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rw.Apply(specs)
+}
+
+// Tables renders the results of the experiment's loaded cells, one per
+// cell in Load's order, as its tables; a static table takes none.
+func (e Experiment) Tables(o Opts, res []*scenario.SpecResult) []*Table {
 	if e.static != nil {
-		return []*Table{e.static()}, nil
+		return []*Table{e.static()}
 	}
-	specs, err := e.Specs()
-	if err != nil {
-		return nil, err
-	}
-	cells, _, err := o.Rewrite.Apply(specs)
-	if err != nil {
-		return nil, err
-	}
-	runner := o.Runner
-	if runner == nil {
-		runner = &scenario.Runner{}
-	}
-	res, err := runner.RunAll(cells)
-	if err != nil {
-		return nil, err
-	}
-	return e.render(o, res), nil
+	return e.render(o, res)
 }
 
 // one wraps a single-table renderer.
