@@ -225,6 +225,13 @@ func main() {
 		jt = &journeyTotals{}
 		oc.OnJourney = jt.observe
 	}
+	// A run that fails part-way still closes every output file: the
+	// profiles are written and the capture files complete.
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, err)
+		closeAll(closers)
+		os.Exit(1)
+	}
 	runner := &scenario.Runner{Workers: *workers, Obs: oc}
 	o := experiments.Opts{CI: *ci}
 	render := (*experiments.Table).String
@@ -247,11 +254,11 @@ func main() {
 		}
 		results, err := runner.RunAll(j.cells)
 		if err != nil {
-			refuse(err.Error())
+			fail(err)
 		}
 		if manifests != nil {
 			if err := writeManifests(manifests, results); err != nil {
-				refuse(err.Error())
+				fail(err)
 			}
 		}
 		switch {
@@ -269,7 +276,7 @@ func main() {
 			err = scenario.WriteJSON(os.Stdout, results)
 		}
 		if err != nil {
-			refuse(err.Error())
+			fail(err)
 		}
 	}
 	closeAll(closers)

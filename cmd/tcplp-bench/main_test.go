@@ -62,18 +62,38 @@ const probeSpec = `{"name":"probe","topology":{"kind":"chain","nodes":3},
 // cannot write fails the invocation. /dev/full opens and then refuses
 // every write, so each flag gets its file and loses what it writes: exit
 // 1, with the error naming the file. (An events or journey file, and
-// either profile, used to fail silently with exit 0.)
+// either profile, used to fail silently with exit 0.) A run that fails
+// part-way, here at its manifest, still closes the other files whole: the
+// CPU profile parses and the journey file is JSON. (They used to be left
+// empty and without the closing bracket.)
 func TestCaptureWriteFailureExits1(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full to fail writes with")
 	}
 	run, dir := buildCLI(t)
 	spec := writeFile(t, dir, "probe.json", probeSpec)
-	for _, flag := range []string{"-events-out", "-journey-out", "-trace-out", "-cpuprofile", "-memprofile"} {
+	for _, flag := range []string{"-events-out", "-journey-out", "-trace-out", "-cpuprofile", "-memprofile", "-manifest-out"} {
 		code, _, stderr := run("-scenario", spec, flag, "/dev/full")
 		if code != 1 || !strings.Contains(stderr, "/dev/full") {
 			t.Errorf("%s /dev/full: exit %d, stderr %q; want exit 1 naming the file", flag, code, stderr)
 		}
+	}
+
+	prof, jrny := filepath.Join(dir, "c.prof"), filepath.Join(dir, "j.json")
+	code, _, stderr := run("-scenario", spec, "-manifest-out", "/dev/full", "-cpuprofile", prof, "-journey-out", jrny)
+	if code != 1 || !strings.Contains(stderr, "/dev/full") {
+		t.Errorf("-manifest-out /dev/full: exit %d, stderr %q; want exit 1 naming the file", code, stderr)
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(goTool, "tool", "pprof", "-raw", "-symbolize=none", prof).CombinedOutput(); err != nil {
+		t.Errorf("the CPU profile of the failed run does not parse: %v\n%s", err, out)
+	}
+	b, err := os.ReadFile(jrny)
+	if err != nil || !json.Valid(b) {
+		t.Errorf("the journey file of the failed run is not JSON (%d bytes, %v)", len(b), err)
 	}
 }
 

@@ -191,24 +191,50 @@ type Mac struct {
 	// OnReceive is invoked for every accepted data or command frame.
 	OnReceive func(f *phy.Frame)
 
-	// indirect delivery state (parent side)
-	sleepyChildren map[phy.Addr]bool
-	indirectQ      map[phy.Addr][]*txJob
-
-	// duplicate suppression
-	lastSeq map[phy.Addr]uint8
-	seenSeq map[phy.Addr]bool
+	// peers holds one record per neighbour that sent this MAC a frame or
+	// is its sleepy child: a handful, searched in full.
+	peers []peer
 
 	Stats Stats
+}
+
+// peer is what a MAC keeps about one neighbour: the sequence number of
+// the last frame it accepted from it (duplicate suppression) and, for a
+// sleepy child, the frames held until the child polls (indirect
+// delivery).
+type peer struct {
+	addr     phy.Addr
+	lastSeq  uint8
+	seen     bool // lastSeq is a received frame's
+	sleepy   bool
+	indirect []*txJob
+}
+
+// peer returns the record of neighbour a, or nil.
+func (m *Mac) peer(a phy.Addr) *peer {
+	for i := range m.peers {
+		if m.peers[i].addr == a {
+			return &m.peers[i]
+		}
+	}
+	return nil
+}
+
+// addPeer returns the record of neighbour a, adding it if there is none.
+// A record returned earlier may move.
+func (m *Mac) addPeer(a phy.Addr) *peer {
+	if p := m.peer(a); p != nil {
+		return p
+	}
+	m.peers = append(m.peers, peer{addr: a})
+	return &m.peers[len(m.peers)-1]
 }
 
 // New wires a MAC onto a radio. The radio's OnReceive/OnTxDone callbacks
 // are owned by the MAC from this point on.
 func New(eng *sim.Engine, radio *phy.Radio, params Params) *Mac {
-	// The indirect-delivery and duplicate-suppression maps initialise
-	// lazily at their write sites (nil maps read fine): few MACs parent a
-	// sleepy child, and one that only sends and is ACKed never
-	// deduplicates.
+	// The neighbour records start at the first frame received or the
+	// first sleepy child: a MAC that only sends and is ACKed has none.
 	m := &Mac{
 		eng:    eng,
 		radio:  radio,
@@ -245,20 +271,11 @@ func (m *Mac) putJob(job *txJob) {
 	job.next, m.freeJobs = m.freeJobs, job
 }
 
-// Radio returns the underlying radio.
-func (m *Mac) Radio() *phy.Radio { return m.radio }
-
 // SetChildSleepy registers a sleepy child: unicast frames to it are held
 // in the indirect queue until it polls.
 func (m *Mac) SetChildSleepy(child phy.Addr) {
-	if m.sleepyChildren == nil {
-		m.sleepyChildren = map[phy.Addr]bool{}
-	}
-	m.sleepyChildren[child] = true
+	m.addPeer(child).sleepy = true
 }
-
-// IndirectQueueLen returns the number of frames held for child.
-func (m *Mac) IndirectQueueLen(child phy.Addr) int { return len(m.indirectQ[child]) }
 
 func (m *Mac) applyIdleState() {
 	if m.inflight != nil || m.sendingAck || m.radio.Transmitting() {
@@ -293,12 +310,9 @@ func (m *Mac) SendJID(dst phy.Addr, payload []byte, jid int64, done func(TxStatu
 		Payload:    payload,
 	}
 	job.done, job.jid = done, jid
-	if m.sleepyChildren[dst] {
+	if p := m.peer(dst); p != nil && p.sleepy {
 		job.indirect = true
-		if m.indirectQ == nil {
-			m.indirectQ = map[phy.Addr][]*txJob{}
-		}
-		m.indirectQ[dst] = append(m.indirectQ[dst], job)
+		p.indirect = append(p.indirect, job)
 		return
 	}
 	m.enqueue(job)
@@ -542,31 +556,23 @@ func (m *Mac) radioReceive(data []byte) {
 		m.handleAck(f)
 		return
 	}
+	p := m.addPeer(f.Src)
 	// Generate the immediate ACK first (after turnaround), then deliver.
+	// Only a poll or a sleepy child's frame carries the pending bit, and
+	// only a sleepy child has frames held.
 	if f.AckRequest {
-		pending := false
-		if f.Type == phy.FrameCommand && f.Command == phy.DataRequest {
-			pending = len(m.indirectQ[f.Src]) > 0
-		} else if m.sleepyChildren[f.Src] {
-			pending = len(m.indirectQ[f.Src]) > 0
-		}
-		m.sendAck(f.Seq, pending)
+		m.sendAck(f.Seq, len(p.indirect) > 0)
 	}
 	// MAC-level duplicate suppression (a lost ACK causes the peer to
 	// retransmit a frame we already accepted).
-	if m.seenSeq[f.Src] && m.lastSeq[f.Src] == f.Seq {
+	if p.seen && p.lastSeq == f.Seq {
 		m.Stats.Duplicates++
 		return
 	}
-	if m.lastSeq == nil {
-		m.lastSeq = map[phy.Addr]uint8{}
-		m.seenSeq = map[phy.Addr]bool{}
-	}
-	m.lastSeq[f.Src] = f.Seq
-	m.seenSeq[f.Src] = true
+	p.lastSeq, p.seen = f.Seq, true
 
 	if f.Type == phy.FrameCommand && f.Command == phy.DataRequest {
-		m.serveDataRequest(f.Src)
+		m.serveDataRequest(p)
 		return
 	}
 	if m.OnReceive != nil {
@@ -619,14 +625,12 @@ func (m *Mac) sendAck(seq uint8, pending bool) {
 // the head of the transmit queue. If more frames remain queued, the
 // frame-pending bit is set so the child keeps listening (Appendix C's
 // burst-delivery improvement, after [37]).
-func (m *Mac) serveDataRequest(child phy.Addr) {
-	q := m.indirectQ[child]
-	if len(q) == 0 {
+func (m *Mac) serveDataRequest(child *peer) {
+	if len(child.indirect) == 0 {
 		return
 	}
-	job := q[0]
-	q = popFront(q)
-	m.indirectQ[child] = q
-	job.frame.FramePending = len(q) > 0
+	job := child.indirect[0]
+	child.indirect = popFront(child.indirect)
+	job.frame.FramePending = len(child.indirect) > 0
 	m.enqueue(job)
 }

@@ -316,17 +316,17 @@ func TestFilterHandsUpOnlyWantedFrames(t *testing.T) {
 	const n = 50
 	eng := sim.NewEngine(1)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(1, 1))
-	macs := make([]*mac.Mac, n)
+	macs, radios := make([]*mac.Mac, n), make([]*phy.Radio, n)
 	handedUp := make([]int, n)
 	for i := range macs {
 		r := ch.AddRadio(i, phy.Point{})
-		macs[i] = mac.New(eng, r, mac.DefaultParams())
+		macs[i], radios[i] = mac.New(eng, r, mac.DefaultParams()), r
 		i, up := i, r.OnReceive
 		r.OnReceive = func(data []byte) { handedUp[i]++; up(data) }
 	}
 	decoded := func() (sum uint64) {
-		for _, m := range macs {
-			sum += m.Radio().FramesReceived()
+		for _, r := range radios {
+			sum += r.FramesReceived()
 		}
 		return sum
 	}
@@ -354,12 +354,12 @@ func TestFilterHandsUpOnlyWantedFrames(t *testing.T) {
 	}
 	status := mac.TxStatus(-1)
 	step("unicast + ACK", func() {
-		macs[3].SendJID(macs[7].Radio().Addr(), []byte("x"), 0, func(s mac.TxStatus) { status = s })
+		macs[3].SendJID(radios[7].Addr(), []byte("x"), 0, func(s mac.TxStatus) { status = s })
 	}, 2, map[int]int{7: 1, 3: 1, -1: 0})
 	if status != mac.TxOK || macs[7].Stats.AcksSent != 1 {
 		t.Fatalf("unicast status %v, acks sent %d", status, macs[7].Stats.AcksSent)
 	}
 	step("broadcast", func() { macs[3].SendJID(phy.BroadcastAddr, []byte("x"), 0, nil) }, 1, map[int]int{3: 0, -1: 1})
-	step("malformed", func() { macs[3].Radio().Transmit(make([]byte, 40)) }, 1, map[int]int{-1: 0})
-	step("stray ACK", func() { macs[3].Radio().Transmit(phy.AckFor(9, false).Encode()) }, 1, map[int]int{-1: 0})
+	step("malformed", func() { radios[3].Transmit(make([]byte, 40)) }, 1, map[int]int{-1: 0})
+	step("stray ACK", func() { radios[3].Transmit(phy.AckFor(9, false).Encode()) }, 1, map[int]int{-1: 0})
 }

@@ -58,7 +58,8 @@ func TestAddressFilterInvisible(t *testing.T) {
 		}
 		if !filter {
 			for _, n := range rc.net.Nodes {
-				n.Mac().Radio().SetAddressFilter(false)
+				n.Mac() // wakes the node: its new MAC turns the filter on
+				n.Radio.SetAddressFilter(false)
 			}
 		}
 		rc.run()

@@ -39,6 +39,9 @@ type Manifest struct {
 	Events  uint64       `json:"events"`
 	Engine  sim.Counters `json:"engine"`
 	Channel phy.Counters `json:"channel"`
+	// FwdEntriesPeak is the most datagrams any relay held in its
+	// fragment-forwarding cache at once, warm-up included.
+	FwdEntriesPeak int `json:"fwd_entries_peak"`
 }
 
 // Phase is one phase's host cost. Allocations are runtime.MemStats deltas,
@@ -106,6 +109,7 @@ func (mc *manifestClock) manifest(rc *runContext) *Manifest {
 	m.Events = rc.net.Eng.Processed()
 	m.Engine = rc.net.Eng.Counters()
 	m.Channel = rc.net.Channel.Counters()
+	m.FwdEntriesPeak = rc.net.FwdEntriesPeak()
 	return m
 }
 

@@ -186,6 +186,9 @@ func TestManifestIsBitNeutral(t *testing.T) {
 			if m.Events != res.Events || c.Frames < res.FramesSent || ends > c.Frames || ends+8 < c.Frames || c.Resolved > c.SensedVisits {
 				t.Fatalf("manifest counters %+v against events %d, frames sent %d", m, res.Events, res.FramesSent)
 			}
+			if m.FwdEntriesPeak != 0 {
+				t.Fatalf("a star relays nothing, but a node held %d forwarding entries", m.FwdEntriesPeak)
+			}
 			res.Manifest = nil
 		}
 	}

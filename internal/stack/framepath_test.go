@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"reflect"
 	"testing"
 
 	"tcplp/internal/ip6"
@@ -54,28 +55,39 @@ func TestFramePathAllocs(t *testing.T) {
 }
 
 // TestFwdCacheExpiry drives a relay's forwarding cache through inserts,
-// late FRAGNs and idle gaps, against the rule the full sweep implemented:
-// an entry is gone by the first frame at or after its expiry, before the
-// lookup in the same call.
+// late FRAGNs, last fragments and idle gaps, against two rules: an entry
+// is gone by the first frame at or after its expiry, before the lookup in
+// the same call, and the fragment that ends a datagram is relayed and
+// takes the entry with it, so nothing of that datagram is relayed after
+// it.
 func TestFwdCacheExpiry(t *testing.T) {
 	net := New(1, mesh.Chain(3, 10), DefaultOptions())
 	relay := net.Nodes[1]
 	from := net.Nodes[2].LinkAddr()
 	hdr := &ip6.Header{NextHeader: 59, HopLimit: 64, Src: net.Nodes[2].Addr, Dst: net.Nodes[0].Addr}
-
-	var origin sixlowpan.Fragmenter
-	datagram := func() (frag1, fragN []byte, key fwdKey) {
-		frames := origin.Fragment(sixlowpan.CompressHeader(hdr), make([]byte, 200), phy.MaxMACPayload)
-		fi, err := sixlowpan.ParseFragment(frames[0])
-		if err != nil || len(frames) < 2 {
-			t.Fatalf("want a fragmented datagram: %d frames, %v", len(frames), err)
-		}
-		return frames[0], frames[1], fwdKey{from, fi.Tag}
+	type key struct {
+		src phy.Addr
+		tag uint16
 	}
 
+	var origin sixlowpan.Fragmenter
+	datagram := func() (frag1, middle, last []byte, k key) {
+		frames := origin.Fragment(sixlowpan.CompressHeader(hdr), make([]byte, 250), phy.MaxMACPayload)
+		fi, err := sixlowpan.ParseFragment(frames[0])
+		if err != nil || len(frames) != 3 {
+			t.Fatalf("want a three-fragment datagram: %d frames, %v", len(frames), err)
+		}
+		return frames[0], frames[1], frames[2], key{from, fi.Tag}
+	}
+
+	const (
+		follow = iota // a FRAGN before the last: the entry stays
+		first         // a FRAG1: inserts the entry
+		last          // the FRAGN that ends the datagram: removes the entry
+	)
 	const life = sixlowpan.DefaultReassemblyTimeout
-	expires := map[fwdKey]sim.Time{} // the model: swept in full before every lookup
-	at := func(when sim.Duration, payload []byte, key fwdKey, insert bool) {
+	expires := map[key]sim.Time{} // the model: swept in full before every lookup
+	at := func(when sim.Duration, payload []byte, k key, op int) {
 		t.Helper()
 		net.Eng.RunUntil(sim.Time(when)) // also drains what the relay queued
 		now := net.Eng.Now()
@@ -84,38 +96,53 @@ func TestFwdCacheExpiry(t *testing.T) {
 				delete(expires, k)
 			}
 		}
-		_, want := expires[key]
-		if insert {
-			expires[key], want = now.Add(life), true
+		_, want := expires[k]
+		switch op {
+		case first:
+			expires[k], want = now.Add(life), true
+		case last:
+			delete(expires, k)
 		}
 		if got := relay.tryForwardFragment(from, payload, 0); got != want {
 			t.Fatalf("t=%v: forwarded=%v, want %v", when, got, want)
 		}
-		if len(relay.fwdCache) != len(expires) {
-			t.Fatalf("t=%v: cache holds %d entries, want %d", when, len(relay.fwdCache), len(expires))
-		}
-		for k, e := range expires {
-			if got, ok := relay.fwdCache[k]; !ok || got.expires != e {
-				t.Fatalf("t=%v: entry %v = %+v (present %v), want expiry %v", when, k, got, ok, e)
+		live := map[key]sim.Time{} // entries a lookup now would find
+		for _, e := range relay.fwdCache {
+			if now >= e.expires {
+				continue
 			}
+			k := key{e.src, e.tag}
+			if _, dup := live[k]; dup {
+				t.Fatalf("t=%v: two live entries for %v", when, k)
+			}
+			live[k] = e.expires
+		}
+		if !reflect.DeepEqual(live, expires) {
+			t.Fatalf("t=%v: live entries %v, want %v", when, live, expires)
 		}
 	}
 
-	a1, aN, aKey := datagram()
-	b1, bN, bKey := datagram()
-	c1, cN, cKey := datagram()
-	d1, dN, dKey := datagram()
-	at(0, a1, aKey, true)
-	at(1*sim.Second, b1, bKey, true)
-	at(life-sim.Millisecond, aN, aKey, false)    // A's last instant: forwarded
-	at(life, aN, aKey, false)                    // exactly at expiry: gone before the lookup
-	at(life, bN, bKey, false)                    // B unaffected by A's sweep
-	at(life+500*sim.Millisecond, c1, cKey, true) // insert between two expiries
-	at(life+sim.Second, bN, bKey, false)         // B expires exactly now
-	at(life+sim.Second, cN, cKey, false)         // C still live
-	at(3*life, cN, cKey, false)                  // long idle gap: a late FRAGN finds nothing
-	at(3*life+sim.Second, d1, dKey, true)        // the emptied cache takes inserts again
-	at(3*life+2*sim.Second, dN, dKey, false)     // … and serves them
-	at(4*life+sim.Second-sim.Microsecond, dN, dKey, false)
-	at(4*life+sim.Second, dN, dKey, false)
+	a1, aN, _, aKey := datagram()
+	b1, bN, _, bKey := datagram()
+	c1, cN, _, cKey := datagram()
+	d1, dN, _, dKey := datagram()
+	e1, eN, eLast, eKey := datagram()
+	at(0, a1, aKey, first)
+	at(1*sim.Second, b1, bKey, first)
+	at(life-sim.Millisecond, aN, aKey, follow)    // A's last instant: forwarded
+	at(life, aN, aKey, follow)                    // exactly at expiry: gone before the lookup
+	at(life, bN, bKey, follow)                    // B unaffected by A's expiry
+	at(life+500*sim.Millisecond, c1, cKey, first) // insert between two expiries
+	at(life+sim.Second, bN, bKey, follow)         // B expires exactly now
+	at(life+sim.Second, cN, cKey, follow)         // C still live
+	at(3*life, cN, cKey, follow)                  // long idle gap: a late FRAGN finds nothing
+	at(3*life+sim.Second, d1, dKey, first)        // the emptied cache takes inserts again
+	at(3*life+2*sim.Second, dN, dKey, follow)     // … and serves them
+	at(3*life+3*sim.Second, e1, eKey, first)      // E beside D
+	at(3*life+4*sim.Second, eN, eKey, follow)     // E's middle fragment keeps its entry
+	at(3*life+5*sim.Second, eLast, eKey, last)    // E's last fragment is relayed and removes it
+	at(3*life+5*sim.Second, eLast, eKey, follow)  // so a repeat of it is not relayed
+	at(3*life+6*sim.Second, eN, eKey, follow)     // nor any other fragment of E
+	at(4*life+sim.Second-sim.Microsecond, dN, dKey, follow)
+	at(4*life+sim.Second, dN, dKey, follow)
 }

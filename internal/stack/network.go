@@ -240,6 +240,16 @@ func (net *Network) TotalLossEvents() uint64 {
 	return total
 }
 
+// FwdEntriesPeak returns the most datagrams any node has held in its
+// forwarding cache at once.
+func (net *Network) FwdEntriesPeak() int {
+	peak := 0
+	for _, n := range net.Nodes {
+		peak = max(peak, n.fwdPeak)
+	}
+	return peak
+}
+
 // ---- wire (border router ↔ cloud host) ----
 
 // wireEnd is one direction of the wire: a FIFO of hostWireDelay. Packets

@@ -38,8 +38,11 @@
 //     it into the job's wire buffer at load time); then it goes back to
 //     the node's Fragmenter, and the item, list and all, to the node's
 //     free list once the last frame has.
-//   - The forwarding cache maps (previous hop, tag) to a fwdEntry value;
-//     entries are deleted by gcFwdCache, never referenced.
+//   - The forwarding cache is a slice of fwdEntry values, one per
+//     datagram being relayed, keyed by (previous hop, tag) and searched
+//     in full: an entry goes when the relay forwards the fragment that
+//     ends its datagram, or, if that fragment never comes, at the first
+//     search at or after its expiry. Nothing holds a pointer into it.
 //   - A wireEnd owns its slots: send copies the packet and its payload
 //     into one, the peer sees it during wireReceive only, and the slot is
 //     reused for a later packet.
@@ -91,8 +94,6 @@
 package stack
 
 import (
-	"math"
-
 	"tcplp/internal/energy"
 	"tcplp/internal/ip6"
 	"tcplp/internal/mac"
@@ -119,14 +120,14 @@ type NodeStats struct {
 	BorderDrops      uint64 // packets removed by the injected-loss filter
 }
 
-type fwdKey struct {
-	src phy.Addr
-	tag uint16
-}
-
+// fwdEntry is what a relay remembers of one datagram it is forwarding
+// fragment by fragment: where its FRAG1 came from, and under which tag,
+// and where it went, and under which.
 type fwdEntry struct {
-	next    phy.Addr
+	src     phy.Addr
+	tag     uint16
 	newTag  uint16
+	next    phy.Addr
 	expires sim.Time
 }
 
@@ -168,12 +169,12 @@ type Node struct {
 	sending     bool
 	frameDoneFn func(mac.TxStatus) // n.frameDone, built by wake; every frame's MAC callback
 
-	red      *mesh.RED
-	fwdCache map[fwdKey]fwdEntry
-	// fwdExpiry is no later than the earliest expires in fwdCache, so
-	// gcFwdCache can skip the sweep until that time (the zero value
-	// forces one).
-	fwdExpiry sim.Time
+	red *mesh.RED
+	// fwdCache holds the datagrams this relay is forwarding fragment by
+	// fragment, each from its FRAG1 to its last fragment: a handful.
+	// fwdPeak is the most it ever held.
+	fwdCache []fwdEntry
+	fwdPeak  int
 
 	wire *wireEnd
 
@@ -515,8 +516,12 @@ func (n *Node) reassembler() *sixlowpan.Reassembler {
 // unfragmented datagram) carries the compressed IPv6 header: the relay
 // peeks at it, decrements the hop limit in place, re-tags the datagram,
 // and records the mapping so later fragments follow without reassembly.
+// The fragment that ends the datagram takes the mapping with it: each hop
+// hands a datagram's frames on in order, one at a time, and drops the
+// rest of a datagram whose frame it failed to deliver, so nothing of the
+// datagram comes after it (its duplicates stop at the MAC). Expiry is for
+// a datagram whose last fragment never comes.
 func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool {
-	n.gcFwdCache()
 	kind := sixlowpan.Classify(payload)
 	switch kind {
 	case sixlowpan.KindUnfragmented, sixlowpan.KindFrag1:
@@ -558,18 +563,13 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 			if err := sixlowpan.RewriteTag(fwd, newTag); err != nil {
 				return true
 			}
-			if n.fwdCache == nil {
-				n.fwdCache = map[fwdKey]fwdEntry{}
-			}
-			expires := n.Eng().Now().Add(sixlowpan.DefaultReassemblyTimeout)
-			n.fwdCache[fwdKey{src, fi.Tag}] = fwdEntry{
-				next:    phy.AddrFromID(next),
+			n.fwdInsert(fwdEntry{
+				src:     src,
+				tag:     fi.Tag,
 				newTag:  newTag,
-				expires: expires,
-			}
-			if expires < n.fwdExpiry {
-				n.fwdExpiry = expires
-			}
+				next:    phy.AddrFromID(next),
+				expires: n.Eng().Now().Add(sixlowpan.DefaultReassemblyTimeout),
+			})
 		}
 		n.Stats.FragmentsFwd++
 		n.enqueue(n.newRelayItem(fwd, phy.AddrFromID(next), jid))
@@ -580,9 +580,13 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 		if err != nil {
 			return false
 		}
-		entry, ok := n.fwdCache[fwdKey{src, fi.Tag}]
-		if !ok {
+		i := n.fwdFind(src, fi.Tag)
+		if i < 0 {
 			return false // ours, or the FRAG1 was lost — reassembler sorts it out
+		}
+		entry := n.fwdCache[i]
+		if fi.Offset+len(payload)-fi.HeaderLen >= int(fi.DatagramSize) {
+			n.fwdRemove(i)
 		}
 		fwd := n.frag.Clone(payload)
 		if err := sixlowpan.RewriteTag(fwd, entry.newTag); err != nil {
@@ -595,23 +599,41 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 	return false
 }
 
-// gcFwdCache deletes expired forwarding entries. It runs before every
-// lookup, so an entry is gone by the first frame at or after its expiry;
-// between expiries it costs one comparison instead of a map sweep.
-func (n *Node) gcFwdCache() {
-	now := n.Eng().Now()
-	if now < n.fwdExpiry {
+// fwdInsert records a datagram's mapping, in place of a live one with
+// the same key.
+func (n *Node) fwdInsert(e fwdEntry) {
+	if i := n.fwdFind(e.src, e.tag); i >= 0 {
+		n.fwdCache[i] = e
 		return
 	}
-	earliest := sim.Time(math.MaxInt64)
-	for k, e := range n.fwdCache {
-		if now >= e.expires {
-			delete(n.fwdCache, k)
-		} else if e.expires < earliest {
-			earliest = e.expires
+	n.fwdCache = append(n.fwdCache, e)
+	n.fwdPeak = max(n.fwdPeak, len(n.fwdCache))
+}
+
+// fwdFind returns the index of the live entry for (src, tag), or -1. It
+// removes every expired entry it passes, so an entry is gone by the first
+// search at or after its expiry, and one that finds nothing leaves only
+// live entries.
+func (n *Node) fwdFind(src phy.Addr, tag uint16) int {
+	now := n.Eng().Now()
+	for i := 0; i < len(n.fwdCache); {
+		switch e := &n.fwdCache[i]; {
+		case now >= e.expires:
+			n.fwdRemove(i)
+		case e.src == src && e.tag == tag:
+			return i
+		default:
+			i++
 		}
 	}
-	n.fwdExpiry = earliest
+	return -1
+}
+
+// fwdRemove drops entry i, moving the last entry into its place.
+func (n *Node) fwdRemove(i int) {
+	last := len(n.fwdCache) - 1
+	n.fwdCache[i] = n.fwdCache[last]
+	n.fwdCache = n.fwdCache[:last]
 }
 
 func (n *Node) addrIsHost(a ip6.Addr) bool {
