@@ -558,8 +558,8 @@ func (m *Mac) radioReceive(data []byte) {
 	}
 	p := m.addPeer(f.Src)
 	// Generate the immediate ACK first (after turnaround), then deliver.
-	// Only a poll or a sleepy child's frame carries the pending bit, and
-	// only a sleepy child has frames held.
+	// Its pending bit says frames are held for the sender, which only a
+	// sleepy child can have.
 	if f.AckRequest {
 		m.sendAck(f.Seq, len(p.indirect) > 0)
 	}
