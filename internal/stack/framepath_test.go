@@ -97,6 +97,7 @@ func TestFwdCacheExpiry(t *testing.T) {
 			}
 		}
 		_, want := expires[k]
+		miss := !want // the call's lookup finds nothing, so it passes every entry
 		switch op {
 		case first:
 			expires[k], want = now.Add(life), true
@@ -119,6 +120,10 @@ func TestFwdCacheExpiry(t *testing.T) {
 		}
 		if !reflect.DeepEqual(live, expires) {
 			t.Fatalf("t=%v: live entries %v, want %v", when, live, expires)
+		}
+		if miss && len(relay.fwdCache) != len(expires) {
+			t.Fatalf("t=%v: a search that found nothing left %d entries, want the %d live ones",
+				when, len(relay.fwdCache), len(expires))
 		}
 	}
 
