@@ -179,6 +179,12 @@ func (s *Sensor) sample() {
 // enqueueReading writes an 82-byte reading tagged with the sequence
 // number in place at the queue's tail.
 func (s *Sensor) enqueueReading() {
+	if s.queue == nil {
+		// Sized for what drain waits for: a batch, or the one reading an
+		// unbatched sensor holds at a time. A transport that falls behind
+		// grows it by append.
+		s.queue = make([]byte, 0, max(s.Batch, 1)*ReadingSize)
+	}
 	if s.head > 0 && len(s.queue)+ReadingSize > cap(s.queue) {
 		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
 		s.head = 0

@@ -124,7 +124,7 @@ func (t *telemetry) emit(kind obs.Kind, seq uint32) {
 
 func (t *telemetry) mark() {
 	t.sink.Mark()
-	t.lat = stats.Sample{}
+	t.lat.Reset()
 	if t.sensor != nil {
 		t.markGen = t.sensor.Stats.Generated
 		t.markDeliv = t.sensor.Stats.Delivered

@@ -42,6 +42,10 @@ type Manifest struct {
 	// FwdEntriesPeak is the most datagrams any relay held in its
 	// fragment-forwarding cache at once, warm-up included.
 	FwdEntriesPeak int `json:"fwd_entries_peak"`
+	// TCPBufBytes is the bytes of TCP send and receive arrays (bitmaps
+	// included) the run made, summed over every node's stack and the
+	// host's, warm-up included.
+	TCPBufBytes uint64 `json:"tcp_buf_bytes"`
 }
 
 // Phase is one phase's host cost. Allocations are runtime.MemStats deltas,
@@ -110,6 +114,7 @@ func (mc *manifestClock) manifest(rc *runContext) *Manifest {
 	m.Engine = rc.net.Eng.Counters()
 	m.Channel = rc.net.Channel.Counters()
 	m.FwdEntriesPeak = rc.net.FwdEntriesPeak()
+	m.TCPBufBytes = rc.net.TCPBufBytes()
 	return m
 }
 

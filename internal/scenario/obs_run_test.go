@@ -189,6 +189,9 @@ func TestManifestIsBitNeutral(t *testing.T) {
 			if m.FwdEntriesPeak != 0 {
 				t.Fatalf("a star relays nothing, but a node held %d forwarding entries", m.FwdEntriesPeak)
 			}
+			if m.TCPBufBytes == 0 {
+				t.Fatalf("TCP devices sent readings, but the run made no TCP buffer bytes")
+			}
 			res.Manifest = nil
 		}
 	}

@@ -250,6 +250,19 @@ func (net *Network) FwdEntriesPeak() int {
 	return peak
 }
 
+// TCPBufBytes returns the bytes of TCP send and receive arrays every
+// node's stack and the host's have made. Dormant nodes made none.
+func (net *Network) TCPBufBytes() uint64 {
+	var total uint64
+	for _, n := range net.Nodes {
+		total += n.TCPStats().BufBytes
+	}
+	if net.Host != nil {
+		total += net.Host.TCPStats().BufBytes
+	}
+	return total
+}
+
 // ---- wire (border router ↔ cloud host) ----
 
 // wireEnd is one direction of the wire: a FIFO of hostWireDelay. Packets

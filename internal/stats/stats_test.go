@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -158,5 +159,162 @@ func TestQuickQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockLayout: the ramp's constants agree with each other, and
+// locate walks every block in order, each to its length, with no gap.
+func TestBlockLayout(t *testing.T) {
+	if firstBlock<<rampBlocks != blockLen {
+		t.Fatalf("ramp of %d blocks from %d does not end at %d", rampBlocks, firstBlock, blockLen)
+	}
+	b, j := 0, 0
+	for i := 0; i < rampLen+3*blockLen; i++ {
+		if gb, gj := locate(i); gb != b || gj != j {
+			t.Fatalf("locate(%d) = %d, %d, want %d, %d", i, gb, gj, b, j)
+		}
+		if j++; j == blockSize(b) {
+			b, j = b+1, 0
+		}
+	}
+}
+
+// sampleSizes are the sizes the property test fills: empty, one, either
+// side of the first and last ramp boundary and of a full block, and many
+// blocks, past the 64th too.
+var sampleSizes = []int{
+	0, 1, firstBlock - 1, firstBlock, firstBlock + 1,
+	rampLen - 1, rampLen, rampLen + 1,
+	rampLen + blockLen - 1, rampLen + blockLen, rampLen + blockLen + 1,
+	rampLen + 7*blockLen + 3, rampLen + 70*blockLen + 3,
+}
+
+// checkAgainstSlice compares s with a plain slice of the same
+// observations in Add order: Mean sums in that order until the first
+// quantile, Quantile is the nearest rank of the sorted slice, and after
+// it Mean sums in sorted order. s must not have been sorted since its
+// last Add.
+func checkAgainstSlice(t *testing.T, s *Sample, xs []float64) {
+	t.Helper()
+	mean := func(v []float64) float64 {
+		if len(v) == 0 {
+			return 0
+		}
+		sum := 0.0
+		for _, x := range v {
+			sum += x
+		}
+		return sum / float64(len(v))
+	}
+	if s.N() != len(xs) {
+		t.Fatalf("N() = %d, want %d", s.N(), len(xs))
+	}
+	if got, want := s.Mean(), mean(xs); got != want {
+		t.Fatalf("n=%d: Mean() = %v before sorting, want %v", len(xs), got, want)
+	}
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	nearest := func(q float64) float64 {
+		if len(sorted) == 0 {
+			return 0
+		}
+		return sorted[min(max(int(q*float64(len(sorted)-1)), 0), len(sorted)-1)]
+	}
+	for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.9, 0.99, 1} {
+		if got, want := s.Quantile(q), nearest(q); got != want {
+			t.Fatalf("n=%d: Quantile(%v) = %v, want %v", len(xs), q, got, want)
+		}
+	}
+	if s.Median() != nearest(0.5) || s.Max() != nearest(1) {
+		t.Fatalf("n=%d: Median %v / Max %v, want %v / %v", len(xs), s.Median(), s.Max(), nearest(0.5), nearest(1))
+	}
+	if got, want := s.Mean(), mean(sorted); got != want {
+		t.Fatalf("n=%d: Mean() = %v after sorting, want %v", len(xs), got, want)
+	}
+}
+
+// TestSampleMatchesSortedSlice checks Sample against a plain slice at
+// every size of sampleSizes, with distinct values and with many ties,
+// after a Reset and refill to a different size, and with Adds after a
+// Quantile.
+func TestSampleMatchesSortedSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draws := map[string]func() float64{
+		"distinct": func() float64 { return rng.ExpFloat64() * 1e3 },
+		"ties":     func() float64 { return float64(rng.Intn(5)) / 4 },
+	}
+	for name, draw := range draws {
+		fill := func(s *Sample, n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = draw()
+				s.Add(xs[i])
+			}
+			return xs
+		}
+		var reused Sample
+		for i, n := range sampleSizes {
+			var s Sample
+			checkAgainstSlice(t, &s, fill(&s, n))
+
+			// Reset keeps the blocks; refilled to a neighbouring size
+			// the sample is the new observations alone.
+			reused.Reset()
+			checkAgainstSlice(t, &reused, fill(&reused, sampleSizes[len(sampleSizes)-1-i]))
+
+			// Adds after a quantile land behind the sorted ones.
+			xs := fill(&s, n/2+1)
+			all := make([]float64, 0, s.N())
+			for k := 0; k < s.N(); k++ {
+				all = append(all, *s.at(k))
+			}
+			if !slices.Equal(all[len(all)-len(xs):], xs) {
+				t.Fatalf("%s n=%d: late Adds not stored in order behind the sorted sample", name, n)
+			}
+			checkAgainstSlice(t, &s, all)
+		}
+	}
+}
+
+// TestSampleAllocs: Add allocates only when it starts a block — filling
+// a fresh sample to n observations costs the same as to n−1 unless
+// observation n−1 opens a block, where it costs more — and a Reset
+// sample refilled to its old size, sorted and averaged, allocates
+// nothing.
+func TestSampleAllocs(t *testing.T) {
+	opens := map[int]bool{}
+	for i := 0; i < rampLen+3*blockLen; i++ {
+		if _, j := locate(i); j == 0 {
+			opens[i] = true
+		}
+	}
+	prev := 0.0
+	for n := 1; n <= rampLen+3*blockLen; n++ {
+		a := testing.AllocsPerRun(1, func() {
+			var s Sample
+			for i := 0; i < n; i++ {
+				s.Add(float64(i))
+			}
+		})
+		if opens[n-1] != (a > prev) || a < prev {
+			t.Fatalf("filling to %d observations allocates %v, to %d %v; observation %d opens a block: %v", n, a, n-1, prev, n-1, opens[n-1])
+		}
+		prev = a
+	}
+
+	var s Sample
+	const n = rampLen + 2*blockLen + 5
+	for i := 0; i < n; i++ {
+		s.Add(float64(i))
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		s.Reset()
+		for i := 0; i < n; i++ {
+			s.Add(float64(n - i))
+		}
+		s.Quantile(0.9)
+		s.Mean()
+	}); a != 0 {
+		t.Fatalf("Reset and a same-size refill allocate %v per run", a)
 	}
 }

@@ -1,8 +1,12 @@
 package tcplp
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
+
+	"tcplp/internal/ip6"
+	"tcplp/internal/sim"
 )
 
 func TestCopySendBufferBasics(t *testing.T) {
@@ -166,4 +170,129 @@ func TestSACKRangesNilWhenInOrder(t *testing.T) {
 		t.Fatalf("gap-fill advance = %d", adv)
 	}
 	check("after the hole is filled")
+}
+
+// makeArrays gives c's buffers their arrays now, as a build that made
+// them with the connection would.
+func makeArrays(c *Conn) {
+	c.sndBuf.buf = make([]byte, c.sndBuf.size)
+	c.rcvQ.buf = make([]byte, c.rcvQ.size)
+	c.rcvQ.bits = make([]uint64, (c.rcvQ.size+63)/64)
+}
+
+// oneWay is a finished one-way transfer: every packet on the wire,
+// encoded, in send order, and both ends.
+type oneWay struct {
+	wire           [][]byte
+	client, server *Conn
+	l              *testLink
+}
+
+// runOneWay sends 20 kB from a client on l.a to a server on l.b that
+// only reads, over a link that drops every seventh packet the client
+// sends (out-of-order arrivals, SACK ranges, retransmissions). eager
+// makes both ends' arrays as each connection appears.
+func runOneWay(t *testing.T, eager bool) oneWay {
+	t.Helper()
+	cfg := testCfg()
+	l := newTestLink(5, 20*sim.Millisecond, cfg)
+	var r oneWay
+	r.l = l
+	clientSent := 0
+	l.Drop = func(pkt *ip6.Packet) bool {
+		if pkt.Src != ip6.AddrFromID(0) {
+			return false
+		}
+		clientSent++
+		return clientSent%7 == 0
+	}
+	for _, st := range []*Stack{l.a, l.b} {
+		next := st.Output
+		st.Output = func(pkt *ip6.Packet) {
+			r.wire = append(r.wire, pkt.AppendEncode(nil))
+			next(pkt)
+		}
+	}
+
+	var got bytes.Buffer
+	l.b.Listen(80, func(c *Conn) {
+		r.server = c
+		if eager {
+			makeArrays(c)
+		}
+		c.OnReadable = func() {
+			p := make([]byte, 512)
+			for n := c.Read(p); n > 0; n = c.Read(p) {
+				got.Write(p[:n])
+			}
+			if c.EOF() {
+				c.Close()
+			}
+		}
+	})
+	payload := make([]byte, 20_000)
+	rand.New(rand.NewSource(3)).Read(payload)
+	r.client = l.a.Connect(ip6.AddrFromID(1), 80)
+	if eager {
+		makeArrays(r.client)
+	}
+	off := 0
+	pump := func() {
+		for off < len(payload) {
+			n, err := r.client.Write(payload[off:])
+			if err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if n == 0 {
+				return
+			}
+			off += n
+		}
+		r.client.Close()
+	}
+	r.client.OnEstablished, r.client.OnWritable = pump, pump
+	l.eng.RunUntil(sim.Time(5 * sim.Minute))
+	if !bytes.Equal(got.Bytes(), payload) || r.server.State() != StateClosed {
+		t.Fatalf("eager=%v: received %d of %d bytes, server %v", eager, got.Len(), len(payload), r.server.State())
+	}
+	if r.client.Stats.Retransmits == 0 || r.server.Stats.OutOfOrderSegs == 0 {
+		t.Fatalf("eager=%v: the drops caused no retransmission (%d) or out-of-order arrival (%d)",
+			eager, r.client.Stats.Retransmits, r.server.Stats.OutOfOrderSegs)
+	}
+	return r
+}
+
+// TestBuffersMadeAtFirstByte: the end that only receives never makes a
+// send array and the end that only sends never makes a receive array,
+// each stack's BufBytes is exactly the arrays its end made, and nothing
+// else differs from a build that makes both arrays with the connection:
+// every segment on the wire and both ends' Capacity() and Window().
+func TestBuffersMadeAtFirstByte(t *testing.T) {
+	lazy, eager := runOneWay(t, false), runOneWay(t, true)
+	if lazy.server.sndBuf.buf != nil || lazy.client.rcvQ.buf != nil || lazy.client.rcvQ.bits != nil {
+		t.Fatalf("receive-only server made a %d-byte send array, or send-only client a %d-byte receive array",
+			len(lazy.server.sndBuf.buf), len(lazy.client.rcvQ.buf))
+	}
+	cfg := testCfg()
+	if got := lazy.l.a.Stats.BufBytes; got != uint64(cfg.SendBufSize) {
+		t.Fatalf("client stack made %d buffer bytes, want its %d-byte send array", got, cfg.SendBufSize)
+	}
+	if got, want := lazy.l.b.Stats.BufBytes, uint64(cfg.RecvBufSize+8*((cfg.RecvBufSize+63)/64)); got != want {
+		t.Fatalf("server stack made %d buffer bytes, want its receive array and bitmap, %d", got, want)
+	}
+	for _, c := range [][2]*Conn{{lazy.client, eager.client}, {lazy.server, eager.server}} {
+		l, e := c[0], c[1]
+		if l.sndBuf.Capacity() != e.sndBuf.Capacity() || l.rcvQ.Capacity() != e.rcvQ.Capacity() || l.rcvQ.Window() != e.rcvQ.Window() {
+			t.Fatalf("capacities %d/%d and window %d, eager build %d/%d and %d",
+				l.sndBuf.Capacity(), l.rcvQ.Capacity(), l.rcvQ.Window(), e.sndBuf.Capacity(), e.rcvQ.Capacity(), e.rcvQ.Window())
+		}
+	}
+	if len(lazy.wire) != len(eager.wire) {
+		t.Fatalf("%d packets on the wire, eager build %d", len(lazy.wire), len(eager.wire))
+	}
+	for i := range lazy.wire {
+		if !bytes.Equal(lazy.wire[i], eager.wire[i]) {
+			t.Fatalf("packet %d of %d differs from the eager build's:\n%x\n%x", i, len(lazy.wire), lazy.wire[i], eager.wire[i])
+		}
+	}
 }

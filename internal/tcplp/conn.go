@@ -247,7 +247,8 @@ func newConn(s *Stack, cfg Config) *Conn {
 		state: StateClosed,
 		rtt:   newRTTEstimator(cfg.RTOMin),
 		// Both buffers live in the Conn by value: one allocation for the
-		// connection, one each for the byte arrays and the bitmap.
+		// connection, then one each for the byte arrays and the bitmap,
+		// made when the first byte needs them.
 		sndBuf: *NewCopySendBuffer(cfg.SendBufSize),
 		rcvQ:   *NewRecvBuffer(cfg.RecvBufSize),
 	}
@@ -276,15 +277,6 @@ func (c *Conn) SRTT() sim.Duration { return c.rtt.SRTT() }
 // RTO exposes the current retransmission timeout.
 func (c *Conn) RTO() sim.Duration { return c.rtt.RTO() }
 
-// Cwnd returns the congestion window in bytes.
-func (c *Conn) Cwnd() int { return c.cong.Cwnd() }
-
-// Ssthresh returns the slow-start threshold in bytes.
-func (c *Conn) Ssthresh() int { return c.cong.Ssthresh() }
-
-// Variant returns the congestion-control algorithm in use.
-func (c *Conn) Variant() cc.Variant { return c.cong.Name() }
-
 // Write queues data for transmission, returning how many bytes fit in
 // the send buffer. It never blocks; watch OnWritable for free space.
 func (c *Conn) Write(p []byte) (int, error) {
@@ -296,7 +288,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if c.finQueued {
 		return 0, ErrWriteAfterFin
 	}
+	made := c.sndBuf.made()
 	n := c.sndBuf.Write(p)
+	c.stack.Stats.BufBytes += uint64(c.sndBuf.made() - made)
 	c.queuedEnd = c.queuedEnd.Add(n)
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.output()
@@ -317,9 +311,6 @@ func (c *Conn) Read(p []byte) int {
 	}
 	return n
 }
-
-// ReadableBytes returns the bytes available to Read.
-func (c *Conn) ReadableBytes() int { return c.rcvQ.Readable() }
 
 // EOF reports whether the peer's FIN has been received and all data
 // consumed.

@@ -1,0 +1,25 @@
+package tcplp
+
+import "tcplp/internal/tcplp/cc"
+
+// Cwnd returns the congestion window in bytes.
+func (c *Conn) Cwnd() int { return c.cong.Cwnd() }
+
+// Ssthresh returns the slow-start threshold in bytes.
+func (c *Conn) Ssthresh() int { return c.cong.Ssthresh() }
+
+// Variant returns the congestion-control algorithm in use.
+func (c *Conn) Variant() cc.Variant { return c.cong.Name() }
+
+// ReadableBytes returns the bytes available to Read.
+func (c *Conn) ReadableBytes() int { return c.rcvQ.Readable() }
+
+// Covers reports whether [start, end) is entirely SACKed.
+func (sb *scoreboard) Covers(start, end Seq) bool {
+	for _, r := range sb.ranges {
+		if r.Start.LEQ(start) && end.LEQ(r.End) {
+			return true
+		}
+	}
+	return false
+}

@@ -57,6 +57,9 @@ func (c *Conn) brokenInvariant() string {
 	if got := c.sndBuf.Len(); got != want {
 		return fmt.Sprintf("sndBuf.Len() = %d, queuedEnd - una = %d", got, want)
 	}
+	if b := &c.sndBuf; b.buf == nil && b.n != 0 || b.buf != nil && len(b.buf) != b.size {
+		return fmt.Sprintf("sndBuf holds %d bytes in an array of %d, capacity %d", b.n, len(b.buf), b.size)
+	}
 	if c.state != StateClosed && c.cong.Cwnd() < c.effMSS() {
 		return fmt.Sprintf("cwnd %d < 1 MSS (%d)", c.cong.Cwnd(), c.effMSS())
 	}
@@ -92,9 +95,19 @@ func (c *Conn) brokenInvariant() string {
 // counters: every readable byte is marked, the marks beyond the readable
 // run number exactly OutOfOrder() and none of them sits at the frontier
 // (it would have advanced), and no spare bit past the buffer's end is set.
+// Before its first data byte the queue has no array and holds nothing.
 func (b *RecvBuffer) brokenInvariant() string {
-	if b.readable < 0 || b.readable > len(b.buf) || b.ooo < 0 || b.ooo > b.Window() {
-		return fmt.Sprintf("readable %d / ooo %d out of range (capacity %d)", b.readable, b.ooo, len(b.buf))
+	if b.readable < 0 || b.readable > b.size || b.ooo < 0 || b.ooo > b.Window() {
+		return fmt.Sprintf("readable %d / ooo %d out of range (capacity %d)", b.readable, b.ooo, b.size)
+	}
+	if b.buf == nil {
+		if b.bits != nil || b.readable != 0 || b.ooo != 0 || b.start != 0 {
+			return fmt.Sprintf("no array, but bitmap %d words, readable %d, ooo %d, start %d", len(b.bits), b.readable, b.ooo, b.start)
+		}
+		return ""
+	}
+	if len(b.buf) != b.size || len(b.bits) != (b.size+63)/64 {
+		return fmt.Sprintf("array %d bytes and bitmap %d words for capacity %d", len(b.buf), len(b.bits), b.size)
 	}
 	set := 0
 	for _, w := range b.bits {

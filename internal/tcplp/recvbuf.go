@@ -9,14 +9,20 @@ import (
 // RecvBuffer is the receive queue of every connection, the paper's
 // in-place reassembly queue: a flat circular buffer whose space past the
 // in-sequence data holds out-of-order segments at their final positions,
-// with a bitmap recording which bytes are present (Fig. 1b). Buffer
-// space is reserved once, at construction, for deterministic memory use
-// on a constrained node. Offsets passed to Write are relative to rcv.nxt
-// (0 = next expected byte). The mbuf-chain alternative it is measured
-// against lives with the §4.3 ablation (ablation_test.go).
+// with a bitmap recording which bytes are present (Fig. 1b). Its size
+// is fixed at construction, for deterministic memory use on a
+// constrained node: the modelled footprint (the table of
+// internal/experiments/static.go) is the configured capacity. The
+// simulator makes the array and the bitmap at the first in-window data
+// byte, so an end that only sends never holds them; the window it
+// advertises is the capacity's either way. Offsets passed to Write are
+// relative to rcv.nxt (0 = next expected byte). The mbuf-chain
+// alternative it is measured against lives with the §4.3 ablation
+// (ablation_test.go).
 type RecvBuffer struct {
-	buf      []byte
-	bits     []uint64
+	buf      []byte   // nil until the first in-window data byte
+	bits     []uint64 // nil with buf
+	size     int
 	start    int // circular index of the first readable byte
 	readable int
 	ooo      int
@@ -25,11 +31,11 @@ type RecvBuffer struct {
 // NewRecvBuffer returns an in-place reassembly queue of the given
 // capacity.
 func NewRecvBuffer(capacity int) *RecvBuffer {
-	return &RecvBuffer{
-		buf:  make([]byte, capacity),
-		bits: make([]uint64, (capacity+63)/64),
-	}
+	return &RecvBuffer{size: capacity}
 }
+
+// made is the bytes of array and bitmap the queue has made.
+func (b *RecvBuffer) made() int { return len(b.buf) + 8*len(b.bits) }
 
 func (b *RecvBuffer) bit(i int) bool  { return b.bits[i/64]&(1<<(i%64)) != 0 }
 func (b *RecvBuffer) idx(off int) int { return (b.start + off) % len(b.buf) }
@@ -38,6 +44,12 @@ func (b *RecvBuffer) idx(off int) int { return (b.start + off) % len(b.buf) }
 // matches want, or win if none, walking the bitmap a word at a time.
 // Offsets are relative to the in-sequence frontier.
 func (b *RecvBuffer) scanFrom(i, win int, want bool) int {
+	if b.buf == nil { // no array yet: no byte is present
+		if want {
+			return win
+		}
+		return min(i, win)
+	}
 	for i < win {
 		p := b.idx(b.readable + i)
 		r := p % 64
@@ -64,7 +76,7 @@ func (b *RecvBuffer) scanFrom(i, win int, want bool) int {
 }
 
 // Capacity is the fixed buffer size.
-func (b *RecvBuffer) Capacity() int { return len(b.buf) }
+func (b *RecvBuffer) Capacity() int { return b.size }
 
 // Readable is the number of in-sequence bytes awaiting the app.
 func (b *RecvBuffer) Readable() int { return b.readable }
@@ -72,7 +84,7 @@ func (b *RecvBuffer) Readable() int { return b.readable }
 // Window is the receive window to advertise: Capacity − Readable.
 // Out-of-order bytes do not shrink it — they are stored in place,
 // inside the space the window already promises (Fig. 1).
-func (b *RecvBuffer) Window() int { return len(b.buf) - b.readable }
+func (b *RecvBuffer) Window() int { return b.size - b.readable }
 
 // OutOfOrder is the number of buffered out-of-sequence bytes.
 func (b *RecvBuffer) OutOfOrder() int { return b.ooo }
@@ -97,6 +109,13 @@ func (b *RecvBuffer) Write(off int, data []byte) int {
 	}
 	if off+len(data) > win {
 		data = data[:win-off]
+	}
+	if len(data) == 0 {
+		return 0
+	}
+	if b.buf == nil {
+		b.buf = make([]byte, b.size)
+		b.bits = make([]uint64, (b.size+63)/64)
 	}
 	// Land the bytes at their final circular positions (at most one wrap)
 	// and mark them present, counting only the genuinely new ones.
@@ -132,9 +151,9 @@ func (b *RecvBuffer) Write(off int, data []byte) int {
 
 // Read copies up to len(p) in-sequence bytes to the app.
 func (b *RecvBuffer) Read(p []byte) int {
-	n := len(p)
-	if n > b.readable {
-		n = b.readable
+	n := min(len(p), b.readable)
+	if n == 0 {
+		return 0 // nothing readable, perhaps no array yet
 	}
 	n1 := n
 	if n1 > len(b.buf)-b.start {
@@ -156,7 +175,8 @@ func (b *RecvBuffer) Read(p []byte) int {
 // allocation. With nothing out of order there is no bit to find — ooo
 // counts exactly the bits beyond the frontier, which -tags invariants
 // checks after every step — and the scan is skipped: that is every
-// segment of a loss-free transfer.
+// segment of a loss-free transfer, and every one before the queue has
+// an array to scan.
 func (b *RecvBuffer) SACKRanges(dst [][2]int, max int) [][2]int {
 	if b.ooo == 0 {
 		return dst

@@ -59,16 +59,6 @@ func (sb *scoreboard) AdvanceUna(una Seq) {
 // SACK information as FreeBSD does).
 func (sb *scoreboard) Reset() { sb.ranges = sb.ranges[:0] }
 
-// Covers reports whether [start, end) is entirely SACKed.
-func (sb *scoreboard) Covers(start, end Seq) bool {
-	for _, r := range sb.ranges {
-		if r.Start.LEQ(start) && end.LEQ(r.End) {
-			return true
-		}
-	}
-	return false
-}
-
 // SackedBytes returns the total bytes covered by the scoreboard.
 func (sb *scoreboard) SackedBytes() int {
 	n := 0

@@ -6,31 +6,44 @@ package tcplp
 // oldest unacknowledged byte (snd.una). The zero-copy alternative the
 // paper's TinyOS port used is kept for the §4.3 ablation only
 // (ablation_test.go).
+//
+// The array is made at the first byte written, so an end that only
+// receives — a collector's sink — never holds one. That is the
+// simulator's host memory only: the modelled footprint (the table of
+// internal/experiments/static.go) is the configured capacity either
+// way, as on a mote whose buffers are static.
 type CopySendBuffer struct {
-	buf   []byte
+	buf   []byte // nil until the first byte is written
+	size  int
 	start int
 	n     int
 }
 
 // NewCopySendBuffer returns a circular send buffer of the given capacity.
 func NewCopySendBuffer(capacity int) *CopySendBuffer {
-	return &CopySendBuffer{buf: make([]byte, capacity)}
+	return &CopySendBuffer{size: capacity}
 }
 
 // Capacity is the maximum number of buffered bytes.
-func (b *CopySendBuffer) Capacity() int { return len(b.buf) }
+func (b *CopySendBuffer) Capacity() int { return b.size }
 
 // Len is the number of buffered bytes.
 func (b *CopySendBuffer) Len() int { return b.n }
 
 // Free is Capacity − Len.
-func (b *CopySendBuffer) Free() int { return len(b.buf) - b.n }
+func (b *CopySendBuffer) Free() int { return b.size - b.n }
+
+// made is the bytes of array the buffer has made: 0 or its capacity.
+func (b *CopySendBuffer) made() int { return len(b.buf) }
 
 // Write appends up to len(p) bytes, returning how many were taken.
 func (b *CopySendBuffer) Write(p []byte) int {
-	w := len(p)
-	if w > b.Free() {
-		w = b.Free()
+	w := min(len(p), b.Free())
+	if w == 0 {
+		return 0
+	}
+	if b.buf == nil {
+		b.buf = make([]byte, b.size)
 	}
 	// At most one wrap: copy the run to the end of the buffer, then the rest.
 	pos := (b.start + b.n) % len(b.buf)
@@ -60,6 +73,9 @@ func (b *CopySendBuffer) ReadAt(p []byte, off int) int {
 func (b *CopySendBuffer) Discard(n int) {
 	if n > b.n {
 		n = b.n
+	}
+	if n <= 0 {
+		return // nothing buffered, perhaps no array yet
 	}
 	b.start = (b.start + n) % len(b.buf)
 	b.n -= n

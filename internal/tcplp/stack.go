@@ -18,6 +18,9 @@ type StackStats struct {
 	RSTsSent      uint64
 	ConnsAccepted uint64
 	ConnsOpened   uint64
+	// BufBytes is the bytes of send and receive arrays (bitmaps
+	// included) the stack's connections have made.
+	BufBytes uint64
 }
 
 type connKey struct {
@@ -97,12 +100,6 @@ func NewStack(eng *sim.Engine, addr ip6.Addr, cfg Config) *Stack {
 		nextPort: 49152,
 	}
 }
-
-// Engine returns the stack's simulation engine.
-func (s *Stack) Engine() *sim.Engine { return s.eng }
-
-// Addr returns the stack's IPv6 address.
-func (s *Stack) Addr() ip6.Addr { return s.addr }
 
 // tsNow is the RFC 7323 timestamp clock (1 ms granularity).
 func (s *Stack) tsNow() uint32 {
