@@ -63,8 +63,8 @@ type Sensor struct {
 	seq     uint32
 	started bool
 	stopped bool
-	genTime map[uint32]sim.Time // queued-reading generation times, by seq
-	tick    func()              // sample, bound once by Start for every Schedule
+	t0      sim.Time // when Start ran: reading seq is generated at t0 + seq·Interval
+	tick    func()   // sample, bound once by Start for every Schedule
 
 	// trace, the node's, when non-nil, takes per-reading journey events
 	// (generation, transport acceptance, app-queue loss) tagged with
@@ -84,26 +84,6 @@ type Sensor struct {
 	Stats SensorStats
 }
 
-// genTimeHorizon bounds how long a generation timestamp is retained
-// for latency measurement: readings still undelivered after this long
-// (lost datagrams, abandoned exchanges, collectors that never consume
-// timestamps) are pruned so day-long runs don't accumulate one map
-// entry per lost reading. Far above any real delivery latency — even a
-// full CoAP queue behind repeated CON give-ups drains in well under an
-// hour.
-const genTimeHorizon = sim.Hour
-
-// pruneGenTimes drops timestamps past the horizon; called every 1024
-// samples so the sweep cost stays negligible.
-func (s *Sensor) pruneGenTimes() {
-	cutoff := s.eng.Now().Add(-genTimeHorizon)
-	for seq, t := range s.genTime {
-		if t < cutoff {
-			delete(s.genTime, seq)
-		}
-	}
-}
-
 // NewSensor builds a sensor on node over a transport. A transport of
 // this package is linked back to the sensor, which it then wakes
 // whenever it can take more.
@@ -113,7 +93,6 @@ func NewSensor(node *stack.Node, tr Transport, queueCap int) *Sensor {
 		transport: tr,
 		Interval:  DefaultInterval,
 		QueueCap:  queueCap,
-		genTime:   map[uint32]sim.Time{},
 		trace:     node.Net.Opt.Trace,
 		node:      node.ID,
 	}
@@ -123,12 +102,14 @@ func NewSensor(node *stack.Node, tr Transport, queueCap int) *Sensor {
 	return s
 }
 
-// Start begins sampling.
+// Start begins sampling: reading seq (from 1) is taken seq Intervals
+// later. Interval must not change once Start has run.
 func (s *Sensor) Start() {
 	if s.started {
 		return
 	}
 	s.started = true
+	s.t0 = s.eng.Now()
 	s.tick = s.sample
 	s.eng.Schedule(s.Interval, s.tick)
 }
@@ -137,15 +118,12 @@ func (s *Sensor) Start() {
 // accepts them).
 func (s *Sensor) Stop() { s.stopped = true }
 
-// TakeGenTime returns and forgets the generation time of a queued
-// reading — the collector side uses it to compute per-reading
-// generation→delivery latency.
-func (s *Sensor) TakeGenTime(seq uint32) (sim.Time, bool) {
-	t, ok := s.genTime[seq]
-	if ok {
-		delete(s.genTime, seq)
-	}
-	return t, ok
+// GenTime is when reading seq was generated — the collector side uses
+// it to compute per-reading generation→delivery latency. The sensor
+// samples on a fixed period from Start, so that is a product, not a
+// record: nothing is kept per reading.
+func (s *Sensor) GenTime(seq uint32) sim.Time {
+	return s.t0.Add(sim.Duration(seq) * s.Interval)
 }
 
 func (s *Sensor) sample() {
@@ -164,13 +142,9 @@ func (s *Sensor) sample() {
 		}
 	} else {
 		s.enqueueReading()
-		s.genTime[s.seq] = s.eng.Now()
 		if s.trace != nil {
 			s.enqSeqs = append(s.enqSeqs, s.seq)
 		}
-	}
-	if s.seq%1024 == 0 {
-		s.pruneGenTimes()
 	}
 	s.drain()
 	s.eng.Schedule(s.Interval, s.tick)

@@ -8,6 +8,7 @@ import (
 	"tcplp/internal/ip6"
 	"tcplp/internal/mesh"
 	"tcplp/internal/netem"
+	"tcplp/internal/obs"
 	"tcplp/internal/sim"
 	"tcplp/internal/stack"
 )
@@ -79,6 +80,68 @@ func TestSensorBatchingHoldsUntilThreshold(t *testing.T) {
 	if rec.bytes != 8*app.ReadingSize {
 		t.Fatalf("flushed %d bytes, want %d", rec.bytes, 8*app.ReadingSize)
 	}
+}
+
+// TestGenTimeIsTheGenerationEvent: GenTime(seq) is the time of the
+// sensor's JourneyGen event for every seq, whether the reading was
+// queued or lost to a full application queue, with a batching sensor
+// started part-way into the run, and no reading is generated after Stop.
+func TestGenTimeIsTheGenerationEvent(t *testing.T) {
+	opt := stack.DefaultOptions()
+	opt.Trace = obs.NewTrace()
+	gens, losses := &genRecorder{}, 0
+	opt.Trace.AddSink(gens)
+	net := stack.New(7, mesh.Chain(2, 10), opt)
+	tr := &gatedTransport{}
+	s := app.NewSensor(net.Nodes[1], tr, 6)
+	s.Interval = 733 * sim.Millisecond
+	s.Batch = 3
+	net.Eng.RunFor(1234567 * sim.Microsecond)
+	s.Start()
+	for i := 0; i < 8; i++ { // the queue fills while the transport is shut
+		tr.open = i%2 == 0
+		net.Eng.RunFor(9 * sim.Second)
+	}
+	s.Stop()
+	stopped := net.Eng.Now()
+	net.Eng.RunFor(20 * sim.Second)
+	for _, e := range gens.events {
+		if e.Kind == obs.JourneyLoss && e.Cause == obs.CauseAppQueueFull {
+			losses++
+		}
+	}
+	n := 0
+	for _, e := range gens.events {
+		if e.Kind != obs.JourneyGen {
+			continue
+		}
+		n++
+		if seq := uint32(e.A); seq != uint32(n) || s.GenTime(seq) != e.T || e.T > stopped {
+			t.Fatalf("reading %d: seq %d generated at %v (Stop at %v), GenTime %v", n, seq, e.T, stopped, s.GenTime(seq))
+		}
+	}
+	if uint64(n) != s.Stats.Generated || n < 90 || losses == 0 || uint64(losses) != s.Stats.Dropped || tr.bytes == 0 {
+		t.Fatalf("%d generation events for %d readings, %d app-queue losses (%d dropped), %d bytes sent: the test no longer covers what it says",
+			n, s.Stats.Generated, losses, s.Stats.Dropped, tr.bytes)
+	}
+}
+
+type genRecorder struct{ events []obs.Event }
+
+func (g *genRecorder) Record(e obs.Event) { g.events = append(g.events, e) }
+
+// gatedTransport takes everything while open and nothing while shut.
+type gatedTransport struct {
+	open  bool
+	bytes int
+}
+
+func (g *gatedTransport) Send(p []byte) int {
+	if !g.open {
+		return 0
+	}
+	g.bytes += len(p)
+	return len(p)
 }
 
 type recordingTransport struct {

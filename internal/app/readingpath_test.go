@@ -20,9 +20,8 @@ import (
 // warm-up — every pool filled, every queue grown to its depth — a
 // stretch of simulated time allocates nothing. Three paths, one per
 // transport: sensor → TCP → gateway batch → WAN link on a star, sensor
-// → CoAP CON → collector, and sensor → UDP over one hop. Each collector
-// takes the reading's generation time, as the scenario probes do, so
-// the sensor's timestamp map stays at its steady size. One device per
+// → CoAP CON → collector (its dedup records included), and sensor →
+// UDP over one hop. One device per
 // path: a second sender adds collisions, and the burst behind a
 // recovered loss now and then takes a pool past its high-water mark (a
 // few objects in ten minutes, none of them per reading), which is
@@ -46,30 +45,28 @@ func TestReadingPathAllocs(t *testing.T) {
 			}, 23)
 			for _, node := range net.Nodes[1:] {
 				tr := app.NewTCPTransportConfig(node, net.FlowTCPConfig(""), net.Border().Addr, gateway.DefaultTCPPort)
-				s := sensor(node, tr, app.TCPQueueCap)
-				gw.Register(node.Addr, func(seq uint32) { s.TakeGenTime(seq) }, func(uint32) {}, func(int) {})
+				sensor(node, tr, app.TCPQueueCap)
+				gw.Register(node.Addr, nil, nil, nil)
 			}
 			return net, func() uint64 { return gw.Stats.ReadingsOut }
 		}},
 		{"coap-con", func() (*stack.Network, func() uint64) {
 			net := stack.New(22, mesh.Chain(2, 10), stack.DefaultOptions())
 			var got uint64
-			var s *app.Sensor
-			deliver := func(seq uint32) { got++; s.TakeGenTime(seq) }
+			deliver := func(uint32) { got++ }
 			srv := coap.NewServer(net.Eng, net.Nodes[0].UDP(), coap.DefaultPort)
 			srv.OnPost = func(_ ip6.Addr, payload []byte) coap.Code {
 				app.ForEachReading(payload, deliver)
 				return coap.CodeChanged
 			}
-			s = sensor(net.Nodes[1], app.NewCoAPTransportPort(net.Nodes[1], net.Nodes[0].Addr, coap.DefaultPort, true, 410), app.CoAPQueueCap)
+			sensor(net.Nodes[1], app.NewCoAPTransportPort(net.Nodes[1], net.Nodes[0].Addr, coap.DefaultPort, true, 410), app.CoAPQueueCap)
 			return net, func() uint64 { return got }
 		}},
 		{"udp", func() (*stack.Network, func() uint64) {
 			net := stack.New(23, mesh.Chain(2, 10), stack.DefaultOptions())
 			var got uint64
-			var s *app.Sensor
-			app.ListenReadingUDP(net.Nodes[0], 9000, func(seq uint32) { got++; s.TakeGenTime(seq) })
-			s = sensor(net.Nodes[1], app.NewUDPTransport(net.Nodes[1], net.Nodes[0].Addr, 9000, 410), app.CoAPQueueCap)
+			app.ListenReadingUDP(net.Nodes[0], 9000, func(uint32) { got++ })
+			sensor(net.Nodes[1], app.NewUDPTransport(net.Nodes[1], net.Nodes[0].Addr, 9000, 410), app.CoAPQueueCap)
 			return net, func() uint64 { return got }
 		}},
 	} {

@@ -428,3 +428,115 @@ func TestDefaultPolicyRTODither(t *testing.T) {
 		}
 	}
 }
+
+// wiredServer is a server on b fed synchronously by clients on stacks
+// of their own: a datagram is handled inside the Send that carries it,
+// with no copy and no event, so the server's cost is all there is.
+type wiredServer struct {
+	eng   *sim.Engine
+	srv   *Server
+	b     *udp.Stack
+	acks  [][]byte // the ACKs the server sent, when kept
+	keep  bool
+	msg   []byte
+	stack map[int]*udp.Stack
+}
+
+func newWiredServer() *wiredServer {
+	w := &wiredServer{eng: sim.NewEngine(1), b: udp.NewStack(ip6.AddrFromID(0)), stack: map[int]*udp.Stack{}}
+	w.b.Output = func(pkt *ip6.Packet) {
+		if w.keep {
+			d, err := udp.Decode(pkt.Payload)
+			if err != nil {
+				panic(err)
+			}
+			w.acks = append(w.acks, append([]byte(nil), d.Payload...))
+		}
+	}
+	w.srv = NewServer(w.eng, w.b, DefaultPort)
+	return w
+}
+
+// post sends a CON POST with message ID mid from client id.
+func (w *wiredServer) post(id int, mid uint16) {
+	a := w.stack[id]
+	if a == nil {
+		a = udp.NewStack(ip6.AddrFromID(id))
+		a.Output = w.b.Input
+		w.stack[id] = a
+	}
+	m := Message{Type: CON, Code: CodePOST, MessageID: mid, Token: []byte{byte(id), byte(mid)}, Payload: []byte("reading")}
+	w.msg = m.AppendEncode(w.msg[:0])
+	a.Send(ip6.AddrFromID(0), DefaultPort, 5000, w.msg)
+}
+
+// TestServerDedupLifetime: a retransmission is answered from the
+// client's record, with the ACK first sent, until exchangeLifetime has
+// passed since the exchange; from then on the same message ID is a new
+// exchange and is delivered again. Records are per client: another
+// client's equal message ID is its own exchange.
+func TestServerDedupLifetime(t *testing.T) {
+	w := newWiredServer()
+	w.keep = true
+	delivered := 0
+	w.srv.OnPost = func(ip6.Addr, []byte) Code { delivered++; return CodeChanged }
+	at := func(d sim.Duration, f func()) {
+		w.eng.Schedule(d-sim.Duration(w.eng.Now()), f)
+		w.eng.RunUntil(sim.Time(d))
+	}
+	at(sim.Second, func() { w.post(1, 7) })
+	at(2*sim.Second, func() { w.post(2, 7) })
+	at(3*sim.Second, func() { w.post(1, 8) })
+	if delivered != 3 || w.srv.Stats.Duplicates != 0 || w.srv.DedupPeak() != 3 {
+		t.Fatalf("three exchanges from two clients: delivered %d, duplicates %d, peak %d", delivered, w.srv.Stats.Duplicates, w.srv.DedupPeak())
+	}
+	at(sim.Second+exchangeLifetime-1, func() { w.post(1, 7) })
+	if delivered != 3 || w.srv.Stats.Duplicates != 1 {
+		t.Fatalf("retransmission inside the lifetime: delivered %d, duplicates %d", delivered, w.srv.Stats.Duplicates)
+	}
+	if last := w.acks[len(w.acks)-1]; !bytes.Equal(last, w.acks[0]) {
+		t.Fatalf("replayed ACK %x, first sent %x", last, w.acks[0])
+	}
+	at(sim.Second+exchangeLifetime, func() { w.post(1, 7) })
+	if delivered != 4 || w.srv.Stats.Duplicates != 1 {
+		t.Fatalf("message ID reused at the lifetime's end: delivered %d, duplicates %d", delivered, w.srv.Stats.Duplicates)
+	}
+	// Client 1's expired exchange went; its message 8 (alive) and the
+	// new 7 are what it holds, beside client 2's one.
+	if n := w.srv.clients[0].answered.Len(); n != 2 || w.srv.held != 3 {
+		t.Fatalf("client 1 holds %d exchanges, the server %d; want 2 and 3", n, w.srv.held)
+	}
+	at(3*sim.Second+exchangeLifetime-1, func() { w.post(1, 8) })
+	if delivered != 4 || w.srv.Stats.Duplicates != 2 {
+		t.Fatalf("message 8 inside its lifetime: delivered %d, duplicates %d", delivered, w.srv.Stats.Duplicates)
+	}
+}
+
+// TestServerSteadyStateAllocs: a client posting once a second, with
+// every tenth exchange retransmitted, costs the server no allocation
+// once its record has held a lifetime of exchanges; the record then
+// holds one lifetime's worth, never more.
+func TestServerSteadyStateAllocs(t *testing.T) {
+	w := newWiredServer()
+	var mid uint16
+	var tick func()
+	tick = func() {
+		mid++
+		w.post(1, mid)
+		if mid%10 == 0 {
+			w.post(1, mid)
+		}
+		w.eng.Schedule(sim.Second, tick)
+	}
+	w.eng.Schedule(sim.Second, tick)
+	w.eng.RunFor(exchangeLifetime + 30*sim.Second)
+	if n := testing.AllocsPerRun(1, func() { w.eng.RunFor(60 * sim.Second) }); n != 0 {
+		t.Fatalf("%v allocations over two minutes of a steady CON stream", n)
+	}
+	if lifetime := int(exchangeLifetime / sim.Second); w.srv.held != lifetime || w.srv.DedupPeak() != lifetime {
+		t.Fatalf("held %d exchanges, peak %d; want one per second of the %d s lifetime", w.srv.held, w.srv.DedupPeak(), lifetime)
+	}
+	if w.srv.Stats.Duplicates == 0 {
+		t.Fatal("no retransmission was answered from the record")
+	}
+}

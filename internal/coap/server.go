@@ -2,6 +2,7 @@ package coap
 
 import (
 	"tcplp/internal/ip6"
+	"tcplp/internal/ring"
 	"tcplp/internal/sim"
 	"tcplp/internal/udp"
 )
@@ -9,7 +10,9 @@ import (
 // DefaultPort is the CoAP UDP port.
 const DefaultPort = 5683
 
-// exchangeLifetime bounds message-ID deduplication state.
+// exchangeLifetime is how long a server remembers a CON exchange it
+// answered (RFC 7252 §4.5, EXCHANGE_LIFETIME): a retransmission within
+// it is answered again without re-delivery.
 const exchangeLifetime = 250 * sim.Second
 
 // ServerStats counts server-side events.
@@ -19,18 +22,23 @@ type ServerStats struct {
 	NonPosts   uint64 // nonconfirmable requests (no ACK generated)
 }
 
-type dedupKey struct {
-	src ip6.Addr
-	mid uint16
-}
-
 // ackLen is the longest piggybacked ACK: 4 header bytes + 8 of token.
 const ackLen = 12
 
-type dedupEntry struct {
+// answered is one CON exchange the server acknowledged.
+type answered struct {
 	ack     [ackLen]byte // the encoded ACK, inline: replayed, never re-encoded
 	n       uint8
+	mid     uint16
 	expires sim.Time
+}
+
+// client is what a server keeps about one source: the exchanges it
+// answered, oldest first. Every one lives exactly exchangeLifetime, so
+// arrival order is expiry order and the expired ones are at the head.
+type client struct {
+	addr     ip6.Addr
+	answered ring.Ring[answered]
 }
 
 // Server is the collector side: it accepts POSTs (whole or blockwise),
@@ -38,6 +46,10 @@ type dedupEntry struct {
 // It stands in for the paper's Californium cloud service, with the
 // custom blockwise handling of §9.1 (a failed block never discards the
 // rest of the batch — each block is an independent exchange).
+// Deduplication keeps one record per client, found by a linear walk (a
+// collector hears a handful of sources, a gateway its devices), whose
+// exchanges a datagram from that client expires at the head and then
+// searches: no map, and no sweep over every client's exchanges.
 type Server struct {
 	eng  *sim.Engine
 	sock *udp.Stack
@@ -48,17 +60,50 @@ type Server struct {
 	// request. payload aliases the datagram: good for the call only.
 	OnPost func(src ip6.Addr, payload []byte) Code
 
-	dedup map[dedupKey]dedupEntry
-	rx    Message // decode target; aliases the datagram during onDatagram
+	clients    []client
+	held, peak int     // answered exchanges over all clients, now and at most
+	rx         Message // decode target; aliases the datagram during onDatagram
 
 	Stats ServerStats
 }
 
 // NewServer binds a server to port on sock.
 func NewServer(eng *sim.Engine, sock *udp.Stack, port uint16) *Server {
-	s := &Server{eng: eng, sock: sock, port: port, dedup: map[dedupKey]dedupEntry{}}
+	s := &Server{eng: eng, sock: sock, port: port}
 	sock.Bind(port, s.onDatagram)
 	return s
+}
+
+// DedupPeak is the most answered exchanges the server has held at once,
+// over all its clients.
+func (s *Server) DedupPeak() int { return s.peak }
+
+// clientIndex returns the index of src's record, adding one if there is
+// none.
+func (s *Server) clientIndex(src ip6.Addr) int {
+	for i := range s.clients {
+		if s.clients[i].addr == src {
+			return i
+		}
+	}
+	s.clients = append(s.clients, client{addr: src})
+	return len(s.clients) - 1
+}
+
+// lookup forgets c's expired exchanges and returns its live one with
+// message ID mid, or nil.
+func (s *Server) lookup(c *client, mid uint16) *answered {
+	now := s.eng.Now()
+	for c.answered.Len() > 0 && now >= c.answered.At(0).expires {
+		c.answered.Pop()
+		s.held--
+	}
+	for i := 0; i < c.answered.Len(); i++ {
+		if e := c.answered.At(i); e.mid == mid {
+			return e
+		}
+	}
+	return nil
 }
 
 func (s *Server) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
@@ -69,28 +114,30 @@ func (s *Server) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
 	if m.Code != CodePOST {
 		return
 	}
-	s.gc()
-	if m.Type == CON {
-		key := dedupKey{src, m.MessageID}
-		if e, dup := s.dedup[key]; dup {
-			// Our ACK was lost; replay it without re-delivering.
-			s.Stats.Duplicates++
-			s.sock.Send(src, srcPort, s.port, e.ack[:e.n])
-			return
-		}
-		// Read first what the ACK needs: m is s.rx, which a handler
-		// posting to this server re-enters (the datagram stays put).
-		mid, token := m.MessageID, m.Token
-		ack := Message{Type: ACK, Code: s.handle(src, m), MessageID: mid, Token: token}
-		e := dedupEntry{expires: s.eng.Now().Add(exchangeLifetime)}
-		e.n = uint8(len(ack.AppendEncode(e.ack[:0])))
-		s.dedup[key] = e
+	if m.Type != CON {
+		// Nonconfirmable: deliver, no acknowledgment.
+		s.Stats.NonPosts++
+		s.handle(src, m)
+		return
+	}
+	ci := s.clientIndex(src)
+	if e := s.lookup(&s.clients[ci], m.MessageID); e != nil {
+		// Our ACK was lost; replay it without re-delivering.
+		s.Stats.Duplicates++
 		s.sock.Send(src, srcPort, s.port, e.ack[:e.n])
 		return
 	}
-	// Nonconfirmable: deliver, no acknowledgment.
-	s.Stats.NonPosts++
-	s.handle(src, m)
+	// Read first what the ACK needs: m is s.rx, which a handler
+	// posting to this server re-enters (the datagram stays put), and
+	// which may add a client, moving the records.
+	mid, token := m.MessageID, m.Token
+	ack := Message{Type: ACK, Code: s.handle(src, m), MessageID: mid, Token: token}
+	e := answered{mid: mid, expires: s.eng.Now().Add(exchangeLifetime)}
+	e.n = uint8(len(ack.AppendEncode(e.ack[:0])))
+	s.clients[ci].answered.Push(e)
+	s.held++
+	s.peak = max(s.peak, s.held)
+	s.sock.Send(src, srcPort, s.port, e.ack[:e.n])
 }
 
 func (s *Server) handle(src ip6.Addr, m *Message) Code {
@@ -99,16 +146,4 @@ func (s *Server) handle(src ip6.Addr, m *Message) Code {
 		return CodeChanged
 	}
 	return s.OnPost(src, m.Payload)
-}
-
-func (s *Server) gc() {
-	now := s.eng.Now()
-	if len(s.dedup) < 256 {
-		return
-	}
-	for k, e := range s.dedup {
-		if now >= e.expires {
-			delete(s.dedup, k)
-		}
-	}
 }

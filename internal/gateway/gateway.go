@@ -115,6 +115,7 @@ type Gateway struct {
 	eng  *sim.Engine
 	cfg  Config
 	wan  *netem.WANLink
+	coap *coap.Server
 
 	// entries is a slice, not a map: eviction scans must be
 	// deterministic for the runner's serial-vs-parallel bit-identity.
@@ -151,10 +152,14 @@ func New(node *stack.Node, cfg Config, seed int64) *Gateway {
 	}
 	g.wan.Trace, g.wan.Node = node.Net.Opt.Trace, node.ID
 	node.TCP().Listen(DefaultTCPPort, g.accept)
-	srv := coap.NewServer(node.Eng(), node.UDP(), DefaultCoAPPort)
-	srv.OnPost = g.onPost
+	g.coap = coap.NewServer(node.Eng(), node.UDP(), DefaultCoAPPort)
+	g.coap.OnPost = g.onPost
 	return g
 }
+
+// CoAPDedupPeak is the most answered exchanges the gateway's CoAP server
+// has held at once.
+func (g *Gateway) CoAPDedupPeak() int { return g.coap.DedupPeak() }
 
 // WAN returns the backhaul link (stats and queue depth).
 func (g *Gateway) WAN() *netem.WANLink { return g.wan }

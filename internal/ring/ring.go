@@ -33,3 +33,6 @@ func (r *Ring[T]) Pop() (v T) {
 	r.n--
 	return v
 }
+
+// At returns the i-th oldest queued value, 0 ≤ i < Len(), in place.
+func (r *Ring[T]) At(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }

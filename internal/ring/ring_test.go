@@ -6,7 +6,8 @@ import (
 )
 
 // TestRingMatchesSlice drives a ring and a plain slice queue with the
-// same random pushes and pops across several growths and wrap-arounds.
+// same random pushes and pops across several growths and wrap-arounds,
+// reading a random position through At after each.
 func TestRingMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var r Ring[int]
@@ -23,6 +24,11 @@ func TestRingMatchesSlice(t *testing.T) {
 		}
 		if r.Len() != len(want) {
 			t.Fatalf("step %d: len %d, want %d", i, r.Len(), len(want))
+		}
+		if len(want) > 0 {
+			if k := rng.Intn(len(want)); *r.At(k) != want[k] {
+				t.Fatalf("step %d: At(%d) = %d, want %d", i, k, *r.At(k), want[k])
+			}
 		}
 	}
 }

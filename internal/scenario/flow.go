@@ -96,9 +96,7 @@ func sensorQueueCap(protocol string) int {
 // happens separately in e2eDeliver.
 func (t *telemetry) deliver(seq uint32) {
 	t.sensor.Stats.Delivered++
-	if gen, ok := t.sensor.TakeGenTime(seq); ok {
-		t.lat.Add(t.eng.Now().Sub(gen).Milliseconds())
-	}
+	t.lat.Add(t.eng.Now().Sub(t.sensor.GenTime(seq)).Milliseconds())
 	if t.gw != nil {
 		t.emit(obs.JourneyMesh, seq) // the mesh-egress boundary
 	} else {

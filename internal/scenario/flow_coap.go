@@ -16,7 +16,8 @@ import (
 // node.
 type coapProbe struct {
 	*telemetry
-	tr *app.CoAPTransport
+	tr  *app.CoAPTransport
+	srv *coap.Server // the flow's own collector; nil when the gateway's terminates it
 
 	rtts stats.Sample // exchange RTT samples over the flow's life, ms
 	base coap.ClientStats
@@ -31,8 +32,8 @@ func startCoAP(t *telemetry) *coapProbe {
 		t.register()
 	} else {
 		t.sink = app.NewCountingSink(dst.Eng())
-		srv := coap.NewServer(dst.Eng(), dst.UDP(), fs.port)
-		srv.OnPost = func(_ ip6.Addr, payload []byte) coap.Code {
+		p.srv = coap.NewServer(dst.Eng(), dst.UDP(), fs.port)
+		p.srv.OnPost = func(_ ip6.Addr, payload []byte) coap.Code {
 			t.sink.Received += len(payload)
 			app.ForEachReading(payload, t.deliver)
 			return coap.CodeChanged

@@ -44,8 +44,13 @@ type Manifest struct {
 	FwdEntriesPeak int `json:"fwd_entries_peak"`
 	// TCPBufBytes is the bytes of TCP send and receive arrays (bitmaps
 	// included) the run made, summed over every node's stack and the
-	// host's, warm-up included.
+	// host's, warm-up included: a receive array that grows counts every
+	// array it made, the ones it replaced too.
 	TCPBufBytes uint64 `json:"tcp_buf_bytes"`
+	// CoAPDedupPeak is the most answered CON exchanges any CoAP server
+	// (a flow's collector or the gateway's) held at once for duplicate
+	// detection, warm-up included.
+	CoAPDedupPeak int `json:"coap_dedup_peak"`
 }
 
 // Phase is one phase's host cost. Allocations are runtime.MemStats deltas,
@@ -115,7 +120,22 @@ func (mc *manifestClock) manifest(rc *runContext) *Manifest {
 	m.Channel = rc.net.Channel.Counters()
 	m.FwdEntriesPeak = rc.net.FwdEntriesPeak()
 	m.TCPBufBytes = rc.net.TCPBufBytes()
+	m.CoAPDedupPeak = rc.coapDedupPeak()
 	return m
+}
+
+// coapDedupPeak is the largest DedupPeak of the run's CoAP servers.
+func (rc *runContext) coapDedupPeak() int {
+	peak := 0
+	if rc.gw != nil {
+		peak = rc.gw.CoAPDedupPeak()
+	}
+	for _, fr := range rc.flows {
+		if p, ok := fr.probe.(*coapProbe); ok && p.srv != nil {
+			peak = max(peak, p.srv.DedupPeak())
+		}
+	}
+	return peak
 }
 
 // revision is the VCS revision recorded in the binary, if any.

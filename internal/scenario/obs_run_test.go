@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -192,6 +193,9 @@ func TestManifestIsBitNeutral(t *testing.T) {
 			if m.TCPBufBytes == 0 {
 				t.Fatalf("TCP devices sent readings, but the run made no TCP buffer bytes")
 			}
+			if m.CoAPDedupPeak != 0 {
+				t.Fatalf("no flow uses CoAP, but a server held %d exchanges", m.CoAPDedupPeak)
+			}
 			res.Manifest = nil
 		}
 	}
@@ -199,5 +203,33 @@ func TestManifestIsBitNeutral(t *testing.T) {
 	mj, _ := json.Marshal(withM)
 	if !bytes.Equal(pj, mj) {
 		t.Errorf("the manifest perturbed the runs:\nwithout: %s\nwith:    %s", pj, mj)
+	}
+}
+
+// TestManifestCoAPDedupPeak: a CON flow's collector holds every exchange
+// it answered for the exchange lifetime, which outlasts this run, so its
+// peak is one exchange per message sent, and no more than one per
+// reading; a NON flow's holds none.
+func TestManifestCoAPDedupPeak(t *testing.T) {
+	for _, tc := range []struct {
+		confirmable bool
+		min, max    int
+	}{{true, 10, 20}, {false, 0, 0}} {
+		specs, err := ParseSpecs([]byte(fmt.Sprintf(`{
+			"name": "manifest-coap", "topology": {"kind": "chain", "nodes": 2},
+			"flows": [{"label": "con", "from": 1, "to": 0, "protocol": "coap", "confirmable": %v, "interval": "500ms"}],
+			"warmup": "2s", "duration": "8s", "seeds": [1]
+		}`, tc.confirmable)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := (&Runner{Workers: 1, Obs: &ObsConfig{Manifest: true}}).RunAll(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out[0].Runs[0].Manifest.CoAPDedupPeak; got < tc.min || got > tc.max {
+			t.Errorf("confirmable %v: the collector held %d exchanges at most; want %d to %d (10 s of 500 ms readings)",
+				tc.confirmable, got, tc.min, tc.max)
+		}
 	}
 }

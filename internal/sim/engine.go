@@ -25,12 +25,6 @@ type Event struct {
 	cancelled bool
 }
 
-// When returns the time the event is (or was) scheduled to fire.
-func (ev *Event) When() Time { return ev.when }
-
-// Cancelled reports whether Cancel was called before the event fired.
-func (ev *Event) Cancelled() bool { return ev.cancelled }
-
 // Engine is a single-threaded discrete-event scheduler with a deterministic
 // random source. It is not safe for concurrent use: the entire simulated
 // network runs in one goroutine, which is what makes runs reproducible.
@@ -135,13 +129,13 @@ func (e *Engine) At(t Time, fn func()) *Event {
 
 // Then attaches fn to parent, a pending event, as its continuation: fn runs
 // at parent's fire time, after parent's callback, in the (when, seq) place
-// that At(parent.When(), fn) called now would give it. It takes the seq
+// that At(parent's time, fn) called now would give it. It takes the seq
 // that At would take, so no other event's order moves; what it saves is
 // the wheel entry, since the continuation almost always fires straight
 // after its parent (see Engine). Cancelling parent does not cancel the
 // continuation, which still fires in its place. An event carries at most
 // one continuation, and a continuation cannot itself be cancelled. Then on
-// a cancelled parent is At(parent.When(), fn).
+// a cancelled parent is At(parent's time, fn).
 func (e *Engine) Then(parent *Event, fn func()) {
 	if parent.cancelled {
 		e.At(parent.when, fn)

@@ -58,5 +58,5 @@ func (t *Timer) Deadline() (when Time, ok bool) {
 	if t.ev == nil {
 		return 0, false
 	}
-	return t.ev.When(), true
+	return t.ev.when, true
 }

@@ -76,14 +76,8 @@ func NewReassembler(eng *sim.Engine) *Reassembler {
 	return r
 }
 
-// Pending returns the number of partially reassembled datagrams.
-func (r *Reassembler) Pending() int {
-	r.expire()
-	return len(r.inflight)
-}
-
 // expire drops partial datagrams whose deadline has passed. It runs
-// before every Input and Pending, so a partial is gone by the first call
+// before every Input (and the tests' Pending), so a partial is gone by the first call
 // at or after its deadline; between deadlines it costs one comparison
 // instead of a map sweep. The partials one sweep drops go in (link
 // source, tag) order, not the map's, so their FragTimeout events are

@@ -190,12 +190,15 @@ type oneWay struct {
 
 // runOneWay sends 20 kB from a client on l.a to a server on l.b that
 // only reads, over a link that drops every seventh packet the client
-// sends (out-of-order arrivals, SACK ranges, retransmissions). eager
-// makes both ends' arrays as each connection appears.
-func runOneWay(t *testing.T, eager bool) oneWay {
+// sends (out-of-order arrivals, SACK ranges, retransmissions). The
+// server's receive queue holds serverRecv bytes, the client's buffers
+// testCfg's four segments. eager makes both ends' arrays at full size
+// as each connection appears.
+func runOneWay(t *testing.T, eager bool, serverRecv int) oneWay {
 	t.Helper()
 	cfg := testCfg()
 	l := newTestLink(5, 20*sim.Millisecond, cfg)
+	l.b.cfg.RecvBufSize = serverRecv
 	var r oneWay
 	r.l = l
 	clientSent := 0
@@ -265,34 +268,46 @@ func runOneWay(t *testing.T, eager bool) oneWay {
 // TestBuffersMadeAtFirstByte: the end that only receives never makes a
 // send array and the end that only sends never makes a receive array,
 // each stack's BufBytes is exactly the arrays its end made, and nothing
-// else differs from a build that makes both arrays with the connection:
-// every segment on the wire and both ends' Capacity() and Window().
+// else differs from a build that makes both arrays at full size with the
+// connection: every segment on the wire and both ends' Capacity() and
+// Window(). A 64 KiB receiver fed by a four-segment sender and drained
+// on every OnReadable makes one array of at most 4 KiB, yet advertises
+// what an eager 64 KiB build does.
 func TestBuffersMadeAtFirstByte(t *testing.T) {
-	lazy, eager := runOneWay(t, false), runOneWay(t, true)
-	if lazy.server.sndBuf.buf != nil || lazy.client.rcvQ.buf != nil || lazy.client.rcvQ.bits != nil {
-		t.Fatalf("receive-only server made a %d-byte send array, or send-only client a %d-byte receive array",
-			len(lazy.server.sndBuf.buf), len(lazy.client.rcvQ.buf))
-	}
 	cfg := testCfg()
-	if got := lazy.l.a.Stats.BufBytes; got != uint64(cfg.SendBufSize) {
-		t.Fatalf("client stack made %d buffer bytes, want its %d-byte send array", got, cfg.SendBufSize)
-	}
-	if got, want := lazy.l.b.Stats.BufBytes, uint64(cfg.RecvBufSize+8*((cfg.RecvBufSize+63)/64)); got != want {
-		t.Fatalf("server stack made %d buffer bytes, want its receive array and bitmap, %d", got, want)
-	}
-	for _, c := range [][2]*Conn{{lazy.client, eager.client}, {lazy.server, eager.server}} {
-		l, e := c[0], c[1]
-		if l.sndBuf.Capacity() != e.sndBuf.Capacity() || l.rcvQ.Capacity() != e.rcvQ.Capacity() || l.rcvQ.Window() != e.rcvQ.Window() {
-			t.Fatalf("capacities %d/%d and window %d, eager build %d/%d and %d",
-				l.sndBuf.Capacity(), l.rcvQ.Capacity(), l.rcvQ.Window(), e.sndBuf.Capacity(), e.rcvQ.Capacity(), e.rcvQ.Window())
+	for _, recv := range []int{cfg.RecvBufSize, 64 << 10} {
+		lazy, eager := runOneWay(t, false, recv), runOneWay(t, true, recv)
+		if lazy.server.sndBuf.buf != nil || lazy.client.rcvQ.buf != nil || lazy.client.rcvQ.bits != nil {
+			t.Fatalf("receive-only server made a %d-byte send array, or send-only client a %d-byte receive array",
+				len(lazy.server.sndBuf.buf), len(lazy.client.rcvQ.buf))
 		}
-	}
-	if len(lazy.wire) != len(eager.wire) {
-		t.Fatalf("%d packets on the wire, eager build %d", len(lazy.wire), len(eager.wire))
-	}
-	for i := range lazy.wire {
-		if !bytes.Equal(lazy.wire[i], eager.wire[i]) {
-			t.Fatalf("packet %d of %d differs from the eager build's:\n%x\n%x", i, len(lazy.wire), lazy.wire[i], eager.wire[i])
+		if got := lazy.l.a.Stats.BufBytes; got != uint64(cfg.SendBufSize) {
+			t.Fatalf("client stack made %d buffer bytes, want its %d-byte send array", got, cfg.SendBufSize)
+		}
+		array := len(lazy.server.rcvQ.buf)
+		if got, want := lazy.l.b.Stats.BufBytes, uint64(array+8*((array+63)/64)); got != want {
+			t.Fatalf("%d-byte receiver: server stack made %d buffer bytes, want its one receive array and bitmap, %d", recv, got, want)
+		}
+		if array != min(recv, firstArray) || array > 4<<10 {
+			t.Fatalf("%d-byte receiver made a %d-byte array", recv, array)
+		}
+		for _, c := range [][2]*Conn{{lazy.client, eager.client}, {lazy.server, eager.server}} {
+			l, e := c[0], c[1]
+			if l.sndBuf.Capacity() != e.sndBuf.Capacity() || l.rcvQ.Capacity() != e.rcvQ.Capacity() || l.rcvQ.Window() != e.rcvQ.Window() {
+				t.Fatalf("capacities %d/%d and window %d, eager build %d/%d and %d",
+					l.sndBuf.Capacity(), l.rcvQ.Capacity(), l.rcvQ.Window(), e.sndBuf.Capacity(), e.rcvQ.Capacity(), e.rcvQ.Window())
+			}
+		}
+		if lazy.server.rcvQ.Capacity() != recv {
+			t.Fatalf("server capacity %d, configured %d", lazy.server.rcvQ.Capacity(), recv)
+		}
+		if len(lazy.wire) != len(eager.wire) {
+			t.Fatalf("%d-byte receiver: %d packets on the wire, eager build %d", recv, len(lazy.wire), len(eager.wire))
+		}
+		for i := range lazy.wire {
+			if !bytes.Equal(lazy.wire[i], eager.wire[i]) {
+				t.Fatalf("%d-byte receiver: packet %d of %d differs from the eager build's:\n%x\n%x", recv, i, len(lazy.wire), lazy.wire[i], eager.wire[i])
+			}
 		}
 	}
 }

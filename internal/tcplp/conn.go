@@ -155,16 +155,18 @@ type Conn struct {
 	sndWL2    Seq
 	finQueued bool
 	probing   bool // inside onPersist's forced send
+	// inRecovery belongs to the recovery machinery below; it sits here
+	// beside the send flags, where it costs no padding.
+	inRecovery bool
 
 	// Congestion control: cong owns cwnd/ssthresh (internal/tcplp/cc);
 	// the fields below are the recovery machinery shared by all variants.
 	cong        cc.Algorithm
 	pacer       cc.Pacer // cong if it paces, else nil
 	dupAcks     int
-	inRecovery  bool
 	recover     Seq
-	sb          scoreboard
 	sackRtxNext Seq // scan cursor for SACK hole retransmissions
+	sb          scoreboard
 	rtxPipe     int // retransmitted bytes counted into the pipe estimate
 
 	// Timers.

@@ -3,6 +3,7 @@ package tcplp
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
@@ -78,4 +79,92 @@ func sameSegment(t *testing.T, what string, got, want *Segment) {
 	if !ok {
 		t.Fatalf("%s: %+v, want %+v", what, got, want)
 	}
+}
+
+// rbStep is one step of FuzzRecvBuffer's input: a Write of n bytes at
+// off, or a Read of up to n bytes.
+type rbStep struct {
+	read   bool
+	off, n int
+}
+
+// rbInput encodes a queue capacity and steps as FuzzRecvBuffer decodes
+// them: a little-endian uint16 capacity, then four bytes a step.
+func rbInput(capacity int, steps ...rbStep) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, uint16(capacity-1))
+	for _, s := range steps {
+		if s.read {
+			b = append(b, 1, byte(s.n), byte(s.n>>8), 0)
+		} else {
+			b = append(b, byte(s.n%8)<<1, byte(s.off+128), byte((s.off+128)>>8), byte(s.n/8))
+		}
+	}
+	return b
+}
+
+// FuzzRecvBuffer: a queue whose array grows to what arrives behaves as
+// one whose array is made at full size up front. Both take the same
+// Writes (offsets before the frontier, inside the array, past it and
+// past the window) and Reads, and after every step they agree on the
+// return value, Readable, OutOfOrder, Window, the SACK ranges and the
+// bytes read; the growing array never passes the capacity.
+func FuzzRecvBuffer(f *testing.F) {
+	// A wrap right after a growth: the live region is laid out from 0,
+	// then a read moves start and the next writes wrap the new array.
+	f.Add(rbInput(4096,
+		rbStep{off: 0, n: 1500}, rbStep{read: true, n: 1000},
+		rbStep{off: 1200, n: 600}, rbStep{off: 0, n: 1200},
+		rbStep{read: true, n: 500}, rbStep{off: 0, n: 2040}, rbStep{off: 2040, n: 1500},
+		rbStep{read: true, n: 4096}, rbStep{off: 100, n: 8}, rbStep{off: 0, n: 100}))
+	// Out-of-order data beyond the current array, moving the
+	// out-of-order bytes already in it, then the fill.
+	f.Add(rbInput(8192,
+		rbStep{off: 0, n: 100}, rbStep{off: 300, n: 50}, rbStep{off: 5000, n: 200}, rbStep{off: 3000, n: 7},
+		rbStep{off: 8000, n: 300}, rbStep{off: -50, n: 2040}, rbStep{off: 1990, n: 1016},
+		rbStep{read: true, n: 60}, rbStep{off: 2946, n: 2040}))
+	// A capacity under firstArray: made once, whole.
+	f.Add(rbInput(1848, rbStep{off: 400, n: 400}, rbStep{off: 0, n: 400}, rbStep{read: true, n: 300}, rbStep{off: 500, n: 2040}))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		capacity := 1 + int(binary.LittleEndian.Uint16(in))%8192
+		grown, full := NewRecvBuffer(capacity), NewRecvBuffer(capacity)
+		full.buf, full.bits = make([]byte, capacity), make([]uint64, (capacity+63)/64)
+		data := make([]byte, 2047)
+		pg, pf := make([]byte, capacity), make([]byte, capacity)
+		stream := 0 // bytes the queues have advanced over
+		for step, in := 0, in[2:]; len(in) >= 4; step, in = step+1, in[4:] {
+			var g, w int
+			what := "read"
+			if in[0]&1 != 0 {
+				n := int(binary.LittleEndian.Uint16(in[1:])) % (capacity + 1)
+				g, w = grown.Read(pg[:n]), full.Read(pf[:n])
+				if !bytes.Equal(pg[:g], pf[:w]) {
+					t.Fatalf("step %d: read %x, full-size queue %x", step, pg[:g], pf[:w])
+				}
+			} else {
+				off := int(binary.LittleEndian.Uint16(in[1:])) - 128
+				p := data[:int(in[3])*8+int(in[0]>>1)%8]
+				for i := range p {
+					pos := stream + off + i
+					p[i] = byte(pos ^ pos>>8) // a byte is the same whenever it is sent
+				}
+				what = fmt.Sprintf("write of %d at %d", len(p), off)
+				g, w = grown.Write(off, p), full.Write(off, p)
+				stream += g
+			}
+			if g != w || grown.Readable() != full.Readable() || grown.OutOfOrder() != full.OutOfOrder() || grown.Window() != full.Window() {
+				t.Fatalf("step %d (%s): returned %d, readable %d, ooo %d, window %d; full-size queue %d, %d, %d, %d",
+					step, what, g, grown.Readable(), grown.OutOfOrder(), grown.Window(), w, full.Readable(), full.OutOfOrder(), full.Window())
+			}
+			gs, ws := grown.SACKRanges(nil, 64), full.SACKRanges(nil, 64)
+			if fmt.Sprint(gs) != fmt.Sprint(ws) {
+				t.Fatalf("step %d (%s): SACK ranges %v, full-size queue %v", step, what, gs, ws)
+			}
+			if len(grown.buf) > capacity || len(grown.bits) != (len(grown.buf)+63)/64 {
+				t.Fatalf("step %d (%s): array %d bytes, bitmap %d words, capacity %d", step, what, len(grown.buf), len(grown.bits), capacity)
+			}
+		}
+	})
 }

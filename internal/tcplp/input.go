@@ -459,9 +459,9 @@ func (c *Conn) processPayload(seg *Segment, ce bool) {
 	}
 	off := seg.SeqNum.Diff(c.rcvNxt)
 	hadOOO := c.rcvQ.OutOfOrder() > 0
-	made := c.rcvQ.made()
+	made := c.rcvQ.made
 	adv := c.rcvQ.Write(off, seg.Payload)
-	c.stack.Stats.BufBytes += uint64(c.rcvQ.made() - made)
+	c.stack.Stats.BufBytes += uint64(c.rcvQ.made - made)
 	c.rcvNxt = c.rcvNxt.Add(adv)
 	c.Stats.BytesRecv += uint64(adv)
 

@@ -94,8 +94,10 @@ func (c *Conn) brokenInvariant() string {
 // brokenInvariant checks the presence bitmap against the queue's
 // counters: every readable byte is marked, the marks beyond the readable
 // run number exactly OutOfOrder() and none of them sits at the frontier
-// (it would have advanced), and no spare bit past the buffer's end is set.
-// Before its first data byte the queue has no array and holds nothing.
+// (it would have advanced), and no spare bit past the array's end is set.
+// Before its first data byte the queue has no array and holds nothing;
+// after it, the array is no longer than the capacity and the bitmap has
+// a bit per byte of the array.
 func (b *RecvBuffer) brokenInvariant() string {
 	if b.readable < 0 || b.readable > b.size || b.ooo < 0 || b.ooo > b.Window() {
 		return fmt.Sprintf("readable %d / ooo %d out of range (capacity %d)", b.readable, b.ooo, b.size)
@@ -106,8 +108,9 @@ func (b *RecvBuffer) brokenInvariant() string {
 		}
 		return ""
 	}
-	if len(b.buf) != b.size || len(b.bits) != (b.size+63)/64 {
-		return fmt.Sprintf("array %d bytes and bitmap %d words for capacity %d", len(b.buf), len(b.bits), b.size)
+	if len(b.buf) > b.size || len(b.bits) != (len(b.buf)+63)/64 || b.start >= len(b.buf) || b.readable+b.ooo > len(b.buf) {
+		return fmt.Sprintf("array %d bytes, bitmap %d words, start %d, readable %d and ooo %d for capacity %d",
+			len(b.buf), len(b.bits), b.start, b.readable, b.ooo, b.size)
 	}
 	set := 0
 	for _, w := range b.bits {
@@ -124,7 +127,7 @@ func (b *RecvBuffer) brokenInvariant() string {
 	if beyond := set - b.readable; beyond != b.ooo {
 		return fmt.Sprintf("%d bytes marked beyond the readable run, OutOfOrder() = %d", beyond, b.ooo)
 	}
-	if b.Window() > 0 && b.bit(b.idx(b.readable)) {
+	if b.readable < len(b.buf) && b.bit(b.idx(b.readable)) {
 		return "byte at the in-sequence frontier marked present but not readable"
 	}
 	return ""

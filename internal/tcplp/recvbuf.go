@@ -12,21 +12,30 @@ import (
 // with a bitmap recording which bytes are present (Fig. 1b). Its size
 // is fixed at construction, for deterministic memory use on a
 // constrained node: the modelled footprint (the table of
-// internal/experiments/static.go) is the configured capacity. The
-// simulator makes the array and the bitmap at the first in-window data
-// byte, so an end that only sends never holds them; the window it
-// advertises is the capacity's either way. Offsets passed to Write are
-// relative to rcv.nxt (0 = next expected byte). The mbuf-chain
-// alternative it is measured against lives with the §4.3 ablation
-// (ablation_test.go).
+// internal/experiments/static.go) is the configured capacity, and so is
+// the window it advertises. The simulator makes the array and the bitmap
+// only as long as the highest offset written needs: nothing until the
+// first in-window data byte, so an end that only sends never holds
+// them, then min(capacity, 2 KiB), doubled up to the capacity when a
+// write lands past the end. A 64 KiB host sink drained on every
+// OnReadable thus holds a few KiB. The array's length is the ring's
+// modulus; a growth lays the live region out again from position 0.
+// Offsets passed to Write are relative to rcv.nxt (0 = next expected
+// byte). The mbuf-chain alternative it is measured against lives with
+// the §4.3 ablation (ablation_test.go).
 type RecvBuffer struct {
-	buf      []byte   // nil until the first in-window data byte
-	bits     []uint64 // nil with buf
+	buf      []byte   // nil until the first in-window data byte; len ≤ size
+	bits     []uint64 // one bit per byte of buf
 	size     int
 	start    int // circular index of the first readable byte
 	readable int
 	ooo      int
+	made     int // bytes of every array and bitmap made, replaced ones included
 }
+
+// firstArray is the length of a queue's first array, unless its
+// capacity is smaller: a mote's 4-segment queue is made once, whole.
+const firstArray = 2048
 
 // NewRecvBuffer returns an in-place reassembly queue of the given
 // capacity.
@@ -34,23 +43,16 @@ func NewRecvBuffer(capacity int) *RecvBuffer {
 	return &RecvBuffer{size: capacity}
 }
 
-// made is the bytes of array and bitmap the queue has made.
-func (b *RecvBuffer) made() int { return len(b.buf) + 8*len(b.bits) }
-
 func (b *RecvBuffer) bit(i int) bool  { return b.bits[i/64]&(1<<(i%64)) != 0 }
 func (b *RecvBuffer) idx(off int) int { return (b.start + off) % len(b.buf) }
 
 // scanFrom returns the first offset in [i, win) whose presence bit
 // matches want, or win if none, walking the bitmap a word at a time.
-// Offsets are relative to the in-sequence frontier.
+// Offsets are relative to the in-sequence frontier; those past the
+// array's end hold no byte.
 func (b *RecvBuffer) scanFrom(i, win int, want bool) int {
-	if b.buf == nil { // no array yet: no byte is present
-		if want {
-			return win
-		}
-		return min(i, win)
-	}
-	for i < win {
+	end := min(win, len(b.buf)-b.readable)
+	for i < end {
 		p := b.idx(b.readable + i)
 		r := p % 64
 		word := b.bits[p/64] >> r
@@ -58,13 +60,13 @@ func (b *RecvBuffer) scanFrom(i, win int, want bool) int {
 			word = ^word
 		}
 		// Stay inside this word, this side of the circular wrap, and
-		// inside the window: past any of those the bits belong to other
+		// inside the array: past any of those the bits belong to other
 		// positions (the tail word's spare bits, or the readable region).
 		span := 64 - r
 		if m := len(b.buf) - p; span > m {
 			span = m
 		}
-		if rem := win - i; span > rem {
+		if rem := end - i; span > rem {
 			span = rem
 		}
 		if tz := bits.TrailingZeros64(word); tz < span {
@@ -72,10 +74,39 @@ func (b *RecvBuffer) scanFrom(i, win int, want bool) int {
 		}
 		i += span
 	}
-	return win
+	if want {
+		return win
+	}
+	return min(i, win)
 }
 
-// Capacity is the fixed buffer size.
+// grow makes the array and bitmap at least need bytes long, need ≤
+// size: firstArray long (or size) to start, doubling up to size. The
+// live region moves to position 0 of the new array, so every offset
+// keeps its byte and its bit.
+func (b *RecvBuffer) grow(need int) {
+	n := len(b.buf)
+	if n == 0 {
+		n = min(b.size, firstArray)
+	}
+	for n < need {
+		n = min(2*n, b.size)
+	}
+	buf, words := make([]byte, n), make([]uint64, (n+63)/64)
+	k := copy(buf, b.buf[b.start:])
+	copy(buf[k:], b.buf[:b.start])
+	bitmap.SetRange(words, 0, b.readable)
+	end := len(b.buf) - b.readable
+	for i := b.scanFrom(0, end, true); i < end; {
+		j := b.scanFrom(i, end, false)
+		bitmap.SetRange(words, b.readable+i, b.readable+j)
+		i = b.scanFrom(j, end, true)
+	}
+	b.buf, b.bits, b.start = buf, words, 0
+	b.made += n + 8*len(words)
+}
+
+// Capacity is the configured buffer size, whatever the array's length.
 func (b *RecvBuffer) Capacity() int { return b.size }
 
 // Readable is the number of in-sequence bytes awaiting the app.
@@ -113,9 +144,8 @@ func (b *RecvBuffer) Write(off int, data []byte) int {
 	if len(data) == 0 {
 		return 0
 	}
-	if b.buf == nil {
-		b.buf = make([]byte, b.size)
-		b.bits = make([]uint64, (b.size+63)/64)
+	if need := b.readable + off + len(data); need > len(b.buf) {
+		b.grow(need)
 	}
 	// Land the bytes at their final circular positions (at most one wrap)
 	// and mark them present, counting only the genuinely new ones.
