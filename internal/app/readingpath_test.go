@@ -20,19 +20,19 @@ import (
 // warm-up — every pool filled, every queue grown to its depth — a
 // stretch of simulated time allocates nothing. Three paths, one per
 // transport: sensor → TCP → gateway batch → WAN link on a star, sensor
-// → CoAP CON → collector (its dedup records included), and sensor →
-// UDP over one hop. One device per
-// path: a second sender adds collisions, and the burst behind a
-// recovered loss now and then takes a pool past its high-water mark (a
-// few objects in ten minutes, none of them per reading), which is
-// allocs_k's business in the benchmark, not an exact zero's.
+// → CoAP CON → collector, and sensor → UDP over one hop (the CoAP
+// server's dedup records reach their steady size only after a lifetime,
+// which TestServerSteadyStateAllocs waits for). One device per path: a
+// second sender adds collisions, and the burst behind a recovered loss
+// now and then takes a pool past its high-water mark (a few objects in
+// ten minutes, none of them per reading), which is allocs_k's business
+// in the benchmark, not an exact zero's.
 func TestReadingPathAllocs(t *testing.T) {
 	const interval = 250 * sim.Millisecond
-	sensor := func(node *stack.Node, tr app.Transport, queueCap int) *app.Sensor {
+	sensor := func(node *stack.Node, tr app.Transport, queueCap int) {
 		s := app.NewSensor(node, tr, queueCap)
 		s.Interval = interval
 		s.Start()
-		return s
 	}
 	for _, tc := range []struct {
 		name  string
