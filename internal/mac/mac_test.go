@@ -250,7 +250,7 @@ func TestSleepyChildUpstreamAnytime(t *testing.T) {
 	if got != "up" || status != TxOK {
 		t.Fatalf("upstream from sleepy child failed: %q %v", got, status)
 	}
-	if !childR.Sleeping() {
+	if childR.State() != phy.StateSleep {
 		t.Fatal("child radio should return to sleep after sending")
 	}
 }
@@ -371,7 +371,8 @@ func TestCSMADefersToBusyChannel(t *testing.T) {
 }
 
 // TestFramePathAllocs pins the zero: once the pools of a two-node
-// exchange are warm (job, transmission, events, dedup map entries), a
+// exchange are warm (job, transmission, events, each side's neighbour
+// record, which holds duplicate suppression), a
 // Mac.SendJID through load, CSMA, air, ACK and the done callback allocates
 // nothing — on either side.
 func TestFramePathAllocs(t *testing.T) {
@@ -385,7 +386,7 @@ func TestFramePathAllocs(t *testing.T) {
 		a.SendJID(b.Radio().Addr(), payload, 0, done)
 		eng.Run()
 	}
-	for i := 0; i < 300; i++ { // seq wraps once: every dedup map key exists
+	for i := 0; i < 300; i++ { // seq wraps once: both neighbour records exist
 		exchange()
 	}
 	before := delivered

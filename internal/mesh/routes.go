@@ -8,57 +8,52 @@ package mesh
 //
 // The state is rooted at the border router, node 0, because the traffic
 // is: every fleet flow is device ↔ border router. One BFS from node 0
-// gives each node's hop count up[v], and that alone routes upward. A
-// downward route 0 → d is cached as its up[d]+1 nodes, found without
-// visiting the rest of the graph. A whole-graph hop-count column per
-// destination is computed only for a query whose source does not lie on
-// that cached route (any-to-any pairs on small hand-built topologies).
-// Next hops are never stored: they are read off the hop counts.
+// gives each node's hop count up[v], which routes upward, and its parent
+// par[v], the node that first reached it, which routes downward. A
+// whole-graph hop-count column per destination is computed only for a
+// query whose source is not on the destination's parent chain (any-to-any
+// pairs on small hand-built topologies). Next hops are never stored.
 //
 // The route from src to dst always continues with the first neighbour, in
 // adjacency order, that is one hop closer to dst. Upward that is the first
-// neighbour with up one lower. Downward, lens(d) = {v : up[v] + dist(v,d)
-// = up[d]} is the set of nodes on some shortest 0–d path; it is reached by
-// walking back from d through neighbours whose up drops by one. For v in
-// lens(d), a neighbour w is one hop closer to d exactly when w is in
-// lens(d) and up[w] = up[v]+1: such a w has dist(w,d) = up[d]-up[w] =
-// dist(v,d)-1; conversely dist(w,d) = dist(v,d)-1 and the triangle
-// inequality up[d] <= up[w] + dist(w,d) give up[w] >= up[v]+1, a neighbour
-// cannot be more than one level deeper, and then up[w] + dist(w,d) =
-// up[d]. So "first lens neighbour one level deeper" picks the node a BFS
-// from d would. The argument needs dist to be symmetric: adj must be an
-// undirected graph, which Topology.Adjacency always is.
+// neighbour with up one lower. Downward, let v lie on a shortest 0–d path,
+// so dist(v,d) = up[d]-up[v]. A neighbour w is one hop closer to d exactly
+// when it is one level deeper and on a shortest 0–d path (the triangle
+// inequality up[d] <= up[w] + dist(w,d) rules out every other level). So
+// from node 0 the rule takes the lexicographically first shortest path to
+// d, by adjacency position, and the parent chain is that path: FIFO order
+// dequeues each level in the lexicographic order of its nodes' first paths
+// (by induction on the level), so the parent that first reaches v is its
+// neighbour one level up with the first path. The argument needs dist to
+// be symmetric: adj must be an undirected graph, which Topology.Adjacency
+// always is.
 //
 // Like the simulation engine it serves, Routes is single-goroutine state.
 type Routes struct {
 	adj [][]int
 	up  []int32 // up[v] = hop count from v to node 0, -1 unreachable
+	par []int32 // par[v] = the node that first reached v in the BFS from node 0
 
-	down map[int][]int32 // down[d][i] = the node i hops from node 0 on the route to d
-	lens []int32         // lens[v] = d+1 once v is known to be on a shortest 0–d path
-	dist map[int][]int32 // dist[d][v] = hop count from v to d, for sources off down[d]
+	dist map[int][]int32 // dist[d][v] = hop count from v to d, for sources off d's parent chain
 
 	queue []int32 // BFS scratch
 }
 
 // ComputeRoutes prepares shortest-path routing over the undirected graph
-// adj. Only node 0's hop counts are computed here; per-destination state
-// is built on first use.
+// adj. Only node 0's hop counts and parents are computed here; a
+// destination's column is built on first use.
 func ComputeRoutes(adj [][]int) *Routes {
-	r := &Routes{
-		adj:  adj,
-		down: map[int][]int32{},
-		lens: make([]int32, len(adj)),
-		dist: map[int][]int32{},
-	}
+	r := &Routes{adj: adj, dist: map[int][]int32{}}
 	if len(adj) > 0 {
-		r.up = r.bfs(0)
+		r.par = make([]int32, len(adj))
+		r.up = r.bfs(0, r.par)
 	}
 	return r
 }
 
-// bfs returns every node's hop count to from, -1 where unreachable.
-func (r *Routes) bfs(from int) []int32 {
+// bfs returns every node's hop count to from, -1 where unreachable. A
+// non-nil par receives each reached node's discoverer.
+func (r *Routes) bfs(from int, par []int32) []int32 {
 	dist := make([]int32, len(r.adj))
 	for i := range dist {
 		dist[i] = -1
@@ -70,6 +65,9 @@ func (r *Routes) bfs(from int) []int32 {
 		for _, nb := range r.adj[v] {
 			if dist[nb] < 0 {
 				dist[nb] = dist[v] + 1
+				if par != nil {
+					par[nb] = v
+				}
 				queue = append(queue, int32(nb))
 			}
 		}
@@ -93,47 +91,12 @@ func (r *Routes) closer(v int, dist []int32) (int, bool) {
 	return 0, false
 }
 
-// route returns the cached route from node 0 to d, which node 0 must
-// reach, building it on first use.
-func (r *Routes) route(d int) []int32 {
-	if path, ok := r.down[d]; ok {
-		return path
-	}
-	// Mark lens(d): back from d, level by level.
-	mark := int32(d) + 1
-	r.lens[d] = mark
-	queue := append(r.queue[:0], int32(d))
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, nb := range r.adj[v] {
-			if r.up[nb] == r.up[v]-1 && r.lens[nb] != mark {
-				r.lens[nb] = mark
-				queue = append(queue, int32(nb))
-			}
-		}
-	}
-	r.queue = queue
-	// Walk down from node 0 through the lens.
-	path := make([]int32, r.up[d]+1)
-	for at, i := 0, 1; i < len(path); i++ {
-		for _, nb := range r.adj[at] {
-			if r.lens[nb] == mark && r.up[nb] == int32(i) {
-				at = nb
-				break
-			}
-		}
-		path[i] = int32(at)
-	}
-	r.down[d] = path
-	return path
-}
-
 // column returns every node's hop count to dst, running the whole-graph
 // BFS on first use.
 func (r *Routes) column(dst int) []int32 {
 	dist, ok := r.dist[dst]
 	if !ok {
-		dist = r.bfs(dst)
+		dist = r.bfs(dst, nil)
 		r.dist[dst] = dist
 	}
 	return dist
@@ -152,8 +115,14 @@ func (r *Routes) NextHop(src, dst int) (int, bool) {
 		return 0, false // node 0 reaches one and not the other
 	}
 	if level := r.up[src]; level >= 0 && level < r.up[dst] {
-		if path := r.route(dst); path[level] == int32(src) {
-			return int(path[level+1]), true
+		// dst's ancestor one level below src is the next hop if src is
+		// its parent.
+		at := int32(dst)
+		for r.up[at] > level+1 {
+			at = r.par[at]
+		}
+		if r.par[at] == int32(src) {
+			return int(at), true
 		}
 	}
 	return r.closer(src, r.column(dst))
@@ -175,10 +144,4 @@ func (r *Routes) Hops(src, dst int) int {
 		return -1
 	}
 	return int(r.column(dst)[src])
-}
-
-// Parent returns a leaf's next hop toward the border router — its Thread
-// parent.
-func (r *Routes) Parent(leaf, border int) (int, bool) {
-	return r.NextHop(leaf, border)
 }

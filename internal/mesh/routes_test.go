@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -53,60 +54,153 @@ func heapTree(n int) [][]int {
 	return adj
 }
 
-// Every (src, dst) pair must route as the oracle does, whichever of the
-// border-rooted state, the cached downward routes and the per-destination
-// columns answers — so the pairs are asked in two orders that populate
-// those in opposite sequence.
+// lattice links a w×h square grid, node i at column i%w and row i/w, to
+// its four neighbours in id order. Node 0 is a corner, and every other
+// node has several shortest paths to it, so ties between them decide
+// every route.
+func lattice(w, h int) [][]int {
+	adj := make([][]int, w*h)
+	for i := range adj {
+		x, y := i%w, i/w
+		if y > 0 {
+			adj[i] = append(adj[i], i-w)
+		}
+		if x > 0 {
+			adj[i] = append(adj[i], i-1)
+		}
+		if x < w-1 {
+			adj[i] = append(adj[i], i+1)
+		}
+		if y < h-1 {
+			adj[i] = append(adj[i], i+w)
+		}
+	}
+	return adj
+}
+
+// checkRoutes asks every (src, dst) pair of adj and fails where NextHop or
+// Hops differs from the oracle. Node 0's hop counts and parents answer
+// some pairs and the per-destination columns the rest, so the pairs are
+// asked in two orders that build those columns in opposite sequence.
+func checkRoutes(t *testing.T, name string, adj [][]int) {
+	t.Helper()
+	n := len(adj)
+	next, hops := make([][]int, n), make([][]int, n)
+	for dst := range adj {
+		next[dst], hops[dst] = oracleColumn(adj, dst)
+	}
+	check := func(r *Routes, src, dst int) {
+		t.Helper()
+		nh, ok := r.NextHop(src, dst)
+		if want := next[dst][src]; ok != (want >= 0) || (ok && nh != want) {
+			t.Fatalf("%s: NextHop(%d,%d) = %d,%v, oracle %d", name, src, dst, nh, ok, want)
+		}
+		if h := r.Hops(src, dst); h != hops[dst][src] {
+			t.Fatalf("%s: Hops(%d,%d) = %d, oracle %d", name, src, dst, h, hops[dst][src])
+		}
+	}
+	// Downlinks (0 → d) first, then everything by destination.
+	r := ComputeRoutes(adj)
+	for dst := 0; dst < n; dst++ {
+		check(r, 0, dst)
+	}
+	for dst := 0; dst < n; dst++ {
+		for src := 0; src < n; src++ {
+			check(r, src, dst)
+		}
+	}
+	// Uplinks (s → 0) first, then everything by source, deepest
+	// sources first.
+	r = ComputeRoutes(adj)
+	for src := 0; src < n; src++ {
+		check(r, src, 0)
+	}
+	for src := n - 1; src >= 0; src-- {
+		for dst := n - 1; dst >= 0; dst-- {
+			check(r, src, dst)
+		}
+	}
+}
+
+// routeGraphs are the hand-built graphs both routing tests start from.
+func routeGraphs() map[string][][]int {
+	return map[string][][]int{
+		"chain":       Chain(9, 10).Adjacency(),
+		"star":        Star(7, 10).Adjacency(),
+		"office":      Office().Adjacency(),
+		"twinleaf":    TwinLeaf(4, 20).Adjacency(),
+		"tree":        heapTree(40),
+		"lattice":     lattice(6, 6),
+		"two_islands": {{1, 2}, {0, 2}, {0, 1}, {4}, {3, 5}, {4}},
+	}
+}
+
+// Every (src, dst) pair must route as the oracle does, on the hand-built
+// graphs, on a 12×12 lattice where ties between equal-length paths decide
+// every route, and on random fields from thin to dense.
 func TestRoutesMatchOracle(t *testing.T) {
-	graphs := map[string][][]int{
-		"chain":         Chain(9, 10).Adjacency(),
-		"star":          Star(7, 10).Adjacency(),
-		"office":        Office().Adjacency(),
-		"twinleaf":      TwinLeaf(4, 20).Adjacency(),
-		"tree":          heapTree(40),
-		"random_dense":  RandomGeometric(300, 16, 1).Adjacency(),
-		"random_sparse": RandomGeometric(300, 5, 2).Adjacency(),
-		"random_thin":   RandomGeometric(200, 2.5, 5).Adjacency(),
-		"two_islands":   {{1, 2}, {0, 2}, {0, 1}, {4}, {3, 5}, {4}},
+	graphs := routeGraphs()
+	graphs["lattice_12x12"] = lattice(12, 12)
+	graphs["random_dense"] = RandomGeometric(300, 16, 1).Adjacency()
+	graphs["random_sparse"] = RandomGeometric(300, 5, 2).Adjacency()
+	graphs["random_thin"] = RandomGeometric(200, 2.5, 5).Adjacency()
+	for i, density := range []float64{3, 4, 5, 6, 7, 8, 10, 12, 14, 16} {
+		seed := int64(11 + i)
+		graphs[fmt.Sprintf("random_d%g_s%d", density, seed)] = RandomGeometric(150, density, seed).Adjacency()
 	}
 	for name, adj := range graphs {
-		n := len(adj)
-		next, hops := make([][]int, n), make([][]int, n)
-		for dst := range adj {
-			next[dst], hops[dst] = oracleColumn(adj, dst)
-		}
-		check := func(r *Routes, src, dst int) {
-			t.Helper()
-			nh, ok := r.NextHop(src, dst)
-			if want := next[dst][src]; ok != (want >= 0) || (ok && nh != want) {
-				t.Fatalf("%s: NextHop(%d,%d) = %d,%v, oracle %d", name, src, dst, nh, ok, want)
-			}
-			if h := r.Hops(src, dst); h != hops[dst][src] {
-				t.Fatalf("%s: Hops(%d,%d) = %d, oracle %d", name, src, dst, h, hops[dst][src])
-			}
-		}
-		// Downlinks (0 → d) first, then everything by destination.
-		r := ComputeRoutes(adj)
-		for dst := 0; dst < n; dst++ {
-			check(r, 0, dst)
-		}
-		for dst := 0; dst < n; dst++ {
-			for src := 0; src < n; src++ {
-				check(r, src, dst)
-			}
-		}
-		// Uplinks (s → 0) first, then everything by source, deepest
-		// sources first so columns exist before the cached routes do.
-		r = ComputeRoutes(adj)
-		for src := 0; src < n; src++ {
-			check(r, src, 0)
-		}
-		for src := n - 1; src >= 0; src-- {
-			for dst := n - 1; dst >= 0; dst-- {
-				check(r, src, dst)
+		checkRoutes(t, name, adj)
+	}
+}
+
+// graphBytes encodes adj for FuzzRoutes: a node count, then each edge once
+// as two node ids.
+func graphBytes(adj [][]int) []byte {
+	b := []byte{byte(len(adj) - 2)}
+	for u, nbs := range adj {
+		for _, v := range nbs {
+			if v > u {
+				b = append(b, byte(u), byte(v))
 			}
 		}
 	}
+	return b
+}
+
+// FuzzRoutes decodes bytes into an undirected graph of 2 to 48 nodes: the
+// first byte is the node count, each following pair of bytes an edge, and
+// a node lists its neighbours in the order the edges arrive, so paths tie
+// in any order, not only by id. Every pair must route as the oracle does,
+// in both query orders. Seeds: the hand-built graphs of
+// TestRoutesMatchOracle.
+func FuzzRoutes(f *testing.F) {
+	graphs := routeGraphs()
+	names := make([]string, 0, len(graphs))
+	for name := range graphs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(graphBytes(graphs[name]))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		n := 2 + int(b[0])%47
+		adj := make([][]int, n)
+		linked := map[[2]int]bool{}
+		for i := 1; i+1 < len(b); i += 2 {
+			u, v := int(b[i])%n, int(b[i+1])%n
+			if u == v || linked[[2]int{u, v}] {
+				continue
+			}
+			linked[[2]int{u, v}], linked[[2]int{v, u}] = true, true
+			adj[u] = append(adj[u], v)
+			adj[v] = append(adj[v], u)
+		}
+		checkRoutes(t, "fuzz", adj)
+	})
 }
 
 func TestRoutesOutOfRange(t *testing.T) {

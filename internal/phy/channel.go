@@ -158,8 +158,9 @@ type Channel struct {
 	filterIdx []int32
 	txFree    *transmission
 	txSerial  uint32
-	// version counts AddRadio and SetPos calls: what cached neighbor lists,
-	// and the grid a *UnitDisk's are built from, are valid against.
+	// version counts AddRadio calls (and SetPos, in tests): what cached
+	// neighbor lists, and the grid a *UnitDisk's are built from, are
+	// valid against.
 	version     uint64
 	grid        *CellGrid
 	gridVersion uint64

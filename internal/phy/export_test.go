@@ -42,3 +42,11 @@ func (g *Graph) Connected(a, b *Radio) bool {
 func (g *Graph) Senses(a, b *Radio) bool {
 	return g.senses[[2]int{a.id, b.id}] || g.connected[[2]int{a.id, b.id}]
 }
+
+// SetPos moves the radio, invalidating all cached neighbor sets. Frames
+// already in flight keep the sensing snapshot taken when they hit the air.
+// Nodes of a run do not move; the tests that move one call this.
+func (r *Radio) SetPos(pos Point) {
+	r.pos = pos
+	r.ch.version++
+}

@@ -105,13 +105,6 @@ func (r *Radio) ID() int { return r.id }
 // Addr returns the radio's EUI-64 address.
 func (r *Radio) Addr() Addr { return r.addr }
 
-// SetPos moves the radio, invalidating all cached neighbor sets. Frames
-// already in flight keep the sensing snapshot taken when they hit the air.
-func (r *Radio) SetPos(pos Point) {
-	r.pos = pos
-	r.ch.version++
-}
-
 // State returns the current radio state.
 func (r *Radio) State() State { return r.hot().state }
 
@@ -151,9 +144,6 @@ func (r *Radio) ResetEnergy() {
 	h.acc[h.state] = -sim.Duration(now)
 	r.energySince = now
 }
-
-// Sleeping reports whether the radio is in its low-power state.
-func (r *Radio) Sleeping() bool { return r.hot().state == StateSleep }
 
 // Transmitting reports whether a transmission is in progress.
 func (r *Radio) Transmitting() bool { return r.hot().state == StateTx }

@@ -204,7 +204,7 @@ func (net *Network) AttachHost() *Node {
 // wake. A leaf the topology cuts off from the border router is an error.
 func (net *Network) MakeSleepyLeaf(id int) (*mac.SleepController, error) {
 	n := net.Nodes[id]
-	parentID, ok := net.Routes.Parent(id, borderID)
+	parentID, ok := net.Routes.NextHop(id, borderID)
 	if !ok {
 		return nil, fmt.Errorf("stack: leaf %d has no route to the border router (node %d)", id, borderID)
 	}

@@ -410,7 +410,7 @@ func TestRoutesChain(t *testing.T) {
 	if !ok || nh != 3 {
 		t.Fatalf("next hop = %d %v", nh, ok)
 	}
-	p, ok := routes.Parent(2, 0)
+	p, ok := routes.NextHop(2, 0)
 	if !ok || p != 1 {
 		t.Fatalf("parent = %d %v", p, ok)
 	}
