@@ -371,10 +371,9 @@ func TestCSMADefersToBusyChannel(t *testing.T) {
 }
 
 // TestFramePathAllocs pins the zero: once the pools of a two-node
-// exchange are warm (job, transmission, events, each side's neighbour
-// record, which holds duplicate suppression), a
-// Mac.SendJID through load, CSMA, air, ACK and the done callback allocates
-// nothing — on either side.
+// exchange are warm (job, transmission, events, and each side's neighbour
+// record, which holds duplicate suppression), a Mac.SendJID through load,
+// CSMA, air, ACK and the done callback allocates nothing — on either side.
 func TestFramePathAllocs(t *testing.T) {
 	eng, a, b := pair(13)
 	delivered := 0

@@ -167,11 +167,11 @@ func graphBytes(adj [][]int) []byte {
 	return b
 }
 
-// FuzzRoutes decodes bytes into an undirected graph of 2 to 48 nodes: the
-// first byte is the node count, each following pair of bytes an edge, and
-// a node lists its neighbours in the order the edges arrive, so paths tie
-// in any order, not only by id. Every pair must route as the oracle does,
-// in both query orders. Seeds: the hand-built graphs of
+// FuzzRoutes decodes bytes into an undirected graph of 2 to 48 nodes:
+// the first byte sets the node count and each following pair of bytes is
+// an edge. A node lists its neighbours in the order its edges arrive, so
+// paths tie in any order, not only by id. Every pair must route as the
+// oracle does, in both query orders. Seeds: the hand-built graphs of
 // TestRoutesMatchOracle.
 func FuzzRoutes(f *testing.F) {
 	graphs := routeGraphs()
@@ -219,9 +219,9 @@ func TestRoutesOutOfRange(t *testing.T) {
 	}
 }
 
-// A fleet's device ↔ border-router routes must cost state in proportion
-// to the routes walked, not to the field: the per-destination columns this
-// replaced held 39 MB here.
+// A fleet's device ↔ border-router routes must cost no state beyond node
+// 0's hop counts and parents, built once: the per-destination columns
+// this replaced held 39 MB here.
 func TestFleetRoutesStateBudget(t *testing.T) {
 	const nodes, flows = 10000, 500
 	adj := RandomGeometric(nodes, 16, 1).Adjacency()
