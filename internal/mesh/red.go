@@ -71,6 +71,3 @@ func (r *RED) verdict(canMark bool) REDAction {
 	r.Drops++
 	return REDDrop
 }
-
-// AvgQueue returns the current average queue estimate.
-func (r *RED) AvgQueue() float64 { return r.avg }

@@ -84,9 +84,6 @@ type wanMsg struct {
 	dropped       bool
 }
 
-// Config returns the link's effective configuration.
-func (l *WANLink) Config() WANConfig { return l.cfg }
-
 // QueueDepth returns messages currently queued or serializing.
 func (l *WANLink) QueueDepth() int { return l.queued }
 

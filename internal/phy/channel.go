@@ -209,9 +209,6 @@ func (c *Channel) Reserve(n int) {
 	c.slab = make([]Radio, n)
 }
 
-// Engine returns the channel's simulation engine.
-func (c *Channel) Engine() *sim.Engine { return c.eng }
-
 // AddRadio creates and registers a radio at pos. Radios start asleep.
 func (c *Channel) AddRadio(id int, pos Point) *Radio {
 	var r *Radio

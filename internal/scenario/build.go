@@ -31,14 +31,13 @@ func (t TopologySpec) build() mesh.Topology {
 		return mesh.Office()
 	case TopoTwinLeaf:
 		return mesh.TwinLeaf(t.PathHops, spacing)
-	case TopoRandomGeometric:
+	default: // TopoRandomGeometric: ParseSpecs refuses every other kind
 		seed := t.Seed
 		if seed == 0 {
 			seed = 1
 		}
 		return mesh.RandomGeometric(t.Nodes, t.Density, seed)
 	}
-	panic(fmt.Sprintf("scenario: unvalidated topology kind %q", t.Kind))
 }
 
 // options translates NetSpec into stack options.
@@ -268,18 +267,16 @@ func (rc *runContext) startFlow(fs FlowSpec) (*flowRun, error) {
 	fr := &flowRun{spec: fs, src: rc.resolve(fs.From), dst: rc.resolve(fs.To)}
 	t := newTelemetry(rc, fr)
 	switch fs.Protocol {
-	case protoTCP:
+	case protoUDP:
+		fr.probe = startUDP(t)
+	case protoCoAP:
+		fr.probe = startCoAP(t)
+	default: // protoTCP: ParseSpecs refuses every other protocol
 		srcCfg, sinkCfg, err := rc.tcpConfigs(fs)
 		if err != nil {
 			return nil, err
 		}
 		fr.probe = startTCP(t, srcCfg, sinkCfg)
-	case protoUDP:
-		fr.probe = startUDP(t)
-	case protoCoAP:
-		fr.probe = startCoAP(t)
-	default:
-		panic(fmt.Sprintf("scenario: unvalidated protocol %q", fs.Protocol))
 	}
 	return fr, nil
 }

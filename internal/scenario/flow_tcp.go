@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"tcplp/internal/app"
 	"tcplp/internal/gateway"
 	"tcplp/internal/sim"
@@ -33,7 +31,7 @@ func startTCP(t *telemetry, srcCfg, sinkCfg tcplp.Config) *tcpProbe {
 		t.sink = &app.ListenSinkConfig(dst, fs.port, sinkCfg).CountingSink
 		p.bulk = app.StartBulkConfig(src, srcCfg, dst.Addr, fs.port)
 		p.conn = p.bulk.Conn
-	case PatternAnemometer:
+	default: // PatternAnemometer: ParseSpecs refuses every other pattern
 		port := fs.port
 		if t.gw != nil {
 			port = gateway.DefaultTCPPort
@@ -44,8 +42,6 @@ func startTCP(t *telemetry, srcCfg, sinkCfg tcplp.Config) *tcpProbe {
 		tr := app.NewTCPTransportConfig(src, srcCfg, dst.Addr, port)
 		t.startSensor(tr)
 		p.conn = tr.Conn
-	default:
-		panic(fmt.Sprintf("scenario: unvalidated tcp pattern %q", fs.Pattern))
 	}
 	// RTT samples are collected over the connection's whole life — the
 	// estimator's full history, matching the paper's median-RTT plots —

@@ -12,9 +12,10 @@ import (
 // FuzzParseSpecs: a spec file is outside input. ParseSpecs (and the
 // Validate it runs) must never panic on any bytes, and a spec it accepts
 // that fits a small budget must build and run a simulated second without
-// panicking — validation is what stands between a file and every panic
-// guard below it. An error from the run (an unrouted endpoint, say) is a
-// refusal, not a failure.
+// panicking — ParseSpecs is the one check between a file and the build,
+// whose switches take the last kind, protocol and pattern Validate
+// accepts as their default. An error from the run (an unrouted endpoint,
+// say) is a refusal, not a failure.
 func FuzzParseSpecs(f *testing.F) {
 	examples, _ := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
 	paper, _ := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "paper", "*.json"))

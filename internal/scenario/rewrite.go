@@ -40,13 +40,19 @@ const SeedSpacing = 99991
 const minScaled = Duration(5 * sim.Second)
 
 // Apply expands every sweep and returns the cells, in order, with the
-// rewrite applied and each validated; the specs themselves are left as
-// they were. unused names each field that changed no cell — "variant"
-// when every TCP flow names its own, "window" when every cell sets its
-// own — so a caller can say the flag did nothing. A WindowSegs over a
-// cell's per-connection buffer bound is refused in the command line's
-// terms, naming -window and the limit at the cell's seg_frames.
+// rewrite applied; the specs themselves are left as they were. The specs
+// come from ParseSpecs, which checked them, and a rewrite can make a
+// checked cell invalid only by its seed count or its window, so those
+// two are refused here in the command line's terms: a Seeds over the
+// limit naming -seeds, and a WindowSegs over a cell's per-connection
+// buffer bound naming -window and the limit at the cell's seg_frames.
+// unused names each field that changed no cell — "variant" when every
+// TCP flow names its own, "window" when every cell sets its own — so a
+// caller can say the flag did nothing.
 func (rw Rewrite) Apply(specs []*Spec) (cells []*Spec, unused []string, err error) {
+	if rw.Seeds > maxSeeds {
+		return nil, nil, fmt.Errorf("-seeds %d is over the limit of %d", rw.Seeds, maxSeeds)
+	}
 	variantUsed, windowUsed := false, false
 	for _, s := range specs {
 		for _, cell := range s.Expand() {
@@ -94,9 +100,6 @@ func (rw Rewrite) Apply(specs []*Spec) (cells []*Spec, unused []string, err erro
 				}
 				c.Net.WindowSegs = rw.WindowSegs
 				windowUsed = true
-			}
-			if err := c.Validate(); err != nil {
-				return nil, nil, err
 			}
 			cells = append(cells, &c)
 		}

@@ -1,10 +1,15 @@
 package scenario
 
 import (
+	"encoding/json"
+	"fmt"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tcplp/internal/sim"
+	"tcplp/internal/tcplp/cc"
 )
 
 // TestRewriteScale pins -scale: every nonzero warmup and every window is
@@ -83,7 +88,58 @@ func TestRewriteSeeds(t *testing.T) {
 			t.Fatalf("cell %d seeds %v, want %v", i, cells[i].Seeds, want.Seeds)
 		}
 	}
-	if cells, _, err := (Rewrite{Seeds: maxSeeds + 1}).Apply([]*Spec{spec}); err == nil {
-		t.Fatalf("%d seeds accepted (%d cells)", maxSeeds+1, len(cells))
+	want := fmt.Sprintf("-seeds %d is over the limit of %d", maxSeeds+1, maxSeeds)
+	if cells, _, err := (Rewrite{Seeds: maxSeeds + 1}).Apply([]*Spec{spec}); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("%d seeds: %d cells, err = %v, want %q…", maxSeeds+1, len(cells), err, want)
+	}
+}
+
+// TestRewriteKeepsCellsValid pins what lets Apply leave checking to
+// ParseSpecs: every rewrite the command line can make, applied to every
+// checked-in spec, gives cells that Validate accepts. The workload files
+// are read, never written.
+func TestRewriteKeepsCellsValid(t *testing.T) {
+	var files [][]byte
+	for _, dir := range []string{"", "paper"} {
+		paths, _ := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", dir, "*.json"))
+		for _, path := range paths {
+			files = append(files, readFile(t, path))
+		}
+	}
+	workloads, _ := filepath.Glob(filepath.Join("..", "..", "benchmark", "workloads", "*.json"))
+	for _, path := range workloads {
+		var w struct {
+			Specs json.RawMessage `json:"specs"`
+		}
+		if err := json.Unmarshal(readFile(t, path), &w); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		files = append(files, w.Specs)
+	}
+	if len(files) < 20 || len(workloads) == 0 {
+		t.Fatalf("%d spec files, %d workloads: inputs missing", len(files), len(workloads))
+	}
+	five, zero := Duration(5*sim.Second), Duration(0)
+	rewrites := []Rewrite{{}, {Scale: 0.01}, {Scale: 0.05}, {Scale: 3}, {Seeds: 1}, {Seeds: maxSeeds},
+		{WindowSegs: 1}, {WindowSegs: maxWindowSegs(maxSegFrames)}, {Warmup: &zero, Duration: &five}}
+	for _, v := range cc.Variants() {
+		rewrites = append(rewrites, Rewrite{Variant: v})
+	}
+	for _, file := range files {
+		specs, err := ParseSpecs(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rw := range rewrites {
+			cells, _, err := rw.Apply(specs)
+			if err != nil {
+				t.Fatalf("%s under %+v: %v", specs[0].Name, rw, err)
+			}
+			for _, c := range cells {
+				if err := c.Validate(); err != nil {
+					t.Fatalf("under %+v: %v", rw, err)
+				}
+			}
+		}
 	}
 }

@@ -165,14 +165,11 @@ type Runner struct {
 
 // RunAll expands every sweep, executes every (cell, seed) pair across
 // the pool, and returns one SpecResult per expanded cell, in input
-// order (a spec without a sweep is its own single cell). It refuses
-// what Validate refuses before running any cell.
+// order (a spec without a sweep is its own single cell). It checks
+// nothing: its specs come from ParseSpecs or experiments.Load (cells
+// Rewrite.Apply made from ParseSpecs' specs), which refuse what the
+// build cannot run.
 func (r *Runner) RunAll(specs []*Spec) ([]*SpecResult, error) {
-	for _, s := range specs {
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	var cells []*Spec
 	for _, s := range specs {
 		cells = append(cells, s.Expand()...)

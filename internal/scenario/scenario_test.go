@@ -678,7 +678,7 @@ func TestHostileSpecsRejected(t *testing.T) {
 // flow endpoint cut off from the border router is a build error naming
 // the node (for a leaf, stack.MakeSleepyLeaf's own error, wrapped), not a
 // panic or a silent 0 kb/s run. Validate
-// keeps such specs out, so the disconnected chain is built unvalidated.
+// keeps such specs out, so this test builds the disconnected chain without it.
 func TestBuildRunNamesUnroutedNode(t *testing.T) {
 	islands := func() *Spec {
 		return &Spec{

@@ -102,9 +102,6 @@ func (s *Stack) Bind(port uint16, h Handler) uint16 {
 	return port
 }
 
-// Unbind removes a port binding.
-func (s *Stack) Unbind(port uint16) { delete(s.handlers, port) }
-
 // Send transmits payload to dst:dstPort from srcPort.
 func (s *Stack) Send(dst ip6.Addr, dstPort, srcPort uint16, payload []byte) {
 	s.SendJID(dst, dstPort, srcPort, payload, 0)
