@@ -56,9 +56,10 @@ func TestAddOfficeInterferenceDisturbsChannel(t *testing.T) {
 	}
 	// Run mid-day so the sources are active, then check they transmitted.
 	net.Eng.RunFor(30 * sim.Second)
-	var noiseFrames uint64
-	for _, in := range ins {
-		noiseFrames += in.Radio().FramesSent()
+	// Every radio on the channel but the nodes' is an interferer's.
+	noiseFrames := net.TotalFramesSent()
+	for _, n := range net.Nodes {
+		noiseFrames -= n.Radio.FramesSent()
 	}
 	if noiseFrames == 0 {
 		t.Fatal("interferers never transmitted")

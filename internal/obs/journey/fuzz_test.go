@@ -93,9 +93,9 @@ func FuzzRecorder(f *testing.F) {
 			}
 			rec.Record(e)
 		}
-		if len(rec.sources) > maxNode || len(rec.pids) > (len(data)/2+1)*(maxIDGap+1) {
+		if len(rec.sources) > maxNode || rec.pids.Len() > (len(data)/2+1)*(maxIDGap+1) {
 			t.Fatalf("tables outgrew their bounds: %d sources, %d packet ids from %d bytes",
-				len(rec.sources), len(rec.pids), len(data))
+				len(rec.sources), rec.pids.Len(), len(data))
 		}
 		rep := rec.Report()
 		c := Check(rep)

@@ -17,12 +17,18 @@
 // data transmission, and keeps nothing else: an event of a kind the
 // journey does not use, or a MAC/PHY event of an untagged packet (ACKs,
 // beacons, collisions), costs a switch and no memory. A traced run
-// therefore holds O(readings + tagged packets) — about 240 B per
-// reading and 100 B per data packet — however many events it emits, and
-// Recorder.Report resolves the records once, at collect.
+// therefore holds O(readings + tagged packets) however many events it
+// emits: per reading a 216-B Reading and an 8-B entry in its source's
+// index, per TCP segment or datagram a 32- or 40-B log entry and its
+// packet id's 64-B cost record. Every table is a blocks.List, so each
+// record is made once, in its table's block, and never copied; the
+// blocks a run made, the unfilled end of each table's last one
+// included, are Recorder.Bytes. Recorder.Report resolves the records
+// once, at collect.
 package journey
 
 import (
+	"tcplp/internal/blocks"
 	"tcplp/internal/obs"
 	"tcplp/internal/phy"
 	"tcplp/internal/sim"
@@ -177,13 +183,13 @@ type pidCost struct {
 }
 
 // source is what one node has generated and transmitted. A sensor
-// numbers its readings consecutively, so readings[i] has sequence
+// numbers its readings consecutively, so readings.At(i) has sequence
 // number first+i.
 type source struct {
 	first    uint32
-	readings []*Reading
-	segs     []segTx
-	datas    []dataTx
+	readings blocks.List[*Reading]
+	segs     blocks.List[segTx]
+	datas    blocks.List[dataTx]
 }
 
 const (
@@ -202,12 +208,14 @@ const (
 // Recorder is the obs.Sink that reconstructs journeys: Record folds
 // each event into the per-reading, per-source and per-packet records as
 // it arrives, and Report resolves them once the run is over. No event
-// is retained. One Recorder serves one run: the engine is
-// single-threaded, so Record needs no locking.
+// is retained. Every table that grows with the run is a blocks.List, so
+// a record is made once, in its table's block, and never copied. One
+// Recorder serves one run: the engine is single-threaded, so Record needs
+// no locking.
 type Recorder struct {
-	readings []*Reading // generation order
-	sources  []*source  // by node id; nil until the node generates or transmits
-	pids     []pidCost  // by journey packet id; grown as ids are announced
+	readings blocks.List[Reading] // generation order
+	sources  []*source            // by node id; nil until the node generates or transmits
+	pids     blocks.List[pidCost] // by journey packet id; grown as ids are announced
 }
 
 // NewRecorder returns an empty recorder.
@@ -236,8 +244,8 @@ func (rec *Recorder) reading(e obs.Event) *Reading {
 		return nil
 	}
 	// Unsigned: a sequence number below first wraps out of range.
-	if i := uint32(e.A) - src.first; int64(i) < int64(len(src.readings)) {
-		return src.readings[i]
+	if i := uint32(e.A) - src.first; int64(i) < int64(src.readings.Len()) {
+		return src.readings.At(int(i))
 	}
 	return nil
 }
@@ -245,18 +253,20 @@ func (rec *Recorder) reading(e obs.Event) *Reading {
 // announce makes room for packet id j, introduced by a JourneySeg or
 // JourneyData event.
 func (rec *Recorder) announce(j int64) {
-	if n := int64(len(rec.pids)); j >= n && j <= n+maxIDGap {
-		rec.pids = append(rec.pids, make([]pidCost, j+1-n)...)
+	if n := int64(rec.pids.Len()); j >= n && j <= n+maxIDGap {
+		for ; n <= j; n++ {
+			rec.pids.Push(pidCost{})
+		}
 	}
 }
 
 // pid returns packet j's costs: nil for an untagged packet (j == 0) and
 // for an id no transmission announced.
 func (rec *Recorder) pid(j int64) *pidCost {
-	if j <= 0 || j >= int64(len(rec.pids)) {
+	if j <= 0 || j >= int64(rec.pids.Len()) {
 		return nil
 	}
-	return &rec.pids[j]
+	return rec.pids.Ptr(int(j))
 }
 
 // Record implements obs.Sink.
@@ -268,14 +278,12 @@ func (rec *Recorder) Record(e obs.Event) {
 			return
 		}
 		seq := uint32(e.A)
-		if len(src.readings) == 0 {
+		if src.readings.Len() == 0 {
 			src.first = seq
-		} else if seq-src.first != uint32(len(src.readings)) {
+		} else if seq-src.first != uint32(src.readings.Len()) {
 			return // a duplicate, or not the sensor's next reading
 		}
-		r := &Reading{Node: e.Node, Seq: seq, Gen: e.T}
-		src.readings = append(src.readings, r)
-		rec.readings = append(rec.readings, r)
+		src.readings.Push(rec.readings.Push(Reading{Node: e.Node, Seq: seq, Gen: e.T}))
 	case obs.JourneyEnq:
 		if r := rec.reading(e); r != nil {
 			r.Enq, r.enqIdx, r.hasEnq = e.T, e.B, true
@@ -283,13 +291,12 @@ func (rec *Recorder) Record(e obs.Event) {
 	case obs.JourneySeg:
 		if src := rec.source(e.Node, true); src != nil {
 			rec.announce(e.J)
-			src.segs = append(src.segs, segTx{t: e.T, jid: e.J, off: e.A, ln: int64(e.Len)})
+			src.segs.Push(segTx{t: e.T, jid: e.J, off: e.A, ln: int64(e.Len)})
 		}
 	case obs.JourneyData:
 		if src := rec.source(e.Node, true); src != nil {
 			rec.announce(e.J)
-			src.datas = append(src.datas,
-				dataTx{t: e.T, jid: e.J, first: uint32(e.A), count: e.B, reliable: e.Len != 0})
+			src.datas.Push(dataTx{t: e.T, jid: e.J, first: uint32(e.A), count: e.B, reliable: e.Len != 0})
 		}
 	case obs.JourneyMesh:
 		if r := rec.reading(e); r != nil {
@@ -337,23 +344,43 @@ func (rec *Recorder) Record(e obs.Event) {
 // so far. Call it once, when the run is over: it classifies the
 // recorder's own reading records and hands them to the report.
 func (rec *Recorder) Report() *Report {
-	rep := &Report{Readings: rec.readings, Flows: map[int]*FlowReport{}}
-	for _, r := range rec.readings {
-		rec.resolve(r)
-		rep.addToFlow(r)
+	rep := &Report{Readings: make([]*Reading, 0, rec.readings.Len()), Flows: map[int]*FlowReport{}}
+	for b := 0; b < rec.readings.Blocks(); b++ {
+		blk := rec.readings.Block(b)
+		for i := range blk {
+			r := &blk[i]
+			rec.resolve(r)
+			rep.addToFlow(r)
+			rep.Readings = append(rep.Readings, r)
+		}
 	}
 	rep.finishFlows()
 	return rep
 }
 
+// Bytes returns the bytes of the blocks the recorder has made for its
+// tables, the unfilled slots of each table's last block included.
+func (rec *Recorder) Bytes() int {
+	n := rec.readings.Bytes() + rec.pids.Bytes()
+	for _, src := range rec.sources {
+		if src != nil {
+			n += src.readings.Bytes() + src.segs.Bytes() + src.datas.Bytes()
+		}
+	}
+	return n
+}
+
 // coveringData finds the datagram that carried r (readings leave the
 // queue in whole datagrams, so there is at most one).
 func (rec *Recorder) coveringData(r *Reading) *dataTx {
-	ds := rec.sources[r.Node].datas
-	for i := len(ds) - 1; i >= 0; i-- {
-		d := &ds[i]
-		if d.first <= r.Seq && int64(r.Seq-d.first) < d.count {
-			return d
+	ds := &rec.sources[r.Node].datas
+	for b := ds.Blocks() - 1; b >= 0; b-- {
+		blk := ds.Block(b)
+		for i := len(blk) - 1; i >= 0; i-- {
+			d := &blk[i]
+			if d.first <= r.Seq && int64(r.Seq-d.first) < d.count {
+				return d
+			}
 		}
 	}
 	return nil
@@ -449,15 +476,18 @@ func (rec *Recorder) attribute(r *Reading) {
 func (rec *Recorder) locateTx(r *Reading, meshRef sim.Time) (firstTx, sendTx sim.Time, pid int64) {
 	lastByte := r.enqIdx*ReadingSize + ReadingSize - 1
 	var found bool
-	segs := rec.sources[r.Node].segs
-	for i := range segs {
-		s := &segs[i]
-		if s.off <= lastByte && lastByte < s.off+s.ln {
-			if !found {
-				firstTx, found = s.t, true
-			}
-			if s.t <= meshRef || pid == 0 {
-				sendTx, pid = s.t, s.jid
+	segs := &rec.sources[r.Node].segs
+	for b := 0; b < segs.Blocks(); b++ {
+		blk := segs.Block(b)
+		for i := range blk {
+			s := &blk[i]
+			if s.off <= lastByte && lastByte < s.off+s.ln {
+				if !found {
+					firstTx, found = s.t, true
+				}
+				if s.t <= meshRef || pid == 0 {
+					sendTx, pid = s.t, s.jid
+				}
 			}
 		}
 	}

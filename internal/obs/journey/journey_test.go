@@ -356,8 +356,8 @@ func TestRecorderRefusesOutOfRangeIDs(t *testing.T) {
 	} {
 		rec.Record(e)
 	}
-	if len(rec.sources) > 3 || len(rec.pids) != 0 {
-		t.Fatalf("tables sized by out-of-range ids: %d sources, %d packet ids", len(rec.sources), len(rec.pids))
+	if len(rec.sources) > 3 || rec.pids.Len() != 0 {
+		t.Fatalf("tables sized by out-of-range ids: %d sources, %d packet ids", len(rec.sources), rec.pids.Len())
 	}
 	rep := rec.Report()
 	if len(rep.Readings) != 1 || rep.Readings[0].Seq != 7 || rep.Readings[0].State != StateDelivered {
@@ -368,6 +368,42 @@ func TestRecorderRefusesOutOfRangeIDs(t *testing.T) {
 	}
 	if err := Check(rep).Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecorderAllocsPerBlock: a reading and its segment cost no
+// allocation of their own. The recorder allocates a table's block when
+// the table reaches it — one allocation per block opened, and at most one
+// more for the table's list of blocks — and each source's record, not one
+// record per reading.
+func TestRecorderAllocsPerBlock(t *testing.T) {
+	const readings, sources = 10_000, 4
+	var rec *Recorder
+	allocs := testing.AllocsPerRun(1, func() {
+		rec = NewRecorder()
+		for i := 0; i < readings; i++ {
+			node, seq, t0 := 1+i%sources, int64(i/sources), sim.Time(i)*1000
+			rec.Record(ev(t0, obs.JourneyGen, node, 0, seq, 0, 0, 0))
+			rec.Record(ev(t0+100, obs.JourneyEnq, node, 0, seq, seq, 0, 0))
+			rec.Record(ev(t0+200, obs.JourneySeg, node, int64(i+1), seq*ReadingSize, 0, ReadingSize, 0))
+		}
+	})
+	opened := rec.readings.Blocks() + rec.pids.Blocks()
+	for _, src := range rec.sources {
+		if src != nil {
+			opened += src.readings.Blocks() + src.segs.Blocks() + src.datas.Blocks()
+		}
+	}
+	// Per source: its record and a regrowth of the source table; and the
+	// recorder.
+	allowed := 2*opened + 2*sources + 1
+	t.Logf("%d readings over %d sources: %.0f allocations, %d blocks opened", readings, sources, allocs, opened)
+	if allocs > float64(allowed) {
+		t.Errorf("recording %d readings, each with a segment, allocated %.0f times, want at most %d (%d blocks opened)",
+			readings, allocs, allowed, opened)
+	}
+	if rep := rec.Report(); len(rep.Readings) != readings {
+		t.Fatalf("reconstructed %d readings, want %d", len(rep.Readings), readings)
 	}
 }
 

@@ -50,3 +50,10 @@ func (r *Radio) SetPos(pos Point) {
 	r.pos = pos
 	r.ch.version++
 }
+
+// Radio returns the underlying noise radio (for positioning in tests).
+func (in *Interferer) Radio() *Radio { return in.radio }
+
+// Stop halts the burst process after the current burst. Interferers run
+// for the whole run; the tests that stop one call this.
+func (in *Interferer) Stop() { in.running = false }

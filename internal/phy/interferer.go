@@ -51,9 +51,6 @@ func NewInterferer(c *Channel, id int, pos Point) *Interferer {
 	return in
 }
 
-// Radio returns the underlying noise radio (for positioning in tests).
-func (in *Interferer) Radio() *Radio { return in.radio }
-
 // Start begins the burst process.
 func (in *Interferer) Start() {
 	if in.running {
@@ -62,9 +59,6 @@ func (in *Interferer) Start() {
 	in.running = true
 	in.scheduleNext()
 }
-
-// Stop halts the burst process after the current burst.
-func (in *Interferer) Stop() { in.running = false }
 
 func (in *Interferer) activity() float64 {
 	if in.Activity == nil {

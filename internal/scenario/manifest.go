@@ -51,6 +51,10 @@ type Manifest struct {
 	// (a flow's collector or the gateway's) held at once for duplicate
 	// detection, warm-up included.
 	CoAPDedupPeak int `json:"coap_dedup_peak"`
+	// JourneyBytes is the bytes of the blocks the journey recorder made
+	// for its tables (journey.Recorder.Bytes), the unfilled end of each
+	// table's last block included; absent when the run is not traced.
+	JourneyBytes uint64 `json:"journey_bytes,omitempty"`
 }
 
 // Phase is one phase's host cost. Allocations are runtime.MemStats deltas,
@@ -121,6 +125,9 @@ func (mc *manifestClock) manifest(rc *runContext) *Manifest {
 	m.FwdEntriesPeak = rc.net.FwdEntriesPeak()
 	m.TCPBufBytes = rc.net.TCPBufBytes()
 	m.CoAPDedupPeak = rc.coapDedupPeak()
+	if rc.recorder != nil {
+		m.JourneyBytes = uint64(rc.recorder.Bytes())
+	}
 	return m
 }
 

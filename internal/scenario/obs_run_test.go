@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tcplp/internal/obs"
+	"tcplp/internal/obs/journey"
 	"tcplp/internal/sim"
 )
 
@@ -196,6 +198,9 @@ func TestManifestIsBitNeutral(t *testing.T) {
 			if m.CoAPDedupPeak != 0 {
 				t.Fatalf("no flow uses CoAP, but a server held %d exchanges", m.CoAPDedupPeak)
 			}
+			if m.JourneyBytes != 0 {
+				t.Fatalf("the run is not traced, but its manifest counts %d journey bytes", m.JourneyBytes)
+			}
 			res.Manifest = nil
 		}
 	}
@@ -203,6 +208,28 @@ func TestManifestIsBitNeutral(t *testing.T) {
 	mj, _ := json.Marshal(withM)
 	if !bytes.Equal(pj, mj) {
 		t.Errorf("the manifest perturbed the runs:\nwithout: %s\nwith:    %s", pj, mj)
+	}
+}
+
+// TestManifestJourneyBytes: a traced run's manifest counts the journey
+// recorder's blocks, which hold at least every reading it recorded.
+func TestManifestJourneyBytes(t *testing.T) {
+	specs, err := ParseSpecs([]byte(`{
+		"name": "manifest-journey", "topology": {"kind": "chain", "nodes": 3},
+		"flows": [{"label": "tcp", "from": 2, "to": 0, "pattern": "anemometer", "interval": "500ms"}],
+		"warmup": "2s", "duration": "8s", "seeds": [1]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := (&Runner{Workers: 1, Obs: &ObsConfig{Manifest: true, Journey: true}}).RunAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &out[0].Runs[0]
+	readings := res.Flows[0].Journey.Generated
+	if min := uint64(readings) * uint64(unsafe.Sizeof(journey.Reading{})); readings == 0 || res.Manifest.JourneyBytes < min {
+		t.Fatalf("%d readings recorded in %d journey bytes, want at least %d", readings, res.Manifest.JourneyBytes, min)
 	}
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"tcplp/internal/sim"
 	"tcplp/internal/tcplp/cc"
@@ -42,10 +43,13 @@ const minScaled = Duration(5 * sim.Second)
 // Apply expands every sweep and returns the cells, in order, with the
 // rewrite applied; the specs themselves are left as they were. The specs
 // come from ParseSpecs, which checked them, and a rewrite can make a
-// checked cell invalid only by its seed count or its window, so those
-// two are refused here in the command line's terms: a Seeds over the
-// limit naming -seeds, and a WindowSegs over a cell's per-connection
-// buffer bound naming -window and the limit at the cell's seg_frames.
+// checked cell invalid only by its scale, its seed count or its window,
+// so those are refused here in the command line's terms: a Scale that is
+// not finite, or that would make a cell's warmup, window or their sum
+// pass the largest Duration, naming -scale and the cell's limit; a Seeds
+// over the limit naming -seeds; and a WindowSegs over a cell's
+// per-connection buffer bound naming -window and the limit at the cell's
+// seg_frames.
 // unused names each field that changed no cell — "variant" when every
 // TCP flow names its own, "window" when every cell sets its own — so a
 // caller can say the flag did nothing.
@@ -53,20 +57,31 @@ func (rw Rewrite) Apply(specs []*Spec) (cells []*Spec, unused []string, err erro
 	if rw.Seeds > maxSeeds {
 		return nil, nil, fmt.Errorf("-seeds %d is over the limit of %d", rw.Seeds, maxSeeds)
 	}
+	if math.IsNaN(rw.Scale) || math.IsInf(rw.Scale, 0) {
+		return nil, nil, fmt.Errorf("-scale %v is not a finite number", rw.Scale)
+	}
 	variantUsed, windowUsed := false, false
 	for _, s := range specs {
 		for _, cell := range s.Expand() {
 			c := *cell
 			c.Flows = append([]FlowSpec(nil), cell.Flows...)
 			if rw.Scale > 0 && rw.Scale != 1 {
-				if c.Warmup > 0 {
-					c.Warmup = rw.scaled(c.Warmup, 0)
-				}
 				d := c.Duration
 				if d == 0 {
 					d = defaultDuration
 				}
-				c.Duration = rw.scaled(d, c.DCSample)
+				w, win := 0.0, rw.scaled(d, c.DCSample)
+				if c.Warmup > 0 {
+					w = rw.scaled(c.Warmup, 0)
+				}
+				if w+win >= maxDuration {
+					return nil, nil, fmt.Errorf("-scale %g is over the limit of %.4g for scenario %q: its warmup and window would pass the largest duration, 2^63−1 µs",
+						rw.Scale, maxDuration/float64(c.Warmup+d), c.Name)
+				}
+				if c.Warmup > 0 {
+					c.Warmup = Duration(w)
+				}
+				c.Duration = Duration(win)
 			}
 			if rw.Warmup != nil {
 				c.Warmup = *rw.Warmup
@@ -113,7 +128,12 @@ func (rw Rewrite) Apply(specs []*Spec) (cells []*Spec, unused []string, err erro
 	return cells, unused, nil
 }
 
-// scaled is d times Scale, floored at minScaled and at floor.
-func (rw Rewrite) scaled(d, floor Duration) Duration {
-	return max(Duration(float64(d)*rw.Scale), minScaled, floor)
+// maxDuration is 2^63 µs, the first float64 past the largest Duration.
+const maxDuration = float64(math.MaxInt64)
+
+// scaled is d times Scale, floored at minScaled and at floor; Apply
+// refuses it from maxDuration on, where it would not convert to a
+// Duration.
+func (rw Rewrite) scaled(d, floor Duration) float64 {
+	return max(float64(d)*rw.Scale, float64(minScaled), float64(floor))
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -63,6 +64,40 @@ func TestRewriteScale(t *testing.T) {
 		if !reflect.DeepEqual(*c.spec, before) {
 			t.Fatalf("Apply rewrote its input %s", c.spec.Name)
 		}
+	}
+}
+
+// TestRewriteScaleBounded: a -scale that is not finite, or that would
+// take a cell's warmup and window past the largest Duration, is refused
+// naming -scale (and the cell's limit); -scale 1e3 still runs a default
+// 60 s window for 16h40m, and a scale just under a cell's limit still
+// scales it.
+func TestRewriteScaleBounded(t *testing.T) {
+	spec := &Spec{
+		Name:     "huge",
+		Topology: TopologySpec{Kind: TopoChain, Nodes: 2},
+		Flows:    []FlowSpec{{From: NodeID(1), To: NodeID(0)}},
+	}
+	for _, c := range []struct {
+		scale float64
+		want  string
+	}{
+		{math.NaN(), "-scale NaN is not a finite number"},
+		{math.Inf(1), "-scale +Inf is not a finite number"},
+		{1e12, `-scale 1e+12 is over the limit of 1.537e+11 for scenario "huge"`},
+		{1e300, `-scale 1e+300 is over the limit of 1.537e+11 for scenario "huge"`},
+	} {
+		if cells, _, err := (Rewrite{Scale: c.scale}).Apply([]*Spec{spec}); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("-scale %v: %d cells, err = %v, want %q…", c.scale, len(cells), err, c.want)
+		}
+	}
+	if got := rewritten(t, Rewrite{Scale: 1e3}, spec)[0].Duration; got != Duration(1000*sim.Minute) {
+		t.Errorf("-scale 1e3: window %v, want 16h40m0s", got)
+	}
+	second := *spec
+	second.Duration = Duration(sim.Second)
+	if got := rewritten(t, Rewrite{Scale: 9e12}, &second)[0].Duration; got != Duration(9e18) {
+		t.Errorf("-scale 9e12 of a 1 s window: %d µs, want 9e18", int64(got))
 	}
 }
 

@@ -4,122 +4,80 @@ package stats
 
 import (
 	"math"
-	"math/bits"
 	"sort"
+
+	"tcplp/internal/blocks"
 )
 
-// A Sample's blocks double from firstBlock observations to blockLen,
-// then stay at blockLen: rampBlocks blocks shorter than blockLen, which
-// together hold rampLen.
-const (
-	firstBlock = 16
-	blockLen   = 512
-	rampBlocks = 5 // firstBlock<<rampBlocks == blockLen
-	rampLen    = firstBlock * (1<<rampBlocks - 1)
-)
-
-// Sample is a collection of float64 observations. They live in blocks,
-// each allocated when the sample reaches it and never copied or regrown
-// after: a long run's latency sample allocates about what it holds, not
-// the ×1.25 regrowth chain of one flat slice, and the doubling ramp of
-// the first blocks keeps a sample of a few observations as small as a
-// slice of them. The zero value is empty and ready to use.
+// Sample is a collection of float64 observations, kept in a blocks.List:
+// a long run's latency sample allocates about what it holds, and a sample
+// of a few observations is as small as a slice of them. The zero value is
+// empty and ready to use.
 type Sample struct {
-	blocks [][]float64 // all full but the last
-	n      int
+	obs    blocks.List[float64]
 	sorted bool
-}
-
-// locate returns the block and offset of observation i.
-func locate(i int) (b, j int) {
-	if i < rampLen {
-		b = bits.Len(uint(i/firstBlock+1)) - 1
-		return b, i - firstBlock*(1<<b-1)
-	}
-	i -= rampLen
-	return rampBlocks + i/blockLen, i % blockLen
-}
-
-// blockSize is how many observations block b holds.
-func blockSize(b int) int {
-	if b < rampBlocks {
-		return firstBlock << b
-	}
-	return blockLen
 }
 
 // Add appends an observation.
 func (s *Sample) Add(x float64) {
-	b, j := locate(s.n)
-	if b == len(s.blocks) {
-		s.blocks = append(s.blocks, make([]float64, blockSize(b)))
-	}
-	s.blocks[b][j] = x
-	s.n++
+	s.obs.Push(x)
 	s.sorted = false
 }
 
 // Reset empties the sample and keeps its blocks, so refilling it
 // allocates nothing until it outgrows them.
 func (s *Sample) Reset() {
-	s.n = 0
+	s.obs.Reset()
 	s.sorted = false
 }
 
 // N returns the number of observations.
-func (s *Sample) N() int { return s.n }
-
-// at returns observation i, in Add order until a Quantile sorts them.
-func (s *Sample) at(i int) *float64 {
-	b, j := locate(i)
-	return &s.blocks[b][j]
-}
+func (s *Sample) N() int { return s.obs.Len() }
 
 // Mean returns the arithmetic mean (0 for an empty sample). It sums in
 // storage order: Add order, or ascending once a Quantile has sorted the
 // observations in place.
 func (s *Sample) Mean() float64 {
-	if s.n == 0 {
+	n := s.obs.Len()
+	if n == 0 {
 		return 0
 	}
-	sum, left := 0.0, s.n
-	for _, blk := range s.blocks {
-		k := min(left, len(blk))
-		for _, x := range blk[:k] {
+	sum := 0.0
+	for b := 0; b < s.obs.Blocks(); b++ {
+		for _, x := range s.obs.Block(b) {
 			sum += x
 		}
-		left -= k
 	}
-	return sum / float64(s.n)
+	return sum / float64(n)
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) by nearest-rank. The
 // first call after an Add sorts the blocks in place, as one array.
 func (s *Sample) Quantile(q float64) float64 {
-	if s.n == 0 {
+	n := s.obs.Len()
+	if n == 0 {
 		return 0
 	}
 	if !s.sorted {
-		sort.Sort((*ascending)(s))
+		sort.Sort(ascending{&s.obs})
 		s.sorted = true
 	}
-	idx := int(q * float64(s.n-1))
+	idx := int(q * float64(n-1))
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= s.n {
-		idx = s.n - 1
+	if idx >= n {
+		idx = n - 1
 	}
-	return *s.at(idx)
+	return s.obs.At(idx)
 }
 
 // ascending sorts a Sample's observations across its blocks.
-type ascending Sample
+type ascending struct{ *blocks.List[float64] }
 
-func (a *ascending) Len() int           { return a.n }
-func (a *ascending) Less(i, j int) bool { return *(*Sample)(a).at(i) < *(*Sample)(a).at(j) }
-func (a *ascending) Swap(i, j int) {
-	x, y := (*Sample)(a).at(i), (*Sample)(a).at(j)
+func (a ascending) Less(i, j int) bool { return a.At(i) < a.At(j) }
+func (a ascending) Swap(i, j int) {
+	x, y := a.Ptr(i), a.Ptr(j)
 	*x, *y = *y, *x
 }
 

@@ -162,31 +162,15 @@ func TestQuickQuantileMonotone(t *testing.T) {
 	}
 }
 
-// TestBlockLayout: the ramp's constants agree with each other, and
-// locate walks every block in order, each to its length, with no gap.
-func TestBlockLayout(t *testing.T) {
-	if firstBlock<<rampBlocks != blockLen {
-		t.Fatalf("ramp of %d blocks from %d does not end at %d", rampBlocks, firstBlock, blockLen)
-	}
-	b, j := 0, 0
-	for i := 0; i < rampLen+3*blockLen; i++ {
-		if gb, gj := locate(i); gb != b || gj != j {
-			t.Fatalf("locate(%d) = %d, %d, want %d, %d", i, gb, gj, b, j)
-		}
-		if j++; j == blockSize(b) {
-			b, j = b+1, 0
-		}
-	}
-}
-
 // sampleSizes are the sizes the property test fills: empty, one, either
-// side of the first and last ramp boundary and of a full block, and many
+// side of the first and last boundary of blocks.List's doubling ramp (16
+// and 496 observations) and of its first full block (1008), and many
 // blocks, past the 64th too.
 var sampleSizes = []int{
-	0, 1, firstBlock - 1, firstBlock, firstBlock + 1,
-	rampLen - 1, rampLen, rampLen + 1,
-	rampLen + blockLen - 1, rampLen + blockLen, rampLen + blockLen + 1,
-	rampLen + 7*blockLen + 3, rampLen + 70*blockLen + 3,
+	0, 1, 15, 16, 17,
+	495, 496, 497,
+	1007, 1008, 1009,
+	496 + 7*512 + 3, 496 + 70*512 + 3,
 }
 
 // checkAgainstSlice compares s with a plain slice of the same
@@ -266,7 +250,7 @@ func TestSampleMatchesSortedSlice(t *testing.T) {
 			xs := fill(&s, n/2+1)
 			all := make([]float64, 0, s.N())
 			for k := 0; k < s.N(); k++ {
-				all = append(all, *s.at(k))
+				all = append(all, s.obs.At(k))
 			}
 			if !slices.Equal(all[len(all)-len(xs):], xs) {
 				t.Fatalf("%s n=%d: late Adds not stored in order behind the sorted sample", name, n)
@@ -276,34 +260,12 @@ func TestSampleMatchesSortedSlice(t *testing.T) {
 	}
 }
 
-// TestSampleAllocs: Add allocates only when it starts a block — filling
-// a fresh sample to n observations costs the same as to n−1 unless
-// observation n−1 opens a block, where it costs more — and a Reset
-// sample refilled to its old size, sorted and averaged, allocates
-// nothing.
+// TestSampleAllocs: a Reset sample refilled to its old size, sorted and
+// averaged, allocates nothing. (That a Sample allocates only when it
+// opens a block is blocks.List's, and tested there.)
 func TestSampleAllocs(t *testing.T) {
-	opens := map[int]bool{}
-	for i := 0; i < rampLen+3*blockLen; i++ {
-		if _, j := locate(i); j == 0 {
-			opens[i] = true
-		}
-	}
-	prev := 0.0
-	for n := 1; n <= rampLen+3*blockLen; n++ {
-		a := testing.AllocsPerRun(1, func() {
-			var s Sample
-			for i := 0; i < n; i++ {
-				s.Add(float64(i))
-			}
-		})
-		if opens[n-1] != (a > prev) || a < prev {
-			t.Fatalf("filling to %d observations allocates %v, to %d %v; observation %d opens a block: %v", n, a, n-1, prev, n-1, opens[n-1])
-		}
-		prev = a
-	}
-
 	var s Sample
-	const n = rampLen + 2*blockLen + 5
+	const n = 496 + 2*512 + 5
 	for i := 0; i < n; i++ {
 		s.Add(float64(i))
 	}
