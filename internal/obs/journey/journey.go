@@ -23,8 +23,9 @@
 // packet id's 64-B cost record. Every table is a blocks.List, so each
 // record is made once, in its table's block, and never copied; the
 // blocks a run made, the unfilled end of each table's last one
-// included, are Recorder.Bytes. Recorder.Report resolves the records
-// once, at collect.
+// included, are Recorder.Bytes (about 360 B per reading, its packets
+// included, on the benchmark's metro_1k_traced workload).
+// Recorder.Report resolves the records once, at collect.
 package journey
 
 import (

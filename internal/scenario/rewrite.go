@@ -78,10 +78,7 @@ func (rw Rewrite) Apply(specs []*Spec) (cells []*Spec, unused []string, err erro
 					return nil, nil, fmt.Errorf("-scale %g is over the limit of %.4g for scenario %q: its warmup and window would pass the largest duration, 2^63−1 µs",
 						rw.Scale, maxDuration/float64(c.Warmup+d), c.Name)
 				}
-				if c.Warmup > 0 {
-					c.Warmup = Duration(w)
-				}
-				c.Duration = Duration(win)
+				c.Warmup, c.Duration = Duration(w), Duration(win)
 			}
 			if rw.Warmup != nil {
 				c.Warmup = *rw.Warmup
