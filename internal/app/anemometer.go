@@ -155,16 +155,24 @@ func (s *Sensor) sample() {
 func (s *Sensor) enqueueReading() {
 	if s.queue == nil {
 		// Sized for what drain waits for: a batch, or the one reading an
-		// unbatched sensor holds at a time. A transport that falls behind
-		// grows it by append.
+		// unbatched sensor holds at a time.
 		s.queue = make([]byte, 0, max(s.Batch, 1)*ReadingSize)
 	}
 	if s.head > 0 && len(s.queue)+ReadingSize > cap(s.queue) {
 		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
 		s.head = 0
 	}
+	if len(s.queue)+ReadingSize > cap(s.queue) {
+		// A transport fell behind: make the queue its bound, once. sample
+		// enqueues only below QueueCap whole readings, so what is queued,
+		// a partly accepted reading at the head included, stays below
+		// QueueCap+1 readings' bytes.
+		q := make([]byte, len(s.queue), (s.QueueCap+1)*ReadingSize)
+		copy(q, s.queue)
+		s.queue = q
+	}
 	n := len(s.queue)
-	s.queue = append(s.queue, make([]byte, ReadingSize)...) // extends in place; no temporary
+	s.queue = s.queue[:n+ReadingSize]
 	r := s.queue[n:]
 	binary.BigEndian.PutUint32(r, s.seq)
 	for i := 4; i < ReadingSize; i++ {

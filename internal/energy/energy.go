@@ -62,9 +62,6 @@ func (m *CPUMeter) ChargeBytes(n int) {
 	m.Charge(PerKByteCost * sim.Duration(n) / 1024)
 }
 
-// Busy returns the accumulated CPU time since the last Reset.
-func (m *CPUMeter) Busy() sim.Duration { return m.busy }
-
 // DutyCycle returns busy time divided by wall time since the last Reset.
 func (m *CPUMeter) DutyCycle() float64 {
 	elapsed := m.eng.Now().Sub(m.since)

@@ -19,7 +19,7 @@
 // every link retry puts on air. When the first bit hits the air the
 // channel copies the bytes into its own pooled transmission, which owns
 // them until each receiver that wants the frame has been handed a copy in
-// its radio's receive buffer: the radio's OnTxDone fires before the
+// the channel's receive buffer: the radio's OnTxDone fires before the
 // channel resolves receptions at the same instant, so a frame that needs
 // no ACK finishes — and its job may be re-encoded for the next frame —
 // before the receivers have been handed the bytes. The immediate ACK is
@@ -49,7 +49,7 @@
 //
 // The -tags poison build (package poison) overwrites a job's wire buffer
 // when the job is recycled, and the channel does the same to a released
-// transmission and to a radio's receive buffer after OnReceive returns,
+// transmission and to its receive buffer after each OnReceive returns,
 // so a test that moves under the tag has read one of them too late.
 package mac
 

@@ -35,12 +35,16 @@
 // write-barrier — and Radio's accessors (State, TimeIn, DutyCycle,
 // ChannelClear, FramesReceived, …) read through it. Channel.Reserve sizes
 // the slice once when the topology is known. What only the radio's owner
-// touches (position, callbacks, the 127-byte receive buffer, the neighbor
-// list of its own transmissions) stays in Radio — the Radios of a
-// reserved topology are one slab too, and a radio's transmit closures and
-// neighbor list (collected in channel scratch, kept at its exact size)
-// are made by its first transmission: a radio that only ever listens,
-// most of a city, is 328 bytes of that slab and its cache line here.
+// touches (position, callbacks, the neighbor list of its own
+// transmissions) stays in Radio — the Radios of a reserved topology are
+// one slab too, and a radio's transmit closures and neighbor list
+// (collected in channel scratch, kept at its exact size, four bytes a
+// neighbor: the index, complemented when the neighbor can decode) are
+// made by its first transmission: a radio that only ever listens, most of
+// a city, is 192 bytes of that slab and its cache line here. The 127-byte
+// receive buffer is the channel's, one for all radios: the engine runs
+// one callback at a time, and the bytes a radio's OnReceive is handed are
+// valid only for that call.
 //
 // Who senses whom is asked of the Propagation model once per topology, not
 // per frame: Channel.neighbors builds a radio's list on its first
@@ -52,8 +56,8 @@
 // Like a real 802.15.4 transceiver, a radio can recognise addresses
 // (Radio.SetAddressFilter; package mac switches it on, a raw radio is
 // promiscuous). The channel reads a frame's header once per transmission
-// (PeekHeader) and a filtering radio copies the frame into its receive
-// buffer and calls OnReceive only if the frame is well formed and
+// (PeekHeader) and a filtering radio has the frame copied into the
+// receive buffer and calls OnReceive only if the frame is well formed and
 // addressed to it or to broadcast, or is an ACK — ACKs carry no address —
 // while its MAC awaits one (Radio.SetAckWait). The filter skips that copy
 // and that call and nothing else. Every radio that locked onto the frame

@@ -36,13 +36,24 @@ type transmission struct {
 	next   *transmission // pool free list
 }
 
-// nbrEntry is one cached neighbor of a radio, by registration index: it
-// senses the radio's transmissions, and connected marks that it can also
-// decode them.
-type nbrEntry struct {
-	idx       int32
-	connected bool
+// nbrEntry is one cached neighbor of a radio: it senses the radio's
+// transmissions. It is the neighbor's registration index, complemented
+// (so negative) when the neighbor can also decode them: four bytes an
+// entry, read back without a branch.
+type nbrEntry int32
+
+func makeNbrEntry(idx int32, connected bool) nbrEntry {
+	if connected {
+		return nbrEntry(^idx)
+	}
+	return nbrEntry(idx)
 }
+
+// idx returns the neighbor's registration index.
+func (e nbrEntry) idx() int32 { return int32(e) ^ int32(e)>>31 }
+
+// connected reports whether the neighbor decodes the radio's frames.
+func (e nbrEntry) connected() bool { return e < 0 }
 
 // radioHot is the per-radio state a transmission's fan-out reads and
 // writes, one entry per radio in Channel.hot ("Hot state and frame
@@ -158,6 +169,9 @@ type Channel struct {
 	filterIdx []int32
 	txFree    *transmission
 	txSerial  uint32
+	// rxBuf is the one receive buffer: endRx copies a decoded frame into
+	// it for the length of a radio's OnReceive call.
+	rxBuf [MaxPHYPayload]byte
 	// version counts AddRadio calls (and SetPos, in tests): what cached
 	// neighbor lists, and the grid a *UnitDisk's are built from, are
 	// valid against.
@@ -328,15 +342,15 @@ func (c *Channel) neighbors(r *Radio) []nbrEntry {
 		for _, i := range c.grid.Near(r.pos) {
 			for ; i >= 0; i = c.grid.Next(i) {
 				if o := c.radios[i]; ud.Senses(r, o) {
-					nbrs = append(nbrs, nbrEntry{idx: i, connected: ud.Connected(r, o)})
+					nbrs = append(nbrs, makeNbrEntry(i, ud.Connected(r, o)))
 				}
 			}
 		}
-		slices.SortFunc(nbrs, func(a, b nbrEntry) int { return cmp.Compare(a.idx, b.idx) })
+		slices.SortFunc(nbrs, func(a, b nbrEntry) int { return cmp.Compare(a.idx(), b.idx()) })
 	} else {
 		for _, o := range c.radios {
 			if o != r && c.prop.Senses(r, o) {
-				nbrs = append(nbrs, nbrEntry{idx: o.idx, connected: c.prop.Connected(r, o)})
+				nbrs = append(nbrs, makeNbrEntry(o.idx, c.prop.Connected(r, o)))
 			}
 		}
 	}
@@ -371,7 +385,8 @@ func (c *Channel) beginTx(sender *Radio, data []byte, air sim.Duration) {
 	hot := c.hot
 	link := &t.locked // where the next locked radio's index goes
 	for _, nb := range nbrs {
-		h := &hot[nb.idx]
+		i := nb.idx()
+		h := &hot[i]
 		h.sensed++
 		switch h.state {
 		case StateRx:
@@ -379,9 +394,9 @@ func (c *Channel) beginTx(sender *Radio, data []byte, air sim.Duration) {
 		case StateListen:
 			// sensed == 1 means t is the only energy at the radio (a
 			// radio's own frames never count toward its own sensing).
-			if decodable && nb.connected && h.sensed == 1 {
+			if decodable && nb.connected() && h.sensed == 1 {
 				h.beginRx(t.serial, now)
-				*link = nb.idx + 1
+				*link = i + 1
 				link = &h.lockNext
 			}
 		}
@@ -399,7 +414,7 @@ func (c *Channel) endTx(t *transmission) {
 	// may run CCAs.
 	hot := c.hot
 	for _, nb := range t.nbrs {
-		hot[nb.idx].sensed--
+		hot[nb.idx()].sensed--
 	}
 	c.checkLocked(t)
 	// Only a radio beginTx locked can hold t's serial, so walking the
@@ -420,8 +435,8 @@ func (c *Channel) endTx(t *transmission) {
 // endRx finishes the reception of t at the radio with registration index
 // idx. What a run can observe happens for every locked receiver, in
 // neighbor order: the state change, the PER draw, the counters and the
-// trace events. Only the copy into the receive buffer and the call upward
-// depend on whether the radio wants a frame for dst.
+// trace events. Only the copy into the channel's receive buffer and the
+// call upward depend on whether the radio wants a frame for dst.
 func (c *Channel) endRx(idx int32, t *transmission, dst int32) {
 	c.cnt.Resolved++
 	h := &c.hot[idx]
@@ -455,10 +470,10 @@ func (c *Channel) endRx(idx int32, t *transmission, dst int32) {
 		return
 	}
 	if r := c.radios[idx]; r.OnReceive != nil {
-		n := copy(r.rxBuf[:], t.data)
+		n := copy(c.rxBuf[:], t.data)
 		r.RxJID = t.jid
-		r.OnReceive(r.rxBuf[:n])
+		r.OnReceive(c.rxBuf[:n])
 		r.RxJID = 0
-		poison.Bytes(r.rxBuf[:])
+		poison.Bytes(c.rxBuf[:])
 	}
 }

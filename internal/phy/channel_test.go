@@ -298,6 +298,32 @@ func TestRadioHotLayout(t *testing.T) {
 	check("radioHot", reflect.TypeOf(radioHot{}))
 }
 
+// TestRadioFitsItsSlot pins what a Radio costs in the channel's slab: a
+// radio that only listens, most of a city, is this struct and its radioHot
+// entry. The receive buffer is the channel's, not the radio's.
+func TestRadioFitsItsSlot(t *testing.T) {
+	n := unsafe.Sizeof(Radio{})
+	t.Logf("Radio: %d bytes", n)
+	if n > 192 {
+		t.Fatalf("Radio is %d bytes, want <= 192: the slab holds one per node", n)
+	}
+}
+
+// TestNbrEntryRoundTrip: a packed neighbor entry gives back its index and
+// its connected flag, at the smallest indexes and the largest.
+func TestNbrEntryRoundTrip(t *testing.T) {
+	if n := unsafe.Sizeof(nbrEntry(0)); n != 4 {
+		t.Fatalf("nbrEntry is %d bytes, want 4", n)
+	}
+	for _, idx := range []int32{0, 1, 2, 1 << 20, math.MaxInt32} {
+		for _, connected := range []bool{false, true} {
+			if e := makeNbrEntry(idx, connected); e.idx() != idx || e.connected() != connected {
+				t.Errorf("makeNbrEntry(%d, %v) reads back (%d, %v)", idx, connected, e.idx(), e.connected())
+			}
+		}
+	}
+}
+
 // TestStateTimeTable walks two radios through every state and pins
 // TimeIn and DutyCycle, before and after a ResetEnergy, to the values the
 // per-state accounting has always produced.

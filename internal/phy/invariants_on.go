@@ -22,12 +22,12 @@ func (c *Channel) checkLocked(t *transmission) {
 		return -1
 	}
 	for _, nb := range t.nbrs {
-		if c.hot[nb.idx].rx != t.serial {
+		if c.hot[nb.idx()].rx != t.serial {
 			continue
 		}
-		if got := next(); got != nb.idx {
+		if got := next(); got != nb.idx() {
 			panic(fmt.Sprintf("phy: invariant: frame %d from radio %d: radio index %d holds it, the locked list resolves index %d there",
-				t.serial, t.sender.id, nb.idx, got))
+				t.serial, t.sender.id, nb.idx(), got))
 		}
 	}
 	if got := next(); got >= 0 {

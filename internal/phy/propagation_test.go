@@ -38,7 +38,7 @@ func bruteNeighbors(c *Channel, r *Radio, ud *UnitDisk) []nbrEntry {
 	for _, o := range c.radios {
 		d := math.Hypot(r.pos.X-o.pos.X, r.pos.Y-o.pos.Y)
 		if o != r && d <= ud.SenseRange {
-			out = append(out, nbrEntry{idx: o.idx, connected: d <= ud.TxRange})
+			out = append(out, makeNbrEntry(o.idx, d <= ud.TxRange))
 		}
 	}
 	return out

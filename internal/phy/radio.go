@@ -45,7 +45,10 @@ type Radio struct {
 	id   int
 	idx  int32 // registration index on the channel; the radio's state is ch.hot[idx]
 	addr Addr
-	pos  Point
+	// NoiseOnly marks an interference source: its transmissions corrupt
+	// receptions and trip CCAs but are never decoded by anyone.
+	NoiseOnly bool
+	pos       Point
 
 	// who senses this radio, as of channel version nbrsVersion
 	// (Channel.neighbors)
@@ -65,10 +68,6 @@ type Radio struct {
 	// which beginTx attaches the frame's end (sim.Engine.Then).
 	txDone *sim.Event
 
-	// NoiseOnly marks an interference source: its transmissions corrupt
-	// receptions and trip CCAs but are never decoded by anyone.
-	NoiseOnly bool
-
 	// TxJID is the journey packet id of the frame about to be
 	// transmitted (0 = untagged). The MAC sets it immediately before
 	// Transmit/TransmitLoaded; the channel snapshots it into the
@@ -76,18 +75,16 @@ type Radio struct {
 	// wire.
 	TxJID int64
 	// RxJID is the journey packet id of the frame being handed to
-	// OnReceive, valid only for the duration of that callback (like
-	// rxBuf).
+	// OnReceive, valid only for the duration of that callback (like the
+	// frame bytes).
 	RxJID int64
 
 	// OnReceive is invoked with the raw frame bytes of each successfully
-	// decoded frame. The slice is the radio's receive buffer: it is valid
-	// only for the duration of the callback and is overwritten by the next
-	// reception, like a real transceiver's frame buffer. Callers that need
-	// the bytes longer must copy them.
+	// decoded frame. The slice is the channel's one receive buffer: it is
+	// valid only for the duration of the callback and is overwritten by
+	// the next radio handed a frame, like a real transceiver's frame
+	// buffer. Callers that need the bytes longer must copy them.
 	OnReceive func(data []byte)
-	// rxBuf backs the slices handed to OnReceive.
-	rxBuf [MaxPHYPayload]byte
 	// OnTxDone is invoked when a transmission completes (frame fully on
 	// air and trailing SPI work done).
 	OnTxDone func()

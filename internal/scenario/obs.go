@@ -125,18 +125,20 @@ func (rc *runContext) layers() map[string]map[string]float64 {
 		ms.CSMAFailures += st.CSMAFailures
 		ms.Duplicates += st.Duplicates
 		reasmTimeouts += n.ReassemblyTimeouts()
-		ns.PacketsSent += n.Stats.PacketsSent
-		ns.PacketsDelivered += n.Stats.PacketsDelivered
-		ns.FragmentsFwd += n.Stats.FragmentsFwd
-		ns.QueueDrops += n.Stats.QueueDrops
-		ns.REDDrops += n.Stats.REDDrops
-		ns.LinkFailures += n.Stats.LinkFailures
+		nst := n.Stats()
+		ns.PacketsSent += nst.PacketsSent
+		ns.PacketsDelivered += nst.PacketsDelivered
+		ns.FragmentsFwd += nst.FragmentsFwd
+		ns.QueueDrops += nst.QueueDrops
+		ns.REDDrops += nst.REDDrops
+		ns.LinkFailures += nst.LinkFailures
 		addTCP(n.TCPStats())
 	}
 	if h := rc.net.Host; h != nil {
 		reasmTimeouts += h.ReassemblyTimeouts()
-		ns.PacketsSent += h.Stats.PacketsSent
-		ns.PacketsDelivered += h.Stats.PacketsDelivered
+		hst := h.Stats()
+		ns.PacketsSent += hst.PacketsSent
+		ns.PacketsDelivered += hst.PacketsDelivered
 		addTCP(h.TCPStats())
 	}
 	f := func(v uint64) float64 { return float64(v) }

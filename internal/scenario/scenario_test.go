@@ -1377,7 +1377,7 @@ func TestREDAloneRunsAppendixA(t *testing.T) {
 		rc.run()
 		var marks uint64
 		for _, n := range rc.net.Nodes {
-			marks += n.Stats.REDMarks
+			marks += n.Stats().REDMarks
 		}
 		return rc.collect(), marks
 	}

@@ -72,6 +72,13 @@ type Counters struct {
 	// CancelledPops counts cancelled entries discarded on reaching the
 	// head of the queue (cancellation is lazy).
 	CancelledPops uint64 `json:"cancelled_pops"`
+	// Refiled counts the entries the wheel re-filed one by one into lower
+	// levels when it drained a slot (a slot whose entries all fire at one
+	// time moves whole and counts none), and RefiledCancelled those of
+	// them that were already cancelled: the work eager cancellation would
+	// have saved there.
+	Refiled          uint64 `json:"refiled"`
+	RefiledCancelled uint64 `json:"refiled_cancelled"`
 }
 
 // NewEngine returns an engine whose clock starts at 0 and whose random
@@ -97,7 +104,11 @@ func (e *Engine) Processed() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.live }
 
 // Counters returns the queue's counters so far.
-func (e *Engine) Counters() Counters { return e.cnt }
+func (e *Engine) Counters() Counters {
+	c := e.cnt
+	c.Refiled, c.RefiledCancelled = e.wheel.refiled, e.wheel.refiledCancelled
+	return c
+}
 
 // Schedule arms fn to run after delay d. A negative delay is treated as
 // zero. The returned Event can be cancelled.

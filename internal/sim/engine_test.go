@@ -54,6 +54,25 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestRefiledCounters: draining a level-1 slot whose entries fire at
+// different times re-files each of them, a cancelled one included; a slot
+// whose entries all fire at one time moves whole and re-files none.
+func TestRefiledCounters(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	count := func() { fired++ }
+	e.At(70, count) // 64..127 µs: one level-1 slot, three fire times
+	e.Cancel(e.At(80, count))
+	e.At(90, count)
+	e.At(200, count) // a slot of its own: moved whole
+	e.At(200, count)
+	e.Run()
+	want := Counters{CancelledPops: 1, Refiled: 3, RefiledCancelled: 1}
+	if c := e.Counters(); fired != 4 || c != want {
+		t.Fatalf("fired %d, counters %+v; want 4 and %+v", fired, c, want)
+	}
+}
+
 func TestCancelMiddleOfHeap(t *testing.T) {
 	e := NewEngine(1)
 	var got []int

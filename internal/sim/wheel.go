@@ -70,6 +70,9 @@ type wheel struct {
 	slot   [wheelLevels][wheelSlots]evList
 	occ    [wheelLevels]uint64 // per-level slot-occupancy bitmaps
 	queued int                 // wheel-resident entries, cancelled included
+	// refiled counts the entries settle re-filed one by one, and
+	// refiledCancelled those of them already cancelled (Counters).
+	refiled, refiledCancelled uint64
 }
 
 // insert files ev at the lowest level sharing a parent window with base,
@@ -156,6 +159,10 @@ func (w *wheel) settle(deadline Time) bool {
 	for ev := head; ; {
 		next := ev.next
 		w.queued--
+		w.refiled++
+		if ev.cancelled {
+			w.refiledCancelled++
+		}
 		w.insert(ev) // below level: it shares the drained slot with the base
 		if ev == lst.tail {
 			return true

@@ -95,10 +95,10 @@ func TestDatagramPathAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("%d allocations over %d segments with nothing lost or retransmitted: something on the datagram path allocates again", allocs, segs)
 			}
-			if tc.nodes > 2 && net.Nodes[1].Stats.FragmentsFwd == 0 {
+			if tc.nodes > 2 && net.Nodes[1].Stats().FragmentsFwd == 0 {
 				t.Fatal("no fragment was relayed")
 			}
-			if tc.host && (net.Border().Stats.PacketsFwd == 0 || dst.Stats.PacketsDelivered == 0) {
+			if tc.host && (net.Border().Stats().PacketsFwd == 0 || dst.Stats().PacketsDelivered == 0) {
 				t.Fatal("nothing crossed the wire")
 			}
 		})
@@ -115,7 +115,7 @@ func TestDatagramPathAllocs(t *testing.T) {
 func TestNodeBuffersLazy(t *testing.T) {
 	net := New(1, mesh.RandomGeometric(1000, 16, 1), DefaultOptions())
 	for _, n := range net.Nodes {
-		if n.mac != nil || n.tcp != nil || n.udp != nil || n.red != nil {
+		if n.layers != nil {
 			t.Fatalf("node %d is awake straight out of New", n.ID)
 		}
 		// Other packages' pools are unexported: look, don't touch.
@@ -193,9 +193,9 @@ func TestRelayedFragmentsKeepTheirOrder(t *testing.T) {
 			case ended:
 				t.Fatalf("t=%v: relay %d got a FRAGN of %v after forwarding its last fragment", net.Eng.Now(), relay.ID, k)
 			}
-			fwd := relay.Stats.FragmentsFwd
+			fwd := relay.Stats().FragmentsFwd
 			deliver(f)
-			if relay.Stats.FragmentsFwd != fwd+1 {
+			if relay.Stats().FragmentsFwd != fwd+1 {
 				t.Fatalf("t=%v: relay %d did not forward a FRAGN of %v", net.Eng.Now(), relay.ID, k)
 			}
 			if fi.Offset+len(f.Payload)-fi.HeaderLen >= int(fi.DatagramSize) {

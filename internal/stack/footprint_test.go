@@ -3,6 +3,7 @@ package stack_test
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"tcplp/internal/mesh"
 	"tcplp/internal/stack"
@@ -14,9 +15,10 @@ import (
 // topology fits in memory. The budget reflects dormancy ("Dormancy" in
 // the package comment): out of New a node is its slot in the node slab,
 // its radio's slot in the channel's, one method value, and its rows of
-// the topology and the int32 route tables; MAC, TCP and UDP wait for the
-// node's first frame or socket. Regressions that re-introduce eager
-// per-node state show up as a burst well above the bound.
+// the topology and the int32 route tables; MAC, TCP, UDP and the packet
+// path's state wait for the node's first frame or socket. Regressions
+// that re-introduce eager per-node state show up as a burst well above
+// the bound.
 func TestIdleNodeFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node construction in -short mode")
@@ -40,12 +42,24 @@ func TestIdleNodeFootprint(t *testing.T) {
 		t.Fatalf("built %d nodes, want %d", len(net.Nodes), n)
 	}
 
-	// Measured 1 107 B/node under go 1.24 (2 066 when New built every
-	// node's MAC, TCP and UDP stacks). Eager per-node state of any kind
-	// costs a hundred bytes or more per node.
-	const maxBytesPerNode = 1300
+	// Measured 706 B/node under go 1.24: 1 082 while the slot held the
+	// packet state and the radio its own receive buffer, 2 066 when New
+	// built every node's MAC, TCP and UDP stacks. Eager per-node state of
+	// any kind costs a hundred bytes or more per node.
+	const maxBytesPerNode = 900
 	t.Logf("idle footprint: %.0f B/node (%d nodes)", perNode, n)
 	if perNode > maxBytesPerNode {
 		t.Fatalf("idle footprint = %.0f B/node, budget %d", perNode, maxBytesPerNode)
+	}
+}
+
+// TestDormantNodeFitsItsSlot pins the slot New's slab holds for every
+// node: all a dormant node is besides its radio. What only an awake node
+// touches (its layers, queues, caches and IP counters) is one pointer here.
+func TestDormantNodeFitsItsSlot(t *testing.T) {
+	n := unsafe.Sizeof(stack.Node{})
+	t.Logf("Node: %d bytes", n)
+	if n > 88 {
+		t.Fatalf("Node is %d bytes, want <= 88: a field only an awake node uses belongs in its layers", n)
 	}
 }

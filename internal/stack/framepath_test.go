@@ -37,10 +37,10 @@ func TestFramePathAllocs(t *testing.T) {
 	for i := 0; i < 300; i++ { // MAC sequence numbers wrap: every dedup key exists
 		send()
 	}
-	delivered, frames := dst.Stats.PacketsDelivered, src.Mac().Stats.DataSent
+	delivered, frames := dst.Stats().PacketsDelivered, src.Mac().Stats.DataSent
 	const runs = 100
 	perDatagram := testing.AllocsPerRun(runs, send)
-	if got := dst.Stats.PacketsDelivered - delivered; got != runs+1 {
+	if got := dst.Stats().PacketsDelivered - delivered; got != runs+1 {
 		t.Fatalf("delivered %d of %d datagrams", got, runs+1)
 	}
 	if got := src.Mac().Stats.DataSent - frames; got != 5*(runs+1) {
@@ -62,7 +62,7 @@ func TestFramePathAllocs(t *testing.T) {
 // it.
 func TestFwdCacheExpiry(t *testing.T) {
 	net := New(1, mesh.Chain(3, 10), DefaultOptions())
-	relay := net.Nodes[1]
+	relay := net.Nodes[1].awake() // handed fragments here, not by the radio that would wake it
 	from := net.Nodes[2].LinkAddr()
 	hdr := &ip6.Header{NextHeader: 59, HopLimit: 64, Src: net.Nodes[2].Addr, Dst: net.Nodes[0].Addr}
 	type key struct {

@@ -192,7 +192,9 @@ func (net *Network) AttachHost() *Node {
 		CPU:  energy.MakeCPUMeter(net.Eng),
 	}
 	net.Host = host
-	connectWire(net.Nodes[0], host)
+	if b := net.Border(); b.layers != nil {
+		b.wire = newWireEnd(net.Eng, host) // the host's end waits for its wake
+	}
 	return host
 }
 
@@ -245,7 +247,9 @@ func (net *Network) TotalLossEvents() uint64 {
 func (net *Network) FwdEntriesPeak() int {
 	peak := 0
 	for _, n := range net.Nodes {
-		peak = max(peak, n.fwdPeak)
+		if n.layers != nil {
+			peak = max(peak, n.fwdPeak)
+		}
 	}
 	return peak
 }
@@ -287,11 +291,6 @@ type wireSlot struct {
 	pkt  ip6.Packet
 	buf  []byte
 	next *wireSlot
-}
-
-func connectWire(border, host *Node) {
-	border.wire = newWireEnd(border.Eng(), host)
-	host.wire = newWireEnd(host.Eng(), border)
 }
 
 func newWireEnd(eng *sim.Engine, peer *Node) *wireEnd {
@@ -337,6 +336,7 @@ func (w *wireEnd) deliver() {
 }
 
 func (n *Node) wireReceive(pkt *ip6.Packet) {
+	n.awake()
 	if pkt.Dst == n.Addr {
 		n.deliver(pkt)
 		return
@@ -345,6 +345,6 @@ func (n *Node) wireReceive(pkt *ip6.Packet) {
 	if n.dropAtBorder(pkt) {
 		return
 	}
-	n.Stats.PacketsFwd++
+	n.stats.PacketsFwd++
 	n.route(pkt, true)
 }

@@ -58,26 +58,31 @@
 // (the paper's §4 memory argument — full TCP state only for a live
 // connection — applied to the simulator: a city is mostly nodes nobody
 // addresses). Out of New, every node of every network, a two-node chain
-// included, is dormant: a slot in one []Node slab with its CPU meter
-// inside it, and a radio — itself a slot in the channel's slab — that is
-// registered, listening and filtering on its address, exactly as a MAC
-// would have left it. It owns nothing else: no MAC, no ACK timer, no RED
-// state, no TCP or UDP stack, none of the closures that tie them
+// included, is dormant: an 88-byte slot in one []Node slab (id, address,
+// CPU meter, sleep controller, drop filter and a nil layers pointer), and
+// a radio — itself a slot in the channel's slab — that is registered,
+// listening and filtering on its address, exactly as a MAC would have
+// left it. It owns nothing else: no MAC, no ACK timer, no RED state, no
+// TCP or UDP stack, no queue, reassembler, fragment pool, forwarding
+// cache, wire or IP counters, none of the closures that tie them
 // together. The host behind the border router starts the same way, minus
 // the radio.
 //
-// (*Node).wake builds all of that, once, as New used to. Two things wake
-// a node. Code that asks for a layer: Mac, TCP and UDP are accessors, not
-// fields, and a dormant node's accessor wakes it first, so nothing
-// outside this file can observe a nil layer (pump and deliver go through
-// the accessors too, which covers the border router handed its first
-// packet by the wire, and the host). And the radio: a dormant node's
-// Radio.OnReceive is firstFrame, which wakes the node — mac.New takes
-// OnReceive over — and hands the same bytes to the new MAC, which ACKs
-// and delivers them like any other frame. The radio's address filter
-// (package phy, "Hot state and frame filter") withholds every frame the
-// MAC would have discarded, so that is the first frame addressed to the
-// node, or the first broadcast it decodes.
+// (*Node).wake builds all of that, once, as New used to: the MAC, and
+// one layers object holding everything else, the TCP and UDP stacks
+// included. Its fields are named through the node's embedded pointer, so
+// the packet path, which only an awake node runs, reads them as before.
+// Three things wake a node. Code that asks for a layer: Mac, TCP and UDP
+// are accessors, not fields, and a dormant node's accessor wakes it
+// first, so nothing outside this file can observe a nil layer. A packet:
+// SendPacket and the wire's delivery (the border router handed its first
+// packet by the host, and the host) wake the node before routing it. And
+// the radio: a dormant node's Radio.OnReceive is firstFrame, which wakes
+// the node — mac.New takes OnReceive over — and hands the same bytes to
+// the new MAC, which ACKs and delivers them like any other frame. The
+// radio's address filter (package phy, "Hot state and frame filter")
+// withholds every frame the MAC would have discarded, so that is the
+// first frame addressed to the node, or the first broadcast it decodes.
 //
 // Waking is invisible to a run. Building a MAC, a TCP stack and a UDP
 // stack draws no random number and schedules no event; a dormant radio
@@ -89,8 +94,8 @@
 // both ways; TestWakeOnFirstAddressedFrame pins the moment and the
 // ACK; mac's FuzzFrameDstAgreesWithMac holds the filter to the MAC's own
 // decision). There is no switch for the old behaviour. Counters are read
-// without waking anybody: MacStats and TCPStats report zeros for a
-// dormant node, which is what its layers would have counted.
+// without waking anybody: Stats, MacStats and TCPStats report zeros for
+// a dormant node, which is what its layers would have counted.
 package stack
 
 import (
@@ -154,12 +159,27 @@ type Node struct {
 	Addr ip6.Addr
 	CPU  energy.CPUMeter
 
-	// The layers above the radio, nil while the node is dormant
-	// ("Dormancy" in the package comment). Only wake, awake's accessors
-	// Mac, TCP and UDP, and the two counter readers name these fields.
+	// layers is everything above the radio, nil while the node is
+	// dormant ("Dormancy" in the package comment); wake builds it. Its
+	// fields are named through n, but only on an awake node.
+	*layers
+
+	// DropFilter, when set on the border router, removes packets
+	// crossing between mesh and wire with the caller's probability
+	// function — the §9.4 injected-loss mechanism.
+	DropFilter func(pkt *ip6.Packet) bool
+}
+
+// layers is what an awake node has and a dormant one does not: the
+// protocol layers above its radio and the packet state that ties them
+// together, one object per woken node.
+type layers struct {
+	// Only wake, awake's accessors Mac, TCP and UDP, and the two counter
+	// readers name these three. The transports are values: a node's
+	// layers are one object besides its MAC.
 	mac *mac.Mac
-	tcp *tcplp.Stack
-	udp *udp.Stack
+	tcp tcplp.Stack
+	udp udp.Stack
 
 	reasm *sixlowpan.Reassembler // nil until reassembler() is first asked for it
 	frag  sixlowpan.Fragmenter
@@ -176,39 +196,36 @@ type Node struct {
 	fwdCache []fwdEntry
 	fwdPeak  int
 
-	wire *wireEnd
+	wire *wireEnd // the border router's and the host's: the wire between them
 
-	// DropFilter, when set on the border router, removes packets
-	// crossing between mesh and wire with the caller's probability
-	// function — the §9.4 injected-loss mechanism.
-	DropFilter func(pkt *ip6.Packet) bool
-
-	Stats NodeStats
+	stats NodeStats // read through Stats
 }
 
 // Mac returns the node's MAC, waking the node; nil on the wired host.
 func (n *Node) Mac() *mac.Mac { return n.awake().mac }
 
 // TCP returns the node's TCP stack, waking the node.
-func (n *Node) TCP() *tcplp.Stack { return n.awake().tcp }
+func (n *Node) TCP() *tcplp.Stack { return &n.awake().tcp }
 
 // UDP returns the node's UDP stack, waking the node.
-func (n *Node) UDP() *udp.Stack { return n.awake().udp }
+func (n *Node) UDP() *udp.Stack { return &n.awake().udp }
 
 // awake returns n with its layers built.
 func (n *Node) awake() *Node {
-	if n.tcp == nil {
+	if n.layers == nil {
 		n.wake()
 	}
 	return n
 }
 
 // wake builds what a dormant node lacks: the MAC on its radio (a mesh
-// node), RED state (a relay), and the transports. It draws no random
+// node), RED state (a relay), the wire (the border router once the host
+// is attached, and the host), and the transports. It draws no random
 // number and schedules no event.
 func (n *Node) wake() {
 	net := n.Net
 	cfg := net.Opt.TCP
+	n.layers = &layers{}
 	if n.Radio != nil {
 		n.mac = mac.New(net.Eng, n.Radio, net.Opt.MAC)
 		n.mac.OnReceive = n.onFrame
@@ -217,16 +234,20 @@ func (n *Node) wake() {
 		if net.Opt.RED && n.ID != borderID {
 			n.red = mesh.NewRED()
 		}
+		if n.ID == borderID && net.Host != nil {
+			n.wire = newWireEnd(net.Eng, net.Host)
+		}
 	} else {
 		cfg.SendBufSize = HostBufSize
 		cfg.RecvBufSize = HostBufSize
+		n.wire = newWireEnd(net.Eng, net.Border())
 	}
 	output := n.SendPacket // one method value for both transports
-	n.tcp = tcplp.NewStack(net.Eng, n.Addr, cfg)
+	n.tcp = tcplp.MakeStack(net.Eng, n.Addr, cfg)
 	n.tcp.Output = output
 	n.tcp.PoolEncode = true // SendPacket consumes payloads synchronously
 	n.tcp.Trace, n.tcp.TraceNode = net.Opt.Trace, n.ID
-	n.udp = udp.NewStack(n.Addr)
+	n.udp = udp.MakeStack(n.Addr)
 	n.udp.Output = output
 }
 
@@ -239,10 +260,19 @@ func (n *Node) firstFrame(data []byte) {
 	n.Radio.OnReceive(data)
 }
 
+// Stats returns the node's IP-layer counters, all zero while the node is
+// dormant. Reading them does not wake it.
+func (n *Node) Stats() NodeStats {
+	if n.layers == nil {
+		return NodeStats{}
+	}
+	return n.stats
+}
+
 // MacStats returns the MAC's counters, all zero while the node is
 // dormant. Reading them does not wake it.
 func (n *Node) MacStats() mac.Stats {
-	if n.mac == nil {
+	if n.layers == nil || n.mac == nil {
 		return mac.Stats{}
 	}
 	return n.mac.Stats
@@ -251,7 +281,7 @@ func (n *Node) MacStats() mac.Stats {
 // TCPStats returns the TCP stack's counters, all zero while the node is
 // dormant. Reading them does not wake it.
 func (n *Node) TCPStats() tcplp.StackStats {
-	if n.tcp == nil {
+	if n.layers == nil {
 		return tcplp.StackStats{}
 	}
 	return n.tcp.Stats
@@ -267,7 +297,7 @@ func (n *Node) Eng() *sim.Engine { return n.Net.Eng }
 
 // SendPacket routes and transmits a locally originated IPv6 packet.
 func (n *Node) SendPacket(pkt *ip6.Packet) {
-	n.Stats.PacketsSent++
+	n.awake().stats.PacketsSent++
 	n.route(pkt, false)
 }
 
@@ -281,7 +311,7 @@ func (n *Node) route(pkt *ip6.Packet, forwarded bool) {
 	}
 	if forwarded {
 		if pkt.HopLimit <= 1 {
-			n.Stats.HopLimitDrops++
+			n.stats.HopLimitDrops++
 			n.emitIPDrop(pkt.JID, obs.CauseHopLimit, int64(pkt.HopLimit))
 			return
 		}
@@ -310,11 +340,11 @@ func (n *Node) route(pkt *ip6.Packet, forwarded bool) {
 	if forwarded && n.red != nil {
 		switch n.red.OnArrival(len(n.outQ), pkt.ECN() == ip6.ECT0, n.Eng().Rand()) {
 		case mesh.REDDrop:
-			n.Stats.REDDrops++
+			n.stats.REDDrops++
 			n.emitIPDrop(pkt.JID, obs.CauseRED, int64(len(n.outQ)))
 			return
 		case mesh.REDMark:
-			n.Stats.REDMarks++
+			n.stats.REDMarks++
 			pkt.SetECN(ip6.CE)
 		}
 	}
@@ -374,7 +404,7 @@ func (n *Node) emitIPDrop(jid int64, cause obs.Cause, a int64) {
 
 func (n *Node) dropAtBorder(pkt *ip6.Packet) bool {
 	if n.DropFilter != nil && n.DropFilter(pkt) {
-		n.Stats.BorderDrops++
+		n.stats.BorderDrops++
 		n.emitIPDrop(pkt.JID, obs.CauseBorderFilter, 0)
 		return true
 	}
@@ -383,7 +413,7 @@ func (n *Node) dropAtBorder(pkt *ip6.Packet) bool {
 
 func (n *Node) enqueue(it *outItem) {
 	if len(n.outQ) >= n.Net.Opt.QueueCap {
-		n.Stats.QueueDrops++
+		n.stats.QueueDrops++
 		if tr := n.Net.Opt.Trace; tr != nil {
 			tr.Emit(obs.Event{T: n.Eng().Now(), Kind: obs.QueueDrop, Node: n.ID, A: int64(len(n.outQ)), J: it.jid, Cause: obs.CauseQueueOverflow})
 		}
@@ -425,7 +455,7 @@ func (n *Node) pump() {
 func (n *Node) frameDone(status mac.TxStatus) {
 	it := n.outQ[0]
 	if status != mac.TxOK {
-		n.Stats.LinkFailures++
+		n.stats.LinkFailures++
 		// Abandoning the datagram: the sent frame and the never-sent
 		// tail all go back to the pool.
 		n.releaseFrames(it, it.idx)
@@ -456,7 +486,7 @@ func (n *Node) popAndContinue() {
 
 // ReassemblyTimeouts returns datagrams abandoned for missing fragments.
 func (n *Node) ReassemblyTimeouts() uint64 {
-	if n.reasm == nil {
+	if n.layers == nil || n.reasm == nil {
 		return 0
 	}
 	return n.reasm.TimedOut
@@ -466,8 +496,9 @@ func (n *Node) ReassemblyTimeouts() uint64 {
 // failures, queue overflows, RED drops, hop-limit expiry, and
 // reassembly timeouts.
 func (n *Node) LossEvents() uint64 {
-	return n.Stats.LinkFailures + n.Stats.QueueDrops + n.Stats.REDDrops +
-		n.Stats.HopLimitDrops + n.ReassemblyTimeouts()
+	st := n.Stats()
+	return st.LinkFailures + st.QueueDrops + st.REDDrops +
+		st.HopLimitDrops + n.ReassemblyTimeouts()
 }
 
 // ---- receive path ----
@@ -496,7 +527,7 @@ func (n *Node) onFrame(f *phy.Frame) {
 	}
 	// A whole packet to relay: a RED relay's, or a host-bound one the
 	// border router bridges onto the wire.
-	n.Stats.PacketsFwd++
+	n.stats.PacketsFwd++
 	n.route(pkt, true)
 }
 
@@ -549,7 +580,7 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 			return true // unroutable: swallow
 		}
 		if hl, ok := sixlowpan.DecrementHopLimit(payload[iphcOff:]); !ok || hl == 0 {
-			n.Stats.HopLimitDrops++
+			n.stats.HopLimitDrops++
 			n.emitIPDrop(jid, obs.CauseHopLimit, 0)
 			return true
 		}
@@ -571,7 +602,7 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 				expires: n.Eng().Now().Add(sixlowpan.DefaultReassemblyTimeout),
 			})
 		}
-		n.Stats.FragmentsFwd++
+		n.stats.FragmentsFwd++
 		n.enqueue(n.newRelayItem(fwd, phy.AddrFromID(next), jid))
 		return true
 
@@ -592,7 +623,7 @@ func (n *Node) tryForwardFragment(src phy.Addr, payload []byte, jid int64) bool 
 		if err := sixlowpan.RewriteTag(fwd, entry.newTag); err != nil {
 			return true
 		}
-		n.Stats.FragmentsFwd++
+		n.stats.FragmentsFwd++
 		n.enqueue(n.newRelayItem(fwd, entry.next, jid))
 		return true
 	}
@@ -643,7 +674,7 @@ func (n *Node) addrIsHost(a ip6.Addr) bool {
 
 // deliver hands a packet addressed to this node to its transports.
 func (n *Node) deliver(pkt *ip6.Packet) {
-	n.Stats.PacketsDelivered++
+	n.stats.PacketsDelivered++
 	n.CPU.ChargeSegment()
 	n.CPU.ChargeBytes(len(pkt.Payload))
 	switch pkt.NextHeader {

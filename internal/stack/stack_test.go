@@ -250,7 +250,7 @@ func TestBorderLossInjection(t *testing.T) {
 	if client.Stats.Retransmits == 0 {
 		t.Fatal("no retransmissions despite injected loss")
 	}
-	if net.Border().Stats.BorderDrops == 0 {
+	if net.Border().Stats().BorderDrops == 0 {
 		t.Fatal("drop filter never fired")
 	}
 }

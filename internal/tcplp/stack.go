@@ -83,17 +83,25 @@ type Stack struct {
 	TraceNode int
 }
 
-// NewStack creates a TCP instance bound to addr. An unknown
-// cfg.Variant is a configuration programming error and panics here, at
-// setup time, rather than when the first connection is made.
+// NewStack creates a TCP instance bound to addr (MakeStack's, on the
+// heap).
 func NewStack(eng *sim.Engine, addr ip6.Addr, cfg Config) *Stack {
+	s := MakeStack(eng, addr, cfg)
+	return &s
+}
+
+// MakeStack returns a TCP instance bound to addr by value: a node holds
+// its stack as a field, not as one more object. An unknown cfg.Variant is
+// a configuration programming error and panics here, at setup time,
+// rather than when the first connection is made.
+func MakeStack(eng *sim.Engine, addr ip6.Addr, cfg Config) Stack {
 	if !cc.Valid(cfg.Variant) {
 		panic(fmt.Sprintf("tcplp: unknown congestion-control variant %q", cfg.Variant))
 	}
 	// The demux maps initialise lazily at their write sites so a node
 	// that never opens a socket — every relay of a city, woken only to
 	// forward — carries no map headers (nil maps read fine).
-	return &Stack{
+	return Stack{
 		eng:      eng,
 		addr:     addr,
 		cfg:      cfg,

@@ -77,10 +77,18 @@ type sendSlot struct {
 	busy bool // Output is running on this slot
 }
 
-// NewStack returns a UDP endpoint bound to addr. The handler map
-// initialises on first Bind so unbound nodes carry no map header.
+// NewStack returns a UDP endpoint bound to addr (MakeStack's, on the
+// heap).
 func NewStack(addr ip6.Addr) *Stack {
-	return &Stack{addr: addr, nextPort: 40000}
+	s := MakeStack(addr)
+	return &s
+}
+
+// MakeStack returns a UDP endpoint bound to addr by value: a node holds
+// its stack as a field, not as one more object. The handler map
+// initialises on first Bind so unbound nodes carry no map header.
+func MakeStack(addr ip6.Addr) Stack {
+	return Stack{addr: addr, nextPort: 40000}
 }
 
 // Bind registers a handler for a port, returning the port (0 picks an
