@@ -1,6 +1,7 @@
 package blocks
 
 import (
+	"math"
 	"testing"
 	"unsafe"
 )
@@ -80,18 +81,25 @@ func TestWalk(t *testing.T) {
 
 // checkAllocsPerBlock: Push allocates only when it opens a block —
 // filling a fresh list to n values costs the same as to n−1 unless value
-// n−1 opens a block, where it costs more.
+// n−1 opens a block, where it costs more. Each n's count is the least of
+// three measured fills: early in a fresh process the race build's runtime
+// makes a few allocations of its own inside a measured run (about five,
+// at an n no block opens), which a warm-up run before it does not absorb;
+// a fill's own allocations are the same in all three.
 func checkAllocsPerBlock[T any](t *testing.T) {
 	t.Helper()
 	var v T
 	prev := 0.0
 	for n := 1; n <= rampLen+3*blockLen; n++ {
-		a := testing.AllocsPerRun(1, func() {
-			var l List[T]
-			for i := 0; i < n; i++ {
-				l.Push(v)
-			}
-		})
+		a := math.Inf(1)
+		for try := 0; try < 3; try++ {
+			a = math.Min(a, testing.AllocsPerRun(1, func() {
+				var l List[T]
+				for i := 0; i < n; i++ {
+					l.Push(v)
+				}
+			}))
+		}
 		_, j := locate(n - 1)
 		if opens := j == 0; opens != (a > prev) || a < prev {
 			t.Fatalf("%T: filling to %d values allocates %v, to %d %v; value %d opens a block: %v", v, n, a, n-1, prev, n-1, opens)

@@ -156,22 +156,30 @@ func sameAdjacency(t *testing.T, name string, got, want [][]int) {
 	}
 }
 
-// The pairwise Adjacency must equal the per-node Hypot scan on every
-// topology kind, and on random fields whose placement, from the same
-// draws, equals the Hypot-accepted one: the range test is exact, so not a
-// single borderline pair or sample may come out differently.
-func TestAdjacencyGridMatchesNaive(t *testing.T) {
-	for name, topo := range map[string]Topology{
+// edgeTopologies are every topology kind plus the range relation's edge
+// cases: no nodes, one node, coincident points, no range, pairs exactly at
+// the range, and a random field whose sparse placement falls back.
+func edgeTopologies() map[string]Topology {
+	return map[string]Topology{
 		"office":          Office(),
 		"twinleaf":        TwinLeaf(4, 20),
 		"chain":           Chain(8, 20),
 		"star":            Star(40, 10),
+		"empty":           {TxRange: 10},
 		"single":          Chain(1, 10),
 		"coincident":      {Positions: make([]phy.Point, 5), TxRange: 1},
 		"zero_range":      {Positions: Chain(4, 10).Positions},
 		"exact_at_range":  {Positions: []phy.Point{{}, {X: 3}, {X: 3, Y: 4}, {Y: 5}, {X: -5}, {X: 8, Y: 6}}, TxRange: 5},
 		"random_fallback": RandomGeometric(300, 1.5, 9),
-	} {
+	}
+}
+
+// The pairwise Adjacency must equal the per-node Hypot scan on every
+// topology kind, and on random fields whose placement, from the same
+// draws, equals the Hypot-accepted one: the range test is exact, so not a
+// single borderline pair or sample may come out differently.
+func TestAdjacencyGridMatchesNaive(t *testing.T) {
+	for name, topo := range edgeTopologies() {
 		sameAdjacency(t, name, topo.Adjacency(), hypotAdjacency(topo))
 	}
 	sizes := []int{2, 40, 700, 5000}
@@ -192,13 +200,24 @@ func TestAdjacencyGridMatchesNaive(t *testing.T) {
 	}
 }
 
-// BenchmarkAdjacency and BenchmarkRandomGeometric time set-up's geometry
-// on a metro_10k-sized field: 10 000 nodes at density 16.
+// BenchmarkAdjacency, BenchmarkTopologyRoutes and BenchmarkRandomGeometric
+// time set-up's geometry on a metro_10k-sized field: 10 000 nodes at
+// density 16.
 func BenchmarkAdjacency(b *testing.B) {
 	topo := RandomGeometric(10000, 16, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		topo.Adjacency()
+	}
+}
+
+// BenchmarkTopologyRoutes times what a network's set-up computes in
+// Adjacency's place: node 0's routes, straight from the positions.
+func BenchmarkTopologyRoutes(b *testing.B) {
+	topo := RandomGeometric(10000, 16, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		topo.Routes()
 	}
 }
 

@@ -6,16 +6,26 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
+
+	"tcplp/internal/phy"
 )
 
 // oracleColumn spells out the routing rule with nothing shared with
-// Routes: a BFS from dst, then for every src the first neighbour in
-// adjacency order one hop closer to dst.
+// Routes: each list sorted into id order, a BFS from dst over the sorted
+// lists, then for every src the first neighbour one hop closer to dst.
 func oracleColumn(adj [][]int, dst int) (next, hops []int) {
 	n := len(adj)
+	sorted := make([][]int, n)
+	for i, nbs := range adj {
+		sorted[i] = slices.Clone(nbs)
+		slices.Sort(sorted[i])
+	}
+	adj = sorted
 	hops = make([]int, n)
 	for i := range hops {
 		hops[i] = -1
@@ -169,10 +179,10 @@ func graphBytes(adj [][]int) []byte {
 
 // FuzzRoutes decodes bytes into an undirected graph of 2 to 48 nodes:
 // the first byte sets the node count and each following pair of bytes is
-// an edge. A node lists its neighbours in the order its edges arrive, so
-// paths tie in any order, not only by id. Every pair must route as the
-// oracle does, in both query orders. Seeds: the hand-built graphs of
-// TestRoutesMatchOracle.
+// an edge. A node lists its neighbours in the order its edges arrive, not
+// by id, so the BFS's id ordering is exercised on every list. Every pair
+// must route as the oracle does, in both query orders. Seeds: the
+// hand-built graphs of TestRoutesMatchOracle.
 func FuzzRoutes(f *testing.F) {
 	graphs := routeGraphs()
 	names := make([]string, 0, len(graphs))
@@ -220,11 +230,11 @@ func TestRoutesOutOfRange(t *testing.T) {
 }
 
 // A fleet's device ↔ border-router routes must cost no state beyond node
-// 0's hop counts and parents, built once: the per-destination columns
-// this replaced held 39 MB here.
+// 0's hop counts, next hops and parents and the topology's cell grid,
+// built once: the per-destination columns this replaced held 39 MB here.
 func TestFleetRoutesStateBudget(t *testing.T) {
 	const nodes, flows = 10000, 500
-	adj := RandomGeometric(nodes, 16, 1).Adjacency()
+	topo := RandomGeometric(nodes, 16, 1)
 	follow := func(r *Routes, from, to int) {
 		for at, hops := from, 0; at != to; hops++ {
 			next, ok := r.NextHop(at, to)
@@ -237,7 +247,7 @@ func TestFleetRoutesStateBudget(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	r := ComputeRoutes(adj)
+	r := topo.Routes()
 	for id := 1; id < nodes; id += nodes / flows {
 		follow(r, id, 0)
 		follow(r, 0, id)
@@ -245,12 +255,165 @@ func TestFleetRoutesStateBudget(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	runtime.KeepAlive(r)
-	if len(r.dist) != 0 {
-		t.Fatalf("%d whole-graph columns built for device <-> border routes", len(r.dist))
+	if len(r.cols) != 0 {
+		t.Fatalf("%d whole-graph columns built for device <-> border routes", len(r.cols))
 	}
 	if held := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); held >= 1<<20 {
 		t.Fatalf("Routes holds %d KiB live after %d routes, budget 1 MiB", held>>10, flows)
 	}
+	if b := r.Bytes(); b >= 512<<10 {
+		t.Fatalf("Routes counts %d KiB, want under 512", b>>10)
+	}
+}
+
+// Building a network's routes allocates what they keep and one BFS queue,
+// not an adjacency list: under 512 KiB for the metro_10k-sized field,
+// whose adjacency alone is 3.6 MB. Each build is measured three times and
+// the least taken, so an allocation of the runtime's own cannot fail it.
+func TestTopologyRoutesBuildBytes(t *testing.T) {
+	topo := RandomGeometric(10000, 16, 1)
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		r := topo.Routes()
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(r)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if least >= 512<<10 {
+		t.Fatalf("building the routes of 10 000 nodes allocates %d KiB, budget 512", least>>10)
+	}
+}
+
+// sameRoutes fails where got and want, asked the same pairs in the same
+// order, differ in NextHop or Hops.
+func sameRoutes(t *testing.T, name string, got, want *Routes, pairs [][2]int) {
+	t.Helper()
+	for _, q := range pairs {
+		src, dst := q[0], q[1]
+		gh, gok := got.NextHop(src, dst)
+		wh, wok := want.NextHop(src, dst)
+		if gok != wok || gh != wh {
+			t.Fatalf("%s: NextHop(%d,%d) = %d,%v, over the adjacency %d,%v", name, src, dst, gh, gok, wh, wok)
+		}
+		if g, w := got.Hops(src, dst), want.Hops(src, dst); g != w {
+			t.Fatalf("%s: Hops(%d,%d) = %d, over the adjacency %d", name, src, dst, g, w)
+		}
+	}
+}
+
+// allPairs lists every (src, dst) of n nodes, out-of-range ids on both
+// sides included.
+func allPairs(n int) [][2]int {
+	var pairs [][2]int
+	for dst := -1; dst <= n; dst++ {
+		for src := -1; src <= n; src++ {
+			pairs = append(pairs, [2]int{src, dst})
+		}
+	}
+	return pairs
+}
+
+// fleetPairs lists every node to node 0 and back, then sampled pairs off
+// node 0's tree: a few destinations, each from many sources.
+func fleetPairs(n int, seed int64) [][2]int {
+	var pairs [][2]int
+	for v := 0; v < n; v++ {
+		pairs = append(pairs, [2]int{v, 0}, [2]int{0, v})
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 4; i++ {
+		dst := rng.Intn(n)
+		for j := 0; j < 50; j++ {
+			pairs = append(pairs, [2]int{rng.Intn(n), dst})
+		}
+	}
+	return pairs
+}
+
+// checkTopologyRoutes compares topo's routes with those over its
+// adjacency on every pair if topo is small, on fleetPairs if not.
+func checkTopologyRoutes(t *testing.T, name string, topo Topology, seed int64) {
+	t.Helper()
+	var pairs [][2]int
+	if topo.N() <= 300 {
+		pairs = allPairs(topo.N())
+	} else {
+		pairs = fleetPairs(topo.N(), seed)
+	}
+	sameRoutes(t, name, topo.Routes(), ComputeRoutes(topo.Adjacency()), pairs)
+}
+
+// A network's routes, built from its positions, must be the routes over
+// its adjacency: on every topology kind and edge case of the range
+// relation, and on random fields from thin to dense.
+func TestTopologyRoutesMatchAdjacency(t *testing.T) {
+	for name, topo := range edgeTopologies() {
+		checkTopologyRoutes(t, name, topo, 1)
+	}
+	sizes := []int{150, 3000}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, density := range []float64{2.5, 4, 6, 10, 16, 25, 40} {
+		for _, n := range sizes {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("random n=%d density=%g seed=%d", n, density, seed)
+				checkTopologyRoutes(t, name, RandomGeometric(n, density, seed), seed)
+			}
+		}
+	}
+}
+
+// topologyBytes encodes topo for FuzzTopologyRoutes, scaled down by a
+// whole factor until it fits: the range in half-metres, then each point's
+// coordinates in half-metres as signed bytes.
+func topologyBytes(topo Topology) []byte {
+	scale := 1.0
+	for _, p := range topo.Positions {
+		scale = max(scale, math.Ceil(math.Abs(p.X)/63.5), math.Ceil(math.Abs(p.Y)/63.5))
+	}
+	scale = max(scale, math.Ceil(topo.TxRange/127.5))
+	half := func(v float64) float64 { return math.Round(2 * v / scale) }
+	b := []byte{byte(half(topo.TxRange))}
+	for _, p := range topo.Positions[:min(len(topo.Positions), 64)] {
+		b = append(b, byte(int8(half(p.X))), byte(int8(half(p.Y))))
+	}
+	return b
+}
+
+// FuzzTopologyRoutes decodes bytes into 2 to 64 points and a range: the
+// first byte is the range and each following pair a point, all in
+// half-metres, points signed (a missing coordinate is 0). The routes built
+// from the positions must be the routes over the adjacency on every pair.
+// Seeds: the topologies of edgeTopologies.
+func FuzzTopologyRoutes(f *testing.F) {
+	topos := edgeTopologies()
+	names := make([]string, 0, len(topos))
+	for name := range topos {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(topologyBytes(topos[name]))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		at := func(i int) float64 {
+			if i < len(b) {
+				return float64(int8(b[i])) / 2
+			}
+			return 0
+		}
+		topo := Topology{TxRange: float64(b[0]) / 2}
+		for i := 1; len(topo.Positions) < min(max((len(b)-1)/2, 2), 64); i += 2 {
+			topo.Positions = append(topo.Positions, phy.Point{X: at(i), Y: at(i + 1)})
+		}
+		sameRoutes(t, "fuzz", topo.Routes(), ComputeRoutes(topo.Adjacency()), allPairs(topo.N()))
+	})
 }
 
 // positionDigest is SHA-256 over the little-endian Float64bits of every

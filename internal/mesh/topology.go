@@ -148,6 +148,22 @@ func RandomGeometric(n int, density float64, seed int64) Topology {
 	return Topology{Positions: pos, TxRange: txRange, SenseRange: senseRange}
 }
 
+// Routes computes the network's routes (see Routes) straight from the
+// positions: neighbours are found through a cell grid at TxRange as the
+// BFS reaches each node, so no adjacency list is built. The routes are
+// those of ComputeRoutes(t.Adjacency()), and the grid they keep for
+// per-destination columns is about 10 bytes a node.
+func (t Topology) Routes() *Routes {
+	r := &Routes{n: t.N(), pos: t.Positions, rng: t.TxRange}
+	if r.n > 0 && t.TxRange > 0 {
+		r.grid = phy.NewCellGrid(t.TxRange, r.n)
+		for i, p := range t.Positions {
+			r.grid.Add(i, p)
+		}
+	}
+	return r.fromRoot()
+}
+
 // Adjacency returns the connectivity graph under the unit-disk decode
 // range: adj[i] lists, in id order, every other node within TxRange of
 // node i (nil if none). Each pair is tested once, from its lower id,

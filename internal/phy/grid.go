@@ -84,3 +84,6 @@ func (g *CellGrid) Near(p Point) [9]int32 {
 
 // Next returns the id added to id's bucket before it, -1 if none.
 func (g *CellGrid) Next(id int32) int32 { return g.next[id] }
+
+// Bytes is the memory the grid's two tables hold.
+func (g *CellGrid) Bytes() int { return 4 * (cap(g.head) + cap(g.next)) }

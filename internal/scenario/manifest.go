@@ -39,6 +39,11 @@ type Manifest struct {
 	Events  uint64       `json:"events"`
 	Engine  sim.Counters `json:"engine"`
 	Channel phy.Counters `json:"channel"`
+	// RouteBytes is the memory the network's routes hold at the end of the
+	// run (mesh.Routes.Bytes): node 0's hop counts, next hops and parents,
+	// the cell grid the BFS read neighbours through, and any
+	// per-destination column a node-to-node flow made.
+	RouteBytes int `json:"route_bytes"`
 	// FwdEntriesPeak is the most datagrams any relay held in its
 	// fragment-forwarding cache at once, warm-up included.
 	FwdEntriesPeak int `json:"fwd_entries_peak"`
@@ -122,6 +127,7 @@ func (mc *manifestClock) manifest(rc *runContext) *Manifest {
 	m.Events = rc.net.Eng.Processed()
 	m.Engine = rc.net.Eng.Counters()
 	m.Channel = rc.net.Channel.Counters()
+	m.RouteBytes = rc.net.Routes.Bytes()
 	m.FwdEntriesPeak = rc.net.FwdEntriesPeak()
 	m.TCPBufBytes = rc.net.TCPBufBytes()
 	m.CoAPDedupPeak = rc.coapDedupPeak()

@@ -189,6 +189,12 @@ func TestManifestIsBitNeutral(t *testing.T) {
 			if m.Events != res.Events || c.Frames < res.FramesSent || ends > c.Frames || ends+8 < c.Frames || c.Resolved > c.SensedVisits {
 				t.Fatalf("manifest counters %+v against events %d, frames sent %d", m, res.Events, res.FramesSent)
 			}
+			// Node 0's three arrays and the grid's two over a star of a
+			// few nodes (16 B a node, and 64 B for the grid's least
+			// table), and no column: every flow runs to the border router.
+			if m.RouteBytes <= 64 || m.RouteBytes > 256 {
+				t.Fatalf("a star's routes hold %d bytes, want 64 to 256", m.RouteBytes)
+			}
 			if m.FwdEntriesPeak != 0 {
 				t.Fatalf("a star relays nothing, but a node held %d forwarding entries", m.FwdEntriesPeak)
 			}

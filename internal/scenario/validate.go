@@ -29,16 +29,20 @@ const (
 	maxConnBuf  = 1 << 20
 	maxQueueCap = 1 << 16 // net.queue_cap, gateway.wan.queue_cap
 	// Neighbour-list entries (a link counted from both ends) a topology's
-	// adjacency may hold by adjacencyEntries' estimate: every node the node
-	// limit admits at the mean degree the city examples are built for
-	// (density 16). city_100k.json estimates at 1.6 M (7.9 M built: its
-	// placement clusters round the border router); a 16 000-node star,
-	// whose leaves each decode 41% of the others, at 105 M (839 MB built).
+	// adjacency would hold by adjacencyEntries' estimate: every node the
+	// node limit admits at the mean degree the city examples are built for
+	// (density 16). No such list is built; the count bounds the work of the
+	// routes' BFS, which scans every node's decode range through the cell
+	// grid, and the channel's cached neighbour lists, which hold each link
+	// at its sense range. city_100k.json estimates at 1.6 M (7.9 M real:
+	// its placement clusters round the border router); a 16 000-node star,
+	// whose leaves each decode 41% of the others, at 105 M.
 	maxAdjacency = maxNodes * 16
 )
 
 // adjacencyEntries estimates, from the size fields alone, how many
-// neighbour-list entries the topology's adjacency holds.
+// neighbour-list entries the topology's adjacency (mesh.Topology.Adjacency)
+// would hold.
 func (t TopologySpec) adjacencyEntries() float64 {
 	n := float64(t.nodeCount())
 	switch t.Kind {

@@ -14,8 +14,9 @@ import (
 // construction-time allocation per node is what bounds how large a
 // topology fits in memory. The budget reflects dormancy ("Dormancy" in
 // the package comment): out of New a node is its slot in the node slab,
-// its radio's slot in the channel's, one method value, and its rows of
-// the topology and the int32 route tables; MAC, TCP, UDP and the packet
+// its radio's slot in the channel's, one method value, its position, and
+// its entries in the int32 route tables and the routes' cell grid (no
+// adjacency list is built); MAC, TCP, UDP and the packet
 // path's state wait for the node's first frame or socket. Regressions
 // that re-introduce eager per-node state show up as a burst well above
 // the bound.
@@ -42,11 +43,12 @@ func TestIdleNodeFootprint(t *testing.T) {
 		t.Fatalf("built %d nodes, want %d", len(net.Nodes), n)
 	}
 
-	// Measured 706 B/node under go 1.24: 1 082 while the slot held the
-	// packet state and the radio its own receive buffer, 2 066 when New
-	// built every node's MAC, TCP and UDP stacks. Eager per-node state of
-	// any kind costs a hundred bytes or more per node.
-	const maxBytesPerNode = 900
+	// Measured 399 B/node under go 1.24: 706 while New built the
+	// adjacency list to route over, 1 082 while the slot held the packet
+	// state and the radio its own receive buffer, 2 066 when New built
+	// every node's MAC, TCP and UDP stacks. Eager per-node state of any
+	// kind costs a hundred bytes or more per node.
+	const maxBytesPerNode = 550
 	t.Logf("idle footprint: %.0f B/node (%d nodes)", perNode, n)
 	if perNode > maxBytesPerNode {
 		t.Fatalf("idle footprint = %.0f B/node, budget %d", perNode, maxBytesPerNode)

@@ -101,7 +101,7 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 		Eng:     eng,
 		Channel: ch,
 		Topo:    topo,
-		Routes:  mesh.ComputeRoutes(topo.Adjacency()),
+		Routes:  topo.Routes(),
 		Opt:     opt,
 	}
 	net.Opt.TCP = DerivedTCPConfig(net.Opt, opt.TCP)

@@ -384,7 +384,7 @@ func TestSegmentSizingMatchesPaper(t *testing.T) {
 
 func TestOfficeTopologyProperties(t *testing.T) {
 	topo := mesh.Office()
-	routes := mesh.ComputeRoutes(topo.Adjacency())
+	routes := topo.Routes()
 	// §9.2: a 3-to-5 hop topology for the anemometer nodes (11-14).
 	for _, id := range []int{11, 12, 13, 14} {
 		h := routes.Hops(id, 0)
@@ -402,7 +402,7 @@ func TestOfficeTopologyProperties(t *testing.T) {
 
 func TestRoutesChain(t *testing.T) {
 	topo := mesh.Chain(5, 10)
-	routes := mesh.ComputeRoutes(topo.Adjacency())
+	routes := topo.Routes()
 	if h := routes.Hops(4, 0); h != 4 {
 		t.Fatalf("chain hops = %d", h)
 	}
