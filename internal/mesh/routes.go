@@ -49,7 +49,6 @@ import (
 //
 // Like the simulation engine it serves, Routes is single-goroutine state.
 type Routes struct {
-	n int
 	// adj is the explicit graph of ComputeRoutes, nil for a topology's
 	// routes, which read pos within rng through grid (nil when nothing is
 	// in range of anything).
@@ -73,13 +72,13 @@ type column struct{ dist, next []int32 }
 // adj, whose lists may be in any order. Only node 0's state is computed
 // here; a destination's column is built on first use.
 func ComputeRoutes(adj [][]int) *Routes {
-	return (&Routes{n: len(adj), adj: adj}).fromRoot()
+	return (&Routes{adj: adj}).fromRoot(len(adj))
 }
 
-// fromRoot runs the BFS from node 0 and returns r.
-func (r *Routes) fromRoot() *Routes {
-	if r.n > 0 {
-		r.up, r.upNext, r.par = make([]int32, r.n), make([]int32, r.n), make([]int32, r.n)
+// fromRoot runs the BFS from node 0 over n nodes and returns r.
+func (r *Routes) fromRoot(n int) *Routes {
+	if n > 0 {
+		r.up, r.upNext, r.par = make([]int32, n), make([]int32, n), make([]int32, n)
 		r.bfs(0, column{r.up, r.upNext}, r.par)
 	}
 	return r
@@ -122,7 +121,7 @@ func (r *Routes) bfs(from int, c column, par []int32) {
 		c.dist[i], c.next[i] = -1, -1
 	}
 	c.dist[from] = 0
-	queue := make([]int32, 1, r.n)
+	queue := make([]int32, 1, len(c.dist))
 	queue[0] = int32(from)
 	nbrs := make([]int32, 0, 64)
 	for head := 0; head < len(queue); head++ {
@@ -153,7 +152,7 @@ func (r *Routes) bfs(from int, c column, par []int32) {
 func (r *Routes) column(dst int) column {
 	c, ok := r.cols[dst]
 	if !ok {
-		c = column{make([]int32, r.n), make([]int32, r.n)}
+		c = column{make([]int32, len(r.up)), make([]int32, len(r.up))}
 		r.bfs(dst, c, nil)
 		if r.cols == nil {
 			r.cols = map[int]column{}
@@ -163,7 +162,7 @@ func (r *Routes) column(dst int) column {
 	return c
 }
 
-func (r *Routes) valid(id int) bool { return id >= 0 && id < r.n }
+func (r *Routes) valid(id int) bool { return id >= 0 && id < len(r.up) }
 
 // hop turns a stored next hop into NextHop's answer.
 func hop(next int32) (int, bool) { return int(next), next >= 0 }

@@ -154,14 +154,14 @@ func RandomGeometric(n int, density float64, seed int64) Topology {
 // those of ComputeRoutes(t.Adjacency()), and the grid they keep for
 // per-destination columns is about 10 bytes a node.
 func (t Topology) Routes() *Routes {
-	r := &Routes{n: t.N(), pos: t.Positions, rng: t.TxRange}
-	if r.n > 0 && t.TxRange > 0 {
-		r.grid = phy.NewCellGrid(t.TxRange, r.n)
+	r := &Routes{pos: t.Positions, rng: t.TxRange}
+	if t.N() > 0 && t.TxRange > 0 {
+		r.grid = phy.NewCellGrid(t.TxRange, t.N())
 		for i, p := range t.Positions {
 			r.grid.Add(i, p)
 		}
 	}
-	return r.fromRoot()
+	return r.fromRoot(t.N())
 }
 
 // Adjacency returns the connectivity graph under the unit-disk decode
