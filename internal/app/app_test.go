@@ -30,19 +30,6 @@ func TestBulkSourceSinkGoodput(t *testing.T) {
 	src.Stop()
 }
 
-func TestVerifyPattern(t *testing.T) {
-	if app.VerifyPattern([]byte{7, 38, 69}, 0) != -1 {
-		t.Fatal("pattern prefix rejected")
-	}
-	if app.VerifyPattern([]byte{7, 0}, 0) != 1 {
-		t.Fatal("corruption not detected")
-	}
-	// Offsets shift the expected pattern.
-	if app.VerifyPattern([]byte{38, 69}, 1) != -1 {
-		t.Fatal("offset pattern rejected")
-	}
-}
-
 func TestSensorQueueOverflow(t *testing.T) {
 	net := stack.New(3, mesh.Chain(2, 10), stack.DefaultOptions())
 	// A transport that never accepts anything.

@@ -106,15 +106,3 @@ func makePattern() []byte {
 	}
 	return p
 }
-
-// VerifyPattern checks that data matches the Source pattern starting at
-// stream offset off; it returns the first mismatching index or -1.
-func VerifyPattern(data []byte, off int) int {
-	p := makePattern()
-	for i, b := range data {
-		if b != p[(off+i)%len(p)] {
-			return i
-		}
-	}
-	return -1
-}

@@ -43,7 +43,7 @@ func FuzzFrameDstAgreesWithMac(f *testing.F) {
 		m := New(eng, ch.AddRadio(1, phy.Point{X: 1}), DefaultParams())
 		if ackWait {
 			// What txDone does after a frame that asked for an ACK.
-			m.ackTimer.Reset(sim.Second)
+			m.arm(stepAckTimeout, sim.Second)
 			m.radio.SetAckWait(true)
 		}
 		var handed, kept bool

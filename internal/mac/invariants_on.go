@@ -4,62 +4,42 @@ package mac
 
 import "fmt"
 
-// stepCount counts the pending steps of the frame in flight: engine
-// events holding resumeFn, stepFn or fireFn, and the radio's OnTxDone
-// holding txDoneFn. The wait for an ACK is not a step.
-type stepCount struct{ n int }
-
-func (s *stepCount) add(d int) { s.n += d }
-
-// step wraps a step callback, which must be the frame's one pending step.
-func (m *Mac) step(where string, f func()) func() {
-	return func() {
-		if m.inflight == nil || m.steps.n != 1 {
-			m.fail(where, "a step ran that was not the frame's one pending step")
-		}
-		m.steps.n--
-		f()
-		m.checkInvariants(where)
+// checkArm panics when a step is armed for a frame whose step slot is
+// already taken: a second pending step for one frame.
+func (m *Mac) checkArm() {
+	if m.step.Armed() {
+		m.fail("when arming a step", "a step is already pending: "+stepNames[m.next])
 	}
 }
 
-func (m *Mac) checked(where string, f func()) func() {
-	return func() { f(); m.checkInvariants(where) }
-}
-
-func (m *Mac) checkedRx(f func([]byte)) func([]byte) {
-	return func(data []byte) { f(data); m.checkInvariants("receive") }
-}
-
+// checkFinish panics when a frame finishes under a pending step other
+// than its ACK timeout.
 func (m *Mac) checkFinish() {
-	if m.steps.n != 0 {
-		m.fail("finish", fmt.Sprintf("the finished frame has %d step(s) pending", m.steps.n))
+	if m.step.Armed() && m.next != stepAckTimeout {
+		m.fail("in finish", "the finished frame has a step pending: "+stepNames[m.next])
 	}
 }
 
 // checkInvariants panics when the MAC breaks a rule of the package
 // comment's "One frame, one step": frames queued means one in flight, an
-// ACK being sent or the radio transmitting (no lost wakeup), and the
-// frame in flight has exactly one pending step or awaits its ACK, while
-// with nothing in flight there is neither (one step).
+// ACK being sent or the radio transmitting (no lost wakeup); with nothing
+// in flight no step is armed and no ACK awaited; and a frame in flight
+// waits on its step, on the air, or on an ACK being sent that cut its
+// ACK wait short.
 func (m *Mac) checkInvariants(where string) {
-	waiting := m.ackTimer.Armed() || (m.sendingAck && m.ackWasWaiting)
-	want := 0
-	if m.inflight != nil && !waiting {
-		want = 1
-	}
+	cut := m.sendingAck && m.ackWasWaiting
 	switch {
 	case len(m.queue) > 0 && m.inflight == nil && !m.sendingAck && !m.radio.Transmitting():
-		m.fail(where, "lost wakeup: frames queued, none in flight, no ACK being sent")
-	case m.inflight == nil && waiting:
-		m.fail(where, "an ACK awaited with nothing in flight")
-	case m.steps.n != want:
-		m.fail(where, fmt.Sprintf("%d step(s) pending, want %d", m.steps.n, want))
+		m.fail("after "+where, "lost wakeup: frames queued, none in flight, no ACK being sent")
+	case m.inflight == nil && (m.step.Armed() || cut):
+		m.fail("after "+where, "a step or an ACK wait with nothing in flight")
+	case m.inflight != nil && !m.step.Armed() && !cut && (m.sendingAck || !m.radio.Transmitting()):
+		m.fail("after "+where, "the frame in flight waits on nothing")
 	}
 }
 
 func (m *Mac) fail(where, msg string) {
-	panic(fmt.Sprintf("mac: invariant broken after %s: %s\n  node=%d t=%v inflight=%v queue=%d steps=%d sendingAck=%v ackWasWaiting=%v ackTimer=%v radio=%v",
-		where, msg, m.radio.ID(), m.eng.Now(), m.inflight != nil, len(m.queue), m.steps.n,
-		m.sendingAck, m.ackWasWaiting, m.ackTimer.Armed(), m.radio.State()))
+	panic(fmt.Sprintf("mac: invariant broken %s: %s\n  node=%d t=%v inflight=%v queue=%d step=%v next=%s sendingAck=%v ackWasWaiting=%v radio=%v",
+		where, msg, m.radio.ID(), m.eng.Now(), m.inflight != nil, len(m.queue), m.step.Armed(),
+		stepNames[m.next], m.sendingAck, m.ackWasWaiting, m.radio.State()))
 }

@@ -45,16 +45,16 @@ func TestInvariantsCatchBrokenMac(t *testing.T) {
 	t.Run("finish under a pending step", func(t *testing.T) {
 		_, a, b := pair(22)
 		a.SendJID(b.Radio().Addr(), []byte("loading"), 0, nil)
-		mustPanic(t, "after finish: the finished frame has 1 step(s) pending", func() { a.finish(TxChannelBusy) })
+		mustPanic(t, "in finish: the finished frame has a step pending: resume", func() { a.finish(TxChannelBusy) })
 	})
 	t.Run("second step for one frame", func(t *testing.T) {
 		eng, a, b := pair(23)
 		a.SendJID(b.Radio().Addr(), []byte("in backoff"), 0, nil)
 		eng.RunUntil(sim.Time(phy.LoadTime(phy.FrameOverhead + 10))) // loaded: one backoff step pending
-		if a.inflight == nil || a.inflight.wire == nil || a.steps.n != 1 {
-			t.Fatalf("want the frame in backoff, got in flight %v, steps %d", a.inflight != nil, a.steps.n)
+		if a.inflight == nil || a.inflight.wire == nil || !a.step.Armed() || a.next != stepFire {
+			t.Fatalf("want the frame in backoff, got in flight %v, step armed %v, next %s", a.inflight != nil, a.step.Armed(), stepNames[a.next])
 		}
-		a.backoffStep() // a path that takes a backoff step twice
-		mustPanic(t, "after backoff fire: a step ran that was not the frame's one pending step", eng.Run)
+		// A path that takes a backoff step twice.
+		mustPanic(t, "when arming a step: a step is already pending: backoff fire", a.backoffStep)
 	})
 }

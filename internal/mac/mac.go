@@ -29,23 +29,27 @@
 //
 // New switches on the radio's address filter (package phy, "Hot state and
 // frame filter"), so radioReceive runs only for well-formed frames
-// addressed to this node or to broadcast, and for ACKs while the ACK timer
-// is armed: txDone, stopAckWait and ackTimeout keep the radio's ACK-wait
-// bit equal to ackTimer.Armed() (TestAckWaitBitTracksTimer). radioReceive
-// and handleAck still make every check themselves — the MAC decides, the
-// radio only spares it frames it would have discarded.
+// addressed to this node or to broadcast, and for ACKs while one is
+// awaited: radioTxDone, runStep, stopAckWait and finish keep the radio's
+// ACK-wait bit equal to awaitingAck() (TestAckWaitBitTracksTimer).
+// receive and handleAck still make every check themselves — the MAC
+// decides, the radio only spares it frames it would have discarded.
 //
 // # One frame, one step
 //
-// One frame is in flight at a time, and it always has exactly one next
-// step: an engine event holding one of the Mac's step callbacks, the
-// radio's OnTxDone, or the wait for its ACK. finish runs only from a
-// frame's last step, so it returns the job to the per-MAC free list at
-// once: no step of a finished job is left to run against the object's
-// next life. A frame queued behind an ACK being sent starts when the ACK
-// leaves the air (ackDone), one queued behind a frame in flight starts
-// from finish. The -tags invariants build checks both rules after every
-// MAC callback (invariants_on.go).
+// One frame is in flight at a time, and it waits on one thing: the SPI
+// load, a CSMA backoff, the CCA or its ACK — the Mac's one step timer,
+// whose next field names what runStep runs — or the air, the radio's
+// OnTxDone. The ACK is awaited exactly while the timer holds the ACK
+// timeout (awaitingAck); an ACK this MAC sends cuts that wait short and
+// leaves any other step armed. finish runs only from a frame's last step,
+// so it returns the job to the per-MAC free list at once: no step of a
+// finished job is left to run against the object's next life. A frame
+// queued behind an ACK being sent starts when the ACK leaves the air
+// (ackDone), one queued behind a frame in flight starts from finish. The
+// -tags invariants build panics on a step armed over a pending one or a
+// frame finished under one, and checks for a lost wakeup after every step
+// and radio callback (invariants_on.go).
 //
 // The -tags poison build (package poison) overwrites a job's wire buffer
 // when the job is recycled, and the channel does the same to a released
@@ -149,25 +153,17 @@ type Mac struct {
 	radio  *phy.Radio
 	params Params
 
-	seq        uint8
-	queue      []*txJob
-	inflight   *txJob
-	freeJobs   *txJob
-	ackTimer   sim.Timer
-	sendingAck bool
-	// The step callbacks of the frame in flight, built once: a frame
-	// under CSMA pressure schedules many events, and per-event closures
-	// dominated the MAC's allocation profile.
-	resumeFn func() // load done or retry delay elapsed: start CSMA
-	stepFn   func() // radio freed mid-backoff: take another backoff step
-	fireFn   func() // backoff+CCA delay elapsed: assess the channel
-	txDoneFn func() // the frame left the air
-	// steps counts the frame's pending steps in the invariants build and
-	// is empty otherwise.
-	steps stepCount
-	// The ACK-completion callback and the state it needs (one ACK
-	// transmission can be outstanding at a time).
-	ackDoneFn     func()
+	seq      uint8
+	queue    []*txJob
+	inflight *txJob
+	freeJobs *txJob
+	// step is the engine event the frame in flight waits on, and next
+	// the step it runs (package comment, "One frame, one step").
+	step sim.Timer
+	next stepKind
+	// sendingAck is set while the ACK being sent is on air (one at a
+	// time); ackWasWaiting records that sending it cut an ACK wait short.
+	sendingAck    bool
 	ackWasWaiting bool
 	ackBuf        [phy.AckFrameLen]byte // wire bytes of the ACK being sent
 	// rxFrame is the decode target for inbound frames: one reception is
@@ -197,6 +193,18 @@ type Mac struct {
 
 	Stats Stats
 }
+
+// stepKind names what the frame in flight does when its step fires.
+type stepKind uint8
+
+const (
+	stepResume     stepKind = iota // load done or retry delay elapsed: start CSMA
+	stepBackoff                    // radio freed mid-backoff: take another backoff step
+	stepFire                       // backoff+CCA delay elapsed: assess the channel
+	stepAckTimeout                 // no ACK within phy.AckWait
+)
+
+var stepNames = [...]string{"resume", "backoff step", "backoff fire", "ack timeout"}
 
 // peer is what a MAC keeps about one neighbour: the sequence number of
 // the last frame it accepted from it (duplicate suppression) and, for a
@@ -240,13 +248,9 @@ func New(eng *sim.Engine, radio *phy.Radio, params Params) *Mac {
 		radio:  radio,
 		params: params,
 	}
-	m.ackTimer.Init(eng, m.checked("ack timeout", m.ackTimeout))
-	m.resumeFn = m.step("resume", m.startCSMA)
-	m.stepFn = m.step("backoff step", m.backoffStep)
-	m.fireFn = m.step("backoff fire", m.backoffFire)
-	m.txDoneFn = m.step("tx done", m.txDone)
-	m.ackDoneFn = m.checked("ack done", m.ackDone)
-	radio.OnReceive = m.checkedRx(m.radioReceive)
+	m.step.Init(eng, m.runStep)
+	radio.OnTxDone = m.radioTxDone
+	radio.OnReceive = m.radioReceive
 	radio.SetAddressFilter(true)
 	m.applyIdleState()
 	return m
@@ -368,8 +372,37 @@ func (m *Mac) kick() {
 	// (§4).
 	m.radio.SetListen(true)
 	job.wire = job.frame.AppendEncode(job.wireBuf[:0])
-	m.steps.add(1)
-	m.eng.Schedule(phy.LoadTime(len(job.wire)), m.resumeFn)
+	m.arm(stepResume, phy.LoadTime(len(job.wire)))
+}
+
+// arm makes k the frame in flight's one pending step, due after d.
+func (m *Mac) arm(k stepKind, d sim.Duration) {
+	m.checkArm()
+	m.next = k
+	m.step.Reset(d)
+}
+
+// runStep is the step timer's callback: it runs the step armed.
+func (m *Mac) runStep() {
+	k := m.next
+	switch k {
+	case stepResume:
+		m.startCSMA()
+	case stepBackoff:
+		m.backoffStep()
+	case stepFire:
+		m.backoffFire()
+	case stepAckTimeout:
+		m.radio.SetAckWait(false)
+		m.linkRetry(TxNoAck)
+	}
+	m.checkInvariants(stepNames[k])
+}
+
+// awaitingAck reports whether the frame in flight waits for its ACK: the
+// step armed is the ACK timeout.
+func (m *Mac) awaitingAck() bool {
+	return m.next == stepAckTimeout && m.step.Armed()
 }
 
 // popFront removes q[0] by copying the tail down, so the queue keeps its
@@ -398,9 +431,7 @@ func (m *Mac) backoffStep() {
 	if tr := m.Trace; tr != nil {
 		tr.Emit(obs.Event{T: m.eng.Now(), Kind: obs.MacBackoff, Node: m.radio.ID(), A: int64(job.be), B: int64(slots), J: job.jid})
 	}
-	delay := sim.Duration(slots)*phy.UnitBackoff + phy.CCATime
-	m.steps.add(1)
-	m.eng.Schedule(delay, m.fireFn)
+	m.arm(stepFire, sim.Duration(slots)*phy.UnitBackoff+phy.CCATime)
 }
 
 // backoffFire assesses the channel after a backoff+CCA delay.
@@ -408,8 +439,7 @@ func (m *Mac) backoffFire() {
 	job := m.inflight
 	if m.radio.Transmitting() {
 		// An ACK we owed someone is on air; retry shortly.
-		m.steps.add(1)
-		m.eng.Schedule(phy.UnitBackoff, m.stepFn)
+		m.arm(stepBackoff, phy.UnitBackoff)
 		return
 	}
 	if m.radio.ChannelClear() {
@@ -434,33 +464,33 @@ func (m *Mac) transmit() {
 	if job.attempts > 0 {
 		m.Stats.Retries++
 	}
-	m.steps.add(1)
-	m.radio.OnTxDone = m.txDoneFn
 	m.radio.TxJID = job.jid
 	m.radio.TransmitLoaded(job.wire)
 }
 
-// txDone runs when the in-flight job's frame has left the air.
-func (m *Mac) txDone() {
-	m.radio.OnTxDone = nil
-	if !m.inflight.frame.AckRequest {
+// radioTxDone is the radio's OnTxDone: the ACK being sent, or else the
+// frame in flight, has left the air.
+func (m *Mac) radioTxDone() {
+	switch {
+	case m.sendingAck:
+		m.ackDone()
+	case !m.inflight.frame.AckRequest:
 		m.finish(TxOK)
-		return
+	default:
+		m.arm(stepAckTimeout, phy.AckWait)
+		m.radio.SetAckWait(true)
 	}
-	m.ackTimer.Reset(phy.AckWait)
-	m.radio.SetAckWait(true)
+	m.checkInvariants("tx done")
 }
 
-// stopAckWait disarms the ACK timer and, with it, the radio's interest in
-// ACK frames: the radio's ACK-wait bit is ackTimer.Armed() at all times.
+// stopAckWait ends the wait for an ACK, if there is one, and with it the
+// radio's interest in ACK frames: the radio's ACK-wait bit is
+// awaitingAck() at all times. Any other step stays armed.
 func (m *Mac) stopAckWait() {
-	m.ackTimer.Stop()
+	if m.awaitingAck() {
+		m.step.Stop()
+	}
 	m.radio.SetAckWait(false)
-}
-
-func (m *Mac) ackTimeout() {
-	m.radio.SetAckWait(false)
-	m.linkRetry(TxNoAck)
 }
 
 func (m *Mac) linkRetry(cause TxStatus) {
@@ -483,15 +513,15 @@ func (m *Mac) linkRetry(cause TxStatus) {
 	if tr := m.Trace; tr != nil {
 		tr.Emit(obs.Event{T: m.eng.Now(), Kind: obs.MacRetry, Node: m.radio.ID(), A: int64(job.attempts), B: int64(delay), J: job.jid})
 	}
-	m.steps.add(1)
-	m.eng.Schedule(delay, m.resumeFn)
+	m.arm(stepResume, delay)
 }
 
 func (m *Mac) finish(status TxStatus) {
 	m.checkFinish()
 	job := m.inflight
 	m.inflight = nil
-	m.stopAckWait()
+	m.step.Stop() // its ACK timeout, if the ACK came: finish runs from a frame's last step
+	m.radio.SetAckWait(false)
 	if status == TxOK {
 		m.Stats.DataSent++
 		if job.indirect {
@@ -531,12 +561,19 @@ func (m *Mac) keeps(data []byte) bool {
 	case err != nil:
 		return false
 	case t == phy.FrameAck:
-		return m.ackTimer.Armed()
+		return m.awaitingAck()
 	}
 	return dst == m.radio.Addr() || dst.IsBroadcast()
 }
 
+// radioReceive is the radio's OnReceive; the invariants build checks the
+// MAC after each frame.
 func (m *Mac) radioReceive(data []byte) {
+	m.receive(data)
+	m.checkInvariants("receive")
+}
+
+func (m *Mac) receive(data []byte) {
 	// Frames for someone else are dropped on the header alone, before the
 	// full decode. (A malformed frame fails the same checks in either
 	// place.) The radio's address filter normally withholds them; the
@@ -582,7 +619,7 @@ func (m *Mac) radioReceive(data []byte) {
 
 func (m *Mac) handleAck(f *phy.Frame) {
 	job := m.inflight
-	if job == nil || !m.ackTimer.Armed() || f.Seq != job.frame.Seq {
+	if job == nil || !m.awaitingAck() || f.Seq != job.frame.Seq {
 		return
 	}
 	m.lastAckPending = f.FramePending
@@ -591,7 +628,6 @@ func (m *Mac) handleAck(f *phy.Frame) {
 
 // ackDone runs when the ACK being sent has left the air.
 func (m *Mac) ackDone() {
-	m.radio.OnTxDone = nil
 	m.sendingAck = false
 	m.Stats.AcksSent++
 	if m.ackWasWaiting {
@@ -610,11 +646,10 @@ func (m *Mac) sendAck(seq uint8, pending bool) {
 	// If we were awaiting a link ACK, turning the radio around to
 	// transmit forfeits it (half-duplex); the retry path recovers. A job
 	// that is merely loading or in CSMA backoff is NOT "waiting" — its
-	// own scheduled steps continue independently.
-	m.ackWasWaiting = m.ackTimer.Armed()
+	// step stays armed.
+	m.ackWasWaiting = m.awaitingAck()
 	m.stopAckWait()
 	m.sendingAck = true
-	m.radio.OnTxDone = m.ackDoneFn
 	// ACKs are generated from radio-internal state: no SPI load, just the
 	// turnaround (inside TransmitLoaded). They carry no journey id.
 	m.radio.TxJID = 0

@@ -491,8 +491,8 @@ func TestFreeJobsUnusedAndZeroed(t *testing.T) {
 
 // TestAckWaitBitTracksTimer pins what lets the radio keep ACK frames from
 // a MAC that is not waiting for one: after every engine event the radio's
-// ACK-wait bit equals ackTimer.Armed(), the condition handleAck itself
-// checks. The traffic is the hidden-terminal exchange above plus link
+// ACK-wait bit equals awaitingAck() (the step slot holds the ACK
+// timeout), the condition handleAck itself checks. The traffic is the hidden-terminal exchange above plus link
 // loss, so timers are armed, answered and left to expire.
 func TestAckWaitBitTracksTimer(t *testing.T) {
 	eng := sim.NewEngine(18)
@@ -519,11 +519,11 @@ func TestAckWaitBitTracksTimer(t *testing.T) {
 	armed := 0
 	for eng.Step() {
 		for i, m := range macs {
-			if m.radio.AckWait() != m.ackTimer.Armed() {
-				t.Fatalf("t=%v mac %d: radio ACK-wait bit %v, ackTimer armed %v (in flight %v, queue %d, sending ACK %v)",
-					eng.Now(), i, m.radio.AckWait(), m.ackTimer.Armed(), m.inflight != nil, len(m.queue), m.sendingAck)
+			if m.radio.AckWait() != m.awaitingAck() {
+				t.Fatalf("t=%v mac %d: radio ACK-wait bit %v, awaiting an ACK %v (in flight %v, queue %d, sending ACK %v)",
+					eng.Now(), i, m.radio.AckWait(), m.awaitingAck(), m.inflight != nil, len(m.queue), m.sendingAck)
 			}
-			if m.ackTimer.Armed() {
+			if m.awaitingAck() {
 				armed++
 			}
 		}
@@ -574,4 +574,34 @@ func TestFrameQueuedBehindAckStartsWhenAckEnds(t *testing.T) {
 	if !slices.Equal(got, []string{"queued behind the ACK"}) {
 		t.Fatalf("a received %q", got)
 	}
+}
+
+// TestAckSentInBackoffKeepsTheStep: sending an ACK cuts short only the
+// sender's own wait for an ACK (stopAckWait). A frame of its own that is
+// in CSMA keeps its backoff step in the slot, goes out once the ACK has
+// left the air, and is delivered.
+func TestAckSentInBackoffKeepsTheStep(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		eng, a, b := pair(seed)
+		a.SendJID(b.Radio().Addr(), []byte("to b"), 0, nil)
+		// b's frame starts loading after a's is in backoff, so b's is in
+		// CSMA when a's arrives.
+		eng.RunUntil(sim.Time(phy.LoadTime(phy.FrameOverhead + 4)))
+		status := TxStatus(-1)
+		b.SendJID(a.Radio().Addr(), []byte("to a"), 0, func(s TxStatus) { status = s })
+		for !b.sendingAck && eng.Step() {
+		}
+		if !b.sendingAck || b.inflight == nil || b.inflight.attempts != 0 || b.awaitingAck() {
+			continue // b's frame was not in CSMA when it sent the ACK
+		}
+		if !b.step.Armed() {
+			t.Fatalf("seed %d: b sent an ACK and its frame in CSMA lost its %s step", seed, stepNames[b.next])
+		}
+		eng.Run()
+		if status != TxOK || b.Stats.Retries != 0 {
+			t.Fatalf("seed %d: b's frame ended %v after %d retries", seed, status, b.Stats.Retries)
+		}
+		return
+	}
+	t.Fatal("no seed had b send an ACK while its own frame was in CSMA")
 }

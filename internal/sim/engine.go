@@ -14,8 +14,8 @@ import (
 //
 // Event objects are pooled: once an event has fired (or been cancelled and
 // collected), the engine may reuse the object for a future Schedule/At
-// call, so holders must drop their reference at that point — exactly what
-// Timer does by clearing its pointer before invoking the callback.
+// call, with a new seq, so holders must drop their reference at that
+// point or, as Timer does, keep the seq with it and compare.
 type Event struct {
 	when      Time
 	seq       uint64 // tie-break so equal-time events fire in schedule order

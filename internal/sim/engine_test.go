@@ -217,6 +217,41 @@ func TestTimerDeadline(t *testing.T) {
 	}
 }
 
+// TestTimerIgnoresRecycledEvent: a timer that fired still points at its
+// event object, which the engine recycles and hands to the next
+// Schedule. That other event is not the timer's: the timer reads as
+// stopped, Stop leaves the other event to fire, and Reset arms a fresh one.
+func TestTimerIgnoresRecycledEvent(t *testing.T) {
+	e := NewEngine(1)
+	fired, other := 0, 0
+	tm := NewTimer(e, func() { fired++ })
+	tm.Reset(Millisecond)
+	e.Run()
+	ev := e.Schedule(Millisecond, func() { other++ })
+	if ev != tm.ev {
+		t.Fatal("the engine did not reuse the fired timer's event object")
+	}
+	if tm.Armed() {
+		t.Fatal("a fired timer reads as armed once its event object is reused")
+	}
+	if _, ok := tm.Deadline(); ok {
+		t.Fatal("a fired timer reports the reused event's deadline")
+	}
+	tm.Stop()
+	e.Run()
+	if other != 1 {
+		t.Fatal("Stop on a fired timer cancelled the event that reused its object")
+	}
+	tm.Reset(Millisecond)
+	if !tm.Armed() {
+		t.Fatal("Reset did not re-arm the timer")
+	}
+	e.Run()
+	if fired != 2 || other != 1 {
+		t.Fatalf("timer fired %d times, other event %d, want 2 and 1", fired, other)
+	}
+}
+
 // Property: events always fire in non-decreasing time order, whatever the
 // set of scheduled delays.
 func TestQuickEventOrder(t *testing.T) {

@@ -164,3 +164,22 @@ func TestBuildAllocsPerNode(t *testing.T) {
 			perNode, maxBuildAllocsPerNode)
 	}
 }
+
+// TestWakeAllocs pins what waking a node allocates: the layers object,
+// the Mac, the three method values the MAC hands the engine and the
+// radio (its step timer's runStep, OnTxDone, OnReceive), and onFrame,
+// frameDone and SendPacket. The MAC's steps share one timer, so a frame's
+// steps cost no callback each.
+func TestWakeAllocs(t *testing.T) {
+	const n, wakes = 200, 100
+	net := New(1, mesh.RandomGeometric(n, 16, 1), DefaultOptions())
+	next := 0
+	perWake := testing.AllocsPerRun(wakes, func() {
+		net.Nodes[next].wake()
+		next++
+	})
+	t.Logf("wake: %.2f allocations per node", perWake)
+	if perWake != 8 {
+		t.Fatalf("waking a node costs %.2f allocations, want 8", perWake)
+	}
+}

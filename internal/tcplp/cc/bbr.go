@@ -103,8 +103,6 @@ func newBBR(p Params) *bbr {
 	return b
 }
 
-func (b *bbr) Name() Variant { return Bbr }
-
 func (b *bbr) Init(now sim.Time) {
 	b.window.Init(now)
 	b.mode = bbrStartup

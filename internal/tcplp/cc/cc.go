@@ -77,8 +77,6 @@ type Params struct {
 // per event because it is only final after the SYN exchange clamps it to
 // the peer's. Methods are invoked from the simulation goroutine only.
 type Algorithm interface {
-	// Name identifies the variant.
-	Name() Variant
 	// Init seeds the window state when the connection starts.
 	Init(now sim.Time)
 	// Cwnd is the congestion window in bytes.

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"reflect"
 	"testing"
 
 	"tcplp/internal/sim"
@@ -43,6 +44,15 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// registryTypes is the algorithm each variant must build.
+var registryTypes = map[Variant]Algorithm{
+	NewReno:  (*newReno)(nil),
+	Cubic:    (*cubic)(nil),
+	Westwood: (*westwood)(nil),
+	Bbr:      (*bbr)(nil),
+	Vegas:    (*vegas)(nil),
+}
+
 func TestVariantsRoundTrip(t *testing.T) {
 	vs := Variants()
 	if len(vs) != len(registry) {
@@ -52,9 +62,8 @@ func TestVariantsRoundTrip(t *testing.T) {
 		if !Valid(v) {
 			t.Fatalf("Variants() lists %v but Valid rejects it", v)
 		}
-		a := mk(t, v)
-		if a.Name() != v {
-			t.Fatalf("New(%v).Name() = %v", v, a.Name())
+		if a, want := mk(t, v), registryTypes[v]; reflect.TypeOf(a) != reflect.TypeOf(want) {
+			t.Fatalf("New(%v) built a %T, want a %T", v, a, want)
 		}
 		if p, err := Parse(string(v)); err != nil || p != v {
 			t.Fatalf("Parse(%v) = %v, %v", v, p, err)

@@ -35,8 +35,6 @@ func newCubic(p Params) *cubic {
 	return c
 }
 
-func (c *cubic) Name() Variant { return Cubic }
-
 func (c *cubic) Init(now sim.Time) {
 	c.window.Init(now)
 	c.wMax = 0

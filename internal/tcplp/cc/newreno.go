@@ -16,8 +16,6 @@ func newNewReno(p Params) *newReno {
 	return r
 }
 
-func (r *newReno) Name() Variant { return NewReno }
-
 func (r *newReno) OnAck(_ sim.Time, mss, acked int, _ sim.Duration) {
 	r.growReno(mss, acked)
 }

@@ -36,8 +36,6 @@ func newVegas(p Params) *vegas {
 	return v
 }
 
-func (v *vegas) Name() Variant { return Vegas }
-
 func (v *vegas) Init(now sim.Time) {
 	v.window.Init(now)
 	v.baseRTT = 0

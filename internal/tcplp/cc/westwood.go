@@ -22,8 +22,6 @@ func newWestwood(p Params) *westwood {
 	return w
 }
 
-func (w *westwood) Name() Variant { return Westwood }
-
 func (w *westwood) Init(now sim.Time) {
 	w.window.Init(now)
 	w.bwe = 0

@@ -567,3 +567,23 @@ func TestHeaderPredictionCounters(t *testing.T) {
 		t.Fatal("no predicted ACKs on a clean bulk transfer")
 	}
 }
+
+// TestConnSetupAllocs pins what opening a connection allocates: the Conn,
+// its congestion-control state and RTT estimator, and its five timers
+// with their five callbacks. A timer builds nothing of its own around its
+// callback. Four of the callbacks go through checked, which wraps each in
+// one more closure in the invariants build.
+func TestConnSetupAllocs(t *testing.T) {
+	cfg := testCfg()
+	s := NewStack(sim.NewEngine(1), ip6.AddrFromID(1), cfg)
+	var c *Conn
+	var wrapped func()
+	perWrap := testing.AllocsPerRun(100, func() { wrapped = c.checked("", nil) })
+	perConn := testing.AllocsPerRun(100, func() { c = newConn(s, cfg) })
+	_ = wrapped
+	want := 13 + 4*perWrap
+	t.Logf("newConn: %.2f allocations (%.0f per checked wrapper)", perConn, perWrap)
+	if perConn != want {
+		t.Fatalf("opening a connection costs %.2f allocations, want %.0f", perConn, want)
+	}
+}

@@ -8,8 +8,14 @@ func (c *Conn) Cwnd() int { return c.cong.Cwnd() }
 // Ssthresh returns the slow-start threshold in bytes.
 func (c *Conn) Ssthresh() int { return c.cong.Ssthresh() }
 
-// Variant returns the congestion-control algorithm in use.
-func (c *Conn) Variant() cc.Variant { return c.cong.Name() }
+// Variant returns the congestion-control variant configured, NewReno
+// when none is.
+func (c *Conn) Variant() cc.Variant {
+	if c.cfg.Variant == "" {
+		return cc.NewReno
+	}
+	return c.cfg.Variant
+}
 
 // ReadableBytes returns the bytes available to Read.
 func (c *Conn) ReadableBytes() int { return c.rcvQ.Readable() }
