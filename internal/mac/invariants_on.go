@@ -29,7 +29,7 @@ func (m *Mac) checkFinish() {
 func (m *Mac) checkInvariants(where string) {
 	cut := m.sendingAck && m.ackWasWaiting
 	switch {
-	case len(m.queue) > 0 && m.inflight == nil && !m.sendingAck && !m.radio.Transmitting():
+	case m.qHead != nil && m.inflight == nil && !m.sendingAck && !m.radio.Transmitting():
 		m.fail("after "+where, "lost wakeup: frames queued, none in flight, no ACK being sent")
 	case m.inflight == nil && (m.step.Armed() || cut):
 		m.fail("after "+where, "a step or an ACK wait with nothing in flight")
@@ -39,7 +39,7 @@ func (m *Mac) checkInvariants(where string) {
 }
 
 func (m *Mac) fail(where, msg string) {
-	panic(fmt.Sprintf("mac: invariant broken %s: %s\n  node=%d t=%v inflight=%v queue=%d step=%v next=%s sendingAck=%v ackWasWaiting=%v radio=%v",
-		where, msg, m.radio.ID(), m.eng.Now(), m.inflight != nil, len(m.queue), m.step.Armed(),
+	panic(fmt.Sprintf("mac: invariant broken %s: %s\n  node=%d t=%v inflight=%v queued=%v step=%v next=%s sendingAck=%v ackWasWaiting=%v radio=%v",
+		where, msg, m.radio.ID(), m.eng.Now(), m.inflight != nil, m.qHead != nil, m.step.Armed(),
 		stepNames[m.next], m.sendingAck, m.ackWasWaiting, m.radio.State()))
 }

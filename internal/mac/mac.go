@@ -12,7 +12,10 @@
 // # Buffer ownership
 //
 // Like the mote, a MAC has one frame buffer per queued frame and the
-// per-frame path allocates nothing in steady state. SendJID borrows the
+// per-frame path allocates nothing in steady state. The buffer is a
+// transmit job's, and jobs come from a JobPool that the MACs of one
+// network share (Init; a MAC built by New has its own): a job finished
+// here may carry another MAC's next frame at once. SendJID borrows the
 // caller's payload until the frame is loaded (kick), when it is encoded
 // into the wire buffer inside the transmit job; the caller may recycle
 // the payload once its done callback has run. The job's buffer is what
@@ -43,13 +46,13 @@
 // OnTxDone. The ACK is awaited exactly while the timer holds the ACK
 // timeout (awaitingAck); an ACK this MAC sends cuts that wait short and
 // leaves any other step armed. finish runs only from a frame's last step,
-// so it returns the job to the per-MAC free list at once: no step of a
-// finished job is left to run against the object's next life. A frame
-// queued behind an ACK being sent starts when the ACK leaves the air
-// (ackDone), one queued behind a frame in flight starts from finish. The
-// -tags invariants build panics on a step armed over a pending one or a
-// frame finished under one, and checks for a lost wakeup after every step
-// and radio callback (invariants_on.go).
+// so it returns the job to the pool at once: no step of a finished job
+// is left to run against the object's next life, at this MAC or another.
+// A frame queued behind an ACK being sent starts when the ACK leaves the
+// air (ackDone), one queued behind a frame in flight starts from finish.
+// The -tags invariants build panics on a step armed over a pending one or
+// a frame finished under one, and checks for a lost wakeup after every
+// step and radio callback (invariants_on.go).
 //
 // The -tags poison build (package poison) overwrites a job's wire buffer
 // when the job is recycled, and the channel does the same to a released
@@ -131,9 +134,11 @@ type Stats struct {
 	IndirectSent uint64
 }
 
-// txJob is one frame's transmit state. Jobs are pooled per Mac (see
+// txJob is one frame's transmit state. Jobs come from a JobPool (see
 // "Buffer ownership" in the package comment): getJob hands out a zeroed
-// job, putJob takes it back.
+// job, putJob takes it back. A job is free, queued, held for a sleepy
+// child or in flight, one at a time, so one link serves the pool's free
+// list and the MAC's transmit queue.
 type txJob struct {
 	frame    phy.Frame
 	wire     []byte // wireBuf[:n]: encoded once, when loaded into the frame buffer
@@ -144,8 +149,18 @@ type txJob struct {
 	nb, be   int
 	indirect bool
 	jid      int64  // journey packet id of the carried datagram (0 = untagged)
-	next     *txJob // free list
+	next     *txJob // free list or transmit queue
 }
+
+// JobPool is a free list of transmit jobs: one per network, shared by
+// the MACs on its engine, and so by one goroutine.
+type JobPool struct {
+	free *txJob
+	made int
+}
+
+// Made returns how many jobs the pool has made.
+func (p *JobPool) Made() int { return p.made }
 
 // Mac is one node's MAC instance.
 type Mac struct {
@@ -153,10 +168,11 @@ type Mac struct {
 	radio  *phy.Radio
 	params Params
 
-	seq      uint8
-	queue    []*txJob
-	inflight *txJob
-	freeJobs *txJob
+	seq uint8
+	// qHead and qTail are the transmit queue, linked through txJob.next.
+	qHead, qTail *txJob
+	inflight     *txJob
+	jobs         *JobPool
 	// step is the engine event the frame in flight waits on, and next
 	// the step it runs (package comment, "One frame, one step").
 	step sim.Timer
@@ -238,31 +254,36 @@ func (m *Mac) addPeer(a phy.Addr) *peer {
 	return &m.peers[len(m.peers)-1]
 }
 
-// New wires a MAC onto a radio. The radio's OnReceive/OnTxDone callbacks
-// are owned by the MAC from this point on.
+// New wires a MAC with a job pool of its own onto a radio.
 func New(eng *sim.Engine, radio *phy.Radio, params Params) *Mac {
+	m := new(Mac)
+	m.Init(eng, radio, params, new(JobPool))
+	return m
+}
+
+// Init wires the zero MAC m onto a radio, taking its transmit jobs from
+// jobs, which the other MACs on eng may share. The radio's
+// OnReceive/OnTxDone callbacks are owned by the MAC from this point on.
+func (m *Mac) Init(eng *sim.Engine, radio *phy.Radio, params Params, jobs *JobPool) {
 	// The neighbour records start at the first frame received or the
 	// first sleepy child: a MAC that only sends and is ACKed has none.
-	m := &Mac{
-		eng:    eng,
-		radio:  radio,
-		params: params,
-	}
+	m.eng, m.radio, m.params, m.jobs = eng, radio, params, jobs
 	m.step.Init(eng, m.runStep)
 	radio.OnTxDone = m.radioTxDone
 	radio.OnReceive = m.radioReceive
 	radio.SetAddressFilter(true)
 	m.applyIdleState()
-	return m
 }
 
-// getJob returns a zeroed transmit job from the free list, building a new
-// one only when the list is empty.
+// getJob returns a zeroed transmit job from the pool, building a new one
+// only when the pool is empty.
 func (m *Mac) getJob() *txJob {
-	if job := m.freeJobs; job != nil {
-		m.freeJobs, job.next = job.next, nil
+	p := m.jobs
+	if job := p.free; job != nil {
+		p.free, job.next = job.next, nil
 		return job
 	}
+	p.made++
 	return &txJob{}
 }
 
@@ -272,7 +293,7 @@ func (m *Mac) putJob(job *txJob) {
 	job.frame = phy.Frame{}
 	job.wire, job.done, job.pollDone = nil, nil, nil
 	job.indirect, job.jid = false, 0
-	job.next, m.freeJobs = m.freeJobs, job
+	job.next, m.jobs.free = m.jobs.free, job
 }
 
 // SetChildSleepy registers a sleepy child: unicast frames to it are held
@@ -342,15 +363,16 @@ func (m *Mac) SendDataRequest(parent phy.Addr, done func(TxStatus, bool)) {
 }
 
 func (m *Mac) enqueue(job *txJob) {
-	if job.indirect {
+	switch {
+	case m.qHead == nil:
+		m.qHead, m.qTail = job, job
+	case job.indirect:
 		// Indirect frames jump the queue: §9.5 improvement (1),
 		// "prioritized indirect messages over the current packet being
 		// sent" — here, over queued packets; an in-flight frame finishes.
-		m.queue = append(m.queue, nil)
-		copy(m.queue[1:], m.queue)
-		m.queue[0] = job
-	} else {
-		m.queue = append(m.queue, job)
+		job.next, m.qHead = m.qHead, job
+	default:
+		m.qTail.next, m.qTail = job, job
 	}
 	m.kick()
 }
@@ -359,11 +381,14 @@ func (m *Mac) enqueue(job *txJob) {
 // flight or an ACK is being sent. Each of those ends by kicking again —
 // finish and ackDone — so a queued frame starts once the MAC is free.
 func (m *Mac) kick() {
-	if m.inflight != nil || m.sendingAck || len(m.queue) == 0 {
+	if m.inflight != nil || m.sendingAck || m.qHead == nil {
 		return
 	}
-	job := m.queue[0]
-	m.queue = popFront(m.queue)
+	job := m.qHead
+	if m.qHead = job.next; m.qHead == nil {
+		m.qTail = nil
+	}
+	job.next = nil
 	m.inflight = job
 	job.attempts = 0
 	// Pay the SPI cost of moving the frame into the radio's frame buffer
@@ -405,9 +430,9 @@ func (m *Mac) awaitingAck() bool {
 	return m.next == stepAckTimeout && m.step.Armed()
 }
 
-// popFront removes q[0] by copying the tail down, so the queue keeps its
-// capacity and a steady stream of frames never regrows it (queues here
-// are a handful of frames long).
+// popFront removes q[0] by copying the tail down, so a sleepy child's
+// indirect queue keeps its capacity and a steady stream of frames never
+// regrows it (it is a handful of frames long).
 func popFront(q []*txJob) []*txJob {
 	n := copy(q, q[1:])
 	q[n] = nil

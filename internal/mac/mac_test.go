@@ -417,7 +417,7 @@ func TestBroadcastBackToBackIntact(t *testing.T) {
 	reloaded := false
 	a.SendJID(phy.BroadcastAddr, []byte("first frame: AAAAAAAAAAAAAAAA"), 0, func(TxStatus) {
 		a.SendJID(phy.BroadcastAddr, []byte("second frame: BBBBBBBB"), 0, nil)
-		reloaded = a.inflight == first && first.wire != nil && len(a.queue) == 0 // wire is this life's
+		reloaded = a.inflight == first && first.wire != nil && a.queued() == 0 // wire is this life's
 	})
 	eng.Run()
 
@@ -432,15 +432,31 @@ func TestBroadcastBackToBackIntact(t *testing.T) {
 	}
 }
 
-// checkJobPool asserts the free-list invariants: nothing on the list is
-// in flight or queued, and everything on it is zeroed for its next use.
-func checkJobPool(t *testing.T, m *Mac) {
-	t.Helper()
-	live := map[*txJob]bool{m.inflight: true}
-	for _, j := range m.queue {
-		live[j] = true
+// queued returns the number of jobs in m's transmit queue.
+func (m *Mac) queued() int {
+	n := 0
+	for j := m.qHead; j != nil; j = j.next {
+		n++
 	}
-	for j := m.freeJobs; j != nil; j = j.next {
+	return n
+}
+
+// checkJobPool asserts the free-list invariants of the pool macs share:
+// nothing on the list is in flight or queued at any of them, and
+// everything on it is zeroed for its next use.
+func checkJobPool(t *testing.T, macs []*Mac) {
+	t.Helper()
+	live := map[*txJob]bool{}
+	for _, m := range macs {
+		if m.jobs != macs[0].jobs {
+			t.Fatal("the MACs do not share one job pool")
+		}
+		live[m.inflight] = true
+		for j := m.qHead; j != nil; j = j.next {
+			live[j] = true
+		}
+	}
+	for j := macs[0].jobs.free; j != nil; j = j.next {
 		if live[j] {
 			t.Fatal("free job is also in flight or queued")
 		}
@@ -452,23 +468,25 @@ func checkJobPool(t *testing.T, m *Mac) {
 
 // TestFreeJobsUnusedAndZeroed: with two hidden senders and the receiver
 // answering each, so ACKs are owed mid-backoff, ACK windows are forfeited
-// to outgoing ACKs (ackWasWaiting) and retries pile up, every job on a
-// free list is neither in flight nor queued and is zeroed, checked from
-// each done callback and at the end.
+// to outgoing ACKs (ackWasWaiting) and retries pile up, every job on the
+// free list the three MACs share is neither in flight nor queued at any
+// of them and is zeroed, checked from each done callback and at the end.
 func TestFreeJobsUnusedAndZeroed(t *testing.T) {
 	eng := sim.NewEngine(16)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(1.0, 1.0))
 	p := DefaultParams()
 	p.maxRetries = 4
-	var macs []*Mac
-	for i := 0; i < 3; i++ {
-		macs = append(macs, New(eng, ch.AddRadio(i, phy.Point{X: float64(i)}), p))
+	var jobs JobPool
+	macs := make([]*Mac, 3)
+	for i := range macs {
+		macs[i] = new(Mac)
+		macs[i].Init(eng, ch.AddRadio(i, phy.Point{X: float64(i)}), p, &jobs)
 	}
 	payload := make([]byte, 90)
 	var feed func(m *Mac, dst phy.Addr)
 	feed = func(m *Mac, dst phy.Addr) {
 		m.SendJID(dst, payload, 0, func(TxStatus) {
-			checkJobPool(t, m)
+			checkJobPool(t, macs)
 			if eng.Now() < sim.Time(10*sim.Second) {
 				feed(m, dst)
 			}
@@ -479,8 +497,8 @@ func TestFreeJobsUnusedAndZeroed(t *testing.T) {
 	feed(macs[1], macs[0].Radio().Addr())
 	eng.RunUntil(sim.Time(12 * sim.Second))
 	var retries, drops uint64
+	checkJobPool(t, macs)
 	for _, m := range macs {
-		checkJobPool(t, m)
 		retries += m.Stats.Retries
 		drops += m.Stats.DataDropped
 	}
@@ -521,7 +539,7 @@ func TestAckWaitBitTracksTimer(t *testing.T) {
 		for i, m := range macs {
 			if m.radio.AckWait() != m.awaitingAck() {
 				t.Fatalf("t=%v mac %d: radio ACK-wait bit %v, awaiting an ACK %v (in flight %v, queue %d, sending ACK %v)",
-					eng.Now(), i, m.radio.AckWait(), m.awaitingAck(), m.inflight != nil, len(m.queue), m.sendingAck)
+					eng.Now(), i, m.radio.AckWait(), m.awaitingAck(), m.inflight != nil, m.queued(), m.sendingAck)
 			}
 			if m.awaitingAck() {
 				armed++
@@ -556,8 +574,8 @@ func TestFrameQueuedBehindAckStartsWhenAckEnds(t *testing.T) {
 	if eng.Pending() != pending {
 		t.Fatalf("queueing behind the ACK scheduled %d engine event(s)", eng.Pending()-pending)
 	}
-	if b.inflight != nil || len(b.queue) != 1 {
-		t.Fatalf("frame started while the ACK is on air (in flight %v, queue %d)", b.inflight != nil, len(b.queue))
+	if b.inflight != nil || b.queued() != 1 {
+		t.Fatalf("frame started while the ACK is on air (in flight %v, queue %d)", b.inflight != nil, b.queued())
 	}
 	for b.sendingAck {
 		if b.inflight != nil {
@@ -565,8 +583,8 @@ func TestFrameQueuedBehindAckStartsWhenAckEnds(t *testing.T) {
 		}
 		eng.Step()
 	}
-	if b.Stats.AcksSent != 1 || b.inflight == nil || b.inflight.wire == nil || len(b.queue) != 0 {
-		t.Fatalf("when the ACK left the air: acks %d, in flight %v, queue %d", b.Stats.AcksSent, b.inflight != nil, len(b.queue))
+	if b.Stats.AcksSent != 1 || b.inflight == nil || b.inflight.wire == nil || b.queued() != 0 {
+		t.Fatalf("when the ACK left the air: acks %d, in flight %v, queue %d", b.Stats.AcksSent, b.inflight != nil, b.queued())
 	}
 	var got []string
 	a.OnReceive = func(f *phy.Frame) { got = append(got, string(f.Payload)) }

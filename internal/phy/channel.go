@@ -185,6 +185,12 @@ type Channel struct {
 	// corrupted despite no collision. Nil means a perfect channel.
 	PER func(src, dst *Radio) float64
 
+	// Wake, when set, is called for a radio with no OnReceive that wants
+	// a decoded frame, before the frame is handed up: a dormant node's
+	// radio, whose owner may now install OnReceive and be handed the
+	// same bytes at the same instant. One hook serves every radio.
+	Wake func(r *Radio)
+
 	// Trace, when non-nil, receives phy-layer events and raw frame
 	// captures (obs). Hooks only read state, so enabling it cannot
 	// perturb a run.
@@ -469,7 +475,11 @@ func (c *Channel) endRx(idx int32, t *transmission, dst int32) {
 	if !h.wants(idx, dst) {
 		return
 	}
-	if r := c.radios[idx]; r.OnReceive != nil {
+	r := c.radios[idx]
+	if r.OnReceive == nil && c.Wake != nil {
+		c.Wake(r)
+	}
+	if r.OnReceive != nil {
 		n := copy(c.rxBuf[:], t.data)
 		r.RxJID = t.jid
 		r.OnReceive(c.rxBuf[:n])

@@ -483,3 +483,38 @@ func TestLockedSetAllocs(t *testing.T) {
 		t.Fatalf("%d receptions resolved over %d frames, want %d each", got, runs+1, listeners)
 	}
 }
+
+// TestWakeHookHandsUpTheSameFrame: a radio with no OnReceive reaches the
+// channel's Wake hook when it wants a decoded frame, and only then; a
+// receiver the hook installs is handed that frame's bytes at once, and a
+// radio with a receiver goes straight to it.
+func TestWakeHookHandsUpTheSameFrame(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ch := NewChannel(eng, NewUnitDisk(1, 1))
+	tx := ch.AddRadio(0, Point{})
+	dormant := ch.AddRadio(1, Point{X: 0.5})
+	bystander := ch.AddRadio(2, Point{X: -0.5}) // filters out frames for radio 1
+	for _, r := range []*Radio{tx, dormant, bystander} {
+		r.SetAddressFilter(true)
+		r.SetListen(true)
+	}
+	var woken []int
+	var got [][]byte
+	ch.Wake = func(r *Radio) {
+		woken = append(woken, r.ID())
+		r.OnReceive = func(data []byte) { got = append(got, append([]byte(nil), data...)) }
+	}
+	var sent [][]byte
+	for _, payload := range []string{"wakes radio 1", "goes to its receiver"} {
+		f := (&Frame{Type: FrameData, Seq: 1, Dst: dormant.Addr(), Src: tx.Addr(), Payload: []byte(payload)}).Encode()
+		sent = append(sent, f)
+		tx.Transmit(f)
+		eng.Run()
+	}
+	if fmt.Sprint(woken) != "[1]" || !reflect.DeepEqual(got, sent) {
+		t.Fatalf("woken %v, handed %q, want [1] and %q", woken, got, sent)
+	}
+	if bystander.FramesReceived() != 2 || bystander.OnReceive != nil {
+		t.Fatalf("bystander decoded %d frames and has a receiver %v", bystander.FramesReceived(), bystander.OnReceive != nil)
+	}
+}

@@ -11,6 +11,7 @@ import (
 
 	"tcplp/internal/phy"
 	"tcplp/internal/sim"
+	"tcplp/internal/stack"
 )
 
 // Manifest is what one run cost the simulator, as distinct from what the
@@ -52,6 +53,11 @@ type Manifest struct {
 	// host's, warm-up included: a receive array that grows counts every
 	// array it made, the ones it replaced too.
 	TCPBufBytes uint64 `json:"tcp_buf_bytes"`
+	// Pools is how many objects the network's packet pools made over the
+	// run, warm-up included: fragment buffers, queued-datagram items and
+	// MAC transmit jobs. The nodes share them, so they grow with the
+	// traffic in flight, not with the nodes the run woke.
+	Pools stack.PoolCounts `json:"pools"`
 	// CoAPDedupPeak is the most answered CON exchanges any CoAP server
 	// (a flow's collector or the gateway's) held at once for duplicate
 	// detection, warm-up included.
@@ -130,6 +136,7 @@ func (mc *manifestClock) manifest(rc *runContext) *Manifest {
 	m.RouteBytes = rc.net.Routes.Bytes()
 	m.FwdEntriesPeak = rc.net.FwdEntriesPeak()
 	m.TCPBufBytes = rc.net.TCPBufBytes()
+	m.Pools = rc.net.Pools()
 	m.CoAPDedupPeak = rc.coapDedupPeak()
 	if rc.recorder != nil {
 		m.JourneyBytes = uint64(rc.recorder.Bytes())

@@ -201,6 +201,9 @@ func TestManifestIsBitNeutral(t *testing.T) {
 			if m.TCPBufBytes == 0 {
 				t.Fatalf("TCP devices sent readings, but the run made no TCP buffer bytes")
 			}
+			if p := m.Pools; p.FragBufs == 0 || p.OutItems == 0 || p.MacJobs == 0 {
+				t.Fatalf("devices sent readings, but a packet pool made nothing: %+v", p)
+			}
 			if m.CoAPDedupPeak != 0 {
 				t.Fatalf("no flow uses CoAP, but a server held %d exchanges", m.CoAPDedupPeak)
 			}

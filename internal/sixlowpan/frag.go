@@ -104,38 +104,64 @@ func RewriteTag(b []byte, tag uint16) error {
 }
 
 // Fragmenter splits (compressed-header, payload) pairs into link
-// payloads. It owns the datagram tag counter of one interface and a
-// free list of fragment buffers: callers return each buffer with
-// Release once the link layer is finished with it, so steady-state
-// fragmentation allocates nothing.
+// payloads. It owns the datagram tag counter of one interface — RFC 4944
+// scopes a tag to the link-layer sender — and takes its fragment buffers
+// from Pool: callers return each buffer with Release once the link layer
+// is finished with it, so steady-state fragmentation allocates nothing.
+// The fragmenters of one network share a pool; a zero Fragmenter makes
+// its own at first use.
 type Fragmenter struct {
 	tag  uint16
+	Pool *BufPool
+}
+
+// BufPool is a free list of fragment buffers. A buffer one fragmenter
+// releases may be handed to another at once. A pool belongs to one
+// goroutine: the fragmenters sharing it run on one engine.
+type BufPool struct {
 	free [][]byte
 	// bufCap is the capacity every pooled buffer has or is grown to: the
 	// largest link MTU or buffer asked for so far. A recycled buffer then
 	// fits any request, so a pool of mixed sizes does not churn.
 	bufCap int
+	made   int
 }
 
-// getBuf returns an empty buffer with at least the requested capacity,
-// recycling a released one when possible.
-func (f *Fragmenter) getBuf(capacity int) []byte {
-	f.bufCap = max(f.bufCap, capacity)
-	if n := len(f.free); n > 0 {
-		b := f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-		return slices.Grow(b[:0], f.bufCap) // grows only a buffer older than a larger request
+// Made returns how many buffers the pool has made, a recycled buffer
+// regrown to a larger request included.
+func (p *BufPool) Made() int { return p.made }
+
+// pool returns the fragmenter's pool, making one at first use.
+func (f *Fragmenter) pool() *BufPool {
+	if f.Pool == nil {
+		f.Pool = new(BufPool)
 	}
-	return make([]byte, 0, f.bufCap)
+	return f.Pool
+}
+
+// get returns an empty buffer with at least the requested capacity,
+// recycling a released one when possible.
+func (p *BufPool) get(capacity int) []byte {
+	p.bufCap = max(p.bufCap, capacity)
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		if cap(b) < p.bufCap { // a buffer older than a larger request
+			p.made++
+			return slices.Grow(b[:0], p.bufCap)
+		}
+		return b[:0]
+	}
+	p.made++
+	return make([]byte, 0, p.bufCap)
 }
 
 // Clone copies b into a pooled buffer — the relay path uses it so
 // forwarded fragments recycle through the same pool as locally
 // originated ones.
 func (f *Fragmenter) Clone(b []byte) []byte {
-	out := f.getBuf(len(b))
-	return append(out, b...)
+	return append(f.pool().get(len(b)), b...)
 }
 
 // Release returns a fragment buffer produced by AppendFragments (or
@@ -145,7 +171,8 @@ func (f *Fragmenter) Release(b []byte) {
 		return
 	}
 	poison.Bytes(b)
-	f.free = append(f.free, b)
+	p := f.pool()
+	p.free = append(p.free, b)
 }
 
 // NextTag returns a fresh datagram tag.
@@ -166,9 +193,10 @@ func (f *Fragmenter) NextTag() uint16 {
 // the 40-byte uncompressed header plus enough payload to end on an
 // 8-octet boundary, as RFC 4944 requires.
 func (f *Fragmenter) AppendFragments(dst [][]byte, chdr, payload []byte, maxLink int) [][]byte {
-	f.bufCap = max(f.bufCap, maxLink)
+	p := f.pool()
+	p.bufCap = max(p.bufCap, maxLink)
 	if len(chdr)+len(payload) <= maxLink {
-		one := f.getBuf(len(chdr) + len(payload))
+		one := p.get(len(chdr) + len(payload))
 		one = append(one, chdr...)
 		one = append(one, payload...)
 		return append(dst, one)
@@ -191,7 +219,7 @@ func (f *Fragmenter) AppendFragments(dst [][]byte, chdr, payload []byte, maxLink
 	if p1 < 0 {
 		p1 = 0
 	}
-	frag1 := f.getBuf(Frag1HeaderLen + len(chdr) + p1)
+	frag1 := p.get(Frag1HeaderLen + len(chdr) + p1)
 	frag1 = binary.BigEndian.AppendUint16(frag1, uint16(dispFRAG1)<<8|uint16(size))
 	frag1 = binary.BigEndian.AppendUint16(frag1, tag)
 	frag1 = append(frag1, chdr...)
@@ -205,7 +233,7 @@ func (f *Fragmenter) AppendFragments(dst [][]byte, chdr, payload []byte, maxLink
 		if end > len(payload) {
 			end = len(payload)
 		}
-		fn := f.getBuf(FragNHeaderLen + end - off)
+		fn := p.get(FragNHeaderLen + end - off)
 		fn = binary.BigEndian.AppendUint16(fn, uint16(dispFRAGN)<<8|uint16(size))
 		fn = binary.BigEndian.AppendUint16(fn, tag)
 		fn = append(fn, byte((40+off)/8))

@@ -16,11 +16,13 @@
 // DecompressHeaderInto fills the caller's ip6.Header; neither keeps a
 // reference to its arguments.
 //
-// A Fragmenter owns a pool of fragment buffers. AppendFragments copies
-// the compressed header and the payload into buffers from the pool and
+// A Fragmenter takes its fragment buffers from a BufPool, one per
+// network (a lone Fragmenter makes its own). AppendFragments copies the
+// compressed header and the payload into buffers from the pool and
 // appends them to the caller's list — the list is the caller's, each
 // buffer is the caller's until it hands it back with Release, after
-// which it must not be touched.
+// which it must not be touched: the pool may hand it to another
+// interface at once.
 //
 // A Reassembler owns one arena per interface: partial-datagram
 // descriptors and payload buffers, both recycled on completion and on

@@ -396,3 +396,50 @@ func TestFragmenterPoolMixedSizes(t *testing.T) {
 		t.Fatalf("alternating short and full-size rounds cost %.0f allocations each, want 0", n)
 	}
 }
+
+// TestFragmentersShareAPool: two interfaces' fragmenters on one pool, as
+// a network's nodes are, keep their own datagram tags — RFC 4944 scopes a
+// tag to the link-layer sender — and each takes the buffers the other
+// released, so once one datagram's worth is stocked neither allocates.
+func TestFragmentersShareAPool(t *testing.T) {
+	var pool BufPool
+	fa, fb := Fragmenter{Pool: &pool}, Fragmenter{Pool: &pool}
+	chdr := CompressHeader(meshHeader(1, 2))
+	payload := bytes.Repeat([]byte{0x66}, 300)
+	var frames [][]byte
+	stock := map[*byte]bool{}
+	// send fragments a datagram from one fragmenter and releases it
+	// through the other, checking its tag and, once stocked, that every
+	// buffer is one the pool already had.
+	send := func(from, to *Fragmenter, wantTag uint16, stocked bool) {
+		frames = from.AppendFragments(frames[:0], chdr, payload, phy.MaxMACPayload)
+		for _, fr := range frames {
+			fi, err := ParseFragment(fr)
+			if err != nil || fi.Tag != wantTag {
+				t.Fatalf("fragment tag %d (%v), want %d", fi.Tag, err, wantTag)
+			}
+			if p := &fr[:1][0]; !stocked {
+				stock[p] = true
+			} else if !stock[p] {
+				t.Fatalf("a fragmenter got a fresh buffer with %d pooled", len(stock))
+			}
+			to.Release(fr)
+		}
+	}
+	send(&fa, &fb, 1, false)
+	made := pool.Made()
+	send(&fb, &fa, 1, true)
+	send(&fa, &fb, 2, true)
+	send(&fb, &fa, 2, true)
+	if made != len(frames) || pool.Made() != made || fa.Pool != &pool || fb.Pool != &pool {
+		t.Fatalf("the pool made %d buffers, then %d, for %d-frame datagrams", made, pool.Made(), len(frames))
+	}
+	tag := uint16(2)
+	if n := testing.AllocsPerRun(20, func() {
+		tag++
+		send(&fa, &fb, tag, true)
+		send(&fb, &fa, tag, true)
+	}); n != 0 {
+		t.Fatalf("a datagram each way costs %.0f allocations once the pool is stocked, want 0", n)
+	}
+}

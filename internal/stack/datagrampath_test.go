@@ -2,7 +2,9 @@ package stack
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"tcplp/internal/mac"
 	"tcplp/internal/mesh"
@@ -106,24 +108,112 @@ func TestDatagramPathAllocs(t *testing.T) {
 }
 
 // TestNodeBuffersLazy: building a network gives no node a MAC or a
-// transport (TestWakeOnFirstAddressedFrame), and waking a node gives it
-// neither a reassembler (and so no arena or packet), a fragment pool, a
-// queued-datagram item or frame list, a forwarding cache nor a TCP
-// transmit / receive slot: those appear on the node's first datagram, so
-// a relay woken by one frame pays for what it relays, not for sockets it
-// never opens. (TestIdleNodeFootprint bounds the bytes.)
+// transport (TestWakeOnFirstAddressedFrame) and leaves the network's
+// packet pools (fragment buffers, queued-datagram items, MAC jobs) empty.
+// Waking a node gives it neither a reassembler (and so no arena or
+// packet), queue storage, a forwarding cache nor a TCP transmit / receive
+// slot, and no pool of its own: its fragmenter and its MAC draw on the
+// network's, which waking leaves empty. Those appear on the first
+// datagram, so a relay woken by one frame pays for what it relays, not
+// for sockets it never opens. (TestIdleNodeFootprint bounds the bytes.)
 func TestNodeBuffersLazy(t *testing.T) {
 	net := New(1, mesh.RandomGeometric(1000, 16, 1), DefaultOptions())
+	empty := func() bool {
+		return reflect.ValueOf(net.fragBufs).IsZero() && net.outFree == nil &&
+			reflect.ValueOf(net.macJobs).IsZero() && net.Pools() == PoolCounts{}
+	}
+	if !empty() {
+		t.Fatal("the network's pools hold something out of New")
+	}
 	for _, n := range net.Nodes {
 		if n.layers != nil {
 			t.Fatalf("node %d is awake straight out of New", n.ID)
 		}
 		// Other packages' pools are unexported: look, don't touch.
 		tcp := reflect.ValueOf(n.TCP()).Elem()
-		if n.reasm != nil || !reflect.ValueOf(n.frag).IsZero() ||
-			n.outFree != nil || n.outQ != nil || n.fwdCache != nil ||
-			!tcp.FieldByName("txFree").IsNil() || !tcp.FieldByName("rxFree").IsNil() {
+		m := reflect.ValueOf(n.Mac()).Elem()
+		if n.reasm != nil || n.qHead != nil || n.qTail != nil || n.qLen != 0 || n.fwdCache != nil ||
+			!tcp.FieldByName("txFree").IsNil() || !tcp.FieldByName("rxFree").IsNil() ||
+			!m.FieldByName("qHead").IsNil() {
 			t.Fatalf("node %d holds datagram-path buffers before its first datagram", n.ID)
+		}
+		if !drawsOnPools(n, net) {
+			t.Fatalf("node %d does not draw on the network's pools", n.ID)
+		}
+	}
+	if !empty() {
+		t.Fatal("waking every node filled the network's pools")
+	}
+}
+
+// drawsOnPools reports whether the awake node n's fragmenter and MAC take
+// their buffers and jobs from net's pools.
+func drawsOnPools(n *Node, net *Network) bool {
+	jobs := reflect.ValueOf(n.Mac()).Elem().FieldByName("jobs").UnsafePointer()
+	return n.frag.Pool == &net.fragBufs && jobs == unsafe.Pointer(&net.macJobs)
+}
+
+// TestNetworksShareNoPool: a network's packet pools are its own. Two
+// networks run at once, each on its own goroutine as the scenario
+// Runner's workers run theirs, end as the same network run alone does,
+// and every node of each draws on its own network's pools. Under -race
+// (CI's test step) a pool the two shared would be a reported race.
+func TestNetworksShareNoPool(t *testing.T) {
+	type outcome struct {
+		received int
+		events   uint64
+		pools    PoolCounts
+	}
+	build := func() *Network {
+		opt := DefaultOptions()
+		opt.PER = 0.1 // link retries and drops: the pools churn
+		return New(5, mesh.Chain(4, 10), opt)
+	}
+	run := func(net *Network) outcome {
+		var o outcome
+		net.Nodes[0].TCP().Listen(80, func(c *tcplp.Conn) {
+			buf := make([]byte, 4096)
+			c.OnReadable = func() {
+				for n := c.Read(buf); n > 0; n = c.Read(buf) {
+					o.received += n
+				}
+			}
+		})
+		client := net.Nodes[3].TCP().Connect(net.Nodes[0].Addr, 80)
+		data := make([]byte, 1024)
+		pump := func() {
+			for n, err := client.Write(data); err == nil && n > 0; n, err = client.Write(data) {
+			}
+		}
+		client.OnEstablished, client.OnWritable = pump, pump
+		net.Eng.RunFor(20 * sim.Second)
+		o.events, o.pools = net.Eng.Processed(), net.Pools()
+		return o
+	}
+	alone := run(build())
+	if alone.received == 0 || alone.pools.FragBufs == 0 {
+		t.Fatalf("the transfer moved nothing: %+v", alone)
+	}
+	nets := [2]*Network{build(), build()}
+	var got [2]outcome
+	var wg sync.WaitGroup
+	for i := range nets {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(nets[i])
+		}()
+	}
+	wg.Wait()
+	for i, net := range nets {
+		if got[i] != alone {
+			t.Fatalf("network %d run beside another: %+v, alone %+v", i, got[i], alone)
+		}
+		for _, n := range net.Nodes {
+			if !drawsOnPools(n, net) {
+				t.Fatalf("node %d of network %d draws on another network's pools", n.ID, i)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tcplp/internal/energy"
+	"tcplp/internal/ip6"
 	"tcplp/internal/mac"
 	"tcplp/internal/mesh"
 	"tcplp/internal/phy"
@@ -145,11 +146,12 @@ func TestMakeSleepyLeafUnrouted(t *testing.T) {
 	}
 }
 
-// TestBuildAllocsPerNode holds what New allocates per node: the radio's
-// firstFrame method value. Everything else a node owns out of New — its
-// Node, its Radio, the channel's tables, its entries in the routes' arrays
-// and cell grid — is a share of a slab, and everything above the radio
-// waits for wake.
+// TestBuildAllocsPerNode holds what New allocates per node: nothing.
+// Everything a node owns out of New — its Node, its Radio, the channel's
+// tables, its entries in the routes' arrays and cell grid — is a share of
+// a slab, a dormant radio has no receiver (the channel's one Wake hook
+// stands in for every one), and everything above the radio waits for
+// wake. What is left is New's own handful of objects, over n.
 func TestBuildAllocsPerNode(t *testing.T) {
 	const n = 1000
 	topo := mesh.RandomGeometric(n, 16, 1)
@@ -157,7 +159,7 @@ func TestBuildAllocsPerNode(t *testing.T) {
 	var sink *Network
 	perNode := testing.AllocsPerRun(5, func() { sink = New(1, topo, opt) }) / n
 	_ = sink
-	const maxBuildAllocsPerNode = 2.1 // measured 1.022, 2.025 under -race
+	const maxBuildAllocsPerNode = 1.1 // measured 0.023, 1.026 under -race
 	t.Logf("stack.New: %.3f allocations per node", perNode)
 	if perNode > maxBuildAllocsPerNode {
 		t.Fatalf("stack.New costs %.3f allocations per node, want <= %.2f: something per-node is eager again",
@@ -165,11 +167,12 @@ func TestBuildAllocsPerNode(t *testing.T) {
 	}
 }
 
-// TestWakeAllocs pins what waking a node allocates: the layers object,
-// the Mac, the three method values the MAC hands the engine and the
-// radio (its step timer's runStep, OnTxDone, OnReceive), and onFrame,
-// frameDone and SendPacket. The MAC's steps share one timer, so a frame's
-// steps cost no callback each.
+// TestWakeAllocs pins what waking a node allocates, seven objects: the
+// layers object, which holds the MAC, the TCP and UDP stacks by value;
+// the three method values the MAC hands the engine and the radio (its
+// step timer's runStep, OnTxDone, OnReceive); and onFrame, frameDone and
+// SendPacket. The MAC's steps share one timer, so a frame's steps cost no
+// callback each.
 func TestWakeAllocs(t *testing.T) {
 	const n, wakes = 200, 100
 	net := New(1, mesh.RandomGeometric(n, 16, 1), DefaultOptions())
@@ -179,7 +182,50 @@ func TestWakeAllocs(t *testing.T) {
 		next++
 	})
 	t.Logf("wake: %.2f allocations per node", perWake)
-	if perWake != 8 {
-		t.Fatalf("waking a node costs %.2f allocations, want 8", perWake)
+	if perWake != 7 {
+		t.Fatalf("waking a node costs %.2f allocations, want 7", perWake)
+	}
+}
+
+// TestRelayFirstFrameAllocs pins what a dormant relay costs when a frame
+// wakes it and it forwards the frame: what it owns, and nothing it
+// borrows. One datagram crosses a chain one hop at a time; the first
+// relay stocks the network's pools, and each later one, measured from
+// the frame that reaches it until its own copy goes on air, makes only
+//   - its 7 wake allocations (TestWakeAllocs),
+//   - its MAC's neighbour record of the previous hop,
+//   - its radio's neighbour list and two transmit closures (built by its
+//     first transmission, the ACK),
+//
+// and no fragment buffer, queue item, frame list, MAC job or queue
+// slice: those come from the pools the previous hops have handed back.
+func TestRelayFirstFrameAllocs(t *testing.T) {
+	const relays = 10
+	net := New(1, mesh.Chain(relays+3, 10), DefaultOptions())
+	src, dst := net.Nodes[relays+2], net.Nodes[0]
+	src.SendPacket(&ip6.Packet{
+		Header:  ip6.Header{NextHeader: ip6.ProtoUDP, HopLimit: 64, Src: src.Addr, Dst: dst.Addr},
+		Payload: make([]byte, 16),
+	})
+	next := relays + 1 // the first relay, woken by the warm-up run
+	perRelay := testing.AllocsPerRun(relays, func() {
+		relay := net.Nodes[next]
+		for relay.Radio.FramesSent() < 2 && net.Eng.Step() { // its ACK, then the frame
+		}
+		if relay.Stats().FragmentsFwd != 1 {
+			t.Fatalf("relay %d forwarded %d frames", relay.ID, relay.Stats().FragmentsFwd)
+		}
+		next--
+	})
+	t.Logf("a relay's first frame: %.2f allocations", perRelay)
+	net.Eng.Run()
+	if dst.Stats().PacketsDelivered != 1 || net.TotalLossEvents() != 0 {
+		t.Fatalf("the datagram was not delivered once: %d delivered, %d lost", dst.Stats().PacketsDelivered, net.TotalLossEvents())
+	}
+	if got := net.Pools(); got != (PoolCounts{FragBufs: 2, OutItems: 2, MacJobs: 2}) {
+		t.Fatalf("pools made %+v for one datagram in flight over a chain, want 2 of each", got)
+	}
+	if perRelay != 11 {
+		t.Fatalf("a relay's first frame costs %.2f allocations, want 11", perRelay)
 	}
 }

@@ -14,10 +14,10 @@ import (
 // construction-time allocation per node is what bounds how large a
 // topology fits in memory. The budget reflects dormancy ("Dormancy" in
 // the package comment): out of New a node is its slot in the node slab,
-// its radio's slot in the channel's, one method value, its position, and
-// its entries in the int32 route tables and the routes' cell grid (no
-// adjacency list is built); MAC, TCP, UDP and the packet
-// path's state wait for the node's first frame or socket. Regressions
+// its radio's slot in the channel's, its position, and its entries in the
+// int32 route tables and the routes' cell grid (no adjacency list is
+// built); MAC, TCP, UDP and the packet path's state wait for the node's
+// first frame or socket, and the packet pools are the network's. Regressions
 // that re-introduce eager per-node state show up as a burst well above
 // the bound.
 func TestIdleNodeFootprint(t *testing.T) {
@@ -43,12 +43,13 @@ func TestIdleNodeFootprint(t *testing.T) {
 		t.Fatalf("built %d nodes, want %d", len(net.Nodes), n)
 	}
 
-	// Measured 399 B/node under go 1.24: 706 while New built the
+	// Measured 387 B/node under go 1.24: 399 while each dormant radio's
+	// receiver was a method value of its node, 706 while New built the
 	// adjacency list to route over, 1 082 while the slot held the packet
 	// state and the radio its own receive buffer, 2 066 when New built
 	// every node's MAC, TCP and UDP stacks. Eager per-node state of any
 	// kind costs a hundred bytes or more per node.
-	const maxBytesPerNode = 550
+	const maxBytesPerNode = 450
 	t.Logf("idle footprint: %.0f B/node (%d nodes)", perNode, n)
 	if perNode > maxBytesPerNode {
 		t.Fatalf("idle footprint = %.0f B/node, budget %d", perNode, maxBytesPerNode)

@@ -84,6 +84,33 @@ type Network struct {
 
 	Nodes []*Node
 	Host  *Node
+
+	// What a node borrows for one frame belongs to the network ("Buffer
+	// ownership" in the package comment): fragment buffers, queue items
+	// (outFree, linked through outItem.link; outItems counts those made)
+	// and MAC transmit jobs, each from one free list.
+	fragBufs sixlowpan.BufPool
+	outFree  *outItem
+	outItems int
+	macJobs  mac.JobPool
+}
+
+// PoolCounts is how many objects each of a network's packet pools made
+// over a run, warm-up included: what the run's traffic in flight needed
+// at its peak, not what its nodes are.
+type PoolCounts struct {
+	FragBufs int `json:"frag_bufs"` // fragment buffers, a regrown one included
+	OutItems int `json:"out_items"` // queued-datagram items
+	MacJobs  int `json:"mac_jobs"`  // MAC transmit jobs
+}
+
+// Pools returns what the network's packet pools have made so far.
+func (net *Network) Pools() PoolCounts {
+	return PoolCounts{
+		FragBufs: net.fragBufs.Made(),
+		OutItems: net.outItems,
+		MacJobs:  net.macJobs.Made(),
+	}
 }
 
 // New builds a network over topo with node 0 as the border router. opt
@@ -107,7 +134,9 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 	net.Opt.TCP = DerivedTCPConfig(net.Opt, opt.TCP)
 	// Every node starts dormant ("Dormancy" in the package comment): a
 	// slot in one slab and a radio that listens and filters, as the MAC
-	// wake builds would have left it.
+	// wake builds would have left it, with no receiver: the channel's one
+	// wake hook stands in for all of them.
+	ch.Wake = net.wakeRadio
 	nodes := make([]Node, topo.N())
 	net.Nodes = make([]*Node, len(nodes))
 	for i := range nodes {
@@ -117,10 +146,19 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 		n.Radio = ch.AddRadio(i, topo.Positions[i])
 		n.Radio.SetAddressFilter(true)
 		n.Radio.SetListen(true)
-		n.Radio.OnReceive = n.firstFrame
 		net.Nodes[i] = n
 	}
 	return net
+}
+
+// wakeRadio is the channel's Wake hook: a frame the radio of a dormant
+// node wants wakes the node, whose new MAC installs the radio's
+// OnReceive and is handed the frame. Radios that are not a node's (an
+// interferer's) stay as they are.
+func (net *Network) wakeRadio(r *phy.Radio) {
+	if id := r.ID(); uint(id) < uint(len(net.Nodes)) && net.Nodes[id].Radio == r {
+		net.Nodes[id].awake()
+	}
 }
 
 // MSSInfo describes the derived segment sizing.

@@ -10,15 +10,26 @@
 // tryForwardFragment / Reassembler.Input → Node.deliver →
 // tcplp.Stack.Input → Conn.input, and the border ↔ host wire beside it —
 // allocates nothing in steady state, and every buffer on it is created
-// by the node's first datagram, neither by New nor by wake
-// (TestDatagramPathAllocs, TestNodeBuffersLazy). UDP rides it under the
-// same rule — udp.Stack.SendJID → Node.SendPacket down, Node.deliver →
+// by a datagram, neither by New nor by wake (TestDatagramPathAllocs,
+// TestNodeBuffersLazy). UDP rides it under the same rule —
+// udp.Stack.SendJID → Node.SendPacket down, Node.deliver →
 // udp.Stack.Input → Handler up — and app's TestReadingPathAllocs holds
-// the reading path above it to zero. The packages around this one state
-// their own rules (mac: transmit jobs and the receive buffer; sixlowpan:
-// fragment buffers, the reassembly arena and Input's packet;
-// tcplp.Stack: the PoolEncode slots; udp: the send slot and a handler's
-// payload; coap, gateway, netem above that). What this package owns:
+// the reading path above it to zero.
+//
+// What a node borrows for one frame belongs to the network: fragment
+// buffers (one sixlowpan.BufPool), queued-datagram items (one free list)
+// and MAC transmit jobs (one mac.JobPool), so a run makes as many as its
+// traffic has in flight at once, not one set per node it wakes
+// (TestRelayFirstFrameAllocs; Network.Pools counts them). A node keeps
+// what is its own: its datagram tags, its queue, its forwarding cache. A
+// pool belongs to one Network, whose nodes all run on its engine's
+// goroutine, never to a package (TestNetworksShareNoPool).
+//
+// The packages around this one state their own rules (mac: transmit
+// jobs and the receive buffer; sixlowpan: fragment buffers, the
+// reassembly arena and Input's packet; tcplp.Stack: the PoolEncode
+// slots; udp: the send slot and a handler's payload; coap, gateway,
+// netem above that). What this package owns:
 //
 //   - A packet handed to SendPacket, route or deliver is borrowed for the
 //     call. Transports send from a pooled slot that is theirs again when
@@ -36,8 +47,12 @@
 //     a relay appends its one cloned frame. Each frame buffer is the
 //     item's until the MAC's done callback for it has run (the MAC copied
 //     it into the job's wire buffer at load time); then it goes back to
-//     the node's Fragmenter, and the item, list and all, to the node's
-//     free list once the last frame has.
+//     the network's pool, and the item, list and all, to the network's
+//     free list once the last frame has. Either may be handed to another
+//     node at once.
+//   - The datagram queue is threaded through its items (outItem.link,
+//     which the free list uses too: an item is free or queued, never
+//     both), and so is the MAC's transmit queue through its jobs.
 //   - The forwarding cache is a slice of fwdEntry values, one per
 //     datagram being relayed, keyed by (previous hop, tag) and searched
 //     in full: an entry goes when the relay forwards the fragment that
@@ -62,27 +77,31 @@
 // CPU meter, sleep controller, drop filter and a nil layers pointer), and
 // a radio — itself a slot in the channel's slab — that is registered,
 // listening and filtering on its address, exactly as a MAC would have
-// left it. It owns nothing else: no MAC, no ACK timer, no RED state, no
-// TCP or UDP stack, no queue, reassembler, fragment pool, forwarding
-// cache, wire or IP counters, none of the closures that tie them
-// together. The host behind the border router starts the same way, minus
-// the radio.
+// left it, but with no receiver. It owns nothing else: no MAC, no ACK
+// timer, no RED state, no TCP or UDP stack, no queue, reassembler,
+// forwarding cache, wire or IP counters, none of the closures that tie
+// them together. New allocates nothing per node (TestBuildAllocsPerNode).
+// The host behind the border router starts the same way, minus the
+// radio.
 //
-// (*Node).wake builds all of that, once, as New used to: the MAC, and
-// one layers object holding everything else, the TCP and UDP stacks
-// included. Its fields are named through the node's embedded pointer, so
+// (*Node).wake builds all of that, once, as New used to: one layers
+// object holding everything, the MAC and the TCP and UDP stacks included
+// by value. Its fields are named through the node's embedded pointer, so
 // the packet path, which only an awake node runs, reads them as before.
 // Three things wake a node. Code that asks for a layer: Mac, TCP and UDP
 // are accessors, not fields, and a dormant node's accessor wakes it
 // first, so nothing outside this file can observe a nil layer. A packet:
 // SendPacket and the wire's delivery (the border router handed its first
 // packet by the host, and the host) wake the node before routing it. And
-// the radio: a dormant node's Radio.OnReceive is firstFrame, which wakes
-// the node — mac.New takes OnReceive over — and hands the same bytes to
-// the new MAC, which ACKs and delivers them like any other frame. The
-// radio's address filter (package phy, "Hot state and frame filter")
-// withholds every frame the MAC would have discarded, so that is the
-// first frame addressed to the node, or the first broadcast it decodes.
+// the radio: a dormant node's radio has no OnReceive, so a frame it
+// wants goes to the channel's one Wake hook, which New sets to wake the
+// node whose radio it is (an interferer's radio is no node's, and stays
+// as it is). The new MAC installs OnReceive, and the channel hands it the
+// same bytes at the same instant; it ACKs and delivers them like any
+// other frame. The radio's address filter (package phy, "Hot state and
+// frame filter") withholds every frame the MAC would have discarded, so
+// that is the first frame addressed to the node, or the first broadcast
+// it decodes.
 //
 // Waking is invisible to a run. Building a MAC, a TCP stack and a UDP
 // stack draws no random number and schedules no event; a dormant radio
@@ -137,14 +156,15 @@ type fwdEntry struct {
 }
 
 // outItem is one queued datagram: its link frames and how far the pump
-// has got. Items are pooled per node (newOutItem / freeOutItem) and keep
-// the backing array of frames across lives.
+// has got. Items come from the network's free list (newOutItem /
+// freeOutItem) and keep the backing array of frames across lives. An
+// item is free or queued at one node, so one link serves both lists.
 type outItem struct {
 	frames [][]byte
-	next   phy.Addr
+	hop    phy.Addr // the next hop
 	idx    int
 	jid    int64    // journey packet id of the datagram (0 = untagged)
-	free   *outItem // free list
+	link   *outItem // the network's free list, or the node's queue
 }
 
 // Node is one device: a mesh node with a radio, or the wired host (radio
@@ -174,20 +194,22 @@ type Node struct {
 // protocol layers above its radio and the packet state that ties them
 // together, one object per woken node.
 type layers struct {
-	// Only wake, awake's accessors Mac, TCP and UDP, and the two counter
-	// readers name these three. The transports are values: a node's
-	// layers are one object besides its MAC.
-	mac *mac.Mac
+	// Only wake, awake's accessors Mac, TCP and UDP, the counter readers
+	// and pump name these three. They are values: a node's layers are
+	// one object. The wired host's MAC stays zero.
+	mac mac.Mac
 	tcp tcplp.Stack
 	udp udp.Stack
 
 	reasm *sixlowpan.Reassembler // nil until reassembler() is first asked for it
-	frag  sixlowpan.Fragmenter
+	frag  sixlowpan.Fragmenter   // the node's datagram tags; buffers from the network's pool
 
-	outQ        []*outItem
-	outFree     *outItem
-	sending     bool
-	frameDoneFn func(mac.TxStatus) // n.frameDone, built by wake; every frame's MAC callback
+	// qHead and qTail are the datagram queue, linked through
+	// outItem.link, and qLen its length.
+	qHead, qTail *outItem
+	qLen         int
+	sending      bool
+	frameDoneFn  func(mac.TxStatus) // n.frameDone, built by wake; every frame's MAC callback
 
 	red *mesh.RED
 	// fwdCache holds the datagrams this relay is forwarding fragment by
@@ -202,7 +224,12 @@ type layers struct {
 }
 
 // Mac returns the node's MAC, waking the node; nil on the wired host.
-func (n *Node) Mac() *mac.Mac { return n.awake().mac }
+func (n *Node) Mac() *mac.Mac {
+	if n.awake().Radio == nil {
+		return nil
+	}
+	return &n.mac
+}
 
 // TCP returns the node's TCP stack, waking the node.
 func (n *Node) TCP() *tcplp.Stack { return &n.awake().tcp }
@@ -220,14 +247,16 @@ func (n *Node) awake() *Node {
 
 // wake builds what a dormant node lacks: the MAC on its radio (a mesh
 // node), RED state (a relay), the wire (the border router once the host
-// is attached, and the host), and the transports. It draws no random
-// number and schedules no event.
+// is attached, and the host), and the transports. Fragment buffers,
+// queue items and MAC jobs come from the network's pools. It draws no
+// random number and schedules no event.
 func (n *Node) wake() {
 	net := n.Net
 	cfg := net.Opt.TCP
 	n.layers = &layers{}
+	n.frag.Pool = &net.fragBufs
 	if n.Radio != nil {
-		n.mac = mac.New(net.Eng, n.Radio, net.Opt.MAC)
+		n.mac.Init(net.Eng, n.Radio, net.Opt.MAC, &net.macJobs)
 		n.mac.OnReceive = n.onFrame
 		n.mac.Trace = net.Opt.Trace
 		n.frameDoneFn = n.frameDone
@@ -251,15 +280,6 @@ func (n *Node) wake() {
 	n.udp.Output = output
 }
 
-// firstFrame is a dormant node's Radio.OnReceive: the first frame the
-// radio's address filter lets through wakes the node — mac.New takes
-// over OnReceive — and goes to the new MAC as if it had always been
-// there.
-func (n *Node) firstFrame(data []byte) {
-	n.wake()
-	n.Radio.OnReceive(data)
-}
-
 // Stats returns the node's IP-layer counters, all zero while the node is
 // dormant. Reading them does not wake it.
 func (n *Node) Stats() NodeStats {
@@ -272,7 +292,7 @@ func (n *Node) Stats() NodeStats {
 // MacStats returns the MAC's counters, all zero while the node is
 // dormant. Reading them does not wake it.
 func (n *Node) MacStats() mac.Stats {
-	if n.layers == nil || n.mac == nil {
+	if n.layers == nil {
 		return mac.Stats{}
 	}
 	return n.mac.Stats
@@ -338,10 +358,10 @@ func (n *Node) route(pkt *ip6.Packet, forwarded bool) {
 		return
 	}
 	if forwarded && n.red != nil {
-		switch n.red.OnArrival(len(n.outQ), pkt.ECN() == ip6.ECT0, n.Eng().Rand()) {
+		switch n.red.OnArrival(n.qLen, pkt.ECN() == ip6.ECT0, n.Eng().Rand()) {
 		case mesh.REDDrop:
 			n.stats.REDDrops++
-			n.emitIPDrop(pkt.JID, obs.CauseRED, int64(len(n.outQ)))
+			n.emitIPDrop(pkt.JID, obs.CauseRED, int64(n.qLen))
 			return
 		case mesh.REDMark:
 			n.stats.REDMarks++
@@ -370,21 +390,24 @@ func (n *Node) nextHop(dst int) (int, bool) {
 	return n.Net.Routes.NextHop(n.ID, dst)
 }
 
-// newOutItem takes an item with an empty frame list off the free list.
-func (n *Node) newOutItem(next phy.Addr, jid int64) *outItem {
-	it := n.outFree
+// newOutItem takes an item with an empty frame list off the network's
+// free list.
+func (n *Node) newOutItem(hop phy.Addr, jid int64) *outItem {
+	net := n.Net
+	it := net.outFree
 	if it == nil {
 		it = &outItem{}
+		net.outItems++
 	} else {
-		n.outFree, it.free = it.free, nil
+		net.outFree, it.link = it.link, nil
 	}
-	it.next, it.idx, it.jid = next, 0, jid
+	it.hop, it.idx, it.jid = hop, 0, jid
 	return it
 }
 
 // newRelayItem queues the single frame of a relayed fragment.
-func (n *Node) newRelayItem(fwd []byte, next phy.Addr, jid int64) *outItem {
-	it := n.newOutItem(next, jid)
+func (n *Node) newRelayItem(fwd []byte, hop phy.Addr, jid int64) *outItem {
+	it := n.newOutItem(hop, jid)
 	it.frames = append(it.frames, fwd)
 	return it
 }
@@ -392,7 +415,7 @@ func (n *Node) newRelayItem(fwd []byte, next phy.Addr, jid int64) *outItem {
 // freeOutItem recycles an item whose frames have all been released.
 func (n *Node) freeOutItem(it *outItem) {
 	it.frames = it.frames[:0]
-	it.free, n.outFree = n.outFree, it
+	it.link, n.Net.outFree = n.Net.outFree, it
 }
 
 // emitIPDrop records a network-layer drop with its cause.
@@ -412,16 +435,22 @@ func (n *Node) dropAtBorder(pkt *ip6.Packet) bool {
 }
 
 func (n *Node) enqueue(it *outItem) {
-	if len(n.outQ) >= n.Net.Opt.QueueCap {
+	if n.qLen >= n.Net.Opt.QueueCap {
 		n.stats.QueueDrops++
 		if tr := n.Net.Opt.Trace; tr != nil {
-			tr.Emit(obs.Event{T: n.Eng().Now(), Kind: obs.QueueDrop, Node: n.ID, A: int64(len(n.outQ)), J: it.jid, Cause: obs.CauseQueueOverflow})
+			tr.Emit(obs.Event{T: n.Eng().Now(), Kind: obs.QueueDrop, Node: n.ID, A: int64(n.qLen), J: it.jid, Cause: obs.CauseQueueOverflow})
 		}
 		n.releaseFrames(it, it.idx)
 		n.freeOutItem(it)
 		return
 	}
-	n.outQ = append(n.outQ, it)
+	if n.qTail == nil {
+		n.qHead = it
+	} else {
+		n.qTail.link = it
+	}
+	n.qTail = it
+	n.qLen++
 	n.pump()
 }
 
@@ -440,20 +469,20 @@ func (n *Node) releaseFrames(it *outItem, from int) {
 // failure abandons the rest of the datagram (the fragments would be
 // useless, §6.1).
 func (n *Node) pump() {
-	if n.sending || len(n.outQ) == 0 {
+	if n.sending || n.qHead == nil {
 		return
 	}
 	n.sending = true
-	it := n.outQ[0]
+	it := n.qHead
 	n.CPU.ChargeFrameTx()
-	n.Mac().SendJID(it.next, it.frames[it.idx], it.jid, n.frameDoneFn)
+	n.mac.SendJID(it.hop, it.frames[it.idx], it.jid, n.frameDoneFn)
 }
 
 // frameDone is the MAC's verdict on the frame pump last handed it:
 // frame idx of the datagram at the head of the queue (one frame is
 // outstanding at a time, so the callback needs no state of its own).
 func (n *Node) frameDone(status mac.TxStatus) {
-	it := n.outQ[0]
+	it := n.qHead
 	if status != mac.TxOK {
 		n.stats.LinkFailures++
 		// Abandoning the datagram: the sent frame and the never-sent
@@ -473,13 +502,14 @@ func (n *Node) frameDone(status mac.TxStatus) {
 	n.pump()
 }
 
-// popAndContinue drops the finished datagram at the head of the queue,
-// copying the tail down so the queue keeps its capacity.
+// popAndContinue drops the finished datagram at the head of the queue.
 func (n *Node) popAndContinue() {
-	n.freeOutItem(n.outQ[0])
-	last := copy(n.outQ, n.outQ[1:])
-	n.outQ[last] = nil
-	n.outQ = n.outQ[:last]
+	it := n.qHead
+	if n.qHead = it.link; n.qHead == nil {
+		n.qTail = nil
+	}
+	n.qLen--
+	n.freeOutItem(it)
 	n.sending = false
 	n.pump()
 }
