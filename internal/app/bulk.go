@@ -51,7 +51,7 @@ func listenSinkData(node *stack.Node, port uint16, cfg tcplp.Config, onData func
 			}
 		}
 	})
-	l.ConfigFor = func() tcplp.Config { return cfg }
+	l.Config = &cfg
 	return s
 }
 

@@ -207,7 +207,7 @@ func DerivedTCPConfig(opt Options, base tcplp.Config) tcplp.Config {
 
 // FlowTCPConfig is the network's TCP configuration (Opt.TCP) with the
 // congestion-control variant v; an empty v keeps the network default.
-// Use it with tcplp.Stack.ConnectConfig / Listener.ConfigFor to mix
+// Use it with tcplp.Stack.ConnectConfig / Listener.Config to mix
 // variants between flows of one mesh.
 func (net *Network) FlowTCPConfig(v cc.Variant) tcplp.Config {
 	cfg := net.Opt.TCP

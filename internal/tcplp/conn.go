@@ -155,9 +155,10 @@ type Conn struct {
 	sndWL2    Seq
 	finQueued bool
 	probing   bool // inside onPersist's forced send
-	// inRecovery belongs to the recovery machinery below; it sits here
-	// beside the send flags, where it costs no padding.
+	// inRecovery (recovery, below) and retxKind (timers) sit here beside
+	// the send flags, where they cost no padding.
 	inRecovery bool
+	retxKind   retxKind
 
 	// Congestion control: cong owns cwnd/ssthresh (internal/tcplp/cc);
 	// the fields below are the recovery machinery shared by all variants.
@@ -169,13 +170,13 @@ type Conn struct {
 	sb          scoreboard
 	rtxPipe     int // retransmitted bytes counted into the pipe estimate
 
-	// Timers.
-	rexmt        *sim.Timer
+	// Timers. retx is one slot for the retransmission, persist and 2MSL
+	// timers, which never run together (retxKind says which it holds);
+	// the delayed ACK and pacing run beside them.
+	retx         *sim.Timer
 	rexmtShift   int
-	persist      *sim.Timer
 	persistShift int
 	delAckTimer  *sim.Timer
-	timeWait     *sim.Timer
 
 	// Pacing (only active when the cc variant implements cc.Pacer):
 	// paceNext is the earliest time the next data segment may be
@@ -197,6 +198,8 @@ type Conn struct {
 	peerSACK bool
 	peerTS   bool
 	ecnOn    bool
+	// expecting: counted in the stack's expecting (no padding here).
+	expecting bool
 
 	// Receive state.
 	rcvQ        RecvBuffer
@@ -254,10 +257,8 @@ func newConn(s *Stack, cfg Config) *Conn {
 		sndBuf: *NewCopySendBuffer(cfg.SendBufSize),
 		rcvQ:   *NewRecvBuffer(cfg.RecvBufSize),
 	}
-	c.rexmt = sim.NewTimer(s.eng, c.checked("rexmt timer", c.onRTO))
-	c.persist = sim.NewTimer(s.eng, c.checked("persist timer", c.onPersist))
-	c.delAckTimer = sim.NewTimer(s.eng, c.checked("delayed-ACK timer", c.onDelAck))
-	c.timeWait = sim.NewTimer(s.eng, c.checked("2MSL timer", c.onTimeWaitExpiry))
+	c.retx = sim.NewTimer(s.eng, c.onRetx)
+	c.delAckTimer = sim.NewTimer(s.eng, c.onDelAck)
 	c.paceTimer = sim.NewTimer(s.eng, c.output)
 	c.peerMSS = 536
 	// Asked once here, not per send: a failing assertion to an interface
@@ -371,10 +372,8 @@ func (c *Conn) teardown(err error) {
 	}
 	c.setState(StateClosed)
 	c.closeErr = err
-	c.rexmt.Stop()
-	c.persist.Stop()
+	c.retx.Stop()
 	c.delAckTimer.Stop()
-	c.timeWait.Stop()
 	c.paceTimer.Stop()
 	c.stack.removeConn(c)
 	c.setExpecting(false)
@@ -385,9 +384,22 @@ func (c *Conn) teardown(err error) {
 	}
 }
 
-// setExpecting propagates the duty-cycling hint to the stack.
+// setExpecting moves the connection in or out of its stack's count of
+// connections with unACKed data; OnExpectingChange fires on 0↔1 (§9.2).
 func (c *Conn) setExpecting(on bool) {
-	c.stack.noteExpecting(c, on)
+	if c.expecting == on {
+		return
+	}
+	c.expecting = on
+	s := c.stack
+	if on {
+		s.expecting++
+	} else {
+		s.expecting--
+	}
+	if s.expecting == boolInt(on) && s.OnExpectingChange != nil {
+		s.OnExpectingChange(on)
+	}
 }
 
 func (c *Conn) traceCwnd() {

@@ -319,9 +319,9 @@ func TestZeroWindowProbing(t *testing.T) {
 		t.Fatalf("server buffered %d, want full buffer", server.ReadableBytes())
 	}
 	if client.Stats.ZeroWindowProbes == 0 {
-		t.Fatalf("no zero-window probes: sent=%d srvReadable=%d sndWnd=%d una=%d nxt=%d max=%d qEnd=%d rexmtArmed=%v persistArmed=%v srvRcvNxt=%d srvWin=%d stats=%+v",
+		t.Fatalf("no zero-window probes: sent=%d srvReadable=%d sndWnd=%d una=%d nxt=%d max=%d qEnd=%d retx=%v (%s) srvRcvNxt=%d srvWin=%d stats=%+v",
 			sent, server.ReadableBytes(), client.sndWnd, client.sndUna, client.sndNxt, client.sndMax, client.queuedEnd,
-			client.rexmt.Armed(), client.persist.Armed(), server.rcvNxt, server.rcvQ.Window(), client.Stats)
+			client.retx.Armed(), retxNames[client.retxKind], server.rcvNxt, server.rcvQ.Window(), client.Stats)
 	}
 	// Now the app drains; the window reopens and the rest flows.
 	drained := 0
@@ -560,6 +560,46 @@ func TestExpectingAckSignal(t *testing.T) {
 	}
 }
 
+// TestExpectingCountsConnections: the duty-cycling hint is about the
+// stack, not one connection. It turns on with the first connection that
+// expects an answer, stays quiet while a second joins and while the
+// first drains, and turns off only when the last one leaves: here the
+// second, torn down with its data unacknowledged.
+func TestExpectingCountsConnections(t *testing.T) {
+	l := newTestLink(23, 10*sim.Millisecond, testCfg())
+	var got []bool
+	l.a.OnExpectingChange = func(on bool) { got = append(got, on) }
+	l.b.Listen(80, func(c *Conn) {})
+	first := l.a.Connect(ip6.AddrFromID(1), 80)
+	if len(got) != 1 || !got[0] {
+		t.Fatalf("after the first SYN: transitions %v, want [true]", got)
+	}
+	second := l.a.Connect(ip6.AddrFromID(1), 80)
+	l.eng.RunUntil(sim.Time(sim.Second))
+	if first.State() != StateEstablished || second.State() != StateEstablished {
+		t.Fatalf("handshakes: %v / %v", first.State(), second.State())
+	}
+	// The second connection's segments are lost from here on.
+	l.Drop = func(pkt *ip6.Packet) bool {
+		seg, err := DecodeSegment(pkt.Src, pkt.Dst, pkt.Payload)
+		return err == nil && seg.SrcPort == second.localPort
+	}
+	first.Write(make([]byte, 500))
+	second.Write(make([]byte, 500))
+	l.eng.RunUntil(sim.Time(2 * sim.Second))
+	if first.expecting || !second.expecting || second.BufferedBytes() == 0 {
+		t.Fatalf("first should have drained and second not: expecting %v / %v, %d bytes unacknowledged",
+			first.expecting, second.expecting, second.BufferedBytes())
+	}
+	if len(got) != 1 || !got[0] {
+		t.Fatalf("with the second connection still expecting: transitions %v, want [true]", got)
+	}
+	second.Abort()
+	if len(got) != 2 || got[1] {
+		t.Fatalf("after the last expecting connection left: transitions %v, want [true false]", got)
+	}
+}
+
 func TestHeaderPredictionCounters(t *testing.T) {
 	l := newTestLink(22, 10*sim.Millisecond, testCfg())
 	_, client := l.transfer(t, 40_000, 5*sim.Minute)
@@ -569,21 +609,17 @@ func TestHeaderPredictionCounters(t *testing.T) {
 }
 
 // TestConnSetupAllocs pins what opening a connection allocates: the Conn,
-// its congestion-control state and RTT estimator, and its five timers
-// with their five callbacks. A timer builds nothing of its own around its
-// callback. Four of the callbacks go through checked, which wraps each in
-// one more closure in the invariants build.
+// its congestion-control state and RTT estimator, and its three timers
+// (the retx slot, the delayed ACK and pacing) with their three callbacks.
+// A timer builds nothing of its own around its callback, and neither
+// build wraps one.
 func TestConnSetupAllocs(t *testing.T) {
 	cfg := testCfg()
 	s := NewStack(sim.NewEngine(1), ip6.AddrFromID(1), cfg)
 	var c *Conn
-	var wrapped func()
-	perWrap := testing.AllocsPerRun(100, func() { wrapped = c.checked("", nil) })
 	perConn := testing.AllocsPerRun(100, func() { c = newConn(s, cfg) })
-	_ = wrapped
-	want := 13 + 4*perWrap
-	t.Logf("newConn: %.2f allocations (%.0f per checked wrapper)", perConn, perWrap)
-	if perConn != want {
-		t.Fatalf("opening a connection costs %.2f allocations, want %.0f", perConn, want)
+	_ = c
+	if perConn != 9 {
+		t.Fatalf("opening a connection costs %.2f allocations, want 9", perConn)
 	}
 }

@@ -17,6 +17,10 @@ func (c *Conn) Variant() cc.Variant {
 	return c.cfg.Variant
 }
 
+// Close stops accepting new connections on the port. Listeners live for
+// the whole run; only tests close one.
+func (l *Listener) Close() { delete(l.stack.listeners, l.port) }
+
 // ReadableBytes returns the bytes available to Read.
 func (c *Conn) ReadableBytes() int { return c.rcvQ.Readable() }
 

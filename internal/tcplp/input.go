@@ -26,7 +26,7 @@ func (c *Conn) input(seg *Segment, ce bool) {
 		// would let two TIME_WAIT peers ping-pong forever.
 		if seg.Len() > 0 {
 			c.sendAck()
-			c.timeWait.Reset(2 * maxSegmentLifetime)
+			c.arm(kind2MSL, 2*maxSegmentLifetime)
 		}
 		return
 	}
@@ -160,7 +160,7 @@ func (c *Conn) inputSynSent(seg *Segment) {
 	if ackOK {
 		c.sndUna = seg.AckNum
 		c.rexmtShift = 0
-		c.rexmt.Stop()
+		c.disarm(kindRexmt)
 		c.sampleRTTFromSeg(seg)
 		c.sndWnd = int(seg.Window)
 		c.maxSndWnd = c.sndWnd
@@ -223,7 +223,7 @@ func (c *Conn) processAck(seg *Segment) bool {
 		// The SYN/ACK is acknowledged: its retransmission timer must die
 		// with it, or it would back off silently and eventually abort an
 		// idle (receive-only) connection.
-		c.rexmt.Stop()
+		c.disarm(kindRexmt)
 		// Consume the SYN's phantom sequence slot now, so data written
 		// from the accept callback is addressed from the stream base.
 		if c.sndUna == c.iss {
@@ -379,7 +379,7 @@ func (c *Conn) handleNewAck(seg *Segment, ack Seq) {
 	if c.sndNxt.LT(c.sndUna) {
 		c.sndNxt = c.sndUna
 	}
-	c.rexmt.Stop() // forward progress: time whatever is still in flight afresh
+	c.disarm(kindRexmt) // forward progress: time whatever is still in flight afresh
 	c.armRexmt()
 	c.persistShift = 0
 
@@ -412,14 +412,14 @@ func (c *Conn) updateSendWindow(seg *Segment) {
 		c.maxSndWnd = max(c.maxSndWnd, c.sndWnd)
 		c.sndWL1, c.sndWL2 = seg.SeqNum, seg.AckNum
 		if c.sndWnd > 0 {
-			if c.persist.Armed() && c.sndNxt.GT(c.sndUna) {
+			if c.armed(kindPersist) && c.sndNxt.GT(c.sndUna) {
 				// Window reopened mid-probe: whatever the probes pushed
 				// out was dropped by the closed window, so pull snd.nxt
 				// back and let normal output retransmit it immediately —
 				// with the persist timer gone, nothing else would.
 				c.sndNxt = c.sndUna
 			}
-			c.persist.Stop()
+			c.disarm(kindPersist)
 			c.persistShift = 0
 		}
 	}

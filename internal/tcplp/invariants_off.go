@@ -2,11 +2,9 @@
 
 package tcplp
 
-// checkInvariants is the connection's self-check after every input,
-// output and timer callback; this build compiles it to nothing. See
-// invariants_on.go (go test -tags invariants).
+// checkInvariants (after every input, output pass and timer callback) and
+// checkArm (on every arming of the retx slot) are the connection's
+// self-checks; this build compiles them to nothing. See invariants_on.go.
 func (c *Conn) checkInvariants(string) {}
 
-// checked is the timer-callback wrapper of the invariants build; here a
-// timer fires its callback directly.
-func (c *Conn) checked(_ string, f func()) func() { return f }
+func (c *Conn) checkArm(retxKind) {}

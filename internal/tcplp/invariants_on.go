@@ -13,27 +13,28 @@ import (
 //	go test -tags invariants ./internal/tcplp/ ./internal/stack/ ./internal/scenario/ ./internal/experiments/
 //
 // it runs after every segment input, every pass of the output engine and
-// every timer callback, so each golden and digest test doubles as a
-// state-machine check: a run that passes without the tag and panics with
-// it reached a state TCP cannot be in. A build tag, like poison — the two
-// builds differ in nothing else. where names the step just taken.
+// every timer callback (the pacing timer's is output), so each golden and
+// digest test doubles as a state-machine check: a run that passes without
+// the tag and panics with it reached a state TCP cannot be in. A build
+// tag, like poison — the two builds differ in nothing else. where names
+// the step just taken.
 func (c *Conn) checkInvariants(where string) {
 	if msg := c.brokenInvariant(); msg != "" {
-		panic(fmt.Sprintf("tcplp: invariant broken after %s: %s\n  state=%v una=%d nxt=%d max=%d queuedEnd=%d iss=%d finQueued=%v sndBuf=%d/%d sndWnd=%d cwnd=%d recovery=%v sb=%v\n  rcvNxt=%d readable=%d ooo=%d window=%d lastAck=%d lastWnd=%d rexmt=%v persist=%v delack=%v timewait=%v pace=%v",
+		panic(fmt.Sprintf("tcplp: invariant broken after %s: %s\n  state=%v una=%d nxt=%d max=%d queuedEnd=%d iss=%d finQueued=%v sndBuf=%d/%d sndWnd=%d cwnd=%d recovery=%v sb=%v\n  rcvNxt=%d readable=%d ooo=%d window=%d lastAck=%d lastWnd=%d retx=%v (%s) delack=%v pace=%v",
 			where, msg,
 			c.state, c.sndUna, c.sndNxt, c.sndMax, c.queuedEnd, c.iss, c.finQueued,
 			c.sndBuf.Len(), c.sndBuf.Capacity(), c.sndWnd, c.cong.Cwnd(), c.inRecovery, c.sb.ranges,
 			c.rcvNxt, c.rcvQ.Readable(), c.rcvQ.OutOfOrder(), c.rcvQ.Window(), c.lastAckSeq, c.lastWndAdv,
-			c.rexmt.Armed(), c.persist.Armed(), c.delAckTimer.Armed(), c.timeWait.Armed(), c.paceTimer.Armed()))
+			c.retx.Armed(), retxNames[c.retxKind], c.delAckTimer.Armed(), c.paceTimer.Armed()))
 	}
 }
 
-// checked wraps a timer callback so the invariants are checked when it
-// returns, whichever way it returns.
-func (c *Conn) checked(where string, f func()) func() {
-	return func() {
-		f()
-		c.checkInvariants(where)
+// checkArm panics when the retx slot is armed as k while another kind is
+// pending: FreeBSD's tcp_setpersist assertion, for all three kinds.
+func (c *Conn) checkArm(k retxKind) {
+	if c.retx.Armed() && c.retxKind != k {
+		panic(fmt.Sprintf("tcplp: invariant broken when arming the %s: the %s is pending (state=%v una=%d nxt=%d max=%d sndWnd=%d)",
+			retxNames[k], retxNames[c.retxKind], c.state, c.sndUna, c.sndNxt, c.sndMax, c.sndWnd))
 	}
 }
 
@@ -81,11 +82,7 @@ func (c *Conn) brokenInvariant() string {
 	if edge := c.rcvNxt.Add(c.rcvQ.Window()); c.lastAckSeq.Add(c.lastWndAdv).GT(edge) {
 		return fmt.Sprintf("advertised window edge %d retreated to %d", c.lastAckSeq.Add(c.lastWndAdv), edge)
 	}
-	if c.rexmt.Armed() && c.persist.Armed() {
-		return "rexmt and persist both armed"
-	}
-	if c.state == StateClosed && (c.rexmt.Armed() || c.persist.Armed() ||
-		c.delAckTimer.Armed() || c.timeWait.Armed() || c.paceTimer.Armed()) {
+	if c.state == StateClosed && (c.retx.Armed() || c.delAckTimer.Armed() || c.paceTimer.Armed()) {
 		return "timer armed on a CLOSED connection"
 	}
 	return ""

@@ -57,7 +57,6 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 		{"not marked present", func(_, s *Conn) { bitmap.ClearRange(s.rcvQ.bits, s.rcvQ.start, s.rcvQ.start+1) }},
 		{"spare bitmap bit", func(_, s *Conn) { s.rcvQ.bits[len(s.rcvQ.bits)-1] |= 1 << 63 }},
 		{"window edge", func(_, s *Conn) { s.lastWndAdv += 100 }},
-		{"rexmt and persist both armed", func(c, _ *Conn) { c.persist.Reset(sim.Second) }},
 		{"timer armed on a CLOSED connection", func(c, _ *Conn) { c.state = StateClosed }},
 	} {
 		_, c, s := established()
@@ -66,6 +65,18 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 			t.Errorf("corruption meant to break %q reported %q", tc.want, got)
 		}
 	}
+
+	// Arming one kind of the retx slot over another still pending panics
+	// at once: mid-transfer the client's slot holds its rexmt.
+	func() {
+		_, c, _ := established()
+		defer func() {
+			if r, _ := recover().(string); !strings.Contains(r, "when arming the persist timer") || !strings.Contains(r, "the rexmt timer is pending") {
+				t.Errorf("arming persist over a pending rexmt did not panic naming both: %v", r)
+			}
+		}()
+		c.schedulePersist()
+	}()
 
 	// And checkInvariants turns a broken one into a panic naming the step.
 	_, c, _ := established()

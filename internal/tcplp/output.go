@@ -222,11 +222,11 @@ func (c *Conn) sendLoop() {
 			// rexmt/persist exclusivity): retransmitting into a zero
 			// window is pointless and would loop the RTO to abort.
 			pending := avail > 0 || (c.finQueued && !c.finAcked())
-			if pending && c.sndNxt == c.sndUna && !c.persist.Armed() {
+			if pending && c.sndNxt == c.sndUna && !c.armed(kindPersist) {
 				if c.sndWnd == 0 {
-					c.rexmt.Stop()
+					c.disarm(kindRexmt)
 					c.schedulePersist()
-				} else if !c.rexmt.Armed() {
+				} else if !c.armed(kindRexmt) {
 					c.schedulePersist()
 				}
 			}
@@ -336,7 +336,7 @@ func (c *Conn) sendData(seq Seq, segLen int, fin bool, rtx bool) {
 		// Zero-window probes retransmit under the persist timer, never
 		// the retransmission timer (the two are mutually exclusive, as
 		// in BSD tcp_output).
-		c.rexmt.Stop()
+		c.disarm(kindRexmt)
 	} else {
 		c.armRexmt()
 	}
@@ -460,14 +460,60 @@ func (c *Conn) startRTTSample(seq Seq) {
 
 // ----- timers -----
 
+// retxKind names what the retx slot holds: the retransmission, persist
+// or 2MSL timer.
+type retxKind uint8
+
+const (
+	kindRexmt retxKind = iota
+	kindPersist
+	kind2MSL
+)
+
+// retxNames name each kind in an invariants panic.
+var retxNames = [...]string{"rexmt timer", "persist timer", "2MSL timer"}
+
+// armed reports whether the retx slot is pending and holds kind k.
+func (c *Conn) armed(k retxKind) bool { return c.retxKind == k && c.retx.Armed() }
+
+// arm (re)arms the retx slot as kind k, to fire after d.
+func (c *Conn) arm(k retxKind, d sim.Duration) {
+	c.checkArm(k)
+	c.retxKind = k
+	c.retx.Reset(d)
+}
+
+// disarm stops the retx slot only while it holds k: an ACK that stops
+// the rexmt mid-persist must leave the probe timer running.
+func (c *Conn) disarm(k retxKind) {
+	if c.retxKind == k {
+		c.retx.Stop()
+	}
+}
+
+// onRetx is the retx slot's callback: it runs the kind armed, then
+// checks the connection.
+func (c *Conn) onRetx() {
+	k := c.retxKind
+	switch k {
+	case kindRexmt:
+		c.onRTO()
+	case kindPersist:
+		c.onPersist()
+	default:
+		c.teardown(nil) // 2MSL elapsed in TIME_WAIT
+	}
+	c.checkInvariants(retxNames[k])
+}
+
 // armRexmt starts the retransmission timer if it is not running and
 // something is in flight. Only sequence space actually sent counts (a
 // transmitted FIN is inside snd.max): a FIN still queued behind a closed
 // window is the persist timer's to push, and arming both would fire RTOs
 // into the closed window (TestZeroWindowWithFinQueuedNoSpuriousRTO).
 func (c *Conn) armRexmt() {
-	if c.sndMax.Diff(c.sndUna) > 0 && !c.rexmt.Armed() {
-		c.rexmt.Reset(c.rtt.Backoff(c.rexmtShift))
+	if c.sndMax.Diff(c.sndUna) > 0 && !c.armed(kindRexmt) {
+		c.arm(kindRexmt, c.rtt.Backoff(c.rexmtShift))
 	}
 }
 
@@ -498,7 +544,7 @@ func (c *Conn) onRTO() {
 		// since the handshake is the only sample source until data flows.)
 		c.rttPending = false
 		c.sendSYN(c.state == StateSynReceived)
-		c.rexmt.Reset(c.rtt.Backoff(c.rexmtShift))
+		c.arm(kindRexmt, c.rtt.Backoff(c.rexmtShift))
 		return
 	}
 	mss := c.effMSS()
@@ -514,14 +560,14 @@ func (c *Conn) onRTO() {
 	c.rttPending = false // Karn: do not sample retransmitted segments
 	c.rtxPipe = 0
 	c.sndNxt = c.sndUna
-	c.rexmt.Reset(c.rtt.Backoff(c.rexmtShift))
+	c.arm(kindRexmt, c.rtt.Backoff(c.rexmtShift))
 	c.output()
 }
 
 // schedulePersist arms the zero-window probe timer.
 func (c *Conn) schedulePersist() {
 	d := clampDur(c.rtt.Backoff(c.persistShift), 5*sim.Second/10, 60*sim.Second)
-	c.persist.Reset(d)
+	c.arm(kindPersist, d)
 }
 
 // onPersist forces progress through a closed (or silly) window: it sends
@@ -572,17 +618,13 @@ func (c *Conn) onPersist() {
 func (c *Conn) onDelAck() {
 	c.Stats.DelayedAcks++
 	c.sendAck()
+	c.checkInvariants("delayed-ACK timer")
 }
 
 func (c *Conn) enterTimeWait() {
 	c.setState(StateTimeWait)
-	c.rexmt.Stop()
-	c.persist.Stop()
-	c.timeWait.Reset(2 * maxSegmentLifetime)
-}
-
-func (c *Conn) onTimeWaitExpiry() {
-	c.teardown(nil)
+	c.retx.Stop()
+	c.arm(kind2MSL, 2*maxSegmentLifetime)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -354,8 +354,9 @@ func TestTimestampEchoCoversDelayedAck(t *testing.T) {
 	}
 }
 
-// TestZeroWindowWithFinQueuedNoSpuriousRTO pins a bug the invariant
-// "rexmt and persist never both armed" found (go test -tags invariants):
+// TestZeroWindowWithFinQueuedNoSpuriousRTO pins a bug the invariants
+// build found when rexmt and persist were two timers never to be armed
+// together (today arming one over the other panics there, checkArm):
 // the retransmission timer used to be armed whenever a FIN was queued,
 // sent or not. A sender stuck against a closed window with data and the
 // FIN still queued, whose probe byte the receiver accepted (the reader
@@ -401,9 +402,9 @@ func TestZeroWindowWithFinQueuedNoSpuriousRTO(t *testing.T) {
 	}
 	for at := sim.Time(3 * sim.Second); at < sim.Time(25*sim.Minute); at += sim.Time(sim.Second) {
 		l.eng.RunUntil(at)
-		if client.rexmt.Armed() && client.persist.Armed() {
-			t.Fatalf("t=%v: rexmt and persist both armed (una=%d nxt=%d max=%d wnd=%d)",
-				at, client.sndUna, client.sndNxt, client.sndMax, client.sndWnd)
+		if !client.armed(kindPersist) || client.armed(kindRexmt) {
+			t.Fatalf("t=%v: want persist armed and rexmt not, retx slot holds the %s (armed %v; una=%d nxt=%d max=%d wnd=%d)",
+				at, retxNames[client.retxKind], client.retx.Armed(), client.sndUna, client.sndNxt, client.sndMax, client.sndWnd)
 		}
 	}
 	if client.Stats.Timeouts != 0 || client.State() == StateClosed {

@@ -36,13 +36,10 @@ type Listener struct {
 	port  uint16
 	// OnAccept is invoked when a connection completes its handshake.
 	OnAccept func(c *Conn)
-	// ConfigFor, if set, customizes the Config for an incoming
-	// connection; nil uses the stack default.
-	ConfigFor func() Config
+	// Config, if set, is the Config of every incoming connection; nil
+	// uses the stack default.
+	Config *Config
 }
-
-// Close stops accepting new connections on the port.
-func (l *Listener) Close() { delete(l.stack.listeners, l.port) }
 
 // Stack is one node's TCP protocol instance.
 type Stack struct {
@@ -72,7 +69,7 @@ type Stack struct {
 
 	conns     map[connKey]*Conn
 	listeners map[uint16]*Listener
-	expecting map[*Conn]bool
+	expecting int // connections with unACKed data (Conn.setExpecting)
 	nextPort  uint16
 
 	Stats StackStats
@@ -218,10 +215,10 @@ func (s *Stack) demux(pkt *ip6.Packet, seg *Segment) {
 	if l, ok := s.listeners[seg.DstPort]; ok &&
 		seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) && !seg.Flags.Has(FlagRST) {
 		cfg := s.cfg
-		if l.ConfigFor != nil {
-			cfg = l.ConfigFor()
-			// A dynamic per-connection config is only validated here, on
-			// the packet path: refuse the connection rather than panic
+		if l.Config != nil {
+			cfg = *l.Config
+			// A listener's config is only validated here, on the packet
+			// path: refuse the connection rather than panic
 			// mid-simulation.
 			if !cc.Valid(cfg.Variant) {
 				s.Stats.NoSocket++
@@ -342,23 +339,5 @@ func (s *Stack) notifyAccept(c *Conn) {
 	if l, ok := s.listeners[c.localPort]; ok && l.OnAccept != nil {
 		s.Stats.ConnsAccepted++
 		l.OnAccept(c)
-	}
-}
-
-// noteExpecting tracks which connections have unACKed data and fires
-// OnExpectingChange on 0↔1 transitions of that set.
-func (s *Stack) noteExpecting(c *Conn, on bool) {
-	before := len(s.expecting) > 0
-	if on {
-		if s.expecting == nil {
-			s.expecting = map[*Conn]bool{}
-		}
-		s.expecting[c] = true
-	} else {
-		delete(s.expecting, c)
-	}
-	after := len(s.expecting) > 0
-	if before != after && s.OnExpectingChange != nil {
-		s.OnExpectingChange(after)
 	}
 }

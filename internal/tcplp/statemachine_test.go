@@ -140,14 +140,14 @@ func TestWindowUpdateAfterRead(t *testing.T) {
 	}
 }
 
-// TestListenerConfigFor: per-connection configuration override on accept.
+// TestListenerConfigFor: a listener's Config is its accepted connections'.
 func TestListenerConfigFor(t *testing.T) {
 	l := newTestLink(43, 10*sim.Millisecond, testCfg())
 	var server *Conn
 	lst := l.b.Listen(80, func(c *Conn) { server = c })
 	custom := testCfg()
 	custom.RecvBufSize = 9 * 408
-	lst.ConfigFor = func() Config { return custom }
+	lst.Config = &custom
 	l.a.Connect(ip6.AddrFromID(1), 80)
 	l.eng.RunUntil(sim.Time(sim.Second))
 	if server == nil || server.rcvQ.Capacity() != 9*408 {
@@ -261,8 +261,8 @@ func TestPersistRexmtExclusivity(t *testing.T) {
 	// the dup-ACK threshold that re-enters ordinary recovery.
 	var persistArmed, rexmtArmed, probed bool
 	l.eng.Schedule(1200*sim.Millisecond, func() {
-		persistArmed = client.persist.Armed()
-		rexmtArmed = client.rexmt.Armed()
+		persistArmed = client.armed(kindPersist)
+		rexmtArmed = client.armed(kindRexmt)
 		probed = client.Stats.ZeroWindowProbes > 0
 	})
 	l.eng.RunUntil(sim.Time(4 * sim.Second))
@@ -272,6 +272,117 @@ func TestPersistRexmtExclusivity(t *testing.T) {
 	if !persistArmed || rexmtArmed {
 		t.Fatalf("persist/rexmt exclusivity violated mid-probe: persist=%v rexmt=%v",
 			persistArmed, rexmtArmed)
+	}
+}
+
+// TestRetxSlotKinds walks one connection through every kind its retx
+// slot holds: the retransmission timer of a SYN whose first copy is lost,
+// the persist timer against a zero window with the FIN queued, and 2MSL
+// in TIME_WAIT. Mid-persist, the reader takes one byte, so the next probe
+// is accepted and its ACK advances snd.una with the window still closed:
+// processAck stops the retransmission timer, and that must leave the
+// probe timer armed at the deadline it had.
+func TestRetxSlotKinds(t *testing.T) {
+	l := newTestLink(50, 10*sim.Millisecond, testCfg())
+	var server *Conn
+	l.b.Listen(80, func(c *Conn) { server = c })
+	synLost := false
+	l.Drop = func(*ip6.Packet) bool { // the first packet: the client's SYN
+		drop := !synLost
+		synLost = true
+		return drop
+	}
+	client := l.a.Connect(ip6.AddrFromID(1), 80)
+	if !client.armed(kindRexmt) {
+		t.Fatalf("SYN sent, retx slot holds the %s (armed %v)", retxNames[client.retxKind], client.retx.Armed())
+	}
+
+	// Stage 1: the SYN's RTO fires and rearms the rexmt until the
+	// retransmitted SYN completes the handshake.
+	for at := sim.Time(100 * sim.Millisecond); client.State() == StateSynSent; at += sim.Time(100 * sim.Millisecond) {
+		if !client.armed(kindRexmt) {
+			t.Fatalf("t=%v in SYN_SENT: retx slot holds the %s (armed %v)", at, retxNames[client.retxKind], client.retx.Armed())
+		}
+		l.eng.RunUntil(at)
+	}
+	if client.State() != StateEstablished || client.Stats.Timeouts != 1 {
+		t.Fatalf("after the SYN retransmission: %v, %d timeouts", client.State(), client.Stats.Timeouts)
+	}
+
+	// Stage 2: a full receive window, then 100 bytes and the FIN behind it
+	// against a reader that reads nothing.
+	const total = 4*408 + 100
+	sent := 0
+	pump := func() {
+		for sent < total {
+			n, _ := client.Write(make([]byte, min(512, total-sent)))
+			if n == 0 {
+				return
+			}
+			sent += n
+		}
+		client.Close()
+	}
+	client.OnWritable = pump
+	pump()
+	midPersistAcks := 0
+	inner := l.b.Output
+	l.b.Output = func(pkt *ip6.Packet) {
+		seg, err := DecodeSegment(pkt.Src, pkt.Dst, pkt.Payload)
+		var una Seq
+		var due sim.Time
+		var persist bool
+		// Both checks run at the segment's arrival, one just before its
+		// input and one just after.
+		l.eng.Schedule(l.delay, func() {
+			una, persist = client.sndUna, client.armed(kindPersist)
+			due, _ = client.retx.Deadline()
+		})
+		inner(pkt)
+		l.eng.Schedule(l.delay, func() {
+			if !persist || err != nil || seg.Window != 0 || !client.sndUna.GT(una) {
+				return
+			}
+			midPersistAcks++
+			if when, _ := client.retx.Deadline(); !client.armed(kindPersist) || when != due {
+				t.Errorf("ACK mid-persist: retx slot holds the %s (armed %v) due %v, want the persist timer due %v",
+					retxNames[client.retxKind], client.retx.Armed(), when, due)
+			}
+		})
+	}
+	l.eng.RunUntil(sim.Time(3 * sim.Second))
+	if client.sndWnd != 0 || !client.finQueued || !client.armed(kindPersist) {
+		t.Fatalf("zero window with the FIN queued: sndWnd=%d finQueued=%v, retx slot holds the %s (armed %v)",
+			client.sndWnd, client.finQueued, retxNames[client.retxKind], client.retx.Armed())
+	}
+	if n := server.Read(make([]byte, 1)); n != 1 {
+		t.Fatalf("read %d bytes", n)
+	}
+	l.eng.RunUntil(sim.Time(10 * sim.Second))
+	if midPersistAcks == 0 {
+		t.Fatalf("no ACK advanced snd.una mid-persist (%d probes)", client.Stats.ZeroWindowProbes)
+	}
+
+	// Stage 3: the reader drains and closes; the client's FIN is ACKed,
+	// the server's FIN takes the client into TIME_WAIT, whose 2MSL
+	// replaces whatever the slot held.
+	buf := make([]byte, 2048)
+	server.OnReadable = func() {
+		for server.Read(buf) > 0 {
+		}
+		if server.EOF() {
+			server.Close()
+		}
+	}
+	server.OnReadable()
+	l.eng.RunUntil(sim.Time(20 * sim.Second))
+	if client.State() != StateTimeWait || !client.armed(kind2MSL) {
+		t.Fatalf("client %v, retx slot holds the %s (armed %v), want TIME_WAIT under 2MSL",
+			client.State(), retxNames[client.retxKind], client.retx.Armed())
+	}
+	l.eng.RunUntil(sim.Time(40 * sim.Second))
+	if client.State() != StateClosed || client.retx.Armed() {
+		t.Fatalf("after 2MSL: client %v, retx armed %v", client.State(), client.retx.Armed())
 	}
 }
 
@@ -310,7 +421,7 @@ func TestPersistWindowReopenResumesOutput(t *testing.T) {
 	if client.State() != StateFinWait2 {
 		t.Fatalf("client state = %v, want FIN_WAIT_2 (FIN acked)", client.State())
 	}
-	if client.persist.Armed() {
+	if client.armed(kindPersist) {
 		t.Fatal("persist timer still armed after the window reopened")
 	}
 	// And the close completes end to end.

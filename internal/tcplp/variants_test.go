@@ -45,16 +45,14 @@ func TestUnknownVariantPanics(t *testing.T) {
 	newTestLink(70, 10*sim.Millisecond, cfg)
 }
 
-// A listener's dynamic per-connection config sits on the packet path,
+// A listener's config is checked on the packet path,
 // so a bad variant there must refuse the connection (RST), not panic.
 func TestListenerBadVariantRefusesConnection(t *testing.T) {
 	l := newTestLink(71, 10*sim.Millisecond, testCfg())
 	lst := l.b.Listen(80, func(c *Conn) { t.Fatal("accepted a connection with a bad variant") })
-	lst.ConfigFor = func() Config {
-		cfg := testCfg()
-		cfg.Variant = "tahoe"
-		return cfg
-	}
+	cfg := testCfg()
+	cfg.Variant = "tahoe"
+	lst.Config = &cfg
 	var closedErr error
 	client := l.a.Connect(ip6.AddrFromID(1), 80)
 	client.OnClosed = func(err error) { closedErr = err }
